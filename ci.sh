@@ -108,6 +108,16 @@ stage "svc smoke (campaign service: two concurrent tenants, overlapping grids, d
 # an injected execution crash. Loopback TCP only; fully offline.
 cargo run --offline --release -p nestsim-svc --bin svc_smoke
 
+stage "benchmark package (BENCHMARK.json's program: its own tests, then every workload once)"
+# `benchmark/` is a workspace of its own that calls the engine through a
+# frozen probe surface (System::{new, clone, run_until},
+# DramContents::new, the one-call campaign entry points); nothing in the
+# root workspace compiles it, so a signature change there would
+# otherwise break it silently. The smoke runs both halves (untraced and
+# traced) of all five workloads on one cell and checks every result.
+(cd benchmark && cargo test --release --offline --target-dir ../target)
+benchmark/run.sh --smoke
+
 stage "bench smoke run (1 iteration per bench)"
 NESTSIM_BENCH_SMOKE=1 NESTSIM_BENCH_OUT="$(mktemp -d)" \
     cargo bench --offline -p nestsim-bench

@@ -1,24 +1,192 @@
 //! DRAM contents: the MCU's high-level uncore state (Table 1).
+//!
+//! [`DramContents`] is a paged, structurally shared image: 4 KiB pages
+//! found through one page-number lookup, immutable pages shared by
+//! reference count between a system, its ladder rungs and every
+//! injection cloned from them, and a private copy made only on the
+//! first write to a shared page. DESIGN.md ("Snapshots and the paged
+//! DRAM image") has the sizing and the alternatives that were measured.
+
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use nestsim_proto::addr::{LineAddr, PAddr, LINE_BYTES};
 
 /// Words (u64) per cache line.
 pub const WORDS_PER_LINE: usize = (LINE_BYTES / 8) as usize;
 
+type Line = [u64; WORDS_PER_LINE];
+const ZERO_LINE: Line = [0; WORDS_PER_LINE];
+
+/// log2 of the lines per page: 64 lines × 64 B = 4 KiB, small enough
+/// that a co-simulation window's handful of writebacks copies a few KiB,
+/// large enough that the page table of a ≈2.4 MB image is ≈600 entries.
+const PAGE_SHIFT: u32 = 6;
+const LINES_PER_PAGE: usize = 1 << PAGE_SHIFT;
+/// Pages per arena chunk (one heap allocation). Private pages are
+/// allocated a chunk at a time because a long run dirties hundreds of
+/// pages between two snapshots: one allocation per page more than
+/// doubled the allocation count of a laddered campaign.
+const PAGES_PER_CHUNK: usize = 64;
+
 // nestlint: allow(no-nondeterminism) -- audited: line maps are accessed
 // point-wise by line address; the only iterations are diff_lines (sorts
-// keys first) and apply_to (one independent write per key, order
-// commutes), so hash order never reaches results.
-type LineMap = std::collections::HashMap<u64, [u64; WORDS_PER_LINE]>;
+// keys first), differs (an order-free `any`) and apply_to (one
+// independent write per key, order commutes), so hash order never
+// reaches results.
+type LineMap = std::collections::HashMap<u64, Line>;
+
+/// Hashes a page number with one multiply. Page numbers are chosen by
+/// the simulated program (or by a bit flip in one of its addresses),
+/// never by input from outside the process, so the default hasher's
+/// collision resistance buys nothing here and its cost sat on every
+/// simulated memory access.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageNoHasher(u64);
+
+impl Hasher for PageNoHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page numbers are hashed through write_u64 only");
+    }
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci hashing; the fold brings the well-mixed high half
+        // down to the low bits the table indexes buckets with.
+        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+// nestlint: allow(no-nondeterminism) -- audited: the page table is
+// probed point-wise by page number; the iterations are freeze (every
+// private slot gets the same arena pointer), clone (slot by slot, same
+// keys) and the order-free `all` of the semantic equality.
+type PageTable = std::collections::HashMap<u64, Slot, BuildHasherDefault<PageNoHasher>>;
+
+/// One 4 KiB page plus its count of non-zero lines.
+#[derive(Debug, Clone)]
+struct Page {
+    lines: [Line; LINES_PER_PAGE],
+    backed: u32,
+}
+
+impl Page {
+    const ZERO: Page = Page {
+        lines: [ZERO_LINE; LINES_PER_PAGE],
+        backed: 0,
+    };
+}
+
+/// Page storage, grown one chunk at a time; a page index is its
+/// position counted across chunks, every chunk but the last being full.
+#[derive(Debug, Default)]
+struct Arena {
+    chunks: Vec<Vec<Page>>,
+    /// Indices whose page was dropped, reused before the arena grows.
+    free: Vec<u32>,
+}
+
+impl Arena {
+    fn page(&self, idx: u32) -> &Page {
+        &self.chunks[idx as usize / PAGES_PER_CHUNK][idx as usize % PAGES_PER_CHUNK]
+    }
+
+    fn page_mut(&mut self, idx: u32) -> &mut Page {
+        &mut self.chunks[idx as usize / PAGES_PER_CHUNK][idx as usize % PAGES_PER_CHUNK]
+    }
+
+    /// Pages in use.
+    fn live(&self) -> usize {
+        let stored = match self.chunks.last() {
+            Some(last) => (self.chunks.len() - 1) * PAGES_PER_CHUNK + last.len(),
+            None => 0,
+        };
+        stored - self.free.len()
+    }
+
+    /// Stores a copy of `page` and returns its index.
+    fn alloc(&mut self, page: &Page) -> u32 {
+        if let Some(idx) = self.free.pop() {
+            *self.page_mut(idx) = page.clone();
+            return idx;
+        }
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.len() == PAGES_PER_CHUNK)
+        {
+            self.chunks.push(Vec::with_capacity(PAGES_PER_CHUNK));
+        }
+        let last = self.chunks.len() - 1;
+        let chunk = &mut self.chunks[last];
+        chunk.push(page.clone());
+        u32::try_from(last * PAGES_PER_CHUNK + chunk.len() - 1)
+            .expect("an arena of 2^32 pages would be 16 TiB")
+    }
+}
+
+impl Clone for Arena {
+    fn clone(&self) -> Self {
+        // Not derived: a derived clone sizes each chunk to its length,
+        // and the next `alloc` into the last one would reallocate it.
+        let chunks = self
+            .chunks
+            .iter()
+            .map(|chunk| {
+                let mut copy = Vec::with_capacity(PAGES_PER_CHUNK);
+                copy.extend_from_slice(chunk);
+                copy
+            })
+            .collect();
+        Arena {
+            chunks,
+            free: self.free.clone(),
+        }
+    }
+}
+
+/// Where a page lives: in the frozen arena `shared` points at, or — when
+/// `shared` is `None` — in the owning memory's private arena.
+#[derive(Debug, Clone)]
+struct Slot {
+    shared: Option<Arc<Arena>>,
+    idx: u32,
+}
 
 /// Sparse main-memory contents, line-granular.
 ///
 /// The paper models 4 GB of DRAM per controller; applications touch only
 /// megabytes, so contents are stored sparsely. Unbacked lines read as
 /// zero (the modeled DRAM is initialized to zero at "boot").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Storage is paged and copy-on-write. A page is either *private*
+/// (owned by this memory, writable in place) or *shared* (immutable,
+/// reference-counted, possibly held by many memories). [`freeze`]
+/// turns every private page into a shared one without copying it;
+/// `clone` then copies only the page table and bumps reference counts,
+/// and the first write to a shared page copies that one page. Cloning
+/// a memory that still has private pages is correct, it just copies
+/// them. Equality compares contents, never sharing history.
+///
+/// [`freeze`]: DramContents::freeze
+#[derive(Debug, Clone, Default)]
 pub struct DramContents {
-    lines: LineMap,
+    /// Page number → page. No page here is all-zero: a page whose last
+    /// non-zero line is cleared is dropped, so equal contents have equal
+    /// page sets.
+    page_slots: PageTable,
+    /// This memory's private pages.
+    arena: Arena,
+    backed: usize,
+}
+
+fn split(line: LineAddr) -> (u64, usize) {
+    (
+        line.raw() >> PAGE_SHIFT,
+        (line.raw() % LINES_PER_PAGE as u64) as usize,
+    )
 }
 
 impl DramContents {
@@ -27,28 +195,57 @@ impl DramContents {
         DramContents::default()
     }
 
+    fn page<'a>(&'a self, slot: &'a Slot) -> &'a Page {
+        slot.shared.as_deref().unwrap_or(&self.arena).page(slot.idx)
+    }
+
+    fn line(&self, line: LineAddr) -> Option<&Line> {
+        let (no, off) = split(line);
+        self.page_slots
+            .get(&no)
+            .map(|slot| &self.page(slot).lines[off])
+    }
+
     /// Reads a full cache line.
     pub fn read_line(&self, line: LineAddr) -> [u64; WORDS_PER_LINE] {
-        self.lines
-            .get(&line.raw())
-            .copied()
-            .unwrap_or([0; WORDS_PER_LINE])
+        self.line(line).copied().unwrap_or(ZERO_LINE)
     }
 
     /// Writes a full cache line.
     pub fn write_line(&mut self, line: LineAddr, data: [u64; WORDS_PER_LINE]) {
-        if data == [0; WORDS_PER_LINE] {
-            // Keep the map sparse: an all-zero line equals unbacked.
-            self.lines.remove(&line.raw());
-        } else {
-            self.lines.insert(line.raw(), data);
+        let (no, off) = split(line);
+        let is_backed = data != ZERO_LINE;
+        let idx = match self.page_slots.get_mut(&no) {
+            Some(slot) => {
+                if let Some(frozen) = slot.shared.take() {
+                    // First write to a shared page: copy it in.
+                    slot.idx = self.arena.alloc(frozen.page(slot.idx));
+                }
+                slot.idx
+            }
+            // Keep the image sparse: an all-zero line equals unbacked.
+            None if !is_backed => return,
+            None => {
+                let idx = self.arena.alloc(&Page::ZERO);
+                self.page_slots.insert(no, Slot { shared: None, idx });
+                idx
+            }
+        };
+        let page = self.arena.page_mut(idx);
+        let was_backed = page.lines[off] != ZERO_LINE;
+        page.lines[off] = data;
+        page.backed = page.backed + u32::from(is_backed) - u32::from(was_backed);
+        self.backed = self.backed + usize::from(is_backed) - usize::from(was_backed);
+        if page.backed == 0 {
+            self.page_slots.remove(&no);
+            self.arena.free.push(idx);
         }
     }
 
     /// Reads the aligned 8-byte word containing `addr`.
     pub fn read_word(&self, addr: PAddr) -> u64 {
-        let line = self.read_line(addr.line());
-        line[(addr.line_offset() / 8) as usize]
+        self.line(addr.line())
+            .map_or(0, |line| line[(addr.line_offset() / 8) as usize])
     }
 
     /// Writes the aligned 8-byte word containing `addr`.
@@ -61,9 +258,50 @@ impl DramContents {
 
     /// Number of backed (non-zero) lines.
     pub fn backed_lines(&self) -> usize {
-        self.lines.len()
+        self.backed
+    }
+
+    /// Number of pages only this memory holds — the pages a `clone`
+    /// would have to copy. Zero right after [`freeze`](Self::freeze).
+    pub fn private_pages(&self) -> usize {
+        self.arena.live()
+    }
+
+    /// Makes every private page shared, without copying any: the
+    /// private arena becomes one reference-counted block and the slots
+    /// that indexed it point at that block instead. Contents do not
+    /// change; subsequent clones copy no page, and this memory's next
+    /// write to any page copies that page first.
+    pub fn freeze(&mut self) {
+        if self.arena.live() == 0 {
+            return;
+        }
+        let frozen = Arc::new(std::mem::take(&mut self.arena));
+        // nestlint: allow(determinism-taint) -- every private slot gets the same arena pointer and keeps its index; visiting order changes nothing
+        for slot in self.page_slots.values_mut() {
+            if slot.shared.is_none() {
+                slot.shared = Some(Arc::clone(&frozen));
+            }
+        }
     }
 }
+
+impl PartialEq for DramContents {
+    fn eq(&self, other: &Self) -> bool {
+        // No stored page is all-zero, so equal contents have equal page
+        // sets; pages compare by bytes, wherever they live.
+        self.backed == other.backed
+            && self.page_slots.len() == other.page_slots.len()
+            && self.page_slots.iter().all(|(no, slot)| {
+                other
+                    .page_slots
+                    .get(no)
+                    .is_some_and(|o| self.page(slot).lines == other.page(o).lines)
+            })
+    }
+}
+
+impl Eq for DramContents {}
 
 /// A copy-on-write overlay over base DRAM contents.
 ///
@@ -118,6 +356,26 @@ impl DramOverlay {
             })
             .map(LineAddr::new)
             .collect()
+    }
+
+    /// Whether any line's effective contents differ between `self` and
+    /// `other` (both over the same `base`): `!diff_lines(..).is_empty()`
+    /// without building the list — the per-check form of the golden
+    /// compare, which only needs the verdict.
+    pub fn differs(&self, other: &DramOverlay, base: &DramContents) -> bool {
+        // nestlint: allow(determinism-taint) -- `any` over independent per-line comparisons is order-free
+        let in_ours = self.writes.iter().any(|(&k, data)| {
+            let line = LineAddr::new(k);
+            *data != other.read_line(base, line)
+        });
+        if in_ours {
+            return true;
+        }
+        // A line only `other` wrote differs when it changed the base.
+        // nestlint: allow(determinism-taint) -- `any` over independent per-line comparisons is order-free
+        other.writes.iter().any(|(&k, data)| {
+            !self.writes.contains_key(&k) && *data != base.read_line(LineAddr::new(k))
+        })
     }
 
     /// Applies all overlay writes to `base` (end-of-co-simulation state
@@ -188,6 +446,18 @@ mod tests {
     }
 
     #[test]
+    fn any_line_address_is_storable() {
+        // Bit flips in co-simulated address fields reach memory as
+        // arbitrary 64-bit line addresses.
+        let mut m = DramContents::new();
+        for raw in [u64::MAX, 1 << 63, (1 << 40) + 17] {
+            m.write_line(LineAddr::new(raw), [raw; WORDS_PER_LINE]);
+            assert_eq!(m.read_line(LineAddr::new(raw)), [raw; WORDS_PER_LINE]);
+        }
+        assert_eq!(m.backed_lines(), 3);
+    }
+
+    #[test]
     fn word_read_write_round_trip() {
         let mut m = DramContents::new();
         m.write_word(PAddr::new(0x100), 7);
@@ -217,18 +487,30 @@ mod tests {
         assert_eq!(base.read_word(PAddr::new(0x40)), 1); // base untouched
     }
 
+    /// `diff_lines` with `differs` checked against it, both ways round.
+    fn diff(a: &DramOverlay, b: &DramOverlay, base: &DramContents) -> Vec<LineAddr> {
+        let d = a.diff_lines(b, base);
+        assert_eq!(a.differs(b, base), !d.is_empty());
+        assert_eq!(b.differs(a, base), !d.is_empty());
+        d
+    }
+
     #[test]
     fn overlay_diff_finds_corruption() {
-        let base = DramContents::new();
+        let mut base = DramContents::new();
+        base.write_line(LineAddr::new(7), [3; WORDS_PER_LINE]);
         let mut t = DramOverlay::new();
         let mut g = DramOverlay::new();
+        assert!(diff(&t, &g, &base).is_empty());
         // Same write → no diff.
         t.write_line(LineAddr::new(5), [1; WORDS_PER_LINE]);
         g.write_line(LineAddr::new(5), [1; WORDS_PER_LINE]);
+        // One side rewriting what the base already holds → no diff.
+        t.write_line(LineAddr::new(7), [3; WORDS_PER_LINE]);
+        assert!(diff(&t, &g, &base).is_empty());
         // Corrupted write by the target only.
         t.write_line(LineAddr::new(9), [2; WORDS_PER_LINE]);
-        let d = t.diff_lines(&g, &base);
-        assert_eq!(d, vec![LineAddr::new(9)]);
+        assert_eq!(diff(&t, &g, &base), vec![LineAddr::new(9)]);
     }
 
     #[test]
@@ -247,6 +529,46 @@ mod tests {
         let mut g = DramOverlay::new();
         g.write_line(LineAddr::new(2), [5; WORDS_PER_LINE]);
         // Target dropped a write the golden performed → divergence.
-        assert_eq!(t.diff_lines(&g, &base), vec![LineAddr::new(2)]);
+        assert_eq!(diff(&t, &g, &base), vec![LineAddr::new(2)]);
+    }
+
+    #[test]
+    fn first_write_to_a_shared_page_copies_only_that_page() {
+        let mut m = DramContents::new();
+        for page in 0..3u64 {
+            m.write_line(
+                LineAddr::new(page * LINES_PER_PAGE as u64),
+                [1; WORDS_PER_LINE],
+            );
+        }
+        assert_eq!(m.private_pages(), 3);
+        m.freeze();
+        assert_eq!(m.private_pages(), 0);
+        let mut c = m.clone();
+        assert_eq!(c.private_pages(), 0);
+        c.write_line(LineAddr::new(1), [2; WORDS_PER_LINE]);
+        assert_eq!(c.private_pages(), 1);
+        // The copy carries the page's other lines; the original is untouched.
+        assert_eq!(c.read_line(LineAddr::new(0)), [1; WORDS_PER_LINE]);
+        assert_eq!(m.read_line(LineAddr::new(1)), [0; WORDS_PER_LINE]);
+        assert_eq!((m.backed_lines(), c.backed_lines()), (3, 4));
+        assert_ne!(m, c);
+    }
+
+    #[test]
+    fn equality_ignores_sharing_history() {
+        let mut a = DramContents::new();
+        a.write_word(PAddr::new(0x40), 1);
+        a.freeze();
+        a.write_word(PAddr::new(0x2000), 2);
+        let mut b = DramContents::new();
+        b.write_word(PAddr::new(0x2000), 2);
+        b.write_word(PAddr::new(0x40), 1);
+        assert_eq!(a, b);
+        // Clearing a page's last line drops the page on either side.
+        a.write_word(PAddr::new(0x40), 0);
+        b.write_word(PAddr::new(0x40), 0);
+        assert_eq!(a, b);
+        assert_eq!(a.backed_lines(), 1);
     }
 }

@@ -11,6 +11,8 @@ use std::hint::black_box;
 use nestsim_bench::bench_base;
 use nestsim_core::cosim::{CosimDriver, L2cDriver};
 use nestsim_harness::bench::Suite;
+use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
+use nestsim_hlsim::{SnapshotLadder, System};
 use nestsim_proto::addr::BankId;
 
 fn accelerated_mode(suite: &mut Suite) {
@@ -37,11 +39,27 @@ fn cosim_mode(suite: &mut Suite) {
 }
 
 fn mixed_mode_plumbing(suite: &mut Suite) {
-    let (base, _) = bench_base("radi", 50);
+    let (base, golden) = bench_base("radi", 50);
 
-    // Snapshot restore = clone of the full system (Fig. 2 step 1).
+    // Building the base system: program image, threads, DMA set-up —
+    // paid once per campaign cell, cluster worker and service execution.
+    suite.bench("table2/plumbing", "system_new", || {
+        black_box(System::new(base.config().clone()))
+    });
+
+    // Clone of the pristine base, whose whole image is shared.
     suite.bench("table2/plumbing", "snapshot_clone", || {
         black_box(base.clone())
+    });
+
+    // Snapshot restore (Fig. 2 step 1) = clone of a mid-run ladder
+    // rung: shared pages, plus the warmed L2 arrays, in-flight events
+    // and store-tracking state the pristine base does not have yet.
+    let (ladder, _) = SnapshotLadder::capture(&base, 512, DEFAULT_MAX_RUNGS);
+    let rung = ladder.rung_below(golden.cycles / 2);
+    assert!(rung.cycle() > 0, "a mid-run rung");
+    suite.bench("table2/plumbing", "snapshot_restore", || {
+        black_box(rung.clone())
     });
 
     // State transfer into RTL (Fig. 2 step 3).

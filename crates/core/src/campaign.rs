@@ -402,6 +402,9 @@ impl<'a> ShardRunner<'a> {
         );
         self.forward += entry.saturating_sub(my_base.cycle());
         my_base.run_until(entry);
+        // Every injection at this entry point clones the cursor: share
+        // the pages the forward run dirtied so those clones copy none.
+        my_base.share_pages();
     }
 
     /// Runs sample `i`, returning its record and per-run recorder.
@@ -1108,6 +1111,28 @@ mod tests {
         );
         let flat: Vec<usize> = shards.concat();
         assert_eq!(flat, order);
+    }
+
+    #[test]
+    fn positioned_cursor_holds_no_private_page() {
+        let profile = by_name("radi").unwrap();
+        let spec = CampaignSpec {
+            // One rung: the cursor has to run forward to every entry.
+            snapshot_interval: u64::MAX,
+            ..CampaignSpec::quick(ComponentKind::L2c, 4)
+        };
+        let (ladder, golden) = laddered_golden_reference(profile, &spec);
+        let samples = draw_samples(profile, &spec, &golden);
+        let mut runner = ShardRunner::new(&ladder, &samples, &golden, None, 1);
+        for i in entry_order(&samples) {
+            runner.run_one(i);
+            let cursor = runner
+                .cursor
+                .as_ref()
+                .expect("run_one positions the cursor");
+            assert!(cursor.cycle() > 0, "the cursor ran forward");
+            assert_eq!(cursor.dram().private_pages(), 0);
+        }
     }
 
     #[test]

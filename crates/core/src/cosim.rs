@@ -389,7 +389,7 @@ impl CosimDriver for L2cDriver {
             }
         }
         let arch_dirty = !self.target.arch().diff_slots(golden.arch()).is_empty()
-            || !self.t_ov.diff_lines(&self.g_ov, self.sys.dram()).is_empty();
+            || self.t_ov.differs(&self.g_ov, self.sys.dram());
         if arch_dirty {
             CosimCheck::ArchMappable
         } else if benign_seen {
@@ -603,7 +603,7 @@ impl CosimDriver for McuDriver {
                 return CosimCheck::Microarch;
             }
         }
-        if !self.t_ov.diff_lines(&self.g_ov, self.sys.dram()).is_empty() {
+        if self.t_ov.differs(&self.g_ov, self.sys.dram()) {
             CosimCheck::ArchMappable
         } else if benign_seen {
             CosimCheck::BenignOnly

@@ -394,10 +394,7 @@ fn lane_check(lane: &Lane, carrier: &L2cDriver, flops_differ: bool) -> CosimChec
         }
     }
     let arch_dirty = !lane.bank.arch().diff_slots(golden.arch()).is_empty()
-        || !lane
-            .ov
-            .diff_lines(&carrier.t_ov, carrier.sys().dram())
-            .is_empty();
+        || lane.ov.differs(&carrier.t_ov, carrier.sys().dram());
     if arch_dirty {
         CosimCheck::ArchMappable
     } else if benign_seen {

@@ -65,6 +65,9 @@ impl SnapshotLadder {
             if run.trap().is_some() || run.all_halted() {
                 break;
             }
+            // The pages dirtied since the previous rung become shared
+            // between `run`, this rung and every restore from it.
+            run.share_pages();
             rungs.push(run.clone());
             if rungs.len() >= max_rungs {
                 // Thin geometrically: even rungs survive at 2× spacing.
@@ -149,6 +152,80 @@ mod tests {
         // Determinism: the restored-and-advanced system finishes the
         // application with the same digest as the from-zero replay.
         assert_eq!(from_zero.run_to_end(), from_rung.run_to_end());
+    }
+
+    #[test]
+    fn base_and_every_rung_hold_no_private_page() {
+        let base = base();
+        assert_eq!(
+            base.dram().private_pages(),
+            0,
+            "System::new shares its image"
+        );
+        let (ladder, _) = SnapshotLadder::capture(&base, 512, DEFAULT_MAX_RUNGS);
+        assert!(ladder.len() >= 3);
+        for rung in &ladder.rungs {
+            assert_eq!(rung.dram().private_pages(), 0, "rung at {}", rung.cycle());
+        }
+    }
+
+    #[test]
+    fn restored_rung_copies_only_the_pages_it_writes() {
+        let base = base();
+        let (ladder, _) = SnapshotLadder::capture(&base, 512, DEFAULT_MAX_RUNGS);
+        let rung = &ladder.rungs[1];
+        // A page holds 64 lines, so the image has at least this many.
+        let image_pages = rung.snapshot_cost().dram_lines / 64;
+        let mut restored = rung.clone();
+        assert_eq!(
+            restored.dram().private_pages(),
+            0,
+            "a restore copies no page"
+        );
+        restored.run_until(rung.cycle() + 256);
+        let after_256 = restored.dram().private_pages();
+        assert!(after_256 > 0, "256 cycles of radi write memory");
+        assert!(
+            after_256 * 4 < image_pages,
+            "{after_256} private pages of a {image_pages}-page image after 256 cycles"
+        );
+        // Its writes stay its own: the rung is as it was captured.
+        assert_eq!(rung.dram().private_pages(), 0);
+        let mut replayed = base.clone();
+        replayed.run_until(rung.cycle());
+        assert!(rung.dram() == replayed.dram());
+        // Sharing again parks the dirtied pages; the next stretch
+        // copies only what it writes in turn.
+        restored.share_pages();
+        assert_eq!(restored.dram().private_pages(), 0);
+        replayed.run_until(rung.cycle() + 256);
+        assert!(restored.dram() == replayed.dram());
+    }
+
+    #[test]
+    fn sharing_changes_no_simulated_state_at_any_interval() {
+        let base = base();
+        let mut golden = Vec::new();
+        for interval in [512, 2_048, u64::MAX] {
+            let (ladder, result) = SnapshotLadder::capture(&base, interval, DEFAULT_MAX_RUNGS);
+            golden.push(result);
+            // A from-zero run that never shares a page along the way.
+            let mut replayed = base.clone();
+            for rung in &ladder.rungs {
+                // Rung 0 is the base before any event ran.
+                if rung.cycle() > 0 {
+                    replayed.run_until(rung.cycle());
+                }
+                assert_eq!(rung.snapshot_cost(), replayed.snapshot_cost());
+                assert_eq!(rung.output_digest(), replayed.output_digest());
+                assert!(
+                    rung.dram() == replayed.dram(),
+                    "rung at {}, interval {interval}",
+                    rung.cycle()
+                );
+            }
+        }
+        assert!(golden.iter().all(|g| *g == golden[0]), "got {golden:?}");
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! memory exclusively through these helpers, so expected control values
 //! and pointer targets are known in both the generator and the image.
 
+use nestsim_arch::mem::WORDS_PER_LINE;
 use nestsim_arch::DramContents;
-use nestsim_proto::addr::{region, PAddr};
+use nestsim_proto::addr::{region, PAddr, LINE_BYTES};
 
 /// Bytes of heap reserved per hardware thread.
 pub const THREAD_HEAP_BYTES: u64 = 64 * 1024;
+/// Words of deterministic "code" pattern at the start of the text region.
+const TEXT_WORDS: u64 = 256;
 /// Pointer-ring entries per thread.
 pub const PTR_RING_LEN: u64 = 64;
 /// Control-sentinel entries per thread.
@@ -95,29 +98,40 @@ fn ring_next(i: u64) -> u64 {
     (5 * i + 1) % PTR_RING_LEN
 }
 
+/// Writes `words` consecutive words starting at the line-aligned
+/// `base`, word `i` holding `value(i)`, one whole cache line per memory
+/// access (the image is ≈260K words; a read-modify-write per word was
+/// most of `System::new`). A final partial line keeps its other words.
+fn fill_words(mem: &mut DramContents, base: PAddr, words: u64, value: impl Fn(u64) -> u64) {
+    assert!(base.is_aligned(LINE_BYTES), "fill_words writes whole lines");
+    for first in (0..words).step_by(WORDS_PER_LINE) {
+        let la = base.offset(first * 8).line();
+        let n = (words - first).min(WORDS_PER_LINE as u64) as usize;
+        let mut line = if n < WORDS_PER_LINE {
+            mem.read_line(la)
+        } else {
+            [0; WORDS_PER_LINE]
+        };
+        for (w, word) in line.iter_mut().enumerate().take(n) {
+            *word = value(first + w as u64);
+        }
+        mem.write_line(la, line);
+    }
+}
+
 /// Writes the complete program image for `threads` hardware threads,
 /// touching `data_words` words of each thread's data array.
 pub fn write_image(mem: &mut DramContents, threads: usize, data_words: u64) {
     // Text region: deterministic "code" pattern.
-    for i in 0..256u64 {
-        mem.write_word(
-            PAddr::new(region::TEXT_BASE.raw() + i * 8),
-            0x7e57_0000_0000_0000 | i,
-        );
-    }
+    fill_words(mem, region::TEXT_BASE, TEXT_WORDS, |i| {
+        0x7e57_0000_0000_0000 | i
+    });
     for t in 0..threads {
-        // Pointer ring.
-        for i in 0..PTR_RING_LEN {
-            mem.write_word(ptr_ring_entry(t, i), ptr_ring_entry(t, ring_next(i)).raw());
-        }
-        // Control sentinels.
-        for j in 0..CTRL_TABLE_LEN {
-            mem.write_word(ctrl_entry(t, j), ctrl_value(t, j));
-        }
-        // Data array.
-        for i in 0..data_words {
-            mem.write_word(data_word(t, i), data_init_value(t, i));
-        }
+        fill_words(mem, ptr_ring_entry(t, 0), PTR_RING_LEN, |i| {
+            ptr_ring_entry(t, ring_next(i)).raw()
+        });
+        fill_words(mem, ctrl_entry(t, 0), CTRL_TABLE_LEN, |j| ctrl_value(t, j));
+        fill_words(mem, data_word(t, 0), data_words, |i| data_init_value(t, i));
     }
     // Shared read-only table (one word per line is enough to be
     // realistic while keeping the image, and therefore snapshots, small).
@@ -163,6 +177,48 @@ mod tests {
                 p = PAddr::new(next);
             }
             assert_eq!(p, ptr_ring_entry(t, 0), "ring closes");
+        }
+    }
+
+    /// The image as it was first built: one read-modify-write per word.
+    fn write_image_by_word(mem: &mut DramContents, threads: usize, data_words: u64) {
+        for i in 0..TEXT_WORDS {
+            mem.write_word(
+                PAddr::new(region::TEXT_BASE.raw() + i * 8),
+                0x7e57_0000_0000_0000 | i,
+            );
+        }
+        for t in 0..threads {
+            for i in 0..PTR_RING_LEN {
+                mem.write_word(ptr_ring_entry(t, i), ptr_ring_entry(t, ring_next(i)).raw());
+            }
+            for j in 0..CTRL_TABLE_LEN {
+                mem.write_word(ctrl_entry(t, j), ctrl_value(t, j));
+            }
+            for i in 0..data_words {
+                mem.write_word(data_word(t, i), data_init_value(t, i));
+            }
+        }
+        for i in (0..SHARED_TABLE_WORDS).step_by(8) {
+            mem.write_word(shared_word(i), shared_init_value(i));
+        }
+    }
+
+    #[test]
+    fn line_at_a_time_image_equals_word_at_a_time_image() {
+        let sizes = crate::workload::BENCHMARKS
+            .iter()
+            .map(|p| p.working_set_words)
+            // Not multiples of the line size: the data array's last
+            // line is partial, and a one-word array is only partial.
+            .chain([0, 1, 13, 4093]);
+        for data_words in sizes {
+            let mut by_line = DramContents::new();
+            write_image(&mut by_line, 8, data_words);
+            let mut by_word = DramContents::new();
+            write_image_by_word(&mut by_word, 8, data_words);
+            assert!(by_line == by_word, "images differ at {data_words} words");
+            assert_eq!(by_line.backed_lines(), by_word.backed_lines());
         }
     }
 

@@ -218,7 +218,10 @@ pub struct SnapshotCost {
 /// The full-system simulator.
 ///
 /// Cloning a `System` captures a complete snapshot (Fig. 2 step 1 uses
-/// these as the restart points for error-injection runs).
+/// these as the restart points for error-injection runs). The DRAM
+/// image is paged and copy-on-write, so a clone copies only the pages
+/// this system still holds privately — none right after
+/// [`share_pages`](System::share_pages).
 #[derive(Debug, Clone)]
 pub struct System {
     cfg: SystemConfig,
@@ -329,6 +332,9 @@ impl System {
         if sys.dma.active {
             sys.schedule(DMA_FRAME_CYCLES, Ev::DmaFrame);
         }
+        // The image is the bulk of the state and most of it is never
+        // written again: share it, so clones of the base copy no page.
+        sys.share_pages();
         sys
     }
 
@@ -400,6 +406,16 @@ impl System {
     /// co-simulation overlays and to let the RTL PCIe engine write).
     pub fn dram_mut(&mut self) -> &mut DramContents {
         &mut self.dram
+    }
+
+    /// Makes every DRAM page this system holds privately a shared,
+    /// immutable one ([`DramContents::freeze`]), copying nothing: the
+    /// step to take before a system is cloned many times (a fresh base,
+    /// a ladder rung, a cursor parked at an entry point), so that each
+    /// clone copies the page table and this system's later writes copy
+    /// one page each. Simulated state is unchanged.
+    pub fn share_pages(&mut self) {
+        self.dram.freeze();
     }
 
     // ── Taint / rollback bookkeeping (Sec. 5 analyses) ──────────────

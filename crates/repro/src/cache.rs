@@ -264,6 +264,17 @@ mod tests {
     use super::*;
     use crate::figs::pick_benchmarks;
 
+    /// The cell cache and its hit/miss counters are one per process,
+    /// and the test runner runs this module's tests on parallel
+    /// threads: every test that fills the cache holds this lock, so a
+    /// test that diffs [`cache_stats`] counts only its own cells.
+    fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // A test that failed while holding it has already reported;
+        // the guarded state is `()`, so there is nothing to distrust.
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn quick_opts(seed: u64) -> Opts {
         Opts {
             samples: 3,
@@ -279,6 +290,7 @@ mod tests {
     /// telemetry counters.
     #[test]
     fn fig4_after_fig3_recomputes_no_shared_cell() {
+        let _cache = cache_lock();
         let opts = quick_opts(77);
         // fig3's grid: the default benchmark subset for one component.
         let fig3_cells: Vec<(ComponentKind, &'static BenchProfile)> =
@@ -320,6 +332,7 @@ mod tests {
     /// gets results byte-identical to in-process execution.
     #[test]
     fn service_cell_matches_in_process() {
+        let _cache = cache_lock();
         let handle =
             nestsim_svc::serve(nestsim_svc::ServiceConfig::default()).expect("start service");
         let mut opts = quick_opts(81);
@@ -338,6 +351,7 @@ mod tests {
     /// lane computed them, and match a direct cell computation.
     #[test]
     fn grid_preserves_request_order() {
+        let _cache = cache_lock();
         let opts = quick_opts(78);
         let benches = pick_benchmarks(&opts, ComponentKind::L2c);
         let cells: Vec<(ComponentKind, &'static BenchProfile)> = benches

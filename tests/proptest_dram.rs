@@ -1,0 +1,195 @@
+//! Property test: the paged copy-on-write `DramContents` against a
+//! naive line map — the storage it replaced, kept here as the oracle.
+//!
+//! A population of (memory, oracle) pairs is driven through random
+//! line and word writes (zeroing ones included), clones, freezes and
+//! drops over a few pages. Clones and freezes must be invisible: every
+//! pair stays read-for-read equal to its own oracle whatever is done
+//! to the pairs it shares pages with, and `==` follows contents, not
+//! sharing history.
+//!
+//! Run on the in-repo `nestsim-harness` property runner (see
+//! `tests/proptest_invariants.rs` for the replay-seed workflow).
+
+use std::collections::BTreeMap;
+
+use nestsim_harness::{properties, Source};
+
+use nestsim::arch::mem::WORDS_PER_LINE;
+use nestsim::arch::DramContents;
+use nestsim::proto::addr::{LineAddr, PAddr};
+
+type Line = [u64; WORDS_PER_LINE];
+
+/// Four 64-line pages.
+const LINES: u64 = 4 * 64;
+/// Memories alive at once.
+const MAX_LIVE: usize = 5;
+
+/// The reference model: one map entry per non-zero line.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct LineMapOracle {
+    lines: BTreeMap<u64, Line>,
+}
+
+impl LineMapOracle {
+    fn read_line(&self, line: LineAddr) -> Line {
+        self.lines
+            .get(&line.raw())
+            .copied()
+            .unwrap_or([0; WORDS_PER_LINE])
+    }
+
+    fn write_line(&mut self, line: LineAddr, data: Line) {
+        if data == [0; WORDS_PER_LINE] {
+            self.lines.remove(&line.raw());
+        } else {
+            self.lines.insert(line.raw(), data);
+        }
+    }
+
+    fn write_word(&mut self, addr: PAddr, value: u64) {
+        let mut line = self.read_line(addr.line());
+        line[(addr.line_offset() / 8) as usize] = value;
+        self.write_line(addr.line(), line);
+    }
+}
+
+/// A line number: half the time one of a page's first two lines, so
+/// that pages often hold nothing else and empty out when those are
+/// zeroed; otherwise anywhere in the four pages.
+fn line_no(src: &mut Source) -> u64 {
+    let page = src.below(LINES / 64);
+    let within = if src.bool() {
+        src.below(2)
+    } else {
+        src.below(64)
+    };
+    page * 64 + within
+}
+
+/// A word that is zero a third of the time, so lines (and with them
+/// pages) are cleared about as often as they are filled.
+fn word(src: &mut Source) -> u64 {
+    if src.below(3) == 0 {
+        0
+    } else {
+        src.range_u64(1, 4)
+    }
+}
+
+fn assert_matches(mem: &DramContents, oracle: &LineMapOracle, step: usize, k: usize) {
+    for l in 0..LINES {
+        let la = LineAddr::new(l);
+        assert_eq!(
+            mem.read_line(la),
+            oracle.read_line(la),
+            "step {step}, memory {k}: line {l}"
+        );
+        let addr = PAddr::new(l * 64 + 8 * (l % 8));
+        assert_eq!(
+            mem.read_word(addr),
+            oracle.read_line(la)[(l % 8) as usize],
+            "step {step}, memory {k}: word at {:#x}",
+            addr.raw()
+        );
+    }
+    assert_eq!(
+        mem.backed_lines(),
+        oracle.lines.len(),
+        "step {step}, memory {k}: backed lines"
+    );
+}
+
+properties! {
+    fn paged_dram_matches_the_line_map_oracle(src) {
+        let mut live = vec![(DramContents::new(), LineMapOracle::default())];
+        let steps = src.range_usize(1, 120);
+        for step in 0..steps {
+            let i = src.index(live.len());
+            match src.below(8) {
+                0..=2 => {
+                    let la = LineAddr::new(line_no(src));
+                    let mut data = [0; WORDS_PER_LINE];
+                    // Mostly sparse lines: one or two words set, or none.
+                    for _ in 0..src.below(3) {
+                        data[src.index(WORDS_PER_LINE)] = word(src);
+                    }
+                    live[i].0.write_line(la, data);
+                    live[i].1.write_line(la, data);
+                }
+                3 | 4 => {
+                    let addr = PAddr::new(line_no(src) * 64 + src.below(8) * 8);
+                    let value = word(src);
+                    live[i].0.write_word(addr, value);
+                    live[i].1.write_word(addr, value);
+                }
+                5 => {
+                    let before = live[i].0.clone();
+                    live[i].0.freeze();
+                    assert_eq!(live[i].0.private_pages(), 0, "freeze leaves no private page");
+                    assert!(live[i].0 == before, "freeze changed contents");
+                }
+                6 if live.len() < MAX_LIVE => {
+                    let copy = live[i].clone();
+                    assert!(copy.0 == live[i].0, "a clone equals its source");
+                    assert!(
+                        copy.0.private_pages() <= live[i].0.private_pages(),
+                        "a clone copies at most the source's private pages"
+                    );
+                    live.push(copy);
+                }
+                7 if live.len() > 1 => {
+                    // Dropping one holder must not disturb the others.
+                    live.swap_remove(i);
+                }
+                _ => {}
+            }
+            // Isolation in every direction: whichever memory was just
+            // written, frozen, cloned or dropped, each live one still
+            // reads as its own oracle.
+            for (k, (mem, oracle)) in live.iter().enumerate() {
+                assert_matches(mem, oracle, step, k);
+            }
+            // Equality is semantic: memories that reached the same
+            // contents by different freeze/clone orders compare equal,
+            // and different contents never do.
+            for (a, oa) in &live {
+                for (b, ob) in &live {
+                    assert_eq!(a == b, oa == ob, "== must follow contents at step {step}");
+                }
+            }
+        }
+    }
+
+    /// The same writes, applied with and without freezes and clones in
+    /// between, end in equal memories — and a fresh memory written once
+    /// with the final contents equals both.
+    fn sharing_history_never_shows_in_equality(src) {
+        let writes = src.vec(1, 60, |s| (line_no(s), word(s)));
+        let mut plain = DramContents::new();
+        let mut shared = DramContents::new();
+        let mut oracle = LineMapOracle::default();
+        let mut parked = Vec::new();
+        for &(l, v) in &writes {
+            let addr = PAddr::new(l * 64);
+            plain.write_word(addr, v);
+            oracle.write_word(addr, v);
+            if src.bool() {
+                shared.freeze();
+            }
+            if src.bool() {
+                // Keep a clone alive so the page stays genuinely shared.
+                parked.push(shared.clone());
+            }
+            shared.write_word(addr, v);
+        }
+        let mut rebuilt = DramContents::new();
+        for (&l, &data) in &oracle.lines {
+            rebuilt.write_line(LineAddr::new(l), data);
+        }
+        assert!(plain == shared);
+        assert!(shared == rebuilt);
+        assert_eq!(shared.backed_lines(), oracle.lines.len());
+    }
+}
