@@ -116,7 +116,24 @@ stage "benchmark package (BENCHMARK.json's program: its own tests, then every wo
 # otherwise break it silently. The smoke runs both halves (untraced and
 # traced) of all five workloads on one cell and checks every result.
 (cd benchmark && cargo test --release --offline --target-dir ../target)
-benchmark/run.sh --smoke
+smoke_out="$(mktemp)"
+benchmark/run.sh --smoke | tee "$smoke_out"
+# Zero-allocation tick gate (ROADMAP 2a): the smoke's traced halves
+# count heap calls per component tick with the benchmark's own counting
+# allocator. Not `== 0`: PCIe reads 0.0005, one amortised growth.
+awk '
+    $1 ~ /^models\.tick_allocs\./ {
+        seen[$1] = 1
+        if ($2 + 0 >= 0.01) { print "ci.sh: " $1 " = " $2 " allocations per tick (gate: < 0.01)"; bad = 1 }
+    }
+    END {
+        split("l2c mcu ccx pcie", want, " ")
+        for (i in want) if (!(("models.tick_allocs." want[i]) in seen)) {
+            print "ci.sh: smoke printed no models.tick_allocs." want[i] " row"; bad = 1
+        }
+        exit bad
+    }
+' "$smoke_out"
 
 stage "bench smoke run (1 iteration per bench)"
 NESTSIM_BENCH_SMOKE=1 NESTSIM_BENCH_OUT="$(mktemp -d)" \

@@ -42,10 +42,11 @@ fn lane_kernels(suite: &mut Suite) {
     let lane_bufs: Vec<BitBuf> = (0..MAX_LANES)
         .map(|i| {
             let mut b = BitBuf::zeroed(32 * 1024);
-            // Half the lanes diverge, so the XOR kernel's early-out
-            // and its per-word scan both get exercised.
+            // Half the lanes diverge, and only in their last word, so
+            // every lane is scanned end to end (a flip in an early word
+            // would time the kernel's early-out instead).
             if i % 2 == 0 {
-                b.write_bits(i * 97, 1, 1);
+                b.write_bits(32 * 1024 - 1 - i, 1, 1);
             }
             b
         })

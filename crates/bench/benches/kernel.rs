@@ -6,16 +6,18 @@
 //! `BENCH_kernel.json` at the workspace root (`--smoke` or
 //! `NESTSIM_BENCH_SMOKE=1` for the 1-iteration CI gate).
 
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 use nestsim_arch::DramContents;
+use nestsim_core::cosim::COSIM_BANK_LATENCY;
 use nestsim_harness::bench::Suite;
 use nestsim_models::ccx::CcxInputs;
 use nestsim_models::l2c::L2cInputs;
 use nestsim_models::mcu::McuInputs;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
-use nestsim_proto::addr::{BankId, McuId, PAddr, ThreadId};
-use nestsim_proto::{PcxKind, PcxPacket, ReqId};
+use nestsim_proto::addr::{BankId, McuId, PAddr, ThreadId, NUM_CORES, NUM_L2_BANKS};
+use nestsim_proto::{CpxPacket, PcxKind, PcxPacket, ReqId};
 use nestsim_rtl::BitBuf;
 
 fn bitbuf_ops(suite: &mut Suite) {
@@ -88,6 +90,42 @@ fn component_ticks(suite: &mut Suite) {
         }
         k += 1;
         black_box(ccx.tick(&inp, &ready))
+    });
+
+    // The crossbar as a CCX campaign drives it (`CcxDriver::step`):
+    // requests *and* returns in flight, saturated — every core offers
+    // whenever its FIFO has room, to banks scattered so the arbiters
+    // contend, and every delivered request comes back on its bank port
+    // after the functional-bank latency. `tick/ccx` above offers one
+    // request a cycle and no returns, which arbitration barely notices.
+    let mut ccx = Ccx::new();
+    let mut bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS] = Default::default();
+    let (mut cyc, mut n) = (0u64, 0u64);
+    suite.bench("kernel/tick", "ccx_loaded", || {
+        cyc += 1;
+        let mut inp = CcxInputs::default();
+        for c in 0..NUM_CORES {
+            if ccx.core_ready(c) {
+                n += 1;
+                inp.from_cores[c] = Some(PcxPacket {
+                    thread: ThreadId::new(c * 8 + (n % 8) as usize),
+                    addr: PAddr::new(0x1000_0000 + (n.wrapping_mul(0x9e37_79b9) >> 7) % 4096 * 64),
+                    ..pcx(n)
+                });
+            }
+        }
+        for (k, q) in bank_q.iter_mut().enumerate() {
+            if ccx.bank_ready(k) && q.front().is_some_and(|(due, _)| *due <= cyc) {
+                inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
+            }
+        }
+        let out = ccx.tick(&inp, &ready);
+        for (q, p) in bank_q.iter_mut().zip(&out.to_banks) {
+            if let Some(p) = p {
+                q.push_back((cyc + COSIM_BANK_LATENCY, CpxPacket::reply_to(p, p.data)));
+            }
+        }
+        black_box(out)
     });
 
     let mut pcie = Pcie::new();

@@ -264,7 +264,7 @@ impl L2cDriver {
         );
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        for msg in self.sys.drain_outbox() {
+        while let Some(msg) = self.sys.pop_outbox() {
             match msg {
                 OutMsg::Pcx(p) => self.inbox.push_back(p),
                 other => unreachable!("unexpected outbox message {other:?}"),
@@ -298,7 +298,7 @@ impl CosimDriver for L2cDriver {
     fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        for msg in self.sys.drain_outbox() {
+        while let Some(msg) = self.sys.pop_outbox() {
             match msg {
                 OutMsg::Pcx(p) => self.inbox.push_back(p),
                 other => unreachable!("unexpected outbox message {other:?}"),
@@ -505,7 +505,7 @@ impl CosimDriver for McuDriver {
     fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        for msg in self.sys.drain_outbox() {
+        while let Some(msg) = self.sys.pop_outbox() {
             match msg {
                 OutMsg::DramFill { bank, line } => {
                     let tag = self.alloc_tag();
@@ -670,8 +670,8 @@ pub struct CcxDriver {
     pub target: Ccx,
     /// The golden copy.
     pub golden: Option<Ccx>,
-    core_q: Vec<VecDeque<PcxPacket>>,
-    bank_q: Vec<VecDeque<(u64, CpxPacket)>>,
+    core_q: [VecDeque<PcxPacket>; NUM_CORES],
+    bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS],
     first_err_out: Option<u64>,
 }
 
@@ -686,8 +686,8 @@ impl CcxDriver {
             sys,
             target: Ccx::new(),
             golden: None,
-            core_q: (0..NUM_CORES).map(|_| VecDeque::new()).collect(),
-            bank_q: (0..NUM_L2_BANKS).map(|_| VecDeque::new()).collect(),
+            core_q: Default::default(),
+            bank_q: Default::default(),
             first_err_out: None,
         }
     }
@@ -697,7 +697,7 @@ impl CosimDriver for CcxDriver {
     fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        for msg in self.sys.drain_outbox() {
+        while let Some(msg) = self.sys.pop_outbox() {
             match msg {
                 OutMsg::Pcx(p) => self.core_q[p.thread.core().index()].push_back(p),
                 other => unreachable!("unexpected outbox message {other:?}"),
@@ -820,18 +820,11 @@ impl CosimDriver for CcxDriver {
         self.sys.set_intercept(InterceptMode::None);
         // Serve anything stranded in the wedged crossbar's engine-side
         // queues functionally (forced detach path).
-        let stranded: Vec<PcxPacket> = self.core_q.iter_mut().flat_map(|q| q.drain(..)).collect();
-        for p in stranded {
+        for p in self.core_q.iter_mut().flat_map(|q| q.drain(..)) {
             let reply = self.sys.service_request_functionally(&p);
             self.sys.deliver_cpx(reply);
         }
-        let responses: Vec<CpxPacket> = self
-            .bank_q
-            .iter_mut()
-            .flat_map(|q| q.drain(..))
-            .map(|(_, p)| p)
-            .collect();
-        for p in responses {
+        for (_, p) in self.bank_q.iter_mut().flat_map(|q| q.drain(..)) {
             self.sys.deliver_cpx(p);
         }
         Detach {
@@ -910,7 +903,7 @@ impl CosimDriver for PcieDriver {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
         // The outbox is unused in PCIe mode, but drain defensively.
-        let _ = self.sys.drain_outbox();
+        while self.sys.pop_outbox().is_some() {}
 
         // Golden first: its reads must not observe the target's write
         // of this very cycle.

@@ -474,9 +474,11 @@ impl System {
         }
     }
 
-    /// Drains messages destined for the co-simulated RTL component.
-    pub fn drain_outbox(&mut self) -> Vec<OutMsg> {
-        self.outbox.drain(..).collect()
+    /// Takes the oldest message destined for the co-simulated RTL
+    /// component. Drivers empty the outbox every cycle with
+    /// `while let Some(msg) = sys.pop_outbox()`, in place.
+    pub fn pop_outbox(&mut self) -> Option<OutMsg> {
+        self.outbox.pop_front()
     }
 
     /// Delivers a return packet from the co-simulated component to the
@@ -509,7 +511,7 @@ impl System {
             self.raise_trap(ti, TrapCause::UncoreError);
             return;
         }
-        self.note_taint_on_load(ti, &self.threads[ti].current.clone());
+        self.note_taint_on_load(ti, self.threads[ti].current);
         self.pending_value[ti] = cpx.data;
         let compute = self.threads[ti].gen.profile().compute_per_op as u64;
         self.schedule(1 + compute, Ev::Wake(t));
@@ -581,7 +583,7 @@ impl System {
         self.last_store.insert(addr.line().raw(), self.cycle);
     }
 
-    fn note_taint_on_load(&mut self, _t: usize, op: &Option<Op>) {
+    fn note_taint_on_load(&mut self, _t: usize, op: Option<Op>) {
         if self.first_taint_read.is_some() || self.tainted.is_empty() {
             return;
         }
@@ -597,7 +599,7 @@ impl System {
     fn perform_word_op(&mut self, t: usize, op: Op) -> u64 {
         match op {
             Op::Load { addr, .. } | Op::Ifetch { addr } => {
-                self.note_taint_on_load(t, &Some(op));
+                self.note_taint_on_load(t, Some(op));
                 let bank = l2_bank_of(addr).index();
                 self.l2[bank].touch_dir(addr, self.threads[t].id.core().index());
                 if self.l2[bank].probe(addr.line()).is_some() {
@@ -1060,6 +1062,10 @@ mod tests {
         System::new(SystemConfig::smoke_test(by_name(name).unwrap()))
     }
 
+    fn drain_outbox(sys: &mut System) -> Vec<OutMsg> {
+        std::iter::from_fn(|| sys.pop_outbox()).collect()
+    }
+
     #[test]
     fn no_input_benchmark_completes() {
         let mut sys = smoke("radi");
@@ -1170,7 +1176,7 @@ mod tests {
         sys.run_until(1_000);
         sys.set_intercept(InterceptMode::Bank(BankId::new(0)));
         sys.run_until(6_000);
-        let msgs = sys.drain_outbox();
+        let msgs = drain_outbox(&mut sys);
         assert!(!msgs.is_empty(), "no traffic reached bank 0");
         for m in &msgs {
             match m {
@@ -1187,7 +1193,7 @@ mod tests {
         sys.run_until(1_000);
         sys.set_intercept(InterceptMode::Bank(BankId::new(0)));
         sys.run_until(6_000);
-        let msgs = sys.drain_outbox();
+        let msgs = drain_outbox(&mut sys);
         let OutMsg::Pcx(p) = &msgs[0] else {
             panic!("expected pcx");
         };
@@ -1205,7 +1211,7 @@ mod tests {
         sys.run_until(1_000);
         sys.set_intercept(InterceptMode::Bank(BankId::new(0)));
         sys.run_until(6_000);
-        let msgs = sys.drain_outbox();
+        let msgs = drain_outbox(&mut sys);
         let OutMsg::Pcx(p) = &msgs[0] else {
             panic!("expected pcx");
         };
@@ -1246,7 +1252,7 @@ mod tests {
         sys.run_until(1_000);
         sys.set_intercept(InterceptMode::Bank(BankId::new(0)));
         sys.run_until(6_000);
-        let msgs = sys.drain_outbox();
+        let msgs = drain_outbox(&mut sys);
         let OutMsg::Pcx(p) = &msgs[0] else {
             panic!("expected pcx");
         };
@@ -1259,7 +1265,7 @@ mod tests {
         let mut sys = smoke("fft");
         sys.set_intercept(InterceptMode::McuPair(McuId::new(0)));
         sys.run_until(4_000);
-        let msgs = sys.drain_outbox();
+        let msgs = drain_outbox(&mut sys);
         let fills: Vec<_> = msgs
             .iter()
             .filter_map(|m| match m {

@@ -267,9 +267,15 @@ impl PcxSlot {
             id: ReqId(f.read(self.reqid)),
             thread: ThreadId::new((f.read(self.thread) as usize) % NUM_THREADS),
             kind: decode_pcx_kind(f.read(self.kind)),
-            addr: PAddr::new(f.read(self.addr)),
+            addr: self.addr(f),
             data: f.read(self.data),
         }
+    }
+
+    /// Loads only the address field — all a router needs to pick the
+    /// destination bank.
+    pub fn addr(&self, f: &FlopSpace) -> PAddr {
+        PAddr::new(f.read(self.addr))
     }
 
     /// Reads the valid bit.
@@ -344,10 +350,16 @@ impl CpxSlot {
     pub fn load(&self, f: &FlopSpace) -> CpxPacket {
         CpxPacket {
             id: ReqId(f.read(self.reqid)),
-            thread: ThreadId::new((f.read(self.thread) as usize) % NUM_THREADS),
+            thread: self.thread(f),
             kind: decode_cpx_kind(f.read(self.kind)),
             data: f.read(self.data),
         }
+    }
+
+    /// Loads only the thread field — all a router needs to pick the
+    /// destination core.
+    pub fn thread(&self, f: &FlopSpace) -> ThreadId {
+        ThreadId::new((f.read(self.thread) as usize) % NUM_THREADS)
     }
 
     /// Reads the valid bit.

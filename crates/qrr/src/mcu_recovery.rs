@@ -96,7 +96,7 @@ impl QrrMcuDriver {
     pub fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        for msg in self.sys.drain_outbox() {
+        while let Some(msg) = self.sys.pop_outbox() {
             match msg {
                 OutMsg::DramFill { bank, line } => {
                     let tag = self.alloc_tag();

@@ -126,7 +126,7 @@ impl QrrL2cDriver {
     pub fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        for msg in self.sys.drain_outbox() {
+        while let Some(msg) = self.sys.pop_outbox() {
             match msg {
                 OutMsg::Pcx(p) => self.inbox.push_back(p),
                 other => unreachable!("unexpected outbox message {other:?}"),

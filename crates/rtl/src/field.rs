@@ -1,5 +1,7 @@
 //! Named, classed flip-flop fields over a [`BitBuf`].
 
+use std::sync::Arc;
+
 use crate::bitbuf::BitBuf;
 
 /// Protection/eligibility class of a flip-flop field.
@@ -155,8 +157,8 @@ impl FlopSpaceBuilder {
     pub fn build(self) -> FlopSpace {
         let bits = BitBuf::zeroed(self.next_offset);
         FlopSpace {
-            component: self.component,
-            fields: self.fields,
+            component: self.component.into(),
+            fields: self.fields.into(),
             bits,
         }
     }
@@ -165,11 +167,13 @@ impl FlopSpaceBuilder {
 /// A component's complete flip-flop state: named fields over dense bits.
 ///
 /// Cloning a `FlopSpace` yields the *golden copy* used by the mixed-mode
-/// platform's end-of-co-simulation check (Fig. 1b ⑤).
+/// platform's end-of-co-simulation check (Fig. 1b ⑤). The field table
+/// and component name are fixed at [`FlopSpaceBuilder::build`] and
+/// shared by every clone, so a clone copies the bit words only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlopSpace {
-    component: String,
-    fields: Vec<FieldDef>,
+    component: Arc<str>,
+    fields: Arc<[FieldDef]>,
     bits: BitBuf,
 }
 
@@ -272,7 +276,7 @@ impl FlopSpace {
     /// Global bit indices of all flops whose class satisfies `pred`.
     pub fn bits_where(&self, mut pred: impl FnMut(FlopClass) -> bool) -> Vec<usize> {
         let mut v = Vec::new();
-        for f in &self.fields {
+        for f in self.fields.iter() {
             if pred(f.class) {
                 v.extend(f.offset..f.offset + f.width);
             }
@@ -323,11 +327,9 @@ impl FlopSpace {
     /// Clears all flops whose class is reset by QRR (everything except
     /// [`FlopClass::Config`]); see Sec. 6.2 of the paper.
     pub fn reset_except_config(&mut self) {
-        for i in 0..self.fields.len() {
-            let f = &self.fields[i];
+        for f in self.fields.iter() {
             if f.class.reset_by_qrr() {
-                let (offset, width) = (f.offset, f.width);
-                self.bits.write_bits(offset, width, 0);
+                self.bits.write_bits(f.offset, f.width, 0);
             }
         }
     }
@@ -470,6 +472,14 @@ mod tests {
         assert_eq!(s.fields()[1].name, "q.addr[1]");
         assert_eq!(s.fields()[3].offset, 30);
         assert_eq!(s.num_flops(), 40);
+    }
+
+    #[test]
+    fn clone_shares_the_field_table() {
+        let (s, ..) = demo_space();
+        let golden = s.clone();
+        assert!(std::ptr::eq(s.fields(), golden.fields()));
+        assert!(std::ptr::eq(s.component(), golden.component()));
     }
 
     #[test]

@@ -333,3 +333,46 @@ fn records_carry_consistent_analysis_fields() {
         }
     }
 }
+
+/// FNV-1a over the canonical wire bytes of every record followed by
+/// the merged telemetry export: one number that moves if any record
+/// field, any counter, histogram bucket or trace event moves.
+fn result_digest(r: &nestsim::core::CampaignResult) -> u64 {
+    let mut w = nestsim::cluster::wire::Writer::new();
+    for rec in &r.records {
+        nestsim::cluster::wire::put_record(&mut w, rec).expect("record encodes");
+    }
+    let mut bytes = w.into_bytes();
+    bytes.extend_from_slice(r.telemetry.to_jsonl().as_bytes());
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn ccx_campaign_bytes_are_pinned() {
+    // Every other identity test compares two runs of the *same* build,
+    // so a crossbar tick that changed outcomes consistently in target
+    // and golden would pass them all. These constants were computed
+    // with the pre-route-once tick (the clone-per-scan 8×8 arbiter) and
+    // must never be re-blessed by a change that claims to be
+    // result-neutral.
+    let cfg = TelemetryConfig::default();
+    for (bench, pinned) in [
+        ("radi", 0xf1f8_6cb7_514f_056au64),
+        ("lu-c", 0x794a_d334_c4f3_9896u64),
+    ] {
+        let profile = by_name(bench).unwrap();
+        for workers in [1usize, 4] {
+            let spec = CampaignSpec {
+                cosim_cap: 4_000,
+                workers,
+                ..CampaignSpec::quick(ComponentKind::Ccx, 64)
+            };
+            let r = run_campaign_with(profile, &spec, Some(&cfg));
+            assert_eq!(r.records.len(), 64);
+            let got = result_digest(&r);
+            assert_eq!(got, pinned, "ccx/{bench} workers={workers}: {got:#018x}");
+        }
+    }
+}
