@@ -121,15 +121,24 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # Zero-allocation tick gate (ROADMAP 2a): the smoke's traced halves
 # count heap calls per component tick with the benchmark's own counting
 # allocator. Not `== 0`: PCIe reads 0.0005, one amortised growth.
+# Lane gate: the `l2c_lanes` block must report batches formed and lanes
+# retired in them — a silently de-batched engine passes every identity
+# test, being byte-identical by construction.
 awk '
+    /^# [a-z0-9_]+ seed / { workload = $2 }
     $1 ~ /^models\.tick_allocs\./ {
         seen[$1] = 1
         if ($2 + 0 >= 0.01) { print "ci.sh: " $1 " = " $2 " allocations per tick (gate: < 0.01)"; bad = 1 }
     }
+    workload == "l2c_lanes" && ($1 == "core.lanes_batches" || $1 == "core.lanes_retired_early") {
+        seen[$1] = 1
+        if ($2 + 0 <= 0) { print "ci.sh: l2c_lanes reports " $1 " = " $2 " (gate: > 0)"; bad = 1 }
+    }
     END {
-        split("l2c mcu ccx pcie", want, " ")
-        for (i in want) if (!(("models.tick_allocs." want[i]) in seen)) {
-            print "ci.sh: smoke printed no models.tick_allocs." want[i] " row"; bad = 1
+        split("models.tick_allocs.l2c models.tick_allocs.mcu models.tick_allocs.ccx models.tick_allocs.pcie " \
+              "core.lanes_batches core.lanes_retired_early", want, " ")
+        for (i in want) if (!(want[i] in seen)) {
+            print "ci.sh: smoke printed no " want[i] " row"; bad = 1
         }
         exit bad
     }

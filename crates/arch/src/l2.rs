@@ -316,6 +316,18 @@ impl L2BankArch {
             .collect()
     }
 
+    /// Whether any slot differs from `other`:
+    /// `!diff_slots(other).is_empty()` without building the list — the
+    /// per-check form of the golden compare, which only needs the
+    /// verdict.
+    pub fn differs(&self, other: &L2BankArch) -> bool {
+        assert_eq!(self.geo, other.geo, "geometry mismatch");
+        self.tags != other.tags
+            || self.state != other.state
+            || self.dir != other.dir
+            || self.data != other.data
+    }
+
     /// Line addresses of slots that differ from `other` and are valid in
     /// either copy (feeds rollback-distance analysis).
     pub fn diff_lines(&self, other: &L2BankArch) -> Vec<LineAddr> {
@@ -340,6 +352,34 @@ impl L2BankArch {
 mod tests {
     use super::*;
     use crate::mem::DramContents;
+
+    #[test]
+    fn differs_agrees_with_diff_slots() {
+        let mut m = DramContents::new();
+        let mut a = L2BankArch::new(L2Geometry::default());
+        for i in 0..40 {
+            a.store(addr_for_bank0(i), i + 1, &mut m);
+        }
+        let agree = |x: &L2BankArch, y: &L2BankArch, want: bool| {
+            assert_eq!(x.differs(y), want);
+            assert_eq!(y.differs(x), want);
+            assert_eq!(!x.diff_slots(y).is_empty(), want);
+        };
+        agree(&a, &a.clone(), false);
+
+        let mut word = a.clone();
+        word.write_word_resident(addr_for_bank0(39), 0xbad);
+        agree(&a, &word, true);
+
+        let mut dir = a.clone();
+        dir.touch_dir(addr_for_bank0(0), 3);
+        agree(&a, &dir, true);
+
+        // The replacement pointers are in neither comparison.
+        let mut rr = a.clone();
+        rr.rr[0] ^= 1;
+        agree(&a, &rr, false);
+    }
 
     fn addr_for_bank0(i: u64) -> PAddr {
         // Lines with (line % 8 == 0) live in bank 0; stride sets apart.

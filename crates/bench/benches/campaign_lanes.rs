@@ -1,13 +1,16 @@
 //! Lane-batching benchmark: the struct-of-lanes campaign engine
 //! against the same engine forced scalar (`lane_width = 1`), on one
 //! clustered L2C cell where every sample shares a trajectory — the
-//! shape lane batching exists for.
+//! shape lane batching exists for — and, for the three components with
+//! no lane engine, a cell of 8-sample clusters where width 64 lets each
+//! cluster share one attach + warm-up and width 1 shares nothing.
 //!
 //! Both widths produce byte-identical campaigns (locked by the
 //! end-to-end equivalence tests); this bench measures the per-injection
 //! µs the batch saves by advancing up to 64 faulty universes against
-//! one shared carrier. A kernel group times the lane-wise golden
-//! compare primitives themselves.
+//! one shared carrier, and the warm-ups a shared trajectory saves. A
+//! kernel group times the lane-wise golden compare primitives
+//! themselves.
 //!
 //! Writes `BENCH_campaign_lanes.json` via the in-repo harness runner.
 
@@ -62,62 +65,120 @@ fn lane_kernels(suite: &mut Suite) {
     });
 }
 
-fn main() {
-    let mut suite = Suite::new("campaign_lanes");
-    lane_kernels(&mut suite);
+/// A cell of 8-sample trajectory clusters on a component without a
+/// lane engine: what `lane_width` buys there is one warm-up per cluster.
+fn cluster8_spec(component: ComponentKind) -> CampaignSpec {
+    CampaignSpec {
+        component,
+        cosim_cap: 4_000,
+        lane_cluster: 8,
+        ..spec(64)
+    }
+}
 
-    // Bench the injection engine itself: the golden pass, sample draw
-    // and ladder build are shared fixed cost paid once out here, so the
-    // rows below are the marginal µs per injection lane batching is
-    // claimed to cut.
-    let profile = by_name("radi").unwrap();
-    let base = spec(64);
-    let (mut ladder, golden) = laddered_golden_reference(profile, &base);
-    let samples = draw_samples(profile, &base, &golden);
+/// Benches the injection engine itself on one cell at widths 64 and 1:
+/// the golden pass, sample draw and ladder build are shared fixed cost
+/// paid once out here, so the rows are the marginal µs per injection
+/// lane batching (or warm-up sharing) is claimed to cut.
+fn engine_pair(suite: &mut Suite, bench: &str, base: &CampaignSpec, rows: [&str; 2]) {
+    let profile = by_name(bench).unwrap();
+    let (mut ladder, golden) = laddered_golden_reference(profile, base);
+    let samples = draw_samples(profile, base, &golden);
     let order = entry_order(&samples);
     let max_entry = order.last().map_or(0, |&i| entry_cycle(&samples[i]));
     ladder.truncate_above(max_entry);
-    for (name, width) in [("batched_width64", 64usize), ("scalar_width1", 1)] {
+    for (name, width) in rows.into_iter().zip([64usize, 1]) {
         suite.bench("campaign_lanes/engine", name, || {
             let mut runner = ShardRunner::new(&ladder, &samples, &golden, None, width);
             black_box(runner.run_span(&order))
         });
     }
+}
+
+const SHARED: [(ComponentKind, &str, [&str; 2]); 3] = [
+    (
+        ComponentKind::Mcu,
+        "fft",
+        ["mcu_cluster8_width64", "mcu_cluster8_width1"],
+    ),
+    (
+        ComponentKind::Ccx,
+        "lu-c",
+        ["ccx_cluster8_width64", "ccx_cluster8_width1"],
+    ),
+    (
+        ComponentKind::Pcie,
+        "p-lr",
+        ["pcie_cluster8_width64", "pcie_cluster8_width1"],
+    ),
+];
+
+fn main() {
+    let mut suite = Suite::new("campaign_lanes");
+    lane_kernels(&mut suite);
+
+    engine_pair(
+        &mut suite,
+        "radi",
+        &spec(64),
+        ["batched_width64", "scalar_width1"],
+    );
+    for (component, bench, rows) in SHARED {
+        engine_pair(&mut suite, bench, &cluster8_spec(component), rows);
+    }
 
     // The deterministic half of the story: the batched run must
-    // actually retire lanes in-batch, or the timing above compares
-    // nothing.
+    // actually retire lanes in-batch, and the clustered cells actually
+    // share warm-ups, or the timings above compare nothing.
     let cfg = TelemetryConfig::default();
-    let batched = run_campaign_with(profile, &spec(64), Some(&cfg));
-    let retired = batched.telemetry.engine.counter(names::LANES_RETIRED_EARLY);
-    let fallbacks = batched
-        .telemetry
-        .engine
-        .counter(names::LANES_SCALAR_FALLBACKS);
+    let batched = run_campaign_with(by_name("radi").unwrap(), &spec(64), Some(&cfg));
+    let engine = &batched.telemetry.engine;
+    let retired = engine.counter(names::LANES_RETIRED_EARLY);
     eprintln!(
-        "campaign_lanes: {} batches, {retired} lanes retired in-batch, {fallbacks} scalar fallbacks of {SAMPLES} samples",
-        batched.telemetry.engine.counter(names::LANES_BATCHES),
+        "campaign_lanes: {} batches, {retired} lanes retired in-batch ({} parked on the way), {} scalar fallbacks of {SAMPLES} samples",
+        engine.counter(names::LANES_BATCHES),
+        engine.counter(names::LANES_PARKED),
+        engine.counter(names::LANES_SCALAR_FALLBACKS),
     );
     assert!(retired > 0, "clustered cell never retired a lane in-batch");
+    for (component, bench, _) in SHARED {
+        let shared = run_campaign_with(
+            by_name(bench).unwrap(),
+            &cluster8_spec(component),
+            Some(&cfg),
+        )
+        .telemetry
+        .engine
+        .counter(names::LANES_SHARED_WARMUPS);
+        assert_eq!(
+            shared,
+            SAMPLES / 8,
+            "{component}: every 8-sample cluster shares one warm-up"
+        );
+    }
 
     let records = suite.records();
-    let per_injection = |name: &str| {
+    let per_injection_us = |name: &str| {
         records
             .iter()
             .find(|r| r.name == name)
-            .map(|r| r.median_ns / SAMPLES as f64)
+            .map(|r| r.median_ns / SAMPLES as f64 / 1e3)
             .expect("bench row exists")
     };
-    let batched_us = per_injection("batched_width64") / 1e3;
-    let scalar_us = per_injection("scalar_width1") / 1e3;
     // Advisory only: wall-clock ratios flake under background load, so
     // the regression protection is the bench_gate comparing each row
     // to its committed baseline (where a silent de-batching shows up
     // as a ~5x regression of batched_width64), not an assert here.
-    let ratio = scalar_us / batched_us.max(1e-9);
-    eprintln!(
-        "campaign_lanes: {batched_us:.1} µs/injection batched vs {scalar_us:.1} µs/injection scalar ({ratio:.1}x)"
-    );
+    let pairs = [["batched_width64", "scalar_width1"]]
+        .into_iter()
+        .chain(SHARED.map(|(_, _, rows)| rows));
+    for [wide, scalar] in pairs {
+        let (wide_us, scalar_us) = (per_injection_us(wide), per_injection_us(scalar));
+        let ratio = scalar_us / wide_us.max(1e-9);
+        eprintln!(
+            "campaign_lanes: {wide} {wide_us:.1} µs/injection vs {scalar} {scalar_us:.1} µs/injection ({ratio:.1}x)"
+        );
+    }
 
     suite.finish();
 }

@@ -521,9 +521,7 @@ pub fn run_round_on_ladder(
     for (out, forward, restores, lanes) in per_worker {
         engine.count(names::FORWARD_CYCLES, forward);
         engine.count(names::LADDER_RESTORES, restores);
-        engine.count(names::LANES_BATCHES, lanes.batches);
-        engine.count(names::LANES_RETIRED_EARLY, lanes.retired_early);
-        engine.count(names::LANES_SCALAR_FALLBACKS, lanes.scalar_fallbacks);
+        lanes.publish(engine);
         indexed.extend(out);
     }
     indexed.sort_by_key(|(i, _, _)| *i);

@@ -27,8 +27,8 @@ use nestsim_stats::SeedSeq;
 use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
 
 use crate::inject::{
-    run_injection_with, GoldenRef, InjectionRecord, InjectionSpec, DEFAULT_CHECK_INTERVAL,
-    DEFAULT_COSIM_CAP, MIN_WARMUP,
+    finish_group, run_injection_with, warm_component, GoldenRef, InjectionRecord, InjectionSpec,
+    DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
 use crate::outcome::OutcomeCounts;
 
@@ -70,13 +70,17 @@ pub struct CampaignSpec {
     /// belongs in reproducibility cell keys. `1` reproduces the
     /// classic fully independent sampling bit-for-bit.
     pub lane_cluster: u64,
-    /// Maximum faulty universes advanced per shared carrier universe
-    /// (default [`nestsim_rtl::MAX_LANES`]; valid range 1–64).
+    /// How many same-trajectory samples may share one restore, attach
+    /// and warm-up (default [`nestsim_rtl::MAX_LANES`]; valid range
+    /// 1–64). On L2C a shared group is a lane batch — that many faulty
+    /// universes advanced per carrier universe; on MCU, CCX and PCIe
+    /// each sample of the group resumes from a clone of one warmed
+    /// driver.
     ///
     /// **Execution-only**: like `workers` and `snapshot_interval`, the
     /// lane width never affects records, counts, or merged telemetry —
-    /// `1` degenerates to the scalar engine, and the equivalence tests
-    /// lock byte-identity across widths.
+    /// `1` shares nothing and is the scalar engine, and the equivalence
+    /// tests lock byte-identity across widths.
     pub lane_width: u64,
 }
 
@@ -360,7 +364,8 @@ pub struct ShardRunner<'a> {
 impl<'a> ShardRunner<'a> {
     /// A fresh runner (fresh cursor) for one shard. `lane_width` caps
     /// how many same-trajectory samples [`run_span`](Self::run_span)
-    /// batches per shared carrier universe (clamped to 1–64; it never
+    /// runs off one shared warm-up — as a lane batch on L2C, from
+    /// clones of one warmed driver elsewhere (clamped to 1–64; it never
     /// affects results, only execution).
     pub fn new(
         ladder: &'a SnapshotLadder,
@@ -426,12 +431,14 @@ impl<'a> ShardRunner<'a> {
     }
 
     /// Runs a whole shard (a contiguous slice of [`entry_order`]),
-    /// batching consecutive same-trajectory samples — the product of
-    /// `CampaignSpec::lane_cluster` — into lane batches of up to
-    /// `lane_width` faulty universes per shared carrier
-    /// (`crate::lanes`). Singleton groups and non-L2C components take
-    /// the scalar path; results are byte-identical to calling
-    /// [`run_one`](Self::run_one) per sample, in the same order.
+    /// grouping consecutive same-trajectory samples — the product of
+    /// `CampaignSpec::lane_cluster` — up to `lane_width` at a time.
+    /// A group pays for one restore, one attach and one warm-up: an L2C
+    /// group of two or more runs as a lane batch on a shared carrier
+    /// (`crate::lanes`); any other group resumes each of its samples
+    /// from a clone of one warmed driver, and a singleton is the
+    /// group of one that needs no clone. Results are byte-identical to
+    /// calling [`run_one`](Self::run_one) per sample, in the same order.
     pub fn run_span(&mut self, span: &[usize]) -> IndexedRuns {
         let mut out: IndexedRuns = Vec::with_capacity(span.len());
         let mut g = 0;
@@ -445,20 +452,10 @@ impl<'a> ShardRunner<'a> {
             }
             let group = &span[g..end];
             g = end;
-            if group.len() == 1 || self.samples[group[0]].component != ComponentKind::L2c {
-                // Clustered samples that cannot batch still count as
-                // scalar fallbacks; genuinely unclustered singletons
-                // are just the classic engine.
-                if group.len() > 1 {
-                    self.lanes.scalar_fallbacks += group.len() as u64;
-                }
-                for &i in group {
-                    let (r, rec) = self.run_one(i);
-                    out.push((i, r, rec));
-                }
-            } else {
-                self.seek(entry_cycle(&self.samples[group[0]]));
-                let base = self.cursor.as_ref().expect("cursor was just positioned");
+            let spec0 = &self.samples[group[0]];
+            self.seek(entry_cycle(spec0));
+            let base = self.cursor.as_ref().expect("cursor was just positioned");
+            if group.len() > 1 && spec0.component == ComponentKind::L2c {
                 let mut runs = crate::lanes::run_l2c_batch(
                     base,
                     self.golden,
@@ -471,6 +468,22 @@ impl<'a> ShardRunner<'a> {
                 // contract is shard order.
                 runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
                 out.extend(runs);
+            } else {
+                // Clustered samples with no lane engine to batch them
+                // still count as scalar fallbacks; genuinely
+                // unclustered singletons are just the classic engine.
+                if group.len() > 1 {
+                    self.lanes.scalar_fallbacks += group.len() as u64;
+                    self.lanes.shared_warmups += 1;
+                }
+                finish_group(
+                    warm_component(base, self.golden, spec0),
+                    self.golden,
+                    self.samples,
+                    group,
+                    self.telemetry,
+                    &mut out,
+                );
             }
         }
         out
@@ -659,9 +672,7 @@ pub fn run_campaign_with(
     for (out, forward, restores, lanes) in per_worker {
         engine.count(names::FORWARD_CYCLES, forward);
         engine.count(names::LADDER_RESTORES, restores);
-        engine.count(names::LANES_BATCHES, lanes.batches);
-        engine.count(names::LANES_RETIRED_EARLY, lanes.retired_early);
-        engine.count(names::LANES_SCALAR_FALLBACKS, lanes.scalar_fallbacks);
+        lanes.publish(&mut engine);
         indexed.extend(out);
     }
     finish_campaign(profile, spec, telemetry, golden, indexed, &shards, engine)

@@ -111,6 +111,16 @@ pub trait CosimDriver: Sized {
     /// after [`snapshot_golden`](CosimDriver::snapshot_golden).
     fn check(&self) -> CosimCheck;
 
+    /// Drops the golden twin. Call only after
+    /// [`check`](CosimDriver::check) returned [`CosimCheck::Identical`]
+    /// with no [`erroneous_output`](CosimDriver::erroneous_output): the
+    /// twin then equals the target in everything `step` reads besides
+    /// the inputs they share, so it has no future of its own. From here
+    /// on `step` ticks the target only, every `check` is `Identical`,
+    /// and `detach` reports no corrupted lines — what the diff of two
+    /// equal states reports.
+    fn retire_golden(&mut self);
+
     /// True when no in-flight traffic would be stranded by detaching.
     fn drained(&self) -> bool;
 
@@ -183,7 +193,7 @@ impl LatencyDram {
 }
 
 /// Co-simulation driver for one L2 cache bank.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct L2cDriver {
     sys: System,
     bank: BankId,
@@ -294,6 +304,15 @@ impl L2cDriver {
     }
 }
 
+/// Records one bank's queue occupancies: what the scalar driver samples
+/// from its target at a golden compare, and the lane engine from each
+/// lane's bank.
+pub(crate) fn sample_l2c_bank(bank: &L2cBank, rec: &mut Recorder) {
+    rec.record_hist(names::H_Q_L2C_IQ, bank.iq_occupancy() as u64);
+    rec.record_hist(names::H_Q_L2C_OQ, bank.oq_occupancy() as u64);
+    rec.record_hist(names::H_Q_L2C_MB, bank.mb_occupancy() as u64);
+}
+
 impl CosimDriver for L2cDriver {
     fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
@@ -388,7 +407,7 @@ impl CosimDriver for L2cDriver {
                 return CosimCheck::Microarch;
             }
         }
-        let arch_dirty = !self.target.arch().diff_slots(golden.arch()).is_empty()
+        let arch_dirty = self.target.arch().differs(golden.arch())
             || self.t_ov.differs(&self.g_ov, self.sys.dram());
         if arch_dirty {
             CosimCheck::ArchMappable
@@ -397,6 +416,10 @@ impl CosimDriver for L2cDriver {
         } else {
             CosimCheck::Identical
         }
+    }
+
+    fn retire_golden(&mut self) {
+        self.golden = None;
     }
 
     fn drained(&self) -> bool {
@@ -411,9 +434,7 @@ impl CosimDriver for L2cDriver {
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
-        rec.record_hist(names::H_Q_L2C_IQ, self.target.iq_occupancy() as u64);
-        rec.record_hist(names::H_Q_L2C_OQ, self.target.oq_occupancy() as u64);
-        rec.record_hist(names::H_Q_L2C_MB, self.target.mb_occupancy() as u64);
+        sample_l2c_bank(&self.target, rec);
     }
 
     fn detach(mut self) -> Detach {
@@ -450,7 +471,7 @@ impl CosimDriver for L2cDriver {
 // ─────────────────────────── MCU driver ───────────────────────────
 
 /// Co-simulation driver for one DRAM controller.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct McuDriver {
     sys: System,
     /// The co-simulated controller.
@@ -612,6 +633,10 @@ impl CosimDriver for McuDriver {
         }
     }
 
+    fn retire_golden(&mut self) {
+        self.golden = None;
+    }
+
     fn drained(&self) -> bool {
         self.inbox.is_empty()
             && self.target.idle()
@@ -663,7 +688,7 @@ impl CosimDriver for McuDriver {
 // ─────────────────────────── CCX driver ───────────────────────────
 
 /// Co-simulation driver for the crossbar.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CcxDriver {
     sys: System,
     /// The co-simulated crossbar.
@@ -800,6 +825,10 @@ impl CosimDriver for CcxDriver {
         }
     }
 
+    fn retire_golden(&mut self) {
+        self.golden = None;
+    }
+
     fn drained(&self) -> bool {
         self.target.idle()
             && self.core_q.iter().all(VecDeque::is_empty)
@@ -837,7 +866,7 @@ impl CosimDriver for CcxDriver {
 // ─────────────────────────── PCIe driver ──────────────────────────
 
 /// Co-simulation driver for the PCIe DMA engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PcieDriver {
     sys: System,
     /// The co-simulated engine.
@@ -1002,6 +1031,10 @@ impl CosimDriver for PcieDriver {
         } else {
             CosimCheck::Identical
         }
+    }
+
+    fn retire_golden(&mut self) {
+        self.golden = None;
     }
 
     fn drained(&self) -> bool {

@@ -24,12 +24,21 @@
 //!   and Identical/BenignOnly retires as Vanished (and a lane still
 //!   Microarch-dirty at the cap retires as Persist), emitting exactly
 //!   the record and telemetry sequence the scalar engine would.
-//! * **Scalar fallback** — anything else (input-readiness mismatch,
-//!   output divergence, ArchMappable exit, trap/watchdog abort) leaves
-//!   the batch: the lane's partial state is discarded and the sample
-//!   replays on the untouched scalar path
-//!   ([`run_injection_with`]) from the same base snapshot, which is
-//!   byte-identical by construction.
+//! * **Parking** — a divergence-free lane whose check returns
+//!   Identical equals the carrier in everything a tick reads (flops,
+//!   bank arrays, overlay, DRAM queue), so from there on it *is* the
+//!   carrier: its state is dropped, it is no longer ticked or compared,
+//!   it keeps recording what the carrier's bank shows at each check,
+//!   and it retires as Vanished at the first check where the carrier is
+//!   drained.
+//! * **Scalar finish** — anything else (input-readiness mismatch,
+//!   output divergence, ArchMappable exit, trap/watchdog abort, a
+//!   parked lane still waiting at the cap) leaves the batch: the lane's
+//!   partial state is discarded and the sample resumes on the scalar
+//!   path ([`finish`](crate::inject::finish)) from a clone of the
+//!   batch's own warmed driver as it stood at the golden-snapshot
+//!   point, which is byte-identical to a scalar run by construction —
+//!   the warmed driver is a function of the trajectory, not of the bit.
 //!
 //! The scalar engine remains the oracle; the campaign equivalence tests
 //! lock byte-identity of records, counts, and merged telemetry across
@@ -39,13 +48,13 @@ use nestsim_arch::DramOverlay;
 use nestsim_hlsim::System;
 use nestsim_models::l2c::L2cInputs;
 use nestsim_models::{ComponentKind, L2cBank, UncoreRtl};
-use nestsim_proto::addr::BankId;
-use nestsim_rtl::{lanes_differing, BitBuf, LaneMask, MAX_LANES};
+use nestsim_rtl::{lane_matches_golden, LaneMask, MAX_LANES};
 use nestsim_telemetry::{names, EventKind, ExitReason, Recorder, TelemetryConfig};
 
-use crate::cosim::{CosimCheck, CosimDriver, L2cDriver};
+use crate::campaign::IndexedRuns;
+use crate::cosim::{sample_l2c_bank, CosimCheck, CosimDriver, L2cDriver};
 use crate::inject::{
-    run_injection_with, GoldenRef, InjectionRecord, InjectionSpec, MIN_WARMUP, WATCHDOG_MARGIN,
+    finish_group, recorder_for, warm_l2c, GoldenRef, InjectionRecord, InjectionSpec, WarmedDriver,
 };
 use crate::outcome::Outcome;
 
@@ -60,10 +69,27 @@ pub(crate) struct LaneBatchStats {
     /// Lanes retired inside a batch (Vanished or Persist) without
     /// touching the scalar path.
     pub retired_early: u64,
-    /// Lanes that ran the scalar path: batch leavers (divergence,
-    /// ArchMappable exit, abort) plus clustered samples that could not
-    /// batch (non-L2C components).
+    /// Lanes that finished on the scalar path: batch leavers
+    /// (divergence, ArchMappable exit, abort, cap) plus clustered
+    /// samples that could not batch (non-L2C components).
     pub scalar_fallbacks: u64,
+    /// Lanes parked: proved identical to the carrier and no longer
+    /// ticked or compared.
+    pub parked: u64,
+    /// Same-trajectory groups of two or more non-L2C samples that ran
+    /// off one shared attach + warm-up.
+    pub shared_warmups: u64,
+}
+
+impl LaneBatchStats {
+    /// Adds these counters to the engine-side recorder.
+    pub(crate) fn publish(&self, engine: &mut Recorder) {
+        engine.count(names::LANES_BATCHES, self.batches);
+        engine.count(names::LANES_RETIRED_EARLY, self.retired_early);
+        engine.count(names::LANES_SCALAR_FALLBACKS, self.scalar_fallbacks);
+        engine.count(names::LANES_PARKED, self.parked);
+        engine.count(names::LANES_SHARED_WARMUPS, self.shared_warmups);
+    }
 }
 
 /// One faulty universe inside a batch.
@@ -71,17 +97,25 @@ struct Lane {
     /// Campaign sample index.
     sample: usize,
     bit: usize,
+    /// The lane's own bank, overlay and DRAM queue; `None` once the
+    /// lane is parked and the carrier's stand in for them.
+    state: Option<LaneState>,
+    first_err_out: Option<u64>,
+    rec: Recorder,
+}
+
+/// What a lane ticks: the faulty twin of the carrier's target side.
+struct LaneState {
     bank: L2cBank,
     ov: DramOverlay,
     dram: crate::cosim::LatencyDram,
-    first_err_out: Option<u64>,
-    rec: Recorder,
 }
 
 /// Runs one lane batch: `group` indexes `samples` whose specs are equal
 /// except for the flipped bit. Returns one `(sample index, record,
 /// recorder)` per group member, byte-identical to running each through
-/// [`run_injection_with`] from `base`.
+/// [`run_injection_with`](crate::inject::run_injection_with) from
+/// `base`.
 ///
 /// # Panics
 ///
@@ -94,7 +128,7 @@ pub(crate) fn run_l2c_batch(
     group: &[usize],
     telemetry: Option<&TelemetryConfig>,
     stats: &mut LaneBatchStats,
-) -> Vec<(usize, InjectionRecord, Recorder)> {
+) -> IndexedRuns {
     assert!(!group.is_empty() && group.len() <= MAX_LANES, "bad group");
     let spec0 = &samples[group[0]];
     assert_eq!(spec0.component, ComponentKind::L2c, "only L2C batches");
@@ -114,53 +148,19 @@ pub(crate) fn run_l2c_batch(
             spec0.check_interval,
         )
     }));
-    let mk_rec = || match telemetry {
-        Some(cfg) => Recorder::active(cfg),
-        None => Recorder::null(),
-    };
     let mut out = Vec::with_capacity(group.len());
     stats.batches += 1;
 
-    // Shared phase — mirrors run_injection_with up to the bit flip.
-    let entry = spec0
-        .inject_cycle
-        .saturating_sub(spec0.warmup.max(MIN_WARMUP));
-    assert!(
-        base.cycle() <= entry,
-        "base snapshot ({}) is past the co-simulation entry point ({entry})",
-        base.cycle(),
-    );
-    let snap_cost = base.snapshot_cost();
-    let mut sys = base.clone();
-    sys.set_watchdog(2 * golden.cycles + WATCHDOG_MARGIN);
-    sys.run_until(entry);
+    // Shared phase: one attach + warm-up for the whole batch. `warmed`
+    // stays as it stands here, at the golden-snapshot point, for the
+    // lanes that leave; a clone of its driver carries the batch on.
+    let warmed = warm_l2c(base, golden, spec0);
+    let mut carrier = warmed.driver.clone();
     let comp = spec0.component.name();
-    let mut carrier = L2cDriver::attach(sys, BankId::new(spec0.instance % 8));
 
-    let warmup = spec0.warmup.max(MIN_WARMUP);
-    let mut warmup_done = 0u64;
-    for _ in 0..warmup {
-        carrier.step();
-        warmup_done += 1;
-        if carrier.sys().trap().is_some() {
-            break;
-        }
-    }
-    if carrier.sys().trap().is_some() {
-        // Warm-up trapped: the scalar abort machinery owns this corner;
-        // replay every lane rather than replicate it.
-        stats.scalar_fallbacks += group.len() as u64;
-        for &i in group {
-            let mut rec = mk_rec();
-            let r = run_injection_with(base, golden, &samples[i], &mut rec);
-            out.push((i, r, rec));
-        }
-        return out;
-    }
-
-    // The golden-snapshot point: each lane is a clone of the carrier
-    // (≡ the scalar run's target at snapshot_golden) with its bit
-    // flipped; the carrier itself plays every lane's golden from here.
+    // Each lane is a clone of the carrier (≡ the scalar run's target at
+    // snapshot_golden) with its bit flipped; the carrier itself plays
+    // every lane's golden from here.
     let c_snap = carrier.cycle();
     let mut lanes: Vec<Lane> = group
         .iter()
@@ -168,29 +168,16 @@ pub(crate) fn run_l2c_batch(
             let s = &samples[i];
             let mut bank = carrier.target.clone();
             bank.flops_mut().flip(s.bit);
-            // Replicate the scalar run's pre-loop recorder sequence.
-            let mut rec = mk_rec();
-            if rec.is_active() {
-                rec.count(names::SNAPSHOT_CLONES, 1);
-                rec.record_hist(names::H_SNAPSHOT_DRAM_LINES, snap_cost.dram_lines as u64);
-                rec.record_hist(
-                    names::H_SNAPSHOT_RESIDENT_LINES,
-                    snap_cost.resident_l2_lines as u64,
-                );
-            }
-            rec.count(names::STATE_TRANSFER_TO_RTL, 1);
-            rec.count(names::COSIM_ENTER, 1);
-            rec.event(entry, comp, EventKind::StateTransfer, 0);
-            rec.event(entry, comp, EventKind::CosimEnter, 0);
-            rec.record_hist(names::H_WARMUP, warmup_done);
-            rec.event(c_snap, comp, EventKind::SnapshotGolden, 0);
-            rec.event(c_snap, comp, EventKind::BitFlip, s.bit as u64);
+            let mut rec = recorder_for(telemetry);
+            warmed.record_preamble(s, &mut rec);
             Lane {
                 sample: i,
                 bit: s.bit,
-                bank,
-                ov: carrier.t_ov.clone(),
-                dram: carrier.t_dram.clone(),
+                state: Some(LaneState {
+                    bank,
+                    ov: carrier.t_ov.clone(),
+                    dram: carrier.t_dram.clone(),
+                }),
                 first_err_out: None,
                 rec,
             }
@@ -198,6 +185,7 @@ pub(crate) fn run_l2c_batch(
         .collect();
 
     let cap = spec0.cosim_cap.max(spec0.check_interval);
+    // Lanes still in the batch, parked ones included.
     let mut live = LaneMask::full(lanes.len());
     let mut fallback = LaneMask::EMPTY;
     let mut cosim_cycles = 0u64;
@@ -212,25 +200,28 @@ pub(crate) fn run_l2c_batch(
         }
         for li in live.iter() {
             let lane = &mut lanes[li];
+            let Some(st) = &mut lane.state else {
+                continue; // parked: the carrier's tick was this lane's
+            };
             // Input parity: a lane whose readiness disagrees with the
             // carrier's while a packet was at stake would consume a
             // different request stream from here on — and in the scalar
             // run its outputs, not the carrier's, drive the system.
             let at_stake = tick.pcx.is_some() || tick.inbox_nonempty;
-            if lane.bank.ready() != tick.ready && at_stake {
+            if st.bank.ready() != tick.ready && at_stake {
                 live.clear(li);
                 fallback.set(li);
                 continue;
             }
-            let resp = lane
+            let resp = st
                 .dram
-                .pop_ready(tick.cyc, carrier.sys().dram(), &mut lane.ov);
-            let l_out = lane.bank.tick(&L2cInputs {
+                .pop_ready(tick.cyc, carrier.sys().dram(), &mut st.ov);
+            let l_out = st.bank.tick(&L2cInputs {
                 pcx: tick.pcx,
                 dram_resp: resp,
             });
             if let Some(cmd) = &l_out.dram_cmd {
-                lane.dram.push(tick.cyc, cmd.clone());
+                st.dram.push(tick.cyc, cmd.clone());
             }
             if l_out.cpx != tick.out.cpx {
                 // Return-packet divergence: the scalar run's system
@@ -247,30 +238,23 @@ pub(crate) fn run_l2c_batch(
                 lane.first_err_out = Some(tick.cyc);
             }
         }
-        if cosim_cycles.is_multiple_of(spec0.check_interval) && live.any() {
-            // The lane-wise XOR golden compare: one word-parallel scan
-            // per live lane decides who needs the per-bit benign scan.
-            let differing = {
-                let bufs: Vec<&BitBuf> = lanes.iter().map(|l| l.bank.flops().raw_bits()).collect();
-                lanes_differing(carrier.target.flops().raw_bits(), &bufs, live)
-            };
+        if cosim_cycles.is_multiple_of(spec0.check_interval) {
             for li in live.iter() {
                 let lane = &mut lanes[li];
                 lane.rec.count(names::GOLDEN_COMPARES, 1);
+                // Parked: the carrier's bank is the lane's.
+                let bank = lane.state.as_ref().map_or(&carrier.target, |st| &st.bank);
                 if lane.rec.is_active() {
-                    lane.rec
-                        .record_hist(names::H_Q_L2C_IQ, lane.bank.iq_occupancy() as u64);
-                    lane.rec
-                        .record_hist(names::H_Q_L2C_OQ, lane.bank.oq_occupancy() as u64);
-                    lane.rec
-                        .record_hist(names::H_Q_L2C_MB, lane.bank.mb_occupancy() as u64);
+                    sample_l2c_bank(bank, &mut lane.rec);
                 }
-                let c = lane_check(lane, &carrier, differing.contains(li));
-                if c.exitable() && lane_drained(lane, &carrier) {
+                let (c, drained) = match &lane.state {
+                    Some(st) => (lane_check(st, &carrier), lane_drained(st, &carrier)),
+                    None => (CosimCheck::Identical, carrier.drained()),
+                };
+                let clean = lane.first_err_out.is_none();
+                if c.exitable() && drained {
                     live.clear(li);
-                    if lane.first_err_out.is_none()
-                        && matches!(c, CosimCheck::Identical | CosimCheck::BenignOnly)
-                    {
+                    if clean && matches!(c, CosimCheck::Identical | CosimCheck::BenignOnly) {
                         // Scalar early-Vanished exit sequence.
                         let cyc_now = carrier.cycle();
                         lane.rec.count(names::COSIM_EXIT_CONVERGED, 1);
@@ -288,7 +272,12 @@ pub(crate) fn run_l2c_batch(
                         let rec = std::mem::replace(&mut lane.rec, Recorder::null());
                         out.push((
                             lane.sample,
-                            vanish_record(lane.bit, c_snap, cosim_cycles, Outcome::Vanished),
+                            InjectionRecord::divergence_free(
+                                Outcome::Vanished,
+                                lane.bit,
+                                c_snap,
+                                cosim_cycles,
+                            ),
                             rec,
                         ));
                         stats.retired_early += 1;
@@ -298,21 +287,35 @@ pub(crate) fn run_l2c_batch(
                         // the rest of this run.
                         fallback.set(li);
                     }
+                    continue;
+                }
+                // Equal state, equal inputs from here on: the lane's
+                // future is the carrier's. Only an Identical lane
+                // qualifies — a benign diff is still a diff, and what
+                // it reads as next cycle is the lane's own business.
+                let park = clean && c == CosimCheck::Identical && lane.state.is_some();
+                #[cfg(test)]
+                let park = park && tests::parking();
+                if park {
+                    lane.state = None;
+                    stats.parked += 1;
                 }
             }
         }
     }
 
     for li in live.iter() {
-        if aborted {
+        let lane = &mut lanes[li];
+        // An aborted batch, and a parked lane the carrier never drained
+        // for (exitable but undrained at the cap), detach — which only
+        // the scalar path models.
+        let Some(st) = lane.state.as_ref().filter(|_| !aborted) else {
             fallback.set(li);
             continue;
-        }
+        };
         // Cap reached. Mirror the scalar cap exit: if no divergence was
         // observed and the state is still Microarch-dirty, the run
-        // retires in-batch as Persist; everything else detaches, which
-        // only the scalar path models.
-        let lane = &mut lanes[li];
+        // retires in-batch as Persist; everything else detaches too.
         lane.rec.count(names::COSIM_EXIT_CAP, 1);
         lane.rec.event(
             carrier.cycle(),
@@ -323,7 +326,7 @@ pub(crate) fn run_l2c_batch(
         lane.rec.record_hist(names::H_COSIM_RESIDENCY, cosim_cycles);
         if lane.first_err_out.is_none() {
             lane.rec.count(names::GOLDEN_COMPARES, 1);
-            if !lane_check(lane, &carrier, true).exitable() {
+            if !lane_check(st, &carrier).exitable() {
                 lane.rec.count(names::EARLY_TERM_PERSIST, 1);
                 lane.rec.count(names::INJECT_RUNS, 1);
                 lane.rec
@@ -331,7 +334,12 @@ pub(crate) fn run_l2c_batch(
                 let rec = std::mem::replace(&mut lane.rec, Recorder::null());
                 out.push((
                     lane.sample,
-                    vanish_record(lane.bit, c_snap, cosim_cycles, Outcome::Persist),
+                    InjectionRecord::divergence_free(
+                        Outcome::Persist,
+                        lane.bit,
+                        c_snap,
+                        cosim_cycles,
+                    ),
                     rec,
                 ));
                 stats.retired_early += 1;
@@ -341,50 +349,36 @@ pub(crate) fn run_l2c_batch(
         fallback.set(li);
     }
 
-    // Batch leavers replay on the scalar oracle from the same base
-    // snapshot; their partial in-batch recorder is discarded, so the
-    // merged telemetry carries exactly one run's worth per sample.
-    for li in fallback.iter() {
-        let i = lanes[li].sample;
-        let mut rec = mk_rec();
-        let r = run_injection_with(base, golden, &samples[i], &mut rec);
-        out.push((i, r, rec));
-        stats.scalar_fallbacks += 1;
-    }
+    // Batch leavers finish on the scalar path from the warmed driver;
+    // their partial in-batch recorder is discarded, so the merged
+    // telemetry carries exactly one run's worth per sample. The batch's
+    // own state goes first: every leaver holds a whole system.
+    let leavers: Vec<usize> = fallback.iter().map(|li| lanes[li].sample).collect();
+    stats.scalar_fallbacks += leavers.len() as u64;
+    drop(lanes);
+    drop(carrier);
+    finish_group(
+        WarmedDriver::L2c(warmed),
+        golden,
+        samples,
+        &leavers,
+        telemetry,
+        &mut out,
+    );
     out
-}
-
-/// A divergence-free record (Vanished in-batch, or Persist at the cap):
-/// nothing propagated, nothing was corrupted.
-fn vanish_record(
-    bit: usize,
-    inject_cycle: u64,
-    cosim_cycles: u64,
-    outcome: Outcome,
-) -> InjectionRecord {
-    InjectionRecord {
-        outcome,
-        bit,
-        inject_cycle,
-        cosim_cycles,
-        erroneous_output_cycle: None,
-        propagation_latency: None,
-        corrupted_line_count: 0,
-        rollback_distance: None,
-    }
 }
 
 /// The scalar driver's `check()` with the roles remapped: the lane is
 /// the target, the carrier's target/overlay/DRAM-queue are the golden.
-/// `flops_differ` short-circuits the per-bit benign scan for lanes the
-/// XOR kernel already proved flop-identical.
-fn lane_check(lane: &Lane, carrier: &L2cDriver, flops_differ: bool) -> CosimCheck {
+/// A word-parallel XOR of the flops comes first, so the lanes that are
+/// flop-identical — most of them — skip the per-bit benign scan.
+fn lane_check(lane: &LaneState, carrier: &L2cDriver) -> CosimCheck {
     if lane.dram.queue != carrier.t_dram.queue {
         return CosimCheck::Microarch;
     }
     let golden = &carrier.target;
     let mut benign_seen = false;
-    if flops_differ {
+    if !lane_matches_golden(golden.flops().raw_bits(), lane.bank.flops().raw_bits()) {
         for bit in lane.bank.flops().diff_bits(golden.flops()) {
             if lane.bank.is_benign_diff(golden, bit) {
                 benign_seen = true;
@@ -393,7 +387,7 @@ fn lane_check(lane: &Lane, carrier: &L2cDriver, flops_differ: bool) -> CosimChec
             }
         }
     }
-    let arch_dirty = !lane.bank.arch().diff_slots(golden.arch()).is_empty()
+    let arch_dirty = lane.bank.arch().differs(golden.arch())
         || lane.ov.differs(&carrier.t_ov, carrier.sys().dram());
     if arch_dirty {
         CosimCheck::ArchMappable
@@ -407,7 +401,7 @@ fn lane_check(lane: &Lane, carrier: &L2cDriver, flops_differ: bool) -> CosimChec
 /// The scalar driver's `drained()` for one lane: the inbox and the
 /// system wait-state are shared with the carrier; the bank and DRAM
 /// queue are the lane's own.
-fn lane_drained(lane: &Lane, carrier: &L2cDriver) -> bool {
+fn lane_drained(lane: &LaneState, carrier: &L2cDriver) -> bool {
     carrier.inbox.is_empty()
         && lane.bank.idle()
         && lane.dram.queue.is_empty()
@@ -417,9 +411,23 @@ fn lane_drained(lane: &Lane, carrier: &L2cDriver) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject::{run_injection_with, MIN_WARMUP};
     use nestsim_hlsim::workload::by_name;
     use nestsim_hlsim::{RunResult, SystemConfig};
+    use nestsim_proto::addr::BankId;
     use nestsim_rtl::FlopClass;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Test-only switch: `false` makes `run_l2c_batch` on this
+        /// thread tick and compare every lane to the end, as it did
+        /// before parking existed.
+        static PARKING: Cell<bool> = const { Cell::new(true) };
+    }
+
+    pub(super) fn parking() -> bool {
+        PARKING.with(Cell::get)
+    }
 
     fn setup(bench: &str) -> (System, GoldenRef) {
         let sys = System::new(SystemConfig::smoke_test(by_name(bench).unwrap()));
@@ -483,6 +491,107 @@ mod tests {
             "every lane either retires in-batch or falls back"
         );
         stats
+    }
+
+    #[test]
+    fn parked_batch_matches_the_unparked_batch_and_the_reference() {
+        use crate::inject::tests::run_injection_reference;
+        use nestsim_harness::{check_with, Config};
+
+        let systems = ["radi", "lu-c", "flui"].map(setup);
+        let targets = bits_where(|c| c.is_injection_target());
+        let inactive = bits_where(|c| *c == FlopClass::Inactive);
+        let cfg = TelemetryConfig {
+            trace_capacity: 1024,
+        };
+        // Coverage, counted across cases: a parked lane that the cap
+        // cut off, and batches that end with no leaver (the warmed
+        // driver is dropped unused) and with several (it is cloned for
+        // all but the last, who takes it by move).
+        let parked_hit_cap = Cell::new(0u64);
+        let (no_leaver, many_leavers) = (Cell::new(0u64), Cell::new(0u64));
+
+        let config = Config {
+            max_shrink_iters: 24,
+            ..Config::with_cases(16)
+        };
+        check_with(config, "parked_batch_matches_unparked", |src| {
+            let (base, golden) = &systems[src.index(3)];
+            // A tight cap leaves parked lanes waiting when it strikes;
+            // an all-inactive batch is the one sure to have no leaver.
+            let tight = src.below(3) == 0;
+            let pool = if src.below(4) == 0 {
+                &inactive
+            } else {
+                &targets
+            };
+            let lo = MIN_WARMUP + 64;
+            let trajectory = InjectionSpec {
+                inject_cycle: src.range_u64(lo, (golden.cycles * 9 / 10).max(lo + 64)),
+                warmup: MIN_WARMUP + src.below(1_000),
+                ..l2c_spec(
+                    0,
+                    if tight { 32 + src.below(96) } else { 4_000 },
+                    [16, 16, 7][src.index(3)],
+                )
+            };
+            let samples: Vec<InjectionSpec> = (0..src.range_usize(1, 10))
+                .map(|_| InjectionSpec {
+                    bit: pool[src.index(pool.len())],
+                    ..trajectory
+                })
+                .collect();
+            let group: Vec<usize> = (0..samples.len()).collect();
+            let run = |parking: bool| {
+                PARKING.with(|p| p.set(parking));
+                let mut stats = LaneBatchStats::default();
+                let mut runs =
+                    run_l2c_batch(base, golden, &samples, &group, Some(&cfg), &mut stats);
+                PARKING.with(|p| p.set(true));
+                runs.sort_by_key(|(i, _, _)| *i);
+                (runs, stats)
+            };
+            let (parked, stats) = run(true);
+            let (unparked, plain) = run(false);
+            assert_eq!(parked, unparked, "parking changed a lane's run");
+            assert_eq!(plain.parked, 0);
+            assert_eq!(
+                (stats.batches, stats.retired_early, stats.scalar_fallbacks),
+                (plain.batches, plain.retired_early, plain.scalar_fallbacks),
+                "parking moved a lane between retirement and fallback"
+            );
+            for (i, r, rec) in &parked {
+                let mut want_rec = Recorder::active(&cfg);
+                let want =
+                    run_injection_reference(base, golden, &samples[*i], &mut want_rec, |sys| {
+                        L2cDriver::attach(sys, BankId::new(samples[*i].instance % 8))
+                    });
+                assert_eq!(*r, want, "sample {i}: record");
+                assert_eq!(*rec, want_rec, "sample {i}: recorder");
+            }
+
+            // A parked lane leaves as an in-batch Vanished or as a
+            // leaver; with more parked than retired, some were leavers,
+            // and in an unaborted batch only the cap makes them one.
+            if tight {
+                parked_hit_cap
+                    .set(parked_hit_cap.get() + stats.parked.saturating_sub(stats.retired_early));
+            }
+            match stats.scalar_fallbacks {
+                0 => no_leaver.set(no_leaver.get() + 1),
+                1 => {}
+                _ => many_leavers.set(many_leavers.get() + 1),
+            }
+        });
+        assert!(
+            parked_hit_cap.get() > 0,
+            "no parked lane was cut off by the cap"
+        );
+        assert!(no_leaver.get() > 0, "no batch ended without a leaver");
+        assert!(
+            many_leavers.get() > 0,
+            "no batch ended with several leavers"
+        );
     }
 
     #[test]

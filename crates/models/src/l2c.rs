@@ -131,28 +131,36 @@ impl FillSlot {
     }
 }
 
+/// Guarded groups in a bank: every queue, pipeline, miss-buffer and
+/// fill-pending entry.
+const NUM_GUARDS: usize = IQ_DEPTH + 2 + MB_DEPTH + FILL_DEPTH + OQ_DEPTH;
+
 /// Flip-flop-level model of one L2 cache bank.
+///
+/// Everything but `flops` and `arch` is a fixed table of field handles,
+/// so a clone (the golden copy, a batch lane) copies the flop bits and
+/// the arrays and nothing else.
 #[derive(Debug, Clone)]
 pub struct L2cBank {
     bank: BankId,
     flops: FlopSpace,
     arch: L2BankArch,
 
-    iq: Vec<PcxSlot>,
-    iq_guards: Vec<Guard>,
+    iq: [PcxSlot; IQ_DEPTH],
+    iq_guards: [Guard; IQ_DEPTH],
     iq_count: FieldHandle,
     p1: CpxSlot,
     p2: CpxSlot,
-    mb: Vec<MbSlot>,
-    fill: Vec<FillSlot>,
-    oq: Vec<CpxSlot>,
-    oq_guards: Vec<Guard>,
+    mb: [MbSlot; MB_DEPTH],
+    fill: [FillSlot; FILL_DEPTH],
+    oq: [CpxSlot; OQ_DEPTH],
+    oq_guards: [Guard; OQ_DEPTH],
     oq_count: FieldHandle,
     perf_ctr: FieldHandle,
 
     cfg_enable: FieldHandle,
 
-    guards: Vec<Guard>,
+    guards: [Guard; NUM_GUARDS],
     /// QRR write-disable: while set, the bank performs no architectural
     /// writes and emits no packets (Sec. 6.2).
     write_block: bool,
@@ -166,11 +174,11 @@ impl L2cBank {
 
     /// Creates an empty bank with an explicit cache geometry.
     pub fn with_geometry(bank: BankId, geo: L2Geometry) -> Self {
+        use core::array::from_fn;
         let mut b = FlopSpaceBuilder::new(format!("l2c{}", bank.index()));
 
-        let iq: Vec<PcxSlot> = (0..IQ_DEPTH)
-            .map(|i| PcxSlot::declare_guarded(&mut b, &format!("iq[{i}]"), FlopClass::Target))
-            .collect();
+        let iq: [PcxSlot; IQ_DEPTH] =
+            from_fn(|i| PcxSlot::declare_guarded(&mut b, &format!("iq[{i}]"), FlopClass::Target));
         let iq_count = b.field("iq.count", 4, FlopClass::Target);
 
         // The issue pipeline is the timing-critical path of the bank
@@ -179,16 +187,13 @@ impl L2cBank {
         let p1 = CpxSlot::declare_guarded(&mut b, "pipe.p1", FlopClass::TimingCritical);
         let p2 = CpxSlot::declare_guarded(&mut b, "pipe.p2", FlopClass::TimingCritical);
 
-        let mb: Vec<MbSlot> = (0..MB_DEPTH)
-            .map(|i| MbSlot::declare(&mut b, &format!("mb[{i}]"), FlopClass::Target))
-            .collect();
-        let fill: Vec<FillSlot> = (0..FILL_DEPTH)
-            .map(|i| FillSlot::declare(&mut b, &format!("fill[{i}]"), FlopClass::Target))
-            .collect();
+        let mb: [MbSlot; MB_DEPTH] =
+            from_fn(|i| MbSlot::declare(&mut b, &format!("mb[{i}]"), FlopClass::Target));
+        let fill: [FillSlot; FILL_DEPTH] =
+            from_fn(|i| FillSlot::declare(&mut b, &format!("fill[{i}]"), FlopClass::Target));
 
-        let oq: Vec<CpxSlot> = (0..OQ_DEPTH)
-            .map(|i| CpxSlot::declare_guarded(&mut b, &format!("oq[{i}]"), FlopClass::Target))
-            .collect();
+        let oq: [CpxSlot; OQ_DEPTH] =
+            from_fn(|i| CpxSlot::declare_guarded(&mut b, &format!("oq[{i}]"), FlopClass::Target));
         let oq_count = b.field("oq.count", 4, FlopClass::Target);
         let perf_ctr = b.field("perf.hits", 8, FlopClass::Target);
 
@@ -209,16 +214,14 @@ impl L2cBank {
         b.field_array("bist.repair", 8, 16, FlopClass::Inactive);
 
         let flops = b.build();
-        let mut guards: Vec<Guard> = Vec::new();
-        guards.extend(iq.iter().map(|s| s.guard()));
-        guards.push(p1.guard());
-        guards.push(p2.guard());
-        guards.extend(mb.iter().map(|s| s.guard));
-        guards.extend(fill.iter().map(|s| s.guard));
-        guards.extend(oq.iter().map(|s| s.guard()));
-
-        let iq_guards: Vec<Guard> = iq.iter().map(|s| s.guard()).collect();
-        let oq_guards: Vec<Guard> = oq.iter().map(|s| s.guard()).collect();
+        let iq_guards = iq.map(|s| s.guard());
+        let oq_guards = oq.map(|s| s.guard());
+        let mut guards = (iq_guards.into_iter())
+            .chain([p1.guard(), p2.guard()])
+            .chain(mb.iter().map(|s| s.guard))
+            .chain(fill.iter().map(|s| s.guard))
+            .chain(oq_guards);
+        let guards = from_fn(|_| guards.next().expect("NUM_GUARDS counts every entry"));
         let mut bankm = L2cBank {
             bank,
             flops,
@@ -919,6 +922,116 @@ mod tests {
             .map(|fd| fd.offset)
             .unwrap();
         assert!(!b2.is_benign_diff(&b1, hbit));
+    }
+
+    #[test]
+    fn flop_layout_is_pinned() {
+        // Global bit indices are sample identities (a campaign's seed
+        // draws them) and the guard spans decide what a benign diff is,
+        // so declaration order, names, widths and guards are a
+        // compatibility surface. Spelled out here, not derived from
+        // `L2cBank::with_geometry`.
+        use FlopClass::{Config, EccProtected, Inactive, Target, TimingCritical};
+        const PCX: &[(&str, usize)] = &[
+            ("valid", 1),
+            ("kind", 2),
+            ("thread", 6),
+            ("reqid", 32),
+            ("addr", 34),
+            ("data", 64),
+        ];
+        const CPX: &[(&str, usize)] = &[
+            ("valid", 1),
+            ("kind", 3),
+            ("thread", 6),
+            ("reqid", 32),
+            ("data", 64),
+        ];
+        type Want = Vec<(String, usize, FlopClass)>;
+        fn slot(want: &mut Want, prefix: &str, leaves: &[(&str, usize)], class: FlopClass) {
+            want.extend(
+                leaves
+                    .iter()
+                    .map(|(l, w)| (format!("{prefix}.{l}"), *w, class)),
+            );
+        }
+        fn bits(want: &Want) -> usize {
+            want.iter().map(|(_, width, _)| width).sum()
+        }
+        /// Declares one guarded entry and notes its span: from the bit
+        /// after its leading valid bit to the end of what it declared.
+        fn guarded(
+            want: &mut Want,
+            spans: &mut Vec<(usize, usize)>,
+            entry: impl FnOnce(&mut Want),
+        ) {
+            let start = bits(want) + 1;
+            entry(want);
+            spans.push((start, bits(want)));
+        }
+        let mut want: Want = Vec::new();
+        // Spans in `guards` order.
+        let mut spans = Vec::new();
+        for i in 0..IQ_DEPTH {
+            guarded(&mut want, &mut spans, |w| {
+                slot(w, &format!("iq[{i}]"), PCX, Target)
+            });
+        }
+        want.push(("iq.count".into(), 4, Target));
+        for p in ["pipe.p1", "pipe.p2"] {
+            guarded(&mut want, &mut spans, |w| slot(w, p, CPX, TimingCritical));
+        }
+        for i in 0..MB_DEPTH {
+            guarded(&mut want, &mut spans, |w| {
+                slot(w, &format!("mb[{i}]"), PCX, Target);
+                w.push((format!("mb[{i}].issued"), 1, Target));
+                w.push((format!("mb[{i}].acked"), 1, Target));
+            });
+        }
+        for i in 0..FILL_DEPTH {
+            guarded(&mut want, &mut spans, |w| {
+                w.push((format!("fill[{i}].valid"), 1, Target));
+                w.push((format!("fill[{i}].line"), 28, Target));
+                w.extend((0..8).map(|k| (format!("fill[{i}].w{k}"), 64, Target)));
+                w.push((format!("fill[{i}].tag"), 3, Target));
+            });
+        }
+        for i in 0..OQ_DEPTH {
+            guarded(&mut want, &mut spans, |w| {
+                slot(w, &format!("oq[{i}]"), CPX, Target)
+            });
+        }
+        want.push(("oq.count".into(), 4, Target));
+        want.push(("perf.hits".into(), 8, Target));
+        want.push(("cfg.enable".into(), 1, Config));
+        want.push(("cfg.bank_id".into(), 3, Config));
+        want.push(("cfg.throttle".into(), 28, Config));
+        want.extend((0..32).map(|i| (format!("ecc.data_pipe[{i}]"), 64, EccProtected)));
+        want.extend((0..32).map(|i| (format!("ecc.syndrome[{i}]"), 8, EccProtected)));
+        want.extend((0..20).map(|i| (format!("bist.chain[{i}]"), 64, Inactive)));
+        want.extend((0..8).map(|i| (format!("bist.repair[{i}]"), 16, Inactive)));
+
+        let b = L2cBank::new(BankId::new(0));
+        let fields = b.flops().fields();
+        assert_eq!(fields.len(), 250);
+        assert_eq!(b.flops().num_flops(), 7_584);
+        assert_eq!(fields.len(), want.len());
+        let mut offset = 0;
+        for (f, (name, width, class)) in fields.iter().zip(&want) {
+            assert_eq!(
+                (&f.name, f.width, f.offset, f.class),
+                (name, *width, offset, *class)
+            );
+            offset += width;
+        }
+        let got: Vec<(usize, usize)> = b.guards.iter().map(|g| (g.start, g.end)).collect();
+        assert_eq!(got, spans);
+        for (g, (start, _)) in b.guards.iter().zip(&spans) {
+            let valid = b.flops().fields()[g.valid.index()].offset;
+            assert_eq!(valid + 1, *start, "each guard starts after its valid bit");
+        }
+        assert_eq!(b.iq_guards[..], b.guards[..IQ_DEPTH]);
+        assert_eq!(b.oq_guards[..], b.guards[b.guards.len() - OQ_DEPTH..]);
     }
 
     #[test]

@@ -98,23 +98,30 @@ struct RetSlot {
     guard: Guard,
 }
 
+/// Guarded groups in a controller: every request-queue, write-data-
+/// buffer and return-queue entry.
+const NUM_GUARDS: usize = RQ_DEPTH + WDB_DEPTH + RETQ_DEPTH;
+
 /// Flip-flop-level model of one DRAM controller.
+///
+/// Everything but `flops` is a fixed table of field handles, so a clone
+/// (the golden copy) copies the flop bits and nothing else.
 #[derive(Debug, Clone)]
 pub struct Mcu {
     id: McuId,
     flops: FlopSpace,
 
-    rq: Vec<RqSlot>,
-    rq_guards: Vec<Guard>,
+    rq: [RqSlot; RQ_DEPTH],
+    rq_guards: [Guard; RQ_DEPTH],
     rq_count: FieldHandle,
-    wdb: Vec<WdbSlot>,
-    retq: Vec<RetSlot>,
-    retq_guards: Vec<Guard>,
+    wdb: [WdbSlot; WDB_DEPTH],
+    retq: [RetSlot; RETQ_DEPTH],
+    retq_guards: [Guard; RETQ_DEPTH],
     retq_count: FieldHandle,
 
-    bank_state: Vec<FieldHandle>, // 0 idle, 1 row open
-    bank_row: Vec<FieldHandle>,
-    bank_timer: Vec<FieldHandle>,
+    bank_state: [FieldHandle; DRAM_BANKS], // 0 idle, 1 row open
+    bank_row: [FieldHandle; DRAM_BANKS],
+    bank_timer: [FieldHandle; DRAM_BANKS],
     refresh_ctr: FieldHandle,
     refresh_busy: FieldHandle,
 
@@ -123,104 +130,89 @@ pub struct Mcu {
     cfg_trp: FieldHandle,
     cfg_refresh: FieldHandle,
 
-    guards: Vec<Guard>,
+    guards: [Guard; NUM_GUARDS],
     write_block: bool,
 }
 
 impl Mcu {
     /// Creates an idle MCU.
     pub fn new(id: McuId) -> Self {
+        use core::array::from_fn;
         let mut b = FlopSpaceBuilder::new(format!("mcu{}", id.index()));
 
-        let mut guards = Vec::new();
-        let rq: Vec<RqSlot> = (0..RQ_DEPTH)
-            .map(|i| {
-                let start = b.declared_bits() + 1;
-                let valid = b.field(format!("rq[{i}].valid"), 1, FlopClass::Target);
-                let is_wb = b.field(format!("rq[{i}].is_wb"), 1, FlopClass::Target);
-                let tag = b.field(format!("rq[{i}].tag"), 8, FlopClass::Target);
-                let src_bank = b.field(format!("rq[{i}].src_bank"), 3, FlopClass::Target);
-                let line = b.field(format!("rq[{i}].line"), 28, FlopClass::Target);
-                let wdb_idx = b.field(format!("rq[{i}].wdb_idx"), 2, FlopClass::Target);
-                let guard = Guard {
-                    valid,
-                    start,
-                    end: b.declared_bits(),
-                };
-                RqSlot {
-                    valid,
-                    is_wb,
-                    tag,
-                    src_bank,
-                    line,
-                    wdb_idx,
-                    guard,
-                }
-            })
-            .collect();
+        let rq: [RqSlot; RQ_DEPTH] = from_fn(|i| {
+            let start = b.declared_bits() + 1;
+            let valid = b.field(format!("rq[{i}].valid"), 1, FlopClass::Target);
+            let is_wb = b.field(format!("rq[{i}].is_wb"), 1, FlopClass::Target);
+            let tag = b.field(format!("rq[{i}].tag"), 8, FlopClass::Target);
+            let src_bank = b.field(format!("rq[{i}].src_bank"), 3, FlopClass::Target);
+            let line = b.field(format!("rq[{i}].line"), 28, FlopClass::Target);
+            let wdb_idx = b.field(format!("rq[{i}].wdb_idx"), 2, FlopClass::Target);
+            let guard = Guard {
+                valid,
+                start,
+                end: b.declared_bits(),
+            };
+            RqSlot {
+                valid,
+                is_wb,
+                tag,
+                src_bank,
+                line,
+                wdb_idx,
+                guard,
+            }
+        });
         let rq_count = b.field("rq.count", 4, FlopClass::Target);
 
-        let wdb: Vec<WdbSlot> = (0..WDB_DEPTH)
-            .map(|i| {
-                let start = b.declared_bits() + 1;
-                let valid = b.field(format!("wdb[{i}].valid"), 1, FlopClass::Target);
-                let words = core::array::from_fn(|w| {
-                    b.field(format!("wdb[{i}].w{w}"), 64, FlopClass::Target)
-                });
-                let guard = Guard {
-                    valid,
-                    start,
-                    end: b.declared_bits(),
-                };
-                WdbSlot {
-                    valid,
-                    words,
-                    guard,
-                }
-            })
-            .collect();
+        let wdb: [WdbSlot; WDB_DEPTH] = from_fn(|i| {
+            let start = b.declared_bits() + 1;
+            let valid = b.field(format!("wdb[{i}].valid"), 1, FlopClass::Target);
+            let words = from_fn(|w| b.field(format!("wdb[{i}].w{w}"), 64, FlopClass::Target));
+            let guard = Guard {
+                valid,
+                start,
+                end: b.declared_bits(),
+            };
+            WdbSlot {
+                valid,
+                words,
+                guard,
+            }
+        });
 
-        let retq: Vec<RetSlot> = (0..RETQ_DEPTH)
-            .map(|i| {
-                let start = b.declared_bits() + 1;
-                let valid = b.field(format!("retq[{i}].valid"), 1, FlopClass::Target);
-                let tag = b.field(format!("retq[{i}].tag"), 8, FlopClass::Target);
-                let src_bank = b.field(format!("retq[{i}].src_bank"), 3, FlopClass::Target);
-                let line = b.field(format!("retq[{i}].line"), 28, FlopClass::Target);
-                let is_wb_ack = b.field(format!("retq[{i}].is_wb_ack"), 1, FlopClass::Target);
-                let words = core::array::from_fn(|w| {
-                    b.field(format!("retq[{i}].w{w}"), 64, FlopClass::Target)
-                });
-                let guard = Guard {
-                    valid,
-                    start,
-                    end: b.declared_bits(),
-                };
-                RetSlot {
-                    valid,
-                    tag,
-                    src_bank,
-                    line,
-                    is_wb_ack,
-                    words,
-                    guard,
-                }
-            })
-            .collect();
+        let retq: [RetSlot; RETQ_DEPTH] = from_fn(|i| {
+            let start = b.declared_bits() + 1;
+            let valid = b.field(format!("retq[{i}].valid"), 1, FlopClass::Target);
+            let tag = b.field(format!("retq[{i}].tag"), 8, FlopClass::Target);
+            let src_bank = b.field(format!("retq[{i}].src_bank"), 3, FlopClass::Target);
+            let line = b.field(format!("retq[{i}].line"), 28, FlopClass::Target);
+            let is_wb_ack = b.field(format!("retq[{i}].is_wb_ack"), 1, FlopClass::Target);
+            let words = from_fn(|w| b.field(format!("retq[{i}].w{w}"), 64, FlopClass::Target));
+            let guard = Guard {
+                valid,
+                start,
+                end: b.declared_bits(),
+            };
+            RetSlot {
+                valid,
+                tag,
+                src_bank,
+                line,
+                is_wb_ack,
+                words,
+                guard,
+            }
+        });
         let retq_count = b.field("retq.count", 3, FlopClass::Target);
 
         // The bank-FSM next-state logic sits on the scheduler's critical
         // path: timing-critical under QRR (Sec. 6.4; MCU has only a
         // handful of such flops — 0.3% in the paper).
-        let bank_state: Vec<FieldHandle> = (0..DRAM_BANKS)
-            .map(|i| b.field(format!("bank[{i}].state"), 1, FlopClass::TimingCritical))
-            .collect();
-        let bank_row: Vec<FieldHandle> = (0..DRAM_BANKS)
-            .map(|i| b.field(format!("bank[{i}].row"), 15, FlopClass::Target))
-            .collect();
-        let bank_timer: Vec<FieldHandle> = (0..DRAM_BANKS)
-            .map(|i| b.field(format!("bank[{i}].timer"), 6, FlopClass::Target))
-            .collect();
+        let bank_state =
+            from_fn(|i| b.field(format!("bank[{i}].state"), 1, FlopClass::TimingCritical));
+        let bank_row = from_fn(|i| b.field(format!("bank[{i}].row"), 15, FlopClass::Target));
+        let bank_timer = from_fn(|i| b.field(format!("bank[{i}].timer"), 6, FlopClass::Target));
         let refresh_ctr = b.field("refresh.ctr", 12, FlopClass::Target);
         let refresh_busy = b.field("refresh.busy", 5, FlopClass::Target);
 
@@ -237,12 +229,12 @@ impl Mcu {
         b.field_array("bist.chain", 8, 64, FlopClass::Inactive);
 
         let flops = b.build();
-        guards.extend(rq.iter().map(|s| s.guard));
-        guards.extend(wdb.iter().map(|s| s.guard));
-        guards.extend(retq.iter().map(|s| s.guard));
-
-        let rq_guards: Vec<Guard> = rq.iter().map(|s| s.guard).collect();
-        let retq_guards: Vec<Guard> = retq.iter().map(|s| s.guard).collect();
+        let rq_guards = rq.map(|s| s.guard);
+        let retq_guards = retq.map(|s| s.guard);
+        let mut guards = (rq_guards.into_iter())
+            .chain(wdb.iter().map(|s| s.guard))
+            .chain(retq_guards);
+        let guards = from_fn(|_| guards.next().expect("NUM_GUARDS counts every entry"));
         let mut m = Mcu {
             id,
             flops,
@@ -816,6 +808,106 @@ mod tests {
         assert!(responses[0].is_writeback_ack, "writeback first");
         assert_eq!(responses[1].tag, 10);
         assert_eq!(responses[1].data, data, "fill sees the written data");
+    }
+
+    #[test]
+    fn flop_layout_is_pinned() {
+        // Global bit indices are sample identities and the guard spans
+        // decide what a benign diff is (see the L2C twin of this test).
+        // Spelled out here, not derived from `Mcu::new`.
+        use FlopClass::{Config, EccProtected, Inactive, Target, TimingCritical};
+        type Want = Vec<(String, usize, FlopClass)>;
+        fn bits(want: &Want) -> usize {
+            want.iter().map(|(_, width, _)| width).sum()
+        }
+        /// Declares one guarded entry — its leaves, then `words` 64-bit
+        /// words — and notes its span: from the bit after its leading
+        /// valid bit to the end of what it declared.
+        fn guarded(
+            want: &mut Want,
+            spans: &mut Vec<(usize, usize)>,
+            prefix: &str,
+            leaves: &[(&str, usize)],
+            words: usize,
+        ) {
+            let start = bits(want) + 1;
+            want.extend(
+                leaves
+                    .iter()
+                    .map(|(l, w)| (format!("{prefix}.{l}"), *w, Target)),
+            );
+            want.extend((0..words).map(|w| (format!("{prefix}.w{w}"), 64, Target)));
+            spans.push((start, bits(want)));
+        }
+        let mut want: Want = Vec::new();
+        // Spans in `guards` order.
+        let mut spans = Vec::new();
+        for i in 0..RQ_DEPTH {
+            let leaves = [
+                ("valid", 1),
+                ("is_wb", 1),
+                ("tag", 8),
+                ("src_bank", 3),
+                ("line", 28),
+                ("wdb_idx", 2),
+            ];
+            guarded(&mut want, &mut spans, &format!("rq[{i}]"), &leaves, 0);
+        }
+        want.push(("rq.count".into(), 4, Target));
+        for i in 0..WDB_DEPTH {
+            guarded(
+                &mut want,
+                &mut spans,
+                &format!("wdb[{i}]"),
+                &[("valid", 1)],
+                8,
+            );
+        }
+        for i in 0..RETQ_DEPTH {
+            let leaves = [
+                ("valid", 1),
+                ("tag", 8),
+                ("src_bank", 3),
+                ("line", 28),
+                ("is_wb_ack", 1),
+            ];
+            guarded(&mut want, &mut spans, &format!("retq[{i}]"), &leaves, 8);
+        }
+        want.push(("retq.count".into(), 3, Target));
+        want.extend((0..DRAM_BANKS).map(|i| (format!("bank[{i}].state"), 1, TimingCritical)));
+        want.extend((0..DRAM_BANKS).map(|i| (format!("bank[{i}].row"), 15, Target)));
+        want.extend((0..DRAM_BANKS).map(|i| (format!("bank[{i}].timer"), 6, Target)));
+        want.push(("refresh.ctr".into(), 12, Target));
+        want.push(("refresh.busy".into(), 5, Target));
+        want.push(("cfg.trcd".into(), 4, Config));
+        want.push(("cfg.tcas".into(), 4, Config));
+        want.push(("cfg.trp".into(), 4, Config));
+        want.push(("cfg.refresh_interval".into(), 12, Config));
+        want.extend((0..24).map(|i| (format!("ecc.data_pipe[{i}]"), 64, EccProtected)));
+        want.extend((0..24).map(|i| (format!("ecc.check_bits[{i}]"), 8, EccProtected)));
+        want.extend((0..8).map(|i| (format!("bist.chain[{i}]"), 64, Inactive)));
+
+        let m = Mcu::new(McuId::new(0));
+        let fields = m.flops().fields();
+        assert_eq!(fields.len(), 224);
+        assert_eq!(m.flops().num_flops(), 7_072);
+        assert_eq!(fields.len(), want.len());
+        let mut offset = 0;
+        for (f, (name, width, class)) in fields.iter().zip(&want) {
+            assert_eq!(
+                (&f.name, f.width, f.offset, f.class),
+                (name, *width, offset, *class)
+            );
+            offset += width;
+        }
+        let got: Vec<(usize, usize)> = m.guards.iter().map(|g| (g.start, g.end)).collect();
+        assert_eq!(got, spans);
+        for (g, (start, _)) in m.guards.iter().zip(&spans) {
+            let valid = m.flops().fields()[g.valid.index()].offset;
+            assert_eq!(valid + 1, *start, "each guard starts after its valid bit");
+        }
+        assert_eq!(m.rq_guards[..], m.guards[..RQ_DEPTH]);
+        assert_eq!(m.retq_guards[..], m.guards[RQ_DEPTH + WDB_DEPTH..]);
     }
 
     #[test]

@@ -37,12 +37,14 @@
 //!                         replaying from cycle 0 — results are identical
 //!                         for every interval)
 //!   --lane-cluster N group every N consecutive samples onto one
-//!                    injection trajectory so lane batching can retire
-//!                    them together (default 1 = independent draws;
-//!                    result-affecting: changes which cycles are hit)
-//!   --lane-width N   max faulty universes advanced per batch, 1-64
-//!                    (default 64; execution-only — results are
-//!                    byte-identical for every width)
+//!                    injection trajectory so they can share a warm-up
+//!                    and, on L2C, a lane batch (default 1 =
+//!                    independent draws; result-affecting: changes
+//!                    which cycles are hit)
+//!   --lane-width N   max same-trajectory samples per shared warm-up
+//!                    (an L2C lane batch; clones of one warmed driver
+//!                    elsewhere), 1-64 (default 64; execution-only —
+//!                    results are byte-identical for every width)
 //!   --cluster N      distribute campaigns across N spawned worker
 //!                    processes over loopback TCP (0 = in-process,
 //!                    the default; results are byte-identical either

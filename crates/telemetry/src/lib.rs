@@ -175,10 +175,18 @@ pub mod names {
     /// Counter: lanes retired inside a batch (Vanished or Persist)
     /// without touching the scalar path.
     pub const LANES_RETIRED_EARLY: &str = "lanes.retired_early";
-    /// Counter: lanes replayed on the scalar path — batch leavers
+    /// Counter: lanes finished on the scalar path — batch leavers
     /// (divergence, arch-mappable exit, abort) plus clustered samples
     /// that could not batch.
     pub const LANES_SCALAR_FALLBACKS: &str = "lanes.scalar_fallbacks";
+    /// Counter: lanes parked inside a batch — proved identical to the
+    /// carrier, so no longer ticked or compared while they wait for it
+    /// to drain (engine telemetry).
+    pub const LANES_PARKED: &str = "lanes.parked";
+    /// Counter: same-trajectory groups of two or more samples, on a
+    /// component without a lane engine, that ran off one shared attach
+    /// and warm-up (engine telemetry).
+    pub const LANES_SHARED_WARMUPS: &str = "lanes.shared_warmups";
 
     /// Counter: rounds executed by the adaptive sampling engine
     /// (engine telemetry; sequential-stopping trace).
@@ -292,6 +300,8 @@ pub mod names {
         LANES_BATCHES,
         LANES_RETIRED_EARLY,
         LANES_SCALAR_FALLBACKS,
+        LANES_PARKED,
+        LANES_SHARED_WARMUPS,
         QRR_RUNS,
         QRR_DETECTED,
         QRR_REPLAY_ATTEMPTS,

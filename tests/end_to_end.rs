@@ -376,3 +376,45 @@ fn ccx_campaign_bytes_are_pinned() {
         }
     }
 }
+
+#[test]
+fn campaign_bytes_are_pinned_for_every_component_clustered_and_not() {
+    // `run_campaign_replay` shares the per-run `finish` with the ladder
+    // engine, so an engine-vs-engine identity test cannot see a change
+    // that moves a record the same way in both (golden retirement, a
+    // parked lane, a shared warm-up). These constants were computed at
+    // the commit *before* warm-once / park / retire landed — with the
+    // golden twin ticked and compared to the end of every run — and
+    // must never be re-blessed by a change that claims result-neutrality.
+    let cfg = TelemetryConfig::default();
+    let cells: [(ComponentKind, &str, u64, u64, u64); 7] = [
+        (ComponentKind::L2c, "radi", 96, 1, 0xd040_e4b7_67c0_22e2),
+        (ComponentKind::L2c, "radi", 128, 16, 0x24b1_554e_b3aa_a4d5),
+        (ComponentKind::Mcu, "flui", 64, 1, 0xe3b9_9df4_b936_d922),
+        (ComponentKind::Mcu, "fft", 64, 8, 0x1605_a6ae_355d_8fd4),
+        (ComponentKind::Ccx, "lu-c", 48, 8, 0x97c1_653a_8faa_8199),
+        (ComponentKind::Pcie, "blsc", 64, 1, 0x3366_f5d6_131d_9cd5),
+        (ComponentKind::Pcie, "p-lr", 64, 8, 0x8389_9f38_607e_985f),
+    ];
+    for (component, bench, samples, lane_cluster, pinned) in cells {
+        let profile = by_name(bench).unwrap();
+        for workers in [1usize, 4] {
+            let spec = CampaignSpec {
+                seed: 2015,
+                length_scale: 100,
+                cosim_cap: 4_000,
+                workers,
+                lane_cluster,
+                ..CampaignSpec::new(component, samples)
+            };
+            let r = run_campaign_with(profile, &spec, Some(&cfg));
+            assert_eq!(r.records.len() as u64, samples);
+            let got = result_digest(&r);
+            assert_eq!(
+                got, pinned,
+                "{component}/{bench} samples={samples} cluster={lane_cluster} \
+                 workers={workers}: {got:#018x}"
+            );
+        }
+    }
+}
