@@ -124,8 +124,20 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # Lane gate: the `l2c_lanes` block must report batches formed and lanes
 # retired in them — a silently de-batched engine passes every identity
 # test, being byte-identical by construction.
+# Build-once gate: the untraced `l2c_indep` and `ccx_indep` blocks must
+# stay under an allocation count per injection that a flop layout
+# rebuilt on every attach cannot meet (≈400 field names formatted:
+# 645 and 896 before the per-process prototypes, 210 and 153 with them
+# on the smoke's single cold cell) — an exact count, not a timing.
 awk '
-    /^# [a-z0-9_]+ seed / { workload = $2 }
+    BEGIN { alloc_cap["l2c_indep"] = 300; alloc_cap["ccx_indep"] = 400 }
+    /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
+    !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {
+        seen[workload " allocs_per_inj"] = 1
+        if ($2 + 0 >= alloc_cap[workload]) {
+            print "ci.sh: " workload " allocs_per_inj = " $2 " (gate: < " alloc_cap[workload] ")"; bad = 1
+        }
+    }
     $1 ~ /^models\.tick_allocs\./ {
         seen[$1] = 1
         if ($2 + 0 >= 0.01) { print "ci.sh: " $1 " = " $2 " allocations per tick (gate: < 0.01)"; bad = 1 }
@@ -139,6 +151,9 @@ awk '
               "core.lanes_batches core.lanes_retired_early", want, " ")
         for (i in want) if (!(want[i] in seen)) {
             print "ci.sh: smoke printed no " want[i] " row"; bad = 1
+        }
+        for (w in alloc_cap) if (!((w " allocs_per_inj") in seen)) {
+            print "ci.sh: smoke printed no untraced allocs_per_inj row for " w; bad = 1
         }
         exit bad
     }

@@ -46,5 +46,5 @@ pub mod mem;
 pub mod pciebuf;
 
 pub use l2::{L2BankArch, L2Geometry};
-pub use mem::{DramContents, DramOverlay, LineBackend, OverlayBackend};
+pub use mem::{BuildU64Hasher, DramContents, DramOverlay, LineBackend, OverlayBackend};
 pub use pciebuf::PcieBuffers;

@@ -36,17 +36,17 @@ const PAGES_PER_CHUNK: usize = 64;
 // reaches results.
 type LineMap = std::collections::HashMap<u64, Line>;
 
-/// Hashes a page number with one multiply. Page numbers are chosen by
-/// the simulated program (or by a bit flip in one of its addresses),
-/// never by input from outside the process, so the default hasher's
-/// collision resistance buys nothing here and its cost sat on every
-/// simulated memory access.
+/// Hashes a `u64` key with one multiply. For keys chosen by the
+/// simulated program (page numbers, line addresses, request ids — or a
+/// bit flip in one of them), never by input from outside the process:
+/// there the default hasher's collision resistance buys nothing, and
+/// its cost sat on every simulated memory access.
 #[derive(Debug, Clone, Copy, Default)]
-struct PageNoHasher(u64);
+pub struct U64Hasher(u64);
 
-impl Hasher for PageNoHasher {
+impl Hasher for U64Hasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("page numbers are hashed through write_u64 only");
+        unreachable!("keys are hashed through write_u64 only");
     }
     fn write_u64(&mut self, n: u64) {
         // Fibonacci hashing; the fold brings the well-mixed high half
@@ -59,11 +59,14 @@ impl Hasher for PageNoHasher {
     }
 }
 
+/// [`U64Hasher`] as the `S` of a `HashMap<u64, V, S>` / `HashSet<u64, S>`.
+pub type BuildU64Hasher = BuildHasherDefault<U64Hasher>;
+
 // nestlint: allow(no-nondeterminism) -- audited: the page table is
 // probed point-wise by page number; the iterations are freeze (every
 // private slot gets the same arena pointer), clone (slot by slot, same
 // keys) and the order-free `all` of the semantic equality.
-type PageTable = std::collections::HashMap<u64, Slot, BuildHasherDefault<PageNoHasher>>;
+type PageTable = std::collections::HashMap<u64, Slot, BuildU64Hasher>;
 
 /// One 4 KiB page plus its count of non-zero lines.
 #[derive(Debug, Clone)]

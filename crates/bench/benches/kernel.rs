@@ -9,16 +9,17 @@
 use std::collections::VecDeque;
 use std::hint::black_box;
 
-use nestsim_arch::DramContents;
-use nestsim_core::cosim::COSIM_BANK_LATENCY;
+use nestsim_arch::{DramContents, L2BankArch, L2Geometry};
+use nestsim_core::cosim::{COSIM_BANK_LATENCY, COSIM_DRAM_LATENCY};
 use nestsim_harness::bench::Suite;
 use nestsim_models::ccx::CcxInputs;
+use nestsim_models::fields::{shift_queue_down, Guard};
 use nestsim_models::l2c::L2cInputs;
 use nestsim_models::mcu::McuInputs;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, McuId, PAddr, ThreadId, NUM_CORES, NUM_L2_BANKS};
-use nestsim_proto::{CpxPacket, PcxKind, PcxPacket, ReqId};
-use nestsim_rtl::BitBuf;
+use nestsim_proto::{CpxPacket, DramCmd, DramCmdKind, DramResp, PcxKind, PcxPacket, ReqId};
+use nestsim_rtl::{BitBuf, FlopClass, FlopSpace, FlopSpaceBuilder};
 
 fn bitbuf_ops(suite: &mut Suite) {
     let mut buf = BitBuf::zeroed(32 * 1024);
@@ -49,15 +50,51 @@ fn pcx(i: u64) -> PcxPacket {
 }
 
 fn component_ticks(suite: &mut Suite) {
+    // The bank as an L2C campaign drives it (`L2cDriver::step`): a
+    // request offered whenever the input queue has room, every fill
+    // answered after the co-simulation DRAM latency, so the pipeline,
+    // the miss buffer and both queues stay busy and no tick settles.
     let mut bank = L2cBank::new(BankId::new(0));
-    let mut i = 0u64;
-    suite.bench("kernel/tick", "l2c", || {
+    let mut fills: VecDeque<(u64, DramCmd)> = VecDeque::new();
+    let (mut cyc, mut i) = (0u64, 0u64);
+    suite.bench("kernel/tick", "l2c_active", || {
+        cyc += 1;
+        let due = fills.front().is_some_and(|(due, _)| *due <= cyc);
         let inp = L2cInputs {
-            pcx: if bank.ready() { Some(pcx(i)) } else { None },
-            dram_resp: None,
+            pcx: bank.ready().then(|| pcx(i)),
+            dram_resp: due
+                .then(|| fills.pop_front().unwrap().1)
+                .map(|cmd| DramResp {
+                    tag: cmd.tag,
+                    bank: cmd.bank,
+                    line: cmd.line,
+                    data: [cyc; 8],
+                    is_writeback_ack: false,
+                }),
         };
         i += 1;
-        black_box(bank.tick(&inp))
+        let out = bank.tick(&inp);
+        if let Some(cmd) = out.dram_cmd.clone() {
+            if cmd.kind == DramCmdKind::Fill {
+                fills.push_back((cyc + COSIM_DRAM_LATENCY, cmd));
+            }
+        }
+        black_box(out)
+    });
+
+    // The bank as it spends most co-simulated cycles: one miss on its
+    // DRAM round trip, nothing arriving, nothing to do — a settled tick.
+    let mut bank = L2cBank::new(BankId::new(0));
+    bank.tick(&L2cInputs {
+        pcx: Some(pcx(1)),
+        dram_resp: None,
+    });
+    for _ in 0..16 {
+        bank.tick(&L2cInputs::default());
+    }
+    assert!(!bank.idle() && !bank.flops().changed());
+    suite.bench("kernel/tick", "l2c_settled", || {
+        black_box(bank.tick(black_box(&L2cInputs::default())))
     });
 
     let mut mcu = Mcu::new(McuId::new(0));
@@ -137,6 +174,60 @@ fn component_ticks(suite: &mut Suite) {
     suite.bench("kernel/tick", "pcie", || black_box(pcie.tick(&mut mem)));
 }
 
+/// A queue of `depth` packed slots (valid bit, then `leaves`, then
+/// `words` 64-bit words) after `pad` bits, so it sits where the real
+/// one does in its component's flop space.
+fn queue(pad: usize, depth: usize, leaves: &[usize], words: usize) -> (FlopSpace, Vec<Guard>) {
+    let mut b = FlopSpaceBuilder::new("queue");
+    b.field_array("pad", pad / 64, 64, FlopClass::Inactive);
+    if !pad.is_multiple_of(64) {
+        b.field("pad.tail", pad % 64, FlopClass::Inactive);
+    }
+    let guards = (0..depth)
+        .map(|i| {
+            let valid = b.field(format!("q[{i}].valid"), 1, FlopClass::Target);
+            let start = b.declared_bits();
+            for (l, &width) in leaves.iter().enumerate() {
+                b.field(format!("q[{i}].f{l}"), width, FlopClass::Target);
+            }
+            b.field_array(&format!("q[{i}].w"), words, 64, FlopClass::Target);
+            let end = b.declared_bits();
+            Guard { valid, start, end }
+        })
+        .collect();
+    (b.build(), guards)
+}
+
+fn queue_pops(suite: &mut Suite) {
+    // One head pop of a collapsing queue; the cost does not depend on
+    // what the slots hold. Shapes and offsets are the real ones (the
+    // models' `flop_layout_is_pinned` tests spell them out).
+    let (mut f, guards) = queue(0, 8, &[2, 6, 32, 34, 64], 0);
+    assert_eq!(guards[7].end, 8 * 139);
+    suite.bench("kernel/queue_pop", "l2c_iq", || {
+        shift_queue_down(&mut f, black_box(&guards))
+    });
+    let (mut f, guards) = queue(8 * 43 + 4 + 4 * 513, 4, &[8, 3, 28, 1], 8);
+    assert_eq!(guards[3].end - guards[0].start + 1, 4 * 553);
+    suite.bench("kernel/queue_pop", "mcu_retq", || {
+        shift_queue_down(&mut f, black_box(&guards))
+    });
+}
+
+fn attaches(suite: &mut Suite) {
+    // Building the RTL model a driver attaches: a copy of the
+    // per-process prototype (plus, for L2C, the transferred arrays).
+    let arch = L2BankArch::for_bank(L2Geometry::default(), 0);
+    suite.bench("kernel/attach", "l2c", || {
+        black_box(L2cBank::with_arch(BankId::new(0), arch.clone()))
+    });
+    suite.bench("kernel/attach", "mcu", || {
+        black_box(Mcu::new(McuId::new(0)))
+    });
+    suite.bench("kernel/attach", "ccx", || black_box(Ccx::new()));
+    suite.bench("kernel/attach", "pcie", || black_box(Pcie::new()));
+}
+
 fn golden_compare(suite: &mut Suite) {
     // The per-check cost of the Fig. 2 step-7 comparison.
     let bank = L2cBank::new(BankId::new(0));
@@ -145,7 +236,7 @@ fn golden_compare(suite: &mut Suite) {
         black_box(bank.flops().diff_count(golden.flops()))
     });
     suite.bench("kernel/golden_compare", "l2c_arch_diff", || {
-        black_box(bank.arch().diff_slots(golden.arch()).len())
+        black_box(bank.arch().differs(golden.arch()))
     });
 }
 
@@ -153,6 +244,8 @@ fn main() {
     let mut suite = Suite::new("kernel");
     bitbuf_ops(&mut suite);
     component_ticks(&mut suite);
+    queue_pops(&mut suite);
+    attaches(&mut suite);
     golden_compare(&mut suite);
     suite.finish();
 }

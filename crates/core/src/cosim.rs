@@ -238,8 +238,7 @@ impl L2cDriver {
     /// (Fig. 2 step 3). Flop state starts at reset and is reconstructed
     /// by warm-up traffic (step 4).
     pub fn attach(mut sys: System, bank: BankId) -> Self {
-        let mut target = L2cBank::with_geometry(bank, sys.config().l2_geometry);
-        target.load_arch(sys.bank_arch(bank).clone());
+        let target = L2cBank::with_arch(bank, sys.bank_arch(bank).clone());
         sys.set_intercept(InterceptMode::Bank(bank));
         L2cDriver {
             sys,
@@ -369,9 +368,7 @@ impl CosimDriver for L2cDriver {
     }
 
     fn snapshot_golden_cold(&mut self) {
-        let mut cold = L2cBank::with_geometry(self.bank, self.sys.config().l2_geometry);
-        cold.load_arch(self.target.arch().clone());
-        self.golden = Some(cold);
+        self.golden = Some(L2cBank::with_arch(self.bank, self.target.arch().clone()));
         self.g_ov = self.t_ov.clone();
         self.g_dram = LatencyDram::default();
     }

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use nestsim_arch::{DramContents, L2BankArch, L2Geometry};
+use nestsim_arch::{BuildU64Hasher, DramContents, L2BankArch, L2Geometry};
 use nestsim_proto::addr::{l2_bank_of, BankId, LineAddr, McuId, PAddr, ThreadId};
 use nestsim_proto::pcie::{stream_word, DmaDescriptor};
 use nestsim_proto::{CpxKind, CpxPacket, PcxKind, PcxPacket, ReqId, Topology};
@@ -253,7 +253,7 @@ pub struct System {
 
 // nestlint: allow(no-nondeterminism) -- audited: in-flight requests are
 // probed point-wise by request id (get/insert/remove/len only).
-type ReqMap = std::collections::HashMap<u64, u8>;
+type ReqMap = std::collections::HashMap<u64, u8, BuildU64Hasher>;
 // nestlint: allow(no-nondeterminism) -- audited: fill waiters are keyed
 // by (bank, line) and probed point-wise; the only reduction is an
 // order-insensitive sum of waiter counts, and per-key waiter order
@@ -261,10 +261,10 @@ type ReqMap = std::collections::HashMap<u64, u8>;
 type FillMap = std::collections::HashMap<(u8, u64), Vec<u8>>;
 // nestlint: allow(no-nondeterminism) -- audited: last-store cycles are
 // read point-wise by line address (get/insert/len only).
-type StoreMap = std::collections::HashMap<u64, u64>;
+type StoreMap = std::collections::HashMap<u64, u64, BuildU64Hasher>;
 // nestlint: allow(no-nondeterminism) -- audited: the taint set is only
 // probed with contains/is_empty and extended; never iterated.
-type LineSet = std::collections::HashSet<u64>;
+type LineSet = std::collections::HashSet<u64, BuildU64Hasher>;
 
 impl System {
     /// Builds the system: writes the program image, programs the DMA
@@ -273,8 +273,10 @@ impl System {
     pub fn new(cfg: SystemConfig) -> Self {
         let threads_n = cfg.topology.total_threads();
         let seed = SeedSeq::new(cfg.seed);
-        let mut dram = DramContents::new();
-        layout::write_image(&mut dram, threads_n, cfg.profile.working_set_words);
+        // The image is the bulk of the state and most of it is never
+        // written again. It arrives with every page shared, so clones
+        // of the base copy no page.
+        let dram = layout::image(threads_n, cfg.profile.working_set_words);
 
         let dma_seed = seed.derive("input-file").seed();
         let desc = cfg.profile.dma_descriptor(dma_seed);
@@ -316,10 +318,10 @@ impl System {
             watchdog,
             intercept: InterceptMode::None,
             outbox: VecDeque::new(),
-            inflight: ReqMap::new(),
+            inflight: ReqMap::default(),
             pending_fills: FillMap::new(),
-            last_store: StoreMap::new(),
-            tainted: LineSet::new(),
+            last_store: StoreMap::default(),
+            tainted: LineSet::default(),
             first_taint_read: None,
             threads,
             cfg,
@@ -332,9 +334,6 @@ impl System {
         if sys.dma.active {
             sys.schedule(DMA_FRAME_CYCLES, Ev::DmaFrame);
         }
-        // The image is the bulk of the state and most of it is never
-        // written again: share it, so clones of the base copy no page.
-        sys.share_pages();
         sys
     }
 
@@ -1064,6 +1063,41 @@ mod tests {
 
     fn drain_outbox(sys: &mut System) -> Vec<OutMsg> {
         std::iter::from_fn(|| sys.pop_outbox()).collect()
+    }
+
+    #[test]
+    fn systems_of_one_shape_share_one_program_image() {
+        let seeded = |name: &str, seed| {
+            System::new(SystemConfig {
+                seed,
+                ..SystemConfig::smoke_test(by_name(name).unwrap())
+            })
+        };
+        // The image does not depend on the seed.
+        let (mut a, b) = (seeded("radi", 1), seeded("radi", 2));
+        assert!(a.dram() == b.dram());
+        assert_eq!((a.dram().private_pages(), b.dram().private_pages()), (0, 0));
+
+        // A write through one system is invisible to the other and to
+        // one built afterwards.
+        let addr = layout::data_word(0, 0);
+        let word = b.dram().read_word(addr);
+        let mut line = a.dram().read_line(addr.line());
+        line[0] = !word;
+        a.dram_mut().write_line(addr.line(), line);
+        assert_eq!(a.dram().private_pages(), 1);
+        assert_eq!(b.dram().read_word(addr), word);
+        assert_eq!(seeded("radi", 3).dram().read_word(addr), word);
+
+        // `fft` has `radi`'s working set and takes the same image;
+        // `barn`'s is half that and gets its own.
+        let ws = |name: &str| by_name(name).unwrap().working_set_words;
+        assert_eq!(ws("fft"), ws("radi"));
+        assert_ne!(ws("barn"), ws("radi"));
+        assert!(seeded("fft", 1).dram() == b.dram());
+        assert!(seeded("barn", 1).dram() != b.dram());
+        assert_eq!(layout::tests::images_held(64, ws("radi")), 1);
+        assert_eq!(layout::tests::images_held(64, ws("barn")), 1);
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //! returns data to the wrong hardware thread, leaving the requester
 //! waiting (Hang); valid flips drop or fabricate packets in flight.
 
+use std::sync::OnceLock;
+
 use nestsim_proto::addr::{l2_bank_of, NUM_CORES, NUM_L2_BANKS};
 use nestsim_proto::{CpxPacket, PcxPacket};
 use nestsim_rtl::{FieldHandle, FlopClass, FlopSpace, FlopSpaceBuilder};
 
-use crate::fields::{benign_in, shift_queue_down, CpxSlot, Guard, PcxSlot};
+use crate::fields::{benign_in, is_packed_queue, shift_queue_down, CpxSlot, Guard, PcxSlot};
 use crate::{ComponentKind, UncoreRtl};
 
 /// FIFO depth per port.
@@ -275,11 +277,21 @@ pub struct Ccx {
     /// Per-core staging register (one CPX packet).
     cpx_stage: [CpxSlot; NUM_CORES],
     guards: [Guard; NUM_GUARDS],
+    /// Bit `k`: bank `k` could accept in the last cycle computed. A
+    /// crossbar that settled can hold a staged packet for a bank that
+    /// was not ready; it stays settled only until such a bank is.
+    settled_ready: u8,
 }
 
 impl Ccx {
-    /// Creates an empty crossbar.
+    /// Creates an empty crossbar: a copy of the per-process prototype,
+    /// so the 299 field names are formatted once.
     pub fn new() -> Self {
+        static PROTOTYPE: OnceLock<Ccx> = OnceLock::new();
+        PROTOTYPE.get_or_init(Self::build).clone()
+    }
+
+    fn build() -> Self {
         use core::array::from_fn;
         // Declaration order fixes every global bit index, and those are
         // sample identities: append, never reorder.
@@ -305,8 +317,13 @@ impl Ccx {
             .chain(cpx_stage.iter().map(Slot::guard));
         let guards = from_fn(|_| guards.next().expect("NUM_GUARDS counts every slot"));
 
+        let flops = b.build();
+        // `guards` lists the FIFO slots first, port by port.
+        let fifo_slots = (NUM_CORES + NUM_L2_BANKS) * PORT_FIFO_DEPTH;
+        let mut fifos = guards[..fifo_slots].chunks(PORT_FIFO_DEPTH);
+        assert!(fifos.all(|q| is_packed_queue(&flops, q)));
         Ccx {
-            flops: b.build(),
+            flops,
             pcx_fifos,
             cpx_fifos,
             pcx_rr,
@@ -314,6 +331,7 @@ impl Ccx {
             pcx_stage,
             cpx_stage,
             guards,
+            settled_ready: 0,
         }
     }
 
@@ -373,7 +391,33 @@ impl Ccx {
     /// Advances the crossbar one cycle. `bank_can_accept[k]` is bank
     /// `k`'s flow-control (its `ready()` this cycle); core return ports
     /// are always ready (cores sink returns immediately).
+    ///
+    /// A cycle is a pure function of the flops and the two arguments, so
+    /// one that took no input, changed no flop and delivered nothing is
+    /// a fixed point: until a flop is touched, an input arrives or a
+    /// bank that was not ready becomes ready, every further cycle is
+    /// that same cycle and is not recomputed (DESIGN.md, *Settled
+    /// ticks*).
     pub fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
+        let ready =
+            (bank_can_accept.iter().enumerate()).fold(0u8, |m, (k, &r)| m | u8::from(r) << k);
+        let quiet = ready & !self.settled_ready == 0
+            && inp.from_cores.iter().all(Option::is_none)
+            && inp.from_banks.iter().all(Option::is_none);
+        if quiet && !self.flops.changed() {
+            return CcxOutputs::default();
+        }
+        self.flops.clear_changed();
+        self.settled_ready = ready;
+        let out = self.tick_body(inp, bank_can_accept);
+        if !quiet || out != CcxOutputs::default() {
+            self.flops.mark_changed();
+        }
+        out
+    }
+
+    /// The cycle itself, computed whether or not anything can happen.
+    fn tick_body(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
         let mut out = CcxOutputs::default();
         let f = &mut self.flops;
 
@@ -624,6 +668,15 @@ mod tests {
             }
 
             out
+        }
+    }
+
+    impl Ccx {
+        /// The collapsing queues, for `fields::tests`.
+        pub(crate) fn queues(&self) -> Vec<(&'static str, Vec<Guard>)> {
+            let fifos = (self.pcx_fifos.iter().map(|f| f.guards))
+                .chain(self.cpx_fifos.iter().map(|f| f.guards));
+            fifos.map(|g| ("ccx.fifo", g.to_vec())).collect()
         }
     }
 
@@ -881,6 +934,174 @@ mod tests {
             assert_eq!(f.class, class, "{name}");
             offset += width;
         }
+    }
+
+    #[test]
+    fn gated_tick_matches_the_always_ticked_twin() {
+        // Differential oracle for the settled-tick gate: one twin goes
+        // through `tick`, the other runs `tick_body` every cycle, under
+        // the same traffic, bank readiness and flips. Outputs and flops
+        // must agree on every cycle. What the traffic exercised is
+        // counted out here, where shrinking cannot trip on it.
+        use nestsim_harness::{check_with, Config};
+        use std::cell::Cell;
+
+        const CYCLES: u64 = 10_000;
+        let skipped = Cell::new(0u64);
+        let settled_flips = Cell::new(0u64);
+        let settled_clone_flips = Cell::new(0u64);
+        let ready_wakes = Cell::new(0u64);
+        let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+
+        /// One cycle of both twins; `true` if the gate skipped it.
+        fn lockstep(
+            gated: &mut Ccx,
+            always: &mut Ccx,
+            inp: &CcxInputs,
+            ready: &[bool; NUM_L2_BANKS],
+        ) -> (bool, CcxOutputs) {
+            let settled = !gated.flops.changed();
+            let got = gated.tick(inp, ready);
+            let want = always.tick_body(inp, ready);
+            assert_eq!(got, want, "outputs");
+            assert_eq!(gated.flops.diff_count(&always.flops), 0, "flops");
+            // The rule the fixed-point argument needs, checked as such:
+            // today's crossbar changes a flop whenever an input or an
+            // output has any effect, so the twins alone could not tell
+            // if a cycle that took or emitted something left it settled.
+            assert!(
+                gated.flops.changed()
+                    || (*inp == CcxInputs::default() && got == CcxOutputs::default()),
+                "settled by a cycle that was not quiet"
+            );
+            // A call that starts settled runs the body only if it is
+            // not quiet, and then ends marked.
+            (settled && !gated.flops.changed(), got)
+        }
+
+        check_with(
+            Config::with_cases(6),
+            "gated_tick_matches_the_always_ticked_twin",
+            |src| {
+                let mut gated = Ccx::new();
+                let mut always = gated.clone();
+                let num_flops = gated.flops.num_flops();
+                let hot: Vec<usize> = (gated.flops.fields().iter())
+                    .filter(|f| {
+                        [".count", ".valid", ".rr"]
+                            .iter()
+                            .any(|leaf| f.name.ends_with(leaf))
+                    })
+                    .flat_map(|f| f.offset..f.offset + f.width)
+                    .collect();
+                let mut load = 0;
+                let mut ready = ALL_READY;
+                let mut next_id = 0;
+
+                for cyc in 0..CYCLES {
+                    if cyc % 256 == 0 {
+                        // Offered load in eighths per port; every other
+                        // stretch is silent so the crossbar can settle
+                        // — with packets staged for banks not ready.
+                        load = if src.bool() { 0 } else { src.below(8) + 1 };
+                    }
+                    if src.below(32) == 0 {
+                        // Readiness holds for a random stretch.
+                        let r = src.u64();
+                        ready = core::array::from_fn(|k| (r >> (2 * k)) & 3 != 0);
+                    }
+                    if src.below(50) == 0 {
+                        let bit = if src.bool() {
+                            hot[src.index(hot.len())]
+                        } else {
+                            src.index(num_flops)
+                        };
+                        if !gated.flops.changed() {
+                            bump(&settled_flips);
+                        }
+                        gated.flops_mut().flip(bit);
+                        always.flops_mut().flip(bit);
+                    }
+                    if src.below(1_000) == 0 && !gated.flops.changed() {
+                        // A clone of a settled crossbar is settled, and
+                        // a flip wakes the clone only.
+                        let (mut c, mut r) = (gated.clone(), always.clone());
+                        assert!(!c.flops.changed());
+                        let bit = hot[src.index(hot.len())];
+                        c.flops_mut().flip(bit);
+                        r.flops_mut().flip(bit);
+                        bump(&settled_clone_flips);
+                        for _ in 0..32 {
+                            lockstep(&mut c, &mut r, &CcxInputs::default(), &ALL_READY);
+                        }
+                        assert!(!gated.flops.changed(), "the original woke up");
+                    }
+
+                    let mut inp = CcxInputs::default();
+                    if load > 0 {
+                        let r = src.u64();
+                        for c in 0..NUM_CORES {
+                            if (r >> (3 * c)) & 7 < load {
+                                let x = src.u64();
+                                let mut p = req_to_bank(next_id, c, (x % 8) as usize);
+                                p.data = x;
+                                inp.from_cores[c] = Some(p);
+                                next_id += 1;
+                            }
+                        }
+                        for k in 0..NUM_L2_BANKS {
+                            if (r >> (24 + 3 * k)) & 7 < load {
+                                let x = src.u64();
+                                inp.from_banks[k] = Some(CpxPacket {
+                                    id: ReqId(next_id),
+                                    thread: ThreadId::new((x % 64) as usize),
+                                    kind: CpxKind::LoadReturn,
+                                    data: x,
+                                });
+                                next_id += 1;
+                            }
+                        }
+                    }
+
+                    let was_settled = !gated.flops.changed();
+                    let (skip, out) = lockstep(&mut gated, &mut always, &inp, &ready);
+                    if skip {
+                        bump(&skipped);
+                    }
+                    if was_settled && load == 0 && out.to_banks.iter().any(Option::is_some) {
+                        bump(&ready_wakes);
+                    }
+                }
+            },
+        );
+
+        let share = skipped.get() as f64 / (6 * CYCLES) as f64;
+        println!(
+            "skipped {:.1} %, flips on a settled crossbar {}, on a settled clone {}, \
+             stages released by a bank turning ready {}",
+            100.0 * share,
+            settled_flips.get(),
+            settled_clone_flips.get(),
+            ready_wakes.get()
+        );
+        assert!(
+            share >= 0.10,
+            "only {:.1} % of cycles were skipped",
+            100.0 * share
+        );
+        assert!(
+            settled_flips.get() >= 20,
+            "{} flips on a settled crossbar",
+            settled_flips.get()
+        );
+        assert!(
+            settled_clone_flips.get() >= 1,
+            "no settled clone was flipped"
+        );
+        assert!(
+            ready_wakes.get() >= 1,
+            "no settled crossbar was woken by a bank turning ready"
+        );
     }
 
     /// Counter and per-entry valid bits of each FIFO, in port order.

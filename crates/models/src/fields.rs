@@ -114,6 +114,17 @@ impl Guard {
     }
 }
 
+/// Whether `guards` describe a collapsible queue: every slot is its
+/// valid bit followed directly by the payload it guards, and each slot
+/// starts on the bit after the one before it ends. Models assert this
+/// once where they declare a queue; [`collapse_queue_at`] relies on it.
+pub fn is_packed_queue(f: &FlopSpace, guards: &[Guard]) -> bool {
+    guards
+        .iter()
+        .all(|g| f.field_bit_index(g.valid, 0) + 1 == g.start)
+        && guards.windows(2).all(|w| w[0].end + 1 == w[1].start)
+}
+
 /// Shifts a queue of identically-shaped guarded slots down by one:
 /// slot 0 is discarded, slot *i* moves to slot *i−1* (payload and valid
 /// bit), and zeros shift into the tail — the collapsing-FIFO idiom of
@@ -127,17 +138,20 @@ pub fn shift_queue_down(f: &mut FlopSpace, guards: &[Guard]) {
 /// shift down one, zeros shift into the tail. `idx == 0` is the plain
 /// head pop. Used by schedulers that may retire a non-head entry (the
 /// MCU serves the oldest *ready* DRAM bank, preserving per-bank order).
+///
+/// The queue must be packed ([`is_packed_queue`]): everything above the
+/// removed slot then moves in one pass over its words, garbage in
+/// unoccupied slots included, exactly as a slot-by-slot copy would.
 pub fn collapse_queue_at(f: &mut FlopSpace, guards: &[Guard], idx: usize) {
-    for i in (idx + 1)..guards.len() {
-        let (src, dst) = (guards[i], guards[i - 1]);
-        let v = f.read_bool(src.valid);
-        f.write_bool(dst.valid, v);
-        f.copy_range(src.start, dst.start, src.end - src.start);
+    debug_assert!(is_packed_queue(f, guards), "queue slots are not packed");
+    let Some(last) = guards.last() else {
+        return;
+    };
+    if let Some(above) = guards.get(idx + 1) {
+        let src = above.start - 1;
+        f.move_down(src, guards[idx].start - 1, last.end - src);
     }
-    if let Some(last) = guards.last() {
-        f.write_bool(last.valid, false);
-        f.zero_range(last.start, last.end - last.start);
-    }
+    f.zero_range(last.start - 1, last.end + 1 - last.start);
 }
 
 /// Checks a bit against a guard list. Differences in
@@ -468,6 +482,69 @@ mod tests {
             kind: PcxKind::Store,
             addr: PAddr::new(0x1000_0040),
             data: 0x1122_3344_5566_7788,
+        }
+    }
+
+    /// `collapse_queue_at` as it was before the one-move shift, body
+    /// verbatim: each slot above `idx` copied down field group by field
+    /// group. The oracle of `one_move_collapse_matches_the_per_slot_loop`.
+    fn collapse_queue_at_reference(f: &mut FlopSpace, guards: &[Guard], idx: usize) {
+        for i in (idx + 1)..guards.len() {
+            let (src, dst) = (guards[i], guards[i - 1]);
+            let v = f.read_bool(src.valid);
+            f.write_bool(dst.valid, v);
+            f.copy_range(src.start, dst.start, src.end - src.start);
+        }
+        if let Some(last) = guards.last() {
+            f.write_bool(last.valid, false);
+            f.zero_range(last.start, last.end - last.start);
+        }
+    }
+
+    #[test]
+    fn one_move_collapse_matches_the_per_slot_loop() {
+        use crate::{Ccx, L2cBank, Mcu, UncoreRtl};
+        use nestsim_proto::addr::{BankId, McuId};
+
+        // Every collapsing queue in the workspace, in its real place in
+        // its real flop space (offsets and word alignment included).
+        let (bank, mcu, ccx) = (
+            L2cBank::new(BankId::new(3)),
+            Mcu::new(McuId::new(1)),
+            Ccx::new(),
+        );
+        let mut queues: Vec<(&str, &FlopSpace, Vec<Guard>)> = Vec::new();
+        queues.extend(bank.queues().into_iter().map(|(n, g)| (n, bank.flops(), g)));
+        queues.extend(mcu.queues().into_iter().map(|(n, g)| (n, mcu.flops(), g)));
+        queues.extend(ccx.queues().into_iter().map(|(n, g)| (n, ccx.flops(), g)));
+        assert_eq!(queues.len(), 2 + 2 + 16);
+
+        let mut rng = nestsim_harness::rng::HarnessRng::new(0x5eed_0020);
+        for (name, space, guards) in &queues {
+            assert!(is_packed_queue(space, guards), "{name}");
+            for idx in 0..guards.len() {
+                for round in 0..8 {
+                    // Random bits everywhere — slots beyond any
+                    // plausible `count` hold garbage too, as a flip
+                    // leaves it, and so do the queue's neighbours.
+                    let mut got = (*space).clone();
+                    for bit in 0..got.num_flops() {
+                        if round > 0 && rng.next_u64() & 1 == 1 {
+                            got.flip(bit);
+                        }
+                    }
+                    let mut want = got.clone();
+                    let before = got.clone();
+                    collapse_queue_at(&mut got, guards, idx);
+                    collapse_queue_at_reference(&mut want, guards, idx);
+                    assert_eq!(got.diff_count(&want), 0, "{name} idx {idx}");
+                    let (lo, hi) = (guards[0].start - 1, guards[guards.len() - 1].end);
+                    assert!(
+                        got.diff_bits(&before).all(|b| (lo..hi).contains(&b)),
+                        "{name} idx {idx}: a bit outside the queue moved"
+                    );
+                }
+            }
         }
     }
 

@@ -34,11 +34,15 @@
 //!   documents this as a QRR-correctness-motivated design point.
 
 use nestsim_arch::{L2BankArch, L2Geometry};
-use nestsim_proto::addr::{BankId, LineAddr, PAddr};
+use std::sync::OnceLock;
+
+use nestsim_proto::addr::{BankId, LineAddr, PAddr, NUM_L2_BANKS};
 use nestsim_proto::{CpxPacket, DramCmd, DramResp, PcxKind, PcxPacket, ReqId};
 use nestsim_rtl::{FieldHandle, FlopClass, FlopSpace, FlopSpaceBuilder};
 
-use crate::fields::{benign_in, shift_queue_down, CpxSlot, Guard, LineSlot, PcxSlot};
+use crate::fields::{
+    benign_in, is_packed_queue, shift_queue_down, CpxSlot, Guard, LineSlot, PcxSlot,
+};
 use crate::{ComponentKind, UncoreRtl};
 
 /// Input-queue depth.
@@ -174,6 +178,32 @@ impl L2cBank {
 
     /// Creates an empty bank with an explicit cache geometry.
     pub fn with_geometry(bank: BankId, geo: L2Geometry) -> Self {
+        Self::with_arch(bank, L2BankArch::for_bank(geo, bank.index()))
+    }
+
+    /// Creates a bank at reset around transferred architectural state
+    /// (Fig. 2 step 3): flops and handle tables are copied from a
+    /// per-process prototype of that bank, so the field names are
+    /// formatted once and no arrays are built only to be replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arch` belongs to another bank.
+    pub fn with_arch(bank: BankId, arch: L2BankArch) -> Self {
+        static PROTOTYPES: [OnceLock<L2cBank>; NUM_L2_BANKS] =
+            [const { OnceLock::new() }; NUM_L2_BANKS];
+        assert_eq!(arch.bank_index(), bank.index(), "bank mismatch");
+        let proto = PROTOTYPES[bank.index()].get_or_init(|| Self::build(bank));
+        L2cBank {
+            flops: proto.flops.clone(),
+            arch,
+            ..*proto
+        }
+    }
+
+    /// Declares the flop layout. The prototype's own arrays are never
+    /// read, so they are the smallest there is.
+    fn build(bank: BankId) -> Self {
         use core::array::from_fn;
         let mut b = FlopSpaceBuilder::new(format!("l2c{}", bank.index()));
 
@@ -216,6 +246,7 @@ impl L2cBank {
         let flops = b.build();
         let iq_guards = iq.map(|s| s.guard());
         let oq_guards = oq.map(|s| s.guard());
+        assert!(is_packed_queue(&flops, &iq_guards) && is_packed_queue(&flops, &oq_guards));
         let mut guards = (iq_guards.into_iter())
             .chain([p1.guard(), p2.guard()])
             .chain(mb.iter().map(|s| s.guard))
@@ -225,7 +256,7 @@ impl L2cBank {
         let mut bankm = L2cBank {
             bank,
             flops,
-            arch: L2BankArch::for_bank(geo, bank.index()),
+            arch: L2BankArch::for_bank(L2Geometry { sets: 1, ways: 1 }, bank.index()),
             iq,
             iq_guards,
             iq_count,
@@ -271,13 +302,14 @@ impl L2cBank {
     /// output signals, preventing a detected error from escaping.
     pub fn set_write_block(&mut self, block: bool) {
         self.write_block = block;
+        self.flops.mark_changed();
     }
 
     /// QRR recovery reset: clears every flop except configuration state;
     /// the ECC-protected arrays (architectural state) are preserved.
     pub fn reset_for_replay(&mut self) {
         self.flops.reset_except_config();
-        self.write_block = false;
+        self.set_write_block(false);
     }
 
     /// Replaces the architectural (high-level) state — mixed-mode state
@@ -285,6 +317,7 @@ impl L2cBank {
     pub fn load_arch(&mut self, arch: L2BankArch) {
         assert_eq!(arch.bank_index(), self.bank.index(), "bank mismatch");
         self.arch = arch;
+        self.flops.mark_changed();
     }
 
     /// Reads the architectural state — state transfer back to the
@@ -363,7 +396,27 @@ impl L2cBank {
     }
 
     /// Advances the bank by one clock cycle.
+    ///
+    /// A cycle is a pure function of the flops, `arch`, `write_block`
+    /// and `inp`, so one that took no input, changed no flop and
+    /// emitted nothing is a fixed point: until something marks the
+    /// flops changed, every further input-less cycle is that same cycle
+    /// and is not recomputed (DESIGN.md, *Settled ticks*).
     pub fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
+        let quiet = inp.pcx.is_none() && inp.dram_resp.is_none();
+        if quiet && !self.flops.changed() {
+            return L2cOutputs::default();
+        }
+        self.flops.clear_changed();
+        let out = self.tick_body(inp);
+        if !quiet || out != L2cOutputs::default() {
+            self.flops.mark_changed();
+        }
+        out
+    }
+
+    /// The cycle itself, computed whether or not anything can happen.
+    fn tick_body(&mut self, inp: &L2cInputs) -> L2cOutputs {
         let mut out = L2cOutputs::default();
         let enabled = self.flops.read_bool(self.cfg_enable);
 
@@ -588,6 +641,16 @@ mod tests {
     use super::*;
     use nestsim_proto::addr::ThreadId;
     use nestsim_proto::CpxKind;
+
+    impl L2cBank {
+        /// The collapsing queues, for `fields::tests`.
+        pub(crate) fn queues(&self) -> Vec<(&'static str, Vec<Guard>)> {
+            vec![
+                ("l2c.iq", self.iq_guards.to_vec()),
+                ("l2c.oq", self.oq_guards.to_vec()),
+            ]
+        }
+    }
 
     fn bank0_addr(i: u64) -> PAddr {
         PAddr::new(0x1000_0000 + i * 8 * 64) // heap lines in bank 0
@@ -1032,6 +1095,224 @@ mod tests {
         }
         assert_eq!(b.iq_guards[..], b.guards[..IQ_DEPTH]);
         assert_eq!(b.oq_guards[..], b.guards[b.guards.len() - OQ_DEPTH..]);
+    }
+
+    #[test]
+    fn gated_tick_matches_the_always_ticked_twin() {
+        // Differential oracle for the settled-tick gate: one twin goes
+        // through `tick`, the other runs `tick_body` every cycle, under
+        // the same traffic, DRAM answers, flips and out-of-band state
+        // changes. Outputs, flops and arch must agree on every cycle.
+        // What the traffic exercised is counted out here, where
+        // shrinking cannot trip on it.
+        use nestsim_harness::{check_with, Config};
+        use std::cell::Cell;
+        use std::collections::{HashMap, VecDeque};
+
+        const CYCLES: u64 = 10_000;
+        let skipped = Cell::new(0u64);
+        let settled_flips = Cell::new(0u64);
+        let settled_clone_flips = Cell::new(0u64);
+        let block_wakes = Cell::new(0u64);
+        let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+
+        /// One cycle of both twins; `true` if the gate skipped it.
+        fn lockstep(
+            gated: &mut L2cBank,
+            always: &mut L2cBank,
+            inp: &L2cInputs,
+        ) -> (bool, L2cOutputs) {
+            let settled = !gated.flops.changed();
+            let got = gated.tick(inp);
+            let want = always.tick_body(inp);
+            assert_eq!(got, want, "outputs");
+            assert_eq!(gated.flops.diff_count(&always.flops), 0, "flops");
+            assert!(gated.arch == always.arch, "arch");
+            // The rule the fixed-point argument needs, checked as such:
+            // today's bank changes a flop whenever an input or an
+            // output has any effect, so the twins alone could not tell
+            // if a cycle that took or emitted something left it settled.
+            assert!(
+                gated.flops.changed()
+                    || (*inp == L2cInputs::default() && got == L2cOutputs::default()),
+                "settled by a cycle that was not quiet"
+            );
+            // A call that starts settled runs the body only if it is
+            // not quiet, and then ends marked.
+            (settled && !gated.flops.changed(), got)
+        }
+
+        check_with(
+            Config::with_cases(6),
+            "gated_tick_matches_the_always_ticked_twin",
+            |src| {
+                // Eight lines of cache under 32 lines of traffic:
+                // hits, misses, conflicts and dirty evictions all occur.
+                let geo = L2Geometry { sets: 4, ways: 2 };
+                let mut gated = L2cBank::with_geometry(BankId::new(0), geo);
+                let mut always = gated.clone();
+                let num_flops = gated.flops.num_flops();
+                let hot: Vec<usize> = (gated.flops.fields().iter())
+                    .filter(|f| {
+                        [".valid", ".count", ".issued", ".acked", ".tag"]
+                            .iter()
+                            .any(|leaf| f.name.ends_with(leaf))
+                    })
+                    .flat_map(|f| f.offset..f.offset + f.width)
+                    .collect();
+                let mut dram: HashMap<u64, [u64; 8]> = HashMap::new();
+                let mut in_flight: VecDeque<(u64, DramCmd)> = VecDeque::new();
+                let latency = 10 + src.below(40);
+                let mut spare_arch = gated.arch.clone();
+                let mut load = 0;
+                let mut unblock_at = None;
+                let mut released_settled = false;
+
+                for cyc in 0..CYCLES {
+                    if cyc % 256 == 0 {
+                        // Offered load in eighths; every other stretch
+                        // is silent so the bank drains and settles.
+                        load = if src.bool() { 0 } else { src.below(8) + 1 };
+                    }
+                    if src.below(50) == 0 {
+                        let bit = if src.bool() {
+                            hot[src.index(hot.len())]
+                        } else {
+                            src.index(num_flops)
+                        };
+                        if !gated.flops.changed() {
+                            bump(&settled_flips);
+                        }
+                        gated.flops_mut().flip(bit);
+                        always.flops_mut().flip(bit);
+                    }
+                    match src.below(1_000) {
+                        0 => spare_arch = gated.arch.clone(),
+                        1 => {
+                            gated.load_arch(spare_arch.clone());
+                            always.load_arch(spare_arch.clone());
+                        }
+                        2 => {
+                            gated.reset_for_replay();
+                            always.reset_for_replay();
+                            unblock_at = None;
+                        }
+                        3..=6 if unblock_at.is_none() => {
+                            gated.set_write_block(true);
+                            always.set_write_block(true);
+                            unblock_at = Some(cyc + 60 + src.below(200));
+                        }
+                        7 if !gated.flops.changed() => {
+                            // A clone of a settled bank is settled, and
+                            // a flip wakes the clone only.
+                            let (mut c, mut r) = (gated.clone(), always.clone());
+                            assert!(!c.flops.changed());
+                            let bit = hot[src.index(hot.len())];
+                            c.flops_mut().flip(bit);
+                            r.flops_mut().flip(bit);
+                            bump(&settled_clone_flips);
+                            for _ in 0..64 {
+                                lockstep(&mut c, &mut r, &L2cInputs::default());
+                            }
+                            assert!(!gated.flops.changed(), "the original woke up");
+                        }
+                        _ => {}
+                    }
+                    if unblock_at == Some(cyc) {
+                        released_settled = !gated.flops.changed();
+                        gated.set_write_block(false);
+                        always.set_write_block(false);
+                        unblock_at = None;
+                    }
+
+                    // A blocked bank is offered nothing (its driver
+                    // holds requests back), so it can settle blocked.
+                    let offer = unblock_at.is_none() && src.below(8) < load;
+                    let pcx = offer.then(|| {
+                        let x = src.u64();
+                        let kind = [
+                            PcxKind::Load,
+                            PcxKind::Store,
+                            PcxKind::Ifetch,
+                            PcxKind::Atomic,
+                        ][(x % 4) as usize];
+                        req(cyc, kind, bank0_addr((x >> 2) % 32), x)
+                    });
+                    let dram_resp = match in_flight.front() {
+                        Some((due, _)) if *due <= cyc => {
+                            let (_, cmd) = in_flight.pop_front().unwrap();
+                            let is_writeback_ack =
+                                cmd.kind == nestsim_proto::DramCmdKind::Writeback;
+                            if is_writeback_ack {
+                                dram.insert(cmd.line.raw(), cmd.data);
+                            }
+                            Some(DramResp {
+                                tag: cmd.tag,
+                                bank: cmd.bank,
+                                line: cmd.line,
+                                data: dram.get(&cmd.line.raw()).copied().unwrap_or([cyc; 8]),
+                                is_writeback_ack,
+                            })
+                        }
+                        _ => None,
+                    };
+
+                    always.flops.clear_changed();
+                    let (skip, out) =
+                        lockstep(&mut gated, &mut always, &L2cInputs { pcx, dram_resp });
+                    if skip {
+                        bump(&skipped);
+                    }
+                    if released_settled && (always.flops.changed() || out != L2cOutputs::default())
+                    {
+                        bump(&block_wakes);
+                    }
+                    released_settled = false;
+                    if let Some(cmd) = out.dram_cmd {
+                        in_flight.push_back((cyc + latency, cmd));
+                    }
+                }
+            },
+        );
+
+        let share = skipped.get() as f64 / (6 * CYCLES) as f64;
+        println!(
+            "skipped {:.1} %, flips on a settled bank {}, on a settled clone {}, write-block wakes {}",
+            100.0 * share,
+            settled_flips.get(),
+            settled_clone_flips.get(),
+            block_wakes.get()
+        );
+        assert!(
+            share >= 0.40,
+            "only {:.1} % of cycles were skipped",
+            100.0 * share
+        );
+        assert!(
+            settled_flips.get() >= 20,
+            "{} flips on a settled bank",
+            settled_flips.get()
+        );
+        assert!(
+            settled_clone_flips.get() >= 1,
+            "no settled clone was flipped"
+        );
+        assert!(
+            block_wakes.get() >= 1,
+            "no bank settled blocked and woke on release"
+        );
+    }
+
+    #[test]
+    fn every_bank_builds_its_layout_once() {
+        for b in BankId::all() {
+            let (x, y) = (L2cBank::new(b), L2cBank::new(b));
+            assert!(std::ptr::eq(x.flops().fields(), y.flops().fields()), "{b}");
+            assert_eq!(x.flops().component(), format!("l2c{}", b.index()));
+            assert_eq!(x.bank(), b);
+            // The prototype's stand-in arrays never leave it.
+            assert_eq!(x.arch().geometry(), L2Geometry::default());
+        }
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //!   usually vanish.
 
 use nestsim_arch::LineBackend;
-use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_L2_BANKS};
+use std::sync::OnceLock;
+
+use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_L2_BANKS, NUM_MCUS};
 use nestsim_proto::{DramCmd, DramCmdKind, DramResp};
 use nestsim_rtl::{FieldHandle, FlopClass, FlopSpace, FlopSpaceBuilder};
 
-use crate::fields::{benign_in, shift_queue_down, Guard};
+use crate::fields::{benign_in, is_packed_queue, shift_queue_down, Guard};
 use crate::{ComponentKind, UncoreRtl};
 
 /// Request-queue depth.
@@ -135,8 +137,16 @@ pub struct Mcu {
 }
 
 impl Mcu {
-    /// Creates an idle MCU.
+    /// Creates an idle MCU: a copy of that controller's per-process
+    /// prototype, so its field names are formatted once.
     pub fn new(id: McuId) -> Self {
+        static PROTOTYPES: [OnceLock<Mcu>; NUM_MCUS] = [const { OnceLock::new() }; NUM_MCUS];
+        PROTOTYPES[id.index()]
+            .get_or_init(|| Self::build(id))
+            .clone()
+    }
+
+    fn build(id: McuId) -> Self {
         use core::array::from_fn;
         let mut b = FlopSpaceBuilder::new(format!("mcu{}", id.index()));
 
@@ -231,6 +241,7 @@ impl Mcu {
         let flops = b.build();
         let rq_guards = rq.map(|s| s.guard);
         let retq_guards = retq.map(|s| s.guard);
+        assert!(is_packed_queue(&flops, &rq_guards) && is_packed_queue(&flops, &retq_guards));
         let mut guards = (rq_guards.into_iter())
             .chain(wdb.iter().map(|s| s.guard))
             .chain(retq_guards);
@@ -530,6 +541,16 @@ mod tests {
     use super::*;
     use nestsim_arch::DramContents;
     use nestsim_proto::addr::PAddr;
+
+    impl Mcu {
+        /// The collapsing queues, for `fields::tests`.
+        pub(crate) fn queues(&self) -> Vec<(&'static str, Vec<Guard>)> {
+            vec![
+                ("mcu.rq", self.rq_guards.to_vec()),
+                ("mcu.retq", self.retq_guards.to_vec()),
+            ]
+        }
+    }
 
     fn fill_cmd(tag: u32, line: u64) -> DramCmd {
         DramCmd::fill(tag, BankId::new(0), LineAddr::new(line))

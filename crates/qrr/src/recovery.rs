@@ -71,8 +71,7 @@ pub struct QrrL2cDriver {
 impl QrrL2cDriver {
     /// Attaches QRR co-simulation for `bank`.
     pub fn attach(mut sys: System, bank: BankId) -> Self {
-        let mut target = L2cBank::with_geometry(bank, sys.config().l2_geometry);
-        target.load_arch(sys.bank_arch(bank).clone());
+        let target = L2cBank::with_arch(bank, sys.bank_arch(bank).clone());
         sys.set_intercept(InterceptMode::Bank(bank));
         let plan = ParityPlan::for_qrr(target.flops());
         QrrL2cDriver {

@@ -107,16 +107,17 @@ impl BitBuf {
         }
     }
 
-    /// Writes the low `width` bits of `value` starting at `offset`.
+    /// Writes the low `width` bits of `value` starting at `offset` and
+    /// returns whether any bit of the buffer changed.
     ///
     /// # Panics
     ///
     /// Panics if `width > 64` or the range exceeds the buffer.
-    pub fn write_bits(&mut self, offset: usize, width: usize, value: u64) {
+    pub fn write_bits(&mut self, offset: usize, width: usize, value: u64) -> bool {
         assert!(width <= 64, "field width {width} > 64");
         assert!(offset + width <= self.len, "range out of bounds");
         if width == 0 {
-            return;
+            return false;
         }
         let mask = if width == 64 {
             u64::MAX
@@ -126,13 +127,59 @@ impl BitBuf {
         let value = value & mask;
         let w0 = offset / WORD_BITS;
         let shift = offset % WORD_BITS;
-        self.words[w0] = (self.words[w0] & !(mask << shift)) | (value << shift);
+        let lo = (self.words[w0] & !(mask << shift)) | (value << shift);
+        let mut changed = lo != self.words[w0];
+        self.words[w0] = lo;
         if shift + width > WORD_BITS {
             let hi_bits = shift + width - WORD_BITS;
             let hi_mask = (1u64 << hi_bits) - 1;
-            self.words[w0 + 1] =
-                (self.words[w0 + 1] & !hi_mask) | ((value >> (WORD_BITS - shift)) & hi_mask);
+            let hi = (self.words[w0 + 1] & !hi_mask) | ((value >> (WORD_BITS - shift)) & hi_mask);
+            changed |= hi != self.words[w0 + 1];
+            self.words[w0 + 1] = hi;
         }
+        changed
+    }
+
+    /// Moves the `width` bits starting at `src` down to `dst` (`dst <=
+    /// src`; the ranges may overlap) and returns whether any bit of the
+    /// buffer changed. Bits outside `[dst, dst + width)` keep their
+    /// values — the source bits above the destination range included,
+    /// which a shifting queue then zeroes as its vacated tail.
+    ///
+    /// One store per destination word, each fed by a two-word funnel
+    /// read: a queue pop costs its length in words, not a read and a
+    /// write per field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst > src` or the source range exceeds the buffer.
+    pub fn move_down(&mut self, src: usize, dst: usize, width: usize) -> bool {
+        assert!(dst <= src, "move_down moves towards bit 0");
+        assert!(src + width <= self.len, "range out of bounds");
+        let delta = src - dst;
+        if delta == 0 {
+            return false;
+        }
+        let end = dst + width;
+        let mut changed = false;
+        let mut d = dst;
+        // Ascending, so every read is of a bit no store has reached yet.
+        while d < end {
+            let lo = d % WORD_BITS;
+            let n = (WORD_BITS - lo).min(end - d);
+            let (sw, sh) = ((d + delta) / WORD_BITS, (d + delta) % WORD_BITS);
+            let mut v = self.words[sw] >> sh;
+            if sh + n > WORD_BITS {
+                v |= self.words[sw + 1] << (WORD_BITS - sh);
+            }
+            let mask = (u64::MAX >> (WORD_BITS - n)) << lo;
+            let w = &mut self.words[d / WORD_BITS];
+            let moved = (*w & !mask) | ((v << lo) & mask);
+            changed |= moved != *w;
+            *w = moved;
+            d += n;
+        }
+        changed
     }
 
     /// The backing 64-bit words, least-significant bit first.
@@ -276,6 +323,96 @@ mod tests {
         b.write_bits(8, 4, 0xff);
         assert_eq!(b.read_bits(8, 4), 0xf);
         assert_eq!(b.read_bits(12, 4), 0);
+    }
+
+    #[test]
+    fn write_bits_reports_a_real_change_only() {
+        let mut b = BitBuf::zeroed(200);
+        assert!(!b.write_bits(10, 0, 1), "zero width");
+        assert!(!b.write_bits(10, 20, 0), "zeros over zeros");
+        assert!(b.write_bits(60, 16, 0xbeef));
+        assert!(!b.write_bits(60, 16, 0xbeef), "same value again");
+        assert!(
+            !b.write_bits(60, 16, 0xf_beef),
+            "masked-off bits do not count"
+        );
+        assert!(b.write_bits(60, 16, 0x3eef), "only the high word differs");
+        assert!(b.write_bits(60, 16, 0x3eee), "only the low word differs");
+    }
+
+    /// `move_down` one bit at a time. Ascending order reads every
+    /// source bit before a store can reach it.
+    fn move_down_by_bit(b: &mut BitBuf, src: usize, dst: usize, width: usize) -> bool {
+        let before = b.clone();
+        for i in 0..width {
+            let v = b.get(src + i);
+            b.set(dst + i, v);
+        }
+        *b != before
+    }
+
+    #[test]
+    fn move_down_matches_the_bit_by_bit_model() {
+        const LEN: usize = 333;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Every pairing of destination alignment (word-aligned or not),
+        // shift distance (under, at and over a word) and width (empty,
+        // one bit, around one and two words, up to the buffer's end) ...
+        let mut cases = Vec::new();
+        for dst in [0, 1, 5, 63, 64, 65, 100, 128, 192] {
+            for delta in [0, 1, 7, 63, 64, 65, 100, 128, 139] {
+                let src = dst + delta;
+                let room = LEN.saturating_sub(src);
+                for width in [0, 1, 2, 63, 64, 65, 127, 128, 129, room] {
+                    if src + width <= LEN {
+                        cases.push((src, dst, width));
+                    }
+                }
+            }
+        }
+        // ... and random triples on top.
+        for _ in 0..2_000 {
+            let dst = next() as usize % LEN;
+            let src = dst + next() as usize % (LEN - dst);
+            cases.push((src, dst, next() as usize % (LEN - src + 1)));
+        }
+        let (mut moved, mut unmoved) = (0, 0);
+        for (case, &(src, dst, width)) in cases.iter().enumerate() {
+            let mut got = BitBuf::zeroed(LEN);
+            // Every fourth case moves zeros or a constant run, so moves
+            // that change nothing occur with non-trivial geometry too.
+            match case % 4 {
+                0 => {}
+                1 => (0..LEN).for_each(|i| got.set(i, true)),
+                _ => (0..LEN).for_each(|i| got.set(i, next() & 1 == 1)),
+            }
+            let mut want = got.clone();
+            let changed = got.move_down(src, dst, width);
+            assert_eq!(
+                changed,
+                move_down_by_bit(&mut want, src, dst, width),
+                "changed flag, src {src} dst {dst} width {width}"
+            );
+            assert_eq!(got, want, "src {src} dst {dst} width {width}");
+            if changed {
+                moved += 1;
+            } else {
+                unmoved += 1;
+            }
+        }
+        assert!(moved > 1_000 && unmoved > 500, "{moved} / {unmoved}");
+    }
+
+    #[test]
+    #[should_panic(expected = "towards bit 0")]
+    fn move_down_rejects_an_upward_move() {
+        BitBuf::zeroed(64).move_down(3, 4, 1);
     }
 
     #[test]

@@ -160,6 +160,7 @@ impl FlopSpaceBuilder {
             component: self.component.into(),
             fields: self.fields.into(),
             bits,
+            changed: true,
         }
     }
 }
@@ -170,14 +171,48 @@ impl FlopSpaceBuilder {
 /// platform's end-of-co-simulation check (Fig. 1b ⑤). The field table
 /// and component name are fixed at [`FlopSpaceBuilder::build`] and
 /// shared by every clone, so a clone copies the bit words only.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The space also remembers whether any bit changed since
+/// [`clear_changed`](Self::clear_changed): every mutator that really
+/// alters a bit sets the mark, a write of the value already held does
+/// not. A model whose `tick` is a pure function of its state uses it to
+/// recognise a fixed point (DESIGN.md, *Settled ticks*). The mark
+/// travels with a clone and takes no part in equality.
+#[derive(Debug, Clone)]
 pub struct FlopSpace {
     component: Arc<str>,
     fields: Arc<[FieldDef]>,
     bits: BitBuf,
+    changed: bool,
 }
 
+impl PartialEq for FlopSpace {
+    fn eq(&self, other: &Self) -> bool {
+        self.component == other.component && self.fields == other.fields && self.bits == other.bits
+    }
+}
+
+impl Eq for FlopSpace {}
+
 impl FlopSpace {
+    /// Whether a bit changed, or [`mark_changed`](Self::mark_changed)
+    /// was called, since the last [`clear_changed`](Self::clear_changed).
+    /// A freshly built space reads `true`.
+    pub fn changed(&self) -> bool {
+        self.changed
+    }
+
+    /// Forgets every change so far.
+    pub fn clear_changed(&mut self) {
+        self.changed = false;
+    }
+
+    /// Sets the mark without touching a bit: for the owner's state that
+    /// lives outside the flops but decides what its next tick does.
+    pub fn mark_changed(&mut self) {
+        self.changed = true;
+    }
+
     /// Component name this space belongs to.
     pub fn component(&self) -> &str {
         &self.component
@@ -222,7 +257,7 @@ impl FlopSpace {
     /// Writes a field's value (excess high bits of `v` are masked off).
     pub fn write(&mut self, h: FieldHandle, v: u64) {
         let f = &self.fields[h.index()];
-        self.bits.write_bits(f.offset, f.width, v);
+        self.changed |= self.bits.write_bits(f.offset, f.width, v);
     }
 
     /// Reads a single-bit field as a boolean.
@@ -249,6 +284,7 @@ impl FlopSpace {
     /// Flips the flip-flop at global bit index `bit` (error injection).
     pub fn flip(&mut self, bit: usize) {
         self.bits.flip(bit);
+        self.changed = true;
     }
 
     /// Reads the flip-flop at global bit index `bit`.
@@ -329,7 +365,7 @@ impl FlopSpace {
     pub fn reset_except_config(&mut self) {
         for f in self.fields.iter() {
             if f.class.reset_by_qrr() {
-                self.bits.write_bits(f.offset, f.width, 0);
+                self.changed |= self.bits.write_bits(f.offset, f.width, 0);
             }
         }
     }
@@ -337,19 +373,28 @@ impl FlopSpace {
     /// Clears every flop, including configuration state (power-on reset).
     pub fn reset_all(&mut self) {
         self.bits.clear();
+        self.changed = true;
     }
 
-    /// Copies `width` bits from global offset `src` to `dst` (used by
-    /// shifting-queue microarchitectures). The ranges must not overlap.
+    /// Copies `width` bits from global offset `src` to `dst`. The ranges
+    /// must not overlap; a shifting queue, whose ranges do, uses
+    /// [`move_down`](Self::move_down).
     pub fn copy_range(&mut self, src: usize, dst: usize, width: usize) {
         debug_assert!(src + width <= dst || dst + width <= src, "overlapping copy");
         let mut done = 0;
         while done < width {
             let chunk = (width - done).min(64);
             let v = self.bits.read_bits(src + done, chunk);
-            self.bits.write_bits(dst + done, chunk, v);
+            self.changed |= self.bits.write_bits(dst + done, chunk, v);
             done += chunk;
         }
+    }
+
+    /// Moves `width` bits from global offset `src` down to `dst <= src`,
+    /// overlap allowed ([`BitBuf::move_down`]): the whole upper part of
+    /// a shifting queue in one pass.
+    pub fn move_down(&mut self, src: usize, dst: usize, width: usize) {
+        self.changed |= self.bits.move_down(src, dst, width);
     }
 
     /// Clears `width` bits starting at global offset `offset` (the
@@ -358,7 +403,7 @@ impl FlopSpace {
         let mut done = 0;
         while done < width {
             let chunk = (width - done).min(64);
-            self.bits.write_bits(offset + done, chunk, 0);
+            self.changed |= self.bits.write_bits(offset + done, chunk, 0);
             done += chunk;
         }
     }
@@ -480,6 +525,57 @@ mod tests {
         let golden = s.clone();
         assert!(std::ptr::eq(s.fields(), golden.fields()));
         assert!(std::ptr::eq(s.component(), golden.component()));
+    }
+
+    #[test]
+    fn change_mark_follows_real_bit_changes_only() {
+        let (mut s, v, a, c) = demo_space();
+        assert!(s.changed(), "a fresh space has settled nothing");
+        s.write(a, 0x1234);
+        s.write(c, 0b10);
+        s.clear_changed();
+
+        // Rewriting what is already there is not a change ...
+        s.write(a, 0x1234);
+        s.write_bool(v, false);
+        s.zero_range(s.field_bit_index(v, 0), 1);
+        s.move_down(s.field_bit_index(v, 0), s.field_bit_index(v, 0), 41);
+        assert!(!s.changed());
+        // ... and the mark is no part of the state: it travels with a
+        // clone and is invisible to equality.
+        let mut twin = s.clone();
+        assert!(!twin.changed());
+        twin.mark_changed();
+        assert!(twin == s && !s.changed());
+
+        type Mutator = fn(&mut FlopSpace, FieldHandle);
+        let mutators: [(&str, Mutator); 7] = [
+            ("write", |s, a| s.write(a, 0x1235)),
+            ("flip", |s, a| s.flip(s.field_bit_index(a, 7))),
+            ("copy_range", |s, a| {
+                s.copy_range(s.field_bit_index(a, 0), 50, 8)
+            }),
+            ("move_down", |s, a| {
+                s.move_down(s.field_bit_index(a, 4), 1, 8)
+            }),
+            ("zero_range", |s, a| {
+                s.zero_range(s.field_bit_index(a, 0), 16)
+            }),
+            ("reset_except_config", |s, _| s.reset_except_config()),
+            ("reset_all", |s, _| s.reset_all()),
+        ];
+        for (name, mutate) in mutators {
+            let mut t = s.clone();
+            mutate(&mut t, a);
+            assert!(t.changed() && t != s, "{name}");
+        }
+        // A QRR reset of a space that holds configuration only changes
+        // nothing and says so.
+        let mut t = s.clone();
+        t.reset_except_config();
+        t.clear_changed();
+        t.reset_except_config();
+        assert!(!t.changed());
     }
 
     #[test]
