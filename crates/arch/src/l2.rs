@@ -46,11 +46,13 @@ impl L2Geometry {
     /// it), this and [`tag_of`](Self::tag_of) are a mask and a shift:
     /// a functional miss asks five times, and a divide by the runtime
     /// `sets` each time was a measurable share of the golden pass.
+    #[inline]
     pub fn set_of(&self, line: LineAddr) -> usize {
         ((line.raw() / NUM_L2_BANKS as u64) & (self.sets as u64 - 1)) as usize
     }
 
     /// Tag for a line address.
+    #[inline]
     pub fn tag_of(&self, line: LineAddr) -> u64 {
         (line.raw() / NUM_L2_BANKS as u64) >> self.sets.trailing_zeros()
     }
@@ -154,13 +156,21 @@ impl L2BankArch {
     }
 
     /// Looks up a line; returns the hitting way.
+    #[inline]
     pub fn probe(&self, line: LineAddr) -> Option<usize> {
-        let set = self.geo.set_of(line);
+        let first = self.slot(self.geo.set_of(line), 0);
+        self.slot_of(line).map(|s| s - first)
+    }
+
+    /// Looks up a line; returns the slot holding it, for the `*_at`
+    /// accessors. A slot stays the line's until the line is evicted or
+    /// invalidated, so one scan of the set serves a whole access.
+    #[inline]
+    pub fn slot_of(&self, line: LineAddr) -> Option<usize> {
+        let first = self.slot(self.geo.set_of(line), 0);
         let tag = self.geo.tag_of(line);
-        (0..self.geo.ways).find(|&w| {
-            let s = self.slot(set, w);
-            self.state[s] & STATE_VALID != 0 && self.tags[s] == tag
-        })
+        (first..first + self.geo.ways)
+            .find(|&s| self.state[s] & STATE_VALID != 0 && self.tags[s] == tag)
     }
 
     /// Returns the way the next fill into `set` will use (invalid way if
@@ -180,6 +190,15 @@ impl L2BankArch {
         line: LineAddr,
         data: [u64; WORDS_PER_LINE],
     ) -> Option<(LineAddr, [u64; WORDS_PER_LINE])> {
+        self.install_at(line, &data).1
+    }
+
+    /// [`install`](Self::install), also returning the slot filled.
+    pub fn install_at(
+        &mut self,
+        line: LineAddr,
+        data: &[u64; WORDS_PER_LINE],
+    ) -> (usize, Option<(LineAddr, [u64; WORDS_PER_LINE])>) {
         let set = self.geo.set_of(line);
         let way = self.victim_way(set);
         let s = self.slot(set, way);
@@ -199,9 +218,9 @@ impl L2BankArch {
         };
         self.tags[s] = self.geo.tag_of(line);
         self.state[s] = STATE_VALID;
-        self.data[s] = data;
+        self.data[s] = *data;
         self.dir[s] = 0;
-        evicted
+        (s, evicted)
     }
 
     /// Reads the word at `addr` from a resident line.
@@ -210,9 +229,14 @@ impl L2BankArch {
     ///
     /// Panics if the line is not resident (callers must `probe` first).
     pub fn read_word_resident(&self, addr: PAddr) -> u64 {
-        let way = self.probe(addr.line()).expect("line not resident");
-        let s = self.slot(self.geo.set_of(addr.line()), way);
-        self.data[s][(addr.line_offset() / 8) as usize]
+        let s = self.slot_of(addr.line()).expect("line not resident");
+        self.read_word_at(s, addr)
+    }
+
+    /// Reads the word at `addr` from its line's slot.
+    #[inline]
+    pub fn read_word_at(&self, slot: usize, addr: PAddr) -> u64 {
+        self.data[slot][(addr.line_offset() / 8) as usize]
     }
 
     /// Writes the word at `addr` into a resident line, marking it dirty.
@@ -221,18 +245,28 @@ impl L2BankArch {
     ///
     /// Panics if the line is not resident.
     pub fn write_word_resident(&mut self, addr: PAddr, value: u64) {
-        let way = self.probe(addr.line()).expect("line not resident");
-        let s = self.slot(self.geo.set_of(addr.line()), way);
-        self.data[s][(addr.line_offset() / 8) as usize] = value;
-        self.state[s] |= STATE_DIRTY;
+        let s = self.slot_of(addr.line()).expect("line not resident");
+        self.write_word_at(s, addr, value);
+    }
+
+    /// Writes the word at `addr` into its line's slot, marking it dirty.
+    #[inline]
+    pub fn write_word_at(&mut self, slot: usize, addr: PAddr, value: u64) {
+        self.data[slot][(addr.line_offset() / 8) as usize] = value;
+        self.state[slot] |= STATE_DIRTY;
     }
 
     /// Records core `core` as an L1 sharer of `addr`'s line (directory).
     pub fn touch_dir(&mut self, addr: PAddr, core: usize) {
-        if let Some(way) = self.probe(addr.line()) {
-            let s = self.slot(self.geo.set_of(addr.line()), way);
-            self.dir[s] |= 1u8 << (core % 8);
+        if let Some(s) = self.slot_of(addr.line()) {
+            self.touch_dir_at(s, core);
         }
+    }
+
+    /// Records core `core` as an L1 sharer of the line in `slot`.
+    #[inline]
+    pub fn touch_dir_at(&mut self, slot: usize, core: usize) {
+        self.dir[slot] |= 1u8 << (core % 8);
     }
 
     /// Architectural load of the aligned word at `addr`, filling from
@@ -297,8 +331,7 @@ impl L2BankArch {
     /// write to memory drops any cached copy). Returns `true` if the
     /// line was resident.
     pub fn invalidate_line(&mut self, line: LineAddr) -> bool {
-        if let Some(way) = self.probe(line) {
-            let s = self.slot(self.geo.set_of(line), way);
+        if let Some(s) = self.slot_of(line) {
             self.state[s] = 0;
             true
         } else {
@@ -389,6 +422,59 @@ mod tests {
         let mut rr = a.clone();
         rr.rr[0] ^= 1;
         agree(&a, &rr, false);
+    }
+
+    #[test]
+    fn slot_accessors_agree_with_the_probing_ones() {
+        // Twin banks under one random sequence of fills, invalidations
+        // and word accesses: one goes through `probe` + `*_resident`,
+        // the other through `slot_of` + `*_at`. Values read and the
+        // whole state (data, dirty bits, directory masks) must agree.
+        use std::cell::Cell;
+        let (hits, evictions) = (Cell::new(0u64), Cell::new(0u64));
+        nestsim_harness::check("slot_accessors_agree_with_the_probing_ones", |src| {
+            let mut probing = L2BankArch::new(L2Geometry { sets: 4, ways: 4 });
+            let mut slotted = probing.clone();
+            for _ in 0..400 {
+                // 48 lines over 16 slots: hits, misses and evictions.
+                let addr = PAddr::new(addr_for_bank0(src.below(48)).raw() + src.below(8) * 8);
+                let line = addr.line();
+                assert_eq!(
+                    slotted.slot_of(line).map(|s| (s / 4, s % 4)),
+                    probing.probe(line).map(|w| (probing.geo.set_of(line), w))
+                );
+                match (src.below(8), slotted.slot_of(line)) {
+                    (0, _) => {
+                        assert_eq!(slotted.invalidate_line(line), probing.invalidate_line(line));
+                        assert_eq!(slotted.slot_of(line), None);
+                    }
+                    (_, None) => {
+                        let data = [src.u64(); WORDS_PER_LINE];
+                        let (slot, evicted) = slotted.install_at(line, &data);
+                        assert_eq!(evicted, probing.install(line, data));
+                        assert_eq!(slotted.slot_of(line), Some(slot));
+                        evictions.set(evictions.get() + u64::from(evicted.is_some()));
+                    }
+                    (1..=3, Some(s)) => {
+                        let value = src.u64();
+                        slotted.write_word_at(s, addr, value);
+                        probing.write_word_resident(addr, value);
+                    }
+                    (_, Some(s)) => {
+                        let core = src.index(8);
+                        slotted.touch_dir_at(s, core);
+                        probing.touch_dir(addr, core);
+                        assert_eq!(
+                            slotted.read_word_at(s, addr),
+                            probing.read_word_resident(addr)
+                        );
+                        hits.set(hits.get() + 1);
+                    }
+                }
+                assert!(slotted == probing);
+            }
+        });
+        assert!(hits.get() > 1_000 && evictions.get() > 1_000);
     }
 
     fn addr_for_bank0(i: u64) -> PAddr {

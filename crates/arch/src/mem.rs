@@ -202,7 +202,10 @@ impl DramContents {
         slot.shared.as_deref().unwrap_or(&self.arena).page(slot.idx)
     }
 
-    fn line(&self, line: LineAddr) -> Option<&Line> {
+    /// Borrows a backed cache line in place (`None`: the line reads as
+    /// zero) — [`read_line`](Self::read_line) without the copy.
+    #[inline]
+    pub fn line(&self, line: LineAddr) -> Option<&[u64; WORDS_PER_LINE]> {
         let (no, off) = split(line);
         self.page_slots
             .get(&no)
@@ -210,6 +213,7 @@ impl DramContents {
     }
 
     /// Reads a full cache line.
+    #[inline]
     pub fn read_line(&self, line: LineAddr) -> [u64; WORDS_PER_LINE] {
         self.line(line).copied().unwrap_or(ZERO_LINE)
     }
@@ -246,6 +250,7 @@ impl DramContents {
     }
 
     /// Reads the aligned 8-byte word containing `addr`.
+    #[inline]
     pub fn read_word(&self, addr: PAddr) -> u64 {
         self.line(addr.line())
             .map_or(0, |line| line[(addr.line_offset() / 8) as usize])

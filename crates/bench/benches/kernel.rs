@@ -12,6 +12,10 @@ use std::hint::black_box;
 use nestsim_arch::{DramContents, L2BankArch, L2Geometry};
 use nestsim_core::cosim::{COSIM_BANK_LATENCY, COSIM_DRAM_LATENCY};
 use nestsim_harness::bench::Suite;
+use nestsim_hlsim::events::{Ev, EventQueue};
+use nestsim_hlsim::system::{DMA_FRAME_CYCLES, L2_HIT_LATENCY, L2_MISS_LATENCY, POLL_RETRY};
+use nestsim_hlsim::workload::by_name;
+use nestsim_hlsim::{System, SystemConfig};
 use nestsim_models::ccx::CcxInputs;
 use nestsim_models::fields::{shift_queue_down, Guard};
 use nestsim_models::l2c::L2cInputs;
@@ -240,6 +244,60 @@ fn golden_compare(suite: &mut Suite) {
     });
 }
 
+fn accelerated_mode(suite: &mut Suite) {
+    // A whole accelerated run, the unit the golden pass, ladder
+    // forward-sim and every run-to-end are made of: `radi` is short and
+    // barrier-heavy, `flui` is 130K cycles of mostly L2 misses.
+    for (name, bench, length_scale) in [
+        ("radi100_run_to_end", "radi", 100),
+        ("flui20_run_to_end", "flui", 20),
+    ] {
+        let base = System::new(SystemConfig {
+            length_scale,
+            ..SystemConfig::new(by_name(bench).unwrap())
+        });
+        suite.bench("kernel/accel", name, || {
+            black_box(base.clone().run_to_end())
+        });
+    }
+
+    // One pop and one push on a queue holding one wake per hardware
+    // thread, with the delays the simulator schedules in the mix of a
+    // miss-bound run (`flui`'s `compute_per_op`; three in four accesses
+    // miss), the rare DMA frame and poll retry included.
+    let compute = by_name("flui").unwrap().compute_per_op as u64;
+    let (miss, hit) = (L2_MISS_LATENCY + compute, L2_HIT_LATENCY + compute);
+    let deltas = [
+        miss,
+        miss,
+        hit,
+        miss,
+        miss,
+        1 + compute,
+        miss,
+        miss,
+        hit,
+        miss,
+        DMA_FRAME_CYCLES,
+        miss,
+        miss,
+        POLL_RETRY,
+        miss,
+        miss,
+    ];
+    let mut queue = EventQueue::default();
+    for t in 0..64u8 {
+        queue.push(u64::from(t % 8), Ev::Wake(t));
+    }
+    let mut i = 0;
+    suite.bench("kernel/event_queue", "push_pop", || {
+        let (cycle, ev) = queue.pop().expect("64 events are live");
+        i = (i + 1) % deltas.len();
+        queue.push(cycle + deltas[i], ev);
+        black_box(cycle)
+    });
+}
+
 fn main() {
     let mut suite = Suite::new("kernel");
     bitbuf_ops(&mut suite);
@@ -247,5 +305,6 @@ fn main() {
     queue_pops(&mut suite);
     attaches(&mut suite);
     golden_compare(&mut suite);
+    accelerated_mode(&mut suite);
     suite.finish();
 }

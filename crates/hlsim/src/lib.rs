@@ -24,6 +24,8 @@
 //!   streams input files, barriers, snapshots (`Clone`), and the
 //!   **interception hooks** the mixed-mode platform uses to splice an
 //!   RTL component into the running system (Fig. 1b ②).
+//! * [`events`] — the time-ordered ring [`system`] schedules thread
+//!   wakes and DMA frames on.
 //! * [`ladder`] — periodic whole-system snapshots ("rungs") captured
 //!   during the golden reference pass, the paper's every-2M-cycle
 //!   snapshot mechanism (Sec. 2.2) at the DESIGN.md cycle scale; the
@@ -50,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod events;
 pub mod ladder;
 pub mod layout;
 pub mod system;

@@ -1,14 +1,15 @@
 //! The event-driven full-system simulator (accelerated mode).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
+use nestsim_arch::mem::WORDS_PER_LINE;
 use nestsim_arch::{BuildU64Hasher, DramContents, L2BankArch, L2Geometry};
 use nestsim_proto::addr::{l2_bank_of, BankId, LineAddr, McuId, PAddr, ThreadId};
 use nestsim_proto::pcie::{stream_word, DmaDescriptor};
 use nestsim_proto::{CpxKind, CpxPacket, PcxKind, PcxPacket, ReqId, Topology};
 use nestsim_stats::SeedSeq;
 
+use crate::events::{Ev, EventQueue};
 use crate::layout;
 use crate::thread::{
     control_error_path, ControlErrorPath, LoadUse, Op, ThreadCtx, ThreadState, TrapCause,
@@ -154,13 +155,6 @@ impl SystemConfig {
     }
 }
 
-/// Event kinds, ordered for deterministic tie-breaking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    Wake(u8),
-    DmaFrame,
-}
-
 /// A processor-core register class targeted by core-side error
 /// injection — the baseline for the Fig. 4 uncore-vs-core comparison.
 /// These are the architectural/pipeline registers the cited core
@@ -226,8 +220,7 @@ pub struct SnapshotCost {
 pub struct System {
     cfg: SystemConfig,
     cycle: u64,
-    seq: u64,
-    events: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    events: EventQueue,
     threads: Vec<ThreadCtx>,
     /// Pending loaded value per thread (applied at the completion wake).
     pending_value: Vec<u64>,
@@ -271,6 +264,10 @@ impl System {
     /// engine (if the benchmark has an input file), and readies all
     /// threads at cycle 0.
     pub fn new(cfg: SystemConfig) -> Self {
+        Self::with_queue(cfg, EventQueue::default())
+    }
+
+    fn with_queue(cfg: SystemConfig, events: EventQueue) -> Self {
         let threads_n = cfg.topology.total_threads();
         let seed = SeedSeq::new(cfg.seed);
         // The image is the bulk of the state and most of it is never
@@ -302,8 +299,7 @@ impl System {
 
         let mut sys = System {
             cycle: 0,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events,
             pending_value: vec![0; threads_n],
             l2: (0..cfg.topology.l2_banks)
                 .map(|b| L2BankArch::for_bank(cfg.l2_geometry, b))
@@ -493,18 +489,17 @@ impl System {
         // configuration); the violation is attributed to the strand the
         // interconnect would physically deliver to.
         let victim = cpx.thread.index() % self.threads.len();
-        let Some(&t) = self.inflight.get(&cpx.id.0) else {
+        let Some(t) = self.inflight.remove(&cpx.id.0) else {
             self.raise_trap(victim, TrapCause::UncoreError);
             return;
         };
-        if self.threads[t as usize].pending_req != Some(cpx.id)
-            || self.threads[t as usize].id != cpx.thread
-        {
+        let ti = t as usize;
+        if self.threads[ti].pending_req != Some(cpx.id) || self.threads[ti].id != cpx.thread {
+            // Not the requester's packet: the request stays in flight.
+            self.inflight.insert(cpx.id.0, t);
             self.raise_trap(victim, TrapCause::UncoreError);
             return;
         }
-        self.inflight.remove(&cpx.id.0);
-        let ti = t as usize;
         self.threads[ti].pending_req = None;
         if cpx.kind == CpxKind::Error {
             self.raise_trap(ti, TrapCause::UncoreError);
@@ -537,7 +532,8 @@ impl System {
             let Some(op) = self.threads[ti].current else {
                 continue;
             };
-            let value = self.perform_word_op(ti, op);
+            let slot = op_addr(op).and_then(|a| self.l2[l2_bank_of(a).index()].slot_of(a.line()));
+            let value = self.perform_word_op(ti, op, slot);
             self.pending_value[ti] = value;
             let compute = self.threads[ti].gen.profile().compute_per_op as u64;
             self.schedule(1 + compute, Ev::Wake(t));
@@ -547,9 +543,7 @@ impl System {
     // ── Execution ───────────────────────────────────────────────────
 
     fn schedule(&mut self, delta: u64, ev: Ev) {
-        self.seq += 1;
-        self.events
-            .push(Reverse((self.cycle + delta, self.seq, ev)));
+        self.events.push(self.cycle + delta, ev);
     }
 
     fn raise_trap(&mut self, t: usize, cause: TrapCause) {
@@ -593,38 +587,37 @@ impl System {
         }
     }
 
-    /// Performs the word-level semantics of `op` against the (now
-    /// resident) line, returning the value the thread will consume.
-    fn perform_word_op(&mut self, t: usize, op: Op) -> u64 {
+    /// Performs the word-level semantics of `op` against its line,
+    /// resident at `slot` of its bank (`None`: not resident), returning
+    /// the value the thread will consume.
+    fn perform_word_op(&mut self, t: usize, op: Op, slot: Option<usize>) -> u64 {
         match op {
             Op::Load { addr, .. } | Op::Ifetch { addr } => {
                 self.note_taint_on_load(t, Some(op));
-                let bank = l2_bank_of(addr).index();
-                self.l2[bank].touch_dir(addr, self.threads[t].id.core().index());
-                if self.l2[bank].probe(addr.line()).is_some() {
-                    self.l2[bank].read_word_resident(addr)
-                } else {
-                    0xdead_dead_dead_dead
+                let bank = &mut self.l2[l2_bank_of(addr).index()];
+                match slot {
+                    Some(s) => {
+                        bank.touch_dir_at(s, self.threads[t].id.core().index());
+                        bank.read_word_at(s, addr)
+                    }
+                    None => 0xdead_dead_dead_dead,
                 }
             }
             Op::StoreAcc { addr } => {
-                let value = self.threads[t].acc;
-                let bank = l2_bank_of(addr).index();
-                if self.l2[bank].probe(addr.line()).is_some() {
-                    self.l2[bank].write_word_resident(addr, value);
+                if let Some(s) = slot {
+                    let value = self.threads[t].acc;
+                    self.l2[l2_bank_of(addr).index()].write_word_at(s, addr, value);
                 }
                 self.note_store(addr);
                 0
             }
             Op::Atomic { addr, add } => {
-                let bank = l2_bank_of(addr).index();
-                let old = if self.l2[bank].probe(addr.line()).is_some() {
-                    let v = self.l2[bank].read_word_resident(addr);
-                    self.l2[bank].write_word_resident(addr, v.wrapping_add(add));
+                let bank = &mut self.l2[l2_bank_of(addr).index()];
+                let old = slot.map_or(0, |s| {
+                    let v = bank.read_word_at(s, addr);
+                    bank.write_word_at(s, addr, v.wrapping_add(add));
                     v
-                } else {
-                    0
-                };
+                });
                 self.note_store(addr);
                 old
             }
@@ -636,36 +629,41 @@ impl System {
     /// defers it when the DRAM side is intercepted.
     fn functional_access(&mut self, t: usize, op: Op, addr: PAddr) {
         let bank = l2_bank_of(addr);
-        let hit = self.l2[bank.index()].probe(addr.line()).is_some();
-        if hit {
-            let value = self.perform_word_op(t, op);
-            self.pending_value[t] = value;
-            let compute = self.threads[t].gen.profile().compute_per_op as u64;
-            self.schedule(L2_HIT_LATENCY + compute, Ev::Wake(t as u8));
-            return;
-        }
-        if self.is_intercepted_dram(bank) {
-            // Defer: the fill goes out to the co-simulated MCU.
-            let key = (bank.index() as u8, addr.line().raw());
-            let waiters = self.pending_fills.entry(key).or_default();
-            if waiters.is_empty() {
-                self.outbox.push_back(OutMsg::DramFill {
-                    bank,
-                    line: addr.line(),
-                });
+        let (slot, latency) = match self.l2[bank.index()].slot_of(addr.line()) {
+            Some(slot) => (slot, L2_HIT_LATENCY),
+            None if self.is_intercepted_dram(bank) => {
+                // Defer: the fill goes out to the co-simulated MCU.
+                let key = (bank.index() as u8, addr.line().raw());
+                let waiters = self.pending_fills.entry(key).or_default();
+                if waiters.is_empty() {
+                    self.outbox.push_back(OutMsg::DramFill {
+                        bank,
+                        line: addr.line(),
+                    });
+                }
+                waiters.push(t as u8);
+                return;
             }
-            waiters.push(t as u8);
-            return;
-        }
-        // Synchronous miss: fill from DRAM, evict through DRAM.
-        let data = self.dram.read_line(addr.line());
-        if let Some((victim, vdata)) = self.l2[bank.index()].install(addr.line(), data) {
-            self.dram.write_line(victim, vdata);
-        }
-        let value = self.perform_word_op(t, op);
+            None => (
+                self.fill_from_dram(bank.index(), addr.line()),
+                L2_MISS_LATENCY,
+            ),
+        };
+        let value = self.perform_word_op(t, op, Some(slot));
         self.pending_value[t] = value;
         let compute = self.threads[t].gen.profile().compute_per_op as u64;
-        self.schedule(L2_MISS_LATENCY + compute, Ev::Wake(t as u8));
+        self.schedule(latency + compute, Ev::Wake(t as u8));
+    }
+
+    /// Synchronous miss: fills `line` from DRAM, evicting through DRAM,
+    /// and returns the slot it now occupies.
+    fn fill_from_dram(&mut self, bank: usize, line: LineAddr) -> usize {
+        let data = self.dram.line(line).unwrap_or(&[0; WORDS_PER_LINE]);
+        let (slot, evicted) = self.l2[bank].install_at(line, data);
+        if let Some((victim, vdata)) = evicted {
+            self.dram.write_line(victim, vdata);
+        }
+        slot
     }
 
     /// Issues `op` for thread `t`.
@@ -766,7 +764,6 @@ impl System {
                         // Retry the same load later.
                         let retry = op.unwrap();
                         self.threads[t].current = Some(retry);
-                        self.cycle += 0;
                         let t8 = t as u8;
                         self.threads[t].state = ThreadState::Ready;
                         self.schedule_poll_retry(t8, retry);
@@ -783,9 +780,9 @@ impl System {
                                 }
                                 // A valid-but-wrong address: silently
                                 // corrupt that memory.
-                                let bank = l2_bank_of(addr).index();
-                                if self.l2[bank].probe(addr.line()).is_some() {
-                                    self.l2[bank].write_word_resident(addr, value);
+                                let bank = &mut self.l2[l2_bank_of(addr).index()];
+                                if let Some(s) = bank.slot_of(addr.line()) {
+                                    bank.write_word_at(s, addr, value);
                                 } else {
                                     let mut line = self.dram.read_line(addr.line());
                                     line[(addr.line_offset() / 8) as usize] = value;
@@ -816,9 +813,7 @@ impl System {
         self.threads[ti].state = ThreadState::WaitMem;
         self.threads[ti].current = Some(op);
         // Re-access after the retry interval.
-        self.seq += 1;
-        self.events
-            .push(Reverse((self.cycle + POLL_RETRY, self.seq, Ev::Wake(t))));
+        self.schedule(POLL_RETRY, Ev::Wake(t));
         // Mark as a retry needing re-issue rather than value application.
         self.pending_value[ti] = RETRY_SENTINEL;
     }
@@ -858,7 +853,7 @@ impl System {
     /// Processes the next pending event, if any. Returns `false` when
     /// the event queue is empty.
     fn step_event(&mut self) -> bool {
-        let Some(Reverse((cycle, _, ev))) = self.events.pop() else {
+        let Some((cycle, ev)) = self.events.pop() else {
             return false;
         };
         self.cycle = self.cycle.max(cycle);
@@ -911,8 +906,8 @@ impl System {
             if self.trap.is_some() || self.all_halted() {
                 return;
             }
-            match self.events.peek() {
-                Some(Reverse((c, _, _))) if *c <= target => {
+            match self.events.next_cycle() {
+                Some(c) if c <= target => {
                     self.step_event();
                 }
                 _ => break,
@@ -937,9 +932,9 @@ impl System {
                     cycles: self.cycle,
                 };
             }
-            match self.events.peek() {
-                Some(Reverse((c, _, _))) if *c > self.watchdog => {
-                    return RunResult::Hang { cycle: *c };
+            match self.events.next_cycle() {
+                Some(c) if c > self.watchdog => {
+                    return RunResult::Hang { cycle: c };
                 }
                 Some(_) => {
                     self.step_event();
@@ -955,11 +950,10 @@ impl System {
     /// Reads the coherent value of the word at `addr` (L2 if resident,
     /// else DRAM).
     pub fn coherent_word(&self, addr: PAddr) -> u64 {
-        let bank = l2_bank_of(addr).index();
-        if self.l2[bank].probe(addr.line()).is_some() {
-            self.l2[bank].read_word_resident(addr)
-        } else {
-            self.dram.read_word(addr)
+        let bank = &self.l2[l2_bank_of(addr).index()];
+        match bank.slot_of(addr.line()) {
+            Some(s) => bank.read_word_at(s, addr),
+            None => self.dram.read_word(addr),
         }
     }
 
@@ -1002,28 +996,26 @@ impl System {
     pub fn service_request_functionally(&mut self, pkt: &PcxPacket) -> CpxPacket {
         let bank = l2_bank_of(pkt.addr).index();
         let line = pkt.addr.line();
-        if self.l2[bank].probe(line).is_none() {
-            let data = self.dram.read_line(line);
-            if let Some((victim, vdata)) = self.l2[bank].install(line, data) {
-                self.dram.write_line(victim, vdata);
-            }
-        }
+        let slot = match self.l2[bank].slot_of(line) {
+            Some(slot) => slot,
+            None => self.fill_from_dram(bank, line),
+        };
         let value = match pkt.kind {
             PcxKind::Load | PcxKind::Ifetch => {
                 if self.tainted.contains(&line.raw()) && self.first_taint_read.is_none() {
                     self.first_taint_read = Some(self.cycle);
                 }
-                self.l2[bank].touch_dir(pkt.addr, pkt.thread.core().index());
-                self.l2[bank].read_word_resident(pkt.addr)
+                self.l2[bank].touch_dir_at(slot, pkt.thread.core().index());
+                self.l2[bank].read_word_at(slot, pkt.addr)
             }
             PcxKind::Store => {
-                self.l2[bank].write_word_resident(pkt.addr, pkt.data);
+                self.l2[bank].write_word_at(slot, pkt.addr, pkt.data);
                 self.note_store(pkt.addr);
                 0
             }
             PcxKind::Atomic => {
-                let old = self.l2[bank].read_word_resident(pkt.addr);
-                self.l2[bank].write_word_resident(pkt.addr, old.wrapping_add(pkt.data));
+                let old = self.l2[bank].read_word_at(slot, pkt.addr);
+                self.l2[bank].write_word_at(slot, pkt.addr, old.wrapping_add(pkt.data));
                 self.note_store(pkt.addr);
                 old
             }
@@ -1045,6 +1037,17 @@ impl System {
     pub fn waiting_on_uncore(&self) -> usize {
         // nestlint: allow(determinism-taint) -- summing lengths is insensitive to iteration order
         self.inflight.len() + self.pending_fills.values().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// The address `op` accesses, if it accesses memory.
+fn op_addr(op: Op) -> Option<PAddr> {
+    match op {
+        Op::Load { addr, .. }
+        | Op::Ifetch { addr }
+        | Op::StoreAcc { addr }
+        | Op::Atomic { addr, .. } => Some(addr),
+        Op::Barrier | Op::Halt => None,
     }
 }
 
@@ -1098,6 +1101,32 @@ mod tests {
         assert!(seeded("barn", 1).dram() != b.dram());
         assert_eq!(layout::tests::images_held(64, ws("radi")), 1);
         assert_eq!(layout::tests::images_held(64, ws("barn")), 1);
+    }
+
+    #[test]
+    fn whole_runs_on_the_ring_match_the_heap_scheduler() {
+        // One barrier-heavy short run, one long run of mostly misses,
+        // one with the DMA stream, doorbell polls and their retries.
+        for (name, length_scale) in [("radi", 100), ("flui", 20), ("p-lr", 100)] {
+            let cfg = SystemConfig {
+                length_scale,
+                ..SystemConfig::new(by_name(name).unwrap())
+            };
+            let mut ring = System::new(cfg.clone());
+            let mut heap = System::with_queue(cfg, EventQueue::on_heap());
+            // Pausing is part of the contract: `run_until` peeks.
+            for target in [0, 7, 1_000, 1_001, 4_000] {
+                ring.run_until(target);
+                heap.run_until(target);
+                assert_eq!(ring.cycle(), heap.cycle(), "{name} at {target}");
+            }
+            let got = ring.run_to_end();
+            assert!(got.is_completed(), "{name}: {got:?}");
+            assert_eq!(got, heap.run_to_end(), "{name}");
+            assert_eq!(ring.cycle(), heap.cycle(), "{name}");
+            assert_eq!(ring.snapshot_cost(), heap.snapshot_cost(), "{name}");
+            assert!(ring.dram() == heap.dram(), "{name}: memory");
+        }
     }
 
     #[test]
@@ -1258,6 +1287,26 @@ mod tests {
             matches!(sys.trap(), Some((_, TrapCause::UncoreError, _))),
             "ghost packet must trap"
         );
+    }
+
+    #[test]
+    fn misrouted_response_leaves_the_request_in_flight() {
+        // The right id on the wrong strand (a flipped thread field):
+        // the receiver traps and the requester keeps waiting.
+        let mut sys = smoke("radi");
+        sys.run_until(1_000);
+        sys.set_intercept(InterceptMode::Bank(BankId::new(0)));
+        sys.run_until(6_000);
+        let msgs = drain_outbox(&mut sys);
+        let OutMsg::Pcx(p) = &msgs[0] else {
+            panic!("expected pcx");
+        };
+        let mut stray = CpxPacket::reply_to(p, 7);
+        stray.thread = ThreadId::new((p.thread.index() + 1) % 64);
+        let before = sys.waiting_on_uncore();
+        sys.deliver_cpx(stray);
+        assert_eq!(sys.waiting_on_uncore(), before, "requester still blocked");
+        assert!(matches!(sys.trap(), Some((t, TrapCause::UncoreError, _)) if t == stray.thread));
     }
 
     #[test]

@@ -476,6 +476,29 @@ enum Phase {
     Done,
 }
 
+/// `op_idx` reduced modulo each period of the main loop, and the strided
+/// walk's position `(op_idx * stride_words) % working_set_words`, kept
+/// by counting: the four remainders by runtime divisors were a
+/// measurable share of every op.
+#[derive(Debug, Clone, Copy, Default)]
+struct MainLoopPos {
+    barrier: u64,
+    output: u64,
+    atomic: u64,
+    stride: u64,
+}
+
+/// `(r + step) % modulus` for `r, step < modulus`. A period of zero
+/// means "never" and its position is not read.
+fn step_mod(r: u64, step: u64, modulus: u64) -> u64 {
+    let next = r + step;
+    if next >= modulus {
+        next - modulus
+    } else {
+        next
+    }
+}
+
 /// Deterministic per-thread op-stream generator.
 ///
 /// Each call to [`ProgGen::next_op`] yields the thread's next operation;
@@ -490,6 +513,8 @@ pub struct ProgGen {
     rng: SplitRng,
     phase: Phase,
     op_idx: u64,
+    pos: MainLoopPos,
+    stride_step: u64,
     ops_total: u64,
     out_idx: u64,
     output_every: u64,
@@ -540,6 +565,8 @@ impl ProgGen {
                 Phase::Main
             },
             op_idx: 0,
+            pos: MainLoopPos::default(),
+            stride_step: profile.stride_words % profile.working_set_words,
             ops_total,
             out_idx: 0,
             output_every,
@@ -620,20 +647,25 @@ impl ProgGen {
                     return self.next_op();
                 }
                 let idx = self.op_idx;
+                let at = self.pos;
                 self.op_idx += 1;
-                if p.barrier_every > 0 && idx % p.barrier_every == p.barrier_every - 1 {
+                self.pos = MainLoopPos {
+                    barrier: step_mod(at.barrier, 1, p.barrier_every),
+                    output: step_mod(at.output, 1, self.output_every),
+                    atomic: step_mod(at.atomic, 1, p.atomic_every),
+                    stride: step_mod(at.stride, self.stride_step, p.working_set_words),
+                };
+                if p.barrier_every > 0 && at.barrier == p.barrier_every - 1 {
                     return Op::Barrier;
                 }
-                if idx % self.output_every == self.output_every - 1
-                    && self.out_idx + 1 < p.output_words
-                {
+                if at.output == self.output_every - 1 && self.out_idx + 1 < p.output_words {
                     let out = self.out_idx;
                     self.out_idx += 1;
                     return Op::StoreAcc {
                         addr: layout::output_word(self.thread, out, p.output_words),
                     };
                 }
-                if p.atomic_every > 0 && idx % p.atomic_every == p.atomic_every / 2 {
+                if p.atomic_every > 0 && at.atomic == p.atomic_every / 2 {
                     let c = self.rng.below(layout::SHARED_CTR_COUNT);
                     return Op::Atomic {
                         addr: layout::shared_counter(c),
@@ -682,9 +714,8 @@ impl ProgGen {
                     };
                 }
                 // Strided private data-array walk.
-                let i = (idx * p.stride_words) % p.working_set_words;
                 Op::Load {
-                    addr: layout::data_word(self.thread, i),
+                    addr: layout::data_word(self.thread, at.stride),
                     use_: LoadUse::Data,
                 }
             }
@@ -710,6 +741,175 @@ impl ProgGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `next_op` as it was with a remainder per period, body verbatim:
+    /// the oracle of `counted_positions_match_the_remainders`.
+    impl ProgGen {
+        fn next_op_reference(&mut self) -> Op {
+            let p = self.profile;
+            match self.phase {
+                Phase::PollInput => {
+                    self.phase = Phase::CheckHeader;
+                    Op::Load {
+                        addr: crate::system::doorbell_addr(),
+                        use_: LoadUse::Poll { expect: 1 },
+                    }
+                }
+                Phase::CheckHeader => {
+                    self.phase = Phase::ScanInput { i: 0 };
+                    Op::Load {
+                        addr: crate::system::doorbell_addr().offset(8),
+                        use_: LoadUse::Control {
+                            expect: p.input_bytes(),
+                        },
+                    }
+                }
+                Phase::ScanInput { i } => {
+                    if i + 1 >= self.input_loads {
+                        self.phase = Phase::InputBarrier;
+                    } else {
+                        self.phase = Phase::ScanInput { i: i + 1 };
+                    }
+                    let slice_words = ((p.input_bytes() / 8) / self.threads as u64).max(1);
+                    let w = self.thread as u64 * slice_words + i * self.input_step;
+                    Op::Load {
+                        addr: layout::input_word(w),
+                        use_: LoadUse::Data,
+                    }
+                }
+                Phase::InputBarrier => {
+                    self.phase = Phase::Main;
+                    Op::Barrier
+                }
+                Phase::Main => {
+                    if self.op_idx >= self.ops_total {
+                        self.phase = Phase::FinishBarrier;
+                        return self.next_op_reference();
+                    }
+                    let idx = self.op_idx;
+                    self.op_idx += 1;
+                    if p.barrier_every > 0 && idx % p.barrier_every == p.barrier_every - 1 {
+                        return Op::Barrier;
+                    }
+                    if idx % self.output_every == self.output_every - 1
+                        && self.out_idx + 1 < p.output_words
+                    {
+                        let out = self.out_idx;
+                        self.out_idx += 1;
+                        return Op::StoreAcc {
+                            addr: layout::output_word(self.thread, out, p.output_words),
+                        };
+                    }
+                    if p.atomic_every > 0 && idx % p.atomic_every == p.atomic_every / 2 {
+                        let c = self.rng.below(layout::SHARED_CTR_COUNT);
+                        return Op::Atomic {
+                            addr: layout::shared_counter(c),
+                            add: 1,
+                        };
+                    }
+                    let r = self.rng.f64();
+                    let mut acc_threshold = p.control_frac;
+                    if r < acc_threshold {
+                        let j = self.rng.below(layout::CTRL_TABLE_LEN);
+                        return Op::Load {
+                            addr: layout::ctrl_entry(self.thread, j),
+                            use_: LoadUse::Control {
+                                expect: layout::ctrl_value(self.thread, j),
+                            },
+                        };
+                    }
+                    acc_threshold += p.pointer_frac;
+                    if r < acc_threshold {
+                        return Op::Load {
+                            addr: PAddr::new(self.ptr),
+                            use_: LoadUse::Pointer,
+                        };
+                    }
+                    acc_threshold += p.store_frac;
+                    if r < acc_threshold {
+                        let i = self.rng.below(p.working_set_words);
+                        return Op::StoreAcc {
+                            addr: layout::data_word(self.thread, i),
+                        };
+                    }
+                    acc_threshold += p.shared_frac;
+                    if r < acc_threshold {
+                        let i = self.rng.below(layout::SHARED_TABLE_WORDS / 8) * 8;
+                        return Op::Load {
+                            addr: layout::shared_word(i),
+                            use_: LoadUse::Data,
+                        };
+                    }
+                    acc_threshold += IFETCH_FRAC;
+                    if r < acc_threshold {
+                        return Op::Ifetch {
+                            addr: PAddr::new(
+                                nestsim_proto::addr::region::TEXT_BASE.raw() + (idx % 256) * 8,
+                            ),
+                        };
+                    }
+                    // Strided private data-array walk.
+                    let i = (idx * p.stride_words) % p.working_set_words;
+                    Op::Load {
+                        addr: layout::data_word(self.thread, i),
+                        use_: LoadUse::Data,
+                    }
+                }
+                Phase::FinishBarrier => {
+                    self.phase = Phase::WriteFinal;
+                    Op::Barrier
+                }
+                Phase::WriteFinal => {
+                    self.phase = Phase::Done;
+                    Op::StoreAcc {
+                        addr: layout::output_word(
+                            self.thread,
+                            p.output_words.saturating_sub(1),
+                            p.output_words,
+                        ),
+                    }
+                }
+                Phase::Done => Op::Halt,
+            }
+        }
+    }
+
+    #[test]
+    fn counted_positions_match_the_remainders() {
+        let mut strided = 0u64;
+        for p in &BENCHMARKS {
+            let ws = p.working_set_words;
+            for thread in [0, 7, 63] {
+                for length_scale in [20, 100, 500] {
+                    let mut new = ProgGen::new(p, SeedSeq::new(5), thread, 64, length_scale);
+                    let mut old = new.clone();
+                    let disturb_at = new.ops_total() / 3;
+                    for n in 0u64.. {
+                        if n == disturb_at {
+                            // A core-register flip and a pointer load
+                            // landing mid-stream move neither position.
+                            new.perturb_control(1 << 17);
+                            old.perturb_control(1 << 17);
+                            new.set_pointer(layout::ptr_ring_entry(thread, 9).raw());
+                            old.set_pointer(layout::ptr_ring_entry(thread, 9).raw());
+                        }
+                        let op = new.next_op();
+                        assert_eq!(op, old.next_op_reference(), "{} op {n}", p.name);
+                        let array = layout::data_word(thread, 0)..layout::data_word(thread, ws);
+                        if matches!(op, Op::Load { addr, use_: LoadUse::Data } if array.contains(&addr))
+                        {
+                            strided += 1;
+                        }
+                        if op == Op::Halt {
+                            assert!(n >= new.ops_total(), "{} halted early", p.name);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(strided > 10_000, "only {strided} strided loads compared");
+    }
 
     #[test]
     fn table5_has_18_benchmarks_with_paper_lengths() {

@@ -171,20 +171,6 @@ impl<S: Slot> Fifo<S> {
         f.write(self.count, (count + 1) as u64);
         true
     }
-
-    /// Moves every valid queued packet to `out` and zeroes the FIFO.
-    fn drain_into(&self, f: &mut FlopSpace, out: &mut Vec<S::Packet>) {
-        let count = self.count(f).min(PORT_FIFO_DEPTH);
-        for slot in &self.slots[..count] {
-            if slot.is_valid(f) {
-                out.push(slot.load(f));
-            }
-        }
-        for _ in 0..count {
-            shift_queue_down(f, &self.guards);
-        }
-        f.write(self.count, 0);
-    }
 }
 
 /// What one arbitration phase has learned about a source FIFO's head.
@@ -365,29 +351,6 @@ impl Ccx {
         self.cpx_fifos.iter().map(|f| f.count(&self.flops)).sum()
     }
 
-    /// Extracts and clears every in-flight packet (FIFOs and staging
-    /// registers), in port order. Used by the mixed-mode platform when
-    /// detaching co-simulation: the crossbar has no architectural state
-    /// (Table 1), so its in-flight packets are simply completed by the
-    /// high-level model instead of being stranded.
-    pub fn drain_in_flight(&mut self) -> (Vec<PcxPacket>, Vec<CpxPacket>) {
-        fn drain<S: Slot>(f: &mut FlopSpace, fifos: &[Fifo<S>], stages: &[S]) -> Vec<S::Packet> {
-            let mut out = Vec::new();
-            for fifo in fifos {
-                fifo.drain_into(f, &mut out);
-            }
-            for s in stages {
-                out.extend(s.take(f));
-            }
-            out
-        }
-        let f = &mut self.flops;
-        (
-            drain(f, &self.pcx_fifos, &self.pcx_stage),
-            drain(f, &self.cpx_fifos, &self.cpx_stage),
-        )
-    }
-
     /// Advances the crossbar one cycle. `bank_can_accept[k]` is bank
     /// `k`'s flow-control (its `ready()` this cycle); core return ports
     /// are always ready (cores sink returns immediately).
@@ -491,54 +454,6 @@ mod tests {
     /// oracle of `route_once_tick_matches_the_reference_tick`.
     #[allow(clippy::clone_on_copy)] // the descriptors used to own two `Vec`s
     impl Ccx {
-        fn drain_in_flight_reference(&mut self) -> (Vec<PcxPacket>, Vec<CpxPacket>) {
-            let mut pcx = Vec::new();
-            let mut cpx = Vec::new();
-            for c in 0..NUM_CORES {
-                let fifo = self.pcx_fifos[c].clone();
-                let count = (self.flops.read(fifo.count) as usize).min(PORT_FIFO_DEPTH);
-                for slot in fifo.slots.iter().take(count) {
-                    if slot.is_valid(&self.flops) {
-                        pcx.push(slot.load(&self.flops));
-                    }
-                }
-                for _ in 0..count {
-                    shift_queue_down(&mut self.flops, &fifo.guards);
-                }
-                self.flops.write(fifo.count, 0);
-            }
-            for s in &self.pcx_stage {
-                if s.is_valid(&self.flops) {
-                    pcx.push(s.load(&self.flops));
-                    s.invalidate(&mut self.flops);
-                    let g = s.guard();
-                    self.flops.zero_range(g.start, g.end - g.start);
-                }
-            }
-            for k in 0..NUM_L2_BANKS {
-                let fifo = self.cpx_fifos[k].clone();
-                let count = (self.flops.read(fifo.count) as usize).min(PORT_FIFO_DEPTH);
-                for slot in fifo.slots.iter().take(count) {
-                    if slot.is_valid(&self.flops) {
-                        cpx.push(slot.load(&self.flops));
-                    }
-                }
-                for _ in 0..count {
-                    shift_queue_down(&mut self.flops, &fifo.guards);
-                }
-                self.flops.write(fifo.count, 0);
-            }
-            for s in &self.cpx_stage {
-                if s.is_valid(&self.flops) {
-                    cpx.push(s.load(&self.flops));
-                    s.invalidate(&mut self.flops);
-                    let g = s.guard();
-                    self.flops.zero_range(g.start, g.end - g.start);
-                }
-            }
-            (pcx, cpx)
-        }
-
         fn tick_reference(
             &mut self,
             inp: &CcxInputs,
@@ -1229,12 +1144,6 @@ mod tests {
                         .filter(|(c, dest)| c != *dest);
                     misroutes
                         .set(misroutes.get() + (wrong_bank.count() + wrong_core.count()) as u64);
-
-                    if cyc % 512 == 511 {
-                        let (mut a, mut b) = (new.clone(), old.clone());
-                        assert_eq!(a.drain_in_flight(), b.drain_in_flight_reference());
-                        assert_eq!(a.flops.diff_count(&b.flops), 0, "drained flops differ");
-                    }
                 }
             },
         );

@@ -278,12 +278,17 @@ impl PcxSlot {
     /// Loads the slot's packet (whatever the bits now say).
     pub fn load(&self, f: &FlopSpace) -> PcxPacket {
         PcxPacket {
-            id: ReqId(f.read(self.reqid)),
+            id: self.id(f),
             thread: ThreadId::new((f.read(self.thread) as usize) % NUM_THREADS),
             kind: decode_pcx_kind(f.read(self.kind)),
             addr: self.addr(f),
             data: f.read(self.data),
         }
+    }
+
+    /// Loads only the request id.
+    pub fn id(&self, f: &FlopSpace) -> ReqId {
+        ReqId(f.read(self.reqid))
     }
 
     /// Loads only the address field — all a router needs to pick the

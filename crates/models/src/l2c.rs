@@ -349,14 +349,14 @@ impl L2cBank {
         self.mb
             .iter()
             .filter(|m| m.pcx.is_valid(&self.flops))
-            .map(|m| m.pcx.load(&self.flops).id)
+            .map(|m| m.pcx.id(&self.flops))
             .collect()
     }
 
     fn mb_conflict(&self, line: LineAddr) -> bool {
         self.mb
             .iter()
-            .any(|m| m.pcx.is_valid(&self.flops) && m.pcx.load(&self.flops).addr.line() == line)
+            .any(|m| m.pcx.is_valid(&self.flops) && m.pcx.addr(&self.flops).line() == line)
             || self.fill.iter().any(|f| {
                 f.line.is_valid(&self.flops) && LineAddr::new(f.line.line_addr(&self.flops)) == line
             })

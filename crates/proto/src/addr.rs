@@ -40,11 +40,13 @@ impl PAddr {
     }
 
     /// Returns the cache line containing this address.
+    #[inline]
     pub const fn line(self) -> LineAddr {
         LineAddr(self.0 >> LINE_SHIFT)
     }
 
     /// Returns the byte offset within the cache line.
+    #[inline]
     pub const fn line_offset(self) -> u64 {
         self.0 & (LINE_BYTES - 1)
     }
@@ -57,6 +59,7 @@ impl PAddr {
 
     /// Returns `true` if the address is naturally aligned for an access
     /// of `size` bytes (`size` must be a power of two).
+    #[inline]
     pub const fn is_aligned(self, size: u64) -> bool {
         self.0 & (size - 1) == 0
     }
@@ -231,6 +234,7 @@ impl ThreadId {
     }
 
     /// Returns the core this hardware thread belongs to.
+    #[inline]
     pub fn core(self) -> CoreId {
         CoreId((self.0 as usize / THREADS_PER_CORE) as u8)
     }
@@ -255,11 +259,13 @@ impl core::fmt::Display for ThreadId {
 /// Returns the L2 bank serving the cache line containing `addr`.
 ///
 /// Banks are interleaved on address bits `[8:6]`.
+#[inline]
 pub fn l2_bank_of(addr: PAddr) -> BankId {
     BankId(((addr.raw() >> LINE_SHIFT) & (NUM_L2_BANKS as u64 - 1)) as u8)
 }
 
 /// Returns the L2 bank serving a cache line.
+#[inline]
 pub fn l2_bank_of_line(line: LineAddr) -> BankId {
     BankId((line.raw() & (NUM_L2_BANKS as u64 - 1)) as u8)
 }
@@ -267,6 +273,7 @@ pub fn l2_bank_of_line(line: LineAddr) -> BankId {
 /// Returns the DRAM controller behind an L2 bank.
 ///
 /// Each MCU serves two adjacent banks (T2 pairing).
+#[inline]
 pub fn mcu_of_bank(bank: BankId) -> McuId {
     McuId((bank.index() / 2) as u8)
 }
@@ -298,6 +305,7 @@ pub mod region {
     pub const STACK_SIZE: u64 = 0x0400_0000;
 
     /// Returns `true` if `addr` lies in any valid application region.
+    #[inline]
     pub fn is_valid(addr: PAddr) -> bool {
         let a = addr.raw();
         in_range(a, TEXT_BASE.raw(), 0x0100_0000)

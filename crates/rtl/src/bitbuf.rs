@@ -88,6 +88,7 @@ impl BitBuf {
     /// # Panics
     ///
     /// Panics if `width > 64` or the range exceeds the buffer.
+    #[inline]
     pub fn read_bits(&self, offset: usize, width: usize) -> u64 {
         assert!(width <= 64, "field width {width} > 64");
         assert!(offset + width <= self.len, "range out of bounds");
@@ -113,6 +114,7 @@ impl BitBuf {
     /// # Panics
     ///
     /// Panics if `width > 64` or the range exceeds the buffer.
+    #[inline]
     pub fn write_bits(&mut self, offset: usize, width: usize, value: u64) -> bool {
         assert!(width <= 64, "field width {width} > 64");
         assert!(offset + width <= self.len, "range out of bounds");

@@ -249,23 +249,27 @@ impl FlopSpace {
     }
 
     /// Reads a field's value.
+    #[inline]
     pub fn read(&self, h: FieldHandle) -> u64 {
         let f = &self.fields[h.index()];
         self.bits.read_bits(f.offset, f.width)
     }
 
     /// Writes a field's value (excess high bits of `v` are masked off).
+    #[inline]
     pub fn write(&mut self, h: FieldHandle, v: u64) {
         let f = &self.fields[h.index()];
         self.changed |= self.bits.write_bits(f.offset, f.width, v);
     }
 
     /// Reads a single-bit field as a boolean.
+    #[inline]
     pub fn read_bool(&self, h: FieldHandle) -> bool {
         self.read(h) != 0
     }
 
     /// Writes a boolean into a single-bit field.
+    #[inline]
     pub fn write_bool(&mut self, h: FieldHandle, v: bool) {
         self.write(h, v as u64);
     }
