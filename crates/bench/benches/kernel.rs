@@ -33,6 +33,17 @@ fn bitbuf_ops(suite: &mut Suite) {
     suite.bench("kernel/bitbuf", "write_bits_64", || {
         buf.write_bits(black_box(12_345), 64, black_box(0xdead_beef))
     });
+    // One packet slot (a 139-bit PCX entry) at an unaligned offset.
+    suite.bench("kernel/bitbuf", "read_span_139", || {
+        black_box(buf.read_span(black_box(12_345), 139))
+    });
+    suite.bench("kernel/bitbuf", "write_span_139", || {
+        buf.write_span(
+            black_box(12_345),
+            139,
+            black_box([0xdead_beef, 0xfeed, 0x7ff]),
+        )
+    });
     let other = BitBuf::zeroed(32 * 1024);
     suite.bench("kernel/bitbuf", "diff_count_32k", || {
         black_box(buf.diff_count(&other))
@@ -133,41 +144,52 @@ fn component_ticks(suite: &mut Suite) {
         black_box(ccx.tick(&inp, &ready))
     });
 
-    // The crossbar as a CCX campaign drives it (`CcxDriver::step`):
-    // requests *and* returns in flight, saturated — every core offers
-    // whenever its FIFO has room, to banks scattered so the arbiters
-    // contend, and every delivered request comes back on its bank port
-    // after the functional-bank latency. `tick/ccx` above offers one
-    // request a cycle and no returns, which arbitration barely notices.
-    let mut ccx = Ccx::new();
-    let mut bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS] = Default::default();
-    let (mut cyc, mut n) = (0u64, 0u64);
-    suite.bench("kernel/tick", "ccx_loaded", || {
-        cyc += 1;
-        let mut inp = CcxInputs::default();
-        for c in 0..NUM_CORES {
-            if ccx.core_ready(c) {
-                n += 1;
-                inp.from_cores[c] = Some(PcxPacket {
-                    thread: ThreadId::new(c * 8 + (n % 8) as usize),
-                    addr: PAddr::new(0x1000_0000 + (n.wrapping_mul(0x9e37_79b9) >> 7) % 4096 * 64),
-                    ..pcx(n)
-                });
+    // The crossbar in `CcxDriver::step`'s closed loop: requests *and*
+    // returns in flight, to banks scattered so the arbiters contend, and
+    // every delivered request coming back on its bank port after the
+    // functional-bank latency. `tick/ccx` above offers one request a
+    // cycle and no returns, which arbitration barely notices.
+    // `ccx_loaded` saturates it — every core offers whenever its FIFO
+    // has room; `ccx_cosim` offers at the rate counted in a `ccx_indep`
+    // campaign (1.72 requests and 1.72 returns a tick over 262,144
+    // ticks), which is the tick an injection's warm-up is made of.
+    for (name, offer_per_256) in [("ccx_loaded", 256), ("ccx_cosim", 55)] {
+        let mut ccx = Ccx::new();
+        let mut bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS] = Default::default();
+        let (mut cyc, mut n) = (0u64, 0u64);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        suite.bench("kernel/tick", name, || {
+            cyc += 1;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mut inp = CcxInputs::default();
+            for c in 0..NUM_CORES {
+                if (x >> (8 * c)) & 0xff < offer_per_256 && ccx.core_ready(c) {
+                    n += 1;
+                    inp.from_cores[c] = Some(PcxPacket {
+                        thread: ThreadId::new(c * 8 + (n % 8) as usize),
+                        addr: PAddr::new(
+                            0x1000_0000 + (n.wrapping_mul(0x9e37_79b9) >> 7) % 4096 * 64,
+                        ),
+                        ..pcx(n)
+                    });
+                }
             }
-        }
-        for (k, q) in bank_q.iter_mut().enumerate() {
-            if ccx.bank_ready(k) && q.front().is_some_and(|(due, _)| *due <= cyc) {
-                inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
+            for (k, q) in bank_q.iter_mut().enumerate() {
+                if q.front().is_some_and(|(due, _)| *due <= cyc) && ccx.bank_ready(k) {
+                    inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
+                }
             }
-        }
-        let out = ccx.tick(&inp, &ready);
-        for (q, p) in bank_q.iter_mut().zip(&out.to_banks) {
-            if let Some(p) = p {
-                q.push_back((cyc + COSIM_BANK_LATENCY, CpxPacket::reply_to(p, p.data)));
+            let out = ccx.tick(&inp, &ready);
+            for (q, p) in bank_q.iter_mut().zip(&out.to_banks) {
+                if let Some(p) = p {
+                    q.push_back((cyc + COSIM_BANK_LATENCY, CpxPacket::reply_to(p, p.data)));
+                }
             }
-        }
-        black_box(out)
-    });
+            black_box(out)
+        });
+    }
 
     let mut pcie = Pcie::new();
     pcie.program(nestsim_proto::pcie::DmaDescriptor {

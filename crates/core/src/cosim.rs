@@ -726,21 +726,16 @@ impl CosimDriver for CcxDriver {
             }
         }
         let mut inp = CcxInputs::default();
-        for c in 0..NUM_CORES {
-            if self.target.core_ready(c) {
-                if let Some(p) = self.core_q[c].pop_front() {
-                    inp.from_cores[c] = Some(p);
-                }
+        // A port's FIFO occupancy is read only if something waits for it.
+        for (c, q) in self.core_q.iter_mut().enumerate() {
+            if !q.is_empty() && self.target.core_ready(c) {
+                inp.from_cores[c] = q.pop_front();
             }
         }
-        for k in 0..NUM_L2_BANKS {
-            if self.target.bank_ready(k) {
-                match self.bank_q[k].front() {
-                    Some((ready, _)) if *ready <= cyc => {
-                        inp.from_banks[k] = self.bank_q[k].pop_front().map(|(_, p)| p);
-                    }
-                    _ => {}
-                }
+        for (k, q) in self.bank_q.iter_mut().enumerate() {
+            let due = q.front().is_some_and(|(ready, _)| *ready <= cyc);
+            if due && self.target.bank_ready(k) {
+                inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
             }
         }
         let all_ready = [true; NUM_L2_BANKS];

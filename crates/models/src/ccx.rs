@@ -63,10 +63,16 @@ trait Slot: Copy {
     fn load(&self, f: &FlopSpace) -> Self::Packet;
     fn store(&self, f: &mut FlopSpace, pkt: &Self::Packet);
 
+    /// What `self.store(f, &from.load(f))` does for a valid `from`, on
+    /// the bits alone: a packet crossing the crossbar is decoded once,
+    /// where it leaves.
+    fn copy_from(&self, f: &mut FlopSpace, from: &Self);
+
     /// Destination port named by the routing field, whatever its bits
     /// now say, read without loading the rest of the packet.
     fn dest(&self, f: &FlopSpace) -> usize;
 
+    #[inline]
     fn is_valid(&self, f: &FlopSpace) -> bool {
         f.read_bool(self.guard().valid)
     }
@@ -82,8 +88,7 @@ trait Slot: Copy {
         }
         let pkt = self.load(f);
         let g = self.guard();
-        f.write_bool(g.valid, false);
-        f.zero_range(g.start, g.end - g.start);
+        f.zero_range(g.start - 1, g.end + 1 - g.start); // the valid bit sits just below
         Some(pkt)
     }
 }
@@ -102,6 +107,9 @@ impl Slot for PcxSlot {
     }
     fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
         PcxSlot::store(self, f, pkt);
+    }
+    fn copy_from(&self, f: &mut FlopSpace, from: &Self) {
+        PcxSlot::copy_from(self, f, from);
     }
     fn dest(&self, f: &FlopSpace) -> usize {
         l2_bank_of(self.addr(f)).index()
@@ -122,6 +130,9 @@ impl Slot for CpxSlot {
     }
     fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
         CpxSlot::store(self, f, pkt);
+    }
+    fn copy_from(&self, f: &mut FlopSpace, from: &Self) {
+        CpxSlot::copy_from(self, f, from);
     }
     fn dest(&self, f: &FlopSpace) -> usize {
         self.thread(f).core().index()
@@ -150,6 +161,7 @@ impl<S: Slot> Fifo<S> {
 
     /// The occupancy counter as the flops hold it: a flip can make it
     /// exceed [`PORT_FIFO_DEPTH`] or disagree with the valid bits.
+    #[inline]
     fn count(&self, f: &FlopSpace) -> usize {
         f.read(self.count) as usize
     }
@@ -173,15 +185,11 @@ impl<S: Slot> Fifo<S> {
     }
 }
 
-/// What one arbitration phase has learned about a source FIFO's head.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Head {
-    /// Not looked at yet, or changed since (a drop or a grant).
-    Unknown,
-    /// The FIFO holds nothing.
-    Empty,
-    /// A valid packet routed to this destination port.
-    To(usize),
+// Grants on which the scan passed over a source whose head it knew to
+// be routed elsewhere, for the differential oracle's coverage.
+#[cfg(test)]
+thread_local! {
+    static SKIPPED_KNOWN_HEADS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// One arbitration phase: every destination port with a free staging
@@ -190,52 +198,74 @@ enum Head {
 ///
 /// Route-once: a source's head is decoded from the flops (count, valid
 /// bit, routing field) the first time some port's scan reaches it and
-/// remembered in `head`; later ports compare against that, and the full
-/// packet is loaded only on a grant. The flops end up exactly as if
-/// every port had re-read every source it scans, because the three
-/// ways a FIFO changes inside a phase are the three ways `head` does:
+/// remembered in two kinds of source bitmask — `unknown`, and per
+/// destination `to[dst]`; a source in neither is known to be empty. A
+/// port's scan is the set bits of `unknown | to[dst]` rotated to start
+/// at its pointer: the sources a scan of all of them would decode or
+/// grant, in the same order. The rest have a head known to go
+/// elsewhere, which such a scan compares and leaves alone, so skipping
+/// them (and, when there is no candidate at all, the port) reads less
+/// and changes nothing. The flops end up exactly as if every port had
+/// re-read every source it scans, because the three ways a FIFO changes
+/// inside a phase are the three ways the masks do:
 ///
 /// * a phantom head (count > 0, valid clear — a corrupted FIFO) is
-///   dropped by the scan that finds it and the source stays `Unknown`,
+///   dropped by the scan that finds it and the source stays `unknown`,
 ///   so the next scan decodes the entry that shifted down;
-/// * a grant pops the source and resets it to `Unknown`, so a later
+/// * a grant pops the source and returns it to `unknown`, so a later
 ///   port can be granted the next entry in the same cycle;
-/// * `Empty` is sticky, because inputs latch only after arbitration.
+/// * empty is sticky, because inputs latch only after arbitration.
 fn arbitrate<S: Slot, const SRC: usize, const DST: usize>(
     f: &mut FlopSpace,
     fifos: &[Fifo<S>; SRC],
     stages: &[S; DST],
     rr: &[FieldHandle; DST],
 ) {
-    let mut head = [Head::Unknown; SRC];
-    let mut empty = 0;
+    let all = (1u32 << SRC) - 1;
+    let mut unknown = all;
+    let mut to = [0u32; DST];
     for (dst, (stage, &rr)) in stages.iter().zip(rr).enumerate() {
-        if empty == SRC {
-            return; // nothing queued anywhere: the idle cycle costs one scan
+        let candidates = unknown | to[dst];
+        if candidates == 0 {
+            if to.iter().all(|&m| m == 0) {
+                return; // nothing queued anywhere: the idle cycle costs one scan
+            }
+            continue;
         }
         if stage.is_valid(f) {
             continue;
         }
-        let first = f.read(rr) as usize;
-        for off in 0..SRC {
+        let first = f.read(rr) as usize % SRC;
+        // Bit `off` of a rotated mask is source `(first + off) % SRC`.
+        let rotated = |m: u32| (m >> first | m << (SRC - first)) & all;
+        let mut scan = rotated(candidates);
+        while scan != 0 {
+            let off = scan.trailing_zeros() as usize;
+            scan &= scan - 1;
             let src = (first + off) % SRC;
-            let fifo = &fifos[src];
-            if head[src] == Head::Unknown {
+            let (fifo, bit) = (&fifos[src], 1 << src);
+            if unknown & bit != 0 {
                 if fifo.count(f) == 0 {
-                    head[src] = Head::Empty;
-                    empty += 1;
-                } else if !fifo.slots[0].is_valid(f) {
-                    fifo.pop(f);
-                } else {
-                    head[src] = Head::To(fifo.slots[0].dest(f));
+                    unknown &= !bit;
+                    continue;
                 }
+                if !fifo.slots[0].is_valid(f) {
+                    fifo.pop(f);
+                    continue;
+                }
+                unknown &= !bit;
+                to[fifo.slots[0].dest(f)] |= bit;
             }
-            if head[src] == Head::To(dst) {
-                let pkt = fifo.slots[0].load(f);
+            if to[dst] & bit != 0 {
+                #[cfg(test)]
+                if rotated(to.iter().fold(0, |m, t| m | t) & !to[dst]) & ((1 << off) - 1) != 0 {
+                    SKIPPED_KNOWN_HEADS.with(|n| n.set(n.get() + 1));
+                }
+                stage.copy_from(f, &fifo.slots[0]);
                 fifo.pop(f);
-                stage.store(f, &pkt);
                 f.write(rr, ((src + 1) % SRC) as u64);
-                head[src] = Head::Unknown;
+                to[dst] &= !bit;
+                unknown |= bit;
                 break;
             }
         }
@@ -245,13 +275,10 @@ fn arbitrate<S: Slot, const SRC: usize, const DST: usize>(
 /// Guarded groups in a crossbar: every FIFO slot and staging register.
 const NUM_GUARDS: usize = (NUM_CORES + NUM_L2_BANKS) * (PORT_FIFO_DEPTH + 1);
 
-/// Flip-flop-level model of the crossbar interconnect.
-///
-/// Everything but `flops` is a fixed table of field handles, so a clone
-/// (the golden copy) copies the flop bits and nothing else.
-#[derive(Debug, Clone)]
-pub struct Ccx {
-    flops: FlopSpace,
+/// Where the crossbar's ports sit in its flops: fixed tables of field
+/// handles. `Copy`, so a clone of the crossbar moves them as one block.
+#[derive(Debug, Clone, Copy)]
+struct Ports {
     pcx_fifos: [Fifo<PcxSlot>; NUM_CORES],
     cpx_fifos: [Fifo<CpxSlot>; NUM_L2_BANKS],
     /// Per-bank round-robin arbiter pointer over cores.
@@ -263,6 +290,16 @@ pub struct Ccx {
     /// Per-core staging register (one CPX packet).
     cpx_stage: [CpxSlot; NUM_CORES],
     guards: [Guard; NUM_GUARDS],
+}
+
+/// Flip-flop-level model of the crossbar interconnect.
+///
+/// Everything but `flops` is a fixed table of field handles, so a clone
+/// (the golden copy) copies the flop bits and nothing else.
+#[derive(Debug, Clone)]
+pub struct Ccx {
+    flops: FlopSpace,
+    ports: Ports,
     /// Bit `k`: bank `k` could accept in the last cycle computed. A
     /// crossbar that settled can hold a staged packet for a bank that
     /// was not ready; it stays settled only until such a bank is.
@@ -308,8 +345,7 @@ impl Ccx {
         let fifo_slots = (NUM_CORES + NUM_L2_BANKS) * PORT_FIFO_DEPTH;
         let mut fifos = guards[..fifo_slots].chunks(PORT_FIFO_DEPTH);
         assert!(fifos.all(|q| is_packed_queue(&flops, q)));
-        Ccx {
-            flops,
+        let ports = Ports {
             pcx_fifos,
             cpx_fifos,
             pcx_rr,
@@ -317,38 +353,60 @@ impl Ccx {
             pcx_stage,
             cpx_stage,
             guards,
+        };
+        Ccx {
+            flops,
+            ports,
             settled_ready: 0,
         }
     }
 
     /// True if core `c`'s input FIFO can accept a request this cycle.
+    #[inline]
     pub fn core_ready(&self, c: usize) -> bool {
-        self.pcx_fifos[c].count(&self.flops) < PORT_FIFO_DEPTH
+        self.ports.pcx_fifos[c].count(&self.flops) < PORT_FIFO_DEPTH
     }
 
     /// True if bank `k`'s return FIFO can accept a packet this cycle.
+    #[inline]
     pub fn bank_ready(&self, k: usize) -> bool {
-        self.cpx_fifos[k].count(&self.flops) < PORT_FIFO_DEPTH
+        self.ports.cpx_fifos[k].count(&self.flops) < PORT_FIFO_DEPTH
     }
 
     /// True if no packets are in flight anywhere in the crossbar.
     pub fn idle(&self) -> bool {
         self.pcx_occupancy() == 0
             && self.cpx_occupancy() == 0
-            && self.pcx_stage.iter().all(|s| !s.is_valid(&self.flops))
-            && self.cpx_stage.iter().all(|s| !s.is_valid(&self.flops))
+            && self
+                .ports
+                .pcx_stage
+                .iter()
+                .all(|s| !s.is_valid(&self.flops))
+            && self
+                .ports
+                .cpx_stage
+                .iter()
+                .all(|s| !s.is_valid(&self.flops))
     }
 
     /// Total request-side (PCX) FIFO occupancy across all core ports
     /// (sampled by campaign telemetry).
     pub fn pcx_occupancy(&self) -> usize {
-        self.pcx_fifos.iter().map(|f| f.count(&self.flops)).sum()
+        self.ports
+            .pcx_fifos
+            .iter()
+            .map(|f| f.count(&self.flops))
+            .sum()
     }
 
     /// Total return-side (CPX) FIFO occupancy across all bank ports
     /// (sampled by campaign telemetry).
     pub fn cpx_occupancy(&self) -> usize {
-        self.cpx_fifos.iter().map(|f| f.count(&self.flops)).sum()
+        self.ports
+            .cpx_fifos
+            .iter()
+            .map(|f| f.count(&self.flops))
+            .sum()
     }
 
     /// Advances the crossbar one cycle. `bank_can_accept[k]` is bank
@@ -385,30 +443,40 @@ impl Ccx {
         let f = &mut self.flops;
 
         // ── Drain staging registers ─────────────────────────────────
-        for (k, s) in self.pcx_stage.iter().enumerate() {
+        for (k, s) in self.ports.pcx_stage.iter().enumerate() {
             if bank_can_accept[k] {
                 out.to_banks[k] = s.take(f);
             }
         }
-        for (c, s) in self.cpx_stage.iter().enumerate() {
+        for (c, s) in self.ports.cpx_stage.iter().enumerate() {
             out.to_cores[c] = s.take(f);
         }
 
         // ── Arbitrate: per bank one requesting core, then per core ──
         // one returning bank, routed by the (possibly corrupted)
         // address and thread fields.
-        arbitrate(f, &self.pcx_fifos, &self.pcx_stage, &self.pcx_rr);
-        arbitrate(f, &self.cpx_fifos, &self.cpx_stage, &self.cpx_rr);
+        arbitrate(
+            f,
+            &self.ports.pcx_fifos,
+            &self.ports.pcx_stage,
+            &self.ports.pcx_rr,
+        );
+        arbitrate(
+            f,
+            &self.ports.cpx_fifos,
+            &self.ports.cpx_stage,
+            &self.ports.cpx_rr,
+        );
 
         // ── Latch inputs ────────────────────────────────────────────
         for (c, pkt) in inp.from_cores.iter().enumerate() {
             if let Some(pkt) = pkt {
-                out.core_accepted[c] = self.pcx_fifos[c].push(f, pkt);
+                out.core_accepted[c] = self.ports.pcx_fifos[c].push(f, pkt);
             }
         }
         for (k, pkt) in inp.from_banks.iter().enumerate() {
             if let Some(pkt) = pkt {
-                out.bank_accepted[k] = self.cpx_fifos[k].push(f, pkt);
+                out.bank_accepted[k] = self.ports.cpx_fifos[k].push(f, pkt);
             }
         }
 
@@ -436,7 +504,7 @@ impl UncoreRtl for Ccx {
     }
 
     fn is_benign_diff(&self, golden: &Self, bit: usize) -> bool {
-        benign_in(&self.guards, bit, &self.flops, &golden.flops)
+        benign_in(&self.ports.guards, bit, &self.flops, &golden.flops)
     }
 }
 
@@ -467,18 +535,18 @@ mod tests {
             // reconstructible by warm-up alone (footnote 4 / Fig. 5).
             #[allow(clippy::needless_range_loop)] // k indexes three parallel arrays
             for k in 0..NUM_L2_BANKS {
-                let s = self.pcx_stage[k];
+                let s = self.ports.pcx_stage[k];
                 if s.is_valid(&self.flops) && bank_can_accept[k] {
-                    out.to_banks[k] = Some(s.load(&self.flops));
+                    out.to_banks[k] = Some(s.load_reference(&self.flops));
                     s.invalidate(&mut self.flops);
                     let g = s.guard();
                     self.flops.zero_range(g.start, g.end - g.start);
                 }
             }
             for c in 0..NUM_CORES {
-                let s = self.cpx_stage[c];
+                let s = self.ports.cpx_stage[c];
                 if s.is_valid(&self.flops) {
-                    out.to_cores[c] = Some(s.load(&self.flops));
+                    out.to_cores[c] = Some(s.load_reference(&self.flops));
                     s.invalidate(&mut self.flops);
                     let g = s.guard();
                     self.flops.zero_range(g.start, g.end - g.start);
@@ -487,14 +555,14 @@ mod tests {
 
             // ── Arbitrate PCX: per bank, pick one requesting core ───────
             for k in 0..NUM_L2_BANKS {
-                let stage = self.pcx_stage[k];
+                let stage = self.ports.pcx_stage[k];
                 if stage.is_valid(&self.flops) {
                     continue;
                 }
-                let rr = self.flops.read(self.pcx_rr[k]) as usize;
+                let rr = self.flops.read(self.ports.pcx_rr[k]) as usize;
                 'cores: for off in 0..NUM_CORES {
                     let c = (rr + off) % NUM_CORES;
-                    let fifo = self.pcx_fifos[c].clone();
+                    let fifo = self.ports.pcx_fifos[c].clone();
                     let count = self.flops.read(fifo.count) as usize;
                     if count == 0 {
                         continue;
@@ -506,30 +574,30 @@ mod tests {
                         self.flops.write(fifo.count, (count - 1) as u64);
                         continue;
                     }
-                    let pkt = slot.load(&self.flops);
+                    let pkt = slot.load_reference(&self.flops);
                     // Routing decision from the (possibly corrupted) address.
                     if l2_bank_of(pkt.addr).index() != k {
                         continue 'cores;
                     }
                     shift_queue_down(&mut self.flops, &fifo.guards);
                     self.flops.write(fifo.count, (count - 1) as u64);
-                    stage.store(&mut self.flops, &pkt);
+                    stage.store_reference(&mut self.flops, &pkt);
                     self.flops
-                        .write(self.pcx_rr[k], ((c + 1) % NUM_CORES) as u64);
+                        .write(self.ports.pcx_rr[k], ((c + 1) % NUM_CORES) as u64);
                     break 'cores;
                 }
             }
 
             // ── Arbitrate CPX: per core, pick one returning bank ────────
             for c in 0..NUM_CORES {
-                let stage = self.cpx_stage[c];
+                let stage = self.ports.cpx_stage[c];
                 if stage.is_valid(&self.flops) {
                     continue;
                 }
-                let rr = self.flops.read(self.cpx_rr[c]) as usize;
+                let rr = self.flops.read(self.ports.cpx_rr[c]) as usize;
                 'banks: for off in 0..NUM_L2_BANKS {
                     let k = (rr + off) % NUM_L2_BANKS;
-                    let fifo = self.cpx_fifos[k].clone();
+                    let fifo = self.ports.cpx_fifos[k].clone();
                     let count = self.flops.read(fifo.count) as usize;
                     if count == 0 {
                         continue;
@@ -540,16 +608,16 @@ mod tests {
                         self.flops.write(fifo.count, (count - 1) as u64);
                         continue;
                     }
-                    let pkt = slot.load(&self.flops);
+                    let pkt = slot.load_reference(&self.flops);
                     // Routing decision from the (possibly corrupted) thread.
                     if pkt.thread.core().index() != c {
                         continue 'banks;
                     }
                     shift_queue_down(&mut self.flops, &fifo.guards);
                     self.flops.write(fifo.count, (count - 1) as u64);
-                    stage.store(&mut self.flops, &pkt);
+                    stage.store_reference(&mut self.flops, &pkt);
                     self.flops
-                        .write(self.cpx_rr[c], ((k + 1) % NUM_L2_BANKS) as u64);
+                        .write(self.ports.cpx_rr[c], ((k + 1) % NUM_L2_BANKS) as u64);
                     break 'banks;
                 }
             }
@@ -557,12 +625,12 @@ mod tests {
             // ── Latch inputs ────────────────────────────────────────────
             for c in 0..NUM_CORES {
                 if let Some(pkt) = &inp.from_cores[c] {
-                    let fifo = &self.pcx_fifos[c];
+                    let fifo = &self.ports.pcx_fifos[c];
                     let count = self.flops.read(fifo.count) as usize;
                     if count < PORT_FIFO_DEPTH {
                         let slot = fifo.slots[count];
                         let cn = fifo.count;
-                        slot.store(&mut self.flops, pkt);
+                        slot.store_reference(&mut self.flops, pkt);
                         self.flops.write(cn, (count + 1) as u64);
                         out.core_accepted[c] = true;
                     }
@@ -570,12 +638,12 @@ mod tests {
             }
             for k in 0..NUM_L2_BANKS {
                 if let Some(pkt) = &inp.from_banks[k] {
-                    let fifo = &self.cpx_fifos[k];
+                    let fifo = &self.ports.cpx_fifos[k];
                     let count = self.flops.read(fifo.count) as usize;
                     if count < PORT_FIFO_DEPTH {
                         let slot = fifo.slots[count];
                         let cn = fifo.count;
-                        slot.store(&mut self.flops, pkt);
+                        slot.store_reference(&mut self.flops, pkt);
                         self.flops.write(cn, (count + 1) as u64);
                         out.bank_accepted[k] = true;
                     }
@@ -589,8 +657,8 @@ mod tests {
     impl Ccx {
         /// The collapsing queues, for `fields::tests`.
         pub(crate) fn queues(&self) -> Vec<(&'static str, Vec<Guard>)> {
-            let fifos = (self.pcx_fifos.iter().map(|f| f.guards))
-                .chain(self.cpx_fifos.iter().map(|f| f.guards));
+            let fifos = (self.ports.pcx_fifos.iter().map(|f| f.guards))
+                .chain(self.ports.cpx_fifos.iter().map(|f| f.guards));
             fifos.map(|g| ("ccx.fifo", g.to_vec())).collect()
         }
     }
@@ -1032,9 +1100,10 @@ mod tests {
         // Differential oracle: the same random traffic, back-pressure
         // and flop flips drive the route-once tick and the verbatim
         // pre-change tick; outputs and every flop must agree on every
-        // cycle. Flips favour the fields arbitration reads, so the
-        // three cases the head cache must get right all occur — counted
-        // across cases out here, where shrinking cannot trip on them.
+        // cycle. Flips favour the fields arbitration and the hop read,
+        // so the cases the head masks and the bits-only hop must get
+        // right all occur — counted across cases out here, where
+        // shrinking cannot trip on them.
         use nestsim_harness::{check_with, Config};
         use std::cell::Cell;
 
@@ -1042,6 +1111,8 @@ mod tests {
         let phantom_drops = Cell::new(0u64);
         let misroutes = Cell::new(0u64);
         let double_grants = Cell::new(0u64);
+        let corrupt_kind_hops = Cell::new(0u64);
+        SKIPPED_KNOWN_HEADS.with(|n| n.set(0));
 
         check_with(
             Config::with_cases(6),
@@ -1055,7 +1126,7 @@ mod tests {
                     .fields()
                     .iter()
                     .filter(|f| {
-                        [".count", ".valid", ".addr", ".thread", ".rr"]
+                        [".count", ".valid", ".kind", ".addr", ".thread", ".rr"]
                             .iter()
                             .any(|leaf| f.name.ends_with(leaf))
                     })
@@ -1102,7 +1173,9 @@ mod tests {
                             inp.from_banks[k] = Some(CpxPacket {
                                 id: ReqId(cpx_dest.len() as u64),
                                 thread,
-                                kind: CpxKind::LoadReturn,
+                                // Every kind, so one flip reaches the
+                                // encodings no kind has (5–7).
+                                kind: crate::fields::decode_cpx_kind((x >> 8) % 4),
                                 data: x,
                             });
                             cpx_dest.push(thread.core().index());
@@ -1111,8 +1184,15 @@ mod tests {
                     let ready: [bool; NUM_L2_BANKS] =
                         core::array::from_fn(|k| (r >> (48 + 2 * k)) & 3 != 0);
 
-                    let before: Vec<_> = fifo_view(&new.flops, &new.pcx_fifos)
-                        .chain(fifo_view(&new.flops, &new.cpx_fifos))
+                    let before: Vec<_> = fifo_view(&new.flops, &new.ports.pcx_fifos)
+                        .chain(fifo_view(&new.flops, &new.ports.cpx_fifos))
+                        .collect();
+                    // A hop re-encodes a kind no packet has as `Error`.
+                    let corrupt_heads: Vec<bool> = (new.ports.cpx_fifos.iter())
+                        .map(|q| {
+                            let kind = q.slots[0].guard().start;
+                            q.slots[0].is_valid(&new.flops) && new.flops.read_span(kind, 3)[0] > 4
+                        })
                         .collect();
 
                     let got = new.tick(&inp, &ready);
@@ -1124,8 +1204,8 @@ mod tests {
                         "flops diverged in cycle {cyc}"
                     );
 
-                    let after = fifo_view(&new.flops, &new.pcx_fifos)
-                        .chain(fifo_view(&new.flops, &new.cpx_fifos));
+                    let after = fifo_view(&new.flops, &new.ports.pcx_fifos)
+                        .chain(fifo_view(&new.flops, &new.ports.cpx_fifos));
                     let accepted = got.core_accepted.iter().chain(&got.bank_accepted);
                     for ((&(n, valid), (now, _)), &acc) in before.iter().zip(after).zip(accepted) {
                         let left = now - usize::from(acc);
@@ -1134,6 +1214,13 @@ mod tests {
                         }
                         if n == 2 && valid == [true; 2] && left == 0 {
                             double_grants.set(double_grants.get() + 1);
+                        }
+                    }
+                    for (k, corrupt) in corrupt_heads.into_iter().enumerate() {
+                        let (n, _) = before[NUM_CORES + k];
+                        let now = new.ports.cpx_fifos[k].count(&new.flops);
+                        if corrupt && n > 0 && now - usize::from(got.bank_accepted[k]) < n {
+                            corrupt_kind_hops.set(corrupt_kind_hops.get() + 1);
                         }
                     }
                     let wrong_bank = (got.to_banks.iter().enumerate())
@@ -1152,9 +1239,17 @@ mod tests {
             ("phantom-head drops", phantom_drops.get()),
             ("misrouted deliveries", misroutes.get()),
             ("two grants from one FIFO in one tick", double_grants.get()),
+            (
+                "hops of a return whose kind no packet has",
+                corrupt_kind_hops.get(),
+            ),
         ] {
             assert!(hits > 0, "the traffic never produced {what}");
             println!("{what}: {hits}");
         }
+        // The property runs on this thread, so the counter is its own.
+        let skips = SKIPPED_KNOWN_HEADS.with(Cell::get);
+        println!("grants past a head known to go elsewhere: {skips}");
+        assert!(skips >= 100, "only {skips} grants skipped a known head");
     }
 }

@@ -208,7 +208,36 @@ pub fn decode_cpx_kind(v: u64) -> CpxKind {
     }
 }
 
+/// Bits `at..at + width` of a slot image read by
+/// [`FlopSpace::read_span`]. Every caller passes constants, so this is a
+/// shift, an or and a mask.
+#[inline(always)]
+fn span_get(v: [u64; 3], at: usize, width: usize) -> u64 {
+    let (w, shift) = (at / 64, at % 64);
+    let mut x = v[w] >> shift;
+    if shift + width > 64 {
+        x |= v[w + 1] << (64 - shift);
+    }
+    x & (u64::MAX >> (64 - width))
+}
+
+/// Ors the low `width` bits of `x` into bits `at..at + width` of a slot
+/// image (which must hold zeros there).
+#[inline(always)]
+fn span_put(v: &mut [u64; 3], at: usize, width: usize, x: u64) {
+    let x = x & (u64::MAX >> (64 - width));
+    let (w, shift) = (at / 64, at % 64);
+    v[w] |= x << shift;
+    if shift + width > 64 {
+        v[w + 1] |= x >> (64 - shift);
+    }
+}
+
 /// Flop fields holding one request (PCX) packet plus a valid bit.
+///
+/// The fields are declared back to back, so [`load`](Self::load) and
+/// [`store`](Self::store) move the whole slot as one span and place the
+/// fields with constant shifts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcxSlot {
     /// Entry-valid bit.
@@ -218,44 +247,60 @@ pub struct PcxSlot {
     reqid: FieldHandle,
     addr: FieldHandle,
     data: FieldHandle,
-    span: (usize, usize),
 }
 
 impl PcxSlot {
-    /// Declares the slot's fields under `prefix` with class `class`.
-    pub fn declare(b: &mut FlopSpaceBuilder, prefix: &str, class: FlopClass) -> Self {
-        let valid = b.field(format!("{prefix}.valid"), 1, class);
-        let kind = b.field(format!("{prefix}.kind"), 2, class);
-        let thread = b.field(format!("{prefix}.thread"), THREAD_BITS, class);
-        let reqid = b.field(format!("{prefix}.reqid"), REQID_BITS, class);
-        let addr = b.field(format!("{prefix}.addr"), ADDR_BITS, class);
-        let data = b.field(format!("{prefix}.data"), 64, class);
-        PcxSlot {
-            valid,
-            kind,
-            thread,
-            reqid,
-            addr,
-            data,
-            span: (0, 0), // fixed up in `with_span` below
-        }
-    }
+    /// Flops in a slot, the valid bit included.
+    pub const BITS: usize = Self::DATA + 64;
+    // Bit positions within the slot; the valid bit is bit 0.
+    const KIND: usize = 1;
+    const THREAD: usize = Self::KIND + 2;
+    const REQID: usize = Self::THREAD + THREAD_BITS;
+    const ADDR: usize = Self::REQID + REQID_BITS;
+    const DATA: usize = Self::ADDR + ADDR_BITS;
 
-    /// Declares the slot and computes its guarded bit span.
+    /// Declares the slot's fields under `prefix` with class `class`;
+    /// the valid bit guards everything after it.
     pub fn declare_guarded(b: &mut FlopSpaceBuilder, prefix: &str, class: FlopClass) -> Self {
-        let before_offset = current_offset(b);
-        let mut s = Self::declare(b, prefix, class);
-        // Guard everything after the valid bit.
-        s.span = (before_offset + 1, current_offset(b));
+        let s = PcxSlot {
+            valid: b.field(format!("{prefix}.valid"), 1, class),
+            kind: b.field(format!("{prefix}.kind"), 2, class),
+            thread: b.field(format!("{prefix}.thread"), THREAD_BITS, class),
+            reqid: b.field(format!("{prefix}.reqid"), REQID_BITS, class),
+            addr: b.field(format!("{prefix}.addr"), ADDR_BITS, class),
+            data: b.field(format!("{prefix}.data"), 64, class),
+        };
+        // The builder packs fields in declaration order; the codec's
+        // constants must say the same. Once per slot per process.
+        let at = |h: FieldHandle| h.offset() - s.valid.offset();
+        assert_eq!(
+            [
+                at(s.kind),
+                at(s.thread),
+                at(s.reqid),
+                at(s.addr),
+                at(s.data),
+                at(s.data) + 64
+            ],
+            [
+                Self::KIND,
+                Self::THREAD,
+                Self::REQID,
+                Self::ADDR,
+                Self::DATA,
+                Self::BITS
+            ]
+        );
         s
     }
 
     /// The guard for this slot's payload fields.
+    #[inline]
     pub fn guard(&self) -> Guard {
         Guard {
             valid: self.valid,
-            start: self.span.0,
-            end: self.span.1,
+            start: self.valid.offset() + 1,
+            end: self.valid.offset() + Self::BITS,
         }
     }
 
@@ -265,39 +310,54 @@ impl PcxSlot {
     ///
     /// Panics if the request id does not fit the flop width (the system
     /// simulator never allocates such ids).
+    #[inline]
     pub fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
         assert!(pkt.id.0 < (1 << REQID_BITS), "request id overflow");
-        f.write_bool(self.valid, true);
-        f.write(self.kind, encode_pcx_kind(pkt.kind));
-        f.write(self.thread, pkt.thread.index() as u64);
-        f.write(self.reqid, pkt.id.0);
-        f.write(self.addr, pkt.addr.raw());
-        f.write(self.data, pkt.data);
+        let mut v = [1, 0, 0];
+        span_put(&mut v, Self::KIND, 2, encode_pcx_kind(pkt.kind));
+        span_put(&mut v, Self::THREAD, THREAD_BITS, pkt.thread.index() as u64);
+        span_put(&mut v, Self::REQID, REQID_BITS, pkt.id.0);
+        span_put(&mut v, Self::ADDR, ADDR_BITS, pkt.addr.raw());
+        span_put(&mut v, Self::DATA, 64, pkt.data);
+        f.write_span(self.valid.offset(), Self::BITS, v);
     }
 
     /// Loads the slot's packet (whatever the bits now say).
+    #[inline]
     pub fn load(&self, f: &FlopSpace) -> PcxPacket {
+        let v = f.read_span(self.valid.offset(), Self::BITS);
         PcxPacket {
-            id: self.id(f),
-            thread: ThreadId::new((f.read(self.thread) as usize) % NUM_THREADS),
-            kind: decode_pcx_kind(f.read(self.kind)),
-            addr: self.addr(f),
-            data: f.read(self.data),
+            id: ReqId(span_get(v, Self::REQID, REQID_BITS)),
+            thread: ThreadId::new(span_get(v, Self::THREAD, THREAD_BITS) as usize % NUM_THREADS),
+            kind: decode_pcx_kind(span_get(v, Self::KIND, 2)),
+            addr: PAddr::new(span_get(v, Self::ADDR, ADDR_BITS)),
+            data: span_get(v, Self::DATA, 64),
         }
     }
 
+    /// Moves the valid slot `from`'s packet into this slot: the bits
+    /// `self.store(f, &from.load(f))` writes, never decoded.
+    #[inline]
+    pub fn copy_from(&self, f: &mut FlopSpace, from: &PcxSlot) {
+        debug_assert!(from.is_valid(f));
+        f.copy_range(from.valid.offset(), self.valid.offset(), Self::BITS);
+    }
+
     /// Loads only the request id.
+    #[inline]
     pub fn id(&self, f: &FlopSpace) -> ReqId {
         ReqId(f.read(self.reqid))
     }
 
     /// Loads only the address field — all a router needs to pick the
     /// destination bank.
+    #[inline]
     pub fn addr(&self, f: &FlopSpace) -> PAddr {
         PAddr::new(f.read(self.addr))
     }
 
     /// Reads the valid bit.
+    #[inline]
     pub fn is_valid(&self, f: &FlopSpace) -> bool {
         f.read_bool(self.valid)
     }
@@ -308,7 +368,8 @@ impl PcxSlot {
     }
 }
 
-/// Flop fields holding one return (CPX) packet plus a valid bit.
+/// Flop fields holding one return (CPX) packet plus a valid bit; one
+/// span like [`PcxSlot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpxSlot {
     /// Entry-valid bit.
@@ -317,37 +378,54 @@ pub struct CpxSlot {
     thread: FieldHandle,
     reqid: FieldHandle,
     data: FieldHandle,
-    span: (usize, usize),
 }
 
 impl CpxSlot {
-    /// Declares the slot and computes its guarded bit span.
+    /// Flops in a slot, the valid bit included.
+    pub const BITS: usize = Self::DATA + 64;
+    // Bit positions within the slot; the valid bit is bit 0.
+    const KIND: usize = 1;
+    const THREAD: usize = Self::KIND + 3;
+    const REQID: usize = Self::THREAD + THREAD_BITS;
+    const DATA: usize = Self::REQID + REQID_BITS;
+
+    /// Declares the slot's fields under `prefix` with class `class`;
+    /// the valid bit guards everything after it.
     pub fn declare_guarded(b: &mut FlopSpaceBuilder, prefix: &str, class: FlopClass) -> Self {
-        let before = current_offset(b);
-        let valid = b.field(format!("{prefix}.valid"), 1, class);
-        let kind = b.field(format!("{prefix}.kind"), 3, class);
-        let thread = b.field(format!("{prefix}.thread"), THREAD_BITS, class);
-        let reqid = b.field(format!("{prefix}.reqid"), REQID_BITS, class);
-        let data = b.field(format!("{prefix}.data"), 64, class);
-        CpxSlot {
-            valid,
-            kind,
-            thread,
-            reqid,
-            data,
-            span: (
-                before + 1,
-                current_offset_after(before, 1 + 3 + THREAD_BITS + REQID_BITS + 64),
-            ),
-        }
+        let s = CpxSlot {
+            valid: b.field(format!("{prefix}.valid"), 1, class),
+            kind: b.field(format!("{prefix}.kind"), 3, class),
+            thread: b.field(format!("{prefix}.thread"), THREAD_BITS, class),
+            reqid: b.field(format!("{prefix}.reqid"), REQID_BITS, class),
+            data: b.field(format!("{prefix}.data"), 64, class),
+        };
+        let at = |h: FieldHandle| h.offset() - s.valid.offset();
+        assert_eq!(
+            [
+                at(s.kind),
+                at(s.thread),
+                at(s.reqid),
+                at(s.data),
+                at(s.data) + 64
+            ],
+            [
+                Self::KIND,
+                Self::THREAD,
+                Self::REQID,
+                Self::DATA,
+                Self::BITS
+            ]
+        );
+        s
     }
 
     /// The guard for this slot's payload fields.
+    #[inline]
     pub fn guard(&self) -> Guard {
         Guard {
             valid: self.valid,
-            start: self.span.0,
-            end: self.span.1,
+            start: self.valid.offset() + 1,
+            end: self.valid.offset() + Self::BITS,
         }
     }
 
@@ -356,32 +434,52 @@ impl CpxSlot {
     /// # Panics
     ///
     /// Panics if the request id does not fit the flop width.
+    #[inline]
     pub fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
         assert!(pkt.id.0 < (1 << REQID_BITS), "request id overflow");
-        f.write_bool(self.valid, true);
-        f.write(self.kind, encode_cpx_kind(pkt.kind));
-        f.write(self.thread, pkt.thread.index() as u64);
-        f.write(self.reqid, pkt.id.0);
-        f.write(self.data, pkt.data);
+        let mut v = [1, 0, 0];
+        span_put(&mut v, Self::KIND, 3, encode_cpx_kind(pkt.kind));
+        span_put(&mut v, Self::THREAD, THREAD_BITS, pkt.thread.index() as u64);
+        span_put(&mut v, Self::REQID, REQID_BITS, pkt.id.0);
+        span_put(&mut v, Self::DATA, 64, pkt.data);
+        f.write_span(self.valid.offset(), Self::BITS, v);
     }
 
     /// Loads the slot's packet (whatever the bits now say).
+    #[inline]
     pub fn load(&self, f: &FlopSpace) -> CpxPacket {
+        let v = f.read_span(self.valid.offset(), Self::BITS);
         CpxPacket {
-            id: ReqId(f.read(self.reqid)),
-            thread: self.thread(f),
-            kind: decode_cpx_kind(f.read(self.kind)),
-            data: f.read(self.data),
+            id: ReqId(span_get(v, Self::REQID, REQID_BITS)),
+            thread: ThreadId::new(span_get(v, Self::THREAD, THREAD_BITS) as usize % NUM_THREADS),
+            kind: decode_cpx_kind(span_get(v, Self::KIND, 3)),
+            data: span_get(v, Self::DATA, 64),
         }
+    }
+
+    /// Moves the valid slot `from`'s packet into this slot: the bits
+    /// `self.store(f, &from.load(f))` writes. Only the kind is looked
+    /// at, because that round trip is not the identity on it: a
+    /// corrupted encoding (5–7) loads as `Error` and is stored as 4.
+    #[inline]
+    pub fn copy_from(&self, f: &mut FlopSpace, from: &CpxSlot) {
+        debug_assert!(from.is_valid(f));
+        let mut v = f.read_span(from.valid.offset(), Self::BITS);
+        let kind = decode_cpx_kind(span_get(v, Self::KIND, 3));
+        v[0] &= !(0b111 << Self::KIND);
+        span_put(&mut v, Self::KIND, 3, encode_cpx_kind(kind));
+        f.write_span(self.valid.offset(), Self::BITS, v);
     }
 
     /// Loads only the thread field — all a router needs to pick the
     /// destination core.
+    #[inline]
     pub fn thread(&self, f: &FlopSpace) -> ThreadId {
         ThreadId::new((f.read(self.thread) as usize) % NUM_THREADS)
     }
 
     /// Reads the valid bit.
+    #[inline]
     pub fn is_valid(&self, f: &FlopSpace) -> bool {
         f.read_bool(self.valid)
     }
@@ -410,7 +508,7 @@ impl LineSlot {
 
     /// Declares the slot and computes its guarded bit span.
     pub fn declare_guarded(b: &mut FlopSpaceBuilder, prefix: &str, class: FlopClass) -> Self {
-        let before = current_offset(b);
+        let before = b.declared_bits();
         let valid = b.field(format!("{prefix}.valid"), 1, class);
         let line = b.field(format!("{prefix}.line"), Self::LINE_BITS, class);
         let words = core::array::from_fn(|i| b.field(format!("{prefix}.w{i}"), 64, class));
@@ -461,18 +559,52 @@ impl LineSlot {
     }
 }
 
-/// Current bit offset of a builder (sum of declared widths).
-///
-/// `FlopSpaceBuilder` does not expose its cursor; track it by declaring
-/// a zero-width probe — instead we compute from a known base. To keep
-/// this simple and allocation-free we reconstruct offsets arithmetically
-/// where needed.
-fn current_offset(b: &FlopSpaceBuilder) -> usize {
-    b.declared_bits()
+/// The slot codecs as they were before the span codec, bodies verbatim:
+/// one `FlopSpace` access per field. Oracles of
+/// `span_codec_matches_the_field_by_field_codec` and of the crossbar's
+/// `tick_reference`.
+#[cfg(test)]
+impl PcxSlot {
+    pub(crate) fn store_reference(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
+        assert!(pkt.id.0 < (1 << REQID_BITS), "request id overflow");
+        f.write_bool(self.valid, true);
+        f.write(self.kind, encode_pcx_kind(pkt.kind));
+        f.write(self.thread, pkt.thread.index() as u64);
+        f.write(self.reqid, pkt.id.0);
+        f.write(self.addr, pkt.addr.raw());
+        f.write(self.data, pkt.data);
+    }
+
+    pub(crate) fn load_reference(&self, f: &FlopSpace) -> PcxPacket {
+        PcxPacket {
+            id: self.id(f),
+            thread: ThreadId::new((f.read(self.thread) as usize) % NUM_THREADS),
+            kind: decode_pcx_kind(f.read(self.kind)),
+            addr: self.addr(f),
+            data: f.read(self.data),
+        }
+    }
 }
 
-fn current_offset_after(before: usize, widths: usize) -> usize {
-    before + widths
+#[cfg(test)]
+impl CpxSlot {
+    pub(crate) fn store_reference(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
+        assert!(pkt.id.0 < (1 << REQID_BITS), "request id overflow");
+        f.write_bool(self.valid, true);
+        f.write(self.kind, encode_cpx_kind(pkt.kind));
+        f.write(self.thread, pkt.thread.index() as u64);
+        f.write(self.reqid, pkt.id.0);
+        f.write(self.data, pkt.data);
+    }
+
+    pub(crate) fn load_reference(&self, f: &FlopSpace) -> CpxPacket {
+        CpxPacket {
+            id: ReqId(f.read(self.reqid)),
+            thread: self.thread(f),
+            kind: decode_cpx_kind(f.read(self.kind)),
+            data: f.read(self.data),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -550,6 +682,91 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A space of random bits with two slots of one kind declared
+    /// behind a random unaligned pad: the slot under test and a second
+    /// one for `copy_from`.
+    fn slots_in_noise<S>(
+        src: &mut nestsim_harness::Source,
+        declare: fn(&mut FlopSpaceBuilder, &str, FlopClass) -> S,
+    ) -> (FlopSpace, S, S) {
+        let mut b = FlopSpaceBuilder::new("t");
+        for (name, bound) in [("pad", 200), ("gap", 70)] {
+            let bits = src.below(bound) as usize + 1;
+            b.field_array(&format!("{name}.w"), bits / 64, 64, FlopClass::Inactive);
+            b.field(format!("{name}.tail"), bits % 64 + 1, FlopClass::Inactive);
+        }
+        let s = declare(&mut b, "s", FlopClass::Target);
+        b.field("between", src.below(64) as usize + 1, FlopClass::Inactive);
+        let t = declare(&mut b, "t", FlopClass::Target);
+        b.field("after", 64, FlopClass::Inactive);
+        let mut f = b.build();
+        for bit in 0..f.num_flops() {
+            if src.bool() {
+                f.flip(bit);
+            }
+        }
+        (f, s, t)
+    }
+
+    nestsim_harness::properties! {
+        /// Whatever a slot's bits say, every corrupted encoding
+        /// included, the span codec reads the packet the field-by-field
+        /// codec reads; a store leaves the whole space as the reference
+        /// leaves it, neighbours untouched; and a bits-only hop leaves
+        /// what a load and a store would.
+        fn span_codec_matches_the_field_by_field_codec(src) {
+            let (mut f, s, t) = slots_in_noise(src, PcxSlot::declare_guarded);
+            assert_eq!(s.load(&f), s.load_reference(&f));
+            for pattern in 0..4 * 64 {
+                f.write(s.kind, pattern / 64);
+                f.write(s.thread, pattern % 64);
+                assert_eq!(s.load(&f), s.load_reference(&f));
+            }
+            let mut want = f.clone();
+            s.store_reference(&mut want, &t.load_reference(&f));
+            f.write_bool(t.valid, true);
+            want.write_bool(t.valid, true);
+            s.copy_from(&mut f, &t);
+            assert!(f == want, "pcx hop");
+            let pkt = PcxPacket {
+                id: ReqId(src.u64() >> 32),
+                thread: ThreadId::new(src.below(64) as usize),
+                kind: decode_pcx_kind(src.below(4)),
+                addr: PAddr::new(src.u64() >> src.below(40)),
+                data: src.u64(),
+            };
+            s.store(&mut f, &pkt);
+            s.store_reference(&mut want, &pkt);
+            assert!(f == want, "pcx store");
+
+            let (mut f, s, t) = slots_in_noise(src, CpxSlot::declare_guarded);
+            assert_eq!(s.load(&f), s.load_reference(&f));
+            // Every kind and thread pattern; kinds 5–7 are corrupted
+            // encodings and read as `Error` (4).
+            for pattern in 0..8 * 64 {
+                f.write(s.kind, pattern / 64);
+                f.write(s.thread, pattern % 64);
+                assert_eq!(s.load(&f), s.load_reference(&f));
+                assert_eq!(s.load(&f).kind == CpxKind::Error, pattern / 64 >= 4);
+            }
+            let mut want = f.clone();
+            s.store_reference(&mut want, &t.load_reference(&f));
+            f.write_bool(t.valid, true);
+            want.write_bool(t.valid, true);
+            s.copy_from(&mut f, &t);
+            assert!(f == want, "cpx hop");
+            let pkt = CpxPacket {
+                id: ReqId(src.u64() >> 32),
+                thread: ThreadId::new(src.below(64) as usize),
+                kind: decode_cpx_kind(src.below(8)),
+                data: src.u64(),
+            };
+            s.store(&mut f, &pkt);
+            s.store_reference(&mut want, &pkt);
+            assert!(f == want, "cpx store");
         }
     }
 

@@ -142,6 +142,75 @@ impl BitBuf {
         changed
     }
 
+    /// Reads `width <= 192` bits starting at `offset` as little-endian
+    /// words, bits at and above `width` zero: a whole packet slot in one
+    /// pass over the (at most four) words it lies in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 192` or the range exceeds the buffer.
+    #[inline]
+    pub fn read_span(&self, offset: usize, width: usize) -> [u64; 3] {
+        assert!(width <= 3 * WORD_BITS, "span width {width} > 192");
+        assert!(offset + width <= self.len, "range out of bounds");
+        let shift = offset % WORD_BITS;
+        let src = &self.words[offset / WORD_BITS..(offset + width).div_ceil(WORD_BITS)];
+        let word = |i: usize| src.get(i).copied().unwrap_or(0);
+        core::array::from_fn(|i| {
+            let lo = word(i) >> shift;
+            let v = if shift == 0 {
+                lo
+            } else {
+                lo | word(i + 1) << (WORD_BITS - shift)
+            };
+            match width.saturating_sub(i * WORD_BITS) {
+                0 => 0,
+                n if n >= WORD_BITS => v,
+                n => v & ((1u64 << n) - 1),
+            }
+        })
+    }
+
+    /// Writes the low `width <= 192` bits of `value` starting at
+    /// `offset`, one read-modify-write per word touched, and returns
+    /// whether any bit of the buffer changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 192` or the range exceeds the buffer.
+    #[inline]
+    pub fn write_span(&mut self, offset: usize, width: usize, value: [u64; 3]) -> bool {
+        assert!(width <= 3 * WORD_BITS, "span width {width} > 192");
+        assert!(offset + width <= self.len, "range out of bounds");
+        if width == 0 {
+            return false;
+        }
+        let (w0, shift) = (offset / WORD_BITS, offset % WORD_BITS);
+        let end = offset + width;
+        let val = |i: usize| value.get(i).copied().unwrap_or(0);
+        let mut changed = false;
+        for (j, w) in self.words[w0..end.div_ceil(WORD_BITS)]
+            .iter_mut()
+            .enumerate()
+        {
+            // Bits `lo..hi` of this word belong to the span.
+            let lo = if j == 0 { shift } else { 0 };
+            let hi = (end - (w0 + j) * WORD_BITS).min(WORD_BITS);
+            let mask = (u64::MAX >> (WORD_BITS - (hi - lo))) << lo;
+            let bits = if shift == 0 {
+                val(j)
+            } else if j == 0 {
+                val(0) << shift
+            } else {
+                val(j - 1) >> (WORD_BITS - shift) | val(j) << shift
+            };
+            let merged = (*w & !mask) | (bits & mask);
+            changed |= merged != *w;
+            *w = merged;
+        }
+        changed
+    }
+
     /// Moves the `width` bits starting at `src` down to `dst` (`dst <=
     /// src`; the ranges may overlap) and returns whether any bit of the
     /// buffer changed. Bits outside `[dst, dst + width)` keep their
@@ -409,6 +478,68 @@ mod tests {
             }
         }
         assert!(moved > 1_000 && unmoved > 500, "{moved} / {unmoved}");
+    }
+
+    #[test]
+    fn spans_match_the_bit_by_bit_model() {
+        const LEN: usize = 333;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut cases = Vec::new();
+        for offset in [0, 1, 5, 63, 64, 65, 100, 128, 141] {
+            for width in [0, 1, 2, 63, 64, 65, 106, 127, 128, 129, 139, 191, 192] {
+                cases.push((offset, width));
+            }
+        }
+        for _ in 0..2_000 {
+            let offset = next() as usize % LEN;
+            cases.push((offset, next() as usize % (LEN - offset + 1).min(193)));
+        }
+        let (mut changed, mut unchanged) = (0, 0);
+        for (case, &(offset, width)) in cases.iter().enumerate() {
+            let mut buf = BitBuf::zeroed(LEN);
+            (0..LEN).for_each(|i| buf.set(i, next() & 1 == 1));
+
+            let got = buf.read_span(offset, width);
+            for bit in 0..192 {
+                let want = bit < width && buf.get(offset + bit);
+                assert_eq!(
+                    (got[bit / 64] >> (bit % 64)) & 1 == 1,
+                    want,
+                    "read, offset {offset} width {width} bit {bit}"
+                );
+            }
+
+            // Every third case rewrites what is there (excess bits of
+            // the value set), so a write that changes nothing occurs.
+            let mut value = [next(), next(), next()];
+            if case % 3 == 0 {
+                value = got;
+                (width..192).for_each(|bit| value[bit / 64] |= 1 << (bit % 64));
+            }
+            let before = buf.clone();
+            let mut want = buf.clone();
+            for bit in 0..width {
+                want.set(offset + bit, (value[bit / 64] >> (bit % 64)) & 1 == 1);
+            }
+            let flag = buf.write_span(offset, width, value);
+            assert_eq!(buf, want, "write, offset {offset} width {width}");
+            assert_eq!(flag, buf != before, "changed flag");
+            if flag {
+                changed += 1;
+            } else {
+                unchanged += 1;
+            }
+        }
+        assert!(
+            changed > 1_000 && unchanged > 500,
+            "{changed} / {unchanged}"
+        );
     }
 
     #[test]

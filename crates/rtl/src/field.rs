@@ -81,15 +81,37 @@ pub struct FieldDef {
 
 /// Handle to a field registered in a [`FlopSpace`].
 ///
-/// Handles are cheap indices; they are only valid for the space (or an
-/// identically built space, e.g. the golden copy) that issued them.
+/// A handle carries its field's place in the bits, so a read or write
+/// through it is a shift and a mask with no look at the field table. It
+/// is only valid for the space (or an identically built space, e.g. the
+/// golden copy) that issued it. Eight bytes: models hold hundreds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FieldHandle(u32);
+pub struct FieldHandle {
+    index: u32,
+    /// `offset << WIDTH_BITS | width`.
+    place: u32,
+}
+
+/// Bits of [`FieldHandle::place`] holding the width (1..=64).
+const WIDTH_BITS: u32 = 7;
 
 impl FieldHandle {
     /// Raw index of the field within its space.
+    #[inline]
     pub const fn index(self) -> usize {
-        self.0 as usize
+        self.index as usize
+    }
+
+    /// Bit offset of the field within its space.
+    #[inline]
+    pub const fn offset(self) -> usize {
+        (self.place >> WIDTH_BITS) as usize
+    }
+
+    /// Width of the field in bits.
+    #[inline]
+    pub const fn width(self) -> usize {
+        (self.place & ((1 << WIDTH_BITS) - 1)) as usize
     }
 }
 
@@ -115,7 +137,8 @@ impl FlopSpaceBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero or exceeds 64.
+    /// Panics if `width` is zero or exceeds 64, or the space outgrows
+    /// what a handle can address (2^25 bits).
     pub fn field(
         &mut self,
         name: impl Into<String>,
@@ -123,7 +146,15 @@ impl FlopSpaceBuilder {
         class: FlopClass,
     ) -> FieldHandle {
         assert!(width > 0 && width <= 64, "field width must be 1..=64");
-        let h = FieldHandle(self.fields.len() as u32);
+        // Every field is at least a bit wide, so this bounds the index too.
+        assert!(
+            self.next_offset < 1 << (32 - WIDTH_BITS),
+            "flop space too large for a field handle"
+        );
+        let h = FieldHandle {
+            index: self.fields.len() as u32,
+            place: (self.next_offset as u32) << WIDTH_BITS | width as u32,
+        };
         self.fields.push(FieldDef {
             name: name.into(),
             offset: self.next_offset,
@@ -251,15 +282,13 @@ impl FlopSpace {
     /// Reads a field's value.
     #[inline]
     pub fn read(&self, h: FieldHandle) -> u64 {
-        let f = &self.fields[h.index()];
-        self.bits.read_bits(f.offset, f.width)
+        self.bits.read_bits(h.offset(), h.width())
     }
 
     /// Writes a field's value (excess high bits of `v` are masked off).
     #[inline]
     pub fn write(&mut self, h: FieldHandle, v: u64) {
-        let f = &self.fields[h.index()];
-        self.changed |= self.bits.write_bits(f.offset, f.width, v);
+        self.changed |= self.bits.write_bits(h.offset(), h.width(), v);
     }
 
     /// Reads a single-bit field as a boolean.
@@ -280,9 +309,12 @@ impl FlopSpace {
     ///
     /// Panics if `bit >= width`.
     pub fn field_bit_index(&self, h: FieldHandle, bit: usize) -> usize {
-        let f = &self.fields[h.index()];
-        assert!(bit < f.width, "bit {bit} out of field width {}", f.width);
-        f.offset + bit
+        assert!(
+            bit < h.width(),
+            "bit {bit} out of field width {}",
+            h.width()
+        );
+        h.offset() + bit
     }
 
     /// Flips the flip-flop at global bit index `bit` (error injection).
@@ -380,16 +412,31 @@ impl FlopSpace {
         self.changed = true;
     }
 
+    /// Reads `width <= 192` bits at global offset `offset`
+    /// ([`BitBuf::read_span`]): a whole packet slot in one access.
+    #[inline]
+    pub fn read_span(&self, offset: usize, width: usize) -> [u64; 3] {
+        self.bits.read_span(offset, width)
+    }
+
+    /// Writes the low `width <= 192` bits of `value` at global offset
+    /// `offset` ([`BitBuf::write_span`]).
+    #[inline]
+    pub fn write_span(&mut self, offset: usize, width: usize, value: [u64; 3]) {
+        self.changed |= self.bits.write_span(offset, width, value);
+    }
+
     /// Copies `width` bits from global offset `src` to `dst`. The ranges
     /// must not overlap; a shifting queue, whose ranges do, uses
     /// [`move_down`](Self::move_down).
+    #[inline]
     pub fn copy_range(&mut self, src: usize, dst: usize, width: usize) {
         debug_assert!(src + width <= dst || dst + width <= src, "overlapping copy");
         let mut done = 0;
         while done < width {
-            let chunk = (width - done).min(64);
-            let v = self.bits.read_bits(src + done, chunk);
-            self.changed |= self.bits.write_bits(dst + done, chunk, v);
+            let chunk = (width - done).min(192);
+            let v = self.bits.read_span(src + done, chunk);
+            self.changed |= self.bits.write_span(dst + done, chunk, v);
             done += chunk;
         }
     }
@@ -397,17 +444,19 @@ impl FlopSpace {
     /// Moves `width` bits from global offset `src` down to `dst <= src`,
     /// overlap allowed ([`BitBuf::move_down`]): the whole upper part of
     /// a shifting queue in one pass.
+    #[inline]
     pub fn move_down(&mut self, src: usize, dst: usize, width: usize) {
         self.changed |= self.bits.move_down(src, dst, width);
     }
 
     /// Clears `width` bits starting at global offset `offset` (the
     /// zero shifted into the tail of a shifting queue).
+    #[inline]
     pub fn zero_range(&mut self, offset: usize, width: usize) {
         let mut done = 0;
         while done < width {
-            let chunk = (width - done).min(64);
-            self.changed |= self.bits.write_bits(offset + done, chunk, 0);
+            let chunk = (width - done).min(192);
+            self.changed |= self.bits.write_span(offset + done, chunk, [0; 3]);
             done += chunk;
         }
     }
@@ -521,6 +570,57 @@ mod tests {
         assert_eq!(s.fields()[1].name, "q.addr[1]");
         assert_eq!(s.fields()[3].offset, 30);
         assert_eq!(s.num_flops(), 40);
+    }
+
+    #[test]
+    fn handle_carries_its_fields_place() {
+        assert_eq!(core::mem::size_of::<FieldHandle>(), 8);
+        let mut b = FlopSpaceBuilder::new("x");
+        let widths = [1, 64, 3, 34, 64, 7, 1];
+        let handles = widths.map(|w| b.field(format!("f{w}"), w, FlopClass::Target));
+        let s = b.build();
+        for (i, h) in handles.iter().enumerate() {
+            let def = &s.fields()[h.index()];
+            assert_eq!(h.index(), i);
+            assert_eq!((h.offset(), h.width()), (def.offset, def.width));
+        }
+    }
+
+    #[test]
+    fn range_ops_match_the_bit_by_bit_model() {
+        // Widths around the 192-bit chunk the range ops move at a time,
+        // at unaligned offsets, over random bits.
+        let mut b = FlopSpaceBuilder::new("x");
+        b.field_array("w", 16, 64, FlopClass::Target);
+        let mut s = b.build();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for bit in 0..s.num_flops() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x & 1 == 1 {
+                s.flip(bit);
+            }
+        }
+        for width in [0, 1, 64, 138, 191, 192, 193, 384, 385, 450] {
+            for (src, dst) in [(3, 500), (517, 1), (64, 514)] {
+                let mut got = s.clone();
+                got.copy_range(src, dst, width);
+                for bit in 0..s.num_flops() {
+                    let from = if (dst..dst + width).contains(&bit) {
+                        bit - dst + src
+                    } else {
+                        bit
+                    };
+                    assert_eq!(got.get_bit(bit), s.get_bit(from), "copy {width} bit {bit}");
+                }
+                got.zero_range(dst, width);
+                for bit in 0..s.num_flops() {
+                    let want = !(dst..dst + width).contains(&bit) && s.get_bit(bit);
+                    assert_eq!(got.get_bit(bit), want, "zero {width} bit {bit}");
+                }
+            }
+        }
     }
 
     #[test]
