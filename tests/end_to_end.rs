@@ -418,3 +418,103 @@ fn campaign_bytes_are_pinned_for_every_component_clustered_and_not() {
         }
     }
 }
+
+/// The pinned L2C `radi` cell of the table above (96 independent
+/// samples, `0xd040_e4b7_67c0_22e2`).
+fn pinned_l2c_cell(workers: usize) -> CampaignSpec {
+    CampaignSpec {
+        seed: 2015,
+        length_scale: 100,
+        cosim_cap: 4_000,
+        workers,
+        ..CampaignSpec::new(ComponentKind::L2c, 96)
+    }
+}
+
+#[test]
+fn pinned_l2c_cell_has_the_same_bytes_through_cluster_and_service() {
+    // The table above pins the in-process engine; this pins the other
+    // two ways a fixed-count cell is reached, against the same constant.
+    const PINNED: u64 = 0xd040_e4b7_67c0_22e2;
+    let cfg = TelemetryConfig::default();
+    let profile = by_name("radi").unwrap();
+    let spec = pinned_l2c_cell(2);
+
+    let clustered = nestsim::cluster::run_campaign_cluster(
+        profile,
+        &spec,
+        Some(&cfg),
+        &nestsim::cluster::ClusterConfig::threads(2),
+    );
+    let got = result_digest(&clustered);
+    assert_eq!(got, PINNED, "cluster threads(2): {got:#018x}");
+
+    let handle = nestsim::svc::serve(nestsim::svc::ServiceConfig::default()).expect("serve");
+    let job = nestsim::cluster::JobWire::from_spec(profile, &spec, Some(&cfg));
+    let mut client =
+        nestsim::svc::SvcClient::connect(&handle.addr().to_string(), "pin").expect("connect");
+    let served = match client.run_job(&job, 1).expect("service I/O") {
+        nestsim::svc::JobOutcome::Done(result) => *result,
+        _ => panic!("the service did not complete the pinned cell"),
+    };
+    drop(client);
+    handle.shutdown().expect("shutdown");
+    let got = result_digest(&served);
+    assert_eq!(got, PINNED, "service: {got:#018x}");
+}
+
+#[test]
+fn adaptive_campaign_bytes_are_pinned_in_process_and_clustered() {
+    // Computed on the engine as it stood before the four entry points
+    // became plans and executors of one round loop (two hand-written
+    // round loops, `run_round_on_ladder`); a change that claims to be
+    // result-neutral must never re-bless it.
+    const PINNED: u64 = 0x1ddc_2ffd_3966_171d;
+    let cfg = TelemetryConfig::default();
+    let profile = by_name("radi").unwrap();
+    let mut policy = nestsim::stats::stop::StopPolicy::new(0.12, 0.90);
+    policy.min_samples = 8;
+    policy.initial_round = 8;
+    policy.max_round = 32;
+    policy.max_samples = 96;
+    // Records and merged telemetry, then the round trace byte by byte.
+    let digest = |r: &nestsim::core::CampaignResult| {
+        let summary = r.adaptive.as_ref().expect("adaptive summary");
+        assert!(summary.rounds.len() >= 3, "the pinned cell takes 3+ rounds");
+        let mut bytes = Vec::new();
+        for t in &summary.rounds {
+            bytes.extend_from_slice(&t.round.to_le_bytes());
+            for a in t.alloc {
+                bytes.extend_from_slice(&a.to_le_bytes());
+            }
+            bytes.extend_from_slice(&t.samples_run.to_le_bytes());
+            bytes.extend_from_slice(&t.reported.to_le_bytes());
+            bytes.extend_from_slice(&t.worst_half_width.to_bits().to_le_bytes());
+        }
+        bytes.iter().fold(result_digest(r), |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    for workers in [1usize, 4] {
+        let spec = CampaignSpec {
+            samples: 0,
+            ..pinned_l2c_cell(workers)
+        };
+        let r = nestsim::core::adaptive::run_campaign_adaptive(profile, &spec, &policy, Some(&cfg));
+        let got = digest(&r);
+        assert_eq!(got, PINNED, "in-process workers={workers}: {got:#018x}");
+    }
+    let spec = CampaignSpec {
+        samples: 0,
+        ..pinned_l2c_cell(2)
+    };
+    let r = nestsim::cluster::run_campaign_adaptive_cluster(
+        profile,
+        &spec,
+        &policy,
+        Some(&cfg),
+        &nestsim::cluster::ClusterConfig::threads(2),
+    );
+    let got = digest(&r);
+    assert_eq!(got, PINNED, "cluster threads(2): {got:#018x}");
+}
