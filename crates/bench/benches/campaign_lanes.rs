@@ -16,10 +16,7 @@
 
 use std::hint::black_box;
 
-use nestsim_core::campaign::{
-    draw_samples, entry_cycle, entry_order, laddered_golden_reference, run_campaign_with,
-    CampaignSpec, ShardRunner,
-};
+use nestsim_core::campaign::{run_campaign_with, CampaignSpec, CellBase, Round, ShardRunner};
 use nestsim_harness::bench::Suite;
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
@@ -82,11 +79,9 @@ fn cluster8_spec(component: ComponentKind) -> CampaignSpec {
 /// lane batching (or warm-up sharing) is claimed to cut.
 fn engine_pair(suite: &mut Suite, bench: &str, base: &CampaignSpec, rows: [&str; 2]) {
     let profile = by_name(bench).unwrap();
-    let (mut ladder, golden) = laddered_golden_reference(profile, base);
-    let samples = draw_samples(profile, base, &golden);
-    let order = entry_order(&samples);
-    let max_entry = order.last().map_or(0, |&i| entry_cycle(&samples[i]));
-    ladder.truncate_above(max_entry);
+    let mut cell = CellBase::capture(profile, base);
+    let Round { samples, order } = cell.draw(profile, base, None);
+    let CellBase { ladder, golden } = cell;
     for (name, width) in rows.into_iter().zip([64usize, 1]) {
         suite.bench("campaign_lanes/engine", name, || {
             let mut runner = ShardRunner::new(&ladder, &samples, &golden, None, width);

@@ -216,12 +216,6 @@ impl CoordMachine {
         std::mem::take(&mut self.results)
     }
 
-    /// The cross-checked golden reference, once any shard was
-    /// accepted.
-    pub fn golden(&self) -> Option<GoldenRef> {
-        self.golden
-    }
-
     /// Advance the machine by one event at time `now` (milliseconds on
     /// the driver's clock), returning the actions to perform, in
     /// order.

@@ -1,16 +1,19 @@
 //! The campaign coordinator's TCP driver: listener, threads, and
 //! frame I/O wrapped around the pure [`CoordMachine`].
 //!
-//! The coordinator never simulates. It plans contiguous shards over
-//! the entry-sorted sample order (knowing only the sample *count*),
-//! leases them to workers through the machine's [`crate::lease`]
-//! table, and re-assembles accepted submissions with
-//! [`nestsim_core::campaign::assemble_result`] — the same epilogue the
-//! in-process engines use, merging per-run recorders **in sample
-//! order**. That shared epilogue plus deterministic workers is the
-//! whole byte-identity argument: any worker count, any shard size, any
-//! crash/re-dispatch interleaving feeds the identical
-//! `(sample, record, recorder)` set into the identical merge.
+//! The coordinator never simulates. [`ClusterCampaign`] is the
+//! cluster's [`RoundExecutor`]: for each round the one round loop
+//! ([`nestsim_core::campaign::run_rounds`]) asks for, it plans
+//! contiguous shards over the entry-sorted sample order (knowing only
+//! the sample *count*), leases them to workers through the machine's
+//! [`crate::lease`] table, and hands the accepted submissions back
+//! sorted by round position. The loop that merges them — per-run
+//! recorders **in round order** — and takes the adaptive plan's stop
+//! decisions is the one the in-process executor runs under. That plus
+//! deterministic workers is the whole byte-identity argument: any
+//! worker count, any shard size, any crash/re-dispatch interleaving
+//! feeds the identical `(sample, record, recorder)` set into the
+//! identical merge.
 //!
 //! All protocol decisions live in [`crate::coord_machine`]; this
 //! module only moves bytes and blocks threads. Threading: one
@@ -20,9 +23,9 @@
 //! resulting sends into outboxes, then drains its own outbox — parking
 //! on the condvar when the machine parked its connection (the
 //! long-poll), with a timeout at [`CoordMachine::next_wake`] that
-//! feeds timer ticks back in. [`ClusterCampaign::wait`] parks on the
-//! same condvar until the machine settles, then unblocks the accept
-//! loop with a self-connection and joins everything.
+//! feeds timer ticks back in. A round parks on the same condvar until
+//! the machine settles; ending the campaign unblocks the accept loop
+//! with a self-connection and joins everything.
 
 use std::collections::VecDeque;
 use std::io;
@@ -30,15 +33,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nestsim_core::adaptive::{record_adaptive_engine_stats, AdaptiveState};
 use nestsim_core::campaign::{
-    assemble_result, check_campaign, default_workers, run_campaign_with, CampaignResult,
-    CampaignSpec, IndexedRuns,
+    check_campaign, default_workers, run_campaign_with, run_rounds, sorted_cover, CampaignResult,
+    CampaignSpec, Execution, IndexedRuns, Plan, RoundExecutor,
 };
+use nestsim_core::inject::recorder_for;
 use nestsim_hlsim::workload::BenchProfile;
-use nestsim_models::fields::Stratum;
-use nestsim_stats::stop::{StopDecision, StopPolicy};
-use nestsim_telemetry::{CampaignTelemetry, Recorder, TelemetryConfig};
+use nestsim_stats::stop::StopPolicy;
+use nestsim_telemetry::{Recorder, TelemetryConfig};
 
 use crate::coord_machine::{CoordAction, CoordEvent, CoordMachine};
 use crate::frame::{read_frame, write_frame};
@@ -134,8 +136,10 @@ impl Shared {
 
 const POISONED: &str = "cluster state poisoned";
 
-/// A campaign being served to workers; dropped by [`wait`ing]
-/// (`wait`) it into a [`CampaignResult`].
+/// A campaign cell being served to workers on loopback TCP: the
+/// cluster's [`RoundExecutor`]. [`serve_campaign`] returns one with its
+/// only round already dispatching, for callers that attach their own
+/// workers and [`wait`](ClusterCampaign::wait).
 pub struct ClusterCampaign {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -144,6 +148,11 @@ pub struct ClusterCampaign {
     profile: &'static BenchProfile,
     spec: CampaignSpec,
     telemetry: Option<TelemetryConfig>,
+    cfg: CoordinatorConfig,
+    /// The round the next [`RoundExecutor::run_round`] is asked for is
+    /// already dispatching ([`serve_campaign`]).
+    begun: bool,
+    worker_samples: Vec<usize>,
 }
 
 impl ClusterCampaign {
@@ -164,31 +173,22 @@ impl ClusterCampaign {
             .clone()
     }
 
-    /// Blocks until the currently served round settles, harvesting its
-    /// accepted runs **without** dismissing the workers — they stay
-    /// parked for a [`ClusterCampaign::begin_round`]. Returns the
-    /// cross-checked golden reference and the per-shard runs, or the
-    /// campaign's fatal error.
-    fn wait_round(&self) -> Result<(nestsim_core::inject::GoldenRef, Vec<Vec<RunWire>>), String> {
-        let mut inner = self.shared.inner.lock().expect(POISONED);
-        while !inner.machine.is_settled() {
-            inner = self.shared.cv.wait(inner).expect(POISONED);
-        }
-        if let Some(e) = inner.machine.error() {
-            return Err(e.to_string());
-        }
-        let results = inner.machine.take_round_results();
-        let golden = inner
-            .machine
-            .golden()
-            .expect("a settled round has a golden reference");
-        Ok((golden, results))
-    }
-
-    /// Starts the next round on the already-attached worker pool: the
-    /// machine swaps in the round's job and shard plan and re-serves
-    /// every parked worker.
-    fn begin_round(&self, job: JobWire, shards: Vec<crate::shard::Shard>) {
+    /// Starts a round on the attached worker pool: the machine swaps in
+    /// the round's job and shard plan — every round shards the same
+    /// way — and re-serves every parked worker.
+    fn begin_round(&mut self, strata: Option<&AdaptiveRoundWire>) {
+        let job = JobWire::for_round(self.profile, &self.spec, self.telemetry.as_ref(), strata);
+        let workers_hint = if self.cfg.workers_hint == 0 {
+            default_workers()
+        } else {
+            self.cfg.workers_hint
+        };
+        let shard_size = if self.cfg.shard_size == 0 {
+            auto_shard_size(job.samples, workers_hint)
+        } else {
+            self.cfg.shard_size
+        };
+        let shards = plan_shards(job.samples, shard_size);
         let mut inner = self.shared.inner.lock().expect(POISONED);
         let now = self.shared.now_ms();
         let acts = inner.machine.begin_round(now, job, shards);
@@ -197,11 +197,25 @@ impl ClusterCampaign {
         self.shared.cv.notify_all();
     }
 
+    /// Blocks until the dispatching round settles, harvesting its
+    /// accepted runs per shard **without** dismissing the workers —
+    /// they stay parked for the next round. Returns the campaign's
+    /// fatal error instead, if it has one.
+    fn wait_round(&self) -> Result<Vec<Vec<RunWire>>, String> {
+        let mut inner = self.shared.inner.lock().expect(POISONED);
+        while !inner.machine.is_settled() {
+            inner = self.shared.cv.wait(inner).expect(POISONED);
+        }
+        match inner.machine.error() {
+            Some(e) => Err(e.to_string()),
+            None => Ok(inner.machine.take_round_results()),
+        }
+    }
+
     /// Shuts the coordinator down — dismisses every parked worker with
     /// `done`, joins the accept and handler threads — and extracts the
-    /// drained machine. The shared tail of [`ClusterCampaign::wait`]
-    /// and the adaptive runner.
-    fn finish(&mut self) -> CoordMachine {
+    /// drained machine.
+    fn shutdown(&mut self) -> CoordMachine {
         let shared = Arc::clone(&self.shared);
         {
             let mut inner = shared.inner.lock().expect(POISONED);
@@ -238,52 +252,59 @@ impl ClusterCampaign {
         )
     }
 
-    /// Blocks until every shard completed, then assembles the result.
+    /// Blocks until every shard completed, then assembles the result:
+    /// [`Plan::Fixed`] on this executor.
     ///
     /// # Panics
     ///
     /// Panics if a worker submitted a divergent golden reference (the
     /// processes disagree on the simulation itself — never a matter of
     /// retrying) or if the merged runs do not cover the sample space.
-    pub fn wait(mut self) -> CampaignResult {
-        {
-            let shared = &self.shared;
-            let mut inner = shared.inner.lock().expect(POISONED);
-            while !inner.machine.is_settled() {
-                inner = shared.cv.wait(inner).expect(POISONED);
-            }
-        }
-        let machine = self.finish();
-        let outcome = machine.into_outcome();
-        if let Some(e) = outcome.error {
-            panic!("cluster campaign failed: {e}");
-        }
-        let golden = outcome.golden.expect("completed campaign has a golden ref");
-        let mut indexed: IndexedRuns = Vec::with_capacity(self.spec.samples as usize);
-        let mut worker_samples = Vec::with_capacity(outcome.results.len());
-        for runs in outcome.results {
-            assert!(!runs.is_empty(), "completed campaign has every shard");
-            worker_samples.push(runs.len());
-            for run in runs {
-                indexed.push((run.sample as usize, run.record, run.recorder));
-            }
-        }
-        if self.telemetry.is_none() {
-            worker_samples = Vec::new();
-        }
-        assemble_result(
-            self.profile,
-            &self.spec,
-            self.telemetry.as_ref(),
-            golden,
-            indexed,
-            worker_samples,
-            outcome.engine,
-        )
+    pub fn wait(self) -> CampaignResult {
+        let (profile, spec, telemetry) = (self.profile, self.spec, self.telemetry);
+        run_rounds(profile, &spec, &Plan::Fixed, telemetry.as_ref(), self)
     }
 }
 
-/// Starts serving one campaign cell to workers on loopback TCP.
+impl RoundExecutor for ClusterCampaign {
+    fn run_round(&mut self, strata: Option<&AdaptiveRoundWire>) -> IndexedRuns {
+        if !std::mem::take(&mut self.begun) {
+            self.begin_round(strata);
+        }
+        let shard_runs = self.wait_round().unwrap_or_else(|e| {
+            // Dismiss the workers before unwinding, or whoever joins
+            // them above us would block forever.
+            self.shutdown();
+            panic!("cluster campaign failed: {e}");
+        });
+        let total = strata.map_or(self.spec.samples, |r| r.alloc.iter().sum()) as usize;
+        let mut indexed: IndexedRuns = Vec::with_capacity(total);
+        for runs in shard_runs {
+            assert!(!runs.is_empty(), "completed round has every shard");
+            if self.telemetry.is_some() {
+                self.worker_samples.push(runs.len());
+            }
+            indexed.extend(
+                runs.into_iter()
+                    .map(|run| (run.sample as usize, run.record, run.recorder)),
+            );
+        }
+        sorted_cover(indexed, total)
+    }
+
+    fn finish(mut self) -> Execution {
+        let outcome = self.shutdown().into_outcome();
+        Execution {
+            golden: outcome.golden.expect("a settled round has a golden ref"),
+            engine: outcome.engine,
+            worker_samples: self.worker_samples,
+        }
+    }
+}
+
+/// Starts serving one fixed-count campaign cell to workers on loopback
+/// TCP; attach workers ([`run_worker`]) and
+/// [`wait`](ClusterCampaign::wait).
 ///
 /// # Panics
 ///
@@ -296,59 +317,37 @@ pub fn serve_campaign(
     telemetry: Option<&TelemetryConfig>,
     cfg: &CoordinatorConfig,
 ) -> io::Result<ClusterCampaign> {
-    serve_job(
-        profile,
-        spec,
-        telemetry,
-        cfg,
-        JobWire::from_spec(profile, spec, telemetry),
-        false,
-    )
-}
-
-/// Plans one round's shards from its sample count and the coordinator
-/// tuning — shared by [`serve_job`] (first round) and the adaptive
-/// runner (every later round), so all rounds shard identically.
-fn plan_job_shards(samples: u64, cfg: &CoordinatorConfig) -> Vec<crate::shard::Shard> {
-    let workers_hint = if cfg.workers_hint == 0 {
-        default_workers()
-    } else {
-        cfg.workers_hint
-    };
-    let shard_size = if cfg.shard_size == 0 {
-        auto_shard_size(samples, workers_hint)
-    } else {
-        cfg.shard_size
-    };
-    plan_shards(samples, shard_size)
-}
-
-/// [`serve_campaign`] generalized over the wire job: the adaptive
-/// runner serves each round as its own job (`spec.samples` pinned to
-/// the round total so shard planning and the assembly cover check
-/// address round indices). With `hold_workers` the machine parks idle
-/// workers between rounds instead of dismissing them
-/// ([`CoordMachine::hold_workers_between_rounds`]).
-fn serve_job(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-    cfg: &CoordinatorConfig,
-    job: JobWire,
-    hold_workers: bool,
-) -> io::Result<ClusterCampaign> {
-    check_campaign(profile, spec);
     assert!(
         spec.samples > 0,
         "an empty campaign has nothing to distribute"
     );
-    let shards = plan_job_shards(spec.samples, cfg);
+    // Nothing holds a worker that finds no round to work on, so the only
+    // round is dispatching before anyone can know the address.
+    let mut campaign = bind_campaign(profile, spec, telemetry, cfg, false)?;
+    campaign.begin_round(None);
+    campaign.begun = true;
+    Ok(campaign)
+}
 
-    let engine = match telemetry {
-        Some(tcfg) => Recorder::active(tcfg),
-        None => Recorder::null(),
-    };
-    let mut machine = CoordMachine::new(job, shards, cfg.lease, engine);
+/// Binds a coordinator for one cell with no round dispatching yet.
+/// With `hold_workers` the machine parks idle workers between rounds
+/// instead of dismissing them
+/// ([`CoordMachine::hold_workers_between_rounds`]), which also keeps
+/// the ones that connect before the first round.
+fn bind_campaign(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    telemetry: Option<&TelemetryConfig>,
+    cfg: &CoordinatorConfig,
+    hold_workers: bool,
+) -> io::Result<ClusterCampaign> {
+    check_campaign(profile, spec);
+    let mut machine = CoordMachine::new(
+        JobWire::default(),
+        Vec::new(),
+        cfg.lease,
+        recorder_for(telemetry),
+    );
     if hold_workers {
         machine.hold_workers_between_rounds();
     }
@@ -397,6 +396,9 @@ fn serve_job(
         profile,
         spec: *spec,
         telemetry: telemetry.copied(),
+        cfg: cfg.clone(),
+        begun: false,
+        worker_samples: Vec::new(),
     })
 }
 
@@ -558,24 +560,41 @@ impl ClusterConfig {
     }
 }
 
-/// Runs one campaign cell through the cluster: coordinator plus
-/// spawned workers, returning a [`CampaignResult`] byte-identical to
-/// [`run_campaign_with`] on the same spec.
+/// Runs one campaign cell through the cluster — `plan` on a
+/// [`ClusterCampaign`] with the configured workers attached — returning
+/// a [`CampaignResult`] byte-identical to the same plan on the
+/// in-process executor in records, counts, merged telemetry and
+/// adaptive summary (engine counters and `worker_samples` are
+/// execution telemetry and differ).
 ///
-/// Empty campaigns short-circuit to the in-process engine (there is
-/// nothing to distribute).
+/// Workers are spawned **once** and stay attached for the whole
+/// campaign: between the rounds of an adaptive plan the coordinator
+/// machine parks idle workers on their long-poll
+/// ([`CoordMachine::hold_workers_between_rounds`]) and
+/// [`CoordMachine::begin_round`] re-serves the same connections with
+/// the next round's job. Persistent workers keep their per-job
+/// derivation caches warm — one golden pass and one snapshot ladder
+/// per worker per campaign, not per round — and processes pay one exec
+/// total. Workers never see the policy, so no execution-layer detail
+/// can leak into the stopping decision.
+///
+/// An empty fixed-count campaign has nothing to distribute and runs in
+/// process.
 ///
 /// # Panics
 ///
-/// Panics on invalid specs, on worker-process spawn failures, and on
-/// cross-worker golden-reference divergence.
-pub fn run_campaign_cluster(
+/// Panics on invalid specs and policies, on worker-process spawn
+/// failures, on cross-worker golden-reference divergence and on
+/// round-accounting violations.
+pub fn run_cluster(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
+    plan: &Plan,
     telemetry: Option<&TelemetryConfig>,
     cfg: &ClusterConfig,
 ) -> CampaignResult {
-    if spec.samples == 0 {
+    let fixed = matches!(plan, Plan::Fixed);
+    if fixed && spec.samples == 0 {
         return run_campaign_with(profile, spec, telemetry);
     }
     let mut coord_cfg = cfg.coordinator.clone();
@@ -585,16 +604,47 @@ pub fn run_campaign_cluster(
             WorkerSpawn::Processes { count, .. } => *count,
         };
     }
-    let campaign =
-        serve_campaign(profile, spec, telemetry, &coord_cfg).expect("failed to bind coordinator");
-    drive_workers(campaign, &cfg.spawn)
+    // A fixed plan's round is out before the first worker connects; an
+    // adaptive plan's workers are held until the loop asks for one.
+    let campaign = if fixed {
+        serve_campaign(profile, spec, telemetry, &coord_cfg)
+    } else {
+        bind_campaign(profile, spec, telemetry, &coord_cfg, true)
+    }
+    .expect("failed to bind coordinator");
+    let addr = campaign.addr().to_string();
+    with_workers(&addr, &cfg.spawn, || {
+        run_rounds(profile, spec, plan, telemetry, campaign)
+    })
+}
+
+/// [`run_cluster`] under [`Plan::Fixed`]: byte-identical to
+/// [`run_campaign_with`] on the same spec.
+pub fn run_campaign_cluster(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    telemetry: Option<&TelemetryConfig>,
+    cfg: &ClusterConfig,
+) -> CampaignResult {
+    run_cluster(profile, spec, &Plan::Fixed, telemetry, cfg)
+}
+
+/// [`run_cluster`] under [`Plan::Adaptive`]: byte-identical to
+/// [`nestsim_core::adaptive::run_campaign_adaptive`] on the same spec
+/// and policy.
+pub fn run_campaign_adaptive_cluster(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    policy: &StopPolicy,
+    telemetry: Option<&TelemetryConfig>,
+    cfg: &ClusterConfig,
+) -> CampaignResult {
+    run_cluster(profile, spec, &Plan::Adaptive(*policy), telemetry, cfg)
 }
 
 /// Runs `body` with the configured workers attached to `addr`, then
-/// joins them — the shared worker-lifecycle envelope of the
-/// fixed-count and adaptive cluster runners. `body` must leave the
-/// coordinator shut down (workers dismissed) before returning, or the
-/// joins would block forever.
+/// joins them. `body` must leave the coordinator shut down (workers
+/// dismissed) before returning, or the joins would block forever.
 fn with_workers<R>(addr: &str, spawn: &WorkerSpawn, body: impl FnOnce() -> R) -> R {
     match spawn {
         WorkerSpawn::Threads(opts) => std::thread::scope(|scope| {
@@ -630,189 +680,5 @@ fn with_workers<R>(addr: &str, spawn: &WorkerSpawn, body: impl FnOnce() -> R) ->
             }
             result
         }
-    }
-}
-
-/// Spawns the configured workers against a served campaign and waits
-/// it out — the fixed-count runner's tail.
-fn drive_workers(campaign: ClusterCampaign, spawn: &WorkerSpawn) -> CampaignResult {
-    let addr = campaign.addr().to_string();
-    with_workers(&addr, spawn, || campaign.wait())
-}
-
-/// Runs one campaign cell adaptively through the cluster: the
-/// coordinator owns the pure decision state
-/// ([`nestsim_core::adaptive::AdaptiveState`]), serves each round as
-/// its own distributed job, and evaluates the stop rule **only on the
-/// merged round results** — workers never see the policy, so no
-/// execution-layer detail can leak into the stopping decision.
-///
-/// Byte-identical to
-/// [`nestsim_core::adaptive::run_campaign_adaptive`] on the same spec
-/// and policy in records, counts, merged telemetry, and the
-/// [`nestsim_core::adaptive::AdaptiveSummary`] (engine counters and
-/// `worker_samples` are execution telemetry and differ, as for the
-/// fixed-count engines): both drive the same `AdaptiveState` with the
-/// same merged tallies, and round records merge in the same canonical
-/// order.
-///
-/// Workers are spawned **once** and stay attached for the whole
-/// campaign: between rounds the coordinator machine parks idle workers
-/// on their long-poll ([`CoordMachine::hold_workers_between_rounds`])
-/// and [`CoordMachine::begin_round`] re-serves the same connections
-/// with the next round's job. Persistent workers keep their per-job
-/// derivation caches warm — one golden pass and one snapshot ladder
-/// per worker per campaign, not per round — and processes pay one exec
-/// total.
-///
-/// # Panics
-///
-/// Panics on invalid specs/policies and on round-accounting
-/// violations, like the in-process adaptive engine.
-pub fn run_campaign_adaptive_cluster(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    policy: &StopPolicy,
-    telemetry: Option<&TelemetryConfig>,
-    cfg: &ClusterConfig,
-) -> CampaignResult {
-    check_campaign(profile, spec);
-    let mut coord_cfg = cfg.coordinator.clone();
-    if coord_cfg.workers_hint == 0 {
-        coord_cfg.workers_hint = match &cfg.spawn {
-            WorkerSpawn::Threads(opts) => opts.len(),
-            WorkerSpawn::Processes { count, .. } => *count,
-        };
-    }
-
-    let mut state = AdaptiveState::new(spec.component, *policy);
-    let mut merged = match telemetry {
-        Some(tcfg) => Recorder::active(tcfg),
-        None => Recorder::null(),
-    };
-    let mut records = Vec::new();
-    let mut worker_samples = Vec::new();
-    let mut golden = None;
-    let mut alloc = state.initial_alloc();
-
-    // Serve the first round with held workers; later rounds reuse the
-    // same listener, connections, and worker caches via `begin_round`.
-    let mut round_total: u64 = alloc.iter().sum();
-    let first_job = JobWire::adaptive_round(
-        profile,
-        spec,
-        telemetry,
-        AdaptiveRoundWire {
-            start: state.done(),
-            alloc,
-        },
-    );
-    let first_spec = CampaignSpec {
-        samples: round_total,
-        ..*spec
-    };
-    let mut campaign = serve_job(profile, &first_spec, telemetry, &coord_cfg, first_job, true)
-        .expect("failed to bind coordinator");
-    let addr = campaign.addr().to_string();
-
-    let machine = with_workers(&addr, &cfg.spawn, || {
-        loop {
-            let (round_golden, shard_runs) = match campaign.wait_round() {
-                Ok(harvest) => harvest,
-                Err(e) => {
-                    // Dismiss the workers before unwinding, or the
-                    // worker joins above us would block forever.
-                    campaign.finish();
-                    panic!("cluster campaign failed: {e}");
-                }
-            };
-            let round_spec = CampaignSpec {
-                samples: round_total,
-                ..*spec
-            };
-            let mut indexed: IndexedRuns = Vec::with_capacity(round_total as usize);
-            let mut round_workers = Vec::with_capacity(shard_runs.len());
-            for runs in shard_runs {
-                assert!(!runs.is_empty(), "completed round has every shard");
-                round_workers.push(runs.len());
-                for run in runs {
-                    indexed.push((run.sample as usize, run.record, run.recorder));
-                }
-            }
-            if telemetry.is_none() {
-                round_workers = Vec::new();
-            }
-            // Per-round engine counters live in the coordinator
-            // machine for the campaign's lifetime; the round assembly
-            // gets a null engine so nothing is double-merged.
-            let r = assemble_result(
-                profile,
-                &round_spec,
-                telemetry,
-                round_golden,
-                indexed,
-                round_workers,
-                Recorder::null(),
-            );
-            assert!(
-                golden.replace(r.golden).is_none_or(|g| g == r.golden),
-                "adaptive rounds disagree on the golden reference"
-            );
-            // The round's canonical order is stratum-major, so the
-            // strata sequence is the expansion of the allocation.
-            let strata: Vec<Stratum> = Stratum::ALL
-                .iter()
-                .flat_map(|&s| std::iter::repeat_n(s, alloc[s.index()] as usize))
-                .collect();
-            let outcomes: Vec<(Stratum, nestsim_core::Outcome)> = strata
-                .iter()
-                .zip(&r.records)
-                .map(|(&s, rec)| (s, rec.outcome))
-                .collect();
-            state.absorb_round(&alloc, &outcomes);
-            records.extend(r.records);
-            merged.merge(&r.telemetry.merged);
-            worker_samples.extend(r.telemetry.worker_samples);
-            match state.decide() {
-                StopDecision::Stop { .. } => break,
-                StopDecision::Continue { next_round } => {
-                    alloc = state.alloc_for(next_round);
-                    round_total = alloc.iter().sum();
-                    let job = JobWire::adaptive_round(
-                        profile,
-                        spec,
-                        telemetry,
-                        AdaptiveRoundWire {
-                            start: state.done(),
-                            alloc,
-                        },
-                    );
-                    campaign.begin_round(job, plan_job_shards(round_total, &coord_cfg));
-                }
-            }
-        }
-        campaign.finish()
-    });
-    let outcome = machine.into_outcome();
-    if let Some(e) = outcome.error {
-        panic!("cluster campaign failed: {e}");
-    }
-    let mut engine = outcome.engine;
-
-    record_adaptive_engine_stats(&mut engine, &state);
-    let counts = *state.counts();
-    let summary = state.into_summary();
-    CampaignResult {
-        benchmark: profile.name,
-        component: spec.component,
-        counts,
-        records,
-        golden: golden.expect("at least one round ran"),
-        telemetry: CampaignTelemetry {
-            merged,
-            worker_samples,
-            engine,
-        },
-        adaptive: Some(summary),
     }
 }

@@ -26,9 +26,11 @@
 //!   simulator, which model-checks them across message delays, drops,
 //!   duplicates, and crash/restart schedules.
 //! * [`coordinator`] / [`worker`] — the TCP drivers around those
-//!   machines; [`coordinator::run_campaign_cluster`] wires them
-//!   together and returns a [`nestsim_core::campaign::CampaignResult`]
-//!   **byte-identical** to the in-process engine at any worker count,
+//!   machines. [`ClusterCampaign`] is the cluster's executor for the
+//!   one round loop of `nestsim_core::campaign`;
+//!   [`coordinator::run_cluster`] runs a plan on it with workers
+//!   attached and returns a [`nestsim_core::campaign::CampaignResult`]
+//!   **byte-identical** to the in-process executor at any worker count,
 //!   with or without injected worker crashes (locked by the
 //!   workspace-root cluster tests and the chaos tests in this crate).
 //!
@@ -57,8 +59,8 @@ pub mod worker_machine;
 
 pub use coord_machine::{CoordAction, CoordEvent, CoordMachine, CoordOutcome};
 pub use coordinator::{
-    run_campaign_adaptive_cluster, run_campaign_cluster, serve_campaign, ClusterCampaign,
-    ClusterConfig, CoordinatorConfig, WorkerSpawn,
+    run_campaign_adaptive_cluster, run_campaign_cluster, run_cluster, serve_campaign,
+    ClusterCampaign, ClusterConfig, CoordinatorConfig, WorkerSpawn,
 };
 pub use lease::{LeaseConfig, LeaseTable};
 pub use proto::{AdaptiveRoundWire, JobWire, Message, PROTOCOL_VERSION};

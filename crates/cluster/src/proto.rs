@@ -49,19 +49,12 @@ pub const PROTOCOL_VERSION: u16 = 4;
 
 /// One adaptive round, described for the wire: where each stratum's
 /// deterministic sample stream resumes and how many samples it
-/// contributes. Workers re-derive the round's injection specs from
-/// `(seed, benchmark, stratum, j)` exactly like the in-process
-/// adaptive engine (`nestsim_core::adaptive::draw_round`), so the
+/// contributes — the very value the round loop plans with. Workers
+/// re-derive the round's injection specs from `(seed, benchmark,
+/// stratum, j)` with `nestsim_core::adaptive::draw_round`, so the
 /// round's `samples` count equals `alloc` summed and shard planning is
 /// unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveRoundWire {
-    /// Per-stratum stream offsets (cumulative samples already drawn),
-    /// in `Stratum::ALL` order.
-    pub start: [u64; 3],
-    /// Per-stratum sample counts for this round.
-    pub alloc: [u64; 3],
-}
+pub use nestsim_core::adaptive::StratifiedRound as AdaptiveRoundWire;
 
 /// Everything a worker needs to reconstruct one campaign cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,19 +115,23 @@ impl JobWire {
         }
     }
 
-    /// Describes one adaptive round of `spec`: the same cell with
-    /// `samples` pinned to the round total and the round descriptor
-    /// attached.
-    pub fn adaptive_round(
+    /// Describes one round of `spec`: the fixed-count cell itself for
+    /// `None`, otherwise the same cell with `samples` pinned to the
+    /// round total and the round descriptor attached.
+    pub fn for_round(
         profile: &BenchProfile,
         spec: &CampaignSpec,
         telemetry: Option<&TelemetryConfig>,
-        round: AdaptiveRoundWire,
+        strata: Option<&AdaptiveRoundWire>,
     ) -> Self {
-        JobWire {
-            samples: round.alloc.iter().sum(),
-            adaptive: Some(round),
-            ..JobWire::from_spec(profile, spec, telemetry)
+        let job = JobWire::from_spec(profile, spec, telemetry);
+        match strata {
+            None => job,
+            Some(round) => JobWire {
+                samples: round.alloc.iter().sum(),
+                adaptive: Some(*round),
+                ..job
+            },
         }
     }
 

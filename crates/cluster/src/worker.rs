@@ -3,35 +3,35 @@
 //!
 //! All protocol decisions live in [`crate::worker_machine`]; this
 //! module only performs the actions the machine emits — write a
-//! frame and read the single reply, sleep, run one injection through
-//! [`ShardRunner`], crash — and feeds the outcomes back as events.
-//! The wire behaviour is therefore byte-identical to the historical
-//! hand-rolled loop (locked by the cluster end-to-end and chaos
-//! tests), while the very same machine is driven by the `crates/mck`
+//! frame and read the single reply, sleep, produce the run at one
+//! position of the shard, crash — and feeds the outcomes back as
+//! events. The very same machine is driven by the `crates/mck`
 //! simulator under a virtual clock.
 //!
+//! The machine asks for one position at a time, so `Executed` events,
+//! chaos options and heartbeats stay sample-granular; the driver
+//! answers from a small buffer it fills by running the whole
+//! same-trajectory group that starts at the position through
+//! [`ShardRunner::run_span`] — the shard executor the in-process
+//! engine uses, so a clustered cell shares restores, warm-ups and lane
+//! batches here as it does there. A group holds at most 64 samples,
+//! far inside a lease.
+//!
 //! A worker carries **no campaign state of its own** — everything it
-//! needs (golden reference, snapshot ladder, drawn samples, entry
-//! order) is recomputed from the [`crate::proto::JobWire`] seed, and
-//! determinism makes that recomputation bit-identical in every
-//! process. The expensive derivation is cached per job — and the
-//! golden/ladder half of it per *campaign* — so a worker that leases
-//! ten shards of one campaign pays for one golden pass, including
-//! across the rounds of a persistent-worker adaptive campaign.
+//! needs is the seed-derived pair every executor builds
+//! ([`CellBase`], [`Round`]), recomputed from the
+//! [`crate::proto::JobWire`], and determinism makes that recomputation
+//! bit-identical in every process. The round is cached per job and the
+//! base per *campaign*, so a worker that leases ten shards of one
+//! campaign pays for one golden pass, including across the rounds of a
+//! persistent-worker adaptive campaign.
 
 use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use nestsim_core::adaptive::draw_round;
-use nestsim_core::campaign::{
-    check_campaign, draw_samples, entry_cycle, entry_order, laddered_golden_reference,
-    CampaignSpec, ShardRunner,
-};
-use nestsim_core::inject::{GoldenRef, InjectionSpec};
-use nestsim_hlsim::SnapshotLadder;
-use nestsim_telemetry::TelemetryConfig;
+use nestsim_core::campaign::{CellBase, Round, ShardRunner};
 
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{JobWire, Message, RunWire};
@@ -39,20 +39,10 @@ use crate::worker_machine::{WorkerAction, WorkerEnd, WorkerEvent, WorkerMachine}
 
 pub use crate::worker_machine::{WorkerOptions, WorkerStats};
 
-/// The expensive seed-derived state every round of one campaign
-/// shares: the golden pass and the snapshot ladder. Keyed on the job
-/// with the round-varying fields (`samples`, `adaptive`) normalized
-/// out, so consecutive adaptive rounds on a persistent worker reuse
-/// one golden pass instead of repeating it per round.
-struct BaseState {
-    key: JobWire,
-    golden: GoldenRef,
-    ladder: SnapshotLadder,
-}
-
-/// The round-varying fields zeroed out of a [`BaseState`] cache key.
-/// Golden reference and ladder depend on neither (the in-process
-/// adaptive engine shares one ladder across all rounds the same way).
+/// The job with its round-varying fields (`samples`, `adaptive`)
+/// zeroed out: the key a [`CellBase`] is cached under. Golden reference
+/// and ladder depend on neither, so consecutive adaptive rounds on a
+/// persistent worker reuse one golden pass.
 fn base_key(job: &JobWire) -> JobWire {
     JobWire {
         samples: 0,
@@ -64,67 +54,34 @@ fn base_key(job: &JobWire) -> JobWire {
 /// The per-job derivation cache: everything recomputed from the seed.
 struct JobState {
     key: JobWire,
-    telemetry: Option<TelemetryConfig>,
-    base: BaseState,
-    samples: Vec<InjectionSpec>,
-    order: Vec<usize>,
+    base: CellBase,
+    round: Round,
 }
 
 impl JobState {
-    /// Builds the derivation for `job`, recycling `prev`'s golden and
-    /// ladder when the jobs differ only in their round (the persistent
-    /// adaptive worker's hot path).
+    /// Builds the derivation for `job`, recycling `prev`'s base when
+    /// the jobs differ only in their round (the persistent adaptive
+    /// worker's hot path). Shard positions address the round's entry
+    /// order, whichever plan drew it.
     fn build(job: &JobWire, prev: Option<JobState>) -> Result<JobState, String> {
         let profile = job.profile()?;
-        let spec: CampaignSpec = job.spec();
-        check_campaign(profile, &spec);
-        let bkey = base_key(job);
+        let spec = job.spec();
         let mut base = match prev {
-            Some(prev) if prev.base.key == bkey => prev.base,
-            _ => {
-                let (ladder, golden) = laddered_golden_reference(profile, &spec);
-                BaseState {
-                    key: bkey,
-                    golden,
-                    ladder,
-                }
-            }
+            Some(prev) if base_key(&prev.key) == base_key(job) => prev.base,
+            _ => CellBase::capture(profile, &spec),
         };
-        // An adaptive job is one round of a stratified campaign: the
-        // samples come from the per-stratum streams at the round's
-        // offsets, re-derived bit-identically to the coordinator's
-        // planner. Shard indices address the round's canonical order,
-        // so everything downstream is unchanged.
-        let samples = match &job.adaptive {
-            Some(round) => {
-                let (specs, _strata) =
-                    draw_round(profile, &spec, &base.golden, &round.start, &round.alloc);
-                if specs.len() as u64 != job.samples {
-                    return Err(format!(
-                        "adaptive round allocates {} samples but the job says {}",
-                        specs.len(),
-                        job.samples
-                    ));
-                }
-                specs
-            }
-            None => draw_samples(profile, &spec, &base.golden),
-        };
-        let order = entry_order(&samples);
-        if job.adaptive.is_none() {
-            // Rungs above the last entry point can never be restored
-            // from; drop them for memory. Adaptive rounds keep the full
-            // ladder — a later round may enter later than this one, and
-            // unused rungs change no result either way.
-            let max_entry = order.last().map_or(0, |&i| entry_cycle(&samples[i]));
-            base.ladder.truncate_above(max_entry);
+        let round = base.draw(profile, &spec, job.adaptive.as_ref());
+        if round.samples.len() as u64 != job.samples {
+            return Err(format!(
+                "the round draws {} samples but the job says {}",
+                round.samples.len(),
+                job.samples
+            ));
         }
         Ok(JobState {
             key: job.clone(),
-            telemetry: job.telemetry_config(),
             base,
-            samples,
-            order,
+            round,
         })
     }
 }
@@ -219,23 +176,24 @@ fn run_assignment(
     start: &Instant,
     pending: &mut VecDeque<WorkerAction>,
 ) -> io::Result<()> {
-    let shard_id = machine
+    let shard = machine
         .current_shard()
         .expect("Execute implies an active assignment");
-    // The cluster worker runs samples one at a time (run_one, not
-    // run_span) so heartbeats stay sample-granular; the wire lane
-    // width still configures the runner for forward compatibility.
+    let telemetry = state.key.telemetry_config();
     let mut runner = ShardRunner::new(
         &state.base.ladder,
-        &state.samples,
+        &state.round.samples,
         &state.base.golden,
-        state.telemetry.as_ref(),
+        telemetry.as_ref(),
         state.key.lane_width as usize,
     );
+    // Finished runs of the group the last `Execute` started, in
+    // position order; dropped with the runner if the shard is abandoned.
+    let mut ready = VecDeque::new();
     let mut local: VecDeque<WorkerAction> = VecDeque::new();
     local.push_back(WorkerAction::Execute { pos: first_pos });
     loop {
-        if machine.current_shard() != Some(shard_id) {
+        if machine.current_shard() != Some(shard) {
             // The machine left the shard; whatever it asked for next
             // belongs to the outer loop (and a fresh runner, if it is
             // another shard).
@@ -247,8 +205,13 @@ fn run_assignment(
         };
         match act {
             WorkerAction::Execute { pos } => {
-                let sample = state.order[pos as usize];
-                let (record, recorder) = runner.run_one(sample);
+                if ready.is_empty() {
+                    let span = &state.round.order[pos as usize..shard.range().end as usize];
+                    ready.extend(runner.run_group(span));
+                }
+                let (sample, record, recorder) =
+                    ready.pop_front().expect("a group holds its first sample");
+                debug_assert_eq!(sample, state.round.order[pos as usize]);
                 let run = RunWire {
                     sample: sample as u64,
                     record,

@@ -216,12 +216,12 @@ impl WorkerMachine {
         self.assignment.as_ref().map(|a| &a.job)
     }
 
-    /// The shard id of the active assignment, if a shard is in flight.
-    /// Stays `Some` from `Assign` until the shard is submitted (acked),
+    /// The shard of the active assignment, if one is in flight. Stays
+    /// `Some` from `Assign` until the shard is submitted (acked),
     /// abandoned, stalled, or crashed — the driver scopes one
     /// `ShardRunner` to this window.
-    pub fn current_shard(&self) -> Option<u32> {
-        self.assignment.as_ref().map(|a| a.shard.id)
+    pub fn current_shard(&self) -> Option<Shard> {
+        self.assignment.as_ref().map(|a| a.shard)
     }
 
     /// Advance the machine by one event at time `now` (milliseconds on

@@ -1,11 +1,14 @@
 //! Round-based adaptive campaigns: sequential stopping with stratified
 //! allocation.
 //!
-//! The fixed-count engine ([`crate::campaign::run_campaign_with`]) runs
-//! the a-priori sample budget to the end; this engine runs the same
-//! injections in **rounds** and stops as soon as every outcome
-//! category's Wilson interval reaches the target half-width
-//! ([`nestsim_stats::stop`]). Each round's samples are allocated across
+//! [`Plan::Fixed`] runs the a-priori sample budget to the end in one
+//! round; [`Plan::Adaptive`] runs the same injections in **rounds** and
+//! stops as soon as every outcome category's Wilson interval reaches
+//! the target half-width ([`nestsim_stats::stop`]). This module holds
+//! what the adaptive plan adds to the one round loop
+//! ([`crate::campaign::run_rounds`]): the stratified draw
+//! ([`draw_round`]) and the decision state ([`AdaptiveState`]); it
+//! executes nothing. Each round's samples are allocated across
 //! the component's flop **strata** — address, control, datapath, the
 //! partition [`Stratum`] reads off the declared field names — with
 //! later rounds steered toward the strata whose erroneous rates carry
@@ -25,12 +28,12 @@
 //!   [`InjectionSpec`]s, and hence bit-identical records (the prefix
 //!   property the accounting tests lock).
 //! * **The stop/steer decisions** ([`AdaptiveState`]) see only merged
-//!   [`OutcomeCounts`]; the cluster coordinator evaluates them on
-//!   merged round submissions and reaches the identical verdict the
-//!   in-process engine reaches.
+//!   outcomes, and one loop asks for them whichever executor ran the
+//!   round, so every executor stops on the same round.
 //! * **Round order is canonical**: stratum-major
-//!   ([`Stratum::ALL`] order), ascending `j`; the final record list is
-//!   the concatenation of rounds.
+//!   ([`Stratum::ALL`] order), ascending `j` — a sample's stratum is
+//!   read off the allocation, never carried beside it; the final
+//!   record list is the concatenation of rounds.
 //!
 //! # Estimates under non-proportional allocation
 //!
@@ -48,14 +51,13 @@ use nestsim_models::fields::Stratum;
 use nestsim_stats::ci::Proportion;
 use nestsim_stats::stop::{StopDecision, StopPolicy};
 use nestsim_stats::SeedSeq;
-use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
+use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::campaign::{
-    check_campaign, component_flops, contiguous_shards, default_workers, entry_order,
-    injection_window, instances_of, laddered_golden_reference, validate_window, CampaignResult,
-    CampaignSpec, IndexedRuns, ShardRunner,
+    checked_window, component_flops, draw_stream, run_rounds, CampaignResult, CampaignSpec,
+    LadderExecutor, Plan,
 };
-use crate::inject::{GoldenRef, InjectionSpec, MIN_WARMUP};
+use crate::inject::{GoldenRef, InjectionSpec};
 use crate::outcome::{Outcome, OutcomeCounts};
 
 /// Number of strata (`Stratum::ALL.len()`, fixed).
@@ -85,6 +87,17 @@ pub fn stratum_bits(component: nestsim_models::ComponentKind) -> [Vec<usize>; NU
         out[s.index()].push(b);
     }
     out
+}
+
+/// Which samples one stratified round holds: for each stratum (in
+/// [`Stratum::ALL`] order) samples `start .. start + alloc` of its
+/// stream. On the cluster wire as `AdaptiveRoundWire`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StratifiedRound {
+    /// Per-stratum stream offsets (cumulative samples already drawn).
+    pub start: [u64; NUM_STRATA],
+    /// Per-stratum sample counts for this round.
+    pub alloc: [u64; NUM_STRATA],
 }
 
 /// One round of the allocation trace.
@@ -146,12 +159,10 @@ impl AdaptiveSummary {
     }
 }
 
-/// The pure decision core shared by every adaptive execution layer:
-/// absorbs merged round tallies, answers "stop or continue" and "how
-/// to allocate the next round". Identical inputs produce identical
-/// decisions in every process — the cluster coordinator and the
-/// in-process engine run byte-identical campaigns because they run
-/// this same state machine on the same merged counts.
+/// The pure decision core of [`Plan::Adaptive`]: absorbs merged round
+/// outcomes, answers "stop or continue" and "how to allocate the next
+/// round". Identical inputs produce identical decisions, so a campaign
+/// is byte-identical on every executor.
 #[derive(Debug, Clone)]
 pub struct AdaptiveState {
     policy: StopPolicy,
@@ -193,15 +204,13 @@ impl AdaptiveState {
         }
     }
 
-    /// The policy this campaign runs under.
-    pub fn policy(&self) -> &StopPolicy {
-        &self.policy
-    }
-
-    /// Cumulative samples drawn per stratum — the `start` for the next
-    /// [`draw_round`].
-    pub fn done(&self) -> [u64; NUM_STRATA] {
-        self.done
+    /// The next round under allocation `alloc`: it starts where the
+    /// samples drawn so far end.
+    pub fn round(&self, alloc: [u64; NUM_STRATA]) -> StratifiedRound {
+        StratifiedRound {
+            start: self.done,
+            alloc,
+        }
     }
 
     /// Round 0's allocation: proportional to stratum population shares
@@ -216,35 +225,33 @@ impl AdaptiveState {
         apportion(total, &self.weights, &self.nonempty)
     }
 
-    /// Merges one completed round: its allocation and each sample's
-    /// (stratum, outcome), in canonical round order.
+    /// Merges one completed round: its allocation and its outcomes in
+    /// canonical round order, which is stratum-major — the first
+    /// `alloc[0]` outcomes belong to the first stratum, and so on.
     ///
     /// # Panics
     ///
-    /// Panics if the outcome list does not match the allocation — a
+    /// Panics if the outcome count does not match the allocation — a
     /// dropped or duplicated sample upstream must not be absorbed into
     /// the decision state.
-    pub fn absorb_round(&mut self, alloc: &[u64; NUM_STRATA], outcomes: &[(Stratum, Outcome)]) {
-        let total: u64 = alloc.iter().sum();
-        assert_eq!(
-            total,
-            outcomes.len() as u64,
-            "round outcomes must cover the allocation exactly"
-        );
-        let mut seen = [0u64; NUM_STRATA];
-        for &(s, o) in outcomes {
-            seen[s.index()] += 1;
-            self.counts.record(o);
-            self.stratum_counts[s.index()].record(o);
-        }
-        assert_eq!(
-            &seen, alloc,
-            "round outcomes must match the per-stratum allocation"
-        );
-        for (done, n) in self.done.iter_mut().zip(alloc) {
+    pub fn absorb_round(
+        &mut self,
+        alloc: &[u64; NUM_STRATA],
+        outcomes: impl IntoIterator<Item = Outcome>,
+    ) {
+        const SHORT: &str = "round outcomes must cover the allocation exactly";
+        let mut outcomes = outcomes.into_iter();
+        let strata = self.stratum_counts.iter_mut().zip(&mut self.done);
+        for ((tally, done), &n) in strata.zip(alloc) {
+            for _ in 0..n {
+                let o = outcomes.next().expect(SHORT);
+                self.counts.record(o);
+                tally.record(o);
+            }
             *done += n;
         }
-        self.samples_run += total;
+        assert!(outcomes.next().is_none(), "{SHORT}");
+        self.samples_run += alloc.iter().sum::<u64>();
         let worst = self
             .categories()
             .iter()
@@ -316,6 +323,20 @@ impl AdaptiveState {
         apportion(total, &v, &self.nonempty)
     }
 
+    /// Counts the campaign-level adaptive telemetry into the engine
+    /// recorder.
+    pub(crate) fn publish(&self, engine: &mut Recorder) {
+        engine.count(names::ADAPTIVE_ROUNDS, self.trace.len() as u64);
+        engine.count(names::ADAPTIVE_SAMPLES, self.samples_run);
+        engine.count(
+            names::ADAPTIVE_SAMPLES_SAVED,
+            self.policy.max_samples.saturating_sub(self.samples_run),
+        );
+        engine.count(names::ADAPTIVE_ALLOC_ADDRESS, self.done[0]);
+        engine.count(names::ADAPTIVE_ALLOC_CONTROL, self.done[1]);
+        engine.count(names::ADAPTIVE_ALLOC_DATA, self.done[2]);
+    }
+
     /// Finalizes the campaign-level summary.
     pub fn into_summary(self) -> AdaptiveSummary {
         AdaptiveSummary {
@@ -327,11 +348,6 @@ impl AdaptiveState {
             stratum_counts: self.stratum_counts,
             budget_exhausted: self.budget_exhausted,
         }
-    }
-
-    /// Merged outcome tallies so far.
-    pub fn counts(&self) -> &OutcomeCounts {
-        &self.counts
     }
 }
 
@@ -397,8 +413,7 @@ fn apportion(
 
 /// Draws one round of samples: for each stratum `s` (in
 /// [`Stratum::ALL`] order), samples `start[s] .. start[s] + alloc[s]`
-/// of its deterministic per-stratum stream. Returns the specs in
-/// canonical round order plus each sample's stratum.
+/// of its deterministic per-stratum stream, in canonical round order.
 ///
 /// Sample `(s, j)` is a pure function of `(seed, benchmark, s, j)` —
 /// independent of round boundaries, CI targets, worker counts, and
@@ -408,133 +423,40 @@ fn apportion(
 ///
 /// # Panics
 ///
-/// Panics if [`validate_window`] rejects the cell, like
-/// [`crate::campaign::draw_samples`].
+/// Panics if [`crate::campaign::validate_window`] rejects the cell, or
+/// if the round allocates samples to a stratum without bits.
 pub fn draw_round(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
     golden: &GoldenRef,
-    start: &[u64; NUM_STRATA],
-    alloc: &[u64; NUM_STRATA],
-) -> (Vec<InjectionSpec>, Vec<Stratum>) {
-    if let Err(e) = validate_window(spec.component, profile, golden) {
-        panic!("invalid campaign cell: {e}");
-    }
+    round: &StratifiedRound,
+) -> Vec<InjectionSpec> {
+    let window = checked_window(profile, spec, golden);
     let bits = stratum_bits(spec.component);
-    let instances = instances_of(spec.component);
-    let (lo, hi) = injection_window(spec.component, profile, golden);
     let root = SeedSeq::new(spec.seed)
         .derive("adaptive")
         .derive(profile.name);
-    let cluster = spec.lane_cluster.max(1);
-    let total: u64 = alloc.iter().sum();
-    let mut specs = Vec::with_capacity(total as usize);
-    let mut strata = Vec::with_capacity(total as usize);
+    let mut specs = Vec::with_capacity(round.alloc.iter().sum::<u64>() as usize);
     for s in Stratum::ALL {
-        let sbits = &bits[s.index()];
-        let a = alloc[s.index()];
+        let (start, a) = (round.start[s.index()], round.alloc[s.index()]);
         assert!(
-            a == 0 || !sbits.is_empty(),
+            a == 0 || !bits[s.index()].is_empty(),
             "allocated {a} samples to empty stratum {s}"
         );
-        let sroot = root.derive(s.label());
-        for j in start[s.index()]..start[s.index()] + a {
-            let mut rng = sroot.derive_index(j).rng();
-            let mut sp = InjectionSpec {
-                component: spec.component,
-                instance: rng.below(instances as u64) as usize,
-                bit: *rng.pick(sbits),
-                inject_cycle: rng.range(lo, hi),
-                warmup: MIN_WARMUP + rng.below(1_000),
-                cosim_cap: spec.cosim_cap,
-                check_interval: spec.check_interval,
-            };
-            let leader = j - j % cluster;
-            if leader != j {
-                // Adopt the leader's trajectory (same replay idiom as
-                // draw_samples), keeping this sample's own bit.
-                let mut lrng = sroot.derive_index(leader).rng();
-                sp.instance = lrng.below(instances as u64) as usize;
-                let _ = lrng.pick(sbits);
-                sp.inject_cycle = lrng.range(lo, hi);
-                sp.warmup = MIN_WARMUP + lrng.below(1_000);
-            }
-            specs.push(sp);
-            strata.push(s);
-        }
-    }
-    (specs, strata)
-}
-
-/// Runs one materialized round on the snapshot ladder with the
-/// standard shard layout, returning per-round-index runs sorted and
-/// exact-cover-checked — the in-process analogue of one cluster round.
-pub fn run_round_on_ladder(
-    ladder: &nestsim_hlsim::SnapshotLadder,
-    samples: &[InjectionSpec],
-    golden: &GoldenRef,
-    telemetry: Option<&TelemetryConfig>,
-    spec: &CampaignSpec,
-    engine: &mut Recorder,
-    worker_samples: &mut Vec<usize>,
-) -> IndexedRuns {
-    let order = entry_order(samples);
-    let workers = if spec.workers == 0 {
-        default_workers()
-    } else {
-        spec.workers
-    }
-    .min(order.len().max(1));
-    let shards = contiguous_shards(&order, workers);
-    if telemetry.is_some() {
-        worker_samples.extend(shards.iter().map(Vec::len));
-    }
-    type WorkerOut = (IndexedRuns, u64, u64, crate::lanes::LaneBatchStats);
-    let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut runner = ShardRunner::new(
-                        ladder,
-                        samples,
-                        golden,
-                        telemetry,
-                        spec.lane_width as usize,
-                    );
-                    let out = runner.run_span(shard);
-                    (
-                        out,
-                        runner.forward_cycles(),
-                        runner.restores(),
-                        runner.lane_stats(),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("adaptive round worker panicked"))
-            .collect()
-    });
-    let mut indexed: IndexedRuns = Vec::with_capacity(samples.len());
-    for (out, forward, restores, lanes) in per_worker {
-        engine.count(names::FORWARD_CYCLES, forward);
-        engine.count(names::LADDER_RESTORES, restores);
-        lanes.publish(engine);
-        indexed.extend(out);
-    }
-    indexed.sort_by_key(|(i, _, _)| *i);
-    for (k, (i, _, _)) in indexed.iter().enumerate() {
-        assert_eq!(
-            k, *i,
-            "round runs must cover every round index exactly once"
+        draw_stream(
+            spec,
+            &root.derive(s.label()),
+            &bits[s.index()],
+            window,
+            start..start + a,
+            &mut specs,
         );
     }
-    indexed
+    specs
 }
 
-/// Runs one campaign cell adaptively, in process: rounds of stratified
+/// Runs one campaign cell adaptively, in process:
+/// [`Plan::Adaptive`] on a [`LadderExecutor`] — rounds of stratified
 /// samples on one shared snapshot ladder until the stop rule is
 /// satisfied (or the budget runs out). `spec.samples` is ignored — the
 /// policy's budget governs.
@@ -546,92 +468,17 @@ pub fn run_round_on_ladder(
 ///
 /// # Panics
 ///
-/// Panics on invalid specs/policies ([`check_campaign`],
-/// [`StopPolicy::validate`]) and on round-accounting violations.
+/// Panics on invalid specs/policies
+/// ([`crate::campaign::check_campaign`], [`StopPolicy::validate`]) and
+/// on round-accounting violations.
 pub fn run_campaign_adaptive(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
     policy: &StopPolicy,
     telemetry: Option<&TelemetryConfig>,
 ) -> CampaignResult {
-    check_campaign(profile, spec);
-    let (ladder, golden) = laddered_golden_reference(profile, spec);
-    let mut engine = match telemetry {
-        Some(cfg) => Recorder::active(cfg),
-        None => Recorder::null(),
-    };
-    engine.count(names::LADDER_RUNGS, ladder.len() as u64);
-    if engine.is_active() {
-        for cost in ladder.rung_costs() {
-            engine.record_hist(names::H_LADDER_RUNG_DRAM_LINES, cost.dram_lines as u64);
-            engine.record_hist(
-                names::H_LADDER_RUNG_RESIDENT_LINES,
-                cost.resident_l2_lines as u64,
-            );
-        }
-    }
-
-    let mut state = AdaptiveState::new(spec.component, *policy);
-    let mut merged = match telemetry {
-        Some(cfg) => Recorder::active(cfg),
-        None => Recorder::null(),
-    };
-    let mut records = Vec::new();
-    let mut worker_samples = Vec::new();
-    let mut alloc = state.initial_alloc();
-    loop {
-        let (samples, strata) = draw_round(profile, spec, &golden, &state.done(), &alloc);
-        let indexed = run_round_on_ladder(
-            &ladder,
-            &samples,
-            &golden,
-            telemetry,
-            spec,
-            &mut engine,
-            &mut worker_samples,
-        );
-        let mut outcomes = Vec::with_capacity(indexed.len());
-        for (i, record, rec) in indexed {
-            outcomes.push((strata[i], record.outcome));
-            merged.merge(&rec);
-            records.push(record);
-        }
-        state.absorb_round(&alloc, &outcomes);
-        match state.decide() {
-            StopDecision::Stop { .. } => break,
-            StopDecision::Continue { next_round } => alloc = state.alloc_for(next_round),
-        }
-    }
-
-    record_adaptive_engine_stats(&mut engine, &state);
-    let counts = *state.counts();
-    let summary = state.into_summary();
-    CampaignResult {
-        benchmark: profile.name,
-        component: spec.component,
-        counts,
-        records,
-        golden,
-        telemetry: CampaignTelemetry {
-            merged,
-            worker_samples,
-            engine,
-        },
-        adaptive: Some(summary),
-    }
-}
-
-/// Counts the adaptive engine's campaign-level telemetry.
-pub fn record_adaptive_engine_stats(engine: &mut Recorder, state: &AdaptiveState) {
-    engine.count(names::ADAPTIVE_ROUNDS, state.trace.len() as u64);
-    engine.count(names::ADAPTIVE_SAMPLES, state.samples_run);
-    engine.count(
-        names::ADAPTIVE_SAMPLES_SAVED,
-        state.policy.max_samples.saturating_sub(state.samples_run),
-    );
-    engine.count(names::ADAPTIVE_ALLOC_ADDRESS, state.done[0]);
-    engine.count(names::ADAPTIVE_ALLOC_CONTROL, state.done[1]);
-    engine.count(names::ADAPTIVE_ALLOC_DATA, state.done[2]);
+    let executor = LadderExecutor::new(profile, spec, telemetry);
+    run_rounds(profile, spec, &Plan::Adaptive(*policy), telemetry, executor)
 }
 
 #[cfg(test)]
@@ -692,9 +539,11 @@ mod tests {
         let profile = by_name("radi").unwrap();
         let spec = CampaignSpec::quick(ComponentKind::L2c, 0);
         let (_, golden) = crate::campaign::golden_reference(profile, &spec);
-        let (one, _) = draw_round(profile, &spec, &golden, &[0, 0, 0], &[6, 6, 6]);
-        let (a, _) = draw_round(profile, &spec, &golden, &[0, 0, 0], &[2, 4, 1]);
-        let (b, _) = draw_round(profile, &spec, &golden, &[2, 4, 1], &[4, 2, 5]);
+        let draw =
+            |start, alloc| draw_round(profile, &spec, &golden, &StratifiedRound { start, alloc });
+        let one = draw([0, 0, 0], [6, 6, 6]);
+        let a = draw([0, 0, 0], [2, 4, 1]);
+        let b = draw([2, 4, 1], [4, 2, 5]);
         // Reassemble per-stratum streams from the two-round split.
         let split: Vec<_> = [
             &a[0..2],  // address 0..2
@@ -714,20 +563,23 @@ mod tests {
         let spec = CampaignSpec::quick(ComponentKind::L2c, 0);
         let (_, golden) = crate::campaign::golden_reference(profile, &spec);
         let bits = stratum_bits(ComponentKind::L2c);
-        let (specs, strata) = draw_round(profile, &spec, &golden, &[0, 0, 0], &[5, 5, 5]);
-        assert_eq!(specs.len(), 15);
-        for (sp, s) in specs.iter().zip(&strata) {
+        let round = StratifiedRound {
+            start: [0, 0, 0],
+            alloc: [5, 4, 3],
+        };
+        let specs = draw_round(profile, &spec, &golden, &round);
+        assert_eq!(specs.len(), 12);
+        // Canonical round order: stratum-major in Stratum::ALL order.
+        let strata = Stratum::ALL
+            .into_iter()
+            .flat_map(|s| std::iter::repeat_n(s, round.alloc[s.index()] as usize));
+        for (sp, s) in specs.iter().zip(strata) {
             assert!(
                 bits[s.index()].contains(&sp.bit),
                 "bit {} not in stratum {s}",
                 sp.bit
             );
         }
-        // Canonical round order: stratum-major in Stratum::ALL order.
-        let labels: Vec<_> = strata.iter().map(|s| s.index()).collect();
-        let mut sorted = labels.clone();
-        sorted.sort_unstable();
-        assert_eq!(labels, sorted);
     }
 
     #[test]
@@ -736,12 +588,12 @@ mod tests {
         let mut spec = CampaignSpec::quick(ComponentKind::L2c, 0);
         spec.lane_cluster = 4;
         let (_, golden) = crate::campaign::golden_reference(profile, &spec);
-        let (specs, strata) = draw_round(profile, &spec, &golden, &[0, 0, 0], &[8, 8, 8]);
-        let mut per_stratum: [Vec<&InjectionSpec>; NUM_STRATA] = Default::default();
-        for (sp, s) in specs.iter().zip(&strata) {
-            per_stratum[s.index()].push(sp);
-        }
-        for group in &per_stratum {
+        let round = StratifiedRound {
+            start: [0, 0, 0],
+            alloc: [8, 8, 8],
+        };
+        let specs = draw_round(profile, &spec, &golden, &round);
+        for group in specs.chunks(8) {
             for (j, sp) in group.iter().enumerate() {
                 let leader = group[j - j % 4];
                 assert_eq!(sp.instance, leader.instance);
@@ -763,11 +615,8 @@ mod tests {
         let mut rounds = 0;
         let mut alloc = alloc;
         loop {
-            let outcomes: Vec<_> = Stratum::ALL
-                .iter()
-                .flat_map(|&s| (0..alloc[s.index()]).map(move |_| (s, Outcome::Vanished)))
-                .collect();
-            st.absorb_round(&alloc, &outcomes);
+            let total = alloc.iter().sum::<u64>() as usize;
+            st.absorb_round(&alloc, std::iter::repeat_n(Outcome::Vanished, total));
             rounds += 1;
             match st.decide() {
                 StopDecision::Stop { .. } => break,
@@ -789,18 +638,15 @@ mod tests {
     #[should_panic(expected = "cover the allocation exactly")]
     fn absorb_round_rejects_short_rounds() {
         let mut st = AdaptiveState::new(ComponentKind::L2c, quick_policy());
-        st.absorb_round(&[2, 0, 0], &[(Stratum::Address, Outcome::Vanished)]);
+        st.absorb_round(&[2, 0, 0], [Outcome::Vanished]);
     }
 
     #[test]
     fn summary_identities_cover_every_sample_once() {
         let mut st = AdaptiveState::new(ComponentKind::L2c, quick_policy());
         for alloc in [[3u64, 2, 1], [1, 4, 2]] {
-            let outcomes: Vec<_> = Stratum::ALL
-                .iter()
-                .flat_map(|&s| (0..alloc[s.index()]).map(move |_| (s, Outcome::Vanished)))
-                .collect();
-            st.absorb_round(&alloc, &outcomes);
+            let total = alloc.iter().sum::<u64>() as usize;
+            st.absorb_round(&alloc, std::iter::repeat_n(Outcome::Vanished, total));
         }
         let ids = st.clone().into_summary().sample_identities();
         assert_eq!(ids.len(), 13);

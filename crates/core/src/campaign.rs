@@ -1,14 +1,24 @@
 //! Seeded, shardable error-injection campaigns (the Sec. 3 study).
 //!
-//! A campaign is one (component × benchmark) cell of Fig. 3: `samples`
-//! independent injection runs, each with a randomly selected injection
-//! cycle, target flip-flop, instance, and warm-up length — all derived
-//! from a single campaign seed, so results are bit-reproducible and can
-//! be sharded across worker threads without coordination.
+//! A campaign is one (component × benchmark) cell of Fig. 3: injection
+//! runs, each with a randomly selected injection cycle, target
+//! flip-flop, instance, and warm-up length — all derived from a single
+//! campaign seed, so results are bit-reproducible and can be sharded
+//! across worker threads or processes without coordination.
+//!
+//! Every way of running a cell is **a plan of rounds run by an
+//! executor** through one loop, [`run_rounds`]: the [`Plan`] says which
+//! rounds there are (one of `spec.samples` runs, or stratified rounds
+//! until the stop rule of [`crate::adaptive`] is met), the
+//! [`RoundExecutor`] runs a round and hands back its runs
+//! ([`LadderExecutor`] on threads here,
+//! `nestsim_cluster::ClusterCampaign` on worker processes). Both
+//! executors build the same seed-derived pair — the [`CellBase`] and
+//! each [`Round`] — and run shards through [`ShardRunner::run_span`].
 //!
 //! Forward simulation is amortised with the paper's snapshot ladder
 //! (Sec. 2.2: snapshots every 2M cycles, [`DEFAULT_SNAPSHOT_INTERVAL`]
-//! at the DESIGN.md cycle scale): the golden reference pass records
+//! at the DESIGN.md cycle scale): the golden pass records
 //! clone-snapshots every `snapshot_interval` cycles, workers take
 //! contiguous entry-cycle ranges of the sorted samples, and each
 //! injection starts from the nearest rung at or below its entry point
@@ -16,19 +26,22 @@
 //! restore-from-rung bit-identical to replay-from-zero, so records,
 //! counts, and merged telemetry are byte-identical for any worker
 //! count and any snapshot interval — locked by the equivalence tests
-//! against [`run_campaign_replay`], the pre-ladder reference engine.
+//! against [`run_campaign_replay`], the independent reference that
+//! shares none of this (interleaved shards, no ladder, no grouping).
 
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_hlsim::{RunResult, SnapshotLadder, System, SystemConfig};
 use nestsim_models::{inventory, Ccx, ComponentKind, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, McuId};
+use nestsim_stats::stop::{StopDecision, StopPolicy};
 use nestsim_stats::SeedSeq;
 use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
 
+use crate::adaptive::{draw_round, AdaptiveState, StratifiedRound};
 use crate::inject::{
-    finish_group, run_injection_with, warm_component, GoldenRef, InjectionRecord, InjectionSpec,
-    DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
+    finish_group, recorder_for, run_injection_with, warm_component, GoldenRef, InjectionRecord,
+    InjectionSpec, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
 use crate::outcome::OutcomeCounts;
 
@@ -197,6 +210,30 @@ pub fn instances_of(component: ComponentKind) -> usize {
     inventory::table4_for(component).instances
 }
 
+/// The pristine system of a campaign cell, at cycle 0.
+fn base_system(profile: &'static BenchProfile, spec: &CampaignSpec) -> System {
+    System::new(SystemConfig {
+        seed: spec.seed,
+        length_scale: spec.length_scale,
+        ..SystemConfig::new(profile)
+    })
+}
+
+/// The golden reference a completed error-free run leaves.
+///
+/// # Panics
+///
+/// Panics if the run did not complete (a workload bug).
+fn golden_of(profile: &BenchProfile, result: RunResult) -> GoldenRef {
+    match result {
+        RunResult::Completed { digest, cycles } => GoldenRef { digest, cycles },
+        other => panic!(
+            "error-free run of {} did not complete: {other:?}",
+            profile.name
+        ),
+    }
+}
+
 /// Runs the error-free reference execution for a campaign cell and
 /// returns the pristine base system plus the golden reference.
 ///
@@ -207,20 +244,9 @@ pub fn golden_reference(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
 ) -> (System, GoldenRef) {
-    let cfg = SystemConfig {
-        seed: spec.seed,
-        length_scale: spec.length_scale,
-        ..SystemConfig::new(profile)
-    };
-    let base = System::new(cfg);
-    let mut run = base.clone();
-    match run.run_to_end() {
-        RunResult::Completed { digest, cycles } => (base, GoldenRef { digest, cycles }),
-        other => panic!(
-            "error-free run of {} did not complete: {other:?}",
-            profile.name
-        ),
-    }
+    let base = base_system(profile, spec);
+    let golden = golden_of(profile, base.clone().run_to_end());
+    (base, golden)
 }
 
 /// The window of cycles injection points are sampled from.
@@ -278,8 +304,26 @@ pub fn validate_window(
     Ok(())
 }
 
-/// Draws the injection specs for a campaign (deterministic in the
-/// campaign seed).
+/// The injection window of a cell, checked by [`validate_window`].
+///
+/// # Panics
+///
+/// Panics if the window is empty — sampling from it would silently
+/// classify every run as Vanished.
+pub(crate) fn checked_window(
+    profile: &BenchProfile,
+    spec: &CampaignSpec,
+    golden: &GoldenRef,
+) -> (u64, u64) {
+    if let Err(e) = validate_window(spec.component, profile, golden) {
+        panic!("invalid campaign cell: {e}");
+    }
+    injection_window(spec.component, profile, golden)
+}
+
+/// Appends samples `range` of the seed stream `root`, bits picked from
+/// `bits` and injection cycles from `window` — the one per-sample draw
+/// every plan shares.
 ///
 /// With `spec.lane_cluster > 1`, consecutive groups of that size share
 /// their *leader's* trajectory (instance, injection cycle, warm-up)
@@ -287,6 +331,48 @@ pub fn validate_window(
 /// member's bit still comes from its own per-sample RNG stream, so
 /// raising the cluster size never changes which bits sample `k` flips,
 /// only where it flips them.
+pub(crate) fn draw_stream(
+    spec: &CampaignSpec,
+    root: &SeedSeq,
+    bits: &[usize],
+    (lo, hi): (u64, u64),
+    range: std::ops::Range<u64>,
+    out: &mut Vec<InjectionSpec>,
+) {
+    let instances = instances_of(spec.component) as u64;
+    let cluster = spec.lane_cluster.max(1);
+    // One sample's own draws, in stream order: (instance, bit,
+    // injection cycle, warm-up).
+    let draw = |k: u64| {
+        let mut rng = root.derive_index(k).rng();
+        (
+            rng.below(instances) as usize,
+            *rng.pick(bits),
+            rng.range(lo, hi),
+            MIN_WARMUP + rng.below(1_000),
+        )
+    };
+    out.extend(range.map(|k| {
+        let own = draw(k);
+        let leader = k - k % cluster;
+        // A follower replays its leader's draws and adopts everything
+        // but the bit.
+        let (instance, _, inject_cycle, warmup) = if leader == k { own } else { draw(leader) };
+        InjectionSpec {
+            component: spec.component,
+            instance,
+            bit: own.1,
+            inject_cycle,
+            warmup,
+            cosim_cap: spec.cosim_cap,
+            check_interval: spec.check_interval,
+        }
+    }));
+}
+
+/// Draws the `spec.samples` injection specs of a fixed-count campaign
+/// (deterministic in the campaign seed), with the trajectory clustering
+/// of [`CampaignSpec::lane_cluster`].
 ///
 /// # Panics
 ///
@@ -297,41 +383,14 @@ pub fn draw_samples(
     spec: &CampaignSpec,
     golden: &GoldenRef,
 ) -> Vec<InjectionSpec> {
-    if let Err(e) = validate_window(spec.component, profile, golden) {
-        panic!("invalid campaign cell: {e}");
-    }
-    let bits = injection_target_bits(spec.component);
-    let instances = instances_of(spec.component);
-    let (lo, hi) = injection_window(spec.component, profile, golden);
+    let window = checked_window(profile, spec, golden);
     let root = SeedSeq::new(spec.seed)
         .derive("campaign")
         .derive(profile.name);
-    let cluster = spec.lane_cluster.max(1);
-    (0..spec.samples)
-        .map(|k| {
-            let mut rng = root.derive_index(k).rng();
-            let mut s = InjectionSpec {
-                component: spec.component,
-                instance: rng.below(instances as u64) as usize,
-                bit: *rng.pick(&bits),
-                inject_cycle: rng.range(lo, hi),
-                warmup: MIN_WARMUP + rng.below(1_000),
-                cosim_cap: spec.cosim_cap,
-                check_interval: spec.check_interval,
-            };
-            let leader = k - k % cluster;
-            if leader != k {
-                // Replay the leader's draw sequence (same order as
-                // above, discarding its bit) and adopt its trajectory.
-                let mut lrng = root.derive_index(leader).rng();
-                s.instance = lrng.below(instances as u64) as usize;
-                let _ = lrng.pick(&bits);
-                s.inject_cycle = lrng.range(lo, hi);
-                s.warmup = MIN_WARMUP + lrng.below(1_000);
-            }
-            s
-        })
-        .collect()
+    let bits = injection_target_bits(spec.component);
+    let mut out = Vec::with_capacity(spec.samples as usize);
+    draw_stream(spec, &root, &bits, window, 0..spec.samples, &mut out);
+    out
 }
 
 /// One worker's completed runs: (sample index, record, per-run
@@ -342,9 +401,9 @@ pub type IndexedRuns = Vec<(usize, InjectionRecord, Recorder)>;
 /// that runs injection samples with **ascending entry cycles**, each
 /// restored from the nearest rung at or below its entry point.
 ///
-/// This is the unit of work both execution layers share — the
-/// in-process engine gives each worker thread one runner per shard,
-/// and the `nestsim-cluster` worker builds one per leased shard — so
+/// This is the unit of work every execution layer shares —
+/// [`LadderExecutor`] gives each worker thread one runner per shard,
+/// the `nestsim-cluster` worker builds one per leased shard — so
 /// "re-run the shard anywhere" is bit-identical by construction.
 pub struct ShardRunner<'a> {
     ladder: &'a SnapshotLadder,
@@ -412,46 +471,52 @@ impl<'a> ShardRunner<'a> {
         my_base.share_pages();
     }
 
-    /// Runs sample `i`, returning its record and per-run recorder.
-    ///
-    /// Calls within one runner must present non-decreasing entry
-    /// cycles (any contiguous slice of [`entry_order`] does); a shard
-    /// that restarts earlier needs a fresh runner, or the cursor would
-    /// sit past the entry point.
-    pub fn run_one(&mut self, i: usize) -> (InjectionRecord, Recorder) {
-        let s = &self.samples[i];
-        self.seek(entry_cycle(s));
-        let my_base = self.cursor.as_ref().expect("cursor was just positioned");
-        let mut rec = match self.telemetry {
-            Some(cfg) => Recorder::active(cfg),
-            None => Recorder::null(),
+    /// How many leading samples of `span` run off one shared restore,
+    /// attach and warm-up: the run of same-trajectory samples at its
+    /// head, cut at the lane width.
+    fn group_len(&self, span: &[usize]) -> usize {
+        let Some(&first) = span.first() else {
+            return 0;
         };
-        let r = run_injection_with(my_base, self.golden, s, &mut rec);
-        (r, rec)
+        let mut end = 1;
+        while end < span.len()
+            && end < self.lane_width
+            && same_trajectory(&self.samples[first], &self.samples[span[end]])
+        {
+            end += 1;
+        }
+        end
+    }
+
+    /// [`run_span`](Self::run_span) of the leading group of `span`
+    /// alone — the samples that share one warm-up — for callers that
+    /// hand results on between groups. The rest of the span is the
+    /// caller's to continue with.
+    pub fn run_group(&mut self, span: &[usize]) -> IndexedRuns {
+        self.run_span(&span[..self.group_len(span)])
     }
 
     /// Runs a whole shard (a contiguous slice of [`entry_order`]),
     /// grouping consecutive same-trajectory samples — the product of
-    /// `CampaignSpec::lane_cluster` — up to `lane_width` at a time.
-    /// A group pays for one restore, one attach and one warm-up: an L2C
-    /// group of two or more runs as a lane batch on a shared carrier
-    /// (`crate::lanes`); any other group resumes each of its samples
-    /// from a clone of one warmed driver, and a singleton is the
-    /// group of one that needs no clone. Results are byte-identical to
-    /// calling [`run_one`](Self::run_one) per sample, in the same order.
+    /// `CampaignSpec::lane_cluster` — up to `lane_width` at a time. A
+    /// group pays for one restore,
+    /// one attach and one warm-up: an L2C group of two or more runs as
+    /// a lane batch on a shared carrier (`crate::lanes`); any other
+    /// group resumes each of its samples from a clone of one warmed
+    /// driver, and a singleton is the group of one that needs no
+    /// clone. Results come back in shard order and are byte-identical
+    /// however the shard is cut into spans.
+    ///
+    /// Spans given to one runner must present non-decreasing entry
+    /// cycles (consecutive slices of [`entry_order`] do); a shard that
+    /// restarts earlier needs a fresh runner, or the cursor would sit
+    /// past the entry point.
     pub fn run_span(&mut self, span: &[usize]) -> IndexedRuns {
         let mut out: IndexedRuns = Vec::with_capacity(span.len());
-        let mut g = 0;
-        while g < span.len() {
-            let mut end = g + 1;
-            while end < span.len()
-                && end - g < self.lane_width
-                && same_trajectory(&self.samples[span[g]], &self.samples[span[end]])
-            {
-                end += 1;
-            }
-            let group = &span[g..end];
-            g = end;
+        let mut rest = span;
+        while !rest.is_empty() {
+            let (group, tail) = rest.split_at(self.group_len(rest));
+            rest = tail;
             let spec0 = &self.samples[group[0]];
             self.seek(entry_cycle(spec0));
             let base = self.cursor.as_ref().expect("cursor was just positioned");
@@ -529,20 +594,278 @@ pub fn laddered_golden_reference(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
 ) -> (SnapshotLadder, GoldenRef) {
-    let cfg = SystemConfig {
-        seed: spec.seed,
-        length_scale: spec.length_scale,
-        ..SystemConfig::new(profile)
-    };
-    let base = System::new(cfg);
+    let base = base_system(profile, spec);
     let (ladder, result) =
         SnapshotLadder::capture(&base, spec.snapshot_interval, DEFAULT_MAX_RUNGS);
-    match result {
-        RunResult::Completed { digest, cycles } => (ladder, GoldenRef { digest, cycles }),
-        other => panic!(
-            "error-free run of {} did not complete: {other:?}",
-            profile.name
-        ),
+    (ladder, golden_of(profile, result))
+}
+
+/// The seed-derived base of one campaign cell, captured once and
+/// shared by all of its rounds: the error-free reference and the
+/// snapshot ladder recorded in the same forward pass.
+pub struct CellBase {
+    /// Clone-snapshots of the error-free run.
+    pub ladder: SnapshotLadder,
+    /// The error-free reference.
+    pub golden: GoldenRef,
+}
+
+/// One round's samples in canonical round order, and the order they
+/// are executed and sharded in.
+pub struct Round {
+    /// The drawn injection specs, indexed by round position.
+    pub samples: Vec<InjectionSpec>,
+    /// [`entry_order`] of `samples`.
+    pub order: Vec<usize>,
+}
+
+impl CellBase {
+    /// Runs the golden pass of a cell, recording the ladder on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`check_campaign`] rejects the cell or the error-free
+    /// run does not complete.
+    pub fn capture(profile: &'static BenchProfile, spec: &CampaignSpec) -> CellBase {
+        check_campaign(profile, spec);
+        let (ladder, golden) = laddered_golden_reference(profile, spec);
+        CellBase { ladder, golden }
+    }
+
+    /// Draws one round: the `spec.samples` runs of the fixed-count
+    /// stream ([`draw_samples`]) for `None`, the stratified slice
+    /// `strata` names ([`draw_round`]) otherwise. Every process that
+    /// draws the same round of the same cell gets the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell's injection window is empty
+    /// ([`validate_window`]).
+    pub fn draw(
+        &mut self,
+        profile: &'static BenchProfile,
+        spec: &CampaignSpec,
+        strata: Option<&StratifiedRound>,
+    ) -> Round {
+        let samples = match strata {
+            None => draw_samples(profile, spec, &self.golden),
+            Some(round) => draw_round(profile, spec, &self.golden, round),
+        };
+        let order = entry_order(&samples);
+        if strata.is_none() {
+            // A fixed-count job is its campaign's only round, so rungs
+            // above its last entry point can never be restored from. A
+            // stratified round keeps them: a later round may enter later.
+            let max_entry = order.last().map_or(0, |&i| entry_cycle(&samples[i]));
+            self.ladder.truncate_above(max_entry);
+        }
+        Round { samples, order }
+    }
+}
+
+/// Which rounds a campaign runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Plan {
+    /// One round: the `spec.samples` runs of the fixed-count stream.
+    Fixed,
+    /// Stratified rounds until the policy's stop rule is met
+    /// ([`crate::adaptive`]); `spec.samples` is ignored, the policy's
+    /// budget governs.
+    Adaptive(StopPolicy),
+}
+
+/// What an executor hands back when its campaign ends.
+pub struct Execution {
+    /// The error-free reference the runs were classified against.
+    pub golden: GoldenRef,
+    /// Execution telemetry: ladder, forward-simulation, lane, lease and
+    /// frame counters — whatever this executor has to report.
+    pub engine: Recorder,
+    /// Samples per shard, in dispatch order, over all rounds (empty
+    /// without telemetry).
+    pub worker_samples: Vec<usize>,
+}
+
+/// The way a campaign's rounds get executed. The two real executors are
+/// [`LadderExecutor`] and `nestsim_cluster::ClusterCampaign`; tests
+/// script a third to drive [`run_rounds`] alone.
+pub trait RoundExecutor {
+    /// Runs one round — the stratified slice `strata`, or for `None`
+    /// the cell's fixed-count samples — and returns its runs sorted by
+    /// round position, each position exactly once.
+    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> IndexedRuns;
+
+    /// Ends the campaign.
+    fn finish(self) -> Execution;
+}
+
+/// The in-process executor: each round is cut into contiguous shards of
+/// its entry order, one worker thread and one [`ShardRunner`] per
+/// shard, all on one shared [`CellBase`].
+pub struct LadderExecutor<'a> {
+    profile: &'static BenchProfile,
+    spec: &'a CampaignSpec,
+    telemetry: Option<&'a TelemetryConfig>,
+    base: CellBase,
+    engine: Recorder,
+    worker_samples: Vec<usize>,
+}
+
+impl<'a> LadderExecutor<'a> {
+    /// Captures the cell's base; `spec.workers` threads (0 = available
+    /// parallelism) will run each round.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`CellBase::capture`] does.
+    pub fn new(
+        profile: &'static BenchProfile,
+        spec: &'a CampaignSpec,
+        telemetry: Option<&'a TelemetryConfig>,
+    ) -> Self {
+        LadderExecutor {
+            profile,
+            spec,
+            telemetry,
+            base: CellBase::capture(profile, spec),
+            engine: recorder_for(telemetry),
+            worker_samples: Vec::new(),
+        }
+    }
+}
+
+impl RoundExecutor for LadderExecutor<'_> {
+    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> IndexedRuns {
+        let round = self.base.draw(self.profile, self.spec, strata);
+        // No samples: no shards, no threads, nothing counted.
+        let workers = worker_count(self.spec, round.order.len());
+        if workers == 0 {
+            return Vec::new();
+        }
+        let shards = contiguous_shards(&round.order, workers);
+        if self.telemetry.is_some() {
+            self.worker_samples.extend(shards.iter().map(Vec::len));
+        }
+        let (base, samples) = (&self.base, &round.samples);
+        let (telemetry, width) = (self.telemetry, self.spec.lane_width as usize);
+        type WorkerOut = (IndexedRuns, u64, u64, crate::lanes::LaneBatchStats);
+        let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|shard| {
+                    scope.spawn(move || {
+                        let mut runner =
+                            ShardRunner::new(&base.ladder, samples, &base.golden, telemetry, width);
+                        let out = runner.run_span(shard);
+                        (
+                            out,
+                            runner.forward_cycles(),
+                            runner.restores(),
+                            runner.lane_stats(),
+                        )
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked"))
+                .collect()
+        });
+        let mut indexed = Vec::with_capacity(samples.len());
+        for (out, forward, restores, lanes) in per_worker {
+            self.engine.count(names::FORWARD_CYCLES, forward);
+            self.engine.count(names::LADDER_RESTORES, restores);
+            lanes.publish(&mut self.engine);
+            indexed.extend(out);
+        }
+        sorted_cover(indexed, samples.len())
+    }
+
+    fn finish(mut self) -> Execution {
+        let ladder = &self.base.ladder;
+        self.engine.count(names::LADDER_RUNGS, ladder.len() as u64);
+        if self.engine.is_active() {
+            for cost in ladder.rung_costs() {
+                self.engine
+                    .record_hist(names::H_LADDER_RUNG_DRAM_LINES, cost.dram_lines as u64);
+                self.engine.record_hist(
+                    names::H_LADDER_RUNG_RESIDENT_LINES,
+                    cost.resident_l2_lines as u64,
+                );
+            }
+        }
+        Execution {
+            golden: self.base.golden,
+            engine: self.engine,
+            worker_samples: self.worker_samples,
+        }
+    }
+}
+
+/// Runs one campaign cell: the rounds of `plan`, each through
+/// `executor`. Records, counts and merged telemetry depend on the cell
+/// and the plan alone — per-run recorders merge **in round order**
+/// (sample order for [`Plan::Fixed`], stratum-major round after round
+/// for [`Plan::Adaptive`]) and the adaptive decisions see only merged
+/// outcomes ([`AdaptiveState`]); the executor shows only in
+/// [`CampaignTelemetry::engine`] and
+/// [`CampaignTelemetry::worker_samples`].
+///
+/// # Panics
+///
+/// Panics on an invalid policy ([`StopPolicy::validate`]) and on
+/// round-accounting violations.
+pub fn run_rounds(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    plan: &Plan,
+    telemetry: Option<&TelemetryConfig>,
+    mut executor: impl RoundExecutor,
+) -> CampaignResult {
+    let mut state = match plan {
+        Plan::Fixed => None,
+        Plan::Adaptive(policy) => Some(AdaptiveState::new(spec.component, *policy)),
+    };
+    let mut strata = state.as_ref().map(|s| s.round(s.initial_alloc()));
+    let mut counts = OutcomeCounts::new();
+    let mut merged = recorder_for(telemetry);
+    let mut records = Vec::new();
+    loop {
+        let first = records.len();
+        let runs = executor.run_round(strata.as_ref());
+        records.reserve(runs.len());
+        for (_, record, rec) in runs {
+            counts.record(record.outcome);
+            merged.merge(&rec);
+            records.push(record);
+        }
+        let (Some(state), Some(round)) = (&mut state, &mut strata) else {
+            break;
+        };
+        state.absorb_round(&round.alloc, records[first..].iter().map(|r| r.outcome));
+        match state.decide() {
+            StopDecision::Stop { .. } => break,
+            StopDecision::Continue { next_round } => {
+                *round = state.round(state.alloc_for(next_round));
+            }
+        }
+    }
+    let mut done = executor.finish();
+    CampaignResult {
+        benchmark: profile.name,
+        component: spec.component,
+        counts,
+        records,
+        golden: done.golden,
+        adaptive: state.map(|s| {
+            s.publish(&mut done.engine);
+            s.into_summary()
+        }),
+        telemetry: CampaignTelemetry {
+            merged,
+            worker_samples: done.worker_samples,
+            engine: done.engine,
+        },
     }
 }
 
@@ -557,134 +880,30 @@ pub fn run_campaign(profile: &'static BenchProfile, spec: &CampaignSpec) -> Camp
     run_campaign_with(profile, spec, None)
 }
 
-/// [`run_campaign`] with optional telemetry — the snapshot-ladder
-/// engine.
-///
-/// The golden reference pass records a clone-snapshot every
-/// `spec.snapshot_interval` cycles ([`SnapshotLadder`]); samples are
-/// sorted by co-simulation entry cycle, split into **contiguous**
-/// per-worker ranges, and each worker advances a cursor restored from
-/// the nearest ladder rung at or below the next entry point — so the
-/// total forward simulation is roughly one benchmark length shared by
-/// all workers, instead of one full replay *per worker*.
-///
-/// When `telemetry` is given, each injection run records into its own
-/// per-run [`Recorder`]; the recorders are merged back **in sample
-/// order**, so the merged telemetry (like the outcome counts and the
-/// records) is bit-identical across worker counts, snapshot intervals,
-/// and engines — restore-from-rung is deterministic-equivalent to
-/// replay-from-zero. The genuinely engine-dependent data lives outside
-/// the merged recorder: [`CampaignTelemetry::worker_samples`] (how the
-/// runs were sharded) and [`CampaignTelemetry::engine`] (ladder rung
-/// count/sizes, rung restores, forward-simulated cycles).
+/// [`run_campaign`] with optional telemetry: [`Plan::Fixed`] on a
+/// [`LadderExecutor`]. An empty campaign spawns nothing and carries
+/// valid, empty telemetry.
 ///
 /// # Panics
 ///
-/// Panics if the component is PCIe and the benchmark has no input file
-/// (the paper only runs PCIe injections for the 12 file-fed
-/// benchmarks), or if the spec fails [`CampaignSpec::validate`].
+/// Panics as [`run_campaign`] does.
 pub fn run_campaign_with(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
     telemetry: Option<&TelemetryConfig>,
 ) -> CampaignResult {
-    check_campaign(profile, spec);
-    let (mut ladder, golden) = laddered_golden_reference(profile, spec);
-    let samples = draw_samples(profile, spec, &golden);
-    let order = entry_order(&samples);
-
-    // Rungs above the last entry point can never be restored from.
-    let max_entry = order.last().map_or(0, |&i| entry_cycle(&samples[i]));
-    ladder.truncate_above(max_entry);
-
-    let mut engine = match telemetry {
-        Some(cfg) => Recorder::active(cfg),
-        None => Recorder::null(),
-    };
-    engine.count(names::LADDER_RUNGS, ladder.len() as u64);
-    if engine.is_active() {
-        for cost in ladder.rung_costs() {
-            engine.record_hist(names::H_LADDER_RUNG_DRAM_LINES, cost.dram_lines as u64);
-            engine.record_hist(
-                names::H_LADDER_RUNG_RESIDENT_LINES,
-                cost.resident_l2_lines as u64,
-            );
-        }
-    }
-
-    // An empty campaign short-circuits: no workers are spawned and the
-    // result carries valid (empty) telemetry rather than the artifacts
-    // of an idle worker thread.
-    if samples.is_empty() {
-        return CampaignResult {
-            benchmark: profile.name,
-            component: spec.component,
-            counts: OutcomeCounts::new(),
-            records: Vec::new(),
-            golden,
-            telemetry: match telemetry {
-                Some(cfg) => CampaignTelemetry {
-                    merged: Recorder::active(cfg),
-                    worker_samples: Vec::new(),
-                    engine,
-                },
-                None => CampaignTelemetry::disabled(),
-            },
-            adaptive: None,
-        };
-    }
-
-    let shards = contiguous_shards(&order, worker_count(spec, order.len()));
-
-    let ladder = &ladder;
-    type WorkerOut = (IndexedRuns, u64, u64, crate::lanes::LaneBatchStats);
-    let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let samples = &samples;
-                let golden = &golden;
-                scope.spawn(move || {
-                    let mut runner = ShardRunner::new(
-                        ladder,
-                        samples,
-                        golden,
-                        telemetry,
-                        spec.lane_width as usize,
-                    );
-                    let out = runner.run_span(shard);
-                    (
-                        out,
-                        runner.forward_cycles(),
-                        runner.restores(),
-                        runner.lane_stats(),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-
-    let mut indexed = Vec::with_capacity(samples.len());
-    for (out, forward, restores, lanes) in per_worker {
-        engine.count(names::FORWARD_CYCLES, forward);
-        engine.count(names::LADDER_RESTORES, restores);
-        lanes.publish(&mut engine);
-        indexed.extend(out);
-    }
-    finish_campaign(profile, spec, telemetry, golden, indexed, &shards, engine)
+    let executor = LadderExecutor::new(profile, spec, telemetry);
+    run_rounds(profile, spec, &Plan::Fixed, telemetry, executor)
 }
 
-/// The pre-ladder campaign engine, kept as the reference
-/// implementation: every worker replays one forward pass of the whole
-/// benchmark over an *interleaved* shard of the sorted samples, cloning
-/// at each entry point. Byte-identical to [`run_campaign_with`] in
-/// records, counts, and merged telemetry (the equivalence the test
-/// suite locks); roughly `workers ×` more forward simulation, which is
-/// why the ladder engine replaced it as the default.
+/// The pre-ladder campaign engine, kept as the independent reference
+/// the identity suites compare [`run_rounds`] against — it shares no
+/// round loop, executor, ladder, shard layout or grouping with it:
+/// every worker replays one forward pass of the whole benchmark over
+/// an *interleaved* shard of the sorted samples, cloning at each entry
+/// point and running one sample at a time. Byte-identical to
+/// [`run_campaign_with`] in records, counts, and merged telemetry;
+/// roughly `workers ×` more forward simulation.
 ///
 /// # Panics
 ///
@@ -699,25 +918,6 @@ pub fn run_campaign_replay(
     let (base, golden) = golden_reference(profile, spec);
     let samples = draw_samples(profile, spec, &golden);
 
-    if samples.is_empty() {
-        return CampaignResult {
-            benchmark: profile.name,
-            component: spec.component,
-            counts: OutcomeCounts::new(),
-            records: Vec::new(),
-            golden,
-            telemetry: match telemetry {
-                Some(cfg) => CampaignTelemetry {
-                    merged: Recorder::active(cfg),
-                    worker_samples: Vec::new(),
-                    engine: Recorder::active(cfg),
-                },
-                None => CampaignTelemetry::disabled(),
-            },
-            adaptive: None,
-        };
-    }
-
     // Order samples by co-simulation entry point; each worker replays
     // one forward pass over its (ascending, interleaved) shard.
     let order = entry_order(&samples);
@@ -727,10 +927,7 @@ pub fn run_campaign_replay(
         .map(|w| order.iter().copied().skip(w).step_by(workers).collect())
         .collect();
 
-    let mut engine = match telemetry {
-        Some(cfg) => Recorder::active(cfg),
-        None => Recorder::null(),
-    };
+    let mut engine = recorder_for(telemetry);
     let per_worker: Vec<(IndexedRuns, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter()
@@ -747,10 +944,7 @@ pub fn run_campaign_replay(
                         let entry = entry_cycle(s);
                         forward += entry.saturating_sub(my_base.cycle());
                         my_base.run_until(entry);
-                        let mut rec = match telemetry {
-                            Some(cfg) => Recorder::active(cfg),
-                            None => Recorder::null(),
-                        };
+                        let mut rec = recorder_for(telemetry);
                         let r = run_injection_with(&my_base, golden, s, &mut rec);
                         out.push((i, r, rec));
                     }
@@ -769,14 +963,27 @@ pub fn run_campaign_replay(
         engine.count(names::FORWARD_CYCLES, forward);
         indexed.extend(out);
     }
-    finish_campaign(profile, spec, telemetry, golden, indexed, &shards, engine)
+    let worker_samples = if telemetry.is_some() {
+        shards.iter().map(Vec::len).collect()
+    } else {
+        Vec::new()
+    };
+    assemble_result(
+        profile,
+        spec,
+        telemetry,
+        golden,
+        indexed,
+        worker_samples,
+        engine,
+    )
 }
 
 /// Panics on specs that cannot produce a meaningful campaign: PCIe
 /// cells without an input file, or a spec failing
-/// [`CampaignSpec::validate`]. Shared precondition of every campaign
-/// engine (in-process ladder, replay reference, and the
-/// `nestsim-cluster` coordinator/worker).
+/// [`CampaignSpec::validate`]. Shared precondition of every executor
+/// ([`CellBase::capture`] checks it, as does the `nestsim-cluster`
+/// coordinator, which captures nothing) and of the replay reference.
 pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
     assert!(
         spec.component != ComponentKind::Pcie || profile.has_input_file(),
@@ -790,8 +997,8 @@ pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
 /// The default degree of parallelism when a spec says `workers = 0`:
 /// available hardware parallelism, falling back to 4 when the platform
 /// cannot report it. The single source of truth for every execution
-/// layer (both in-process engines, the repro grid, and the cluster
-/// coordinator's shard sizing).
+/// layer ([`LadderExecutor`], the replay reference, the repro grid, and
+/// the cluster coordinator's shard sizing).
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
@@ -823,7 +1030,12 @@ pub fn entry_order(samples: &[InjectionSpec]) -> Vec<usize> {
 
 /// Splits the sorted order into `workers` contiguous, balanced ranges
 /// (sizes differ by at most one, larger ranges first).
+///
+/// # Panics
+///
+/// Panics on `workers == 0`: no worker can take the samples.
 pub fn contiguous_shards(order: &[usize], workers: usize) -> Vec<Vec<usize>> {
+    assert!(workers >= 1, "contiguous_shards needs at least one worker");
     let base = order.len() / workers;
     let rem = order.len() % workers;
     let mut shards = Vec::with_capacity(workers);
@@ -836,66 +1048,44 @@ pub fn contiguous_shards(order: &[usize], workers: usize) -> Vec<Vec<usize>> {
     shards
 }
 
-/// Thread-engine epilogue: derives `worker_samples` from the shard
-/// layout and delegates to [`assemble_result`].
-fn finish_campaign(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-    golden: GoldenRef,
-    indexed: IndexedRuns,
-    shards: &[Vec<usize>],
-    engine: Recorder,
-) -> CampaignResult {
-    let worker_samples = if telemetry.is_some() {
-        shards.iter().map(Vec::len).collect()
-    } else {
-        Vec::new()
-    };
-    assemble_result(
-        profile,
-        spec,
-        telemetry,
-        golden,
-        indexed,
-        worker_samples,
-        engine,
-    )
+/// Sorts runs by sample index and checks they are exactly `0..n`.
+///
+/// # Panics
+///
+/// Panics on a duplicated or dropped run — the execution layer's merge
+/// is broken, and silently skewed statistics are worse than a crash.
+pub fn sorted_cover(mut indexed: IndexedRuns, n: usize) -> IndexedRuns {
+    indexed.sort_by_key(|(i, _, _)| *i);
+    assert!(
+        indexed.len() == n && indexed.iter().enumerate().all(|(k, (i, _, _))| k == *i),
+        "campaign runs must cover every sample index exactly once"
+    );
+    indexed
 }
 
-/// Shared epilogue of every engine (in-process and distributed): sorts
-/// the per-run results back into sample order, tallies outcomes, and
-/// merges per-run telemetry **in sample order** — the step that makes
-/// the merged export independent of sharding and engine.
+/// One-round epilogue for callers that hold a round's runs but ran no
+/// [`run_rounds`] (the replay reference, the model checker's simulated
+/// coordinator, the benchmark probes): sorts the runs back into sample
+/// order, tallies outcomes, and merges per-run telemetry **in sample
+/// order**.
 ///
 /// # Panics
 ///
 /// Panics unless `indexed` covers each sample index `0..n` exactly once
-/// — a duplicated or dropped run means the execution layer's merge is
-/// broken, and silently skewed statistics are worse than a crash.
+/// ([`sorted_cover`]).
 pub fn assemble_result(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
     telemetry: Option<&TelemetryConfig>,
     golden: GoldenRef,
-    mut indexed: IndexedRuns,
+    indexed: IndexedRuns,
     worker_samples: Vec<usize>,
     engine: Recorder,
 ) -> CampaignResult {
-    indexed.sort_by_key(|(i, _, _)| *i);
-    for (k, (i, _, _)) in indexed.iter().enumerate() {
-        assert_eq!(
-            k, *i,
-            "campaign runs must cover every sample index exactly once"
-        );
-    }
-
+    let n = indexed.len();
     let mut counts = OutcomeCounts::new();
-    let mut merged = match telemetry {
-        Some(cfg) => Recorder::active(cfg),
-        None => Recorder::null(),
-    };
-    let records: Vec<InjectionRecord> = indexed
+    let mut merged = recorder_for(telemetry);
+    let records: Vec<InjectionRecord> = sorted_cover(indexed, n)
         .into_iter()
         .map(|(_, r, rec)| {
             counts.record(r.outcome);
@@ -1132,15 +1322,15 @@ mod tests {
             snapshot_interval: u64::MAX,
             ..CampaignSpec::quick(ComponentKind::L2c, 4)
         };
-        let (ladder, golden) = laddered_golden_reference(profile, &spec);
-        let samples = draw_samples(profile, &spec, &golden);
-        let mut runner = ShardRunner::new(&ladder, &samples, &golden, None, 1);
-        for i in entry_order(&samples) {
-            runner.run_one(i);
+        let mut base = CellBase::capture(profile, &spec);
+        let round = base.draw(profile, &spec, None);
+        let mut runner = ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1);
+        for i in round.order {
+            runner.run_span(&[i]);
             let cursor = runner
                 .cursor
                 .as_ref()
-                .expect("run_one positions the cursor");
+                .expect("run_span positions the cursor");
             assert!(cursor.cycle() > 0, "the cursor ran forward");
             assert_eq!(cursor.dram().private_pages(), 0);
         }

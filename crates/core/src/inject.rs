@@ -282,8 +282,8 @@ impl WarmedDriver {
     }
 }
 
-/// A per-run recorder: active under `telemetry`, null without.
-pub(crate) fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
+/// A recorder that is active under `telemetry` and null without.
+pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
     match telemetry {
         Some(cfg) => Recorder::active(cfg),
         None => Recorder::null(),

@@ -20,8 +20,7 @@
 use nestsim_cluster::proto::RunWire;
 use nestsim_cluster::JobWire;
 use nestsim_core::campaign::{
-    assemble_result, check_campaign, draw_samples, entry_cycle, entry_order,
-    laddered_golden_reference, run_campaign_with, CampaignResult, CampaignSpec, IndexedRuns,
+    assemble_result, run_campaign_with, CampaignResult, CampaignSpec, CellBase, IndexedRuns,
     ShardRunner,
 };
 use nestsim_core::inject::GoldenRef;
@@ -58,34 +57,37 @@ impl CampaignExec {
         spec: &CampaignSpec,
         telemetry: Option<&TelemetryConfig>,
     ) -> CampaignExec {
-        check_campaign(profile, spec);
         assert!(spec.samples > 0, "an empty campaign has nothing to check");
         let job = JobWire::from_spec(profile, spec, telemetry);
-        let (mut ladder, golden) = laddered_golden_reference(profile, spec);
-        let samples = draw_samples(profile, spec, &golden);
-        let order = entry_order(&samples);
-        let max_entry = order.last().map_or(0, |&i| entry_cycle(&samples[i]));
-        ladder.truncate_above(max_entry);
+        let mut base = CellBase::capture(profile, spec);
+        let round = base.draw(profile, spec, None);
+        let golden = base.golden;
 
+        // One straight-through runner, a group at a time as a worker
+        // runs them: the readings are the runner's after each group.
         let mut runner = ShardRunner::new(
-            &ladder,
-            &samples,
+            &base.ladder,
+            &round.samples,
             &golden,
             telemetry,
             spec.lane_width as usize,
         );
-        let mut runs = Vec::with_capacity(order.len());
-        let mut forward = Vec::with_capacity(order.len());
-        let mut restores = Vec::with_capacity(order.len());
-        for &sample in &order {
-            let (record, recorder) = runner.run_one(sample);
-            runs.push(RunWire {
-                sample: sample as u64,
-                record,
-                recorder,
-            });
-            forward.push(runner.forward_cycles());
-            restores.push(runner.restores());
+        let mut runs = Vec::with_capacity(round.order.len());
+        let mut forward = Vec::with_capacity(round.order.len());
+        let mut restores = Vec::with_capacity(round.order.len());
+        let mut rest = &round.order[..];
+        while !rest.is_empty() {
+            let group = runner.run_group(rest);
+            rest = &rest[group.len()..];
+            for (sample, record, recorder) in group {
+                runs.push(RunWire {
+                    sample: sample as u64,
+                    record,
+                    recorder,
+                });
+                forward.push(runner.forward_cycles());
+                restores.push(runner.restores());
+            }
         }
 
         let reference = run_campaign_with(profile, spec, telemetry);
@@ -140,9 +142,10 @@ impl CampaignExec {
         &self.reference
     }
 
-    /// The coordinator epilogue, exactly as the TCP driver performs it
-    /// ([`nestsim_cluster::ClusterCampaign`]'s wait): flatten per-shard
-    /// runs, attribute worker samples, assemble.
+    /// The coordinator epilogue for the cell's one round, as
+    /// [`nestsim_cluster::ClusterCampaign`] and the round loop perform
+    /// it between them: flatten per-shard runs, attribute worker
+    /// samples, sort, cover-check and merge in sample order.
     ///
     /// # Panics
     ///

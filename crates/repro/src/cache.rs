@@ -22,9 +22,8 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use nestsim_cluster::proto::JobWire;
-use nestsim_cluster::{run_campaign_adaptive_cluster, run_campaign_cluster, ClusterConfig};
-use nestsim_core::adaptive::run_campaign_adaptive;
-use nestsim_core::campaign::{default_workers, run_campaign_with, CampaignSpec};
+use nestsim_cluster::{run_cluster, ClusterConfig};
+use nestsim_core::campaign::{default_workers, run_rounds, CampaignSpec, LadderExecutor, Plan};
 use nestsim_core::CampaignResult;
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_models::ComponentKind;
@@ -137,42 +136,28 @@ pub fn cell_cached(
     let spec = campaign_spec(opts, component, workers);
     let tcfg = TelemetryConfig::default();
     let telemetry = opts.telemetry.as_ref().map(|_| &tcfg);
-    // Distributed cells go across `--cluster N` spawned worker
-    // processes (`repro worker`, the hidden subcommand). Byte-identical
-    // to the in-process path, so the cache key is unchanged.
-    let worker_argv = || {
-        vec![
-            std::env::current_exe()
-                .expect("current_exe")
-                .to_string_lossy()
-                .into_owned(),
-            "worker".to_string(),
-        ]
+    // What to run and where to run it are separate choices. The plan is
+    // in the cell key; the executor is not — every one returns the same
+    // bytes. (The service runs fixed-count cells only.)
+    let plan = if opts.adaptive {
+        Plan::Adaptive(StopPolicy::new(opts.ci_target, opts.ci_confidence))
+    } else {
+        Plan::Fixed
     };
     let result = if let Some(addr) = &opts.service {
         run_cell_via_service(addr, profile, &spec, telemetry)
-    } else if opts.adaptive {
-        let policy = StopPolicy::new(opts.ci_target, opts.ci_confidence);
-        if opts.cluster > 0 {
-            run_campaign_adaptive_cluster(
-                profile,
-                &spec,
-                &policy,
-                telemetry,
-                &ClusterConfig::processes(worker_argv(), opts.cluster),
-            )
-        } else {
-            run_campaign_adaptive(profile, &spec, &policy, telemetry)
-        }
     } else if opts.cluster > 0 {
-        run_campaign_cluster(
-            profile,
-            &spec,
-            telemetry,
-            &ClusterConfig::processes(worker_argv(), opts.cluster),
-        )
+        // `--cluster N` spawned worker processes (`repro worker`, the
+        // hidden subcommand).
+        let worker = std::env::current_exe()
+            .expect("current_exe")
+            .to_string_lossy()
+            .into_owned();
+        let cfg = ClusterConfig::processes(vec![worker, "worker".to_string()], opts.cluster);
+        run_cluster(profile, &spec, &plan, telemetry, &cfg)
     } else {
-        run_campaign_with(profile, &spec, telemetry)
+        let executor = LadderExecutor::new(profile, &spec, telemetry);
+        run_rounds(profile, &spec, &plan, telemetry, executor)
     };
     let mut stats = cache().stats.lock().expect("cache stats poisoned");
     stats.count(names::CELL_CACHE_MISSES, 1);
@@ -187,8 +172,9 @@ pub fn cell_cached(
 
 /// Submits one cell to a running `nestsim-svc` campaign service
 /// (`--service ADDR`) and blocks for the streamed result. Service
-/// execution is byte-identical to [`run_campaign_with`] — the service
-/// runs the same engine — so the cell lands in the same cache slot.
+/// execution is byte-identical to local execution — the service runs
+/// the same fixed plan on the same executor — so the cell lands in the
+/// same cache slot.
 /// Concurrent `repro` invocations pointing at one service dedupe
 /// overlapping cells server-side to a single execution.
 fn run_cell_via_service(
@@ -340,7 +326,7 @@ mod tests {
         let profile = pick_benchmarks(&opts, ComponentKind::L2c)[0];
         let got = cell_cached(profile, &opts, ComponentKind::L2c, 1);
         let spec = campaign_spec(&opts, ComponentKind::L2c, 1);
-        let reference = run_campaign_with(profile, &spec, None);
+        let reference = nestsim_core::run_campaign_with(profile, &spec, None);
         assert_eq!(got.records, reference.records);
         assert_eq!(got.counts, reference.counts);
         assert_eq!(got.golden, reference.golden);

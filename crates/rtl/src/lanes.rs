@@ -114,7 +114,7 @@ pub fn lanes_differing(golden: &BitBuf, lanes: &[&BitBuf], live: LaneMask) -> La
             golden.len(),
             "lane {i}: diffing buffers of unequal length"
         );
-        if lane.words().iter().zip(g).any(|(a, b)| a != b) {
+        if lane.words() != g {
             differing.set(i);
         }
     }

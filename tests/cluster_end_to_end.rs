@@ -82,6 +82,31 @@ fn cluster_without_telemetry_matches_in_process() {
     assert_eq!(got.golden, reference.golden);
 }
 
+/// A clustered cell batches on cluster workers as it does in process:
+/// the worker runs each same-trajectory group through the shard
+/// executor, cut where the shard ends — here every 3 positions, inside
+/// the 8-sample clusters — and the bytes do not move.
+#[test]
+fn clustered_cell_with_shards_that_cut_groups_is_byte_identical() {
+    let (profile, spec) = cell();
+    let spec = CampaignSpec {
+        samples: 24,
+        lane_cluster: 8,
+        ..spec
+    };
+    let telemetry = TelemetryConfig::default();
+    let reference = run_campaign_with(profile, &spec, Some(&telemetry));
+    assert!(
+        reference.telemetry.engine.counter(names::LANES_BATCHES) > 0,
+        "the cell must be one the lane engine batches"
+    );
+    let mut cfg = ClusterConfig::threads(2);
+    cfg.coordinator.shard_size = 3;
+    let got = run_campaign_cluster(profile, &spec, Some(&telemetry), &cfg);
+    assert_identical("lane_cluster 8, shard_size 3", &reference, &got);
+    assert_eq!(got.telemetry.engine.counter(names::CLUSTER_SHARDS), 8);
+}
+
 /// A worker speaking an old protocol version is rejected with a clean
 /// `Error` frame and a closed connection — no panic, no hung lease, no
 /// phantom worker in the accounting — and the coordinator keeps

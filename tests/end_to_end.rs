@@ -466,8 +466,8 @@ fn pinned_l2c_cell_has_the_same_bytes_through_cluster_and_service() {
 #[test]
 fn adaptive_campaign_bytes_are_pinned_in_process_and_clustered() {
     // Computed on the engine as it stood before the four entry points
-    // became plans and executors of one round loop (two hand-written
-    // round loops, `run_round_on_ladder`); a change that claims to be
+    // became plans and executors of one round loop (it had two
+    // hand-written round loops then); a change that claims to be
     // result-neutral must never re-bless it.
     const PINNED: u64 = 0x1ddc_2ffd_3966_171d;
     let cfg = TelemetryConfig::default();
