@@ -164,6 +164,9 @@ NESTSIM_BENCH_SMOKE=1 NESTSIM_BENCH_OUT="$(mktemp -d)" \
     cargo bench --offline -p nestsim-bench
 
 bench_gate kernel
+# Besides timings, campaign_grid prints forward-sim cycles, ladder.captures
+# and ladder.rungs, and asserts the fixed ladder engine keeps no more
+# rungs than shards and forward-simulates >= 2x fewer cycles than replay.
 bench_gate campaign_grid
 bench_gate campaign_cluster
 bench_gate campaign_lanes

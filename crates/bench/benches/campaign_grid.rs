@@ -8,7 +8,9 @@
 //! It also prints the deterministic forward-sim cycle counts from the
 //! engine telemetry, which is where the ladder's win comes from: the
 //! replay engine forward-simulates roughly `workers ×` one benchmark
-//! length per cell, the ladder engine roughly one.
+//! length per cell, the ladder engine roughly one — and the ladder's
+//! rung captures and live rungs, its price: a fixed-count cell keeps
+//! at most one rung per shard (`rung_budget`).
 //!
 //! Writes `BENCH_campaign_grid.json` via the in-repo harness runner.
 
@@ -60,22 +62,32 @@ fn main() {
     });
 
     // The deterministic half of the story: total forward-sim cycles per
-    // engine, summed over the grid, straight from the engine telemetry.
+    // engine and the ladder's rungs, summed over the grid, straight from
+    // the engine telemetry.
     let cfg = TelemetryConfig::default();
     let (mut ladder_fwd, mut replay_fwd) = (0u64, 0u64);
+    let (mut captures, mut rungs) = (0u64, 0u64);
     for (kind, bench) in CELLS {
         let profile = by_name(bench).unwrap();
-        ladder_fwd += run_campaign_with(profile, &spec(kind), Some(&cfg))
+        let engine = run_campaign_with(profile, &spec(kind), Some(&cfg))
             .telemetry
-            .engine
-            .counter(names::FORWARD_CYCLES);
+            .engine;
+        let cell_rungs = engine.counter(names::LADDER_RUNGS);
+        assert!(
+            cell_rungs <= WORKERS as u64,
+            "{bench}: the fixed ladder engine holds {cell_rungs} rungs for {WORKERS} shards"
+        );
+        ladder_fwd += engine.counter(names::FORWARD_CYCLES);
+        captures += engine.counter(names::LADDER_CAPTURES);
+        rungs += cell_rungs;
         replay_fwd += run_campaign_replay(profile, &spec(kind), Some(&cfg))
             .telemetry
             .engine
             .counter(names::FORWARD_CYCLES);
     }
     eprintln!(
-        "campaign_grid: forward-sim cycles — ladder {ladder_fwd}, replay {replay_fwd} ({:.1}x)",
+        "campaign_grid: forward-sim cycles — ladder {ladder_fwd}, replay {replay_fwd} ({:.1}x); \
+         ladder.captures {captures}, ladder.rungs {rungs}",
         replay_fwd as f64 / ladder_fwd.max(1) as f64
     );
     assert!(

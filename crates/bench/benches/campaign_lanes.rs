@@ -18,6 +18,7 @@ use std::hint::black_box;
 
 use nestsim_core::campaign::{run_campaign_with, CampaignSpec, CellBase, Round, ShardRunner};
 use nestsim_harness::bench::Suite;
+use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
 use nestsim_rtl::{lanes_differing, BitBuf, LaneMask, MAX_LANES};
@@ -76,10 +77,12 @@ fn cluster8_spec(component: ComponentKind) -> CampaignSpec {
 /// Benches the injection engine itself on one cell at widths 64 and 1:
 /// the golden pass, sample draw and ladder build are shared fixed cost
 /// paid once out here, so the rows are the marginal µs per injection
-/// lane batching (or warm-up sharing) is claimed to cut.
+/// lane batching (or warm-up sharing) is claimed to cut. The ladder is
+/// the full one: built outside the timed region, dense rungs keep the
+/// runner's forward simulation out of the rows.
 fn engine_pair(suite: &mut Suite, bench: &str, base: &CampaignSpec, rows: [&str; 2]) {
     let profile = by_name(bench).unwrap();
-    let mut cell = CellBase::capture(profile, base);
+    let mut cell = CellBase::capture(profile, base, DEFAULT_MAX_RUNGS);
     let Round { samples, order } = cell.draw(profile, base, None);
     let CellBase { ladder, golden } = cell;
     for (name, width) in rows.into_iter().zip([64usize, 1]) {

@@ -32,6 +32,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use nestsim_core::campaign::{CellBase, Round, ShardRunner};
+use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{JobWire, Message, RunWire};
@@ -68,7 +69,8 @@ impl JobState {
         let spec = job.spec();
         let mut base = match prev {
             Some(prev) if base_key(&prev.key) == base_key(job) => prev.base,
-            _ => CellBase::capture(profile, &spec),
+            // A leased shard may start at any position: the full ladder.
+            _ => CellBase::capture(profile, &spec, DEFAULT_MAX_RUNGS),
         };
         let round = base.draw(profile, &spec, job.adaptive.as_ref());
         if round.samples.len() as u64 != job.samples {

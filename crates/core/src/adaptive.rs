@@ -477,8 +477,9 @@ pub fn run_campaign_adaptive(
     policy: &StopPolicy,
     telemetry: Option<&TelemetryConfig>,
 ) -> CampaignResult {
-    let executor = LadderExecutor::new(profile, spec, telemetry);
-    run_rounds(profile, spec, &Plan::Adaptive(*policy), telemetry, executor)
+    let plan = Plan::Adaptive(*policy);
+    let executor = LadderExecutor::new(profile, spec, &plan, telemetry);
+    run_rounds(profile, spec, &plan, telemetry, executor)
 }
 
 #[cfg(test)]

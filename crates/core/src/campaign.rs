@@ -20,14 +20,23 @@
 //! (Sec. 2.2: snapshots every 2M cycles, [`DEFAULT_SNAPSHOT_INTERVAL`]
 //! at the DESIGN.md cycle scale): the golden pass records
 //! clone-snapshots every `snapshot_interval` cycles, workers take
-//! contiguous entry-cycle ranges of the sorted samples, and each
-//! injection starts from the nearest rung at or below its entry point
-//! instead of replaying the benchmark from cycle 0. Determinism makes
+//! contiguous entry-cycle ranges of the sorted samples, and each shard's
+//! cursor starts from the nearest rung at or below its first entry
+//! point and runs forward through the rest instead of replaying the
+//! benchmark from cycle 0. A rung costs a clone and the pages dirtied
+//! since the previous one, and a cursor that passes every rung can only
+//! use one to skip the gap between two consecutive entries, so the
+//! ladder holds no more rungs than its readers can use: [`rung_budget`]
+//! gives a fixed-count cell one rung per shard, base included — a
+//! single worker captures nothing and runs from the base — and keeps
+//! the [`DEFAULT_MAX_RUNGS`] ladder for adaptive rounds and leased
+//! cluster shards, which may enter anywhere. Determinism makes
 //! restore-from-rung bit-identical to replay-from-zero, so records,
 //! counts, and merged telemetry are byte-identical for any worker
-//! count and any snapshot interval — locked by the equivalence tests
-//! against [`run_campaign_replay`], the independent reference that
-//! shares none of this (interleaved shards, no ladder, no grouping).
+//! count, snapshot interval and rung budget — locked by the equivalence
+//! tests against [`run_campaign_replay`], the independent reference
+//! that shares none of this (interleaved shards, no ladder, no
+//! grouping).
 
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
@@ -66,10 +75,13 @@ pub struct CampaignSpec {
     pub check_interval: u64,
     /// Worker threads (0 = available parallelism).
     pub workers: usize,
-    /// Snapshot-ladder rung spacing in cycles (Sec. 2.2; default
-    /// [`DEFAULT_SNAPSHOT_INTERVAL`]). `u64::MAX` keeps only the base
-    /// rung, i.e. every injection replays from cycle 0. The interval
-    /// never affects results — only how much forward simulation the
+    /// Snapshot-ladder rung spacing in cycles before thinning (Sec.
+    /// 2.2; default [`DEFAULT_SNAPSHOT_INTERVAL`]). How many rungs stay
+    /// live is the reader's [`rung_budget`], not this spacing: a
+    /// single-worker fixed-count cell keeps the base rung only whatever
+    /// the interval. `u64::MAX` keeps only the base rung everywhere, i.e.
+    /// every cursor replays from cycle 0. The interval never affects
+    /// results — only how much forward simulation and rung capture the
     /// engine spends reaching injection entry points.
     pub snapshot_interval: u64,
     /// Injection-trajectory cluster size (default 1). Consecutive
@@ -582,10 +594,11 @@ fn same_trajectory(a: &InjectionSpec, b: &InjectionSpec) -> bool {
 }
 
 /// Runs the error-free reference execution *and* captures the snapshot
-/// ladder in the same forward pass: the golden run pauses every
-/// `spec.snapshot_interval` cycles to record a clone-snapshot rung, so
-/// the ladder costs no forward-simulated cycles beyond the reference
-/// execution the campaign needs anyway.
+/// ladder of a [`Plan::Fixed`] cell in the same forward pass: the golden
+/// run pauses every `spec.snapshot_interval` cycles to record a
+/// clone-snapshot rung, keeping at most [`rung_budget`] live, so the
+/// ladder costs no forward-simulated cycles beyond the reference
+/// execution the campaign needs anyway — only the clones.
 ///
 /// # Panics
 ///
@@ -594,10 +607,35 @@ pub fn laddered_golden_reference(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
 ) -> (SnapshotLadder, GoldenRef) {
+    golden_ladder(profile, spec, rung_budget(&Plan::Fixed, spec))
+}
+
+/// [`laddered_golden_reference`] at an explicit rung budget.
+fn golden_ladder(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    max_rungs: usize,
+) -> (SnapshotLadder, GoldenRef) {
     let base = base_system(profile, spec);
-    let (ladder, result) =
-        SnapshotLadder::capture(&base, spec.snapshot_interval, DEFAULT_MAX_RUNGS);
+    let (ladder, result) = SnapshotLadder::capture(&base, spec.snapshot_interval, max_rungs);
     (ladder, golden_of(profile, result))
+}
+
+/// How many ladder rungs, base included, a cell run under `plan` on the
+/// in-process executor can use. A fixed-count cell is one round cut into
+/// [`worker_count`] contiguous shards, and each shard's cursor walks its
+/// entries in ascending order: it restores once, from the rung below its
+/// first entry, and after that a rung can only save the gap between two
+/// consecutive entries — less than the clone and dirtied pages it cost.
+/// So one rung per shard; a single worker (or no sample) captures
+/// nothing. Adaptive rounds enter anywhere, so they keep the
+/// [`DEFAULT_MAX_RUNGS`] ladder (as do the cluster worker and `mck`,
+/// whose leased shards start at any position).
+pub fn rung_budget(plan: &Plan, spec: &CampaignSpec) -> usize {
+    match plan {
+        Plan::Fixed => worker_count(spec, spec.samples as usize).max(1),
+        Plan::Adaptive(_) => DEFAULT_MAX_RUNGS,
+    }
 }
 
 /// The seed-derived base of one campaign cell, captured once and
@@ -620,15 +658,22 @@ pub struct Round {
 }
 
 impl CellBase {
-    /// Runs the golden pass of a cell, recording the ladder on the way.
+    /// Runs the golden pass of a cell, recording a ladder of at most
+    /// `max_rungs` rungs on the way — the budget of whoever restores
+    /// from it ([`rung_budget`], or [`DEFAULT_MAX_RUNGS`] for a cursor
+    /// that may enter anywhere).
     ///
     /// # Panics
     ///
     /// Panics if [`check_campaign`] rejects the cell or the error-free
     /// run does not complete.
-    pub fn capture(profile: &'static BenchProfile, spec: &CampaignSpec) -> CellBase {
+    pub fn capture(
+        profile: &'static BenchProfile,
+        spec: &CampaignSpec,
+        max_rungs: usize,
+    ) -> CellBase {
         check_campaign(profile, spec);
-        let (ladder, golden) = laddered_golden_reference(profile, spec);
+        let (ladder, golden) = golden_ladder(profile, spec, max_rungs);
         CellBase { ladder, golden }
     }
 
@@ -712,7 +757,8 @@ pub struct LadderExecutor<'a> {
 }
 
 impl<'a> LadderExecutor<'a> {
-    /// Captures the cell's base; `spec.workers` threads (0 = available
+    /// Captures the cell's base with the ladder `plan` can use
+    /// ([`rung_budget`]); `spec.workers` threads (0 = available
     /// parallelism) will run each round.
     ///
     /// # Panics
@@ -721,13 +767,14 @@ impl<'a> LadderExecutor<'a> {
     pub fn new(
         profile: &'static BenchProfile,
         spec: &'a CampaignSpec,
+        plan: &Plan,
         telemetry: Option<&'a TelemetryConfig>,
     ) -> Self {
         LadderExecutor {
             profile,
             spec,
             telemetry,
-            base: CellBase::capture(profile, spec),
+            base: CellBase::capture(profile, spec, rung_budget(plan, spec)),
             engine: recorder_for(telemetry),
             worker_samples: Vec::new(),
         }
@@ -784,6 +831,7 @@ impl RoundExecutor for LadderExecutor<'_> {
     fn finish(mut self) -> Execution {
         let ladder = &self.base.ladder;
         self.engine.count(names::LADDER_RUNGS, ladder.len() as u64);
+        self.engine.count(names::LADDER_CAPTURES, ladder.captures());
         if self.engine.is_active() {
             for cost in ladder.rung_costs() {
                 self.engine
@@ -892,7 +940,7 @@ pub fn run_campaign_with(
     spec: &CampaignSpec,
     telemetry: Option<&TelemetryConfig>,
 ) -> CampaignResult {
-    let executor = LadderExecutor::new(profile, spec, telemetry);
+    let executor = LadderExecutor::new(profile, spec, &Plan::Fixed, telemetry);
     run_rounds(profile, spec, &Plan::Fixed, telemetry, executor)
 }
 
@@ -1317,12 +1365,9 @@ mod tests {
     #[test]
     fn positioned_cursor_holds_no_private_page() {
         let profile = by_name("radi").unwrap();
-        let spec = CampaignSpec {
-            // One rung: the cursor has to run forward to every entry.
-            snapshot_interval: u64::MAX,
-            ..CampaignSpec::quick(ComponentKind::L2c, 4)
-        };
-        let mut base = CellBase::capture(profile, &spec);
+        let spec = CampaignSpec::quick(ComponentKind::L2c, 4);
+        // One rung: the cursor has to run forward to every entry.
+        let mut base = CellBase::capture(profile, &spec, 1);
         let round = base.draw(profile, &spec, None);
         let mut runner = ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1);
         for i in round.order {

@@ -1,6 +1,6 @@
-//! The snapshot ladder: periodic whole-system snapshots captured
-//! during a single forward pass (Sec. 2.2 — "snapshots … taken every
-//! 2M cycles", at the DESIGN.md cycle scale).
+//! The snapshot ladder: whole-system snapshots captured during a
+//! single forward pass (Sec. 2.2 — "snapshots … taken every 2M
+//! cycles", at the DESIGN.md cycle scale).
 //!
 //! A [`SnapshotLadder`] is built by running one clone of the base
 //! system to completion, pausing every `interval` cycles to record a
@@ -13,17 +13,25 @@
 //! engine's byte-identity tests pin down.
 //!
 //! The capture pass doubles as the error-free reference execution: its
-//! [`RunResult`] carries the golden digest and length, so building the
-//! ladder costs no forward-simulated cycles beyond the golden run the
-//! campaign needs anyway.
+//! [`RunResult`] carries the golden digest and length, so the ladder
+//! adds no forward-simulated cycles to the golden run the campaign
+//! needs anyway. A rung is not free, though: each costs a clone plus
+//! the pages dirtied since the previous one (≈270 µs and ≈1.4 MB on
+//! `flui`/20), and a cursor walking ascending entry cycles can only use
+//! one to skip the gap between two consecutive entries. So the caller
+//! that will restore from the ladder sets its budget, `max_rungs`.
 //!
-//! Memory is bounded: when the rung count would exceed the cap, the
-//! ladder thins itself geometrically (keep every other rung, double the
-//! effective interval), so at most `max_rungs` snapshots are ever live.
+//! At most `max_rungs` snapshots, rung 0 (the base) included, are live
+//! when [`SnapshotLadder::capture`] returns: when a capture would exceed
+//! the budget the ladder thins itself geometrically (keep every other
+//! rung, double the effective interval), and a budget of one captures
+//! nothing — the base is the whole ladder.
 
 use crate::system::{RunResult, SnapshotCost, System};
 
-/// Hard cap on live rungs; capture thins geometrically beyond it.
+/// Rung budget for callers whose cursors may enter anywhere (adaptive
+/// rounds, leased cluster shards); capture thins geometrically beyond
+/// it.
 pub const DEFAULT_MAX_RUNGS: usize = 256;
 
 /// A ladder of periodic system snapshots plus capture statistics.
@@ -36,13 +44,16 @@ pub struct SnapshotLadder {
     /// Snapshots, rung `k` at cycle `k * interval`; rung 0 is the
     /// pristine base system.
     rungs: Vec<System>,
+    /// Rungs captured by the pass, thinned ones included.
+    captures: u64,
 }
 
 impl SnapshotLadder {
     /// Runs a clone of `base` (which must be at cycle 0) to the end of
     /// the application, capturing a snapshot every `interval` cycles
-    /// (clamped to ≥ 1), and returns the ladder together with the
-    /// run's [`RunResult`] — the golden reference of the same pass.
+    /// (clamped to ≥ 1) while keeping at most `max_rungs` (clamped to
+    /// ≥ 1) live, base included, and returns the ladder together with
+    /// the run's [`RunResult`] — the golden reference of the same pass.
     ///
     /// # Panics
     ///
@@ -51,11 +62,12 @@ impl SnapshotLadder {
     pub fn capture(base: &System, interval: u64, max_rungs: usize) -> (SnapshotLadder, RunResult) {
         assert_eq!(base.cycle(), 0, "ladder capture requires a pristine base");
         let mut interval = interval.max(1);
-        let max_rungs = max_rungs.max(1);
         let mut run = base.clone();
         let mut rungs = vec![base.clone()];
+        let mut captures = 0;
         loop {
-            if run.trap().is_some() || run.all_halted() {
+            // A budget of one is the base alone: nothing to capture.
+            if max_rungs <= 1 || run.trap().is_some() || run.all_halted() {
                 break;
             }
             let Some(target) = (rungs.len() as u64).checked_mul(interval) else {
@@ -69,7 +81,8 @@ impl SnapshotLadder {
             // between `run`, this rung and every restore from it.
             run.share_pages();
             rungs.push(run.clone());
-            if rungs.len() >= max_rungs {
+            captures += 1;
+            if rungs.len() > max_rungs {
                 // Thin geometrically: even rungs survive at 2× spacing.
                 let mut i = 0usize;
                 rungs.retain(|_| {
@@ -81,7 +94,12 @@ impl SnapshotLadder {
             }
         }
         let result = run.run_to_end();
-        (SnapshotLadder { interval, rungs }, result)
+        let ladder = SnapshotLadder {
+            interval,
+            rungs,
+            captures,
+        };
+        (ladder, result)
     }
 
     /// The effective rung spacing in cycles (≥ the requested interval).
@@ -92,6 +110,12 @@ impl SnapshotLadder {
     /// Number of live rungs (≥ 1: rung 0 is the base system).
     pub fn len(&self) -> usize {
         self.rungs.len()
+    }
+
+    /// Rungs the capture pass cloned, thinned ones included (0 when the
+    /// budget was one rung or the run ended before the first interval).
+    pub fn captures(&self) -> u64 {
+        self.captures
     }
 
     /// A ladder always holds at least the base rung.
@@ -236,12 +260,68 @@ mod tests {
         assert!(ladder.interval() > 1, "thinning widened the interval");
     }
 
+    /// The budget rule on paper: the live rungs and captures a pass over
+    /// a run ending at `end` must leave, given that a rung is captured
+    /// at every target cycle the run is still going at.
+    fn budget_model(end: u64, mut interval: u64, max_rungs: usize) -> (usize, u64) {
+        if max_rungs <= 1 {
+            return (1, 0);
+        }
+        let (mut live, mut captures) = (1usize, 0u64);
+        while (live as u64) * interval < end {
+            live += 1;
+            captures += 1;
+            if live > max_rungs {
+                live = live.div_ceil(2);
+                interval *= 2;
+            }
+        }
+        (live, captures)
+    }
+
+    #[test]
+    fn small_budgets_keep_at_most_max_rungs_live() {
+        let base = base();
+        let plain = base.clone().run_to_end();
+        let end = match plain {
+            RunResult::Completed { cycles, .. } => cycles,
+            ref other => panic!("radi did not complete: {other:?}"),
+        };
+        let interval = 256;
+        assert!(end > 16 * interval, "run long enough to thin at 8 rungs");
+        let mut seen = Vec::new();
+        for max_rungs in [1, 2, 3, 8] {
+            let (ladder, result) = SnapshotLadder::capture(&base, interval, max_rungs);
+            assert_eq!(result, plain, "max_rungs {max_rungs}");
+            let live = ladder.len();
+            assert_eq!(
+                (live, ladder.captures()),
+                budget_model(end, interval, max_rungs),
+                "max_rungs {max_rungs}"
+            );
+            assert!(live <= max_rungs);
+            for (k, rung) in ladder.rungs.iter().enumerate() {
+                assert_eq!(rung.cycle(), k as u64 * ladder.interval());
+            }
+            seen.push((live, ladder.captures()));
+        }
+        // One rung is the base alone; two keep the base and one rung
+        // instead of falling back to the base after every capture.
+        assert_eq!(seen[0], (1, 0));
+        assert_eq!(seen[1].0, 2);
+        assert!(seen[2].0 >= 2 && seen[3].0 >= 5, "{seen:?}");
+        // Thinning re-captures at every doubling, so a small budget
+        // still clones more than once — but never more than a large one.
+        assert!(seen[1].1 > 1 && seen[3].1 >= seen[1].1, "{seen:?}");
+    }
+
     #[test]
     fn infinite_interval_keeps_only_the_base_rung() {
         let base = base();
         let (ladder, result) = SnapshotLadder::capture(&base, u64::MAX, DEFAULT_MAX_RUNGS);
         assert!(result.is_completed());
         assert_eq!(ladder.len(), 1);
+        assert_eq!(ladder.captures(), 0);
         assert_eq!(ladder.rung_below(u64::MAX - 1).cycle(), 0);
     }
 

@@ -28,9 +28,10 @@
 //!   wakes and DMA frames on.
 //! * [`ladder`] — periodic whole-system snapshots ("rungs") captured
 //!   during the golden reference pass, the paper's every-2M-cycle
-//!   snapshot mechanism (Sec. 2.2) at the DESIGN.md cycle scale; the
-//!   campaign engine restores injections from the nearest rung instead
-//!   of replaying from cycle 0.
+//!   snapshot mechanism (Sec. 2.2) at the DESIGN.md cycle scale, up to
+//!   a rung budget its caller sets; the campaign engine restores each
+//!   shard's cursor from the nearest rung instead of replaying from
+//!   cycle 0.
 //!
 //! Determinism: given the same [`SystemConfig`], every run is
 //! bit-identical — the property that lets the mixed-mode platform

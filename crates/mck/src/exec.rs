@@ -24,6 +24,7 @@ use nestsim_core::campaign::{
     ShardRunner,
 };
 use nestsim_core::inject::GoldenRef;
+use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_telemetry::{Recorder, TelemetryConfig};
 
@@ -59,7 +60,8 @@ impl CampaignExec {
     ) -> CampaignExec {
         assert!(spec.samples > 0, "an empty campaign has nothing to check");
         let job = JobWire::from_spec(profile, spec, telemetry);
-        let mut base = CellBase::capture(profile, spec);
+        // The worker's ladder, which leased shards may enter anywhere.
+        let mut base = CellBase::capture(profile, spec, DEFAULT_MAX_RUNGS);
         let round = base.draw(profile, spec, None);
         let golden = base.golden;
 

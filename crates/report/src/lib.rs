@@ -166,18 +166,20 @@ pub fn render_provenance(rec: &Recorder) -> String {
 }
 
 /// Renders the campaign-engine footer: how the snapshot-ladder engine
-/// scheduled the forward simulation (rung count/footprint, rung
-/// restores, forward-simulated cycles) and how the cross-figure cell
-/// cache performed. This data is engine- and sharding-dependent by
-/// design, so it lives in its own footer rather than the merged
-/// provenance. Empty string when the recorder is disabled.
+/// scheduled the forward simulation (rungs captured and kept, rung
+/// footprint, rung restores, forward-simulated cycles) and how the
+/// cross-figure cell cache performed. This data is engine- and
+/// sharding-dependent by design, so it lives in its own footer rather
+/// than the merged provenance. Empty string when the recorder is
+/// disabled.
 pub fn render_engine_stats(engine: &Recorder) -> String {
     if !engine.is_active() {
         return String::new();
     }
     let mut out = String::from("engine:\n");
     out.push_str(&format!(
-        "  snapshot ladder: {} rungs, {} restores, {} forward-sim cycles\n",
+        "  snapshot ladder: {} captures, {} rungs, {} restores, {} forward-sim cycles\n",
+        engine.counter(names::LADDER_CAPTURES),
         engine.counter(names::LADDER_RUNGS),
         engine.counter(names::LADDER_RESTORES),
         engine.counter(names::FORWARD_CYCLES),
@@ -224,13 +226,14 @@ mod tests {
     fn engine_stats_footer_reports_ladder_and_cache() {
         use nestsim_telemetry::TelemetryConfig;
         let mut e = Recorder::active(&TelemetryConfig::default());
+        e.count(names::LADDER_CAPTURES, 9);
         e.count(names::LADDER_RUNGS, 7);
         e.count(names::LADDER_RESTORES, 3);
         e.count(names::FORWARD_CYCLES, 12_000);
         e.count(names::CELL_CACHE_HITS, 2);
         e.count(names::CELL_CACHE_MISSES, 5);
         let s = render_engine_stats(&e);
-        assert!(s.contains("7 rungs, 3 restores, 12000 forward-sim cycles"));
+        assert!(s.contains("9 captures, 7 rungs, 3 restores, 12000 forward-sim cycles"));
         assert!(s.contains("cell cache: 2 hits / 5 misses"));
         assert_eq!(render_engine_stats(&Recorder::null()), "");
     }

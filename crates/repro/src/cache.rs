@@ -156,7 +156,7 @@ pub fn cell_cached(
         let cfg = ClusterConfig::processes(vec![worker, "worker".to_string()], opts.cluster);
         run_cluster(profile, &spec, &plan, telemetry, &cfg)
     } else {
-        let executor = LadderExecutor::new(profile, &spec, telemetry);
+        let executor = LadderExecutor::new(profile, &spec, &plan, telemetry);
         run_rounds(profile, &spec, &plan, telemetry, executor)
     };
     let mut stats = cache().stats.lock().expect("cache stats poisoned");

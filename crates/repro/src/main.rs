@@ -31,11 +31,13 @@
 //!   --cosim-cap N         co-simulation cycle cap, >= 1   (default 100000)
 //!   --check-interval N    golden-compare interval, >= 1   (default 16)
 //!   --snapshot-interval N snapshot-ladder rung spacing in cycles, >= 1
-//!                         (default 2000 = paper's 2M / cycle scale; rungs
-//!                         let each injection start from the nearest
-//!                         snapshot below its entry cycle instead of
-//!                         replaying from cycle 0 — results are identical
-//!                         for every interval)
+//!                         before thinning (default 2000 = paper's 2M /
+//!                         cycle scale; rungs let each worker's shard
+//!                         start from the nearest snapshot below its first
+//!                         entry cycle instead of replaying from cycle 0;
+//!                         a fixed-count cell keeps at most one rung per
+//!                         worker — results are identical for every
+//!                         interval)
 //!   --lane-cluster N group every N consecutive samples onto one
 //!                    injection trajectory so they can share a warm-up
 //!                    and, on L2C, a lane batch (default 1 =

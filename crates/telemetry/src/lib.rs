@@ -78,6 +78,9 @@ pub mod names {
     /// (engine telemetry — kept outside the merged per-run recorder so
     /// the merged export stays engine- and sharding-independent).
     pub const LADDER_RUNGS: &str = "ladder.rungs";
+    /// Counter: rungs the ladder's capture pass cloned, thinned ones
+    /// included (engine telemetry — what the ladder cost to build).
+    pub const LADDER_CAPTURES: &str = "ladder.captures";
     /// Counter: worker restores from a ladder rung (engine telemetry).
     pub const LADDER_RESTORES: &str = "ladder.restores";
     /// Counter: accelerated-mode cycles forward-simulated by campaign
@@ -259,6 +262,7 @@ pub mod names {
         STATE_TRANSFER_TO_HIGH,
         SNAPSHOT_CLONES,
         LADDER_RUNGS,
+        LADDER_CAPTURES,
         LADDER_RESTORES,
         FORWARD_CYCLES,
         CELL_CACHE_HITS,

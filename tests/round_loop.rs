@@ -161,14 +161,15 @@ fn fixed_plan_with_no_samples_asks_for_one_empty_round() {
 
     // The real executor on the same cell — the path a `samples = 0`
     // setup measurement takes — differs in its engine recorder only,
-    // and that holds the one golden pass and nothing of a shard.
+    // and that holds the one golden pass, no rung capture and nothing
+    // of a shard.
     let real = run_campaign_with(profile, &spec, Some(&cfg));
     assert_eq!(real.telemetry.merged, Recorder::active(&cfg));
     assert_eq!(real.telemetry.merged, scripted.telemetry.merged);
     assert!(real.telemetry.worker_samples.is_empty());
     assert_eq!(
         real.telemetry.engine.counters(),
-        vec![(names::LADDER_RUNGS, 1)]
+        vec![(names::LADDER_CAPTURES, 0), (names::LADDER_RUNGS, 1)]
     );
 }
 
@@ -181,13 +182,17 @@ fn an_empty_round_spawns_nothing_and_counts_nothing() {
             workers,
             ..CampaignSpec::quick(ComponentKind::L2c, 0)
         };
-        let mut executor = LadderExecutor::new(profile, &spec, Some(&cfg));
+        let mut executor = LadderExecutor::new(profile, &spec, &Plan::Fixed, Some(&cfg));
         assert!(executor.run_round(None).is_empty());
         let done = executor.finish();
-        // No shard was planned, so no worker is on record, and no runner
-        // existed to count a forward cycle, a restore or a lane.
+        // No shard was planned, so no worker is on record, no rung was
+        // captured, and no runner existed to count a forward cycle, a
+        // restore or a lane.
         assert!(done.worker_samples.is_empty());
-        assert_eq!(done.engine.counters(), vec![(names::LADDER_RUNGS, 1)]);
+        assert_eq!(
+            done.engine.counters(),
+            vec![(names::LADDER_CAPTURES, 0), (names::LADDER_RUNGS, 1)]
+        );
     }
 }
 
