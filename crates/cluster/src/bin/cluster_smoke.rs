@@ -23,7 +23,7 @@ use nestsim_cluster::{
 use nestsim_core::campaign::{run_campaign_with, CampaignResult, CampaignSpec};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
-use nestsim_telemetry::TelemetryConfig;
+use nestsim_telemetry::{names, TelemetryConfig};
 
 /// The sibling `nestsim-worker` binary (same target directory).
 fn worker_bin() -> String {
@@ -101,9 +101,8 @@ fn main() {
     let mut crasher = spawn(&["--crash-after", "1"]);
     while campaign
         .engine_stats()
-        .counters()
-        .iter()
-        .all(|&(n, v)| n != nestsim_telemetry::names::CLUSTER_LEASES_GRANTED || v == 0)
+        .counter(names::CLUSTER_LEASES_GRANTED)
+        == 0
     {
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -116,13 +115,7 @@ fn main() {
         Some(17),
         "crash-injected worker should die with exit code 17"
     );
-    let redispatched = chaos
-        .telemetry
-        .engine
-        .counters()
-        .iter()
-        .find(|&&(n, _)| n == nestsim_telemetry::names::CLUSTER_REDISPATCHES)
-        .map_or(0, |&(_, v)| v);
+    let redispatched = chaos.telemetry.engine.counter(names::CLUSTER_REDISPATCHES);
     assert!(
         redispatched >= 1,
         "expected at least one lease re-dispatch after the worker crash"

@@ -4,20 +4,20 @@
 //! lease grants, long-poll parking, heartbeats, submission dedupe,
 //! golden cross-checks, failure propagation — expressed as
 //! `step(now, event) -> Vec<action>` over [`crate::proto::Message`]
-//! values, with no sockets, threads, or wall clocks anywhere. The TCP
-//! coordinator in [`crate::coordinator`] is a thin driver that feeds
-//! frames in as [`CoordEvent`]s and writes the returned
-//! [`CoordAction`]s back out; the deterministic simulator in
-//! `crates/mck` drives the very same type under a virtual clock and a
-//! simulated network, which is what makes the protocol model-checkable
-//! at all.
+//! values, with no sockets, threads, or wall clocks anywhere. The
+//! coordinator in [`crate::coordinator`] runs it on the
+//! [`crate::server`] loop, which feeds frames in as [`CoordEvent`]s and
+//! writes the returned [`CoordAction`]s back out; the deterministic
+//! simulator in `crates/mck` drives the very same type under a virtual
+//! clock and a simulated network, which is what makes the protocol
+//! model-checkable at all.
 //!
 //! Time is a caller-supplied millisecond tick (like
 //! [`crate::lease::LeaseTable`], which this type wraps). Connections
 //! are opaque `u64` ids chosen by the driver; the machine never
-//! invents one. The old blocking long-poll (hold a `RequestShard`
-//! response on a condvar until a shard frees up) becomes explicit
-//! *parking*: a connection whose acquire came back `Wait` is marked
+//! invents one. The long-poll (hold a `RequestShard` response until a
+//! shard frees up) is explicit *parking*: a connection whose acquire
+//! came back `Wait` is marked
 //! parked and owed exactly one reply, delivered by a later
 //! [`CoordEvent::Tick`], a lease release, a completion, an error, or
 //! shutdown — whichever re-serves it first. [`CoordMachine::next_wake`]
@@ -58,7 +58,7 @@ pub enum CoordEvent {
         clean: bool,
     },
     /// A timer tick: re-serve parked connections whose retry is due.
-    /// Safe to deliver at any time, from any driver thread's timeout.
+    /// Safe to deliver at any time.
     Tick,
 }
 
@@ -289,11 +289,6 @@ impl CoordMachine {
     /// The fatal error, if one was recorded.
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()
-    }
-
-    /// Completed shard count (for progress polling).
-    pub fn completed(&self) -> usize {
-        self.leases.completed()
     }
 
     /// The engine recorder (lease/frame counters live here).

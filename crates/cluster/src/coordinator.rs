@@ -1,5 +1,5 @@
-//! The campaign coordinator's TCP driver: listener, threads, and
-//! frame I/O wrapped around the pure [`CoordMachine`].
+//! The campaign coordinator: the pure [`CoordMachine`] on the one
+//! [`crate::server`] loop.
 //!
 //! The coordinator never simulates. [`ClusterCampaign`] is the
 //! cluster's [`RoundExecutor`]: for each round the one round loop
@@ -16,22 +16,19 @@
 //! identical merge.
 //!
 //! All protocol decisions live in [`crate::coord_machine`]; this
-//! module only moves bytes and blocks threads. Threading: one
-//! accept-loop thread, one handler thread per worker connection, all
-//! sharing one mutexed [`CoordMachine`] plus per-connection outboxes.
-//! A handler reads a frame, steps the machine, distributes the
-//! resulting sends into outboxes, then drains its own outbox — parking
-//! on the condvar when the machine parked its connection (the
-//! long-poll), with a timeout at [`CoordMachine::next_wake`] that
-//! feeds timer ticks back in. A round parks on the same condvar until
-//! the machine settles; ending the campaign unblocks the accept loop
-//! with a self-connection and joins everything.
+//! module only translates. The machine runs on a [`Server`] thread
+//! that owns every worker connection: frames in become
+//! [`CoordEvent`]s, [`CoordAction`]s become frames out, and a parked
+//! worker's long-poll is simply a reply the machine has not sent yet,
+//! with [`CoordMachine::next_wake`] as the loop's timer. The campaign
+//! thread talks to the machine only through the loop's [`Waker`]:
+//! begin a round, ask to hear when it settles, snapshot the engine
+//! recorder, shut down. Shutdown dismisses parked workers with `done`
+//! and the loop returns the machine once the last worker hangs up.
 
-use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::net::SocketAddr;
+use std::sync::mpsc;
 
 use nestsim_core::campaign::{
     check_campaign, default_workers, run_campaign_with, run_rounds, sorted_cover, CampaignResult,
@@ -43,10 +40,10 @@ use nestsim_stats::stop::StopPolicy;
 use nestsim_telemetry::{Recorder, TelemetryConfig};
 
 use crate::coord_machine::{CoordAction, CoordEvent, CoordMachine};
-use crate::frame::{read_frame, write_frame};
 use crate::lease::LeaseConfig;
 use crate::proto::{AdaptiveRoundWire, JobWire, Message, RunWire};
-use crate::shard::{auto_shard_size, plan_shards};
+use crate::server::{Action, Event, Machine, Server, Waker};
+use crate::shard::{auto_shard_size, plan_shards, Shard};
 use crate::worker::{run_worker, WorkerOptions};
 
 /// Coordinator tuning knobs.
@@ -76,65 +73,103 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// One connection's driver-side mailbox: replies the machine queued
-/// for its handler thread to write, plus the machine's close request.
-#[derive(Default)]
-struct ConnIo {
-    outbox: VecDeque<Message>,
-    closing: bool,
+/// A settled round's accepted runs per shard, or the campaign's error.
+type RoundResult = Result<Vec<Vec<RunWire>>, String>;
+
+/// What the campaign thread asks of the loop.
+enum Command {
+    /// Re-serve the held workers with the next round.
+    BeginRound { job: JobWire, shards: Vec<Shard> },
+    /// Reply once the dispatching round settles.
+    AwaitRound(mpsc::Sender<RoundResult>),
+    /// Reply with a snapshot of the engine recorder.
+    Stats(mpsc::Sender<Recorder>),
+    /// Dismiss every worker and return once they hang up.
+    Shutdown,
 }
 
-struct Inner {
+/// [`CoordMachine`] as the loop sees it: frames and commands in,
+/// frames out.
+struct Coord {
     machine: CoordMachine,
-    /// Mailboxes for live handler threads, in accept order (a `Vec`
-    /// keyed by linear scan — connection counts are small).
-    conns: Vec<(u64, ConnIo)>,
-    next_conn: u64,
-    shutdown: bool,
+    awaiting: Option<mpsc::Sender<RoundResult>>,
 }
 
-impl Inner {
-    fn conn_mut(&mut self, conn: u64) -> Option<&mut ConnIo> {
-        self.conns
-            .iter_mut()
-            .find(|(id, _)| *id == conn)
-            .map(|(_, io)| io)
-    }
-
-    /// Distribute machine actions into mailboxes. Sends to connections
-    /// whose handler is already gone are dropped, exactly as a closed
-    /// socket would drop them.
-    fn dispatch(&mut self, acts: Vec<CoordAction>) {
+impl Coord {
+    /// Turns machine actions into loop actions. A reply that cannot be
+    /// encoded ends its connection, as a failed write would.
+    fn perform(&mut self, now: u64, acts: Vec<CoordAction>, out: &mut Vec<Action>) {
         for act in acts {
             match act {
-                CoordAction::Send { conn, msg } => {
-                    if let Some(io) = self.conn_mut(conn) {
-                        io.outbox.push_back(msg);
+                CoordAction::Send { conn, msg } => match msg.encode() {
+                    Ok(payload) => {
+                        self.machine.note_frame_sent(payload.len());
+                        out.push(Action::Send { conn, payload });
                     }
-                }
-                CoordAction::Close { conn } => {
-                    if let Some(io) = self.conn_mut(conn) {
-                        io.closing = true;
+                    Err(_) => {
+                        out.push(Action::Close { conn });
+                        let closed = CoordEvent::Closed { conn, clean: false };
+                        let acts = self.machine.step(now, closed);
+                        self.perform(now, acts, out);
                     }
-                }
+                },
+                CoordAction::Close { conn } => out.push(Action::Close { conn }),
             }
         }
     }
 }
 
-struct Shared {
-    inner: Mutex<Inner>,
-    cv: Condvar,
-    start: Instant,
-}
+impl Machine for Coord {
+    type Command = Command;
 
-impl Shared {
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+    fn step(&mut self, now: u64, event: Event<Command>, out: &mut Vec<Action>) {
+        let m = &mut self.machine;
+        let acts = match event {
+            Event::Connected { conn } => m.step(now, CoordEvent::Connected { conn }),
+            Event::Frame { conn, payload } => {
+                let msg = Message::decode(&payload);
+                m.note_frame_received(payload.len(), matches!(msg, Ok(Message::Submit(_))));
+                match msg {
+                    Ok(msg) => m.step(now, CoordEvent::Received { conn, msg }),
+                    // An undecodable frame ends the connection, as a
+                    // read error would.
+                    Err(_) => {
+                        out.push(Action::Close { conn });
+                        m.step(now, CoordEvent::Closed { conn, clean: false })
+                    }
+                }
+            }
+            Event::Closed { conn, clean } => m.step(now, CoordEvent::Closed { conn, clean }),
+            Event::Tick => m.step(now, CoordEvent::Tick),
+            Event::Command(Command::BeginRound { job, shards }) => m.begin_round(now, job, shards),
+            Event::Command(Command::AwaitRound(reply)) => {
+                self.awaiting = Some(reply);
+                Vec::new()
+            }
+            Event::Command(Command::Stats(reply)) => {
+                let _ = reply.send(m.engine().clone());
+                Vec::new()
+            }
+            Event::Command(Command::Shutdown) => {
+                out.push(Action::Drain);
+                m.begin_shutdown(now)
+            }
+        };
+        self.perform(now, acts, out);
+        if self.machine.is_settled() {
+            if let Some(reply) = self.awaiting.take() {
+                let _ = reply.send(match self.machine.error() {
+                    Some(e) => Err(e.to_string()),
+                    None => Ok(self.machine.take_round_results()),
+                });
+            }
+        }
+    }
+
+    fn next_wake(&self) -> Option<u64> {
+        self.machine.next_wake()
     }
 }
-
-const POISONED: &str = "cluster state poisoned";
 
 /// A campaign cell being served to workers on loopback TCP: the
 /// cluster's [`RoundExecutor`]. [`serve_campaign`] returns one with its
@@ -142,9 +177,8 @@ const POISONED: &str = "cluster state poisoned";
 /// workers and [`wait`](ClusterCampaign::wait).
 pub struct ClusterCampaign {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    /// `None` once shut down.
+    server: Option<Server<Coord>>,
     profile: &'static BenchProfile,
     spec: CampaignSpec,
     telemetry: Option<TelemetryConfig>,
@@ -161,95 +195,44 @@ impl ClusterCampaign {
         self.addr
     }
 
+    fn waker(&self) -> &Waker<Command> {
+        self.server
+            .as_ref()
+            .expect("the coordinator is running")
+            .waker()
+    }
+
+    /// Sends the loop a command carrying a reply channel and waits for
+    /// the reply; `None` if the loop stopped first.
+    fn ask<T>(&self, cmd: impl FnOnce(mpsc::Sender<T>) -> Command) -> Option<T> {
+        let (tx, rx) = mpsc::channel();
+        self.waker().send(cmd(tx)).ok()?;
+        rx.recv().ok()
+    }
+
     /// A snapshot of the coordinator's engine recorder (lease/frame
     /// counters live here) — lets tests poll dispatch progress.
     pub fn engine_stats(&self) -> Recorder {
-        self.shared
-            .inner
-            .lock()
-            .expect(POISONED)
-            .machine
-            .engine()
-            .clone()
-    }
-
-    /// Starts a round on the attached worker pool: the machine swaps in
-    /// the round's job and shard plan — every round shards the same
-    /// way — and re-serves every parked worker.
-    fn begin_round(&mut self, strata: Option<&AdaptiveRoundWire>) {
-        let job = JobWire::for_round(self.profile, &self.spec, self.telemetry.as_ref(), strata);
-        let workers_hint = if self.cfg.workers_hint == 0 {
-            default_workers()
-        } else {
-            self.cfg.workers_hint
-        };
-        let shard_size = if self.cfg.shard_size == 0 {
-            auto_shard_size(job.samples, workers_hint)
-        } else {
-            self.cfg.shard_size
-        };
-        let shards = plan_shards(job.samples, shard_size);
-        let mut inner = self.shared.inner.lock().expect(POISONED);
-        let now = self.shared.now_ms();
-        let acts = inner.machine.begin_round(now, job, shards);
-        inner.dispatch(acts);
-        drop(inner);
-        self.shared.cv.notify_all();
+        self.ask(Command::Stats)
+            .expect("the coordinator loop is running")
     }
 
     /// Blocks until the dispatching round settles, harvesting its
     /// accepted runs per shard **without** dismissing the workers —
     /// they stay parked for the next round. Returns the campaign's
     /// fatal error instead, if it has one.
-    fn wait_round(&self) -> Result<Vec<Vec<RunWire>>, String> {
-        let mut inner = self.shared.inner.lock().expect(POISONED);
-        while !inner.machine.is_settled() {
-            inner = self.shared.cv.wait(inner).expect(POISONED);
-        }
-        match inner.machine.error() {
-            Some(e) => Err(e.to_string()),
-            None => Ok(inner.machine.take_round_results()),
-        }
+    fn wait_round(&self) -> RoundResult {
+        self.ask(Command::AwaitRound)
+            .unwrap_or_else(|| Err("the coordinator loop stopped".to_string()))
     }
 
     /// Shuts the coordinator down — dismisses every parked worker with
-    /// `done`, joins the accept and handler threads — and extracts the
+    /// `done`, waits for every worker to hang up — and extracts the
     /// drained machine.
     fn shutdown(&mut self) -> CoordMachine {
-        let shared = Arc::clone(&self.shared);
-        {
-            let mut inner = shared.inner.lock().expect(POISONED);
-            inner.shutdown = true;
-            let now = shared.now_ms();
-            let acts = inner.machine.begin_shutdown(now);
-            inner.dispatch(acts);
-            shared.cv.notify_all();
-        }
-        // Unblock the accept loop so its thread can observe `shutdown`.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            h.join().expect("coordinator accept thread panicked");
-        }
-        let handlers = std::mem::take(
-            &mut *self
-                .handlers
-                .lock()
-                .expect("cluster handler registry poisoned"),
-        );
-        for h in handlers {
-            h.join().expect("coordinator handler thread panicked");
-        }
-
-        let mut inner = shared.inner.lock().expect(POISONED);
-        std::mem::replace(
-            &mut inner.machine,
-            CoordMachine::new(
-                JobWire::default(),
-                Vec::new(),
-                LeaseConfig::default(),
-                Recorder::null(),
-            ),
-        )
+        let server = self.server.take().expect("the coordinator shuts down once");
+        let _ = server.waker().send(Command::Shutdown);
+        server.join().expect("coordinator loop failed").machine
     }
 
     /// Blocks until every shard completed, then assembles the result:
@@ -269,7 +252,16 @@ impl ClusterCampaign {
 impl RoundExecutor for ClusterCampaign {
     fn run_round(&mut self, strata: Option<&AdaptiveRoundWire>) -> IndexedRuns {
         if !std::mem::take(&mut self.begun) {
-            self.begin_round(strata);
+            let (job, shards) = plan_round(
+                self.profile,
+                &self.spec,
+                self.telemetry.as_ref(),
+                &self.cfg,
+                strata,
+            );
+            self.waker()
+                .send(Command::BeginRound { job, shards })
+                .expect("the coordinator loop is running");
         }
         let shard_runs = self.wait_round().unwrap_or_else(|e| {
             // Dismiss the workers before unwinding, or whoever joins
@@ -321,17 +313,13 @@ pub fn serve_campaign(
         spec.samples > 0,
         "an empty campaign has nothing to distribute"
     );
-    // Nothing holds a worker that finds no round to work on, so the only
-    // round is dispatching before anyone can know the address.
-    let mut campaign = bind_campaign(profile, spec, telemetry, cfg, false)?;
-    campaign.begin_round(None);
-    campaign.begun = true;
-    Ok(campaign)
+    bind_campaign(profile, spec, telemetry, cfg, true)
 }
 
-/// Binds a coordinator for one cell with no round dispatching yet.
-/// With `hold_workers` the machine parks idle workers between rounds
-/// instead of dismissing them
+/// Binds a coordinator for one cell. A `fixed` cell's only round is in
+/// the machine before anyone can know the address, since nothing holds
+/// a worker that finds no round to work on. Otherwise the machine parks
+/// idle workers between rounds instead of dismissing them
 /// ([`CoordMachine::hold_workers_between_rounds`]), which also keeps
 /// the ones that connect before the first round.
 fn bind_campaign(
@@ -339,7 +327,7 @@ fn bind_campaign(
     spec: &CampaignSpec,
     telemetry: Option<&TelemetryConfig>,
     cfg: &CoordinatorConfig,
-    hold_workers: bool,
+    fixed: bool,
 ) -> io::Result<ClusterCampaign> {
     check_campaign(profile, spec);
     let mut machine = CoordMachine::new(
@@ -348,171 +336,51 @@ fn bind_campaign(
         cfg.lease,
         recorder_for(telemetry),
     );
-    if hold_workers {
+    if fixed {
+        let (job, shards) = plan_round(profile, spec, telemetry, cfg, None);
+        // No worker is connected yet, so there is nobody to serve.
+        machine.begin_round(0, job, shards);
+    } else {
         machine.hold_workers_between_rounds();
     }
-
-    let listener = TcpListener::bind(&cfg.listen)?;
-    let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
-        inner: Mutex::new(Inner {
-            machine,
-            conns: Vec::new(),
-            next_conn: 0,
-            shutdown: false,
-        }),
-        cv: Condvar::new(),
-        start: Instant::now(), // nestlint: allow(determinism-taint) -- lease/timeout clock only; campaign results are merged from worker payloads, never from wall time
-    });
-
-    let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let shared = Arc::clone(&shared);
-        let handlers = Arc::clone(&handlers);
-        std::thread::spawn(move || loop {
-            let Ok((stream, _)) = listener.accept() else {
-                return;
-            };
-            // Small request/response frames; Nagle + delayed ACK would
-            // add ~40ms to every round trip.
-            let _ = stream.set_nodelay(true);
-            if shared.inner.lock().expect(POISONED).shutdown {
-                return;
-            }
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::spawn(move || handle_worker(&shared, stream));
-            handlers
-                .lock()
-                .expect("cluster handler registry poisoned")
-                .push(handle);
-        })
+    let coord = Coord {
+        machine,
+        awaiting: None,
     };
-
+    let server = Server::spawn(&cfg.listen, "nestsim-coordinator", coord)?;
     Ok(ClusterCampaign {
-        addr,
-        shared,
-        accept: Some(accept),
-        handlers,
+        addr: server.addr(),
+        server: Some(server),
         profile,
         spec: *spec,
         telemetry: telemetry.copied(),
         cfg: cfg.clone(),
-        begun: false,
+        begun: fixed,
         worker_samples: Vec::new(),
     })
 }
 
-/// One worker connection, handshake to hangup: register it with the
-/// machine, pump frames, report the close.
-fn handle_worker(shared: &Shared, mut stream: TcpStream) {
-    let conn = {
-        let mut inner = shared.inner.lock().expect(POISONED);
-        let conn = inner.next_conn;
-        inner.next_conn += 1;
-        inner.conns.push((conn, ConnIo::default()));
-        let now = shared.now_ms();
-        let acts = inner.machine.step(now, CoordEvent::Connected { conn });
-        inner.dispatch(acts);
-        conn
+/// One round's job and shard plan; every round shards the same way.
+fn plan_round(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    telemetry: Option<&TelemetryConfig>,
+    cfg: &CoordinatorConfig,
+    strata: Option<&AdaptiveRoundWire>,
+) -> (JobWire, Vec<Shard>) {
+    let job = JobWire::for_round(profile, spec, telemetry, strata);
+    let workers_hint = if cfg.workers_hint == 0 {
+        default_workers()
+    } else {
+        cfg.workers_hint
     };
-    let clean = serve_conn(shared, &mut stream, conn);
-    let mut inner = shared.inner.lock().expect(POISONED);
-    if let Some(i) = inner.conns.iter().position(|(id, _)| *id == conn) {
-        inner.conns.remove(i);
-    }
-    let now = shared.now_ms();
-    let acts = inner.machine.step(
-        now,
-        CoordEvent::Closed {
-            conn,
-            clean: clean.is_ok(),
-        },
-    );
-    inner.dispatch(acts);
-    drop(inner);
-    // Released leases may have re-dispatchable shards; wake parked
-    // handlers (and `wait`) to notice.
-    shared.cv.notify_all();
-}
-
-/// Pumps one connection: read a frame, step the machine, drain this
-/// connection's outbox (parking on the condvar while the machine holds
-/// the long-poll reply, ticking its timers on timeout).
-fn serve_conn(shared: &Shared, stream: &mut TcpStream, conn: u64) -> io::Result<()> {
-    loop {
-        let payload = match read_frame(stream) {
-            Ok(p) => p,
-            // EOF after the worker was told `done` is the clean exit.
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let msg = Message::decode(&payload);
-        let mut inner = shared.inner.lock().expect(POISONED);
-        inner
-            .machine
-            .note_frame_received(payload.len(), matches!(msg, Ok(Message::Submit(_))));
-        let msg = match msg {
-            Ok(m) => m,
-            Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-        };
-        let now = shared.now_ms();
-        let acts = inner.machine.step(now, CoordEvent::Received { conn, msg });
-        inner.dispatch(acts);
-        shared.cv.notify_all();
-
-        // Write whatever the machine owes this connection. `wrote`
-        // distinguishes "reply sent, go read the next request" from
-        // "parked, keep waiting".
-        let mut wrote = false;
-        loop {
-            let popped = inner.conn_mut(conn).and_then(|io| io.outbox.pop_front());
-            match popped {
-                Some(reply) => {
-                    let payload = reply
-                        .encode()
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-                    inner.machine.note_frame_sent(payload.len());
-                    drop(inner);
-                    write_frame(stream, &payload)?;
-                    wrote = true;
-                    inner = shared.inner.lock().expect(POISONED);
-                }
-                None => {
-                    if inner.conn_mut(conn).is_none_or(|io| io.closing) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "connection closed by coordinator",
-                        ));
-                    }
-                    if wrote {
-                        break;
-                    }
-                    // Parked: wait for an unpark (submission, release,
-                    // shutdown) or the machine's next retry timer.
-                    match inner.machine.next_wake() {
-                        Some(at) => {
-                            let ms = at.saturating_sub(shared.now_ms()).max(1);
-                            let (guard, timeout) = shared
-                                .cv
-                                .wait_timeout(inner, Duration::from_millis(ms))
-                                .expect(POISONED);
-                            inner = guard;
-                            if timeout.timed_out() {
-                                let now = shared.now_ms();
-                                let acts = inner.machine.step(now, CoordEvent::Tick);
-                                inner.dispatch(acts);
-                                shared.cv.notify_all();
-                            }
-                        }
-                        None => {
-                            inner = shared.cv.wait(inner).expect(POISONED);
-                        }
-                    }
-                }
-            }
-        }
-        drop(inner);
-    }
+    let shard_size = if cfg.shard_size == 0 {
+        auto_shard_size(job.samples, workers_hint)
+    } else {
+        cfg.shard_size
+    };
+    let shards = plan_shards(job.samples, shard_size);
+    (job, shards)
 }
 
 /// How [`run_campaign_cluster`] brings up its workers.
@@ -606,12 +474,8 @@ pub fn run_cluster(
     }
     // A fixed plan's round is out before the first worker connects; an
     // adaptive plan's workers are held until the loop asks for one.
-    let campaign = if fixed {
-        serve_campaign(profile, spec, telemetry, &coord_cfg)
-    } else {
-        bind_campaign(profile, spec, telemetry, &coord_cfg, true)
-    }
-    .expect("failed to bind coordinator");
+    let campaign = bind_campaign(profile, spec, telemetry, &coord_cfg, fixed)
+        .expect("failed to bind coordinator");
     let addr = campaign.addr().to_string();
     with_workers(&addr, &cfg.spawn, || {
         run_rounds(profile, spec, plan, telemetry, campaign)

@@ -25,7 +25,10 @@
 //!   TCP drivers below and under the deterministic `crates/mck`
 //!   simulator, which model-checks them across message delays, drops,
 //!   duplicates, and crash/restart schedules.
-//! * [`coordinator`] / [`worker`] — the TCP drivers around those
+//! * [`server`] (with the private `conn` and `poll`) — the one server loop:
+//!   one epoll thread driving a sans-I/O machine, for the coordinator
+//!   and the `nestsim-svc` campaign service alike.
+//! * [`coordinator`] / [`worker`] — the drivers around the two
 //!   machines. [`ClusterCampaign`] is the cluster's executor for the
 //!   one round loop of `nestsim_core::campaign`;
 //!   [`coordinator::run_cluster`] runs a plan on it with workers
@@ -42,16 +45,22 @@
 //!
 //! Everything is loopback-only and offline; there is no
 //! authentication, by design — never bind the coordinator to a
-//! non-loopback address.
+//! non-loopback address. The server loop is built on epoll, so the
+//! crate is Linux-only.
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied everywhere but `poll`, whose epoll FFI is the
+// workspace's one audited exception.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conn;
 pub mod coord_machine;
 pub mod coordinator;
 pub mod frame;
 pub mod lease;
+mod poll;
 pub mod proto;
+pub mod server;
 pub mod shard;
 pub mod wire;
 pub mod worker;

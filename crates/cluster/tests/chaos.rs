@@ -1,17 +1,21 @@
-//! Worker-process chaos tests: real process death and lease-expiry
-//! hangs, asserting fault tolerance *and* byte-identity.
+//! Worker-process chaos tests: real process death, lease-expiry hangs
+//! and misbehaving peers, asserting fault tolerance *and*
+//! byte-identity.
 //!
 //! These run against the actual `nestsim-worker` binary (via
 //! `CARGO_BIN_EXE_nestsim-worker`), so a "crash" here is a genuine
 //! `SIGKILL`-equivalent process exit mid-shard with an open TCP
 //! connection — the failure mode the lease table exists for.
 
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use nestsim_cluster::frame::{read_frame, write_frame, MAGIC, MAX_FRAME};
 use nestsim_cluster::{
-    run_campaign_cluster, serve_campaign, ClusterConfig, CoordinatorConfig, LeaseConfig,
-    WorkerOptions, WorkerSpawn,
+    run_campaign_cluster, serve_campaign, ClusterConfig, CoordinatorConfig, LeaseConfig, Message,
+    WorkerOptions, WorkerSpawn, PROTOCOL_VERSION,
 };
 use nestsim_core::campaign::{run_campaign_with, CampaignResult, CampaignSpec};
 use nestsim_hlsim::workload::by_name;
@@ -177,5 +181,72 @@ fn stalled_worker_lease_expires_and_work_moves_on() {
         );
         assert!(engine.counter(names::CLUSTER_REDISPATCHES) >= 1);
         assert_identical("stalled worker", &reference, &got);
+    });
+}
+
+/// Whether the server hung up on `stream` (EOF or reset) rather than
+/// leaving it open.
+fn hung_up(stream: &mut TcpStream) -> bool {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match stream.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ),
+    }
+}
+
+/// The one server loop serves every worker from one thread, so peers
+/// that trickle, speak the wrong protocol, or claim a maximal frame and
+/// stall must not hold up the healthy worker beside them; the two bad
+/// ones are hung up on.
+#[test]
+fn slow_and_bad_peers_do_not_stall_the_server_loop() {
+    let (profile, spec) = cell();
+    let telemetry = TelemetryConfig::default();
+    let reference = run_campaign_with(profile, &spec, Some(&telemetry));
+    let cfg = CoordinatorConfig {
+        shard_size: 2,
+        ..CoordinatorConfig::default()
+    };
+    let campaign = serve_campaign(profile, &spec, Some(&telemetry), &cfg).unwrap();
+    let addr = campaign.addr();
+
+    std::thread::scope(|scope| {
+        let healthy = scope
+            .spawn(|| nestsim_cluster::run_worker(&addr.to_string(), &WorkerOptions::default()));
+
+        let mut bad_magic = TcpStream::connect(addr).unwrap();
+        bad_magic.write_all(&[0xff; 8]).unwrap();
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(&MAGIC.to_le_bytes()).unwrap();
+        stalled.write_all(&MAX_FRAME.to_le_bytes()).unwrap();
+
+        // A handshake whose every byte arrives on its own.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let mut hello = Vec::new();
+        let payload = Message::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        write_frame(&mut hello, &payload.encode().unwrap()).unwrap();
+        for byte in hello {
+            slow.write_all(&[byte]).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let reply = Message::decode(&read_frame(&mut slow).unwrap()).unwrap();
+        assert!(matches!(reply, Message::HelloAck { .. }), "{reply:?}");
+        drop(slow);
+
+        assert!(hung_up(&mut bad_magic), "bad magic must be hung up on");
+        let got = campaign.wait();
+        assert!(
+            hung_up(&mut stalled),
+            "a stalled frame is hung up on at shutdown"
+        );
+        assert!(healthy.join().unwrap().unwrap().shards_completed >= 1);
+        assert_identical("beside slow and bad peers", &reference, &got);
     });
 }

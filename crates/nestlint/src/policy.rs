@@ -67,6 +67,24 @@ pub const TABLE: &[PolicyRow] = &[
         why: "sans-I/O worker: same pure-function contract as the coordinator machine",
     },
     PolicyRow {
+        prefix: "crates/cluster/src/conn.rs",
+        rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
+        why: "incremental frame accumulation over nonblocking sockets: a malformed \
+              header from one peer must not panic the shared server loop",
+    },
+    PolicyRow {
+        prefix: "crates/cluster/src/poll.rs",
+        rules: &[Rule::NoPanicOnWire],
+        why: "the readiness poller under the shared server loop; kernel-reported edge \
+              cases must be errors on one connection, never a process abort",
+    },
+    PolicyRow {
+        prefix: "crates/cluster/src/server.rs",
+        rules: &[Rule::NoPanicOnWire],
+        why: "one loop thread serves every worker or tenant of a server: a peer's bytes \
+              must end that peer's connection, never the loop",
+    },
+    PolicyRow {
         prefix: "crates/cluster/",
         rules: &[],
         why: "lease deadlines, sockets, and backoff run on real clocks by design",
@@ -76,18 +94,6 @@ pub const TABLE: &[PolicyRow] = &[
         rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
         why: "decodes untrusted multi-tenant service frames; the determinism key \
               (content address) is computed from these codecs",
-    },
-    PolicyRow {
-        prefix: "crates/svc/src/conn.rs",
-        rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
-        why: "incremental frame accumulation over nonblocking sockets: a malformed \
-              header from one client must not panic the shared event loop",
-    },
-    PolicyRow {
-        prefix: "crates/svc/src/poll.rs",
-        rules: &[Rule::NoPanicOnWire],
-        why: "the readiness loop multiplexes every tenant; kernel-reported edge cases \
-              must be errors on one connection, never a process abort",
     },
     PolicyRow {
         prefix: "crates/svc/src/sched.rs",
@@ -308,13 +314,16 @@ mod tests {
     #[test]
     fn service_wire_and_core_modules_are_pinned() {
         // The service's wire path parses untrusted multi-tenant input
-        // inside one shared event loop: panic-free and deterministic.
-        for f in ["proto.rs", "conn.rs"] {
-            let rules = rules_for(&format!("crates/svc/src/{f}"));
-            assert!(rules.contains(&Rule::NoPanicOnWire), "{f}");
-            assert!(rules.contains(&Rule::NoNondeterminism), "{f}");
+        // inside the shared server loop: panic-free and deterministic.
+        for path in ["crates/svc/src/proto.rs", "crates/cluster/src/conn.rs"] {
+            let rules = rules_for(path);
+            assert!(rules.contains(&Rule::NoPanicOnWire), "{path}");
+            assert!(rules.contains(&Rule::NoNondeterminism), "{path}");
         }
-        assert!(rules_for("crates/svc/src/poll.rs").contains(&Rule::NoPanicOnWire));
+        for f in ["poll.rs", "server.rs"] {
+            let rules = rules_for(&format!("crates/cluster/src/{f}"));
+            assert!(rules.contains(&Rule::NoPanicOnWire), "{f}");
+        }
         // Scheduler, store, and machine decide grant order, dedup, and
         // fan-out: deterministic, but they may panic on internal bugs.
         for f in ["sched.rs", "store.rs", "machine.rs"] {
@@ -322,7 +331,7 @@ mod tests {
             assert!(rules.contains(&Rule::NoNondeterminism), "{f}");
             assert!(!rules.contains(&Rule::NoPanicOnWire), "{f}");
         }
-        // The driver layer runs real sockets/threads: catch-all exempt.
+        // The driver layer runs threads and a client: catch-all exempt.
         assert!(rules_for("crates/svc/src/service.rs").is_empty());
         assert!(rules_for("crates/svc/src/client.rs").is_empty());
     }

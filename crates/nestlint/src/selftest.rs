@@ -244,8 +244,8 @@ pub fn run(dir: &Path) -> SelfTest {
 
     // Same pin for the service wire path: the frame accumulator and
     // message codecs parse untrusted multi-tenant input inside one
-    // shared event loop, so they must stay no-panic-on-wire.
-    for path in ["crates/svc/src/proto.rs", "crates/svc/src/conn.rs"] {
+    // shared server loop, so they must stay no-panic-on-wire.
+    for path in ["crates/svc/src/proto.rs", "crates/cluster/src/conn.rs"] {
         if !crate::policy::rules_for(path).contains(&crate::rules::Rule::NoPanicOnWire) {
             failures.push(format!(
                 "{path}: policy no longer classifies the service wire path as \

@@ -895,7 +895,7 @@ pub fn get_list(r: &mut Reader) -> Result<Vec<u64>, E> {
             "crates/cluster/src/frame.rs",
             "crates/cluster/src/proto.rs",
             "crates/svc/src/proto.rs",
-            "crates/svc/src/conn.rs",
+            "crates/cluster/src/conn.rs",
         ] {
             assert!(cfg.wire_files.iter().any(|w| w == p), "{p} missing");
         }

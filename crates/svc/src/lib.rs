@@ -2,9 +2,8 @@
 //!
 //! A long-lived, multi-tenant campaign service: many clients connect
 //! over TCP, submit injection-campaign jobs, and stream back results —
-//! all multiplexed through **one** readiness-driven nonblocking event
-//! loop instead of `nestsim-cluster`'s thread-per-connection blocking
-//! I/O.
+//! all multiplexed through **one** nonblocking event loop, the same
+//! `nestsim_cluster::server` loop the campaign coordinator runs on.
 //!
 //! The layering mirrors the cluster crate so the `nestsim-mck` model
 //! checker keeps covering the protocol:
@@ -12,12 +11,10 @@
 //! | Layer | Module | Role |
 //! |---|---|---|
 //! | wire | [`proto`] | service message set (protocol v4, `NSCL` frames) |
-//! | framing | [`conn`] | incremental frame accumulation for nonblocking reads |
-//! | readiness | [`poll`] | epoll-backed poller (portable fallback elsewhere) |
 //! | scheduling | [`sched`] | deficit-round-robin fair share across tenants |
 //! | dedup | [`store`] | content-addressed result store keyed by determinism key |
 //! | protocol | [`machine`] | sans-I/O service state machine (model-checked) |
-//! | driver | [`service`] | event loop + execution pool around the machine |
+//! | driver | [`service`] | the machine on the server loop, plus the execution pool |
 //! | client | [`client`] | blocking client used by `repro --service` and tests |
 //!
 //! Determinism contract: a job's results are byte-identical to an
@@ -26,15 +23,11 @@
 //! wire codecs. Overlapping submissions deduplicate to a single
 //! execution whose results fan out to every subscriber.
 
-// The epoll FFI in `poll` is the single audited exception to the
-// workspace-wide no-unsafe rule; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod conn;
 pub mod machine;
-pub mod poll;
 pub mod proto;
 pub mod sched;
 pub mod service;

@@ -2,40 +2,30 @@
 //! event loop, real execution pool — the `cargo test` counterpart of
 //! the heavier `svc_smoke` CI gate.
 
-use nestsim_cluster::proto::JobWire;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
+
+use nestsim_cluster::frame::{read_frame, write_frame, MAGIC, MAX_FRAME};
+use nestsim_cluster::proto::{JobWire, PROTOCOL_VERSION};
 use nestsim_core::campaign::{run_campaign_with, CampaignSpec};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
-use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig};
+use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig, SvcMessage};
 use nestsim_telemetry::TelemetryConfig;
 
 #[test]
 fn service_result_is_byte_identical_to_in_process() {
-    let profile = by_name("radi").unwrap();
     let spec = CampaignSpec {
         seed: 7,
         ..CampaignSpec::quick(ComponentKind::L2c, 6)
     };
     let telemetry = TelemetryConfig { trace_capacity: 16 };
-    let reference = run_campaign_with(profile, &spec, Some(&telemetry));
-
     let handle = serve(ServiceConfig::default()).unwrap();
     let addr = handle.addr().to_string();
-    let job = JobWire::from_spec(profile, &spec, Some(&telemetry));
+    let job = JobWire::from_spec(by_name("radi").unwrap(), &spec, Some(&telemetry));
     let mut client = SvcClient::connect(&addr, "t1").unwrap();
-    let outcome = client.run_job(&job, 1).unwrap();
-    match outcome {
-        JobOutcome::Done(result) => {
-            assert_eq!(result.records, reference.records);
-            assert_eq!(result.counts, reference.counts);
-            assert_eq!(result.golden, reference.golden);
-            assert_eq!(
-                result.telemetry.merged.to_jsonl(),
-                reference.telemetry.merged.to_jsonl()
-            );
-        }
-        other => panic!("job did not complete: {other:?}"),
-    }
+    assert_in_process(client.run_job(&job, 1).unwrap(), &spec, &telemetry);
     handle.shutdown().unwrap();
 }
 
@@ -74,5 +64,138 @@ fn invalid_job_is_rejected_over_the_wire() {
         JobOutcome::Rejected(reason) => assert!(reason.contains("check_interval"), "{reason}"),
         other => panic!("expected rejection, got {other:?}"),
     }
+    handle.shutdown().unwrap();
+}
+
+/// Asserts a service outcome equals the in-process run of `spec` on
+/// `radi`.
+fn assert_in_process(outcome: JobOutcome, spec: &CampaignSpec, telemetry: &TelemetryConfig) {
+    let reference = run_campaign_with(by_name("radi").unwrap(), spec, Some(telemetry));
+    let JobOutcome::Done(result) = outcome else {
+        panic!("job did not complete: {outcome:?}");
+    };
+    assert_eq!(result.records, reference.records);
+    assert_eq!(result.counts, reference.counts);
+    assert_eq!(result.golden, reference.golden);
+    assert_eq!(
+        result.telemetry.merged.to_jsonl(),
+        reference.telemetry.merged.to_jsonl()
+    );
+}
+
+/// Whether the server hung up on `stream` (EOF or reset) rather than
+/// leaving it open.
+fn hung_up(stream: &mut TcpStream) -> bool {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match stream.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ),
+    }
+}
+
+/// A tenant that trickles its hello a byte at a time, one that speaks
+/// the wrong protocol, and one that claims a maximal frame and stalls
+/// share the loop with a healthy tenant, whose job still comes back
+/// byte-identical; the bad two are hung up on.
+#[test]
+fn slow_and_bad_peers_do_not_stall_a_healthy_tenant() {
+    let telemetry = TelemetryConfig { trace_capacity: 16 };
+    let spec = CampaignSpec {
+        seed: 7,
+        ..CampaignSpec::quick(ComponentKind::L2c, 6)
+    };
+    let handle = serve(ServiceConfig::default()).unwrap();
+    let addr = handle.addr();
+
+    let mut bad_magic = TcpStream::connect(addr).unwrap();
+    bad_magic.write_all(&[0xff; 8]).unwrap();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(&MAGIC.to_le_bytes()).unwrap();
+    stalled.write_all(&MAX_FRAME.to_le_bytes()).unwrap();
+
+    std::thread::scope(|scope| {
+        let healthy = scope.spawn(|| {
+            let job = JobWire::from_spec(by_name("radi").unwrap(), &spec, Some(&telemetry));
+            let mut client = SvcClient::connect(&addr.to_string(), "healthy").unwrap();
+            client.run_job(&job, 1).unwrap()
+        });
+
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let mut hello = Vec::new();
+        let payload = SvcMessage::ClientHello {
+            version: PROTOCOL_VERSION,
+            tenant: "slow".to_string(),
+        };
+        write_frame(&mut hello, &payload.encode().unwrap()).unwrap();
+        for byte in hello {
+            slow.write_all(&[byte]).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let reply = SvcMessage::decode(&read_frame(&mut slow).unwrap()).unwrap();
+        assert!(
+            matches!(reply, SvcMessage::ClientHelloAck { .. }),
+            "{reply:?}"
+        );
+
+        assert!(hung_up(&mut bad_magic), "bad magic must be hung up on");
+        assert_in_process(healthy.join().unwrap(), &spec, &telemetry);
+    });
+    handle.shutdown().unwrap();
+    assert!(
+        hung_up(&mut stalled),
+        "a stalled frame is hung up on at shutdown"
+    );
+}
+
+/// A tenant that keeps submitting and never reads is cut off once its
+/// unsent replies pass one maximal frame, instead of growing the
+/// service's memory without limit; a second tenant is unaffected.
+#[test]
+fn tenant_that_never_reads_is_dropped() {
+    let telemetry = TelemetryConfig { trace_capacity: 16 };
+    let spec = CampaignSpec {
+        seed: 5,
+        ..CampaignSpec::quick(ComponentKind::L2c, 6)
+    };
+    let job = JobWire::from_spec(by_name("radi").unwrap(), &spec, Some(&telemetry));
+    let handle = serve(ServiceConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+
+    // Every resubmission is answered in full from the result store.
+    let mut warm = SvcClient::connect(&addr, "warm").unwrap();
+    drop(warm.run_job(&job, 1).unwrap());
+    let mut deaf = TcpStream::connect(&addr).unwrap();
+    let hello = SvcMessage::ClientHello {
+        version: PROTOCOL_VERSION,
+        tenant: "deaf".to_string(),
+    };
+    write_frame(&mut deaf, &hello.encode().unwrap()).unwrap();
+    let mut batch = Vec::new();
+    for req in 0..1_000 {
+        let submit = SvcMessage::Submit {
+            req,
+            priority: 1,
+            job: job.clone(),
+        };
+        write_frame(&mut batch, &submit.encode().unwrap()).unwrap();
+    }
+    std::thread::scope(|scope| {
+        let second = CampaignSpec { seed: 6, ..spec };
+        let reader = scope.spawn(move || {
+            let job = JobWire::from_spec(by_name("radi").unwrap(), &second, Some(&telemetry));
+            let mut client = SvcClient::connect(&addr, "reader").unwrap();
+            assert_in_process(client.run_job(&job, 1).unwrap(), &second, &telemetry);
+        });
+        // Each submission is answered with ~800 bytes, so the cap
+        // (64 MiB) falls near batch 80.
+        let dropped = (0..200).any(|_| deaf.write_all(&batch).is_err());
+        assert!(dropped, "a tenant that never reads must be dropped");
+        reader.join().unwrap();
+    });
     handle.shutdown().unwrap();
 }
