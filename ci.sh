@@ -118,7 +118,8 @@ stage "benchmark package (BENCHMARK.json's program: its own tests, then every wo
 (cd benchmark && cargo test --release --offline --target-dir ../target)
 smoke_out="$(mktemp)"
 benchmark/run.sh --smoke | tee "$smoke_out"
-# Zero-allocation tick gate (ROADMAP 2a): the smoke's traced halves
+# Zero-allocation tick gate (README, *Performance notes*: no component's
+# tick touches the heap): the smoke's traced halves
 # count heap calls per component tick with the benchmark's own counting
 # allocator. Not `== 0`: PCIe reads 0.0005, one amortised growth.
 # Lane gate: the `l2c_lanes` block must report batches formed and lanes

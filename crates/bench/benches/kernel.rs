@@ -16,7 +16,7 @@ use nestsim_hlsim::events::{Ev, EventQueue};
 use nestsim_hlsim::system::{DMA_FRAME_CYCLES, L2_HIT_LATENCY, L2_MISS_LATENCY, POLL_RETRY};
 use nestsim_hlsim::workload::by_name;
 use nestsim_hlsim::{System, SystemConfig};
-use nestsim_models::ccx::CcxInputs;
+use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::fields::{shift_queue_down, Guard};
 use nestsim_models::l2c::L2cInputs;
 use nestsim_models::mcu::McuInputs;
@@ -144,52 +144,14 @@ fn component_ticks(suite: &mut Suite) {
         black_box(ccx.tick(&inp, &ready))
     });
 
-    // The crossbar in `CcxDriver::step`'s closed loop: requests *and*
-    // returns in flight, to banks scattered so the arbiters contend, and
-    // every delivered request coming back on its bank port after the
-    // functional-bank latency. `tick/ccx` above offers one request a
-    // cycle and no returns, which arbitration barely notices.
-    // `ccx_loaded` saturates it — every core offers whenever its FIFO
-    // has room; `ccx_cosim` offers at the rate counted in a `ccx_indep`
-    // campaign (1.72 requests and 1.72 returns a tick over 262,144
-    // ticks), which is the tick an injection's warm-up is made of.
-    for (name, offer_per_256) in [("ccx_loaded", 256), ("ccx_cosim", 55)] {
-        let mut ccx = Ccx::new();
-        let mut bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS] = Default::default();
-        let (mut cyc, mut n) = (0u64, 0u64);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        suite.bench("kernel/tick", name, || {
-            cyc += 1;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let mut inp = CcxInputs::default();
-            for c in 0..NUM_CORES {
-                if (x >> (8 * c)) & 0xff < offer_per_256 && ccx.core_ready(c) {
-                    n += 1;
-                    inp.from_cores[c] = Some(PcxPacket {
-                        thread: ThreadId::new(c * 8 + (n % 8) as usize),
-                        addr: PAddr::new(
-                            0x1000_0000 + (n.wrapping_mul(0x9e37_79b9) >> 7) % 4096 * 64,
-                        ),
-                        ..pcx(n)
-                    });
-                }
-            }
-            for (k, q) in bank_q.iter_mut().enumerate() {
-                if q.front().is_some_and(|(due, _)| *due <= cyc) && ccx.bank_ready(k) {
-                    inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
-                }
-            }
-            let out = ccx.tick(&inp, &ready);
-            for (q, p) in bank_q.iter_mut().zip(&out.to_banks) {
-                if let Some(p) = p {
-                    q.push_back((cyc + COSIM_BANK_LATENCY, CpxPacket::reply_to(p, p.data)));
-                }
-            }
-            black_box(out)
-        });
-    }
+    // `ccx_loaded` saturates the flop-level crossbar; `ccx_cosim` offers
+    // at the rate counted in a `ccx_indep` campaign (1.72 requests and
+    // 1.72 returns a tick over 262,144 ticks), the tick of an injection's
+    // co-simulation window. `ccx_warm` is that same traffic on the
+    // packet-image crossbar an injection warms up on.
+    ccx_closed_loop(suite, "ccx_loaded", Ccx::new(), 256);
+    ccx_closed_loop(suite, "ccx_cosim", Ccx::new(), 55);
+    ccx_closed_loop(suite, "ccx_warm", CcxWarm::new(), 55);
 
     let mut pcie = Pcie::new();
     pcie.program(nestsim_proto::pcie::DmaDescriptor {
@@ -198,6 +160,79 @@ fn component_ticks(suite: &mut Suite) {
         stream_seed: 7,
     });
     suite.bench("kernel/tick", "pcie", || black_box(pcie.tick(&mut mem)));
+}
+
+/// The crossbar models `ccx_closed_loop` drives: flops and images.
+trait Crossbar {
+    fn core_ready(&self, c: usize) -> bool;
+    fn bank_ready(&self, k: usize) -> bool;
+    fn tick(&mut self, inp: &CcxInputs, ready: &[bool; NUM_L2_BANKS]) -> CcxOutputs;
+}
+
+impl Crossbar for Ccx {
+    fn core_ready(&self, c: usize) -> bool {
+        Ccx::core_ready(self, c)
+    }
+    fn bank_ready(&self, k: usize) -> bool {
+        Ccx::bank_ready(self, k)
+    }
+    fn tick(&mut self, inp: &CcxInputs, ready: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
+        Ccx::tick(self, inp, ready)
+    }
+}
+
+impl Crossbar for CcxWarm {
+    fn core_ready(&self, c: usize) -> bool {
+        CcxWarm::core_ready(self, c)
+    }
+    fn bank_ready(&self, k: usize) -> bool {
+        CcxWarm::bank_ready(self, k)
+    }
+    fn tick(&mut self, inp: &CcxInputs, ready: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
+        CcxWarm::tick(self, inp, ready)
+    }
+}
+
+/// The crossbar in `CcxDriver::step`'s closed loop: requests *and*
+/// returns in flight, to banks scattered so the arbiters contend, and
+/// every delivered request coming back on its bank port after the
+/// functional-bank latency. `tick/ccx` offers one request a cycle and no
+/// returns, which arbitration barely notices. Each core offers with
+/// probability `offer_per_256`/256 a cycle when its FIFO has room.
+fn ccx_closed_loop(suite: &mut Suite, name: &str, mut ccx: impl Crossbar, offer_per_256: u64) {
+    let ready = [true; NUM_L2_BANKS];
+    let mut bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS] = Default::default();
+    let (mut cyc, mut n) = (0u64, 0u64);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    suite.bench("kernel/tick", name, || {
+        cyc += 1;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let mut inp = CcxInputs::default();
+        for c in 0..NUM_CORES {
+            if (x >> (8 * c)) & 0xff < offer_per_256 && ccx.core_ready(c) {
+                n += 1;
+                inp.from_cores[c] = Some(PcxPacket {
+                    thread: ThreadId::new(c * 8 + (n % 8) as usize),
+                    addr: PAddr::new(0x1000_0000 + (n.wrapping_mul(0x9e37_79b9) >> 7) % 4096 * 64),
+                    ..pcx(n)
+                });
+            }
+        }
+        for (k, q) in bank_q.iter_mut().enumerate() {
+            if q.front().is_some_and(|(due, _)| *due <= cyc) && ccx.bank_ready(k) {
+                inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
+            }
+        }
+        let out = ccx.tick(&inp, &ready);
+        for (q, p) in bank_q.iter_mut().zip(&out.to_banks) {
+            if let Some(p) = p {
+                q.push_back((cyc + COSIM_BANK_LATENCY, CpxPacket::reply_to(p, p.data)));
+            }
+        }
+        black_box(out)
+    });
 }
 
 /// A queue of `depth` packed slots (valid bit, then `leaves`, then
@@ -242,7 +277,9 @@ fn queue_pops(suite: &mut Suite) {
 
 fn attaches(suite: &mut Suite) {
     // Building the RTL model a driver attaches: a copy of the
-    // per-process prototype (plus, for L2C, the transferred arrays).
+    // per-process prototype (plus, for L2C, the transferred arrays). The
+    // crossbar attaches as packet images and builds its flops only at
+    // the golden snapshot.
     let arch = L2BankArch::for_bank(L2Geometry::default(), 0);
     suite.bench("kernel/attach", "l2c", || {
         black_box(L2cBank::with_arch(BankId::new(0), arch.clone()))
@@ -250,7 +287,7 @@ fn attaches(suite: &mut Suite) {
     suite.bench("kernel/attach", "mcu", || {
         black_box(Mcu::new(McuId::new(0)))
     });
-    suite.bench("kernel/attach", "ccx", || black_box(Ccx::new()));
+    suite.bench("kernel/attach", "ccx", || black_box(CcxWarm::new()));
     suite.bench("kernel/attach", "pcie", || black_box(Pcie::new()));
 }
 

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use nestsim_arch::{DramOverlay, OverlayBackend};
 use nestsim_hlsim::{InterceptMode, OutMsg, System};
-use nestsim_models::ccx::CcxInputs;
+use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::l2c::L2cInputs;
 use nestsim_models::mcu::McuInputs;
 use nestsim_models::pcie::PcieArchState;
@@ -684,12 +684,78 @@ impl CosimDriver for McuDriver {
 
 // ─────────────────────────── CCX driver ───────────────────────────
 
+/// The crossbar a [`CcxDriver`] co-simulates: packet images through the
+/// warm-up, flops from the first call that needs them on.
+// `Flops` holds the crossbar's handle tables inline, as the driver did
+// before; a box would be one more allocation per conversion.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Crossbar {
+    Images(CcxWarm),
+    Flops(Ccx),
+}
+
+impl Crossbar {
+    /// The flop-level crossbar, converted from the images in place the
+    /// first time it is asked for.
+    fn flops(&mut self) -> &mut Ccx {
+        if let Crossbar::Images(warm) = self {
+            *self = Crossbar::Flops(std::mem::take(warm).into_ccx());
+        }
+        match self {
+            Crossbar::Flops(x) => x,
+            Crossbar::Images(_) => unreachable!("converted above"),
+        }
+    }
+
+    fn core_ready(&self, c: usize) -> bool {
+        match self {
+            Crossbar::Images(x) => x.core_ready(c),
+            Crossbar::Flops(x) => x.core_ready(c),
+        }
+    }
+
+    fn bank_ready(&self, k: usize) -> bool {
+        match self {
+            Crossbar::Images(x) => x.bank_ready(k),
+            Crossbar::Flops(x) => x.bank_ready(k),
+        }
+    }
+
+    fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
+        match self {
+            Crossbar::Images(x) => x.tick(inp, bank_can_accept),
+            Crossbar::Flops(x) => x.tick(inp, bank_can_accept),
+        }
+    }
+
+    fn idle(&self) -> bool {
+        match self {
+            Crossbar::Images(x) => x.idle(),
+            Crossbar::Flops(x) => x.idle(),
+        }
+    }
+
+    fn occupancy(&self) -> (usize, usize) {
+        match self {
+            Crossbar::Images(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
+            Crossbar::Flops(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
+        }
+    }
+}
+
 /// Co-simulation driver for the crossbar.
+///
+/// The target warms up on [`CcxWarm`]: until the golden snapshot and
+/// the flip (Fig. 2 step 5) no flop can be wrong, so packet images give
+/// the same cycles at a fraction of the cost. `snapshot_golden`,
+/// `snapshot_golden_cold`, `inject`, `retire_golden` and `detach` turn
+/// it into the [`Ccx`] the flop-level warm-up would have left, and the
+/// rest of the run is flop-level.
 #[derive(Debug, Clone)]
 pub struct CcxDriver {
     sys: System,
-    /// The co-simulated crossbar.
-    pub target: Ccx,
+    target: Crossbar,
     /// The golden copy.
     pub golden: Option<Ccx>,
     core_q: [VecDeque<PcxPacket>; NUM_CORES],
@@ -706,12 +772,18 @@ impl CcxDriver {
         sys.set_intercept(InterceptMode::AllRequests);
         CcxDriver {
             sys,
-            target: Ccx::new(),
+            target: Crossbar::Images(CcxWarm::new()),
             golden: None,
             core_q: Default::default(),
             bank_q: Default::default(),
             first_err_out: None,
         }
+    }
+
+    /// Whether the target is still on packet images.
+    #[cfg(test)]
+    pub(crate) fn holds_images(&self) -> bool {
+        matches!(self.target, Crossbar::Images(_))
     }
 }
 
@@ -776,34 +848,35 @@ impl CosimDriver for CcxDriver {
     }
 
     fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.clone());
+        self.golden = Some(self.target.flops().clone());
     }
 
     fn snapshot_golden_cold(&mut self) {
+        self.target.flops();
         self.golden = Some(Ccx::new());
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        match &self.golden {
-            Some(g) => {
-                self.target.flops().diff_count(g.flops()) as f64
-                    / self.target.flops().num_flops() as f64
+        // A golden exists only once the target holds flops.
+        match (&self.target, &self.golden) {
+            (Crossbar::Flops(t), Some(g)) => {
+                t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
             }
-            None => 0.0,
+            _ => 0.0,
         }
     }
 
     fn inject(&mut self, bit: usize) {
-        self.target.flops_mut().flip(bit);
+        self.target.flops().flops_mut().flip(bit);
     }
 
     fn check(&self) -> CosimCheck {
-        let Some(golden) = &self.golden else {
+        let (Crossbar::Flops(target), Some(golden)) = (&self.target, &self.golden) else {
             return CosimCheck::Identical;
         };
         let mut benign_seen = false;
-        for bit in self.target.flops().diff_bits(golden.flops()) {
-            if self.target.is_benign_diff(golden, bit) {
+        for bit in target.flops().diff_bits(golden.flops()) {
+            if target.is_benign_diff(golden, bit) {
                 benign_seen = true;
             } else {
                 return CosimCheck::Microarch;
@@ -818,6 +891,7 @@ impl CosimDriver for CcxDriver {
     }
 
     fn retire_golden(&mut self) {
+        self.target.flops();
         self.golden = None;
     }
 
@@ -833,11 +907,13 @@ impl CosimDriver for CcxDriver {
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
-        rec.record_hist(names::H_Q_CCX_PCX, self.target.pcx_occupancy() as u64);
-        rec.record_hist(names::H_Q_CCX_CPX, self.target.cpx_occupancy() as u64);
+        let (pcx, cpx) = self.target.occupancy();
+        rec.record_hist(names::H_Q_CCX_PCX, pcx as u64);
+        rec.record_hist(names::H_Q_CCX_CPX, cpx as u64);
     }
 
     fn detach(mut self) -> Detach {
+        self.target.flops();
         self.sys.set_intercept(InterceptMode::None);
         // Serve anything stranded in the wedged crossbar's engine-side
         // queues functionally (forced detach path).
@@ -1111,6 +1187,95 @@ mod tests {
         drv.snapshot_golden();
         let drv = drive_checked(drv, 1_000);
         assert_eq!(drv.check(), CosimCheck::Identical);
+    }
+
+    /// A crossbar driver that notes, at every cycle it steps, whether
+    /// it was still on packet images.
+    struct ImageProbe {
+        inner: CcxDriver,
+        steps_on_images: std::rc::Rc<std::cell::Cell<(u64, u64)>>,
+    }
+
+    impl CosimDriver for ImageProbe {
+        fn step(&mut self) {
+            let (images, all) = self.steps_on_images.get();
+            let on_images = u64::from(self.inner.holds_images());
+            self.steps_on_images.set((images + on_images, all + 1));
+            self.inner.step();
+        }
+        fn cycle(&self) -> u64 {
+            self.inner.cycle()
+        }
+        fn sys(&self) -> &System {
+            self.inner.sys()
+        }
+        fn snapshot_golden(&mut self) {
+            self.inner.snapshot_golden();
+        }
+        fn snapshot_golden_cold(&mut self) {
+            self.inner.snapshot_golden_cold();
+        }
+        fn mismatch_fraction(&self) -> f64 {
+            self.inner.mismatch_fraction()
+        }
+        fn inject(&mut self, bit: usize) {
+            self.inner.inject(bit);
+        }
+        fn check(&self) -> CosimCheck {
+            self.inner.check()
+        }
+        fn retire_golden(&mut self) {
+            self.inner.retire_golden();
+        }
+        fn drained(&self) -> bool {
+            self.inner.drained()
+        }
+        fn erroneous_output(&self) -> Option<u64> {
+            self.inner.erroneous_output()
+        }
+        fn detach(self) -> Detach {
+            self.inner.detach()
+        }
+    }
+
+    #[test]
+    fn ccx_warm_up_runs_on_images_and_the_run_on_flops() {
+        // Every identity suite passes whichever model warms the crossbar
+        // up, so only this notices if the image path stops being taken.
+        use crate::campaign::{golden_reference, CampaignSpec};
+        use crate::inject::{finish, warm_component, InjectionSpec, WarmedDriver};
+        use nestsim_models::ComponentKind;
+        use nestsim_telemetry::Recorder;
+
+        let profile = by_name("stre").unwrap();
+        let (base, golden) = golden_reference(profile, &CampaignSpec::quick(ComponentKind::Ccx, 1));
+        let spec = InjectionSpec {
+            component: ComponentKind::Ccx,
+            instance: 0,
+            bit: Ccx::new().flops().named_bit("pcx0[0].addr", 6),
+            inject_cycle: 2_000,
+            warmup: 1_000,
+            cosim_cap: 4_000,
+            check_interval: 16,
+        };
+        let WarmedDriver::Ccx(w) = warm_component(&base, &golden, &spec) else {
+            panic!("a CCX spec warmed another component");
+        };
+        assert!(w.driver.holds_images(), "the warm-up ran on flops");
+        // A group resumes every member but the last from a clone.
+        assert!(w.clone().driver.holds_images(), "a clone holds flops");
+        let steps = std::rc::Rc::default();
+        let probed = w.map(|inner| ImageProbe {
+            inner,
+            steps_on_images: std::rc::Rc::clone(&steps),
+        });
+        finish(probed, &golden, &spec, &mut Recorder::null());
+        let (images, all) = steps.get();
+        assert!(all > 0, "the run stepped no cycle after the flip");
+        assert_eq!(
+            images, 0,
+            "{images} of {all} cycles after the flip ran on images"
+        );
     }
 
     #[test]

@@ -237,6 +237,19 @@ impl<D: CosimDriver> Warmed<D> {
     }
 }
 
+#[cfg(test)]
+impl<D> Warmed<D> {
+    /// The same warmed trajectory, its driver wrapped by `f`.
+    pub(crate) fn map<E>(self, f: impl FnOnce(D) -> E) -> Warmed<E> {
+        Warmed {
+            driver: f(self.driver),
+            entry: self.entry,
+            snapshot: self.snapshot,
+            warmup_done: self.warmup_done,
+        }
+    }
+}
+
 /// A [`Warmed`] driver of whichever component the trajectory targets.
 // Every variant holds a whole `System` inline and is moved a handful of
 // times per run; a box would buy an allocation per run, not a saving.
@@ -961,15 +974,10 @@ pub(crate) mod tests {
         let warmed = warm(base, golden, &first, attach);
         for (spec, warmed) in [(first, warmed.clone()), (second, warmed)] {
             let log = Rc::new(SpyLog::default());
-            let spied = Warmed {
-                driver: Spy {
-                    inner: warmed.driver,
-                    log: Rc::clone(&log),
-                },
-                entry: warmed.entry,
-                snapshot: warmed.snapshot,
-                warmup_done: warmed.warmup_done,
-            };
+            let spied = warmed.map(|inner| Spy {
+                inner,
+                log: Rc::clone(&log),
+            });
             let mut rec = Recorder::active(&cfg);
             let got = finish(spied, golden, &spec, &mut rec);
             let mut want_rec = Recorder::active(&cfg);

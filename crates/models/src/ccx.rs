@@ -14,7 +14,12 @@
 //! (consistently) wrong bank *and* wrong address; a flipped thread field
 //! returns data to the wrong hardware thread, leaving the requester
 //! waiting (Hang); valid flips drop or fabricate packets in flight.
+//!
+//! Before the flip there is nothing for flops to be wrong about, so the
+//! warm-up runs on [`CcxWarm`], the same crossbar over packet images,
+//! which becomes a [`Ccx`] at the golden snapshot.
 
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 use nestsim_proto::addr::{l2_bank_of, NUM_CORES, NUM_L2_BANKS};
@@ -62,6 +67,19 @@ trait Slot: Copy {
     fn guard(&self) -> Guard;
     fn load(&self, f: &FlopSpace) -> Self::Packet;
     fn store(&self, f: &mut FlopSpace, pkt: &Self::Packet);
+    /// The span `store` writes for `pkt`.
+    fn image(pkt: &Self::Packet) -> [u64; 3];
+    /// The packet `load` reads from a span holding `v`.
+    fn from_image(v: [u64; 3]) -> Self::Packet;
+    /// Destination port of `pkt`: what [`dest`](Self::dest) reads from a
+    /// slot holding its image.
+    fn route(pkt: &Self::Packet) -> usize;
+
+    /// Writes the image `v` over the slot, valid bit included.
+    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
+        let g = self.guard();
+        f.write_span(g.start - 1, g.end + 1 - g.start, v);
+    }
 
     /// What `self.store(f, &from.load(f))` does for a valid `from`, on
     /// the bits alone: a packet crossing the crossbar is decoded once,
@@ -108,6 +126,15 @@ impl Slot for PcxSlot {
     fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
         PcxSlot::store(self, f, pkt);
     }
+    fn image(pkt: &PcxPacket) -> [u64; 3] {
+        PcxSlot::image(pkt)
+    }
+    fn from_image(v: [u64; 3]) -> PcxPacket {
+        PcxSlot::from_image(v)
+    }
+    fn route(pkt: &PcxPacket) -> usize {
+        pkt.bank().index()
+    }
     fn copy_from(&self, f: &mut FlopSpace, from: &Self) {
         PcxSlot::copy_from(self, f, from);
     }
@@ -130,6 +157,15 @@ impl Slot for CpxSlot {
     }
     fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
         CpxSlot::store(self, f, pkt);
+    }
+    fn image(pkt: &CpxPacket) -> [u64; 3] {
+        CpxSlot::image(pkt)
+    }
+    fn from_image(v: [u64; 3]) -> CpxPacket {
+        CpxSlot::from_image(v)
+    }
+    fn route(pkt: &CpxPacket) -> usize {
+        pkt.thread.core().index()
     }
     fn copy_from(&self, f: &mut FlopSpace, from: &Self) {
         CpxSlot::copy_from(self, f, from);
@@ -505,6 +541,220 @@ impl UncoreRtl for Ccx {
 
     fn is_benign_diff(&self, golden: &Self, bit: usize) -> bool {
         benign_in(&self.ports.guards, bit, &self.flops, &golden.flops)
+    }
+}
+
+/// One direction of a [`CcxWarm`]: the source FIFOs, staging registers
+/// and round-robin pointers of [`arbitrate`]'s phase, each slot and stage
+/// the span its flops would hold. An empty slot or stage is all zeros,
+/// as `take` and the queue shift leave it.
+#[derive(Debug, Clone)]
+struct WarmHalf<S, const SRC: usize, const DST: usize> {
+    /// Queued images per source, head first.
+    queue: [[[u64; 3]; PORT_FIFO_DEPTH]; SRC],
+    /// Destination port of each queued packet, beside its image.
+    dest: [[u8; PORT_FIFO_DEPTH]; SRC],
+    count: [u8; SRC],
+    stage: [[u64; 3]; DST],
+    rr: [u8; DST],
+    slot: PhantomData<S>,
+}
+
+impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
+    const EMPTY: Self = WarmHalf {
+        queue: [[[0; 3]; PORT_FIFO_DEPTH]; SRC],
+        dest: [[0; PORT_FIFO_DEPTH]; SRC],
+        count: [0; SRC],
+        stage: [[0; 3]; DST],
+        rr: [0; DST],
+        slot: PhantomData,
+    };
+
+    fn ready(&self, src: usize) -> bool {
+        usize::from(self.count[src]) < PORT_FIFO_DEPTH
+    }
+
+    fn occupancy(&self) -> usize {
+        self.count.iter().map(|&n| usize::from(n)).sum()
+    }
+
+    fn idle(&self) -> bool {
+        self.occupancy() == 0 && self.stage.iter().all(|v| v[0] & 1 == 0)
+    }
+
+    /// [`Slot::take`] on stage `dst`.
+    fn take(&mut self, dst: usize) -> Option<S::Packet> {
+        let v = std::mem::take(&mut self.stage[dst]);
+        (v[0] & 1 != 0).then(|| S::from_image(v))
+    }
+
+    /// [`Fifo::push`] on source `src`.
+    fn push(&mut self, src: usize, pkt: &S::Packet) -> bool {
+        let n = usize::from(self.count[src]);
+        if n >= PORT_FIFO_DEPTH {
+            return false;
+        }
+        self.queue[src][n] = S::image(pkt);
+        self.dest[src][n] = S::route(pkt) as u8;
+        self.count[src] += 1;
+        true
+    }
+
+    /// [`arbitrate`] without corrupted FIFOs: every port with a free
+    /// stage, in order, is granted the first head routed to it from its
+    /// round-robin pointer on. `to[dst]` holds the sources whose head is
+    /// routed to `dst` and is kept current across grants, so a FIFO can
+    /// feed two ports in one phase as it does there.
+    fn arbitrate(&mut self) {
+        let all = (1u32 << SRC) - 1;
+        let mut to = [0u32; DST];
+        for src in 0..SRC {
+            if self.count[src] > 0 {
+                to[usize::from(self.dest[src][0])] |= 1 << src;
+            }
+        }
+        for dst in 0..DST {
+            if to[dst] == 0 || self.stage[dst][0] & 1 != 0 {
+                continue;
+            }
+            let first = usize::from(self.rr[dst]);
+            let rotated = (to[dst] >> first | to[dst] << (SRC - first)) & all;
+            let src = (first + rotated.trailing_zeros() as usize) % SRC;
+            let (queue, dest) = (&mut self.queue[src], &mut self.dest[src]);
+            self.stage[dst] = queue[0];
+            queue.copy_within(1.., 0);
+            queue[PORT_FIFO_DEPTH - 1] = [0; 3];
+            dest.copy_within(1.., 0);
+            self.count[src] -= 1;
+            self.rr[dst] = ((src + 1) % SRC) as u8;
+            to[dst] &= !(1 << src);
+            if self.count[src] > 0 {
+                to[usize::from(dest[0])] |= 1 << src;
+            }
+        }
+    }
+
+    /// Writes this half into the zeroed flops of a crossbar.
+    fn write_to(
+        &self,
+        f: &mut FlopSpace,
+        fifos: &[Fifo<S>; SRC],
+        stages: &[S; DST],
+        rr: &[FieldHandle; DST],
+    ) {
+        for ((fifo, queue), &n) in fifos.iter().zip(&self.queue).zip(&self.count) {
+            for (slot, &v) in fifo.slots.iter().zip(&queue[..usize::from(n)]) {
+                slot.store_image(f, v);
+            }
+            f.write(fifo.count, n.into());
+        }
+        for (stage, &v) in stages.iter().zip(&self.stage) {
+            if v[0] & 1 != 0 {
+                stage.store_image(f, v);
+            }
+        }
+        for (&h, &r) in rr.iter().zip(&self.rr) {
+            f.write(h, r.into());
+        }
+    }
+}
+
+/// The crossbar before any bit of it can be wrong: [`Ccx`]'s cycle on
+/// packet images and plain integers instead of flops.
+///
+/// Fig. 2 warms the target up (step 4) before the golden snapshot and
+/// the flip (step 5), so no flop can hold an error yet, and the flops of
+/// a crossbar are a function of the packets, counts and pointers it
+/// holds (everything else is zero). `CcxWarm` keeps exactly those and
+/// runs the same arbiter on them; [`into_ccx`](Self::into_ccx) writes
+/// them into flops, giving the crossbar the flop-level warm-up would
+/// have left. It owns nothing on the heap.
+#[derive(Debug, Clone)]
+pub struct CcxWarm {
+    pcx: WarmHalf<PcxSlot, NUM_CORES, NUM_L2_BANKS>,
+    cpx: WarmHalf<CpxSlot, NUM_L2_BANKS, NUM_CORES>,
+}
+
+impl CcxWarm {
+    /// An empty crossbar, as [`Ccx::new`] is.
+    pub fn new() -> Self {
+        CcxWarm {
+            pcx: WarmHalf::EMPTY,
+            cpx: WarmHalf::EMPTY,
+        }
+    }
+
+    /// [`Ccx::core_ready`].
+    #[inline]
+    pub fn core_ready(&self, c: usize) -> bool {
+        self.pcx.ready(c)
+    }
+
+    /// [`Ccx::bank_ready`].
+    #[inline]
+    pub fn bank_ready(&self, k: usize) -> bool {
+        self.cpx.ready(k)
+    }
+
+    /// [`Ccx::idle`].
+    pub fn idle(&self) -> bool {
+        self.pcx.idle() && self.cpx.idle()
+    }
+
+    /// [`Ccx::pcx_occupancy`].
+    pub fn pcx_occupancy(&self) -> usize {
+        self.pcx.occupancy()
+    }
+
+    /// [`Ccx::cpx_occupancy`].
+    pub fn cpx_occupancy(&self) -> usize {
+        self.cpx.occupancy()
+    }
+
+    /// [`Ccx::tick`]: the same drain, arbitration and latch, in the same
+    /// order, with the same outputs.
+    pub fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
+        let mut out = CcxOutputs::default();
+        for (k, &ready) in bank_can_accept.iter().enumerate() {
+            if ready {
+                out.to_banks[k] = self.pcx.take(k);
+            }
+        }
+        for (c, slot) in out.to_cores.iter_mut().enumerate() {
+            *slot = self.cpx.take(c);
+        }
+        self.pcx.arbitrate();
+        self.cpx.arbitrate();
+        for (c, pkt) in inp.from_cores.iter().enumerate() {
+            if let Some(pkt) = pkt {
+                out.core_accepted[c] = self.pcx.push(c, pkt);
+            }
+        }
+        for (k, pkt) in inp.from_banks.iter().enumerate() {
+            if let Some(pkt) = pkt {
+                out.bank_accepted[k] = self.cpx.push(k, pkt);
+            }
+        }
+        out
+    }
+
+    /// The flop-level crossbar holding this state: occupied slots,
+    /// counts, stages and pointers written into an empty [`Ccx`]. Its
+    /// flops are marked changed, so its first tick is computed rather
+    /// than skipped as settled.
+    pub fn into_ccx(self) -> Ccx {
+        let mut x = Ccx::new();
+        let (f, p) = (&mut x.flops, &x.ports);
+        self.pcx.write_to(f, &p.pcx_fifos, &p.pcx_stage, &p.pcx_rr);
+        self.cpx.write_to(f, &p.cpx_fifos, &p.cpx_stage, &p.cpx_rr);
+        f.mark_changed();
+        x
+    }
+}
+
+impl Default for CcxWarm {
+    fn default() -> Self {
+        CcxWarm::new()
     }
 }
 
@@ -1085,6 +1335,151 @@ mod tests {
             ready_wakes.get() >= 1,
             "no settled crossbar was woken by a bank turning ready"
         );
+    }
+
+    #[test]
+    fn image_crossbar_matches_the_flop_crossbar_in_lockstep() {
+        // Differential oracle of the warm-up model: the same fault-free
+        // traffic on all 16 source ports and the same random bank
+        // back-pressure drive `CcxWarm` and `Ccx`. Every cycle their
+        // outputs, port readiness, idleness and occupancies agree, and
+        // the image state converted to flops is the flop crossbar bit
+        // for bit. Now and then the converted crossbar is ticked on
+        // beside a clone of the flop one, whether or not that one had
+        // settled. Coverage is counted out here, where shrinking cannot
+        // trip on it.
+        use nestsim_harness::{check_with, Config};
+        use std::cell::Cell;
+
+        const CYCLES: u64 = 10_000;
+        let held = Cell::new(0u64);
+        let refused = Cell::new(0u64);
+        let double_grants = Cell::new(0u64);
+        let settled_conversions = Cell::new(0u64);
+        let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+
+        fn agree(warm: &CcxWarm, x: &Ccx) {
+            for p in 0..NUM_CORES {
+                assert_eq!(warm.core_ready(p), x.core_ready(p), "core_ready({p})");
+                assert_eq!(warm.bank_ready(p), x.bank_ready(p), "bank_ready({p})");
+            }
+            assert_eq!(warm.idle(), x.idle(), "idle");
+            assert_eq!(warm.pcx_occupancy(), x.pcx_occupancy(), "pcx occupancy");
+            assert_eq!(warm.cpx_occupancy(), x.cpx_occupancy(), "cpx occupancy");
+        }
+
+        check_with(
+            Config::with_cases(5),
+            "image_crossbar_matches_the_flop_crossbar_in_lockstep",
+            |src| {
+                let mut warm = CcxWarm::new();
+                let mut flops = Ccx::new();
+                let mut load = 0;
+                let mut next_id = 0;
+                for cyc in 0..CYCLES {
+                    if cyc % 256 == 0 {
+                        // Offered load in eighths per port, with silent
+                        // stretches so the crossbar drains and settles.
+                        load = if src.below(4) == 0 {
+                            0
+                        } else {
+                            src.below(8) + 1
+                        };
+                    }
+                    let r = src.u64();
+                    let mut inp = CcxInputs::default();
+                    for c in 0..NUM_CORES {
+                        if (r >> (3 * c)) & 7 < load {
+                            let x = src.u64();
+                            let mut p = req_to_bank(next_id, c, (x % 8) as usize);
+                            p.data = x;
+                            p.kind = crate::fields::decode_pcx_kind(x >> 8);
+                            inp.from_cores[c] = Some(p);
+                            next_id += 1;
+                        }
+                    }
+                    for k in 0..NUM_L2_BANKS {
+                        if (r >> (24 + 3 * k)) & 7 < load {
+                            let x = src.u64();
+                            inp.from_banks[k] = Some(CpxPacket {
+                                id: ReqId(next_id),
+                                thread: ThreadId::new((x % 64) as usize),
+                                kind: crate::fields::decode_cpx_kind((x >> 8) % 5),
+                                data: x,
+                            });
+                            next_id += 1;
+                        }
+                    }
+                    let ready: [bool; NUM_L2_BANKS] =
+                        core::array::from_fn(|k| (r >> (48 + 2 * k)) & 3 != 0);
+
+                    let counts_before: Vec<usize> = (flops.ports.pcx_fifos.iter())
+                        .map(|q| q.count(&flops.flops))
+                        .chain(flops.ports.cpx_fifos.iter().map(|q| q.count(&flops.flops)))
+                        .collect();
+                    let got = warm.tick(&inp, &ready);
+                    let want = flops.tick(&inp, &ready);
+                    assert_eq!(got, want, "outputs diverged in cycle {cyc}");
+                    agree(&warm, &flops);
+                    let converted = warm.clone().into_ccx();
+                    assert!(
+                        converted.flops.changed(),
+                        "conversion left the flops settled"
+                    );
+                    assert_eq!(
+                        converted.flops.diff_count(&flops.flops),
+                        0,
+                        "flops diverged in cycle {cyc}"
+                    );
+
+                    let stage_held = (flops.ports.pcx_stage.iter().zip(ready))
+                        .any(|(s, r)| !r && s.is_valid(&flops.flops));
+                    if stage_held {
+                        bump(&held);
+                    }
+                    let offered = inp.from_cores.iter().map(Option::is_some);
+                    let offered = offered.chain(inp.from_banks.iter().map(Option::is_some));
+                    let accepted = got.core_accepted.iter().chain(&got.bank_accepted);
+                    if offered.zip(accepted).any(|(o, &a)| o && !a) {
+                        bump(&refused);
+                    }
+                    let counts_after = (flops.ports.pcx_fifos.iter())
+                        .map(|q| q.count(&flops.flops))
+                        .chain(flops.ports.cpx_fifos.iter().map(|q| q.count(&flops.flops)));
+                    let accepted = got.core_accepted.iter().chain(&got.bank_accepted);
+                    for ((&n, now), &acc) in counts_before.iter().zip(counts_after).zip(accepted) {
+                        if n == 2 && now - usize::from(acc) == 0 {
+                            bump(&double_grants);
+                        }
+                    }
+
+                    if src.below(500) == 0 {
+                        if !flops.flops.changed() {
+                            bump(&settled_conversions);
+                        }
+                        let (mut a, mut b) = (warm.clone().into_ccx(), flops.clone());
+                        for _ in 0..32 {
+                            let quiet = CcxInputs::default();
+                            assert_eq!(a.tick(&quiet, &ALL_READY), b.tick(&quiet, &ALL_READY));
+                            assert_eq!(a.flops.diff_count(&b.flops), 0, "converted crossbar");
+                        }
+                    }
+                }
+            },
+        );
+
+        for (what, hits) in [
+            ("stages held by a bank that was not ready", held.get()),
+            ("inputs refused by a full FIFO", refused.get()),
+            ("two grants from one FIFO in one tick", double_grants.get()),
+            (
+                "conversions of a settled crossbar",
+                settled_conversions.get(),
+            ),
+        ] {
+            println!("{what}: {hits}");
+            assert!(hits > 0, "the traffic never produced {what}");
+        }
     }
 
     /// Counter and per-entry valid bits of each FIFO, in port order.

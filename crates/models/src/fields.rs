@@ -304,14 +304,15 @@ impl PcxSlot {
         }
     }
 
-    /// Stores `pkt` into the slot and sets valid.
+    /// The slot image holding `pkt`: the bits [`store`](Self::store)
+    /// writes, valid bit set, as [`FlopSpace::read_span`] returns them.
     ///
     /// # Panics
     ///
     /// Panics if the request id does not fit the flop width (the system
     /// simulator never allocates such ids).
     #[inline]
-    pub fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
+    pub fn image(pkt: &PcxPacket) -> [u64; 3] {
         assert!(pkt.id.0 < (1 << REQID_BITS), "request id overflow");
         let mut v = [1, 0, 0];
         span_put(&mut v, Self::KIND, 2, encode_pcx_kind(pkt.kind));
@@ -319,13 +320,12 @@ impl PcxSlot {
         span_put(&mut v, Self::REQID, REQID_BITS, pkt.id.0);
         span_put(&mut v, Self::ADDR, ADDR_BITS, pkt.addr.raw());
         span_put(&mut v, Self::DATA, 64, pkt.data);
-        f.write_span(self.valid.offset(), Self::BITS, v);
+        v
     }
 
-    /// Loads the slot's packet (whatever the bits now say).
+    /// The packet a slot image holds (whatever its bits say).
     #[inline]
-    pub fn load(&self, f: &FlopSpace) -> PcxPacket {
-        let v = f.read_span(self.valid.offset(), Self::BITS);
+    pub fn from_image(v: [u64; 3]) -> PcxPacket {
         PcxPacket {
             id: ReqId(span_get(v, Self::REQID, REQID_BITS)),
             thread: ThreadId::new(span_get(v, Self::THREAD, THREAD_BITS) as usize % NUM_THREADS),
@@ -333,6 +333,22 @@ impl PcxSlot {
             addr: PAddr::new(span_get(v, Self::ADDR, ADDR_BITS)),
             data: span_get(v, Self::DATA, 64),
         }
+    }
+
+    /// Stores `pkt` into the slot and sets valid.
+    ///
+    /// # Panics
+    ///
+    /// As [`image`](Self::image).
+    #[inline]
+    pub fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
+        f.write_span(self.valid.offset(), Self::BITS, Self::image(pkt));
+    }
+
+    /// Loads the slot's packet (whatever the bits now say).
+    #[inline]
+    pub fn load(&self, f: &FlopSpace) -> PcxPacket {
+        Self::from_image(f.read_span(self.valid.offset(), Self::BITS))
     }
 
     /// Moves the valid slot `from`'s packet into this slot: the bits
@@ -429,32 +445,47 @@ impl CpxSlot {
         }
     }
 
-    /// Stores `pkt` into the slot and sets valid.
+    /// The slot image holding `pkt`, as [`PcxSlot::image`].
     ///
     /// # Panics
     ///
     /// Panics if the request id does not fit the flop width.
     #[inline]
-    pub fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
+    pub fn image(pkt: &CpxPacket) -> [u64; 3] {
         assert!(pkt.id.0 < (1 << REQID_BITS), "request id overflow");
         let mut v = [1, 0, 0];
         span_put(&mut v, Self::KIND, 3, encode_cpx_kind(pkt.kind));
         span_put(&mut v, Self::THREAD, THREAD_BITS, pkt.thread.index() as u64);
         span_put(&mut v, Self::REQID, REQID_BITS, pkt.id.0);
         span_put(&mut v, Self::DATA, 64, pkt.data);
-        f.write_span(self.valid.offset(), Self::BITS, v);
+        v
     }
 
-    /// Loads the slot's packet (whatever the bits now say).
+    /// The packet a slot image holds (whatever its bits say).
     #[inline]
-    pub fn load(&self, f: &FlopSpace) -> CpxPacket {
-        let v = f.read_span(self.valid.offset(), Self::BITS);
+    pub fn from_image(v: [u64; 3]) -> CpxPacket {
         CpxPacket {
             id: ReqId(span_get(v, Self::REQID, REQID_BITS)),
             thread: ThreadId::new(span_get(v, Self::THREAD, THREAD_BITS) as usize % NUM_THREADS),
             kind: decode_cpx_kind(span_get(v, Self::KIND, 3)),
             data: span_get(v, Self::DATA, 64),
         }
+    }
+
+    /// Stores `pkt` into the slot and sets valid.
+    ///
+    /// # Panics
+    ///
+    /// As [`image`](Self::image).
+    #[inline]
+    pub fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
+        f.write_span(self.valid.offset(), Self::BITS, Self::image(pkt));
+    }
+
+    /// Loads the slot's packet (whatever the bits now say).
+    #[inline]
+    pub fn load(&self, f: &FlopSpace) -> CpxPacket {
+        Self::from_image(f.read_span(self.valid.offset(), Self::BITS))
     }
 
     /// Moves the valid slot `from`'s packet into this slot: the bits

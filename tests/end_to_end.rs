@@ -422,6 +422,52 @@ fn campaign_bytes_are_pinned_for_every_component_clustered_and_not() {
     }
 }
 
+/// FNV-1a over `words`, each as its little-endian bytes.
+fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    (words.into_iter())
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn ccx_warmup_and_persistence_bytes_are_pinned() {
+    // Fig. 5 and Fig. 6 drive the crossbar driver outside any campaign:
+    // one takes its cold golden after 4,000 cycles of history, the other
+    // its golden after a fixed 1,000-cycle warm-up. Computed before the
+    // crossbar warmed up on packet images; a change that claims to be
+    // result-neutral must never re-bless them. `radi` has finished by
+    // the time Fig. 5 snapshots (a flat curve: only the arbiter pointers
+    // differ from a cold crossbar); `stre` still has packets in flight.
+    for (bench, pinned) in [
+        ("radi", 0x1f2b_6ea4_e975_49b2u64),
+        ("stre", 0xb054_012f_28c1_adbc),
+    ] {
+        let profile = by_name(bench).unwrap();
+        let curve =
+            nestsim::core::warmup::warmup_experiment(ComponentKind::Ccx, profile, 4, 1_000, 7, 100);
+        assert_eq!(curve.points.len(), 1_001);
+        let got = fnv_words(curve.points.iter().map(|p| p.to_bits()));
+        assert_eq!(got, pinned, "Fig. 5 warm-up curve, {bench}: {got:#018x}");
+    }
+
+    let sweep = nestsim::core::persistence::persistence_sweep(
+        ComponentKind::Ccx,
+        by_name("radi").unwrap(),
+        40,
+        3_000,
+        &CampaignSpec::quick(ComponentKind::Ccx, 1),
+    );
+    assert_eq!(sweep.flops.len(), 40);
+    let words = (sweep.flops.iter()).flat_map(|f| [f.bit as u64, f.cycles, u64::from(f.censored)]);
+    let got = fnv_words(words);
+    assert_eq!(
+        got, 0x954b_dd65_f03c_5ff9,
+        "Fig. 6 persistence records: {got:#018x}"
+    );
+}
+
 /// The pinned L2C `radi` cell of the table above (96 independent
 /// samples, `0xd040_e4b7_67c0_22e2`).
 fn pinned_l2c_cell(workers: usize) -> CampaignSpec {
