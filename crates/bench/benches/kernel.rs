@@ -18,7 +18,7 @@ use nestsim_hlsim::workload::by_name;
 use nestsim_hlsim::{System, SystemConfig};
 use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::fields::{shift_queue_down, Guard};
-use nestsim_models::l2c::L2cInputs;
+use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
 use nestsim_models::mcu::McuInputs;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, McuId, PAddr, ThreadId, NUM_CORES, NUM_L2_BANKS};
@@ -65,37 +65,12 @@ fn pcx(i: u64) -> PcxPacket {
 }
 
 fn component_ticks(suite: &mut Suite) {
-    // The bank as an L2C campaign drives it (`L2cDriver::step`): a
-    // request offered whenever the input queue has room, every fill
-    // answered after the co-simulation DRAM latency, so the pipeline,
-    // the miss buffer and both queues stay busy and no tick settles.
-    let mut bank = L2cBank::new(BankId::new(0));
-    let mut fills: VecDeque<(u64, DramCmd)> = VecDeque::new();
-    let (mut cyc, mut i) = (0u64, 0u64);
-    suite.bench("kernel/tick", "l2c_active", || {
-        cyc += 1;
-        let due = fills.front().is_some_and(|(due, _)| *due <= cyc);
-        let inp = L2cInputs {
-            pcx: bank.ready().then(|| pcx(i)),
-            dram_resp: due
-                .then(|| fills.pop_front().unwrap().1)
-                .map(|cmd| DramResp {
-                    tag: cmd.tag,
-                    bank: cmd.bank,
-                    line: cmd.line,
-                    data: [cyc; 8],
-                    is_writeback_ack: false,
-                }),
-        };
-        i += 1;
-        let out = bank.tick(&inp);
-        if let Some(cmd) = out.dram_cmd.clone() {
-            if cmd.kind == DramCmdKind::Fill {
-                fills.push_back((cyc + COSIM_DRAM_LATENCY, cmd));
-            }
-        }
-        black_box(out)
-    });
+    // `l2c_active` is the flop-level bank of an injection's
+    // co-simulation window; `l2c_warm` is the same traffic on the
+    // slot-image bank an injection warms up on.
+    l2c_active(suite, "l2c_active", L2cBank::new(BankId::new(0)));
+    let arch = L2BankArch::for_bank(L2Geometry::default(), 0);
+    l2c_active(suite, "l2c_warm", L2cWarm::new(BankId::new(0), arch));
 
     // The bank as it spends most co-simulated cycles: one miss on its
     // DRAM round trip, nothing arriving, nothing to do — a settled tick.
@@ -160,6 +135,63 @@ fn component_ticks(suite: &mut Suite) {
         stream_seed: 7,
     });
     suite.bench("kernel/tick", "pcie", || black_box(pcie.tick(&mut mem)));
+}
+
+/// The bank models `l2c_active` drives: flops and images.
+trait Bank {
+    fn ready(&self) -> bool;
+    fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs;
+}
+
+impl Bank for L2cBank {
+    fn ready(&self) -> bool {
+        L2cBank::ready(self)
+    }
+    fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
+        L2cBank::tick(self, inp)
+    }
+}
+
+impl Bank for L2cWarm {
+    fn ready(&self) -> bool {
+        L2cWarm::ready(self)
+    }
+    fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
+        L2cWarm::tick(self, inp)
+    }
+}
+
+/// The bank as an L2C campaign drives it (`L2cDriver::step`): a request
+/// offered whenever the input queue has room, every fill answered after
+/// the co-simulation DRAM latency, so the pipeline, the miss buffer and
+/// both queues stay busy and no tick settles.
+fn l2c_active(suite: &mut Suite, name: &str, mut bank: impl Bank) {
+    let mut fills: VecDeque<(u64, DramCmd)> = VecDeque::new();
+    let (mut cyc, mut i) = (0u64, 0u64);
+    suite.bench("kernel/tick", name, || {
+        cyc += 1;
+        let due = fills.front().is_some_and(|(due, _)| *due <= cyc);
+        let inp = L2cInputs {
+            pcx: bank.ready().then(|| pcx(i)),
+            dram_resp: due
+                .then(|| fills.pop_front().unwrap().1)
+                .map(|cmd| DramResp {
+                    tag: cmd.tag,
+                    bank: cmd.bank,
+                    line: cmd.line,
+                    data: [cyc; 8],
+                    is_writeback_ack: false,
+                }),
+        };
+        i += 1;
+        let out = bank.tick(&inp);
+        if let Some(cmd) = out.dram_cmd.clone() {
+            if cmd.kind == DramCmdKind::Fill {
+                fills.push_back((cyc + COSIM_DRAM_LATENCY, cmd));
+            }
+        }
+        black_box(out)
+    });
 }
 
 /// The crossbar models `ccx_closed_loop` drives: flops and images.
@@ -277,12 +309,12 @@ fn queue_pops(suite: &mut Suite) {
 
 fn attaches(suite: &mut Suite) {
     // Building the RTL model a driver attaches: a copy of the
-    // per-process prototype (plus, for L2C, the transferred arrays). The
-    // crossbar attaches as packet images and builds its flops only at
-    // the golden snapshot.
+    // per-process prototype. The crossbar and the L2 bank attach as
+    // images (the bank with its transferred arrays) and build their
+    // flops only at the golden snapshot.
     let arch = L2BankArch::for_bank(L2Geometry::default(), 0);
     suite.bench("kernel/attach", "l2c", || {
-        black_box(L2cBank::with_arch(BankId::new(0), arch.clone()))
+        black_box(L2cWarm::new(BankId::new(0), arch.clone()))
     });
     suite.bench("kernel/attach", "mcu", || {
         black_box(Mcu::new(McuId::new(0)))

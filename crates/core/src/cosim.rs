@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use nestsim_arch::{DramOverlay, OverlayBackend};
 use nestsim_hlsim::{InterceptMode, OutMsg, System};
 use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
-use nestsim_models::l2c::L2cInputs;
+use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
 use nestsim_models::mcu::McuInputs;
 use nestsim_models::pcie::PcieArchState;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
@@ -140,6 +140,120 @@ pub trait CosimDriver: Sized {
     }
 }
 
+// ─────────────────────────── Warm-up target ──────────────────────────
+
+/// A fault-free model a target warms up on, and the flop-level model it
+/// becomes.
+trait IntoFlops {
+    type Flops;
+
+    /// The flop-level model holding this state, marked changed.
+    fn into_flops(self) -> Self::Flops;
+}
+
+impl IntoFlops for CcxWarm {
+    type Flops = Ccx;
+
+    fn into_flops(self) -> Ccx {
+        self.into_ccx()
+    }
+}
+
+impl IntoFlops for L2cWarm {
+    type Flops = L2cBank;
+
+    fn into_flops(self) -> L2cBank {
+        self.into_l2c()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Targets converted from images to flops on this thread.
+    pub(crate) static CONVERSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The component a driver co-simulates: the fault-free model `W` through
+/// the warm-up, its flops from the first call that needs them on.
+///
+/// Until the golden snapshot and the flip (Fig. 2 step 5) no flop can be
+/// wrong, so the warm-up (step 4) runs on `W`, which gives the same
+/// cycles at a fraction of the cost; [`flops`](Self::flops) then turns
+/// it into the flops the flop-level warm-up would have left.
+// `Flops` holds the component's handle tables inline, as the drivers
+// did before; a box would be one more allocation per conversion.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Target<W: IntoFlops> {
+    Images(W),
+    Flops(W::Flops),
+    /// Only inside [`flops`](Self::flops), between taking the images and
+    /// storing what they became.
+    Converting,
+}
+
+impl<W: IntoFlops> Target<W> {
+    /// The flop-level model, converted from the images in place the
+    /// first time it is asked for.
+    fn flops(&mut self) -> &mut W::Flops {
+        if let Target::Images(_) = self {
+            let Target::Images(warm) = std::mem::replace(self, Target::Converting) else {
+                unreachable!("matched above")
+            };
+            *self = Target::Flops(warm.into_flops());
+            #[cfg(test)]
+            CONVERSIONS.with(|n| n.set(n.get() + 1));
+        }
+        match self {
+            Target::Flops(x) => x,
+            _ => unreachable!("converted above"),
+        }
+    }
+
+    /// The flop-level model, if the target holds flops.
+    fn as_flops(&self) -> Option<&W::Flops> {
+        match self {
+            Target::Flops(x) => Some(x),
+            _ => None,
+        }
+    }
+}
+
+impl Target<L2cWarm> {
+    fn ready(&self) -> bool {
+        match self {
+            Target::Images(x) => x.ready(),
+            Target::Flops(x) => x.ready(),
+            Target::Converting => unreachable!(),
+        }
+    }
+
+    fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
+        match self {
+            Target::Images(x) => x.tick(inp),
+            Target::Flops(x) => x.tick(inp),
+            Target::Converting => unreachable!(),
+        }
+    }
+
+    fn idle(&self) -> bool {
+        match self {
+            Target::Images(x) => x.idle(),
+            Target::Flops(x) => x.idle(),
+            Target::Converting => unreachable!(),
+        }
+    }
+
+    /// Input-queue, output-queue and miss-buffer occupancy.
+    fn occupancy(&self) -> [usize; 3] {
+        match self {
+            Target::Images(x) => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()],
+            Target::Flops(x) => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()],
+            Target::Converting => unreachable!(),
+        }
+    }
+}
+
 // ─────────────────────────── L2C driver ───────────────────────────
 
 /// Mini DRAM model (latency queue over an overlay) standing in for the
@@ -193,12 +307,19 @@ impl LatencyDram {
 }
 
 /// Co-simulation driver for one L2 cache bank.
+///
+/// The target warms up on [`L2cWarm`]: until the golden snapshot and the
+/// flip (Fig. 2 step 5) no flop can be wrong, so slot images give the
+/// same cycles at a fraction of the cost. `snapshot_golden`,
+/// `snapshot_golden_cold`, `inject`, `retire_golden` and `detach` turn
+/// it into the [`L2cBank`] the flop-level warm-up would have left, and
+/// the rest of the run is flop-level.
 #[derive(Debug, Clone)]
 pub struct L2cDriver {
     sys: System,
     bank: BankId,
     /// The co-simulated (error-injected) bank.
-    pub target: L2cBank,
+    target: Target<L2cWarm>,
     /// The golden copy (present after
     /// [`snapshot_golden`](CosimDriver::snapshot_golden)).
     pub golden: Option<L2cBank>,
@@ -229,7 +350,7 @@ pub(crate) struct CarrierTick {
     /// The packet consumed this cycle, if any.
     pub pcx: Option<PcxPacket>,
     /// The carrier's outputs — each lane's golden outputs this cycle.
-    pub out: nestsim_models::l2c::L2cOutputs,
+    pub out: L2cOutputs,
 }
 
 impl L2cDriver {
@@ -238,7 +359,7 @@ impl L2cDriver {
     /// (Fig. 2 step 3). Flop state starts at reset and is reconstructed
     /// by warm-up traffic (step 4).
     pub fn attach(mut sys: System, bank: BankId) -> Self {
-        let target = L2cBank::with_arch(bank, sys.bank_arch(bank).clone());
+        let target = Target::Images(L2cWarm::new(bank, sys.bank_arch(bank).clone()));
         sys.set_intercept(InterceptMode::Bank(bank));
         L2cDriver {
             sys,
@@ -252,6 +373,25 @@ impl L2cDriver {
             inbox: VecDeque::new(),
             first_err_out: None,
         }
+    }
+
+    /// The co-simulated bank, once it holds flops: from the first call
+    /// that needs them (the golden snapshot, the flip) on.
+    pub fn target(&self) -> Option<&L2cBank> {
+        self.target.as_flops()
+    }
+
+    /// The co-simulated bank as flops, converted from the images now if
+    /// it is still on them: the lane engine's carrier, before it forks
+    /// its lanes.
+    pub(crate) fn flop_target(&mut self) -> &L2cBank {
+        self.target.flops()
+    }
+
+    /// Whether the target is still on slot images.
+    #[cfg(test)]
+    pub(crate) fn holds_images(&self) -> bool {
+        matches!(self.target, Target::Images(_))
     }
 
     fn record_divergence(&mut self, cycle: u64) {
@@ -307,9 +447,21 @@ impl L2cDriver {
 /// from its target at a golden compare, and the lane engine from each
 /// lane's bank.
 pub(crate) fn sample_l2c_bank(bank: &L2cBank, rec: &mut Recorder) {
-    rec.record_hist(names::H_Q_L2C_IQ, bank.iq_occupancy() as u64);
-    rec.record_hist(names::H_Q_L2C_OQ, bank.oq_occupancy() as u64);
-    rec.record_hist(names::H_Q_L2C_MB, bank.mb_occupancy() as u64);
+    record_l2c_occupancy(
+        [
+            bank.iq_occupancy(),
+            bank.oq_occupancy(),
+            bank.mb_occupancy(),
+        ],
+        rec,
+    );
+}
+
+/// Records input-queue, output-queue and miss-buffer occupancy.
+fn record_l2c_occupancy([iq, oq, mb]: [usize; 3], rec: &mut Recorder) {
+    rec.record_hist(names::H_Q_L2C_IQ, iq as u64);
+    rec.record_hist(names::H_Q_L2C_OQ, oq as u64);
+    rec.record_hist(names::H_Q_L2C_MB, mb as u64);
 }
 
 impl CosimDriver for L2cDriver {
@@ -362,33 +514,34 @@ impl CosimDriver for L2cDriver {
     }
 
     fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.clone());
+        self.golden = Some(self.target.flops().clone());
         self.g_ov = self.t_ov.clone();
         self.g_dram = self.t_dram.clone();
     }
 
     fn snapshot_golden_cold(&mut self) {
-        self.golden = Some(L2cBank::with_arch(self.bank, self.target.arch().clone()));
+        let arch = self.target.flops().arch().clone();
+        self.golden = Some(L2cBank::with_arch(self.bank, arch));
         self.g_ov = self.t_ov.clone();
         self.g_dram = LatencyDram::default();
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        match &self.golden {
-            Some(g) => {
-                self.target.flops().diff_count(g.flops()) as f64
-                    / self.target.flops().num_flops() as f64
+        // A golden exists only once the target holds flops.
+        match (&self.target, &self.golden) {
+            (Target::Flops(t), Some(g)) => {
+                t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
             }
-            None => 0.0,
+            _ => 0.0,
         }
     }
 
     fn inject(&mut self, bit: usize) {
-        self.target.flops_mut().flip(bit);
+        self.target.flops().flops_mut().flip(bit);
     }
 
     fn check(&self) -> CosimCheck {
-        let Some(golden) = &self.golden else {
+        let (Target::Flops(target), Some(golden)) = (&self.target, &self.golden) else {
             return CosimCheck::Identical;
         };
         // In-flight traffic (engine-side DRAM model) counts as
@@ -397,15 +550,15 @@ impl CosimDriver for L2cDriver {
             return CosimCheck::Microarch;
         }
         let mut benign_seen = false;
-        for bit in self.target.flops().diff_bits(golden.flops()) {
-            if self.target.is_benign_diff(golden, bit) {
+        for bit in target.flops().diff_bits(golden.flops()) {
+            if target.is_benign_diff(golden, bit) {
                 benign_seen = true;
             } else {
                 return CosimCheck::Microarch;
             }
         }
-        let arch_dirty = self.target.arch().differs(golden.arch())
-            || self.t_ov.differs(&self.g_ov, self.sys.dram());
+        let arch_dirty =
+            target.arch().differs(golden.arch()) || self.t_ov.differs(&self.g_ov, self.sys.dram());
         if arch_dirty {
             CosimCheck::ArchMappable
         } else if benign_seen {
@@ -416,6 +569,7 @@ impl CosimDriver for L2cDriver {
     }
 
     fn retire_golden(&mut self) {
+        self.target.flops();
         self.golden = None;
     }
 
@@ -431,15 +585,16 @@ impl CosimDriver for L2cDriver {
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
-        sample_l2c_bank(&self.target, rec);
+        record_l2c_occupancy(self.target.occupancy(), rec);
     }
 
     fn detach(mut self) -> Detach {
+        let target = self.target.flops();
         // Corrupted lines: cache-resident divergence + memory-side
         // divergence through the overlays.
         let mut corrupted: Vec<LineAddr> = Vec::new();
         if let Some(golden) = &self.golden {
-            corrupted.extend(self.target.arch().diff_lines(golden.arch()));
+            corrupted.extend(target.arch().diff_lines(golden.arch()));
             corrupted.extend(self.t_ov.diff_lines(&self.g_ov, self.sys.dram()));
         }
         corrupted.sort_unstable_by_key(|l| l.raw());
@@ -447,8 +602,7 @@ impl CosimDriver for L2cDriver {
         // Transfer state back (Fig. 2 step 10): memory overlay, then
         // the bank's architectural arrays.
         self.t_ov.apply_to(self.sys.dram_mut());
-        self.sys
-            .set_bank_arch(self.bank, self.target.arch().clone());
+        self.sys.set_bank_arch(self.bank, target.arch().clone());
         self.sys.set_intercept(InterceptMode::None);
         // Any packets the wedged target never accepted are served
         // functionally so the threads see *some* response (forced
@@ -684,62 +838,44 @@ impl CosimDriver for McuDriver {
 
 // ─────────────────────────── CCX driver ───────────────────────────
 
-/// The crossbar a [`CcxDriver`] co-simulates: packet images through the
-/// warm-up, flops from the first call that needs them on.
-// `Flops` holds the crossbar's handle tables inline, as the driver did
-// before; a box would be one more allocation per conversion.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Crossbar {
-    Images(CcxWarm),
-    Flops(Ccx),
-}
-
-impl Crossbar {
-    /// The flop-level crossbar, converted from the images in place the
-    /// first time it is asked for.
-    fn flops(&mut self) -> &mut Ccx {
-        if let Crossbar::Images(warm) = self {
-            *self = Crossbar::Flops(std::mem::take(warm).into_ccx());
-        }
-        match self {
-            Crossbar::Flops(x) => x,
-            Crossbar::Images(_) => unreachable!("converted above"),
-        }
-    }
-
+impl Target<CcxWarm> {
     fn core_ready(&self, c: usize) -> bool {
         match self {
-            Crossbar::Images(x) => x.core_ready(c),
-            Crossbar::Flops(x) => x.core_ready(c),
+            Target::Images(x) => x.core_ready(c),
+            Target::Flops(x) => x.core_ready(c),
+            Target::Converting => unreachable!(),
         }
     }
 
     fn bank_ready(&self, k: usize) -> bool {
         match self {
-            Crossbar::Images(x) => x.bank_ready(k),
-            Crossbar::Flops(x) => x.bank_ready(k),
+            Target::Images(x) => x.bank_ready(k),
+            Target::Flops(x) => x.bank_ready(k),
+            Target::Converting => unreachable!(),
         }
     }
 
     fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
         match self {
-            Crossbar::Images(x) => x.tick(inp, bank_can_accept),
-            Crossbar::Flops(x) => x.tick(inp, bank_can_accept),
+            Target::Images(x) => x.tick(inp, bank_can_accept),
+            Target::Flops(x) => x.tick(inp, bank_can_accept),
+            Target::Converting => unreachable!(),
         }
     }
 
     fn idle(&self) -> bool {
         match self {
-            Crossbar::Images(x) => x.idle(),
-            Crossbar::Flops(x) => x.idle(),
+            Target::Images(x) => x.idle(),
+            Target::Flops(x) => x.idle(),
+            Target::Converting => unreachable!(),
         }
     }
 
     fn occupancy(&self) -> (usize, usize) {
         match self {
-            Crossbar::Images(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
-            Crossbar::Flops(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
+            Target::Images(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
+            Target::Flops(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
+            Target::Converting => unreachable!(),
         }
     }
 }
@@ -755,7 +891,7 @@ impl Crossbar {
 #[derive(Debug, Clone)]
 pub struct CcxDriver {
     sys: System,
-    target: Crossbar,
+    target: Target<CcxWarm>,
     /// The golden copy.
     pub golden: Option<Ccx>,
     core_q: [VecDeque<PcxPacket>; NUM_CORES],
@@ -772,7 +908,7 @@ impl CcxDriver {
         sys.set_intercept(InterceptMode::AllRequests);
         CcxDriver {
             sys,
-            target: Crossbar::Images(CcxWarm::new()),
+            target: Target::Images(CcxWarm::new()),
             golden: None,
             core_q: Default::default(),
             bank_q: Default::default(),
@@ -783,7 +919,7 @@ impl CcxDriver {
     /// Whether the target is still on packet images.
     #[cfg(test)]
     pub(crate) fn holds_images(&self) -> bool {
-        matches!(self.target, Crossbar::Images(_))
+        matches!(self.target, Target::Images(_))
     }
 }
 
@@ -859,7 +995,7 @@ impl CosimDriver for CcxDriver {
     fn mismatch_fraction(&self) -> f64 {
         // A golden exists only once the target holds flops.
         match (&self.target, &self.golden) {
-            (Crossbar::Flops(t), Some(g)) => {
+            (Target::Flops(t), Some(g)) => {
                 t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
             }
             _ => 0.0,
@@ -871,7 +1007,7 @@ impl CosimDriver for CcxDriver {
     }
 
     fn check(&self) -> CosimCheck {
-        let (Crossbar::Flops(target), Some(golden)) = (&self.target, &self.golden) else {
+        let (Target::Flops(target), Some(golden)) = (&self.target, &self.golden) else {
             return CosimCheck::Identical;
         };
         let mut benign_seen = false;
@@ -1189,17 +1325,18 @@ mod tests {
         assert_eq!(drv.check(), CosimCheck::Identical);
     }
 
-    /// A crossbar driver that notes, at every cycle it steps, whether
-    /// it was still on packet images.
-    struct ImageProbe {
-        inner: CcxDriver,
+    /// A driver that notes, at every cycle it steps, whether its target
+    /// was still on images.
+    struct ImageProbe<D> {
+        inner: D,
+        holds_images: fn(&D) -> bool,
         steps_on_images: std::rc::Rc<std::cell::Cell<(u64, u64)>>,
     }
 
-    impl CosimDriver for ImageProbe {
+    impl<D: CosimDriver> CosimDriver for ImageProbe<D> {
         fn step(&mut self) {
             let (images, all) = self.steps_on_images.get();
-            let on_images = u64::from(self.inner.holds_images());
+            let on_images = u64::from((self.holds_images)(&self.inner));
             self.steps_on_images.set((images + on_images, all + 1));
             self.inner.step();
         }
@@ -1267,6 +1404,7 @@ mod tests {
         let steps = std::rc::Rc::default();
         let probed = w.map(|inner| ImageProbe {
             inner,
+            holds_images: CcxDriver::holds_images,
             steps_on_images: std::rc::Rc::clone(&steps),
         });
         finish(probed, &golden, &spec, &mut Recorder::null());
@@ -1275,6 +1413,79 @@ mod tests {
         assert_eq!(
             images, 0,
             "{images} of {all} cycles after the flip ran on images"
+        );
+    }
+
+    #[test]
+    fn l2c_warm_up_runs_on_images_and_the_run_on_flops() {
+        // As for the crossbar: only this notices if an L2 bank stops
+        // warming up on slot images, or a lane batch converts more than
+        // its carrier.
+        use crate::campaign::{golden_reference, CampaignSpec};
+        use crate::inject::{finish, warm_component, InjectionSpec, WarmedDriver};
+        use crate::lanes::{run_l2c_batch, LaneBatchStats};
+        use nestsim_models::ComponentKind;
+        use nestsim_telemetry::Recorder;
+
+        let profile = by_name("stre").unwrap();
+        let (base, golden) = golden_reference(profile, &CampaignSpec::quick(ComponentKind::L2c, 1));
+        let named =
+            |name: &str, bit: usize| L2cBank::new(BankId::new(0)).flops().named_bit(name, bit);
+        let spec = InjectionSpec {
+            component: ComponentKind::L2c,
+            instance: 0,
+            bit: named("iq[0].addr", 6),
+            inject_cycle: 2_000,
+            warmup: 1_000,
+            cosim_cap: 4_000,
+            check_interval: 16,
+        };
+        let WarmedDriver::L2c(w) = warm_component(&base, &golden, &spec) else {
+            panic!("an L2C spec warmed another component");
+        };
+        assert!(w.driver.holds_images(), "the warm-up ran on flops");
+        assert!(w.clone().driver.holds_images(), "a clone holds flops");
+        let steps = std::rc::Rc::default();
+        let probed = w.map(|inner| ImageProbe {
+            inner,
+            holds_images: L2cDriver::holds_images,
+            steps_on_images: std::rc::Rc::clone(&steps),
+        });
+        finish(probed, &golden, &spec, &mut Recorder::null());
+        let (images, all) = steps.get();
+        assert!(all > 0, "the run stepped no cycle after the flip");
+        assert_eq!(
+            images, 0,
+            "{images} of {all} cycles after the flip ran on images"
+        );
+
+        // A batch converts its carrier, and each lane that leaves for
+        // the scalar path converts its own resumed driver at the flip.
+        let samples: Vec<InjectionSpec> = [
+            named("iq[0].addr", 6),
+            named("bist.chain[0]", 0),
+            named("oq[3].data", 9),
+            named("iq.count", 1),
+            named("mb[0].valid", 0),
+            named("perf.hits", 2),
+        ]
+        .map(|bit| InjectionSpec { bit, ..spec })
+        .into();
+        let group: Vec<usize> = (0..samples.len()).collect();
+        let before = CONVERSIONS.with(std::cell::Cell::get);
+        let mut stats = LaneBatchStats::default();
+        let runs = run_l2c_batch(&base, &golden, &samples, &group, None, &mut stats);
+        let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
+        assert_eq!(runs.len(), samples.len());
+        assert!(
+            stats.retired_early > 0 && stats.scalar_fallbacks > 0,
+            "{stats:?}"
+        );
+        assert_eq!(
+            conversions,
+            1 + stats.scalar_fallbacks,
+            "{conversions} conversions for one carrier and {} leavers",
+            stats.scalar_fallbacks
         );
     }
 
@@ -1302,8 +1513,10 @@ mod tests {
         // Corrupt a *resident cache line* via the golden-visible arch:
         // flip a data bit in a store sitting in the miss buffer if any;
         // fall back to an address bit of IQ entry 0.
-        let bit = drv
-            .target
+        let target = drv
+            .target()
+            .expect("the golden snapshot converted the bank");
+        let bit = target
             .flops()
             .fields()
             .iter()
@@ -1324,9 +1537,7 @@ mod tests {
         // flagged clean while bits differ.
         if !saw_non_identical {
             assert_eq!(
-                drv.target
-                    .flops()
-                    .diff_count(drv.golden.as_ref().unwrap().flops()),
+                (drv.target().unwrap().flops()).diff_count(drv.golden.as_ref().unwrap().flops()),
                 0,
                 "identical check with differing bits"
             );

@@ -568,7 +568,9 @@ pub(crate) mod tests {
         // payload bit inside it.
         let (valid_bit, data_bit) = {
             use nestsim_models::UncoreRtl;
-            let flops = drv.target.flops();
+            let flops = (drv.target())
+                .expect("the golden snapshot converted the bank")
+                .flops();
             let mut found = None;
             // Scan every guarded queue structure for an idle entry.
             let prefixes: Vec<String> = (0..nestsim_models::l2c::OQ_DEPTH)

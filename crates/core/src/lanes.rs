@@ -160,13 +160,14 @@ pub(crate) fn run_l2c_batch(
 
     // Each lane is a clone of the carrier (≡ the scalar run's target at
     // snapshot_golden) with its bit flipped; the carrier itself plays
-    // every lane's golden from here.
+    // every lane's golden from here. The warm-up ran on slot images, so
+    // the carrier becomes flops first, once for every lane.
     let c_snap = carrier.cycle();
     let mut lanes: Vec<Lane> = group
         .iter()
         .map(|&i| {
             let s = &samples[i];
-            let mut bank = carrier.target.clone();
+            let mut bank = carrier.flop_target().clone();
             bank.flops_mut().flip(s.bit);
             let mut rec = recorder_for(telemetry);
             warmed.record_preamble(s, &mut rec);
@@ -243,7 +244,8 @@ pub(crate) fn run_l2c_batch(
                 let lane = &mut lanes[li];
                 lane.rec.count(names::GOLDEN_COMPARES, 1);
                 // Parked: the carrier's bank is the lane's.
-                let bank = lane.state.as_ref().map_or(&carrier.target, |st| &st.bank);
+                let bank =
+                    (lane.state.as_ref()).map_or_else(|| golden_bank(&carrier), |st| &st.bank);
                 if lane.rec.is_active() {
                     sample_l2c_bank(bank, &mut lane.rec);
                 }
@@ -368,6 +370,11 @@ pub(crate) fn run_l2c_batch(
     out
 }
 
+/// The carrier's bank, every lane's golden: flops from the fork on.
+fn golden_bank(carrier: &L2cDriver) -> &L2cBank {
+    (carrier.target()).expect("the carrier holds flops once it forks its lanes")
+}
+
 /// The scalar driver's `check()` with the roles remapped: the lane is
 /// the target, the carrier's target/overlay/DRAM-queue are the golden.
 /// A word-parallel XOR of the flops comes first, so the lanes that are
@@ -376,7 +383,7 @@ fn lane_check(lane: &LaneState, carrier: &L2cDriver) -> CosimCheck {
     if lane.dram.queue != carrier.t_dram.queue {
         return CosimCheck::Microarch;
     }
-    let golden = &carrier.target;
+    let golden = golden_bank(carrier);
     let mut benign_seen = false;
     if !lane_matches_golden(golden.flops().raw_bits(), lane.bank.flops().raw_bits()) {
         for bit in lane.bank.flops().diff_bits(golden.flops()) {

@@ -76,10 +76,7 @@ trait Slot: Copy {
     fn route(pkt: &Self::Packet) -> usize;
 
     /// Writes the image `v` over the slot, valid bit included.
-    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
-        let g = self.guard();
-        f.write_span(g.start - 1, g.end + 1 - g.start, v);
-    }
+    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]);
 
     /// What `self.store(f, &from.load(f))` does for a valid `from`, on
     /// the bits alone: a packet crossing the crossbar is decoded once,
@@ -126,6 +123,9 @@ impl Slot for PcxSlot {
     fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
         PcxSlot::store(self, f, pkt);
     }
+    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
+        PcxSlot::store_image(self, f, v);
+    }
     fn image(pkt: &PcxPacket) -> [u64; 3] {
         PcxSlot::image(pkt)
     }
@@ -157,6 +157,9 @@ impl Slot for CpxSlot {
     }
     fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
         CpxSlot::store(self, f, pkt);
+    }
+    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
+        CpxSlot::store_image(self, f, v);
     }
     fn image(pkt: &CpxPacket) -> [u64; 3] {
         CpxSlot::image(pkt)

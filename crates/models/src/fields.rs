@@ -342,7 +342,13 @@ impl PcxSlot {
     /// As [`image`](Self::image).
     #[inline]
     pub fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
-        f.write_span(self.valid.offset(), Self::BITS, Self::image(pkt));
+        self.store_image(f, Self::image(pkt));
+    }
+
+    /// Writes the image `v` over the slot, valid bit included.
+    #[inline]
+    pub fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
+        f.write_span(self.valid.offset(), Self::BITS, v);
     }
 
     /// Loads the slot's packet (whatever the bits now say).
@@ -479,7 +485,13 @@ impl CpxSlot {
     /// As [`image`](Self::image).
     #[inline]
     pub fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
-        f.write_span(self.valid.offset(), Self::BITS, Self::image(pkt));
+        self.store_image(f, Self::image(pkt));
+    }
+
+    /// Writes the image `v` over the slot, valid bit included.
+    #[inline]
+    pub fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
+        f.write_span(self.valid.offset(), Self::BITS, v);
     }
 
     /// Loads the slot's packet (whatever the bits now say).

@@ -32,6 +32,10 @@
 //!   read from the (preserved, ECC-protected) data array, so a QRR reset
 //!   can never lose dirty data that exists nowhere else. DESIGN.md
 //!   documents this as a QRR-correctness-motivated design point.
+//!
+//! Before the flip there is nothing for flops to be wrong about, so the
+//! warm-up runs on [`L2cWarm`], the same bank over slot images, which
+//! becomes an [`L2cBank`] at the golden snapshot.
 
 use nestsim_arch::{L2BankArch, L2Geometry};
 use std::sync::OnceLock;
@@ -131,6 +135,46 @@ impl FillSlot {
                 start,
                 end,
             },
+        }
+    }
+}
+
+/// Reads the word at `addr` if its line is resident; corrupted
+/// addresses may reference non-resident lines, in which case the
+/// datapath returns a poison pattern (open bus), as hardware would.
+fn read_word(arch: &L2BankArch, addr: PAddr) -> u64 {
+    if arch.probe(addr.line()).is_some() {
+        arch.read_word_resident(addr)
+    } else {
+        0xdead_dead_dead_dead
+    }
+}
+
+fn write_word(arch: &mut L2BankArch, addr: PAddr, v: u64) {
+    if arch.probe(addr.line()).is_some() {
+        arch.write_word_resident(addr, v);
+    }
+    // Non-resident (corrupted) store target: the write is silently
+    // lost, a realistic consequence of a corrupted way-select.
+}
+
+/// Performs `pkt` on the arrays of a bank holding its line (a hit, or a
+/// miss whose fill just installed it) and returns its reply.
+fn serve(arch: &mut L2BankArch, pkt: &PcxPacket) -> CpxPacket {
+    match pkt.kind {
+        PcxKind::Load | PcxKind::Ifetch => {
+            let v = read_word(arch, pkt.addr);
+            arch.touch_dir(pkt.addr, pkt.thread.core().index());
+            CpxPacket::reply_to(pkt, v)
+        }
+        PcxKind::Store => {
+            write_word(arch, pkt.addr, pkt.data);
+            CpxPacket::reply_to(pkt, 0)
+        }
+        PcxKind::Atomic => {
+            let old = read_word(arch, pkt.addr);
+            write_word(arch, pkt.addr, old.wrapping_add(pkt.data));
+            CpxPacket::reply_to(pkt, old)
         }
     }
 }
@@ -376,25 +420,6 @@ impl L2cBank {
         true
     }
 
-    /// Reads the word at `addr` if its line is resident; corrupted
-    /// addresses may reference non-resident lines, in which case the
-    /// datapath returns a poison pattern (open bus), as hardware would.
-    fn read_word(&self, addr: PAddr) -> u64 {
-        if self.arch.probe(addr.line()).is_some() {
-            self.arch.read_word_resident(addr)
-        } else {
-            0xdead_dead_dead_dead
-        }
-    }
-
-    fn write_word(&mut self, addr: PAddr, v: u64) {
-        if self.arch.probe(addr.line()).is_some() {
-            self.arch.write_word_resident(addr, v);
-        }
-        // Non-resident (corrupted) store target: the write is silently
-        // lost, a realistic consequence of a corrupted way-select.
-    }
-
     /// Advances the bank by one clock cycle.
     ///
     /// A cycle is a pure function of the flops, `arch`, `write_block`
@@ -478,26 +503,11 @@ impl L2cBank {
                 if let Some(m) = self.mb.get(tag % MB_DEPTH).copied() {
                     if m.pcx.is_valid(&self.flops) {
                         let pkt = m.pcx.load(&self.flops);
-                        let acked = self.flops.read_bool(m.acked);
-                        match pkt.kind {
-                            PcxKind::Store => {
-                                self.write_word(pkt.addr, pkt.data);
-                                if acked {
-                                    out.store_miss_done = Some(pkt.id);
-                                } else {
-                                    self.oq_push(&CpxPacket::reply_to(&pkt, 0));
-                                }
-                            }
-                            PcxKind::Load | PcxKind::Ifetch => {
-                                let v = self.read_word(pkt.addr);
-                                self.arch.touch_dir(pkt.addr, pkt.thread.core().index());
-                                self.oq_push(&CpxPacket::reply_to(&pkt, v));
-                            }
-                            PcxKind::Atomic => {
-                                let old = self.read_word(pkt.addr);
-                                self.write_word(pkt.addr, old.wrapping_add(pkt.data));
-                                self.oq_push(&CpxPacket::reply_to(&pkt, old));
-                            }
+                        let reply = serve(&mut self.arch, &pkt);
+                        if pkt.kind == PcxKind::Store && self.flops.read_bool(m.acked) {
+                            out.store_miss_done = Some(pkt.id);
+                        } else {
+                            self.oq_push(&reply);
                         }
                         m.pcx.invalidate(&mut self.flops);
                     }
@@ -533,22 +543,7 @@ impl L2cBank {
                             // Hit path.
                             let hits = self.flops.read(self.perf_ctr);
                             self.flops.write(self.perf_ctr, hits.wrapping_add(1));
-                            let reply = match pkt.kind {
-                                PcxKind::Load | PcxKind::Ifetch => {
-                                    let v = self.read_word(pkt.addr);
-                                    self.arch.touch_dir(pkt.addr, pkt.thread.core().index());
-                                    CpxPacket::reply_to(&pkt, v)
-                                }
-                                PcxKind::Store => {
-                                    self.write_word(pkt.addr, pkt.data);
-                                    CpxPacket::reply_to(&pkt, 0)
-                                }
-                                PcxKind::Atomic => {
-                                    let old = self.read_word(pkt.addr);
-                                    self.write_word(pkt.addr, old.wrapping_add(pkt.data));
-                                    CpxPacket::reply_to(&pkt, old)
-                                }
-                            };
+                            let reply = serve(&mut self.arch, &pkt);
                             self.p1.store(&mut self.flops, &reply);
                             slot.invalidate(&mut self.flops);
                             pop = true;
@@ -633,6 +628,288 @@ impl UncoreRtl for L2cBank {
 
     fn is_benign_diff(&self, golden: &Self, bit: usize) -> bool {
         benign_in(&self.guards, bit, &self.flops, &golden.flops)
+    }
+}
+
+/// A fill-pending entry as [`FillSlot`]'s flops hold it.
+#[derive(Debug, Clone, Copy, Default)]
+struct FillImage {
+    valid: bool,
+    /// Line address, as wide as its field.
+    line: u64,
+    data: [u64; 8],
+    /// Miss-buffer tag, as wide as its field.
+    tag: u64,
+}
+
+/// Whether a slot image's valid bit is set.
+#[inline]
+fn valid(v: &[u64; 3]) -> bool {
+    v[0] & 1 != 0
+}
+
+/// Pops the head of a queue of slot images: what [`shift_queue_down`]
+/// does to a packed queue of flops, zeros shifted into the tail.
+#[inline]
+fn shift_images_down<const N: usize>(q: &mut [[u64; 3]; N]) {
+    q.copy_within(1.., 0);
+    q[N - 1] = [0; 3];
+}
+
+/// The bank before any bit of it can be wrong: [`L2cBank`]'s cycle on
+/// slot images and plain integers instead of flops.
+///
+/// Fig. 2 transfers the arrays into the model (step 3) and warms it up
+/// with live traffic (step 4) before the golden snapshot and the flip
+/// (step 5), so no flop can hold an error yet, and the flops of a
+/// fault-free bank are a function of its slots, counts, miss-buffer bits
+/// and hit counter (`cfg.enable` is set, everything else is zero).
+/// `L2cWarm` keeps exactly those, each IQ, pipeline, miss-buffer and OQ
+/// slot as the span its flops would hold, and runs the same cycle on
+/// them. A slot is invalidated by clearing its valid bit only, so its
+/// stale payload stays in the image as it stays in the flops.
+/// [`into_l2c`](Self::into_l2c) writes them into flops, giving the bank
+/// the flop-level warm-up would have left.
+#[derive(Debug, Clone)]
+pub struct L2cWarm {
+    bank: BankId,
+    arch: L2BankArch,
+    iq: [[u64; 3]; IQ_DEPTH],
+    iq_count: usize,
+    p1: [u64; 3],
+    p2: [u64; 3],
+    mb: [[u64; 3]; MB_DEPTH],
+    mb_issued: [bool; MB_DEPTH],
+    mb_acked: [bool; MB_DEPTH],
+    fill: [FillImage; FILL_DEPTH],
+    oq: [[u64; 3]; OQ_DEPTH],
+    oq_count: usize,
+    hits: u8,
+}
+
+impl L2cWarm {
+    /// A bank at reset around transferred architectural state, as
+    /// [`L2cBank::with_arch`] is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arch` belongs to another bank.
+    pub fn new(bank: BankId, arch: L2BankArch) -> Self {
+        assert_eq!(arch.bank_index(), bank.index(), "bank mismatch");
+        L2cWarm {
+            bank,
+            arch,
+            iq: [[0; 3]; IQ_DEPTH],
+            iq_count: 0,
+            p1: [0; 3],
+            p2: [0; 3],
+            mb: [[0; 3]; MB_DEPTH],
+            mb_issued: [false; MB_DEPTH],
+            mb_acked: [false; MB_DEPTH],
+            fill: [FillImage::default(); FILL_DEPTH],
+            oq: [[0; 3]; OQ_DEPTH],
+            oq_count: 0,
+            hits: 0,
+        }
+    }
+
+    /// [`L2cBank::ready`].
+    #[inline]
+    pub fn ready(&self) -> bool {
+        self.iq_count < IQ_DEPTH
+    }
+
+    /// [`L2cBank::idle`].
+    pub fn idle(&self) -> bool {
+        self.iq_count == 0
+            && self.oq_count == 0
+            && !valid(&self.p1)
+            && !valid(&self.p2)
+            && self.mb.iter().all(|m| !valid(m))
+            && self.fill.iter().all(|f| !f.valid)
+    }
+
+    /// [`L2cBank::iq_occupancy`].
+    pub fn iq_occupancy(&self) -> usize {
+        self.iq_count
+    }
+
+    /// [`L2cBank::oq_occupancy`].
+    pub fn oq_occupancy(&self) -> usize {
+        self.oq_count
+    }
+
+    /// [`L2cBank::mb_occupancy`].
+    pub fn mb_occupancy(&self) -> usize {
+        self.mb.iter().filter(|m| valid(m)).count()
+    }
+
+    fn mb_conflict(&self, line: LineAddr) -> bool {
+        self.mb
+            .iter()
+            .any(|&m| valid(&m) && PcxSlot::from_image(m).addr.line() == line)
+            || self
+                .fill
+                .iter()
+                .any(|f| f.valid && LineAddr::new(f.line) == line)
+    }
+
+    fn oq_push(&mut self, pkt: &CpxPacket) -> bool {
+        if self.oq_count >= OQ_DEPTH {
+            return false;
+        }
+        self.oq[self.oq_count] = CpxSlot::image(pkt);
+        self.oq_count += 1;
+        true
+    }
+
+    /// [`L2cBank::tick`] of a bank that is enabled and not write-blocked:
+    /// the same stages, in the same order, with the same outputs.
+    pub fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
+        let mut out = L2cOutputs::default();
+
+        // Output stage: OQ head → CPX.
+        if self.oq_count > 0 {
+            if valid(&self.oq[0]) {
+                out.cpx = Some(CpxSlot::from_image(self.oq[0]));
+            }
+            shift_images_down(&mut self.oq);
+            self.oq_count -= 1;
+        }
+
+        // DRAM responses → fill-pending buffer.
+        if let Some(resp) = inp.dram_resp.as_ref().filter(|r| !r.is_writeback_ack) {
+            if let Some(slot) = self.fill.iter_mut().find(|f| !f.valid) {
+                *slot = FillImage {
+                    valid: true,
+                    line: resp.line.raw() & ((1 << LineSlot::LINE_BITS) - 1),
+                    data: resp.data,
+                    tag: u64::from(resp.tag) & 0b111,
+                };
+            }
+        }
+
+        // Fill completion: install line, complete miss entry.
+        if let Some(slot) = self.fill.iter_mut().find(|f| f.valid) {
+            slot.valid = false;
+            let FillImage {
+                line, data, tag, ..
+            } = *slot;
+            if let Some((victim_line, victim_data)) = self.arch.install(LineAddr::new(line), data) {
+                out.dram_cmd = Some(DramCmd::writeback(
+                    0xff,
+                    self.bank,
+                    victim_line,
+                    victim_data,
+                ));
+            }
+            let m = tag as usize % MB_DEPTH;
+            if valid(&self.mb[m]) {
+                let pkt = PcxSlot::from_image(self.mb[m]);
+                let reply = serve(&mut self.arch, &pkt);
+                if pkt.kind == PcxKind::Store && self.mb_acked[m] {
+                    out.store_miss_done = Some(pkt.id);
+                } else {
+                    self.oq_push(&reply);
+                }
+                self.mb[m][0] &= !1;
+            }
+        }
+
+        // Pipeline advance: P2 → OQ, P1 → P2.
+        if valid(&self.p2) && self.oq_push(&CpxSlot::from_image(self.p2)) {
+            self.p2[0] &= !1;
+        }
+        if valid(&self.p1) && !valid(&self.p2) {
+            self.p2 = CpxSlot::image(&CpxSlot::from_image(self.p1));
+            self.p1[0] &= !1;
+        }
+
+        // IQ dispatch.
+        if !valid(&self.p1) && self.iq_count > 0 {
+            let pop = if valid(&self.iq[0]) {
+                let pkt = PcxSlot::from_image(self.iq[0]);
+                let line = pkt.addr.line();
+                if self.mb_conflict(line) {
+                    false // per-line ordering conflict → stall at head
+                } else if self.arch.probe(line).is_some() {
+                    self.hits = self.hits.wrapping_add(1);
+                    self.p1 = CpxSlot::image(&serve(&mut self.arch, &pkt));
+                    true
+                } else if let Some(m) = self.mb.iter().position(|m| !valid(m)) {
+                    self.mb[m] = PcxSlot::image(&pkt);
+                    self.mb_issued[m] = false;
+                    self.mb_acked[m] = pkt.kind == PcxKind::Store;
+                    if self.mb_acked[m] {
+                        self.p1 = CpxSlot::image(&CpxPacket::reply_to(&pkt, 0));
+                    }
+                    true
+                } else {
+                    false // miss buffer full → stall at head
+                }
+            } else {
+                true
+            };
+            if pop {
+                shift_images_down(&mut self.iq);
+                self.iq_count -= 1;
+            }
+        }
+
+        // Fill-request emission (if the command port is free).
+        if out.dram_cmd.is_none() {
+            if let Some(m) = (0..MB_DEPTH).find(|&m| valid(&self.mb[m]) && !self.mb_issued[m]) {
+                let pkt = PcxSlot::from_image(self.mb[m]);
+                out.dram_cmd = Some(DramCmd::fill(m as u32, self.bank, pkt.addr.line()));
+                self.mb_issued[m] = true;
+            }
+        }
+
+        // Input acceptance.
+        if let Some(pkt) = &inp.pcx {
+            if self.iq_count < IQ_DEPTH {
+                self.iq[self.iq_count] = PcxSlot::image(pkt);
+                self.iq_count += 1;
+                out.accepted = true;
+            }
+        }
+
+        out
+    }
+
+    /// The flop-level bank holding this state: every slot image, stale
+    /// payloads included, the counts, the miss-buffer bits and the hit
+    /// counter written into [`L2cBank::with_arch`], which takes the
+    /// arrays over. Its flops are marked changed, so its first tick is
+    /// computed rather than skipped as settled.
+    pub fn into_l2c(self) -> L2cBank {
+        let mut b = L2cBank::with_arch(self.bank, self.arch);
+        let f = &mut b.flops;
+        for (slot, &v) in b.iq.iter().zip(&self.iq) {
+            slot.store_image(f, v);
+        }
+        f.write(b.iq_count, self.iq_count as u64);
+        b.p1.store_image(f, self.p1);
+        b.p2.store_image(f, self.p2);
+        for (i, m) in b.mb.iter().enumerate() {
+            m.pcx.store_image(f, self.mb[i]);
+            f.write_bool(m.issued, self.mb_issued[i]);
+            f.write_bool(m.acked, self.mb_acked[i]);
+        }
+        for (slot, img) in b.fill.iter().zip(&self.fill) {
+            slot.line.store(f, img.line, &img.data);
+            if !img.valid {
+                slot.line.invalidate(f);
+            }
+            f.write(slot.tag, img.tag);
+        }
+        for (slot, &v) in b.oq.iter().zip(&self.oq) {
+            slot.store_image(f, v);
+        }
+        f.write(b.oq_count, self.oq_count as u64);
+        f.write(b.perf_ctr, self.hits.into());
+        f.mark_changed();
+        b
     }
 }
 
@@ -1301,6 +1578,171 @@ mod tests {
             block_wakes.get() >= 1,
             "no bank settled blocked and woke on release"
         );
+    }
+
+    #[test]
+    fn image_bank_matches_the_flop_bank_in_lockstep() {
+        // Differential oracle of the warm-up model: the same fault-free
+        // traffic drives `L2cWarm` and `L2cBank`, with every DRAM command
+        // answered after its own random latency. Every cycle their
+        // outputs, readiness, idleness and occupancies agree, and the
+        // image state converted to flops is the flop bank bit for bit,
+        // arrays included. Now and then the converted bank is ticked on
+        // beside a clone of the flop one, settled or not. Coverage is
+        // counted out here, where shrinking cannot trip on it.
+        use nestsim_harness::{check_with, Config};
+        use std::cell::Cell;
+        use std::collections::HashMap;
+
+        const CYCLES: u64 = 10_000;
+        let stale = Cell::new(0u64);
+        let hits_wrapped = Cell::new(0u64);
+        let mb_full = Cell::new(0u64);
+        let refused = Cell::new(0u64);
+        let writebacks = Cell::new(0u64);
+        let late_store_completions = Cell::new(0u64);
+        let settled_conversions = Cell::new(0u64);
+        let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+
+        fn agree(warm: &L2cWarm, b: &L2cBank) {
+            assert_eq!(warm.ready(), b.ready(), "ready");
+            assert_eq!(warm.idle(), b.idle(), "idle");
+            assert_eq!(warm.iq_occupancy(), b.iq_occupancy(), "iq occupancy");
+            assert_eq!(warm.oq_occupancy(), b.oq_occupancy(), "oq occupancy");
+            assert_eq!(warm.mb_occupancy(), b.mb_occupancy(), "mb occupancy");
+        }
+
+        check_with(
+            Config::with_cases(5),
+            "image_bank_matches_the_flop_bank_in_lockstep",
+            |src| {
+                // Eight lines of cache under 32 lines of traffic: hits,
+                // misses, conflicts and dirty evictions all occur.
+                let geo = L2Geometry { sets: 4, ways: 2 };
+                let bank = BankId::new(0);
+                let mut warm = L2cWarm::new(bank, L2BankArch::for_bank(geo, 0));
+                let mut flops = L2cBank::with_geometry(bank, geo);
+                let mut dram: HashMap<u64, [u64; 8]> = HashMap::new();
+                // (due cycle, command), answered one a cycle, earliest due first.
+                let mut in_flight: Vec<(u64, DramCmd)> = Vec::new();
+                let mut load = 0;
+                let mut max_latency = 1;
+                for cyc in 0..CYCLES {
+                    if cyc % 256 == 0 {
+                        // Offered load in eighths; every other stretch
+                        // is silent so the bank drains and settles.
+                        load = if src.bool() { 0 } else { src.below(8) + 1 };
+                        max_latency = 1 + src.below(60);
+                    }
+                    let pcx = (src.below(8) < load).then(|| {
+                        let x = src.u64();
+                        let kind = [
+                            PcxKind::Load,
+                            PcxKind::Store,
+                            PcxKind::Ifetch,
+                            PcxKind::Atomic,
+                        ][(x % 4) as usize];
+                        req(cyc, kind, bank0_addr((x >> 2) % 32), x)
+                    });
+                    let next = (in_flight.iter().enumerate())
+                        .filter(|(_, (due, _))| *due <= cyc)
+                        .min_by_key(|(_, (due, _))| *due)
+                        .map(|(i, _)| i);
+                    let dram_resp = next.map(|i| {
+                        let (_, cmd) = in_flight.remove(i);
+                        let is_writeback_ack = cmd.kind == nestsim_proto::DramCmdKind::Writeback;
+                        if is_writeback_ack {
+                            dram.insert(cmd.line.raw(), cmd.data);
+                        }
+                        DramResp {
+                            tag: cmd.tag,
+                            bank: cmd.bank,
+                            line: cmd.line,
+                            data: dram.get(&cmd.line.raw()).copied().unwrap_or([cyc; 8]),
+                            is_writeback_ack,
+                        }
+                    });
+                    let inp = L2cInputs { pcx, dram_resp };
+
+                    let (hits_before, settled) = (warm.hits, !flops.flops.changed());
+                    let full_before = warm.mb_occupancy() == MB_DEPTH;
+                    let got = warm.tick(&inp);
+                    let want = flops.tick(&inp);
+                    assert_eq!(got, want, "outputs diverged in cycle {cyc}");
+                    agree(&warm, &flops);
+                    let converted = warm.clone().into_l2c();
+                    assert!(
+                        converted.flops.changed(),
+                        "conversion left the flops settled"
+                    );
+                    assert_eq!(
+                        converted.flops.diff_count(&flops.flops),
+                        0,
+                        "flops diverged in cycle {cyc}"
+                    );
+                    assert!(
+                        converted.arch == flops.arch,
+                        "arrays diverged in cycle {cyc}"
+                    );
+
+                    let stale_slot = (warm.mb.iter().chain([&warm.p1, &warm.p2]))
+                        .any(|v| !valid(v) && *v != [0; 3])
+                        || warm.fill.iter().any(|f| !f.valid && f.data != [0; 8]);
+                    if stale_slot {
+                        bump(&stale);
+                    }
+                    if warm.hits < hits_before {
+                        bump(&hits_wrapped);
+                    }
+                    if full_before && inp.pcx.is_some() && warm.mb_occupancy() == MB_DEPTH {
+                        bump(&mb_full);
+                    }
+                    if inp.pcx.is_some() && !got.accepted {
+                        bump(&refused);
+                    }
+                    if got.store_miss_done.is_some() {
+                        bump(&late_store_completions);
+                    }
+                    if let Some(cmd) = got.dram_cmd {
+                        if cmd.kind == nestsim_proto::DramCmdKind::Writeback {
+                            bump(&writebacks);
+                        }
+                        in_flight.push((cyc + 1 + src.below(max_latency), cmd));
+                    }
+
+                    if src.below(500) == 0 {
+                        if settled {
+                            bump(&settled_conversions);
+                        }
+                        let (mut a, mut b) = (warm.clone().into_l2c(), flops.clone());
+                        for _ in 0..32 {
+                            let quiet = L2cInputs::default();
+                            assert_eq!(a.tick(&quiet), b.tick(&quiet));
+                            assert_eq!(a.flops.diff_count(&b.flops), 0, "converted bank");
+                        }
+                    }
+                }
+            },
+        );
+
+        for (what, hits) in [
+            (
+                "cycles with a stale payload in an invalid slot",
+                stale.get(),
+            ),
+            ("wraps of the hit counter", hits_wrapped.get()),
+            ("cycles with the miss buffer full", mb_full.get()),
+            ("requests refused by a full input queue", refused.get()),
+            ("dirty-victim writebacks", writebacks.get()),
+            (
+                "store misses completed after their ack",
+                late_store_completions.get(),
+            ),
+            ("conversions of a settled bank", settled_conversions.get()),
+        ] {
+            println!("{what}: {hits}");
+            assert!(hits > 0, "the traffic never produced {what}");
+        }
     }
 
     #[test]

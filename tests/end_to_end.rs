@@ -432,40 +432,53 @@ fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 #[test]
-fn ccx_warmup_and_persistence_bytes_are_pinned() {
-    // Fig. 5 and Fig. 6 drive the crossbar driver outside any campaign:
-    // one takes its cold golden after 4,000 cycles of history, the other
-    // its golden after a fixed 1,000-cycle warm-up. Computed before the
-    // crossbar warmed up on packet images; a change that claims to be
-    // result-neutral must never re-bless them. `radi` has finished by
+fn warmup_and_persistence_bytes_are_pinned() {
+    // Fig. 5 and Fig. 6 drive the co-simulation drivers outside any
+    // campaign: one takes its cold golden after 4,000 cycles of history,
+    // the other its golden after a fixed 1,000-cycle warm-up. Each row
+    // was computed before its component warmed up on images (CCX packet
+    // images, then the L2C's slot images); a change that claims to be
+    // result-neutral must never re-bless them. CCX `radi` has finished by
     // the time Fig. 5 snapshots (a flat curve: only the arbiter pointers
     // differ from a cold crossbar); `stre` still has packets in flight.
-    for (bench, pinned) in [
-        ("radi", 0x1f2b_6ea4_e975_49b2u64),
-        ("stre", 0xb054_012f_28c1_adbc),
-    ] {
+    let curves: [(ComponentKind, &str, u64); 4] = [
+        (ComponentKind::Ccx, "radi", 0x1f2b_6ea4_e975_49b2),
+        (ComponentKind::Ccx, "stre", 0xb054_012f_28c1_adbc),
+        (ComponentKind::L2c, "radi", 0xbc11_9a77_ec4c_0b31),
+        (ComponentKind::L2c, "stre", 0xd59f_b698_9763_a3aa),
+    ];
+    for (component, bench, pinned) in curves {
         let profile = by_name(bench).unwrap();
-        let curve =
-            nestsim::core::warmup::warmup_experiment(ComponentKind::Ccx, profile, 4, 1_000, 7, 100);
+        let curve = nestsim::core::warmup::warmup_experiment(component, profile, 4, 1_000, 7, 100);
         assert_eq!(curve.points.len(), 1_001);
         let got = fnv_words(curve.points.iter().map(|p| p.to_bits()));
-        assert_eq!(got, pinned, "Fig. 5 warm-up curve, {bench}: {got:#018x}");
+        assert_eq!(
+            got, pinned,
+            "Fig. 5 warm-up curve, {component}/{bench}: {got:#018x}"
+        );
     }
 
-    let sweep = nestsim::core::persistence::persistence_sweep(
-        ComponentKind::Ccx,
-        by_name("radi").unwrap(),
-        40,
-        3_000,
-        &CampaignSpec::quick(ComponentKind::Ccx, 1),
-    );
-    assert_eq!(sweep.flops.len(), 40);
-    let words = (sweep.flops.iter()).flat_map(|f| [f.bit as u64, f.cycles, u64::from(f.censored)]);
-    let got = fnv_words(words);
-    assert_eq!(
-        got, 0x954b_dd65_f03c_5ff9,
-        "Fig. 6 persistence records: {got:#018x}"
-    );
+    let sweeps: [(ComponentKind, u64); 2] = [
+        (ComponentKind::Ccx, 0x954b_dd65_f03c_5ff9),
+        (ComponentKind::L2c, 0x21ed_f228_cf3d_e700),
+    ];
+    for (component, pinned) in sweeps {
+        let sweep = nestsim::core::persistence::persistence_sweep(
+            component,
+            by_name("radi").unwrap(),
+            40,
+            3_000,
+            &CampaignSpec::quick(component, 1),
+        );
+        assert_eq!(sweep.flops.len(), 40);
+        let words =
+            (sweep.flops.iter()).flat_map(|f| [f.bit as u64, f.cycles, u64::from(f.censored)]);
+        let got = fnv_words(words);
+        assert_eq!(
+            got, pinned,
+            "Fig. 6 persistence records, {component}: {got:#018x}"
+        );
+    }
 }
 
 /// The pinned L2C `radi` cell of the table above (96 independent
