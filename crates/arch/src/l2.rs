@@ -101,7 +101,7 @@ pub struct StoreResult {
 
 /// Architectural state of one L2 bank (Table 1's "high-level uncore
 /// state" for the L2 cache controller).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct L2BankArch {
     geo: L2Geometry,
     /// Which bank of the SoC this is (needed to reconstruct line
@@ -114,6 +114,50 @@ pub struct L2BankArch {
     dir: Vec<u8>,
     /// Per-set round-robin replacement pointer.
     rr: Vec<u8>,
+}
+
+impl Clone for L2BankArch {
+    fn clone(&self) -> Self {
+        let L2BankArch {
+            geo,
+            bank,
+            tags,
+            state,
+            data,
+            dir,
+            rr,
+        } = self;
+        L2BankArch {
+            geo: *geo,
+            bank: *bank,
+            tags: tags.clone(),
+            state: state.clone(),
+            data: data.clone(),
+            dir: dir.clone(),
+            rr: rr.clone(),
+        }
+    }
+
+    /// Copies `source` into this bank's five arrays in place: a restored
+    /// snapshot's banks allocate nothing when the geometry is the same.
+    fn clone_from(&mut self, source: &Self) {
+        let L2BankArch {
+            geo,
+            bank,
+            tags,
+            state,
+            data,
+            dir,
+            rr,
+        } = source;
+        self.geo = *geo;
+        self.bank = *bank;
+        self.tags.clone_from(tags);
+        self.state.clone_from(state);
+        self.data.clone_from(data);
+        self.dir.clone_from(dir);
+        self.rr.clone_from(rr);
+    }
 }
 
 impl L2BankArch {

@@ -128,15 +128,28 @@ impl Arena {
         u32::try_from(last * PAGES_PER_CHUNK + chunk.len() - 1)
             .expect("an arena of 2^32 pages would be 16 TiB")
     }
+
+    /// Drops every page but keeps the first chunk's allocation, left
+    /// empty, for the next `alloc` to fill.
+    fn recycle(&mut self) {
+        self.chunks.truncate(1);
+        if let Some(first) = self.chunks.first_mut() {
+            first.clear();
+        }
+        self.free.clear();
+    }
 }
 
 impl Clone for Arena {
     fn clone(&self) -> Self {
         // Not derived: a derived clone sizes each chunk to its length,
         // and the next `alloc` into the last one would reallocate it.
+        // The one chunk that can be empty, a recycled one, is not worth
+        // allocating for a copy.
         let chunks = self
             .chunks
             .iter()
+            .filter(|chunk| !chunk.is_empty())
             .map(|chunk| {
                 let mut copy = Vec::with_capacity(PAGES_PER_CHUNK);
                 copy.extend_from_slice(chunk);
@@ -174,7 +187,7 @@ struct Slot {
 /// them. Equality compares contents, never sharing history.
 ///
 /// [`freeze`]: DramContents::freeze
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct DramContents {
     /// Page number → page. No page here is all-zero: a page whose last
     /// non-zero line is cleared is dropped, so equal contents have equal
@@ -291,6 +304,42 @@ impl DramContents {
                 slot.shared = Some(Arc::clone(&frozen));
             }
         }
+    }
+}
+
+impl Clone for DramContents {
+    fn clone(&self) -> Self {
+        let DramContents {
+            page_slots,
+            arena,
+            backed,
+        } = self;
+        DramContents {
+            page_slots: page_slots.clone(),
+            arena: arena.clone(),
+            backed: *backed,
+        }
+    }
+
+    /// Becomes a copy of `source`, reusing this memory's buffers: the
+    /// page table's, and the first arena chunk, kept empty so that the
+    /// next first write to a shared page lands in memory already
+    /// allocated. This memory's private pages are dropped. A `source`
+    /// with private pages of its own is cloned whole instead; a frozen
+    /// one — a positioned cursor, a rung — never has any.
+    fn clone_from(&mut self, source: &Self) {
+        if source.private_pages() > 0 {
+            *self = source.clone();
+            return;
+        }
+        let DramContents {
+            page_slots,
+            arena: _,
+            backed,
+        } = source;
+        self.page_slots.clone_from(page_slots);
+        self.arena.recycle();
+        self.backed = *backed;
     }
 }
 

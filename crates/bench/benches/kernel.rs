@@ -323,6 +323,27 @@ fn attaches(suite: &mut Suite) {
     suite.bench("kernel/attach", "pcie", || black_box(Pcie::new()));
 }
 
+fn snapshots(suite: &mut Suite) {
+    // Fig. 2 step 1 from a positioned shard cursor: `radi`/100 at cycle
+    // 2,000, its pages shared as `ShardRunner::seek` leaves them. `clone`
+    // restores into a new system; `clone_from` refills one that an
+    // injection ran to the end, the restore of every injection of a
+    // shard but the first.
+    let mut cursor = System::new(SystemConfig {
+        length_scale: 100,
+        ..SystemConfig::new(by_name("radi").unwrap())
+    });
+    cursor.run_until(2_000);
+    cursor.share_pages();
+    suite.bench("kernel/snapshot", "clone", || black_box(cursor.clone()));
+    let mut spare = cursor.clone();
+    spare.run_to_end();
+    suite.bench("kernel/snapshot", "clone_from", || {
+        spare.clone_from(black_box(&cursor));
+        black_box(spare.cycle())
+    });
+}
+
 fn golden_compare(suite: &mut Suite) {
     // The per-check cost of the Fig. 2 step-7 comparison.
     let bank = L2cBank::new(BankId::new(0));
@@ -397,5 +418,9 @@ fn main() {
     attaches(&mut suite);
     golden_compare(&mut suite);
     accelerated_mode(&mut suite);
+    // Last: freeing their 256 KiB page chunks shifts glibc's heap
+    // thresholds, and `kernel/accel`'s clone-run-drop loop read 1.3x
+    // slower when it ran after them.
+    snapshots(&mut suite);
     suite.finish();
 }

@@ -411,7 +411,10 @@ pub type IndexedRuns = Vec<(usize, InjectionRecord, Recorder)>;
 
 /// Executes one shard of a campaign: a cursor over the snapshot ladder
 /// that runs injection samples with **ascending entry cycles**, each
-/// restored from the nearest rung at or below its entry point.
+/// restored from the nearest rung at or below its entry point. Every
+/// injection after the first restores into the system the one before
+/// ended with, so a shard allocates one injection system, not one per
+/// sample.
 ///
 /// This is the unit of work every execution layer shares —
 /// [`LadderExecutor`] gives each worker thread one runner per shard,
@@ -423,9 +426,12 @@ pub struct ShardRunner<'a> {
     golden: &'a GoldenRef,
     telemetry: Option<&'a TelemetryConfig>,
     // The forward cursor: a rung clone advanced monotonically through
-    // the shard's ascending entry cycles; re-restored whenever a later
-    // rung is closer than the cursor.
+    // the shard's ascending entry cycles; re-restored (in place)
+    // whenever a later rung is closer than the cursor.
     cursor: Option<System>,
+    // The system the last group ended with, which the next group
+    // restores the cursor into (`System::clone_from`).
+    spare: Option<System>,
     forward: u64,
     restores: u64,
     lane_width: usize,
@@ -451,6 +457,7 @@ impl<'a> ShardRunner<'a> {
             golden,
             telemetry,
             cursor: None,
+            spare: None,
             forward: 0,
             restores: 0,
             lane_width: lane_width.clamp(1, nestsim_rtl::MAX_LANES),
@@ -459,8 +466,8 @@ impl<'a> ShardRunner<'a> {
     }
 
     /// Positions the cursor at `entry`: restores from the nearest rung
-    /// at or below it when that beats the current cursor, then runs
-    /// forward.
+    /// at or below it when that beats the current cursor (into the
+    /// cursor, if there is one), then runs forward.
     fn seek(&mut self, entry: u64) {
         let rung = self.ladder.rung_below(entry);
         if self
@@ -468,7 +475,10 @@ impl<'a> ShardRunner<'a> {
             .as_ref()
             .is_none_or(|c| rung.cycle() > c.cycle())
         {
-            self.cursor = Some(rung.clone());
+            match &mut self.cursor {
+                Some(cursor) => cursor.clone_from(rung),
+                None => self.cursor = Some(rung.clone()),
+            }
             self.restores += 1;
         }
         let my_base = self.cursor.as_mut().expect("cursor was just restored");
@@ -532,15 +542,18 @@ impl<'a> ShardRunner<'a> {
             let spec0 = &self.samples[group[0]];
             self.seek(entry_cycle(spec0));
             let base = self.cursor.as_ref().expect("cursor was just positioned");
+            let spare = self.spare.take();
             if group.len() > 1 && spec0.component == ComponentKind::L2c {
-                let mut runs = crate::lanes::run_l2c_batch(
+                let (mut runs, sys) = crate::lanes::run_l2c_batch(
                     base,
                     self.golden,
                     self.samples,
                     group,
                     self.telemetry,
                     &mut self.lanes,
+                    spare,
                 );
+                self.spare = Some(sys);
                 // Batch retirement order is check-driven; the caller
                 // contract is shard order.
                 runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
@@ -553,8 +566,8 @@ impl<'a> ShardRunner<'a> {
                     self.lanes.scalar_fallbacks += group.len() as u64;
                     self.lanes.shared_warmups += 1;
                 }
-                finish_group(
-                    warm_component(base, self.golden, spec0),
+                self.spare = finish_group(
+                    warm_component(base, self.golden, spec0, spare),
                     self.golden,
                     self.samples,
                     group,
@@ -1379,6 +1392,73 @@ mod tests {
             assert!(cursor.cycle() > 0, "the cursor ran forward");
             assert_eq!(cursor.dram().private_pages(), 0);
         }
+    }
+
+    #[test]
+    fn shards_recycle_the_injection_system() {
+        // Every identity suite passes whether or not a restore refills a
+        // spare system; only this notices if recycling stops.
+        use crate::inject::{run_injection, REFILLS};
+        use crate::lanes::{run_l2c_batch, LaneBatchStats};
+        use nestsim_rtl::FlopClass;
+        let refills = || REFILLS.with(std::cell::Cell::get);
+        let profile = by_name("radi").unwrap();
+
+        // A scalar shard of n injections refills n − 1 times: each but
+        // the first restores into the system the one before ended with.
+        let spec = CampaignSpec::quick(ComponentKind::L2c, 6);
+        let mut base = CellBase::capture(profile, &spec, 1);
+        let round = base.draw(profile, &spec, None);
+        let before = refills();
+        ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1)
+            .run_span(&round.order);
+        assert_eq!(refills() - before, 5);
+
+        // So does a shard of lane batches, one refill per batch after
+        // the first.
+        let clustered = CampaignSpec {
+            lane_cluster: 4,
+            ..CampaignSpec::quick(ComponentKind::L2c, 12)
+        };
+        let mut cbase = CellBase::capture(profile, &clustered, 1);
+        let cround = cbase.draw(profile, &clustered, None);
+        let before = refills();
+        let mut runner = ShardRunner::new(&cbase.ladder, &cround.samples, &cbase.golden, None, 64);
+        runner.run_span(&cround.order);
+        assert_eq!(runner.lane_stats().batches, 3);
+        assert_eq!(refills() - before, 2);
+
+        // A batch whose lanes all retire in it hands back its carrier,
+        // which ran on past the golden-snapshot point the warmed driver
+        // stopped at, to where the last lane retired.
+        let spec0 = round.samples[round.order[0]];
+        let inactive = component_flops(ComponentKind::L2c).bits_where(|c| c == FlopClass::Inactive);
+        let samples: Vec<InjectionSpec> = (inactive.iter().take(8))
+            .map(|&bit| InjectionSpec { bit, ..spec0 })
+            .collect();
+        let group: Vec<usize> = (0..samples.len()).collect();
+        let mut stats = LaneBatchStats::default();
+        let start = base.ladder.rung_below(0);
+        let (runs, sys) = run_l2c_batch(
+            start,
+            &base.golden,
+            &samples,
+            &group,
+            None,
+            &mut stats,
+            None,
+        );
+        assert_eq!((stats.retired_early, stats.scalar_fallbacks), (8, 0));
+        let last_retired = runs
+            .iter()
+            .map(|(_, r, _)| r.inject_cycle + r.cosim_cycles)
+            .max();
+        assert_eq!(Some(sys.cycle()), last_retired);
+
+        // A lone run clones its own system.
+        let before = refills();
+        run_injection(start, &base.golden, &samples[0]);
+        assert_eq!(refills(), before);
     }
 
     #[test]

@@ -132,6 +132,11 @@ pub trait CosimDriver: Sized {
     /// high-level model and releases interception.
     fn detach(self) -> Detach;
 
+    /// The system under the driver, as it stands, with no state
+    /// transferred back: for a run that is over and only hands its
+    /// storage on to the next restore.
+    fn into_sys(self) -> System;
+
     /// Records the component's queue occupancies into `rec`. Called by
     /// the injection loop at golden-compare points only (never on the
     /// per-cycle path), and only when the recorder is active.
@@ -402,15 +407,21 @@ impl L2cDriver {
 
     /// One cycle of the lane-batched engine's shared carrier: exactly
     /// [`step`](CosimDriver::step) for a driver whose golden is absent,
-    /// but returning the consumed input and the produced outputs so the
-    /// faulty lanes can tick against the same stimulus. Any semantic
-    /// drift from `step` breaks the byte-identity of the batched engine
-    /// against the scalar oracle — the equivalence tests lock it.
+    /// returning the consumed input and the produced outputs so the
+    /// faulty lanes can tick against the same stimulus.
     pub(crate) fn step_carrier(&mut self) -> CarrierTick {
         debug_assert!(
             self.golden.is_none(),
             "the batch carrier is its own golden; snapshot_golden must not be called"
         );
+        self.step_target()
+    }
+
+    /// The target side of one cycle, the whole of it for the carrier and
+    /// the first half of [`step`](CosimDriver::step): the system runs a
+    /// cycle, the bank ticks on its requests and its DRAM queue, and its
+    /// return packet reaches the system.
+    fn step_target(&mut self) -> CarrierTick {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
         while let Some(msg) = self.sys.pop_outbox() {
@@ -466,42 +477,25 @@ fn record_l2c_occupancy([iq, oq, mb]: [usize; 3], rec: &mut Recorder) {
 
 impl CosimDriver for L2cDriver {
     fn step(&mut self) {
-        let cyc = self.sys.cycle() + 1;
-        self.sys.run_until(cyc);
-        while let Some(msg) = self.sys.pop_outbox() {
-            match msg {
-                OutMsg::Pcx(p) => self.inbox.push_back(p),
-                other => unreachable!("unexpected outbox message {other:?}"),
-            }
-        }
-        let pcx = if self.target.ready() {
-            self.inbox.pop_front()
-        } else {
-            None
+        let t = self.step_target();
+        // Ticking the twin after the target's reply reached the system
+        // changes nothing it sees: the golden side reads only DRAM, and
+        // `deliver_cpx` writes none.
+        let Some(golden) = &mut self.golden else {
+            return;
         };
-        let t_resp = self.t_dram.pop_ready(cyc, self.sys.dram(), &mut self.t_ov);
-        let t_out = self.target.tick(&L2cInputs {
-            pcx,
-            dram_resp: t_resp,
+        let g_resp = self
+            .g_dram
+            .pop_ready(t.cyc, self.sys.dram(), &mut self.g_ov);
+        let g_out = golden.tick(&L2cInputs {
+            pcx: t.pcx,
+            dram_resp: g_resp,
         });
-        if let Some(cmd) = &t_out.dram_cmd {
-            self.t_dram.push(cyc, cmd.clone());
+        if let Some(cmd) = &g_out.dram_cmd {
+            self.g_dram.push(t.cyc, cmd.clone());
         }
-        if let Some(golden) = &mut self.golden {
-            let g_resp = self.g_dram.pop_ready(cyc, self.sys.dram(), &mut self.g_ov);
-            let g_out = golden.tick(&L2cInputs {
-                pcx,
-                dram_resp: g_resp,
-            });
-            if let Some(cmd) = &g_out.dram_cmd {
-                self.g_dram.push(cyc, cmd.clone());
-            }
-            if t_out.cpx != g_out.cpx || t_out.dram_cmd != g_out.dram_cmd {
-                self.record_divergence(cyc);
-            }
-        }
-        if let Some(cpx) = t_out.cpx {
-            self.sys.deliver_cpx(cpx);
+        if t.out.cpx != g_out.cpx || t.out.dram_cmd != g_out.dram_cmd {
+            self.record_divergence(t.cyc);
         }
     }
 
@@ -616,6 +610,10 @@ impl CosimDriver for L2cDriver {
             sys: self.sys,
             corrupted_lines: corrupted,
         }
+    }
+
+    fn into_sys(self) -> System {
+        self.sys
     }
 }
 
@@ -833,6 +831,10 @@ impl CosimDriver for McuDriver {
             sys: self.sys,
             corrupted_lines: corrupted,
         }
+    }
+
+    fn into_sys(self) -> System {
+        self.sys
     }
 }
 
@@ -1065,6 +1067,10 @@ impl CosimDriver for CcxDriver {
             corrupted_lines: Vec::new(),
         }
     }
+
+    fn into_sys(self) -> System {
+        self.sys
+    }
 }
 
 // ─────────────────────────── PCIe driver ──────────────────────────
@@ -1268,6 +1274,10 @@ impl CosimDriver for PcieDriver {
             corrupted_lines: corrupted,
         }
     }
+
+    fn into_sys(self) -> System {
+        self.sys
+    }
 }
 
 #[cfg(test)]
@@ -1373,6 +1383,9 @@ mod tests {
         fn detach(self) -> Detach {
             self.inner.detach()
         }
+        fn into_sys(self) -> System {
+            self.inner.into_sys()
+        }
     }
 
     #[test]
@@ -1395,7 +1408,7 @@ mod tests {
             cosim_cap: 4_000,
             check_interval: 16,
         };
-        let WarmedDriver::Ccx(w) = warm_component(&base, &golden, &spec) else {
+        let WarmedDriver::Ccx(w) = warm_component(&base, &golden, &spec, None) else {
             panic!("a CCX spec warmed another component");
         };
         assert!(w.driver.holds_images(), "the warm-up ran on flops");
@@ -1440,7 +1453,7 @@ mod tests {
             cosim_cap: 4_000,
             check_interval: 16,
         };
-        let WarmedDriver::L2c(w) = warm_component(&base, &golden, &spec) else {
+        let WarmedDriver::L2c(w) = warm_component(&base, &golden, &spec, None) else {
             panic!("an L2C spec warmed another component");
         };
         assert!(w.driver.holds_images(), "the warm-up ran on flops");
@@ -1474,7 +1487,7 @@ mod tests {
         let group: Vec<usize> = (0..samples.len()).collect();
         let before = CONVERSIONS.with(std::cell::Cell::get);
         let mut stats = LaneBatchStats::default();
-        let runs = run_l2c_batch(&base, &golden, &samples, &group, None, &mut stats);
+        let (runs, _) = run_l2c_batch(&base, &golden, &samples, &group, None, &mut stats, None);
         let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
         assert_eq!(runs.len(), samples.len());
         assert!(

@@ -114,14 +114,23 @@ pub fn run_injection(base: &System, golden: &GoldenRef, spec: &InjectionSpec) ->
 /// one `BitFlip` and one `CosimExit` event.
 ///
 /// A run is [`warm_component`] followed by [`WarmedDriver::finish`] — a
-/// same-trajectory group of one.
+/// same-trajectory group of one — on a fresh clone of `base`.
 pub fn run_injection_with(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
     rec: &mut Recorder,
 ) -> InjectionRecord {
-    warm_component(base, golden, spec).finish(golden, spec, rec)
+    warm_component(base, golden, spec, None)
+        .finish(golden, spec, rec)
+        .0
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Restores on this thread that refilled a spare system instead of
+    /// cloning a new one.
+    pub(crate) static REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A driver attached at its trajectory's co-simulation entry point and
@@ -140,7 +149,8 @@ pub(crate) struct Warmed<D> {
 
 /// Fig. 2 steps 1–4: restores `base`, runs to the entry point in
 /// accelerated mode, attaches the component driver and warms it up with
-/// live traffic.
+/// live traffic. The restore refills `spare`, a system a finished run
+/// handed back, when there is one, and clones `base` otherwise.
 ///
 /// # Panics
 ///
@@ -150,6 +160,7 @@ pub(crate) fn warm<D: CosimDriver>(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
+    spare: Option<System>,
     attach: impl FnOnce(System) -> D,
 ) -> Warmed<D> {
     // A zero interval would make `cycles % interval` never hit, so no
@@ -174,7 +185,15 @@ pub(crate) fn warm<D: CosimDriver>(
     );
     // Phase 1 (steps 1–2): restore the snapshot and run to the entry
     // point in accelerated mode.
-    let mut sys = base.clone();
+    let mut sys = match spare {
+        Some(mut sys) => {
+            sys.clone_from(base);
+            #[cfg(test)]
+            REFILLS.with(|n| n.set(n.get() + 1));
+            sys
+        }
+        None => base.clone(),
+    };
     sys.set_watchdog(2 * golden.cycles + WATCHDOG_MARGIN);
     sys.run_until(entry);
     let mut driver = attach(sys);
@@ -202,8 +221,9 @@ pub(crate) fn warm_l2c(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
+    spare: Option<System>,
 ) -> Warmed<L2cDriver> {
-    warm(base, golden, spec, |sys| {
+    warm(base, golden, spec, spare, |sys| {
         L2cDriver::attach(sys, BankId::new(spec.instance % 8))
     })
 }
@@ -267,14 +287,17 @@ pub(crate) fn warm_component(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
+    spare: Option<System>,
 ) -> WarmedDriver {
     match spec.component {
-        ComponentKind::L2c => WarmedDriver::L2c(warm_l2c(base, golden, spec)),
-        ComponentKind::Mcu => WarmedDriver::Mcu(warm(base, golden, spec, |sys| {
+        ComponentKind::L2c => WarmedDriver::L2c(warm_l2c(base, golden, spec, spare)),
+        ComponentKind::Mcu => WarmedDriver::Mcu(warm(base, golden, spec, spare, |sys| {
             McuDriver::attach(sys, McuId::new(spec.instance % 4))
         })),
-        ComponentKind::Ccx => WarmedDriver::Ccx(warm(base, golden, spec, CcxDriver::attach)),
-        ComponentKind::Pcie => WarmedDriver::Pcie(warm(base, golden, spec, PcieDriver::attach)),
+        ComponentKind::Ccx => WarmedDriver::Ccx(warm(base, golden, spec, spare, CcxDriver::attach)),
+        ComponentKind::Pcie => {
+            WarmedDriver::Pcie(warm(base, golden, spec, spare, PcieDriver::attach))
+        }
     }
 }
 
@@ -285,7 +308,7 @@ impl WarmedDriver {
         golden: &GoldenRef,
         spec: &InjectionSpec,
         rec: &mut Recorder,
-    ) -> InjectionRecord {
+    ) -> (InjectionRecord, System) {
         match self {
             WarmedDriver::L2c(w) => finish(w, golden, spec, rec),
             WarmedDriver::Mcu(w) => finish(w, golden, spec, rec),
@@ -307,6 +330,7 @@ pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
 /// `warmed`'s trajectory) and appends their runs to `out` in group
 /// order. Every run but the last resumes from a clone; the last takes
 /// the warmed driver by move, and an empty group drops it unused.
+/// Returns the system the last run ended with, for the next restore.
 pub(crate) fn finish_group(
     warmed: WarmedDriver,
     golden: &GoldenRef,
@@ -314,30 +338,30 @@ pub(crate) fn finish_group(
     group: &[usize],
     telemetry: Option<&TelemetryConfig>,
     out: &mut IndexedRuns,
-) {
-    let Some((&last, rest)) = group.split_last() else {
-        return;
-    };
+) -> Option<System> {
+    let (&last, rest) = group.split_last()?;
     let mut run = |warmed: WarmedDriver, i: usize| {
         let mut rec = recorder_for(telemetry);
-        let r = warmed.finish(golden, &samples[i], &mut rec);
+        let (r, sys) = warmed.finish(golden, &samples[i], &mut rec);
         out.push((i, r, rec));
+        sys
     };
     for &i in rest {
         run(warmed.clone(), i);
     }
-    run(warmed, last);
+    Some(run(warmed, last))
 }
 
 /// Fig. 2 step 5 through phase 3 from a warmed driver: golden snapshot,
 /// the flip of `spec.bit`, co-simulation, state transfer back and
-/// outcome determination.
+/// outcome determination. Also returns the system the run ended with,
+/// on every exit, so that the next restore can refill it.
 pub(crate) fn finish<D: CosimDriver>(
     warmed: Warmed<D>,
     golden: &GoldenRef,
     spec: &InjectionSpec,
     rec: &mut Recorder,
-) -> InjectionRecord {
+) -> (InjectionRecord, System) {
     let comp = spec.component.name();
     warmed.record_preamble(spec, rec);
     let mut driver = warmed.driver;
@@ -419,12 +443,13 @@ pub(crate) fn finish<D: CosimDriver>(
         rec.count(names::EARLY_TERM_VANISHED, 1);
         rec.count(names::INJECT_RUNS, 1);
         rec.event(driver.cycle(), comp, EventKind::EarlyTermination, 0);
-        return InjectionRecord::divergence_free(
+        let record = InjectionRecord::divergence_free(
             Outcome::Vanished,
             spec.bit,
             inject_cycle,
             cosim_cycles,
         );
+        return (record, driver.into_sys());
     }
 
     // Cap reached with the error still confined to unmapped microarch
@@ -435,12 +460,13 @@ pub(crate) fn finish<D: CosimDriver>(
             rec.count(names::EARLY_TERM_PERSIST, 1);
             rec.count(names::INJECT_RUNS, 1);
             rec.event(driver.cycle(), comp, EventKind::EarlyTermination, 1);
-            return InjectionRecord::divergence_free(
+            let record = InjectionRecord::divergence_free(
                 Outcome::Persist,
                 spec.bit,
                 inject_cycle,
                 cosim_cycles,
             );
+            return (record, driver.into_sys());
         }
     }
 
@@ -484,7 +510,7 @@ pub(crate) fn finish<D: CosimDriver>(
     }
     rec.count(names::INJECT_RUNS, 1);
 
-    InjectionRecord {
+    let record = InjectionRecord {
         outcome,
         bit: spec.bit,
         inject_cycle,
@@ -493,7 +519,8 @@ pub(crate) fn finish<D: CosimDriver>(
         propagation_latency,
         corrupted_line_count: corrupted.len(),
         rollback_distance,
-    }
+    };
+    (record, sys)
 }
 
 #[cfg(test)]
@@ -926,6 +953,9 @@ pub(crate) mod tests {
         fn detach(self) -> Detach {
             self.inner.detach()
         }
+        fn into_sys(self) -> System {
+            self.inner.into_sys()
+        }
         fn sample_telemetry(&self, rec: &mut Recorder) {
             self.inner.sample_telemetry(rec);
         }
@@ -973,7 +1003,7 @@ pub(crate) mod tests {
         let cfg = TelemetryConfig {
             trace_capacity: 1024,
         };
-        let warmed = warm(base, golden, &first, attach);
+        let warmed = warm(base, golden, &first, None, attach);
         for (spec, warmed) in [(first, warmed.clone()), (second, warmed)] {
             let log = Rc::new(SpyLog::default());
             let spied = warmed.map(|inner| Spy {
@@ -981,7 +1011,7 @@ pub(crate) mod tests {
                 log: Rc::clone(&log),
             });
             let mut rec = Recorder::active(&cfg);
-            let got = finish(spied, golden, &spec, &mut rec);
+            let (got, _) = finish(spied, golden, &spec, &mut rec);
             let mut want_rec = Recorder::active(&cfg);
             let want = run_injection_reference(base, golden, &spec, &mut want_rec, attach);
             assert_eq!(got, want, "{spec:?}: record");

@@ -115,7 +115,10 @@ struct LaneState {
 /// except for the flipped bit. Returns one `(sample index, record,
 /// recorder)` per group member, byte-identical to running each through
 /// [`run_injection_with`](crate::inject::run_injection_with) from
-/// `base`.
+/// `base`, and the system the batch ended with for the next restore:
+/// its carrier's, or the last leaver's when lanes left for the scalar
+/// path (the carrier is dropped before they run). `base` is restored
+/// into `spare` when there is one.
 ///
 /// # Panics
 ///
@@ -128,7 +131,8 @@ pub(crate) fn run_l2c_batch(
     group: &[usize],
     telemetry: Option<&TelemetryConfig>,
     stats: &mut LaneBatchStats,
-) -> IndexedRuns {
+    spare: Option<System>,
+) -> (IndexedRuns, System) {
     assert!(!group.is_empty() && group.len() <= MAX_LANES, "bad group");
     let spec0 = &samples[group[0]];
     assert_eq!(spec0.component, ComponentKind::L2c, "only L2C batches");
@@ -154,7 +158,7 @@ pub(crate) fn run_l2c_batch(
     // Shared phase: one attach + warm-up for the whole batch. `warmed`
     // stays as it stands here, at the golden-snapshot point, for the
     // lanes that leave; a clone of its driver carries the batch on.
-    let warmed = warm_l2c(base, golden, spec0);
+    let warmed = warm_l2c(base, golden, spec0, spare);
     let mut carrier = warmed.driver.clone();
     let comp = spec0.component.name();
 
@@ -358,16 +362,15 @@ pub(crate) fn run_l2c_batch(
     let leavers: Vec<usize> = fallback.iter().map(|li| lanes[li].sample).collect();
     stats.scalar_fallbacks += leavers.len() as u64;
     drop(lanes);
-    drop(carrier);
-    finish_group(
-        WarmedDriver::L2c(warmed),
-        golden,
-        samples,
-        &leavers,
-        telemetry,
-        &mut out,
-    );
-    out
+    let sys = if leavers.is_empty() {
+        carrier.into_sys()
+    } else {
+        drop(carrier);
+        let warmed = WarmedDriver::L2c(warmed);
+        finish_group(warmed, golden, samples, &leavers, telemetry, &mut out)
+            .expect("a group of leavers ran its last")
+    };
+    (out, sys)
 }
 
 /// The carrier's bank, every lane's golden: flops from the fork on.
@@ -483,7 +486,8 @@ mod tests {
         };
         let group: Vec<usize> = (0..samples.len()).collect();
         let mut stats = LaneBatchStats::default();
-        let mut got = run_l2c_batch(base, golden, samples, &group, Some(&cfg), &mut stats);
+        let (mut got, _) =
+            run_l2c_batch(base, golden, samples, &group, Some(&cfg), &mut stats, None);
         got.sort_by_key(|(i, _, _)| *i);
         assert_eq!(got.len(), samples.len(), "one result per lane");
         for (i, r, rec) in got {
@@ -552,8 +556,8 @@ mod tests {
             let run = |parking: bool| {
                 PARKING.with(|p| p.set(parking));
                 let mut stats = LaneBatchStats::default();
-                let mut runs =
-                    run_l2c_batch(base, golden, &samples, &group, Some(&cfg), &mut stats);
+                let (mut runs, _) =
+                    run_l2c_batch(base, golden, &samples, &group, Some(&cfg), &mut stats, None);
                 PARKING.with(|p| p.set(true));
                 runs.sort_by_key(|(i, _, _)| *i);
                 (runs, stats)

@@ -21,13 +21,40 @@ pub enum Ev {
 /// of now — and most pushes carry the largest delta there is, so a
 /// sorted ring beats a heap: the common push appends, the rest shift a
 /// few 16-byte entries, and `pop` and `next_cycle` read the front.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
     ring: VecDeque<(u64, Ev)>,
     /// Tests can route a whole `System` through the heap scheduler this
     /// queue replaced, to compare complete runs.
     #[cfg(test)]
     heap: Option<heap::HeapQueue>,
+}
+
+impl Clone for EventQueue {
+    fn clone(&self) -> Self {
+        let EventQueue {
+            ring,
+            #[cfg(test)]
+            heap,
+        } = self;
+        EventQueue {
+            ring: ring.clone(),
+            #[cfg(test)]
+            heap: heap.clone(),
+        }
+    }
+
+    /// Copies `source`'s events into this queue's ring in place.
+    fn clone_from(&mut self, source: &Self) {
+        let EventQueue {
+            ring,
+            #[cfg(test)]
+            heap,
+        } = source;
+        self.ring.clone_from(ring);
+        #[cfg(test)]
+        self.heap.clone_from(heap);
+    }
 }
 
 impl EventQueue {

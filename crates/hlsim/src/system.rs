@@ -215,8 +215,11 @@ pub struct SnapshotCost {
 /// these as the restart points for error-injection runs). The DRAM
 /// image is paged and copy-on-write, so a clone copies only the pages
 /// this system still holds privately — none right after
-/// [`share_pages`](System::share_pages).
-#[derive(Debug, Clone)]
+/// [`share_pages`](System::share_pages). `clone_from` refills an
+/// existing system and reuses every buffer it holds — bank arrays,
+/// thread and event storage, maps, the page table and one arena chunk —
+/// so a restore into a system that ran before allocates next to nothing.
+#[derive(Debug)]
 pub struct System {
     cfg: SystemConfig,
     cycle: u64,
@@ -236,7 +239,6 @@ pub struct System {
 
     intercept: InterceptMode,
     outbox: VecDeque<OutMsg>,
-    inflight: ReqMap,
     pending_fills: FillMap,
 
     last_store: StoreMap,
@@ -244,9 +246,6 @@ pub struct System {
     first_taint_read: Option<u64>,
 }
 
-// nestlint: allow(no-nondeterminism) -- audited: in-flight requests are
-// probed point-wise by request id (get/insert/remove/len only).
-type ReqMap = std::collections::HashMap<u64, u8, BuildU64Hasher>;
 // nestlint: allow(no-nondeterminism) -- audited: fill waiters are keyed
 // by (bank, line) and probed point-wise; the only reduction is an
 // order-insensitive sum of waiter counts, and per-key waiter order
@@ -258,6 +257,103 @@ type StoreMap = std::collections::HashMap<u64, u64, BuildU64Hasher>;
 // nestlint: allow(no-nondeterminism) -- audited: the taint set is only
 // probed with contains/is_empty and extended; never iterated.
 type LineSet = std::collections::HashSet<u64, BuildU64Hasher>;
+
+// Hand-written so that `clone_from` reuses every buffer. Both methods
+// destructure every field: a field added to `System` fails to compile
+// here until it is copied.
+impl Clone for System {
+    fn clone(&self) -> Self {
+        let System {
+            cfg,
+            cycle,
+            events,
+            threads,
+            pending_value,
+            l2,
+            dram,
+            dma,
+            barrier_mask,
+            barrier_count,
+            halted,
+            next_req,
+            trap,
+            watchdog,
+            intercept,
+            outbox,
+            pending_fills,
+            last_store,
+            tainted,
+            first_taint_read,
+        } = self;
+        System {
+            cfg: cfg.clone(),
+            cycle: *cycle,
+            events: events.clone(),
+            threads: threads.clone(),
+            pending_value: pending_value.clone(),
+            l2: l2.clone(),
+            dram: dram.clone(),
+            dma: dma.clone(),
+            barrier_mask: *barrier_mask,
+            barrier_count: *barrier_count,
+            halted: *halted,
+            next_req: *next_req,
+            trap: *trap,
+            watchdog: *watchdog,
+            intercept: *intercept,
+            outbox: outbox.clone(),
+            pending_fills: pending_fills.clone(),
+            last_store: last_store.clone(),
+            tainted: tainted.clone(),
+            first_taint_read: *first_taint_read,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let System {
+            cfg,
+            cycle,
+            events,
+            threads,
+            pending_value,
+            l2,
+            dram,
+            dma,
+            barrier_mask,
+            barrier_count,
+            halted,
+            next_req,
+            trap,
+            watchdog,
+            intercept,
+            outbox,
+            pending_fills,
+            last_store,
+            tainted,
+            first_taint_read,
+        } = source;
+        self.cfg.clone_from(cfg);
+        self.cycle = *cycle;
+        self.events.clone_from(events);
+        self.threads.clone_from(threads);
+        self.pending_value.clone_from(pending_value);
+        self.l2.clone_from(l2);
+        self.dram.clone_from(dram);
+        self.dma.clone_from(dma);
+        self.barrier_mask = *barrier_mask;
+        self.barrier_count = *barrier_count;
+        self.halted = *halted;
+        self.next_req = *next_req;
+        self.trap = *trap;
+        self.watchdog = *watchdog;
+        self.intercept = *intercept;
+        self.outbox.clone_from(outbox);
+        self.pending_fills.clone_from(pending_fills);
+        self.last_store.clone_from(last_store);
+        self.tainted.clone_from(tainted);
+        self.first_taint_read = *first_taint_read;
+    }
+}
 
 impl System {
     /// Builds the system: writes the program image, programs the DMA
@@ -314,7 +410,6 @@ impl System {
             watchdog,
             intercept: InterceptMode::None,
             outbox: VecDeque::new(),
-            inflight: ReqMap::default(),
             pending_fills: FillMap::new(),
             last_store: StoreMap::default(),
             tainted: LineSet::default(),
@@ -489,14 +584,16 @@ impl System {
         // configuration); the violation is attributed to the strand the
         // interconnect would physically deliver to.
         let victim = cpx.thread.index() % self.threads.len();
-        let Some(t) = self.inflight.remove(&cpx.id.0) else {
-            self.raise_trap(victim, TrapCause::UncoreError);
-            return;
-        };
-        let ti = t as usize;
-        if self.threads[ti].pending_req != Some(cpx.id) || self.threads[ti].id != cpx.thread {
-            // Not the requester's packet: the request stays in flight.
-            self.inflight.insert(cpx.id.0, t);
+        // A request waits on the strand that issued it, and strand `i`
+        // is `ThreadId::new(i)`, so only the strand the packet names can
+        // own it. An unknown id, or a known one on the wrong strand, is
+        // not the requester's packet: the request stays in flight.
+        let ti = cpx.thread.index();
+        if self
+            .threads
+            .get(ti)
+            .is_none_or(|th| th.pending_req != Some(cpx.id))
+        {
             self.raise_trap(victim, TrapCause::UncoreError);
             return;
         }
@@ -508,7 +605,7 @@ impl System {
         self.note_taint_on_load(ti, self.threads[ti].current);
         self.pending_value[ti] = cpx.data;
         let compute = self.threads[ti].gen.profile().compute_per_op as u64;
-        self.schedule(1 + compute, Ev::Wake(t));
+        self.schedule(1 + compute, Ev::Wake(ti as u8));
     }
 
     /// Delivers a DRAM fill to a functional bank (MCU co-simulation).
@@ -740,7 +837,6 @@ impl System {
                         data,
                     };
                     self.threads[t].pending_req = Some(id);
-                    self.inflight.insert(id.0, t as u8);
                     self.outbox.push_back(OutMsg::Pcx(pkt));
                 } else {
                     self.functional_access(t, op, addr);
@@ -1035,8 +1131,11 @@ impl System {
     /// Count of threads currently blocked awaiting an intercepted
     /// uncore response.
     pub fn waiting_on_uncore(&self) -> usize {
+        let requests = (self.threads.iter())
+            .filter(|th| th.pending_req.is_some())
+            .count();
         // nestlint: allow(determinism-taint) -- summing lengths is insensitive to iteration order
-        self.inflight.len() + self.pending_fills.values().map(Vec::len).sum::<usize>()
+        requests + self.pending_fills.values().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -1167,6 +1266,122 @@ mod tests {
         let a = sys.run_to_end();
         let b = snap.run_to_end();
         assert_eq!(a, b);
+    }
+
+    /// What the refill oracle compares besides memory and bank arrays.
+    fn observe(sys: &System) -> impl PartialEq + std::fmt::Debug {
+        (
+            sys.snapshot_cost(),
+            sys.output_digest(),
+            sys.first_taint_read(),
+            sys.waiting_on_uncore(),
+            sys.trap(),
+            sys.dma_progress(),
+            sys.dram().private_pages(),
+        )
+    }
+
+    fn assert_same(want: &System, got: &System, what: &str) {
+        assert_eq!(observe(want), observe(got), "{what}");
+        assert!(want.dram() == got.dram(), "{what}: memory");
+        let banks = want.config().topology.l2_banks;
+        assert_eq!(banks, got.config().topology.l2_banks, "{what}: topology");
+        for b in (0..banks).map(BankId::new) {
+            assert!(want.bank_arch(b) == got.bank_arch(b), "{what}: {b:?}");
+        }
+    }
+
+    /// Ends interception as a driver's detach does — every message still
+    /// in the outbox served functionally — and runs to the end.
+    fn settle(mut sys: System) -> (RunResult, System) {
+        sys.set_intercept(InterceptMode::None);
+        while let Some(msg) = sys.pop_outbox() {
+            match msg {
+                OutMsg::Pcx(p) => {
+                    let reply = sys.service_request_functionally(&p);
+                    sys.deliver_cpx(reply);
+                }
+                OutMsg::DramFill { bank, line } => {
+                    let data = sys.dram().read_line(line);
+                    sys.deliver_fill(bank, line, data);
+                }
+                OutMsg::DramWriteback { line, data, .. } => sys.dram_mut().write_line(line, data),
+            }
+        }
+        (sys.run_to_end(), sys)
+    }
+
+    /// Every data line of threads `0..threads`.
+    fn data_lines(threads: usize) -> Vec<LineAddr> {
+        (0..threads)
+            .flat_map(|t| (0..512).map(move |i| layout::data_word(t, i).line()))
+            .collect()
+    }
+
+    #[test]
+    fn refilled_spare_matches_a_clone() {
+        // The spare comes from another profile on another topology (4
+        // threads, `barn`'s page set), has private pages, and has seen
+        // a tainted read.
+        let mut spare = {
+            let mut cfg = SystemConfig::smoke_test(by_name("barn").unwrap());
+            cfg.topology = nestsim_proto::Topology::reduced();
+            let mut sys = System::new(cfg);
+            sys.run_until(200);
+            sys.mark_tainted(data_lines(4));
+            sys.run_until(2_000);
+            let line = layout::data_word(3, 7).line();
+            sys.dram_mut().write_line(line, [7; WORDS_PER_LINE]);
+            sys
+        };
+        assert!(spare.dram().private_pages() > 0);
+        assert!(spare.first_taint_read().is_some());
+
+        // Sources: fills deferred to an MCU, requests out to an L2 bank,
+        // a tainted read; the last two with their private pages, then
+        // frozen.
+        let mut mcu = smoke("fft");
+        mcu.set_intercept(InterceptMode::McuPair(McuId::new(0)));
+        mcu.run_until(4_000);
+        let mut bank = smoke("radi");
+        bank.run_until(1_000);
+        bank.set_intercept(InterceptMode::Bank(BankId::new(0)));
+        bank.run_until(6_000);
+        let mut tainted = smoke("fft");
+        tainted.run_until(500);
+        tainted.mark_tainted(data_lines(64));
+        tainted.run_until(3_000);
+        assert!(!mcu.pending_fills.is_empty() && spare.pending_fills.is_empty());
+        assert!(bank.waiting_on_uncore() > 0);
+        assert!(tainted.first_taint_read().is_some() && !tainted.all_halted());
+
+        // The MCU's writebacks wait in the outbox: it wrote no page.
+        assert_eq!(mcu.dram().private_pages(), 0);
+        assert!(bank.dram().private_pages() > 0 && tainted.dram().private_pages() > 0);
+        let frozen = |sys: &System| {
+            let mut sys = sys.clone();
+            sys.share_pages();
+            sys
+        };
+        let sources = [
+            ("mcu", mcu),
+            ("bank", bank.clone()),
+            ("bank, frozen", frozen(&bank)),
+            ("tainted", tainted.clone()),
+            ("tainted, frozen", frozen(&tainted)),
+        ];
+        for (name, source) in sources {
+            let want = source.clone();
+            spare.clone_from(&source);
+            assert_same(&want, &spare, name);
+            let (want_end, want) = settle(want);
+            let (got_end, got) = settle(spare);
+            assert!(want_end.is_completed(), "{name}: {want_end:?}");
+            assert_eq!(got_end, want_end, "{name}: run to end");
+            assert_same(&want, &got, &format!("{name}, at the end"));
+            // A finished run is the next refill's spare, as in a shard.
+            spare = got;
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! naive line map — the storage it replaced, kept here as the oracle.
 //!
 //! A population of (memory, oracle) pairs is driven through random
-//! line and word writes (zeroing ones included), clones, freezes and
-//! drops over a few pages. Clones and freezes must be invisible: every
+//! line and word writes (zeroing ones included), clones, refills
+//! (`clone_from`), freezes and drops over a few pages. Clones, refills
+//! and freezes must be invisible: every
 //! pair stays read-for-read equal to its own oracle whatever is done
 //! to the pairs it shares pages with, and `==` follows contents, not
 //! sharing history.
@@ -107,7 +108,7 @@ properties! {
         let steps = src.range_usize(1, 120);
         for step in 0..steps {
             let i = src.index(live.len());
-            match src.below(8) {
+            match src.below(9) {
                 0..=2 => {
                     let la = LineAddr::new(line_no(src));
                     let mut data = [0; WORDS_PER_LINE];
@@ -143,10 +144,30 @@ properties! {
                     // Dropping one holder must not disturb the others.
                     live.swap_remove(i);
                 }
+                8 if live.len() > 1 => {
+                    // Refill memory `i` from another: it drops its own
+                    // pages and becomes a copy of the source.
+                    let j = (i + 1 + src.index(live.len() - 1)) % live.len();
+                    let (to, from) = if i < j {
+                        let (head, tail) = live.split_at_mut(j);
+                        (&mut head[i], &tail[0])
+                    } else {
+                        let (head, tail) = live.split_at_mut(i);
+                        (&mut tail[0], &head[j])
+                    };
+                    to.0.clone_from(&from.0);
+                    to.1.clone_from(&from.1);
+                    assert!(to.0 == from.0, "a refill equals its source");
+                    assert_eq!(
+                        to.0.private_pages(),
+                        from.0.private_pages(),
+                        "a refill keeps no page of its own"
+                    );
+                }
                 _ => {}
             }
             // Isolation in every direction: whichever memory was just
-            // written, frozen, cloned or dropped, each live one still
+            // written, frozen, cloned, refilled or dropped, each live one still
             // reads as its own oracle.
             for (k, (mem, oracle)) in live.iter().enumerate() {
                 assert_matches(mem, oracle, step, k);
