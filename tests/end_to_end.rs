@@ -493,26 +493,25 @@ fn pinned_l2c_cell(workers: usize) -> CampaignSpec {
     }
 }
 
-#[test]
-fn pinned_l2c_cell_has_the_same_bytes_through_cluster_and_service() {
-    // The table above pins the in-process engine; this pins the other
-    // two ways a fixed-count cell is reached, against the same constant.
-    const PINNED: u64 = 0xd040_e4b7_67c0_22e2;
+/// Runs `spec` on `bench` through a two-thread cluster and through the
+/// service, and checks both results against `pinned`: the table above
+/// pins the in-process engine, this the other two ways a fixed-count
+/// cell is reached.
+fn assert_pinned_through_cluster_and_service(bench: &str, spec: &CampaignSpec, pinned: u64) {
     let cfg = TelemetryConfig::default();
-    let profile = by_name("radi").unwrap();
-    let spec = pinned_l2c_cell(2);
+    let profile = by_name(bench).unwrap();
 
     let clustered = nestsim::cluster::run_campaign_cluster(
         profile,
-        &spec,
+        spec,
         Some(&cfg),
         &nestsim::cluster::ClusterConfig::threads(2),
     );
     let got = result_digest(&clustered);
-    assert_eq!(got, PINNED, "cluster threads(2): {got:#018x}");
+    assert_eq!(got, pinned, "{bench} cluster threads(2): {got:#018x}");
 
     let handle = nestsim::svc::serve(nestsim::svc::ServiceConfig::default()).expect("serve");
-    let job = nestsim::cluster::JobWire::from_spec(profile, &spec, Some(&cfg));
+    let job = nestsim::cluster::JobWire::from_spec(profile, spec, Some(&cfg));
     let mut client =
         nestsim::svc::SvcClient::connect(&handle.addr().to_string(), "pin").expect("connect");
     let served = match client.run_job(&job, 1).expect("service I/O") {
@@ -522,7 +521,27 @@ fn pinned_l2c_cell_has_the_same_bytes_through_cluster_and_service() {
     drop(client);
     handle.shutdown().expect("shutdown");
     let got = result_digest(&served);
-    assert_eq!(got, PINNED, "service: {got:#018x}");
+    assert_eq!(got, pinned, "{bench} service: {got:#018x}");
+}
+
+#[test]
+fn pinned_l2c_cell_has_the_same_bytes_through_cluster_and_service() {
+    assert_pinned_through_cluster_and_service("radi", &pinned_l2c_cell(2), 0xd040_e4b7_67c0_22e2);
+}
+
+#[test]
+fn pinned_ccx_cell_has_the_same_bytes_through_cluster_and_service() {
+    // The CCX `lu-c` row of the table above: 48 samples in trajectory
+    // clusters of 8.
+    let spec = CampaignSpec {
+        seed: 2015,
+        length_scale: 100,
+        cosim_cap: 4_000,
+        workers: 2,
+        lane_cluster: 8,
+        ..CampaignSpec::new(ComponentKind::Ccx, 48)
+    };
+    assert_pinned_through_cluster_and_service("lu-c", &spec, 0x97c1_653a_8faa_8199);
 }
 
 #[test]
