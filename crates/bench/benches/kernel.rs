@@ -122,8 +122,9 @@ fn component_ticks(suite: &mut Suite) {
     // `ccx_loaded` saturates the flop-level crossbar; `ccx_cosim` offers
     // at the rate counted in a `ccx_indep` campaign (1.72 requests and
     // 1.72 returns a tick over 262,144 ticks), the tick of an injection's
-    // co-simulation window. `ccx_warm` is that same traffic on the
-    // packet-image crossbar an injection warms up on.
+    // co-simulation window while its golden lives. `ccx_warm` is that
+    // same traffic on the packet crossbar an injection warms up on and
+    // returns to when its golden retires.
     ccx_closed_loop(suite, "ccx_loaded", Ccx::new(), 256);
     ccx_closed_loop(suite, "ccx_cosim", Ccx::new(), 55);
     ccx_closed_loop(suite, "ccx_warm", CcxWarm::new(), 55);
@@ -225,18 +226,25 @@ impl Crossbar for CcxWarm {
     }
 }
 
-/// The crossbar in `CcxDriver::step`'s closed loop: requests *and*
-/// returns in flight, to banks scattered so the arbiters contend, and
-/// every delivered request coming back on its bank port after the
-/// functional-bank latency. `tick/ccx` offers one request a cycle and no
-/// returns, which arbitration barely notices. Each core offers with
-/// probability `offer_per_256`/256 a cycle when its FIFO has room.
-fn ccx_closed_loop(suite: &mut Suite, name: &str, mut ccx: impl Crossbar, offer_per_256: u64) {
+/// Times `ccx`'s tick in [`closed_loop`].
+fn ccx_closed_loop<X: Crossbar>(suite: &mut Suite, name: &str, mut ccx: X, offer_per_256: u64) {
+    let mut step = closed_loop(offer_per_256);
+    suite.bench("kernel/tick", name, || black_box(step(&mut ccx)));
+}
+
+/// One cycle of the crossbar in `CcxDriver::step`'s closed loop:
+/// requests *and* returns in flight, to banks scattered so the arbiters
+/// contend, and every delivered request coming back on its bank port
+/// after the functional-bank latency. `tick/ccx` offers one request a
+/// cycle and no returns, which arbitration barely notices. Each core
+/// offers with probability `offer_per_256`/256 a cycle when its FIFO has
+/// room.
+fn closed_loop<X: Crossbar>(offer_per_256: u64) -> impl FnMut(&mut X) -> CcxOutputs {
     let ready = [true; NUM_L2_BANKS];
     let mut bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS] = Default::default();
     let (mut cyc, mut n) = (0u64, 0u64);
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    suite.bench("kernel/tick", name, || {
+    move |ccx| {
         cyc += 1;
         x ^= x << 13;
         x ^= x >> 7;
@@ -263,7 +271,21 @@ fn ccx_closed_loop(suite: &mut Suite, name: &str, mut ccx: impl Crossbar, offer_
                 q.push_back((cyc + COSIM_BANK_LATENCY, CpxPacket::reply_to(p, p.data)));
             }
         }
-        black_box(out)
+        out
+    }
+}
+
+fn conversions(suite: &mut Suite) {
+    // A retiring golden puts its crossbar back on packets: the flops of
+    // `ccx_cosim`'s closed loop, 1,000 cycles in, read back as packets.
+    let mut ccx = Ccx::new();
+    let mut step = closed_loop(55);
+    for _ in 0..1_000 {
+        step(&mut ccx);
+    }
+    assert!(!ccx.idle(), "nothing in flight to convert");
+    suite.bench("kernel/convert", "ccx_to_packets", || {
+        black_box(CcxWarm::from_ccx(black_box(&ccx)))
     });
 }
 
@@ -416,6 +438,7 @@ fn main() {
     component_ticks(&mut suite);
     queue_pops(&mut suite);
     attaches(&mut suite);
+    conversions(&mut suite);
     golden_compare(&mut suite);
     accelerated_mode(&mut suite);
     // Last: freeing their 256 KiB page chunks shifts glibc's heap

@@ -174,7 +174,8 @@ impl IntoFlops for L2cWarm {
 
 #[cfg(test)]
 thread_local! {
-    /// Targets converted from images to flops on this thread.
+    /// Targets converted from their fault-free model to flops on this
+    /// thread.
     pub(crate) static CONVERSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -184,25 +185,27 @@ thread_local! {
 /// Until the golden snapshot and the flip (Fig. 2 step 5) no flop can be
 /// wrong, so the warm-up (step 4) runs on `W`, which gives the same
 /// cycles at a fraction of the cost; [`flops`](Self::flops) then turns
-/// it into the flops the flop-level warm-up would have left.
+/// it into the flops the flop-level warm-up would have left. A crossbar
+/// whose golden retired is fault-free again and goes back to `W`.
 // `Flops` holds the component's handle tables inline, as the drivers
 // did before; a box would be one more allocation per conversion.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum Target<W: IntoFlops> {
-    Images(W),
+    /// The fault-free model: packets (CCX) or slot images (L2C).
+    Warm(W),
     Flops(W::Flops),
-    /// Only inside [`flops`](Self::flops), between taking the images and
-    /// storing what they became.
+    /// Only inside [`flops`](Self::flops), between taking the fault-free
+    /// model and storing what it became.
     Converting,
 }
 
 impl<W: IntoFlops> Target<W> {
-    /// The flop-level model, converted from the images in place the
-    /// first time it is asked for.
+    /// The flop-level model, converted from the fault-free one in place
+    /// the first time it is asked for.
     fn flops(&mut self) -> &mut W::Flops {
-        if let Target::Images(_) = self {
-            let Target::Images(warm) = std::mem::replace(self, Target::Converting) else {
+        if let Target::Warm(_) = self {
+            let Target::Warm(warm) = std::mem::replace(self, Target::Converting) else {
                 unreachable!("matched above")
             };
             *self = Target::Flops(warm.into_flops());
@@ -227,7 +230,7 @@ impl<W: IntoFlops> Target<W> {
 impl Target<L2cWarm> {
     fn ready(&self) -> bool {
         match self {
-            Target::Images(x) => x.ready(),
+            Target::Warm(x) => x.ready(),
             Target::Flops(x) => x.ready(),
             Target::Converting => unreachable!(),
         }
@@ -235,7 +238,7 @@ impl Target<L2cWarm> {
 
     fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
         match self {
-            Target::Images(x) => x.tick(inp),
+            Target::Warm(x) => x.tick(inp),
             Target::Flops(x) => x.tick(inp),
             Target::Converting => unreachable!(),
         }
@@ -243,7 +246,7 @@ impl Target<L2cWarm> {
 
     fn idle(&self) -> bool {
         match self {
-            Target::Images(x) => x.idle(),
+            Target::Warm(x) => x.idle(),
             Target::Flops(x) => x.idle(),
             Target::Converting => unreachable!(),
         }
@@ -252,7 +255,7 @@ impl Target<L2cWarm> {
     /// Input-queue, output-queue and miss-buffer occupancy.
     fn occupancy(&self) -> [usize; 3] {
         match self {
-            Target::Images(x) => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()],
+            Target::Warm(x) => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()],
             Target::Flops(x) => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()],
             Target::Converting => unreachable!(),
         }
@@ -364,7 +367,7 @@ impl L2cDriver {
     /// (Fig. 2 step 3). Flop state starts at reset and is reconstructed
     /// by warm-up traffic (step 4).
     pub fn attach(mut sys: System, bank: BankId) -> Self {
-        let target = Target::Images(L2cWarm::new(bank, sys.bank_arch(bank).clone()));
+        let target = Target::Warm(L2cWarm::new(bank, sys.bank_arch(bank).clone()));
         sys.set_intercept(InterceptMode::Bank(bank));
         L2cDriver {
             sys,
@@ -396,7 +399,7 @@ impl L2cDriver {
     /// Whether the target is still on slot images.
     #[cfg(test)]
     pub(crate) fn holds_images(&self) -> bool {
-        matches!(self.target, Target::Images(_))
+        matches!(self.target, Target::Warm(_))
     }
 
     fn record_divergence(&mut self, cycle: u64) {
@@ -843,7 +846,7 @@ impl CosimDriver for McuDriver {
 impl Target<CcxWarm> {
     fn core_ready(&self, c: usize) -> bool {
         match self {
-            Target::Images(x) => x.core_ready(c),
+            Target::Warm(x) => x.core_ready(c),
             Target::Flops(x) => x.core_ready(c),
             Target::Converting => unreachable!(),
         }
@@ -851,7 +854,7 @@ impl Target<CcxWarm> {
 
     fn bank_ready(&self, k: usize) -> bool {
         match self {
-            Target::Images(x) => x.bank_ready(k),
+            Target::Warm(x) => x.bank_ready(k),
             Target::Flops(x) => x.bank_ready(k),
             Target::Converting => unreachable!(),
         }
@@ -859,7 +862,7 @@ impl Target<CcxWarm> {
 
     fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
         match self {
-            Target::Images(x) => x.tick(inp, bank_can_accept),
+            Target::Warm(x) => x.tick(inp, bank_can_accept),
             Target::Flops(x) => x.tick(inp, bank_can_accept),
             Target::Converting => unreachable!(),
         }
@@ -867,7 +870,7 @@ impl Target<CcxWarm> {
 
     fn idle(&self) -> bool {
         match self {
-            Target::Images(x) => x.idle(),
+            Target::Warm(x) => x.idle(),
             Target::Flops(x) => x.idle(),
             Target::Converting => unreachable!(),
         }
@@ -875,7 +878,7 @@ impl Target<CcxWarm> {
 
     fn occupancy(&self) -> (usize, usize) {
         match self {
-            Target::Images(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
+            Target::Warm(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
             Target::Flops(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
             Target::Converting => unreachable!(),
         }
@@ -885,11 +888,12 @@ impl Target<CcxWarm> {
 /// Co-simulation driver for the crossbar.
 ///
 /// The target warms up on [`CcxWarm`]: until the golden snapshot and
-/// the flip (Fig. 2 step 5) no flop can be wrong, so packet images give
-/// the same cycles at a fraction of the cost. `snapshot_golden`,
-/// `snapshot_golden_cold`, `inject`, `retire_golden` and `detach` turn
-/// it into the [`Ccx`] the flop-level warm-up would have left, and the
-/// rest of the run is flop-level.
+/// the flip (Fig. 2 step 5) no flop can be wrong, so packets give the
+/// same cycles at a fraction of the cost. `snapshot_golden`,
+/// `snapshot_golden_cold` and `inject` turn it into the [`Ccx`] the
+/// flop-level warm-up would have left, and the run is flop-level while
+/// the golden lives. `retire_golden` puts it back on packets: the
+/// target then equals the golden, a fault-free crossbar.
 #[derive(Debug, Clone)]
 pub struct CcxDriver {
     sys: System,
@@ -910,7 +914,7 @@ impl CcxDriver {
         sys.set_intercept(InterceptMode::AllRequests);
         CcxDriver {
             sys,
-            target: Target::Images(CcxWarm::new()),
+            target: Target::Warm(CcxWarm::new()),
             golden: None,
             core_q: Default::default(),
             bank_q: Default::default(),
@@ -918,10 +922,10 @@ impl CcxDriver {
         }
     }
 
-    /// Whether the target is still on packet images.
+    /// Whether the target is on packets.
     #[cfg(test)]
-    pub(crate) fn holds_images(&self) -> bool {
-        matches!(self.target, Target::Images(_))
+    pub(crate) fn holds_packets(&self) -> bool {
+        matches!(self.target, Target::Warm(_))
     }
 }
 
@@ -1029,7 +1033,12 @@ impl CosimDriver for CcxDriver {
     }
 
     fn retire_golden(&mut self) {
-        self.target.flops();
+        // The check just found the target's flops equal to the golden's,
+        // which only ever held fault-free traffic, so packets hold them
+        // exactly. A later call finds the target on packets already.
+        if let Target::Flops(x) = &self.target {
+            self.target = Target::Warm(CcxWarm::from_ccx(x));
+        }
         self.golden = None;
     }
 
@@ -1051,7 +1060,8 @@ impl CosimDriver for CcxDriver {
     }
 
     fn detach(mut self) -> Detach {
-        self.target.flops();
+        // The crossbar has no state to transfer back (Table 1), so the
+        // target is dropped as it is, on flops or packets.
         self.sys.set_intercept(InterceptMode::None);
         // Serve anything stranded in the wedged crossbar's engine-side
         // queues functionally (forced detach path).
@@ -1335,19 +1345,26 @@ mod tests {
         assert_eq!(drv.check(), CosimCheck::Identical);
     }
 
+    /// Cycles a [`PathProbe`] stepped, by where the target was (`[flops,
+    /// fault-free model]`) and then whether the golden lived (`[retired,
+    /// live]`).
+    type Paths = std::rc::Rc<std::cell::Cell<[[u64; 2]; 2]>>;
+
     /// A driver that notes, at every cycle it steps, whether its target
-    /// was still on images.
-    struct ImageProbe<D> {
+    /// was on its fault-free model and whether its golden was alive.
+    struct PathProbe<D> {
         inner: D,
-        holds_images: fn(&D) -> bool,
-        steps_on_images: std::rc::Rc<std::cell::Cell<(u64, u64)>>,
+        /// (target on its fault-free model, golden alive)
+        state: fn(&D) -> (bool, bool),
+        steps: Paths,
     }
 
-    impl<D: CosimDriver> CosimDriver for ImageProbe<D> {
+    impl<D: CosimDriver> CosimDriver for PathProbe<D> {
         fn step(&mut self) {
-            let (images, all) = self.steps_on_images.get();
-            let on_images = u64::from((self.holds_images)(&self.inner));
-            self.steps_on_images.set((images + on_images, all + 1));
+            let (warm, live) = (self.state)(&self.inner);
+            let mut steps = self.steps.get();
+            steps[usize::from(warm)][usize::from(live)] += 1;
+            self.steps.set(steps);
             self.inner.step();
         }
         fn cycle(&self) -> u64 {
@@ -1389,9 +1406,10 @@ mod tests {
     }
 
     #[test]
-    fn ccx_warm_up_runs_on_images_and_the_run_on_flops() {
-        // Every identity suite passes whichever model warms the crossbar
-        // up, so only this notices if the image path stops being taken.
+    fn ccx_runs_on_flops_only_while_the_golden_lives() {
+        // Every identity suite passes whichever model the crossbar runs
+        // on, so only this notices if the warm-up or a retired run stops
+        // being on packets, or a cycle with a live golden is not on flops.
         use crate::campaign::{golden_reference, CampaignSpec};
         use crate::inject::{finish, warm_component, InjectionSpec, WarmedDriver};
         use nestsim_models::ComponentKind;
@@ -1411,22 +1429,25 @@ mod tests {
         let WarmedDriver::Ccx(w) = warm_component(&base, &golden, &spec, None) else {
             panic!("a CCX spec warmed another component");
         };
-        assert!(w.driver.holds_images(), "the warm-up ran on flops");
+        assert!(w.driver.holds_packets(), "the warm-up ran on flops");
         // A group resumes every member but the last from a clone.
-        assert!(w.clone().driver.holds_images(), "a clone holds flops");
-        let steps = std::rc::Rc::default();
-        let probed = w.map(|inner| ImageProbe {
+        assert!(w.clone().driver.holds_packets(), "a clone holds flops");
+        let steps = Paths::default();
+        let probed = w.map(|inner| PathProbe {
             inner,
-            holds_images: CcxDriver::holds_images,
-            steps_on_images: std::rc::Rc::clone(&steps),
+            state: |d: &CcxDriver| (d.holds_packets(), d.golden.is_some()),
+            steps: std::rc::Rc::clone(&steps),
         });
-        finish(probed, &golden, &spec, &mut Recorder::null());
-        let (images, all) = steps.get();
-        assert!(all > 0, "the run stepped no cycle after the flip");
-        assert_eq!(
-            images, 0,
-            "{images} of {all} cycles after the flip ran on images"
+        let (record, _) = finish(probed, &golden, &spec, &mut Recorder::null());
+        let [[flops_retired, flops_live], [packets_retired, packets_live]] = steps.get();
+        println!(
+            "{record:?}: live golden {flops_live} on flops, {packets_live} on packets; \
+             retired {packets_retired} on packets, {flops_retired} on flops"
         );
+        assert!(flops_live > 0, "no cycle ran beside a live golden");
+        assert!(packets_retired > 0, "no cycle ran after retirement");
+        assert_eq!(packets_live, 0, "cycles with a live golden ran on packets");
+        assert_eq!(flops_retired, 0, "cycles after retirement ran on flops");
     }
 
     #[test]
@@ -1458,18 +1479,20 @@ mod tests {
         };
         assert!(w.driver.holds_images(), "the warm-up ran on flops");
         assert!(w.clone().driver.holds_images(), "a clone holds flops");
-        let steps = std::rc::Rc::default();
-        let probed = w.map(|inner| ImageProbe {
+        let steps = Paths::default();
+        let probed = w.map(|inner| PathProbe {
             inner,
-            holds_images: L2cDriver::holds_images,
-            steps_on_images: std::rc::Rc::clone(&steps),
+            state: |d: &L2cDriver| (d.holds_images(), d.golden.is_some()),
+            steps: std::rc::Rc::clone(&steps),
         });
         finish(probed, &golden, &spec, &mut Recorder::null());
-        let (images, all) = steps.get();
-        assert!(all > 0, "the run stepped no cycle after the flip");
+        let [on_flops, on_images] = steps.get().map(|by_golden| by_golden.iter().sum::<u64>());
+        assert!(on_flops > 0, "the run stepped no cycle after the flip");
         assert_eq!(
-            images, 0,
-            "{images} of {all} cycles after the flip ran on images"
+            on_images,
+            0,
+            "{on_images} of {} cycles after the flip ran on images",
+            on_flops + on_images
         );
 
         // A batch converts its carrier, and each lane that leaves for

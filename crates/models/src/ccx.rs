@@ -16,17 +16,20 @@
 //! waiting (Hang); valid flips drop or fabricate packets in flight.
 //!
 //! Before the flip there is nothing for flops to be wrong about, so the
-//! warm-up runs on [`CcxWarm`], the same crossbar over packet images,
-//! which becomes a [`Ccx`] at the golden snapshot.
+//! warm-up runs on [`CcxWarm`], the same crossbar over packets, which
+//! becomes a [`Ccx`] at the golden snapshot. Once the flip has vanished
+//! there is nothing left to be wrong about either, and
+//! [`CcxWarm::from_ccx`] takes the crossbar back to packets.
 
-use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 use nestsim_proto::addr::{l2_bank_of, NUM_CORES, NUM_L2_BANKS};
-use nestsim_proto::{CpxPacket, PcxPacket};
+use nestsim_proto::{CpxPacket, PcxPacket, ReqId};
 use nestsim_rtl::{FieldHandle, FlopClass, FlopSpace, FlopSpaceBuilder};
 
-use crate::fields::{benign_in, is_packed_queue, shift_queue_down, CpxSlot, Guard, PcxSlot};
+use crate::fields::{
+    benign_in, is_packed_queue, shift_queue_down, CpxSlot, Guard, PcxSlot, REQID_BITS,
+};
 use crate::{ComponentKind, UncoreRtl};
 
 /// FIFO depth per port.
@@ -61,7 +64,7 @@ pub struct CcxOutputs {
 /// field that routes it, so both run the same FIFO, staging-register
 /// and arbitration code over this.
 trait Slot: Copy {
-    type Packet;
+    type Packet: Copy + PartialEq + std::fmt::Debug;
 
     fn declare(b: &mut FlopSpaceBuilder, prefix: &str) -> Self;
     fn guard(&self) -> Guard;
@@ -71,12 +74,16 @@ trait Slot: Copy {
     fn image(pkt: &Self::Packet) -> [u64; 3];
     /// The packet `load` reads from a span holding `v`.
     fn from_image(v: [u64; 3]) -> Self::Packet;
+    /// The packet an empty slot's zeroed flops decode to.
+    #[inline]
+    fn blank() -> Self::Packet {
+        Self::from_image([0; 3])
+    }
+    /// Request id of `pkt`, which `store` asserts fits its field.
+    fn id(pkt: &Self::Packet) -> ReqId;
     /// Destination port of `pkt`: what [`dest`](Self::dest) reads from a
     /// slot holding its image.
     fn route(pkt: &Self::Packet) -> usize;
-
-    /// Writes the image `v` over the slot, valid bit included.
-    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]);
 
     /// What `self.store(f, &from.load(f))` does for a valid `from`, on
     /// the bits alone: a packet crossing the crossbar is decoded once,
@@ -123,14 +130,14 @@ impl Slot for PcxSlot {
     fn store(&self, f: &mut FlopSpace, pkt: &PcxPacket) {
         PcxSlot::store(self, f, pkt);
     }
-    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
-        PcxSlot::store_image(self, f, v);
-    }
     fn image(pkt: &PcxPacket) -> [u64; 3] {
         PcxSlot::image(pkt)
     }
     fn from_image(v: [u64; 3]) -> PcxPacket {
         PcxSlot::from_image(v)
+    }
+    fn id(pkt: &PcxPacket) -> ReqId {
+        pkt.id
     }
     fn route(pkt: &PcxPacket) -> usize {
         pkt.bank().index()
@@ -158,14 +165,14 @@ impl Slot for CpxSlot {
     fn store(&self, f: &mut FlopSpace, pkt: &CpxPacket) {
         CpxSlot::store(self, f, pkt);
     }
-    fn store_image(&self, f: &mut FlopSpace, v: [u64; 3]) {
-        CpxSlot::store_image(self, f, v);
-    }
     fn image(pkt: &CpxPacket) -> [u64; 3] {
         CpxSlot::image(pkt)
     }
     fn from_image(v: [u64; 3]) -> CpxPacket {
         CpxSlot::from_image(v)
+    }
+    fn id(pkt: &CpxPacket) -> ReqId {
+        pkt.id
     }
     fn route(pkt: &CpxPacket) -> usize {
         pkt.thread.core().index()
@@ -547,31 +554,49 @@ impl UncoreRtl for Ccx {
     }
 }
 
+/// The set bits of `m`, lowest first.
+fn bits(mut m: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = (m != 0).then(|| m.trailing_zeros() as usize)?;
+        m &= m - 1;
+        Some(i)
+    })
+}
+
 /// One direction of a [`CcxWarm`]: the source FIFOs, staging registers
-/// and round-robin pointers of [`arbitrate`]'s phase, each slot and stage
-/// the span its flops would hold. An empty slot or stage is all zeros,
-/// as `take` and the queue shift leave it.
-#[derive(Debug, Clone)]
-struct WarmHalf<S, const SRC: usize, const DST: usize> {
-    /// Queued images per source, head first.
-    queue: [[[u64; 3]; PORT_FIFO_DEPTH]; SRC],
-    /// Destination port of each queued packet, beside its image.
+/// and round-robin pointers of [`arbitrate`]'s phase, holding packets,
+/// and two masks of what is occupied, so that a cycle touches only the
+/// ports that hold traffic. An empty entry holds [`Slot::blank`] with
+/// destination 0, as empty flops are zero, so two halves holding the
+/// same traffic compare equal.
+#[derive(Debug, Clone, PartialEq)]
+struct WarmHalf<S: Slot, const SRC: usize, const DST: usize> {
+    /// Queued packets per source, head first, up to the count.
+    queue: [[S::Packet; PORT_FIFO_DEPTH]; SRC],
+    /// Destination port of each queued packet, beside it.
     dest: [[u8; PORT_FIFO_DEPTH]; SRC],
     count: [u8; SRC],
-    stage: [[u64; 3]; DST],
+    /// The packet in each stage that `staged` marks.
+    stage: [S::Packet; DST],
     rr: [u8; DST],
-    slot: PhantomData<S>,
+    /// Bit `src`: source `src`'s FIFO is not empty.
+    busy: u32,
+    /// Bit `dst`: stage `dst` holds a packet.
+    staged: u32,
 }
 
 impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
-    const EMPTY: Self = WarmHalf {
-        queue: [[[0; 3]; PORT_FIFO_DEPTH]; SRC],
-        dest: [[0; PORT_FIFO_DEPTH]; SRC],
-        count: [0; SRC],
-        stage: [[0; 3]; DST],
-        rr: [0; DST],
-        slot: PhantomData,
-    };
+    fn empty() -> Self {
+        WarmHalf {
+            queue: [[S::blank(); PORT_FIFO_DEPTH]; SRC],
+            dest: [[0; PORT_FIFO_DEPTH]; SRC],
+            count: [0; SRC],
+            stage: [S::blank(); DST],
+            rr: [0; DST],
+            busy: 0,
+            staged: 0,
+        }
+    }
 
     fn ready(&self, src: usize) -> bool {
         usize::from(self.count[src]) < PORT_FIFO_DEPTH
@@ -582,13 +607,15 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
     }
 
     fn idle(&self) -> bool {
-        self.occupancy() == 0 && self.stage.iter().all(|v| v[0] & 1 == 0)
+        self.busy | self.staged == 0
     }
 
-    /// [`Slot::take`] on stage `dst`.
-    fn take(&mut self, dst: usize) -> Option<S::Packet> {
-        let v = std::mem::take(&mut self.stage[dst]);
-        (v[0] & 1 != 0).then(|| S::from_image(v))
+    /// [`Slot::take`] on every stage in `ready`, into `out`.
+    fn drain(&mut self, ready: u32, out: &mut [Option<S::Packet>; DST]) {
+        for dst in bits(self.staged & ready) {
+            out[dst] = Some(std::mem::replace(&mut self.stage[dst], S::blank()));
+        }
+        self.staged &= !ready;
     }
 
     /// [`Fifo::push`] on source `src`.
@@ -597,47 +624,76 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
         if n >= PORT_FIFO_DEPTH {
             return false;
         }
-        self.queue[src][n] = S::image(pkt);
+        // The flops `into_ccx` writes must hold the packet as it is.
+        assert!(S::id(pkt).0 < 1 << REQID_BITS, "request id overflow");
+        debug_assert_eq!(
+            S::from_image(S::image(pkt)),
+            *pkt,
+            "no slot holds this packet"
+        );
+        self.queue[src][n] = *pkt;
         self.dest[src][n] = S::route(pkt) as u8;
         self.count[src] += 1;
+        self.busy |= 1 << src;
         true
+    }
+
+    /// [`Fifo::push`] of every input present, recording which were
+    /// accepted.
+    fn latch(&mut self, inp: &[Option<S::Packet>; SRC], accepted: &mut [bool; SRC]) {
+        for (src, pkt) in inp.iter().enumerate() {
+            if let Some(pkt) = pkt {
+                accepted[src] = self.push(src, pkt);
+            }
+        }
     }
 
     /// [`arbitrate`] without corrupted FIFOs: every port with a free
     /// stage, in order, is granted the first head routed to it from its
     /// round-robin pointer on. `to[dst]` holds the sources whose head is
-    /// routed to `dst` and is kept current across grants, so a FIFO can
-    /// feed two ports in one phase as it does there.
+    /// routed to `dst`, built from the busy sources alone; `ports` holds
+    /// the free ports some head is routed to. A grant routes the
+    /// source's next head, and a later port it names joins the scan, so
+    /// a FIFO can feed two ports in one phase as it does there.
     fn arbitrate(&mut self) {
         let all = (1u32 << SRC) - 1;
         let mut to = [0u32; DST];
-        for src in 0..SRC {
-            if self.count[src] > 0 {
-                to[usize::from(self.dest[src][0])] |= 1 << src;
-            }
+        let mut ports = 0u32;
+        for src in bits(self.busy) {
+            let dst = self.dest[src][0];
+            to[usize::from(dst)] |= 1 << src;
+            ports |= 1 << dst;
         }
-        for dst in 0..DST {
-            if to[dst] == 0 || self.stage[dst][0] & 1 != 0 {
-                continue;
-            }
+        ports &= !self.staged;
+        while ports != 0 {
+            let dst = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
             let first = usize::from(self.rr[dst]);
             let rotated = (to[dst] >> first | to[dst] << (SRC - first)) & all;
             let src = (first + rotated.trailing_zeros() as usize) % SRC;
             let (queue, dest) = (&mut self.queue[src], &mut self.dest[src]);
             self.stage[dst] = queue[0];
             queue.copy_within(1.., 0);
-            queue[PORT_FIFO_DEPTH - 1] = [0; 3];
+            queue[PORT_FIFO_DEPTH - 1] = S::blank();
             dest.copy_within(1.., 0);
+            dest[PORT_FIFO_DEPTH - 1] = 0;
             self.count[src] -= 1;
+            self.staged |= 1 << dst;
             self.rr[dst] = ((src + 1) % SRC) as u8;
-            to[dst] &= !(1 << src);
-            if self.count[src] > 0 {
-                to[usize::from(dest[0])] |= 1 << src;
+            if self.count[src] == 0 {
+                self.busy &= !(1 << src);
+                continue;
+            }
+            let next = usize::from(dest[0]);
+            to[next] |= 1 << src;
+            if next > dst && self.staged & (1 << next) == 0 {
+                ports |= 1 << next;
             }
         }
     }
 
-    /// Writes this half into the zeroed flops of a crossbar.
+    /// Writes this half into the zeroed flops of a crossbar: the only
+    /// place a packet becomes a slot image.
     fn write_to(
         &self,
         f: &mut FlopSpace,
@@ -645,25 +701,57 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
         stages: &[S; DST],
         rr: &[FieldHandle; DST],
     ) {
-        for ((fifo, queue), &n) in fifos.iter().zip(&self.queue).zip(&self.count) {
-            for (slot, &v) in fifo.slots.iter().zip(&queue[..usize::from(n)]) {
-                slot.store_image(f, v);
+        for src in bits(self.busy) {
+            let (fifo, n) = (&fifos[src], self.count[src]);
+            for (slot, pkt) in fifo.slots.iter().zip(&self.queue[src][..n.into()]) {
+                slot.store(f, pkt);
             }
             f.write(fifo.count, n.into());
         }
-        for (stage, &v) in stages.iter().zip(&self.stage) {
-            if v[0] & 1 != 0 {
-                stage.store_image(f, v);
-            }
+        for dst in bits(self.staged) {
+            stages[dst].store(f, &self.stage[dst]);
         }
         for (&h, &r) in rr.iter().zip(&self.rr) {
             f.write(h, r.into());
         }
     }
+
+    /// Reads into this empty half what [`write_to`](Self::write_to)
+    /// would have written as `f`: counts, the packets under them, valid
+    /// stages and pointers.
+    fn read_from(
+        &mut self,
+        f: &FlopSpace,
+        fifos: &[Fifo<S>; SRC],
+        stages: &[S; DST],
+        rr: &[FieldHandle; DST],
+    ) {
+        for (src, fifo) in fifos.iter().enumerate() {
+            let n = fifo.count(f);
+            for (i, slot) in fifo.slots.iter().enumerate().take(n) {
+                let pkt = slot.load(f);
+                self.queue[src][i] = pkt;
+                self.dest[src][i] = S::route(&pkt) as u8;
+            }
+            if n > 0 {
+                self.count[src] = n as u8;
+                self.busy |= 1 << src;
+            }
+        }
+        for (dst, stage) in stages.iter().enumerate() {
+            if stage.is_valid(f) {
+                self.stage[dst] = stage.load(f);
+                self.staged |= 1 << dst;
+            }
+        }
+        for (r, &h) in self.rr.iter_mut().zip(rr) {
+            *r = f.read(h) as u8;
+        }
+    }
 }
 
-/// The crossbar before any bit of it can be wrong: [`Ccx`]'s cycle on
-/// packet images and plain integers instead of flops.
+/// The crossbar while no bit of it can be wrong: [`Ccx`]'s cycle on
+/// packets and plain integers instead of flops.
 ///
 /// Fig. 2 warms the target up (step 4) before the golden snapshot and
 /// the flip (step 5), so no flop can hold an error yet, and the flops of
@@ -671,20 +759,25 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
 /// holds (everything else is zero). `CcxWarm` keeps exactly those and
 /// runs the same arbiter on them; [`into_ccx`](Self::into_ccx) writes
 /// them into flops, giving the crossbar the flop-level warm-up would
-/// have left. It owns nothing on the heap.
-#[derive(Debug, Clone)]
+/// have left, and [`from_ccx`](Self::from_ccx) reads them back once the
+/// flip has vanished. It owns nothing on the heap.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CcxWarm {
     pcx: WarmHalf<PcxSlot, NUM_CORES, NUM_L2_BANKS>,
     cpx: WarmHalf<CpxSlot, NUM_L2_BANKS, NUM_CORES>,
 }
 
 impl CcxWarm {
-    /// An empty crossbar, as [`Ccx::new`] is.
+    /// An empty crossbar, as [`Ccx::new`] is: a copy of the per-process
+    /// prototype, which is one block copy where filling in every blank
+    /// packet is a store per field.
     pub fn new() -> Self {
-        CcxWarm {
-            pcx: WarmHalf::EMPTY,
-            cpx: WarmHalf::EMPTY,
-        }
+        static PROTOTYPE: OnceLock<CcxWarm> = OnceLock::new();
+        let empty = || CcxWarm {
+            pcx: WarmHalf::empty(),
+            cpx: WarmHalf::empty(),
+        };
+        PROTOTYPE.get_or_init(empty).clone()
     }
 
     /// [`Ccx::core_ready`].
@@ -716,28 +809,21 @@ impl CcxWarm {
 
     /// [`Ccx::tick`]: the same drain, arbitration and latch, in the same
     /// order, with the same outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an accepted packet's request id does not fit the flops,
+    /// as [`Ccx::tick`] does.
     pub fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
         let mut out = CcxOutputs::default();
-        for (k, &ready) in bank_can_accept.iter().enumerate() {
-            if ready {
-                out.to_banks[k] = self.pcx.take(k);
-            }
-        }
-        for (c, slot) in out.to_cores.iter_mut().enumerate() {
-            *slot = self.cpx.take(c);
-        }
+        let ready =
+            (bank_can_accept.iter().enumerate()).fold(0, |m, (k, &r)| m | u32::from(r) << k);
+        self.pcx.drain(ready, &mut out.to_banks);
+        self.cpx.drain(u32::MAX, &mut out.to_cores);
         self.pcx.arbitrate();
         self.cpx.arbitrate();
-        for (c, pkt) in inp.from_cores.iter().enumerate() {
-            if let Some(pkt) = pkt {
-                out.core_accepted[c] = self.pcx.push(c, pkt);
-            }
-        }
-        for (k, pkt) in inp.from_banks.iter().enumerate() {
-            if let Some(pkt) = pkt {
-                out.bank_accepted[k] = self.cpx.push(k, pkt);
-            }
-        }
+        self.pcx.latch(&inp.from_cores, &mut out.core_accepted);
+        self.cpx.latch(&inp.from_banks, &mut out.bank_accepted);
         out
     }
 
@@ -752,6 +838,27 @@ impl CcxWarm {
         self.cpx.write_to(f, &p.cpx_fifos, &p.cpx_stage, &p.cpx_rr);
         f.mark_changed();
         x
+    }
+
+    /// The packets, counts and pointers a fault-free crossbar holds: the
+    /// inverse of [`into_ccx`](Self::into_ccx).
+    ///
+    /// Exact on the flops a fault-free crossbar can reach, where every
+    /// entry under a count is valid and every flop no packet, count or
+    /// pointer occupies is zero: the golden's, and so a target's that
+    /// checked `Identical` against it. `from_ccx(x).into_ccx()` is then
+    /// `x` bit for bit, which debug builds assert.
+    pub fn from_ccx(x: &Ccx) -> Self {
+        let (f, p) = (&x.flops, &x.ports);
+        let mut warm = CcxWarm::new();
+        (warm.pcx).read_from(f, &p.pcx_fifos, &p.pcx_stage, &p.pcx_rr);
+        (warm.cpx).read_from(f, &p.cpx_fifos, &p.cpx_stage, &p.cpx_rr);
+        debug_assert_eq!(
+            warm.clone().into_ccx().flops.diff_count(f),
+            0,
+            "not a crossbar packets can hold"
+        );
+        warm
     }
 }
 
@@ -1349,8 +1456,11 @@ mod tests {
         // the image state converted to flops is the flop crossbar bit
         // for bit. Now and then the converted crossbar is ticked on
         // beside a clone of the flop one, whether or not that one had
-        // settled. Coverage is counted out here, where shrinking cannot
-        // trip on it.
+        // settled. At random cycles the flop crossbar converted to
+        // packets is the packet crossbar, converting that back gives the
+        // same flops, and the packet crossbar runs on from it. Every
+        // offered packet survives its slot image. Coverage is counted
+        // out here, where shrinking cannot trip on it.
         use nestsim_harness::{check_with, Config};
         use std::cell::Cell;
 
@@ -1359,6 +1469,7 @@ mod tests {
         let refused = Cell::new(0u64);
         let double_grants = Cell::new(0u64);
         let settled_conversions = Cell::new(0u64);
+        let busy_reversals = Cell::new(0u64);
         let bump = |c: &Cell<u64>| c.set(c.get() + 1);
 
         fn agree(warm: &CcxWarm, x: &Ccx) {
@@ -1397,6 +1508,7 @@ mod tests {
                             let mut p = req_to_bank(next_id, c, (x % 8) as usize);
                             p.data = x;
                             p.kind = crate::fields::decode_pcx_kind(x >> 8);
+                            assert_eq!(PcxSlot::from_image(PcxSlot::image(&p)), p);
                             inp.from_cores[c] = Some(p);
                             next_id += 1;
                         }
@@ -1404,12 +1516,14 @@ mod tests {
                     for k in 0..NUM_L2_BANKS {
                         if (r >> (24 + 3 * k)) & 7 < load {
                             let x = src.u64();
-                            inp.from_banks[k] = Some(CpxPacket {
+                            let p = CpxPacket {
                                 id: ReqId(next_id),
                                 thread: ThreadId::new((x % 64) as usize),
                                 kind: crate::fields::decode_cpx_kind((x >> 8) % 5),
                                 data: x,
-                            });
+                            };
+                            assert_eq!(CpxSlot::from_image(CpxSlot::image(&p)), p);
+                            inp.from_banks[k] = Some(p);
                             next_id += 1;
                         }
                     }
@@ -1467,6 +1581,16 @@ mod tests {
                             assert_eq!(a.flops.diff_count(&b.flops), 0, "converted crossbar");
                         }
                     }
+                    if src.below(16) == 0 {
+                        let back = CcxWarm::from_ccx(&flops);
+                        assert_eq!(back, warm, "flops to packets in cycle {cyc}");
+                        let again = back.clone().into_ccx();
+                        assert_eq!(again.flops.diff_count(&flops.flops), 0, "and back");
+                        if !warm.idle() {
+                            bump(&busy_reversals);
+                        }
+                        warm = back;
+                    }
                 }
             },
         );
@@ -1478,6 +1602,10 @@ mod tests {
             (
                 "conversions of a settled crossbar",
                 settled_conversions.get(),
+            ),
+            (
+                "conversions back of a crossbar holding packets",
+                busy_reversals.get(),
             ),
         ] {
             println!("{what}: {hits}");

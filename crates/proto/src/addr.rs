@@ -127,6 +127,7 @@ impl BankId {
     /// # Panics
     ///
     /// Panics if `index >= NUM_L2_BANKS`.
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(index < NUM_L2_BANKS, "bank index {index} out of range");
         BankId(index as u8)
@@ -159,6 +160,7 @@ impl McuId {
     /// # Panics
     ///
     /// Panics if `index >= NUM_MCUS`.
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(index < NUM_MCUS, "mcu index {index} out of range");
         McuId(index as u8)
@@ -191,6 +193,7 @@ impl CoreId {
     /// # Panics
     ///
     /// Panics if `index >= NUM_CORES`.
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(index < NUM_CORES, "core index {index} out of range");
         CoreId(index as u8)
@@ -223,6 +226,7 @@ impl ThreadId {
     /// # Panics
     ///
     /// Panics if `index >= NUM_THREADS`.
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(index < NUM_THREADS, "thread index {index} out of range");
         ThreadId(index as u8)
