@@ -337,6 +337,80 @@ fn records_carry_consistent_analysis_fields() {
     }
 }
 
+/// The committed result digests, one `name value` line each.
+const DIGESTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/GOLDEN_digests.txt");
+
+/// `0x` and sixteen hex digits in groups of four, as `GOLDEN_digests.txt`
+/// writes them.
+fn hex(v: u64) -> String {
+    let digits = format!("{v:016x}");
+    let groups: Vec<&str> = (0..4).map(|i| &digits[4 * i..4 * i + 4]).collect();
+    format!("0x{}", groups.join("_"))
+}
+
+/// The `(name, value)` entries of `GOLDEN_digests.txt`; `#` lines are
+/// comments.
+fn digest_entries(text: &str) -> Vec<(&str, u64)> {
+    (text.lines())
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let parsed = l.split_once(' ').and_then(|(name, v)| {
+                let v = v.trim().strip_prefix("0x")?.replace('_', "");
+                Some((name, u64::from_str_radix(&v, 16).ok()?))
+            });
+            parsed.unwrap_or_else(|| panic!("{DIGESTS}: malformed line `{l}`"))
+        })
+        .collect()
+}
+
+/// Checks `got` against the entry `name` of `GOLDEN_digests.txt` (`ctx`
+/// says which run produced it). Under `NESTSIM_BLESS=1` it writes `got`
+/// there instead; every run that blesses one entry must agree.
+fn assert_pinned(name: &str, ctx: &str, got: u64) {
+    static BLESSED: std::sync::Mutex<Vec<(String, u64)>> = std::sync::Mutex::new(Vec::new());
+    if std::env::var("NESTSIM_BLESS").as_deref() == Ok("1") {
+        let mut blessed = BLESSED.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, first)) = blessed.iter().find(|(n, _)| n == name) {
+            assert_eq!(
+                *first,
+                got,
+                "{ctx}: entry `{name}` blessed as {} and then {}",
+                hex(*first),
+                hex(got)
+            );
+            return;
+        }
+        blessed.push((name.to_string(), got));
+        let text = std::fs::read_to_string(DIGESTS).unwrap_or_default();
+        let line = format!("{name} {}", hex(got));
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        match (lines.iter_mut()).find(|l| l.split_once(' ').is_some_and(|(n, _)| n == name)) {
+            Some(l) => *l = line,
+            None => lines.push(line),
+        }
+        std::fs::write(DIGESTS, lines.join("\n") + "\n").expect("write GOLDEN_digests.txt");
+        return;
+    }
+    let text = std::fs::read_to_string(DIGESTS).expect("read GOLDEN_digests.txt");
+    let want: Vec<u64> = (digest_entries(&text).into_iter())
+        .filter(|(n, _)| *n == name)
+        .map(|(_, v)| v)
+        .collect();
+    match want[..] {
+        [want] => assert!(
+            want == got,
+            "{ctx}: entry `{name}` of GOLDEN_digests.txt is {}, the run got {}",
+            hex(want),
+            hex(got)
+        ),
+        [] => panic!(
+            "{ctx}: GOLDEN_digests.txt has no entry `{name}`; the run got {}",
+            hex(got)
+        ),
+        _ => panic!("{ctx}: GOLDEN_digests.txt has entry `{name}` more than once"),
+    }
+}
+
 /// FNV-1a over the canonical wire bytes of every record followed by
 /// the merged telemetry export: one number that moves if any record
 /// field, any counter, histogram bucket or trace event moves.
@@ -356,15 +430,12 @@ fn result_digest(r: &nestsim::core::CampaignResult) -> u64 {
 fn ccx_campaign_bytes_are_pinned() {
     // Every other identity test compares two runs of the *same* build,
     // so a crossbar tick that changed outcomes consistently in target
-    // and golden would pass them all. These constants were computed
+    // and golden would pass them all. These digests were computed
     // with the pre-route-once tick (the clone-per-scan 8×8 arbiter) and
     // must never be re-blessed by a change that claims to be
     // result-neutral.
     let cfg = TelemetryConfig::default();
-    for (bench, pinned) in [
-        ("radi", 0xf1f8_6cb7_514f_056au64),
-        ("lu-c", 0x794a_d334_c4f3_9896u64),
-    ] {
+    for bench in ["radi", "lu-c"] {
         let profile = by_name(bench).unwrap();
         for workers in [1usize, 4] {
             let spec = CampaignSpec {
@@ -374,8 +445,11 @@ fn ccx_campaign_bytes_are_pinned() {
             };
             let r = run_campaign_with(profile, &spec, Some(&cfg));
             assert_eq!(r.records.len(), 64);
-            let got = result_digest(&r);
-            assert_eq!(got, pinned, "ccx/{bench} workers={workers}: {got:#018x}");
+            assert_pinned(
+                &format!("ccx.{bench}.64"),
+                &format!("workers={workers}"),
+                result_digest(&r),
+            );
         }
     }
 }
@@ -385,21 +459,26 @@ fn campaign_bytes_are_pinned_for_every_component_clustered_and_not() {
     // `run_campaign_replay` shares the per-run `finish` with the ladder
     // engine, so an engine-vs-engine identity test cannot see a change
     // that moves a record the same way in both (golden retirement, a
-    // parked lane, a shared warm-up). These constants were computed at
+    // parked lane, a shared warm-up). These digests were computed at
     // the commit *before* warm-once / park / retire landed — with the
     // golden twin ticked and compared to the end of every run — and
     // must never be re-blessed by a change that claims result-neutrality.
     let cfg = TelemetryConfig::default();
-    let cells: [(ComponentKind, &str, u64, u64, u64); 7] = [
-        (ComponentKind::L2c, "radi", 96, 1, 0xd040_e4b7_67c0_22e2),
-        (ComponentKind::L2c, "radi", 128, 16, 0x24b1_554e_b3aa_a4d5),
-        (ComponentKind::Mcu, "flui", 64, 1, 0xe3b9_9df4_b936_d922),
-        (ComponentKind::Mcu, "fft", 64, 8, 0x1605_a6ae_355d_8fd4),
-        (ComponentKind::Ccx, "lu-c", 48, 8, 0x97c1_653a_8faa_8199),
-        (ComponentKind::Pcie, "blsc", 64, 1, 0x3366_f5d6_131d_9cd5),
-        (ComponentKind::Pcie, "p-lr", 64, 8, 0x8389_9f38_607e_985f),
+    let cells: [(ComponentKind, &str, u64, u64); 7] = [
+        (ComponentKind::L2c, "radi", 96, 1),
+        (ComponentKind::L2c, "radi", 128, 16),
+        (ComponentKind::Mcu, "flui", 64, 1),
+        (ComponentKind::Mcu, "fft", 64, 8),
+        (ComponentKind::Ccx, "lu-c", 48, 8),
+        (ComponentKind::Pcie, "blsc", 64, 1),
+        (ComponentKind::Pcie, "p-lr", 64, 8),
     ];
-    for (component, bench, samples, lane_cluster, pinned) in cells {
+    for (component, bench, samples, lane_cluster) in cells {
+        let cell = format!("cell.{}.{bench}.{samples}", component.name().to_lowercase());
+        let name = match lane_cluster {
+            1 => cell,
+            k => format!("{cell}.cluster{k}"),
+        };
         let profile = by_name(bench).unwrap();
         for workers in [1usize, 4] {
             let spec = CampaignSpec {
@@ -412,12 +491,7 @@ fn campaign_bytes_are_pinned_for_every_component_clustered_and_not() {
             };
             let r = run_campaign_with(profile, &spec, Some(&cfg));
             assert_eq!(r.records.len() as u64, samples);
-            let got = result_digest(&r);
-            assert_eq!(
-                got, pinned,
-                "{component}/{bench} samples={samples} cluster={lane_cluster} \
-                 workers={workers}: {got:#018x}"
-            );
+            assert_pinned(&name, &format!("workers={workers}"), result_digest(&r));
         }
     }
 }
@@ -441,28 +515,25 @@ fn warmup_and_persistence_bytes_are_pinned() {
     // result-neutral must never re-bless them. CCX `radi` has finished by
     // the time Fig. 5 snapshots (a flat curve: only the arbiter pointers
     // differ from a cold crossbar); `stre` still has packets in flight.
-    let curves: [(ComponentKind, &str, u64); 4] = [
-        (ComponentKind::Ccx, "radi", 0x1f2b_6ea4_e975_49b2),
-        (ComponentKind::Ccx, "stre", 0xb054_012f_28c1_adbc),
-        (ComponentKind::L2c, "radi", 0xbc11_9a77_ec4c_0b31),
-        (ComponentKind::L2c, "stre", 0xd59f_b698_9763_a3aa),
+    let lower = |c: ComponentKind| c.name().to_lowercase();
+    let curves: [(ComponentKind, &str); 4] = [
+        (ComponentKind::Ccx, "radi"),
+        (ComponentKind::Ccx, "stre"),
+        (ComponentKind::L2c, "radi"),
+        (ComponentKind::L2c, "stre"),
     ];
-    for (component, bench, pinned) in curves {
+    for (component, bench) in curves {
         let profile = by_name(bench).unwrap();
         let curve = nestsim::core::warmup::warmup_experiment(component, profile, 4, 1_000, 7, 100);
         assert_eq!(curve.points.len(), 1_001);
-        let got = fnv_words(curve.points.iter().map(|p| p.to_bits()));
-        assert_eq!(
-            got, pinned,
-            "Fig. 5 warm-up curve, {component}/{bench}: {got:#018x}"
+        assert_pinned(
+            &format!("fig5.{}.{bench}", lower(component)),
+            "Fig. 5 warm-up curve",
+            fnv_words(curve.points.iter().map(|p| p.to_bits())),
         );
     }
 
-    let sweeps: [(ComponentKind, u64); 2] = [
-        (ComponentKind::Ccx, 0x954b_dd65_f03c_5ff9),
-        (ComponentKind::L2c, 0x21ed_f228_cf3d_e700),
-    ];
-    for (component, pinned) in sweeps {
+    for component in [ComponentKind::Ccx, ComponentKind::L2c] {
         let sweep = nestsim::core::persistence::persistence_sweep(
             component,
             by_name("radi").unwrap(),
@@ -473,16 +544,16 @@ fn warmup_and_persistence_bytes_are_pinned() {
         assert_eq!(sweep.flops.len(), 40);
         let words =
             (sweep.flops.iter()).flat_map(|f| [f.bit as u64, f.cycles, u64::from(f.censored)]);
-        let got = fnv_words(words);
-        assert_eq!(
-            got, pinned,
-            "Fig. 6 persistence records, {component}: {got:#018x}"
+        assert_pinned(
+            &format!("fig6.{}", lower(component)),
+            "Fig. 6 persistence records",
+            fnv_words(words),
         );
     }
 }
 
 /// The pinned L2C `radi` cell of the table above (96 independent
-/// samples, `0xd040_e4b7_67c0_22e2`).
+/// samples, entry `cell.l2c.radi.96`).
 fn pinned_l2c_cell(workers: usize) -> CampaignSpec {
     CampaignSpec {
         seed: 2015,
@@ -494,10 +565,10 @@ fn pinned_l2c_cell(workers: usize) -> CampaignSpec {
 }
 
 /// Runs `spec` on `bench` through a two-thread cluster and through the
-/// service, and checks both results against `pinned`: the table above
-/// pins the in-process engine, this the other two ways a fixed-count
-/// cell is reached.
-fn assert_pinned_through_cluster_and_service(bench: &str, spec: &CampaignSpec, pinned: u64) {
+/// service, and checks both results against the entry `name`: the table
+/// above pins the in-process engine, this the other two ways a
+/// fixed-count cell is reached.
+fn assert_pinned_through_cluster_and_service(name: &str, bench: &str, spec: &CampaignSpec) {
     let cfg = TelemetryConfig::default();
     let profile = by_name(bench).unwrap();
 
@@ -507,8 +578,7 @@ fn assert_pinned_through_cluster_and_service(bench: &str, spec: &CampaignSpec, p
         Some(&cfg),
         &nestsim::cluster::ClusterConfig::threads(2),
     );
-    let got = result_digest(&clustered);
-    assert_eq!(got, pinned, "{bench} cluster threads(2): {got:#018x}");
+    assert_pinned(name, "cluster threads(2)", result_digest(&clustered));
 
     let handle = nestsim::svc::serve(nestsim::svc::ServiceConfig::default()).expect("serve");
     let job = nestsim::cluster::JobWire::from_spec(profile, spec, Some(&cfg));
@@ -520,13 +590,12 @@ fn assert_pinned_through_cluster_and_service(bench: &str, spec: &CampaignSpec, p
     };
     drop(client);
     handle.shutdown().expect("shutdown");
-    let got = result_digest(&served);
-    assert_eq!(got, pinned, "{bench} service: {got:#018x}");
+    assert_pinned(name, "service", result_digest(&served));
 }
 
 #[test]
 fn pinned_l2c_cell_has_the_same_bytes_through_cluster_and_service() {
-    assert_pinned_through_cluster_and_service("radi", &pinned_l2c_cell(2), 0xd040_e4b7_67c0_22e2);
+    assert_pinned_through_cluster_and_service("served.l2c.radi.96", "radi", &pinned_l2c_cell(2));
 }
 
 #[test]
@@ -541,7 +610,7 @@ fn pinned_ccx_cell_has_the_same_bytes_through_cluster_and_service() {
         lane_cluster: 8,
         ..CampaignSpec::new(ComponentKind::Ccx, 48)
     };
-    assert_pinned_through_cluster_and_service("lu-c", &spec, 0x97c1_653a_8faa_8199);
+    assert_pinned_through_cluster_and_service("served.ccx.lu-c.48.cluster8", "lu-c", &spec);
 }
 
 #[test]
@@ -550,7 +619,7 @@ fn adaptive_campaign_bytes_are_pinned_in_process_and_clustered() {
     // became plans and executors of one round loop (it had two
     // hand-written round loops then); a change that claims to be
     // result-neutral must never re-bless it.
-    const PINNED: u64 = 0x1ddc_2ffd_3966_171d;
+    const PINNED: &str = "adaptive.l2c.radi";
     let cfg = TelemetryConfig::default();
     let profile = by_name("radi").unwrap();
     let mut policy = nestsim::stats::stop::StopPolicy::new(0.12, 0.90);
@@ -582,8 +651,7 @@ fn adaptive_campaign_bytes_are_pinned_in_process_and_clustered() {
             ..pinned_l2c_cell(workers)
         };
         let r = nestsim::core::adaptive::run_campaign_adaptive(profile, &spec, &policy, Some(&cfg));
-        let got = digest(&r);
-        assert_eq!(got, PINNED, "in-process workers={workers}: {got:#018x}");
+        assert_pinned(PINNED, &format!("in-process workers={workers}"), digest(&r));
     }
     let spec = CampaignSpec {
         samples: 0,
@@ -596,6 +664,5 @@ fn adaptive_campaign_bytes_are_pinned_in_process_and_clustered() {
         Some(&cfg),
         &nestsim::cluster::ClusterConfig::threads(2),
     );
-    let got = digest(&r);
-    assert_eq!(got, PINNED, "cluster threads(2): {got:#018x}");
+    assert_pinned(PINNED, "cluster threads(2)", digest(&r));
 }
