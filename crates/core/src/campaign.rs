@@ -597,7 +597,7 @@ impl<'a> ShardRunner<'a> {
 
 /// True when two samples share one injection trajectory — everything
 /// but the flipped bit — and can therefore ride one lane batch.
-fn same_trajectory(a: &InjectionSpec, b: &InjectionSpec) -> bool {
+pub(crate) fn same_trajectory(a: &InjectionSpec, b: &InjectionSpec) -> bool {
     a.component == b.component
         && a.instance == b.instance
         && a.inject_cycle == b.inject_cycle

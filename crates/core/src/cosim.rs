@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use nestsim_arch::{DramOverlay, OverlayBackend};
+use nestsim_arch::{DramContents, DramOverlay, OverlayBackend};
 use nestsim_hlsim::{InterceptMode, OutMsg, System};
 use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
@@ -23,7 +23,8 @@ use nestsim_models::mcu::McuInputs;
 use nestsim_models::pcie::PcieArchState;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS};
-use nestsim_proto::{CpxPacket, DramCmd, PcxPacket};
+use nestsim_proto::{CpxPacket, DramCmd, DramResp, PcxPacket};
+use nestsim_rtl::lane_matches_golden;
 use nestsim_telemetry::{names, Recorder};
 
 /// DRAM round-trip latency seen by a co-simulated L2 bank.
@@ -145,6 +146,42 @@ pub trait CosimDriver: Sized {
     }
 }
 
+// ─────────────────────────── Golden compare ──────────────────────────
+
+/// Fig. 2 step 7 on one target/golden pair: every driver's `check` and
+/// every lane of a batch end here. A flop difference outside the benign
+/// set is `Microarch`; otherwise `arch_dirty`, the caller's question
+/// about the state its model keeps beside the flops, decides
+/// `ArchMappable`. A word-parallel compare comes first, so an equal pair
+/// skips the per-bit benign scan.
+fn verdict<M: UncoreRtl>(target: &M, golden: &M, arch_dirty: impl FnOnce() -> bool) -> CosimCheck {
+    let mut benign_seen = false;
+    if !lane_matches_golden(golden.flops().raw_bits(), target.flops().raw_bits()) {
+        for bit in target.flops().diff_bits(golden.flops()) {
+            if target.is_benign_diff(golden, bit) {
+                benign_seen = true;
+            } else {
+                return CosimCheck::Microarch;
+            }
+        }
+    }
+    if arch_dirty() {
+        CosimCheck::ArchMappable
+    } else if benign_seen {
+        CosimCheck::BenignOnly
+    } else {
+        CosimCheck::Identical
+    }
+}
+
+/// Every driver's `mismatch_fraction`: the share of flop bits in which a
+/// target and its golden differ, or 0 while there is no golden.
+fn flop_mismatch<M: UncoreRtl>(pair: Option<(&M, &M)>) -> f64 {
+    pair.map_or(0.0, |(t, g)| {
+        t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
+    })
+}
+
 // ─────────────────────────── Warm-up target ──────────────────────────
 
 /// A fault-free model a target warms up on, and the flop-level model it
@@ -186,7 +223,9 @@ thread_local! {
 /// wrong, so the warm-up (step 4) runs on `W`, which gives the same
 /// cycles at a fraction of the cost; [`flops`](Self::flops) then turns
 /// it into the flops the flop-level warm-up would have left. A crossbar
-/// whose golden retired is fault-free again and goes back to `W`.
+/// whose golden retired is fault-free again and goes back to `W`. An L2
+/// bank's golden twin and the lanes of a batch are forked from a target
+/// on flops, so they hold flops from the start.
 // `Flops` holds the component's handle tables inline, as the drivers
 // did before; a box would be one more allocation per conversion.
 #[allow(clippy::large_enum_variant)]
@@ -266,31 +305,27 @@ impl Target<L2cWarm> {
 
 /// Mini DRAM model (latency queue over an overlay) standing in for the
 /// rest of the memory system while an L2 bank is co-simulated.
-///
-/// Crate-visible so the lane-batched engine (`crate::lanes`) can give
-/// each faulty lane its own private DRAM queue, exactly as the scalar
-/// driver gives the target and the golden separate queues.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LatencyDram {
-    pub(crate) queue: VecDeque<(u64, DramCmd)>,
+struct LatencyDram {
+    queue: VecDeque<(u64, DramCmd)>,
 }
 
 impl LatencyDram {
-    pub(crate) fn push(&mut self, cycle: u64, cmd: DramCmd) {
+    fn push(&mut self, cycle: u64, cmd: DramCmd) {
         self.queue.push_back((cycle + COSIM_DRAM_LATENCY, cmd));
     }
 
-    pub(crate) fn pop_ready(
+    fn pop_ready(
         &mut self,
         cycle: u64,
-        base: &nestsim_arch::DramContents,
+        base: &DramContents,
         overlay: &mut DramOverlay,
-    ) -> Option<nestsim_proto::DramResp> {
+    ) -> Option<DramResp> {
         match self.queue.front() {
             Some((ready, _)) if *ready <= cycle => {
                 let (_, cmd) = self.queue.pop_front().unwrap();
                 match cmd.kind {
-                    nestsim_proto::DramCmdKind::Fill => Some(nestsim_proto::DramResp {
+                    nestsim_proto::DramCmdKind::Fill => Some(DramResp {
                         tag: cmd.tag,
                         bank: cmd.bank,
                         line: cmd.line,
@@ -299,7 +334,7 @@ impl LatencyDram {
                     }),
                     nestsim_proto::DramCmdKind::Writeback => {
                         overlay.write_line(cmd.line, cmd.data);
-                        Some(nestsim_proto::DramResp {
+                        Some(DramResp {
                             tag: cmd.tag,
                             bank: cmd.bank,
                             line: cmd.line,
@@ -311,6 +346,74 @@ impl LatencyDram {
             }
             _ => None,
         }
+    }
+}
+
+/// An L2 bank with the memory it reaches: its overlay over the system's
+/// DRAM and its DRAM latency queue. A driver's target is one (on images,
+/// then flops), its golden twin another and each lane of a batch a third
+/// (both forked on flops), so all of them tick, compare and drain by the
+/// code below.
+#[derive(Debug, Clone)]
+pub(crate) struct BankSide {
+    bank: Target<L2cWarm>,
+    ov: DramOverlay,
+    dram: LatencyDram,
+}
+
+impl BankSide {
+    /// Whether the bank accepts a request packet this cycle.
+    pub(crate) fn ready(&self) -> bool {
+        self.bank.ready()
+    }
+
+    /// Cycle `cyc` on `pcx`, the request packet consumed this cycle: the
+    /// bank takes the DRAM response due now and queues the command it
+    /// issues.
+    pub(crate) fn tick(
+        &mut self,
+        cyc: u64,
+        pcx: Option<PcxPacket>,
+        base: &DramContents,
+    ) -> L2cOutputs {
+        let dram_resp = self.dram.pop_ready(cyc, base, &mut self.ov);
+        let out = self.bank.tick(&L2cInputs { pcx, dram_resp });
+        if let Some(cmd) = &out.dram_cmd {
+            self.dram.push(cyc, cmd.clone());
+        }
+        out
+    }
+
+    fn idle(&self) -> bool {
+        self.bank.idle() && self.dram.queue.is_empty()
+    }
+
+    /// Fig. 2 step 7 with this side as the target. In-flight traffic
+    /// (the DRAM queue) counts as microarchitectural state; the bank
+    /// arrays and the overlay are the architectural state.
+    fn check(&self, golden: &BankSide, base: &DramContents) -> CosimCheck {
+        let (Some(target), Some(g)) = (self.bank.as_flops(), golden.bank.as_flops()) else {
+            return CosimCheck::Identical;
+        };
+        if self.dram.queue != golden.dram.queue {
+            return CosimCheck::Microarch;
+        }
+        verdict(target, g, || {
+            target.arch().differs(g.arch()) || self.ov.differs(&golden.ov, base)
+        })
+    }
+
+    /// Records the bank's queue occupancies.
+    pub(crate) fn sample_telemetry(&self, rec: &mut Recorder) {
+        let [iq, oq, mb] = self.bank.occupancy();
+        rec.record_hist(names::H_Q_L2C_IQ, iq as u64);
+        rec.record_hist(names::H_Q_L2C_OQ, oq as u64);
+        rec.record_hist(names::H_Q_L2C_MB, mb as u64);
+    }
+
+    /// Flips flop `bit`: a lane's fault.
+    pub(crate) fn flip(&mut self, bit: usize) {
+        self.bank.flops().flops_mut().flip(bit);
     }
 }
 
@@ -327,19 +430,11 @@ pub struct L2cDriver {
     sys: System,
     bank: BankId,
     /// The co-simulated (error-injected) bank.
-    target: Target<L2cWarm>,
-    /// The golden copy (present after
+    target: BankSide,
+    /// The golden twin (present after
     /// [`snapshot_golden`](CosimDriver::snapshot_golden)).
-    pub golden: Option<L2cBank>,
-    // The target-side plumbing is crate-visible: the lane-batched
-    // engine (`crate::lanes`) uses an uninjected L2cDriver as the
-    // shared carrier universe and reads its overlay/DRAM-queue/inbox as
-    // every lane's golden reference.
-    pub(crate) t_ov: DramOverlay,
-    g_ov: DramOverlay,
-    pub(crate) t_dram: LatencyDram,
-    g_dram: LatencyDram,
-    pub(crate) inbox: VecDeque<PcxPacket>,
+    golden: Option<BankSide>,
+    inbox: VecDeque<PcxPacket>,
     first_err_out: Option<u64>,
 }
 
@@ -367,17 +462,17 @@ impl L2cDriver {
     /// (Fig. 2 step 3). Flop state starts at reset and is reconstructed
     /// by warm-up traffic (step 4).
     pub fn attach(mut sys: System, bank: BankId) -> Self {
-        let target = Target::Warm(L2cWarm::new(bank, sys.bank_arch(bank).clone()));
+        let target = BankSide {
+            bank: Target::Warm(L2cWarm::new(bank, sys.bank_arch(bank).clone())),
+            ov: DramOverlay::new(),
+            dram: LatencyDram::default(),
+        };
         sys.set_intercept(InterceptMode::Bank(bank));
         L2cDriver {
             sys,
             bank,
             target,
             golden: None,
-            t_ov: DramOverlay::new(),
-            g_ov: DramOverlay::new(),
-            t_dram: LatencyDram::default(),
-            g_dram: LatencyDram::default(),
             inbox: VecDeque::new(),
             first_err_out: None,
         }
@@ -386,26 +481,36 @@ impl L2cDriver {
     /// The co-simulated bank, once it holds flops: from the first call
     /// that needs them (the golden snapshot, the flip) on.
     pub fn target(&self) -> Option<&L2cBank> {
-        self.target.as_flops()
+        self.target.bank.as_flops()
     }
 
-    /// The co-simulated bank as flops, converted from the images now if
-    /// it is still on them: the lane engine's carrier, before it forks
-    /// its lanes.
-    pub(crate) fn flop_target(&mut self) -> &L2cBank {
-        self.target.flops()
+    /// A copy of the target side on flops, converting the target from
+    /// its images first if it is still on them: the golden twin at the
+    /// snapshot, and every lane a batch's carrier forks.
+    pub(crate) fn twin(&mut self) -> BankSide {
+        BankSide {
+            bank: Target::Flops(self.target.bank.flops().clone()),
+            ov: self.target.ov.clone(),
+            dram: self.target.dram.clone(),
+        }
+    }
+
+    /// Fig. 2 step 7 for a lane of a batch whose carrier this is: the
+    /// carrier's target side is every lane's golden.
+    pub(crate) fn check_lane(&self, lane: &BankSide) -> CosimCheck {
+        lane.check(&self.target, self.sys.dram())
+    }
+
+    /// Whether detaching with `side` as the target would strand no
+    /// traffic: `drained` for this driver's target or for a lane.
+    pub(crate) fn drained_with(&self, side: &BankSide) -> bool {
+        self.inbox.is_empty() && side.idle() && self.sys.waiting_on_uncore() == 0
     }
 
     /// Whether the target is still on slot images.
     #[cfg(test)]
     pub(crate) fn holds_images(&self) -> bool {
-        matches!(self.target, Target::Warm(_))
-    }
-
-    fn record_divergence(&mut self, cycle: u64) {
-        if self.first_err_out.is_none() {
-            self.first_err_out = Some(cycle);
-        }
+        matches!(self.target.bank, Target::Warm(_))
     }
 
     /// One cycle of the lane-batched engine's shared carrier: exactly
@@ -436,14 +541,7 @@ impl L2cDriver {
         let ready = self.target.ready();
         let inbox_nonempty = !self.inbox.is_empty();
         let pcx = if ready { self.inbox.pop_front() } else { None };
-        let t_resp = self.t_dram.pop_ready(cyc, self.sys.dram(), &mut self.t_ov);
-        let out = self.target.tick(&L2cInputs {
-            pcx,
-            dram_resp: t_resp,
-        });
-        if let Some(cmd) = &out.dram_cmd {
-            self.t_dram.push(cyc, cmd.clone());
-        }
+        let out = self.target.tick(cyc, pcx, self.sys.dram());
         if let Some(cpx) = out.cpx {
             self.sys.deliver_cpx(cpx);
         }
@@ -457,27 +555,6 @@ impl L2cDriver {
     }
 }
 
-/// Records one bank's queue occupancies: what the scalar driver samples
-/// from its target at a golden compare, and the lane engine from each
-/// lane's bank.
-pub(crate) fn sample_l2c_bank(bank: &L2cBank, rec: &mut Recorder) {
-    record_l2c_occupancy(
-        [
-            bank.iq_occupancy(),
-            bank.oq_occupancy(),
-            bank.mb_occupancy(),
-        ],
-        rec,
-    );
-}
-
-/// Records input-queue, output-queue and miss-buffer occupancy.
-fn record_l2c_occupancy([iq, oq, mb]: [usize; 3], rec: &mut Recorder) {
-    rec.record_hist(names::H_Q_L2C_IQ, iq as u64);
-    rec.record_hist(names::H_Q_L2C_OQ, oq as u64);
-    rec.record_hist(names::H_Q_L2C_MB, mb as u64);
-}
-
 impl CosimDriver for L2cDriver {
     fn step(&mut self) {
         let t = self.step_target();
@@ -487,18 +564,10 @@ impl CosimDriver for L2cDriver {
         let Some(golden) = &mut self.golden else {
             return;
         };
-        let g_resp = self
-            .g_dram
-            .pop_ready(t.cyc, self.sys.dram(), &mut self.g_ov);
-        let g_out = golden.tick(&L2cInputs {
-            pcx: t.pcx,
-            dram_resp: g_resp,
-        });
-        if let Some(cmd) = &g_out.dram_cmd {
-            self.g_dram.push(t.cyc, cmd.clone());
-        }
-        if t.out.cpx != g_out.cpx || t.out.dram_cmd != g_out.dram_cmd {
-            self.record_divergence(t.cyc);
+        let g_out = golden.tick(t.cyc, t.pcx, self.sys.dram());
+        let diverged = t.out.cpx != g_out.cpx || t.out.dram_cmd != g_out.dram_cmd;
+        if diverged && self.first_err_out.is_none() {
+            self.first_err_out = Some(t.cyc);
         }
     }
 
@@ -511,70 +580,40 @@ impl CosimDriver for L2cDriver {
     }
 
     fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.flops().clone());
-        self.g_ov = self.t_ov.clone();
-        self.g_dram = self.t_dram.clone();
+        self.golden = Some(self.twin());
     }
 
     fn snapshot_golden_cold(&mut self) {
-        let arch = self.target.flops().arch().clone();
-        self.golden = Some(L2cBank::with_arch(self.bank, arch));
-        self.g_ov = self.t_ov.clone();
-        self.g_dram = LatencyDram::default();
+        let arch = self.target.bank.flops().arch().clone();
+        self.golden = Some(BankSide {
+            bank: Target::Flops(L2cBank::with_arch(self.bank, arch)),
+            ov: self.target.ov.clone(),
+            dram: LatencyDram::default(),
+        });
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        // A golden exists only once the target holds flops.
-        match (&self.target, &self.golden) {
-            (Target::Flops(t), Some(g)) => {
-                t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
-            }
-            _ => 0.0,
-        }
+        let golden = self.golden.as_ref().and_then(|g| g.bank.as_flops());
+        flop_mismatch(self.target.bank.as_flops().zip(golden))
     }
 
     fn inject(&mut self, bit: usize) {
-        self.target.flops().flops_mut().flip(bit);
+        self.target.bank.flops().flops_mut().flip(bit);
     }
 
     fn check(&self) -> CosimCheck {
-        let (Target::Flops(target), Some(golden)) = (&self.target, &self.golden) else {
-            return CosimCheck::Identical;
-        };
-        // In-flight traffic (engine-side DRAM model) counts as
-        // microarchitectural state.
-        if self.t_dram.queue != self.g_dram.queue {
-            return CosimCheck::Microarch;
-        }
-        let mut benign_seen = false;
-        for bit in target.flops().diff_bits(golden.flops()) {
-            if target.is_benign_diff(golden, bit) {
-                benign_seen = true;
-            } else {
-                return CosimCheck::Microarch;
-            }
-        }
-        let arch_dirty =
-            target.arch().differs(golden.arch()) || self.t_ov.differs(&self.g_ov, self.sys.dram());
-        if arch_dirty {
-            CosimCheck::ArchMappable
-        } else if benign_seen {
-            CosimCheck::BenignOnly
-        } else {
-            CosimCheck::Identical
-        }
+        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
+            self.target.check(g, self.sys.dram())
+        })
     }
 
     fn retire_golden(&mut self) {
-        self.target.flops();
+        self.target.bank.flops();
         self.golden = None;
     }
 
     fn drained(&self) -> bool {
-        self.inbox.is_empty()
-            && self.target.idle()
-            && self.t_dram.queue.is_empty()
-            && self.sys.waiting_on_uncore() == 0
+        self.drained_with(&self.target)
     }
 
     fn erroneous_output(&self) -> Option<u64> {
@@ -582,23 +621,28 @@ impl CosimDriver for L2cDriver {
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
-        record_l2c_occupancy(self.target.occupancy(), rec);
+        self.target.sample_telemetry(rec);
     }
 
     fn detach(mut self) -> Detach {
-        let target = self.target.flops();
+        let target = self.target.bank.flops();
         // Corrupted lines: cache-resident divergence + memory-side
         // divergence through the overlays.
         let mut corrupted: Vec<LineAddr> = Vec::new();
-        if let Some(golden) = &self.golden {
-            corrupted.extend(target.arch().diff_lines(golden.arch()));
-            corrupted.extend(self.t_ov.diff_lines(&self.g_ov, self.sys.dram()));
+        if let Some(BankSide {
+            bank: Target::Flops(g),
+            ov,
+            ..
+        }) = &self.golden
+        {
+            corrupted.extend(target.arch().diff_lines(g.arch()));
+            corrupted.extend(self.target.ov.diff_lines(ov, self.sys.dram()));
         }
         corrupted.sort_unstable_by_key(|l| l.raw());
         corrupted.dedup();
         // Transfer state back (Fig. 2 step 10): memory overlay, then
         // the bank's architectural arrays.
-        self.t_ov.apply_to(self.sys.dram_mut());
+        self.target.ov.apply_to(self.sys.dram_mut());
         self.sys.set_bank_arch(self.bank, target.arch().clone());
         self.sys.set_intercept(InterceptMode::None);
         // Any packets the wedged target never accepted are served
@@ -627,9 +671,9 @@ impl CosimDriver for L2cDriver {
 pub struct McuDriver {
     sys: System,
     /// The co-simulated controller.
-    pub target: Mcu,
+    target: Mcu,
     /// The golden copy.
-    pub golden: Option<Mcu>,
+    golden: Option<Mcu>,
     t_ov: DramOverlay,
     g_ov: DramOverlay,
     inbox: VecDeque<DramCmd>,
@@ -751,13 +795,7 @@ impl CosimDriver for McuDriver {
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        match &self.golden {
-            Some(g) => {
-                self.target.flops().diff_count(g.flops()) as f64
-                    / self.target.flops().num_flops() as f64
-            }
-            None => 0.0,
-        }
+        flop_mismatch(self.golden.as_ref().map(|g| (&self.target, g)))
     }
 
     fn inject(&mut self, bit: usize) {
@@ -765,24 +803,11 @@ impl CosimDriver for McuDriver {
     }
 
     fn check(&self) -> CosimCheck {
-        let Some(golden) = &self.golden else {
-            return CosimCheck::Identical;
-        };
-        let mut benign_seen = false;
-        for bit in self.target.flops().diff_bits(golden.flops()) {
-            if self.target.is_benign_diff(golden, bit) {
-                benign_seen = true;
-            } else {
-                return CosimCheck::Microarch;
-            }
-        }
-        if self.t_ov.differs(&self.g_ov, self.sys.dram()) {
-            CosimCheck::ArchMappable
-        } else if benign_seen {
-            CosimCheck::BenignOnly
-        } else {
-            CosimCheck::Identical
-        }
+        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
+            verdict(&self.target, g, || {
+                self.t_ov.differs(&self.g_ov, self.sys.dram())
+            })
+        })
     }
 
     fn retire_golden(&mut self) {
@@ -899,7 +924,7 @@ pub struct CcxDriver {
     sys: System,
     target: Target<CcxWarm>,
     /// The golden copy.
-    pub golden: Option<Ccx>,
+    golden: Option<Ccx>,
     core_q: [VecDeque<PcxPacket>; NUM_CORES],
     bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS],
     first_err_out: Option<u64>,
@@ -999,13 +1024,7 @@ impl CosimDriver for CcxDriver {
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        // A golden exists only once the target holds flops.
-        match (&self.target, &self.golden) {
-            (Target::Flops(t), Some(g)) => {
-                t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
-            }
-            _ => 0.0,
-        }
+        flop_mismatch(self.target.as_flops().zip(self.golden.as_ref()))
     }
 
     fn inject(&mut self, bit: usize) {
@@ -1013,23 +1032,9 @@ impl CosimDriver for CcxDriver {
     }
 
     fn check(&self) -> CosimCheck {
-        let (Target::Flops(target), Some(golden)) = (&self.target, &self.golden) else {
-            return CosimCheck::Identical;
-        };
-        let mut benign_seen = false;
-        for bit in target.flops().diff_bits(golden.flops()) {
-            if target.is_benign_diff(golden, bit) {
-                benign_seen = true;
-            } else {
-                return CosimCheck::Microarch;
-            }
-        }
         // No architectural state (Table 1): clean or benign is exitable.
-        if benign_seen {
-            CosimCheck::BenignOnly
-        } else {
-            CosimCheck::Identical
-        }
+        (self.target.as_flops().zip(self.golden.as_ref()))
+            .map_or(CosimCheck::Identical, |(t, g)| verdict(t, g, || false))
     }
 
     fn retire_golden(&mut self) {
@@ -1090,9 +1095,9 @@ impl CosimDriver for CcxDriver {
 pub struct PcieDriver {
     sys: System,
     /// The co-simulated engine.
-    pub target: Pcie,
+    target: Pcie,
     /// The golden copy.
-    pub golden: Option<Pcie>,
+    golden: Option<Pcie>,
     g_ov: DramOverlay,
     corrupted: Vec<LineAddr>,
     first_err_out: Option<u64>,
@@ -1219,13 +1224,7 @@ impl CosimDriver for PcieDriver {
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        match &self.golden {
-            Some(g) => {
-                self.target.flops().diff_count(g.flops()) as f64
-                    / self.target.flops().num_flops() as f64
-            }
-            None => 0.0,
-        }
+        flop_mismatch(self.golden.as_ref().map(|g| (&self.target, g)))
     }
 
     fn inject(&mut self, bit: usize) {
@@ -1233,24 +1232,9 @@ impl CosimDriver for PcieDriver {
     }
 
     fn check(&self) -> CosimCheck {
-        let Some(golden) = &self.golden else {
-            return CosimCheck::Identical;
-        };
-        let mut benign_seen = false;
-        for bit in self.target.flops().diff_bits(golden.flops()) {
-            if self.target.is_benign_diff(golden, bit) {
-                benign_seen = true;
-            } else {
-                return CosimCheck::Microarch;
-            }
-        }
-        if self.target.buffer_diff(golden) > 0 {
-            CosimCheck::ArchMappable
-        } else if benign_seen {
-            CosimCheck::BenignOnly
-        } else {
-            CosimCheck::Identical
-        }
+        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
+            verdict(&self.target, g, || self.target.buffer_diff(g) > 0)
+        })
     }
 
     fn retire_golden(&mut self) {
@@ -1525,6 +1509,89 @@ mod tests {
         );
     }
 
+    /// One piece of the state an L2C `check` compares (DESIGN.md *What
+    /// `check()` compares*), and the verdict a difference in it alone
+    /// must give.
+    #[derive(Debug, Clone, Copy)]
+    enum Piece {
+        /// A flop outside every benign payload: `Microarch`.
+        Flop,
+        /// One `L2BankArch` slot: `ArchMappable`.
+        Slot,
+        /// One overlay line: `ArchMappable`.
+        Overlay,
+        /// One DRAM-queue entry: `Microarch`.
+        Queue,
+    }
+
+    impl Piece {
+        const ALL: [Piece; 4] = [Piece::Flop, Piece::Slot, Piece::Overlay, Piece::Queue];
+
+        fn verdict(self) -> CosimCheck {
+            match self {
+                Piece::Flop | Piece::Queue => CosimCheck::Microarch,
+                Piece::Slot | Piece::Overlay => CosimCheck::ArchMappable,
+            }
+        }
+
+        /// Changes this piece, and only it, on one side of a compare.
+        fn perturb(self, side: &mut BankSide, base: &DramContents) {
+            let bank = side.bank.flops();
+            match self {
+                Piece::Flop => {
+                    let bit = bank.flops().named_bit("iq.count", 0);
+                    bank.flops_mut().flip(bit);
+                }
+                Piece::Slot => {
+                    let mut arch = bank.arch().clone();
+                    let addr = nestsim_proto::addr::PAddr::new(0);
+                    arch.write_word_at(0, addr, !arch.read_word_at(0, addr));
+                    bank.load_arch(arch);
+                }
+                Piece::Overlay => {
+                    let line = LineAddr::new(0);
+                    let mut data = side.ov.read_line(base, line);
+                    data[0] = !data[0];
+                    side.ov.write_line(line, data);
+                }
+                Piece::Queue => {
+                    let cmd = DramCmd::fill(0, BankId::new(0), LineAddr::new(0));
+                    side.dram.push(0, cmd);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn l2c_check_gives_each_compared_piece_its_verdict_for_driver_and_lane() {
+        // Parking and retirement are as sound as this table: a
+        // difference in any one compared piece must keep the run out of
+        // `Identical`. Both callers of the one L2C compare are held to
+        // it: the scalar driver (the target differs from its golden twin)
+        // and a batch (a lane differs from its carrier).
+        let mut warmed = L2cDriver::attach(sys_at("radi", 500), BankId::new(0));
+        for _ in 0..1_000 {
+            warmed.step();
+        }
+        let mut scalar = warmed.clone();
+        scalar.snapshot_golden();
+        assert_eq!(scalar.check(), CosimCheck::Identical);
+        let mut carrier = warmed;
+        let lane = carrier.twin();
+        assert_eq!(carrier.check_lane(&lane), CosimCheck::Identical);
+
+        for piece in Piece::ALL {
+            let mut drv = scalar.clone();
+            piece.perturb(&mut drv.target, drv.sys.dram());
+            assert_eq!(drv.check(), piece.verdict(), "driver, {piece:?}");
+
+            let mut lane = carrier.twin();
+            piece.perturb(&mut lane, carrier.sys.dram());
+            let got = carrier.check_lane(&lane);
+            assert_eq!(got, piece.verdict(), "lane, {piece:?}");
+        }
+    }
+
     #[test]
     fn pcie_uninjected_cosim_stays_identical() {
         // Attach while the DMA is active.
@@ -1573,8 +1640,8 @@ mod tests {
         // flagged clean while bits differ.
         if !saw_non_identical {
             assert_eq!(
-                (drv.target().unwrap().flops()).diff_count(drv.golden.as_ref().unwrap().flops()),
-                0,
+                drv.mismatch_fraction(),
+                0.0,
                 "identical check with differing bits"
             );
         }

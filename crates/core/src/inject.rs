@@ -75,26 +75,57 @@ pub struct InjectionRecord {
     pub rollback_distance: Option<u64>,
 }
 
-impl InjectionRecord {
-    /// The record of a run that ended inside co-simulation with no
-    /// divergence ever observed — Vanished, or Persist at the cap:
-    /// nothing propagated, nothing was corrupted.
-    pub(crate) fn divergence_free(
-        outcome: Outcome,
-        bit: usize,
-        inject_cycle: u64,
-        cosim_cycles: u64,
-    ) -> Self {
-        InjectionRecord {
-            outcome,
-            bit,
-            inject_cycle,
-            cosim_cycles,
-            erroneous_output_cycle: None,
-            propagation_latency: None,
-            corrupted_line_count: 0,
-            rollback_distance: None,
-        }
+/// Records the run's one CosimExit (Sec. 4.2) at `cycle`, after
+/// `cosim_cycles` of co-simulation: `finish` on every path out of its
+/// loop, and the lane engine for every lane it retires.
+pub(crate) fn record_cosim_exit(
+    rec: &mut Recorder,
+    spec: &InjectionSpec,
+    cycle: u64,
+    reason: ExitReason,
+    cosim_cycles: u64,
+) {
+    let counter = match reason {
+        ExitReason::Converged => names::COSIM_EXIT_CONVERGED,
+        ExitReason::Cap => names::COSIM_EXIT_CAP,
+        ExitReason::Mismatch => names::COSIM_EXIT_MISMATCH,
+    };
+    rec.count(counter, 1);
+    let comp = spec.component.name();
+    rec.event(cycle, comp, EventKind::CosimExit, reason.payload());
+    rec.record_hist(names::H_COSIM_RESIDENCY, cosim_cycles);
+}
+
+/// Ends a run inside co-simulation with no divergence ever observed
+/// (Fig. 2 steps 8–9): `Vanished`, or `Persist` at the cap. Records the
+/// early termination at `cycle` and returns the run's record, in which
+/// nothing propagated and nothing was corrupted.
+pub(crate) fn terminate_early(
+    rec: &mut Recorder,
+    spec: &InjectionSpec,
+    cycle: u64,
+    outcome: Outcome,
+    inject_cycle: u64,
+    cosim_cycles: u64,
+) -> InjectionRecord {
+    let (counter, payload) = match outcome {
+        Outcome::Vanished => (names::EARLY_TERM_VANISHED, 0),
+        Outcome::Persist => (names::EARLY_TERM_PERSIST, 1),
+        other => unreachable!("{other:?} is not an early termination"),
+    };
+    rec.count(counter, 1);
+    rec.count(names::INJECT_RUNS, 1);
+    let comp = spec.component.name();
+    rec.event(cycle, comp, EventKind::EarlyTermination, payload);
+    InjectionRecord {
+        outcome,
+        bit: spec.bit,
+        inject_cycle,
+        cosim_cycles,
+        erroneous_output_cycle: None,
+        propagation_latency: None,
+        corrupted_line_count: 0,
+        rollback_distance: None,
     }
 }
 
@@ -414,60 +445,31 @@ pub(crate) fn finish<D: CosimDriver>(
     } else {
         ExitReason::Cap
     };
-    rec.count(
-        match exit_reason {
-            ExitReason::Converged => names::COSIM_EXIT_CONVERGED,
-            ExitReason::Cap => names::COSIM_EXIT_CAP,
-            ExitReason::Mismatch => names::COSIM_EXIT_MISMATCH,
-        },
-        1,
-    );
-    rec.event(
-        driver.cycle(),
-        comp,
-        EventKind::CosimExit,
-        exit_reason.payload(),
-    );
-    rec.record_hist(names::H_COSIM_RESIDENCY, cosim_cycles);
+    record_cosim_exit(rec, spec, driver.cycle(), exit_reason, cosim_cycles);
 
     let erroneous_output_cycle = driver.erroneous_output();
     let error_observed = erroneous_output_cycle.is_some();
 
-    // Fig. 2 steps 8–9: if nothing ever diverged and the states are
-    // identical (or differ only in dont-care bits), the run's outcome
-    // equals the error-free run — stop early as Vanished.
-    if !aborted
-        && !error_observed
-        && matches!(exit_check, CosimCheck::Identical | CosimCheck::BenignOnly)
-    {
-        rec.count(names::EARLY_TERM_VANISHED, 1);
-        rec.count(names::INJECT_RUNS, 1);
-        rec.event(driver.cycle(), comp, EventKind::EarlyTermination, 0);
-        let record = InjectionRecord::divergence_free(
-            Outcome::Vanished,
-            spec.bit,
-            inject_cycle,
-            cosim_cycles,
-        );
-        return (record, driver.into_sys());
-    }
-
-    // Cap reached with the error still confined to unmapped microarch
-    // state and no divergence observed: the Sec. 4.2 "persists" bucket.
-    if !aborted && cosim_cycles >= cap && !error_observed {
+    let early = if aborted || error_observed {
+        None
+    } else if matches!(exit_check, CosimCheck::Identical | CosimCheck::BenignOnly) {
+        // Fig. 2 steps 8–9: nothing ever diverged and the states are
+        // identical (or differ only in dont-care bits), so the run's
+        // outcome equals the error-free run — stop early as Vanished.
+        Some(Outcome::Vanished)
+    } else if cosim_cycles >= cap {
+        // Cap reached with the error still confined to unmapped
+        // microarch state and no divergence observed: the Sec. 4.2
+        // "persists" bucket.
         rec.count(names::GOLDEN_COMPARES, 1);
-        if !driver.check().exitable() {
-            rec.count(names::EARLY_TERM_PERSIST, 1);
-            rec.count(names::INJECT_RUNS, 1);
-            rec.event(driver.cycle(), comp, EventKind::EarlyTermination, 1);
-            let record = InjectionRecord::divergence_free(
-                Outcome::Persist,
-                spec.bit,
-                inject_cycle,
-                cosim_cycles,
-            );
-            return (record, driver.into_sys());
-        }
+        (!driver.check().exitable()).then_some(Outcome::Persist)
+    } else {
+        None
+    };
+    if let Some(outcome) = early {
+        let cycle = driver.cycle();
+        let record = terminate_early(rec, spec, cycle, outcome, inject_cycle, cosim_cycles);
+        return (record, driver.into_sys());
     }
 
     // Phase 3 (steps 10–12): transfer the (possibly erroneous) state

@@ -9,21 +9,22 @@
 //! universe, instead of each paying its own system clone, warm-up and
 //! golden tick.
 //!
-//! The shared *carrier* is an uninjected [`L2cDriver`]: because it is
+//! The shared *carrier* is an uninjected `L2cDriver`: because it is
 //! never injected, its target **is** the golden copy of every lane, so
 //! the carrier saves the golden tick too. Per shared cycle the carrier
 //! advances the system and pops at most one request packet; every live
-//! lane then ticks its own bank clone on the *same* inputs, with its
-//! own private DRAM queue and memory overlay (mirroring the scalar
-//! driver's target/golden split). At every `check_interval` boundary
-//! the lane-wise XOR golden compare ([`nestsim_rtl::lanes_differing`])
-//! decides which lanes need the per-bit benign scan, and lanes retire
-//! independently:
+//! lane then ticks on the *same* inputs. A lane is a [`BankSide`] — bank,
+//! memory overlay and DRAM queue — the very type of the scalar driver's
+//! golden twin, so it ticks, compares (`L2cDriver::check_lane`) and
+//! drain-tests (`L2cDriver::drained_with`) by the driver's own code, with
+//! the roles swapped: the lane is the target and the carrier's target
+//! side its golden. Lanes retire independently:
 //!
 //! * **In-batch retirement** — a lane that is drained, divergence-free
 //!   and Identical/BenignOnly retires as Vanished (and a lane still
-//!   Microarch-dirty at the cap retires as Persist), emitting exactly
-//!   the record and telemetry sequence the scalar engine would.
+//!   Microarch-dirty at the cap retires as Persist), through the same
+//!   exit writers as [`finish`](crate::inject::finish)
+//!   ([`record_cosim_exit`], [`terminate_early`]).
 //! * **Parking** — a divergence-free lane whose check returns
 //!   Identical equals the carrier in everything a tick reads (flops,
 //!   bank arrays, overlay, DRAM queue), so from there on it *is* the
@@ -44,17 +45,16 @@
 //! lock byte-identity of records, counts, and merged telemetry across
 //! lane widths and worker counts.
 
-use nestsim_arch::DramOverlay;
 use nestsim_hlsim::System;
-use nestsim_models::l2c::L2cInputs;
-use nestsim_models::{ComponentKind, L2cBank, UncoreRtl};
-use nestsim_rtl::{lane_matches_golden, LaneMask, MAX_LANES};
-use nestsim_telemetry::{names, EventKind, ExitReason, Recorder, TelemetryConfig};
+use nestsim_models::ComponentKind;
+use nestsim_rtl::{LaneMask, MAX_LANES};
+use nestsim_telemetry::{names, ExitReason, Recorder, TelemetryConfig};
 
-use crate::campaign::IndexedRuns;
-use crate::cosim::{sample_l2c_bank, CosimCheck, CosimDriver, L2cDriver};
+use crate::campaign::{same_trajectory, IndexedRuns};
+use crate::cosim::{BankSide, CosimCheck, CosimDriver};
 use crate::inject::{
-    finish_group, recorder_for, warm_l2c, GoldenRef, InjectionRecord, InjectionSpec, WarmedDriver,
+    finish_group, record_cosim_exit, recorder_for, terminate_early, warm_l2c, GoldenRef,
+    InjectionSpec, WarmedDriver,
 };
 use crate::outcome::Outcome;
 
@@ -96,19 +96,11 @@ impl LaneBatchStats {
 struct Lane {
     /// Campaign sample index.
     sample: usize,
-    bit: usize,
     /// The lane's own bank, overlay and DRAM queue; `None` once the
     /// lane is parked and the carrier's stand in for them.
-    state: Option<LaneState>,
+    state: Option<BankSide>,
     first_err_out: Option<u64>,
     rec: Recorder,
-}
-
-/// What a lane ticks: the faulty twin of the carrier's target side.
-struct LaneState {
-    bank: L2cBank,
-    ov: DramOverlay,
-    dram: crate::cosim::LatencyDram,
 }
 
 /// Runs one lane batch: `group` indexes `samples` whose specs are equal
@@ -136,22 +128,7 @@ pub(crate) fn run_l2c_batch(
     assert!(!group.is_empty() && group.len() <= MAX_LANES, "bad group");
     let spec0 = &samples[group[0]];
     assert_eq!(spec0.component, ComponentKind::L2c, "only L2C batches");
-    debug_assert!(group.iter().all(|&i| {
-        let s = &samples[i];
-        (
-            s.instance,
-            s.inject_cycle,
-            s.warmup,
-            s.cosim_cap,
-            s.check_interval,
-        ) == (
-            spec0.instance,
-            spec0.inject_cycle,
-            spec0.warmup,
-            spec0.cosim_cap,
-            spec0.check_interval,
-        )
-    }));
+    debug_assert!(group.iter().all(|&i| same_trajectory(&samples[i], spec0)));
     let mut out = Vec::with_capacity(group.len());
     stats.batches += 1;
 
@@ -160,29 +137,23 @@ pub(crate) fn run_l2c_batch(
     // lanes that leave; a clone of its driver carries the batch on.
     let warmed = warm_l2c(base, golden, spec0, spare);
     let mut carrier = warmed.driver.clone();
-    let comp = spec0.component.name();
 
-    // Each lane is a clone of the carrier (≡ the scalar run's target at
+    // Each lane is the carrier's twin (≡ the scalar run's target at
     // snapshot_golden) with its bit flipped; the carrier itself plays
     // every lane's golden from here. The warm-up ran on slot images, so
-    // the carrier becomes flops first, once for every lane.
+    // the first twin turns the carrier into flops, once for every lane.
     let c_snap = carrier.cycle();
     let mut lanes: Vec<Lane> = group
         .iter()
         .map(|&i| {
             let s = &samples[i];
-            let mut bank = carrier.flop_target().clone();
-            bank.flops_mut().flip(s.bit);
+            let mut state = carrier.twin();
+            state.flip(s.bit);
             let mut rec = recorder_for(telemetry);
             warmed.record_preamble(s, &mut rec);
             Lane {
                 sample: i,
-                bit: s.bit,
-                state: Some(LaneState {
-                    bank,
-                    ov: carrier.t_ov.clone(),
-                    dram: carrier.t_dram.clone(),
-                }),
+                state: Some(state),
                 first_err_out: None,
                 rec,
             }
@@ -213,21 +184,12 @@ pub(crate) fn run_l2c_batch(
             // different request stream from here on — and in the scalar
             // run its outputs, not the carrier's, drive the system.
             let at_stake = tick.pcx.is_some() || tick.inbox_nonempty;
-            if st.bank.ready() != tick.ready && at_stake {
+            if st.ready() != tick.ready && at_stake {
                 live.clear(li);
                 fallback.set(li);
                 continue;
             }
-            let resp = st
-                .dram
-                .pop_ready(tick.cyc, carrier.sys().dram(), &mut st.ov);
-            let l_out = st.bank.tick(&L2cInputs {
-                pcx: tick.pcx,
-                dram_resp: resp,
-            });
-            if let Some(cmd) = &l_out.dram_cmd {
-                st.dram.push(tick.cyc, cmd.clone());
-            }
+            let l_out = st.tick(tick.cyc, tick.pcx, carrier.sys().dram());
             if l_out.cpx != tick.out.cpx {
                 // Return-packet divergence: the scalar run's system
                 // would receive the lane's packet, not the carrier's —
@@ -247,45 +209,34 @@ pub(crate) fn run_l2c_batch(
             for li in live.iter() {
                 let lane = &mut lanes[li];
                 lane.rec.count(names::GOLDEN_COMPARES, 1);
-                // Parked: the carrier's bank is the lane's.
-                let bank =
-                    (lane.state.as_ref()).map_or_else(|| golden_bank(&carrier), |st| &st.bank);
                 if lane.rec.is_active() {
-                    sample_l2c_bank(bank, &mut lane.rec);
+                    match &lane.state {
+                        Some(st) => st.sample_telemetry(&mut lane.rec),
+                        // Parked: the carrier's bank is the lane's.
+                        None => carrier.sample_telemetry(&mut lane.rec),
+                    }
                 }
                 let (c, drained) = match &lane.state {
-                    Some(st) => (lane_check(st, &carrier), lane_drained(st, &carrier)),
+                    Some(st) => (carrier.check_lane(st), carrier.drained_with(st)),
                     None => (CosimCheck::Identical, carrier.drained()),
                 };
                 let clean = lane.first_err_out.is_none();
                 if c.exitable() && drained {
                     live.clear(li);
                     if clean && matches!(c, CosimCheck::Identical | CosimCheck::BenignOnly) {
-                        // Scalar early-Vanished exit sequence.
-                        let cyc_now = carrier.cycle();
-                        lane.rec.count(names::COSIM_EXIT_CONVERGED, 1);
-                        lane.rec.event(
-                            cyc_now,
-                            comp,
-                            EventKind::CosimExit,
-                            ExitReason::Converged.payload(),
-                        );
-                        lane.rec.record_hist(names::H_COSIM_RESIDENCY, cosim_cycles);
-                        lane.rec.count(names::EARLY_TERM_VANISHED, 1);
-                        lane.rec.count(names::INJECT_RUNS, 1);
-                        lane.rec
-                            .event(cyc_now, comp, EventKind::EarlyTermination, 0);
-                        let rec = std::mem::replace(&mut lane.rec, Recorder::null());
-                        out.push((
-                            lane.sample,
-                            InjectionRecord::divergence_free(
-                                Outcome::Vanished,
-                                lane.bit,
-                                c_snap,
-                                cosim_cycles,
-                            ),
+                        // The scalar run's early-Vanished exit.
+                        let (spec, cyc) = (&samples[lane.sample], carrier.cycle());
+                        let rec = &mut lane.rec;
+                        record_cosim_exit(rec, spec, cyc, ExitReason::Converged, cosim_cycles);
+                        let r = terminate_early(
                             rec,
-                        ));
+                            spec,
+                            cyc,
+                            Outcome::Vanished,
+                            c_snap,
+                            cosim_cycles,
+                        );
+                        out.push((lane.sample, r, std::mem::replace(rec, Recorder::null())));
                         stats.retired_early += 1;
                     } else {
                         // ArchMappable state or an observed erroneous
@@ -322,32 +273,14 @@ pub(crate) fn run_l2c_batch(
         // Cap reached. Mirror the scalar cap exit: if no divergence was
         // observed and the state is still Microarch-dirty, the run
         // retires in-batch as Persist; everything else detaches too.
-        lane.rec.count(names::COSIM_EXIT_CAP, 1);
-        lane.rec.event(
-            carrier.cycle(),
-            comp,
-            EventKind::CosimExit,
-            ExitReason::Cap.payload(),
-        );
-        lane.rec.record_hist(names::H_COSIM_RESIDENCY, cosim_cycles);
+        let (spec, cyc) = (&samples[lane.sample], carrier.cycle());
+        let rec = &mut lane.rec;
+        record_cosim_exit(rec, spec, cyc, ExitReason::Cap, cosim_cycles);
         if lane.first_err_out.is_none() {
-            lane.rec.count(names::GOLDEN_COMPARES, 1);
-            if !lane_check(st, &carrier).exitable() {
-                lane.rec.count(names::EARLY_TERM_PERSIST, 1);
-                lane.rec.count(names::INJECT_RUNS, 1);
-                lane.rec
-                    .event(carrier.cycle(), comp, EventKind::EarlyTermination, 1);
-                let rec = std::mem::replace(&mut lane.rec, Recorder::null());
-                out.push((
-                    lane.sample,
-                    InjectionRecord::divergence_free(
-                        Outcome::Persist,
-                        lane.bit,
-                        c_snap,
-                        cosim_cycles,
-                    ),
-                    rec,
-                ));
+            rec.count(names::GOLDEN_COMPARES, 1);
+            if !carrier.check_lane(st).exitable() {
+                let r = terminate_early(rec, spec, cyc, Outcome::Persist, c_snap, cosim_cycles);
+                out.push((lane.sample, r, std::mem::replace(rec, Recorder::null())));
                 stats.retired_early += 1;
                 continue;
             }
@@ -373,57 +306,14 @@ pub(crate) fn run_l2c_batch(
     (out, sys)
 }
 
-/// The carrier's bank, every lane's golden: flops from the fork on.
-fn golden_bank(carrier: &L2cDriver) -> &L2cBank {
-    (carrier.target()).expect("the carrier holds flops once it forks its lanes")
-}
-
-/// The scalar driver's `check()` with the roles remapped: the lane is
-/// the target, the carrier's target/overlay/DRAM-queue are the golden.
-/// A word-parallel XOR of the flops comes first, so the lanes that are
-/// flop-identical — most of them — skip the per-bit benign scan.
-fn lane_check(lane: &LaneState, carrier: &L2cDriver) -> CosimCheck {
-    if lane.dram.queue != carrier.t_dram.queue {
-        return CosimCheck::Microarch;
-    }
-    let golden = golden_bank(carrier);
-    let mut benign_seen = false;
-    if !lane_matches_golden(golden.flops().raw_bits(), lane.bank.flops().raw_bits()) {
-        for bit in lane.bank.flops().diff_bits(golden.flops()) {
-            if lane.bank.is_benign_diff(golden, bit) {
-                benign_seen = true;
-            } else {
-                return CosimCheck::Microarch;
-            }
-        }
-    }
-    let arch_dirty = lane.bank.arch().differs(golden.arch())
-        || lane.ov.differs(&carrier.t_ov, carrier.sys().dram());
-    if arch_dirty {
-        CosimCheck::ArchMappable
-    } else if benign_seen {
-        CosimCheck::BenignOnly
-    } else {
-        CosimCheck::Identical
-    }
-}
-
-/// The scalar driver's `drained()` for one lane: the inbox and the
-/// system wait-state are shared with the carrier; the bank and DRAM
-/// queue are the lane's own.
-fn lane_drained(lane: &LaneState, carrier: &L2cDriver) -> bool {
-    carrier.inbox.is_empty()
-        && lane.bank.idle()
-        && lane.dram.queue.is_empty()
-        && carrier.sys().waiting_on_uncore() == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cosim::L2cDriver;
     use crate::inject::{run_injection_with, MIN_WARMUP};
     use nestsim_hlsim::workload::by_name;
     use nestsim_hlsim::{RunResult, SystemConfig};
+    use nestsim_models::{L2cBank, UncoreRtl};
     use nestsim_proto::addr::BankId;
     use nestsim_rtl::FlopClass;
     use std::cell::Cell;
