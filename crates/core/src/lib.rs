@@ -35,6 +35,8 @@
 //! * [`persistence`] — the Fig. 6 persistence sweep;
 //! * [`rtl_only`] — RTL-only (full co-simulation) runs for the Fig. 7
 //!   accuracy comparison;
+//! * [`checkpoint`] — the Sec. 5 checkpoint-recovery analyses (Fig. 8
+//!   propagation latency, Fig. 9 rollback distance);
 //! * [`perfmodel`] — the Table 2 performance model;
 //! * [`core_inject`] — processor-core register injection, the
 //!   apples-to-apples baseline for the Fig. 4 comparison.
@@ -44,6 +46,7 @@
 
 pub mod adaptive;
 pub mod campaign;
+pub mod checkpoint;
 pub mod core_inject;
 pub mod cosim;
 pub mod inject;

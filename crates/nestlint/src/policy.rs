@@ -131,16 +131,17 @@ pub const TABLE: &[PolicyRow] = &[
         why: "architectural state feeds golden digests and corruption diffs",
     },
     PolicyRow {
-        prefix: "crates/ckpt/src/",
-        rules: &[Rule::NoNondeterminism],
-        why: "rollback/propagation analysis is part of every record",
-    },
-    PolicyRow {
         prefix: "crates/core/src/adaptive.rs",
         rules: &[Rule::NoNondeterminism],
         why: "the round scheduler: stop decisions and stratum allocations must be a pure \
               function of merged counts, identical on every node; pinned explicitly so a \
               future core-wide exemption cannot silently drop it",
+    },
+    PolicyRow {
+        prefix: "crates/core/src/checkpoint.rs",
+        rules: &[Rule::NoNondeterminism],
+        why: "rollback/propagation analysis is part of every record; pinned explicitly so \
+              a future core-wide exemption cannot silently drop it",
     },
     PolicyRow {
         prefix: "crates/core/src/lanes.rs",

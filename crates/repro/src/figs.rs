@@ -1,7 +1,7 @@
 //! Figure reproductions (Figs. 3–9 of the paper).
 
-use nestsim_ckpt::{propagation_cdf, rollback_cdf};
 use nestsim_core::campaign::CampaignSpec;
+use nestsim_core::checkpoint::{propagation_cdf, rollback_cdf};
 use nestsim_core::rtl_only::{
     draw_fig7_samples, rtl_only_golden, run_mixed_injection_reduced, run_rtl_only_injection,
     RtlOnlyConfig,

@@ -7,8 +7,8 @@
 //! cargo run --release --example checkpoint_analysis
 //! ```
 
-use nestsim::ckpt::{checkpoint_coverage, propagation_cdf, rollback_cdf};
 use nestsim::core::campaign::{run_campaign, CampaignSpec};
+use nestsim::core::checkpoint::{checkpoint_coverage, propagation_cdf, rollback_cdf};
 use nestsim::hlsim::workload::by_name;
 use nestsim::models::ComponentKind;
 use nestsim::report::render_cdf;

@@ -18,10 +18,9 @@
 //! | [`arch`] | `nestsim-arch` | Table 1 "high-level uncore state" |
 //! | [`models`] | `nestsim-models` | the four uncore components in RTL detail |
 //! | [`hlsim`] | `nestsim-hlsim` | the Simics-role full-system simulator |
-//! | [`core`] | `nestsim-core` | the mixed-mode platform + campaigns |
+//! | [`core`] | `nestsim-core` | the mixed-mode platform, campaigns, Sec. 5 checkpoint analyses |
 //! | [`cluster`] | `nestsim-cluster` | distributed campaign execution (coordinator/worker over TCP) |
 //! | [`svc`] | `nestsim-svc` | multi-tenant campaign service (fair-share queue, dedup store) |
-//! | [`ckpt`] | `nestsim-ckpt` | Sec. 5 checkpoint-recovery analyses |
 //! | [`qrr`] | `nestsim-qrr` | Quick Replay Recovery |
 //! | [`cost`] | `nestsim-cost` | Table 6 area/power model |
 //! | [`stats`] | `nestsim-stats` | confidence intervals, CDFs, seeding |
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub use nestsim_arch as arch;
-pub use nestsim_ckpt as ckpt;
 pub use nestsim_cluster as cluster;
 pub use nestsim_core as core;
 pub use nestsim_cost as cost;
