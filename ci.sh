@@ -62,6 +62,28 @@ bench_gate() {
 stage "cargo fmt --check"
 cargo fmt --check
 
+stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
+# An entry runs from a line starting `PR <n>` to the next one; only the
+# newest, to EOF, is held to the cap, since older entries predate it.
+# Characters, not bytes: UTF-8 continuation bytes are not counted, and
+# LC_ALL=C makes every awk count bytes the same way first.
+LC_ALL=C awk '
+    /^PR [0-9]+/ { start = NR; n = 0 }
+    start { text[++n] = $0 }
+    END {
+        if (!start) { print "ci.sh: CHANGES.md has no entry starting `PR <n>`"; exit 1 }
+        if (n > 20) { print "ci.sh: the newest CHANGES.md entry has " n " lines (cap: 20)"; bad = 1 }
+        for (i = 1; i <= n; i++) {
+            t = text[i]
+            chars = length(t) - gsub(/[\200-\277]/, "", t)
+            if (chars > 160) {
+                print "ci.sh: CHANGES.md line " start + i - 1 " has " chars " characters (cap: 160)"; bad = 1
+            }
+        }
+        exit bad
+    }
+' CHANGES.md
+
 stage "nestlint self-test (rules vs committed fixtures)"
 cargo run --offline -q -p nestlint -- --self-test
 

@@ -1,4 +1,5 @@
-//! The coordinator/worker message protocol, version 2.
+//! The coordinator/worker message protocol, version 4
+//! ([`PROTOCOL_VERSION`]).
 //!
 //! Strictly request/response from the worker's side: the worker sends
 //! `Hello`/`RequestShard`/`Heartbeat`/`Submit` and reads exactly one
