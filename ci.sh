@@ -115,11 +115,14 @@ stage "cluster smoke (coordinator + 2 worker processes on loopback, byte-identit
 cargo build --offline --release -p nestsim-cluster --bins
 cargo run --offline --release -p nestsim-cluster --bin cluster_smoke
 
-stage "mck smoke (deterministic protocol simulation: bounded DFS + seeded random + mutation check)"
-# Fixed-seed, fully deterministic: explores schedules of the sans-I/O
-# cluster machines under injected faults, then verifies the checker
-# catches a deliberately planted exactly-once bug and that the failure
-# replays from its printed seed and schedule.
+stage "mck smoke (deterministic protocol simulation: six phases, two mutation gates)"
+# Fixed-seed, fully deterministic: one simulated world steps the
+# coordinator's and the service's server-loop adapters. Per scenario,
+# a bounded DFS and a seeded random sweep under injected faults must
+# stay clean, then a mutation gate plants an exactly-once bug
+# (first-writer-wins off; dedup fan-out off) that the explorer must
+# catch as a double count / lost subscriber, replaying from its
+# printed seed and/or schedule.
 cargo run --offline --release -p nestsim-mck --bin mck_smoke
 
 stage "svc smoke (campaign service: two concurrent tenants, overlapping grids, dedup + byte-identity + crash retry)"

@@ -578,10 +578,13 @@ impl CoordMachine {
             Completion::Duplicate if self.accept_duplicates => {
                 // MUTATION HOOK (test-only): merge the duplicate as if
                 // it were first — the double-count the model checker
-                // must detect.
+                // must detect. A duplicate landing after the settled
+                // round was taken has nowhere to go.
                 self.engine.count(names::CLUSTER_SHARDS_COMPLETED, 1);
                 let mut runs = sub.runs;
-                self.results[shard_id as usize].append(&mut runs);
+                if let Some(slot) = self.results.get_mut(shard_id as usize) {
+                    slot.append(&mut runs);
+                }
                 acts.push(CoordAction::Send {
                     conn,
                     msg: Message::SubmitAck { accepted: true },

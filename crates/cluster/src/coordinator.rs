@@ -76,10 +76,16 @@ impl Default for CoordinatorConfig {
 /// A settled round's accepted runs per shard, or the campaign's error.
 type RoundResult = Result<Vec<Vec<RunWire>>, String>;
 
-/// What the campaign thread asks of the loop.
-enum Command {
+/// What the campaign thread (or `nestsim-mck`'s cluster scenario) asks
+/// of the loop.
+pub enum Command {
     /// Re-serve the held workers with the next round.
-    BeginRound { job: JobWire, shards: Vec<Shard> },
+    BeginRound {
+        /// The round's job.
+        job: JobWire,
+        /// The round's shard plan.
+        shards: Vec<Shard>,
+    },
     /// Reply once the dispatching round settles.
     AwaitRound(mpsc::Sender<RoundResult>),
     /// Reply with a snapshot of the engine recorder.
@@ -89,13 +95,26 @@ enum Command {
 }
 
 /// [`CoordMachine`] as the loop sees it: frames and commands in,
-/// frames out.
-struct Coord {
+/// frames out. The model checker steps this very adapter.
+pub struct Coord {
     machine: CoordMachine,
     awaiting: Option<mpsc::Sender<RoundResult>>,
 }
 
 impl Coord {
+    /// The adapter around `machine`.
+    pub fn new(machine: CoordMachine) -> Coord {
+        Coord {
+            machine,
+            awaiting: None,
+        }
+    }
+
+    /// Hands the machine back, for [`CoordMachine::into_outcome`].
+    pub fn into_machine(self) -> CoordMachine {
+        self.machine
+    }
+
     /// Turns machine actions into loop actions. A reply that cannot be
     /// encoded ends its connection, as a failed write would.
     fn perform(&mut self, now: u64, acts: Vec<CoordAction>, out: &mut Vec<Action>) {
@@ -232,7 +251,10 @@ impl ClusterCampaign {
     fn shutdown(&mut self) -> CoordMachine {
         let server = self.server.take().expect("the coordinator shuts down once");
         let _ = server.waker().send(Command::Shutdown);
-        server.join().expect("coordinator loop failed").machine
+        server
+            .join()
+            .expect("coordinator loop failed")
+            .into_machine()
     }
 
     /// Blocks until every shard completed, then assembles the result:
@@ -343,11 +365,7 @@ fn bind_campaign(
     } else {
         machine.hold_workers_between_rounds();
     }
-    let coord = Coord {
-        machine,
-        awaiting: None,
-    };
-    let server = Server::spawn(&cfg.listen, "nestsim-coordinator", coord)?;
+    let server = Server::spawn(&cfg.listen, "nestsim-coordinator", Coord::new(machine))?;
     Ok(ClusterCampaign {
         addr: server.addr(),
         server: Some(server),

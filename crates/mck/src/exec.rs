@@ -38,11 +38,6 @@ pub struct CampaignExec {
     /// Cached per-run results, indexed by entry-order *position* (the
     /// `pos` a [`nestsim_cluster::WorkerAction::Execute`] names).
     runs: Vec<RunWire>,
-    /// Cumulative forward-simulation cycle / ladder-restore readings
-    /// after each position, as a single straight-through runner saw
-    /// them. These feed only throughput counters, never results.
-    forward: Vec<u64>,
-    restores: Vec<u64>,
     reference: CampaignResult,
 }
 
@@ -66,7 +61,7 @@ impl CampaignExec {
         let golden = base.golden;
 
         // One straight-through runner, a group at a time as a worker
-        // runs them: the readings are the runner's after each group.
+        // runs them.
         let mut runner = ShardRunner::new(
             &base.ladder,
             &round.samples,
@@ -75,8 +70,6 @@ impl CampaignExec {
             spec.lane_width as usize,
         );
         let mut runs = Vec::with_capacity(round.order.len());
-        let mut forward = Vec::with_capacity(round.order.len());
-        let mut restores = Vec::with_capacity(round.order.len());
         let mut rest = &round.order[..];
         while !rest.is_empty() {
             let group = runner.run_group(rest);
@@ -87,8 +80,6 @@ impl CampaignExec {
                     record,
                     recorder,
                 });
-                forward.push(runner.forward_cycles());
-                restores.push(runner.restores());
             }
         }
 
@@ -100,8 +91,6 @@ impl CampaignExec {
             job,
             golden,
             runs,
-            forward,
-            restores,
             reference,
         }
     }
@@ -126,16 +115,6 @@ impl CampaignExec {
     /// the bytes any deterministic worker would produce there.
     pub fn run(&self, pos: u64) -> RunWire {
         self.runs[pos as usize].clone()
-    }
-
-    /// Cumulative forward-simulation cycles after position `pos`.
-    pub fn forward(&self, pos: u64) -> u64 {
-        self.forward[pos as usize]
-    }
-
-    /// Cumulative ladder restores after position `pos`.
-    pub fn restores(&self, pos: u64) -> u64 {
-        self.restores[pos as usize]
     }
 
     /// The in-process engine's result for this cell — the byte-level

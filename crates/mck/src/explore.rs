@@ -27,7 +27,7 @@
 
 use nestsim_harness::Source;
 
-use crate::sim::SimError;
+use crate::world::SimError;
 
 /// A source of scheduling decisions. `choose(n)` must return a value
 /// `< n`; `n == 0` is a caller bug and panics.
@@ -145,7 +145,10 @@ impl Chooser for ScheduleChooser {
         }
         // Out-of-range picks clamp rather than panic: a schedule
         // recorded against a slightly different world (say, after a
-        // code change) should degrade to a boring run, not a crash.
+        // code change) should degrade to a boring run, not a crash. A
+        // DFS prefix clamps too: earlier picks change which choice
+        // points exist, and a clamped pick still explores a real
+        // schedule.
         let pick = self
             .schedule
             .get(self.trace.len())
@@ -161,33 +164,24 @@ impl Chooser for ScheduleChooser {
     }
 }
 
-/// The chooser behind [`explore_dfs`]: forced prefix, then always the
-/// first alternative, recording each point's branching factor so the
-/// driver can backtrack.
+/// The chooser behind [`explore_dfs`]: a replayed prefix, then always
+/// the first alternative, recording each point's branching factor so
+/// the driver can backtrack.
 struct DfsChooser {
-    prefix: Vec<usize>,
-    trace: Vec<usize>,
+    prefix: ScheduleChooser,
     widths: Vec<usize>,
 }
 
 impl Chooser for DfsChooser {
     fn choose(&mut self, n: usize) -> usize {
-        assert!(n > 0, "choose(0): no alternatives");
-        if n == 1 {
-            return 0;
+        if n > 1 {
+            self.widths.push(n);
         }
-        let at = self.trace.len();
-        // Clamp forced picks: the tree's shape can shift under a
-        // prefix (earlier picks change which choice points exist), and
-        // a clamped pick still explores a real schedule.
-        let pick = self.prefix.get(at).copied().unwrap_or(0).min(n - 1);
-        self.trace.push(pick);
-        self.widths.push(n);
-        pick
+        self.prefix.choose(n)
     }
 
     fn trace(&self) -> &[usize] {
-        &self.trace
+        self.prefix.trace()
     }
 }
 
@@ -218,8 +212,7 @@ pub fn explore_dfs(
     let mut traces = 0;
     loop {
         let mut chooser = DfsChooser {
-            prefix: std::mem::take(&mut prefix),
-            trace: Vec::new(),
+            prefix: ScheduleChooser::new(std::mem::take(&mut prefix)),
             widths: Vec::new(),
         };
         let outcome = world(&mut chooser);
@@ -228,7 +221,7 @@ pub fn explore_dfs(
             return DfsReport {
                 traces,
                 exhausted: false,
-                failure: Some((chooser.trace, e)),
+                failure: Some((chooser.prefix.trace, e)),
             };
         }
         if traces >= budget {
@@ -240,7 +233,7 @@ pub fn explore_dfs(
         }
         // Backtrack: bump the deepest pick that still has an untried
         // sibling, drop everything below it.
-        let mut next = chooser.trace;
+        let mut next = chooser.prefix.trace;
         loop {
             let Some(pick) = next.pop() else {
                 return DfsReport {

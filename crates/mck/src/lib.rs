@@ -1,58 +1,40 @@
 //! # nestsim-mck
 //!
 //! A deterministic protocol simulator ("model checker") for the
-//! cluster's sans-I/O state machines.
+//! workspace's two servers.
 //!
 //! The paper's statistical claims only hold if distributed campaigns
 //! count every injection **exactly once**. The chaos tests kill and
 //! stall real processes, but each run samples a handful of lucky
-//! interleavings. This crate drives the very same
-//! [`nestsim_cluster::CoordMachine`] and
-//! [`nestsim_cluster::WorkerMachine`] types the TCP drivers use —
-//! under a virtual clock and a simulated network — and *systematically*
-//! explores schedules:
+//! interleavings. This crate steps the very adapters the epoll server
+//! loop runs under a virtual clock and a simulated network, and
+//! *systematically* explores schedules:
 //!
-//! * [`sim`] — the deterministic discrete-event world: per-link
-//!   message queues with chosen delays (reordering emerges from delay
-//!   choices), message drops and duplicates, worker crash/restart at
-//!   arbitrary execution steps, and a virtual millisecond clock that
-//!   drives lease expiry and re-dispatch for real.
-//! * [`explore`] — schedule sources: random schedules seeded through
-//!   `nestsim-harness` (every failure replays from a printed seed) and
-//!   a bounded depth-first enumeration of interleaving choice points
-//!   (every failure replays from a printed choice schedule).
-//! * [`exec`] — the campaign executor behind the simulated workers:
-//!   the real engine derivation (golden reference, ladder, samples),
-//!   executed once and replayed per schedule, so "merged results are
-//!   byte-identical to the in-process engine" is checked against real
-//!   records, not synthetic stand-ins.
-//! * [`svcsim`] — the same treatment for the campaign service's
-//!   [`nestsim_svc::SvcMachine`]: scripted multi-tenant clients with
-//!   overlapping submissions, cancels, disconnects, message loss, and
-//!   execution crashes, checked for exactly-once execution, lossless
-//!   dedup fan-out, and byte-identical result streams.
+//! * [`world`](mod@world) — the one discrete-event world, which any
+//!   [`nestsim_cluster::server::Machine`] runs in;
+//! * [`Cluster`] and [`SvcScenario`] — the coordinator and the service
+//!   as two scenarios on it: their peers, faults and invariants;
+//! * [`explore`] — seeded random schedules and bounded DFS, every
+//!   failure replayable from a printed seed or schedule;
+//! * [`exec`] — the real engine run once per cell and cached, so merged
+//!   results are checked against real records.
 //!
-//! Every explored trace is checked for the protocol's real
-//! invariants: exact-cover of shards (no sample lost or double-counted
-//! across duplicate and late completions), byte-identical merged
-//! results, and liveness (the campaign completes) under finitely many
-//! faults. The mutation hook
-//! [`nestsim_cluster::CoordMachine::disable_first_writer_wins`]
-//! deliberately breaks completion dedupe so the CI budget can prove
-//! the explorer *would* catch a double-count — see the `mck_smoke`
-//! bin.
+//! [`SimConfig::mutate`] plants one bug per scenario, and the
+//! `mck_smoke` bin proves the explorer catches both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cluster;
 pub mod exec;
 pub mod explore;
-pub mod sim;
-pub mod svcsim;
+mod service;
+pub mod world;
 
+pub use cluster::Cluster;
 pub use exec::CampaignExec;
 pub use explore::{
     explore_random, schedule_to_string, Chooser, DfsReport, RandomChooser, ScheduleChooser,
 };
-pub use sim::{FaultBudget, SimConfig, SimError, SimReport};
-pub use svcsim::{run_svc_sim, svc_world, SvcScenario, SvcSimConfig, SvcSimReport};
+pub use service::SvcScenario;
+pub use world::{run_sim, world, Fault, FaultBudget, Scenario, SimConfig, SimError, SimReport};

@@ -8,18 +8,17 @@
 
 use std::sync::OnceLock;
 
-use nestsim_cluster::LeaseConfig;
 use nestsim_core::campaign::CampaignSpec;
 use nestsim_harness::properties;
 use nestsim_hlsim::workload::by_name;
 use nestsim_mck::explore::{explore_dfs, explore_random, Chooser, RandomChooser, ScheduleChooser};
-use nestsim_mck::sim::{run_sim, world, FaultBudget, SimConfig, SimError};
-use nestsim_mck::CampaignExec;
+use nestsim_mck::world::{run_sim, world, FaultBudget, SimConfig, SimError};
+use nestsim_mck::{CampaignExec, Cluster};
 use nestsim_models::ComponentKind;
 use nestsim_telemetry::TelemetryConfig;
 
-/// The shared engine cell: built once, read by every test. `run_sim`
-/// takes `&CampaignExec`, so sharing is free and safe.
+/// The shared engine cell: built once, read by every test. The cluster
+/// scenario borrows it, so sharing is free and safe.
 fn cell() -> &'static CampaignExec {
     static CELL: OnceLock<CampaignExec> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -33,18 +32,14 @@ fn cell() -> &'static CampaignExec {
     })
 }
 
+fn cluster() -> Cluster<'static> {
+    Cluster::new(cell())
+}
+
 fn cfg(faults: u32) -> SimConfig {
     SimConfig {
-        workers: 2,
-        shard_size: 2,
-        lease: LeaseConfig {
-            lease_ms: 10,
-            heartbeat_ms: 4,
-            backoff_ms: 2,
-        },
         faults: FaultBudget(faults),
-        max_steps: 20_000,
-        disable_first_writer_wins: false,
+        mutate: false,
     }
 }
 
@@ -53,8 +48,8 @@ fn cfg(faults: u32) -> SimConfig {
 #[test]
 fn benign_schedule_completes_without_faults() {
     let mut chooser = ScheduleChooser::new(Vec::new());
-    let report = run_sim(cell(), &cfg(2), &mut chooser).expect("benign schedule holds");
-    assert_eq!(report.faults_injected, 0, "pick 0 is always 'no fault'");
+    let report = run_sim(&cluster(), &cfg(2), &mut chooser).expect("benign schedule holds");
+    assert_eq!(report.faults_injected(), 0, "pick 0 is always 'no fault'");
     assert!(report.steps > 0);
     assert!(report.virtual_ms > 0);
 }
@@ -65,9 +60,9 @@ fn benign_schedule_completes_without_faults() {
 fn identical_seeds_produce_identical_executions() {
     let cfg = cfg(2);
     let mut a = RandomChooser::new(0xA11CE);
-    let ra = run_sim(cell(), &cfg, &mut a).expect("schedule holds");
+    let ra = run_sim(&cluster(), &cfg, &mut a).expect("schedule holds");
     let mut b = RandomChooser::new(0xA11CE);
-    let rb = run_sim(cell(), &cfg, &mut b).expect("schedule holds");
+    let rb = run_sim(&cluster(), &cfg, &mut b).expect("schedule holds");
     assert_eq!(a.trace(), b.trace(), "same seed, same picks");
     assert_eq!(ra, rb, "same seed, same report");
 }
@@ -81,9 +76,9 @@ fn random_sweep_is_clean_and_exercises_faults() {
     let mut injected = 0u64;
     for seed in 0..24u64 {
         let mut chooser = RandomChooser::new(0x5EED_0000 + seed);
-        let report = run_sim(cell(), &cfg, &mut chooser)
+        let report = run_sim(&cluster(), &cfg, &mut chooser)
             .unwrap_or_else(|e| panic!("seed {seed:#x} violated an invariant: {e}"));
-        injected += u64::from(report.faults_injected);
+        injected += u64::from(report.faults_injected());
     }
     assert!(injected > 0, "the sweep must hit at least one fault path");
 }
@@ -91,7 +86,7 @@ fn random_sweep_is_clean_and_exercises_faults() {
 /// Bounded DFS over the schedule tree stays clean.
 #[test]
 fn bounded_dfs_is_clean() {
-    let report = explore_dfs(120, world(cell(), &cfg(1)));
+    let report = explore_dfs(120, world(&cluster(), &cfg(1)));
     assert!(report.traces > 0);
     assert!(
         report.failure.is_none(),
@@ -107,10 +102,10 @@ fn bounded_dfs_is_clean() {
 #[test]
 fn disabled_dedupe_is_caught_and_replays() {
     let mutated = SimConfig {
-        disable_first_writer_wins: true,
+        mutate: true,
         ..cfg(2)
     };
-    let hunt = explore_random(0xD0C5_2015, 96, world(cell(), &mutated));
+    let hunt = explore_random(0xD0C5_2015, 96, world(&cluster(), &mutated));
     let (seed, schedule, err) = hunt
         .failure
         .expect("a planted exactly-once bug must be found");
@@ -120,13 +115,13 @@ fn disabled_dedupe_is_caught_and_replays() {
     );
 
     let mut by_seed = RandomChooser::new(seed);
-    let replayed = run_sim(cell(), &mutated, &mut by_seed).expect_err("seed replay must fail");
+    let replayed = run_sim(&cluster(), &mutated, &mut by_seed).expect_err("seed replay must fail");
     assert_eq!(replayed, err, "seed replay must reproduce the violation");
     assert_eq!(by_seed.trace(), schedule, "seed replay must retrace");
 
     let mut by_schedule = ScheduleChooser::new(schedule);
     let replayed =
-        run_sim(cell(), &mutated, &mut by_schedule).expect_err("schedule replay must fail");
+        run_sim(&cluster(), &mutated, &mut by_schedule).expect_err("schedule replay must fail");
     assert_eq!(
         replayed, err,
         "schedule replay must reproduce the violation"
@@ -143,7 +138,7 @@ properties! {
         let faults = src.range_u64(0, 4) as u32;
         let seed = src.u64();
         let mut chooser = RandomChooser::new(seed);
-        if let Err(e) = run_sim(cell(), &cfg(faults), &mut chooser) {
+        if let Err(e) = run_sim(&cluster(), &cfg(faults), &mut chooser) {
             panic!(
                 "NESTSIM_MCK_SEED={seed:#x} (faults {faults}) violated an invariant: {e}"
             );

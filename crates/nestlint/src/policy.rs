@@ -303,7 +303,9 @@ mod tests {
         for path in [
             "crates/cluster/src/coord_machine.rs",
             "crates/cluster/src/worker_machine.rs",
-            "crates/mck/src/sim.rs",
+            "crates/mck/src/world.rs",
+            "crates/mck/src/cluster.rs",
+            "crates/mck/src/service.rs",
             "crates/mck/src/explore.rs",
             "crates/mck/src/exec.rs",
             "crates/mck/src/bin/mck_smoke.rs",

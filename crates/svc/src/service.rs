@@ -73,24 +73,39 @@ impl ServiceHandle {
     }
 }
 
-/// What reaches the loop from outside it.
-enum Command {
+/// What reaches the loop from outside it: the execution pool, the
+/// handle, or `nestsim-mck`'s service scenario.
+pub enum Command {
     /// An execution finished (`Ok`) or crashed (`Err(reason)`).
     Exec {
+        /// Id from the machine's `StartExec`.
         exec: u64,
+        /// What the execution produced, or why it crashed.
         result: Result<ExecOutput, String>,
     },
+    /// Return from the loop.
     Stop,
 }
 
-/// [`SvcMachine`] as the server loop sees it.
+/// [`SvcMachine`] as the server loop sees it. The model checker steps
+/// this very adapter.
 #[derive(Debug)]
-struct Svc {
+pub struct Svc {
     machine: SvcMachine,
     tasks: mpsc::Sender<(u64, JobWire)>,
 }
 
 impl Svc {
+    /// The adapter around `machine`, handing executions to `tasks`.
+    pub fn new(machine: SvcMachine, tasks: mpsc::Sender<(u64, JobWire)>) -> Svc {
+        Svc { machine, tasks }
+    }
+
+    /// The machine, for its end state.
+    pub fn machine(&self) -> &SvcMachine {
+        &self.machine
+    }
+
     /// Steps the machine and performs its actions.
     fn feed(&mut self, ev: SvcEvent, out: &mut Vec<Action>) {
         for act in self.machine.step(ev) {
@@ -99,7 +114,13 @@ impl Svc {
                     Ok(payload) => out.push(Action::Send { conn, payload }),
                     Err(e) => eprintln!("nestsim-svc: dropping unencodable frame: {e}"),
                 },
-                SvcAction::Close { conn } => out.push(Action::Close { conn }),
+                SvcAction::Close { conn } => {
+                    // The loop reports no close the machine asked for,
+                    // so the machine hears of it here and drops the
+                    // connection's tickets.
+                    out.push(Action::Close { conn });
+                    self.feed(SvcEvent::Closed { conn }, out);
+                }
                 SvcAction::StartExec { exec, job } => {
                     if self.tasks.send((exec, job)).is_err() {
                         // Pool gone: surface as a crash so the machine's
@@ -150,10 +171,7 @@ impl Machine for Svc {
 pub fn serve(cfg: ServiceConfig) -> io::Result<ServiceHandle> {
     let pool = cfg.exec_threads.clamp(1, cfg.machine.exec_slots.max(1));
     let (tasks, task_rx) = mpsc::channel::<(u64, JobWire)>();
-    let svc = Svc {
-        machine: SvcMachine::new(cfg.machine),
-        tasks,
-    };
+    let svc = Svc::new(SvcMachine::new(cfg.machine), tasks);
     let server = Server::spawn(&cfg.listen, "nestsim-svc-loop", svc)?;
     let task_rx = Arc::new(Mutex::new(task_rx));
     let chaos = Arc::new(AtomicU64::new(cfg.chaos_crash_first));
