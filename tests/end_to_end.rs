@@ -552,6 +552,109 @@ fn warmup_and_persistence_bytes_are_pinned() {
     }
 }
 
+/// `o`'s position in [`Outcome::ALL`].
+fn outcome_word(o: Outcome) -> u64 {
+    Outcome::ALL
+        .iter()
+        .position(|&x| x == o)
+        .expect("known outcome") as u64
+}
+
+/// The words of QRR records, in order.
+fn qrr_words(records: &[nestsim::qrr::QrrRecord]) -> Vec<u64> {
+    (records.iter())
+        .flat_map(|r| {
+            [
+                outcome_word(r.outcome),
+                r.bit as u64,
+                u64::from(r.detected),
+                u64::from(r.recovered),
+                r.recovery_cycles,
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn qrr_core_and_fig7_bytes_are_pinned() {
+    // The Sec. 6.4 recovery runs, the Fig. 4 core baseline and the Fig. 7
+    // comparison each end their runs outside the campaign engine. The
+    // sample sizes are those of the crates' own unit tests.
+    use nestsim::core::core_inject::core_campaign;
+    use nestsim::core::rtl_only::{
+        draw_fig7_samples, rtl_only_golden, run_mixed_injection_reduced, run_rtl_only_injection,
+        RtlOnlyConfig,
+    };
+    use nestsim::qrr::qrr_mcu_campaign;
+    use nestsim::qrr::recovery::{burst_campaign, qrr_campaign_with};
+
+    // L2C: the records, then the per-run QRR telemetry they recorded.
+    let mut rec = nestsim::telemetry::Recorder::active(&TelemetryConfig::default());
+    let (_, records) = qrr_campaign_with(by_name("radi").unwrap(), 10, 77, 100, &mut rec);
+    let telemetry = rec.to_jsonl().into_bytes();
+    let words = qrr_words(&records).into_iter();
+    assert_pinned(
+        "qrr.l2c.radi",
+        "QRR L2C records and telemetry",
+        fnv_words(words.chain(telemetry.into_iter().map(u64::from))),
+    );
+
+    let (_, records) = qrr_mcu_campaign(by_name("fft").unwrap(), 8, 31, 100);
+    assert_pinned(
+        "qrr.mcu.fft",
+        "QRR MCU records",
+        fnv_words(qrr_words(&records)),
+    );
+
+    for (layout, interleaved) in [("blocked", false), ("interleaved", true)] {
+        let e = burst_campaign(by_name("radi").unwrap(), 6, 2, interleaved, 5, 200);
+        assert_eq!(e.runs, 6);
+        assert_pinned(
+            &format!("qrr.burst.radi.{layout}"),
+            "burst tallies",
+            fnv_words([
+                e.runs,
+                e.detected,
+                e.recovered,
+                e.escaped_benign,
+                e.silent_failures,
+            ]),
+        );
+    }
+
+    let counts = core_campaign(
+        by_name("lu-c").unwrap(),
+        &CampaignSpec::quick(ComponentKind::L2c, 64),
+    );
+    assert_eq!(counts.total(), 64);
+    assert_pinned(
+        "fig4.core.lu-c",
+        "core-campaign counts",
+        fnv_words(Outcome::ALL.map(|o| counts.count(o))),
+    );
+
+    let cfg = RtlOnlyConfig {
+        length_scale: 400,
+        seed: 3,
+        ..RtlOnlyConfig::paper_like(by_name("fft").unwrap())
+    };
+    let golden = rtl_only_golden(&cfg);
+    let samples = draw_fig7_samples(&cfg, &golden, 2);
+    let rtl = (samples.iter()).map(|&(bit, at)| run_rtl_only_injection(&cfg, &golden, bit, at));
+    assert_pinned(
+        "fig7.fft.rtl",
+        "RTL-only outcomes",
+        fnv_words(rtl.map(outcome_word)),
+    );
+    let mixed =
+        (samples.iter()).map(|&(bit, at)| run_mixed_injection_reduced(&cfg, &golden, bit, at));
+    assert_pinned(
+        "fig7.fft.mixed",
+        "mixed-mode outcomes",
+        fnv_words(mixed.map(outcome_word)),
+    );
+}
+
 /// The pinned L2C `radi` cell of the table above (96 independent
 /// samples, entry `cell.l2c.radi.96`).
 fn pinned_l2c_cell(workers: usize) -> CampaignSpec {
