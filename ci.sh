@@ -108,6 +108,9 @@ cargo build --offline --release
 stage "cargo test"
 cargo test --offline --workspace -q
 
+stage "QRR example (README's QRR command: asserts a covered flip recovers)"
+cargo run --offline --release --example qrr_recovery
+
 stage "cluster smoke (coordinator + 2 worker processes on loopback, byte-identity + crash re-dispatch)"
 # cluster_smoke execs the sibling nestsim-worker binary, so build the
 # package's bins explicitly (`cargo run --bin` alone would only build

@@ -15,12 +15,13 @@ use nestsim_core::rtl_only::{
     draw_fig7_samples, rtl_only_golden, run_rtl_only_injection, RtlOnlyConfig,
 };
 use nestsim_core::warmup::warmup_experiment;
-use nestsim_cost::CostModel;
 use nestsim_harness::bench::Suite;
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::inventory::model_census;
 use nestsim_models::ComponentKind;
-use nestsim_qrr::recovery::run_qrr_injection;
+use nestsim_qrr::cost::CostModel;
+use nestsim_qrr::recovery::{run_qrr_injection, QrrL2cDriver};
+use nestsim_telemetry::Recorder;
 
 fn quick_spec(component: ComponentKind) -> CampaignSpec {
     CampaignSpec {
@@ -114,7 +115,17 @@ fn qrr_recovery(suite: &mut Suite) {
         .map(|f| f.offset)
         .unwrap();
     suite.bench("experiments/qrr", "detect_reset_replay", || {
-        black_box(run_qrr_injection(&base, &golden, 0, bit, 2_000, 1_000))
+        let attach = |sys| QrrL2cDriver::attach(sys, nestsim_proto::addr::BankId::new(0));
+        let rec = &mut Recorder::null();
+        black_box(run_qrr_injection(
+            &base,
+            &golden,
+            attach,
+            &[bit],
+            2_000,
+            1_000,
+            rec,
+        ))
     });
 }
 

@@ -12,7 +12,7 @@
 //! faster than uncore errors (Sec. 5.1).
 
 use nestsim_hlsim::workload::BenchProfile;
-use nestsim_hlsim::{CoreReg, RunResult, System};
+use nestsim_hlsim::{CoreReg, System};
 use nestsim_stats::SeedSeq;
 
 use crate::campaign::{golden_reference, CampaignSpec};
@@ -39,20 +39,10 @@ pub fn run_core_injection(
     inject_cycle: u64,
 ) -> Outcome {
     let mut sys = base.clone();
-    sys.set_watchdog(2 * golden.cycles + 50_000);
+    sys.set_watchdog(golden.watchdog());
     sys.run_until(inject_cycle);
     sys.flip_core_register_bit(thread, reg, bit);
-    match sys.run_to_end() {
-        RunResult::Trapped { .. } => Outcome::Ut,
-        RunResult::Hang { .. } => Outcome::Hang,
-        RunResult::Completed { digest, .. } => {
-            if digest == golden.digest {
-                Outcome::Vanished
-            } else {
-                Outcome::Omm
-            }
-        }
-    }
+    golden.verdict(&sys.run_to_end())
 }
 
 /// Runs a core-injection campaign: `samples` random flips over a

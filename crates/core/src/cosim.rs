@@ -23,18 +23,12 @@ use nestsim_models::mcu::McuInputs;
 use nestsim_models::pcie::PcieArchState;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS};
-use nestsim_proto::{CpxPacket, DramCmd, DramResp, PcxPacket};
+use nestsim_proto::{CpxPacket, DramCmd, DramCmdKind, DramResp, PcxPacket};
 use nestsim_rtl::lane_matches_golden;
 use nestsim_telemetry::{names, Recorder};
 
 /// DRAM round-trip latency seen by a co-simulated L2 bank.
 pub const COSIM_DRAM_LATENCY: u64 = 40;
-
-// nestlint: allow(no-nondeterminism) -- audited: the in-flight tag map
-// is keyed by wire tag and only probed point-wise (contains_key,
-// insert, remove, is_empty); nothing iterates it, so hash order cannot
-// reach results.
-type TagMap = std::collections::HashMap<u32, Option<(BankId, LineAddr)>>;
 /// Functional-bank service latency seen by the co-simulated crossbar.
 pub const COSIM_BANK_LATENCY: u64 = 15;
 
@@ -325,14 +319,14 @@ impl LatencyDram {
             Some((ready, _)) if *ready <= cycle => {
                 let (_, cmd) = self.queue.pop_front().unwrap();
                 match cmd.kind {
-                    nestsim_proto::DramCmdKind::Fill => Some(DramResp {
+                    DramCmdKind::Fill => Some(DramResp {
                         tag: cmd.tag,
                         bank: cmd.bank,
                         line: cmd.line,
                         data: overlay.read_line(base, cmd.line),
                         is_writeback_ack: false,
                     }),
-                    nestsim_proto::DramCmdKind::Writeback => {
+                    DramCmdKind::Writeback => {
                         overlay.write_line(cmd.line, cmd.data);
                         Some(DramResp {
                             tag: cmd.tag,
@@ -666,6 +660,99 @@ impl CosimDriver for L2cDriver {
 
 // ─────────────────────────── MCU driver ───────────────────────────
 
+// nestlint: allow(no-nondeterminism) -- audited: the in-flight tag map
+// is keyed by wire tag and only probed point-wise (contains_key,
+// insert, remove, is_empty); nothing iterates it, so hash order cannot
+// reach results.
+type TagMap = std::collections::HashMap<u32, Option<(BankId, LineAddr)>>;
+
+/// The engine side of an intercepted MCU pair's DRAM port: it turns the
+/// system's DRAM outbox into tagged commands, routes the controller's
+/// fill responses back to the requesting bank, and serves what the
+/// controller never accepted when co-simulation ends. Every MCU
+/// co-simulation driver holds one.
+#[derive(Debug, Clone, Default)]
+pub struct DramPort {
+    inbox: VecDeque<DramCmd>,
+    /// In-flight command tags. Fills carry their routing target;
+    /// writebacks carry `None`. Tags must be unique across *all*
+    /// in-flight commands — a fill reusing a live writeback's tag would
+    /// lose its routing entry when the writeback acks, stranding the
+    /// requesting threads forever.
+    tag_map: TagMap,
+    next_tag: u32,
+}
+
+impl DramPort {
+    fn alloc_tag(&mut self) -> u32 {
+        loop {
+            let t = self.next_tag;
+            self.next_tag = (self.next_tag + 1) % 256;
+            if !self.tag_map.contains_key(&t) {
+                return t;
+            }
+        }
+    }
+
+    /// Moves the DRAM traffic `sys` emitted this cycle into the inbox,
+    /// one fresh tag per command.
+    pub fn intake(&mut self, sys: &mut System) {
+        while let Some(msg) = sys.pop_outbox() {
+            let tag = self.alloc_tag();
+            let (route, cmd) = match msg {
+                OutMsg::DramFill { bank, line } => {
+                    (Some((bank, line)), DramCmd::fill(tag, bank, line))
+                }
+                OutMsg::DramWriteback { bank, line, data } => {
+                    (None, DramCmd::writeback(tag, bank, line, data))
+                }
+                other => unreachable!("unexpected outbox message {other:?}"),
+            };
+            self.tag_map.insert(tag, route);
+            self.inbox.push_back(cmd);
+        }
+    }
+
+    /// Pops the oldest pending command if `ready` accepts it.
+    pub fn accept(&mut self, ready: impl FnOnce(&DramCmd) -> bool) -> Option<DramCmd> {
+        match self.inbox.front() {
+            Some(c) if ready(c) => self.inbox.pop_front(),
+            _ => None,
+        }
+    }
+
+    /// Retires `resp`'s tag and delivers a fill to the bank that asked
+    /// for it. A corrupted tag fails the lookup and the fill is lost
+    /// (the L2/threads hang), or collides with another request and
+    /// delivers wrong data to the wrong line.
+    pub fn complete(&mut self, sys: &mut System, resp: DramResp) {
+        if let Some(Some((bank, line))) = self.tag_map.remove(&resp.tag) {
+            if !resp.is_writeback_ack {
+                sys.deliver_fill(bank, line, resp.data);
+            }
+        }
+    }
+
+    /// True when no command is pending or in flight.
+    pub fn idle(&self) -> bool {
+        self.inbox.is_empty() && self.tag_map.is_empty()
+    }
+
+    /// Serves the commands the controller never accepted functionally,
+    /// against `sys`'s memory (forced detach).
+    pub fn serve_stranded(&mut self, sys: &mut System) {
+        for cmd in self.inbox.drain(..) {
+            match cmd.kind {
+                DramCmdKind::Fill => {
+                    let data = sys.dram().read_line(cmd.line);
+                    sys.deliver_fill(cmd.bank, cmd.line, data);
+                }
+                DramCmdKind::Writeback => sys.dram_mut().write_line(cmd.line, cmd.data),
+            }
+        }
+    }
+}
+
 /// Co-simulation driver for one DRAM controller.
 #[derive(Debug, Clone)]
 pub struct McuDriver {
@@ -676,14 +763,7 @@ pub struct McuDriver {
     golden: Option<Mcu>,
     t_ov: DramOverlay,
     g_ov: DramOverlay,
-    inbox: VecDeque<DramCmd>,
-    /// In-flight command tags. Fills carry their routing target;
-    /// writebacks carry `None`. Tags must be unique across *all*
-    /// in-flight commands — a fill reusing a live writeback's tag would
-    /// lose its routing entry when the writeback acks, stranding the
-    /// requesting threads forever.
-    tag_map: TagMap,
-    next_tag: u32,
+    port: DramPort,
     first_err_out: Option<u64>,
 }
 
@@ -700,20 +780,8 @@ impl McuDriver {
             golden: None,
             t_ov: DramOverlay::new(),
             g_ov: DramOverlay::new(),
-            inbox: VecDeque::new(),
-            tag_map: TagMap::new(),
-            next_tag: 0,
+            port: DramPort::default(),
             first_err_out: None,
-        }
-    }
-
-    fn alloc_tag(&mut self) -> u32 {
-        loop {
-            let t = self.next_tag;
-            self.next_tag = (self.next_tag + 1) % 256;
-            if !self.tag_map.contains_key(&t) {
-                return t;
-            }
         }
     }
 }
@@ -722,32 +790,8 @@ impl CosimDriver for McuDriver {
     fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        while let Some(msg) = self.sys.pop_outbox() {
-            match msg {
-                OutMsg::DramFill { bank, line } => {
-                    let tag = self.alloc_tag();
-                    self.tag_map.insert(tag, Some((bank, line)));
-                    self.inbox.push_back(DramCmd::fill(tag, bank, line));
-                }
-                OutMsg::DramWriteback { bank, line, data } => {
-                    let tag = self.alloc_tag();
-                    self.tag_map.insert(tag, None);
-                    self.inbox
-                        .push_back(DramCmd::writeback(tag, bank, line, data));
-                }
-                other => unreachable!("unexpected outbox message {other:?}"),
-            }
-        }
-        let cmd = match self.inbox.front() {
-            Some(c)
-                if self
-                    .target
-                    .ready(c.kind == nestsim_proto::DramCmdKind::Writeback) =>
-            {
-                self.inbox.pop_front()
-            }
-            _ => None,
-        };
+        self.port.intake(&mut self.sys);
+        let cmd = (self.port).accept(|c| self.target.ready(c.kind == DramCmdKind::Writeback));
         let t_out = {
             let mut be = OverlayBackend::new(self.sys.dram(), &mut self.t_ov);
             self.target.tick(&McuInputs { cmd: cmd.clone() }, &mut be)
@@ -762,17 +806,7 @@ impl CosimDriver for McuDriver {
             }
         }
         if let Some(resp) = t_out.resp {
-            if !resp.is_writeback_ack {
-                // Route by the tag the engine allocated; a corrupted tag
-                // fails the lookup and the fill is lost (the L2/threads
-                // hang), or collides with another request and delivers
-                // wrong data to the wrong line.
-                if let Some(Some((bank, line))) = self.tag_map.remove(&resp.tag) {
-                    self.sys.deliver_fill(bank, line, resp.data);
-                }
-            } else {
-                self.tag_map.remove(&resp.tag);
-            }
+            self.port.complete(&mut self.sys, resp);
         }
     }
 
@@ -815,10 +849,7 @@ impl CosimDriver for McuDriver {
     }
 
     fn drained(&self) -> bool {
-        self.inbox.is_empty()
-            && self.target.idle()
-            && self.tag_map.is_empty()
-            && self.sys.waiting_on_uncore() == 0
+        self.port.idle() && self.target.idle() && self.sys.waiting_on_uncore() == 0
     }
 
     fn erroneous_output(&self) -> Option<u64> {
@@ -840,20 +871,7 @@ impl CosimDriver for McuDriver {
         corrupted.dedup();
         self.t_ov.apply_to(self.sys.dram_mut());
         self.sys.set_intercept(InterceptMode::None);
-        // Serve any commands the wedged target never accepted, plus
-        // outstanding fills it swallowed, functionally (forced detach).
-        let pending: Vec<DramCmd> = self.inbox.drain(..).collect();
-        for cmd in pending {
-            match cmd.kind {
-                nestsim_proto::DramCmdKind::Fill => {
-                    let data = self.sys.dram().read_line(cmd.line);
-                    self.sys.deliver_fill(cmd.bank, cmd.line, data);
-                }
-                nestsim_proto::DramCmdKind::Writeback => {
-                    self.sys.dram_mut().write_line(cmd.line, cmd.data);
-                }
-            }
-        }
+        self.port.serve_stranded(&mut self.sys);
         self.sys.mark_tainted(corrupted.iter().copied());
         Detach {
             sys: self.sys,

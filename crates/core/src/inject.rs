@@ -28,6 +28,26 @@ pub struct GoldenRef {
     pub cycles: u64,
 }
 
+impl GoldenRef {
+    /// The watchdog every faulty run is armed with: twice the error-free
+    /// length plus [`WATCHDOG_MARGIN`].
+    pub fn watchdog(&self) -> u64 {
+        2 * self.cycles + WATCHDOG_MARGIN
+    }
+
+    /// The run-end verdict on a faulty run's application result (Fig. 2
+    /// step 12): a trap is `Ut`, the watchdog `Hang`, the error-free
+    /// output digest `Vanished` and any other output `Omm`.
+    pub fn verdict(&self, result: &RunResult) -> Outcome {
+        match *result {
+            RunResult::Trapped { .. } => Outcome::Ut,
+            RunResult::Hang { .. } => Outcome::Hang,
+            RunResult::Completed { digest, .. } if digest == self.digest => Outcome::Vanished,
+            RunResult::Completed { .. } => Outcome::Omm,
+        }
+    }
+}
+
 /// Parameters of one injection run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionSpec {
@@ -225,7 +245,7 @@ pub(crate) fn warm<D: CosimDriver>(
         }
         None => base.clone(),
     };
-    sys.set_watchdog(2 * golden.cycles + WATCHDOG_MARGIN);
+    sys.set_watchdog(golden.watchdog());
     sys.run_until(entry);
     let mut driver = attach(sys);
     // Phase 1, step 4: warm-up with live traffic to reconstruct the
@@ -485,21 +505,10 @@ pub(crate) fn finish<D: CosimDriver>(
         .map(|&l| inject_cycle.saturating_sub(sys.last_store_cycle(l).unwrap_or(0)))
         .max();
 
-    let result = sys.run_to_end();
-    let outcome = match result {
-        RunResult::Trapped { .. } => Outcome::Ut,
-        RunResult::Hang { .. } => Outcome::Hang,
-        RunResult::Completed { digest, .. } => {
-            if digest == golden.digest {
-                if error_observed || !corrupted.is_empty() {
-                    Outcome::Ona
-                } else {
-                    Outcome::Vanished
-                }
-            } else {
-                Outcome::Omm
-            }
-        }
+    // A matching output after an observed error is ONA (Sec. 3.2).
+    let outcome = match golden.verdict(&sys.run_to_end()) {
+        Outcome::Vanished if error_observed || !corrupted.is_empty() => Outcome::Ona,
+        outcome => outcome,
     };
 
     // Fig. 8 propagation latency: first erroneous packet to the cores,
@@ -723,7 +732,7 @@ pub(crate) mod tests {
                 cost.resident_l2_lines as u64,
             );
         }
-        sys.set_watchdog(2 * golden.cycles + WATCHDOG_MARGIN);
+        sys.set_watchdog(golden.watchdog());
         sys.run_until(entry);
         let comp = spec.component.name();
         rec.count(names::STATE_TRANSFER_TO_RTL, 1);

@@ -79,19 +79,9 @@ pub fn run_rtl_only_injection(
     inject_cycle: u64,
 ) -> Outcome {
     let mut sys = System::new(cfg.system_config(cfg.seed));
-    sys.set_watchdog(2 * golden.cycles + 50_000);
+    sys.set_watchdog(golden.watchdog());
     let (result, _) = run_rtl_only(sys, cfg.bank, Some((bit, inject_cycle)), u64::MAX);
-    match result {
-        RunResult::Trapped { .. } => Outcome::Ut,
-        RunResult::Hang { .. } => Outcome::Hang,
-        RunResult::Completed { digest, .. } => {
-            if digest == golden.digest {
-                Outcome::Vanished
-            } else {
-                Outcome::Omm
-            }
-        }
-    }
+    golden.verdict(&result)
 }
 
 /// Mixed-mode counterpart on the identical reduced configuration, so
@@ -103,8 +93,7 @@ pub fn run_mixed_injection_reduced(
     bit: usize,
     inject_cycle: u64,
 ) -> Outcome {
-    let mut base = System::new(cfg.system_config(cfg.seed));
-    base.set_watchdog(2 * golden.cycles + 50_000);
+    let base = System::new(cfg.system_config(cfg.seed));
     let spec = crate::inject::InjectionSpec {
         component: nestsim_models::ComponentKind::L2c,
         instance: cfg.bank.index(),

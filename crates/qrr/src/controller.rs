@@ -4,7 +4,7 @@
 //! The controller's own flip-flops are radiation-hardened in the paper
 //! (Sec. 6.4 item 3), so — assuming single soft errors — its state is
 //! never injected and is modeled as plain (uncorruptible) Rust state;
-//! its *cost* is accounted by `nestsim-cost`.
+//! its *cost* is accounted by [`crate::cost`].
 
 use std::collections::VecDeque;
 

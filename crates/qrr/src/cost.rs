@@ -26,9 +26,6 @@
 //! calibration. Chip-level scaling uses the paper's implied
 //! logic-area/power share of all L2C+MCU instances in the full chip.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use nestsim_models::inventory::{table3_for, table4_for};
 use nestsim_models::ComponentKind;
 
@@ -76,7 +73,7 @@ impl ProtectionCounts {
 /// # Examples
 ///
 /// ```
-/// use nestsim_cost::CostModel;
+/// use nestsim_qrr::cost::CostModel;
 ///
 /// let t6 = CostModel::default().table6();
 /// // The paper's Table 6 headline numbers (within calibration tolerance).
@@ -306,93 +303,4 @@ pub mod paper {
     pub const HARDENING_ONLY: [f64; 4] = [0.603, 0.0434, 0.683, 0.0878];
     /// Paper's claimed QRR savings vs. hardening-only (area, power).
     pub const SAVINGS: [f64; 2] = [0.23, 0.31];
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn close(a: f64, b: f64, tol: f64) -> bool {
-        (a - b).abs() <= tol
-    }
-
-    #[test]
-    fn table6_matches_paper_within_tolerance() {
-        let t = CostModel::default().table6();
-        assert!(
-            close(t.qrr_area.parity, 0.325, 0.01),
-            "{}",
-            t.qrr_area.parity
-        );
-        assert!(
-            close(t.qrr_area.hardening, 0.076, 0.01),
-            "{}",
-            t.qrr_area.hardening
-        );
-        assert!(
-            close(t.qrr_area.controller, 0.058, 0.01),
-            "{}",
-            t.qrr_area.controller
-        );
-        assert!(
-            close(t.qrr_area.total(), 0.459, 0.02),
-            "{}",
-            t.qrr_area.total()
-        );
-        assert!(
-            close(t.qrr_power.total(), 0.474, 0.02),
-            "{}",
-            t.qrr_power.total()
-        );
-        assert!(
-            close(t.hardening_only_area, 0.603, 0.02),
-            "{}",
-            t.hardening_only_area
-        );
-        assert!(
-            close(t.hardening_only_power, 0.683, 0.02),
-            "{}",
-            t.hardening_only_power
-        );
-    }
-
-    #[test]
-    fn chip_level_overheads_match_paper() {
-        let t = CostModel::default().table6();
-        assert!(close(t.qrr_area_chip, 0.0332, 0.003), "{}", t.qrr_area_chip);
-        assert!(
-            close(t.qrr_power_chip, 0.0609, 0.005),
-            "{}",
-            t.qrr_power_chip
-        );
-    }
-
-    #[test]
-    fn qrr_is_cheaper_than_hardening_everything() {
-        let t = CostModel::default().table6();
-        let area_saving = 1.0 - t.qrr_area.total() / t.hardening_only_area;
-        let power_saving = 1.0 - t.qrr_power.total() / t.hardening_only_power;
-        // Paper: 23% and 31% lower, respectively.
-        assert!(close(area_saving, 0.23, 0.05), "{area_saving}");
-        assert!(close(power_saving, 0.31, 0.05), "{power_saving}");
-    }
-
-    #[test]
-    fn budgets_scale_with_gate_counts() {
-        let m = CostModel::default();
-        let l2c = m.component_budget(ComponentKind::L2c);
-        let mcu = m.component_budget(ComponentKind::Mcu);
-        assert!(l2c.area > mcu.area);
-        assert!(l2c.power > mcu.power);
-    }
-
-    #[test]
-    fn custom_partition_shifts_costs() {
-        let m = CostModel::default();
-        let mut cheap = ProtectionCounts::paper_l2c();
-        cheap.hardened_timing = 0; // pretend no timing-critical flops
-        let t = m.table6_with(&cheap, &ProtectionCounts::paper_mcu());
-        let t_ref = m.table6();
-        assert!(t.qrr_area.hardening < t_ref.qrr_area.hardening);
-    }
 }

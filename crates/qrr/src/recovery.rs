@@ -5,7 +5,8 @@
 //! record table with its monitors, and the replay FSM. No golden copy
 //! is needed — recovery correctness is judged end-to-end by running the
 //! application to completion and comparing its output digest against
-//! the error-free reference, the strictest possible check.
+//! the error-free reference, the strictest possible check. The MCU's
+//! [`crate::QrrMcuDriver`] shares its run and campaign loop.
 //!
 //! Known corner (the paper's footnote 14 concedes such cases exist): a
 //! read-modify-write atomic whose array update committed but whose
@@ -18,23 +19,22 @@
 
 use std::collections::VecDeque;
 
+use nestsim_core::campaign::{golden_reference, injection_window, instances_of, CampaignSpec};
+use nestsim_core::cosim::COSIM_DRAM_LATENCY;
 use nestsim_core::inject::{GoldenRef, MIN_WARMUP};
 use nestsim_core::Outcome;
 use nestsim_hlsim::workload::BenchProfile;
-use nestsim_hlsim::{InterceptMode, OutMsg, RunResult, System};
+use nestsim_hlsim::{InterceptMode, OutMsg, System};
 use nestsim_models::l2c::L2cInputs;
-use nestsim_models::{L2cBank, UncoreRtl};
+use nestsim_models::{ComponentKind, L2cBank, UncoreRtl};
 use nestsim_proto::addr::BankId;
 use nestsim_proto::{DramCmd, DramCmdKind, DramResp, PcxPacket};
-use nestsim_rtl::{ParityDetector, ParityPlan};
-use nestsim_stats::SeedSeq;
+use nestsim_rtl::{FlopClass, FlopSpace, ParityDetector, ParityPlan};
+use nestsim_stats::{seed::SplitRng, SeedSeq};
 use nestsim_telemetry::{names, EventKind, Recorder};
 
 use crate::controller::QrrController;
 
-/// DRAM round-trip latency during QRR co-simulation (matches the plain
-/// driver so timing behaviour is comparable).
-pub const QRR_DRAM_LATENCY: u64 = 40;
 /// Worst-case recovery budget the paper quotes for L2C ("fewer than
 /// 5,000 cycles" when every replayed packet is a load miss).
 pub const PAPER_WORST_CASE_RECOVERY: u64 = 5_000;
@@ -44,7 +44,7 @@ pub const PAPER_WORST_CASE_RECOVERY: u64 = 5_000;
 pub struct QrrRecord {
     /// Application outcome.
     pub outcome: Outcome,
-    /// The flipped bit.
+    /// The flipped bit (the first of a burst).
     pub bit: usize,
     /// Whether parity detected the flip (i.e. the flop was covered).
     pub detected: bool,
@@ -52,6 +52,62 @@ pub struct QrrRecord {
     pub recovered: bool,
     /// Cycles from detection until normal operation resumed.
     pub recovery_cycles: u64,
+}
+
+/// A co-simulation driver with the QRR hardware attached: what the
+/// protected run needs of it. Each driver keeps its own `step`, the
+/// cycle of its component with parity, record table and replay.
+pub trait QrrDriver: Sized {
+    /// The protected component.
+    const KIND: ComponentKind;
+
+    /// Advances one cycle.
+    fn step(&mut self);
+
+    /// Flips every bit of `bits` in the same cycle, as from one particle
+    /// strike. Detection follows real parity physics: an even number of
+    /// flips under one XOR tree cancels and escapes. If parity sees the
+    /// flips, the write paths are gated at once (the Sec. 6.2 fix routing
+    /// individual error signals to the write disables) and the aggregated
+    /// detection reaches the controller a few cycles later. Returns
+    /// whether parity saw them.
+    fn flip(&mut self, bits: &[usize]) -> bool;
+
+    /// True when detaching would strand nothing.
+    fn drained(&self) -> bool;
+
+    /// The underlying system.
+    fn sys(&self) -> &System;
+
+    /// Ends co-simulation and resumes pure accelerated mode.
+    fn detach(self) -> System;
+
+    /// Recoveries the controller performed, and the cycles the last one
+    /// took.
+    fn recoveries(&self) -> (u64, u64);
+}
+
+/// [`QrrDriver::flip`] on `flops` at `cycle`, up to the write gating:
+/// returns whether `detector` has a detection pending.
+pub(crate) fn flip_under_parity(
+    flops: &mut FlopSpace,
+    detector: &mut ParityDetector,
+    bits: &[usize],
+    cycle: u64,
+) -> bool {
+    for &bit in bits {
+        flops.flip(bit);
+        detector.observe_flip(bit, cycle);
+    }
+    detector.is_pending()
+}
+
+/// The `Target` flops of `flops` that the Sec. 6.4 parity plan covers.
+pub(crate) fn parity_covered(flops: &FlopSpace) -> Vec<usize> {
+    let plan = ParityPlan::for_qrr(flops);
+    (flops.bits_where(|c| c == FlopClass::Target).into_iter())
+        .filter(|&b| plan.covers(b))
+        .collect()
 }
 
 /// The QRR-protected L2C co-simulation driver.
@@ -85,44 +141,20 @@ impl QrrL2cDriver {
         }
     }
 
-    /// Injects a flip at `bit`. If the flop is parity-covered, the
-    /// write paths are gated immediately (the Sec. 6.2 fix routing
-    /// individual error signals to the write disables) and the
-    /// aggregated detection reaches the controller a few cycles later.
-    /// Returns whether the flip was detected.
-    pub fn inject(&mut self, bit: usize) -> bool {
-        self.inject_burst(&[bit])
-    }
-
-    /// Injects a multi-bit burst (the paper's future-work "broader
-    /// class of errors"): all bits flip in the same cycle, as from a
-    /// single particle strike spanning adjacent flops. Detection
-    /// follows real parity physics — an even number of flips under the
-    /// same XOR tree cancels and escapes (see
-    /// [`nestsim_rtl::ParityDetector::observe_flip`]). Returns whether
-    /// the burst was detected.
-    pub fn inject_burst(&mut self, bits: &[usize]) -> bool {
-        let cyc = self.sys.cycle();
-        for &bit in bits {
-            self.target.flops_mut().flip(bit);
-            self.detector.observe_flip(bit, cyc);
-        }
-        if self.detector.is_pending() {
-            self.target.set_write_block(true);
-            true
-        } else {
-            false
+    /// The same driver with parity over `plan` (e.g. an interleaved
+    /// layout) instead of the Sec. 6.4 one.
+    pub fn with_parity_plan(self, plan: ParityPlan) -> Self {
+        QrrL2cDriver {
+            detector: ParityDetector::new(plan),
+            ..self
         }
     }
+}
 
-    /// Replaces the parity plan (e.g. with an interleaved layout) —
-    /// must be called before any injection.
-    pub fn set_parity_plan(&mut self, plan: ParityPlan) {
-        self.detector = ParityDetector::new(plan);
-    }
+impl QrrDriver for QrrL2cDriver {
+    const KIND: ComponentKind = ComponentKind::L2c;
 
-    /// Advances one cycle.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
         while let Some(msg) = self.sys.pop_outbox() {
@@ -197,7 +229,7 @@ impl QrrL2cDriver {
         });
 
         if let Some(cmd) = out.dram_cmd {
-            self.dram_q.push_back((cyc + QRR_DRAM_LATENCY, cmd));
+            self.dram_q.push_back((cyc + COSIM_DRAM_LATENCY, cmd));
         }
         if let Some(cpx) = out.cpx {
             let still = self.target.inflight_miss_ids().contains(&cpx.id);
@@ -217,8 +249,16 @@ impl QrrL2cDriver {
         self.ctrl.poll_recovery_complete(cyc);
     }
 
-    /// True when detaching would strand nothing.
-    pub fn drained(&self) -> bool {
+    fn flip(&mut self, bits: &[usize]) -> bool {
+        let cycle = self.sys.cycle();
+        let detected = flip_under_parity(self.target.flops_mut(), &mut self.detector, bits, cycle);
+        if detected {
+            self.target.set_write_block(true);
+        }
+        detected
+    }
+
+    fn drained(&self) -> bool {
         self.inbox.is_empty()
             && self.target.idle()
             && self.dram_q.is_empty()
@@ -226,14 +266,13 @@ impl QrrL2cDriver {
             && !self.ctrl.blocking_new_requests()
     }
 
-    /// The underlying system.
-    pub fn sys(&self) -> &System {
+    fn sys(&self) -> &System {
         &self.sys
     }
 
-    /// Ends co-simulation: transfers the bank's architectural state
-    /// back and resumes pure accelerated mode.
-    pub fn detach(mut self) -> System {
+    /// Transfers the bank's architectural state back and serves the
+    /// packets it never accepted functionally.
+    fn detach(mut self) -> System {
         self.sys
             .set_bank_arch(self.bank, self.target.arch().clone());
         self.sys.set_intercept(InterceptMode::None);
@@ -243,90 +282,55 @@ impl QrrL2cDriver {
         }
         self.sys
     }
+
+    fn recoveries(&self) -> (u64, u64) {
+        (self.ctrl.recoveries, self.ctrl.last_recovery_cycles)
+    }
 }
 
-/// Runs one QRR-protected injection (analogous to
-/// [`nestsim_core::inject::run_injection`] but with the QRR hardware
-/// in the loop) and judges recovery end-to-end.
-pub fn run_qrr_injection(
+/// Runs one QRR-protected injection of `bits` on the driver `attach`
+/// builds (analogous to [`nestsim_core::inject::run_injection`] but with
+/// the QRR hardware in the loop) and judges recovery end-to-end. Parity
+/// detections, replay attempts and recovery outcomes go into `rec`.
+pub fn run_qrr_injection<D: QrrDriver>(
     base: &System,
     golden: &GoldenRef,
-    bank: usize,
-    bit: usize,
-    inject_cycle: u64,
-    warmup: u64,
-) -> QrrRecord {
-    run_qrr_injection_with(
-        base,
-        golden,
-        bank,
-        bit,
-        inject_cycle,
-        warmup,
-        &mut Recorder::null(),
-    )
-}
-
-/// [`run_qrr_injection`] with telemetry: parity detections, replay
-/// attempts and recovery outcomes are recorded into `rec`.
-#[allow(clippy::too_many_arguments)] // mirrors run_injection_with's published signature
-pub fn run_qrr_injection_with(
-    base: &System,
-    golden: &GoldenRef,
-    bank: usize,
-    bit: usize,
+    attach: impl FnOnce(System) -> D,
+    bits: &[usize],
     inject_cycle: u64,
     warmup: u64,
     rec: &mut Recorder,
 ) -> QrrRecord {
-    let entry = inject_cycle.saturating_sub(warmup.max(MIN_WARMUP));
+    let comp = D::KIND.name();
+    let warmup = warmup.max(MIN_WARMUP);
     let mut sys = base.clone();
-    sys.set_watchdog(2 * golden.cycles + 50_000);
-    sys.run_until(entry);
-    let mut drv = QrrL2cDriver::attach(sys, BankId::new(bank % 8));
-    for _ in 0..warmup.max(MIN_WARMUP) {
+    sys.set_watchdog(golden.watchdog());
+    sys.run_until(inject_cycle.saturating_sub(warmup));
+    let mut drv = attach(sys);
+    for _ in 0..warmup {
         drv.step();
     }
-    let detected = drv.inject(bit);
+    let detected = drv.flip(bits);
     rec.count(names::QRR_RUNS, 1);
     if detected {
         rec.count(names::QRR_DETECTED, 1);
-        rec.event(
-            drv.sys().cycle(),
-            "L2C",
-            EventKind::ParityDetected,
-            bit as u64,
-        );
+        let cycle = drv.sys().cycle();
+        rec.event(cycle, comp, EventKind::ParityDetected, bits[0] as u64);
     }
 
     // Run co-simulation until recovery completes and traffic drains
     // (bounded; undetected flips may simply never show activity).
-    let mut budget = 60_000u64;
-    while budget > 0 {
+    for budget in (0..60_000u64).rev() {
         drv.step();
-        budget -= 1;
-        if drv.sys().trap().is_some() {
-            break;
-        }
-        if budget.is_multiple_of(32) && drv.drained() {
+        if drv.sys().trap().is_some() || (budget.is_multiple_of(32) && drv.drained()) {
             break;
         }
     }
-    let recovery_cycles = drv.ctrl.last_recovery_cycles;
-    rec.count(names::QRR_REPLAY_ATTEMPTS, drv.ctrl.recoveries);
+    let (recoveries, recovery_cycles) = drv.recoveries();
+    rec.count(names::QRR_REPLAY_ATTEMPTS, recoveries);
     let mut sys = drv.detach();
-    let result = sys.run_to_end();
-    let (outcome, recovered) = match result {
-        RunResult::Trapped { .. } => (Outcome::Ut, false),
-        RunResult::Hang { .. } => (Outcome::Hang, false),
-        RunResult::Completed { digest, .. } => {
-            if digest == golden.digest {
-                (Outcome::Vanished, true)
-            } else {
-                (Outcome::Omm, false)
-            }
-        }
-    };
+    let outcome = golden.verdict(&sys.run_to_end());
+    let recovered = outcome == Outcome::Vanished;
     if detected {
         if recovered {
             rec.count(names::QRR_RECOVERED, 1);
@@ -334,20 +338,54 @@ pub fn run_qrr_injection_with(
         } else {
             rec.count(names::QRR_FAILED, 1);
         }
-        rec.event(
-            sys.cycle(),
-            "L2C",
-            EventKind::ReplayOutcome,
-            u64::from(!recovered),
-        );
+        let failed = u64::from(!recovered);
+        rec.event(sys.cycle(), comp, EventKind::ReplayOutcome, failed);
     }
     QrrRecord {
         outcome,
-        bit,
+        bit: bits[0],
         detected,
         recovered,
         recovery_cycles,
     }
+}
+
+/// The one Sec. 6.4 campaign loop: `samples` protected runs on `D`'s
+/// component, drawn from the seed stream `salt`. Each sample draws its
+/// bits (`choose`), its injection cycle from the component's
+/// [`injection_window`], its warm-up and its instance, in that order,
+/// and runs on the driver `attach` builds for that instance.
+#[allow(clippy::too_many_arguments)] // the cell (4), the draw (3) and the recorder
+pub(crate) fn campaign<'a, D: QrrDriver>(
+    profile: &'static BenchProfile,
+    samples: u64,
+    seed: u64,
+    length_scale: u64,
+    salt: &str,
+    choose: impl Fn(&mut SplitRng) -> &'a [usize],
+    attach: impl Fn(System, usize) -> D,
+    rec: &mut Recorder,
+) -> Vec<QrrRecord> {
+    let spec = CampaignSpec {
+        seed,
+        length_scale,
+        ..CampaignSpec::new(D::KIND, samples)
+    };
+    let (base, golden) = golden_reference(profile, &spec);
+    let (lo, hi) = injection_window(D::KIND, profile, &golden);
+    let instances = instances_of(D::KIND) as u64;
+    let root = SeedSeq::new(seed).derive(salt).derive(profile.name);
+    (0..samples)
+        .map(|k| {
+            let mut rng = root.derive_index(k).rng();
+            let bits = choose(&mut rng);
+            let cycle = rng.range(lo, hi);
+            let warmup = MIN_WARMUP + rng.below(1_000);
+            let instance = rng.below(instances) as usize;
+            let attach = |sys| attach(sys, instance);
+            run_qrr_injection(&base, &golden, attach, bits, cycle, warmup, rec)
+        })
+        .collect()
 }
 
 /// Aggregate results of a QRR evaluation campaign.
@@ -361,63 +399,45 @@ pub struct QrrEval {
     pub max_recovery_cycles: u64,
 }
 
-/// Runs a QRR evaluation campaign over parity-covered flops of the L2C
-/// (the Sec. 6.4 experiment: "QRR successfully recovered from all
-/// errors injected into the flip-flops covered by logic parity").
-pub fn qrr_campaign(
-    profile: &'static BenchProfile,
-    samples: u64,
-    seed: u64,
-    length_scale: u64,
-) -> (QrrEval, Vec<QrrRecord>) {
-    qrr_campaign_with(profile, samples, seed, length_scale, &mut Recorder::null())
+impl QrrEval {
+    /// Tallies a campaign's records.
+    pub(crate) fn of(records: &[QrrRecord]) -> Self {
+        let covered = records.iter().filter(|r| r.detected);
+        QrrEval {
+            covered_runs: covered.clone().count() as u64,
+            covered_recovered: covered.filter(|r| r.recovered).count() as u64,
+            max_recovery_cycles: (records.iter())
+                .map(|r| r.recovery_cycles)
+                .max()
+                .unwrap_or(0),
+        }
+    }
 }
 
-/// [`qrr_campaign`] with telemetry: per-run QRR telemetry is merged
-/// into `rec` in sample order (the campaign is serial, so the merge
-/// order is the execution order).
-pub fn qrr_campaign_with(
+/// Runs a QRR evaluation campaign over parity-covered flops of the L2C
+/// (the Sec. 6.4 experiment: "QRR successfully recovered from all
+/// errors injected into the flip-flops covered by logic parity"). Per-run
+/// QRR telemetry is recorded into `rec` in sample order (the campaign
+/// is serial, so that is the execution order).
+pub fn qrr_campaign(
     profile: &'static BenchProfile,
     samples: u64,
     seed: u64,
     length_scale: u64,
     rec: &mut Recorder,
 ) -> (QrrEval, Vec<QrrRecord>) {
-    use nestsim_core::campaign::{golden_reference, CampaignSpec};
-    use nestsim_models::ComponentKind;
-
-    let spec = CampaignSpec {
+    let covered = parity_covered(L2cBank::new(BankId::new(0)).flops());
+    let records = campaign(
+        profile,
+        samples,
         seed,
         length_scale,
-        ..CampaignSpec::new(ComponentKind::L2c, samples)
-    };
-    let (base, golden) = golden_reference(profile, &spec);
-    let covered_bits: Vec<usize> = {
-        let bank = L2cBank::new(BankId::new(0));
-        let plan = ParityPlan::for_qrr(bank.flops());
-        bank.flops()
-            .bits_where(|c| c == nestsim_rtl::FlopClass::Target)
-            .into_iter()
-            .filter(|&b| plan.covers(b))
-            .collect()
-    };
-    let root = SeedSeq::new(seed).derive("qrr").derive(profile.name);
-    let mut eval = QrrEval::default();
-    let mut records = Vec::with_capacity(samples as usize);
-    let hi = (golden.cycles * 9 / 10).max(MIN_WARMUP + 128);
-    for k in 0..samples {
-        let mut rng = root.derive_index(k).rng();
-        let bit = *rng.pick(&covered_bits);
-        let cycle = rng.range(MIN_WARMUP + 64, hi.max(MIN_WARMUP + 65));
-        let warmup = MIN_WARMUP + rng.below(1_000);
-        let bank = rng.below(8) as usize;
-        let r = run_qrr_injection_with(&base, &golden, bank, bit, cycle, warmup, rec);
-        eval.covered_runs += u64::from(r.detected);
-        eval.covered_recovered += u64::from(r.detected && r.recovered);
-        eval.max_recovery_cycles = eval.max_recovery_cycles.max(r.recovery_cycles);
-        records.push(r);
-    }
-    (eval, records)
+        "qrr",
+        |rng| std::slice::from_ref(rng.pick(&covered)),
+        |sys, bank| QrrL2cDriver::attach(sys, BankId::new(bank)),
+        rec,
+    );
+    (QrrEval::of(&records), records)
 }
 
 /// Aggregate results of a burst-injection campaign (the multi-bit
@@ -438,12 +458,13 @@ pub struct BurstEval {
     pub silent_failures: u64,
 }
 
-/// Runs a QRR burst-injection campaign: `width` adjacent covered flops
-/// flip simultaneously. With the default blocked parity layout,
-/// even-width bursts inside one XOR tree cancel and escape detection;
-/// with `interleaved = true`, adjacent flops sit under different trees
-/// and every burst is caught — the standard interleaving mitigation,
-/// quantified.
+/// Runs a QRR burst-injection campaign: `width` adjacent `Target` flops
+/// of the L2C flip simultaneously, as from a single particle strike (the
+/// paper's future-work "broader class of errors"). With the default
+/// blocked parity layout, even-width bursts inside one XOR tree cancel
+/// and escape detection; with `interleaved = true`, adjacent flops sit
+/// under different trees and every burst is caught — the standard
+/// interleaving mitigation, quantified.
 pub fn burst_campaign(
     profile: &'static BenchProfile,
     samples: u64,
@@ -452,84 +473,52 @@ pub fn burst_campaign(
     seed: u64,
     length_scale: u64,
 ) -> BurstEval {
-    use nestsim_core::campaign::{golden_reference, CampaignSpec};
-    use nestsim_models::ComponentKind;
-    use nestsim_rtl::FlopClass;
-
-    let spec = CampaignSpec {
-        seed,
-        length_scale,
-        ..CampaignSpec::new(ComponentKind::L2c, samples)
-    };
-    let (base, golden) = golden_reference(profile, &spec);
     let reference = L2cBank::new(BankId::new(0));
-    let covered: Vec<usize> = reference.flops().bits_where(|c| c == FlopClass::Target);
+    let targets = reference.flops().bits_where(|c| c == FlopClass::Target);
     let plan = if interleaved {
         ParityPlan::for_qrr_interleaved(reference.flops())
     } else {
         ParityPlan::for_qrr(reference.flops())
     };
-    let root = SeedSeq::new(seed).derive("qrr-burst").derive(profile.name);
-    let hi = (golden.cycles * 9 / 10).max(MIN_WARMUP + 128);
-    let mut eval = BurstEval::default();
-    for k in 0..samples {
-        let mut rng = root.derive_index(k).rng();
-        // A burst strikes `width` *physically adjacent* covered flops.
-        let start = rng.below((covered.len() - width) as u64) as usize;
-        let bits: Vec<usize> = covered[start..start + width].to_vec();
-        let cycle = rng.range(MIN_WARMUP + 64, hi.max(MIN_WARMUP + 65));
-        let warmup = MIN_WARMUP + rng.below(1_000);
-
-        let entry = cycle.saturating_sub(warmup);
-        let mut sys = base.clone();
-        sys.set_watchdog(2 * golden.cycles + 50_000);
-        sys.run_until(entry);
-        let mut drv = QrrL2cDriver::attach(sys, BankId::new(rng.below(8) as usize % 8));
-        drv.set_parity_plan(plan.clone());
-        for _ in 0..warmup {
-            drv.step();
-        }
-        let detected = drv.inject_burst(&bits);
-        let mut budget = 60_000u64;
-        while budget > 0 {
-            drv.step();
-            budget -= 1;
-            if drv.sys().trap().is_some() {
-                break;
-            }
-            if budget.is_multiple_of(32) && drv.drained() {
-                break;
-            }
-        }
-        let mut sys = drv.detach();
-        let ok = matches!(
-            sys.run_to_end(),
-            RunResult::Completed { digest, .. } if digest == golden.digest
-        );
-        eval.runs += 1;
-        if detected {
-            eval.detected += 1;
-            eval.recovered += u64::from(ok);
-        } else if ok {
-            eval.escaped_benign += 1;
-        } else {
-            eval.silent_failures += 1;
-        }
+    let records = campaign(
+        profile,
+        samples,
+        seed,
+        length_scale,
+        "qrr-burst",
+        |rng| {
+            // A burst strikes `width` *physically adjacent* flops.
+            let start = rng.below((targets.len() - width) as u64) as usize;
+            &targets[start..start + width]
+        },
+        |sys, bank| QrrL2cDriver::attach(sys, BankId::new(bank)).with_parity_plan(plan.clone()),
+        &mut Recorder::null(),
+    );
+    let count = |of: fn(&QrrRecord) -> bool| records.iter().filter(|r| of(r)).count() as u64;
+    BurstEval {
+        runs: records.len() as u64,
+        detected: count(|r| r.detected),
+        recovered: count(|r| r.detected && r.recovered),
+        escaped_benign: count(|r| !r.detected && r.recovered),
+        silent_failures: count(|r| !r.detected && !r.recovered),
     }
-    eval
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nestsim_core::campaign::{golden_reference, CampaignSpec};
     use nestsim_hlsim::workload::by_name;
-    use nestsim_models::ComponentKind;
-    use nestsim_rtl::FlopClass;
 
     fn setup() -> (System, GoldenRef) {
         let spec = CampaignSpec::quick(ComponentKind::L2c, 1);
         golden_reference(by_name("radi").unwrap(), &spec)
+    }
+
+    /// One protected run on bank 0 flipping `bit` at `cycle`.
+    fn run(base: &System, golden: &GoldenRef, bit: usize, cycle: u64) -> QrrRecord {
+        let attach = |sys| QrrL2cDriver::attach(sys, BankId::new(0));
+        let rec = &mut Recorder::null();
+        run_qrr_injection(base, golden, attach, &[bit], cycle, MIN_WARMUP, rec)
     }
 
     fn covered_bit(name: &str, offset: usize) -> usize {
@@ -548,7 +537,7 @@ mod tests {
         // An IQ address bit: covered by parity, and dangerous without
         // QRR (it redirects a request to the wrong line).
         let bit = covered_bit("iq[0].addr", 10);
-        let r = run_qrr_injection(&base, &golden, 0, bit, 2_500, MIN_WARMUP);
+        let r = run(&base, &golden, bit, 2_500);
         assert!(r.detected, "parity must detect a covered flip");
         assert!(r.recovered, "QRR must recover: {r:?}");
         assert_eq!(r.outcome, Outcome::Vanished);
@@ -560,7 +549,7 @@ mod tests {
         // Dropping a request via a valid-bit flip hangs the app without
         // QRR; with QRR the replay re-executes the recorded packet.
         let bit = covered_bit("iq[0].valid", 0);
-        let r = run_qrr_injection(&base, &golden, 0, bit, 3_000, MIN_WARMUP);
+        let r = run(&base, &golden, bit, 3_000);
         assert!(r.detected);
         assert!(
             r.recovered,
@@ -579,7 +568,7 @@ mod tests {
             .find(|f| f.class == FlopClass::TimingCritical)
             .map(|f| f.offset)
             .unwrap();
-        let r = run_qrr_injection(&base, &golden, 0, bit, 2_500, MIN_WARMUP);
+        let r = run(&base, &golden, bit, 2_500);
         assert!(!r.detected, "hardened flops are outside parity coverage");
     }
 
@@ -588,23 +577,20 @@ mod tests {
         // Two adjacent covered flops under one XOR tree: parity stays
         // even → undetected. Under interleaving, the same burst is
         // caught.
-        let (base, golden) = setup();
+        let (base, _) = setup();
         let bank = L2cBank::new(BankId::new(0));
-        let covered = bank
-            .flops()
-            .bits_where(|c| c == nestsim_rtl::FlopClass::Target);
+        let covered = bank.flops().bits_where(|c| c == FlopClass::Target);
         let bits = [covered[0], covered[1]];
         let mut sys = base.clone();
         sys.run_until(1_000);
         let mut drv = QrrL2cDriver::attach(sys, BankId::new(0));
-        assert!(!drv.inject_burst(&bits), "blocked layout must miss");
+        assert!(!drv.flip(&bits), "blocked layout must miss");
 
         let mut sys2 = base.clone();
         sys2.run_until(1_000);
-        let mut drv2 = QrrL2cDriver::attach(sys2, BankId::new(0));
-        drv2.set_parity_plan(ParityPlan::for_qrr_interleaved(bank.flops()));
-        assert!(drv2.inject_burst(&bits), "interleaved layout must catch");
-        let _ = golden;
+        let interleaved = ParityPlan::for_qrr_interleaved(bank.flops());
+        let mut drv2 = QrrL2cDriver::attach(sys2, BankId::new(0)).with_parity_plan(interleaved);
+        assert!(drv2.flip(&bits), "interleaved layout must catch");
     }
 
     #[test]
@@ -617,7 +603,8 @@ mod tests {
 
     #[test]
     fn small_qrr_campaign_recovers_every_covered_flip() {
-        let (eval, records) = qrr_campaign(by_name("radi").unwrap(), 10, 77, 100);
+        let (eval, records) =
+            qrr_campaign(by_name("radi").unwrap(), 10, 77, 100, &mut Recorder::null());
         assert_eq!(records.len(), 10);
         assert!(eval.covered_runs > 0, "campaign must hit covered flops");
         assert_eq!(

@@ -13,12 +13,19 @@ use crate::Opts;
 pub fn qrr(opts: &Opts) {
     use nestsim_qrr::mcu_recovery::qrr_mcu_campaign;
     use nestsim_qrr::recovery::qrr_campaign;
+    use nestsim_telemetry::Recorder;
     println!(
         "== QRR recovery evaluation ({} injections/component into covered flops) ==\n",
         opts.samples
     );
     let profile = by_name("radi").unwrap();
-    let (l2c_eval, l2c_records) = qrr_campaign(profile, opts.samples, opts.seed, opts.scale.max(1));
+    let (l2c_eval, l2c_records) = qrr_campaign(
+        profile,
+        opts.samples,
+        opts.seed,
+        opts.scale.max(1),
+        &mut Recorder::null(),
+    );
     let (mcu_eval, mcu_records) = qrr_mcu_campaign(
         by_name("fft").unwrap(),
         opts.samples,
@@ -147,7 +154,7 @@ fn worst_case(opts: &Opts) {
     use nestsim_core::inject::MIN_WARMUP;
     use nestsim_models::ComponentKind;
     use nestsim_proto::addr::BankId;
-    use nestsim_qrr::recovery::QrrL2cDriver;
+    use nestsim_qrr::recovery::{QrrDriver, QrrL2cDriver};
 
     println!("\nWorst-case replay (cold cache, all misses):");
     let spec = CampaignSpec {
@@ -174,7 +181,7 @@ fn worst_case(opts: &Opts) {
             .map(|f| f.offset)
             .unwrap()
     };
-    drv.inject(bit);
+    drv.flip(&[bit]);
     for _ in 0..20_000 {
         drv.step();
         if drv.ctrl.recoveries > 0 && drv.drained() {

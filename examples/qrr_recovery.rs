@@ -11,8 +11,9 @@ use nestsim::core::inject::{run_injection, InjectionSpec, MIN_WARMUP};
 use nestsim::hlsim::workload::by_name;
 use nestsim::models::{ComponentKind, L2cBank, UncoreRtl};
 use nestsim::proto::addr::BankId;
-use nestsim::qrr::recovery::run_qrr_injection;
+use nestsim::qrr::recovery::{run_qrr_injection, QrrL2cDriver};
 use nestsim::qrr::QrrPlan;
+use nestsim::telemetry::Recorder;
 
 fn main() {
     let profile = by_name("lu-c").expect("known benchmark");
@@ -50,7 +51,9 @@ fn main() {
     // With QRR: parity detects the flip, the write paths are gated,
     // the bank is reset (configuration flops retained, SRAM arrays
     // preserved), and the record table replays the dropped request.
-    let protected = run_qrr_injection(&base, &golden, 0, bit, 3_000, MIN_WARMUP);
+    let attach = |sys| QrrL2cDriver::attach(sys, BankId::new(0));
+    let rec = &mut Recorder::null();
+    let protected = run_qrr_injection(&base, &golden, attach, &[bit], 3_000, MIN_WARMUP, rec);
     println!(
         "with QRR:    outcome = {}, detected = {}, recovered in {} cycles",
         protected.outcome, protected.detected, protected.recovery_cycles

@@ -21,8 +21,7 @@
 //! | [`core`] | `nestsim-core` | the mixed-mode platform, campaigns, Sec. 5 checkpoint analyses |
 //! | [`cluster`] | `nestsim-cluster` | distributed campaign execution (coordinator/worker over TCP) |
 //! | [`svc`] | `nestsim-svc` | multi-tenant campaign service (fair-share queue, dedup store) |
-//! | [`qrr`] | `nestsim-qrr` | Quick Replay Recovery |
-//! | [`cost`] | `nestsim-cost` | Table 6 area/power model |
+//! | [`qrr`] | `nestsim-qrr` | Quick Replay Recovery and its Table 6 area/power model |
 //! | [`stats`] | `nestsim-stats` | confidence intervals, CDFs, seeding |
 //! | [`telemetry`] | `nestsim-telemetry` | campaign observability (counters, traces) |
 //! | [`report`] | `nestsim-report` | table/figure rendering |
@@ -52,7 +51,6 @@
 pub use nestsim_arch as arch;
 pub use nestsim_cluster as cluster;
 pub use nestsim_core as core;
-pub use nestsim_cost as cost;
 pub use nestsim_hlsim as hlsim;
 pub use nestsim_models as models;
 pub use nestsim_proto as proto;

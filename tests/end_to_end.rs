@@ -586,11 +586,11 @@ fn qrr_core_and_fig7_bytes_are_pinned() {
         RtlOnlyConfig,
     };
     use nestsim::qrr::qrr_mcu_campaign;
-    use nestsim::qrr::recovery::{burst_campaign, qrr_campaign_with};
+    use nestsim::qrr::recovery::{burst_campaign, qrr_campaign};
 
     // L2C: the records, then the per-run QRR telemetry they recorded.
     let mut rec = nestsim::telemetry::Recorder::active(&TelemetryConfig::default());
-    let (_, records) = qrr_campaign_with(by_name("radi").unwrap(), 10, 77, 100, &mut rec);
+    let (_, records) = qrr_campaign(by_name("radi").unwrap(), 10, 77, 100, &mut rec);
     let telemetry = rec.to_jsonl().into_bytes();
     let words = qrr_words(&records).into_iter();
     assert_pinned(

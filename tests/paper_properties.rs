@@ -2,10 +2,10 @@
 //! implementation (the EXPERIMENTS.md contract).
 
 use nestsim::core::perfmodel::{paper_throughput, PAPER_RTL_ONLY_RATE};
-use nestsim::cost::CostModel;
 use nestsim::hlsim::workload::{with_input_files, BENCHMARKS};
 use nestsim::models::inventory::{table3_for, table4_for, TABLE3};
 use nestsim::models::ComponentKind;
+use nestsim::qrr::cost::CostModel;
 use nestsim::qrr::recovery::{qrr_campaign, PAPER_WORST_CASE_RECOVERY};
 use nestsim::qrr::QrrPlan;
 use nestsim::stats::ci::required_samples;
@@ -102,6 +102,7 @@ fn qrr_recovers_all_covered_injections_end_to_end() {
         12,
         424_242,
         100,
+        &mut nestsim::telemetry::Recorder::null(),
     );
     assert!(eval.covered_runs >= 10);
     assert_eq!(eval.covered_recovered, eval.covered_runs);
