@@ -27,7 +27,7 @@ use nestsim_core::inject::GoldenRef;
 use nestsim_telemetry::{names, Recorder};
 
 use crate::lease::{Completion, Grant, LeaseConfig, LeaseTable};
-use crate::proto::{JobWire, Message, RunWire, PROTOCOL_VERSION};
+use crate::proto::{check_version, JobWire, Message, RunWire};
 use crate::shard::Shard;
 
 /// An input to the coordinator state machine.
@@ -373,28 +373,25 @@ impl CoordMachine {
             return; // closed by the machine; late frame, ignore
         };
         match (self.conns[i].phase, msg) {
-            (ConnPhase::Greeting, Message::Hello { version }) if version == PROTOCOL_VERSION => {
-                self.engine.count(names::CLUSTER_WORKERS_CONNECTED, 1);
-                let worker = self.next_worker;
-                self.next_worker += 1;
-                self.conns[i].phase = ConnPhase::Serving { worker };
-                acts.push(CoordAction::Send {
-                    conn,
-                    msg: Message::HelloAck { worker },
-                });
-            }
-            (ConnPhase::Greeting, Message::Hello { version }) => {
-                acts.push(CoordAction::Send {
-                    conn,
-                    msg: Message::Error {
-                        message: format!(
-                            "protocol version mismatch: worker speaks {version}, \
-                             coordinator speaks {PROTOCOL_VERSION}"
-                        ),
-                    },
-                });
-                self.close_conn(now, conn, acts);
-            }
+            (ConnPhase::Greeting, Message::Hello { version, .. }) => match check_version(version) {
+                Ok(()) => {
+                    self.engine.count(names::CLUSTER_WORKERS_CONNECTED, 1);
+                    let id = self.next_worker;
+                    self.next_worker += 1;
+                    self.conns[i].phase = ConnPhase::Serving { worker: id };
+                    acts.push(CoordAction::Send {
+                        conn,
+                        msg: Message::HelloAck { id },
+                    });
+                }
+                Err(message) => {
+                    acts.push(CoordAction::Send {
+                        conn,
+                        msg: Message::Error { message },
+                    });
+                    self.close_conn(now, conn, acts);
+                }
+            },
             (ConnPhase::Greeting, _) => {
                 // Anything but Hello first is a protocol breach; hang
                 // up without a reply (matching the TCP coordinator's
@@ -604,7 +601,7 @@ impl CoordMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::SubmitWire;
+    use crate::proto::{SubmitWire, PROTOCOL_VERSION};
     use crate::shard::plan_shards;
 
     fn machine(samples: u64, shard_size: u64) -> CoordMachine {
@@ -652,14 +649,15 @@ mod tests {
                 conn,
                 msg: Message::Hello {
                     version: PROTOCOL_VERSION,
+                    tenant: String::new(),
                 },
             },
         );
         match &acts[..] {
             [CoordAction::Send {
-                msg: Message::HelloAck { worker },
+                msg: Message::HelloAck { id },
                 ..
-            }] => *worker,
+            }] => *id,
             other => panic!("expected HelloAck, got {other:?}"),
         }
     }
@@ -672,7 +670,10 @@ mod tests {
             0,
             CoordEvent::Received {
                 conn: 1,
-                msg: Message::Hello { version: 1 },
+                msg: Message::Hello {
+                    version: 1,
+                    tenant: String::new(),
+                },
             },
         );
         assert_eq!(acts.len(), 2, "{acts:?}");
@@ -682,7 +683,7 @@ mod tests {
                 msg: Message::Error { message },
             } => {
                 assert!(message.contains("protocol version mismatch"), "{message}");
-                assert!(message.contains("worker speaks 1"), "{message}");
+                assert!(message.contains("peer speaks 1"), "{message}");
             }
             other => panic!("expected Error reply, got {other:?}"),
         }

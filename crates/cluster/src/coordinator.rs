@@ -42,7 +42,7 @@ use nestsim_telemetry::{Recorder, TelemetryConfig};
 use crate::coord_machine::{CoordAction, CoordEvent, CoordMachine};
 use crate::lease::LeaseConfig;
 use crate::proto::{AdaptiveRoundWire, JobWire, Message, RunWire};
-use crate::server::{Action, Event, Machine, Server, Waker};
+use crate::server::{decode_frame, send_frame, Action, Event, Machine, Server, Waker};
 use crate::shard::{auto_shard_size, plan_shards, Shard};
 use crate::worker::{run_worker, WorkerOptions};
 
@@ -115,18 +115,14 @@ impl Coord {
         self.machine
     }
 
-    /// Turns machine actions into loop actions. A reply that cannot be
-    /// encoded ends its connection, as a failed write would.
+    /// Turns machine actions into loop actions; a reply that does not
+    /// encode closes its connection ([`send_frame`]).
     fn perform(&mut self, now: u64, acts: Vec<CoordAction>, out: &mut Vec<Action>) {
         for act in acts {
             match act {
-                CoordAction::Send { conn, msg } => match msg.encode() {
-                    Ok(payload) => {
-                        self.machine.note_frame_sent(payload.len());
-                        out.push(Action::Send { conn, payload });
-                    }
-                    Err(_) => {
-                        out.push(Action::Close { conn });
+                CoordAction::Send { conn, msg } => match send_frame(conn, &msg, out) {
+                    Some(bytes) => self.machine.note_frame_sent(bytes),
+                    None => {
                         let closed = CoordEvent::Closed { conn, clean: false };
                         let acts = self.machine.step(now, closed);
                         self.perform(now, acts, out);
@@ -146,16 +142,11 @@ impl Machine for Coord {
         let acts = match event {
             Event::Connected { conn } => m.step(now, CoordEvent::Connected { conn }),
             Event::Frame { conn, payload } => {
-                let msg = Message::decode(&payload);
-                m.note_frame_received(payload.len(), matches!(msg, Ok(Message::Submit(_))));
+                let msg = decode_frame(conn, &payload, out);
+                m.note_frame_received(payload.len(), matches!(msg, Some(Message::Submit(_))));
                 match msg {
-                    Ok(msg) => m.step(now, CoordEvent::Received { conn, msg }),
-                    // An undecodable frame ends the connection, as a
-                    // read error would.
-                    Err(_) => {
-                        out.push(Action::Close { conn });
-                        m.step(now, CoordEvent::Closed { conn, clean: false })
-                    }
+                    Some(msg) => m.step(now, CoordEvent::Received { conn, msg }),
+                    None => m.step(now, CoordEvent::Closed { conn, clean: false }),
                 }
             }
             Event::Closed { conn, clean } => m.step(now, CoordEvent::Closed { conn, clean }),

@@ -14,7 +14,8 @@
 //!   the coordinator plans them from the sample *count* alone.
 //! * [`frame`] / [`wire`] / [`proto`] — a length-prefixed, versioned
 //!   binary protocol whose codecs are exact inverses, so records and
-//!   per-run telemetry recorders survive the wire bit-identically.
+//!   per-run telemetry recorders survive the wire bit-identically; one
+//!   message set serves the coordinator and the service alike.
 //! * [`lease`] — shard leases with deadlines, heartbeat extension,
 //!   lazy expiry, and exponential re-dispatch backoff: a killed, hung,
 //!   or straggling worker's shard moves to another worker, and

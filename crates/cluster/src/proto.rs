@@ -1,22 +1,23 @@
-//! The coordinator/worker message protocol, version 4
-//! ([`PROTOCOL_VERSION`]).
-//!
-//! Strictly request/response from the worker's side: the worker sends
-//! `Hello`/`RequestShard`/`Heartbeat`/`Submit` and reads exactly one
-//! reply for each, so neither side ever needs concurrent reads on one
-//! connection. Message payloads ride inside [`crate::frame`] frames.
+//! The one message set of both conversations, version 5
+//! ([`PROTOCOL_VERSION`]): coordinator ↔ worker on tags 0–9, service ↔
+//! client after them. Every [`crate::frame`] of either carries one
+//! [`Message`], through one [`Message::encode`] and one
+//! [`Message::decode`], so a peer that dials the wrong server gets that
+//! server's `Error` naming the message it did not expect.
 //!
 //! ```text
-//! worker                        coordinator
-//!   │ ── Hello{version} ──────────▶ │
-//!   │ ◀───────── HelloAck{worker} ──│
-//!   │ ── RequestShard ────────────▶ │
-//!   │ ◀── Assign{shard, job, …}  ───│   (or Wait{ms, done})
-//!   │ ── Heartbeat{shard} ────────▶ │   (between samples)
-//!   │ ◀───── HeartbeatAck{current} ─│
-//!   │ ── Submit{shard, runs, …} ──▶ │
-//!   │ ◀──────── SubmitAck{accepted}─│
+//! both    Hello{version, tenant} → HelloAck{id}, or Error and a close
+//! worker  RequestShard → Assign{shard, job, …} or Wait{ms, done}
+//!         Heartbeat{shard} → HeartbeatAck{current}   (between samples)
+//!         Submit{shard, runs, …} → SubmitAck{accepted}
+//! client  SubmitJob{req, priority, job} → Accepted{req, ticket, …} or
+//!         Rejected, then Progress*, Chunk{start, records}* and
+//!         Done{golden, merged} or Failed
+//!         Cancel{ticket} → Cancelled, QueryStats → Stats   (any time)
 //! ```
+//!
+//! A worker reads exactly one reply per message it sends, so neither
+//! side ever needs concurrent reads on one connection.
 //!
 //! The job description ([`JobWire`]) deliberately carries the campaign
 //! *spec*, not the campaign *data*: workers re-derive the golden
@@ -27,12 +28,15 @@
 //! digest returned with every submission to detect a worker whose
 //! re-derivation diverged (version skew, cosmic irony).
 
+use std::io::{self, Read, Write};
+
 use nestsim_core::campaign::{CampaignSpec, DEFAULT_SNAPSHOT_INTERVAL};
 use nestsim_core::inject::{GoldenRef, InjectionRecord};
 use nestsim_hlsim::workload::{by_name, BenchProfile};
 use nestsim_models::ComponentKind;
 use nestsim_telemetry::{Recorder, TelemetryConfig};
 
+use crate::frame::{read_frame, write_frame};
 use crate::shard::Shard;
 use crate::wire::{
     get_golden, get_record, get_recorder, put_golden, put_record, put_recorder, Reader, WireError,
@@ -40,13 +44,22 @@ use crate::wire::{
 };
 
 /// Protocol version spoken by this build; `Hello` with any other
-/// version is refused with an `Error` reply. Version 2 added the
-/// lane-batching fields (`lane_cluster`, `lane_width`) to [`JobWire`];
-/// version 3 added the optional adaptive round descriptor
-/// ([`JobWire::adaptive`]); version 4 added the campaign-service
-/// message set (`nestsim-svc`, which reuses this version constant and
-/// the [`put_job`]/[`get_job`] codecs for its own frame payloads).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// version is refused with an `Error` reply. Version 5 carries both
+/// conversations in one [`Message`]; 4 added the service's messages, 3
+/// [`JobWire::adaptive`] and 2 the lane fields.
+pub const PROTOCOL_VERSION: u16 = 5;
+
+/// The one version check, which both servers run on `Hello`: the
+/// refusal they send as `Error` when `version` is not this build's.
+pub fn check_version(version: u16) -> Result<(), String> {
+    if version == PROTOCOL_VERSION {
+        Ok(())
+    } else {
+        Err(format!(
+            "protocol version mismatch: peer speaks {version}, this build speaks {PROTOCOL_VERSION}"
+        ))
+    }
+}
 
 /// One adaptive round, described for the wire: where each stratum's
 /// deterministic sample stream resumes and how many samples it
@@ -216,18 +229,21 @@ pub struct SubmitWire {
     pub runs: Vec<RunWire>,
 }
 
-/// A protocol message (the u8 tag leading every payload).
+/// A protocol message (the u8 tag leading every payload): the
+/// coordinator's tags 0–9, then the service's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Worker → coordinator: first message on a connection.
+    /// Worker or client → server: first message on a connection.
     Hello {
-        /// The worker's [`PROTOCOL_VERSION`].
+        /// The speaker's [`PROTOCOL_VERSION`].
         version: u16,
+        /// The service's fair-share tenant; empty from a worker.
+        tenant: String,
     },
-    /// Coordinator → worker: handshake accepted.
+    /// Server → worker or client: handshake accepted.
     HelloAck {
-        /// The id assigned to this worker connection.
-        worker: u32,
+        /// The worker's id, or the service's open connection count.
+        id: u32,
     },
     /// Worker → coordinator: ready for work.
     RequestShard {
@@ -275,10 +291,96 @@ pub enum Message {
         /// worker (idempotent dedupe) — the results were dropped.
         accepted: bool,
     },
-    /// Either side: fatal protocol error; the connection closes.
+    /// Any speaker: fatal protocol error; the connection closes.
     Error {
         /// Human-readable cause.
         message: String,
+    },
+    /// Client → service: submit one campaign job.
+    SubmitJob {
+        /// Client-chosen request id, echoed in the admission reply.
+        req: u64,
+        /// Scheduling priority (DRR weight; 0 is treated as 1).
+        priority: u32,
+        /// The job itself.
+        job: JobWire,
+    },
+    /// Service → client: the job (or an existing identical one) is in.
+    Accepted {
+        /// Echo of the submit's request id.
+        req: u64,
+        /// Server-assigned ticket identifying this subscription.
+        ticket: u64,
+        /// True when the submit deduplicated onto an existing cell.
+        dedup: bool,
+        /// Queue depth after admission (observability).
+        queue_depth: u64,
+    },
+    /// Service → client: admission failure, explicit backpressure
+    /// instead of unbounded queueing.
+    Rejected {
+        /// Echo of the submit's request id.
+        req: u64,
+        /// Why the job was turned away.
+        reason: String,
+        /// Queue depth at rejection time.
+        queue_depth: u64,
+    },
+    /// Client → service: abandon a ticket.
+    Cancel {
+        /// The ticket to cancel.
+        ticket: u64,
+    },
+    /// Service → client: the cancellation is confirmed.
+    Cancelled {
+        /// The cancelled ticket.
+        ticket: u64,
+    },
+    /// Service → client: a job is queued (`running == false`) or
+    /// executing.
+    Progress {
+        /// The ticket this progress refers to.
+        ticket: u64,
+        /// Whether the job has entered execution.
+        running: bool,
+        /// Samples completed so far.
+        done: u64,
+        /// Total samples in the job.
+        total: u64,
+    },
+    /// Service → client: a contiguous slice of a job's records.
+    Chunk {
+        /// The ticket this slice belongs to.
+        ticket: u64,
+        /// Sample index of the first record in `records`.
+        start: u64,
+        /// The records themselves, in sample order.
+        records: Vec<InjectionRecord>,
+    },
+    /// Service → client: terminal success, with the golden reference
+    /// and merged telemetry (the records travelled as chunks).
+    Done {
+        /// The completed ticket.
+        ticket: u64,
+        /// Error-free reference of the campaign.
+        golden: GoldenRef,
+        /// Merged per-run telemetry (null when telemetry was off).
+        merged: Recorder,
+    },
+    /// Service → client: terminal failure, the job crashed more times
+    /// than the service retries.
+    Failed {
+        /// The failed ticket.
+        ticket: u64,
+        /// Last crash reason.
+        reason: String,
+    },
+    /// Client → service: ask for the `svc.*` telemetry snapshot.
+    QueryStats,
+    /// Service → client: the telemetry snapshot.
+    Stats {
+        /// Counters and histograms of the service itself.
+        recorder: Recorder,
     },
 }
 
@@ -292,34 +394,32 @@ const TAG_HEARTBEAT_ACK: u8 = 6;
 const TAG_SUBMIT: u8 = 7;
 const TAG_SUBMIT_ACK: u8 = 8;
 const TAG_ERROR: u8 = 9;
+const TAG_SUBMIT_JOB: u8 = 10;
+const TAG_ACCEPTED: u8 = 11;
+const TAG_REJECTED: u8 = 12;
+const TAG_CANCEL: u8 = 13;
+const TAG_CANCELLED: u8 = 14;
+const TAG_PROGRESS: u8 = 15;
+const TAG_CHUNK: u8 = 16;
+const TAG_DONE: u8 = 17;
+const TAG_FAILED: u8 = 18;
+const TAG_QUERY_STATS: u8 = 19;
+const TAG_STATS: u8 = 20;
 
-/// Encodes a [`ComponentKind`] as its index in `ComponentKind::ALL`.
-/// Shared with the campaign-service protocol (`nestsim-svc`).
-pub fn put_component(w: &mut Writer, c: ComponentKind) -> Result<(), WireError> {
-    let i = ComponentKind::ALL
-        .iter()
-        .position(|&x| x == c)
-        .ok_or_else(|| format!("component {c:?} missing from ComponentKind::ALL"))?
-        as u8;
-    w.u8(i);
-    Ok(())
-}
-
-/// Decodes a [`ComponentKind`] written by [`put_component`].
-pub fn get_component(r: &mut Reader<'_>) -> Result<ComponentKind, WireError> {
-    let i = r.u8()? as usize;
-    ComponentKind::ALL
-        .get(i)
-        .copied()
-        .ok_or_else(|| format!("unknown component tag {i}"))
-}
-
-/// Encodes a [`JobWire`] field-by-field. Shared with the
-/// campaign-service protocol (`nestsim-svc`), whose `Submit` payloads
-/// carry the identical job description.
+/// Encodes a [`JobWire`] field-by-field: inside `Assign` and
+/// `SubmitJob`, and as the service's determinism key.
 pub fn put_job(w: &mut Writer, j: &JobWire) -> Result<(), WireError> {
     w.str(&j.benchmark);
-    put_component(w, j.component)?;
+    let component = ComponentKind::ALL
+        .iter()
+        .position(|&c| c == j.component)
+        .ok_or_else(|| {
+            format!(
+                "component {:?} missing from ComponentKind::ALL",
+                j.component
+            )
+        })?;
+    w.u8(component as u8);
     w.u64(j.samples);
     w.u64(j.seed);
     w.u64(j.length_scale);
@@ -346,7 +446,9 @@ pub fn put_job(w: &mut Writer, j: &JobWire) -> Result<(), WireError> {
 pub fn get_job(r: &mut Reader<'_>) -> Result<JobWire, WireError> {
     Ok(JobWire {
         benchmark: r.str()?,
-        component: get_component(r)?,
+        component: *ComponentKind::ALL
+            .get(r.u8()? as usize)
+            .ok_or("unknown component tag")?,
         samples: r.u64()?,
         seed: r.u64()?,
         length_scale: r.u64()?,
@@ -376,13 +478,14 @@ impl Message {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut w = Writer::new();
         match self {
-            Message::Hello { version } => {
+            Message::Hello { version, tenant } => {
                 w.u8(TAG_HELLO);
                 w.u16(*version);
+                w.str(tenant);
             }
-            Message::HelloAck { worker } => {
+            Message::HelloAck { id } => {
                 w.u8(TAG_HELLO_ACK);
-                w.u32(*worker);
+                w.u32(*id);
             }
             Message::RequestShard { worker } => {
                 w.u8(TAG_REQUEST);
@@ -438,6 +541,89 @@ impl Message {
                 w.u8(TAG_ERROR);
                 w.str(message);
             }
+            Message::SubmitJob { req, priority, job } => {
+                w.u8(TAG_SUBMIT_JOB);
+                w.u64(*req);
+                w.u32(*priority);
+                put_job(&mut w, job)?;
+            }
+            Message::Accepted {
+                req,
+                ticket,
+                dedup,
+                queue_depth,
+            } => {
+                w.u8(TAG_ACCEPTED);
+                w.u64(*req);
+                w.u64(*ticket);
+                w.bool(*dedup);
+                w.u64(*queue_depth);
+            }
+            Message::Rejected {
+                req,
+                reason,
+                queue_depth,
+            } => {
+                w.u8(TAG_REJECTED);
+                w.u64(*req);
+                w.str(reason);
+                w.u64(*queue_depth);
+            }
+            Message::Cancel { ticket } => {
+                w.u8(TAG_CANCEL);
+                w.u64(*ticket);
+            }
+            Message::Cancelled { ticket } => {
+                w.u8(TAG_CANCELLED);
+                w.u64(*ticket);
+            }
+            Message::Progress {
+                ticket,
+                running,
+                done,
+                total,
+            } => {
+                w.u8(TAG_PROGRESS);
+                w.u64(*ticket);
+                w.bool(*running);
+                w.u64(*done);
+                w.u64(*total);
+            }
+            Message::Chunk {
+                ticket,
+                start,
+                records,
+            } => {
+                w.u8(TAG_CHUNK);
+                w.u64(*ticket);
+                w.u64(*start);
+                w.u32(records.len() as u32);
+                for rec in records {
+                    put_record(&mut w, rec)?;
+                }
+            }
+            Message::Done {
+                ticket,
+                golden,
+                merged,
+            } => {
+                w.u8(TAG_DONE);
+                w.u64(*ticket);
+                put_golden(&mut w, golden);
+                put_recorder(&mut w, merged)?;
+            }
+            Message::Failed { ticket, reason } => {
+                w.u8(TAG_FAILED);
+                w.u64(*ticket);
+                w.str(reason);
+            }
+            Message::QueryStats => {
+                w.u8(TAG_QUERY_STATS);
+            }
+            Message::Stats { recorder } => {
+                w.u8(TAG_STATS);
+                put_recorder(&mut w, recorder)?;
+            }
         }
         Ok(w.into_bytes())
     }
@@ -447,8 +633,11 @@ impl Message {
     pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
-            TAG_HELLO => Message::Hello { version: r.u16()? },
-            TAG_HELLO_ACK => Message::HelloAck { worker: r.u32()? },
+            TAG_HELLO => Message::Hello {
+                version: r.u16()?,
+                tenant: r.str()?,
+            },
+            TAG_HELLO_ACK => Message::HelloAck { id: r.u32()? },
             TAG_REQUEST => Message::RequestShard { worker: r.u32()? },
             TAG_ASSIGN => Message::Assign {
                 shard: Shard {
@@ -497,11 +686,78 @@ impl Message {
                 accepted: r.bool()?,
             },
             TAG_ERROR => Message::Error { message: r.str()? },
+            TAG_SUBMIT_JOB => Message::SubmitJob {
+                req: r.u64()?,
+                priority: r.u32()?,
+                job: get_job(&mut r)?,
+            },
+            TAG_ACCEPTED => Message::Accepted {
+                req: r.u64()?,
+                ticket: r.u64()?,
+                dedup: r.bool()?,
+                queue_depth: r.u64()?,
+            },
+            TAG_REJECTED => Message::Rejected {
+                req: r.u64()?,
+                reason: r.str()?,
+                queue_depth: r.u64()?,
+            },
+            TAG_CANCEL => Message::Cancel { ticket: r.u64()? },
+            TAG_CANCELLED => Message::Cancelled { ticket: r.u64()? },
+            TAG_PROGRESS => Message::Progress {
+                ticket: r.u64()?,
+                running: r.bool()?,
+                done: r.u64()?,
+                total: r.u64()?,
+            },
+            TAG_CHUNK => {
+                let ticket = r.u64()?;
+                let start = r.u64()?;
+                let n = r.u32()?;
+                let mut records = Vec::with_capacity(n.min(1 << 16) as usize);
+                for _ in 0..n {
+                    records.push(get_record(&mut r)?);
+                }
+                Message::Chunk {
+                    ticket,
+                    start,
+                    records,
+                }
+            }
+            TAG_DONE => Message::Done {
+                ticket: r.u64()?,
+                golden: get_golden(&mut r)?,
+                merged: get_recorder(&mut r)?,
+            },
+            TAG_FAILED => Message::Failed {
+                ticket: r.u64()?,
+                reason: r.str()?,
+            },
+            TAG_QUERY_STATS => Message::QueryStats,
+            TAG_STATS => Message::Stats {
+                recorder: get_recorder(&mut r)?,
+            },
             t => return Err(format!("unknown message tag {t}")),
         };
         r.finish()?;
         Ok(msg)
     }
+}
+
+/// Writes `msg` as one frame: the blocking send of the worker and the
+/// service client.
+pub fn send(w: &mut impl Write, msg: &Message) -> io::Result<()> {
+    let payload = msg
+        .encode()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    write_frame(w, &payload)
+}
+
+/// Reads one frame and decodes it: the blocking receive matching
+/// [`send`].
+pub fn recv(r: &mut impl Read) -> io::Result<Message> {
+    let payload = read_frame(r)?;
+    Message::decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -547,11 +803,18 @@ mod tests {
             }),
             ..job.clone()
         };
+        let mut stats = Recorder::active(&TelemetryConfig { trace_capacity: 4 });
+        stats.count(nestsim_telemetry::names::SVC_JOBS_SUBMITTED, 2);
         let msgs = vec![
             Message::Hello {
                 version: PROTOCOL_VERSION,
+                tenant: String::new(),
             },
-            Message::HelloAck { worker: 3 },
+            Message::Hello {
+                version: PROTOCOL_VERSION,
+                tenant: "alice".to_string(),
+            },
+            Message::HelloAck { id: 3 },
             Message::RequestShard { worker: 3 },
             Message::Assign {
                 shard: Shard {
@@ -604,6 +867,49 @@ mod tests {
             Message::Error {
                 message: "bad version".to_string(),
             },
+            Message::SubmitJob {
+                req: 1,
+                priority: 7,
+                job: job.clone(),
+            },
+            Message::Accepted {
+                req: 1,
+                ticket: 42,
+                dedup: true,
+                queue_depth: 3,
+            },
+            Message::Rejected {
+                req: 2,
+                reason: "queue full".to_string(),
+                queue_depth: 64,
+            },
+            Message::Cancel { ticket: 42 },
+            Message::Cancelled { ticket: 42 },
+            Message::Progress {
+                ticket: 42,
+                running: true,
+                done: 0,
+                total: 128,
+            },
+            Message::Chunk {
+                ticket: 42,
+                start: 256,
+                records: (0..3).map(sample_record).collect(),
+            },
+            Message::Done {
+                ticket: 42,
+                golden: GoldenRef {
+                    digest: 0xfeed,
+                    cycles: 1_000,
+                },
+                merged: Recorder::null(),
+            },
+            Message::Failed {
+                ticket: 42,
+                reason: "crashed 3 times".to_string(),
+            },
+            Message::QueryStats,
+            Message::Stats { recorder: stats },
         ];
         for msg in msgs {
             let bytes = msg.encode().unwrap();
@@ -637,9 +943,17 @@ mod tests {
 
     #[test]
     fn unknown_tag_and_trailing_bytes_are_errors() {
-        assert!(Message::decode(&[200]).is_err());
-        let mut bytes = Message::HelloAck { worker: 1 }.encode().unwrap();
-        bytes.push(0);
-        assert!(Message::decode(&bytes).is_err());
+        let err = Message::decode(&[200]).unwrap_err();
+        assert!(err.contains("unknown message tag 200"), "{err}");
+        for msg in [Message::HelloAck { id: 1 }, Message::QueryStats] {
+            let mut bytes = msg.encode().unwrap();
+            bytes.push(0);
+            assert!(Message::decode(&bytes).is_err(), "trailing bytes: {msg:?}");
+        }
+    }
+
+    #[test]
+    fn empty_payload_is_an_error_not_a_panic() {
+        assert!(Message::decode(&[]).is_err());
     }
 }

@@ -10,7 +10,8 @@
 //! delivers the commands other threads queue through a [`Waker`]. No
 //! peer can block another: a trickling one only grows its own frame
 //! buffer, and one that stops reading is closed past
-//! `conn::MAX_UNSENT`.
+//! `conn::MAX_UNSENT`. Both adapters decode and send through
+//! [`decode_frame`] and [`send_frame`], the one framing policy.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -24,6 +25,7 @@ use std::time::Instant;
 
 use crate::conn::Conn;
 use crate::poll::{Interest, PollEvent, Poller};
+use crate::proto::Message;
 
 /// An input the loop feeds its machine. `conn` ids are unique for the
 /// loop's lifetime.
@@ -89,6 +91,37 @@ pub trait Machine: Send + 'static {
     fn next_wake(&self) -> Option<u64> {
         None
     }
+}
+
+/// Decodes a frame from `conn`. One that does not decode is refused
+/// and yields `None`, for the adapter to tell its machine the
+/// connection closed.
+pub fn decode_frame(conn: u64, payload: &[u8], out: &mut Vec<Action>) -> Option<Message> {
+    Message::decode(payload)
+        .map_err(|e| refuse(conn, format!("undecodable frame: {e}"), out))
+        .ok()
+}
+
+/// Queues `msg` to `conn` and returns its payload size. A reply that
+/// does not encode is refused the same way.
+pub fn send_frame(conn: u64, msg: &Message, out: &mut Vec<Action>) -> Option<usize> {
+    let payload = msg
+        .encode()
+        .map_err(|e| refuse(conn, format!("unencodable reply: {e}"), out))
+        .ok()?;
+    let bytes = payload.len();
+    out.push(Action::Send { conn, payload });
+    Some(bytes)
+}
+
+/// The one framing policy of both servers: a frame that does not decode
+/// or a reply that does not encode costs the peer its connection, with
+/// an `Error` naming the cause first if that encodes.
+fn refuse(conn: u64, message: String, out: &mut Vec<Action>) {
+    if let Ok(payload) = (Message::Error { message }).encode() {
+        out.push(Action::Send { conn, payload });
+    }
+    out.push(Action::Close { conn });
 }
 
 /// Queues commands for a running loop, from any thread.

@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 use nestsim_core::campaign::{CellBase, Round, ShardRunner};
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 
-use crate::frame::{read_frame, write_frame};
-use crate::proto::{JobWire, Message, RunWire};
+use crate::proto::{recv, send, JobWire, RunWire};
 use crate::worker_machine::{WorkerAction, WorkerEnd, WorkerEvent, WorkerMachine};
 
 pub use crate::worker_machine::{WorkerOptions, WorkerStats};
@@ -86,18 +85,6 @@ impl JobState {
             round,
         })
     }
-}
-
-fn send(stream: &mut TcpStream, msg: &Message) -> io::Result<()> {
-    let payload = msg
-        .encode()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    write_frame(stream, &payload)
-}
-
-fn recv(stream: &mut TcpStream) -> io::Result<Message> {
-    let payload = read_frame(stream)?;
-    Message::decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 fn proto_err(msg: String) -> io::Error {

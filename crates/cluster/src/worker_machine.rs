@@ -234,6 +234,7 @@ impl WorkerMachine {
                 vec![WorkerAction::Send {
                     msg: Message::Hello {
                         version: self.version,
+                        tenant: String::new(),
                     },
                 }]
             }
@@ -281,8 +282,8 @@ impl WorkerMachine {
         }
         match self.phase {
             Phase::AwaitHelloAck => match msg {
-                Message::HelloAck { worker } => {
-                    self.worker = worker;
+                Message::HelloAck { id } => {
+                    self.worker = id;
                     self.request_shard()
                 }
                 other => self.fail(format!("expected HelloAck, got {other:?}")),
@@ -459,7 +460,7 @@ mod tests {
             0,
             WorkerEvent::Received {
                 msg: Message::Error {
-                    message: "protocol version mismatch: worker speaks 1, coordinator speaks 2"
+                    message: "protocol version mismatch: peer speaks 1, this build speaks 2"
                         .to_string(),
                 },
             },
@@ -480,7 +481,7 @@ mod tests {
         m.step(
             0,
             WorkerEvent::Received {
-                msg: Message::HelloAck { worker: 3 },
+                msg: Message::HelloAck { id: 3 },
             },
         );
         let assign = Message::Assign {
@@ -577,7 +578,7 @@ mod tests {
         m.step(
             0,
             WorkerEvent::Received {
-                msg: Message::HelloAck { worker: 0 },
+                msg: Message::HelloAck { id: 0 },
             },
         );
         m.step(
@@ -646,7 +647,7 @@ mod tests {
         m.step(
             0,
             WorkerEvent::Received {
-                msg: Message::HelloAck { worker: 0 },
+                msg: Message::HelloAck { id: 0 },
             },
         );
         let acts = m.step(

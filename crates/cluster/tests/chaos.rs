@@ -230,6 +230,7 @@ fn slow_and_bad_peers_do_not_stall_the_server_loop() {
         let mut hello = Vec::new();
         let payload = Message::Hello {
             version: PROTOCOL_VERSION,
+            tenant: String::new(),
         };
         write_frame(&mut hello, &payload.encode().unwrap()).unwrap();
         for byte in hello {

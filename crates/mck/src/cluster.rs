@@ -388,6 +388,7 @@ mod tests {
     fn wrong_protocol_version_is_closed() {
         let hello = Message::Hello {
             version: PROTOCOL_VERSION + 1,
+            tenant: String::new(),
         };
         intruder_is_closed_and_the_rest_holds(hello.encode().expect("hello encodes"));
     }

@@ -1,6 +1,6 @@
 //! The service scenario: the service adapter
 //! ([`nestsim_svc::service::Svc`]) and a fixed cast of scripted
-//! tenants speaking real `SvcMessage` frames, one action at a time:
+//! tenants speaking real `Message` frames, one action at a time:
 //! hello, submit (several clients submit the *same* cell, exercising
 //! dedup), cancel, disconnect. Every task the adapter queues for its
 //! execution pool becomes a pending execution, answered with
@@ -26,14 +26,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc;
 
-use nestsim_cluster::proto::{JobWire, PROTOCOL_VERSION};
+use nestsim_cluster::proto::{JobWire, Message, PROTOCOL_VERSION};
 use nestsim_core::campaign::CampaignSpec;
 use nestsim_core::inject::GoldenRef;
 use nestsim_core::{InjectionRecord, Outcome};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
 use nestsim_svc::service::{Command, Svc};
-use nestsim_svc::{ExecOutput, SvcConfig, SvcMachine, SvcMessage};
+use nestsim_svc::{ExecOutput, SvcConfig, SvcMachine};
 use nestsim_telemetry::Recorder;
 
 use crate::world::{Fault, Input, Net, Scenario, SimConfig, SimError};
@@ -92,7 +92,7 @@ impl SvcScenario {
         let (conn, act) = (c as u64, client.script[client.next]);
         client.next += 1;
         let msg = match act {
-            Hello => Some(SvcMessage::ClientHello {
+            Hello => Some(Message::Hello {
                 version: PROTOCOL_VERSION,
                 tenant: client.tenant.to_string(),
             }),
@@ -100,7 +100,7 @@ impl SvcScenario {
                 let req = client.reqs.len() as u64 + 1;
                 client.reqs.insert(req, seed);
                 let job = self.cells[&seed].0.clone();
-                Some(SvcMessage::Submit {
+                Some(Message::SubmitJob {
                     req,
                     priority: 1,
                     job,
@@ -109,7 +109,7 @@ impl SvcScenario {
             // With nothing open, the schedule outran the script.
             CancelLast => (client.tickets.iter().rev())
                 .find(|(_, t)| t.open())
-                .map(|(&ticket, _)| SvcMessage::Cancel { ticket }),
+                .map(|(&ticket, _)| Message::Cancel { ticket }),
             Disconnect => {
                 client.gone = true;
                 return net.hang_up(conn, true);
@@ -351,15 +351,15 @@ impl Clients {
     /// A frame from the service reaches connection `conn`.
     fn received(&mut self, conn: u64, payload: &[u8]) -> Result<(), SimError> {
         let unexpected = |frame| SimError::UnexpectedFrame { conn, frame };
-        let msg = SvcMessage::decode(payload).map_err(|e| unexpected(e.to_string()))?;
+        let msg = Message::decode(payload).map_err(|e| unexpected(e.to_string()))?;
         let client = &mut self.clients[conn as usize];
         let unknown = |ticket| unexpected(format!("frame for unknown ticket {ticket}"));
         let tickets = &mut client.tickets;
         match msg {
-            SvcMessage::Error { .. } if client.script.contains(&Intrude) => {}
+            Message::Error { .. } if client.script.contains(&Intrude) => {}
             _ if client.script.contains(&Intrude) => return Err(unexpected(format!("{msg:?}"))),
-            SvcMessage::ClientHelloAck { .. } | SvcMessage::Progress { .. } => {}
-            SvcMessage::Accepted { req, ticket, .. } => {
+            Message::HelloAck { .. } | Message::Progress { .. } => {}
+            Message::Accepted { req, ticket, .. } => {
                 let Some(&seed) = client.reqs.get(&req) else {
                     return Err(unexpected(format!("Accepted for unknown req {req}")));
                 };
@@ -371,7 +371,7 @@ impl Clients {
                     },
                 );
             }
-            SvcMessage::Chunk {
+            Message::Chunk {
                 ticket,
                 start,
                 records,
@@ -379,7 +379,7 @@ impl Clients {
                 let track = tickets.get_mut(&ticket).ok_or_else(|| unknown(ticket))?;
                 track.chunks.push((start, records));
             }
-            SvcMessage::Done {
+            Message::Done {
                 ticket,
                 golden,
                 merged,
@@ -389,13 +389,13 @@ impl Clients {
                     return Err(unexpected(format!("second Done for ticket {ticket}")));
                 }
             }
-            SvcMessage::Failed { ticket, .. } => {
+            Message::Failed { ticket, .. } => {
                 tickets
                     .get_mut(&ticket)
                     .ok_or_else(|| unknown(ticket))?
                     .failed = true;
             }
-            SvcMessage::Cancelled { ticket } => {
+            Message::Cancelled { ticket } => {
                 // A cancel that raced its ticket's end is acknowledged too.
                 let Some(track) = tickets.get_mut(&ticket) else {
                     return Ok(());
@@ -506,13 +506,13 @@ mod tests {
 
     #[test]
     fn undecodable_first_frame_is_closed() {
-        assert!(SvcMessage::decode(&[0xff; 8]).is_err());
+        assert!(Message::decode(&[0xff; 8]).is_err());
         intruder_is_closed_and_the_rest_holds(vec![0xff; 8]);
     }
 
     #[test]
     fn wrong_protocol_version_is_closed() {
-        let hello = SvcMessage::ClientHello {
+        let hello = Message::Hello {
             version: PROTOCOL_VERSION + 1,
             tenant: "mallory".into(),
         };

@@ -48,7 +48,8 @@ pub const TABLE: &[PolicyRow] = &[
     PolicyRow {
         prefix: "crates/cluster/src/proto.rs",
         rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
-        why: "decodes untrusted protocol messages",
+        why: "decodes untrusted messages from workers and multi-tenant service clients; \
+              the service's determinism key (content address) is computed from these codecs",
     },
     PolicyRow {
         prefix: "crates/cluster/src/shard.rs",
@@ -88,12 +89,6 @@ pub const TABLE: &[PolicyRow] = &[
         prefix: "crates/cluster/",
         rules: &[],
         why: "lease deadlines, sockets, and backoff run on real clocks by design",
-    },
-    PolicyRow {
-        prefix: "crates/svc/src/proto.rs",
-        rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
-        why: "decodes untrusted multi-tenant service frames; the determinism key \
-              (content address) is computed from these codecs",
     },
     PolicyRow {
         prefix: "crates/svc/src/sched.rs",
@@ -318,7 +313,7 @@ mod tests {
     fn service_wire_and_core_modules_are_pinned() {
         // The service's wire path parses untrusted multi-tenant input
         // inside the shared server loop: panic-free and deterministic.
-        for path in ["crates/svc/src/proto.rs", "crates/cluster/src/conn.rs"] {
+        for path in ["crates/cluster/src/proto.rs", "crates/cluster/src/conn.rs"] {
             let rules = rules_for(path);
             assert!(rules.contains(&Rule::NoPanicOnWire), "{path}");
             assert!(rules.contains(&Rule::NoNondeterminism), "{path}");

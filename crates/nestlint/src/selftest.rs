@@ -245,7 +245,7 @@ pub fn run(dir: &Path) -> SelfTest {
     // Same pin for the service wire path: the frame accumulator and
     // message codecs parse untrusted multi-tenant input inside one
     // shared server loop, so they must stay no-panic-on-wire.
-    for path in ["crates/svc/src/proto.rs", "crates/cluster/src/conn.rs"] {
+    for path in ["crates/cluster/src/proto.rs", "crates/cluster/src/conn.rs"] {
         if !crate::policy::rules_for(path).contains(&crate::rules::Rule::NoPanicOnWire) {
             failures.push(format!(
                 "{path}: policy no longer classifies the service wire path as \

@@ -63,7 +63,7 @@ pub struct WholeConfig {
 
 impl WholeConfig {
     /// The real workspace configuration: wire files are the policy
-    /// rows carrying `no-panic-on-wire`, codec files are the three
+    /// rows carrying `no-panic-on-wire`, codec files are the two
     /// protocol modules, telemetry is the telemetry crate.
     pub fn workspace() -> WholeConfig {
         WholeConfig {
@@ -75,7 +75,6 @@ impl WholeConfig {
             codec_files: vec![
                 "crates/cluster/src/wire.rs".to_string(),
                 "crates/cluster/src/proto.rs".to_string(),
-                "crates/svc/src/proto.rs".to_string(),
             ],
             telemetry_prefix: Some("crates/telemetry/".to_string()),
         }
@@ -894,12 +893,11 @@ pub fn get_list(r: &mut Reader) -> Result<Vec<u64>, E> {
             "crates/cluster/src/wire.rs",
             "crates/cluster/src/frame.rs",
             "crates/cluster/src/proto.rs",
-            "crates/svc/src/proto.rs",
             "crates/cluster/src/conn.rs",
         ] {
             assert!(cfg.wire_files.iter().any(|w| w == p), "{p} missing");
         }
-        assert_eq!(cfg.codec_files.len(), 3);
+        assert_eq!(cfg.codec_files.len(), 2);
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn mutation_pool() -> Vec<String> {
         .into_iter()
         .filter(|(p, _)| {
             p.ends_with("cluster/src/wire.rs")
-                || p.ends_with("svc/src/proto.rs")
+                || p.ends_with("cluster/src/proto.rs")
                 || p.ends_with("nestlint/src/parser.rs")
                 || p.ends_with("telemetry/src/recorder.rs")
         })

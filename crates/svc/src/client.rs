@@ -1,7 +1,7 @@
 //! Blocking service client — the path `repro --service ADDR` and the
 //! smoke tests use.
 //!
-//! The client pipelines submissions: send every `Submit` up front,
+//! The client pipelines submissions: send every `SubmitJob` up front,
 //! then demultiplex the server's interleaved `Accepted` / `Progress` /
 //! `Chunk` / `Done` stream by request id and ticket. The result of a
 //! completed job is reassembled into a [`CampaignResult`] that
@@ -9,9 +9,7 @@
 //! golden reference, and merged telemetry; engine counters and
 //! worker-sample splits are execution telemetry and are left null).
 
-use crate::proto::SvcMessage;
-use nestsim_cluster::frame::{read_frame, write_frame};
-use nestsim_cluster::proto::{JobWire, PROTOCOL_VERSION};
+use nestsim_cluster::proto::{self, JobWire, Message, PROTOCOL_VERSION};
 use nestsim_core::inject::InjectionRecord;
 use nestsim_core::{CampaignResult, OutcomeCounts};
 use nestsim_telemetry::{CampaignTelemetry, Recorder};
@@ -50,16 +48,13 @@ impl SvcClient {
             .set_nodelay(true)
             .map_err(|e| format!("set_nodelay failed: {e}"))?;
         let mut client = SvcClient { stream };
-        client.send(&SvcMessage::ClientHello {
+        client.send(&Message::Hello {
             version: PROTOCOL_VERSION,
             tenant: tenant.to_string(),
         })?;
         match client.recv()? {
-            SvcMessage::ClientHelloAck { version } if version == PROTOCOL_VERSION => Ok(client),
-            SvcMessage::ClientHelloAck { version } => Err(format!(
-                "service speaks protocol {version}, not {PROTOCOL_VERSION}"
-            )),
-            SvcMessage::Error { message } => Err(format!("service rejected hello: {message}")),
+            Message::HelloAck { .. } => Ok(client),
+            Message::Error { message } => Err(format!("service rejected hello: {message}")),
             other => Err(format!("unexpected hello reply {other:?}")),
         }
     }
@@ -76,7 +71,7 @@ impl SvcClient {
     /// Outcomes are returned in submission order.
     pub fn run_jobs(&mut self, jobs: &[(JobWire, u32)]) -> Result<Vec<JobOutcome>, String> {
         for (req, (job, priority)) in jobs.iter().enumerate() {
-            self.send(&SvcMessage::Submit {
+            self.send(&Message::SubmitJob {
                 req: req as u64,
                 priority: *priority,
                 job: job.clone(),
@@ -93,16 +88,16 @@ impl SvcClient {
     /// Fetches the service's `svc.*` telemetry snapshot. Call only
     /// with no submissions in flight, or stream frames will interleave.
     pub fn stats(&mut self) -> Result<Recorder, String> {
-        self.send(&SvcMessage::QueryStats)?;
+        self.send(&Message::QueryStats)?;
         match self.recv()? {
-            SvcMessage::Stats { recorder } => Ok(recorder),
+            Message::Stats { recorder } => Ok(recorder),
             other => Err(format!("unexpected stats reply {other:?}")),
         }
     }
 
     fn dispatch(
         &mut self,
-        msg: SvcMessage,
+        msg: Message,
         jobs: &[(JobWire, u32)],
         slots: &mut [Slot],
     ) -> Result<(), String> {
@@ -113,20 +108,20 @@ impl SvcClient {
                 .ok_or_else(|| format!("server referenced unknown ticket {ticket}"))
         };
         match msg {
-            SvcMessage::Accepted { req, ticket, .. } => {
+            Message::Accepted { req, ticket, .. } => {
                 let slot = slots
                     .get_mut(req as usize)
                     .ok_or_else(|| format!("unknown request id {req}"))?;
                 slot.ticket = Some(ticket);
             }
-            SvcMessage::Rejected { req, reason, .. } => {
+            Message::Rejected { req, reason, .. } => {
                 let slot = slots
                     .get_mut(req as usize)
                     .ok_or_else(|| format!("unknown request id {req}"))?;
                 slot.outcome = Some(JobOutcome::Rejected(reason));
             }
-            SvcMessage::Progress { .. } => {}
-            SvcMessage::Chunk {
+            Message::Progress { .. } => {}
+            Message::Chunk {
                 ticket,
                 start,
                 records,
@@ -141,7 +136,7 @@ impl SvcClient {
                 }
                 slot.records.extend(records);
             }
-            SvcMessage::Done {
+            Message::Done {
                 ticket,
                 golden,
                 merged,
@@ -168,12 +163,12 @@ impl SvcClient {
                     adaptive: None,
                 })));
             }
-            SvcMessage::Failed { ticket, reason } => {
+            Message::Failed { ticket, reason } => {
                 let i = by_ticket(slots, ticket)?;
                 slots[i].outcome = Some(JobOutcome::Failed(reason));
             }
-            SvcMessage::Cancelled { .. } => {}
-            SvcMessage::Error { message } => {
+            Message::Cancelled { .. } => {}
+            Message::Error { message } => {
                 return Err(format!("service error: {message}"));
             }
             other => return Err(format!("unexpected server frame {other:?}")),
@@ -181,13 +176,11 @@ impl SvcClient {
         Ok(())
     }
 
-    fn send(&mut self, msg: &SvcMessage) -> Result<(), String> {
-        let payload = msg.encode()?;
-        write_frame(&mut self.stream, &payload).map_err(|e| format!("send failed: {e}"))
+    fn send(&mut self, msg: &Message) -> Result<(), String> {
+        proto::send(&mut self.stream, msg).map_err(|e| format!("send failed: {e}"))
     }
 
-    fn recv(&mut self) -> Result<SvcMessage, String> {
-        let payload = read_frame(&mut self.stream).map_err(|e| format!("recv failed: {e}"))?;
-        SvcMessage::decode(&payload)
+    fn recv(&mut self) -> Result<Message, String> {
+        proto::recv(&mut self.stream).map_err(|e| format!("recv failed: {e}"))
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! | Layer | Module | Role |
 //! |---|---|---|
-//! | wire | [`proto`] | service message set (protocol v4, `NSCL` frames) |
+//! | wire | `nestsim_cluster::proto` | the one message set, shared with the coordinator (protocol v5, `NSCL` frames) |
 //! | scheduling | [`sched`] | deficit-round-robin fair share across tenants |
 //! | dedup | [`store`] | content-addressed result store keyed by determinism key |
 //! | protocol | [`machine`] | sans-I/O service state machine (model-checked) |
@@ -28,14 +28,12 @@
 
 pub mod client;
 pub mod machine;
-pub mod proto;
 pub mod sched;
 pub mod service;
 pub mod store;
 
 pub use client::{JobOutcome, SvcClient};
 pub use machine::{SvcAction, SvcConfig, SvcEvent, SvcMachine};
-pub use proto::SvcMessage;
 pub use sched::DrrScheduler;
 pub use service::{serve, ServiceConfig, ServiceHandle};
 pub use store::{job_key, ExecOutput, JobKey, ResultStore};

@@ -13,16 +13,19 @@
 //! content-addressed dedup ([`ResultStore`]), result fan-out streaming,
 //! crash-retry, and `svc.*` telemetry.
 
-use crate::proto::{SvcMessage, CHUNK_RECORDS};
 use crate::sched::DrrScheduler;
 use crate::store::{
     job_key, CrashOutcome, ExecOutput, JobKey, ResultStore, SubscribeOutcome, Subscriber,
     UnsubscribeOutcome,
 };
-use nestsim_cluster::proto::{JobWire, PROTOCOL_VERSION};
+use nestsim_cluster::proto::{check_version, JobWire, Message};
 use nestsim_models::ComponentKind;
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Records per `Chunk` frame: few enough that clients see big jobs
+/// stream, enough that framing overhead stays negligible.
+pub const CHUNK_RECORDS: usize = 256;
 
 /// Tunables of the service machine.
 #[derive(Debug, Clone)]
@@ -62,7 +65,7 @@ pub enum SvcEvent {
         /// Source connection.
         conn: u64,
         /// The decoded message.
-        msg: SvcMessage,
+        msg: Message,
     },
     /// The connection closed (either side, any reason).
     Closed {
@@ -93,7 +96,7 @@ pub enum SvcAction {
         /// Destination connection.
         conn: u64,
         /// The message to encode and frame.
-        msg: SvcMessage,
+        msg: Message,
     },
     /// Close `conn` after flushing pending sends.
     Close {
@@ -205,37 +208,34 @@ impl SvcMachine {
         }
     }
 
-    fn on_message(&mut self, conn: u64, msg: SvcMessage) -> Vec<SvcAction> {
+    fn on_message(&mut self, conn: u64, msg: Message) -> Vec<SvcAction> {
         if !self.conns.contains_key(&conn) {
             return Vec::new(); // raced with a close
         }
         match msg {
-            SvcMessage::ClientHello { version, tenant } => {
-                if version != PROTOCOL_VERSION {
-                    return self.fatal(
-                        conn,
-                        format!("protocol mismatch: service speaks {PROTOCOL_VERSION}, client speaks {version}"),
-                    );
+            Message::Hello { version, tenant } => {
+                if let Err(message) = check_version(version) {
+                    return self.fatal(conn, message);
                 }
                 if let Some(state) = self.conns.get_mut(&conn) {
                     state.tenant = Some(tenant);
                 }
                 vec![SvcAction::Send {
                     conn,
-                    msg: SvcMessage::ClientHelloAck {
-                        version: PROTOCOL_VERSION,
+                    msg: Message::HelloAck {
+                        id: self.conns.len() as u32,
                     },
                 }]
             }
-            SvcMessage::Submit { req, priority, job } => self.on_submit(conn, req, priority, job),
-            SvcMessage::Cancel { ticket } => self.on_cancel(conn, ticket),
-            SvcMessage::QueryStats => vec![SvcAction::Send {
+            Message::SubmitJob { req, priority, job } => self.on_submit(conn, req, priority, job),
+            Message::Cancel { ticket } => self.on_cancel(conn, ticket),
+            Message::QueryStats => vec![SvcAction::Send {
                 conn,
-                msg: SvcMessage::Stats {
+                msg: Message::Stats {
                     recorder: self.stats.clone(),
                 },
             }],
-            SvcMessage::Error { .. } => vec![SvcAction::Close { conn }],
+            Message::Error { .. } => vec![SvcAction::Close { conn }],
             other => self.fatal(conn, format!("unexpected client frame {other:?}")),
         }
     }
@@ -259,7 +259,7 @@ impl SvcMachine {
             self.stats.count(names::SVC_DEDUP_HITS, 1);
             acts.push(SvcAction::Send {
                 conn,
-                msg: SvcMessage::Accepted {
+                msg: Message::Accepted {
                     req,
                     ticket,
                     dedup: true,
@@ -316,7 +316,7 @@ impl SvcMachine {
         }
         acts.push(SvcAction::Send {
             conn,
-            msg: SvcMessage::Accepted {
+            msg: Message::Accepted {
                 req,
                 ticket,
                 dedup,
@@ -325,7 +325,7 @@ impl SvcMachine {
         });
         acts.push(SvcAction::Send {
             conn,
-            msg: SvcMessage::Progress {
+            msg: Message::Progress {
                 ticket,
                 running: self.store.is_running(&key),
                 done: 0,
@@ -354,7 +354,7 @@ impl SvcMachine {
         }
         vec![SvcAction::Send {
             conn,
-            msg: SvcMessage::Cancelled { ticket },
+            msg: Message::Cancelled { ticket },
         }]
     }
 
@@ -401,7 +401,7 @@ impl SvcMachine {
                         state.tickets.remove(&sub.ticket);
                         acts.push(SvcAction::Send {
                             conn: sub.conn,
-                            msg: SvcMessage::Failed {
+                            msg: Message::Failed {
                                 ticket: sub.ticket,
                                 reason: format!(
                                     "execution crashed {} times (last: {reason})",
@@ -435,7 +435,7 @@ impl SvcMachine {
             for sub in self.store.subscribers(&key) {
                 acts.push(SvcAction::Send {
                     conn: sub.conn,
-                    msg: SvcMessage::Progress {
+                    msg: Message::Progress {
                         ticket: sub.ticket,
                         running: true,
                         done: 0,
@@ -471,7 +471,7 @@ impl SvcMachine {
     fn reject(&mut self, conn: u64, req: u64, reason: String) -> SvcAction {
         SvcAction::Send {
             conn,
-            msg: SvcMessage::Rejected {
+            msg: Message::Rejected {
                 req,
                 reason,
                 queue_depth: self.sched.len() as u64,
@@ -483,7 +483,7 @@ impl SvcMachine {
         vec![
             SvcAction::Send {
                 conn,
-                msg: SvcMessage::Error { message },
+                msg: Message::Error { message },
             },
             SvcAction::Close { conn },
         ]
@@ -514,7 +514,7 @@ fn validate_job(job: &JobWire) -> Result<(), String> {
 fn stream_result(conn: u64, ticket: u64, total: u64, out: &ExecOutput) -> Vec<SvcAction> {
     let mut acts = vec![SvcAction::Send {
         conn,
-        msg: SvcMessage::Progress {
+        msg: Message::Progress {
             ticket,
             running: true,
             done: total,
@@ -525,7 +525,7 @@ fn stream_result(conn: u64, ticket: u64, total: u64, out: &ExecOutput) -> Vec<Sv
     for chunk in out.records.chunks(CHUNK_RECORDS) {
         acts.push(SvcAction::Send {
             conn,
-            msg: SvcMessage::Chunk {
+            msg: Message::Chunk {
                 ticket,
                 start: start as u64,
                 records: chunk.to_vec(),
@@ -535,7 +535,7 @@ fn stream_result(conn: u64, ticket: u64, total: u64, out: &ExecOutput) -> Vec<Sv
     }
     acts.push(SvcAction::Send {
         conn,
-        msg: SvcMessage::Done {
+        msg: Message::Done {
             ticket,
             golden: out.golden,
             merged: out.merged.clone(),
@@ -547,6 +547,7 @@ fn stream_result(conn: u64, ticket: u64, total: u64, out: &ExecOutput) -> Vec<Sv
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nestsim_cluster::proto::PROTOCOL_VERSION;
     use nestsim_core::CampaignSpec;
     use nestsim_hlsim::workload::by_name;
 
@@ -582,7 +583,7 @@ mod tests {
         m.step(SvcEvent::Connected { conn });
         let acts = m.step(SvcEvent::Received {
             conn,
-            msg: SvcMessage::ClientHello {
+            msg: Message::Hello {
                 version: PROTOCOL_VERSION,
                 tenant: tenant.into(),
             },
@@ -590,7 +591,7 @@ mod tests {
         assert!(matches!(
             acts.as_slice(),
             [SvcAction::Send {
-                msg: SvcMessage::ClientHelloAck { .. },
+                msg: Message::HelloAck { .. },
                 ..
             }]
         ));
@@ -599,7 +600,7 @@ mod tests {
     fn submit(m: &mut SvcMachine, conn: u64, req: u64, job: JobWire) -> Vec<SvcAction> {
         m.step(SvcEvent::Received {
             conn,
-            msg: SvcMessage::Submit {
+            msg: Message::SubmitJob {
                 req,
                 priority: 1,
                 job,
@@ -607,7 +608,7 @@ mod tests {
         })
     }
 
-    fn sent_to(acts: &[SvcAction], conn: u64) -> Vec<&SvcMessage> {
+    fn sent_to(acts: &[SvcAction], conn: u64) -> Vec<&Message> {
         acts.iter()
             .filter_map(|a| match a {
                 SvcAction::Send { conn: c, msg } if *c == conn => Some(msg),
@@ -631,7 +632,7 @@ mod tests {
         m.step(SvcEvent::Connected { conn: 1 });
         let acts = m.step(SvcEvent::Received {
             conn: 1,
-            msg: SvcMessage::ClientHello {
+            msg: Message::Hello {
                 version: PROTOCOL_VERSION + 1,
                 tenant: "x".into(),
             },
@@ -640,7 +641,7 @@ mod tests {
             acts.as_slice(),
             [
                 SvcAction::Send {
-                    msg: SvcMessage::Error { .. },
+                    msg: Message::Error { .. },
                     ..
                 },
                 SvcAction::Close { conn: 1 }
@@ -664,7 +665,7 @@ mod tests {
             "dedup submit must not re-execute"
         );
         match sent_to(&acts2, 2).first() {
-            Some(SvcMessage::Accepted { dedup, .. }) => assert!(dedup),
+            Some(Message::Accepted { dedup, .. }) => assert!(dedup),
             other => panic!("expected Accepted, got {other:?}"),
         }
         assert_eq!(m.stats().counter(names::SVC_DEDUP_HITS), 1);
@@ -677,7 +678,7 @@ mod tests {
         for conn in [1, 2] {
             let msgs = sent_to(&acts, conn);
             let done = msgs.iter().find_map(|m| match m {
-                SvcMessage::Done { golden, merged, .. } => Some((golden, merged)),
+                Message::Done { golden, merged, .. } => Some((golden, merged)),
                 _ => None,
             });
             let (golden, merged) = done.unwrap_or_else(|| panic!("conn {conn} got no Done"));
@@ -686,7 +687,7 @@ mod tests {
             let streamed: Vec<_> = msgs
                 .iter()
                 .filter_map(|m| match m {
-                    SvcMessage::Chunk { records, .. } => Some(records.clone()),
+                    Message::Chunk { records, .. } => Some(records.clone()),
                     _ => None,
                 })
                 .flatten()
@@ -713,9 +714,9 @@ mod tests {
         let msgs = sent_to(&acts, 1);
         assert!(matches!(
             msgs.first(),
-            Some(SvcMessage::Accepted { dedup: true, .. })
+            Some(Message::Accepted { dedup: true, .. })
         ));
-        assert!(msgs.iter().any(|m| matches!(m, SvcMessage::Done { .. })));
+        assert!(msgs.iter().any(|m| matches!(m, Message::Done { .. })));
         assert_eq!(m.stats().counter(names::SVC_EXECS_STARTED), 1);
     }
 
@@ -730,18 +731,18 @@ mod tests {
         let a = submit(&mut m, 1, 1, test_job(8, 1));
         assert!(matches!(
             sent_to(&a, 1).first(),
-            Some(SvcMessage::Accepted { dedup: false, .. })
+            Some(Message::Accepted { dedup: false, .. })
         ));
         // Same key again: a dedup join, admitted despite the full queue.
         let b = submit(&mut m, 1, 2, test_job(8, 1));
         assert!(matches!(
             sent_to(&b, 1).first(),
-            Some(SvcMessage::Accepted { dedup: true, .. })
+            Some(Message::Accepted { dedup: true, .. })
         ));
         // A new key exceeds the bound: explicit Rejected, not queued.
         let c = submit(&mut m, 1, 3, test_job(8, 2));
         match sent_to(&c, 1).first() {
-            Some(SvcMessage::Rejected {
+            Some(Message::Rejected {
                 req,
                 reason,
                 queue_depth,
@@ -803,16 +804,16 @@ mod tests {
         submit(&mut m, 1, 1, test_job(8, 1)); // running
         let acts = submit(&mut m, 1, 2, test_job(8, 2)); // queued
         let ticket = match sent_to(&acts, 1).first() {
-            Some(SvcMessage::Accepted { ticket, .. }) => *ticket,
+            Some(Message::Accepted { ticket, .. }) => *ticket,
             other => panic!("expected Accepted, got {other:?}"),
         };
         let acts = m.step(SvcEvent::Received {
             conn: 1,
-            msg: SvcMessage::Cancel { ticket },
+            msg: Message::Cancel { ticket },
         });
         assert!(matches!(
             sent_to(&acts, 1).as_slice(),
-            [SvcMessage::Cancelled { .. }]
+            [Message::Cancelled { .. }]
         ));
         assert_eq!(m.stats().counter(names::SVC_JOBS_CANCELLED), 1);
         let acts = m.step(SvcEvent::ExecDone {
@@ -842,7 +843,7 @@ mod tests {
             reason: "chaos".into(),
         });
         match sent_to(&acts, 1).first() {
-            Some(SvcMessage::Failed { reason, .. }) => {
+            Some(Message::Failed { reason, .. }) => {
                 assert!(reason.contains("crashed 2 times"), "{reason}")
             }
             other => panic!("expected Failed, got {other:?}"),
@@ -880,14 +881,14 @@ mod tests {
         let acts = submit(&mut m, 1, 1, bad);
         assert!(matches!(
             sent_to(&acts, 1).as_slice(),
-            [SvcMessage::Rejected { .. }]
+            [Message::Rejected { .. }]
         ));
         let mut bad = test_job(8, 1);
         bad.check_interval = 0;
         let acts = submit(&mut m, 1, 2, bad);
         assert!(matches!(
             sent_to(&acts, 1).as_slice(),
-            [SvcMessage::Rejected { .. }]
+            [Message::Rejected { .. }]
         ));
         assert!(m.is_idle());
     }

@@ -8,10 +8,9 @@
 //! poller.
 
 use crate::machine::{SvcAction, SvcConfig, SvcEvent, SvcMachine};
-use crate::proto::SvcMessage;
 use crate::store::ExecOutput;
 use nestsim_cluster::proto::JobWire;
-use nestsim_cluster::server::{Action, Event, Machine, Server, Waker};
+use nestsim_cluster::server::{decode_frame, send_frame, Action, Event, Machine, Server, Waker};
 use nestsim_core::run_campaign_with;
 use std::io;
 use std::net::SocketAddr;
@@ -110,10 +109,11 @@ impl Svc {
     fn feed(&mut self, ev: SvcEvent, out: &mut Vec<Action>) {
         for act in self.machine.step(ev) {
             match act {
-                SvcAction::Send { conn, msg } => match msg.encode() {
-                    Ok(payload) => out.push(Action::Send { conn, payload }),
-                    Err(e) => eprintln!("nestsim-svc: dropping unencodable frame: {e}"),
-                },
+                SvcAction::Send { conn, msg } => {
+                    if send_frame(conn, &msg, out).is_none() {
+                        self.feed(SvcEvent::Closed { conn }, out);
+                    }
+                }
                 SvcAction::Close { conn } => {
                     // The loop reports no close the machine asked for,
                     // so the machine hears of it here and drops the
@@ -140,17 +140,9 @@ impl Machine for Svc {
     fn step(&mut self, _now: u64, event: Event<Command>, out: &mut Vec<Action>) {
         let ev = match event {
             Event::Connected { conn } => SvcEvent::Connected { conn },
-            Event::Frame { conn, payload } => match SvcMessage::decode(&payload) {
-                Ok(msg) => SvcEvent::Received { conn, msg },
-                Err(e) => {
-                    // Best-effort error reply, then drop the client.
-                    let message = format!("undecodable frame: {e}");
-                    if let Ok(payload) = (SvcMessage::Error { message }).encode() {
-                        out.push(Action::Send { conn, payload });
-                    }
-                    out.push(Action::Close { conn });
-                    SvcEvent::Closed { conn }
-                }
+            Event::Frame { conn, payload } => match decode_frame(conn, &payload, out) {
+                Some(msg) => SvcEvent::Received { conn, msg },
+                None => SvcEvent::Closed { conn },
             },
             Event::Closed { conn, .. } => SvcEvent::Closed { conn },
             Event::Tick => return,

@@ -1,20 +1,17 @@
 //! Content-addressed result store: the service-side generalization of
 //! the repro grid's cell cache.
 //!
-//! Jobs are keyed by their **determinism key** — the canonical wire
-//! encoding of exactly the [`JobWire`] fields that affect campaign
-//! results (the `CellKey` equivalent: benchmark, component, samples,
-//! seed, length scale, co-simulation cap, check interval, lane
-//! clustering, telemetry configuration, and the adaptive round, but
-//! *not* execution-only knobs like `snapshot_interval` or
-//! `lane_width`, which the byte-identity contract guarantees cannot
-//! change results). Two submissions with equal keys deduplicate to one
-//! execution; every subscriber receives the single output.
+//! Jobs are keyed by their **determinism key** — the job's wire
+//! encoding ([`put_job`]) with the execution-only knobs
+//! `snapshot_interval` and `lane_width` pinned to zero, since the
+//! byte-identity contract guarantees they cannot change results (the
+//! `CellKey` equivalent). Two submissions with equal keys deduplicate
+//! to one execution; every subscriber receives the single output.
 //!
 //! The store is pure data (BTree maps, no clock, no hashing
 //! randomness) and is policy-pinned `NoNondeterminism`.
 
-use nestsim_cluster::proto::{put_component, JobWire};
+use nestsim_cluster::proto::{put_job, JobWire};
 use nestsim_cluster::wire::{WireError, Writer};
 use nestsim_core::inject::{GoldenRef, InjectionRecord};
 use nestsim_telemetry::Recorder;
@@ -26,26 +23,13 @@ pub type JobKey = Vec<u8>;
 
 /// Computes the determinism key of `job`.
 pub fn job_key(job: &JobWire) -> Result<JobKey, WireError> {
+    let result_fields = JobWire {
+        snapshot_interval: 0,
+        lane_width: 0,
+        ..job.clone()
+    };
     let mut w = Writer::new();
-    w.str(&job.benchmark);
-    put_component(&mut w, job.component)?;
-    w.u64(job.samples);
-    w.u64(job.seed);
-    w.u64(job.length_scale);
-    w.u64(job.cosim_cap);
-    w.u64(job.check_interval);
-    w.u64(job.lane_cluster);
-    w.bool(job.telemetry);
-    w.u64(job.trace_capacity);
-    match job.adaptive {
-        None => w.bool(false),
-        Some(round) => {
-            w.bool(true);
-            for v in round.start.iter().chain(round.alloc.iter()) {
-                w.u64(*v);
-            }
-        }
-    }
+    put_job(&mut w, &result_fields)?;
     Ok(w.into_bytes())
 }
 
@@ -292,6 +276,7 @@ impl ResultStore {
 mod tests {
     use super::*;
     use nestsim_cluster::proto::AdaptiveRoundWire;
+    use nestsim_models::ComponentKind;
 
     fn job(samples: u64) -> JobWire {
         JobWire {
@@ -317,6 +302,34 @@ mod tests {
             alloc: [1, 2, 3],
         });
         assert_ne!(job_key(&a).unwrap(), job_key(&d).unwrap());
+    }
+
+    #[test]
+    fn key_changes_with_every_result_field() {
+        let base = job(8);
+        let edits: [fn(&mut JobWire); 11] = [
+            |j| j.benchmark.push('x'),
+            |j| j.component = ComponentKind::Mcu,
+            |j| j.samples += 1,
+            |j| j.seed += 1,
+            |j| j.length_scale += 1,
+            |j| j.cosim_cap += 1,
+            |j| j.check_interval += 1,
+            |j| j.lane_cluster += 1,
+            |j| j.telemetry = !j.telemetry,
+            |j| j.trace_capacity += 1,
+            |j| {
+                j.adaptive = Some(AdaptiveRoundWire {
+                    start: [0; 3],
+                    alloc: [0; 3],
+                })
+            },
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut j = base.clone();
+            edit(&mut j);
+            assert_ne!(job_key(&base).unwrap(), job_key(&j).unwrap(), "edit {i}");
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use nestsim_cluster::frame::{read_frame, write_frame, MAGIC, MAX_FRAME};
-use nestsim_cluster::proto::{JobWire, PROTOCOL_VERSION};
+use nestsim_cluster::proto::{JobWire, Message, PROTOCOL_VERSION};
+use nestsim_cluster::{run_worker, serve_campaign, CoordinatorConfig, WorkerOptions};
 use nestsim_core::campaign::{run_campaign_with, CampaignSpec};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
-use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig, SvcMessage};
+use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig};
 use nestsim_telemetry::TelemetryConfig;
 
 #[test]
@@ -65,6 +66,30 @@ fn invalid_job_is_rejected_over_the_wire() {
         other => panic!("expected rejection, got {other:?}"),
     }
     handle.shutdown().unwrap();
+}
+
+/// A worker that dials the service, and a service client that dials a
+/// coordinator, each get through the shared handshake and are then
+/// refused with the server's `Error`, which names the message it did
+/// not expect.
+#[test]
+fn peers_that_dial_the_wrong_server_get_its_error() {
+    let handle = serve(ServiceConfig::default()).unwrap();
+    let err = run_worker(&handle.addr().to_string(), &WorkerOptions::default()).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("unexpected client frame RequestShard"),
+        "{err}"
+    );
+    handle.shutdown().unwrap();
+
+    let profile = by_name("radi").unwrap();
+    let spec = CampaignSpec::quick(ComponentKind::L2c, 4);
+    let campaign = serve_campaign(profile, &spec, None, &CoordinatorConfig::default()).unwrap();
+    let mut client = SvcClient::connect(&campaign.addr().to_string(), "t1").unwrap();
+    let job = JobWire::from_spec(profile, &spec, None);
+    let err = client.run_job(&job, 1).unwrap_err();
+    assert!(err.contains("unexpected message SubmitJob"), "{err}");
 }
 
 /// Asserts a service outcome equals the in-process run of `spec` on
@@ -127,7 +152,7 @@ fn slow_and_bad_peers_do_not_stall_a_healthy_tenant() {
 
         let mut slow = TcpStream::connect(addr).unwrap();
         let mut hello = Vec::new();
-        let payload = SvcMessage::ClientHello {
+        let payload = Message::Hello {
             version: PROTOCOL_VERSION,
             tenant: "slow".to_string(),
         };
@@ -136,11 +161,8 @@ fn slow_and_bad_peers_do_not_stall_a_healthy_tenant() {
             slow.write_all(&[byte]).unwrap();
             std::thread::sleep(Duration::from_millis(2));
         }
-        let reply = SvcMessage::decode(&read_frame(&mut slow).unwrap()).unwrap();
-        assert!(
-            matches!(reply, SvcMessage::ClientHelloAck { .. }),
-            "{reply:?}"
-        );
+        let reply = Message::decode(&read_frame(&mut slow).unwrap()).unwrap();
+        assert!(matches!(reply, Message::HelloAck { .. }), "{reply:?}");
 
         assert!(hung_up(&mut bad_magic), "bad magic must be hung up on");
         assert_in_process(healthy.join().unwrap(), &spec, &telemetry);
@@ -170,14 +192,14 @@ fn tenant_that_never_reads_is_dropped() {
     let mut warm = SvcClient::connect(&addr, "warm").unwrap();
     drop(warm.run_job(&job, 1).unwrap());
     let mut deaf = TcpStream::connect(&addr).unwrap();
-    let hello = SvcMessage::ClientHello {
+    let hello = Message::Hello {
         version: PROTOCOL_VERSION,
         tenant: "deaf".to_string(),
     };
     write_frame(&mut deaf, &hello.encode().unwrap()).unwrap();
     let mut batch = Vec::new();
     for req in 0..1_000 {
-        let submit = SvcMessage::Submit {
+        let submit = Message::SubmitJob {
             req,
             priority: 1,
             job: job.clone(),

@@ -131,7 +131,11 @@ fn version_mismatch_worker_is_rejected_cleanly() {
     // A "v1 worker": a raw socket speaking the framed wire protocol
     // with an outdated version claim.
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-    let hello = Message::Hello { version: 1 }.encode().unwrap();
+    let hello = Message::Hello {
+        version: 1,
+        tenant: String::new(),
+    };
+    let hello = hello.encode().unwrap();
     write_frame(&mut stream, &hello).unwrap();
     let reply = Message::decode(&read_frame(&mut stream).unwrap()).unwrap();
     let Message::Error { message } = reply else {

@@ -20,9 +20,12 @@ use nestsim_harness::{properties, Source};
 
 use nestsim::cluster::frame::{read_frame, write_frame};
 use nestsim::cluster::lease::{Completion, Grant, LeaseTable};
-use nestsim::cluster::proto::{AdaptiveRoundWire, JobWire, Message, SubmitWire, PROTOCOL_VERSION};
+use nestsim::cluster::proto::{AdaptiveRoundWire, JobWire, Message, RunWire, SubmitWire};
 use nestsim::cluster::{auto_shard_size, plan_shards, LeaseConfig, Shard};
+use nestsim::core::inject::{GoldenRef, InjectionRecord};
+use nestsim::core::Outcome;
 use nestsim::models::ComponentKind;
+use nestsim::telemetry::{names, Recorder, TelemetryConfig};
 
 /// Fisher–Yates driven by the property source.
 fn shuffle<T>(src: &mut Source, items: &mut [T]) {
@@ -51,15 +54,16 @@ fn mutate(src: &mut Source, bytes: &mut Vec<u8>) {
     }
 }
 
-/// An arbitrary control-plane message (plus the degenerate submit) for
-/// the decoder fuzz.
+/// An arbitrary message of either conversation, every variant drawn,
+/// for the round-trip property and the decoder fuzz.
 fn arbitrary_message(src: &mut Source) -> Message {
-    match src.index(10) {
+    match src.index(21) {
         0 => Message::Hello {
             version: src.u64() as u16,
+            tenant: src.lowercase_string(0, 16),
         },
         1 => Message::HelloAck {
-            worker: src.u64() as u32,
+            id: src.u64() as u32,
         },
         2 => Message::RequestShard {
             worker: src.u64() as u32,
@@ -85,24 +89,102 @@ fn arbitrary_message(src: &mut Source) -> Message {
         6 => Message::HeartbeatAck {
             current: src.bool(),
         },
-        7 => Message::SubmitAck {
-            accepted: src.bool(),
-        },
-        8 => Message::Error {
-            message: src.lowercase_string(0, 64),
-        },
-        _ => Message::Submit(SubmitWire {
+        7 => Message::Submit(SubmitWire {
             worker: src.u64() as u32,
             shard: src.u64() as u32,
-            golden: nestsim::core::inject::GoldenRef {
-                digest: src.u64(),
-                cycles: src.u64(),
-            },
+            golden: arbitrary_golden(src),
             forward: src.u64(),
             restores: src.u64(),
-            runs: Vec::new(),
+            runs: (0..src.index(4))
+                .map(|_| RunWire {
+                    sample: src.u64(),
+                    record: arbitrary_record(src),
+                    recorder: arbitrary_recorder(src),
+                })
+                .collect(),
         }),
+        8 => Message::SubmitAck {
+            accepted: src.bool(),
+        },
+        9 => Message::Error {
+            message: src.lowercase_string(0, 64),
+        },
+        10 => Message::SubmitJob {
+            req: src.u64(),
+            priority: src.u64() as u32,
+            job: arbitrary_job(src),
+        },
+        11 => Message::Accepted {
+            req: src.u64(),
+            ticket: src.u64(),
+            dedup: src.bool(),
+            queue_depth: src.u64(),
+        },
+        12 => Message::Rejected {
+            req: src.u64(),
+            reason: src.lowercase_string(0, 64),
+            queue_depth: src.u64(),
+        },
+        13 => Message::Cancel { ticket: src.u64() },
+        14 => Message::Cancelled { ticket: src.u64() },
+        15 => Message::Progress {
+            ticket: src.u64(),
+            running: src.bool(),
+            done: src.u64(),
+            total: src.u64(),
+        },
+        16 => Message::Chunk {
+            ticket: src.u64(),
+            start: src.u64(),
+            records: (0..src.index(8)).map(|_| arbitrary_record(src)).collect(),
+        },
+        17 => Message::Done {
+            ticket: src.u64(),
+            golden: arbitrary_golden(src),
+            merged: arbitrary_recorder(src),
+        },
+        18 => Message::Failed {
+            ticket: src.u64(),
+            reason: src.lowercase_string(0, 64),
+        },
+        19 => Message::QueryStats,
+        _ => Message::Stats {
+            recorder: arbitrary_recorder(src),
+        },
     }
+}
+
+fn arbitrary_golden(src: &mut Source) -> GoldenRef {
+    GoldenRef {
+        digest: src.u64(),
+        cycles: src.u64(),
+    }
+}
+
+fn arbitrary_record(src: &mut Source) -> InjectionRecord {
+    let opt = |src: &mut Source| src.bool().then(|| src.u64());
+    InjectionRecord {
+        outcome: Outcome::ALL[src.index(Outcome::ALL.len())],
+        bit: src.below(1 << 20) as usize,
+        inject_cycle: src.u64(),
+        cosim_cycles: src.u64(),
+        erroneous_output_cycle: opt(src),
+        propagation_latency: opt(src),
+        corrupted_line_count: src.below(64) as usize,
+        rollback_distance: opt(src),
+    }
+}
+
+/// A null recorder, or an active one holding a counter.
+fn arbitrary_recorder(src: &mut Source) -> Recorder {
+    if src.bool() {
+        return Recorder::null();
+    }
+    let mut rec = Recorder::active(&TelemetryConfig {
+        trace_capacity: src.index(8),
+    });
+    rec.count(names::SVC_JOBS_SUBMITTED, src.u64());
+    rec
 }
 
 fn arbitrary_job(src: &mut Source) -> JobWire {
@@ -196,34 +278,11 @@ properties! {
         }
     }
 
-    /// Control-plane messages survive the wire byte-exactly — encode
-    /// then decode is the identity for arbitrary field values.
+    /// Messages of both conversations survive the wire byte-exactly —
+    /// encode then decode is the identity for arbitrary field values.
     fn control_messages_roundtrip(src) {
-        let job = arbitrary_job(src);
-        let msgs = [
-            Message::Hello { version: PROTOCOL_VERSION },
-            Message::HelloAck { worker: src.u64() as u32 },
-            Message::RequestShard { worker: src.u64() as u32 },
-            Message::Assign {
-                shard: Shard {
-                    id: src.u64() as u32,
-                    start: src.below(1 << 40),
-                    len: src.range_u64(1, 1 << 20),
-                },
-                job,
-                lease_ms: src.u64(),
-                heartbeat_ms: src.u64(),
-            },
-            Message::Wait { ms: src.u64(), done: src.bool() },
-            Message::Heartbeat {
-                worker: src.u64() as u32,
-                shard: src.u64() as u32,
-            },
-            Message::HeartbeatAck { current: src.bool() },
-            Message::SubmitAck { accepted: src.bool() },
-            Message::Error { message: src.lowercase_string(0, 64) },
-        ];
-        for msg in msgs {
+        for _ in 0..8 {
+            let msg = arbitrary_message(src);
             let decoded = Message::decode(&msg.encode().expect("encode")).expect("decode");
             assert_eq!(decoded, msg);
         }
@@ -237,10 +296,7 @@ properties! {
         let msg = Message::Submit(SubmitWire {
             worker: src.u64() as u32,
             shard: src.u64() as u32,
-            golden: nestsim::core::inject::GoldenRef {
-                digest: src.u64(),
-                cycles: src.u64(),
-            },
+            golden: arbitrary_golden(src),
             forward: src.u64(),
             restores: src.u64(),
             runs: Vec::new(),
