@@ -778,8 +778,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_message_variant_round_trips() {
+    /// One or more instances of every message variant.
+    fn variants() -> Vec<Message> {
         let job = JobWire {
             benchmark: "radi".to_string(),
             component: ComponentKind::Pcie,
@@ -805,7 +805,7 @@ mod tests {
         };
         let mut stats = Recorder::active(&TelemetryConfig { trace_capacity: 4 });
         stats.count(nestsim_telemetry::names::SVC_JOBS_SUBMITTED, 2);
-        let msgs = vec![
+        vec![
             Message::Hello {
                 version: PROTOCOL_VERSION,
                 tenant: String::new(),
@@ -910,11 +910,32 @@ mod tests {
             },
             Message::QueryStats,
             Message::Stats { recorder: stats },
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    #[test]
+    fn every_message_variant_round_trips() {
+        for msg in variants() {
             let bytes = msg.encode().unwrap();
             assert_eq!(Message::decode(&bytes).unwrap(), msg, "{msg:?}");
         }
+    }
+
+    #[test]
+    fn every_variant_round_trips() {
+        // Through the blocking pair: every variant framed back to back on
+        // one stream comes out whole and in order.
+        let msgs = variants();
+        let mut stream = Vec::new();
+        for msg in &msgs {
+            send(&mut stream, msg).unwrap();
+        }
+        let mut r = &stream[..];
+        for msg in &msgs {
+            assert_eq!(&recv(&mut r).unwrap(), msg);
+        }
+        assert!(r.is_empty(), "no bytes left over");
+        assert!(recv(&mut r).is_err(), "end of stream is an error");
     }
 
     #[test]
