@@ -150,9 +150,10 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # tick touches the heap): the smoke's traced halves
 # count heap calls per component tick with the benchmark's own counting
 # allocator. Not `== 0`: PCIe reads 0.0005, one amortised growth.
-# Lane gate: the `l2c_lanes` block must report batches formed and lanes
-# retired in them — a silently de-batched engine passes every identity
-# test, being byte-identical by construction.
+# Lane gate: the `l2c_lanes` block must report batches formed, lanes
+# retired in them and lanes that left them on a fork — a silently
+# de-batched engine passes every identity test, being byte-identical by
+# construction, and a benchmark with no leaver would not time the forks.
 # Build-once gate: the untraced `l2c_indep` and `ccx_indep` blocks must
 # stay under an allocation count per injection that a flop layout
 # rebuilt on every attach cannot meet (≈400 field names formatted:
@@ -171,13 +172,14 @@ awk '
         seen[$1] = 1
         if ($2 + 0 >= 0.01) { print "ci.sh: " $1 " = " $2 " allocations per tick (gate: < 0.01)"; bad = 1 }
     }
-    workload == "l2c_lanes" && ($1 == "core.lanes_batches" || $1 == "core.lanes_retired_early") {
+    workload == "l2c_lanes" && ($1 == "core.lanes_batches" || $1 == "core.lanes_retired_early" \
+                                || $1 == "core.lanes_scalar_fallbacks") {
         seen[$1] = 1
         if ($2 + 0 <= 0) { print "ci.sh: l2c_lanes reports " $1 " = " $2 " (gate: > 0)"; bad = 1 }
     }
     END {
         split("models.tick_allocs.l2c models.tick_allocs.mcu models.tick_allocs.ccx models.tick_allocs.pcie " \
-              "core.lanes_batches core.lanes_retired_early", want, " ")
+              "core.lanes_batches core.lanes_retired_early core.lanes_scalar_fallbacks", want, " ")
         for (i in want) if (!(want[i] in seen)) {
             print "ci.sh: smoke printed no " want[i] " row"; bad = 1
         }

@@ -95,58 +95,31 @@ pub struct InjectionRecord {
     pub rollback_distance: Option<u64>,
 }
 
-/// Records the run's one CosimExit (Sec. 4.2) at `cycle`, after
-/// `cosim_cycles` of co-simulation: `finish` on every path out of its
-/// loop, and the lane engine for every lane it retires.
-pub(crate) fn record_cosim_exit(
-    rec: &mut Recorder,
-    spec: &InjectionSpec,
-    cycle: u64,
-    reason: ExitReason,
-    cosim_cycles: u64,
-) {
-    let counter = match reason {
-        ExitReason::Converged => names::COSIM_EXIT_CONVERGED,
-        ExitReason::Cap => names::COSIM_EXIT_CAP,
-        ExitReason::Mismatch => names::COSIM_EXIT_MISMATCH,
-    };
-    rec.count(counter, 1);
-    let comp = spec.component.name();
-    rec.event(cycle, comp, EventKind::CosimExit, reason.payload());
-    rec.record_hist(names::H_COSIM_RESIDENCY, cosim_cycles);
+/// Why a co-simulation loop ended (Sec. 4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exit {
+    /// A golden compare found the state exitable with the target
+    /// drained; the check it gave.
+    Converged(CosimCheck),
+    /// The system trapped or passed its watchdog.
+    Aborted,
+    /// The co-simulation cap.
+    Cap,
 }
 
-/// Ends a run inside co-simulation with no divergence ever observed
-/// (Fig. 2 steps 8–9): `Vanished`, or `Persist` at the cap. Records the
-/// early termination at `cycle` and returns the run's record, in which
-/// nothing propagated and nothing was corrupted.
-pub(crate) fn terminate_early(
-    rec: &mut Recorder,
-    spec: &InjectionSpec,
-    cycle: u64,
-    outcome: Outcome,
-    inject_cycle: u64,
-    cosim_cycles: u64,
-) -> InjectionRecord {
-    let (counter, payload) = match outcome {
-        Outcome::Vanished => (names::EARLY_TERM_VANISHED, 0),
-        Outcome::Persist => (names::EARLY_TERM_PERSIST, 1),
-        other => unreachable!("{other:?} is not an early termination"),
-    };
-    rec.count(counter, 1);
-    rec.count(names::INJECT_RUNS, 1);
-    let comp = spec.component.name();
-    rec.event(cycle, comp, EventKind::EarlyTermination, payload);
-    InjectionRecord {
-        outcome,
-        bit: spec.bit,
-        inject_cycle,
-        cosim_cycles,
-        erroneous_output_cycle: None,
-        propagation_latency: None,
-        corrupted_line_count: 0,
-        rollback_distance: None,
-    }
+/// Where and why a co-simulation loop ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CosimEnd {
+    pub(crate) exit: Exit,
+    /// The cycle it ended on.
+    pub(crate) cycle: u64,
+    /// The co-simulation cycles run since the flip.
+    pub(crate) cosim_cycles: u64,
+}
+
+/// The system trapped or passed its watchdog: co-simulation aborts.
+pub(crate) fn aborted(driver: &impl CosimDriver) -> bool {
+    driver.sys().trap().is_some() || driver.cycle() > driver.sys().watchdog()
 }
 
 /// Drives one complete injection run (Fig. 2 phases 1–3) starting from
@@ -413,125 +386,232 @@ pub(crate) fn finish<D: CosimDriver>(
     spec: &InjectionSpec,
     rec: &mut Recorder,
 ) -> (InjectionRecord, System) {
-    let comp = spec.component.name();
     warmed.record_preamble(spec, rec);
     let mut driver = warmed.driver;
     driver.snapshot_golden();
     driver.inject(spec.bit);
     let inject_cycle = driver.cycle();
-
-    // Phase 2, steps 6–9: co-simulate until the error vanishes, maps to
-    // high-level state, or the cap is reached.
-    let cap = spec.cosim_cap.max(spec.check_interval);
-    let mut cosim_cycles = 0u64;
-    let mut exit_check = CosimCheck::Microarch;
-    let mut aborted = false;
-    let mut exited_early = false;
-    while cosim_cycles < cap {
-        driver.step();
-        cosim_cycles += 1;
-        if driver.sys().trap().is_some() || driver.cycle() > driver.sys().watchdog() {
-            aborted = true;
-            break;
-        }
-        if cosim_cycles.is_multiple_of(spec.check_interval) {
-            rec.count(names::GOLDEN_COMPARES, 1);
-            if rec.is_active() {
-                driver.sample_telemetry(rec);
-            }
-            let c = driver.check();
-            if c == CosimCheck::Identical && driver.erroneous_output().is_none() {
-                // Equal state, equal inputs from here on: the twin's
-                // future is the target's, and what is left of the run
-                // only waits for the target to drain. No erroneous
-                // output, because PCIe's check does not compare memory:
-                // there, agreement is every write so far having matched.
-                driver.retire_golden();
-            }
-            if c.exitable() && driver.drained() {
-                exit_check = c;
-                exited_early = true;
-                break;
-            }
-        }
-    }
-
-    // Sec. 4.2 exit taxonomy — exactly one CosimExit per run, on every
-    // path out of the loop (including the early returns below).
-    let exit_reason = if exited_early {
-        ExitReason::Converged
-    } else if aborted {
-        ExitReason::Mismatch
-    } else {
-        ExitReason::Cap
-    };
-    record_cosim_exit(rec, spec, driver.cycle(), exit_reason, cosim_cycles);
-
-    let erroneous_output_cycle = driver.erroneous_output();
-    let error_observed = erroneous_output_cycle.is_some();
-
-    let early = if aborted || error_observed {
-        None
-    } else if matches!(exit_check, CosimCheck::Identical | CosimCheck::BenignOnly) {
-        // Fig. 2 steps 8–9: nothing ever diverged and the states are
-        // identical (or differ only in dont-care bits), so the run's
-        // outcome equals the error-free run — stop early as Vanished.
-        Some(Outcome::Vanished)
-    } else if cosim_cycles >= cap {
-        // Cap reached with the error still confined to unmapped
-        // microarch state and no divergence observed: the Sec. 4.2
-        // "persists" bucket.
-        rec.count(names::GOLDEN_COMPARES, 1);
-        (!driver.check().exitable()).then_some(Outcome::Persist)
-    } else {
-        None
-    };
-    if let Some(outcome) = early {
-        let cycle = driver.cycle();
-        let record = terminate_early(rec, spec, cycle, outcome, inject_cycle, cosim_cycles);
-        return (record, driver.into_sys());
-    }
-
-    // Phase 3 (steps 10–12): transfer the (possibly erroneous) state
-    // back and finish the application in accelerated mode.
-    rec.count(names::STATE_TRANSFER_TO_HIGH, 1);
-    rec.event(driver.cycle(), comp, EventKind::StateTransfer, 1);
-    let detach = driver.detach();
-    let corrupted = detach.corrupted_lines;
-    rec.record_hist(names::H_CORRUPTED_LINES, corrupted.len() as u64);
-    let mut sys = detach.sys;
-    let rollback_distance = corrupted
-        .iter()
-        .map(|&l| inject_cycle.saturating_sub(sys.last_store_cycle(l).unwrap_or(0)))
-        .max();
-
-    // A matching output after an observed error is ONA (Sec. 3.2).
-    let outcome = match golden.verdict(&sys.run_to_end()) {
-        Outcome::Vanished if error_observed || !corrupted.is_empty() => Outcome::Ona,
-        outcome => outcome,
-    };
-
-    // Fig. 8 propagation latency: first erroneous packet to the cores,
-    // or the first core load of a corrupted memory line during phase 3.
-    let propagation_latency = erroneous_output_cycle
-        .or(sys.first_taint_read())
-        .map(|c| c.saturating_sub(inject_cycle));
-    if let Some(p) = propagation_latency {
-        rec.record_hist(names::H_PROPAGATION, p);
-    }
-    rec.count(names::INJECT_RUNS, 1);
-
-    let record = InjectionRecord {
-        outcome,
-        bit: spec.bit,
+    let run = Flipped {
+        golden,
+        spec,
         inject_cycle,
-        cosim_cycles,
-        erroneous_output_cycle,
-        propagation_latency,
-        corrupted_line_count: corrupted.len(),
-        rollback_distance,
     };
-    (record, sys)
+    run.resume(driver, rec, Resume::Cosim(0))
+}
+
+/// Where a run past its flip picks up.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resume {
+    /// Inside the co-simulation loop with this many cycles stepped, the
+    /// last of them whole but for its abort test and golden compare.
+    Cosim(u64),
+    /// Past the loop and its exit taxonomy, after this many cycles of
+    /// co-simulation: the run transfers state back (phase 3).
+    Detach(u64),
+}
+
+/// A run past its flip: what it needs besides its driver and recorder.
+pub(crate) struct Flipped<'a> {
+    pub(crate) golden: &'a GoldenRef,
+    pub(crate) spec: &'a InjectionSpec,
+    /// The cycle of the flip.
+    pub(crate) inject_cycle: u64,
+}
+
+impl Flipped<'_> {
+    /// Runs the rest of the run from `at` and returns its record and the
+    /// system it ended with. The scalar run enters at `Cosim(0)`; a lane
+    /// that leaves its batch enters where it left, on a driver equal to
+    /// the one its scalar run would hold there.
+    pub(crate) fn resume<D: CosimDriver>(
+        &self,
+        mut driver: D,
+        rec: &mut Recorder,
+        at: Resume,
+    ) -> (InjectionRecord, System) {
+        let cosim_cycles = match at {
+            Resume::Cosim(stepped) => {
+                let end = self.cosimulate(&mut driver, rec, stepped);
+                let erroneous = driver.erroneous_output();
+                match self.end_cosim(rec, end, erroneous, || driver.check()) {
+                    Some(record) => return (record, driver.into_sys()),
+                    None => end.cosim_cycles,
+                }
+            }
+            Resume::Detach(cosim_cycles) => cosim_cycles,
+        };
+        self.transfer_back(driver, rec, cosim_cycles)
+    }
+
+    /// Sec. 4.2 exit taxonomy, for the scalar run and for every lane of
+    /// a batch: records the run's one CosimExit at `end`, then ends the
+    /// run inside co-simulation (Fig. 2 steps 8–9) when nothing ever
+    /// diverged — Vanished on an Identical or BenignOnly convergence,
+    /// Persist when the cap strikes with the state still Microarch-dirty,
+    /// as the one more golden compare `check` tells. `None` leaves the
+    /// run to phase 3.
+    pub(crate) fn end_cosim(
+        &self,
+        rec: &mut Recorder,
+        end: CosimEnd,
+        erroneous_output: Option<u64>,
+        check: impl FnOnce() -> CosimCheck,
+    ) -> Option<InjectionRecord> {
+        let spec = self.spec;
+        let comp = spec.component.name();
+        let (reason, counter) = match end.exit {
+            Exit::Converged(_) => (ExitReason::Converged, names::COSIM_EXIT_CONVERGED),
+            Exit::Aborted => (ExitReason::Mismatch, names::COSIM_EXIT_MISMATCH),
+            Exit::Cap => (ExitReason::Cap, names::COSIM_EXIT_CAP),
+        };
+        rec.count(counter, 1);
+        rec.event(end.cycle, comp, EventKind::CosimExit, reason.payload());
+        rec.record_hist(names::H_COSIM_RESIDENCY, end.cosim_cycles);
+
+        let cap = spec.cosim_cap.max(spec.check_interval);
+        let (outcome, counter, payload) = match end.exit {
+            _ if erroneous_output.is_some() => return None,
+            Exit::Aborted => return None,
+            // Nothing ever diverged and the states are identical (or
+            // differ only in dont-care bits), so the run's outcome
+            // equals the error-free run — stop early as Vanished.
+            Exit::Converged(CosimCheck::Identical | CosimCheck::BenignOnly) => {
+                (Outcome::Vanished, names::EARLY_TERM_VANISHED, 0)
+            }
+            // Cap reached with the error still confined to unmapped
+            // microarch state and no divergence observed: the Sec. 4.2
+            // "persists" bucket.
+            _ if end.cosim_cycles >= cap => {
+                rec.count(names::GOLDEN_COMPARES, 1);
+                if check().exitable() {
+                    return None;
+                }
+                (Outcome::Persist, names::EARLY_TERM_PERSIST, 1)
+            }
+            Exit::Converged(_) | Exit::Cap => return None,
+        };
+        rec.count(counter, 1);
+        rec.count(names::INJECT_RUNS, 1);
+        rec.event(end.cycle, comp, EventKind::EarlyTermination, payload);
+        // Nothing propagated and nothing was corrupted.
+        Some(InjectionRecord {
+            outcome,
+            bit: spec.bit,
+            inject_cycle: self.inject_cycle,
+            cosim_cycles: end.cosim_cycles,
+            erroneous_output_cycle: None,
+            propagation_latency: None,
+            corrupted_line_count: 0,
+            rollback_distance: None,
+        })
+    }
+
+    /// Phase 2, steps 6–9: co-simulates from `stepped` cycles done until
+    /// the error vanishes, maps to high-level state, or the cap is
+    /// reached.
+    fn cosimulate<D: CosimDriver>(
+        &self,
+        driver: &mut D,
+        rec: &mut Recorder,
+        stepped: u64,
+    ) -> CosimEnd {
+        let spec = self.spec;
+        let cap = spec.cosim_cap.max(spec.check_interval);
+        let mut cosim_cycles = stepped;
+        let exit = loop {
+            if cosim_cycles > 0 {
+                if aborted(driver) {
+                    break Exit::Aborted;
+                }
+                if cosim_cycles.is_multiple_of(spec.check_interval) {
+                    rec.count(names::GOLDEN_COMPARES, 1);
+                    if rec.is_active() {
+                        driver.sample_telemetry(rec);
+                    }
+                    let c = driver.check();
+                    if c == CosimCheck::Identical && driver.erroneous_output().is_none() {
+                        // Equal state, equal inputs from here on: the
+                        // twin's future is the target's, and what is left
+                        // of the run only waits for the target to drain.
+                        // No erroneous output, because PCIe's check does
+                        // not compare memory: there, agreement is every
+                        // write so far having matched.
+                        driver.retire_golden();
+                    }
+                    if c.exitable() && driver.drained() {
+                        break Exit::Converged(c);
+                    }
+                }
+            }
+            if cosim_cycles >= cap {
+                break Exit::Cap;
+            }
+            driver.step();
+            cosim_cycles += 1;
+        };
+        CosimEnd {
+            exit,
+            cycle: driver.cycle(),
+            cosim_cycles,
+        }
+    }
+
+    /// Phase 3 (steps 10–12): transfers the (possibly erroneous) state
+    /// back, finishes the application in accelerated mode and classifies
+    /// it.
+    fn transfer_back<D: CosimDriver>(
+        &self,
+        driver: D,
+        rec: &mut Recorder,
+        cosim_cycles: u64,
+    ) -> (InjectionRecord, System) {
+        let (spec, inject_cycle) = (self.spec, self.inject_cycle);
+        rec.count(names::STATE_TRANSFER_TO_HIGH, 1);
+        rec.event(
+            driver.cycle(),
+            spec.component.name(),
+            EventKind::StateTransfer,
+            1,
+        );
+        let erroneous_output_cycle = driver.erroneous_output();
+        let detach = driver.detach();
+        let corrupted = detach.corrupted_lines;
+        rec.record_hist(names::H_CORRUPTED_LINES, corrupted.len() as u64);
+        let mut sys = detach.sys;
+        let rollback_distance = corrupted
+            .iter()
+            .map(|&l| inject_cycle.saturating_sub(sys.last_store_cycle(l).unwrap_or(0)))
+            .max();
+
+        // A matching output after an observed error is ONA (Sec. 3.2).
+        let error_observed = erroneous_output_cycle.is_some();
+        let outcome = match self.golden.verdict(&sys.run_to_end()) {
+            Outcome::Vanished if error_observed || !corrupted.is_empty() => Outcome::Ona,
+            outcome => outcome,
+        };
+
+        // Fig. 8 propagation latency: first erroneous packet to the cores,
+        // or the first core load of a corrupted memory line during phase 3.
+        let propagation_latency = erroneous_output_cycle
+            .or(sys.first_taint_read())
+            .map(|c| c.saturating_sub(inject_cycle));
+        if let Some(p) = propagation_latency {
+            rec.record_hist(names::H_PROPAGATION, p);
+        }
+        rec.count(names::INJECT_RUNS, 1);
+
+        let record = InjectionRecord {
+            outcome,
+            bit: spec.bit,
+            inject_cycle,
+            cosim_cycles,
+            erroneous_output_cycle,
+            propagation_latency,
+            corrupted_line_count: corrupted.len(),
+            rollback_distance,
+        };
+        (record, sys)
+    }
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //! * **In-batch retirement** — a lane that is drained, divergence-free
 //!   and Identical/BenignOnly retires as Vanished (and a lane still
 //!   Microarch-dirty at the cap retires as Persist), through the same
-//!   exit writers as [`finish`](crate::inject::finish)
-//!   ([`record_cosim_exit`], [`terminate_early`]).
+//!   exit taxonomy as [`finish`](crate::inject::finish)
+//!   ([`Flipped::end_cosim`]).
 //! * **Parking** — a divergence-free lane whose check returns
 //!   Identical equals the carrier in everything a tick reads (flops,
 //!   bank arrays, overlay, DRAM queue), so from there on it *is* the
@@ -33,13 +33,15 @@
 //!   and it retires as Vanished at the first check where the carrier is
 //!   drained.
 //! * **Scalar finish** — anything else (input-readiness mismatch,
-//!   output divergence, ArchMappable exit, trap/watchdog abort, a
-//!   parked lane still waiting at the cap) leaves the batch: the lane's
-//!   partial state is discarded and the sample resumes on the scalar
-//!   path ([`finish`](crate::inject::finish)) from a clone of the
-//!   batch's own warmed driver as it stood at the golden-snapshot
-//!   point, which is byte-identical to a scalar run by construction —
-//!   the warmed driver is a function of the trajectory, not of the bit.
+//!   output divergence, ArchMappable or erroneous exit, trap/watchdog
+//!   abort, the cap) leaves the batch: the lane becomes a scalar
+//!   `L2cDriver` forked off the carrier at the cycle it leaves on
+//!   ([`L2cDriver::fork`]) — the carrier's system and inbox, the lane's
+//!   bank as target, the carrier's as its golden twin (none for a parked
+//!   lane) — and its run goes on from there ([`Flipped::resume`]) with
+//!   the recorder it had in the batch. Up to that cycle the lane's
+//!   scalar run would have seen exactly the carrier's inputs, so the
+//!   fork is that run's driver, and no cycle is co-simulated twice.
 //!
 //! The scalar engine remains the oracle; the campaign equivalence tests
 //! lock byte-identity of records, counts, and merged telemetry across
@@ -47,16 +49,15 @@
 
 use nestsim_hlsim::System;
 use nestsim_models::ComponentKind;
+use nestsim_proto::CpxPacket;
 use nestsim_rtl::{LaneMask, MAX_LANES};
-use nestsim_telemetry::{names, ExitReason, Recorder, TelemetryConfig};
+use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::campaign::{same_trajectory, IndexedRuns};
-use crate::cosim::{BankSide, CosimCheck, CosimDriver};
+use crate::cosim::{BankSide, CosimCheck, CosimDriver, L2cDriver};
 use crate::inject::{
-    finish_group, record_cosim_exit, recorder_for, terminate_early, warm_l2c, GoldenRef,
-    InjectionSpec, WarmedDriver,
+    aborted, recorder_for, warm_l2c, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
 };
-use crate::outcome::Outcome;
 
 /// Engine-side counters of the lane-batched execution (reported as
 /// `lanes.*` telemetry, outside the merged per-run recorder — like the
@@ -69,9 +70,11 @@ pub(crate) struct LaneBatchStats {
     /// Lanes retired inside a batch (Vanished or Persist) without
     /// touching the scalar path.
     pub retired_early: u64,
-    /// Lanes that finished on the scalar path: batch leavers
-    /// (divergence, ArchMappable exit, abort, cap) plus clustered
-    /// samples that could not batch (non-L2C components).
+    /// Lanes that finished on the scalar path: batch leavers, each on a
+    /// driver forked off the carrier where it left (readiness or
+    /// return-packet divergence, ArchMappable or erroneous exit, abort,
+    /// cap), plus clustered samples that could not batch (non-L2C
+    /// components).
     pub scalar_fallbacks: u64,
     /// Lanes parked: proved identical to the carrier and no longer
     /// ticked or compared.
@@ -103,14 +106,118 @@ struct Lane {
     rec: Recorder,
 }
 
+/// Where in a shared cycle a lane leaves its batch for a scalar run.
+#[derive(Debug, Clone, Copy)]
+enum Leave {
+    /// Cycle `cyc`, before any bank ticked: the lane's readiness
+    /// disagreed with the carrier's while a request waited, so it would
+    /// pop another request stream. Its run ticks on its own from here.
+    ReadyParity { cyc: u64 },
+    /// Cycle `cyc`, after the banks ticked and before the carrier's
+    /// return packet reached the system: the lane returned `cpx`
+    /// instead, which its run's system receives.
+    ReturnPacket { cyc: u64, cpx: Option<CpxPacket> },
+    /// Its co-simulation ended without an early termination: phase 3
+    /// is its run's own.
+    Detach,
+}
+
+/// The runs a batch finished, and what finishing one takes.
+struct Runs<'a> {
+    golden: &'a GoldenRef,
+    samples: &'a [InjectionSpec],
+    /// The batch's flip cycle.
+    inject_cycle: u64,
+    stats: &'a mut LaneBatchStats,
+    out: IndexedRuns,
+    /// The system the last fork ended with, which the next refills.
+    spare: Option<System>,
+}
+
+impl<'a> Runs<'a> {
+    /// Sample `i`'s run past the batch's flip.
+    fn run(&self, i: usize) -> Flipped<'a> {
+        Flipped {
+            golden: self.golden,
+            spec: &self.samples[i],
+            inject_cycle: self.inject_cycle,
+        }
+    }
+
+    /// `lane`'s co-simulation ended for `exit` after `cosim_cycles`:
+    /// the exit taxonomy either retires it in the batch (Vanished or
+    /// Persist) or sends it to phase 3 on a fork.
+    fn end(&mut self, carrier: &L2cDriver, lane: &mut Lane, exit: Exit, cosim_cycles: u64) {
+        let end = CosimEnd {
+            exit,
+            cycle: carrier.cycle(),
+            cosim_cycles,
+        };
+        // A parked lane is the carrier, so it checks Identical.
+        let check =
+            || (lane.state.as_ref()).map_or(CosimCheck::Identical, |st| carrier.check_lane(st));
+        let run = self.run(lane.sample);
+        match run.end_cosim(&mut lane.rec, end, lane.first_err_out, check) {
+            Some(record) => {
+                let rec = std::mem::replace(&mut lane.rec, Recorder::null());
+                self.out.push((lane.sample, record, rec));
+                self.stats.retired_early += 1;
+            }
+            None => {
+                #[cfg(test)]
+                tests::forked(lane.sample, tests::ended(exit, &lane.state), cosim_cycles);
+                self.fork(carrier, lane, Leave::Detach, cosim_cycles);
+            }
+        }
+    }
+
+    /// Turns `lane`, leaving the batch at `leave` after `cosim_cycles`,
+    /// into the scalar run it stands for: a driver forked off `carrier`,
+    /// finishing the cycle it left on, then run to its end. The lane's
+    /// recorder carries on as it is.
+    fn fork(&mut self, carrier: &L2cDriver, lane: &mut Lane, leave: Leave, cosim_cycles: u64) {
+        let first_err_out = match leave {
+            // The divergence monitor of the lane's run saw the packets
+            // differ.
+            Leave::ReturnPacket { cyc, .. } => lane.first_err_out.or(Some(cyc)),
+            _ => lane.first_err_out,
+        };
+        let mut driver = carrier.fork(lane.state.take(), first_err_out, self.spare.take());
+        let at = match leave {
+            Leave::ReadyParity { cyc } => {
+                #[cfg(test)]
+                tests::forked(lane.sample, "ready parity", cosim_cycles);
+                driver.finish_cycle(cyc);
+                Resume::Cosim(cosim_cycles)
+            }
+            Leave::ReturnPacket { cpx, .. } => {
+                #[cfg(test)]
+                tests::forked(lane.sample, "return packet", cosim_cycles);
+                driver.deliver(cpx);
+                Resume::Cosim(cosim_cycles)
+            }
+            Leave::Detach => Resume::Detach(cosim_cycles),
+        };
+        let (record, sys) = self.run(lane.sample).resume(driver, &mut lane.rec, at);
+        self.spare = Some(sys);
+        let rec = std::mem::replace(&mut lane.rec, Recorder::null());
+        self.out.push((lane.sample, record, rec));
+        self.stats.scalar_fallbacks += 1;
+    }
+}
+
 /// Runs one lane batch: `group` indexes `samples` whose specs are equal
 /// except for the flipped bit. Returns one `(sample index, record,
 /// recorder)` per group member, byte-identical to running each through
 /// [`run_injection_with`](crate::inject::run_injection_with) from
 /// `base`, and the system the batch ended with for the next restore:
-/// its carrier's, or the last leaver's when lanes left for the scalar
-/// path (the carrier is dropped before they run). `base` is restored
-/// into `spare` when there is one.
+/// the last fork's when lanes left for scalar runs, the carrier's
+/// otherwise. `base` is restored into `spare` when there is one.
+///
+/// A lane that leaves runs to its end on the spot, on a driver forked
+/// off the carrier, before the carrier moves on; each fork refills the
+/// system the one before it ended with. So at most the carrier, one
+/// fork and their systems are alive at a time.
 ///
 /// # Panics
 ///
@@ -129,25 +236,21 @@ pub(crate) fn run_l2c_batch(
     let spec0 = &samples[group[0]];
     assert_eq!(spec0.component, ComponentKind::L2c, "only L2C batches");
     debug_assert!(group.iter().all(|&i| same_trajectory(&samples[i], spec0)));
-    let mut out = Vec::with_capacity(group.len());
     stats.batches += 1;
 
-    // Shared phase: one attach + warm-up for the whole batch. `warmed`
-    // stays as it stands here, at the golden-snapshot point, for the
-    // lanes that leave; a clone of its driver carries the batch on.
-    let warmed = warm_l2c(base, golden, spec0, spare);
-    let mut carrier = warmed.driver.clone();
+    // Shared phase: one attach + warm-up for the whole batch.
+    let mut warmed = warm_l2c(base, golden, spec0, spare);
 
-    // Each lane is the carrier's twin (≡ the scalar run's target at
-    // snapshot_golden) with its bit flipped; the carrier itself plays
-    // every lane's golden from here. The warm-up ran on slot images, so
-    // the first twin turns the carrier into flops, once for every lane.
-    let c_snap = carrier.cycle();
+    // Each lane is the warmed driver's twin (≡ the scalar run's target
+    // at snapshot_golden) with its bit flipped. The warm-up ran on slot
+    // images, so the first twin turns the driver into flops, once for
+    // every lane.
+    let inject_cycle = warmed.driver.cycle();
     let mut lanes: Vec<Lane> = group
         .iter()
         .map(|&i| {
             let s = &samples[i];
-            let mut state = carrier.twin();
+            let mut state = warmed.driver.twin();
             state.flip(s.bit);
             let mut rec = recorder_for(telemetry);
             warmed.record_preamble(s, &mut rec);
@@ -160,52 +263,75 @@ pub(crate) fn run_l2c_batch(
         })
         .collect();
 
-    let cap = spec0.cosim_cap.max(spec0.check_interval);
+    // The warmed driver carries the batch on, and plays every lane's
+    // golden from here.
+    let mut carrier = warmed.driver;
+    let mut runs = Runs {
+        golden,
+        samples,
+        inject_cycle,
+        stats,
+        out: Vec::with_capacity(group.len()),
+        spare: None,
+    };
+    let check_interval = spec0.check_interval;
+    let cap = spec0.cosim_cap.max(check_interval);
     // Lanes still in the batch, parked ones included.
     let mut live = LaneMask::full(lanes.len());
-    let mut fallback = LaneMask::EMPTY;
     let mut cosim_cycles = 0u64;
-    let mut aborted = false;
 
     while cosim_cycles < cap && live.any() {
-        let tick = carrier.step_carrier();
+        let cyc = carrier.run_system();
         cosim_cycles += 1;
-        if carrier.sys().trap().is_some() || carrier.cycle() > carrier.sys().watchdog() {
-            aborted = true;
-            break;
+        // Input parity: a lane whose readiness disagrees with the
+        // carrier's while a request waits would consume a different
+        // request stream from here on — and in the scalar run its
+        // outputs, not the carrier's, drive the system.
+        if let Some(ready) = carrier.ready_at_stake() {
+            for li in live.iter() {
+                let lane = &mut lanes[li];
+                if lane.state.as_ref().is_some_and(|st| st.ready() != ready) {
+                    live.clear(li);
+                    runs.fork(&carrier, lane, Leave::ReadyParity { cyc }, cosim_cycles);
+                }
+            }
         }
+        let (pcx, out) = carrier.tick_target(cyc);
         for li in live.iter() {
             let lane = &mut lanes[li];
             let Some(st) = &mut lane.state else {
                 continue; // parked: the carrier's tick was this lane's
             };
-            // Input parity: a lane whose readiness disagrees with the
-            // carrier's while a packet was at stake would consume a
-            // different request stream from here on — and in the scalar
-            // run its outputs, not the carrier's, drive the system.
-            let at_stake = tick.pcx.is_some() || tick.inbox_nonempty;
-            if st.ready() != tick.ready && at_stake {
-                live.clear(li);
-                fallback.set(li);
-                continue;
-            }
-            let l_out = st.tick(tick.cyc, tick.pcx, carrier.sys().dram());
-            if l_out.cpx != tick.out.cpx {
+            let l_out = st.tick(cyc, pcx, carrier.sys().dram());
+            if l_out.cpx != out.cpx {
                 // Return-packet divergence: the scalar run's system
-                // would receive the lane's packet, not the carrier's —
-                // the trajectories fork, so the lane leaves the batch.
+                // receives the lane's packet, not the carrier's — the
+                // trajectories fork, so the lane leaves the batch.
                 live.clear(li);
-                fallback.set(li);
+                let leave = Leave::ReturnPacket {
+                    cyc,
+                    cpx: l_out.cpx,
+                };
+                runs.fork(&carrier, lane, leave, cosim_cycles);
                 continue;
             }
-            if l_out.dram_cmd != tick.out.dram_cmd && lane.first_err_out.is_none() {
+            if l_out.dram_cmd != out.dram_cmd && lane.first_err_out.is_none() {
                 // DRAM-side divergence is private to the lane (its own
                 // latency queue): record it and keep co-simulating,
                 // exactly as the scalar divergence monitor does.
-                lane.first_err_out = Some(tick.cyc);
+                lane.first_err_out = Some(cyc);
             }
         }
-        if cosim_cycles.is_multiple_of(spec0.check_interval) {
+        carrier.deliver(out.cpx);
+        if aborted(&carrier) {
+            // Every lane still in the batch shares the carrier's system.
+            for li in live.iter() {
+                runs.end(&carrier, &mut lanes[li], Exit::Aborted, cosim_cycles);
+            }
+            live = LaneMask::EMPTY;
+            break;
+        }
+        if cosim_cycles.is_multiple_of(check_interval) {
             for li in live.iter() {
                 let lane = &mut lanes[li];
                 lane.rec.count(names::GOLDEN_COMPARES, 1);
@@ -220,113 +346,87 @@ pub(crate) fn run_l2c_batch(
                     Some(st) => (carrier.check_lane(st), carrier.drained_with(st)),
                     None => (CosimCheck::Identical, carrier.drained()),
                 };
-                let clean = lane.first_err_out.is_none();
                 if c.exitable() && drained {
+                    // The scalar run's early-Vanished exit in the batch;
+                    // ArchMappable state or an observed erroneous output
+                    // leaves for the scalar detach/phase-3 flow.
                     live.clear(li);
-                    if clean && matches!(c, CosimCheck::Identical | CosimCheck::BenignOnly) {
-                        // The scalar run's early-Vanished exit.
-                        let (spec, cyc) = (&samples[lane.sample], carrier.cycle());
-                        let rec = &mut lane.rec;
-                        record_cosim_exit(rec, spec, cyc, ExitReason::Converged, cosim_cycles);
-                        let r = terminate_early(
-                            rec,
-                            spec,
-                            cyc,
-                            Outcome::Vanished,
-                            c_snap,
-                            cosim_cycles,
-                        );
-                        out.push((lane.sample, r, std::mem::replace(rec, Recorder::null())));
-                        stats.retired_early += 1;
-                    } else {
-                        // ArchMappable state or an observed erroneous
-                        // output: the scalar detach/phase-3 flow owns
-                        // the rest of this run.
-                        fallback.set(li);
-                    }
+                    runs.end(&carrier, lane, Exit::Converged(c), cosim_cycles);
                     continue;
                 }
                 // Equal state, equal inputs from here on: the lane's
                 // future is the carrier's. Only an Identical lane
                 // qualifies — a benign diff is still a diff, and what
                 // it reads as next cycle is the lane's own business.
+                let clean = lane.first_err_out.is_none();
                 let park = clean && c == CosimCheck::Identical && lane.state.is_some();
                 #[cfg(test)]
                 let park = park && tests::parking();
                 if park {
                     lane.state = None;
-                    stats.parked += 1;
+                    runs.stats.parked += 1;
                 }
             }
         }
     }
 
+    // Cap reached. A run that never diverged and is still Microarch-dirty
+    // retires in the batch as Persist; every other lane, parked ones
+    // too, detaches on a fork.
     for li in live.iter() {
-        let lane = &mut lanes[li];
-        // An aborted batch, and a parked lane the carrier never drained
-        // for (exitable but undrained at the cap), detach — which only
-        // the scalar path models.
-        let Some(st) = lane.state.as_ref().filter(|_| !aborted) else {
-            fallback.set(li);
-            continue;
-        };
-        // Cap reached. Mirror the scalar cap exit: if no divergence was
-        // observed and the state is still Microarch-dirty, the run
-        // retires in-batch as Persist; everything else detaches too.
-        let (spec, cyc) = (&samples[lane.sample], carrier.cycle());
-        let rec = &mut lane.rec;
-        record_cosim_exit(rec, spec, cyc, ExitReason::Cap, cosim_cycles);
-        if lane.first_err_out.is_none() {
-            rec.count(names::GOLDEN_COMPARES, 1);
-            if !carrier.check_lane(st).exitable() {
-                let r = terminate_early(rec, spec, cyc, Outcome::Persist, c_snap, cosim_cycles);
-                out.push((lane.sample, r, std::mem::replace(rec, Recorder::null())));
-                stats.retired_early += 1;
-                continue;
-            }
-        }
-        fallback.set(li);
+        runs.end(&carrier, &mut lanes[li], Exit::Cap, cosim_cycles);
     }
-
-    // Batch leavers finish on the scalar path from the warmed driver;
-    // their partial in-batch recorder is discarded, so the merged
-    // telemetry carries exactly one run's worth per sample. The batch's
-    // own state goes first: every leaver holds a whole system.
-    let leavers: Vec<usize> = fallback.iter().map(|li| lanes[li].sample).collect();
-    stats.scalar_fallbacks += leavers.len() as u64;
-    drop(lanes);
-    let sys = if leavers.is_empty() {
-        carrier.into_sys()
-    } else {
-        drop(carrier);
-        let warmed = WarmedDriver::L2c(warmed);
-        finish_group(warmed, golden, samples, &leavers, telemetry, &mut out)
-            .expect("a group of leavers ran its last")
-    };
-    (out, sys)
+    let sys = runs.spare.unwrap_or_else(|| carrier.into_sys());
+    (runs.out, sys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::L2cDriver;
+    use crate::cosim::STEPS;
     use crate::inject::{run_injection_with, MIN_WARMUP};
     use nestsim_hlsim::workload::by_name;
     use nestsim_hlsim::{RunResult, SystemConfig};
     use nestsim_models::{L2cBank, UncoreRtl};
     use nestsim_proto::addr::BankId;
     use nestsim_rtl::FlopClass;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     thread_local! {
         /// Test-only switch: `false` makes `run_l2c_batch` on this
         /// thread tick and compare every lane to the end, as it did
         /// before parking existed.
         static PARKING: Cell<bool> = const { Cell::new(true) };
+        /// Every lane that left a batch on this thread.
+        static FORKS: RefCell<Vec<Fork>> = const { RefCell::new(Vec::new()) };
     }
+
+    /// A lane that left its batch: its sample, why, and the
+    /// co-simulation cycle it left on.
+    type Fork = (usize, &'static str, u64);
 
     pub(super) fn parking() -> bool {
         PARKING.with(Cell::get)
+    }
+
+    pub(super) fn forked(sample: usize, why: &'static str, at: u64) {
+        FORKS.with(|f| f.borrow_mut().push((sample, why, at)));
+    }
+
+    /// Why a lane whose co-simulation ended for `exit` left, parked
+    /// (`state` empty) or not.
+    pub(super) fn ended(exit: Exit, state: &Option<BankSide>) -> &'static str {
+        match exit {
+            Exit::Converged(_) => "exit",
+            Exit::Aborted => "abort",
+            Exit::Cap if state.is_none() => "parked at cap",
+            Exit::Cap => "cap",
+        }
+    }
+
+    /// The forks logged since the last call.
+    fn take_forks() -> Vec<Fork> {
+        FORKS.with(|f| std::mem::take(&mut *f.borrow_mut()))
     }
 
     fn setup(bench: &str) -> (System, GoldenRef) {
@@ -364,22 +464,63 @@ mod tests {
         bits
     }
 
+    /// Runs the batch over all of `samples` and checks that no universe
+    /// co-simulated a cycle twice: the system under the batch ran the
+    /// warm-up, the carrier's cycles up to where its last lane left or
+    /// retired, and each fork's cycles after the one it left on — and
+    /// nothing more. Returns the runs in sample order, the counters and
+    /// the forks.
+    fn run_batch(
+        base: &System,
+        golden: &GoldenRef,
+        samples: &[InjectionSpec],
+        telemetry: Option<&TelemetryConfig>,
+    ) -> (IndexedRuns, LaneBatchStats, Vec<Fork>) {
+        let steps = || STEPS.with(Cell::get);
+        let before = steps();
+        drop(warm_l2c(base, golden, &samples[0], None));
+        let warm_up = steps() - before;
+
+        let group: Vec<usize> = (0..samples.len()).collect();
+        let mut stats = LaneBatchStats::default();
+        take_forks();
+        let before = steps();
+        let (mut runs, _) =
+            run_l2c_batch(base, golden, samples, &group, telemetry, &mut stats, None);
+        let stepped = steps() - before;
+        let forks = take_forks();
+        runs.sort_by_key(|(i, _, _)| *i);
+        assert_eq!(runs.len(), samples.len(), "one result per lane");
+        assert_eq!(forks.len() as u64, stats.scalar_fallbacks, "{forks:?}");
+
+        let left_at = |i: usize| forks.iter().find(|f| f.0 == i).map(|f| f.2);
+        let carrier = (runs.iter())
+            .map(|(i, r, _)| left_at(*i).unwrap_or(r.cosim_cycles))
+            .max()
+            .expect("a batch has a lane");
+        let after: u64 = forks
+            .iter()
+            .map(|&(i, _, at)| runs[i].1.cosim_cycles - at)
+            .sum();
+        assert_eq!(
+            stepped,
+            warm_up + carrier + after,
+            "{warm_up} warm-up and {carrier} carrier cycles, {after} after the forks {forks:?}"
+        );
+        (runs, stats, forks)
+    }
+
     /// Runs the batch over all of `samples` and asserts every lane's
     /// record AND recorder are byte-identical to the scalar oracle.
     fn assert_batch_matches_scalar(
         base: &System,
         golden: &GoldenRef,
         samples: &[InjectionSpec],
-    ) -> LaneBatchStats {
+    ) -> (LaneBatchStats, Vec<Fork>) {
         let cfg = TelemetryConfig {
             trace_capacity: 1024,
         };
-        let group: Vec<usize> = (0..samples.len()).collect();
-        let mut stats = LaneBatchStats::default();
-        let (mut got, _) =
-            run_l2c_batch(base, golden, samples, &group, Some(&cfg), &mut stats, None);
-        got.sort_by_key(|(i, _, _)| *i);
-        assert_eq!(got.len(), samples.len(), "one result per lane");
+        let (got, stats, forks) = run_batch(base, golden, samples, Some(&cfg));
         for (i, r, rec) in got {
             let mut srec = Recorder::active(&cfg);
             let sr = run_injection_with(base, golden, &samples[i], &mut srec);
@@ -391,7 +532,7 @@ mod tests {
             samples.len() as u64,
             "every lane either retires in-batch or falls back"
         );
-        stats
+        (stats, forks)
     }
 
     #[test]
@@ -402,29 +543,35 @@ mod tests {
         let systems = ["radi", "lu-c", "flui"].map(setup);
         let targets = bits_where(|c| c.is_injection_target());
         let inactive = bits_where(|c| *c == FlopClass::Inactive);
+        // The input-queue count gates a bank's readiness: its flips are
+        // the ones that make a lane refuse a request the carrier takes.
+        let bank = L2cBank::new(BankId::new(0));
+        let readiness: Vec<usize> = (0..4)
+            .map(|b| bank.flops().named_bit("iq.count", b))
+            .collect();
         let cfg = TelemetryConfig {
             trace_capacity: 1024,
         };
-        // Coverage, counted across cases: a parked lane that the cap
-        // cut off, and batches that end with no leaver (the warmed
-        // driver is dropped unused) and with several (it is cloned for
-        // all but the last, who takes it by move).
-        let parked_hit_cap = Cell::new(0u64);
+        // Coverage, counted across cases: forks by why they left, and
+        // batches that end with no leaver (the carrier's system is the
+        // one handed back) and with several (each fork refills the
+        // system the one before it ended with).
+        let reasons = RefCell::new(std::collections::BTreeMap::<&str, u64>::new());
         let (no_leaver, many_leavers) = (Cell::new(0u64), Cell::new(0u64));
 
         let config = Config {
             max_shrink_iters: 24,
-            ..Config::with_cases(16)
+            ..Config::with_cases(48)
         };
         check_with(config, "parked_batch_matches_unparked", |src| {
             let (base, golden) = &systems[src.index(3)];
             // A tight cap leaves parked lanes waiting when it strikes;
             // an all-inactive batch is the one sure to have no leaver.
             let tight = src.below(3) == 0;
-            let pool = if src.below(4) == 0 {
-                &inactive
-            } else {
-                &targets
+            let pool = match src.below(8) {
+                0 | 1 => &inactive,
+                2 => &readiness,
+                _ => &targets,
             };
             let lo = MIN_WARMUP + 64;
             let trajectory = InjectionSpec {
@@ -442,18 +589,14 @@ mod tests {
                     ..trajectory
                 })
                 .collect();
-            let group: Vec<usize> = (0..samples.len()).collect();
             let run = |parking: bool| {
                 PARKING.with(|p| p.set(parking));
-                let mut stats = LaneBatchStats::default();
-                let (mut runs, _) =
-                    run_l2c_batch(base, golden, &samples, &group, Some(&cfg), &mut stats, None);
+                let batch = run_batch(base, golden, &samples, Some(&cfg));
                 PARKING.with(|p| p.set(true));
-                runs.sort_by_key(|(i, _, _)| *i);
-                (runs, stats)
+                batch
             };
-            let (parked, stats) = run(true);
-            let (unparked, plain) = run(false);
+            let (parked, stats, forks) = run(true);
+            let (unparked, plain, _) = run(false);
             assert_eq!(parked, unparked, "parking changed a lane's run");
             assert_eq!(plain.parked, 0);
             assert_eq!(
@@ -471,12 +614,8 @@ mod tests {
                 assert_eq!(*rec, want_rec, "sample {i}: recorder");
             }
 
-            // A parked lane leaves as an in-batch Vanished or as a
-            // leaver; with more parked than retired, some were leavers,
-            // and in an unaborted batch only the cap makes them one.
-            if tight {
-                parked_hit_cap
-                    .set(parked_hit_cap.get() + stats.parked.saturating_sub(stats.retired_early));
+            for (_, why, _) in forks {
+                *reasons.borrow_mut().entry(why).or_default() += 1;
             }
             match stats.scalar_fallbacks {
                 0 => no_leaver.set(no_leaver.get() + 1),
@@ -484,10 +623,23 @@ mod tests {
                 _ => many_leavers.set(many_leavers.get() + 1),
             }
         });
-        assert!(
-            parked_hit_cap.get() > 0,
-            "no parked lane was cut off by the cap"
-        );
+        let reasons = reasons.into_inner();
+        eprintln!("forks by reason: {reasons:?}");
+        // An abort needs the fault-free carrier to trap or hang, which
+        // no drawn case does: `trapped_system_aborts_the_batch_and_forks_every_lane`
+        // covers it.
+        for why in [
+            "ready parity",
+            "return packet",
+            "exit",
+            "cap",
+            "parked at cap",
+        ] {
+            assert!(
+                reasons.get(why).is_some_and(|&n| n > 0),
+                "no lane left at {why}: {reasons:?}"
+            );
+        }
         assert!(no_leaver.get() > 0, "no batch ended without a leaver");
         assert!(
             many_leavers.get() > 0,
@@ -496,10 +648,38 @@ mod tests {
     }
 
     #[test]
+    fn trapped_system_aborts_the_batch_and_forks_every_lane() {
+        use nestsim_proto::addr::ThreadId;
+        use nestsim_proto::{CpxKind, ReqId};
+        // A return packet no thread waits for traps the system, so the
+        // warm-up stops at its first cycle and the carrier aborts on its
+        // first: every lane leaves there, and its run is the scalar
+        // run's Ut.
+        let (mut base, golden) = setup("radi");
+        base.deliver_cpx(CpxPacket {
+            id: ReqId(u64::MAX),
+            thread: ThreadId::new(0),
+            kind: CpxKind::Error,
+            data: 0,
+        });
+        assert!(base.trap().is_some());
+        let bits = bits_where(|c| c.is_injection_target());
+        let samples: Vec<InjectionSpec> = (bits.iter().step_by(97).take(5))
+            .map(|&b| l2c_spec(b, 4_000, 16))
+            .collect();
+        let (stats, forks) = assert_batch_matches_scalar(&base, &golden, &samples);
+        assert_eq!(stats.scalar_fallbacks, 5, "{stats:?}");
+        assert!(
+            forks.iter().all(|&(_, why, at)| why == "abort" && at == 1),
+            "{forks:?}"
+        );
+    }
+
+    #[test]
     fn batch_of_one_matches_scalar() {
         let (base, golden) = setup("radi");
         let bit = bits_where(|c| c.is_injection_target())[0];
-        let stats = assert_batch_matches_scalar(&base, &golden, &[l2c_spec(bit, 20_000, 16)]);
+        let (stats, _) = assert_batch_matches_scalar(&base, &golden, &[l2c_spec(bit, 20_000, 16)]);
         assert_eq!(stats.batches, 1);
     }
 
@@ -520,7 +700,7 @@ mod tests {
             })
             .expect("some target bit diverges observably");
         let quiet = bits_where(|c| *c == FlopClass::Inactive)[0];
-        let stats = assert_batch_matches_scalar(
+        let (stats, _) = assert_batch_matches_scalar(
             &base,
             &golden,
             &[l2c_spec(diverging, 20_000, 16), l2c_spec(quiet, 20_000, 16)],
@@ -544,7 +724,7 @@ mod tests {
         let samples: Vec<InjectionSpec> = (0..MAX_LANES)
             .map(|i| l2c_spec(pool[i % pool.len()], 20_000, 16))
             .collect();
-        let stats = assert_batch_matches_scalar(&base, &golden, &samples);
+        let (stats, _) = assert_batch_matches_scalar(&base, &golden, &samples);
         assert_eq!(stats.batches, 1);
         assert_eq!(
             stats.retired_early, MAX_LANES as u64,

@@ -178,9 +178,10 @@ pub mod names {
     /// Counter: lanes retired inside a batch (Vanished or Persist)
     /// without touching the scalar path.
     pub const LANES_RETIRED_EARLY: &str = "lanes.retired_early";
-    /// Counter: lanes finished on the scalar path — batch leavers
-    /// (divergence, arch-mappable exit, abort) plus clustered samples
-    /// that could not batch.
+    /// Counter: lanes finished on the scalar path — batch leavers, each
+    /// on a driver forked off the carrier (divergence, arch-mappable or
+    /// erroneous exit, abort, cap), plus clustered samples that could
+    /// not batch.
     pub const LANES_SCALAR_FALLBACKS: &str = "lanes.scalar_fallbacks";
     /// Counter: lanes parked inside a batch — proved identical to the
     /// carrier, so no longer ticked or compared while they wait for it

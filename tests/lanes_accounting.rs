@@ -3,8 +3,9 @@
 //! `lanes.scalar_fallbacks` counts injections that ran the scalar
 //! path *despite* being clustered (drawn as part of a same-trajectory
 //! group): whole groups on components with no lane engine (anything
-//! but L2C), and individual lanes that left an L2C batch for the
-//! scalar path. The contract locked here: the counter equals
+//! but L2C), and individual lanes that left an L2C batch, each to
+//! finish on a scalar driver forked off the batch's carrier at the
+//! cycle it left on. The contract locked here: the counter equals
 //! **exactly** the number of injections that took the scalar path
 //! while belonging to a multi-sample group, and every fallback stays
 //! byte-identical to the pre-ladder reference engine.
