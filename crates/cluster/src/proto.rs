@@ -962,6 +962,68 @@ mod tests {
         );
     }
 
+    /// The `put_job` bytes of one adaptive-round MCU job with telemetry
+    /// on: the encoding inside `Assign` and `SubmitJob`, and the
+    /// service's determinism key, fixed field for field.
+    #[test]
+    fn job_encoding_is_pinned() {
+        let spec = CampaignSpec {
+            component: ComponentKind::Mcu,
+            samples: 40,
+            seed: 2015,
+            length_scale: 100,
+            cosim_cap: 20_000,
+            check_interval: 16,
+            workers: 8,
+            snapshot_interval: 2_000,
+            lane_cluster: 4,
+            lane_width: 32,
+        };
+        let round = AdaptiveRoundWire {
+            start: [128, 40, 7],
+            alloc: [5, 4, 2],
+        };
+        let job = JobWire {
+            adaptive: Some(round),
+            ..JobWire::from_spec(
+                by_name("fft").unwrap(),
+                &spec,
+                Some(&TelemetryConfig { trace_capacity: 64 }),
+            )
+        };
+        let mut w = Writer::new();
+        put_job(&mut w, &job).unwrap();
+        let bytes = w.into_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, JOB_HEX);
+        assert_eq!(get_job(&mut Reader::new(&bytes)).unwrap(), job);
+    }
+
+    /// `fft` MCU, 40 samples, seed 2015, scale 100, cap 20000, check 16,
+    /// snapshot 2000, cluster 4, width 32, telemetry 64, round
+    /// start [128, 40, 7] alloc [5, 4, 2] — little-endian, field order.
+    const JOB_HEX: &str = concat!(
+        "03000000666674",
+        "01",
+        "2800000000000000",
+        "df07000000000000",
+        "6400000000000000",
+        "204e000000000000",
+        "1000000000000000",
+        "d007000000000000",
+        "0400000000000000",
+        "2000000000000000",
+        "01",
+        "4000000000000000",
+        "01",
+        "8000000000000000",
+        "2800000000000000",
+        "0700000000000000",
+        "0500000000000000",
+        "0400000000000000",
+        "0200000000000000",
+    );
+
     #[test]
     fn unknown_tag_and_trailing_bytes_are_errors() {
         let err = Message::decode(&[200]).unwrap_err();
