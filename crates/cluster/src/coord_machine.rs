@@ -463,7 +463,7 @@ impl CoordMachine {
                     conn,
                     msg: Message::Assign {
                         shard: self.shards[id as usize],
-                        job: self.job.clone(),
+                        job: Box::new(self.job.clone()),
                         lease_ms: lease.lease_ms,
                         heartbeat_ms: lease.heartbeat_ms,
                     },

@@ -384,11 +384,11 @@ fn plan_round(
         cfg.workers_hint
     };
     let shard_size = if cfg.shard_size == 0 {
-        auto_shard_size(job.samples, workers_hint)
+        auto_shard_size(job.spec.samples, workers_hint)
     } else {
         cfg.shard_size
     };
-    let shards = plan_shards(job.samples, shard_size);
+    let shards = plan_shards(job.spec.samples, shard_size);
     (job, shards)
 }
 

@@ -30,7 +30,7 @@
 
 use std::io::{self, Read, Write};
 
-use nestsim_core::campaign::{CampaignSpec, DEFAULT_SNAPSHOT_INTERVAL};
+use nestsim_core::campaign::CampaignSpec;
 use nestsim_core::inject::{GoldenRef, InjectionRecord};
 use nestsim_hlsim::workload::{by_name, BenchProfile};
 use nestsim_models::ComponentKind;
@@ -75,33 +75,15 @@ pub use nestsim_core::adaptive::StratifiedRound as AdaptiveRoundWire;
 pub struct JobWire {
     /// Benchmark name (resolved via the workload registry).
     pub benchmark: String,
-    /// Component under test.
-    pub component: ComponentKind,
-    /// Total sample count of the cell.
-    pub samples: u64,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Benchmark length divisor.
-    pub length_scale: u64,
-    /// Co-simulation cycle cap.
-    pub cosim_cap: u64,
-    /// Golden-comparison interval.
-    pub check_interval: u64,
-    /// Snapshot-ladder rung spacing.
-    pub snapshot_interval: u64,
-    /// Injection-trajectory cluster size (result-affecting sampling
-    /// parameter — must travel with the seed).
-    pub lane_cluster: u64,
-    /// Lane-batch width (execution-only, but carried so operators can
-    /// pin the whole execution configuration from the coordinator).
-    pub lane_width: u64,
-    /// Whether per-run telemetry recorders should be produced.
-    pub telemetry: bool,
-    /// Trace ring capacity for per-run recorders.
-    pub trace_capacity: u64,
+    /// The cell. `workers` does not travel — each worker is its own
+    /// process — and reads 1.
+    pub spec: CampaignSpec,
+    /// The per-run telemetry configuration, when recorders should be
+    /// produced.
+    pub telemetry: Option<TelemetryConfig>,
     /// When present, this job is one round of an adaptive campaign:
     /// workers draw the round's stratified samples instead of the
-    /// fixed-count stream (and `samples` is the round total).
+    /// fixed-count stream (and `spec.samples` is the round total).
     pub adaptive: Option<AdaptiveRoundWire>,
 }
 
@@ -114,17 +96,11 @@ impl JobWire {
     ) -> Self {
         JobWire {
             benchmark: profile.name.to_string(),
-            component: spec.component,
-            samples: spec.samples,
-            seed: spec.seed,
-            length_scale: spec.length_scale,
-            cosim_cap: spec.cosim_cap,
-            check_interval: spec.check_interval,
-            snapshot_interval: spec.snapshot_interval,
-            lane_cluster: spec.lane_cluster,
-            lane_width: spec.lane_width,
-            telemetry: telemetry.is_some(),
-            trace_capacity: telemetry.map_or(0, |c| c.trace_capacity as u64),
+            spec: CampaignSpec {
+                workers: 1,
+                ..*spec
+            },
+            telemetry: telemetry.copied(),
             adaptive: None,
         }
     }
@@ -142,28 +118,13 @@ impl JobWire {
         match strata {
             None => job,
             Some(round) => JobWire {
-                samples: round.alloc.iter().sum(),
+                spec: CampaignSpec {
+                    samples: round.alloc.iter().sum(),
+                    ..job.spec
+                },
                 adaptive: Some(*round),
                 ..job
             },
-        }
-    }
-
-    /// The campaign spec this job describes (`workers` is meaningless
-    /// on a wire job — each worker is its own process — and is pinned
-    /// to 1).
-    pub fn spec(&self) -> CampaignSpec {
-        CampaignSpec {
-            component: self.component,
-            samples: self.samples,
-            seed: self.seed,
-            length_scale: self.length_scale,
-            cosim_cap: self.cosim_cap,
-            check_interval: self.check_interval,
-            workers: 1,
-            snapshot_interval: self.snapshot_interval,
-            lane_cluster: self.lane_cluster,
-            lane_width: self.lane_width,
         }
     }
 
@@ -172,29 +133,36 @@ impl JobWire {
         by_name(&self.benchmark).ok_or_else(|| format!("unknown benchmark {:?}", self.benchmark))
     }
 
-    /// The per-run telemetry configuration, if any.
-    pub fn telemetry_config(&self) -> Option<TelemetryConfig> {
-        self.telemetry.then_some(TelemetryConfig {
-            trace_capacity: self.trace_capacity as usize,
-        })
+    /// The job's determinism key: its [`put_job`] bytes with the
+    /// execution-only `snapshot_interval` and `lane_width` zeroed. The
+    /// byte-identity contract guarantees those two cannot change
+    /// results, so two jobs with equal keys produce the same bytes —
+    /// the key the service deduplicates and the repro grid caches on.
+    pub fn result_key(&self) -> Result<Vec<u8>, WireError> {
+        let result_fields = JobWire {
+            spec: CampaignSpec {
+                snapshot_interval: 0,
+                lane_width: 0,
+                ..self.spec
+            },
+            ..self.clone()
+        };
+        let mut w = Writer::new();
+        put_job(&mut w, &result_fields)?;
+        Ok(w.into_bytes())
     }
 }
 
 impl Default for JobWire {
+    /// An empty L2C cell on no benchmark: a placeholder job.
     fn default() -> Self {
         JobWire {
             benchmark: String::new(),
-            component: ComponentKind::L2c,
-            samples: 0,
-            seed: 0,
-            length_scale: 1,
-            cosim_cap: 1,
-            check_interval: 1,
-            snapshot_interval: DEFAULT_SNAPSHOT_INTERVAL,
-            lane_cluster: 1,
-            lane_width: 64,
-            telemetry: false,
-            trace_capacity: 0,
+            spec: CampaignSpec {
+                workers: 1,
+                ..CampaignSpec::new(ComponentKind::L2c, 0)
+            },
+            telemetry: None,
             adaptive: None,
         }
     }
@@ -254,8 +222,9 @@ pub enum Message {
     Assign {
         /// The leased shard.
         shard: Shard,
-        /// The campaign cell it belongs to.
-        job: JobWire,
+        /// The campaign cell it belongs to (boxed: the one large field
+        /// of the message set).
+        job: Box<JobWire>,
         /// Lease duration; the shard is re-dispatched if no heartbeat
         /// or submission arrives within it.
         lease_ms: u64,
@@ -407,29 +376,31 @@ const TAG_QUERY_STATS: u8 = 19;
 const TAG_STATS: u8 = 20;
 
 /// Encodes a [`JobWire`] field-by-field: inside `Assign` and
-/// `SubmitJob`, and as the service's determinism key.
+/// `SubmitJob`, and as [`JobWire::result_key`]. Telemetry travels as a
+/// flag and a trace capacity, which is 0 when the flag is off.
 pub fn put_job(w: &mut Writer, j: &JobWire) -> Result<(), WireError> {
+    let s = &j.spec;
     w.str(&j.benchmark);
     let component = ComponentKind::ALL
         .iter()
-        .position(|&c| c == j.component)
+        .position(|&c| c == s.component)
         .ok_or_else(|| {
             format!(
                 "component {:?} missing from ComponentKind::ALL",
-                j.component
+                s.component
             )
         })?;
     w.u8(component as u8);
-    w.u64(j.samples);
-    w.u64(j.seed);
-    w.u64(j.length_scale);
-    w.u64(j.cosim_cap);
-    w.u64(j.check_interval);
-    w.u64(j.snapshot_interval);
-    w.u64(j.lane_cluster);
-    w.u64(j.lane_width);
-    w.bool(j.telemetry);
-    w.u64(j.trace_capacity);
+    w.u64(s.samples);
+    w.u64(s.seed);
+    w.u64(s.length_scale);
+    w.u64(s.cosim_cap);
+    w.u64(s.check_interval);
+    w.u64(s.snapshot_interval);
+    w.u64(s.lane_cluster);
+    w.u64(s.lane_width);
+    w.bool(j.telemetry.is_some());
+    w.u64(j.telemetry.map_or(0, |c| c.trace_capacity as u64));
     match &j.adaptive {
         None => w.bool(false),
         Some(a) => {
@@ -442,23 +413,30 @@ pub fn put_job(w: &mut Writer, j: &JobWire) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Decodes a [`JobWire`] written by [`put_job`].
+/// Decodes a [`JobWire`] written by [`put_job`]; the trace capacity of
+/// a telemetry-off job is read and ignored.
 pub fn get_job(r: &mut Reader<'_>) -> Result<JobWire, WireError> {
     Ok(JobWire {
         benchmark: r.str()?,
-        component: *ComponentKind::ALL
-            .get(r.u8()? as usize)
-            .ok_or("unknown component tag")?,
-        samples: r.u64()?,
-        seed: r.u64()?,
-        length_scale: r.u64()?,
-        cosim_cap: r.u64()?,
-        check_interval: r.u64()?,
-        snapshot_interval: r.u64()?,
-        lane_cluster: r.u64()?,
-        lane_width: r.u64()?,
-        telemetry: r.bool()?,
-        trace_capacity: r.u64()?,
+        spec: CampaignSpec {
+            component: *ComponentKind::ALL
+                .get(r.u8()? as usize)
+                .ok_or("unknown component tag")?,
+            samples: r.u64()?,
+            seed: r.u64()?,
+            length_scale: r.u64()?,
+            cosim_cap: r.u64()?,
+            check_interval: r.u64()?,
+            workers: 1,
+            snapshot_interval: r.u64()?,
+            lane_cluster: r.u64()?,
+            lane_width: r.u64()?,
+        },
+        telemetry: {
+            let on = r.bool()?;
+            let trace_capacity = r.u64()? as usize;
+            on.then_some(TelemetryConfig { trace_capacity })
+        },
         adaptive: if r.bool()? {
             Some(AdaptiveRoundWire {
                 start: [r.u64()?, r.u64()?, r.u64()?],
@@ -645,7 +623,7 @@ impl Message {
                     start: r.u64()?,
                     len: r.u64()?,
                 },
-                job: get_job(&mut r)?,
+                job: Box::new(get_job(&mut r)?),
                 lease_ms: r.u64()?,
                 heartbeat_ms: r.u64()?,
             },
@@ -782,21 +760,28 @@ mod tests {
     fn variants() -> Vec<Message> {
         let job = JobWire {
             benchmark: "radi".to_string(),
-            component: ComponentKind::Pcie,
-            samples: 120,
-            seed: 2015,
-            length_scale: 100,
-            cosim_cap: 20_000,
-            check_interval: 16,
-            snapshot_interval: 2_000,
-            lane_cluster: 8,
-            lane_width: 64,
-            telemetry: true,
-            trace_capacity: 4096,
+            spec: CampaignSpec {
+                component: ComponentKind::Pcie,
+                samples: 120,
+                seed: 2015,
+                length_scale: 100,
+                cosim_cap: 20_000,
+                check_interval: 16,
+                workers: 1,
+                snapshot_interval: 2_000,
+                lane_cluster: 8,
+                lane_width: 64,
+            },
+            telemetry: Some(TelemetryConfig {
+                trace_capacity: 4096,
+            }),
             adaptive: None,
         };
         let adaptive_job = JobWire {
-            samples: 11,
+            spec: CampaignSpec {
+                samples: 11,
+                ..job.spec
+            },
             adaptive: Some(AdaptiveRoundWire {
                 start: [128, 40, 7],
                 alloc: [5, 4, 2],
@@ -822,7 +807,7 @@ mod tests {
                     start: 20,
                     len: 10,
                 },
-                job: job.clone(),
+                job: Box::new(job.clone()),
                 lease_ms: 30_000,
                 heartbeat_ms: 2_000,
             },
@@ -832,7 +817,7 @@ mod tests {
                     start: 0,
                     len: 11,
                 },
-                job: adaptive_job,
+                job: Box::new(adaptive_job),
                 lease_ms: 30_000,
                 heartbeat_ms: 2_000,
             },
@@ -948,18 +933,37 @@ mod tests {
         let cfg = TelemetryConfig { trace_capacity: 64 };
         let job = JobWire::from_spec(profile, &spec, Some(&cfg));
         assert_eq!(job.profile().unwrap().name, "fft");
-        let back = job.spec();
-        assert_eq!(back.workers, 1, "wire jobs pin workers to 1");
+        let mut w = Writer::new();
+        put_job(&mut w, &job).unwrap();
+        let back = get_job(&mut Reader::new(&w.into_bytes())).unwrap();
+        assert_eq!(back.spec.workers, 1, "wire jobs pin workers to 1");
         assert_eq!(
             CampaignSpec { workers: 1, ..spec },
-            back,
+            back.spec,
             "all other fields survive"
         );
-        assert_eq!(job.telemetry_config(), Some(cfg));
-        assert_eq!(
-            JobWire::from_spec(profile, &spec, None).telemetry_config(),
-            None
-        );
+        assert_eq!(back.telemetry, Some(cfg));
+        assert_eq!(JobWire::from_spec(profile, &spec, None).telemetry, None);
+    }
+
+    /// A telemetry-off job's trace capacity is not part of the job:
+    /// whatever a peer writes there decodes to the same job and the
+    /// same result key, so the two submissions share one execution.
+    #[test]
+    fn telemetry_off_capacity_is_not_a_result_field() {
+        let spec = CampaignSpec::quick(ComponentKind::L2c, 8);
+        let job = JobWire::from_spec(by_name("radi").unwrap(), &spec, None);
+        let mut w = Writer::new();
+        put_job(&mut w, &job).unwrap();
+        let mut bytes = w.into_bytes();
+        // The capacity is the u64 between the telemetry flag and the
+        // adaptive flag, the last nine bytes of a fixed-count job.
+        let cap = bytes.len() - 9;
+        assert_eq!(bytes[cap - 1], 0, "telemetry flag is off");
+        bytes[cap..cap + 8].copy_from_slice(&4096u64.to_le_bytes());
+        let patched = get_job(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(patched, job);
+        assert_eq!(patched.result_key().unwrap(), job.result_key().unwrap());
     }
 
     /// The `put_job` bytes of one adaptive-round MCU job with telemetry

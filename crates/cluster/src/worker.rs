@@ -31,7 +31,7 @@ use std::io;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use nestsim_core::campaign::{CellBase, Round, ShardRunner};
+use nestsim_core::campaign::{CampaignSpec, CellBase, Round, ShardRunner};
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 
 use crate::proto::{recv, send, JobWire, RunWire};
@@ -45,7 +45,10 @@ pub use crate::worker_machine::{WorkerOptions, WorkerStats};
 /// persistent worker reuse one golden pass.
 fn base_key(job: &JobWire) -> JobWire {
     JobWire {
-        samples: 0,
+        spec: CampaignSpec {
+            samples: 0,
+            ..job.spec
+        },
         adaptive: None,
         ..job.clone()
     }
@@ -62,21 +65,22 @@ impl JobState {
     /// Builds the derivation for `job`, recycling `prev`'s base when
     /// the jobs differ only in their round (the persistent adaptive
     /// worker's hot path). Shard positions address the round's entry
-    /// order, whichever plan drew it.
+    /// order, whichever plan drew it. A job that is no runnable cell
+    /// ([`CampaignSpec::check`]) is an error, not a panic.
     fn build(job: &JobWire, prev: Option<JobState>) -> Result<JobState, String> {
         let profile = job.profile()?;
-        let spec = job.spec();
+        job.spec.check(profile)?;
         let mut base = match prev {
             Some(prev) if base_key(&prev.key) == base_key(job) => prev.base,
             // A leased shard may start at any position: the full ladder.
-            _ => CellBase::capture(profile, &spec, DEFAULT_MAX_RUNGS),
+            _ => CellBase::capture(profile, &job.spec, DEFAULT_MAX_RUNGS),
         };
-        let round = base.draw(profile, &spec, job.adaptive.as_ref());
-        if round.samples.len() as u64 != job.samples {
+        let round = base.draw(profile, &job.spec, job.adaptive.as_ref());
+        if round.samples.len() as u64 != job.spec.samples {
             return Err(format!(
                 "the round draws {} samples but the job says {}",
                 round.samples.len(),
-                job.samples
+                job.spec.samples
             ));
         }
         Ok(JobState {
@@ -168,13 +172,12 @@ fn run_assignment(
     let shard = machine
         .current_shard()
         .expect("Execute implies an active assignment");
-    let telemetry = state.key.telemetry_config();
     let mut runner = ShardRunner::new(
         &state.base.ladder,
         &state.round.samples,
         &state.base.golden,
-        telemetry.as_ref(),
-        state.key.lane_width as usize,
+        state.key.telemetry.as_ref(),
+        state.key.spec.lane_width as usize,
     );
     // Finished runs of the group the last `Execute` started, in
     // position order; dropped with the runner if the shard is abandoned.
@@ -232,5 +235,38 @@ fn run_assignment(
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nestsim_hlsim::workload::by_name;
+    use nestsim_models::ComponentKind;
+
+    fn build_err(job: &JobWire) -> String {
+        match JobState::build(job, None) {
+            Ok(_) => panic!("an invalid job must not build"),
+            Err(e) => e,
+        }
+    }
+
+    /// A job off the wire that is no runnable cell is refused with the
+    /// reason, where capturing its base would panic the worker.
+    #[test]
+    fn an_invalid_job_is_an_error_not_a_panic() {
+        let pcie = CampaignSpec::quick(ComponentKind::Pcie, 1);
+        let fileless = JobWire::from_spec(by_name("barn").unwrap(), &pcie, None);
+        let err = build_err(&fileless);
+        assert!(err.contains("input file"), "{err}");
+
+        let mut zero = JobWire::from_spec(
+            by_name("radi").unwrap(),
+            &CampaignSpec::quick(ComponentKind::L2c, 1),
+            None,
+        );
+        zero.spec.check_interval = 0;
+        let err = build_err(&zero);
+        assert!(err.contains("check_interval must be >= 1"), "{err}");
     }
 }

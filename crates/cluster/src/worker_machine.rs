@@ -304,7 +304,7 @@ impl WorkerMachine {
                 } => {
                     self.assignment = Some(Assignment {
                         shard,
-                        job,
+                        job: *job,
                         lease_ms,
                         heartbeat_ms,
                         next_off: 0,
@@ -490,7 +490,7 @@ mod tests {
                 start: 0,
                 len: 2,
             },
-            job: JobWire::default(),
+            job: Box::default(),
             lease_ms: 100,
             heartbeat_ms: 20,
         };
@@ -590,7 +590,7 @@ mod tests {
                         start: 2,
                         len: 2,
                     },
-                    job: JobWire::default(),
+                    job: Box::default(),
                     lease_ms: 100,
                     heartbeat_ms: 20,
                 },
@@ -659,7 +659,7 @@ mod tests {
                         start: 0,
                         len: 2,
                     },
-                    job: JobWire::default(),
+                    job: Box::default(),
                     lease_ms: 100,
                     heartbeat_ms: 1_000,
                 },

@@ -176,6 +176,20 @@ impl CampaignSpec {
         }
         Ok(())
     }
+
+    /// The one rule for whether the spec is a runnable cell of
+    /// `profile`: PCIe cells need a benchmark with an input file (the
+    /// paper only runs PCIe injections for the 12 file-fed benchmarks),
+    /// and the spec must pass [`CampaignSpec::validate`].
+    pub fn check(&self, profile: &BenchProfile) -> Result<(), String> {
+        if self.component == ComponentKind::Pcie && !profile.has_input_file() {
+            return Err(format!(
+                "PCIe campaigns require a benchmark with an input file ({} has none)",
+                profile.name
+            ));
+        }
+        self.validate()
+    }
 }
 
 /// Results of one campaign cell.
@@ -1040,17 +1054,13 @@ pub fn run_campaign_replay(
     )
 }
 
-/// Panics on specs that cannot produce a meaningful campaign: PCIe
-/// cells without an input file, or a spec failing
-/// [`CampaignSpec::validate`]. Shared precondition of every executor
-/// ([`CellBase::capture`] checks it, as does the `nestsim-cluster`
-/// coordinator, which captures nothing) and of the replay reference.
+/// Panics on specs that cannot produce a meaningful campaign, with the
+/// message of [`CampaignSpec::check`]. Shared precondition of every
+/// executor ([`CellBase::capture`] checks it, as does the
+/// `nestsim-cluster` coordinator, which captures nothing) and of the
+/// replay reference.
 pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
-    assert!(
-        spec.component != ComponentKind::Pcie || profile.has_input_file(),
-        "PCIe campaigns require a benchmark with an input file"
-    );
-    if let Err(e) = spec.validate() {
+    if let Err(e) = spec.check(profile) {
         panic!("invalid campaign spec: {e}");
     }
 }

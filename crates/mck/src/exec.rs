@@ -31,8 +31,6 @@ use nestsim_telemetry::{Recorder, TelemetryConfig};
 /// One campaign cell, fully executed and cached for schedule replay.
 pub struct CampaignExec {
     profile: &'static BenchProfile,
-    spec: CampaignSpec,
-    telemetry: Option<TelemetryConfig>,
     job: JobWire,
     golden: GoldenRef,
     /// Cached per-run results, indexed by entry-order *position* (the
@@ -86,8 +84,6 @@ impl CampaignExec {
         let reference = run_campaign_with(profile, spec, telemetry);
         CampaignExec {
             profile,
-            spec: *spec,
-            telemetry: telemetry.cloned(),
             job,
             golden,
             runs,
@@ -147,13 +143,13 @@ impl CampaignExec {
                 indexed.push((run.sample as usize, run.record, run.recorder));
             }
         }
-        if self.telemetry.is_none() {
+        if self.job.telemetry.is_none() {
             worker_samples = Vec::new();
         }
         assemble_result(
             self.profile,
-            &self.spec,
-            self.telemetry.as_ref(),
+            &self.job.spec,
+            self.job.telemetry.as_ref(),
             golden,
             indexed,
             worker_samples,

@@ -292,11 +292,11 @@ impl Scenario for SvcScenario {
     /// Every task the adapter queued becomes a pending execution.
     fn answer(&self, peers: &mut Clients, net: &mut Net<'_, Self>) -> Result<(), SimError> {
         while let Ok((exec, job)) = peers.tasks.try_recv() {
-            if peers.banned.contains(&job.seed) {
-                return Err(SimError::CancelledButRan(job.seed));
+            if peers.banned.contains(&job.spec.seed) {
+                return Err(SimError::CancelledButRan(job.spec.seed));
             }
-            peers.started.insert(job.seed);
-            peers.inflight.insert(exec, job.seed);
+            peers.started.insert(job.spec.seed);
+            peers.inflight.insert(exec, job.spec.seed);
             net.schedule(0, SvcEv::Exec(exec));
         }
         Ok(())

@@ -4,10 +4,10 @@
 //! cells, and their default benchmark subsets overlap heavily — so
 //! `repro fig4` after `repro fig3` (or any figure inside `repro all`)
 //! used to recompute identical campaigns from scratch. The cache memos
-//! every computed [`CampaignResult`] under its full determinism key
-//! (component, benchmark, samples, seed, scale, co-simulation bounds),
-//! which is sound because campaigns are bit-reproducible: equal keys
-//! imply byte-identical results.
+//! every computed [`CampaignResult`] under its determinism key, the
+//! one the campaign service dedups on ([`JobWire::result_key`]), which
+//! is sound because campaigns are bit-reproducible: equal keys imply
+//! byte-identical results.
 //!
 //! [`run_grid`] evaluates the independent cells of one figure
 //! concurrently, dividing the machine between grid-level threads and
@@ -28,39 +28,22 @@ use nestsim_core::CampaignResult;
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_models::ComponentKind;
 use nestsim_stats::stop::StopPolicy;
-use nestsim_svc::{JobOutcome, SvcClient};
+use nestsim_svc::{JobKey, JobOutcome, SvcClient};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::Opts;
 
-/// The determinism key of one campaign cell: every spec field that can
-/// change records, counts, or telemetry. Worker count, snapshot
-/// interval, lane width, and cluster mode are deliberately absent —
-/// the engine guarantees they never affect results (the byte-identity
-/// locked by the equivalence tests and the cluster end-to-end tests).
-/// Lane *cluster* is present: it changes which trajectories get
-/// sampled, so it is part of the result identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CellKey {
-    component: ComponentKind,
-    benchmark: &'static str,
-    samples: u64,
-    seed: u64,
-    scale: u64,
-    cosim_cap: u64,
-    check_interval: u64,
-    lane_cluster: u64,
-    telemetry: bool,
-    adaptive: bool,
-    /// Adaptive stopping parameters, keyed by exact bit pattern (the
-    /// policy is part of the result identity; `to_bits` keeps the key
-    /// hashable). Zero when `adaptive` is false.
-    ci_target_bits: u64,
-    ci_confidence_bits: u64,
-}
+/// What the cache keys a cell on: the [`JobWire::result_key`] of the
+/// job the cell describes — the key the service dedups on — plus the
+/// adaptive stopping policy by exact bit pattern (`None` for a
+/// fixed-count cell). Worker count, snapshot interval, lane width and
+/// cluster mode are absent: the engine guarantees they never affect
+/// results (the byte-identity locked by the equivalence tests and the
+/// cluster end-to-end tests).
+type CacheKey = (JobKey, Option<(u64, u64)>);
 
 struct CellCache {
-    cells: Mutex<HashMap<CellKey, CampaignResult>>,
+    cells: Mutex<HashMap<CacheKey, CampaignResult>>,
     stats: Mutex<Recorder>,
 }
 
@@ -102,28 +85,14 @@ pub fn cell_cached(
     component: ComponentKind,
     workers: usize,
 ) -> CampaignResult {
-    let key = CellKey {
-        component,
-        benchmark: profile.name,
-        samples: opts.samples,
-        seed: opts.seed,
-        scale: opts.scale.max(1),
-        cosim_cap: opts.cosim_cap,
-        check_interval: opts.check_interval,
-        lane_cluster: opts.lane_cluster,
-        telemetry: opts.telemetry.is_some(),
-        adaptive: opts.adaptive,
-        ci_target_bits: if opts.adaptive {
-            opts.ci_target.to_bits()
-        } else {
-            0
-        },
-        ci_confidence_bits: if opts.adaptive {
-            opts.ci_confidence.to_bits()
-        } else {
-            0
-        },
-    };
+    let spec = campaign_spec(opts, component, workers);
+    let tcfg = TelemetryConfig::default();
+    let telemetry = opts.telemetry.as_ref().map(|_| &tcfg);
+    let job = JobWire::from_spec(profile, &spec, telemetry);
+    let policy = opts
+        .adaptive
+        .then(|| (opts.ci_target.to_bits(), opts.ci_confidence.to_bits()));
+    let key = (job.result_key().expect("a campaign cell encodes"), policy);
     if let Some(hit) = cache().cells.lock().expect("cell cache poisoned").get(&key) {
         let result = hit.clone();
         cache()
@@ -133,9 +102,6 @@ pub fn cell_cached(
             .count(names::CELL_CACHE_HITS, 1);
         return result;
     }
-    let spec = campaign_spec(opts, component, workers);
-    let tcfg = TelemetryConfig::default();
-    let telemetry = opts.telemetry.as_ref().map(|_| &tcfg);
     // What to run and where to run it are separate choices. The plan is
     // in the cell key; the executor is not — every one returns the same
     // bytes. (The service runs fixed-count cells only.)
@@ -145,7 +111,7 @@ pub fn cell_cached(
         Plan::Fixed
     };
     let result = if let Some(addr) = &opts.service {
-        run_cell_via_service(addr, profile, &spec, telemetry)
+        run_cell_via_service(addr, &job)
     } else if opts.cluster > 0 {
         // `--cluster N` spawned worker processes (`repro worker`, the
         // hidden subcommand).
@@ -177,16 +143,10 @@ pub fn cell_cached(
 /// same cache slot.
 /// Concurrent `repro` invocations pointing at one service dedupe
 /// overlapping cells server-side to a single execution.
-fn run_cell_via_service(
-    addr: &str,
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-) -> CampaignResult {
-    let job = JobWire::from_spec(profile, spec, telemetry);
+fn run_cell_via_service(addr: &str, job: &JobWire) -> CampaignResult {
     let mut client = SvcClient::connect(addr, "repro")
         .unwrap_or_else(|e| panic!("cannot reach campaign service at {addr}: {e}"));
-    match client.run_job(&job, 1) {
+    match client.run_job(job, 1) {
         Ok(JobOutcome::Done(result)) => *result,
         Ok(JobOutcome::Rejected(reason)) => {
             panic!("campaign service at {addr} rejected the cell: {reason}")
@@ -331,6 +291,73 @@ mod tests {
         assert_eq!(got.counts, reference.counts);
         assert_eq!(got.golden, reference.golden);
         handle.shutdown().expect("shutdown");
+    }
+
+    /// The cache keys on what changes results and nothing else: one
+    /// cell asked for at two lane widths and two snapshot intervals is
+    /// one computation, while a new seed, lane cluster or adaptive CI
+    /// target is a cell of its own.
+    #[test]
+    fn cache_key_ignores_execution_knobs_and_keeps_result_fields() {
+        let _cache = cache_lock();
+        let base = Opts {
+            lane_width: 1,
+            ..quick_opts(82)
+        };
+        let profile = pick_benchmarks(&base, ComponentKind::L2c)[0];
+        // (misses, hits) one request adds.
+        let request = |opts: &Opts| {
+            let before = cache_stats();
+            cell_cached(profile, opts, ComponentKind::L2c, 1);
+            let after = cache_stats();
+            let delta = |name| after.counter(name) - before.counter(name);
+            (
+                delta(names::CELL_CACHE_MISSES),
+                delta(names::CELL_CACHE_HITS),
+            )
+        };
+        assert_eq!(request(&base), (1, 0), "a new cell is computed");
+        let same_cell = [
+            Opts {
+                lane_width: 64,
+                ..base.clone()
+            },
+            Opts {
+                snapshot_interval: 500,
+                ..base.clone()
+            },
+            Opts {
+                snapshot_interval: 7_000,
+                lane_width: 64,
+                ..base.clone()
+            },
+        ];
+        for opts in &same_cell {
+            assert_eq!(request(opts), (0, 1), "{opts:?}");
+        }
+        let adaptive = Opts {
+            adaptive: true,
+            ci_target: 0.3,
+            ..base.clone()
+        };
+        let other_cells = [
+            Opts {
+                seed: 83,
+                ..base.clone()
+            },
+            Opts {
+                lane_cluster: 2,
+                ..base.clone()
+            },
+            adaptive.clone(),
+            Opts {
+                ci_target: 0.25,
+                ..adaptive
+            },
+        ];
+        for opts in &other_cells {
+            assert_eq!(request(opts), (1, 0), "{opts:?}");
+        }
     }
 
     /// Grid results come back in request order regardless of which

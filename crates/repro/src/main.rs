@@ -219,7 +219,7 @@ fn parse(args: &[String]) -> Result<(String, Opts), String> {
                     "--check-interval",
                     &take(&mut i)?,
                     "an interval of 0 never fires a golden compare, so every \
-                     error would silently classify as Vanished/UT",
+                     run burns the full co-simulation cap and misclassifies as Persist",
                 )?;
             }
             "--snapshot-interval" => {

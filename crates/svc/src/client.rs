@@ -151,7 +151,7 @@ impl SvcClient {
                 }
                 slot.outcome = Some(JobOutcome::Done(Box::new(CampaignResult {
                     benchmark: profile.name,
-                    component: job.component,
+                    component: job.spec.component,
                     counts,
                     records: std::mem::take(&mut slot.records),
                     golden,

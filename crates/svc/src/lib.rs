@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | wire | `nestsim_cluster::proto` | the one message set, shared with the coordinator (protocol v5, `NSCL` frames) |
 //! | scheduling | [`sched`] | deficit-round-robin fair share across tenants |
-//! | dedup | [`store`] | content-addressed result store keyed by determinism key |
+//! | dedup | [`store`] | content-addressed result store keyed by `JobWire::result_key` |
 //! | protocol | [`machine`] | sans-I/O service state machine (model-checked) |
 //! | driver | [`service`] | the machine on the server loop, plus the execution pool |
 //! | client | [`client`] | blocking client used by `repro --service` and tests |
@@ -36,4 +36,4 @@ pub use client::{JobOutcome, SvcClient};
 pub use machine::{SvcAction, SvcConfig, SvcEvent, SvcMachine};
 pub use sched::DrrScheduler;
 pub use service::{serve, ServiceConfig, ServiceHandle};
-pub use store::{job_key, ExecOutput, JobKey, ResultStore};
+pub use store::{ExecOutput, JobKey, ResultStore};

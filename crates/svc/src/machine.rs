@@ -15,11 +15,9 @@
 
 use crate::sched::DrrScheduler;
 use crate::store::{
-    job_key, CrashOutcome, ExecOutput, JobKey, ResultStore, SubscribeOutcome, Subscriber,
-    UnsubscribeOutcome,
+    CrashOutcome, ExecOutput, JobKey, ResultStore, SubscribeOutcome, Subscriber, UnsubscribeOutcome,
 };
 use nestsim_cluster::proto::{check_version, JobWire, Message};
-use nestsim_models::ComponentKind;
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -248,7 +246,7 @@ impl SvcMachine {
         if let Err(reason) = validate_job(&job) {
             return vec![self.reject(conn, req, reason)];
         }
-        let key = match job_key(&job) {
+        let key = match job.result_key() {
             Ok(key) => key,
             Err(e) => return vec![self.reject(conn, req, format!("unencodable job: {e}"))],
         };
@@ -267,7 +265,7 @@ impl SvcMachine {
                 },
             });
             if let Some(out) = self.store.ready(&key).cloned() {
-                acts.extend(stream_result(conn, ticket, job.samples, &out));
+                acts.extend(stream_result(conn, ticket, job.spec.samples, &out));
             }
             return acts;
         }
@@ -292,7 +290,7 @@ impl SvcMachine {
         let dedup = match outcome {
             SubscribeOutcome::New => {
                 self.sched
-                    .enqueue(&tenant, priority, key.clone(), job.samples.max(1));
+                    .enqueue(&tenant, priority, key.clone(), job.spec.samples.max(1));
                 self.stats
                     .record_hist(names::H_SVC_QUEUE_DEPTH, self.sched.len() as u64);
                 false
@@ -329,7 +327,7 @@ impl SvcMachine {
                 ticket,
                 running: self.store.is_running(&key),
                 done: 0,
-                total: job.samples,
+                total: job.spec.samples,
             },
         });
         acts.extend(self.pump());
@@ -439,7 +437,7 @@ impl SvcMachine {
                         ticket: sub.ticket,
                         running: true,
                         done: 0,
-                        total: job.samples,
+                        total: job.spec.samples,
                     },
                 });
             }
@@ -499,15 +497,7 @@ fn validate_job(job: &JobWire) -> Result<(), String> {
             "adaptive round jobs are cluster-internal; submit the base campaign instead".into(),
         );
     }
-    let spec = job.spec();
-    spec.validate()?;
-    if spec.component == ComponentKind::Pcie && !profile.has_input_file() {
-        return Err(format!(
-            "PCIe campaigns require a benchmark with an input file ({} has none)",
-            job.benchmark
-        ));
-    }
-    Ok(())
+    job.spec.check(profile)
 }
 
 /// The action stream delivering a finished job to one subscriber.
@@ -550,6 +540,7 @@ mod tests {
     use nestsim_cluster::proto::PROTOCOL_VERSION;
     use nestsim_core::CampaignSpec;
     use nestsim_hlsim::workload::by_name;
+    use nestsim_models::ComponentKind;
 
     fn test_job(samples: u64, seed: u64) -> JobWire {
         let mut spec = CampaignSpec::quick(ComponentKind::L2c, samples);
@@ -782,7 +773,7 @@ mod tests {
             });
             for a in &acts {
                 if let SvcAction::StartExec { job, .. } = a {
-                    started_seeds.push(job.seed);
+                    started_seeds.push(job.spec.seed);
                 }
             }
         }
@@ -884,7 +875,7 @@ mod tests {
             [Message::Rejected { .. }]
         ));
         let mut bad = test_job(8, 1);
-        bad.check_interval = 0;
+        bad.spec.check_interval = 0;
         let acts = submit(&mut m, 1, 2, bad);
         assert!(matches!(
             sent_to(&acts, 1).as_slice(),

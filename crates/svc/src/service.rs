@@ -208,9 +208,7 @@ fn run_exec(job: &JobWire) -> Result<ExecOutput, String> {
     let job = job.clone();
     let run = std::panic::catch_unwind(move || {
         let profile = job.profile()?;
-        let spec = job.spec();
-        let telemetry = job.telemetry_config();
-        let result = run_campaign_with(profile, &spec, telemetry.as_ref());
+        let result = run_campaign_with(profile, &job.spec, job.telemetry.as_ref());
         Ok::<ExecOutput, String>(ExecOutput {
             golden: result.golden,
             records: result.records,

@@ -1,37 +1,24 @@
 //! Content-addressed result store: the service-side generalization of
 //! the repro grid's cell cache.
 //!
-//! Jobs are keyed by their **determinism key** — the job's wire
-//! encoding ([`put_job`]) with the execution-only knobs
-//! `snapshot_interval` and `lane_width` pinned to zero, since the
-//! byte-identity contract guarantees they cannot change results (the
-//! `CellKey` equivalent). Two submissions with equal keys deduplicate
-//! to one execution; every subscriber receives the single output.
+//! Jobs are keyed by their **determinism key**,
+//! [`JobWire::result_key`]: the job's wire encoding with the
+//! execution-only knobs `snapshot_interval` and `lane_width` pinned to
+//! zero — the same key the repro grid's cell cache uses. Two
+//! submissions with equal keys deduplicate to one execution; every
+//! subscriber receives the single output.
 //!
 //! The store is pure data (BTree maps, no clock, no hashing
 //! randomness) and is policy-pinned `NoNondeterminism`.
 
-use nestsim_cluster::proto::{put_job, JobWire};
-use nestsim_cluster::wire::{WireError, Writer};
+use nestsim_cluster::proto::JobWire;
 use nestsim_core::inject::{GoldenRef, InjectionRecord};
 use nestsim_telemetry::Recorder;
 use std::collections::BTreeMap;
 
-/// A job's determinism key: canonical bytes of its result-affecting
-/// fields.
+/// A job's determinism key ([`JobWire::result_key`]): canonical bytes
+/// of its result-affecting fields.
 pub type JobKey = Vec<u8>;
-
-/// Computes the determinism key of `job`.
-pub fn job_key(job: &JobWire) -> Result<JobKey, WireError> {
-    let result_fields = JobWire {
-        snapshot_interval: 0,
-        lane_width: 0,
-        ..job.clone()
-    };
-    let mut w = Writer::new();
-    put_job(&mut w, &result_fields)?;
-    Ok(w.into_bytes())
-}
 
 /// Everything an execution produces; what subscribers receive.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,7 +228,7 @@ impl ResultStore {
             Some(CrashOutcome::Requeue {
                 tenant: cell.tenant.clone(),
                 weight: cell.weight,
-                cost: cell.job.samples.max(1),
+                cost: cell.job.spec.samples.max(1),
             })
         } else {
             let cell = self.cells.remove(key)?;
@@ -276,32 +263,41 @@ impl ResultStore {
 mod tests {
     use super::*;
     use nestsim_cluster::proto::AdaptiveRoundWire;
+    use nestsim_core::CampaignSpec;
     use nestsim_models::ComponentKind;
+    use nestsim_telemetry::TelemetryConfig;
 
     fn job(samples: u64) -> JobWire {
         JobWire {
             benchmark: "radi".into(),
-            samples,
+            spec: CampaignSpec {
+                samples,
+                ..JobWire::default().spec
+            },
             ..JobWire::default()
         }
+    }
+
+    fn key(job: &JobWire) -> JobKey {
+        job.result_key().unwrap()
     }
 
     #[test]
     fn key_ignores_execution_only_fields() {
         let a = job(8);
         let mut b = job(8);
-        b.snapshot_interval = a.snapshot_interval.wrapping_add(1_000);
-        b.lane_width = a.lane_width.wrapping_add(3);
-        assert_eq!(job_key(&a).unwrap(), job_key(&b).unwrap());
+        b.spec.snapshot_interval = a.spec.snapshot_interval.wrapping_add(1_000);
+        b.spec.lane_width = a.spec.lane_width.wrapping_add(3);
+        assert_eq!(key(&a), key(&b));
         let mut c = job(8);
-        c.seed = 999;
-        assert_ne!(job_key(&a).unwrap(), job_key(&c).unwrap());
+        c.spec.seed = 999;
+        assert_ne!(key(&a), key(&c));
         let mut d = job(8);
         d.adaptive = Some(AdaptiveRoundWire {
             start: [0, 0, 0],
             alloc: [1, 2, 3],
         });
-        assert_ne!(job_key(&a).unwrap(), job_key(&d).unwrap());
+        assert_ne!(key(&a), key(&d));
     }
 
     #[test]
@@ -309,15 +305,16 @@ mod tests {
         let base = job(8);
         let edits: [fn(&mut JobWire); 11] = [
             |j| j.benchmark.push('x'),
-            |j| j.component = ComponentKind::Mcu,
-            |j| j.samples += 1,
-            |j| j.seed += 1,
-            |j| j.length_scale += 1,
-            |j| j.cosim_cap += 1,
-            |j| j.check_interval += 1,
-            |j| j.lane_cluster += 1,
-            |j| j.telemetry = !j.telemetry,
-            |j| j.trace_capacity += 1,
+            |j| j.spec.component = ComponentKind::Mcu,
+            |j| j.spec.samples += 1,
+            |j| j.spec.seed += 1,
+            |j| j.spec.length_scale += 1,
+            |j| j.spec.cosim_cap += 1,
+            |j| j.spec.check_interval += 1,
+            |j| j.spec.lane_cluster += 1,
+            |j| j.telemetry = Some(TelemetryConfig::default()),
+            // A trace capacity exists only with telemetry on.
+            |j| j.telemetry = Some(TelemetryConfig { trace_capacity: 1 }),
             |j| {
                 j.adaptive = Some(AdaptiveRoundWire {
                     start: [0; 3],
@@ -328,7 +325,7 @@ mod tests {
         for (i, edit) in edits.iter().enumerate() {
             let mut j = base.clone();
             edit(&mut j);
-            assert_ne!(job_key(&base).unwrap(), job_key(&j).unwrap(), "edit {i}");
+            assert_ne!(key(&base), key(&j), "edit {i}");
         }
     }
 
@@ -336,7 +333,7 @@ mod tests {
     fn lifecycle_new_join_complete_cached() {
         let mut st = ResultStore::new();
         let j = job(4);
-        let key = job_key(&j).unwrap();
+        let key = key(&j);
         let s1 = Subscriber {
             conn: 1,
             ticket: 10,
@@ -379,7 +376,7 @@ mod tests {
     fn crash_requeues_then_fails() {
         let mut st = ResultStore::new();
         let j = job(4);
-        let key = job_key(&j).unwrap();
+        let key = key(&j);
         st.subscribe(
             &key,
             &j,
@@ -415,7 +412,7 @@ mod tests {
     fn last_queued_unsubscribe_drops_the_cell() {
         let mut st = ResultStore::new();
         let j = job(4);
-        let key = job_key(&j).unwrap();
+        let key = key(&j);
         st.subscribe(
             &key,
             &j,

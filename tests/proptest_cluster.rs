@@ -23,7 +23,7 @@ use nestsim::cluster::lease::{Completion, Grant, LeaseTable};
 use nestsim::cluster::proto::{AdaptiveRoundWire, JobWire, Message, RunWire, SubmitWire};
 use nestsim::cluster::{auto_shard_size, plan_shards, LeaseConfig, Shard};
 use nestsim::core::inject::{GoldenRef, InjectionRecord};
-use nestsim::core::Outcome;
+use nestsim::core::{CampaignSpec, Outcome};
 use nestsim::models::ComponentKind;
 use nestsim::telemetry::{names, Recorder, TelemetryConfig};
 
@@ -74,7 +74,7 @@ fn arbitrary_message(src: &mut Source) -> Message {
                 start: src.below(1 << 40),
                 len: src.range_u64(1, 1 << 20),
             },
-            job: arbitrary_job(src),
+            job: Box::new(arbitrary_job(src)),
             lease_ms: src.u64(),
             heartbeat_ms: src.u64(),
         },
@@ -190,17 +190,21 @@ fn arbitrary_recorder(src: &mut Source) -> Recorder {
 fn arbitrary_job(src: &mut Source) -> JobWire {
     JobWire {
         benchmark: src.lowercase_string(1, 8),
-        component: ComponentKind::ALL[src.index(ComponentKind::ALL.len())],
-        samples: src.below(10_000),
-        seed: src.u64(),
-        length_scale: src.range_u64(1, 1_000),
-        cosim_cap: src.range_u64(1, 200_000),
-        check_interval: src.range_u64(1, 64),
-        snapshot_interval: src.range_u64(1, 10_000),
-        lane_cluster: src.range_u64(1, 64),
-        lane_width: src.range_u64(1, 64),
-        telemetry: src.bool(),
-        trace_capacity: src.below(10_000),
+        spec: CampaignSpec {
+            component: ComponentKind::ALL[src.index(ComponentKind::ALL.len())],
+            samples: src.below(10_000),
+            seed: src.u64(),
+            length_scale: src.range_u64(1, 1_000),
+            cosim_cap: src.range_u64(1, 200_000),
+            check_interval: src.range_u64(1, 64),
+            workers: 1,
+            snapshot_interval: src.range_u64(1, 10_000),
+            lane_cluster: src.range_u64(1, 64),
+            lane_width: src.range_u64(1, 64),
+        },
+        telemetry: src.bool().then(|| TelemetryConfig {
+            trace_capacity: src.index(10_000),
+        }),
         adaptive: if src.bool() {
             Some(AdaptiveRoundWire {
                 start: [src.u64(), src.u64(), src.u64()],
