@@ -510,17 +510,18 @@ fn warmup_and_persistence_bytes_are_pinned() {
     // Fig. 5 and Fig. 6 drive the co-simulation drivers outside any
     // campaign: one takes its cold golden after 4,000 cycles of history,
     // the other its golden after a fixed 1,000-cycle warm-up. Each row
-    // was computed before its component warmed up on images (CCX packet
-    // images, then the L2C's slot images); a change that claims to be
-    // result-neutral must never re-bless them. CCX `radi` has finished by
+    // was computed before its component warmed up on a fault-free model
+    // (CCX packets, the L2C's slot images, the MCU's plain fields); a
+    // change that claims to be result-neutral must never re-bless them. CCX `radi` has finished by
     // the time Fig. 5 snapshots (a flat curve: only the arbiter pointers
     // differ from a cold crossbar); `stre` still has packets in flight.
     let lower = |c: ComponentKind| c.name().to_lowercase();
-    let curves: [(ComponentKind, &str); 4] = [
+    let curves: [(ComponentKind, &str); 5] = [
         (ComponentKind::Ccx, "radi"),
         (ComponentKind::Ccx, "stre"),
         (ComponentKind::L2c, "radi"),
         (ComponentKind::L2c, "stre"),
+        (ComponentKind::Mcu, "radi"),
     ];
     for (component, bench) in curves {
         let profile = by_name(bench).unwrap();
@@ -533,7 +534,7 @@ fn warmup_and_persistence_bytes_are_pinned() {
         );
     }
 
-    for component in [ComponentKind::Ccx, ComponentKind::L2c] {
+    for component in [ComponentKind::Ccx, ComponentKind::L2c, ComponentKind::Mcu] {
         let sweep = nestsim::core::persistence::persistence_sweep(
             component,
             by_name("radi").unwrap(),
