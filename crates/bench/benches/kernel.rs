@@ -19,7 +19,7 @@ use nestsim_hlsim::{System, SystemConfig};
 use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::fields::{shift_queue_down, Guard};
 use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
-use nestsim_models::mcu::McuInputs;
+use nestsim_models::mcu::{McuInputs, McuOutputs, McuWarm};
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, McuId, PAddr, ThreadId, NUM_CORES, NUM_L2_BANKS};
 use nestsim_proto::{CpxPacket, DramCmd, DramCmdKind, DramResp, PcxKind, PcxPacket, ReqId};
@@ -87,24 +87,12 @@ fn component_ticks(suite: &mut Suite) {
         black_box(bank.tick(black_box(&L2cInputs::default())))
     });
 
-    let mut mcu = Mcu::new(McuId::new(0));
+    // `mcu_warm` is the same stimulus on the plain-field controller an
+    // injection warms up on and returns to when its golden retires.
+    mcu_fills(suite, "mcu", Mcu::new(McuId::new(0)));
+    mcu_fills(suite, "mcu_warm", McuWarm::new(McuId::new(0)));
+
     let mut mem = DramContents::new();
-    let mut j = 0u64;
-    suite.bench("kernel/tick", "mcu", || {
-        let inp = McuInputs {
-            cmd: if mcu.ready(false) {
-                Some(nestsim_proto::DramCmd::fill(
-                    (j % 200) as u32,
-                    BankId::new(0),
-                    nestsim_proto::LineAddr::new((j % 512) * 8),
-                ))
-            } else {
-                None
-            },
-        };
-        j += 1;
-        black_box(mcu.tick(&inp, &mut mem))
-    });
 
     let mut ccx = Ccx::new();
     let ready = [true; 8];
@@ -193,6 +181,55 @@ fn l2c_active(suite: &mut Suite, name: &str, mut bank: impl Bank) {
         }
         black_box(out)
     });
+}
+
+/// The controller models `mcu_fills` drives: flops and plain fields.
+trait Controller {
+    fn ready(&self, is_writeback: bool) -> bool;
+    fn tick(&mut self, inp: &McuInputs, mem: &mut DramContents) -> McuOutputs;
+}
+
+impl Controller for Mcu {
+    fn ready(&self, is_writeback: bool) -> bool {
+        Mcu::ready(self, is_writeback)
+    }
+    fn tick(&mut self, inp: &McuInputs, mem: &mut DramContents) -> McuOutputs {
+        Mcu::tick(self, inp, mem)
+    }
+}
+
+impl Controller for McuWarm {
+    fn ready(&self, is_writeback: bool) -> bool {
+        McuWarm::ready(self, is_writeback)
+    }
+    fn tick(&mut self, inp: &McuInputs, mem: &mut DramContents) -> McuOutputs {
+        McuWarm::tick(self, inp, mem)
+    }
+}
+
+/// A fill offered whenever the request queue has room, over 512 lines
+/// of one DRAM bank's rows.
+fn mcu_fills(suite: &mut Suite, name: &str, mut mcu: impl Controller) {
+    let mut mem = DramContents::new();
+    let mut step = mcu_stimulus();
+    suite.bench("kernel/tick", name, || black_box(step(&mut mcu, &mut mem)));
+}
+
+fn mcu_stimulus<C: Controller>() -> impl FnMut(&mut C, &mut DramContents) -> McuOutputs {
+    let mut j = 0u64;
+    move |mcu, mem| {
+        let inp = McuInputs {
+            cmd: mcu.ready(false).then(|| {
+                DramCmd::fill(
+                    (j % 200) as u32,
+                    BankId::new(0),
+                    nestsim_proto::LineAddr::new((j % 512) * 8),
+                )
+            }),
+        };
+        j += 1;
+        mcu.tick(&inp, mem)
+    }
 }
 
 /// The crossbar models `ccx_closed_loop` drives: flops and images.
@@ -287,6 +324,18 @@ fn conversions(suite: &mut Suite) {
     suite.bench("kernel/convert", "ccx_to_packets", || {
         black_box(CcxWarm::from_ccx(black_box(&ccx)))
     });
+
+    // And its controller back on plain fields: `kernel/tick/mcu`'s
+    // flops, 1,000 cycles in.
+    let (mut mcu, mut mem) = (Mcu::new(McuId::new(0)), DramContents::new());
+    let mut step = mcu_stimulus();
+    for _ in 0..1_000 {
+        step(&mut mcu, &mut mem);
+    }
+    assert!(!mcu.idle(), "nothing in flight to convert");
+    suite.bench("kernel/convert", "mcu_to_warm", || {
+        black_box(McuWarm::from_mcu(black_box(&mcu)))
+    });
 }
 
 /// A queue of `depth` packed slots (valid bit, then `leaves`, then
@@ -330,16 +379,17 @@ fn queue_pops(suite: &mut Suite) {
 }
 
 fn attaches(suite: &mut Suite) {
-    // Building the RTL model a driver attaches: a copy of the
-    // per-process prototype. The crossbar and the L2 bank attach as
-    // images (the bank with its transferred arrays) and build their
-    // flops only at the golden snapshot.
+    // Building the model a driver attaches. The PCIe engine is a copy
+    // of its per-process flop prototype; the crossbar, the L2 bank and
+    // the DRAM controller attach as their fault-free models (the bank
+    // with its transferred arrays) and build their flops only at the
+    // golden snapshot.
     let arch = L2BankArch::for_bank(L2Geometry::default(), 0);
     suite.bench("kernel/attach", "l2c", || {
         black_box(L2cWarm::new(BankId::new(0), arch.clone()))
     });
     suite.bench("kernel/attach", "mcu", || {
-        black_box(Mcu::new(McuId::new(0)))
+        black_box(McuWarm::new(McuId::new(0)))
     });
     suite.bench("kernel/attach", "ccx", || black_box(CcxWarm::new()));
     suite.bench("kernel/attach", "pcie", || black_box(Pcie::new()));

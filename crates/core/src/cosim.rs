@@ -15,11 +15,11 @@
 
 use std::collections::VecDeque;
 
-use nestsim_arch::{DramContents, DramOverlay, OverlayBackend};
+use nestsim_arch::{DramContents, DramOverlay, LineBackend, OverlayBackend};
 use nestsim_hlsim::{InterceptMode, OutMsg, System};
 use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
-use nestsim_models::mcu::McuInputs;
+use nestsim_models::mcu::{McuInputs, McuOutputs, McuWarm};
 use nestsim_models::pcie::PcieArchState;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS};
@@ -203,6 +203,14 @@ impl IntoFlops for L2cWarm {
     }
 }
 
+impl IntoFlops for McuWarm {
+    type Flops = Mcu;
+
+    fn into_flops(self) -> Mcu {
+        self.into_mcu()
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// Targets converted from their fault-free model to flops on this
@@ -217,15 +225,16 @@ thread_local! {
 /// wrong, so the warm-up (step 4) runs on `W`, which gives the same
 /// cycles at a fraction of the cost; [`flops`](Self::flops) then turns
 /// it into the flops the flop-level warm-up would have left. A crossbar
-/// whose golden retired is fault-free again and goes back to `W`. An L2
-/// bank's golden twin and the lanes of a batch are forked from a target
-/// on flops, so they hold flops from the start.
+/// or a DRAM controller whose golden retired is fault-free again and
+/// goes back to `W`. An L2 bank's golden twin and the lanes of a batch
+/// are forked from a target on flops, so they hold flops from the start.
 // `Flops` holds the component's handle tables inline, as the drivers
 // did before; a box would be one more allocation per conversion.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum Target<W: IntoFlops> {
-    /// The fault-free model: packets (CCX) or slot images (L2C).
+    /// The fault-free model: packets (CCX), slot images (L2C) or plain
+    /// fields (MCU).
     Warm(W),
     Flops(W::Flops),
     /// Only inside [`flops`](Self::flops), between taking the fault-free
@@ -260,38 +269,36 @@ impl<W: IntoFlops> Target<W> {
     }
 }
 
+/// `$body` with `$x` bound to the model a [`Target`] holds, the
+/// fault-free one or its flops: every call the drivers make on either
+/// model dispatches here. The two models share method names, not a
+/// trait, so each arm is compiled for its own type.
+macro_rules! on_target {
+    ($target:expr, $x:ident => $body:expr) => {
+        match $target {
+            Target::Warm($x) => $body,
+            Target::Flops($x) => $body,
+            Target::Converting => unreachable!("a target converts only inside `Target::flops`"),
+        }
+    };
+}
+
 impl Target<L2cWarm> {
     fn ready(&self) -> bool {
-        match self {
-            Target::Warm(x) => x.ready(),
-            Target::Flops(x) => x.ready(),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => x.ready())
     }
 
     fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
-        match self {
-            Target::Warm(x) => x.tick(inp),
-            Target::Flops(x) => x.tick(inp),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => x.tick(inp))
     }
 
     fn idle(&self) -> bool {
-        match self {
-            Target::Warm(x) => x.idle(),
-            Target::Flops(x) => x.idle(),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => x.idle())
     }
 
     /// Input-queue, output-queue and miss-buffer occupancy.
     fn occupancy(&self) -> [usize; 3] {
-        match self {
-            Target::Warm(x) => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()],
-            Target::Flops(x) => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()],
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()])
     }
 }
 
@@ -696,35 +703,61 @@ impl CosimDriver for L2cDriver {
 
 // ─────────────────────────── MCU driver ───────────────────────────
 
-// nestlint: allow(no-nondeterminism) -- audited: the in-flight tag map
-// is keyed by wire tag and only probed point-wise (contains_key,
-// insert, remove, is_empty); nothing iterates it, so hash order cannot
-// reach results.
-type TagMap = std::collections::HashMap<u32, Option<(BankId, LineAddr)>>;
+/// DRAM command tags: the controller's tag flops hold 8 bits.
+const DRAM_TAGS: usize = 256;
+
+/// What a DRAM command tag routes its response to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TagRoute {
+    /// No command in flight carries the tag.
+    Free,
+    /// A writeback: its ack completes nothing.
+    Writeback,
+    /// A fill, delivered to the bank that asked for the line.
+    Fill(BankId, LineAddr),
+}
 
 /// The engine side of an intercepted MCU pair's DRAM port: it turns the
 /// system's DRAM outbox into tagged commands, routes the controller's
 /// fill responses back to the requesting bank, and serves what the
 /// controller never accepted when co-simulation ends. Every MCU
 /// co-simulation driver holds one.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DramPort {
     inbox: VecDeque<DramCmd>,
-    /// In-flight command tags. Fills carry their routing target;
-    /// writebacks carry `None`. Tags must be unique across *all*
+    /// Each tag's in-flight command. Tags must be unique across *all*
     /// in-flight commands — a fill reusing a live writeback's tag would
-    /// lose its routing entry when the writeback acks, stranding the
-    /// requesting threads forever.
-    tag_map: TagMap,
+    /// lose its route when the writeback acks, stranding the requesting
+    /// threads forever.
+    routes: [TagRoute; DRAM_TAGS],
+    /// Tags whose route is not [`TagRoute::Free`].
+    in_flight: usize,
     next_tag: u32,
 }
 
+impl Default for DramPort {
+    fn default() -> Self {
+        DramPort {
+            inbox: VecDeque::new(),
+            routes: [TagRoute::Free; DRAM_TAGS],
+            in_flight: 0,
+            next_tag: 0,
+        }
+    }
+}
+
 impl DramPort {
-    fn alloc_tag(&mut self) -> u32 {
+    /// Puts `route` in flight under the next free tag, counting on from
+    /// the last one issued, and returns the tag.
+    fn issue(&mut self, route: TagRoute) -> u32 {
+        debug_assert!(self.in_flight < DRAM_TAGS, "every DRAM tag is in flight");
         loop {
             let t = self.next_tag;
-            self.next_tag = (self.next_tag + 1) % 256;
-            if !self.tag_map.contains_key(&t) {
+            self.next_tag = (t + 1) % DRAM_TAGS as u32;
+            let slot = &mut self.routes[t as usize];
+            if *slot == TagRoute::Free {
+                *slot = route;
+                self.in_flight += 1;
                 return t;
             }
         }
@@ -734,17 +767,15 @@ impl DramPort {
     /// one fresh tag per command.
     pub fn intake(&mut self, sys: &mut System) {
         while let Some(msg) = sys.pop_outbox() {
-            let tag = self.alloc_tag();
-            let (route, cmd) = match msg {
+            let cmd = match msg {
                 OutMsg::DramFill { bank, line } => {
-                    (Some((bank, line)), DramCmd::fill(tag, bank, line))
+                    DramCmd::fill(self.issue(TagRoute::Fill(bank, line)), bank, line)
                 }
                 OutMsg::DramWriteback { bank, line, data } => {
-                    (None, DramCmd::writeback(tag, bank, line, data))
+                    DramCmd::writeback(self.issue(TagRoute::Writeback), bank, line, data)
                 }
                 other => unreachable!("unexpected outbox message {other:?}"),
             };
-            self.tag_map.insert(tag, route);
             self.inbox.push_back(cmd);
         }
     }
@@ -758,20 +789,25 @@ impl DramPort {
     }
 
     /// Retires `resp`'s tag and delivers a fill to the bank that asked
-    /// for it. A corrupted tag fails the lookup and the fill is lost
-    /// (the L2/threads hang), or collides with another request and
-    /// delivers wrong data to the wrong line.
+    /// for it. A corrupted tag names no command in flight and the fill
+    /// is lost (the L2/threads hang), or collides with another request
+    /// and delivers wrong data to the wrong line.
     pub fn complete(&mut self, sys: &mut System, resp: DramResp) {
-        if let Some(Some((bank, line))) = self.tag_map.remove(&resp.tag) {
-            if !resp.is_writeback_ack {
-                sys.deliver_fill(bank, line, resp.data);
-            }
+        let Some(slot) = self.routes.get_mut(resp.tag as usize) else {
+            return;
+        };
+        let route = std::mem::replace(slot, TagRoute::Free);
+        if route != TagRoute::Free {
+            self.in_flight -= 1;
+        }
+        if let (TagRoute::Fill(bank, line), false) = (route, resp.is_writeback_ack) {
+            sys.deliver_fill(bank, line, resp.data);
         }
     }
 
     /// True when no command is pending or in flight.
     pub fn idle(&self) -> bool {
-        self.inbox.is_empty() && self.tag_map.is_empty()
+        self.inbox.is_empty() && self.in_flight == 0
     }
 
     /// Serves the commands the controller never accepted functionally,
@@ -789,12 +825,39 @@ impl DramPort {
     }
 }
 
+impl Target<McuWarm> {
+    fn ready(&self, is_writeback: bool) -> bool {
+        on_target!(self, x => x.ready(is_writeback))
+    }
+
+    fn tick(&mut self, inp: &McuInputs, mem: &mut dyn LineBackend) -> McuOutputs {
+        on_target!(self, x => x.tick(inp, mem))
+    }
+
+    fn idle(&self) -> bool {
+        on_target!(self, x => x.idle())
+    }
+
+    /// Request-queue and return-queue occupancy.
+    fn occupancy(&self) -> (usize, usize) {
+        on_target!(self, x => (x.rq_occupancy(), x.retq_occupancy()))
+    }
+}
+
 /// Co-simulation driver for one DRAM controller.
+///
+/// The target warms up on [`McuWarm`]: until the golden snapshot and the
+/// flip (Fig. 2 step 5) no flop can be wrong, so plain fields give the
+/// same cycles at a fraction of the cost. `snapshot_golden`,
+/// `snapshot_golden_cold` and `inject` turn it into the [`Mcu`] the
+/// flop-level warm-up would have left, and the run is flop-level while
+/// the golden lives. `retire_golden` puts it back on plain fields: the
+/// target then equals the golden, a fault-free controller.
 #[derive(Debug, Clone)]
 pub struct McuDriver {
     sys: System,
     /// The co-simulated controller.
-    target: Mcu,
+    target: Target<McuWarm>,
     /// The golden copy.
     golden: Option<Mcu>,
     t_ov: DramOverlay,
@@ -812,13 +875,19 @@ impl McuDriver {
         sys.set_intercept(InterceptMode::McuPair(mcu));
         McuDriver {
             sys,
-            target: Mcu::new(mcu),
+            target: Target::Warm(McuWarm::new(mcu)),
             golden: None,
             t_ov: DramOverlay::new(),
             g_ov: DramOverlay::new(),
             port: DramPort::default(),
             first_err_out: None,
         }
+    }
+
+    /// Whether the target is on plain fields.
+    #[cfg(test)]
+    pub(crate) fn holds_fields(&self) -> bool {
+        matches!(self.target, Target::Warm(_))
     }
 }
 
@@ -855,32 +924,38 @@ impl CosimDriver for McuDriver {
     }
 
     fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.clone());
+        self.golden = Some(self.target.flops().clone());
         self.g_ov = self.t_ov.clone();
     }
 
     fn snapshot_golden_cold(&mut self) {
-        self.golden = Some(Mcu::new(self.target.id()));
+        let id = self.target.flops().id();
+        self.golden = Some(Mcu::new(id));
         self.g_ov = self.t_ov.clone();
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        flop_mismatch(self.golden.as_ref().map(|g| (&self.target, g)))
+        flop_mismatch(self.target.as_flops().zip(self.golden.as_ref()))
     }
 
     fn inject(&mut self, bit: usize) {
-        self.target.flops_mut().flip(bit);
+        self.target.flops().flops_mut().flip(bit);
     }
 
     fn check(&self) -> CosimCheck {
-        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
-            verdict(&self.target, g, || {
-                self.t_ov.differs(&self.g_ov, self.sys.dram())
+        (self.target.as_flops().zip(self.golden.as_ref()))
+            .map_or(CosimCheck::Identical, |(t, g)| {
+                verdict(t, g, || self.t_ov.differs(&self.g_ov, self.sys.dram()))
             })
-        })
     }
 
     fn retire_golden(&mut self) {
+        // The check just found the target's flops equal to the golden's,
+        // which only ever held fault-free traffic, so plain fields hold
+        // them exactly. A later call finds the target on them already.
+        if let Target::Flops(x) = &self.target {
+            self.target = Target::Warm(McuWarm::from_mcu(x));
+        }
         self.golden = None;
     }
 
@@ -893,11 +968,15 @@ impl CosimDriver for McuDriver {
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
-        rec.record_hist(names::H_Q_MCU_RQ, self.target.rq_occupancy() as u64);
-        rec.record_hist(names::H_Q_MCU_RETQ, self.target.retq_occupancy() as u64);
+        let (rq, retq) = self.target.occupancy();
+        rec.record_hist(names::H_Q_MCU_RQ, rq as u64);
+        rec.record_hist(names::H_Q_MCU_RETQ, retq as u64);
     }
 
     fn detach(mut self) -> Detach {
+        // DRAM contents are the controller's only state to transfer back
+        // (Table 1), and they are in the overlay: the target is dropped
+        // as it is, on flops or plain fields.
         let mut corrupted: Vec<LineAddr> = if self.golden.is_some() {
             self.t_ov.diff_lines(&self.g_ov, self.sys.dram())
         } else {
@@ -924,43 +1003,23 @@ impl CosimDriver for McuDriver {
 
 impl Target<CcxWarm> {
     fn core_ready(&self, c: usize) -> bool {
-        match self {
-            Target::Warm(x) => x.core_ready(c),
-            Target::Flops(x) => x.core_ready(c),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => x.core_ready(c))
     }
 
     fn bank_ready(&self, k: usize) -> bool {
-        match self {
-            Target::Warm(x) => x.bank_ready(k),
-            Target::Flops(x) => x.bank_ready(k),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => x.bank_ready(k))
     }
 
     fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
-        match self {
-            Target::Warm(x) => x.tick(inp, bank_can_accept),
-            Target::Flops(x) => x.tick(inp, bank_can_accept),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => x.tick(inp, bank_can_accept))
     }
 
     fn idle(&self) -> bool {
-        match self {
-            Target::Warm(x) => x.idle(),
-            Target::Flops(x) => x.idle(),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => x.idle())
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        match self {
-            Target::Warm(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
-            Target::Flops(x) => (x.pcx_occupancy(), x.cpx_occupancy()),
-            Target::Converting => unreachable!(),
-        }
+        on_target!(self, x => (x.pcx_occupancy(), x.cpx_occupancy()))
     }
 }
 
@@ -1486,6 +1545,106 @@ mod tests {
         assert!(packets_retired > 0, "no cycle ran after retirement");
         assert_eq!(packets_live, 0, "cycles with a live golden ran on packets");
         assert_eq!(flops_retired, 0, "cycles after retirement ran on flops");
+    }
+
+    #[test]
+    fn mcu_runs_on_flops_only_while_the_golden_lives() {
+        // As for the crossbar: only this notices if the controller's
+        // warm-up or a retired run stops being on plain fields, a cycle
+        // with a live golden is not on flops, or the run converts to
+        // flops more than once.
+        use crate::campaign::{golden_reference, CampaignSpec};
+        use crate::inject::{finish, warm_component, InjectionSpec, WarmedDriver};
+        use nestsim_models::ComponentKind;
+        use nestsim_telemetry::Recorder;
+
+        let profile = by_name("fft").unwrap();
+        let (base, golden) = golden_reference(profile, &CampaignSpec::quick(ComponentKind::Mcu, 1));
+        let spec = InjectionSpec {
+            component: ComponentKind::Mcu,
+            instance: 0,
+            bit: Mcu::new(McuId::new(0))
+                .flops()
+                .named_bit("bank[3].timer", 1),
+            inject_cycle: 2_000,
+            warmup: 1_000,
+            cosim_cap: 4_000,
+            check_interval: 16,
+        };
+        let before = CONVERSIONS.with(std::cell::Cell::get);
+        let WarmedDriver::Mcu(w) = warm_component(&base, &golden, &spec, None) else {
+            panic!("an MCU spec warmed another component");
+        };
+        assert!(w.driver.holds_fields(), "the warm-up ran on flops");
+        assert!(w.clone().driver.holds_fields(), "a clone holds flops");
+        assert_eq!(CONVERSIONS.with(std::cell::Cell::get), before);
+        let steps = Paths::default();
+        let probed = w.map(|inner| PathProbe {
+            inner,
+            state: |d: &McuDriver| (d.holds_fields(), d.golden.is_some()),
+            steps: std::rc::Rc::clone(&steps),
+        });
+        let (record, _) = finish(probed, &golden, &spec, &mut Recorder::null());
+        let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
+        let [[flops_retired, flops_live], [fields_retired, fields_live]] = steps.get();
+        println!(
+            "{record:?}: live golden {flops_live} on flops, {fields_live} on fields; \
+             retired {fields_retired} on fields, {flops_retired} on flops"
+        );
+        assert_eq!(
+            conversions, 1,
+            "the run converted to flops {conversions} times"
+        );
+        assert!(flops_live > 0, "no cycle ran beside a live golden");
+        assert!(fields_retired > 0, "no cycle ran after retirement");
+        assert_eq!(
+            fields_live, 0,
+            "cycles with a live golden ran on plain fields"
+        );
+        assert_eq!(flops_retired, 0, "cycles after retirement ran on flops");
+    }
+
+    #[test]
+    fn dram_port_tags_skip_live_ones_and_wrap() {
+        let mut sys = sys_at("fft", 0);
+        let mut port = DramPort::default();
+        assert!(port.idle());
+        let ack = |tag: u32, is_writeback_ack: bool| DramResp {
+            tag,
+            bank: BankId::new(0),
+            line: LineAddr::new(8),
+            data: [7; 8],
+            is_writeback_ack,
+        };
+        // Tags count up from 0 and every one is taken.
+        let fill = TagRoute::Fill(BankId::new(0), LineAddr::new(8));
+        for want in 0..DRAM_TAGS as u32 {
+            let route = if want == 5 { fill } else { TagRoute::Writeback };
+            assert_eq!(port.issue(route), want);
+        }
+        assert_eq!(port.in_flight, DRAM_TAGS);
+        // Acks free tags 5 and 9; the count wraps to 0 and skips the live
+        // tags up to the first free one.
+        port.complete(&mut sys, ack(9, true));
+        port.complete(&mut sys, ack(5, false));
+        assert_eq!(port.in_flight, DRAM_TAGS - 2);
+        assert_eq!(port.issue(TagRoute::Writeback), 5);
+        assert_eq!(port.issue(TagRoute::Writeback), 9);
+        // Tag 5 acks once; acking it again, or a tag wider than the
+        // flops, is a no-op.
+        port.complete(&mut sys, ack(5, true));
+        port.complete(&mut sys, ack(5, true));
+        assert_eq!(port.in_flight, DRAM_TAGS - 1);
+        assert_eq!(port.routes[5], TagRoute::Free);
+        port.complete(&mut sys, ack(DRAM_TAGS as u32 + 1, true));
+        assert_eq!(port.in_flight, DRAM_TAGS - 1);
+        // The port is idle exactly when nothing is in flight.
+        for tag in 0..DRAM_TAGS as u32 {
+            assert!(!port.idle());
+            port.complete(&mut sys, ack(tag, true));
+        }
+        assert!(port.idle() && port.in_flight == 0);
+        assert_eq!(port.issue(TagRoute::Writeback), 10, "counting goes on");
     }
 
     #[test]

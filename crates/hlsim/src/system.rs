@@ -239,18 +239,16 @@ pub struct System {
 
     intercept: InterceptMode,
     outbox: VecDeque<OutMsg>,
-    pending_fills: FillMap,
+    /// Thread accesses waiting on a fill from a co-simulated MCU, as
+    /// `(bank, line, thread)` in arrival order: one entry per waiting
+    /// access, so no more than there are threads.
+    pending_fills: Vec<(u8, u64, u8)>,
 
     last_store: StoreMap,
     tainted: LineSet,
     first_taint_read: Option<u64>,
 }
 
-// nestlint: allow(no-nondeterminism) -- audited: fill waiters are keyed
-// by (bank, line) and probed point-wise; the only reduction is an
-// order-insensitive sum of waiter counts, and per-key waiter order
-// lives in the Vec value, never in hasher order.
-type FillMap = std::collections::HashMap<(u8, u64), Vec<u8>>;
 // nestlint: allow(no-nondeterminism) -- audited: last-store cycles are
 // read point-wise by line address (get/insert/len only).
 type StoreMap = std::collections::HashMap<u64, u64, BuildU64Hasher>;
@@ -410,7 +408,7 @@ impl System {
             watchdog,
             intercept: InterceptMode::None,
             outbox: VecDeque::new(),
-            pending_fills: FillMap::new(),
+            pending_fills: Vec::new(),
             last_store: StoreMap::default(),
             tainted: LineSet::default(),
             first_taint_read: None,
@@ -620,11 +618,14 @@ impl System {
                 data: vdata,
             });
         }
-        let waiters = self
-            .pending_fills
-            .remove(&(bank.index() as u8, line.raw()))
-            .unwrap_or_default();
-        for t in waiters {
+        let key = (bank.index() as u8, line.raw());
+        let mut i = 0;
+        while let Some(&(b, l, t)) = self.pending_fills.get(i) {
+            if (b, l) != key {
+                i += 1;
+                continue;
+            }
+            self.pending_fills.remove(i);
             let ti = t as usize;
             let Some(op) = self.threads[ti].current else {
                 continue;
@@ -730,15 +731,14 @@ impl System {
             Some(slot) => (slot, L2_HIT_LATENCY),
             None if self.is_intercepted_dram(bank) => {
                 // Defer: the fill goes out to the co-simulated MCU.
-                let key = (bank.index() as u8, addr.line().raw());
-                let waiters = self.pending_fills.entry(key).or_default();
-                if waiters.is_empty() {
+                let (b, l) = (bank.index() as u8, addr.line().raw());
+                if !(self.pending_fills.iter()).any(|&(wb, wl, _)| (wb, wl) == (b, l)) {
                     self.outbox.push_back(OutMsg::DramFill {
                         bank,
                         line: addr.line(),
                     });
                 }
-                waiters.push(t as u8);
+                self.pending_fills.push((b, l, t as u8));
                 return;
             }
             None => (
@@ -1134,8 +1134,7 @@ impl System {
         let requests = (self.threads.iter())
             .filter(|th| th.pending_req.is_some())
             .count();
-        // nestlint: allow(determinism-taint) -- summing lengths is insensitive to iteration order
-        requests + self.pending_fills.values().map(Vec::len).sum::<usize>()
+        requests + self.pending_fills.len()
     }
 }
 

@@ -20,6 +20,11 @@
 //!   L2 miss buffer waiting forever (Hang),
 //! * row/timer/refresh flips → transient scheduling perturbations that
 //!   usually vanish.
+//!
+//! Before the flip no flop can be wrong, so the warm-up runs on
+//! [`McuWarm`], the same controller over plain fields, which becomes an
+//! [`Mcu`] at the golden snapshot. Once the flip has vanished
+//! [`McuWarm::from_mcu`] takes the controller back to plain fields.
 
 use nestsim_arch::LineBackend;
 use std::sync::OnceLock;
@@ -100,6 +105,13 @@ struct RetSlot {
     guard: Guard,
 }
 
+/// Width of a queue entry's command tag.
+const TAG_BITS: usize = 8;
+/// Width of a queue entry's issuing-bank field.
+const SRC_BANK_BITS: usize = 3;
+/// Width of a queue entry's line address.
+const LINE_BITS: usize = 28;
+
 /// Guarded groups in a controller: every request-queue, write-data-
 /// buffer and return-queue entry.
 const NUM_GUARDS: usize = RQ_DEPTH + WDB_DEPTH + RETQ_DEPTH;
@@ -154,9 +166,13 @@ impl Mcu {
             let start = b.declared_bits() + 1;
             let valid = b.field(format!("rq[{i}].valid"), 1, FlopClass::Target);
             let is_wb = b.field(format!("rq[{i}].is_wb"), 1, FlopClass::Target);
-            let tag = b.field(format!("rq[{i}].tag"), 8, FlopClass::Target);
-            let src_bank = b.field(format!("rq[{i}].src_bank"), 3, FlopClass::Target);
-            let line = b.field(format!("rq[{i}].line"), 28, FlopClass::Target);
+            let tag = b.field(format!("rq[{i}].tag"), TAG_BITS, FlopClass::Target);
+            let src_bank = b.field(
+                format!("rq[{i}].src_bank"),
+                SRC_BANK_BITS,
+                FlopClass::Target,
+            );
+            let line = b.field(format!("rq[{i}].line"), LINE_BITS, FlopClass::Target);
             let wdb_idx = b.field(format!("rq[{i}].wdb_idx"), 2, FlopClass::Target);
             let guard = Guard {
                 valid,
@@ -194,9 +210,13 @@ impl Mcu {
         let retq: [RetSlot; RETQ_DEPTH] = from_fn(|i| {
             let start = b.declared_bits() + 1;
             let valid = b.field(format!("retq[{i}].valid"), 1, FlopClass::Target);
-            let tag = b.field(format!("retq[{i}].tag"), 8, FlopClass::Target);
-            let src_bank = b.field(format!("retq[{i}].src_bank"), 3, FlopClass::Target);
-            let line = b.field(format!("retq[{i}].line"), 28, FlopClass::Target);
+            let tag = b.field(format!("retq[{i}].tag"), TAG_BITS, FlopClass::Target);
+            let src_bank = b.field(
+                format!("retq[{i}].src_bank"),
+                SRC_BANK_BITS,
+                FlopClass::Target,
+            );
+            let line = b.field(format!("retq[{i}].line"), LINE_BITS, FlopClass::Target);
             let is_wb_ack = b.field(format!("retq[{i}].is_wb_ack"), 1, FlopClass::Target);
             let words = from_fn(|w| b.field(format!("retq[{i}].w{w}"), 64, FlopClass::Target));
             let guard = Guard {
@@ -533,6 +553,352 @@ impl UncoreRtl for Mcu {
 
     fn is_benign_diff(&self, golden: &Self, bit: usize) -> bool {
         benign_in(&self.guards, bit, &self.flops, &golden.flops)
+    }
+}
+
+/// A request-queue entry of a [`McuWarm`], every field masked to its
+/// flops.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct WarmReq {
+    is_wb: bool,
+    tag: u8,
+    src_bank: u8,
+    line: u32,
+    wdb_idx: u8,
+}
+
+/// A return-queue entry of a [`McuWarm`], every field masked to its
+/// flops.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct WarmRet {
+    tag: u8,
+    src_bank: u8,
+    line: u32,
+    is_wb_ack: bool,
+    words: [u64; 8],
+}
+
+/// `v` cut to a `bits`-wide flop field, as a write to the field cuts it.
+fn masked(v: u64, bits: usize) -> u64 {
+    v & ((1 << bits) - 1)
+}
+
+/// The DRAM controller while no bit of it can be wrong: [`Mcu`]'s cycle
+/// on plain fields instead of flops.
+///
+/// Fig. 2 warms the target up (step 4) before the golden snapshot and
+/// the flip (step 5), so no flop can hold an error yet, and the flops of
+/// a fault-free controller are a function of the entries under the two
+/// queue counts, the valid write-data-buffer slots and the bank and
+/// refresh fields: the queues shift zeros into their tails and a freed
+/// buffer slot is cleared, so every other target flop is zero, and the
+/// configuration is constant. `McuWarm` keeps exactly those, masked to
+/// their flop widths, and runs the same refresh engine, timers and
+/// scheduler on them; [`into_mcu`](Self::into_mcu) writes them into
+/// flops and [`from_mcu`](Self::from_mcu) reads them back once the flip
+/// has vanished. It owns nothing on the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct McuWarm {
+    id: McuId,
+    rq: [WarmReq; RQ_DEPTH],
+    rq_count: usize,
+    /// Bit `i`: write-data-buffer slot `i` holds a payload.
+    wdb_valid: u8,
+    wdb: [[u64; 8]; WDB_DEPTH],
+    retq: [WarmRet; RETQ_DEPTH],
+    retq_count: usize,
+    /// Bit `i`: DRAM bank `i` has a row open.
+    bank_open: u8,
+    bank_row: [u64; DRAM_BANKS],
+    bank_timer: [u64; DRAM_BANKS],
+    refresh_ctr: u64,
+    refresh_busy: u64,
+}
+
+impl McuWarm {
+    /// An idle controller, as [`Mcu::new`] is.
+    pub fn new(id: McuId) -> Self {
+        McuWarm {
+            id,
+            rq: [WarmReq::default(); RQ_DEPTH],
+            rq_count: 0,
+            wdb_valid: 0,
+            wdb: [[0; 8]; WDB_DEPTH],
+            retq: [WarmRet::default(); RETQ_DEPTH],
+            retq_count: 0,
+            bank_open: 0,
+            bank_row: [0; DRAM_BANKS],
+            bank_timer: [0; DRAM_BANKS],
+            refresh_ctr: 0,
+            refresh_busy: 0,
+        }
+    }
+
+    /// [`Mcu::id`].
+    pub fn id(&self) -> McuId {
+        self.id
+    }
+
+    /// [`Mcu::ready`].
+    #[inline]
+    pub fn ready(&self, is_writeback: bool) -> bool {
+        self.rq_count < RQ_DEPTH && (!is_writeback || self.free_wdb().is_some())
+    }
+
+    /// [`Mcu::idle`].
+    pub fn idle(&self) -> bool {
+        self.rq_count == 0 && self.retq_count == 0
+    }
+
+    /// [`Mcu::rq_occupancy`].
+    pub fn rq_occupancy(&self) -> usize {
+        self.rq_count
+    }
+
+    /// [`Mcu::retq_occupancy`].
+    pub fn retq_occupancy(&self) -> usize {
+        self.retq_count
+    }
+
+    /// The lowest free write-data-buffer slot, which [`Mcu::tick`] fills.
+    fn free_wdb(&self) -> Option<usize> {
+        let slot = self.wdb_valid.trailing_ones() as usize;
+        (slot < WDB_DEPTH).then_some(slot)
+    }
+
+    /// [`Mcu::tick`]: the same response, refresh, timers, scheduler and
+    /// acceptance, in the same order, with the same outputs and the same
+    /// DRAM reads and writes.
+    pub fn tick(&mut self, inp: &McuInputs, mem: &mut dyn LineBackend) -> McuOutputs {
+        let mut out = McuOutputs::default();
+
+        if self.retq_count > 0 {
+            let r = self.retq[0];
+            out.resp = Some(DramResp {
+                tag: r.tag.into(),
+                bank: BankId::new(usize::from(r.src_bank) % 8),
+                line: LineAddr::new(r.line.into()),
+                data: r.words,
+                is_writeback_ack: r.is_wb_ack,
+            });
+            self.retq.copy_within(1.., 0);
+            self.retq[RETQ_DEPTH - 1] = WarmRet::default();
+            self.retq_count -= 1;
+        }
+
+        if self.refresh_busy > 0 {
+            self.refresh_busy -= 1;
+        } else {
+            self.refresh_ctr += 1;
+            if self.refresh_ctr >= timing::REFRESH_INTERVAL.max(16) {
+                self.refresh_ctr = 0;
+                self.refresh_busy = timing::REFRESH_BUSY;
+            }
+        }
+
+        for t in &mut self.bank_timer {
+            *t = t.saturating_sub(1);
+        }
+
+        if self.refresh_busy == 0 {
+            self.schedule(mem);
+        }
+
+        if let Some(cmd) = &inp.cmd {
+            let is_wb = cmd.kind == DramCmdKind::Writeback;
+            if self.ready(is_wb) {
+                let mut req = WarmReq {
+                    is_wb,
+                    tag: masked(cmd.tag.into(), TAG_BITS) as u8,
+                    src_bank: masked(cmd.bank.index() as u64, SRC_BANK_BITS) as u8,
+                    line: masked(cmd.line.raw(), LINE_BITS) as u32,
+                    wdb_idx: 0,
+                };
+                if is_wb {
+                    let wi = self.free_wdb().expect("ready found a free slot");
+                    self.wdb_valid |= 1 << wi;
+                    self.wdb[wi] = cmd.data;
+                    req.wdb_idx = wi as u8;
+                }
+                self.rq[self.rq_count] = req;
+                self.rq_count += 1;
+                out.accepted = true;
+            }
+        }
+
+        out
+    }
+
+    /// [`Mcu::tick`]'s scheduler: the oldest ready entry per DRAM bank,
+    /// at most one row command and one column access this cycle.
+    fn schedule(&mut self, mem: &mut dyn LineBackend) {
+        let mut seen_banks: u8 = 0;
+        let mut row_cmd_done = false;
+        let mut access_done = false;
+        let mut remove = None;
+        for idx in 0..self.rq_count {
+            let req = self.rq[idx];
+            let line = LineAddr::new(req.line.into());
+            let dbank = Mcu::dram_bank_of(line);
+            if seen_banks & (1 << dbank) != 0 {
+                continue;
+            }
+            seen_banks |= 1 << dbank;
+            if self.bank_timer[dbank] > 0 {
+                continue;
+            }
+            let row = Mcu::row_of(line);
+            if self.bank_open & (1 << dbank) == 0 {
+                if row_cmd_done {
+                    continue;
+                }
+                self.bank_open |= 1 << dbank;
+                self.bank_row[dbank] = row;
+                self.bank_timer[dbank] = timing::T_RCD;
+                row_cmd_done = true;
+            } else if self.bank_row[dbank] != row {
+                if row_cmd_done {
+                    continue;
+                }
+                self.bank_open &= !(1 << dbank);
+                self.bank_timer[dbank] = timing::T_RP;
+                row_cmd_done = true;
+            } else if !access_done {
+                if self.retq_count >= RETQ_DEPTH {
+                    continue;
+                }
+                let words = if req.is_wb {
+                    let wi = usize::from(req.wdb_idx) % WDB_DEPTH;
+                    let d = std::mem::take(&mut self.wdb[wi]);
+                    self.wdb_valid &= !(1 << wi);
+                    mem.write_line(line, d);
+                    d
+                } else {
+                    mem.read_line(line)
+                };
+                self.retq[self.retq_count] = WarmRet {
+                    tag: req.tag,
+                    src_bank: req.src_bank,
+                    line: req.line,
+                    is_wb_ack: req.is_wb,
+                    words,
+                };
+                self.retq_count += 1;
+                self.bank_timer[dbank] = timing::T_CAS;
+                access_done = true;
+                remove = Some(idx);
+            }
+            if row_cmd_done && access_done {
+                break;
+            }
+        }
+        if let Some(idx) = remove {
+            self.rq.copy_within(idx + 1.., idx);
+            self.rq[RQ_DEPTH - 1] = WarmReq::default();
+            self.rq_count -= 1;
+        }
+    }
+
+    /// The flop-level controller holding this state: queue entries,
+    /// buffer slots, bank and refresh fields written into
+    /// [`Mcu::new`]`(id)`. Its flops are marked changed, as every model
+    /// converted into flops is.
+    pub fn into_mcu(self) -> Mcu {
+        let mut m = Mcu::new(self.id);
+        let f = &mut m.flops;
+        for (r, slot) in self.rq[..self.rq_count].iter().zip(&m.rq) {
+            f.write_bool(slot.valid, true);
+            f.write_bool(slot.is_wb, r.is_wb);
+            f.write(slot.tag, r.tag.into());
+            f.write(slot.src_bank, r.src_bank.into());
+            f.write(slot.line, r.line.into());
+            f.write(slot.wdb_idx, r.wdb_idx.into());
+        }
+        f.write(m.rq_count, self.rq_count as u64);
+        for (i, (words, slot)) in self.wdb.iter().zip(&m.wdb).enumerate() {
+            if self.wdb_valid & (1 << i) != 0 {
+                f.write_bool(slot.valid, true);
+                for (&h, &w) in slot.words.iter().zip(words) {
+                    f.write(h, w);
+                }
+            }
+        }
+        for (r, slot) in self.retq[..self.retq_count].iter().zip(&m.retq) {
+            f.write_bool(slot.valid, true);
+            f.write(slot.tag, r.tag.into());
+            f.write(slot.src_bank, r.src_bank.into());
+            f.write(slot.line, r.line.into());
+            f.write_bool(slot.is_wb_ack, r.is_wb_ack);
+            for (&h, &w) in slot.words.iter().zip(&r.words) {
+                f.write(h, w);
+            }
+        }
+        f.write(m.retq_count, self.retq_count as u64);
+        for i in 0..DRAM_BANKS {
+            f.write_bool(m.bank_state[i], self.bank_open & (1 << i) != 0);
+            f.write(m.bank_row[i], self.bank_row[i]);
+            f.write(m.bank_timer[i], self.bank_timer[i]);
+        }
+        f.write(m.refresh_ctr, self.refresh_ctr);
+        f.write(m.refresh_busy, self.refresh_busy);
+        f.mark_changed();
+        m
+    }
+
+    /// The fields a fault-free controller holds: the inverse of
+    /// [`into_mcu`](Self::into_mcu).
+    ///
+    /// Exact on the flops a fault-free controller can reach, where every
+    /// entry under a count is valid and every flop no entry, slot, bank
+    /// or refresh field occupies is zero: the golden's, and so a
+    /// target's that checked `Identical` against it. `from_mcu(x)
+    /// .into_mcu()` is then `x` bit for bit, which debug builds assert.
+    pub fn from_mcu(x: &Mcu) -> Self {
+        let f = &x.flops;
+        let mut warm = McuWarm::new(x.id);
+        warm.rq_count = (f.read(x.rq_count) as usize).min(RQ_DEPTH);
+        for (r, slot) in warm.rq[..warm.rq_count].iter_mut().zip(&x.rq) {
+            *r = WarmReq {
+                is_wb: f.read_bool(slot.is_wb),
+                tag: f.read(slot.tag) as u8,
+                src_bank: f.read(slot.src_bank) as u8,
+                line: f.read(slot.line) as u32,
+                wdb_idx: f.read(slot.wdb_idx) as u8,
+            };
+        }
+        for (i, (words, slot)) in warm.wdb.iter_mut().zip(&x.wdb).enumerate() {
+            if f.read_bool(slot.valid) {
+                warm.wdb_valid |= 1 << i;
+                *words = slot.words.map(|h| f.read(h));
+            }
+        }
+        warm.retq_count = (f.read(x.retq_count) as usize).min(RETQ_DEPTH);
+        for (r, slot) in warm.retq[..warm.retq_count].iter_mut().zip(&x.retq) {
+            *r = WarmRet {
+                tag: f.read(slot.tag) as u8,
+                src_bank: f.read(slot.src_bank) as u8,
+                line: f.read(slot.line) as u32,
+                is_wb_ack: f.read_bool(slot.is_wb_ack),
+                words: slot.words.map(|h| f.read(h)),
+            };
+        }
+        for i in 0..DRAM_BANKS {
+            warm.bank_open |= u8::from(f.read_bool(x.bank_state[i])) << i;
+            warm.bank_row[i] = f.read(x.bank_row[i]);
+            warm.bank_timer[i] = f.read(x.bank_timer[i]);
+        }
+        warm.refresh_ctr = f.read(x.refresh_ctr);
+        warm.refresh_busy = f.read(x.refresh_busy);
+        debug_assert!(
+            !x.write_block,
+            "a write-blocked controller is not fault-free"
+        );
+        debug_assert_eq!(
+            warm.clone().into_mcu().flops.diff_count(f),
+            0,
+            "not a controller plain fields can hold"
+        );
+        warm
     }
 }
 
@@ -929,6 +1295,124 @@ mod tests {
         }
         assert_eq!(m.rq_guards[..], m.guards[..RQ_DEPTH]);
         assert_eq!(m.retq_guards[..], m.guards[RQ_DEPTH + WDB_DEPTH..]);
+    }
+
+    #[test]
+    fn warm_matches_flops_in_lockstep() {
+        // Differential oracle of the warm-up model: the same fault-free
+        // commands drive `McuWarm` and `Mcu` on every controller. Every
+        // cycle their outputs and readiness agree; every ~100 cycles the
+        // plain fields converted to flops are the flop controller bit
+        // for bit, and the flop controller converted back is the warm
+        // one. Lines crowd two rows of two DRAM banks (row conflicts),
+        // bursts fill the queues, and some lines carry bits above the
+        // 28 the flops keep. Coverage is counted out here, where
+        // shrinking cannot trip on it.
+        use nestsim_harness::{check_with, Config};
+        use std::cell::Cell;
+
+        const CYCLES: u64 = 30_000;
+        let precharges = Cell::new(0u64);
+        let rq_full = Cell::new(0u64);
+        let wdb_full = Cell::new(0u64);
+        let refused = Cell::new(0u64);
+        let wide_lines = Cell::new(0u64);
+        let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+
+        check_with(
+            Config::with_cases(4),
+            "warm_matches_flops_in_lockstep",
+            |src| {
+                let id = McuId::new(src.below(NUM_MCUS as u64) as usize);
+                let mut warm = McuWarm::new(id);
+                let mut flops = Mcu::new(id);
+                let (mut mem_w, mut mem_f) = (DramContents::new(), DramContents::new());
+                let mut load = 0;
+                for cyc in 0..CYCLES {
+                    if cyc % 200 == 0 {
+                        // Offered load in sixteenths, with silent
+                        // stretches so the queues drain.
+                        load = if src.below(4) == 0 {
+                            0
+                        } else {
+                            src.below(16) + 1
+                        };
+                    }
+                    let cmd = (src.below(16) < load).then(|| {
+                        let x = src.u64();
+                        // DRAM banks 0-3, row 0 or 3, any column.
+                        let dbank = x & 3;
+                        let row = 3 * ((x >> 13) & 1);
+                        let mut line = row << 6 | dbank << 3 | (x >> 2) & 7;
+                        if (x >> 5) & 15 == 0 {
+                            line |= 1 << (28 + (x >> 9) % 6);
+                            bump(&wide_lines);
+                        }
+                        let (tag, bank) = ((x >> 16) as u32, BankId::new((x >> 48) as usize % 8));
+                        if (x >> 12) & 1 == 0 {
+                            DramCmd::fill(tag, bank, LineAddr::new(line))
+                        } else {
+                            DramCmd::writeback(
+                                tag,
+                                bank,
+                                LineAddr::new(line),
+                                [x, cyc, !x, 0, 1, 2, 3, 4],
+                            )
+                        }
+                    });
+                    if !flops.ready(false) {
+                        bump(&rq_full);
+                    } else if !flops.ready(true) {
+                        bump(&wdb_full);
+                    }
+                    let open = warm.bank_open;
+                    let inp = McuInputs { cmd };
+                    let got = warm.tick(&inp, &mut mem_w);
+                    let want = flops.tick(&inp, &mut mem_f);
+                    assert_eq!(got, want, "outputs diverged in cycle {cyc}");
+                    if inp.cmd.is_some() && !got.accepted {
+                        bump(&refused);
+                    }
+                    if open & !warm.bank_open != 0 {
+                        bump(&precharges);
+                    }
+                    for wb in [false, true] {
+                        assert_eq!(
+                            warm.ready(wb),
+                            flops.ready(wb),
+                            "ready({wb}) in cycle {cyc}"
+                        );
+                    }
+                    assert_eq!(warm.idle(), flops.idle(), "idle in cycle {cyc}");
+                    assert_eq!(warm.rq_occupancy(), flops.rq_occupancy());
+                    assert_eq!(warm.retq_occupancy(), flops.retq_occupancy());
+                    if src.below(100) == 0 {
+                        let converted = warm.clone().into_mcu();
+                        assert!(
+                            converted.flops.changed(),
+                            "conversion left the flops unmarked"
+                        );
+                        let diff = converted.flops.diff_count(&flops.flops);
+                        assert_eq!(diff, 0, "flops diverged in cycle {cyc}");
+                        let back = McuWarm::from_mcu(&flops);
+                        assert_eq!(back, warm, "flops to plain fields in cycle {cyc}");
+                        warm = back;
+                    }
+                }
+                assert_eq!(mem_w, mem_f, "memory diverged");
+            },
+        );
+
+        for (what, hits) in [
+            ("precharges on a row conflict", precharges.get()),
+            ("cycles with a full request queue", rq_full.get()),
+            ("cycles with a full write-data buffer", wdb_full.get()),
+            ("commands refused", refused.get()),
+            ("lines wider than the flops", wide_lines.get()),
+        ] {
+            println!("{what}: {hits}");
+            assert!(hits > 0, "the traffic never produced {what}");
+        }
     }
 
     #[test]
