@@ -515,18 +515,30 @@ fn warmup_and_persistence_bytes_are_pinned() {
     // change that claims to be result-neutral must never re-bless them. CCX `radi` has finished by
     // the time Fig. 5 snapshots (a flat curve: only the arbiter pointers
     // differ from a cold crossbar); `stre` still has packets in flight.
+    // PCIe runs on the benchmarks `repro` gives it (`p-lr` for Fig. 5,
+    // `p-sm` for Fig. 6): they have an input DMA in flight to co-simulate.
     let lower = |c: ComponentKind| c.name().to_lowercase();
-    let curves: [(ComponentKind, &str); 5] = [
+    let curves: [(ComponentKind, &str); 6] = [
         (ComponentKind::Ccx, "radi"),
         (ComponentKind::Ccx, "stre"),
         (ComponentKind::L2c, "radi"),
         (ComponentKind::L2c, "stre"),
         (ComponentKind::Mcu, "radi"),
+        (ComponentKind::Pcie, "p-lr"),
     ];
     for (component, bench) in curves {
         let profile = by_name(bench).unwrap();
         let curve = nestsim::core::warmup::warmup_experiment(component, profile, 4, 1_000, 7, 100);
         assert_eq!(curve.points.len(), 1_001);
+        if component == ComponentKind::Pcie {
+            // The cold engine starts apart from the warm one and converges.
+            assert!(
+                curve.points[0] > curve.residual(),
+                "PCIe curve {} -> {}",
+                curve.points[0],
+                curve.residual()
+            );
+        }
         assert_pinned(
             &format!("fig5.{}.{bench}", lower(component)),
             "Fig. 5 warm-up curve",
@@ -534,10 +546,16 @@ fn warmup_and_persistence_bytes_are_pinned() {
         );
     }
 
-    for component in [ComponentKind::Ccx, ComponentKind::L2c, ComponentKind::Mcu] {
+    let sweeps: [(ComponentKind, &str); 4] = [
+        (ComponentKind::Ccx, "radi"),
+        (ComponentKind::L2c, "radi"),
+        (ComponentKind::Mcu, "radi"),
+        (ComponentKind::Pcie, "p-sm"),
+    ];
+    for (component, bench) in sweeps {
         let sweep = nestsim::core::persistence::persistence_sweep(
             component,
-            by_name("radi").unwrap(),
+            by_name(bench).unwrap(),
             40,
             3_000,
             &CampaignSpec::quick(component, 1),
