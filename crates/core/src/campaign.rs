@@ -43,13 +43,15 @@ use nestsim_hlsim::workload::BenchProfile;
 use nestsim_hlsim::{RunResult, SnapshotLadder, System, SystemConfig};
 use nestsim_models::{inventory, Ccx, ComponentKind, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, McuId};
+use nestsim_stats::seed::SplitRng;
 use nestsim_stats::stop::{StopDecision, StopPolicy};
 use nestsim_stats::SeedSeq;
 use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
 
 use crate::adaptive::{draw_round, AdaptiveState, StratifiedRound};
+use crate::cosim::on_component;
 use crate::inject::{
-    finish_group, recorder_for, run_injection_with, warm_component, GoldenRef, InjectionRecord,
+    finish_group, recorder_for, run_injection_with, warm, GoldenRef, InjectionRecord,
     InjectionSpec, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
 use crate::outcome::OutcomeCounts;
@@ -234,6 +236,15 @@ pub fn injection_target_bits(component: ComponentKind) -> Vec<usize> {
 /// Number of instances of a component in the SoC (Table 3).
 pub fn instances_of(component: ComponentKind) -> usize {
     inventory::table4_for(component).instances
+}
+
+/// An instance of `component` drawn from `rng`, as the Fig. 5 and Fig. 6
+/// experiments pick one: a single-instance component draws nothing.
+pub(crate) fn draw_instance(component: ComponentKind, rng: &mut SplitRng) -> usize {
+    match instances_of(component) {
+        1 => 0,
+        n => rng.below(n as u64) as usize,
+    }
 }
 
 /// The pristine system of a campaign cell, at cycle 0.
@@ -580,14 +591,14 @@ impl<'a> ShardRunner<'a> {
                     self.lanes.scalar_fallbacks += group.len() as u64;
                     self.lanes.shared_warmups += 1;
                 }
-                self.spare = finish_group(
-                    warm_component(base, self.golden, spec0, spare),
+                self.spare = on_component!(spec0.component, C => finish_group(
+                    warm::<C>(base, self.golden, spec0, spare),
                     self.golden,
                     self.samples,
                     group,
                     self.telemetry,
                     &mut out,
-                );
+                ));
             }
         }
         out

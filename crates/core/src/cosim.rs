@@ -1,16 +1,27 @@
-//! Co-simulation drivers: one per uncore component kind.
+//! Co-simulation: one driver, [`Driver`], for every uncore component.
 //!
-//! A driver owns the [`System`] (accelerated simulator) plus the target
-//! RTL component and its golden copy, and advances all of them one
-//! cycle at a time, ferrying packets across the simulator boundary
-//! (Fig. 1b ② of the paper). The golden copy receives exactly the same
-//! inputs as the target but is never injected (Fig. 1b ⑤); divergence
-//! of its outputs from the target's is the paper's erroneous-return-
-//! packet monitor (Fig. 1b ⑥).
+//! A driver owns the [`System`] (accelerated simulator), the component's
+//! engine-side port, the target side and, from the golden snapshot on,
+//! a golden side of the same type. It advances all of them one cycle at
+//! a time, ferrying packets across the simulator boundary (Fig. 1b ② of
+//! the paper). The golden side receives exactly the same inputs as the
+//! target but is never injected (Fig. 1b ⑤); divergence of its outputs
+//! from the target's is the paper's erroneous-return-packet monitor
+//! (Fig. 1b ⑥).
+//!
+//! The Fig. 2 flow is the same for every component, so it is written
+//! once, on [`Driver`]: golden snapshot (warm or cold), flip, compare,
+//! retirement, the divergence monitor and the detach tail. A component
+//! supplies only what differs (Table 1): its [`Side`], the model a
+//! target, golden or lane ticks with its private memory view, and its
+//! [`Component`], the port its traffic moves through, with how a cycle
+//! moves it, when nothing is stranded and what detach transfers back.
+//! [`L2cDriver`], [`McuDriver`], [`CcxDriver`] and [`PcieDriver`] name
+//! the four.
 //!
 //! Authority: the *target* is the real component — its outputs drive
 //! the system, its memory writes land in system memory (through a
-//! per-driver overlay that is applied at detach, so golden-side reads
+//! per-side overlay that is applied at detach, so golden-side reads
 //! stay isolated during co-simulation).
 
 use std::collections::VecDeque;
@@ -22,7 +33,7 @@ use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
 use nestsim_models::mcu::{McuInputs, McuOutputs, McuWarm};
 use nestsim_models::pcie::PcieArchState;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
-use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS};
+use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS, NUM_MCUS};
 use nestsim_proto::{CpxPacket, DramCmd, DramCmdKind, DramResp, PcxPacket};
 use nestsim_rtl::lane_matches_golden;
 use nestsim_telemetry::{names, Recorder};
@@ -66,7 +77,8 @@ pub struct Detach {
     pub corrupted_lines: Vec<LineAddr>,
 }
 
-/// Common interface of the four co-simulation drivers.
+/// The interface of a co-simulation driver, as the injection loop and
+/// the figure experiments drive it.
 pub trait CosimDriver: Sized {
     /// Advances system + target (+ golden) by one cycle.
     fn step(&mut self);
@@ -95,9 +107,7 @@ pub trait CosimDriver: Sized {
     /// True when the target is at a point where a cold (mixed-mode-
     /// entry) snapshot is architecturally aligned. Only the PCIe engine
     /// constrains this (its architectural progress is frame-granular).
-    fn at_cold_snapshot_boundary(&self) -> bool {
-        true
-    }
+    fn at_cold_snapshot_boundary(&self) -> bool;
 
     /// Flips the target flop at global `bit`.
     fn inject(&mut self, bit: usize);
@@ -135,31 +145,123 @@ pub trait CosimDriver: Sized {
     /// Records the component's queue occupancies into `rec`. Called by
     /// the injection loop at golden-compare points only (never on the
     /// per-cycle path), and only when the recorder is active.
-    fn sample_telemetry(&self, rec: &mut Recorder) {
-        let _ = rec;
-    }
+    fn sample_telemetry(&self, rec: &mut Recorder);
 }
 
-// ─────────────────────────── Golden compare ──────────────────────────
+// ─────────────────────────── The contract ───────────────────────────
+
+/// One side of a co-simulation: the model a target, its golden copy or
+/// a lane of a batch ticks, with its private memory view.
+pub trait Side: Clone + std::fmt::Debug {
+    /// The flop-level model.
+    type Flops: UncoreRtl;
+
+    /// The flop-level model, converted from the fault-free one in place
+    /// the first time it is asked for.
+    fn flops(&mut self) -> &mut Self::Flops;
+
+    /// The flop-level model, if the side holds flops.
+    fn as_flops(&self) -> Option<&Self::Flops>;
+
+    /// A copy on flops, converting this side first if it is still on
+    /// its fault-free model: the golden at the snapshot, and every lane
+    /// a batch's carrier forks.
+    fn twin(&mut self) -> Self {
+        self.flops();
+        self.clone()
+    }
+
+    /// The side a mixed-mode entry starts from (Fig. 5's cold golden): a
+    /// reset model carrying only this side's architectural state. This
+    /// side converts to flops.
+    fn cold(&mut self) -> Self;
+
+    /// Whether a cold snapshot taken now is architecturally aligned.
+    fn at_cold_boundary(&self) -> bool {
+        true
+    }
+
+    /// Whether in-flight traffic outside the flops differs from
+    /// `golden`'s: unmapped microarchitectural state.
+    fn traffic_differs(&self, _golden: &Self) -> bool {
+        false
+    }
+
+    /// Whether the state the component keeps beside its flops differs
+    /// from `golden`'s: the architectural state of Table 1.
+    fn arch_differs(&self, golden: &Self, base: &DramContents) -> bool;
+
+    /// The target's model once its golden retired: flops, or its
+    /// fault-free model again when that is exact and pays.
+    fn retire(&mut self);
+
+    /// Records the side's queue occupancies.
+    fn sample_telemetry(&self, rec: &mut Recorder);
+}
+
+/// A component's engine-side port, the queues its traffic waits in on
+/// the system's side of the boundary, and what the one [`Driver`]
+/// leaves to the component: how a cycle's traffic moves, when nothing
+/// is stranded, and the state transfer at detach.
+pub trait Component: Clone + std::fmt::Debug {
+    /// The model a target, golden or lane ticks.
+    type Side: Side;
+
+    /// `attach` for instance `instance`, modulo the instance count.
+    fn attach_instance(sys: System, instance: usize) -> Driver<Self>;
+
+    /// Moves the traffic the system sent the component this cycle into
+    /// the port.
+    fn intake(&mut self, sys: &mut System);
+
+    /// Cycle `cyc` after the system ran it: the target takes what the
+    /// port offers and ticks, the golden ticks on the same inputs, and
+    /// the target's outputs reach the system. True when the golden's
+    /// outputs differed from the target's.
+    fn tick(drv: &mut Driver<Self>, cyc: u64) -> bool;
+
+    /// Whether detaching with `side` as the target strands nothing.
+    fn drained(&self, side: &Self::Side, sys: &System) -> bool;
+
+    /// Fig. 2 step 10 while interception holds: the lines where the
+    /// target's state differs from `golden`'s, then the target's
+    /// architectural state written into `sys`.
+    fn transfer(
+        &mut self,
+        sys: &mut System,
+        target: &mut Self::Side,
+        golden: Option<&Self::Side>,
+    ) -> Vec<LineAddr>;
+
+    /// After interception is released: serves what the port still
+    /// holds (a forced detach) and hands the component's work back.
+    fn release(&mut self, sys: &mut System, target: &Self::Side);
+}
 
 /// Fig. 2 step 7 on one target/golden pair: every driver's `check` and
-/// every lane of a batch end here. A flop difference outside the benign
-/// set is `Microarch`; otherwise `arch_dirty`, the caller's question
-/// about the state its model keeps beside the flops, decides
-/// `ArchMappable`. A word-parallel compare comes first, so an equal pair
-/// skips the per-bit benign scan.
-fn verdict<M: UncoreRtl>(target: &M, golden: &M, arch_dirty: impl FnOnce() -> bool) -> CosimCheck {
+/// every lane of a batch end here. Traffic outside the flops or a flop
+/// difference outside the benign set is `Microarch`; otherwise the
+/// state beside the flops decides `ArchMappable`. A word-parallel
+/// compare comes first, so an equal pair skips the per-bit benign scan.
+/// A side still on its fault-free model is fault-free: `Identical`.
+fn verdict<S: Side>(target: &S, golden: &S, base: &DramContents) -> CosimCheck {
+    let (Some(t), Some(g)) = (target.as_flops(), golden.as_flops()) else {
+        return CosimCheck::Identical;
+    };
+    if target.traffic_differs(golden) {
+        return CosimCheck::Microarch;
+    }
     let mut benign_seen = false;
-    if !lane_matches_golden(golden.flops().raw_bits(), target.flops().raw_bits()) {
-        for bit in target.flops().diff_bits(golden.flops()) {
-            if target.is_benign_diff(golden, bit) {
+    if !lane_matches_golden(g.flops().raw_bits(), t.flops().raw_bits()) {
+        for bit in t.flops().diff_bits(g.flops()) {
+            if t.is_benign_diff(g, bit) {
                 benign_seen = true;
             } else {
                 return CosimCheck::Microarch;
             }
         }
     }
-    if arch_dirty() {
+    if target.arch_differs(golden, base) {
         CosimCheck::ArchMappable
     } else if benign_seen {
         CosimCheck::BenignOnly
@@ -168,414 +270,90 @@ fn verdict<M: UncoreRtl>(target: &M, golden: &M, arch_dirty: impl FnOnce() -> bo
     }
 }
 
-/// Every driver's `mismatch_fraction`: the share of flop bits in which a
-/// target and its golden differ, or 0 while there is no golden.
-fn flop_mismatch<M: UncoreRtl>(pair: Option<(&M, &M)>) -> f64 {
-    pair.map_or(0.0, |(t, g)| {
-        t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
-    })
-}
-
-// ─────────────────────────── Warm-up target ──────────────────────────
-
-/// A fault-free model a target warms up on, and the flop-level model it
-/// becomes.
-trait IntoFlops {
-    type Flops;
-
-    /// The flop-level model holding this state, marked changed.
-    fn into_flops(self) -> Self::Flops;
-}
-
-impl IntoFlops for CcxWarm {
-    type Flops = Ccx;
-
-    fn into_flops(self) -> Ccx {
-        self.into_ccx()
-    }
-}
-
-impl IntoFlops for L2cWarm {
-    type Flops = L2cBank;
-
-    fn into_flops(self) -> L2cBank {
-        self.into_l2c()
-    }
-}
-
-impl IntoFlops for McuWarm {
-    type Flops = Mcu;
-
-    fn into_flops(self) -> Mcu {
-        self.into_mcu()
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Targets converted from their fault-free model to flops on this
-    /// thread.
-    pub(crate) static CONVERSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The component a driver co-simulates: the fault-free model `W` through
-/// the warm-up, its flops from the first call that needs them on.
-///
-/// Until the golden snapshot and the flip (Fig. 2 step 5) no flop can be
-/// wrong, so the warm-up (step 4) runs on `W`, which gives the same
-/// cycles at a fraction of the cost; [`flops`](Self::flops) then turns
-/// it into the flops the flop-level warm-up would have left. A crossbar
-/// or a DRAM controller whose golden retired is fault-free again and
-/// goes back to `W`. An L2 bank's golden twin and the lanes of a batch
-/// are forked from a target on flops, so they hold flops from the start.
-// `Flops` holds the component's handle tables inline, as the drivers
-// did before; a box would be one more allocation per conversion.
-#[allow(clippy::large_enum_variant)]
+/// The co-simulation driver of one component `C` (module docs).
 #[derive(Debug, Clone)]
-enum Target<W: IntoFlops> {
-    /// The fault-free model: packets (CCX), slot images (L2C) or plain
-    /// fields (MCU).
-    Warm(W),
-    Flops(W::Flops),
-    /// Only inside [`flops`](Self::flops), between taking the fault-free
-    /// model and storing what it became.
-    Converting,
-}
-
-impl<W: IntoFlops> Target<W> {
-    /// The flop-level model, converted from the fault-free one in place
-    /// the first time it is asked for.
-    fn flops(&mut self) -> &mut W::Flops {
-        if let Target::Warm(_) = self {
-            let Target::Warm(warm) = std::mem::replace(self, Target::Converting) else {
-                unreachable!("matched above")
-            };
-            *self = Target::Flops(warm.into_flops());
-            #[cfg(test)]
-            CONVERSIONS.with(|n| n.set(n.get() + 1));
-        }
-        match self {
-            Target::Flops(x) => x,
-            _ => unreachable!("converted above"),
-        }
-    }
-
-    /// The flop-level model, if the target holds flops.
-    fn as_flops(&self) -> Option<&W::Flops> {
-        match self {
-            Target::Flops(x) => Some(x),
-            _ => None,
-        }
-    }
-}
-
-/// `$body` with `$x` bound to the model a [`Target`] holds, the
-/// fault-free one or its flops: every call the drivers make on either
-/// model dispatches here. The two models share method names, not a
-/// trait, so each arm is compiled for its own type.
-macro_rules! on_target {
-    ($target:expr, $x:ident => $body:expr) => {
-        match $target {
-            Target::Warm($x) => $body,
-            Target::Flops($x) => $body,
-            Target::Converting => unreachable!("a target converts only inside `Target::flops`"),
-        }
-    };
-}
-
-impl Target<L2cWarm> {
-    fn ready(&self) -> bool {
-        on_target!(self, x => x.ready())
-    }
-
-    fn tick(&mut self, inp: &L2cInputs) -> L2cOutputs {
-        on_target!(self, x => x.tick(inp))
-    }
-
-    fn idle(&self) -> bool {
-        on_target!(self, x => x.idle())
-    }
-
-    /// Input-queue, output-queue and miss-buffer occupancy.
-    fn occupancy(&self) -> [usize; 3] {
-        on_target!(self, x => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()])
-    }
-}
-
-// ─────────────────────────── L2C driver ───────────────────────────
-
-/// Mini DRAM model (latency queue over an overlay) standing in for the
-/// rest of the memory system while an L2 bank is co-simulated.
-#[derive(Debug, Clone, Default)]
-struct LatencyDram {
-    queue: VecDeque<(u64, DramCmd)>,
-}
-
-impl LatencyDram {
-    fn push(&mut self, cycle: u64, cmd: DramCmd) {
-        self.queue.push_back((cycle + COSIM_DRAM_LATENCY, cmd));
-    }
-
-    fn pop_ready(
-        &mut self,
-        cycle: u64,
-        base: &DramContents,
-        overlay: &mut DramOverlay,
-    ) -> Option<DramResp> {
-        match self.queue.front() {
-            Some((ready, _)) if *ready <= cycle => {
-                let (_, cmd) = self.queue.pop_front().unwrap();
-                match cmd.kind {
-                    DramCmdKind::Fill => Some(DramResp {
-                        tag: cmd.tag,
-                        bank: cmd.bank,
-                        line: cmd.line,
-                        data: overlay.read_line(base, cmd.line),
-                        is_writeback_ack: false,
-                    }),
-                    DramCmdKind::Writeback => {
-                        overlay.write_line(cmd.line, cmd.data);
-                        Some(DramResp {
-                            tag: cmd.tag,
-                            bank: cmd.bank,
-                            line: cmd.line,
-                            data: cmd.data,
-                            is_writeback_ack: true,
-                        })
-                    }
-                }
-            }
-            _ => None,
-        }
-    }
-}
-
-/// An L2 bank with the memory it reaches: its overlay over the system's
-/// DRAM and its DRAM latency queue. A driver's target is one (on images,
-/// then flops), its golden twin another and each lane of a batch a third
-/// (both forked on flops), so all of them tick, compare and drain by the
-/// code below.
-#[derive(Debug, Clone)]
-pub(crate) struct BankSide {
-    bank: Target<L2cWarm>,
-    ov: DramOverlay,
-    dram: LatencyDram,
-}
-
-impl BankSide {
-    /// Whether the bank accepts a request packet this cycle.
-    pub(crate) fn ready(&self) -> bool {
-        self.bank.ready()
-    }
-
-    /// Cycle `cyc` on `pcx`, the request packet consumed this cycle: the
-    /// bank takes the DRAM response due now and queues the command it
-    /// issues.
-    pub(crate) fn tick(
-        &mut self,
-        cyc: u64,
-        pcx: Option<PcxPacket>,
-        base: &DramContents,
-    ) -> L2cOutputs {
-        let dram_resp = self.dram.pop_ready(cyc, base, &mut self.ov);
-        let out = self.bank.tick(&L2cInputs { pcx, dram_resp });
-        if let Some(cmd) = &out.dram_cmd {
-            self.dram.push(cyc, cmd.clone());
-        }
-        out
-    }
-
-    fn idle(&self) -> bool {
-        self.bank.idle() && self.dram.queue.is_empty()
-    }
-
-    /// Fig. 2 step 7 with this side as the target. In-flight traffic
-    /// (the DRAM queue) counts as microarchitectural state; the bank
-    /// arrays and the overlay are the architectural state.
-    fn check(&self, golden: &BankSide, base: &DramContents) -> CosimCheck {
-        let (Some(target), Some(g)) = (self.bank.as_flops(), golden.bank.as_flops()) else {
-            return CosimCheck::Identical;
-        };
-        if self.dram.queue != golden.dram.queue {
-            return CosimCheck::Microarch;
-        }
-        verdict(target, g, || {
-            target.arch().differs(g.arch()) || self.ov.differs(&golden.ov, base)
-        })
-    }
-
-    /// Records the bank's queue occupancies.
-    pub(crate) fn sample_telemetry(&self, rec: &mut Recorder) {
-        let [iq, oq, mb] = self.bank.occupancy();
-        rec.record_hist(names::H_Q_L2C_IQ, iq as u64);
-        rec.record_hist(names::H_Q_L2C_OQ, oq as u64);
-        rec.record_hist(names::H_Q_L2C_MB, mb as u64);
-    }
-
-    /// Flips flop `bit`: a lane's fault.
-    pub(crate) fn flip(&mut self, bit: usize) {
-        self.bank.flops().flops_mut().flip(bit);
-    }
-}
-
-/// Co-simulation driver for one L2 cache bank.
-///
-/// The target warms up on [`L2cWarm`]: until the golden snapshot and the
-/// flip (Fig. 2 step 5) no flop can be wrong, so slot images give the
-/// same cycles at a fraction of the cost. `snapshot_golden`,
-/// `snapshot_golden_cold`, `inject`, `retire_golden` and `detach` turn
-/// it into the [`L2cBank`] the flop-level warm-up would have left, and
-/// the rest of the run is flop-level.
-#[derive(Debug, Clone)]
-pub struct L2cDriver {
+pub struct Driver<C: Component> {
     sys: System,
-    bank: BankId,
-    /// The co-simulated (error-injected) bank.
-    target: BankSide,
-    /// The golden twin (present after
-    /// [`snapshot_golden`](CosimDriver::snapshot_golden)).
-    golden: Option<BankSide>,
-    inbox: VecDeque<PcxPacket>,
+    port: C,
+    /// The co-simulated (error-injected) side.
+    target: C::Side,
+    /// The golden side, from its snapshot until it retires.
+    golden: Option<C::Side>,
     first_err_out: Option<u64>,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Cycles the system under an L2C driver ran on this thread after
-    /// its attach (warm-up and co-simulation alike).
-    pub(crate) static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
+/// Co-simulation driver for one L2 cache bank.
+pub type L2cDriver = Driver<L2cPort>;
+/// Co-simulation driver for one DRAM controller.
+pub type McuDriver = Driver<DramPort>;
+/// Co-simulation driver for the crossbar.
+pub type CcxDriver = Driver<CcxPort>;
+/// Co-simulation driver for the PCIe DMA engine.
+pub type PcieDriver = Driver<PciePort>;
 
-impl L2cDriver {
-    /// Attaches co-simulation for `bank`: intercepts its traffic and
-    /// transfers the high-level uncore state into the RTL model
-    /// (Fig. 2 step 3). Flop state starts at reset and is reconstructed
-    /// by warm-up traffic (step 4).
-    pub fn attach(mut sys: System, bank: BankId) -> Self {
-        let target = BankSide {
-            bank: Target::Warm(L2cWarm::new(bank, sys.bank_arch(bank).clone())),
-            ov: DramOverlay::new(),
-            dram: LatencyDram::default(),
-        };
-        sys.set_intercept(InterceptMode::Bank(bank));
-        L2cDriver {
+impl<C: Component> Driver<C> {
+    /// Attaches `target` behind `port` to `sys`, with no golden yet.
+    fn new(sys: System, port: C, target: C::Side) -> Self {
+        Driver {
             sys,
-            bank,
+            port,
             target,
             golden: None,
-            inbox: VecDeque::new(),
             first_err_out: None,
         }
     }
 
-    /// The co-simulated bank, once it holds flops: from the first call
-    /// that needs them (the golden snapshot, the flip) on.
-    pub fn target(&self) -> Option<&L2cBank> {
-        self.target.bank.as_flops()
+    /// Phase 1 of a cycle: the system runs one cycle, and the traffic it
+    /// sent the component joins the port. Returns the cycle, which the
+    /// system's clock does not show once it trapped or halted.
+    pub(crate) fn run_system(&mut self) -> u64 {
+        #[cfg(test)]
+        tests::stepped(self);
+        let cyc = self.sys.cycle() + 1;
+        self.sys.run_until(cyc);
+        self.port.intake(&mut self.sys);
+        cyc
     }
 
-    /// A copy of the target side on flops, converting the target from
-    /// its images first if it is still on them: the golden twin at the
-    /// snapshot, and every lane a batch's carrier forks.
-    pub(crate) fn twin(&mut self) -> BankSide {
-        BankSide {
-            bank: Target::Flops(self.target.bank.flops().clone()),
-            ov: self.target.ov.clone(),
-            dram: self.target.dram.clone(),
+    /// Everything of cycle `cyc` after [`run_system`](Self::run_system):
+    /// the component's tick and the divergence monitor. A lane that
+    /// leaves its batch before its bank ticked finishes its cycle here.
+    pub(crate) fn finish_cycle(&mut self, cyc: u64) {
+        if C::tick(self, cyc) && self.first_err_out.is_none() {
+            self.first_err_out = Some(cyc);
         }
+    }
+
+    /// [`Side::twin`] of the target side.
+    pub(crate) fn twin(&mut self) -> C::Side {
+        self.target.twin()
     }
 
     /// Fig. 2 step 7 for a lane of a batch whose carrier this is: the
     /// carrier's target side is every lane's golden.
-    pub(crate) fn check_lane(&self, lane: &BankSide) -> CosimCheck {
-        lane.check(&self.target, self.sys.dram())
+    pub(crate) fn check_lane(&self, lane: &C::Side) -> CosimCheck {
+        verdict(lane, &self.target, self.sys.dram())
     }
 
     /// Whether detaching with `side` as the target would strand no
     /// traffic: `drained` for this driver's target or for a lane.
-    pub(crate) fn drained_with(&self, side: &BankSide) -> bool {
-        self.inbox.is_empty() && side.idle() && self.sys.waiting_on_uncore() == 0
-    }
-
-    /// Whether the target is still on slot images.
-    #[cfg(test)]
-    pub(crate) fn holds_images(&self) -> bool {
-        matches!(self.target.bank, Target::Warm(_))
-    }
-
-    /// Phase 1 of a cycle: the system runs one cycle, and the requests
-    /// it sent the bank join the inbox. Returns the cycle, which the
-    /// system's clock does not show once it trapped or halted.
-    pub(crate) fn run_system(&mut self) -> u64 {
-        #[cfg(test)]
-        STEPS.with(|n| n.set(n.get() + 1));
-        let cyc = self.sys.cycle() + 1;
-        self.sys.run_until(cyc);
-        while let Some(msg) = self.sys.pop_outbox() {
-            match msg {
-                OutMsg::Pcx(p) => self.inbox.push_back(p),
-                other => unreachable!("unexpected outbox message {other:?}"),
-            }
-        }
-        cyc
-    }
-
-    /// The bank's pop gate this cycle while a request waits in the
-    /// inbox: whether the target would take it. `None` when the inbox is
-    /// empty, so that nothing is popped whatever the gate says.
-    pub(crate) fn ready_at_stake(&self) -> Option<bool> {
-        (!self.inbox.is_empty()).then(|| self.target.ready())
-    }
-
-    /// Phase 2 of cycle `cyc`: the target pops a request if it is ready
-    /// and ticks on it and on its DRAM queue. Returns the request and the
-    /// target's outputs.
-    pub(crate) fn tick_target(&mut self, cyc: u64) -> (Option<PcxPacket>, L2cOutputs) {
-        let pcx = if self.target.ready() {
-            self.inbox.pop_front()
-        } else {
-            None
-        };
-        let out = self.target.tick(cyc, pcx, self.sys.dram());
-        (pcx, out)
-    }
-
-    /// Phase 3 of a cycle: the target's return packet reaches the system.
-    pub(crate) fn deliver(&mut self, cpx: Option<CpxPacket>) {
-        if let Some(cpx) = cpx {
-            self.sys.deliver_cpx(cpx);
-        }
-    }
-
-    /// Everything of cycle `cyc` after [`run_system`](Self::run_system):
-    /// the target's tick, the golden twin's on the same request, the
-    /// divergence monitor, and the delivery. A lane that leaves its batch
-    /// before its bank ticked finishes its cycle here.
-    pub(crate) fn finish_cycle(&mut self, cyc: u64) {
-        let (pcx, out) = self.tick_target(cyc);
-        if let Some(golden) = &mut self.golden {
-            let g_out = golden.tick(cyc, pcx, self.sys.dram());
-            let diverged = out.cpx != g_out.cpx || out.dram_cmd != g_out.dram_cmd;
-            if diverged && self.first_err_out.is_none() {
-                self.first_err_out = Some(cyc);
-            }
-        }
-        self.deliver(out.cpx);
+    pub(crate) fn drained_with(&self, side: &C::Side) -> bool {
+        self.port.drained(side, &self.sys)
     }
 
     /// The scalar driver of a lane that leaves the batch this driver
     /// carries, as the lane's own run would hold it now: this driver's
-    /// system and inbox; `lane` as the target with this driver's target
-    /// as its golden twin, or for a parked lane (`None`) a copy of this
-    /// driver's target with no twin, as its run retired the golden when
-    /// the lane parked; and `first_err_out` as the divergence monitor's
-    /// record. The system refills `spare` when there is one.
+    /// system and port; `lane` as the target with this driver's target
+    /// as its golden, or for a parked lane (`None`) a copy of this
+    /// driver's target with no golden, as its run retired the golden
+    /// when the lane parked; and `first_err_out` as the divergence
+    /// monitor's record. The system refills `spare` when there is one.
     pub(crate) fn fork(
         &self,
-        lane: Option<BankSide>,
+        lane: Option<C::Side>,
         first_err_out: Option<u64>,
         spare: Option<System>,
-    ) -> L2cDriver {
+    ) -> Self {
         debug_assert!(
             self.golden.is_none(),
             "a batch carrier is every lane's golden and has none of its own"
@@ -591,18 +369,17 @@ impl L2cDriver {
             Some(lane) => (lane, Some(self.target.clone())),
             None => (self.target.clone(), None),
         };
-        L2cDriver {
+        Driver {
             sys,
-            bank: self.bank,
+            port: self.port.clone(),
             target,
             golden,
-            inbox: self.inbox.clone(),
             first_err_out,
         }
     }
 }
 
-impl CosimDriver for L2cDriver {
+impl<C: Component> CosimDriver for Driver<C> {
     fn step(&mut self) {
         let cyc = self.run_system();
         self.finish_cycle(cyc);
@@ -617,35 +394,36 @@ impl CosimDriver for L2cDriver {
     }
 
     fn snapshot_golden(&mut self) {
-        self.golden = Some(self.twin());
+        self.golden = Some(self.target.twin());
     }
 
     fn snapshot_golden_cold(&mut self) {
-        let arch = self.target.bank.flops().arch().clone();
-        self.golden = Some(BankSide {
-            bank: Target::Flops(L2cBank::with_arch(self.bank, arch)),
-            ov: self.target.ov.clone(),
-            dram: LatencyDram::default(),
-        });
+        self.golden = Some(self.target.cold());
     }
 
     fn mismatch_fraction(&self) -> f64 {
-        let golden = self.golden.as_ref().and_then(|g| g.bank.as_flops());
-        flop_mismatch(self.target.bank.as_flops().zip(golden))
+        let golden = self.golden.as_ref().and_then(Side::as_flops);
+        (self.target.as_flops().zip(golden)).map_or(0.0, |(t, g)| {
+            t.flops().diff_count(g.flops()) as f64 / t.flops().num_flops() as f64
+        })
+    }
+
+    fn at_cold_snapshot_boundary(&self) -> bool {
+        self.target.at_cold_boundary()
     }
 
     fn inject(&mut self, bit: usize) {
-        self.target.bank.flops().flops_mut().flip(bit);
+        self.target.flops().flops_mut().flip(bit);
     }
 
     fn check(&self) -> CosimCheck {
         (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
-            self.target.check(g, self.sys.dram())
+            verdict(&self.target, g, self.sys.dram())
         })
     }
 
     fn retire_golden(&mut self) {
-        self.target.bank.flops();
+        self.target.retire();
         self.golden = None;
     }
 
@@ -662,33 +440,12 @@ impl CosimDriver for L2cDriver {
     }
 
     fn detach(mut self) -> Detach {
-        let target = self.target.bank.flops();
-        // Corrupted lines: cache-resident divergence + memory-side
-        // divergence through the overlays.
-        let mut corrupted: Vec<LineAddr> = Vec::new();
-        if let Some(BankSide {
-            bank: Target::Flops(g),
-            ov,
-            ..
-        }) = &self.golden
-        {
-            corrupted.extend(target.arch().diff_lines(g.arch()));
-            corrupted.extend(self.target.ov.diff_lines(ov, self.sys.dram()));
-        }
+        let mut corrupted =
+            (self.port).transfer(&mut self.sys, &mut self.target, self.golden.as_ref());
         corrupted.sort_unstable_by_key(|l| l.raw());
         corrupted.dedup();
-        // Transfer state back (Fig. 2 step 10): memory overlay, then
-        // the bank's architectural arrays.
-        self.target.ov.apply_to(self.sys.dram_mut());
-        self.sys.set_bank_arch(self.bank, target.arch().clone());
         self.sys.set_intercept(InterceptMode::None);
-        // Any packets the wedged target never accepted are served
-        // functionally so the threads see *some* response (forced
-        // detach path); an idle detach has an empty inbox.
-        while let Some(p) = self.inbox.pop_front() {
-            let reply = self.sys.service_request_functionally(&p);
-            self.sys.deliver_cpx(reply);
-        }
+        self.port.release(&mut self.sys, &self.target);
         self.sys.mark_tainted(corrupted.iter().copied());
         Detach {
             sys: self.sys,
@@ -701,7 +458,354 @@ impl CosimDriver for L2cDriver {
     }
 }
 
-// ─────────────────────────── MCU driver ───────────────────────────
+/// `$body` with the type `$C` bound to the [`Component`] that the
+/// `ComponentKind` `$kind` names: the one place a component kind picks a
+/// driver. Each arm compiles `$body` for its own type.
+macro_rules! on_component {
+    ($kind:expr, $C:ident => $body:expr) => {
+        match $kind {
+            nestsim_models::ComponentKind::L2c => {
+                type $C = $crate::cosim::L2cPort;
+                $body
+            }
+            nestsim_models::ComponentKind::Mcu => {
+                type $C = $crate::cosim::DramPort;
+                $body
+            }
+            nestsim_models::ComponentKind::Ccx => {
+                type $C = $crate::cosim::CcxPort;
+                $body
+            }
+            nestsim_models::ComponentKind::Pcie => {
+                type $C = $crate::cosim::PciePort;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use on_component;
+
+// ─────────────────────────── Warm-up target ──────────────────────────
+
+/// The model a side ticks: the fault-free model `W` through the
+/// warm-up, its flops `F` from the first call that needs them on.
+///
+/// Until the golden snapshot and the flip (Fig. 2 step 5) no flop can be
+/// wrong, so the warm-up (step 4) runs on `W`, which gives the same
+/// cycles at a fraction of the cost; [`flops`](Self::flops) then turns
+/// it into the flops the flop-level warm-up would have left. A crossbar
+/// or a DRAM controller whose golden retired is fault-free again and
+/// goes back to `W`. A golden and the lanes of a batch are copied from a
+/// target on flops, so they hold flops from the start.
+// `Flops` holds the component's handle tables inline; a box would be
+// one more allocation per conversion.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Target<W, F> {
+    /// The fault-free model: packets (CCX), slot images (L2C) or plain
+    /// fields (MCU).
+    Warm(W),
+    Flops(F),
+    /// Only inside [`flops`](Self::flops), between taking the fault-free
+    /// model and storing what it became.
+    Converting,
+}
+
+impl<W, F> Target<W, F> {
+    /// The flop-level model, converted from the fault-free one by `into`
+    /// (which marks the flops changed) in place the first time it is
+    /// asked for.
+    fn flops(&mut self, into: fn(W) -> F) -> &mut F {
+        if let Target::Warm(_) = self {
+            let Target::Warm(warm) = std::mem::replace(self, Target::Converting) else {
+                unreachable!("matched above")
+            };
+            *self = Target::Flops(into(warm));
+            #[cfg(test)]
+            tests::CONVERSIONS.with(|n| n.set(n.get() + 1));
+        }
+        match self {
+            Target::Flops(x) => x,
+            _ => unreachable!("converted above"),
+        }
+    }
+
+    /// The flop-level model, if the target holds flops.
+    fn as_flops(&self) -> Option<&F> {
+        match self {
+            Target::Flops(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// Back on the fault-free model, read off the flops by `from`. Exact
+    /// at retirement: the flops just checked `Identical` to a golden that
+    /// only ever held fault-free traffic. A later call finds the target
+    /// on the fault-free model already.
+    fn back_to_warm(&mut self, from: fn(&F) -> W) {
+        if let Target::Flops(x) = self {
+            *self = Target::Warm(from(x));
+        }
+    }
+}
+
+/// `$body` with `$x` bound to the model a [`Target`] holds, the
+/// fault-free one or its flops: every call a side makes on either
+/// model dispatches here. The two models share method names, not a
+/// trait, so each arm is compiled for its own type.
+macro_rules! on_target {
+    ($target:expr, $x:ident => $body:expr) => {
+        match $target {
+            Target::Warm($x) => $body,
+            Target::Flops($x) => $body,
+            Target::Converting => unreachable!("a target converts only inside `Target::flops`"),
+        }
+    };
+}
+
+// ─────────────────────────── L2C ───────────────────────────
+
+/// Mini DRAM model (latency queue over an overlay) standing in for the
+/// rest of the memory system while an L2 bank is co-simulated.
+#[derive(Debug, Clone, Default)]
+struct LatencyDram {
+    queue: VecDeque<(u64, DramCmd)>,
+}
+
+impl LatencyDram {
+    fn push(&mut self, cycle: u64, cmd: DramCmd) {
+        self.queue.push_back((cycle + COSIM_DRAM_LATENCY, cmd));
+    }
+
+    /// The response to the oldest command, once it is due at `cycle`: a
+    /// fill reads the overlay over `base`, a writeback writes it.
+    fn pop_ready(
+        &mut self,
+        cycle: u64,
+        base: &DramContents,
+        overlay: &mut DramOverlay,
+    ) -> Option<DramResp> {
+        if self.queue.front()?.0 > cycle {
+            return None;
+        }
+        let (_, cmd) = self.queue.pop_front()?;
+        let is_writeback_ack = cmd.kind == DramCmdKind::Writeback;
+        let data = if is_writeback_ack {
+            overlay.write_line(cmd.line, cmd.data);
+            cmd.data
+        } else {
+            overlay.read_line(base, cmd.line)
+        };
+        Some(DramResp {
+            tag: cmd.tag,
+            bank: cmd.bank,
+            line: cmd.line,
+            data,
+            is_writeback_ack,
+        })
+    }
+}
+
+/// An L2 bank with the memory it reaches: its overlay over the system's
+/// DRAM and its DRAM latency queue. The target warms up on
+/// [`L2cWarm`]'s slot images; its golden and each lane of a batch are
+/// copied from it on flops.
+#[derive(Debug, Clone)]
+pub struct BankSide {
+    bank: Target<L2cWarm, L2cBank>,
+    ov: DramOverlay,
+    dram: LatencyDram,
+}
+
+impl BankSide {
+    /// Whether the bank accepts a request packet this cycle.
+    pub(crate) fn ready(&self) -> bool {
+        on_target!(&self.bank, x => x.ready())
+    }
+
+    /// Cycle `cyc` on `pcx`, the request packet consumed this cycle: the
+    /// bank takes the DRAM response due now and queues the command it
+    /// issues.
+    pub(crate) fn tick(
+        &mut self,
+        cyc: u64,
+        pcx: Option<PcxPacket>,
+        base: &DramContents,
+    ) -> L2cOutputs {
+        let dram_resp = self.dram.pop_ready(cyc, base, &mut self.ov);
+        let inp = L2cInputs { pcx, dram_resp };
+        let out = on_target!(&mut self.bank, x => x.tick(&inp));
+        if let Some(cmd) = &out.dram_cmd {
+            self.dram.push(cyc, cmd.clone());
+        }
+        out
+    }
+}
+
+impl Side for BankSide {
+    type Flops = L2cBank;
+
+    fn flops(&mut self) -> &mut L2cBank {
+        self.bank.flops(L2cWarm::into_l2c)
+    }
+
+    fn as_flops(&self) -> Option<&L2cBank> {
+        self.bank.as_flops()
+    }
+
+    fn cold(&mut self) -> Self {
+        let bank = self.flops();
+        BankSide {
+            bank: Target::Flops(L2cBank::with_arch(bank.bank(), bank.arch().clone())),
+            ov: self.ov.clone(),
+            dram: LatencyDram::default(),
+        }
+    }
+
+    /// The DRAM queue.
+    fn traffic_differs(&self, golden: &Self) -> bool {
+        self.dram.queue != golden.dram.queue
+    }
+
+    /// The bank arrays and the overlay.
+    fn arch_differs(&self, golden: &Self, base: &DramContents) -> bool {
+        let (Some(t), Some(g)) = (self.bank.as_flops(), golden.bank.as_flops()) else {
+            return false;
+        };
+        t.arch().differs(g.arch()) || self.ov.differs(&golden.ov, base)
+    }
+
+    /// The bank stays on flops: converting back to images did not pay
+    /// (DESIGN.md *Fault-free models*).
+    fn retire(&mut self) {
+        self.flops();
+    }
+
+    fn sample_telemetry(&self, rec: &mut Recorder) {
+        let [iq, oq, mb] =
+            on_target!(&self.bank, x => [x.iq_occupancy(), x.oq_occupancy(), x.mb_occupancy()]);
+        rec.record_hist(names::H_Q_L2C_IQ, iq as u64);
+        rec.record_hist(names::H_Q_L2C_OQ, oq as u64);
+        rec.record_hist(names::H_Q_L2C_MB, mb as u64);
+    }
+}
+
+/// The engine side of an intercepted L2 bank: the requests the system
+/// sent it that it has not taken yet.
+#[derive(Debug, Clone)]
+pub struct L2cPort {
+    bank: BankId,
+    inbox: VecDeque<PcxPacket>,
+}
+
+impl L2cDriver {
+    /// Attaches co-simulation for `bank`: intercepts its traffic and
+    /// transfers the high-level uncore state into the RTL model
+    /// (Fig. 2 step 3). Flop state starts at reset and is reconstructed
+    /// by warm-up traffic (step 4).
+    pub fn attach(mut sys: System, bank: BankId) -> Self {
+        let target = BankSide {
+            bank: Target::Warm(L2cWarm::new(bank, sys.bank_arch(bank).clone())),
+            ov: DramOverlay::new(),
+            dram: LatencyDram::default(),
+        };
+        sys.set_intercept(InterceptMode::Bank(bank));
+        let port = L2cPort {
+            bank,
+            inbox: VecDeque::new(),
+        };
+        Driver::new(sys, port, target)
+    }
+
+    /// The bank's pop gate this cycle while a request waits in the
+    /// inbox: whether the target would take it. `None` when the inbox is
+    /// empty, so that nothing is popped whatever the gate says.
+    pub(crate) fn ready_at_stake(&self) -> Option<bool> {
+        (!self.port.inbox.is_empty()).then(|| self.target.ready())
+    }
+
+    /// Phase 2 of cycle `cyc`: the target pops a request if it is ready
+    /// and ticks on it and on its DRAM queue. Returns the request and the
+    /// target's outputs.
+    pub(crate) fn tick_target(&mut self, cyc: u64) -> (Option<PcxPacket>, L2cOutputs) {
+        let pcx = if self.target.ready() {
+            self.port.inbox.pop_front()
+        } else {
+            None
+        };
+        let out = self.target.tick(cyc, pcx, self.sys.dram());
+        (pcx, out)
+    }
+
+    /// Phase 3 of a cycle: the target's return packet reaches the system.
+    pub(crate) fn deliver(&mut self, cpx: Option<CpxPacket>) {
+        if let Some(cpx) = cpx {
+            self.sys.deliver_cpx(cpx);
+        }
+    }
+}
+
+impl Component for L2cPort {
+    type Side = BankSide;
+
+    fn attach_instance(sys: System, instance: usize) -> L2cDriver {
+        L2cDriver::attach(sys, BankId::new(instance % NUM_L2_BANKS))
+    }
+
+    fn intake(&mut self, sys: &mut System) {
+        while let Some(msg) = sys.pop_outbox() {
+            match msg {
+                OutMsg::Pcx(p) => self.inbox.push_back(p),
+                other => unreachable!("unexpected outbox message {other:?}"),
+            }
+        }
+    }
+
+    fn tick(drv: &mut L2cDriver, cyc: u64) -> bool {
+        let (pcx, out) = drv.tick_target(cyc);
+        let diverged = drv.golden.as_mut().is_some_and(|golden| {
+            let g_out = golden.tick(cyc, pcx, drv.sys.dram());
+            out.cpx != g_out.cpx || out.dram_cmd != g_out.dram_cmd
+        });
+        drv.deliver(out.cpx);
+        diverged
+    }
+
+    fn drained(&self, side: &BankSide, sys: &System) -> bool {
+        let idle = on_target!(&side.bank, x => x.idle());
+        self.inbox.is_empty() && idle && side.dram.queue.is_empty() && sys.waiting_on_uncore() == 0
+    }
+
+    /// Cache-resident divergence and memory-side divergence through the
+    /// overlays; then the overlay and the bank's arrays go back.
+    fn transfer(
+        &mut self,
+        sys: &mut System,
+        target: &mut BankSide,
+        golden: Option<&BankSide>,
+    ) -> Vec<LineAddr> {
+        let bank = target.bank.flops(L2cWarm::into_l2c);
+        let mut corrupted = Vec::new();
+        if let Some((g, g_ov)) = golden.and_then(|g| Some((g.bank.as_flops()?, &g.ov))) {
+            corrupted.extend(bank.arch().diff_lines(g.arch()));
+            corrupted.extend(target.ov.diff_lines(g_ov, sys.dram()));
+        }
+        target.ov.apply_to(sys.dram_mut());
+        sys.set_bank_arch(self.bank, bank.arch().clone());
+        corrupted
+    }
+
+    /// Requests the wedged bank never took are served functionally, so
+    /// the threads see *some* response; an idle detach has none.
+    fn release(&mut self, sys: &mut System, _target: &BankSide) {
+        while let Some(p) = self.inbox.pop_front() {
+            let reply = sys.service_request_functionally(&p);
+            sys.deliver_cpx(reply);
+        }
+    }
+}
+
+// ─────────────────────────── MCU ───────────────────────────
 
 /// DRAM command tags: the controller's tag flops hold 8 bits.
 const DRAM_TAGS: usize = 256;
@@ -825,45 +929,58 @@ impl DramPort {
     }
 }
 
-impl Target<McuWarm> {
-    fn ready(&self, is_writeback: bool) -> bool {
-        on_target!(self, x => x.ready(is_writeback))
-    }
+/// A DRAM controller with its overlay over the system's DRAM, which
+/// holds the contents it wrote (Table 1's state for the MCU). The target
+/// warms up on [`McuWarm`]'s plain fields.
+#[derive(Debug, Clone)]
+pub struct McuSide {
+    mcu: Target<McuWarm, Mcu>,
+    ov: DramOverlay,
+}
 
-    fn tick(&mut self, inp: &McuInputs, mem: &mut dyn LineBackend) -> McuOutputs {
-        on_target!(self, x => x.tick(inp, mem))
-    }
-
-    fn idle(&self) -> bool {
-        on_target!(self, x => x.idle())
-    }
-
-    /// Request-queue and return-queue occupancy.
-    fn occupancy(&self) -> (usize, usize) {
-        on_target!(self, x => (x.rq_occupancy(), x.retq_occupancy()))
+impl McuSide {
+    /// Cycle on `cmd`, the command accepted this cycle, against the
+    /// overlay over `base`.
+    fn tick(&mut self, cmd: Option<DramCmd>, base: &DramContents) -> McuOutputs {
+        let mut be = OverlayBackend::new(base, &mut self.ov);
+        let inp = McuInputs { cmd };
+        on_target!(&mut self.mcu, x => x.tick(&inp, &mut be))
     }
 }
 
-/// Co-simulation driver for one DRAM controller.
-///
-/// The target warms up on [`McuWarm`]: until the golden snapshot and the
-/// flip (Fig. 2 step 5) no flop can be wrong, so plain fields give the
-/// same cycles at a fraction of the cost. `snapshot_golden`,
-/// `snapshot_golden_cold` and `inject` turn it into the [`Mcu`] the
-/// flop-level warm-up would have left, and the run is flop-level while
-/// the golden lives. `retire_golden` puts it back on plain fields: the
-/// target then equals the golden, a fault-free controller.
-#[derive(Debug, Clone)]
-pub struct McuDriver {
-    sys: System,
-    /// The co-simulated controller.
-    target: Target<McuWarm>,
-    /// The golden copy.
-    golden: Option<Mcu>,
-    t_ov: DramOverlay,
-    g_ov: DramOverlay,
-    port: DramPort,
-    first_err_out: Option<u64>,
+impl Side for McuSide {
+    type Flops = Mcu;
+
+    fn flops(&mut self) -> &mut Mcu {
+        self.mcu.flops(McuWarm::into_mcu)
+    }
+
+    fn as_flops(&self) -> Option<&Mcu> {
+        self.mcu.as_flops()
+    }
+
+    fn cold(&mut self) -> Self {
+        McuSide {
+            mcu: Target::Flops(Mcu::new(self.flops().id())),
+            ov: self.ov.clone(),
+        }
+    }
+
+    /// The DRAM contents, in the overlay.
+    fn arch_differs(&self, golden: &Self, base: &DramContents) -> bool {
+        self.ov.differs(&golden.ov, base)
+    }
+
+    /// Back on plain fields.
+    fn retire(&mut self) {
+        self.mcu.back_to_warm(McuWarm::from_mcu);
+    }
+
+    fn sample_telemetry(&self, rec: &mut Recorder) {
+        let (rq, retq) = on_target!(&self.mcu, x => (x.rq_occupancy(), x.retq_occupancy()));
+        rec.record_hist(names::H_Q_MCU_RQ, rq as u64);
+        rec.record_hist(names::H_Q_MCU_RETQ, retq as u64);
+    }
 }
 
 impl McuDriver {
@@ -873,174 +990,119 @@ impl McuDriver {
     /// overlay.
     pub fn attach(mut sys: System, mcu: McuId) -> Self {
         sys.set_intercept(InterceptMode::McuPair(mcu));
-        McuDriver {
-            sys,
-            target: Target::Warm(McuWarm::new(mcu)),
-            golden: None,
-            t_ov: DramOverlay::new(),
-            g_ov: DramOverlay::new(),
-            port: DramPort::default(),
-            first_err_out: None,
-        }
-    }
-
-    /// Whether the target is on plain fields.
-    #[cfg(test)]
-    pub(crate) fn holds_fields(&self) -> bool {
-        matches!(self.target, Target::Warm(_))
+        let target = McuSide {
+            mcu: Target::Warm(McuWarm::new(mcu)),
+            ov: DramOverlay::new(),
+        };
+        Driver::new(sys, DramPort::default(), target)
     }
 }
 
-impl CosimDriver for McuDriver {
-    fn step(&mut self) {
-        let cyc = self.sys.cycle() + 1;
-        self.sys.run_until(cyc);
-        self.port.intake(&mut self.sys);
-        let cmd = (self.port).accept(|c| self.target.ready(c.kind == DramCmdKind::Writeback));
-        let t_out = {
-            let mut be = OverlayBackend::new(self.sys.dram(), &mut self.t_ov);
-            self.target.tick(&McuInputs { cmd: cmd.clone() }, &mut be)
-        };
-        let g_out = self.golden.as_mut().map(|golden| {
-            let mut be = OverlayBackend::new(self.sys.dram(), &mut self.g_ov);
-            golden.tick(&McuInputs { cmd }, &mut be)
-        });
-        if let Some(g_out) = &g_out {
-            if t_out.resp != g_out.resp && self.first_err_out.is_none() {
-                self.first_err_out = Some(cyc);
-            }
-        }
+impl Component for DramPort {
+    type Side = McuSide;
+
+    fn attach_instance(sys: System, instance: usize) -> McuDriver {
+        McuDriver::attach(sys, McuId::new(instance % NUM_MCUS))
+    }
+
+    fn intake(&mut self, sys: &mut System) {
+        DramPort::intake(self, sys);
+    }
+
+    fn tick(drv: &mut McuDriver, _cyc: u64) -> bool {
+        let target = &mut drv.target;
+        let cmd = (drv.port)
+            .accept(|c| on_target!(&target.mcu, x => x.ready(c.kind == DramCmdKind::Writeback)));
+        let t_out = target.tick(cmd.clone(), drv.sys.dram());
+        let diverged = (drv.golden.as_mut())
+            .is_some_and(|golden| golden.tick(cmd, drv.sys.dram()).resp != t_out.resp);
         if let Some(resp) = t_out.resp {
-            self.port.complete(&mut self.sys, resp);
+            drv.port.complete(&mut drv.sys, resp);
+        }
+        diverged
+    }
+
+    fn drained(&self, side: &McuSide, sys: &System) -> bool {
+        self.idle() && on_target!(&side.mcu, x => x.idle()) && sys.waiting_on_uncore() == 0
+    }
+
+    /// The DRAM contents are the controller's only state (Table 1), and
+    /// they are in the overlay: the target's model is dropped as it is.
+    fn transfer(
+        &mut self,
+        sys: &mut System,
+        target: &mut McuSide,
+        golden: Option<&McuSide>,
+    ) -> Vec<LineAddr> {
+        let corrupted = golden.map_or_else(Vec::new, |g| target.ov.diff_lines(&g.ov, sys.dram()));
+        target.ov.apply_to(sys.dram_mut());
+        corrupted
+    }
+
+    fn release(&mut self, sys: &mut System, _target: &McuSide) {
+        self.serve_stranded(sys);
+    }
+}
+
+// ─────────────────────────── CCX ───────────────────────────
+
+/// The crossbar. It has no architectural state (Table 1): the target
+/// warms up on [`CcxWarm`]'s packets.
+#[derive(Debug, Clone)]
+pub struct CcxSide {
+    xbar: Target<CcxWarm, Ccx>,
+}
+
+impl CcxSide {
+    fn tick(&mut self, inp: &CcxInputs) -> CcxOutputs {
+        // The banks are functional and always take a request.
+        let all_ready = [true; NUM_L2_BANKS];
+        on_target!(&mut self.xbar, x => x.tick(inp, &all_ready))
+    }
+}
+
+impl Side for CcxSide {
+    type Flops = Ccx;
+
+    fn flops(&mut self) -> &mut Ccx {
+        self.xbar.flops(CcxWarm::into_ccx)
+    }
+
+    fn as_flops(&self) -> Option<&Ccx> {
+        self.xbar.as_flops()
+    }
+
+    fn cold(&mut self) -> Self {
+        self.flops();
+        CcxSide {
+            xbar: Target::Flops(Ccx::new()),
         }
     }
 
-    fn cycle(&self) -> u64 {
-        self.sys.cycle()
+    /// None: clean or benign is exitable.
+    fn arch_differs(&self, _golden: &Self, _base: &DramContents) -> bool {
+        false
     }
 
-    fn sys(&self) -> &System {
-        &self.sys
-    }
-
-    fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.flops().clone());
-        self.g_ov = self.t_ov.clone();
-    }
-
-    fn snapshot_golden_cold(&mut self) {
-        let id = self.target.flops().id();
-        self.golden = Some(Mcu::new(id));
-        self.g_ov = self.t_ov.clone();
-    }
-
-    fn mismatch_fraction(&self) -> f64 {
-        flop_mismatch(self.target.as_flops().zip(self.golden.as_ref()))
-    }
-
-    fn inject(&mut self, bit: usize) {
-        self.target.flops().flops_mut().flip(bit);
-    }
-
-    fn check(&self) -> CosimCheck {
-        (self.target.as_flops().zip(self.golden.as_ref()))
-            .map_or(CosimCheck::Identical, |(t, g)| {
-                verdict(t, g, || self.t_ov.differs(&self.g_ov, self.sys.dram()))
-            })
-    }
-
-    fn retire_golden(&mut self) {
-        // The check just found the target's flops equal to the golden's,
-        // which only ever held fault-free traffic, so plain fields hold
-        // them exactly. A later call finds the target on them already.
-        if let Target::Flops(x) = &self.target {
-            self.target = Target::Warm(McuWarm::from_mcu(x));
-        }
-        self.golden = None;
-    }
-
-    fn drained(&self) -> bool {
-        self.port.idle() && self.target.idle() && self.sys.waiting_on_uncore() == 0
-    }
-
-    fn erroneous_output(&self) -> Option<u64> {
-        self.first_err_out
+    /// Back on packets.
+    fn retire(&mut self) {
+        self.xbar.back_to_warm(CcxWarm::from_ccx);
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
-        let (rq, retq) = self.target.occupancy();
-        rec.record_hist(names::H_Q_MCU_RQ, rq as u64);
-        rec.record_hist(names::H_Q_MCU_RETQ, retq as u64);
-    }
-
-    fn detach(mut self) -> Detach {
-        // DRAM contents are the controller's only state to transfer back
-        // (Table 1), and they are in the overlay: the target is dropped
-        // as it is, on flops or plain fields.
-        let mut corrupted: Vec<LineAddr> = if self.golden.is_some() {
-            self.t_ov.diff_lines(&self.g_ov, self.sys.dram())
-        } else {
-            Vec::new()
-        };
-        corrupted.sort_unstable_by_key(|l| l.raw());
-        corrupted.dedup();
-        self.t_ov.apply_to(self.sys.dram_mut());
-        self.sys.set_intercept(InterceptMode::None);
-        self.port.serve_stranded(&mut self.sys);
-        self.sys.mark_tainted(corrupted.iter().copied());
-        Detach {
-            sys: self.sys,
-            corrupted_lines: corrupted,
-        }
-    }
-
-    fn into_sys(self) -> System {
-        self.sys
+        let (pcx, cpx) = on_target!(&self.xbar, x => (x.pcx_occupancy(), x.cpx_occupancy()));
+        rec.record_hist(names::H_Q_CCX_PCX, pcx as u64);
+        rec.record_hist(names::H_Q_CCX_CPX, cpx as u64);
     }
 }
 
-// ─────────────────────────── CCX driver ───────────────────────────
-
-impl Target<CcxWarm> {
-    fn core_ready(&self, c: usize) -> bool {
-        on_target!(self, x => x.core_ready(c))
-    }
-
-    fn bank_ready(&self, k: usize) -> bool {
-        on_target!(self, x => x.bank_ready(k))
-    }
-
-    fn tick(&mut self, inp: &CcxInputs, bank_can_accept: &[bool; NUM_L2_BANKS]) -> CcxOutputs {
-        on_target!(self, x => x.tick(inp, bank_can_accept))
-    }
-
-    fn idle(&self) -> bool {
-        on_target!(self, x => x.idle())
-    }
-
-    fn occupancy(&self) -> (usize, usize) {
-        on_target!(self, x => (x.pcx_occupancy(), x.cpx_occupancy()))
-    }
-}
-
-/// Co-simulation driver for the crossbar.
-///
-/// The target warms up on [`CcxWarm`]: until the golden snapshot and
-/// the flip (Fig. 2 step 5) no flop can be wrong, so packets give the
-/// same cycles at a fraction of the cost. `snapshot_golden`,
-/// `snapshot_golden_cold` and `inject` turn it into the [`Ccx`] the
-/// flop-level warm-up would have left, and the run is flop-level while
-/// the golden lives. `retire_golden` puts it back on packets: the
-/// target then equals the golden, a fault-free crossbar.
-#[derive(Debug, Clone)]
-pub struct CcxDriver {
-    sys: System,
-    target: Target<CcxWarm>,
-    /// The golden copy.
-    golden: Option<Ccx>,
+/// The engine side of the crossbar: each core's requests and each
+/// bank's replies waiting for a free crossbar port.
+#[derive(Debug, Clone, Default)]
+pub struct CcxPort {
     core_q: [VecDeque<PcxPacket>; NUM_CORES],
+    /// Functional-bank replies with the cycle each is due.
     bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS],
-    first_err_out: Option<u64>,
 }
 
 impl CcxDriver {
@@ -1050,170 +1112,152 @@ impl CcxDriver {
     /// warm-up alone reconstructs it (footnote 4 of the paper).
     pub fn attach(mut sys: System) -> Self {
         sys.set_intercept(InterceptMode::AllRequests);
-        CcxDriver {
-            sys,
-            target: Target::Warm(CcxWarm::new()),
-            golden: None,
-            core_q: Default::default(),
-            bank_q: Default::default(),
-            first_err_out: None,
-        }
-    }
-
-    /// Whether the target is on packets.
-    #[cfg(test)]
-    pub(crate) fn holds_packets(&self) -> bool {
-        matches!(self.target, Target::Warm(_))
+        let target = CcxSide {
+            xbar: Target::Warm(CcxWarm::new()),
+        };
+        Driver::new(sys, CcxPort::default(), target)
     }
 }
 
-impl CosimDriver for CcxDriver {
-    fn step(&mut self) {
-        let cyc = self.sys.cycle() + 1;
-        self.sys.run_until(cyc);
-        while let Some(msg) = self.sys.pop_outbox() {
+impl Component for CcxPort {
+    type Side = CcxSide;
+
+    fn attach_instance(sys: System, _instance: usize) -> CcxDriver {
+        CcxDriver::attach(sys)
+    }
+
+    fn intake(&mut self, sys: &mut System) {
+        while let Some(msg) = sys.pop_outbox() {
             match msg {
                 OutMsg::Pcx(p) => self.core_q[p.thread.core().index()].push_back(p),
                 other => unreachable!("unexpected outbox message {other:?}"),
             }
         }
+    }
+
+    fn tick(drv: &mut CcxDriver, cyc: u64) -> bool {
+        let (port, xbar) = (&mut drv.port, &drv.target.xbar);
         let mut inp = CcxInputs::default();
         // A port's FIFO occupancy is read only if something waits for it.
-        for (c, q) in self.core_q.iter_mut().enumerate() {
-            if !q.is_empty() && self.target.core_ready(c) {
+        for (c, q) in port.core_q.iter_mut().enumerate() {
+            if !q.is_empty() && on_target!(xbar, x => x.core_ready(c)) {
                 inp.from_cores[c] = q.pop_front();
             }
         }
-        for (k, q) in self.bank_q.iter_mut().enumerate() {
+        for (k, q) in port.bank_q.iter_mut().enumerate() {
             let due = q.front().is_some_and(|(ready, _)| *ready <= cyc);
-            if due && self.target.bank_ready(k) {
+            if due && on_target!(xbar, x => x.bank_ready(k)) {
                 inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
             }
         }
-        let all_ready = [true; NUM_L2_BANKS];
-        let t_out = self.target.tick(&inp, &all_ready);
-        if let Some(golden) = &mut self.golden {
-            let g_out = golden.tick(&inp, &all_ready);
-            // The erroneous-output monitor (Fig. 1b ⑥) watches *return
-            // packets to the processor cores*. Request-side divergence
-            // is not recorded here: a load request's data lanes are
-            // don't-care, so comparing requests over-counts; real
-            // consequences of a corrupted request (wrong data, memory
-            // corruption) surface through the served values and the
-            // final output digest.
-            if t_out.to_cores != g_out.to_cores && self.first_err_out.is_none() {
-                self.first_err_out = Some(cyc);
-            }
-        }
+        let t_out = drv.target.tick(&inp);
+        // The erroneous-output monitor (Fig. 1b ⑥) watches *return
+        // packets to the processor cores*. Request-side divergence is
+        // not recorded here: a load request's data lanes are don't-care,
+        // so comparing requests over-counts; real consequences of a
+        // corrupted request (wrong data, memory corruption) surface
+        // through the served values and the final output digest.
+        let diverged = (drv.golden.as_mut())
+            .is_some_and(|golden| golden.tick(&inp).to_cores != t_out.to_cores);
         for (k, slot) in t_out.to_banks.iter().enumerate() {
             if let Some(p) = slot {
                 // Functional bank service (the banks remain high-level
                 // during CCX co-simulation); the response re-enters the
                 // crossbar on the port it came out of.
-                let reply = self.sys.service_request_functionally(p);
-                self.bank_q[k].push_back((cyc + COSIM_BANK_LATENCY, reply));
+                let reply = drv.sys.service_request_functionally(p);
+                drv.port.bank_q[k].push_back((cyc + COSIM_BANK_LATENCY, reply));
             }
         }
         for slot in t_out.to_cores.iter().flatten() {
-            self.sys.deliver_cpx(*slot);
+            drv.sys.deliver_cpx(*slot);
         }
+        diverged
     }
 
-    fn cycle(&self) -> u64 {
-        self.sys.cycle()
-    }
-
-    fn sys(&self) -> &System {
-        &self.sys
-    }
-
-    fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.flops().clone());
-    }
-
-    fn snapshot_golden_cold(&mut self) {
-        self.target.flops();
-        self.golden = Some(Ccx::new());
-    }
-
-    fn mismatch_fraction(&self) -> f64 {
-        flop_mismatch(self.target.as_flops().zip(self.golden.as_ref()))
-    }
-
-    fn inject(&mut self, bit: usize) {
-        self.target.flops().flops_mut().flip(bit);
-    }
-
-    fn check(&self) -> CosimCheck {
-        // No architectural state (Table 1): clean or benign is exitable.
-        (self.target.as_flops().zip(self.golden.as_ref()))
-            .map_or(CosimCheck::Identical, |(t, g)| verdict(t, g, || false))
-    }
-
-    fn retire_golden(&mut self) {
-        // The check just found the target's flops equal to the golden's,
-        // which only ever held fault-free traffic, so packets hold them
-        // exactly. A later call finds the target on packets already.
-        if let Target::Flops(x) = &self.target {
-            self.target = Target::Warm(CcxWarm::from_ccx(x));
-        }
-        self.golden = None;
-    }
-
-    fn drained(&self) -> bool {
-        self.target.idle()
+    fn drained(&self, side: &CcxSide, sys: &System) -> bool {
+        on_target!(&side.xbar, x => x.idle())
             && self.core_q.iter().all(VecDeque::is_empty)
             && self.bank_q.iter().all(VecDeque::is_empty)
-            && self.sys.waiting_on_uncore() == 0
+            && sys.waiting_on_uncore() == 0
     }
 
-    fn erroneous_output(&self) -> Option<u64> {
-        self.first_err_out
+    /// Nothing: the crossbar has no state to transfer back (Table 1), so
+    /// the target is dropped as it is.
+    fn transfer(&mut self, _: &mut System, _: &mut CcxSide, _: Option<&CcxSide>) -> Vec<LineAddr> {
+        Vec::new()
     }
 
-    fn sample_telemetry(&self, rec: &mut Recorder) {
-        let (pcx, cpx) = self.target.occupancy();
-        rec.record_hist(names::H_Q_CCX_PCX, pcx as u64);
-        rec.record_hist(names::H_Q_CCX_CPX, cpx as u64);
-    }
-
-    fn detach(mut self) -> Detach {
-        // The crossbar has no state to transfer back (Table 1), so the
-        // target is dropped as it is, on flops or packets.
-        self.sys.set_intercept(InterceptMode::None);
-        // Serve anything stranded in the wedged crossbar's engine-side
-        // queues functionally (forced detach path).
+    /// What the wedged crossbar left in the engine-side queues is served
+    /// functionally.
+    fn release(&mut self, sys: &mut System, _target: &CcxSide) {
         for p in self.core_q.iter_mut().flat_map(|q| q.drain(..)) {
-            let reply = self.sys.service_request_functionally(&p);
-            self.sys.deliver_cpx(reply);
+            let reply = sys.service_request_functionally(&p);
+            sys.deliver_cpx(reply);
         }
         for (_, p) in self.bank_q.iter_mut().flat_map(|q| q.drain(..)) {
-            self.sys.deliver_cpx(p);
+            sys.deliver_cpx(p);
         }
-        Detach {
-            sys: self.sys,
-            corrupted_lines: Vec::new(),
-        }
-    }
-
-    fn into_sys(self) -> System {
-        self.sys
     }
 }
 
-// ─────────────────────────── PCIe driver ──────────────────────────
+// ─────────────────────────── PCIe ──────────────────────────
 
-/// Co-simulation driver for the PCIe DMA engine.
+/// The DMA engine with its private memory view. The target writes
+/// coherently into system memory, so its overlay stays empty; a golden
+/// writes into its own.
 #[derive(Debug, Clone)]
-pub struct PcieDriver {
-    sys: System,
-    /// The co-simulated engine.
-    target: Pcie,
-    /// The golden copy.
-    golden: Option<Pcie>,
-    g_ov: DramOverlay,
+pub struct PcieSide {
+    engine: Pcie,
+    ov: DramOverlay,
+}
+
+impl Side for PcieSide {
+    type Flops = Pcie;
+
+    fn flops(&mut self) -> &mut Pcie {
+        &mut self.engine
+    }
+
+    fn as_flops(&self) -> Option<&Pcie> {
+        Some(&self.engine)
+    }
+
+    fn cold(&mut self) -> Self {
+        let mut engine = Pcie::new();
+        engine.load_arch(self.engine.arch());
+        PcieSide {
+            engine,
+            ov: DramOverlay::new(),
+        }
+    }
+
+    /// Architectural DMA progress is frame-granular; snapshotting
+    /// mid-frame would leave the cold copy permanently skewed by the
+    /// re-streamed partial frame.
+    fn at_cold_boundary(&self) -> bool {
+        let a = self.engine.arch();
+        !a.active || a.pos.is_multiple_of(64)
+    }
+
+    /// The staging buffers. Memory is not compared: the divergence
+    /// monitor compares every write instead.
+    fn arch_differs(&self, golden: &Self, _base: &DramContents) -> bool {
+        self.engine.buffer_diff(&golden.engine) > 0
+    }
+
+    /// The engine has no fault-free model: it stays on flops.
+    fn retire(&mut self) {}
+
+    fn sample_telemetry(&self, rec: &mut Recorder) {
+        rec.record_hist(names::H_Q_PCIE_BUF, self.engine.buffer_occupancy() as u64);
+    }
+}
+
+/// The engine side of the PCIe DMA engine: the lines where the target's
+/// writes and the golden's disagreed.
+#[derive(Debug, Clone, Default)]
+pub struct PciePort {
     corrupted: Vec<LineAddr>,
-    first_err_out: Option<u64>,
 }
 
 /// Backend routing the target PCIe engine's writes coherently into
@@ -1223,7 +1267,7 @@ struct CoherentLog<'a> {
     wrote: &'a mut Option<LineAddr>,
 }
 
-impl nestsim_arch::LineBackend for CoherentLog<'_> {
+impl LineBackend for CoherentLog<'_> {
     fn read_line(&mut self, line: LineAddr) -> [u64; 8] {
         self.sys.dram().read_line(line)
     }
@@ -1241,8 +1285,8 @@ impl PcieDriver {
         let (pos, active) = sys.dma_progress();
         let desc = sys.dma_descriptor();
         sys.set_intercept(InterceptMode::PcieDma);
-        let mut target = Pcie::new();
-        target.load_arch(PcieArchState {
+        let mut engine = Pcie::new();
+        engine.load_arch(PcieArchState {
             bufs: nestsim_arch::PcieBuffers::new(),
             dst: desc.dst.raw(),
             len: desc.len,
@@ -1254,145 +1298,122 @@ impl PcieDriver {
             rd_ptr: 0,
             active,
         });
-        PcieDriver {
-            sys,
-            target,
-            golden: None,
-            g_ov: DramOverlay::new(),
-            corrupted: Vec::new(),
-            first_err_out: None,
-        }
+        let target = PcieSide {
+            engine,
+            ov: DramOverlay::new(),
+        };
+        Driver::new(sys, PciePort::default(), target)
     }
 }
 
-impl CosimDriver for PcieDriver {
-    fn step(&mut self) {
-        let cyc = self.sys.cycle() + 1;
-        self.sys.run_until(cyc);
-        // The outbox is unused in PCIe mode, but drain defensively.
-        while self.sys.pop_outbox().is_some() {}
+impl Component for PciePort {
+    type Side = PcieSide;
 
+    fn attach_instance(sys: System, _instance: usize) -> PcieDriver {
+        PcieDriver::attach(sys)
+    }
+
+    /// The engine takes no traffic from the system.
+    fn intake(&mut self, _sys: &mut System) {}
+
+    fn tick(drv: &mut PcieDriver, _cyc: u64) -> bool {
         // Golden first: its reads must not observe the target's write
         // of this very cycle.
-        let g_out = self.golden.as_mut().map(|golden| {
-            let mut be = OverlayBackend::new(self.sys.dram(), &mut self.g_ov);
-            golden.tick(&mut be)
+        let g_out = drv.golden.as_mut().map(|golden| {
+            let mut be = OverlayBackend::new(drv.sys.dram(), &mut golden.ov);
+            golden.engine.tick(&mut be)
         });
         let mut wrote = None;
-        let t_out = {
-            let mut be = CoherentLog {
-                sys: &mut self.sys,
-                wrote: &mut wrote,
-            };
-            self.target.tick(&mut be)
+        let t_out = drv.target.engine.tick(&mut CoherentLog {
+            sys: &mut drv.sys,
+            wrote: &mut wrote,
+        });
+        let (Some(g_out), Some(golden)) = (g_out, &drv.golden) else {
+            return false;
         };
-        if let Some(g_out) = g_out {
-            let diverged = match (wrote, g_out.wrote.map(|a| a.line())) {
-                (None, None) => false,
-                (Some(t), Some(g)) if t == g => {
-                    self.sys.dram().read_line(t) != self.g_ov.read_line(self.sys.dram(), g)
-                }
-                _ => true,
-            };
-            if diverged || t_out.completed != g_out.completed {
-                if self.first_err_out.is_none() {
-                    self.first_err_out = Some(cyc);
-                }
-                if let Some(t) = wrote {
-                    self.corrupted.push(t);
-                }
-                if let Some(g) = g_out.wrote {
-                    self.corrupted.push(g.line());
-                }
+        let g_wrote = g_out.wrote.map(|a| a.line());
+        let diverged = match (wrote, g_wrote) {
+            (None, None) => false,
+            (Some(t), Some(g)) if t == g => {
+                drv.sys.dram().read_line(t) != golden.ov.read_line(drv.sys.dram(), g)
             }
+            _ => true,
+        };
+        if diverged || t_out.completed != g_out.completed {
+            drv.port.corrupted.extend(wrote);
+            drv.port.corrupted.extend(g_wrote);
+            return true;
         }
+        false
     }
 
-    fn cycle(&self) -> u64 {
-        self.sys.cycle()
-    }
-
-    fn sys(&self) -> &System {
-        &self.sys
-    }
-
-    fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.clone());
-        self.g_ov = DramOverlay::new();
-    }
-
-    fn snapshot_golden_cold(&mut self) {
-        let mut cold = Pcie::new();
-        cold.load_arch(self.target.arch());
-        self.golden = Some(cold);
-        self.g_ov = DramOverlay::new();
-    }
-
-    fn at_cold_snapshot_boundary(&self) -> bool {
-        // Architectural DMA progress is frame-granular; snapshotting
-        // mid-frame would leave the cold copy permanently skewed by the
-        // re-streamed partial frame.
-        let a = self.target.arch();
-        !a.active || a.pos.is_multiple_of(64)
-    }
-
-    fn mismatch_fraction(&self) -> f64 {
-        flop_mismatch(self.golden.as_ref().map(|g| (&self.target, g)))
-    }
-
-    fn inject(&mut self, bit: usize) {
-        self.target.flops_mut().flip(bit);
-    }
-
-    fn check(&self) -> CosimCheck {
-        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
-            verdict(&self.target, g, || self.target.buffer_diff(g) > 0)
-        })
-    }
-
-    fn retire_golden(&mut self) {
-        self.golden = None;
-    }
-
-    fn drained(&self) -> bool {
-        // The PCIe engine does not serve core requests; nothing can be
-        // stranded by detaching at a state-converged point.
+    /// The engine does not serve core requests; nothing can be stranded
+    /// by detaching at a state-converged point.
+    fn drained(&self, _side: &PcieSide, _sys: &System) -> bool {
         true
     }
 
-    fn erroneous_output(&self) -> Option<u64> {
-        self.first_err_out
+    /// The lines the divergence monitor saw written differently.
+    fn transfer(
+        &mut self,
+        _: &mut System,
+        _: &mut PcieSide,
+        _: Option<&PcieSide>,
+    ) -> Vec<LineAddr> {
+        std::mem::take(&mut self.corrupted)
     }
 
-    fn sample_telemetry(&self, rec: &mut Recorder) {
-        rec.record_hist(names::H_Q_PCIE_BUF, self.target.buffer_occupancy() as u64);
-    }
-
-    fn detach(mut self) -> Detach {
-        let arch = self.target.arch();
-        self.sys.set_intercept(InterceptMode::None);
-        self.sys.resume_dma(arch.drain_pos, arch.active);
-        let mut corrupted = self.corrupted;
-        corrupted.sort_unstable_by_key(|l| l.raw());
-        corrupted.dedup();
-        self.sys.mark_tainted(corrupted.iter().copied());
-        Detach {
-            sys: self.sys,
-            corrupted_lines: corrupted,
-        }
-    }
-
-    fn into_sys(self) -> System {
-        self.sys
+    /// The functional engine resumes from the target's drain point.
+    fn release(&mut self, sys: &mut System, target: &PcieSide) {
+        let arch = target.engine.arch();
+        sys.resume_dma(arch.drain_pos, arch.active);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nestsim_hlsim::workload::by_name;
     use nestsim_hlsim::SystemConfig;
     use nestsim_proto::addr::McuId;
+
+    thread_local! {
+        /// Cycles the system under a driver ran on this thread after its
+        /// attach (warm-up and co-simulation alike), by where the target
+        /// was (`[flops, fault-free model]`) and then whether the golden
+        /// lived (`[retired, live]`).
+        static STEPS: std::cell::Cell<[[u64; 2]; 2]> = const { std::cell::Cell::new([[0; 2]; 2]) };
+        /// Targets converted from their fault-free model to flops on this
+        /// thread.
+        pub(crate) static CONVERSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Notes the cycle `drv`'s system is about to run.
+    pub(super) fn stepped<C: Component>(drv: &Driver<C>) {
+        let (warm, live) = (drv.holds_warm(), drv.golden.is_some());
+        STEPS.with(|n| {
+            let mut steps = n.get();
+            steps[usize::from(warm)][usize::from(live)] += 1;
+            n.set(steps);
+        });
+    }
+
+    /// [`STEPS`] as it stands.
+    pub(crate) fn steps() -> [[u64; 2]; 2] {
+        STEPS.with(std::cell::Cell::get)
+    }
+
+    impl<C: Component> Driver<C> {
+        /// Whether the target is on its fault-free model.
+        pub(crate) fn holds_warm(&self) -> bool {
+            self.target.as_flops().is_none()
+        }
+
+        /// The target's flops, once it holds them.
+        pub(crate) fn target(&self) -> Option<&<C::Side as Side>::Flops> {
+            self.target.as_flops()
+        }
+    }
 
     fn sys_at(bench: &str, cycle: u64) -> System {
         let mut sys = System::new(SystemConfig::smoke_test(by_name(bench).unwrap()));
@@ -1409,199 +1430,123 @@ mod tests {
     }
 
     #[test]
-    fn l2c_uninjected_cosim_stays_identical() {
-        let mut drv = L2cDriver::attach(sys_at("radi", 500), BankId::new(0));
-        for _ in 0..500 {
-            drv.step();
-        }
-        drv.snapshot_golden();
-        let drv = drive_checked(drv, 1_000);
-        assert_eq!(drv.check(), CosimCheck::Identical);
-        assert!(drv.erroneous_output().is_none());
-    }
-
-    #[test]
-    fn mcu_uninjected_cosim_stays_identical() {
-        let mut drv = McuDriver::attach(sys_at("fft", 500), McuId::new(0));
-        for _ in 0..500 {
-            drv.step();
-        }
-        drv.snapshot_golden();
-        let drv = drive_checked(drv, 1_000);
-        assert_eq!(drv.check(), CosimCheck::Identical);
-    }
-
-    #[test]
-    fn ccx_uninjected_cosim_stays_identical() {
-        let mut drv = CcxDriver::attach(sys_at("lu-c", 500));
-        for _ in 0..500 {
-            drv.step();
-        }
-        drv.snapshot_golden();
-        let drv = drive_checked(drv, 1_000);
-        assert_eq!(drv.check(), CosimCheck::Identical);
-    }
-
-    /// Cycles a [`PathProbe`] stepped, by where the target was (`[flops,
-    /// fault-free model]`) and then whether the golden lived (`[retired,
-    /// live]`).
-    type Paths = std::rc::Rc<std::cell::Cell<[[u64; 2]; 2]>>;
-
-    /// A driver that notes, at every cycle it steps, whether its target
-    /// was on its fault-free model and whether its golden was alive.
-    struct PathProbe<D> {
-        inner: D,
-        /// (target on its fault-free model, golden alive)
-        state: fn(&D) -> (bool, bool),
-        steps: Paths,
-    }
-
-    impl<D: CosimDriver> CosimDriver for PathProbe<D> {
-        fn step(&mut self) {
-            let (warm, live) = (self.state)(&self.inner);
-            let mut steps = self.steps.get();
-            steps[usize::from(warm)][usize::from(live)] += 1;
-            self.steps.set(steps);
-            self.inner.step();
-        }
-        fn cycle(&self) -> u64 {
-            self.inner.cycle()
-        }
-        fn sys(&self) -> &System {
-            self.inner.sys()
-        }
-        fn snapshot_golden(&mut self) {
-            self.inner.snapshot_golden();
-        }
-        fn snapshot_golden_cold(&mut self) {
-            self.inner.snapshot_golden_cold();
-        }
-        fn mismatch_fraction(&self) -> f64 {
-            self.inner.mismatch_fraction()
-        }
-        fn inject(&mut self, bit: usize) {
-            self.inner.inject(bit);
-        }
-        fn check(&self) -> CosimCheck {
-            self.inner.check()
-        }
-        fn retire_golden(&mut self) {
-            self.inner.retire_golden();
-        }
-        fn drained(&self) -> bool {
-            self.inner.drained()
-        }
-        fn erroneous_output(&self) -> Option<u64> {
-            self.inner.erroneous_output()
-        }
-        fn detach(self) -> Detach {
-            self.inner.detach()
-        }
-        fn into_sys(self) -> System {
-            self.inner.into_sys()
-        }
-    }
-
-    #[test]
-    fn ccx_runs_on_flops_only_while_the_golden_lives() {
-        // Every identity suite passes whichever model the crossbar runs
-        // on, so only this notices if the warm-up or a retired run stops
-        // being on packets, or a cycle with a live golden is not on flops.
-        use crate::campaign::{golden_reference, CampaignSpec};
-        use crate::inject::{finish, warm_component, InjectionSpec, WarmedDriver};
+    fn uninjected_cosim_stays_identical() {
+        // Fault-free co-simulation never tells target from golden: no
+        // flop, traffic or architectural difference, and no output
+        // divergence. PCIe attaches while its DMA is active.
         use nestsim_models::ComponentKind;
-        use nestsim_telemetry::Recorder;
-
-        let profile = by_name("stre").unwrap();
-        let (base, golden) = golden_reference(profile, &CampaignSpec::quick(ComponentKind::Ccx, 1));
-        let spec = InjectionSpec {
-            component: ComponentKind::Ccx,
-            instance: 0,
-            bit: Ccx::new().flops().named_bit("pcx0[0].addr", 6),
-            inject_cycle: 2_000,
-            warmup: 1_000,
-            cosim_cap: 4_000,
-            check_interval: 16,
-        };
-        let WarmedDriver::Ccx(w) = warm_component(&base, &golden, &spec, None) else {
-            panic!("a CCX spec warmed another component");
-        };
-        assert!(w.driver.holds_packets(), "the warm-up ran on flops");
-        // A group resumes every member but the last from a clone.
-        assert!(w.clone().driver.holds_packets(), "a clone holds flops");
-        let steps = Paths::default();
-        let probed = w.map(|inner| PathProbe {
-            inner,
-            state: |d: &CcxDriver| (d.holds_packets(), d.golden.is_some()),
-            steps: std::rc::Rc::clone(&steps),
-        });
-        let (record, _) = finish(probed, &golden, &spec, &mut Recorder::null());
-        let [[flops_retired, flops_live], [packets_retired, packets_live]] = steps.get();
-        println!(
-            "{record:?}: live golden {flops_live} on flops, {packets_live} on packets; \
-             retired {packets_retired} on packets, {flops_retired} on flops"
-        );
-        assert!(flops_live > 0, "no cycle ran beside a live golden");
-        assert!(packets_retired > 0, "no cycle ran after retirement");
-        assert_eq!(packets_live, 0, "cycles with a live golden ran on packets");
-        assert_eq!(flops_retired, 0, "cycles after retirement ran on flops");
+        let rows = [
+            (ComponentKind::L2c, "radi", 500, 500, 1_000),
+            (ComponentKind::Mcu, "fft", 500, 500, 1_000),
+            (ComponentKind::Ccx, "lu-c", 500, 500, 1_000),
+            (ComponentKind::Pcie, "p-lr", 200, 200, 2_000),
+        ];
+        for (component, bench, attach_at, warmup, cycles) in rows {
+            on_component!(component, C => {
+                let mut drv = C::attach_instance(sys_at(bench, attach_at), 0);
+                for _ in 0..warmup {
+                    drv.step();
+                }
+                drv.snapshot_golden();
+                let drv = drive_checked(drv, cycles);
+                assert_eq!(drv.check(), CosimCheck::Identical, "{component}");
+                assert!(drv.erroneous_output().is_none(), "{component}");
+            });
+        }
     }
 
     #[test]
-    fn mcu_runs_on_flops_only_while_the_golden_lives() {
-        // As for the crossbar: only this notices if the controller's
-        // warm-up or a retired run stops being on plain fields, a cycle
-        // with a live golden is not on flops, or the run converts to
-        // flops more than once.
-        use crate::campaign::{golden_reference, CampaignSpec};
-        use crate::inject::{finish, warm_component, InjectionSpec, WarmedDriver};
+    fn target_runs_on_flops_only_while_the_golden_lives() {
+        // Every identity suite passes whichever model a target runs on,
+        // so only this notices if a warm-up stops being on the fault-free
+        // model, a cycle with a live golden is not on flops, a retired run
+        // is not on the model its row names, or a run converts to flops
+        // more than once.
+        use crate::campaign::{component_flops, golden_reference, CampaignSpec};
+        use crate::inject::{finish, warm, InjectionSpec};
         use nestsim_models::ComponentKind;
-        use nestsim_telemetry::Recorder;
+        use std::cell::Cell;
 
-        let profile = by_name("fft").unwrap();
-        let (base, golden) = golden_reference(profile, &CampaignSpec::quick(ComponentKind::Mcu, 1));
-        let spec = InjectionSpec {
-            component: ComponentKind::Mcu,
-            instance: 0,
-            bit: Mcu::new(McuId::new(0))
-                .flops()
-                .named_bit("bank[3].timer", 1),
-            inject_cycle: 2_000,
-            warmup: 1_000,
-            cosim_cap: 4_000,
-            check_interval: 16,
-        };
-        let before = CONVERSIONS.with(std::cell::Cell::get);
-        let WarmedDriver::Mcu(w) = warm_component(&base, &golden, &spec, None) else {
-            panic!("an MCU spec warmed another component");
-        };
-        assert!(w.driver.holds_fields(), "the warm-up ran on flops");
-        assert!(w.clone().driver.holds_fields(), "a clone holds flops");
-        assert_eq!(CONVERSIONS.with(std::cell::Cell::get), before);
-        let steps = Paths::default();
-        let probed = w.map(|inner| PathProbe {
-            inner,
-            state: |d: &McuDriver| (d.holds_fields(), d.golden.is_some()),
-            steps: std::rc::Rc::clone(&steps),
-        });
-        let (record, _) = finish(probed, &golden, &spec, &mut Recorder::null());
-        let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
-        let [[flops_retired, flops_live], [fields_retired, fields_live]] = steps.get();
-        println!(
-            "{record:?}: live golden {flops_live} on flops, {fields_live} on fields; \
-             retired {fields_retired} on fields, {flops_retired} on flops"
-        );
-        assert_eq!(
-            conversions, 1,
-            "the run converted to flops {conversions} times"
-        );
-        assert!(flops_live > 0, "no cycle ran beside a live golden");
-        assert!(fields_retired > 0, "no cycle ran after retirement");
-        assert_eq!(
-            fields_live, 0,
-            "cycles with a live golden ran on plain fields"
-        );
-        assert_eq!(flops_retired, 0, "cycles after retirement ran on flops");
+        /// The model a target runs on after its golden retired.
+        #[derive(Debug, Clone, Copy)]
+        enum Retired {
+            /// Its fault-free model: packets, plain fields.
+            Warm,
+            /// Flops: re-converting an L2 bank to images did not pay.
+            Flops,
+        }
+        let rows = [
+            (
+                ComponentKind::L2c,
+                "stre",
+                ("oq[3].data", 9),
+                Retired::Flops,
+            ),
+            (
+                ComponentKind::Mcu,
+                "fft",
+                ("bank[3].timer", 1),
+                Retired::Warm,
+            ),
+            (
+                ComponentKind::Ccx,
+                "stre",
+                ("pcx0[0].addr", 6),
+                Retired::Warm,
+            ),
+        ];
+        for (component, bench, (field, bit), retired) in rows {
+            let profile = by_name(bench).unwrap();
+            let (base, golden) = golden_reference(profile, &CampaignSpec::quick(component, 1));
+            let spec = InjectionSpec {
+                component,
+                instance: 0,
+                bit: component_flops(component).named_bit(field, bit),
+                inject_cycle: 2_000,
+                warmup: 1_000,
+                cosim_cap: 4_000,
+                check_interval: 16,
+            };
+            let before = CONVERSIONS.with(Cell::get);
+            let (record, stepped) = on_component!(component, C => {
+                let w = warm::<C>(&base, &golden, &spec, None);
+                assert!(w.driver.holds_warm(), "{component}: the warm-up ran on flops");
+                // A group resumes every member but the last from a clone.
+                assert!(w.clone().driver.holds_warm(), "{component}: a clone holds flops");
+                assert_eq!(CONVERSIONS.with(Cell::get), before, "{component}");
+                let stepped = steps();
+                (finish(w, &golden, &spec, &mut Recorder::null()).0, stepped)
+            });
+            let conversions = CONVERSIONS.with(Cell::get) - before;
+            // Only the cycles after the flip.
+            let [[flops_retired, flops_live], [warm_retired, warm_live]] =
+                std::array::from_fn(|w| std::array::from_fn(|l| steps()[w][l] - stepped[w][l]));
+            println!(
+                "{component} {record:?}: live golden {flops_live} on flops, {warm_live} warm; \
+                 retired {warm_retired} warm, {flops_retired} on flops"
+            );
+            assert_eq!(
+                conversions, 1,
+                "{component}: the run converted to flops {conversions} times"
+            );
+            assert!(
+                flops_live > 0,
+                "{component}: no cycle ran beside a live golden"
+            );
+            assert_eq!(
+                warm_live, 0,
+                "{component}: cycles with a live golden ran on the fault-free model"
+            );
+            let (on_model, off_model) = match retired {
+                Retired::Warm => (warm_retired, flops_retired),
+                Retired::Flops => (flops_retired, warm_retired),
+            };
+            assert!(on_model > 0, "{component}: no cycle ran after retirement");
+            assert_eq!(
+                off_model, 0,
+                "{component}: cycles after retirement left the {retired:?} model"
+            );
+        }
     }
 
     #[test]
@@ -1649,14 +1594,15 @@ mod tests {
 
     #[test]
     fn l2c_warm_up_runs_on_images_and_the_run_on_flops() {
-        // As for the crossbar: only this notices if an L2 bank stops
-        // warming up on slot images, or a lane batch converts more than
-        // its carrier.
+        // As for the scalar run (`target_runs_on_flops_only_while_the_golden_lives`):
+        // only this notices if a lane batch converts more than its
+        // carrier, or its carrier stops warming up on slot images. A
+        // lane that leaves for the scalar path forks off the carrier,
+        // which holds flops by then.
         use crate::campaign::{golden_reference, CampaignSpec};
-        use crate::inject::{finish, warm_component, InjectionSpec, WarmedDriver};
+        use crate::inject::InjectionSpec;
         use crate::lanes::{run_l2c_batch, LaneBatchStats};
         use nestsim_models::ComponentKind;
-        use nestsim_telemetry::Recorder;
 
         let profile = by_name("stre").unwrap();
         let (base, golden) = golden_reference(profile, &CampaignSpec::quick(ComponentKind::L2c, 1));
@@ -1671,29 +1617,6 @@ mod tests {
             cosim_cap: 4_000,
             check_interval: 16,
         };
-        let WarmedDriver::L2c(w) = warm_component(&base, &golden, &spec, None) else {
-            panic!("an L2C spec warmed another component");
-        };
-        assert!(w.driver.holds_images(), "the warm-up ran on flops");
-        assert!(w.clone().driver.holds_images(), "a clone holds flops");
-        let steps = Paths::default();
-        let probed = w.map(|inner| PathProbe {
-            inner,
-            state: |d: &L2cDriver| (d.holds_images(), d.golden.is_some()),
-            steps: std::rc::Rc::clone(&steps),
-        });
-        finish(probed, &golden, &spec, &mut Recorder::null());
-        let [on_flops, on_images] = steps.get().map(|by_golden| by_golden.iter().sum::<u64>());
-        assert!(on_flops > 0, "the run stepped no cycle after the flip");
-        assert_eq!(
-            on_images,
-            0,
-            "{on_images} of {} cycles after the flip ran on images",
-            on_flops + on_images
-        );
-
-        // A batch converts its carrier, once: a lane that leaves for the
-        // scalar path forks off the carrier, which holds flops by then.
         let samples: Vec<InjectionSpec> = [
             named("iq[0].addr", 6),
             named("bist.chain[0]", 0),
@@ -1748,7 +1671,7 @@ mod tests {
 
         /// Changes this piece, and only it, on one side of a compare.
         fn perturb(self, side: &mut BankSide, base: &DramContents) {
-            let bank = side.bank.flops();
+            let bank = side.flops();
             match self {
                 Piece::Flop => {
                     let bit = bank.flops().named_bit("iq.count", 0);
@@ -1805,16 +1728,62 @@ mod tests {
     }
 
     #[test]
-    fn pcie_uninjected_cosim_stays_identical() {
-        // Attach while the DMA is active.
+    fn pcie_golden_reads_memory_as_the_cycle_began() {
+        // The target writes system memory coherently and the golden
+        // reads it under its overlay, so the golden ticks first: it must
+        // not read what the target writes in the same cycle. Here the
+        // target drains a frame into the doorbell line in the cycle the
+        // golden reads that line to ring the doorbell.
+        use nestsim_proto::pcie::doorbell_addr;
         let mut drv = PcieDriver::attach(sys_at("p-lr", 200));
-        for _ in 0..200 {
-            drv.step();
+        let line = doorbell_addr().line();
+        let before = drv.sys.dram().read_line(line);
+        let arch = drv.target.engine.arch();
+        let len = arch.len - arch.len % 64;
+        let mut bufs = nestsim_arch::PcieBuffers::new();
+        for i in 0..8 {
+            bufs.rx_write(i, 0xdead_0000 + i as u64);
         }
-        drv.snapshot_golden();
-        let drv = drive_checked(drv, 2_000);
-        assert_eq!(drv.check(), CosimCheck::Identical);
-        assert!(drv.erroneous_output().is_none());
+        drv.target.engine = Pcie::new();
+        drv.target.engine.load_arch(PcieArchState {
+            bufs,
+            dst: doorbell_addr().raw(),
+            drain_pos: 0,
+            occ: 1,
+            rd_ptr: 0,
+            active: false,
+            ..arch.clone()
+        });
+        let mut golden = Pcie::new();
+        golden.load_arch(PcieArchState {
+            len,
+            pos: len,
+            occ: 0,
+            active: true,
+            ..arch
+        });
+        drv.golden = Some(PcieSide {
+            engine: golden,
+            ov: DramOverlay::new(),
+        });
+        drv.step();
+        let written = drv.sys.dram().read_line(line);
+        assert_eq!(
+            written[2], 0xdead_0002,
+            "the target drained nowhere near the doorbell"
+        );
+        let rung = drv
+            .golden
+            .as_ref()
+            .unwrap()
+            .ov
+            .read_line(drv.sys.dram(), line);
+        assert_eq!(rung[..2], [1, len], "the golden did not ring the doorbell");
+        assert_eq!(
+            rung[2..],
+            before[2..],
+            "the golden read the target's write of this cycle"
+        );
     }
 
     #[test]

@@ -2,11 +2,10 @@
 
 use nestsim_hlsim::{RunResult, SnapshotCost, System};
 use nestsim_models::ComponentKind;
-use nestsim_proto::addr::{BankId, McuId};
 use nestsim_telemetry::{names, EventKind, ExitReason, Recorder, TelemetryConfig};
 
 use crate::campaign::IndexedRuns;
-use crate::cosim::{CcxDriver, CosimCheck, CosimDriver, L2cDriver, McuDriver, PcieDriver};
+use crate::cosim::{on_component, Component, CosimCheck, CosimDriver, Driver};
 use crate::outcome::Outcome;
 
 /// Minimum warm-up length before injection (Sec. 2.2 / Sec. 4.1: at
@@ -137,17 +136,18 @@ pub fn run_injection(base: &System, golden: &GoldenRef, spec: &InjectionSpec) ->
 /// every hook a no-op). Each run emits exactly one `SnapshotGolden`,
 /// one `BitFlip` and one `CosimExit` event.
 ///
-/// A run is [`warm_component`] followed by [`WarmedDriver::finish`] — a
-/// same-trajectory group of one — on a fresh clone of `base`.
+/// A run is [`warm`] followed by [`finish`] — a same-trajectory group
+/// of one — on a fresh clone of `base`, with the driver `spec.component`
+/// names.
 pub fn run_injection_with(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
     rec: &mut Recorder,
 ) -> InjectionRecord {
-    warm_component(base, golden, spec, None)
-        .finish(golden, spec, rec)
-        .0
+    on_component!(spec.component, C => {
+        finish(warm::<C>(base, golden, spec, None), golden, spec, rec).0
+    })
 }
 
 #[cfg(test)]
@@ -172,21 +172,21 @@ pub(crate) struct Warmed<D> {
 }
 
 /// Fig. 2 steps 1–4: restores `base`, runs to the entry point in
-/// accelerated mode, attaches the component driver and warms it up with
-/// live traffic. The restore refills `spare`, a system a finished run
-/// handed back, when there is one, and clones `base` otherwise.
+/// accelerated mode, attaches `C`'s driver to instance `spec.instance`
+/// and warms it up with live traffic. The restore refills `spare`, a
+/// system a finished run handed back, when there is one, and clones
+/// `base` otherwise.
 ///
 /// # Panics
 ///
 /// Panics if `base` has already passed the co-simulation entry point,
 /// or if the spec's check interval or co-simulation cap is zero.
-pub(crate) fn warm<D: CosimDriver>(
+pub(crate) fn warm<C: Component>(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
     spare: Option<System>,
-    attach: impl FnOnce(System) -> D,
-) -> Warmed<D> {
+) -> Warmed<Driver<C>> {
     // A zero interval would make `cycles % interval` never hit, so no
     // golden compare would ever fire: the run would silently burn the
     // whole co-simulation cap and misclassify as Persist. Fail loudly
@@ -220,7 +220,7 @@ pub(crate) fn warm<D: CosimDriver>(
     };
     sys.set_watchdog(golden.watchdog());
     sys.run_until(entry);
-    let mut driver = attach(sys);
+    let mut driver = C::attach_instance(sys, spec.instance);
     // Phase 1, step 4: warm-up with live traffic to reconstruct the
     // microarchitectural state not carried by the high-level model.
     let mut warmup_done = 0u64;
@@ -237,19 +237,6 @@ pub(crate) fn warm<D: CosimDriver>(
         snapshot: base.snapshot_cost(),
         warmup_done,
     }
-}
-
-/// [`warm`] for an L2 bank (shared with the lane engine, whose carrier
-/// is this driver).
-pub(crate) fn warm_l2c(
-    base: &System,
-    golden: &GoldenRef,
-    spec: &InjectionSpec,
-    spare: Option<System>,
-) -> Warmed<L2cDriver> {
-    warm(base, golden, spec, spare, |sys| {
-        L2cDriver::attach(sys, BankId::new(spec.instance % 8))
-    })
 }
 
 impl<D: CosimDriver> Warmed<D> {
@@ -281,67 +268,6 @@ impl<D: CosimDriver> Warmed<D> {
     }
 }
 
-#[cfg(test)]
-impl<D> Warmed<D> {
-    /// The same warmed trajectory, its driver wrapped by `f`.
-    pub(crate) fn map<E>(self, f: impl FnOnce(D) -> E) -> Warmed<E> {
-        Warmed {
-            driver: f(self.driver),
-            entry: self.entry,
-            snapshot: self.snapshot,
-            warmup_done: self.warmup_done,
-        }
-    }
-}
-
-/// A [`Warmed`] driver of whichever component the trajectory targets.
-// Every variant holds a whole `System` inline and is moved a handful of
-// times per run; a box would buy an allocation per run, not a saving.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub(crate) enum WarmedDriver {
-    L2c(Warmed<L2cDriver>),
-    Mcu(Warmed<McuDriver>),
-    Ccx(Warmed<CcxDriver>),
-    Pcie(Warmed<PcieDriver>),
-}
-
-/// [`warm`] with the driver `spec.component` names.
-pub(crate) fn warm_component(
-    base: &System,
-    golden: &GoldenRef,
-    spec: &InjectionSpec,
-    spare: Option<System>,
-) -> WarmedDriver {
-    match spec.component {
-        ComponentKind::L2c => WarmedDriver::L2c(warm_l2c(base, golden, spec, spare)),
-        ComponentKind::Mcu => WarmedDriver::Mcu(warm(base, golden, spec, spare, |sys| {
-            McuDriver::attach(sys, McuId::new(spec.instance % 4))
-        })),
-        ComponentKind::Ccx => WarmedDriver::Ccx(warm(base, golden, spec, spare, CcxDriver::attach)),
-        ComponentKind::Pcie => {
-            WarmedDriver::Pcie(warm(base, golden, spec, spare, PcieDriver::attach))
-        }
-    }
-}
-
-impl WarmedDriver {
-    /// [`finish`] on the driver inside.
-    pub(crate) fn finish(
-        self,
-        golden: &GoldenRef,
-        spec: &InjectionSpec,
-        rec: &mut Recorder,
-    ) -> (InjectionRecord, System) {
-        match self {
-            WarmedDriver::L2c(w) => finish(w, golden, spec, rec),
-            WarmedDriver::Mcu(w) => finish(w, golden, spec, rec),
-            WarmedDriver::Ccx(w) => finish(w, golden, spec, rec),
-            WarmedDriver::Pcie(w) => finish(w, golden, spec, rec),
-        }
-    }
-}
-
 /// A recorder that is active under `telemetry` and null without.
 pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
     match telemetry {
@@ -355,8 +281,8 @@ pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
 /// order. Every run but the last resumes from a clone; the last takes
 /// the warmed driver by move, and an empty group drops it unused.
 /// Returns the system the last run ended with, for the next restore.
-pub(crate) fn finish_group(
-    warmed: WarmedDriver,
+pub(crate) fn finish_group<D: CosimDriver + Clone>(
+    warmed: Warmed<D>,
     golden: &GoldenRef,
     samples: &[InjectionSpec],
     group: &[usize],
@@ -364,9 +290,9 @@ pub(crate) fn finish_group(
     out: &mut IndexedRuns,
 ) -> Option<System> {
     let (&last, rest) = group.split_last()?;
-    let mut run = |warmed: WarmedDriver, i: usize| {
+    let mut run = |warmed: Warmed<D>, i: usize| {
         let mut rec = recorder_for(telemetry);
-        let (r, sys) = warmed.finish(golden, &samples[i], &mut rec);
+        let (r, sys) = finish(warmed, golden, &samples[i], &mut rec);
         out.push((i, r, rec));
         sys
     };
@@ -625,6 +551,18 @@ pub(crate) mod tests {
     use nestsim_rtl::FlopClass;
     use std::cell::Cell;
     use std::rc::Rc;
+
+    impl<D> Warmed<D> {
+        /// The same warmed trajectory, its driver wrapped by `f`.
+        pub(crate) fn map<E>(self, f: impl FnOnce(D) -> E) -> Warmed<E> {
+            Warmed {
+                driver: f(self.driver),
+                entry: self.entry,
+                snapshot: self.snapshot,
+                warmup_done: self.warmup_done,
+            }
+        }
+    }
 
     fn golden_for(sys: &System) -> (System, GoldenRef) {
         let base = sys.clone();
@@ -1018,6 +956,9 @@ pub(crate) mod tests {
         fn mismatch_fraction(&self) -> f64 {
             self.inner.mismatch_fraction()
         }
+        fn at_cold_snapshot_boundary(&self) -> bool {
+            self.inner.at_cold_snapshot_boundary()
+        }
         fn inject(&mut self, bit: usize) {
             self.inner.inject(bit);
         }
@@ -1065,12 +1006,11 @@ pub(crate) mod tests {
     /// Two bits on one random trajectory: each finished from the shared
     /// warmed driver — one from a clone, one by move — and each held,
     /// record and recorder, against a reference run of its own.
-    fn two_bits_match_the_reference<D: CosimDriver + Clone>(
+    fn two_bits_match_the_reference<C: Component>(
         src: &mut Source,
         component: ComponentKind,
         (base, golden, profile): &(System, GoldenRef, &'static BenchProfile),
         bits: &[usize],
-        attach: impl Fn(System, usize) -> D,
         tally: &Tally,
     ) {
         let (lo, hi) = crate::campaign::injection_window(component, profile, golden);
@@ -1090,11 +1030,11 @@ pub(crate) mod tests {
             bit: bits[src.index(bits.len())],
             ..first
         };
-        let attach = |sys| attach(sys, first.instance);
+        let attach = |sys| C::attach_instance(sys, first.instance);
         let cfg = TelemetryConfig {
             trace_capacity: 1024,
         };
-        let warmed = warm(base, golden, &first, None, attach);
+        let warmed = warm::<C>(base, golden, &first, None);
         for (spec, warmed) in [(first, warmed.clone()), (second, warmed)] {
             let log = Rc::new(SpyLog::default());
             let spied = warmed.map(|inner| Spy {
@@ -1125,10 +1065,12 @@ pub(crate) mod tests {
             let (base, golden) = golden_for(&sys);
             (base, golden, profile)
         };
-        let l2c = ["radi", "lu-c", "flui"].map(setup);
-        let mcu = ["fft", "flui", "radi"].map(setup);
-        let ccx = ["lu-c", "stre", "radi"].map(setup);
-        let pcie = ["p-lr", "blsc", "p-sm"].map(setup);
+        let setups = [
+            ["radi", "lu-c", "flui"].map(setup),
+            ["fft", "flui", "radi"].map(setup),
+            ["lu-c", "stre", "radi"].map(setup),
+            ["p-lr", "blsc", "p-sm"].map(setup),
+        ];
         let bits = ComponentKind::ALL.map(crate::campaign::injection_target_bits);
         let tallies: [Tally; 4] = Default::default();
 
@@ -1139,41 +1081,10 @@ pub(crate) mod tests {
         check_with(config, "warm_then_finish_matches_reference", |src| {
             for (k, component) in ComponentKind::ALL.into_iter().enumerate() {
                 let (bits, tally) = (&bits[k], &tallies[k]);
-                let bench = src.index(3);
-                match component {
-                    ComponentKind::L2c => two_bits_match_the_reference(
-                        src,
-                        component,
-                        &l2c[bench],
-                        bits,
-                        |sys, i| L2cDriver::attach(sys, BankId::new(i % 8)),
-                        tally,
-                    ),
-                    ComponentKind::Mcu => two_bits_match_the_reference(
-                        src,
-                        component,
-                        &mcu[bench],
-                        bits,
-                        |sys, i| McuDriver::attach(sys, McuId::new(i % 4)),
-                        tally,
-                    ),
-                    ComponentKind::Ccx => two_bits_match_the_reference(
-                        src,
-                        component,
-                        &ccx[bench],
-                        bits,
-                        |sys, _| CcxDriver::attach(sys),
-                        tally,
-                    ),
-                    ComponentKind::Pcie => two_bits_match_the_reference(
-                        src,
-                        component,
-                        &pcie[bench],
-                        bits,
-                        |sys, _| PcieDriver::attach(sys),
-                        tally,
-                    ),
-                }
+                let setup = &setups[k][src.index(3)];
+                on_component!(component, C => {
+                    two_bits_match_the_reference::<C>(src, component, setup, bits, tally)
+                });
             }
         });
 

@@ -48,15 +48,15 @@
 //! lane widths and worker counts.
 
 use nestsim_hlsim::System;
-use nestsim_models::ComponentKind;
+use nestsim_models::{ComponentKind, UncoreRtl};
 use nestsim_proto::CpxPacket;
 use nestsim_rtl::{LaneMask, MAX_LANES};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::campaign::{same_trajectory, IndexedRuns};
-use crate::cosim::{BankSide, CosimCheck, CosimDriver, L2cDriver};
+use crate::cosim::{BankSide, CosimCheck, CosimDriver, L2cDriver, L2cPort, Side};
 use crate::inject::{
-    aborted, recorder_for, warm_l2c, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
+    aborted, recorder_for, warm, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
 };
 
 /// Engine-side counters of the lane-batched execution (reported as
@@ -239,7 +239,7 @@ pub(crate) fn run_l2c_batch(
     stats.batches += 1;
 
     // Shared phase: one attach + warm-up for the whole batch.
-    let mut warmed = warm_l2c(base, golden, spec0, spare);
+    let mut warmed = warm::<L2cPort>(base, golden, spec0, spare);
 
     // Each lane is the warmed driver's twin (≡ the scalar run's target
     // at snapshot_golden) with its bit flipped. The warm-up ran on slot
@@ -251,7 +251,7 @@ pub(crate) fn run_l2c_batch(
         .map(|&i| {
             let s = &samples[i];
             let mut state = warmed.driver.twin();
-            state.flip(s.bit);
+            state.flops().flops_mut().flip(s.bit);
             let mut rec = recorder_for(telemetry);
             warmed.record_preamble(s, &mut rec);
             Lane {
@@ -383,7 +383,8 @@ pub(crate) fn run_l2c_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::STEPS;
+    use crate::cosim::tests::steps;
+    use crate::cosim::Component;
     use crate::inject::{run_injection_with, MIN_WARMUP};
     use nestsim_hlsim::workload::by_name;
     use nestsim_hlsim::{RunResult, SystemConfig};
@@ -476,9 +477,9 @@ mod tests {
         samples: &[InjectionSpec],
         telemetry: Option<&TelemetryConfig>,
     ) -> (IndexedRuns, LaneBatchStats, Vec<Fork>) {
-        let steps = || STEPS.with(Cell::get);
+        let steps = || steps().iter().flatten().sum::<u64>();
         let before = steps();
-        drop(warm_l2c(base, golden, &samples[0], None));
+        drop(warm::<L2cPort>(base, golden, &samples[0], None));
         let warm_up = steps() - before;
 
         let group: Vec<usize> = (0..samples.len()).collect();
@@ -608,7 +609,7 @@ mod tests {
                 let mut want_rec = Recorder::active(&cfg);
                 let want =
                     run_injection_reference(base, golden, &samples[*i], &mut want_rec, |sys| {
-                        L2cDriver::attach(sys, BankId::new(samples[*i].instance % 8))
+                        L2cPort::attach_instance(sys, samples[*i].instance)
                     });
                 assert_eq!(*r, want, "sample {i}: record");
                 assert_eq!(*rec, want_rec, "sample {i}: recorder");

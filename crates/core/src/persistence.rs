@@ -8,11 +8,10 @@
 
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_models::ComponentKind;
-use nestsim_proto::addr::{BankId, McuId};
 use nestsim_stats::SeedSeq;
 
-use crate::campaign::{golden_reference, injection_target_bits, CampaignSpec};
-use crate::cosim::{CcxDriver, CosimDriver, L2cDriver, McuDriver, PcieDriver};
+use crate::campaign::{draw_instance, golden_reference, injection_target_bits, CampaignSpec};
+use crate::cosim::{on_component, Component, CosimDriver};
 use crate::inject::MIN_WARMUP;
 
 /// Persistence of one sampled flop.
@@ -69,20 +68,10 @@ pub fn persistence_sweep(
         let entry = 200 + rng.below(2_000);
         let mut sys = base.clone();
         sys.run_until(entry);
-        let (cycles, censored) = match component {
-            ComponentKind::L2c => measure(
-                L2cDriver::attach(sys, BankId::new(rng.below(8) as usize)),
-                *bit,
-                limit,
-            ),
-            ComponentKind::Mcu => measure(
-                McuDriver::attach(sys, McuId::new(rng.below(4) as usize)),
-                *bit,
-                limit,
-            ),
-            ComponentKind::Ccx => measure(CcxDriver::attach(sys), *bit, limit),
-            ComponentKind::Pcie => measure(PcieDriver::attach(sys), *bit, limit),
-        };
+        let instance = draw_instance(component, &mut rng);
+        let (cycles, censored) = on_component!(component, C => {
+            measure(C::attach_instance(sys, instance), *bit, limit)
+        });
         flops.push(FlopPersistence {
             bit: *bit,
             cycles,
@@ -121,8 +110,10 @@ fn measure<D: CosimDriver>(mut drv: D, bit: usize, limit: u64) -> (u64, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cosim::L2cDriver;
     use nestsim_hlsim::workload::by_name;
     use nestsim_models::{L2cBank, UncoreRtl};
+    use nestsim_proto::addr::BankId;
 
     #[test]
     fn sweep_produces_entries_and_monotone_curve() {

@@ -15,10 +15,10 @@
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_hlsim::{System, SystemConfig};
 use nestsim_models::ComponentKind;
-use nestsim_proto::addr::{BankId, McuId};
 use nestsim_stats::SeedSeq;
 
-use crate::cosim::{CcxDriver, CosimDriver, L2cDriver, McuDriver, PcieDriver};
+use crate::campaign::draw_instance;
+use crate::cosim::{on_component, Component, CosimDriver};
 
 /// Co-simulation history given to the "full" side before the shadow is
 /// attached (enough to cycle every queue in the models several times).
@@ -66,26 +66,10 @@ pub fn warmup_experiment(
         let mut rng = run_seed.derive("entry").rng();
         let entry = 500 + rng.below(2_000);
         sys.run_until(entry);
-        match component {
-            ComponentKind::L2c => {
-                let bank = BankId::new(rng.below(8) as usize);
-                let drv = L2cDriver::attach(sys, bank);
-                accumulate(drv, window, &mut sums);
-            }
-            ComponentKind::Mcu => {
-                let mcu = McuId::new(rng.below(4) as usize);
-                let drv = McuDriver::attach(sys, mcu);
-                accumulate(drv, window, &mut sums);
-            }
-            ComponentKind::Ccx => {
-                let drv = CcxDriver::attach(sys);
-                accumulate(drv, window, &mut sums);
-            }
-            ComponentKind::Pcie => {
-                let drv = PcieDriver::attach(sys);
-                accumulate(drv, window, &mut sums);
-            }
-        }
+        let instance = draw_instance(component, &mut rng);
+        on_component!(component, C => {
+            accumulate(C::attach_instance(sys, instance), window, &mut sums)
+        });
     }
     WarmupCurve {
         component,
