@@ -383,7 +383,7 @@ pub(crate) fn run_l2c_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::tests::steps;
+    use crate::cosim::tests::steps as steps_by_model;
     use crate::cosim::Component;
     use crate::inject::{run_injection_with, MIN_WARMUP};
     use nestsim_hlsim::workload::by_name;
@@ -477,7 +477,7 @@ mod tests {
         samples: &[InjectionSpec],
         telemetry: Option<&TelemetryConfig>,
     ) -> (IndexedRuns, LaneBatchStats, Vec<Fork>) {
-        let steps = || steps().iter().flatten().sum::<u64>();
+        let steps = || steps_by_model().iter().flatten().sum::<u64>();
         let before = steps();
         drop(warm::<L2cPort>(base, golden, &samples[0], None));
         let warm_up = steps() - before;
