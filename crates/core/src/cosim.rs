@@ -1429,124 +1429,168 @@ pub(crate) mod tests {
         drv
     }
 
-    #[test]
-    fn uninjected_cosim_stays_identical() {
-        // Fault-free co-simulation never tells target from golden: no
-        // flop, traffic or architectural difference, and no output
-        // divergence. PCIe attaches while its DMA is active.
-        use nestsim_models::ComponentKind;
-        let rows = [
-            (ComponentKind::L2c, "radi", 500, 500, 1_000),
-            (ComponentKind::Mcu, "fft", 500, 500, 1_000),
-            (ComponentKind::Ccx, "lu-c", 500, 500, 1_000),
-            (ComponentKind::Pcie, "p-lr", 200, 200, 2_000),
-        ];
-        for (component, bench, attach_at, warmup, cycles) in rows {
-            on_component!(component, C => {
-                let mut drv = C::attach_instance(sys_at(bench, attach_at), 0);
-                for _ in 0..warmup {
-                    drv.step();
-                }
-                drv.snapshot_golden();
-                let drv = drive_checked(drv, cycles);
-                assert_eq!(drv.check(), CosimCheck::Identical, "{component}");
-                assert!(drv.erroneous_output().is_none(), "{component}");
-            });
-        }
+    /// Fault-free co-simulation of `component` never tells target from
+    /// golden: no flop, traffic or architectural difference, and no
+    /// output divergence.
+    fn assert_uninjected_cosim_stays_identical(
+        component: nestsim_models::ComponentKind,
+        bench: &str,
+        attach_at: u64,
+        warmup: u64,
+        cycles: u64,
+    ) {
+        on_component!(component, C => {
+            let mut drv = C::attach_instance(sys_at(bench, attach_at), 0);
+            for _ in 0..warmup {
+                drv.step();
+            }
+            drv.snapshot_golden();
+            let drv = drive_checked(drv, cycles);
+            assert_eq!(drv.check(), CosimCheck::Identical, "{component}");
+            assert!(drv.erroneous_output().is_none(), "{component}");
+        });
     }
 
     #[test]
-    fn target_runs_on_flops_only_while_the_golden_lives() {
-        // Every identity suite passes whichever model a target runs on,
-        // so only this notices if a warm-up stops being on the fault-free
-        // model, a cycle with a live golden is not on flops, a retired run
-        // is not on the model its row names, or a run converts to flops
-        // more than once.
+    fn l2c_uninjected_cosim_stays_identical() {
+        assert_uninjected_cosim_stays_identical(
+            nestsim_models::ComponentKind::L2c,
+            "radi",
+            500,
+            500,
+            1_000,
+        );
+    }
+
+    #[test]
+    fn mcu_uninjected_cosim_stays_identical() {
+        assert_uninjected_cosim_stays_identical(
+            nestsim_models::ComponentKind::Mcu,
+            "fft",
+            500,
+            500,
+            1_000,
+        );
+    }
+
+    #[test]
+    fn ccx_uninjected_cosim_stays_identical() {
+        assert_uninjected_cosim_stays_identical(
+            nestsim_models::ComponentKind::Ccx,
+            "lu-c",
+            500,
+            500,
+            1_000,
+        );
+    }
+
+    #[test]
+    fn pcie_uninjected_cosim_stays_identical() {
+        // PCIe attaches while its DMA is active.
+        assert_uninjected_cosim_stays_identical(
+            nestsim_models::ComponentKind::Pcie,
+            "p-lr",
+            200,
+            200,
+            2_000,
+        );
+    }
+
+    /// The model a target runs on after its golden retired.
+    #[derive(Debug, Clone, Copy)]
+    enum Retired {
+        /// Its fault-free model: packets, plain fields.
+        Warm,
+        /// Flops: re-converting an L2 bank to images did not pay.
+        Flops,
+    }
+
+    /// One scalar run of `component` on `bench` with `bit` of `field`
+    /// flipped: the warm-up stays on the fault-free model, every cycle
+    /// with a live golden runs on flops, every cycle after retirement
+    /// runs on the `retired` model, and the run converts to flops once.
+    /// Every identity suite passes whichever model a target runs on, so
+    /// only this notices when one of those stops holding.
+    fn assert_on_flops_only_while_the_golden_lives(
+        component: nestsim_models::ComponentKind,
+        bench: &str,
+        (field, bit): (&str, usize),
+        retired: Retired,
+    ) {
         use crate::campaign::{component_flops, golden_reference, CampaignSpec};
         use crate::inject::{finish, warm, InjectionSpec};
-        use nestsim_models::ComponentKind;
         use std::cell::Cell;
 
-        /// The model a target runs on after its golden retired.
-        #[derive(Debug, Clone, Copy)]
-        enum Retired {
-            /// Its fault-free model: packets, plain fields.
-            Warm,
-            /// Flops: re-converting an L2 bank to images did not pay.
-            Flops,
-        }
-        let rows = [
-            (
-                ComponentKind::L2c,
-                "stre",
-                ("oq[3].data", 9),
-                Retired::Flops,
-            ),
-            (
-                ComponentKind::Mcu,
-                "fft",
-                ("bank[3].timer", 1),
-                Retired::Warm,
-            ),
-            (
-                ComponentKind::Ccx,
-                "stre",
-                ("pcx0[0].addr", 6),
-                Retired::Warm,
-            ),
-        ];
-        for (component, bench, (field, bit), retired) in rows {
-            let profile = by_name(bench).unwrap();
-            let (base, golden) = golden_reference(profile, &CampaignSpec::quick(component, 1));
-            let spec = InjectionSpec {
-                component,
-                instance: 0,
-                bit: component_flops(component).named_bit(field, bit),
-                inject_cycle: 2_000,
-                warmup: 1_000,
-                cosim_cap: 4_000,
-                check_interval: 16,
-            };
-            let before = CONVERSIONS.with(Cell::get);
-            let (record, stepped) = on_component!(component, C => {
-                let w = warm::<C>(&base, &golden, &spec, None);
-                assert!(w.driver.holds_warm(), "{component}: the warm-up ran on flops");
-                // A group resumes every member but the last from a clone.
-                assert!(w.clone().driver.holds_warm(), "{component}: a clone holds flops");
-                assert_eq!(CONVERSIONS.with(Cell::get), before, "{component}");
-                let stepped = steps();
-                (finish(w, &golden, &spec, &mut Recorder::null()).0, stepped)
-            });
-            let conversions = CONVERSIONS.with(Cell::get) - before;
-            // Only the cycles after the flip.
-            let [[flops_retired, flops_live], [warm_retired, warm_live]] =
-                std::array::from_fn(|w| std::array::from_fn(|l| steps()[w][l] - stepped[w][l]));
-            println!(
-                "{component} {record:?}: live golden {flops_live} on flops, {warm_live} warm; \
-                 retired {warm_retired} warm, {flops_retired} on flops"
-            );
-            assert_eq!(
-                conversions, 1,
-                "{component}: the run converted to flops {conversions} times"
-            );
-            assert!(
-                flops_live > 0,
-                "{component}: no cycle ran beside a live golden"
-            );
-            assert_eq!(
-                warm_live, 0,
-                "{component}: cycles with a live golden ran on the fault-free model"
-            );
-            let (on_model, off_model) = match retired {
-                Retired::Warm => (warm_retired, flops_retired),
-                Retired::Flops => (flops_retired, warm_retired),
-            };
-            assert!(on_model > 0, "{component}: no cycle ran after retirement");
-            assert_eq!(
-                off_model, 0,
-                "{component}: cycles after retirement left the {retired:?} model"
-            );
-        }
+        let profile = by_name(bench).unwrap();
+        let (base, golden) = golden_reference(profile, &CampaignSpec::quick(component, 1));
+        let spec = InjectionSpec {
+            component,
+            instance: 0,
+            bit: component_flops(component).named_bit(field, bit),
+            inject_cycle: 2_000,
+            warmup: 1_000,
+            cosim_cap: 4_000,
+            check_interval: 16,
+        };
+        let before = CONVERSIONS.with(Cell::get);
+        let (record, stepped) = on_component!(component, C => {
+            let w = warm::<C>(&base, &golden, &spec, None);
+            assert!(w.driver.holds_warm(), "{component}: the warm-up ran on flops");
+            // A group resumes every member but the last from a clone.
+            assert!(w.clone().driver.holds_warm(), "{component}: a clone holds flops");
+            assert_eq!(CONVERSIONS.with(Cell::get), before, "{component}");
+            let stepped = steps();
+            (finish(w, &golden, &spec, &mut Recorder::null()).0, stepped)
+        });
+        let conversions = CONVERSIONS.with(Cell::get) - before;
+        // Only the cycles after the flip.
+        let [[flops_retired, flops_live], [warm_retired, warm_live]] =
+            std::array::from_fn(|w| std::array::from_fn(|l| steps()[w][l] - stepped[w][l]));
+        println!(
+            "{component} {record:?}: live golden {flops_live} on flops, {warm_live} warm; \
+             retired {warm_retired} warm, {flops_retired} on flops"
+        );
+        assert_eq!(
+            conversions, 1,
+            "{component}: the run converted to flops {conversions} times"
+        );
+        assert!(
+            flops_live > 0,
+            "{component}: no cycle ran beside a live golden"
+        );
+        assert_eq!(
+            warm_live, 0,
+            "{component}: cycles with a live golden ran on the fault-free model"
+        );
+        let (on_model, off_model) = match retired {
+            Retired::Warm => (warm_retired, flops_retired),
+            Retired::Flops => (flops_retired, warm_retired),
+        };
+        assert!(on_model > 0, "{component}: no cycle ran after retirement");
+        assert_eq!(
+            off_model, 0,
+            "{component}: cycles after retirement left the {retired:?} model"
+        );
+    }
+
+    #[test]
+    fn ccx_runs_on_flops_only_while_the_golden_lives() {
+        assert_on_flops_only_while_the_golden_lives(
+            nestsim_models::ComponentKind::Ccx,
+            "stre",
+            ("pcx0[0].addr", 6),
+            Retired::Warm,
+        );
+    }
+
+    #[test]
+    fn mcu_runs_on_flops_only_while_the_golden_lives() {
+        assert_on_flops_only_while_the_golden_lives(
+            nestsim_models::ComponentKind::Mcu,
+            "fft",
+            ("bank[3].timer", 1),
+            Retired::Warm,
+        );
     }
 
     #[test]
@@ -1594,11 +1638,18 @@ pub(crate) mod tests {
 
     #[test]
     fn l2c_warm_up_runs_on_images_and_the_run_on_flops() {
-        // As for the scalar run (`target_runs_on_flops_only_while_the_golden_lives`):
-        // only this notices if a lane batch converts more than its
-        // carrier, or its carrier stops warming up on slot images. A
-        // lane that leaves for the scalar path forks off the carrier,
-        // which holds flops by then.
+        // The scalar run, as for the crossbar, except that a retired L2
+        // bank stays on flops. Then the lanes: only this notices if a
+        // lane batch converts more than its carrier, or its carrier stops
+        // warming up on slot images. A lane that leaves for the scalar
+        // path forks off the carrier, which holds flops by then.
+        assert_on_flops_only_while_the_golden_lives(
+            nestsim_models::ComponentKind::L2c,
+            "stre",
+            ("oq[3].data", 9),
+            Retired::Flops,
+        );
+
         use crate::campaign::{golden_reference, CampaignSpec};
         use crate::inject::InjectionSpec;
         use crate::lanes::{run_l2c_batch, LaneBatchStats};
