@@ -165,13 +165,25 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # on the smoke's single cold cell) — an exact count, not a timing.
 # `ladder_long` (MCU) holds the DRAM port to its tag table: it reads 138
 # on the smoke, 588 when the port and the deferred fills were hash maps.
+# Page take-back gate: the same blocks' `alloc_kb_per_inj` for
+# `ladder_long` and `l2c_indep` read 2,054 and 242 KiB on the smoke while
+# the shard cursor writes back into the pages it shared once the
+# group's systems let go of them, and 3,369 and 378 KiB when it copies
+# every page it rewrites again after each entry — an exact count.
 awk '
-    BEGIN { alloc_cap["l2c_indep"] = 300; alloc_cap["ccx_indep"] = 400; alloc_cap["ladder_long"] = 300 }
+    BEGIN { alloc_cap["l2c_indep"] = 300; alloc_cap["ccx_indep"] = 400; alloc_cap["ladder_long"] = 300
+            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300 }
     /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
     !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {
         seen[workload " allocs_per_inj"] = 1
         if ($2 + 0 >= alloc_cap[workload]) {
             print "ci.sh: " workload " allocs_per_inj = " $2 " (gate: < " alloc_cap[workload] ")"; bad = 1
+        }
+    }
+    !traced && $1 == "alloc_kb_per_inj" && (workload in kb_cap) {
+        seen[workload " alloc_kb_per_inj"] = 1
+        if ($2 + 0 >= kb_cap[workload]) {
+            print "ci.sh: " workload " alloc_kb_per_inj = " $2 " (gate: < " kb_cap[workload] ")"; bad = 1
         }
     }
     $1 ~ /^models\.tick_allocs\./ {
@@ -191,6 +203,9 @@ awk '
         }
         for (w in alloc_cap) if (!((w " allocs_per_inj") in seen)) {
             print "ci.sh: smoke printed no untraced allocs_per_inj row for " w; bad = 1
+        }
+        for (w in kb_cap) if (!((w " alloc_kb_per_inj") in seen)) {
+            print "ci.sh: smoke printed no untraced alloc_kb_per_inj row for " w; bad = 1
         }
         exit bad
     }

@@ -4,8 +4,10 @@
 //! found through one page-number lookup, immutable pages shared by
 //! reference count between a system, its ladder rungs and every
 //! injection cloned from them, and a private copy made only on the
-//! first write to a shared page. DESIGN.md ("Snapshots and the paged
-//! DRAM image") has the sizing and the alternatives that were measured.
+//! first write to a shared page — unless the writer froze that page
+//! itself and nobody else holds it any more, in which case it takes the
+//! page back. DESIGN.md ("Snapshots and the paged DRAM image") has the
+//! ownership rule, the sizing and the alternatives that were measured.
 
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -186,7 +188,17 @@ struct Slot {
 /// a memory that still has private pages is correct, it just copies
 /// them. Equality compares contents, never sharing history.
 ///
+/// The arena a `freeze` made stays this memory's to take back: at the
+/// first write after the freeze, if no other memory holds a page of it
+/// any more (the clones that needed the freeze were dropped or
+/// [`release`]d), it becomes the private arena again and that write and
+/// every later one land in place. Otherwise the memory gives the arena
+/// up for good and copies pages as above. Only this memory's own slots
+/// can make a new holder of that arena, and it is borrowed mutably, so
+/// a count that shows no other holder cannot go stale on any thread.
+///
 /// [`freeze`]: DramContents::freeze
+/// [`release`]: DramContents::release
 #[derive(Debug, Default)]
 pub struct DramContents {
     /// Page number → page. No page here is all-zero: a page whose last
@@ -196,6 +208,14 @@ pub struct DramContents {
     /// This memory's private pages.
     arena: Arena,
     backed: usize,
+    /// The arena the last `freeze` made, until the first write after it
+    /// decides whether to take it back.
+    frozen: Option<Arc<Arena>>,
+    /// Slots that point into `frozen`.
+    frozen_slots: usize,
+    /// Pages copied in from shared arenas since this memory was made or
+    /// last refilled.
+    copied: u64,
 }
 
 fn split(line: LineAddr) -> (u64, usize) {
@@ -233,6 +253,9 @@ impl DramContents {
 
     /// Writes a full cache line.
     pub fn write_line(&mut self, line: LineAddr, data: [u64; WORDS_PER_LINE]) {
+        if self.frozen.is_some() {
+            self.take_back();
+        }
         let (no, off) = split(line);
         let is_backed = data != ZERO_LINE;
         let idx = match self.page_slots.get_mut(&no) {
@@ -240,6 +263,7 @@ impl DramContents {
                 if let Some(frozen) = slot.shared.take() {
                     // First write to a shared page: copy it in.
                     slot.idx = self.arena.alloc(frozen.page(slot.idx));
+                    self.copied += 1;
                 }
                 slot.idx
             }
@@ -288,22 +312,98 @@ impl DramContents {
         self.arena.live()
     }
 
+    /// Pages this memory keeps alive: its private pages, and every page
+    /// of each shared arena it points into, whether or not it still
+    /// reads that page — an arena is freed whole, when its last holder
+    /// lets go.
+    pub fn retained_pages(&self) -> usize {
+        let mut arenas: Vec<&Arc<Arena>> = (self.page_slots.values())
+            .filter_map(|slot| slot.shared.as_ref())
+            .collect();
+        arenas.sort_unstable_by_key(|a| Arc::as_ptr(a));
+        arenas.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        self.private_pages() + arenas.iter().map(|a| a.live()).sum::<usize>()
+    }
+
+    /// Pages this memory copied in from shared arenas on a first write,
+    /// since it was made or last refilled by `clone_from`.
+    pub fn copied_pages(&self) -> u64 {
+        self.copied
+    }
+
     /// Makes every private page shared, without copying any: the
     /// private arena becomes one reference-counted block and the slots
     /// that indexed it point at that block instead. Contents do not
-    /// change; subsequent clones copy no page, and this memory's next
-    /// write to any page copies that page first.
+    /// change; subsequent clones copy no page. This memory's next write
+    /// takes the block back whole if by then no clone holds any of it,
+    /// and otherwise copies each page it writes first.
     pub fn freeze(&mut self) {
         if self.arena.live() == 0 {
             return;
         }
+        debug_assert!(
+            self.frozen.is_none(),
+            "private pages, yet no write since the freeze"
+        );
         let frozen = Arc::new(std::mem::take(&mut self.arena));
+        let mut n = 0;
         // nestlint: allow(determinism-taint) -- every private slot gets the same arena pointer and keeps its index; visiting order changes nothing
         for slot in self.page_slots.values_mut() {
             if slot.shared.is_none() {
                 slot.shared = Some(Arc::clone(&frozen));
+                n += 1;
             }
         }
+        self.frozen = Some(frozen);
+        self.frozen_slots = n;
+    }
+
+    /// The first write since [`freeze`](Self::freeze) decides: the
+    /// arena that freeze made becomes the private arena again when this
+    /// memory's own slots are its only holders. Either way the arena is
+    /// no longer remembered, so the decision is made once per freeze,
+    /// before any page is copied out of the arena or allocated beside
+    /// it — the private arena is still the empty one the freeze left,
+    /// so no index of the taken-back arena can collide with it.
+    fn take_back(&mut self) {
+        let Some(frozen) = self.frozen.take() else {
+            return;
+        };
+        debug_assert_eq!(self.arena.live(), 0, "a page written since the freeze");
+        // One count per slot, plus `frozen` itself. Only a holder can
+        // make another holder, and every one left is ours behind
+        // `&mut self`, so no thread can raise the count after this.
+        if Arc::strong_count(&frozen) != self.frozen_slots + 1 {
+            return;
+        }
+        // nestlint: allow(determinism-taint) -- each slot into the taken-back arena turns private and keeps its index; visiting order changes nothing
+        for slot in self.page_slots.values_mut() {
+            if slot
+                .shared
+                .as_ref()
+                .is_some_and(|s| Arc::ptr_eq(s, &frozen))
+            {
+                slot.shared = None;
+            }
+        }
+        // `frozen` is now the last reference; `unwrap_or_clone` moves the
+        // arena out (its acquire pairs with the releases of the holders
+        // that let go on other threads) and would copy it, still
+        // correctly, if the count argument above were ever wrong.
+        self.arena = Arc::unwrap_or_clone(frozen);
+    }
+
+    /// Drops every page, keeping the buffers — the page table's and the
+    /// arena's first chunk — for a later `clone_from` to refill. The
+    /// memory then reads as all-zero. A memory parked for reuse calls
+    /// this so that it stops holding the pages of the one it was cloned
+    /// from, which can then take them back.
+    pub fn release(&mut self) {
+        self.page_slots.clear();
+        self.arena.recycle();
+        self.backed = 0;
+        self.frozen = None;
+        self.frozen_slots = 0;
     }
 }
 
@@ -313,11 +413,19 @@ impl Clone for DramContents {
             page_slots,
             arena,
             backed,
+            frozen: _,
+            frozen_slots: _,
+            copied: _,
         } = self;
+        // The copy did not freeze the arenas it points into, so it can
+        // never take one back.
         DramContents {
             page_slots: page_slots.clone(),
             arena: arena.clone(),
             backed: *backed,
+            frozen: None,
+            frozen_slots: 0,
+            copied: 0,
         }
     }
 
@@ -336,10 +444,16 @@ impl Clone for DramContents {
             page_slots,
             arena: _,
             backed,
+            frozen: _,
+            frozen_slots: _,
+            copied: _,
         } = source;
         self.page_slots.clone_from(page_slots);
         self.arena.recycle();
         self.backed = *backed;
+        self.frozen = None;
+        self.frozen_slots = 0;
+        self.copied = 0;
     }
 }
 
@@ -610,6 +724,73 @@ mod tests {
         assert_eq!(m.read_line(LineAddr::new(1)), [0; WORDS_PER_LINE]);
         assert_eq!((m.backed_lines(), c.backed_lines()), (3, 4));
         assert_ne!(m, c);
+    }
+
+    /// A memory with one backed line in each of `pages` pages.
+    fn paged(pages: u64) -> DramContents {
+        let mut m = DramContents::new();
+        for page in 0..pages {
+            m.write_line(
+                LineAddr::new(page * LINES_PER_PAGE as u64),
+                [1; WORDS_PER_LINE],
+            );
+        }
+        m
+    }
+
+    #[test]
+    fn a_writer_takes_back_what_it_froze_once_no_clone_holds_it() {
+        let mut m = paged(3);
+        m.freeze();
+        let c = m.clone();
+        drop(c);
+        m.write_line(LineAddr::new(1), [2; WORDS_PER_LINE]);
+        // The whole arena came back: nothing copied, all three private.
+        assert_eq!((m.copied_pages(), m.private_pages()), (0, 3));
+        assert_eq!(m.retained_pages(), 3);
+
+        // A released clone lets go just as a dropped one does.
+        m.freeze();
+        let mut c = m.clone();
+        c.release();
+        assert_eq!((c.backed_lines(), c.retained_pages()), (0, 0));
+        assert_eq!(c.read_line(LineAddr::new(0)), ZERO_LINE);
+        m.write_line(LineAddr::new(2), [3; WORDS_PER_LINE]);
+        assert_eq!((m.copied_pages(), m.private_pages()), (0, 3));
+    }
+
+    #[test]
+    fn a_live_clone_keeps_the_frozen_arena_shared_for_good() {
+        let mut m = paged(3);
+        m.freeze();
+        let c = m.clone();
+        m.write_line(LineAddr::new(1), [2; WORDS_PER_LINE]);
+        assert_eq!((m.copied_pages(), m.private_pages()), (1, 1));
+        assert_eq!(c.read_line(LineAddr::new(1)), ZERO_LINE);
+        // The first write decided: dropping the clone now brings
+        // nothing back, and each first write still copies its page.
+        drop(c);
+        m.write_line(LineAddr::new(LINES_PER_PAGE as u64), [2; WORDS_PER_LINE]);
+        assert_eq!((m.copied_pages(), m.private_pages()), (2, 2));
+        // The arena stays alive whole while any page of it is read.
+        assert_eq!(m.retained_pages(), 2 + 3);
+    }
+
+    #[test]
+    fn clones_and_refills_never_take_back_an_arena_they_did_not_freeze() {
+        let mut m = paged(2);
+        m.freeze();
+        let mut c = m.clone();
+        drop(m);
+        c.write_line(LineAddr::new(1), [2; WORDS_PER_LINE]);
+        assert_eq!((c.copied_pages(), c.private_pages()), (1, 1));
+        let mut r = paged(1);
+        r.freeze();
+        c.freeze();
+        r.clone_from(&c);
+        drop(c);
+        r.write_line(LineAddr::new(2), [2; WORDS_PER_LINE]);
+        assert_eq!(r.copied_pages(), 1);
     }
 
     #[test]

@@ -414,6 +414,29 @@ fn snapshots(suite: &mut Suite) {
         spare.clone_from(black_box(&cursor));
         black_box(spare.cycle())
     });
+
+    // The walk between two entries of a shard: a `flui`/20 cursor that
+    // shared its pages at an entry, had one system refilled from it and
+    // released, then runs the 2,000 cycles to the next entry — writing
+    // in place into the pages it shared. Each iteration first puts the
+    // cursor there: a refill from the rung at cycle 20,000 and the
+    // 2,000 cycles that dirty its pages.
+    let mut rung = System::new(SystemConfig {
+        length_scale: 20,
+        ..SystemConfig::new(by_name("flui").unwrap())
+    });
+    rung.run_until(20_000);
+    rung.share_pages();
+    let (mut cursor, mut group) = (rung.clone(), rung.clone());
+    suite.bench("kernel/snapshot", "advance", || {
+        cursor.clone_from(&rung);
+        cursor.run_until(22_000);
+        cursor.share_pages();
+        group.clone_from(&cursor);
+        group.release_pages();
+        cursor.run_until(24_000);
+        black_box(cursor.dram().backed_lines())
+    });
 }
 
 fn golden_compare(suite: &mut Suite) {

@@ -455,7 +455,9 @@ pub struct ShardRunner<'a> {
     // whenever a later rung is closer than the cursor.
     cursor: Option<System>,
     // The system the last group ended with, which the next group
-    // restores the cursor into (`System::clone_from`).
+    // restores the cursor into (`System::clone_from`). Parked with its
+    // pages released, so that the cursor takes back the pages it
+    // shared for that group when it moves on.
     spare: Option<System>,
     forward: u64,
     restores: u64,
@@ -515,7 +517,18 @@ impl<'a> ShardRunner<'a> {
         my_base.run_until(entry);
         // Every injection at this entry point clones the cursor: share
         // the pages the forward run dirtied so those clones copy none.
+        // With the group's systems released, the next forward run takes
+        // them back instead of copying them again.
         my_base.share_pages();
+    }
+
+    /// Keeps `sys`, the system a group ended with, for the next group's
+    /// restore, holding none of the pages it shares with the cursor.
+    fn park(&mut self, sys: Option<System>) {
+        self.spare = sys.map(|mut sys| {
+            sys.release_pages();
+            sys
+        });
     }
 
     /// How many leading samples of `span` run off one shared restore,
@@ -578,7 +591,7 @@ impl<'a> ShardRunner<'a> {
                     &mut self.lanes,
                     spare,
                 );
-                self.spare = Some(sys);
+                self.park(Some(sys));
                 // Batch retirement order is check-driven; the caller
                 // contract is shard order.
                 runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
@@ -591,7 +604,7 @@ impl<'a> ShardRunner<'a> {
                     self.lanes.scalar_fallbacks += group.len() as u64;
                     self.lanes.shared_warmups += 1;
                 }
-                self.spare = on_component!(spec0.component, C => finish_group(
+                let sys = on_component!(spec0.component, C => finish_group(
                     warm::<C>(base, self.golden, spec0, spare),
                     self.golden,
                     self.samples,
@@ -599,6 +612,7 @@ impl<'a> ShardRunner<'a> {
                     self.telemetry,
                     &mut out,
                 ));
+                self.park(sys);
             }
         }
         out
@@ -1412,7 +1426,84 @@ mod tests {
                 .expect("run_span positions the cursor");
             assert!(cursor.cycle() > 0, "the cursor ran forward");
             assert_eq!(cursor.dram().private_pages(), 0);
+            let spare = runner.spare.as_ref().expect("run_span parks a system");
+            assert_eq!(
+                spare.dram().retained_pages(),
+                0,
+                "the parked spare holds a page"
+            );
         }
+    }
+
+    /// Walks a fresh workers-1 cursor of `n` `flui` MCU samples over
+    /// all their entries as `run_span` does, but with a stand-in for
+    /// each group: a system refilled from the cursor, alive while it
+    /// runs on a little, then parked. Returns the cursor, and the pages
+    /// a straight `run_until` from the same rung to the last entry
+    /// copies.
+    fn walk_cursor(n: u64) -> (System, u64) {
+        let profile = by_name("flui").unwrap();
+        let spec = CampaignSpec {
+            length_scale: 20,
+            ..CampaignSpec::quick(ComponentKind::Mcu, n)
+        };
+        let mut base = CellBase::capture(profile, &spec, 1);
+        let round = base.draw(profile, &spec, None);
+        let mut runner = ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1);
+        let entries: Vec<u64> = (round.order.iter())
+            .map(|&i| entry_cycle(&round.samples[i]))
+            .collect();
+        for &entry in &entries {
+            runner.seek(entry);
+            let cursor = runner.cursor.as_ref().expect("seek positions the cursor");
+            let mut group = match runner.spare.take() {
+                Some(mut sys) => {
+                    sys.clone_from(cursor);
+                    sys
+                }
+                None => cursor.clone(),
+            };
+            group.run_until(entry + 200);
+            runner.park(Some(group));
+            let spare = runner.spare.as_ref().expect("the group's system is parked");
+            assert_eq!(
+                spare.dram().retained_pages(),
+                0,
+                "the parked spare holds a page"
+            );
+        }
+        assert_eq!(runner.restores(), 1);
+        let last = *entries.last().expect("the cell draws samples");
+        let mut straight = base.ladder.rung_below(last).clone();
+        straight.run_until(last);
+        let cursor = runner
+            .cursor
+            .take()
+            .expect("the walk positioned the cursor");
+        (cursor, straight.dram().copied_pages())
+    }
+
+    #[test]
+    fn the_cursor_takes_back_the_pages_it_shared() {
+        // Every identity suite passes whether or not a writer takes back
+        // the pages it froze; only this notices if it stops. Without the
+        // take-back the cursor copies every page it rewrites again after
+        // each entry, and each entry's arena stays pinned by the pages
+        // still read from it.
+        let (few, straight_few) = walk_cursor(8);
+        let (many, straight_many) = walk_cursor(256);
+        for (cursor, straight) in [(&few, straight_few), (&many, straight_many)] {
+            assert!(
+                cursor.dram().copied_pages() <= straight,
+                "the walk copied {} pages, a straight run {straight}",
+                cursor.dram().copied_pages()
+            );
+        }
+        let (r8, r256) = (few.dram().retained_pages(), many.dram().retained_pages());
+        assert!(
+            r256 * 10 <= r8 * 11,
+            "the cursor retains {r8} pages after 8 entries, {r256} after 256"
+        );
     }
 
     #[test]

@@ -324,6 +324,12 @@ impl<C: Component> Driver<C> {
         }
     }
 
+    /// [`System::share_pages`] of the driver's system, before it is
+    /// cloned for several runs.
+    pub(crate) fn share_pages(&mut self) {
+        self.sys.share_pages();
+    }
+
     /// [`Side::twin`] of the target side.
     pub(crate) fn twin(&mut self) -> C::Side {
         self.target.twin()
@@ -348,8 +354,11 @@ impl<C: Component> Driver<C> {
     /// driver's target with no golden, as its run retired the golden
     /// when the lane parked; and `first_err_out` as the divergence
     /// monitor's record. The system refills `spare` when there is one.
+    /// A carrier forks many times, so it shares its pages first: a fork
+    /// copies none, and once the fork's system is released the carrier
+    /// takes them back at its next write.
     pub(crate) fn fork(
-        &self,
+        &mut self,
         lane: Option<C::Side>,
         first_err_out: Option<u64>,
         spare: Option<System>,
@@ -358,6 +367,7 @@ impl<C: Component> Driver<C> {
             self.golden.is_none(),
             "a batch carrier is every lane's golden and has none of its own"
         );
+        self.share_pages();
         let sys = match spare {
             Some(mut sys) => {
                 sys.clone_from(&self.sys);

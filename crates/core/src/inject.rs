@@ -278,11 +278,13 @@ pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
 
 /// Finishes the samples `group` (indices into `samples`, all on
 /// `warmed`'s trajectory) and appends their runs to `out` in group
-/// order. Every run but the last resumes from a clone; the last takes
-/// the warmed driver by move, and an empty group drops it unused.
-/// Returns the system the last run ended with, for the next restore.
-pub(crate) fn finish_group<D: CosimDriver + Clone>(
-    warmed: Warmed<D>,
+/// order. Every run but the last resumes from a clone, made after the
+/// warmed driver shared its pages; the last takes the warmed driver by
+/// move — and with the clones gone, the pages back — and an empty group
+/// drops it unused. Returns the system the last run ended with, for the
+/// next restore.
+pub(crate) fn finish_group<C: Component>(
+    mut warmed: Warmed<Driver<C>>,
     golden: &GoldenRef,
     samples: &[InjectionSpec],
     group: &[usize],
@@ -290,7 +292,10 @@ pub(crate) fn finish_group<D: CosimDriver + Clone>(
     out: &mut IndexedRuns,
 ) -> Option<System> {
     let (&last, rest) = group.split_last()?;
-    let mut run = |warmed: Warmed<D>, i: usize| {
+    if !rest.is_empty() {
+        warmed.driver.share_pages();
+    }
+    let mut run = |warmed: Warmed<Driver<C>>, i: usize| {
         let mut rec = recorder_for(telemetry);
         let (r, sys) = finish(warmed, golden, &samples[i], &mut rec);
         out.push((i, r, rec));

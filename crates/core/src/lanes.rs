@@ -147,7 +147,7 @@ impl<'a> Runs<'a> {
     /// `lane`'s co-simulation ended for `exit` after `cosim_cycles`:
     /// the exit taxonomy either retires it in the batch (Vanished or
     /// Persist) or sends it to phase 3 on a fork.
-    fn end(&mut self, carrier: &L2cDriver, lane: &mut Lane, exit: Exit, cosim_cycles: u64) {
+    fn end(&mut self, carrier: &mut L2cDriver, lane: &mut Lane, exit: Exit, cosim_cycles: u64) {
         let end = CosimEnd {
             exit,
             cycle: carrier.cycle(),
@@ -175,7 +175,7 @@ impl<'a> Runs<'a> {
     /// into the scalar run it stands for: a driver forked off `carrier`,
     /// finishing the cycle it left on, then run to its end. The lane's
     /// recorder carries on as it is.
-    fn fork(&mut self, carrier: &L2cDriver, lane: &mut Lane, leave: Leave, cosim_cycles: u64) {
+    fn fork(&mut self, carrier: &mut L2cDriver, lane: &mut Lane, leave: Leave, cosim_cycles: u64) {
         let first_err_out = match leave {
             // The divergence monitor of the lane's run saw the packets
             // differ.
@@ -198,7 +198,10 @@ impl<'a> Runs<'a> {
             }
             Leave::Detach => Resume::Detach(cosim_cycles),
         };
-        let (record, sys) = self.run(lane.sample).resume(driver, &mut lane.rec, at);
+        let (record, mut sys) = self.run(lane.sample).resume(driver, &mut lane.rec, at);
+        // Parked until the next fork refills it, it must not pin the
+        // pages the carrier shared for this fork.
+        sys.release_pages();
         self.spare = Some(sys);
         let rec = std::mem::replace(&mut lane.rec, Recorder::null());
         self.out.push((lane.sample, record, rec));
@@ -292,7 +295,7 @@ pub(crate) fn run_l2c_batch(
                 let lane = &mut lanes[li];
                 if lane.state.as_ref().is_some_and(|st| st.ready() != ready) {
                     live.clear(li);
-                    runs.fork(&carrier, lane, Leave::ReadyParity { cyc }, cosim_cycles);
+                    runs.fork(&mut carrier, lane, Leave::ReadyParity { cyc }, cosim_cycles);
                 }
             }
         }
@@ -312,7 +315,7 @@ pub(crate) fn run_l2c_batch(
                     cyc,
                     cpx: l_out.cpx,
                 };
-                runs.fork(&carrier, lane, leave, cosim_cycles);
+                runs.fork(&mut carrier, lane, leave, cosim_cycles);
                 continue;
             }
             if l_out.dram_cmd != out.dram_cmd && lane.first_err_out.is_none() {
@@ -326,7 +329,7 @@ pub(crate) fn run_l2c_batch(
         if aborted(&carrier) {
             // Every lane still in the batch shares the carrier's system.
             for li in live.iter() {
-                runs.end(&carrier, &mut lanes[li], Exit::Aborted, cosim_cycles);
+                runs.end(&mut carrier, &mut lanes[li], Exit::Aborted, cosim_cycles);
             }
             live = LaneMask::EMPTY;
             break;
@@ -351,7 +354,7 @@ pub(crate) fn run_l2c_batch(
                     // ArchMappable state or an observed erroneous output
                     // leaves for the scalar detach/phase-3 flow.
                     live.clear(li);
-                    runs.end(&carrier, lane, Exit::Converged(c), cosim_cycles);
+                    runs.end(&mut carrier, lane, Exit::Converged(c), cosim_cycles);
                     continue;
                 }
                 // Equal state, equal inputs from here on: the lane's
@@ -374,7 +377,7 @@ pub(crate) fn run_l2c_batch(
     // retires in the batch as Persist; every other lane, parked ones
     // too, detaches on a fork.
     for li in live.iter() {
-        runs.end(&carrier, &mut lanes[li], Exit::Cap, cosim_cycles);
+        runs.end(&mut carrier, &mut lanes[li], Exit::Cap, cosim_cycles);
     }
     let sys = runs.spare.unwrap_or_else(|| carrier.into_sys());
     (runs.out, sys)

@@ -500,10 +500,22 @@ impl System {
     /// immutable one ([`DramContents::freeze`]), copying nothing: the
     /// step to take before a system is cloned many times (a fresh base,
     /// a ladder rung, a cursor parked at an entry point), so that each
-    /// clone copies the page table and this system's later writes copy
-    /// one page each. Simulated state is unchanged.
+    /// clone copies the page table. This system's next write takes the
+    /// pages back if every such clone is gone (or released) by then, and
+    /// otherwise each first write to a page copies that page. Simulated
+    /// state is unchanged.
     pub fn share_pages(&mut self) {
         self.dram.freeze();
+    }
+
+    /// Lets go of every DRAM page ([`DramContents::release`]), keeping
+    /// the buffers: the step to take when a finished system is parked
+    /// for a later `clone_from`, so that it stops pinning the pages of
+    /// the system it was cloned from and that one can write in place
+    /// again. The system's memory reads as all-zero afterwards; it is
+    /// only fit to be refilled.
+    pub fn release_pages(&mut self) {
+        self.dram.release();
     }
 
     // ── Taint / rollback bookkeeping (Sec. 5 analyses) ──────────────

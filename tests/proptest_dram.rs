@@ -3,11 +3,13 @@
 //!
 //! A population of (memory, oracle) pairs is driven through random
 //! line and word writes (zeroing ones included), clones, refills
-//! (`clone_from`), freezes and drops over a few pages. Clones, refills
-//! and freezes must be invisible: every
-//! pair stays read-for-read equal to its own oracle whatever is done
-//! to the pairs it shares pages with, and `==` follows contents, not
-//! sharing history.
+//! (`clone_from`), freezes, releases and drops over a few pages — and
+//! drops of every memory but one followed by a write, the path on
+//! which a writer takes back the pages it froze. Clones, refills,
+//! freezes and take-backs must be invisible: every pair stays
+//! read-for-read equal to its own oracle whatever is done to the pairs
+//! it shares pages with, and `==` follows contents, not sharing
+//! history.
 //!
 //! Run on the in-repo `nestsim-harness` property runner (see
 //! `tests/proptest_invariants.rs` for the replay-seed workflow).
@@ -79,6 +81,14 @@ fn word(src: &mut Source) -> u64 {
     }
 }
 
+/// One random word write, to a memory and its oracle alike.
+fn write(src: &mut Source, pair: &mut (DramContents, LineMapOracle)) {
+    let addr = PAddr::new(line_no(src) * 64 + src.below(8) * 8);
+    let value = word(src);
+    pair.0.write_word(addr, value);
+    pair.1.write_word(addr, value);
+}
+
 fn assert_matches(mem: &DramContents, oracle: &LineMapOracle, step: usize, k: usize) {
     for l in 0..LINES {
         let la = LineAddr::new(l);
@@ -108,7 +118,7 @@ properties! {
         let steps = src.range_usize(1, 120);
         for step in 0..steps {
             let i = src.index(live.len());
-            match src.below(9) {
+            match src.below(11) {
                 0..=2 => {
                     let la = LineAddr::new(line_no(src));
                     let mut data = [0; WORDS_PER_LINE];
@@ -119,12 +129,7 @@ properties! {
                     live[i].0.write_line(la, data);
                     live[i].1.write_line(la, data);
                 }
-                3 | 4 => {
-                    let addr = PAddr::new(line_no(src) * 64 + src.below(8) * 8);
-                    let value = word(src);
-                    live[i].0.write_word(addr, value);
-                    live[i].1.write_word(addr, value);
-                }
+                3 | 4 => write(src, &mut live[i]),
                 5 => {
                     let before = live[i].0.clone();
                     live[i].0.freeze();
@@ -164,11 +169,27 @@ properties! {
                         "a refill keeps no page of its own"
                     );
                 }
+                9 => {
+                    // A parked memory lets go of every page it held.
+                    live[i].0.release();
+                    live[i].1 = LineMapOracle::default();
+                    assert_eq!(live[i].0.retained_pages(), 0, "a release keeps no page");
+                }
+                10 => {
+                    // Every other holder goes, and memory `i` writes: if
+                    // it froze last, it may take its pages back now.
+                    let kept = live.swap_remove(i);
+                    live.clear();
+                    live.push(kept);
+                    for _ in 0..src.range_usize(1, 4) {
+                        write(src, &mut live[0]);
+                    }
+                }
                 _ => {}
             }
             // Isolation in every direction: whichever memory was just
-            // written, frozen, cloned, refilled or dropped, each live one still
-            // reads as its own oracle.
+            // written, frozen, cloned, refilled, released or dropped, each
+            // live one still reads as its own oracle.
             for (k, (mem, oracle)) in live.iter().enumerate() {
                 assert_matches(mem, oracle, step, k);
             }
@@ -179,6 +200,73 @@ properties! {
                 for (b, ob) in &live {
                     assert_eq!(a == b, oa == ob, "== must follow contents at step {step}");
                 }
+            }
+        }
+    }
+
+    /// A memory that froze its pages and outlived every clone made from
+    /// it since writes them in place: however the clones were written,
+    /// refilled from one another or released before they went, its
+    /// next writes copy no page, and every clone read as its own oracle
+    /// while it lived. A clone still alive at the first write keeps the
+    /// arena shared instead.
+    fn a_writer_takes_back_what_no_clone_holds(src) {
+        let mut writer = (DramContents::new(), LineMapOracle::default());
+        for _ in 0..src.range_usize(1, 40) {
+            write(src, &mut writer);
+        }
+        for round in 0..src.range_usize(1, 6) {
+            writer.0.freeze();
+            let mut clones: Vec<_> = (0..src.range_usize(1, 4)).map(|_| writer.clone()).collect();
+            for _ in 0..src.below(12) {
+                let k = src.index(clones.len());
+                match src.below(4) {
+                    0 => {
+                        clones[k].0.release();
+                        clones[k].1 = LineMapOracle::default();
+                    }
+                    1 => {
+                        let source = clones[src.index(clones.len())].clone();
+                        clones[k].0.clone_from(&source.0);
+                        clones[k].1 = source.1;
+                    }
+                    _ => write(src, &mut clones[k]),
+                }
+            }
+            for (k, (mem, oracle)) in clones.iter().enumerate() {
+                assert_matches(mem, oracle, round, k + 1);
+            }
+            assert_matches(&writer.0, &writer.1, round, 0);
+            // Half the rounds keep one holder alive through the first
+            // write, which must then copy (or add) one page, not take
+            // the arena back and not copy it whole. Such a round is the
+            // last: the writer gave that arena up, so from then on its
+            // first writes to the pages in it copy them.
+            let witness = src.bool().then(|| writer.clone());
+            drop(clones);
+            let copied = writer.0.copied_pages();
+            write(src, &mut writer);
+            if let Some(witness) = &witness {
+                assert!(
+                    writer.0.private_pages() <= 1,
+                    "round {round}: one write under a live clone left {} private pages",
+                    writer.0.private_pages()
+                );
+                assert_matches(&witness.0, &witness.1, round, 1);
+            }
+            for _ in 0..src.below(30) {
+                write(src, &mut writer);
+            }
+            if witness.is_none() {
+                assert_eq!(
+                    writer.0.copied_pages(),
+                    copied,
+                    "round {round}: a writer whose clones are gone copied a page"
+                );
+            }
+            assert_matches(&writer.0, &writer.1, round, 0);
+            if witness.is_some() {
+                break;
             }
         }
     }
