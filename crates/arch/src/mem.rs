@@ -505,6 +505,11 @@ impl DramOverlay {
         self.writes.insert(line.raw(), data);
     }
 
+    /// Forgets every write, keeping the storage.
+    pub fn clear(&mut self) {
+        self.writes.clear();
+    }
+
     /// Number of lines written through this overlay.
     pub fn written_lines(&self) -> usize {
         self.writes.len()

@@ -1,16 +1,16 @@
 //! Lane-batching benchmark: the struct-of-lanes campaign engine
 //! against the same engine forced scalar (`lane_width = 1`), on one
 //! clustered L2C cell where every sample shares a trajectory — the
-//! shape lane batching exists for — and, for the three components with
-//! no lane engine, a cell of 8-sample clusters where width 64 lets each
-//! cluster share one attach + warm-up and width 1 shares nothing.
+//! shape lane batching exists for — and, for MCU, CCX and PCIe, a cell
+//! of 8-sample clusters where width 64 runs each cluster as one lane
+//! batch and width 1 runs every sample on its own.
 //!
 //! Both widths produce byte-identical campaigns (locked by the
 //! end-to-end equivalence tests); this bench measures the per-injection
-//! µs the batch saves by advancing up to 64 faulty universes against
-//! one shared carrier, and the warm-ups a shared trajectory saves. A
-//! kernel group times the lane-wise golden compare primitives
-//! themselves.
+//! µs a batch saves by advancing up to 64 faulty universes against one
+//! shared carrier, which pays one attach, one warm-up and one golden
+//! tick for all of them. A kernel group times the lane-wise golden
+//! compare primitives themselves.
 //!
 //! Writes `BENCH_campaign_lanes.json` via the in-repo harness runner.
 
@@ -63,8 +63,8 @@ fn lane_kernels(suite: &mut Suite) {
     });
 }
 
-/// A cell of 8-sample trajectory clusters on a component without a
-/// lane engine: what `lane_width` buys there is one warm-up per cluster.
+/// A cell of 8-sample trajectory clusters: at width 64, one lane batch
+/// per cluster.
 fn cluster8_spec(component: ComponentKind) -> CampaignSpec {
     CampaignSpec {
         component,
@@ -77,7 +77,7 @@ fn cluster8_spec(component: ComponentKind) -> CampaignSpec {
 /// Benches the injection engine itself on one cell at widths 64 and 1:
 /// the golden pass, sample draw and ladder build are shared fixed cost
 /// paid once out here, so the rows are the marginal µs per injection
-/// lane batching (or warm-up sharing) is claimed to cut. The ladder is
+/// lane batching is claimed to cut. The ladder is
 /// the full one: built outside the timed region, dense rungs keep the
 /// runner's forward simulation out of the rows.
 fn engine_pair(suite: &mut Suite, bench: &str, base: &CampaignSpec, rows: [&str; 2]) {
@@ -93,7 +93,7 @@ fn engine_pair(suite: &mut Suite, bench: &str, base: &CampaignSpec, rows: [&str;
     }
 }
 
-const SHARED: [(ComponentKind, &str, [&str; 2]); 3] = [
+const CLUSTERED: [(ComponentKind, &str, [&str; 2]); 3] = [
     (
         ComponentKind::Mcu,
         "fft",
@@ -121,13 +121,13 @@ fn main() {
         &spec(64),
         ["batched_width64", "scalar_width1"],
     );
-    for (component, bench, rows) in SHARED {
+    for (component, bench, rows) in CLUSTERED {
         engine_pair(&mut suite, bench, &cluster8_spec(component), rows);
     }
 
-    // The deterministic half of the story: the batched run must
-    // actually retire lanes in-batch, and the clustered cells actually
-    // share warm-ups, or the timings above compare nothing.
+    // The deterministic half of the story: the batched runs must
+    // actually batch and retire lanes in-batch, or the timings above
+    // compare nothing.
     let cfg = TelemetryConfig::default();
     let batched = run_campaign_with(by_name("radi").unwrap(), &spec(64), Some(&cfg));
     let engine = &batched.telemetry.engine;
@@ -139,19 +139,21 @@ fn main() {
         engine.counter(names::LANES_SCALAR_FALLBACKS),
     );
     assert!(retired > 0, "clustered cell never retired a lane in-batch");
-    for (component, bench, _) in SHARED {
-        let shared = run_campaign_with(
+    for (component, bench, _) in CLUSTERED {
+        let clustered = run_campaign_with(
             by_name(bench).unwrap(),
             &cluster8_spec(component),
             Some(&cfg),
-        )
-        .telemetry
-        .engine
-        .counter(names::LANES_SHARED_WARMUPS);
+        );
+        let engine = &clustered.telemetry.engine;
         assert_eq!(
-            shared,
+            engine.counter(names::LANES_BATCHES),
             SAMPLES / 8,
-            "{component}: every 8-sample cluster shares one warm-up"
+            "{component}: every 8-sample cluster runs as one batch"
+        );
+        assert!(
+            engine.counter(names::LANES_RETIRED_EARLY) > 0,
+            "{component}: no lane ever retired in-batch"
         );
     }
 
@@ -169,7 +171,7 @@ fn main() {
     // as a ~5x regression of batched_width64), not an assert here.
     let pairs = [["batched_width64", "scalar_width1"]]
         .into_iter()
-        .chain(SHARED.map(|(_, _, rows)| rows));
+        .chain(CLUSTERED.map(|(_, _, rows)| rows));
     for [wide, scalar] in pairs {
         let (wide_us, scalar_us) = (per_injection_us(wide), per_injection_us(scalar));
         let ratio = scalar_us / wide_us.max(1e-9);

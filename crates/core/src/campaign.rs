@@ -51,9 +51,10 @@ use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
 use crate::adaptive::{draw_round, AdaptiveState, StratifiedRound};
 use crate::cosim::on_component;
 use crate::inject::{
-    finish_group, recorder_for, run_injection_with, warm, GoldenRef, InjectionRecord,
-    InjectionSpec, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
+    finish, recorder_for, run_injection_with, warm, GoldenRef, InjectionRecord, InjectionSpec,
+    DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
+use crate::lanes::run_batch;
 use crate::outcome::OutcomeCounts;
 
 /// Default snapshot-ladder rung spacing in cycles: the paper's 2M
@@ -468,9 +469,8 @@ pub struct ShardRunner<'a> {
 impl<'a> ShardRunner<'a> {
     /// A fresh runner (fresh cursor) for one shard. `lane_width` caps
     /// how many same-trajectory samples [`run_span`](Self::run_span)
-    /// runs off one shared warm-up — as a lane batch on L2C, from
-    /// clones of one warmed driver elsewhere (clamped to 1–64; it never
-    /// affects results, only execution).
+    /// runs as one lane batch (clamped to 1–64; it never affects
+    /// results, only execution).
     pub fn new(
         ladder: &'a SnapshotLadder,
         samples: &'a [InjectionSpec],
@@ -524,11 +524,9 @@ impl<'a> ShardRunner<'a> {
 
     /// Keeps `sys`, the system a group ended with, for the next group's
     /// restore, holding none of the pages it shares with the cursor.
-    fn park(&mut self, sys: Option<System>) {
-        self.spare = sys.map(|mut sys| {
-            sys.release_pages();
-            sys
-        });
+    fn park(&mut self, mut sys: System) {
+        sys.release_pages();
+        self.spare = Some(sys);
     }
 
     /// How many leading samples of `span` run off one shared restore,
@@ -559,13 +557,11 @@ impl<'a> ShardRunner<'a> {
     /// Runs a whole shard (a contiguous slice of [`entry_order`]),
     /// grouping consecutive same-trajectory samples — the product of
     /// `CampaignSpec::lane_cluster` — up to `lane_width` at a time. A
-    /// group pays for one restore,
-    /// one attach and one warm-up: an L2C group of two or more runs as
-    /// a lane batch on a shared carrier (`crate::lanes`); any other
-    /// group resumes each of its samples from a clone of one warmed
-    /// driver, and a singleton is the group of one that needs no
-    /// clone. Results come back in shard order and are byte-identical
-    /// however the shard is cut into spans.
+    /// group pays for one restore, one attach and one warm-up: a group
+    /// of two or more runs as a lane batch on a shared carrier
+    /// (`crate::lanes`), whatever the component, and a singleton runs
+    /// the scalar engine. Results come back in shard order and are
+    /// byte-identical however the shard is cut into spans.
     ///
     /// Spans given to one runner must present non-decreasing entry
     /// cycles (consecutive slices of [`entry_order`] do); a shard that
@@ -580,40 +576,27 @@ impl<'a> ShardRunner<'a> {
             let spec0 = &self.samples[group[0]];
             self.seek(entry_cycle(spec0));
             let base = self.cursor.as_ref().expect("cursor was just positioned");
-            let spare = self.spare.take();
-            if group.len() > 1 && spec0.component == ComponentKind::L2c {
-                let (mut runs, sys) = crate::lanes::run_l2c_batch(
-                    base,
-                    self.golden,
-                    self.samples,
-                    group,
-                    self.telemetry,
-                    &mut self.lanes,
-                    spare,
-                );
-                self.park(Some(sys));
-                // Batch retirement order is check-driven; the caller
-                // contract is shard order.
-                runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
-                out.extend(runs);
-            } else {
-                // Clustered samples with no lane engine to batch them
-                // still count as scalar fallbacks; genuinely
-                // unclustered singletons are just the classic engine.
-                if group.len() > 1 {
-                    self.lanes.scalar_fallbacks += group.len() as u64;
-                    self.lanes.shared_warmups += 1;
+            let (golden, spare) = (self.golden, self.spare.take());
+            let sys = on_component!(spec0.component, C => match *group {
+                [i] => {
+                    let mut rec = recorder_for(self.telemetry);
+                    let warmed = warm::<C>(base, golden, spec0, spare);
+                    let (record, sys) = finish(warmed, golden, spec0, &mut rec);
+                    out.push((i, record, rec));
+                    sys
                 }
-                let sys = on_component!(spec0.component, C => finish_group(
-                    warm::<C>(base, self.golden, spec0, spare),
-                    self.golden,
-                    self.samples,
-                    group,
-                    self.telemetry,
-                    &mut out,
-                ));
-                self.park(sys);
-            }
+                _ => {
+                    let (telemetry, stats) = (self.telemetry, &mut self.lanes);
+                    let (mut runs, sys) =
+                        run_batch::<C>(base, golden, self.samples, group, telemetry, stats, spare);
+                    // Batch retirement order is check-driven; the caller
+                    // contract is shard order.
+                    runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
+                    out.extend(runs);
+                    sys
+                }
+            });
+            self.park(sys);
         }
         out
     }
@@ -1464,7 +1447,7 @@ mod tests {
                 None => cursor.clone(),
             };
             group.run_until(entry + 200);
-            runner.park(Some(group));
+            runner.park(group);
             let spare = runner.spare.as_ref().expect("the group's system is parked");
             assert_eq!(
                 spare.dram().retained_pages(),
@@ -1511,7 +1494,7 @@ mod tests {
         // Every identity suite passes whether or not a restore refills a
         // spare system; only this notices if recycling stops.
         use crate::inject::{run_injection, REFILLS};
-        use crate::lanes::{run_l2c_batch, LaneBatchStats};
+        use crate::lanes::LaneBatchStats;
         use nestsim_rtl::FlopClass;
         let refills = || REFILLS.with(std::cell::Cell::get);
         let profile = by_name("radi").unwrap();
@@ -1551,7 +1534,7 @@ mod tests {
         let group: Vec<usize> = (0..samples.len()).collect();
         let mut stats = LaneBatchStats::default();
         let start = base.ladder.rung_below(0);
-        let (runs, sys) = run_l2c_batch(
+        let (runs, sys) = run_batch::<crate::cosim::L2cPort>(
             start,
             &base.golden,
             &samples,

@@ -26,14 +26,15 @@
 
 use std::collections::VecDeque;
 
-use nestsim_arch::{DramContents, DramOverlay, LineBackend, OverlayBackend};
+use nestsim_arch::{DramContents, DramOverlay, OverlayBackend};
 use nestsim_hlsim::{InterceptMode, OutMsg, System};
 use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
 use nestsim_models::mcu::{McuInputs, McuOutputs, McuWarm};
-use nestsim_models::pcie::PcieArchState;
+use nestsim_models::pcie::{PcieArchState, PcieOutputs};
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS, NUM_MCUS};
+use nestsim_proto::pcie::doorbell_addr;
 use nestsim_proto::{CpxPacket, DramCmd, DramCmdKind, DramResp, PcxPacket};
 use nestsim_rtl::lane_matches_golden;
 use nestsim_telemetry::{names, Recorder};
@@ -201,11 +202,26 @@ pub trait Side: Clone + std::fmt::Debug {
 
 /// A component's engine-side port, the queues its traffic waits in on
 /// the system's side of the boundary, and what the one [`Driver`]
-/// leaves to the component: how a cycle's traffic moves, when nothing
-/// is stranded, and the state transfer at detach.
+/// leaves to the component: the phases of a cycle, when nothing is
+/// stranded, and the state transfer at detach.
+///
+/// A cycle has the same phases for every component, in the scalar
+/// driver and in a lane batch: the port admits inputs as a side's
+/// readiness allows ([`admits`](Self::admits), [`take`](Self::take)),
+/// each side ticks on them ([`tick`](Self::tick)), outputs are compared
+/// ([`flags`](Self::flags), [`seen`](Self::seen)) and the target's
+/// reach the system ([`deliver`](Self::deliver)). No tick writes the
+/// system, so every side reads memory as the cycle began.
 pub trait Component: Clone + std::fmt::Debug {
     /// The model a target, golden or lane ticks.
     type Side: Side;
+    /// Which of the inputs waiting at the port a side's readiness admits
+    /// this cycle.
+    type Gate: PartialEq;
+    /// What a side ticks on in one cycle.
+    type Inputs;
+    /// What a side puts out in one cycle.
+    type Outputs;
 
     /// `attach` for instance `instance`, modulo the instance count.
     fn attach_instance(sys: System, instance: usize) -> Driver<Self>;
@@ -214,11 +230,36 @@ pub trait Component: Clone + std::fmt::Debug {
     /// the port.
     fn intake(&mut self, sys: &mut System);
 
-    /// Cycle `cyc` after the system ran it: the target takes what the
-    /// port offers and ticks, the golden ticks on the same inputs, and
-    /// the target's outputs reach the system. True when the golden's
-    /// outputs differed from the target's.
-    fn tick(drv: &mut Driver<Self>, cyc: u64) -> bool;
+    /// Which inputs waiting for cycle `cyc` `side`'s readiness admits.
+    fn admits(&self, side: &Self::Side, cyc: u64) -> Self::Gate;
+
+    /// Takes the inputs `gate` admits out of the port.
+    fn take(&mut self, gate: &Self::Gate) -> Self::Inputs;
+
+    /// Cycle `cyc` of `side` on `inp`, with `mem` as system memory.
+    fn tick(
+        side: &mut Self::Side,
+        inp: &Self::Inputs,
+        mem: &DramContents,
+        cyc: u64,
+    ) -> Self::Outputs;
+
+    /// Whether the erroneous-output monitor (Fig. 1b ⑥) flags `out`
+    /// against `other`, another side's outputs on the same inputs.
+    fn flags(out: &Self::Outputs, other: &Self::Outputs) -> bool;
+
+    /// Whether the system would receive something else from `out` than
+    /// from `other`: what the monitor flags, by default.
+    fn seen(out: &Self::Outputs, other: &Self::Outputs) -> bool {
+        Self::flags(out, other)
+    }
+
+    /// Notes a cycle whose target outputs `out` the monitor flagged
+    /// against the golden's. Nothing by default.
+    fn diverged(&mut self, _out: &Self::Outputs, _golden: &Self::Outputs) {}
+
+    /// Hands `out`, the target's outputs of cycle `cyc`, to the system.
+    fn deliver(&mut self, sys: &mut System, target: &mut Self::Side, out: &Self::Outputs, cyc: u64);
 
     /// Whether detaching with `side` as the target strands nothing.
     fn drained(&self, side: &Self::Side, sys: &System) -> bool;
@@ -315,19 +356,41 @@ impl<C: Component> Driver<C> {
         cyc
     }
 
-    /// Everything of cycle `cyc` after [`run_system`](Self::run_system):
-    /// the component's tick and the divergence monitor. A lane that
-    /// leaves its batch before its bank ticked finishes its cycle here.
+    /// The rest of cycle `cyc` after [`run_system`](Self::run_system), in
+    /// [`Component`]'s phases. A lane that leaves its batch before the
+    /// sides ticked finishes its cycle here.
     pub(crate) fn finish_cycle(&mut self, cyc: u64) {
-        if C::tick(self, cyc) && self.first_err_out.is_none() {
-            self.first_err_out = Some(cyc);
-        }
+        let gate = self.admits(None, cyc);
+        let inp = self.take(&gate);
+        let golden = (self.golden.as_mut()).map(|g| C::tick(g, &inp, self.sys.dram(), cyc));
+        let out = self.tick_target(&inp, cyc);
+        self.settle(cyc, &out, golden.as_ref());
     }
 
-    /// [`System::share_pages`] of the driver's system, before it is
-    /// cloned for several runs.
-    pub(crate) fn share_pages(&mut self) {
-        self.sys.share_pages();
+    /// The end of cycle `cyc`, from the target's outputs `out` and the
+    /// golden's: the divergence monitor, then delivery to the system.
+    pub(crate) fn settle(&mut self, cyc: u64, out: &C::Outputs, golden: Option<&C::Outputs>) {
+        if let Some(golden) = golden.filter(|g| C::flags(out, g)) {
+            self.port.diverged(out, golden);
+            self.first_err_out.get_or_insert(cyc);
+        }
+        self.port.deliver(&mut self.sys, &mut self.target, out, cyc);
+    }
+
+    /// What `side`'s readiness admits from the port in cycle `cyc`, or
+    /// the target's for `None`.
+    pub(crate) fn admits(&self, side: Option<&C::Side>, cyc: u64) -> C::Gate {
+        self.port.admits(side.unwrap_or(&self.target), cyc)
+    }
+
+    /// Takes the inputs `gate` admits out of the port.
+    pub(crate) fn take(&mut self, gate: &C::Gate) -> C::Inputs {
+        self.port.take(gate)
+    }
+
+    /// Cycle `cyc` of the target on `inp`.
+    pub(crate) fn tick_target(&mut self, inp: &C::Inputs, cyc: u64) -> C::Outputs {
+        C::tick(&mut self.target, inp, self.sys.dram(), cyc)
     }
 
     /// [`Side::twin`] of the target side.
@@ -367,7 +430,7 @@ impl<C: Component> Driver<C> {
             self.golden.is_none(),
             "a batch carrier is every lane's golden and has none of its own"
         );
-        self.share_pages();
+        self.sys.share_pages();
         let sys = match spare {
             Some(mut sys) => {
                 sys.clone_from(&self.sys);
@@ -627,31 +690,6 @@ pub struct BankSide {
     dram: LatencyDram,
 }
 
-impl BankSide {
-    /// Whether the bank accepts a request packet this cycle.
-    pub(crate) fn ready(&self) -> bool {
-        on_target!(&self.bank, x => x.ready())
-    }
-
-    /// Cycle `cyc` on `pcx`, the request packet consumed this cycle: the
-    /// bank takes the DRAM response due now and queues the command it
-    /// issues.
-    pub(crate) fn tick(
-        &mut self,
-        cyc: u64,
-        pcx: Option<PcxPacket>,
-        base: &DramContents,
-    ) -> L2cOutputs {
-        let dram_resp = self.dram.pop_ready(cyc, base, &mut self.ov);
-        let inp = L2cInputs { pcx, dram_resp };
-        let out = on_target!(&mut self.bank, x => x.tick(&inp));
-        if let Some(cmd) = &out.dram_cmd {
-            self.dram.push(cyc, cmd.clone());
-        }
-        out
-    }
-}
-
 impl Side for BankSide {
     type Flops = L2cBank;
 
@@ -726,37 +764,16 @@ impl L2cDriver {
         };
         Driver::new(sys, port, target)
     }
-
-    /// The bank's pop gate this cycle while a request waits in the
-    /// inbox: whether the target would take it. `None` when the inbox is
-    /// empty, so that nothing is popped whatever the gate says.
-    pub(crate) fn ready_at_stake(&self) -> Option<bool> {
-        (!self.port.inbox.is_empty()).then(|| self.target.ready())
-    }
-
-    /// Phase 2 of cycle `cyc`: the target pops a request if it is ready
-    /// and ticks on it and on its DRAM queue. Returns the request and the
-    /// target's outputs.
-    pub(crate) fn tick_target(&mut self, cyc: u64) -> (Option<PcxPacket>, L2cOutputs) {
-        let pcx = if self.target.ready() {
-            self.port.inbox.pop_front()
-        } else {
-            None
-        };
-        let out = self.target.tick(cyc, pcx, self.sys.dram());
-        (pcx, out)
-    }
-
-    /// Phase 3 of a cycle: the target's return packet reaches the system.
-    pub(crate) fn deliver(&mut self, cpx: Option<CpxPacket>) {
-        if let Some(cpx) = cpx {
-            self.sys.deliver_cpx(cpx);
-        }
-    }
 }
 
 impl Component for L2cPort {
     type Side = BankSide;
+    /// Whether the bank takes the request at the head of the inbox;
+    /// `None` when none waits.
+    type Gate = Option<bool>;
+    /// The request packet consumed this cycle.
+    type Inputs = Option<PcxPacket>;
+    type Outputs = L2cOutputs;
 
     fn attach_instance(sys: System, instance: usize) -> L2cDriver {
         L2cDriver::attach(sys, BankId::new(instance % NUM_L2_BANKS))
@@ -771,14 +788,41 @@ impl Component for L2cPort {
         }
     }
 
-    fn tick(drv: &mut L2cDriver, cyc: u64) -> bool {
-        let (pcx, out) = drv.tick_target(cyc);
-        let diverged = drv.golden.as_mut().is_some_and(|golden| {
-            let g_out = golden.tick(cyc, pcx, drv.sys.dram());
-            out.cpx != g_out.cpx || out.dram_cmd != g_out.dram_cmd
-        });
-        drv.deliver(out.cpx);
-        diverged
+    fn admits(&self, side: &BankSide, _cyc: u64) -> Option<bool> {
+        (!self.inbox.is_empty()).then(|| on_target!(&side.bank, x => x.ready()))
+    }
+
+    fn take(&mut self, gate: &Option<bool>) -> Option<PcxPacket> {
+        gate.filter(|&ready| ready)
+            .and_then(|_| self.inbox.pop_front())
+    }
+
+    /// The bank takes the DRAM response due now and queues the command
+    /// it issues.
+    fn tick(side: &mut BankSide, pcx: &Self::Inputs, mem: &DramContents, cyc: u64) -> L2cOutputs {
+        let (pcx, dram_resp) = (*pcx, side.dram.pop_ready(cyc, mem, &mut side.ov));
+        let out = on_target!(&mut side.bank, x => x.tick(&L2cInputs { pcx, dram_resp }));
+        if let Some(cmd) = &out.dram_cmd {
+            side.dram.push(cyc, cmd.clone());
+        }
+        out
+    }
+
+    /// The return packet or the DRAM command.
+    fn flags(out: &L2cOutputs, other: &L2cOutputs) -> bool {
+        out.cpx != other.cpx || out.dram_cmd != other.dram_cmd
+    }
+
+    /// The return packet: the DRAM command stays in the side's own
+    /// latency queue.
+    fn seen(out: &L2cOutputs, other: &L2cOutputs) -> bool {
+        out.cpx != other.cpx
+    }
+
+    fn deliver(&mut self, sys: &mut System, _target: &mut BankSide, out: &L2cOutputs, _cyc: u64) {
+        if let Some(cpx) = out.cpx {
+            sys.deliver_cpx(cpx);
+        }
     }
 
     fn drained(&self, side: &BankSide, sys: &System) -> bool {
@@ -877,23 +921,6 @@ impl DramPort {
         }
     }
 
-    /// Moves the DRAM traffic `sys` emitted this cycle into the inbox,
-    /// one fresh tag per command.
-    pub fn intake(&mut self, sys: &mut System) {
-        while let Some(msg) = sys.pop_outbox() {
-            let cmd = match msg {
-                OutMsg::DramFill { bank, line } => {
-                    DramCmd::fill(self.issue(TagRoute::Fill(bank, line)), bank, line)
-                }
-                OutMsg::DramWriteback { bank, line, data } => {
-                    DramCmd::writeback(self.issue(TagRoute::Writeback), bank, line, data)
-                }
-                other => unreachable!("unexpected outbox message {other:?}"),
-            };
-            self.inbox.push_back(cmd);
-        }
-    }
-
     /// Pops the oldest pending command if `ready` accepts it.
     pub fn accept(&mut self, ready: impl FnOnce(&DramCmd) -> bool) -> Option<DramCmd> {
         match self.inbox.front() {
@@ -948,16 +975,6 @@ pub struct McuSide {
     ov: DramOverlay,
 }
 
-impl McuSide {
-    /// Cycle on `cmd`, the command accepted this cycle, against the
-    /// overlay over `base`.
-    fn tick(&mut self, cmd: Option<DramCmd>, base: &DramContents) -> McuOutputs {
-        let mut be = OverlayBackend::new(base, &mut self.ov);
-        let inp = McuInputs { cmd };
-        on_target!(&mut self.mcu, x => x.tick(&inp, &mut be))
-    }
-}
-
 impl Side for McuSide {
     type Flops = Mcu;
 
@@ -1010,26 +1027,60 @@ impl McuDriver {
 
 impl Component for DramPort {
     type Side = McuSide;
+    /// Whether the controller takes the command at the head of the
+    /// inbox, which depends on its kind; `None` when none waits.
+    type Gate = Option<bool>;
+    /// The command accepted this cycle.
+    type Inputs = Option<DramCmd>;
+    type Outputs = McuOutputs;
 
     fn attach_instance(sys: System, instance: usize) -> McuDriver {
         McuDriver::attach(sys, McuId::new(instance % NUM_MCUS))
     }
 
+    /// Moves the DRAM traffic `sys` emitted this cycle into the inbox,
+    /// one fresh tag per command.
     fn intake(&mut self, sys: &mut System) {
-        DramPort::intake(self, sys);
+        while let Some(msg) = sys.pop_outbox() {
+            let cmd = match msg {
+                OutMsg::DramFill { bank, line } => {
+                    DramCmd::fill(self.issue(TagRoute::Fill(bank, line)), bank, line)
+                }
+                OutMsg::DramWriteback { bank, line, data } => {
+                    DramCmd::writeback(self.issue(TagRoute::Writeback), bank, line, data)
+                }
+                other => unreachable!("unexpected outbox message {other:?}"),
+            };
+            self.inbox.push_back(cmd);
+        }
     }
 
-    fn tick(drv: &mut McuDriver, _cyc: u64) -> bool {
-        let target = &mut drv.target;
-        let cmd = (drv.port)
-            .accept(|c| on_target!(&target.mcu, x => x.ready(c.kind == DramCmdKind::Writeback)));
-        let t_out = target.tick(cmd.clone(), drv.sys.dram());
-        let diverged = (drv.golden.as_mut())
-            .is_some_and(|golden| golden.tick(cmd, drv.sys.dram()).resp != t_out.resp);
-        if let Some(resp) = t_out.resp {
-            drv.port.complete(&mut drv.sys, resp);
+    fn admits(&self, side: &McuSide, _cyc: u64) -> Option<bool> {
+        let cmd = self.inbox.front()?;
+        let is_writeback = cmd.kind == DramCmdKind::Writeback;
+        Some(on_target!(&side.mcu, x => x.ready(is_writeback)))
+    }
+
+    fn take(&mut self, gate: &Option<bool>) -> Option<DramCmd> {
+        self.accept(|_| *gate == Some(true))
+    }
+
+    /// The controller reads and writes memory through its overlay.
+    fn tick(side: &mut McuSide, cmd: &Self::Inputs, mem: &DramContents, _: u64) -> McuOutputs {
+        let mut be = OverlayBackend::new(mem, &mut side.ov);
+        let inp = McuInputs { cmd: cmd.clone() };
+        on_target!(&mut side.mcu, x => x.tick(&inp, &mut be))
+    }
+
+    /// The response, which completes a command at the system.
+    fn flags(out: &McuOutputs, other: &McuOutputs) -> bool {
+        out.resp != other.resp
+    }
+
+    fn deliver(&mut self, sys: &mut System, _target: &mut McuSide, out: &McuOutputs, _cyc: u64) {
+        if let Some(resp) = &out.resp {
+            self.complete(sys, resp.clone());
         }
-        diverged
     }
 
     fn drained(&self, side: &McuSide, sys: &System) -> bool {
@@ -1061,14 +1112,6 @@ impl Component for DramPort {
 #[derive(Debug, Clone)]
 pub struct CcxSide {
     xbar: Target<CcxWarm, Ccx>,
-}
-
-impl CcxSide {
-    fn tick(&mut self, inp: &CcxInputs) -> CcxOutputs {
-        // The banks are functional and always take a request.
-        let all_ready = [true; NUM_L2_BANKS];
-        on_target!(&mut self.xbar, x => x.tick(inp, &all_ready))
-    }
 }
 
 impl Side for CcxSide {
@@ -1131,6 +1174,11 @@ impl CcxDriver {
 
 impl Component for CcxPort {
     type Side = CcxSide;
+    /// One bit per port whose waiting packet the crossbar takes: the
+    /// cores' request ports low, the banks' return ports above them.
+    type Gate = u16;
+    type Inputs = CcxInputs;
+    type Outputs = CcxOutputs;
 
     fn attach_instance(sys: System, _instance: usize) -> CcxDriver {
         CcxDriver::attach(sys)
@@ -1145,43 +1193,71 @@ impl Component for CcxPort {
         }
     }
 
-    fn tick(drv: &mut CcxDriver, cyc: u64) -> bool {
-        let (port, xbar) = (&mut drv.port, &drv.target.xbar);
-        let mut inp = CcxInputs::default();
+    fn admits(&self, side: &CcxSide, cyc: u64) -> u16 {
+        let xbar = &side.xbar;
+        let mut gate = 0;
         // A port's FIFO occupancy is read only if something waits for it.
-        for (c, q) in port.core_q.iter_mut().enumerate() {
+        for (c, q) in self.core_q.iter().enumerate() {
             if !q.is_empty() && on_target!(xbar, x => x.core_ready(c)) {
-                inp.from_cores[c] = q.pop_front();
+                gate |= 1 << c;
             }
         }
-        for (k, q) in port.bank_q.iter_mut().enumerate() {
+        for (k, q) in self.bank_q.iter().enumerate() {
             let due = q.front().is_some_and(|(ready, _)| *ready <= cyc);
             if due && on_target!(xbar, x => x.bank_ready(k)) {
-                inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
+                gate |= 1 << (NUM_CORES + k);
             }
         }
-        let t_out = drv.target.tick(&inp);
-        // The erroneous-output monitor (Fig. 1b ⑥) watches *return
-        // packets to the processor cores*. Request-side divergence is
-        // not recorded here: a load request's data lanes are don't-care,
-        // so comparing requests over-counts; real consequences of a
-        // corrupted request (wrong data, memory corruption) surface
-        // through the served values and the final output digest.
-        let diverged = (drv.golden.as_mut())
-            .is_some_and(|golden| golden.tick(&inp).to_cores != t_out.to_cores);
-        for (k, slot) in t_out.to_banks.iter().enumerate() {
+        gate
+    }
+
+    fn take(&mut self, gate: &u16) -> CcxInputs {
+        let mut inp = CcxInputs::default();
+        let mut open = *gate;
+        while open != 0 {
+            let port = open.trailing_zeros() as usize;
+            open &= open - 1;
+            match port.checked_sub(NUM_CORES) {
+                None => inp.from_cores[port] = self.core_q[port].pop_front(),
+                Some(k) => inp.from_banks[k] = self.bank_q[k].pop_front().map(|(_, p)| p),
+            }
+        }
+        inp
+    }
+
+    fn tick(side: &mut CcxSide, inp: &CcxInputs, _: &DramContents, _: u64) -> CcxOutputs {
+        // The banks are functional and always take a request.
+        let all_ready = [true; NUM_L2_BANKS];
+        on_target!(&mut side.xbar, x => x.tick(inp, &all_ready))
+    }
+
+    /// Only *return packets to the processor cores*. A load request's
+    /// data lanes are don't-care, so comparing requests over-counts; real
+    /// consequences of a corrupted request (wrong data, memory
+    /// corruption) surface through the served values and the final
+    /// output digest.
+    fn flags(out: &CcxOutputs, other: &CcxOutputs) -> bool {
+        out.to_cores != other.to_cores
+    }
+
+    /// The packets to the cores and to the banks.
+    fn seen(out: &CcxOutputs, other: &CcxOutputs) -> bool {
+        out.to_cores != other.to_cores || out.to_banks != other.to_banks
+    }
+
+    fn deliver(&mut self, sys: &mut System, _target: &mut CcxSide, out: &CcxOutputs, cyc: u64) {
+        for (k, slot) in out.to_banks.iter().enumerate() {
             if let Some(p) = slot {
                 // Functional bank service (the banks remain high-level
                 // during CCX co-simulation); the response re-enters the
                 // crossbar on the port it came out of.
-                let reply = drv.sys.service_request_functionally(p);
-                drv.port.bank_q[k].push_back((cyc + COSIM_BANK_LATENCY, reply));
+                let reply = sys.service_request_functionally(p);
+                self.bank_q[k].push_back((cyc + COSIM_BANK_LATENCY, reply));
             }
         }
-        for slot in t_out.to_cores.iter().flatten() {
-            drv.sys.deliver_cpx(*slot);
+        for slot in out.to_cores.iter().flatten() {
+            sys.deliver_cpx(*slot);
         }
-        diverged
     }
 
     fn drained(&self, side: &CcxSide, sys: &System) -> bool {
@@ -1212,9 +1288,9 @@ impl Component for CcxPort {
 
 // ─────────────────────────── PCIe ──────────────────────────
 
-/// The DMA engine with its private memory view. The target writes
-/// coherently into system memory, so its overlay stays empty; a golden
-/// writes into its own.
+/// The DMA engine with its private memory view: an overlay over system
+/// memory that its writes land in. A target's holds one tick's writes,
+/// until they reach system memory; a golden's and a lane's keep theirs.
 #[derive(Debug, Clone)]
 pub struct PcieSide {
     engine: Pcie,
@@ -1270,21 +1346,14 @@ pub struct PciePort {
     corrupted: Vec<LineAddr>,
 }
 
-/// Backend routing the target PCIe engine's writes coherently into
-/// system memory while logging them.
-struct CoherentLog<'a> {
-    sys: &'a mut System,
-    wrote: &'a mut Option<LineAddr>,
-}
-
-impl LineBackend for CoherentLog<'_> {
-    fn read_line(&mut self, line: LineAddr) -> [u64; 8] {
-        self.sys.dram().read_line(line)
-    }
-    fn write_line(&mut self, line: LineAddr, data: [u64; 8]) {
-        self.sys.coherent_dma_write(line, data);
-        *self.wrote = Some(line);
-    }
+/// One cycle of a PCIe side: the engine's outputs, and what the cycle
+/// left in the line it drained a frame into and in the doorbell line
+/// it wrote on completion, the last line it writes.
+#[derive(Debug, Clone, Copy)]
+pub struct PcieTick {
+    out: PcieOutputs,
+    drained: Option<(LineAddr, [u64; 8])>,
+    last: Option<(LineAddr, [u64; 8])>,
 }
 
 impl PcieDriver {
@@ -1318,6 +1387,10 @@ impl PcieDriver {
 
 impl Component for PciePort {
     type Side = PcieSide;
+    /// The engine takes no inputs from the port.
+    type Gate = ();
+    type Inputs = ();
+    type Outputs = PcieTick;
 
     fn attach_instance(sys: System, _instance: usize) -> PcieDriver {
         PcieDriver::attach(sys)
@@ -1326,35 +1399,46 @@ impl Component for PciePort {
     /// The engine takes no traffic from the system.
     fn intake(&mut self, _sys: &mut System) {}
 
-    fn tick(drv: &mut PcieDriver, _cyc: u64) -> bool {
-        // Golden first: its reads must not observe the target's write
-        // of this very cycle.
-        let g_out = drv.golden.as_mut().map(|golden| {
-            let mut be = OverlayBackend::new(drv.sys.dram(), &mut golden.ov);
-            golden.engine.tick(&mut be)
-        });
-        let mut wrote = None;
-        let t_out = drv.target.engine.tick(&mut CoherentLog {
-            sys: &mut drv.sys,
-            wrote: &mut wrote,
-        });
-        let (Some(g_out), Some(golden)) = (g_out, &drv.golden) else {
-            return false;
+    fn admits(&self, _side: &PcieSide, _cyc: u64) {}
+
+    fn take(&mut self, _gate: &()) {}
+
+    fn tick(side: &mut PcieSide, _: &(), mem: &DramContents, _: u64) -> PcieTick {
+        let out = (side.engine).tick(&mut OverlayBackend::new(mem, &mut side.ov));
+        let left = |line: LineAddr| (line, side.ov.read_line(mem, line));
+        let drained = out.wrote.map(|a| left(a.line()));
+        let last = if out.completed {
+            Some(left(doorbell_addr().line()))
+        } else {
+            drained
         };
-        let g_wrote = g_out.wrote.map(|a| a.line());
-        let diverged = match (wrote, g_wrote) {
+        PcieTick { out, drained, last }
+    }
+
+    /// A write or the completion, as the monitor compares them: the line
+    /// `out` wrote last against the line `other` drained, and what the
+    /// cycle left in each.
+    fn flags(out: &PcieTick, other: &PcieTick) -> bool {
+        let writes = match (out.last, other.drained) {
             (None, None) => false,
-            (Some(t), Some(g)) if t == g => {
-                drv.sys.dram().read_line(t) != golden.ov.read_line(drv.sys.dram(), g)
-            }
+            (Some((t, data)), Some((g, g_data))) if t == g => data != g_data,
             _ => true,
         };
-        if diverged || t_out.completed != g_out.completed {
-            drv.port.corrupted.extend(wrote);
-            drv.port.corrupted.extend(g_wrote);
-            return true;
+        writes || out.out.completed != other.out.completed
+    }
+
+    fn diverged(&mut self, out: &PcieTick, golden: &PcieTick) {
+        self.corrupted.extend(out.last.map(|(line, _)| line));
+        self.corrupted.extend(golden.drained.map(|(line, _)| line));
+    }
+
+    /// The target's writes reach system memory coherently, in order.
+    fn deliver(&mut self, sys: &mut System, target: &mut PcieSide, out: &PcieTick, _cyc: u64) {
+        let doorbell = out.last.filter(|_| out.out.completed);
+        for (line, data) in out.drained.into_iter().chain(doorbell) {
+            sys.coherent_dma_write(line, data);
         }
-        false
+        target.ov.clear();
     }
 
     /// The engine does not serve core requests; nothing can be stranded
@@ -1546,8 +1630,6 @@ pub(crate) mod tests {
         let (record, stepped) = on_component!(component, C => {
             let w = warm::<C>(&base, &golden, &spec, None);
             assert!(w.driver.holds_warm(), "{component}: the warm-up ran on flops");
-            // A group resumes every member but the last from a clone.
-            assert!(w.clone().driver.holds_warm(), "{component}: a clone holds flops");
             assert_eq!(CONVERSIONS.with(Cell::get), before, "{component}");
             let stepped = steps();
             (finish(w, &golden, &spec, &mut Recorder::null()).0, stepped)
@@ -1662,7 +1744,7 @@ pub(crate) mod tests {
 
         use crate::campaign::{golden_reference, CampaignSpec};
         use crate::inject::InjectionSpec;
-        use crate::lanes::{run_l2c_batch, LaneBatchStats};
+        use crate::lanes::{run_batch, LaneBatchStats};
         use nestsim_models::ComponentKind;
 
         let profile = by_name("stre").unwrap();
@@ -1691,7 +1773,8 @@ pub(crate) mod tests {
         let group: Vec<usize> = (0..samples.len()).collect();
         let before = CONVERSIONS.with(std::cell::Cell::get);
         let mut stats = LaneBatchStats::default();
-        let (runs, _) = run_l2c_batch(&base, &golden, &samples, &group, None, &mut stats, None);
+        let (runs, _) =
+            run_batch::<L2cPort>(&base, &golden, &samples, &group, None, &mut stats, None);
         let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
         assert_eq!(runs.len(), samples.len());
         assert!(

@@ -4,7 +4,6 @@ use nestsim_hlsim::{RunResult, SnapshotCost, System};
 use nestsim_models::ComponentKind;
 use nestsim_telemetry::{names, EventKind, ExitReason, Recorder, TelemetryConfig};
 
-use crate::campaign::IndexedRuns;
 use crate::cosim::{on_component, Component, CosimCheck, CosimDriver, Driver};
 use crate::outcome::Outcome;
 
@@ -161,8 +160,8 @@ thread_local! {
 /// warmed up to the injection cycle (Fig. 2 steps 1–4), with nothing
 /// flipped yet. It is a function of the trajectory alone — base
 /// snapshot, instance, injection cycle, warm-up length — never of the
-/// bit, so every sample on that trajectory may resume from a clone of
-/// it ([`finish`]) instead of attaching and warming up again.
+/// bit, so every sample on that trajectory may start from it: one run
+/// ([`finish`]), or a lane batch that it carries (`crate::lanes`).
 #[derive(Debug, Clone)]
 pub(crate) struct Warmed<D> {
     pub(crate) driver: D,
@@ -274,37 +273,6 @@ pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
         Some(cfg) => Recorder::active(cfg),
         None => Recorder::null(),
     }
-}
-
-/// Finishes the samples `group` (indices into `samples`, all on
-/// `warmed`'s trajectory) and appends their runs to `out` in group
-/// order. Every run but the last resumes from a clone, made after the
-/// warmed driver shared its pages; the last takes the warmed driver by
-/// move — and with the clones gone, the pages back — and an empty group
-/// drops it unused. Returns the system the last run ended with, for the
-/// next restore.
-pub(crate) fn finish_group<C: Component>(
-    mut warmed: Warmed<Driver<C>>,
-    golden: &GoldenRef,
-    samples: &[InjectionSpec],
-    group: &[usize],
-    telemetry: Option<&TelemetryConfig>,
-    out: &mut IndexedRuns,
-) -> Option<System> {
-    let (&last, rest) = group.split_last()?;
-    if !rest.is_empty() {
-        warmed.driver.share_pages();
-    }
-    let mut run = |warmed: Warmed<Driver<C>>, i: usize| {
-        let mut rec = recorder_for(telemetry);
-        let (r, sys) = finish(warmed, golden, &samples[i], &mut rec);
-        out.push((i, r, rec));
-        sys
-    };
-    for &i in rest {
-        run(warmed.clone(), i);
-    }
-    Some(run(warmed, last))
 }
 
 /// Fig. 2 step 5 through phase 3 from a warmed driver: golden snapshot,

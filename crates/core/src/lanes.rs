@@ -1,60 +1,53 @@
-//! Lane-batched L2C fault simulation.
+//! Lane-batched fault simulation, one engine for every component.
 //!
-//! The classic bit-parallel fault-simulation trick, adapted to the
-//! mixed-mode platform: up to [`MAX_LANES`](nestsim_rtl::MAX_LANES)
-//! faulty universes ("lanes") that share one injection trajectory —
-//! same instance, injection cycle and warm-up, differing only in the
-//! flipped bit (the product of `CampaignSpec::lane_cluster` sampling) —
-//! advance together against **one** shared system and **one** golden
-//! universe, instead of each paying its own system clone, warm-up and
-//! golden tick.
+//! The bit-parallel fault-simulation trick on the mixed-mode platform:
+//! up to [`MAX_LANES`](nestsim_rtl::MAX_LANES) faulty universes
+//! ("lanes") on one injection trajectory — the same spec but for the
+//! flipped bit, as `CampaignSpec::lane_cluster` draws them — advance
+//! together against **one** system and **one** golden, instead of each
+//! paying its own system clone, warm-up and golden tick.
 //!
-//! The shared *carrier* is an uninjected `L2cDriver`: because it is
-//! never injected, its target **is** the golden copy of every lane, so
-//! the carrier saves the golden tick too. Per shared cycle the carrier
-//! advances the system and pops at most one request packet; every live
-//! lane then ticks on the *same* inputs. A lane is a [`BankSide`] — bank,
-//! memory overlay and DRAM queue — the very type of the scalar driver's
-//! golden twin, so it ticks, compares (`L2cDriver::check_lane`) and
-//! drain-tests (`L2cDriver::drained_with`) by the driver's own code, with
-//! the roles swapped: the lane is the target and the carrier's target
-//! side its golden. Lanes retire independently:
+//! The *carrier* is an uninjected [`Driver`], so its target **is** every
+//! lane's golden. A lane is a [`Component::Side`], the type of the
+//! scalar driver's golden twin, and a shared cycle has the scalar
+//! cycle's phases: the carrier runs the system and takes the inputs its
+//! target's readiness admits, its target and every live lane tick on
+//! them, and the carrier's outputs reach the system. A lane compares
+//! and drain-tests by the driver's own code with the roles swapped: the
+//! lane is the target, the carrier's target its golden. Lanes retire
+//! independently:
 //!
-//! * **In-batch retirement** — a lane that is drained, divergence-free
-//!   and Identical/BenignOnly retires as Vanished (and a lane still
-//!   Microarch-dirty at the cap retires as Persist), through the same
-//!   exit taxonomy as [`finish`](crate::inject::finish)
-//!   ([`Flipped::end_cosim`]).
-//! * **Parking** — a divergence-free lane whose check returns
-//!   Identical equals the carrier in everything a tick reads (flops,
-//!   bank arrays, overlay, DRAM queue), so from there on it *is* the
-//!   carrier: its state is dropped, it is no longer ticked or compared,
-//!   it keeps recording what the carrier's bank shows at each check,
-//!   and it retires as Vanished at the first check where the carrier is
-//!   drained.
-//! * **Scalar finish** — anything else (input-readiness mismatch,
-//!   output divergence, ArchMappable or erroneous exit, trap/watchdog
-//!   abort, the cap) leaves the batch: the lane becomes a scalar
-//!   `L2cDriver` forked off the carrier at the cycle it leaves on
-//!   ([`L2cDriver::fork`]) — the carrier's system and inbox, the lane's
-//!   bank as target, the carrier's as its golden twin (none for a parked
-//!   lane) — and its run goes on from there ([`Flipped::resume`]) with
-//!   the recorder it had in the batch. Up to that cycle the lane's
-//!   scalar run would have seen exactly the carrier's inputs, so the
-//!   fork is that run's driver, and no cycle is co-simulated twice.
+//! * **In-batch retirement** — a drained, divergence-free lane that
+//!   checks Identical/BenignOnly retires as Vanished, and one still
+//!   Microarch-dirty at the cap as Persist, through the scalar exit
+//!   taxonomy ([`Flipped::end_cosim`]).
+//! * **Parking** — a divergence-free lane that checks Identical equals
+//!   the carrier in everything a tick reads, so it drops its side, is no
+//!   longer ticked or compared, records what the carrier's side shows at
+//!   each check, and retires as Vanished once the carrier is drained.
+//! * **Scalar finish** — a lane whose readiness would admit other inputs
+//!   than the carrier's (for the crossbar port by port, for a DRAM
+//!   controller by command kind), whose outputs the system would see
+//!   differ (the L2C return packet, the crossbar's packets, the MCU
+//!   response, a PCIe write or completion), or whose run leaves
+//!   co-simulation otherwise (ArchMappable or erroneous exit, abort,
+//!   cap) forks a scalar driver off the carrier at that cycle
+//!   ([`Driver::fork`]) and runs on from there ([`Flipped::resume`]).
+//!   Up to that cycle its scalar run saw exactly the carrier's inputs,
+//!   so no cycle is co-simulated twice. An output only the lane's side
+//!   sees (the L2C DRAM command) only marks its divergence monitor.
 //!
 //! The scalar engine remains the oracle; the campaign equivalence tests
 //! lock byte-identity of records, counts, and merged telemetry across
 //! lane widths and worker counts.
 
 use nestsim_hlsim::System;
-use nestsim_models::{ComponentKind, UncoreRtl};
-use nestsim_proto::CpxPacket;
+use nestsim_models::UncoreRtl;
 use nestsim_rtl::{LaneMask, MAX_LANES};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::campaign::{same_trajectory, IndexedRuns};
-use crate::cosim::{BankSide, CosimCheck, CosimDriver, L2cDriver, L2cPort, Side};
+use crate::cosim::{Component, CosimCheck, CosimDriver, Driver, Side};
 use crate::inject::{
     aborted, recorder_for, warm, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
 };
@@ -67,21 +60,13 @@ use crate::inject::{
 pub(crate) struct LaneBatchStats {
     /// Lane batches formed (shared carrier universes driven).
     pub batches: u64,
-    /// Lanes retired inside a batch (Vanished or Persist) without
-    /// touching the scalar path.
+    /// Lanes retired inside a batch, as Vanished or Persist.
     pub retired_early: u64,
-    /// Lanes that finished on the scalar path: batch leavers, each on a
-    /// driver forked off the carrier where it left (readiness or
-    /// return-packet divergence, ArchMappable or erroneous exit, abort,
-    /// cap), plus clustered samples that could not batch (non-L2C
-    /// components).
+    /// Lanes that left a batch to finish on a driver forked off its
+    /// carrier where they left.
     pub scalar_fallbacks: u64,
-    /// Lanes parked: proved identical to the carrier and no longer
-    /// ticked or compared.
+    /// Lanes parked: identical to the carrier, no longer ticked.
     pub parked: u64,
-    /// Same-trajectory groups of two or more non-L2C samples that ran
-    /// off one shared attach + warm-up.
-    pub shared_warmups: u64,
 }
 
 impl LaneBatchStats {
@@ -91,35 +76,17 @@ impl LaneBatchStats {
         engine.count(names::LANES_RETIRED_EARLY, self.retired_early);
         engine.count(names::LANES_SCALAR_FALLBACKS, self.scalar_fallbacks);
         engine.count(names::LANES_PARKED, self.parked);
-        engine.count(names::LANES_SHARED_WARMUPS, self.shared_warmups);
     }
 }
 
 /// One faulty universe inside a batch.
-struct Lane {
+struct Lane<S> {
     /// Campaign sample index.
     sample: usize,
-    /// The lane's own bank, overlay and DRAM queue; `None` once the
-    /// lane is parked and the carrier's stand in for them.
-    state: Option<BankSide>,
+    /// The lane's own side; `None` once parked on the carrier's.
+    state: Option<S>,
     first_err_out: Option<u64>,
     rec: Recorder,
-}
-
-/// Where in a shared cycle a lane leaves its batch for a scalar run.
-#[derive(Debug, Clone, Copy)]
-enum Leave {
-    /// Cycle `cyc`, before any bank ticked: the lane's readiness
-    /// disagreed with the carrier's while a request waited, so it would
-    /// pop another request stream. Its run ticks on its own from here.
-    ReadyParity { cyc: u64 },
-    /// Cycle `cyc`, after the banks ticked and before the carrier's
-    /// return packet reached the system: the lane returned `cpx`
-    /// instead, which its run's system receives.
-    ReturnPacket { cyc: u64, cpx: Option<CpxPacket> },
-    /// Its co-simulation ended without an early termination: phase 3
-    /// is its run's own.
-    Detach,
 }
 
 /// The runs a batch finished, and what finishing one takes.
@@ -147,7 +114,13 @@ impl<'a> Runs<'a> {
     /// `lane`'s co-simulation ended for `exit` after `cosim_cycles`:
     /// the exit taxonomy either retires it in the batch (Vanished or
     /// Persist) or sends it to phase 3 on a fork.
-    fn end(&mut self, carrier: &mut L2cDriver, lane: &mut Lane, exit: Exit, cosim_cycles: u64) {
+    fn end<C: Component>(
+        &mut self,
+        carrier: &mut Driver<C>,
+        lane: &mut Lane<C::Side>,
+        exit: Exit,
+        cosim_cycles: u64,
+    ) {
         let end = CosimEnd {
             exit,
             cycle: carrier.cycle(),
@@ -165,39 +138,25 @@ impl<'a> Runs<'a> {
             }
             None => {
                 #[cfg(test)]
-                tests::forked(lane.sample, tests::ended(exit, &lane.state), cosim_cycles);
-                self.fork(carrier, lane, Leave::Detach, cosim_cycles);
+                tests::ended(lane.sample, exit, lane.state.is_none(), cosim_cycles);
+                self.leave(carrier, lane, Resume::Detach(cosim_cycles), |_| {});
             }
         }
     }
 
-    /// Turns `lane`, leaving the batch at `leave` after `cosim_cycles`,
-    /// into the scalar run it stands for: a driver forked off `carrier`,
-    /// finishing the cycle it left on, then run to its end. The lane's
-    /// recorder carries on as it is.
-    fn fork(&mut self, carrier: &mut L2cDriver, lane: &mut Lane, leave: Leave, cosim_cycles: u64) {
-        let first_err_out = match leave {
-            // The divergence monitor of the lane's run saw the packets
-            // differ.
-            Leave::ReturnPacket { cyc, .. } => lane.first_err_out.or(Some(cyc)),
-            _ => lane.first_err_out,
-        };
-        let mut driver = carrier.fork(lane.state.take(), first_err_out, self.spare.take());
-        let at = match leave {
-            Leave::ReadyParity { cyc } => {
-                #[cfg(test)]
-                tests::forked(lane.sample, "ready parity", cosim_cycles);
-                driver.finish_cycle(cyc);
-                Resume::Cosim(cosim_cycles)
-            }
-            Leave::ReturnPacket { cpx, .. } => {
-                #[cfg(test)]
-                tests::forked(lane.sample, "return packet", cosim_cycles);
-                driver.deliver(cpx);
-                Resume::Cosim(cosim_cycles)
-            }
-            Leave::Detach => Resume::Detach(cosim_cycles),
-        };
+    /// Turns `lane` into the scalar run it stands for: a driver forked
+    /// off `carrier`, which `catch_up` brings to where the lane left,
+    /// run on from `at` to its end. The lane's recorder carries on as it
+    /// is.
+    fn leave<C: Component>(
+        &mut self,
+        carrier: &mut Driver<C>,
+        lane: &mut Lane<C::Side>,
+        at: Resume,
+        catch_up: impl FnOnce(&mut Driver<C>),
+    ) {
+        let mut driver = carrier.fork(lane.state.take(), lane.first_err_out, self.spare.take());
+        catch_up(&mut driver);
         let (record, mut sys) = self.run(lane.sample).resume(driver, &mut lane.rec, at);
         // Parked until the next fork refills it, it must not pin the
         // pages the carrier shared for this fork.
@@ -209,24 +168,21 @@ impl<'a> Runs<'a> {
     }
 }
 
-/// Runs one lane batch: `group` indexes `samples` whose specs are equal
-/// except for the flipped bit. Returns one `(sample index, record,
-/// recorder)` per group member, byte-identical to running each through
-/// [`run_injection_with`](crate::inject::run_injection_with) from
-/// `base`, and the system the batch ended with for the next restore:
-/// the last fork's when lanes left for scalar runs, the carrier's
-/// otherwise. `base` is restored into `spare` when there is one.
-///
-/// A lane that leaves runs to its end on the spot, on a driver forked
-/// off the carrier, before the carrier moves on; each fork refills the
-/// system the one before it ended with. So at most the carrier, one
-/// fork and their systems are alive at a time.
+/// Runs one lane batch of component `C`: `group` indexes `samples` whose
+/// specs are equal except for the flipped bit. Returns one `(sample
+/// index, record, recorder)` per group member, byte-identical to running
+/// each through [`run_injection_with`](crate::inject::run_injection_with)
+/// from `base`, and the system the batch ended with for the next restore
+/// (restored into `spare` when there is one). A lane that leaves runs to
+/// its end before the carrier moves on, and each fork refills the system
+/// the one before it ended with: at most the carrier, one fork and their
+/// systems are alive at a time.
 ///
 /// # Panics
 ///
-/// Panics if the group is empty, exceeds [`MAX_LANES`], targets a
-/// non-L2C component, or `base` is past the group's entry point.
-pub(crate) fn run_l2c_batch(
+/// Panics if the group is empty or exceeds [`MAX_LANES`], or if `base`
+/// is past the group's entry point.
+pub(crate) fn run_batch<C: Component>(
     base: &System,
     golden: &GoldenRef,
     samples: &[InjectionSpec],
@@ -237,19 +193,18 @@ pub(crate) fn run_l2c_batch(
 ) -> (IndexedRuns, System) {
     assert!(!group.is_empty() && group.len() <= MAX_LANES, "bad group");
     let spec0 = &samples[group[0]];
-    assert_eq!(spec0.component, ComponentKind::L2c, "only L2C batches");
     debug_assert!(group.iter().all(|&i| same_trajectory(&samples[i], spec0)));
     stats.batches += 1;
 
     // Shared phase: one attach + warm-up for the whole batch.
-    let mut warmed = warm::<L2cPort>(base, golden, spec0, spare);
+    let mut warmed = warm::<C>(base, golden, spec0, spare);
 
     // Each lane is the warmed driver's twin (≡ the scalar run's target
-    // at snapshot_golden) with its bit flipped. The warm-up ran on slot
-    // images, so the first twin turns the driver into flops, once for
-    // every lane.
+    // at snapshot_golden) with its bit flipped. A warm-up on the
+    // fault-free model ends at the first twin, which turns the driver
+    // into flops, once for every lane.
     let inject_cycle = warmed.driver.cycle();
-    let mut lanes: Vec<Lane> = group
+    let mut lanes: Vec<Lane<C::Side>> = group
         .iter()
         .map(|&i| {
             let s = &samples[i];
@@ -286,46 +241,43 @@ pub(crate) fn run_l2c_batch(
     while cosim_cycles < cap && live.any() {
         let cyc = carrier.run_system();
         cosim_cycles += 1;
-        // Input parity: a lane whose readiness disagrees with the
-        // carrier's while a request waits would consume a different
-        // request stream from here on — and in the scalar run its
-        // outputs, not the carrier's, drive the system.
-        if let Some(ready) = carrier.ready_at_stake() {
-            for li in live.iter() {
-                let lane = &mut lanes[li];
-                if lane.state.as_ref().is_some_and(|st| st.ready() != ready) {
-                    live.clear(li);
-                    runs.fork(&mut carrier, lane, Leave::ReadyParity { cyc }, cosim_cycles);
-                }
+        // Input parity: a lane whose readiness would admit other inputs
+        // than the carrier's consumes another input stream from here on.
+        let gate = carrier.admits(None, cyc);
+        for li in live.iter() {
+            let lane = &mut lanes[li];
+            if (lane.state.as_ref()).is_some_and(|st| carrier.admits(Some(st), cyc) != gate) {
+                live.clear(li);
+                #[cfg(test)]
+                tests::forked(lane.sample, "ready parity", cosim_cycles);
+                let at = Resume::Cosim(cosim_cycles);
+                runs.leave(&mut carrier, lane, at, |f| f.finish_cycle(cyc));
             }
         }
-        let (pcx, out) = carrier.tick_target(cyc);
+        let inp = carrier.take(&gate);
+        let out = carrier.tick_target(&inp, cyc);
         for li in live.iter() {
             let lane = &mut lanes[li];
             let Some(st) = &mut lane.state else {
                 continue; // parked: the carrier's tick was this lane's
             };
-            let l_out = st.tick(cyc, pcx, carrier.sys().dram());
-            if l_out.cpx != out.cpx {
-                // Return-packet divergence: the scalar run's system
-                // receives the lane's packet, not the carrier's — the
-                // trajectories fork, so the lane leaves the batch.
+            let l_out = C::tick(st, &inp, carrier.sys().dram(), cyc);
+            if C::seen(&l_out, &out) {
+                // The lane's run's system receives the lane's outputs.
                 live.clear(li);
-                let leave = Leave::ReturnPacket {
-                    cyc,
-                    cpx: l_out.cpx,
-                };
-                runs.fork(&mut carrier, lane, leave, cosim_cycles);
-                continue;
-            }
-            if l_out.dram_cmd != out.dram_cmd && lane.first_err_out.is_none() {
-                // DRAM-side divergence is private to the lane (its own
-                // latency queue): record it and keep co-simulating,
-                // exactly as the scalar divergence monitor does.
-                lane.first_err_out = Some(cyc);
+                #[cfg(test)]
+                tests::forked(lane.sample, "outputs", cosim_cycles);
+                let at = Resume::Cosim(cosim_cycles);
+                runs.leave(&mut carrier, lane, at, |f| {
+                    f.settle(cyc, &l_out, Some(&out))
+                });
+            } else if C::flags(&l_out, &out) {
+                // Only the lane's own side sees it: the scalar
+                // divergence monitor records it and co-simulates on.
+                lane.first_err_out.get_or_insert(cyc);
             }
         }
-        carrier.deliver(out.cpx);
+        carrier.settle(cyc, &out, None);
         if aborted(&carrier) {
             // Every lane still in the batch shares the carrier's system.
             for li in live.iter() {
@@ -341,7 +293,7 @@ pub(crate) fn run_l2c_batch(
                 if lane.rec.is_active() {
                     match &lane.state {
                         Some(st) => st.sample_telemetry(&mut lane.rec),
-                        // Parked: the carrier's bank is the lane's.
+                        // Parked: the carrier's side is the lane's.
                         None => carrier.sample_telemetry(&mut lane.rec),
                     }
                 }
@@ -370,6 +322,11 @@ pub(crate) fn run_l2c_batch(
                     runs.stats.parked += 1;
                 }
             }
+            // With every lane parked the carrier is nobody's golden: like
+            // a scalar target whose golden retired, it may leave flops.
+            if live.iter().all(|li| lanes[li].state.is_none()) {
+                carrier.retire_golden();
+            }
         }
     }
 
@@ -386,20 +343,21 @@ pub(crate) fn run_l2c_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{component_flops, injection_target_bits, injection_window};
     use crate::cosim::tests::steps as steps_by_model;
-    use crate::cosim::Component;
+    use crate::cosim::{on_component, L2cPort};
     use crate::inject::{run_injection_with, MIN_WARMUP};
-    use nestsim_hlsim::workload::by_name;
+    use nestsim_hlsim::workload::{by_name, BenchProfile};
     use nestsim_hlsim::{RunResult, SystemConfig};
-    use nestsim_models::{L2cBank, UncoreRtl};
-    use nestsim_proto::addr::BankId;
+    use nestsim_models::ComponentKind;
+    use nestsim_proto::CpxPacket;
     use nestsim_rtl::FlopClass;
     use std::cell::{Cell, RefCell};
 
     thread_local! {
-        /// Test-only switch: `false` makes `run_l2c_batch` on this
-        /// thread tick and compare every lane to the end, as it did
-        /// before parking existed.
+        /// Test-only switch: `false` makes `run_batch` on this thread
+        /// tick and compare every lane to the end, as it did before
+        /// parking existed.
         static PARKING: Cell<bool> = const { Cell::new(true) };
         /// Every lane that left a batch on this thread.
         static FORKS: RefCell<Vec<Fork>> = const { RefCell::new(Vec::new()) };
@@ -417,15 +375,16 @@ mod tests {
         FORKS.with(|f| f.borrow_mut().push((sample, why, at)));
     }
 
-    /// Why a lane whose co-simulation ended for `exit` left, parked
-    /// (`state` empty) or not.
-    pub(super) fn ended(exit: Exit, state: &Option<BankSide>) -> &'static str {
-        match exit {
+    /// Logs the fork of a lane whose co-simulation ended for `exit`,
+    /// parked or not, at `at`.
+    pub(super) fn ended(sample: usize, exit: Exit, parked: bool, at: u64) {
+        let why = match exit {
             Exit::Converged(_) => "exit",
             Exit::Aborted => "abort",
-            Exit::Cap if state.is_none() => "parked at cap",
+            Exit::Cap if parked => "parked at cap",
             Exit::Cap => "cap",
-        }
+        };
+        forked(sample, why, at);
     }
 
     /// The forks logged since the last call.
@@ -455,17 +414,32 @@ mod tests {
         }
     }
 
-    fn bits_where(pred: impl Fn(&FlopClass) -> bool) -> Vec<usize> {
-        let bank = L2cBank::new(BankId::new(0));
-        let bits: Vec<usize> = bank
-            .flops()
-            .fields()
-            .iter()
-            .filter(|f| pred(&f.class))
-            .flat_map(|f| f.offset..f.offset + f.width)
-            .collect();
+    fn bits_where(component: ComponentKind, pred: impl Fn(FlopClass) -> bool) -> Vec<usize> {
+        let bits = component_flops(component).bits_where(pred);
         assert!(!bits.is_empty());
         bits
+    }
+
+    /// The bits of the flops a component's readiness reads: their flips
+    /// make a lane refuse an input the carrier takes. The PCIe engine
+    /// takes no inputs.
+    fn readiness_bits(component: ComponentKind) -> Vec<usize> {
+        let flops = component_flops(component);
+        let fields: Vec<String> = match component {
+            ComponentKind::L2c => vec!["iq.count".into()],
+            ComponentKind::Mcu => {
+                let wdb = (0..4).map(|i| format!("wdb[{i}].valid"));
+                std::iter::once("rq.count".into()).chain(wdb).collect()
+            }
+            ComponentKind::Ccx => (0..8)
+                .flat_map(|p| [format!("pcx{p}.count"), format!("cpx{p}.count")])
+                .collect(),
+            ComponentKind::Pcie => Vec::new(),
+        };
+        (flops.fields().iter())
+            .filter(|f| fields.contains(&f.name.to_string()))
+            .flat_map(|f| f.offset..f.offset + f.width)
+            .collect()
     }
 
     /// Runs the batch over all of `samples` and checks that no universe
@@ -474,7 +448,7 @@ mod tests {
     /// retired, and each fork's cycles after the one it left on — and
     /// nothing more. Returns the runs in sample order, the counters and
     /// the forks.
-    fn run_batch(
+    fn batch<C: Component>(
         base: &System,
         golden: &GoldenRef,
         samples: &[InjectionSpec],
@@ -482,7 +456,7 @@ mod tests {
     ) -> (IndexedRuns, LaneBatchStats, Vec<Fork>) {
         let steps = || steps_by_model().iter().flatten().sum::<u64>();
         let before = steps();
-        drop(warm::<L2cPort>(base, golden, &samples[0], None));
+        drop(warm::<C>(base, golden, &samples[0], None));
         let warm_up = steps() - before;
 
         let group: Vec<usize> = (0..samples.len()).collect();
@@ -490,7 +464,7 @@ mod tests {
         take_forks();
         let before = steps();
         let (mut runs, _) =
-            run_l2c_batch(base, golden, samples, &group, telemetry, &mut stats, None);
+            run_batch::<C>(base, golden, samples, &group, telemetry, &mut stats, None);
         let stepped = steps() - before;
         let forks = take_forks();
         runs.sort_by_key(|(i, _, _)| *i);
@@ -514,7 +488,7 @@ mod tests {
         (runs, stats, forks)
     }
 
-    /// Runs the batch over all of `samples` and asserts every lane's
+    /// Runs the L2C batch over all of `samples` and asserts every lane's
     /// record AND recorder are byte-identical to the scalar oracle.
     fn assert_batch_matches_scalar(
         base: &System,
@@ -524,7 +498,7 @@ mod tests {
         let cfg = TelemetryConfig {
             trace_capacity: 1024,
         };
-        let (got, stats, forks) = run_batch(base, golden, samples, Some(&cfg));
+        let (got, stats, forks) = batch::<L2cPort>(base, golden, samples, Some(&cfg));
         for (i, r, rec) in got {
             let mut srec = Recorder::active(&cfg);
             let sr = run_injection_with(base, golden, &samples[i], &mut srec);
@@ -539,116 +513,156 @@ mod tests {
         (stats, forks)
     }
 
-    #[test]
-    fn parked_batch_matches_the_unparked_batch_and_the_reference() {
-        use crate::inject::tests::run_injection_reference;
-        use nestsim_harness::{check_with, Config};
+    /// Coverage of one component's batches, counted across cases: forks
+    /// by why they left, and batches that end with no leaver (the
+    /// carrier's system is the one handed back) and with several (each
+    /// fork refills the system the one before it ended with).
+    #[derive(Default)]
+    struct Coverage {
+        reasons: RefCell<std::collections::BTreeMap<&'static str, u64>>,
+        no_leaver: Cell<u64>,
+        many_leavers: Cell<u64>,
+    }
 
-        let systems = ["radi", "lu-c", "flui"].map(setup);
-        let targets = bits_where(|c| c.is_injection_target());
-        let inactive = bits_where(|c| *c == FlopClass::Inactive);
-        // The input-queue count gates a bank's readiness: its flips are
-        // the ones that make a lane refuse a request the carrier takes.
-        let bank = L2cBank::new(BankId::new(0));
-        let readiness: Vec<usize> = (0..4)
-            .map(|b| bank.flops().named_bit("iq.count", b))
-            .collect();
+    /// One random batch of `C` on one of `setups`: parked and unparked
+    /// runs agree, and every lane's record and recorder match the
+    /// reference run of its sample.
+    fn parked_matches_unparked_and_the_reference<C: Component>(
+        src: &mut nestsim_harness::Source,
+        component: ComponentKind,
+        (base, golden, profile): &(System, GoldenRef, &'static BenchProfile),
+        pools: &[Vec<usize>; 3],
+        coverage: &Coverage,
+    ) {
+        use crate::inject::tests::run_injection_reference;
         let cfg = TelemetryConfig {
             trace_capacity: 1024,
         };
-        // Coverage, counted across cases: forks by why they left, and
-        // batches that end with no leaver (the carrier's system is the
-        // one handed back) and with several (each fork refills the
-        // system the one before it ended with).
-        let reasons = RefCell::new(std::collections::BTreeMap::<&str, u64>::new());
-        let (no_leaver, many_leavers) = (Cell::new(0u64), Cell::new(0u64));
+        // A tight cap leaves parked lanes waiting when it strikes; an
+        // all-inactive batch is the one sure to have no leaver.
+        let tight = src.below(3) == 0;
+        let [targets, inactive, readiness] = pools;
+        let pool = match src.below(8) {
+            0 | 1 if !inactive.is_empty() => inactive,
+            2 if !readiness.is_empty() => readiness,
+            _ => targets,
+        };
+        let (lo, hi) = injection_window(component, profile, golden);
+        let trajectory = InjectionSpec {
+            component,
+            instance: src.index(crate::campaign::instances_of(component)),
+            bit: 0,
+            inject_cycle: src.range_u64(lo, hi),
+            warmup: MIN_WARMUP + src.below(1_000),
+            cosim_cap: if tight { 32 + src.below(96) } else { 4_000 },
+            check_interval: [16, 16, 7][src.index(3)],
+        };
+        let samples: Vec<InjectionSpec> = (0..src.range_usize(1, 10))
+            .map(|_| InjectionSpec {
+                bit: pool[src.index(pool.len())],
+                ..trajectory
+            })
+            .collect();
+        let run = |parking: bool| {
+            PARKING.with(|p| p.set(parking));
+            let batch = batch::<C>(base, golden, &samples, Some(&cfg));
+            PARKING.with(|p| p.set(true));
+            batch
+        };
+        let (parked, stats, forks) = run(true);
+        let (unparked, plain, _) = run(false);
+        assert_eq!(
+            parked, unparked,
+            "{component}: parking changed a lane's run"
+        );
+        assert_eq!(plain.parked, 0);
+        assert_eq!(
+            (stats.batches, stats.retired_early, stats.scalar_fallbacks),
+            (plain.batches, plain.retired_early, plain.scalar_fallbacks),
+            "{component}: parking moved a lane between retirement and fallback"
+        );
+        for (i, r, rec) in &parked {
+            let spec = &samples[*i];
+            let mut want_rec = Recorder::active(&cfg);
+            let want = run_injection_reference(base, golden, spec, &mut want_rec, |sys| {
+                C::attach_instance(sys, spec.instance)
+            });
+            assert_eq!(*r, want, "{component} sample {i}: record");
+            assert_eq!(*rec, want_rec, "{component} sample {i}: recorder");
+        }
+
+        for (_, why, _) in forks {
+            *coverage.reasons.borrow_mut().entry(why).or_default() += 1;
+        }
+        match stats.scalar_fallbacks {
+            0 => coverage.no_leaver.set(coverage.no_leaver.get() + 1),
+            1 => {}
+            _ => coverage.many_leavers.set(coverage.many_leavers.get() + 1),
+        }
+    }
+
+    #[test]
+    fn parked_batch_matches_the_unparked_batch_and_the_reference() {
+        use nestsim_harness::{check_with, Config};
+
+        let setup = |bench: &str| {
+            let profile = by_name(bench).unwrap();
+            let (base, golden) = setup(bench);
+            (base, golden, profile)
+        };
+        let setups = [
+            ["radi", "lu-c", "flui"].map(setup),
+            ["fft", "flui", "radi"].map(setup),
+            ["lu-c", "stre", "radi"].map(setup),
+            ["p-lr", "blsc", "p-sm"].map(setup),
+        ];
+        let pools = ComponentKind::ALL.map(|component| {
+            [
+                injection_target_bits(component),
+                component_flops(component).bits_where(|c| c == FlopClass::Inactive),
+                readiness_bits(component),
+            ]
+        });
+        let coverage: [Coverage; 4] = Default::default();
 
         let config = Config {
             max_shrink_iters: 24,
             ..Config::with_cases(48)
         };
         check_with(config, "parked_batch_matches_unparked", |src| {
-            let (base, golden) = &systems[src.index(3)];
-            // A tight cap leaves parked lanes waiting when it strikes;
-            // an all-inactive batch is the one sure to have no leaver.
-            let tight = src.below(3) == 0;
-            let pool = match src.below(8) {
-                0 | 1 => &inactive,
-                2 => &readiness,
-                _ => &targets,
-            };
-            let lo = MIN_WARMUP + 64;
-            let trajectory = InjectionSpec {
-                inject_cycle: src.range_u64(lo, (golden.cycles * 9 / 10).max(lo + 64)),
-                warmup: MIN_WARMUP + src.below(1_000),
-                ..l2c_spec(
-                    0,
-                    if tight { 32 + src.below(96) } else { 4_000 },
-                    [16, 16, 7][src.index(3)],
-                )
-            };
-            let samples: Vec<InjectionSpec> = (0..src.range_usize(1, 10))
-                .map(|_| InjectionSpec {
-                    bit: pool[src.index(pool.len())],
-                    ..trajectory
-                })
-                .collect();
-            let run = |parking: bool| {
-                PARKING.with(|p| p.set(parking));
-                let batch = run_batch(base, golden, &samples, Some(&cfg));
-                PARKING.with(|p| p.set(true));
-                batch
-            };
-            let (parked, stats, forks) = run(true);
-            let (unparked, plain, _) = run(false);
-            assert_eq!(parked, unparked, "parking changed a lane's run");
-            assert_eq!(plain.parked, 0);
-            assert_eq!(
-                (stats.batches, stats.retired_early, stats.scalar_fallbacks),
-                (plain.batches, plain.retired_early, plain.scalar_fallbacks),
-                "parking moved a lane between retirement and fallback"
-            );
-            for (i, r, rec) in &parked {
-                let mut want_rec = Recorder::active(&cfg);
-                let want =
-                    run_injection_reference(base, golden, &samples[*i], &mut want_rec, |sys| {
-                        L2cPort::attach_instance(sys, samples[*i].instance)
-                    });
-                assert_eq!(*r, want, "sample {i}: record");
-                assert_eq!(*rec, want_rec, "sample {i}: recorder");
-            }
-
-            for (_, why, _) in forks {
-                *reasons.borrow_mut().entry(why).or_default() += 1;
-            }
-            match stats.scalar_fallbacks {
-                0 => no_leaver.set(no_leaver.get() + 1),
-                1 => {}
-                _ => many_leavers.set(many_leavers.get() + 1),
+            for (k, component) in ComponentKind::ALL.into_iter().enumerate() {
+                let setup = &setups[k][src.index(3)];
+                on_component!(component, C => parked_matches_unparked_and_the_reference::<C>(
+                    src, component, setup, &pools[k], &coverage[k]
+                ));
             }
         });
-        let reasons = reasons.into_inner();
-        eprintln!("forks by reason: {reasons:?}");
         // An abort needs the fault-free carrier to trap or hang, which
         // no drawn case does: `trapped_system_aborts_the_batch_and_forks_every_lane`
-        // covers it.
-        for why in [
-            "ready parity",
-            "return packet",
-            "exit",
-            "cap",
-            "parked at cap",
-        ] {
-            assert!(
-                reasons.get(why).is_some_and(|&n| n > 0),
-                "no lane left at {why}: {reasons:?}"
+        // covers it. The PCIe engine takes no inputs, so its lanes never
+        // disagree on readiness.
+        let wanted: [&[&str]; 4] = [
+            &["ready parity", "outputs", "exit", "cap", "parked at cap"],
+            &["ready parity", "outputs", "cap", "parked at cap"],
+            &["ready parity", "outputs", "parked at cap"],
+            &["outputs"],
+        ];
+        for (k, component) in ComponentKind::ALL.into_iter().enumerate() {
+            let coverage = &coverage[k];
+            let reasons = coverage.reasons.borrow();
+            let (none, many) = (coverage.no_leaver.get(), coverage.many_leavers.get());
+            eprintln!(
+                "{component}: forks by reason {reasons:?}; {none} batches without a leaver, {many} with several"
             );
+            for why in wanted[k] {
+                assert!(
+                    reasons.get(why).is_some_and(|&n| n > 0),
+                    "{component}: no lane left at {why}: {reasons:?}"
+                );
+            }
+            assert!(none > 0, "{component}: no batch ended without a leaver");
+            assert!(many > 0, "{component}: no batch ended with several leavers");
         }
-        assert!(no_leaver.get() > 0, "no batch ended without a leaver");
-        assert!(
-            many_leavers.get() > 0,
-            "no batch ended with several leavers"
-        );
     }
 
     #[test]
@@ -667,7 +681,7 @@ mod tests {
             data: 0,
         });
         assert!(base.trap().is_some());
-        let bits = bits_where(|c| c.is_injection_target());
+        let bits = injection_target_bits(ComponentKind::L2c);
         let samples: Vec<InjectionSpec> = (bits.iter().step_by(97).take(5))
             .map(|&b| l2c_spec(b, 4_000, 16))
             .collect();
@@ -682,7 +696,7 @@ mod tests {
     #[test]
     fn batch_of_one_matches_scalar() {
         let (base, golden) = setup("radi");
-        let bit = bits_where(|c| c.is_injection_target())[0];
+        let bit = injection_target_bits(ComponentKind::L2c)[0];
         let (stats, _) = assert_batch_matches_scalar(&base, &golden, &[l2c_spec(bit, 20_000, 16)]);
         assert_eq!(stats.batches, 1);
     }
@@ -693,7 +707,7 @@ mod tests {
         // Probe the scalar oracle for a bit whose flip observably
         // diverges (erroneous output or corrupted state) — that lane
         // must leave the batch, and still be byte-identical.
-        let targets = bits_where(|c| c.is_injection_target());
+        let targets = injection_target_bits(ComponentKind::L2c);
         let diverging = targets
             .iter()
             .step_by(61)
@@ -703,7 +717,7 @@ mod tests {
                 r.erroneous_output_cycle.is_some() || r.corrupted_line_count > 0
             })
             .expect("some target bit diverges observably");
-        let quiet = bits_where(|c| *c == FlopClass::Inactive)[0];
+        let quiet = bits_where(ComponentKind::L2c, |c| c == FlopClass::Inactive)[0];
         let (stats, _) = assert_batch_matches_scalar(
             &base,
             &golden,
@@ -724,7 +738,7 @@ mod tests {
         let (base, golden) = setup("radi");
         // BIST/redundancy flops never feed live logic: all 64 lanes
         // vanish at the first golden compare, on the same tick.
-        let pool = bits_where(|c| *c == FlopClass::Inactive);
+        let pool = bits_where(ComponentKind::L2c, |c| c == FlopClass::Inactive);
         let samples: Vec<InjectionSpec> = (0..MAX_LANES)
             .map(|i| l2c_spec(pool[i % pool.len()], 20_000, 16))
             .collect();
@@ -742,7 +756,7 @@ mod tests {
         // cosim_cap = check_interval = 1: the co-simulation window is a
         // single tick — the check fires once, then every surviving lane
         // takes the cap path.
-        let targets = bits_where(|c| c.is_injection_target());
+        let targets = injection_target_bits(ComponentKind::L2c);
         let samples: Vec<InjectionSpec> = targets
             .iter()
             .step_by(targets.len() / 4)

@@ -12,7 +12,7 @@
 //! writebacks idempotent writes over the preserved DRAM contents, and
 //! in-order replay preserves the original per-line ordering.
 
-use nestsim_core::cosim::DramPort;
+use nestsim_core::cosim::{Component, DramPort};
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_hlsim::{InterceptMode, System};
 use nestsim_models::mcu::McuInputs;

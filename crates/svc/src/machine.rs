@@ -134,6 +134,9 @@ pub struct SvcMachine {
     execs: BTreeMap<u64, JobKey>,
     next_ticket: u64,
     next_exec: u64,
+    /// The id the next client's `Hello` is acknowledged with: minted,
+    /// never reused, so no two clients hold one.
+    next_client: u32,
     stats: Recorder,
     sched_rounds_seen: u64,
     /// Mutation hook: when false, results reach only the first
@@ -155,6 +158,7 @@ impl SvcMachine {
             execs: BTreeMap::new(),
             next_ticket: 1,
             next_exec: 1,
+            next_client: 1,
             stats: Recorder::active(&TelemetryConfig { trace_capacity: 16 }),
             sched_rounds_seen: 0,
             dedup_fanout: true,
@@ -218,11 +222,11 @@ impl SvcMachine {
                 if let Some(state) = self.conns.get_mut(&conn) {
                     state.tenant = Some(tenant);
                 }
+                let id = self.next_client;
+                self.next_client += 1;
                 vec![SvcAction::Send {
                     conn,
-                    msg: Message::HelloAck {
-                        id: self.conns.len() as u32,
-                    },
+                    msg: Message::HelloAck { id },
                 }]
             }
             Message::SubmitJob { req, priority, job } => self.on_submit(conn, req, priority, job),
@@ -570,7 +574,9 @@ mod tests {
         }
     }
 
-    fn hello(m: &mut SvcMachine, conn: u64, tenant: &str) {
+    /// Connects `conn` as `tenant`; returns the id its `Hello` is
+    /// acknowledged with.
+    fn hello(m: &mut SvcMachine, conn: u64, tenant: &str) -> u32 {
         m.step(SvcEvent::Connected { conn });
         let acts = m.step(SvcEvent::Received {
             conn,
@@ -579,13 +585,13 @@ mod tests {
                 tenant: tenant.into(),
             },
         });
-        assert!(matches!(
-            acts.as_slice(),
+        match acts.as_slice() {
             [SvcAction::Send {
-                msg: Message::HelloAck { .. },
+                msg: Message::HelloAck { id },
                 ..
-            }]
-        ));
+            }] => *id,
+            other => panic!("expected one HelloAck, got {other:?}"),
+        }
     }
 
     fn submit(m: &mut SvcMachine, conn: u64, req: u64, job: JobWire) -> Vec<SvcAction> {
@@ -615,6 +621,21 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn client_ids_are_never_handed_out_twice() {
+        // Two clients, the first leaves, a third arrives: it must not
+        // get the id the second still holds.
+        let mut m = SvcMachine::new(SvcConfig::default());
+        let first = hello(&mut m, 1, "alice");
+        let second = hello(&mut m, 2, "bob");
+        m.step(SvcEvent::Closed { conn: 1 });
+        let third = hello(&mut m, 3, "carol");
+        assert!(
+            first != second && second != third && first != third,
+            "ids {first}, {second}, {third}"
+        );
     }
 
     #[test]

@@ -179,18 +179,13 @@ pub mod names {
     /// without touching the scalar path.
     pub const LANES_RETIRED_EARLY: &str = "lanes.retired_early";
     /// Counter: lanes finished on the scalar path — batch leavers, each
-    /// on a driver forked off the carrier (divergence, arch-mappable or
-    /// erroneous exit, abort, cap), plus clustered samples that could
-    /// not batch.
+    /// on a driver forked off the carrier (readiness or output
+    /// divergence, arch-mappable or erroneous exit, abort, cap).
     pub const LANES_SCALAR_FALLBACKS: &str = "lanes.scalar_fallbacks";
     /// Counter: lanes parked inside a batch — proved identical to the
     /// carrier, so no longer ticked or compared while they wait for it
     /// to drain (engine telemetry).
     pub const LANES_PARKED: &str = "lanes.parked";
-    /// Counter: same-trajectory groups of two or more samples, on a
-    /// component without a lane engine, that ran off one shared attach
-    /// and warm-up (engine telemetry).
-    pub const LANES_SHARED_WARMUPS: &str = "lanes.shared_warmups";
 
     /// Counter: rounds executed by the adaptive sampling engine
     /// (engine telemetry; sequential-stopping trace).
@@ -306,7 +301,6 @@ pub mod names {
         LANES_RETIRED_EARLY,
         LANES_SCALAR_FALLBACKS,
         LANES_PARKED,
-        LANES_SHARED_WARMUPS,
         QRR_RUNS,
         QRR_DETECTED,
         QRR_REPLAY_ATTEMPTS,

@@ -244,16 +244,18 @@ fn lane_batched_engine_is_byte_identical_to_replay_for_any_width_and_workers() {
     // The lane-batching hard constraint: lane width is execution-only.
     // For every width in {1, 8, 64} and workers in {1, 4}, records,
     // counts, golden reference and the merged telemetry export must be
-    // *byte*-identical to the unbatched replay oracle — on L2C cells
-    // (which batch) and an MCU cell (which always takes the scalar
-    // path), with lane clustering active so batches actually form.
+    // *byte*-identical to the unbatched replay oracle — on every
+    // component, with lane clustering active so batches actually form
+    // (and, at width 8, clusters of 16 split into two batches).
     let cfg = TelemetryConfig::default();
-    let cells: [(ComponentKind, &str, u64, u64, &[u64]); 3] = [
-        (ComponentKind::L2c, "radi", 64, 64, &[1, 8, 64]),
-        (ComponentKind::L2c, "lu-c", 16, 8, &[1, 8, 64]),
-        (ComponentKind::Mcu, "flui", 8, 4, &[1, 64]),
+    let cells: [(ComponentKind, &str, u64, u64); 5] = [
+        (ComponentKind::L2c, "radi", 64, 64),
+        (ComponentKind::L2c, "lu-c", 16, 8),
+        (ComponentKind::Mcu, "flui", 16, 16),
+        (ComponentKind::Ccx, "lu-c", 16, 16),
+        (ComponentKind::Pcie, "p-lr", 16, 16),
     ];
-    for (component, bench, samples, lane_cluster, widths) in cells {
+    for (component, bench, samples, lane_cluster) in cells {
         let profile = by_name(bench).unwrap();
         let base = CampaignSpec {
             lane_cluster,
@@ -261,7 +263,7 @@ fn lane_batched_engine_is_byte_identical_to_replay_for_any_width_and_workers() {
         };
         let reference = run_campaign_replay(profile, &base, Some(&cfg));
         let ref_jsonl = reference.telemetry.to_jsonl();
-        for &lane_width in widths {
+        for lane_width in [1, 8, 64] {
             for workers in [1usize, 4] {
                 let spec = CampaignSpec {
                     lane_width,
@@ -276,17 +278,14 @@ fn lane_batched_engine_is_byte_identical_to_replay_for_any_width_and_workers() {
                 assert_eq!(r.telemetry.to_jsonl(), ref_jsonl, "{tag}: merged telemetry");
             }
         }
-        // The clustered L2C cells must actually exercise in-batch
-        // retirement at full width, or the identity above proves less
-        // than it claims.
-        if component == ComponentKind::L2c {
-            let spec = CampaignSpec { workers: 1, ..base };
-            let r = run_campaign_with(profile, &spec, Some(&cfg));
-            assert!(
-                r.telemetry.engine.counter(names::LANES_RETIRED_EARLY) > 0,
-                "{component}/{bench}: no lane ever retired in-batch"
-            );
-        }
+        // Every cell must actually exercise in-batch retirement at full
+        // width, or the identity above proves less than it claims.
+        let spec = CampaignSpec { workers: 1, ..base };
+        let r = run_campaign_with(profile, &spec, Some(&cfg));
+        assert!(
+            r.telemetry.engine.counter(names::LANES_RETIRED_EARLY) > 0,
+            "{component}/{bench}: no lane ever retired in-batch"
+        );
     }
 }
 
