@@ -185,6 +185,21 @@ impl L2BankArch {
         }
     }
 
+    /// Moves the arrays out, leaving this bank (same geometry and id)
+    /// holding none, and allocates nothing: for a model that hands its
+    /// arrays on and is refilled with `clone_from` before it is read.
+    pub fn take(&mut self) -> L2BankArch {
+        L2BankArch {
+            geo: self.geo,
+            bank: self.bank,
+            tags: std::mem::take(&mut self.tags),
+            state: std::mem::take(&mut self.state),
+            data: std::mem::take(&mut self.data),
+            dir: std::mem::take(&mut self.dir),
+            rr: std::mem::take(&mut self.rr),
+        }
+    }
+
     /// The bank's geometry.
     pub fn geometry(&self) -> L2Geometry {
         self.geo

@@ -481,9 +481,22 @@ impl Eq for DramContents {}
 /// base memory. Diffing the two overlays at the end of co-simulation
 /// yields exactly the set of memory lines the soft error corrupted —
 /// the quantity Sec. 5.2's rollback-distance analysis is built on.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct DramOverlay {
     writes: LineMap,
+}
+
+// Hand-written so that `clone_from` copies into the table it holds.
+impl Clone for DramOverlay {
+    fn clone(&self) -> Self {
+        DramOverlay {
+            writes: self.writes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.writes.clone_from(&source.writes);
+    }
 }
 
 impl DramOverlay {

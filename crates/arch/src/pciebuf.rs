@@ -12,10 +12,25 @@ pub const RX_WORDS: usize = 8 * 1024 / 8;
 pub const TX_WORDS: usize = 4 * 1024 / 8;
 
 /// The PCIe controller's architectural transfer buffers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PcieBuffers {
     rx: Vec<u64>,
     tx: Vec<u64>,
+}
+
+// Hand-written so that `clone_from` copies into the buffers it holds.
+impl Clone for PcieBuffers {
+    fn clone(&self) -> Self {
+        PcieBuffers {
+            rx: self.rx.clone(),
+            tx: self.tx.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.rx.clone_from(&source.rx);
+        self.tx.clone_from(&source.tx);
+    }
 }
 
 impl PcieBuffers {

@@ -49,7 +49,7 @@ use nestsim_stats::SeedSeq;
 use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
 
 use crate::adaptive::{draw_round, AdaptiveState, StratifiedRound};
-use crate::cosim::on_component;
+use crate::cosim::{on_component, Component, Spares};
 use crate::inject::{
     finish, recorder_for, run_injection_with, warm, GoldenRef, InjectionRecord, InjectionSpec,
     DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
@@ -100,10 +100,8 @@ pub struct CampaignSpec {
     pub lane_cluster: u64,
     /// How many same-trajectory samples may share one restore, attach
     /// and warm-up (default [`nestsim_rtl::MAX_LANES`]; valid range
-    /// 1–64). On L2C a shared group is a lane batch — that many faulty
-    /// universes advanced per carrier universe; on MCU, CCX and PCIe
-    /// each sample of the group resumes from a clone of one warmed
-    /// driver.
+    /// 1–64). On every component a shared group is a lane batch: that
+    /// many faulty universes advanced per carrier universe.
     ///
     /// **Execution-only**: like `workers` and `snapshot_interval`, the
     /// lane width never affects records, counts, or merged telemetry —
@@ -438,9 +436,10 @@ pub type IndexedRuns = Vec<(usize, InjectionRecord, Recorder)>;
 /// Executes one shard of a campaign: a cursor over the snapshot ladder
 /// that runs injection samples with **ascending entry cycles**, each
 /// restored from the nearest rung at or below its entry point. Every
-/// injection after the first restores into the system the one before
-/// ended with, so a shard allocates one injection system, not one per
-/// sample.
+/// injection after the first restores into the driver the one before
+/// ended with — system, port and sides — and every lane batch after the
+/// first takes its lanes from the sides the ones before left, so a shard
+/// allocates one injection driver, not one per sample.
 ///
 /// This is the unit of work every execution layer shares —
 /// [`LadderExecutor`] gives each worker thread one runner per shard,
@@ -455,11 +454,11 @@ pub struct ShardRunner<'a> {
     // the shard's ascending entry cycles; re-restored (in place)
     // whenever a later rung is closer than the cursor.
     cursor: Option<System>,
-    // The system the last group ended with, which the next group
-    // restores the cursor into (`System::clone_from`). Parked with its
-    // pages released, so that the cursor takes back the pages it
-    // shared for that group when it moves on.
-    spare: Option<System>,
+    // The drivers and lane sides the last group ended with, which the
+    // next group refills (`System::clone_from`, `Driver::reattach`).
+    // Parked with their pages released, so that the cursor takes back
+    // the pages it shared for that group when it moves on.
+    kept: Spares,
     forward: u64,
     restores: u64,
     lane_width: usize,
@@ -484,7 +483,7 @@ impl<'a> ShardRunner<'a> {
             golden,
             telemetry,
             cursor: None,
-            spare: None,
+            kept: Spares::default(),
             forward: 0,
             restores: 0,
             lane_width: lane_width.clamp(1, nestsim_rtl::MAX_LANES),
@@ -520,13 +519,6 @@ impl<'a> ShardRunner<'a> {
         // With the group's systems released, the next forward run takes
         // them back instead of copying them again.
         my_base.share_pages();
-    }
-
-    /// Keeps `sys`, the system a group ended with, for the next group's
-    /// restore, holding none of the pages it shares with the cursor.
-    fn park(&mut self, mut sys: System) {
-        sys.release_pages();
-        self.spare = Some(sys);
     }
 
     /// How many leading samples of `span` run off one shared restore,
@@ -576,27 +568,29 @@ impl<'a> ShardRunner<'a> {
             let spec0 = &self.samples[group[0]];
             self.seek(entry_cycle(spec0));
             let base = self.cursor.as_ref().expect("cursor was just positioned");
-            let (golden, spare) = (self.golden, self.spare.take());
-            let sys = on_component!(spec0.component, C => match *group {
-                [i] => {
-                    let mut rec = recorder_for(self.telemetry);
-                    let warmed = warm::<C>(base, golden, spec0, spare);
-                    let (record, sys) = finish(warmed, golden, spec0, &mut rec);
-                    out.push((i, record, rec));
-                    sys
+            let golden = self.golden;
+            on_component!(spec0.component, C => {
+                let kept = C::kept(&mut self.kept);
+                match *group {
+                    [i] => {
+                        let mut rec = recorder_for(self.telemetry);
+                        let warmed = warm::<C>(base, golden, spec0, kept.driver.take());
+                        let (record, driver) = finish(warmed, golden, spec0, &mut rec);
+                        kept.driver = Some(driver);
+                        out.push((i, record, rec));
+                    }
+                    _ => {
+                        let (telemetry, stats) = (self.telemetry, &mut self.lanes);
+                        let mut runs =
+                            run_batch::<C>(base, golden, self.samples, group, telemetry, stats, kept);
+                        // Batch retirement order is check-driven; the caller
+                        // contract is shard order.
+                        runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
+                        out.extend(runs);
+                    }
                 }
-                _ => {
-                    let (telemetry, stats) = (self.telemetry, &mut self.lanes);
-                    let (mut runs, sys) =
-                        run_batch::<C>(base, golden, self.samples, group, telemetry, stats, spare);
-                    // Batch retirement order is check-driven; the caller
-                    // contract is shard order.
-                    runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
-                    out.extend(runs);
-                    sys
-                }
+                kept.park();
             });
-            self.park(sys);
         }
         out
     }
@@ -1409,9 +1403,11 @@ mod tests {
                 .expect("run_span positions the cursor");
             assert!(cursor.cycle() > 0, "the cursor ran forward");
             assert_eq!(cursor.dram().private_pages(), 0);
-            let spare = runner.spare.as_ref().expect("run_span parks a system");
+            use crate::cosim::CosimDriver;
+            let kept = crate::cosim::L2cPort::kept(&mut runner.kept);
+            let spare = kept.driver.as_ref().expect("run_span keeps a driver");
             assert_eq!(
-                spare.dram().retained_pages(),
+                spare.sys().dram().retained_pages(),
                 0,
                 "the parked spare holds a page"
             );
@@ -1436,24 +1432,20 @@ mod tests {
         let entries: Vec<u64> = (round.order.iter())
             .map(|&i| entry_cycle(&round.samples[i]))
             .collect();
+        let mut spare: Option<System> = None;
         for &entry in &entries {
             runner.seek(entry);
             let cursor = runner.cursor.as_ref().expect("seek positions the cursor");
-            let mut group = match runner.spare.take() {
-                Some(mut sys) => {
-                    sys.clone_from(cursor);
-                    sys
-                }
-                None => cursor.clone(),
-            };
+            let mut group = crate::cosim::refilled(spare.take(), cursor);
             group.run_until(entry + 200);
-            runner.park(group);
-            let spare = runner.spare.as_ref().expect("the group's system is parked");
+            // Parked as `Kept::park` parks a group's systems.
+            group.release_pages();
             assert_eq!(
-                spare.dram().retained_pages(),
+                group.dram().retained_pages(),
                 0,
                 "the parked spare holds a page"
             );
+            spare = Some(group);
         }
         assert_eq!(runner.restores(), 1);
         let last = *entries.last().expect("the cell draws samples");
@@ -1491,41 +1483,86 @@ mod tests {
 
     #[test]
     fn shards_recycle_the_injection_system() {
-        // Every identity suite passes whether or not a restore refills a
-        // spare system; only this notices if recycling stops.
-        use crate::inject::{run_injection, REFILLS};
+        // Every identity suite passes whether or not a run refills the
+        // driver its shard kept; only this notices if recycling stops.
+        // One row per component, on the cells `tests/lanes_accounting.rs`
+        // batches with forks.
+        use crate::cosim::{CosimDriver, L2cPort};
+        use crate::inject::{run_injection, FORK_REFILLS, LANE_REFILLS, REFILLS};
         use crate::lanes::LaneBatchStats;
         use nestsim_rtl::FlopClass;
-        let refills = || REFILLS.with(std::cell::Cell::get);
-        let profile = by_name("radi").unwrap();
+        use std::cell::Cell;
+        // `[driver refills, fork refills, lane sides refilled]` since `at`.
+        let counts = || [&REFILLS, &FORK_REFILLS, &LANE_REFILLS].map(|c| c.with(Cell::get));
+        let since = |at: [u64; 3]| {
+            let now = counts();
+            [0, 1, 2].map(|k| now[k] - at[k])
+        };
+        let table = [
+            (ComponentKind::L2c, "flui"),
+            (ComponentKind::Mcu, "flui"),
+            (ComponentKind::Ccx, "lu-c"),
+            (ComponentKind::Pcie, "p-lr"),
+        ];
+        for (component, bench) in table {
+            let profile = by_name(bench).unwrap();
+            // A scalar shard of n injections refills its driver n − 1
+            // times: each but the first restores into the driver the one
+            // before ended with.
+            let spec = CampaignSpec {
+                seed: 7,
+                ..CampaignSpec::quick(component, 6)
+            };
+            let mut base = CellBase::capture(profile, &spec, 1);
+            let round = base.draw(profile, &spec, None);
+            let at = counts();
+            ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1)
+                .run_span(&round.order);
+            assert_eq!(since(at), [5, 0, 0], "{component}: scalar shard");
 
-        // A scalar shard of n injections refills n − 1 times: each but
-        // the first restores into the system the one before ended with.
+            // A shard of three 4-lane batches: each carrier after the
+            // first refills the driver the batch before ended with, each
+            // fork after the first the one the fork before ended with, and
+            // every batch after the first takes its lanes' sides from the
+            // pool but for the one a fork may keep as its target.
+            let clustered = CampaignSpec {
+                lane_cluster: 4,
+                ..CampaignSpec::quick(component, 12)
+            };
+            let clustered = CampaignSpec {
+                seed: 7,
+                ..clustered
+            };
+            let mut cbase = CellBase::capture(profile, &clustered, 1);
+            let cround = cbase.draw(profile, &clustered, None);
+            let at = counts();
+            let mut runner =
+                ShardRunner::new(&cbase.ladder, &cround.samples, &cbase.golden, None, 64);
+            runner.run_span(&cround.order);
+            let stats = runner.lane_stats();
+            let [refills, forks, lanes] = since(at);
+            assert_eq!(stats.batches, 3, "{component}");
+            assert!(stats.scalar_fallbacks > 0, "{component}: no lane forked");
+            assert_eq!(refills, 2, "{component}: batch carriers");
+            assert_eq!(forks, stats.scalar_fallbacks - 1, "{component}: forks");
+            assert!(
+                lanes >= 2 * 4 - 1,
+                "{component}: {lanes} lane sides refilled"
+            );
+
+            // A lone run attaches its own driver and refills nothing.
+            let at = counts();
+            run_injection(base.ladder.rung_below(0), &base.golden, &round.samples[0]);
+            assert_eq!(since(at), [0, 0, 0], "{component}: run_injection");
+        }
+
+        // A batch whose lanes all retire in it keeps its carrier, which ran
+        // on past the golden-snapshot point the warmed driver stopped at,
+        // to where the last lane retired.
+        let profile = by_name("radi").unwrap();
         let spec = CampaignSpec::quick(ComponentKind::L2c, 6);
         let mut base = CellBase::capture(profile, &spec, 1);
         let round = base.draw(profile, &spec, None);
-        let before = refills();
-        ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1)
-            .run_span(&round.order);
-        assert_eq!(refills() - before, 5);
-
-        // So does a shard of lane batches, one refill per batch after
-        // the first.
-        let clustered = CampaignSpec {
-            lane_cluster: 4,
-            ..CampaignSpec::quick(ComponentKind::L2c, 12)
-        };
-        let mut cbase = CellBase::capture(profile, &clustered, 1);
-        let cround = cbase.draw(profile, &clustered, None);
-        let before = refills();
-        let mut runner = ShardRunner::new(&cbase.ladder, &cround.samples, &cbase.golden, None, 64);
-        runner.run_span(&cround.order);
-        assert_eq!(runner.lane_stats().batches, 3);
-        assert_eq!(refills() - before, 2);
-
-        // A batch whose lanes all retire in it hands back its carrier,
-        // which ran on past the golden-snapshot point the warmed driver
-        // stopped at, to where the last lane retired.
         let spec0 = round.samples[round.order[0]];
         let inactive = component_flops(ComponentKind::L2c).bits_where(|c| c == FlopClass::Inactive);
         let samples: Vec<InjectionSpec> = (inactive.iter().take(8))
@@ -1533,27 +1570,26 @@ mod tests {
             .collect();
         let group: Vec<usize> = (0..samples.len()).collect();
         let mut stats = LaneBatchStats::default();
+        let mut kept = crate::cosim::Kept::<L2cPort>::default();
         let start = base.ladder.rung_below(0);
-        let (runs, sys) = run_batch::<crate::cosim::L2cPort>(
+        let runs = run_batch(
             start,
             &base.golden,
             &samples,
             &group,
             None,
             &mut stats,
-            None,
+            &mut kept,
         );
         assert_eq!((stats.retired_early, stats.scalar_fallbacks), (8, 0));
         let last_retired = runs
             .iter()
             .map(|(_, r, _)| r.inject_cycle + r.cosim_cycles)
             .max();
-        assert_eq!(Some(sys.cycle()), last_retired);
-
-        // A lone run clones its own system.
-        let before = refills();
-        run_injection(start, &base.golden, &samples[0]);
-        assert_eq!(refills(), before);
+        let carrier = kept.driver.as_ref().expect("the batch keeps its carrier");
+        assert_eq!(Some(carrier.cycle()), last_retired);
+        assert!(kept.fork.is_none());
+        assert_eq!(kept.lanes.len(), 8, "every lane side is back in the pool");
     }
 
     #[test]

@@ -26,12 +26,12 @@
 
 use std::collections::VecDeque;
 
-use nestsim_arch::{DramContents, DramOverlay, OverlayBackend};
+use nestsim_arch::{DramContents, DramOverlay, L2BankArch, OverlayBackend};
 use nestsim_hlsim::{InterceptMode, OutMsg, System};
 use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
 use nestsim_models::mcu::{McuInputs, McuOutputs, McuWarm};
-use nestsim_models::pcie::{PcieArchState, PcieOutputs};
+use nestsim_models::pcie::PcieOutputs;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
 use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS, NUM_MCUS};
 use nestsim_proto::pcie::doorbell_addr;
@@ -139,14 +139,56 @@ pub trait CosimDriver: Sized {
     fn detach(self) -> Detach;
 
     /// The system under the driver, as it stands, with no state
-    /// transferred back: for a run that is over and only hands its
-    /// storage on to the next restore.
+    /// transferred back.
     fn into_sys(self) -> System;
 
     /// Records the component's queue occupancies into `rec`. Called by
     /// the injection loop at golden-compare points only (never on the
     /// per-cycle path), and only when the recorder is active.
     fn sample_telemetry(&self, rec: &mut Recorder);
+}
+
+/// A driver a run hands on to the next instead of dropping it (DESIGN.md
+/// *Recycling the injection's driver*): the run ends with the driver
+/// whole, system included.
+pub(crate) trait Recycle: CosimDriver {
+    /// [`detach`](CosimDriver::detach) in place: the corrupted lines,
+    /// with the detached system left under the driver.
+    fn detach_in_place(&mut self) -> Vec<LineAddr>;
+
+    /// The system under the driver.
+    fn sys_mut(&mut self) -> &mut System;
+}
+
+/// A copy of `source`, written into `spare` when there is one: storage
+/// an earlier run held, so that nothing it holds is allocated again.
+pub(crate) fn refilled<T: Clone>(spare: Option<T>, source: &T) -> T {
+    match spare {
+        Some(mut t) => {
+            t.clone_from(source);
+            t
+        }
+        None => source.clone(),
+    }
+}
+
+/// `Clone` for a struct of the named fields, whose `clone_from` refills
+/// each field in place. Both destructure every field: a new field fails
+/// to compile here until it is named.
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                let $ty { $($field),* } = self;
+                $ty { $($field: $field.clone()),* }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let $ty { $($field),* } = source;
+                $(self.$field.clone_from($field);)*
+            }
+        }
+    };
 }
 
 // ─────────────────────────── The contract ───────────────────────────
@@ -166,10 +208,11 @@ pub trait Side: Clone + std::fmt::Debug {
 
     /// A copy on flops, converting this side first if it is still on
     /// its fault-free model: the golden at the snapshot, and every lane
-    /// a batch's carrier forks.
-    fn twin(&mut self) -> Self {
+    /// a batch's carrier starts. It is written into `spare`, a side an
+    /// earlier run held, when there is one.
+    fn twin(&mut self, spare: Option<Self>) -> Self {
         self.flops();
-        self.clone()
+        refilled(spare, self)
     }
 
     /// The side a mixed-mode entry starts from (Fig. 5's cold golden): a
@@ -225,6 +268,15 @@ pub trait Component: Clone + std::fmt::Debug {
 
     /// `attach` for instance `instance`, modulo the instance count.
     fn attach_instance(sys: System, instance: usize) -> Driver<Self>;
+
+    /// [`attach_instance`](Self::attach_instance) in place: `sys`, this
+    /// port and `target`, whatever an earlier run left in them, end as
+    /// that attach leaves its driver's, and nothing they hold is
+    /// allocated again.
+    fn reattach(&mut self, sys: &mut System, target: &mut Self::Side, instance: usize);
+
+    /// This component's part of a shard's [`Spares`].
+    fn kept(spares: &mut Spares) -> &mut Kept<Self>;
 
     /// Moves the traffic the system sent the component this cycle into
     /// the port.
@@ -312,7 +364,7 @@ fn verdict<S: Side>(target: &S, golden: &S, base: &DramContents) -> CosimCheck {
 }
 
 /// The co-simulation driver of one component `C` (module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Driver<C: Component> {
     sys: System,
     port: C,
@@ -320,7 +372,93 @@ pub struct Driver<C: Component> {
     target: C::Side,
     /// The golden side, from its snapshot until it retires.
     golden: Option<C::Side>,
+    /// A golden side set aside when it retired or a run ended, for the
+    /// next snapshot to refill.
+    retired: Option<C::Side>,
     first_err_out: Option<u64>,
+}
+
+// Not derived: a copy does not take the side set aside.
+impl<C: Component> Clone for Driver<C> {
+    fn clone(&self) -> Self {
+        Driver {
+            sys: self.sys.clone(),
+            port: self.port.clone(),
+            target: self.target.clone(),
+            golden: self.golden.clone(),
+            retired: None,
+            first_err_out: self.first_err_out,
+        }
+    }
+}
+
+/// What a shard keeps of component `C`'s drivers from one group to the
+/// next, so that each group refills them instead of building its own
+/// (DESIGN.md *Recycling the injection's driver*).
+#[derive(Debug)]
+pub struct Kept<C: Component> {
+    /// The driver the last group ended with: a scalar run's, or a
+    /// batch's carrier.
+    pub(crate) driver: Option<Driver<C>>,
+    /// The driver the last lane that left a batch ended with.
+    pub(crate) fork: Option<Driver<C>>,
+    /// Lane sides no batch holds.
+    pub(crate) lanes: Vec<C::Side>,
+}
+
+impl<C: Component> Default for Kept<C> {
+    fn default() -> Self {
+        Kept {
+            driver: None,
+            fork: None,
+            lanes: Vec::new(),
+        }
+    }
+}
+
+impl<C: Component> Kept<C> {
+    /// Between groups: the kept systems let go of the pages they share
+    /// with the cursor, which takes them back when it moves on.
+    pub(crate) fn park(&mut self) {
+        for driver in self.driver.iter_mut().chain(&mut self.fork) {
+            driver.sys.release_pages();
+        }
+    }
+}
+
+/// A shard's [`Kept`] drivers and lanes. A shard runs one component, so
+/// it keeps that component's alone.
+// One per shard runner, inline: it is as large as one component's
+// drivers, where a field per component would hold all four.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Default)]
+pub enum Spares {
+    /// Nothing kept yet.
+    #[default]
+    Empty,
+    /// An L2 bank's.
+    L2c(Kept<L2cPort>),
+    /// A DRAM controller's.
+    Mcu(Kept<DramPort>),
+    /// The crossbar's.
+    Ccx(Kept<CcxPort>),
+    /// The PCIe engine's.
+    Pcie(Kept<PciePort>),
+}
+
+/// [`Component::kept`] for the component of `Spares::$variant`: what
+/// `$spares` keeps of it, emptied first if it kept another's.
+macro_rules! kept_as {
+    ($spares:expr, $variant:ident) => {{
+        let spares: &mut Spares = $spares;
+        if !matches!(spares, Spares::$variant(_)) {
+            *spares = Spares::$variant(Kept::default());
+        }
+        match spares {
+            Spares::$variant(kept) => kept,
+            _ => unreachable!("filled above"),
+        }
+    }};
 }
 
 /// Co-simulation driver for one L2 cache bank.
@@ -340,7 +478,24 @@ impl<C: Component> Driver<C> {
             port,
             target,
             golden: None,
+            retired: None,
             first_err_out: None,
+        }
+    }
+
+    /// [`Component::reattach`] of this driver, which an earlier run left
+    /// as it ended, to its system: the golden side is set aside for the
+    /// next snapshot to refill.
+    pub(crate) fn reattach(&mut self, instance: usize) {
+        self.set_golden_aside();
+        self.first_err_out = None;
+        (self.port).reattach(&mut self.sys, &mut self.target, instance);
+    }
+
+    /// Moves a live golden side to [`retired`](Self::retired).
+    fn set_golden_aside(&mut self) {
+        if let Some(golden) = self.golden.take() {
+            self.retired = Some(golden);
         }
     }
 
@@ -359,12 +514,13 @@ impl<C: Component> Driver<C> {
     /// The rest of cycle `cyc` after [`run_system`](Self::run_system), in
     /// [`Component`]'s phases. A lane that leaves its batch before the
     /// sides ticked finishes its cycle here.
-    pub(crate) fn finish_cycle(&mut self, cyc: u64) {
+    pub(crate) fn finish_cycle(&mut self, cyc: u64) -> C::Outputs {
         let gate = self.admits(None, cyc);
         let inp = self.take(&gate);
         let golden = (self.golden.as_mut()).map(|g| C::tick(g, &inp, self.sys.dram(), cyc));
         let out = self.tick_target(&inp, cyc);
         self.settle(cyc, &out, golden.as_ref());
+        out
     }
 
     /// The end of cycle `cyc`, from the target's outputs `out` and the
@@ -394,8 +550,8 @@ impl<C: Component> Driver<C> {
     }
 
     /// [`Side::twin`] of the target side.
-    pub(crate) fn twin(&mut self) -> C::Side {
-        self.target.twin()
+    pub(crate) fn twin(&mut self, spare: Option<C::Side>) -> C::Side {
+        self.target.twin(spare)
     }
 
     /// Fig. 2 step 7 for a lane of a batch whose carrier this is: the
@@ -416,39 +572,51 @@ impl<C: Component> Driver<C> {
     /// as its golden, or for a parked lane (`None`) a copy of this
     /// driver's target with no golden, as its run retired the golden
     /// when the lane parked; and `first_err_out` as the divergence
-    /// monitor's record. The system refills `spare` when there is one.
-    /// A carrier forks many times, so it shares its pages first: a fork
-    /// copies none, and once the fork's system is released the carrier
-    /// takes them back at its next write.
+    /// monitor's record. It refills `spare`, the driver the previous
+    /// fork ended with, when there is one; the side `lane` replaces goes
+    /// to `pool`. A carrier forks many times, so it shares its pages
+    /// first: a fork copies none, and once the fork's system is released
+    /// the carrier takes them back at its next write.
     pub(crate) fn fork(
         &mut self,
         lane: Option<C::Side>,
         first_err_out: Option<u64>,
-        spare: Option<System>,
+        spare: Option<Self>,
+        pool: &mut Vec<C::Side>,
     ) -> Self {
         debug_assert!(
             self.golden.is_none(),
             "a batch carrier is every lane's golden and has none of its own"
         );
         self.sys.share_pages();
-        let sys = match spare {
-            Some(mut sys) => {
-                sys.clone_from(&self.sys);
-                sys
+        let Some(mut fork) = spare else {
+            let (target, golden) = match lane {
+                Some(lane) => (lane, Some(self.target.clone())),
+                None => (self.target.clone(), None),
+            };
+            return Driver {
+                sys: self.sys.clone(),
+                port: self.port.clone(),
+                target,
+                golden,
+                retired: None,
+                first_err_out,
+            };
+        };
+        #[cfg(test)]
+        crate::inject::count(&crate::inject::FORK_REFILLS);
+        fork.sys.clone_from(&self.sys);
+        fork.port.clone_from(&self.port);
+        fork.first_err_out = first_err_out;
+        fork.set_golden_aside();
+        match lane {
+            Some(lane) => {
+                pool.push(std::mem::replace(&mut fork.target, lane));
+                fork.golden = Some(refilled(fork.retired.take(), &self.target));
             }
-            None => self.sys.clone(),
-        };
-        let (target, golden) = match lane {
-            Some(lane) => (lane, Some(self.target.clone())),
-            None => (self.target.clone(), None),
-        };
-        Driver {
-            sys,
-            port: self.port.clone(),
-            target,
-            golden,
-            first_err_out,
+            None => fork.target.clone_from(&self.target),
         }
+        fork
     }
 }
 
@@ -467,7 +635,8 @@ impl<C: Component> CosimDriver for Driver<C> {
     }
 
     fn snapshot_golden(&mut self) {
-        self.golden = Some(self.target.twin());
+        let spare = self.golden.take().or_else(|| self.retired.take());
+        self.golden = Some(self.target.twin(spare));
     }
 
     fn snapshot_golden_cold(&mut self) {
@@ -497,7 +666,7 @@ impl<C: Component> CosimDriver for Driver<C> {
 
     fn retire_golden(&mut self) {
         self.target.retire();
-        self.golden = None;
+        self.set_golden_aside();
     }
 
     fn drained(&self) -> bool {
@@ -513,6 +682,20 @@ impl<C: Component> CosimDriver for Driver<C> {
     }
 
     fn detach(mut self) -> Detach {
+        let corrupted_lines = self.detach_in_place();
+        Detach {
+            sys: self.sys,
+            corrupted_lines,
+        }
+    }
+
+    fn into_sys(self) -> System {
+        self.sys
+    }
+}
+
+impl<C: Component> Recycle for Driver<C> {
+    fn detach_in_place(&mut self) -> Vec<LineAddr> {
         let mut corrupted =
             (self.port).transfer(&mut self.sys, &mut self.target, self.golden.as_ref());
         corrupted.sort_unstable_by_key(|l| l.raw());
@@ -520,14 +703,11 @@ impl<C: Component> CosimDriver for Driver<C> {
         self.sys.set_intercept(InterceptMode::None);
         self.port.release(&mut self.sys, &self.target);
         self.sys.mark_tainted(corrupted.iter().copied());
-        Detach {
-            sys: self.sys,
-            corrupted_lines: corrupted,
-        }
+        corrupted
     }
 
-    fn into_sys(self) -> System {
-        self.sys
+    fn sys_mut(&mut self) -> &mut System {
+        &mut self.sys
     }
 }
 
@@ -569,33 +749,69 @@ pub(crate) use on_component;
 /// it into the flops the flop-level warm-up would have left. A crossbar
 /// or a DRAM controller whose golden retired is fault-free again and
 /// goes back to `W`. A golden and the lanes of a batch are copied from a
-/// target on flops, so they hold flops from the start.
+/// target on flops, so they hold flops from the start. A target on `W`
+/// keeps the flops it last held, and the next conversion writes into
+/// them: a recycled driver converts without allocating.
 // `Flops` holds the component's handle tables inline; a box would be
 // one more allocation per conversion.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Target<W, F> {
+#[derive(Debug)]
+enum Target<W: FaultFree> {
     /// The fault-free model: packets (CCX), slot images (L2C) or plain
-    /// fields (MCU).
-    Warm(W),
-    Flops(F),
-    /// Only inside [`flops`](Self::flops), between taking the fault-free
-    /// model and storing what it became.
+    /// fields (MCU); and the flops an earlier conversion left, if any.
+    Warm(W, Option<W::Flops>),
+    Flops(W::Flops),
+    /// Only while a method moves the models out, between taking them and
+    /// storing what they became.
     Converting,
 }
 
-impl<W, F> Target<W, F> {
-    /// The flop-level model, converted from the fault-free one by `into`
-    /// (which marks the flops changed) in place the first time it is
-    /// asked for.
-    fn flops(&mut self, into: fn(W) -> F) -> &mut F {
-        if let Target::Warm(_) = self {
-            let Target::Warm(warm) = std::mem::replace(self, Target::Converting) else {
+/// A fault-free model and the flop-level model it converts to.
+trait FaultFree: Clone + std::fmt::Debug {
+    type Flops: Clone + std::fmt::Debug;
+
+    /// The flops this state converts to, marked changed: written into
+    /// `buf`, flops an earlier conversion left, when there is one.
+    fn convert(self, buf: Option<Self::Flops>) -> Self::Flops;
+}
+
+/// [`FaultFree`] for each fault-free model, by its `into_*` conversion
+/// and its `write_into`.
+macro_rules! fault_free {
+    ($($warm:ty => $flops:ty, $into:ident;)*) => {$(
+        impl FaultFree for $warm {
+            type Flops = $flops;
+
+            fn convert(self, buf: Option<$flops>) -> $flops {
+                match buf {
+                    Some(mut x) => {
+                        self.write_into(&mut x);
+                        x
+                    }
+                    None => self.$into(),
+                }
+            }
+        }
+    )*};
+}
+
+fault_free! {
+    L2cWarm => L2cBank, into_l2c;
+    CcxWarm => Ccx, into_ccx;
+    McuWarm => Mcu, into_mcu;
+}
+
+impl<W: FaultFree> Target<W> {
+    /// The flop-level model, converted from the fault-free one in place
+    /// the first time it is asked for.
+    fn flops(&mut self) -> &mut W::Flops {
+        if let Target::Warm(..) = self {
+            let (Some(warm), buf) = self.take() else {
                 unreachable!("matched above")
             };
-            *self = Target::Flops(into(warm));
+            *self = Target::Flops(warm.convert(buf));
             #[cfg(test)]
-            tests::CONVERSIONS.with(|n| n.set(n.get() + 1));
+            crate::inject::count(&tests::CONVERSIONS);
         }
         match self {
             Target::Flops(x) => x,
@@ -604,20 +820,63 @@ impl<W, F> Target<W, F> {
     }
 
     /// The flop-level model, if the target holds flops.
-    fn as_flops(&self) -> Option<&F> {
+    fn as_flops(&self) -> Option<&W::Flops> {
         match self {
             Target::Flops(x) => Some(x),
             _ => None,
         }
     }
 
-    /// Back on the fault-free model, read off the flops by `from`. Exact
-    /// at retirement: the flops just checked `Identical` to a golden that
-    /// only ever held fault-free traffic. A later call finds the target
-    /// on the fault-free model already.
-    fn back_to_warm(&mut self, from: fn(&F) -> W) {
+    /// Back on the fault-free model, read off the flops by `from`, which
+    /// the target keeps. Exact at retirement: the flops just checked
+    /// `Identical` to a golden that only ever held fault-free traffic. A
+    /// later call finds the target on the fault-free model already.
+    fn back_to_warm(&mut self, from: fn(&W::Flops) -> W) {
         if let Target::Flops(x) = self {
-            *self = Target::Warm(from(x));
+            let warm = from(x);
+            let (_, flops) = self.take();
+            *self = Target::Warm(warm, flops);
+        }
+    }
+
+    /// Both models moved out, for the caller to store what they become:
+    /// the fault-free one if the target is on it, and the flops, held or
+    /// kept.
+    fn take(&mut self) -> (Option<W>, Option<W::Flops>) {
+        match std::mem::replace(self, Target::Converting) {
+            Target::Warm(warm, flops) => (Some(warm), flops),
+            Target::Flops(x) => (None, Some(x)),
+            Target::Converting => unreachable!("a target is converting only inside its methods"),
+        }
+    }
+}
+
+// Not derived: the flops a target on its fault-free model keeps are its
+// own storage, not state, so a copy leaves them; and `clone_from` writes
+// into whichever model the target holds.
+impl<W: FaultFree> Clone for Target<W> {
+    fn clone(&self) -> Self {
+        match self {
+            Target::Warm(warm, _) => Target::Warm(warm.clone(), None),
+            Target::Flops(x) => Target::Flops(x.clone()),
+            Target::Converting => unreachable!("a target is converting only inside its methods"),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut *self, source) {
+            (Target::Warm(warm, _), Target::Warm(from, _)) => warm.clone_from(from),
+            (Target::Flops(x), Target::Flops(from)) => x.clone_from(from),
+            _ => {
+                let (_, flops) = self.take();
+                *self = match source {
+                    Target::Warm(from, _) => Target::Warm(from.clone(), flops),
+                    Target::Flops(from) => Target::Flops(refilled(flops, from)),
+                    Target::Converting => {
+                        unreachable!("a target is converting only inside its methods")
+                    }
+                };
+            }
         }
     }
 }
@@ -629,9 +888,9 @@ impl<W, F> Target<W, F> {
 macro_rules! on_target {
     ($target:expr, $x:ident => $body:expr) => {
         match $target {
-            Target::Warm($x) => $body,
+            Target::Warm($x, _) => $body,
             Target::Flops($x) => $body,
-            Target::Converting => unreachable!("a target converts only inside `Target::flops`"),
+            Target::Converting => unreachable!("a target is converting only inside its methods"),
         }
     };
 }
@@ -640,10 +899,12 @@ macro_rules! on_target {
 
 /// Mini DRAM model (latency queue over an overlay) standing in for the
 /// rest of the memory system while an L2 bank is co-simulated.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct LatencyDram {
     queue: VecDeque<(u64, DramCmd)>,
 }
+
+clone_in_place!(LatencyDram { queue });
 
 impl LatencyDram {
     fn push(&mut self, cycle: u64, cmd: DramCmd) {
@@ -683,18 +944,37 @@ impl LatencyDram {
 /// DRAM and its DRAM latency queue. The target warms up on
 /// [`L2cWarm`]'s slot images; its golden and each lane of a batch are
 /// copied from it on flops.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BankSide {
-    bank: Target<L2cWarm, L2cBank>,
+    bank: Target<L2cWarm>,
     ov: DramOverlay,
     dram: LatencyDram,
+}
+
+clone_in_place!(BankSide { bank, ov, dram });
+
+impl BankSide {
+    /// Bank `bank` at reset around `arch` (Fig. 2 step 3), with nothing
+    /// in its memory: the arrays are copied into the ones this side
+    /// holds, and its flops are kept for the conversion to write into.
+    fn attach(&mut self, bank: BankId, arch: &L2BankArch) {
+        let (warm, mut flops) = self.bank.take();
+        let mut arrays = match warm {
+            Some(warm) => warm.into_arch(),
+            None => (flops.as_mut()).expect("a side holds a model").take_arch(),
+        };
+        arrays.clone_from(arch);
+        self.bank = Target::Warm(L2cWarm::new(bank, arrays), flops);
+        self.ov.clear();
+        self.dram.queue.clear();
+    }
 }
 
 impl Side for BankSide {
     type Flops = L2cBank;
 
     fn flops(&mut self) -> &mut L2cBank {
-        self.bank.flops(L2cWarm::into_l2c)
+        self.bank.flops()
     }
 
     fn as_flops(&self) -> Option<&L2cBank> {
@@ -740,11 +1020,13 @@ impl Side for BankSide {
 
 /// The engine side of an intercepted L2 bank: the requests the system
 /// sent it that it has not taken yet.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct L2cPort {
     bank: BankId,
     inbox: VecDeque<PcxPacket>,
 }
+
+clone_in_place!(L2cPort { bank, inbox });
 
 impl L2cDriver {
     /// Attaches co-simulation for `bank`: intercepts its traffic and
@@ -753,7 +1035,7 @@ impl L2cDriver {
     /// by warm-up traffic (step 4).
     pub fn attach(mut sys: System, bank: BankId) -> Self {
         let target = BankSide {
-            bank: Target::Warm(L2cWarm::new(bank, sys.bank_arch(bank).clone())),
+            bank: Target::Warm(L2cWarm::new(bank, sys.bank_arch(bank).clone()), None),
             ov: DramOverlay::new(),
             dram: LatencyDram::default(),
         };
@@ -777,6 +1059,18 @@ impl Component for L2cPort {
 
     fn attach_instance(sys: System, instance: usize) -> L2cDriver {
         L2cDriver::attach(sys, BankId::new(instance % NUM_L2_BANKS))
+    }
+
+    fn reattach(&mut self, sys: &mut System, target: &mut BankSide, instance: usize) {
+        let bank = BankId::new(instance % NUM_L2_BANKS);
+        target.attach(bank, sys.bank_arch(bank));
+        sys.set_intercept(InterceptMode::Bank(bank));
+        self.bank = bank;
+        self.inbox.clear();
+    }
+
+    fn kept(spares: &mut Spares) -> &mut Kept<Self> {
+        kept_as!(spares, L2c)
     }
 
     fn intake(&mut self, sys: &mut System) {
@@ -838,14 +1132,14 @@ impl Component for L2cPort {
         target: &mut BankSide,
         golden: Option<&BankSide>,
     ) -> Vec<LineAddr> {
-        let bank = target.bank.flops(L2cWarm::into_l2c);
+        let bank = target.bank.flops();
         let mut corrupted = Vec::new();
         if let Some((g, g_ov)) = golden.and_then(|g| Some((g.bank.as_flops()?, &g.ov))) {
             corrupted.extend(bank.arch().diff_lines(g.arch()));
             corrupted.extend(target.ov.diff_lines(g_ov, sys.dram()));
         }
         target.ov.apply_to(sys.dram_mut());
-        sys.set_bank_arch(self.bank, bank.arch().clone());
+        sys.set_bank_arch(self.bank, bank.arch());
         corrupted
     }
 
@@ -880,7 +1174,7 @@ enum TagRoute {
 /// fill responses back to the requesting bank, and serves what the
 /// controller never accepted when co-simulation ends. Every MCU
 /// co-simulation driver holds one.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DramPort {
     inbox: VecDeque<DramCmd>,
     /// Each tag's in-flight command. Tags must be unique across *all*
@@ -892,6 +1186,13 @@ pub struct DramPort {
     in_flight: usize,
     next_tag: u32,
 }
+
+clone_in_place!(DramPort {
+    inbox,
+    routes,
+    in_flight,
+    next_tag
+});
 
 impl Default for DramPort {
     fn default() -> Self {
@@ -969,17 +1270,19 @@ impl DramPort {
 /// A DRAM controller with its overlay over the system's DRAM, which
 /// holds the contents it wrote (Table 1's state for the MCU). The target
 /// warms up on [`McuWarm`]'s plain fields.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct McuSide {
-    mcu: Target<McuWarm, Mcu>,
+    mcu: Target<McuWarm>,
     ov: DramOverlay,
 }
+
+clone_in_place!(McuSide { mcu, ov });
 
 impl Side for McuSide {
     type Flops = Mcu;
 
     fn flops(&mut self) -> &mut Mcu {
-        self.mcu.flops(McuWarm::into_mcu)
+        self.mcu.flops()
     }
 
     fn as_flops(&self) -> Option<&Mcu> {
@@ -1018,7 +1321,7 @@ impl McuDriver {
     pub fn attach(mut sys: System, mcu: McuId) -> Self {
         sys.set_intercept(InterceptMode::McuPair(mcu));
         let target = McuSide {
-            mcu: Target::Warm(McuWarm::new(mcu)),
+            mcu: Target::Warm(McuWarm::new(mcu), None),
             ov: DramOverlay::new(),
         };
         Driver::new(sys, DramPort::default(), target)
@@ -1036,6 +1339,22 @@ impl Component for DramPort {
 
     fn attach_instance(sys: System, instance: usize) -> McuDriver {
         McuDriver::attach(sys, McuId::new(instance % NUM_MCUS))
+    }
+
+    fn reattach(&mut self, sys: &mut System, target: &mut McuSide, instance: usize) {
+        let mcu = McuId::new(instance % NUM_MCUS);
+        sys.set_intercept(InterceptMode::McuPair(mcu));
+        let (_, flops) = target.mcu.take();
+        target.mcu = Target::Warm(McuWarm::new(mcu), flops);
+        target.ov.clear();
+        self.inbox.clear();
+        self.routes = [TagRoute::Free; DRAM_TAGS];
+        self.in_flight = 0;
+        self.next_tag = 0;
+    }
+
+    fn kept(spares: &mut Spares) -> &mut Kept<Self> {
+        kept_as!(spares, Mcu)
     }
 
     /// Moves the DRAM traffic `sys` emitted this cycle into the inbox,
@@ -1109,16 +1428,18 @@ impl Component for DramPort {
 
 /// The crossbar. It has no architectural state (Table 1): the target
 /// warms up on [`CcxWarm`]'s packets.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CcxSide {
-    xbar: Target<CcxWarm, Ccx>,
+    xbar: Target<CcxWarm>,
 }
+
+clone_in_place!(CcxSide { xbar });
 
 impl Side for CcxSide {
     type Flops = Ccx;
 
     fn flops(&mut self) -> &mut Ccx {
-        self.xbar.flops(CcxWarm::into_ccx)
+        self.xbar.flops()
     }
 
     fn as_flops(&self) -> Option<&Ccx> {
@@ -1151,12 +1472,14 @@ impl Side for CcxSide {
 
 /// The engine side of the crossbar: each core's requests and each
 /// bank's replies waiting for a free crossbar port.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CcxPort {
     core_q: [VecDeque<PcxPacket>; NUM_CORES],
     /// Functional-bank replies with the cycle each is due.
     bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS],
 }
+
+clone_in_place!(CcxPort { core_q, bank_q });
 
 impl CcxDriver {
     /// Attaches crossbar co-simulation: every core request flows
@@ -1166,7 +1489,7 @@ impl CcxDriver {
     pub fn attach(mut sys: System) -> Self {
         sys.set_intercept(InterceptMode::AllRequests);
         let target = CcxSide {
-            xbar: Target::Warm(CcxWarm::new()),
+            xbar: Target::Warm(CcxWarm::new(), None),
         };
         Driver::new(sys, CcxPort::default(), target)
     }
@@ -1182,6 +1505,22 @@ impl Component for CcxPort {
 
     fn attach_instance(sys: System, _instance: usize) -> CcxDriver {
         CcxDriver::attach(sys)
+    }
+
+    fn reattach(&mut self, sys: &mut System, target: &mut CcxSide, _instance: usize) {
+        sys.set_intercept(InterceptMode::AllRequests);
+        let (_, flops) = target.xbar.take();
+        target.xbar = Target::Warm(CcxWarm::new(), flops);
+        for q in &mut self.core_q {
+            q.clear();
+        }
+        for q in &mut self.bank_q {
+            q.clear();
+        }
+    }
+
+    fn kept(spares: &mut Spares) -> &mut Kept<Self> {
+        kept_as!(spares, Ccx)
     }
 
     fn intake(&mut self, sys: &mut System) {
@@ -1291,10 +1630,24 @@ impl Component for CcxPort {
 /// The DMA engine with its private memory view: an overlay over system
 /// memory that its writes land in. A target's holds one tick's writes,
 /// until they reach system memory; a golden's and a lane's keep theirs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PcieSide {
     engine: Pcie,
     ov: DramOverlay,
+}
+
+clone_in_place!(PcieSide { engine, ov });
+
+impl PcieSide {
+    /// The engine resuming `sys`'s transfer from its architectural
+    /// progress point (Table 1 state transfer), with nothing in its
+    /// memory, in place.
+    fn attach(&mut self, sys: &System) {
+        let (pos, active) = sys.dma_progress();
+        let desc = sys.dma_descriptor();
+        (self.engine).resume(desc.dst.raw(), desc.len, desc.stream_seed, pos, active);
+        self.ov.clear();
+    }
 }
 
 impl Side for PcieSide {
@@ -1341,15 +1694,17 @@ impl Side for PcieSide {
 
 /// The engine side of the PCIe DMA engine: the lines where the target's
 /// writes and the golden's disagreed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PciePort {
     corrupted: Vec<LineAddr>,
 }
 
+clone_in_place!(PciePort { corrupted });
+
 /// One cycle of a PCIe side: the engine's outputs, and what the cycle
 /// left in the line it drained a frame into and in the doorbell line
 /// it wrote on completion, the last line it writes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcieTick {
     out: PcieOutputs,
     drained: Option<(LineAddr, [u64; 8])>,
@@ -1361,26 +1716,12 @@ impl PcieDriver {
     /// suspended and the RTL engine resumes the transfer from the
     /// architectural progress point (Table 1 state transfer).
     pub fn attach(mut sys: System) -> Self {
-        let (pos, active) = sys.dma_progress();
-        let desc = sys.dma_descriptor();
-        sys.set_intercept(InterceptMode::PcieDma);
-        let mut engine = Pcie::new();
-        engine.load_arch(PcieArchState {
-            bufs: nestsim_arch::PcieBuffers::new(),
-            dst: desc.dst.raw(),
-            len: desc.len,
-            seed: desc.stream_seed,
-            pos,
-            drain_pos: pos,
-            occ: 0,
-            wr_ptr: 0,
-            rd_ptr: 0,
-            active,
-        });
-        let target = PcieSide {
-            engine,
+        let mut target = PcieSide {
+            engine: Pcie::new(),
             ov: DramOverlay::new(),
         };
+        target.attach(&sys);
+        sys.set_intercept(InterceptMode::PcieDma);
         Driver::new(sys, PciePort::default(), target)
     }
 }
@@ -1394,6 +1735,16 @@ impl Component for PciePort {
 
     fn attach_instance(sys: System, _instance: usize) -> PcieDriver {
         PcieDriver::attach(sys)
+    }
+
+    fn reattach(&mut self, sys: &mut System, target: &mut PcieSide, _instance: usize) {
+        target.attach(sys);
+        sys.set_intercept(InterceptMode::PcieDma);
+        self.corrupted.clear();
+    }
+
+    fn kept(spares: &mut Spares) -> &mut Kept<Self> {
+        kept_as!(spares, Pcie)
     }
 
     /// The engine takes no traffic from the system.
@@ -1469,6 +1820,7 @@ pub(crate) mod tests {
     use super::*;
     use nestsim_hlsim::workload::by_name;
     use nestsim_hlsim::SystemConfig;
+    use nestsim_models::pcie::PcieArchState;
     use nestsim_proto::addr::McuId;
 
     thread_local! {
@@ -1773,8 +2125,10 @@ pub(crate) mod tests {
         let group: Vec<usize> = (0..samples.len()).collect();
         let before = CONVERSIONS.with(std::cell::Cell::get);
         let mut stats = LaneBatchStats::default();
-        let (runs, _) =
-            run_batch::<L2cPort>(&base, &golden, &samples, &group, None, &mut stats, None);
+        let mut kept = Kept::default();
+        let runs = run_batch::<L2cPort>(
+            &base, &golden, &samples, &group, None, &mut stats, &mut kept,
+        );
         let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
         assert_eq!(runs.len(), samples.len());
         assert!(
@@ -1856,7 +2210,7 @@ pub(crate) mod tests {
         scalar.snapshot_golden();
         assert_eq!(scalar.check(), CosimCheck::Identical);
         let mut carrier = warmed;
-        let lane = carrier.twin();
+        let lane = carrier.twin(None);
         assert_eq!(carrier.check_lane(&lane), CosimCheck::Identical);
 
         for piece in Piece::ALL {
@@ -1864,10 +2218,301 @@ pub(crate) mod tests {
             piece.perturb(&mut drv.target, drv.sys.dram());
             assert_eq!(drv.check(), piece.verdict(), "driver, {piece:?}");
 
-            let mut lane = carrier.twin();
+            let mut lane = carrier.twin(None);
             piece.perturb(&mut lane, carrier.sys.dram());
             let got = carrier.check_lane(&lane);
             assert_eq!(got, piece.verdict(), "lane, {piece:?}");
+        }
+    }
+
+    /// What a run can leave in a port or a side that an attach starts
+    /// without: queued traffic, tags in flight, lines in an overlay.
+    trait Leftover {
+        fn leftover(&self) -> usize;
+    }
+
+    impl Leftover for L2cPort {
+        fn leftover(&self) -> usize {
+            self.inbox.len()
+        }
+    }
+
+    impl Leftover for DramPort {
+        fn leftover(&self) -> usize {
+            self.inbox.len() + self.in_flight
+        }
+    }
+
+    impl Leftover for CcxPort {
+        fn leftover(&self) -> usize {
+            let queued = self.core_q.iter().map(VecDeque::len);
+            queued.chain(self.bank_q.iter().map(VecDeque::len)).sum()
+        }
+    }
+
+    impl Leftover for PciePort {
+        fn leftover(&self) -> usize {
+            self.corrupted.len()
+        }
+    }
+
+    impl Leftover for BankSide {
+        fn leftover(&self) -> usize {
+            self.ov.written_lines() + self.dram.queue.len()
+        }
+    }
+
+    impl Leftover for McuSide {
+        fn leftover(&self) -> usize {
+            self.ov.written_lines()
+        }
+    }
+
+    /// The crossbar reaches no memory.
+    impl Leftover for CcxSide {
+        fn leftover(&self) -> usize {
+            0
+        }
+    }
+
+    impl Leftover for PcieSide {
+        fn leftover(&self) -> usize {
+            self.ov.written_lines()
+        }
+    }
+
+    /// One cycle of `drv`, returning the target's outputs.
+    fn step_out<C: Component>(drv: &mut Driver<C>) -> C::Outputs {
+        let cyc = drv.run_system();
+        drv.finish_cycle(cyc)
+    }
+
+    /// A base system, its golden reference and its profile.
+    type Setup = (
+        System,
+        crate::inject::GoldenRef,
+        &'static nestsim_hlsim::workload::BenchProfile,
+    );
+
+    /// A spec of `component` drawn on `setup`'s injection window.
+    fn draw_spec(
+        src: &mut nestsim_harness::Source,
+        component: nestsim_models::ComponentKind,
+        (_, golden, profile): &Setup,
+        bits: &[usize],
+    ) -> crate::inject::InjectionSpec {
+        use crate::campaign::{injection_window, instances_of};
+        let (lo, hi) = injection_window(component, profile, golden);
+        crate::inject::InjectionSpec {
+            component,
+            instance: src.index(instances_of(component)),
+            bit: bits[src.index(bits.len())],
+            inject_cycle: src.range_u64(lo, hi),
+            warmup: crate::inject::MIN_WARMUP + src.below(1_000),
+            cosim_cap: [2_000, 2_000, 300][src.index(3)],
+            check_interval: [16, 7][src.index(2)],
+        }
+    }
+
+    /// How much of what a refill must clear the used drivers held.
+    #[derive(Default)]
+    struct Used {
+        live: std::cell::Cell<u64>,
+        retired: std::cell::Cell<u64>,
+        queued: std::cell::Cell<u64>,
+        dirty: std::cell::Cell<u64>,
+    }
+
+    /// A driver as a run leaves it on `setup`: at its end, or stopped
+    /// in co-simulation, its golden live or retired.
+    fn used<C: Component + Leftover>(
+        src: &mut nestsim_harness::Source,
+        component: nestsim_models::ComponentKind,
+        setup: &Setup,
+        bits: &[usize],
+        tally: &Used,
+    ) -> Driver<C>
+    where
+        C::Side: Leftover,
+    {
+        use crate::inject::{finish, warm};
+        let spec = draw_spec(src, component, setup, bits);
+        let (base, golden, _) = setup;
+        let warmed = warm::<C>(base, golden, &spec, None);
+        let drv = if src.below(3) == 0 {
+            finish(warmed, golden, &spec, &mut Recorder::null()).1
+        } else {
+            let mut drv = warmed.driver;
+            drv.snapshot_golden();
+            drv.inject(spec.bit);
+            for _ in 0..src.below(400) {
+                drv.step();
+            }
+            let clean = drv.check() == CosimCheck::Identical && drv.erroneous_output().is_none();
+            if clean && src.below(2) == 0 {
+                drv.retire_golden();
+            }
+            drv
+        };
+        let bump = |c: &std::cell::Cell<u64>, on: bool| c.set(c.get() + u64::from(on));
+        bump(&tally.live, drv.golden.is_some());
+        bump(&tally.retired, drv.retired.is_some());
+        bump(&tally.queued, drv.port.leftover() > 0);
+        let golden = drv.golden.iter().chain(&drv.retired);
+        let dirty = drv.target.leftover() + golden.map(Leftover::leftover).sum::<usize>();
+        bump(&tally.dirty, dirty > 0);
+        drv
+    }
+
+    /// `used`, refilled from `setup` as a shard's next run refills it,
+    /// against a fresh attach there: the same outputs, check, drain
+    /// state and divergence record at every cycle of the warm-up, the
+    /// flip and co-simulation, then the same corrupted lines and the same
+    /// detached system.
+    fn refill_matches_a_fresh_attach<C: Component>(
+        src: &mut nestsim_harness::Source,
+        component: nestsim_models::ComponentKind,
+        mut used: Driver<C>,
+        setup: &Setup,
+        bits: &[usize],
+    ) where
+        C::Outputs: PartialEq + std::fmt::Debug,
+    {
+        let spec = draw_spec(src, component, setup, bits);
+        let (base, golden, _) = setup;
+        let entry = crate::campaign::entry_cycle(&spec);
+        let to_entry = |sys: &mut System| {
+            sys.set_watchdog(golden.watchdog());
+            sys.run_until(entry);
+        };
+        let mut want = {
+            let mut sys = base.clone();
+            to_entry(&mut sys);
+            C::attach_instance(sys, spec.instance)
+        };
+        used.sys.clone_from(base);
+        to_entry(&mut used.sys);
+        used.reattach(spec.instance);
+        let mut got = used;
+
+        let at = |what: &str, k: u64| format!("{component} {spec:?}: {what} cycle {k}");
+        let same = |want: &mut Driver<C>, got: &mut Driver<C>, what: &str, k: u64| {
+            assert_eq!(step_out(want), step_out(got), "{}: outputs", at(what, k));
+            assert_eq!(want.cycle(), got.cycle(), "{}", at(what, k));
+            assert_eq!(want.drained(), got.drained(), "{}: drained", at(what, k));
+            let err = (want.erroneous_output(), got.erroneous_output());
+            assert_eq!(err.0, err.1, "{}: erroneous output", at(what, k));
+        };
+        for k in 0..spec.warmup.max(crate::inject::MIN_WARMUP) {
+            same(&mut want, &mut got, "warm-up", k);
+        }
+        for drv in [&mut want, &mut got] {
+            drv.snapshot_golden();
+            drv.inject(spec.bit);
+        }
+        for k in 1..=spec.cosim_cap {
+            same(&mut want, &mut got, "co-simulation", k);
+            if want.sys.trap().is_some() || !k.is_multiple_of(spec.check_interval) {
+                continue;
+            }
+            let check = want.check();
+            assert_eq!(check, got.check(), "{}: check", at("co-simulation", k));
+            if check == CosimCheck::Identical && want.erroneous_output().is_none() {
+                want.retire_golden();
+                got.retire_golden();
+            }
+            if check.exitable() && want.drained() {
+                break;
+            }
+        }
+        let (want, got) = (want.detach(), got.detach());
+        assert_eq!(want.corrupted_lines, got.corrupted_lines, "{component}");
+        let (mut want, mut got) = (want.sys, got.sys);
+        let observe = |sys: &System| {
+            let banks = (0..NUM_L2_BANKS).map(|b| sys.bank_arch(BankId::new(b)).clone());
+            (
+                (sys.cycle(), sys.trap(), sys.waiting_on_uncore()),
+                (
+                    sys.output_digest(),
+                    sys.first_taint_read(),
+                    sys.dma_progress(),
+                ),
+                sys.thread_state_summary(),
+                banks.collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(
+            observe(&want),
+            observe(&got),
+            "{component}: detached system"
+        );
+        assert!(want.dram() == got.dram(), "{component}: detached memory");
+        assert_eq!(
+            want.run_to_end(),
+            got.run_to_end(),
+            "{component}: run to end"
+        );
+    }
+
+    #[test]
+    fn refilled_driver_matches_a_fresh_attach() {
+        // Every identity suite passes a refill that leaves a stale queue
+        // behind whenever the runs it follows end drained; this starts
+        // from drivers that did not: stopped in co-simulation, port and
+        // overlays full, golden live or retired, on another benchmark and
+        // instance than the refill's.
+        use crate::campaign::{golden_reference, injection_target_bits, CampaignSpec};
+        use nestsim_harness::{check_with, Config};
+        use nestsim_models::ComponentKind;
+
+        let setup = |component: ComponentKind, bench: &str| -> Setup {
+            let profile = by_name(bench).unwrap();
+            let (base, golden) = golden_reference(profile, &CampaignSpec::quick(component, 1));
+            (base, golden, profile)
+        };
+        let benches = [
+            ["radi", "lu-c", "flui"],
+            ["fft", "flui", "radi"],
+            ["lu-c", "stre", "radi"],
+            ["p-lr", "blsc", "p-sm"],
+        ];
+        let setups = ComponentKind::ALL.map(|c| benches[c as usize].map(|b| setup(c, b)));
+        let bits = ComponentKind::ALL.map(injection_target_bits);
+        let tallies: [Used; 4] = Default::default();
+        let config = Config {
+            max_shrink_iters: 16,
+            ..Config::with_cases(16)
+        };
+        check_with(config, "refilled_driver_matches_a_fresh_attach", |src| {
+            for (k, component) in ComponentKind::ALL.into_iter().enumerate() {
+                let (setups, bits) = (&setups[k], &bits[k]);
+                on_component!(component, C => {
+                    let from = &setups[src.index(3)];
+                    let used = used::<C>(src, component, from, bits, &tallies[k]);
+                    let to = &setups[src.index(3)];
+                    refill_matches_a_fresh_attach::<C>(src, component, used, to, bits);
+                });
+            }
+        });
+        for (component, t) in ComponentKind::ALL.into_iter().zip(&tallies) {
+            let [live, retired, queued, dirty] =
+                [&t.live, &t.retired, &t.queued, &t.dirty].map(std::cell::Cell::get);
+            eprintln!(
+                "{component}: refilled drivers with the golden live {live}, retired {retired}; \
+                 port queues full {queued}; overlays or queues dirty {dirty}"
+            );
+            assert!(
+                live > 0 && retired > 0,
+                "{component}: live {live}, retired {retired}"
+            );
+            // The PCIe engine takes no traffic from its port, and the
+            // crossbar reaches no memory.
+            if component != ComponentKind::Pcie {
+                assert!(queued > 0, "{component}: no used port held traffic");
+            }
+            if component != ComponentKind::Ccx {
+                assert!(dirty > 0, "{component}: no used side held memory");
+            }
         }
     }
 

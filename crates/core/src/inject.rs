@@ -4,7 +4,7 @@ use nestsim_hlsim::{RunResult, SnapshotCost, System};
 use nestsim_models::ComponentKind;
 use nestsim_telemetry::{names, EventKind, ExitReason, Recorder, TelemetryConfig};
 
-use crate::cosim::{on_component, Component, CosimCheck, CosimDriver, Driver};
+use crate::cosim::{on_component, Component, CosimCheck, CosimDriver, Driver, Recycle};
 use crate::outcome::Outcome;
 
 /// Minimum warm-up length before injection (Sec. 2.2 / Sec. 4.1: at
@@ -151,9 +151,21 @@ pub fn run_injection_with(
 
 #[cfg(test)]
 thread_local! {
-    /// Restores on this thread that refilled a spare system instead of
-    /// cloning a new one.
+    /// Restores on this thread that refilled the driver a shard kept
+    /// instead of attaching a new one.
     pub(crate) static REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Forks on this thread that refilled the driver the previous fork
+    /// ended with.
+    pub(crate) static FORK_REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Lane sides on this thread that a batch refilled from the shard's
+    /// pool instead of copying a new one.
+    pub(crate) static LANE_REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds one to a counter above.
+#[cfg(test)]
+pub(crate) fn count(counter: &'static std::thread::LocalKey<std::cell::Cell<u64>>) {
+    counter.with(|n| n.set(n.get() + 1));
 }
 
 /// A driver attached at its trajectory's co-simulation entry point and
@@ -172,9 +184,10 @@ pub(crate) struct Warmed<D> {
 
 /// Fig. 2 steps 1–4: restores `base`, runs to the entry point in
 /// accelerated mode, attaches `C`'s driver to instance `spec.instance`
-/// and warms it up with live traffic. The restore refills `spare`, a
-/// system a finished run handed back, when there is one, and clones
-/// `base` otherwise.
+/// and warms it up with live traffic. When there is a `spare`, the
+/// driver a finished run handed back, the restore refills its system and
+/// the attach its port and sides (`Driver::reattach`); otherwise `base`
+/// is cloned and a driver attached.
 ///
 /// # Panics
 ///
@@ -184,7 +197,7 @@ pub(crate) fn warm<C: Component>(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
-    spare: Option<System>,
+    spare: Option<Driver<C>>,
 ) -> Warmed<Driver<C>> {
     // A zero interval would make `cycles % interval` never hit, so no
     // golden compare would ever fire: the run would silently burn the
@@ -207,19 +220,27 @@ pub(crate) fn warm<C: Component>(
         entry
     );
     // Phase 1 (steps 1–2): restore the snapshot and run to the entry
-    // point in accelerated mode.
-    let mut sys = match spare {
-        Some(mut sys) => {
-            sys.clone_from(base);
-            #[cfg(test)]
-            REFILLS.with(|n| n.set(n.get() + 1));
-            sys
-        }
-        None => base.clone(),
+    // point in accelerated mode; step 3: attach.
+    let to_entry = |sys: &mut System| {
+        sys.set_watchdog(golden.watchdog());
+        sys.run_until(entry);
     };
-    sys.set_watchdog(golden.watchdog());
-    sys.run_until(entry);
-    let mut driver = C::attach_instance(sys, spec.instance);
+    let mut driver = match spare {
+        Some(mut driver) => {
+            #[cfg(test)]
+            count(&REFILLS);
+            let sys = driver.sys_mut();
+            sys.clone_from(base);
+            to_entry(sys);
+            driver.reattach(spec.instance);
+            driver
+        }
+        None => {
+            let mut sys = base.clone();
+            to_entry(&mut sys);
+            C::attach_instance(sys, spec.instance)
+        }
+    };
     // Phase 1, step 4: warm-up with live traffic to reconstruct the
     // microarchitectural state not carried by the high-level model.
     let mut warmup_done = 0u64;
@@ -277,14 +298,14 @@ pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
 
 /// Fig. 2 step 5 through phase 3 from a warmed driver: golden snapshot,
 /// the flip of `spec.bit`, co-simulation, state transfer back and
-/// outcome determination. Also returns the system the run ended with,
-/// on every exit, so that the next restore can refill it.
-pub(crate) fn finish<D: CosimDriver>(
+/// outcome determination. Also returns the driver the run ended with,
+/// on every exit, so that the next run can refill it.
+pub(crate) fn finish<D: Recycle>(
     warmed: Warmed<D>,
     golden: &GoldenRef,
     spec: &InjectionSpec,
     rec: &mut Recorder,
-) -> (InjectionRecord, System) {
+) -> (InjectionRecord, D) {
     warmed.record_preamble(spec, rec);
     let mut driver = warmed.driver;
     driver.snapshot_golden();
@@ -319,21 +340,21 @@ pub(crate) struct Flipped<'a> {
 
 impl Flipped<'_> {
     /// Runs the rest of the run from `at` and returns its record and the
-    /// system it ended with. The scalar run enters at `Cosim(0)`; a lane
+    /// driver it ended with. The scalar run enters at `Cosim(0)`; a lane
     /// that leaves its batch enters where it left, on a driver equal to
     /// the one its scalar run would hold there.
-    pub(crate) fn resume<D: CosimDriver>(
+    pub(crate) fn resume<D: Recycle>(
         &self,
         mut driver: D,
         rec: &mut Recorder,
         at: Resume,
-    ) -> (InjectionRecord, System) {
+    ) -> (InjectionRecord, D) {
         let cosim_cycles = match at {
             Resume::Cosim(stepped) => {
                 let end = self.cosimulate(&mut driver, rec, stepped);
                 let erroneous = driver.erroneous_output();
                 match self.end_cosim(rec, end, erroneous, || driver.check()) {
-                    Some(record) => return (record, driver.into_sys()),
+                    Some(record) => return (record, driver),
                     None => end.cosim_cycles,
                 }
             }
@@ -458,12 +479,12 @@ impl Flipped<'_> {
     /// Phase 3 (steps 10–12): transfers the (possibly erroneous) state
     /// back, finishes the application in accelerated mode and classifies
     /// it.
-    fn transfer_back<D: CosimDriver>(
+    fn transfer_back<D: Recycle>(
         &self,
-        driver: D,
+        mut driver: D,
         rec: &mut Recorder,
         cosim_cycles: u64,
-    ) -> (InjectionRecord, System) {
+    ) -> (InjectionRecord, D) {
         let (spec, inject_cycle) = (self.spec, self.inject_cycle);
         rec.count(names::STATE_TRANSFER_TO_HIGH, 1);
         rec.event(
@@ -473,10 +494,9 @@ impl Flipped<'_> {
             1,
         );
         let erroneous_output_cycle = driver.erroneous_output();
-        let detach = driver.detach();
-        let corrupted = detach.corrupted_lines;
+        let corrupted = driver.detach_in_place();
         rec.record_hist(names::H_CORRUPTED_LINES, corrupted.len() as u64);
-        let mut sys = detach.sys;
+        let sys = driver.sys_mut();
         let rollback_distance = corrupted
             .iter()
             .map(|&l| inject_cycle.saturating_sub(sys.last_store_cycle(l).unwrap_or(0)))
@@ -509,7 +529,7 @@ impl Flipped<'_> {
             corrupted_line_count: corrupted.len(),
             rollback_distance,
         };
-        (record, sys)
+        (record, driver)
     }
 }
 
@@ -963,6 +983,15 @@ pub(crate) mod tests {
         }
         fn sample_telemetry(&self, rec: &mut Recorder) {
             self.inner.sample_telemetry(rec);
+        }
+    }
+
+    impl<D: Recycle> Recycle for Spy<D> {
+        fn detach_in_place(&mut self) -> Vec<nestsim_proto::LineAddr> {
+            self.inner.detach_in_place()
+        }
+        fn sys_mut(&mut self) -> &mut System {
+            self.inner.sys_mut()
         }
     }
 

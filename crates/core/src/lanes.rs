@@ -47,7 +47,7 @@ use nestsim_rtl::{LaneMask, MAX_LANES};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::campaign::{same_trajectory, IndexedRuns};
-use crate::cosim::{Component, CosimCheck, CosimDriver, Driver, Side};
+use crate::cosim::{Component, CosimCheck, CosimDriver, Driver, Kept, Recycle, Side};
 use crate::inject::{
     aborted, recorder_for, warm, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
 };
@@ -90,18 +90,19 @@ struct Lane<S> {
 }
 
 /// The runs a batch finished, and what finishing one takes.
-struct Runs<'a> {
+struct Runs<'a, C: Component> {
     golden: &'a GoldenRef,
     samples: &'a [InjectionSpec],
     /// The batch's flip cycle.
     inject_cycle: u64,
     stats: &'a mut LaneBatchStats,
     out: IndexedRuns,
-    /// The system the last fork ended with, which the next refills.
-    spare: Option<System>,
+    /// The driver the last fork ended with, which the next refills, and
+    /// the sides no lane holds.
+    kept: &'a mut Kept<C>,
 }
 
-impl<'a> Runs<'a> {
+impl<'a, C: Component> Runs<'a, C> {
     /// Sample `i`'s run past the batch's flip.
     fn run(&self, i: usize) -> Flipped<'a> {
         Flipped {
@@ -114,7 +115,7 @@ impl<'a> Runs<'a> {
     /// `lane`'s co-simulation ended for `exit` after `cosim_cycles`:
     /// the exit taxonomy either retires it in the batch (Vanished or
     /// Persist) or sends it to phase 3 on a fork.
-    fn end<C: Component>(
+    fn end(
         &mut self,
         carrier: &mut Driver<C>,
         lane: &mut Lane<C::Side>,
@@ -135,6 +136,7 @@ impl<'a> Runs<'a> {
                 let rec = std::mem::replace(&mut lane.rec, Recorder::null());
                 self.out.push((lane.sample, record, rec));
                 self.stats.retired_early += 1;
+                self.kept.lanes.extend(lane.state.take());
             }
             None => {
                 #[cfg(test)]
@@ -148,20 +150,27 @@ impl<'a> Runs<'a> {
     /// off `carrier`, which `catch_up` brings to where the lane left,
     /// run on from `at` to its end. The lane's recorder carries on as it
     /// is.
-    fn leave<C: Component>(
+    fn leave(
         &mut self,
         carrier: &mut Driver<C>,
         lane: &mut Lane<C::Side>,
         at: Resume,
         catch_up: impl FnOnce(&mut Driver<C>),
     ) {
-        let mut driver = carrier.fork(lane.state.take(), lane.first_err_out, self.spare.take());
+        let kept = &mut *self.kept;
+        let spare = kept.fork.take();
+        let mut driver = carrier.fork(
+            lane.state.take(),
+            lane.first_err_out,
+            spare,
+            &mut kept.lanes,
+        );
         catch_up(&mut driver);
-        let (record, mut sys) = self.run(lane.sample).resume(driver, &mut lane.rec, at);
-        // Parked until the next fork refills it, it must not pin the
-        // pages the carrier shared for this fork.
-        sys.release_pages();
-        self.spare = Some(sys);
+        let (record, mut driver) = self.run(lane.sample).resume(driver, &mut lane.rec, at);
+        // Kept until the next fork refills it, it must not pin the pages
+        // the carrier shared for this fork.
+        driver.sys_mut().release_pages();
+        self.kept.fork = Some(driver);
         let rec = std::mem::replace(&mut lane.rec, Recorder::null());
         self.out.push((lane.sample, record, rec));
         self.stats.scalar_fallbacks += 1;
@@ -172,11 +181,13 @@ impl<'a> Runs<'a> {
 /// specs are equal except for the flipped bit. Returns one `(sample
 /// index, record, recorder)` per group member, byte-identical to running
 /// each through [`run_injection_with`](crate::inject::run_injection_with)
-/// from `base`, and the system the batch ended with for the next restore
-/// (restored into `spare` when there is one). A lane that leaves runs to
-/// its end before the carrier moves on, and each fork refills the system
-/// the one before it ended with: at most the carrier, one fork and their
-/// systems are alive at a time.
+/// from `base`. What the batch ends with goes back into `kept` for the
+/// next group: the carrier, which refilled `kept.driver` when there was
+/// one, the last fork's driver, and every lane side. A lane that leaves
+/// runs to its end before the carrier moves on, and each fork refills the
+/// driver the one before it ended with: at most the carrier, one fork and
+/// the lanes' sides are alive at a time, and each lane takes its side
+/// from `kept.lanes` while there is one.
 ///
 /// # Panics
 ///
@@ -189,15 +200,15 @@ pub(crate) fn run_batch<C: Component>(
     group: &[usize],
     telemetry: Option<&TelemetryConfig>,
     stats: &mut LaneBatchStats,
-    spare: Option<System>,
-) -> (IndexedRuns, System) {
+    kept: &mut Kept<C>,
+) -> IndexedRuns {
     assert!(!group.is_empty() && group.len() <= MAX_LANES, "bad group");
     let spec0 = &samples[group[0]];
     debug_assert!(group.iter().all(|&i| same_trajectory(&samples[i], spec0)));
     stats.batches += 1;
 
     // Shared phase: one attach + warm-up for the whole batch.
-    let mut warmed = warm::<C>(base, golden, spec0, spare);
+    let mut warmed = warm::<C>(base, golden, spec0, kept.driver.take());
 
     // Each lane is the warmed driver's twin (≡ the scalar run's target
     // at snapshot_golden) with its bit flipped. A warm-up on the
@@ -208,7 +219,12 @@ pub(crate) fn run_batch<C: Component>(
         .iter()
         .map(|&i| {
             let s = &samples[i];
-            let mut state = warmed.driver.twin();
+            let spare = kept.lanes.pop();
+            #[cfg(test)]
+            if spare.is_some() {
+                crate::inject::count(&crate::inject::LANE_REFILLS);
+            }
+            let mut state = warmed.driver.twin(spare);
             state.flops().flops_mut().flip(s.bit);
             let mut rec = recorder_for(telemetry);
             warmed.record_preamble(s, &mut rec);
@@ -230,7 +246,7 @@ pub(crate) fn run_batch<C: Component>(
         inject_cycle,
         stats,
         out: Vec::with_capacity(group.len()),
-        spare: None,
+        kept,
     };
     let check_interval = spec0.check_interval;
     let cap = spec0.cosim_cap.max(check_interval);
@@ -251,7 +267,9 @@ pub(crate) fn run_batch<C: Component>(
                 #[cfg(test)]
                 tests::forked(lane.sample, "ready parity", cosim_cycles);
                 let at = Resume::Cosim(cosim_cycles);
-                runs.leave(&mut carrier, lane, at, |f| f.finish_cycle(cyc));
+                runs.leave(&mut carrier, lane, at, |f| {
+                    f.finish_cycle(cyc);
+                });
             }
         }
         let inp = carrier.take(&gate);
@@ -318,7 +336,7 @@ pub(crate) fn run_batch<C: Component>(
                 #[cfg(test)]
                 let park = park && tests::parking();
                 if park {
-                    lane.state = None;
+                    runs.kept.lanes.extend(lane.state.take());
                     runs.stats.parked += 1;
                 }
             }
@@ -336,8 +354,8 @@ pub(crate) fn run_batch<C: Component>(
     for li in live.iter() {
         runs.end(&mut carrier, &mut lanes[li], Exit::Cap, cosim_cycles);
     }
-    let sys = runs.spare.unwrap_or_else(|| carrier.into_sys());
-    (runs.out, sys)
+    runs.kept.driver = Some(carrier);
+    runs.out
 }
 
 #[cfg(test)]
@@ -463,8 +481,15 @@ mod tests {
         let mut stats = LaneBatchStats::default();
         take_forks();
         let before = steps();
-        let (mut runs, _) =
-            run_batch::<C>(base, golden, samples, &group, telemetry, &mut stats, None);
+        let mut runs = run_batch::<C>(
+            base,
+            golden,
+            samples,
+            &group,
+            telemetry,
+            &mut stats,
+            &mut Kept::default(),
+        );
         let stepped = steps() - before;
         let forks = take_forks();
         runs.sort_by_key(|(i, _, _)| *i);

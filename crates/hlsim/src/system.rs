@@ -480,9 +480,10 @@ impl System {
     }
 
     /// Replaces a bank's architectural state (mixed-mode state transfer
-    /// back from RTL, Fig. 2 step 10).
-    pub fn set_bank_arch(&mut self, bank: BankId, arch: L2BankArch) {
-        self.l2[bank.index()] = arch;
+    /// back from RTL, Fig. 2 step 10), copying `arch` into the arrays the
+    /// bank holds.
+    pub fn set_bank_arch(&mut self, bank: BankId, arch: &L2BankArch) {
+        self.l2[bank.index()].clone_from(arch);
     }
 
     /// Read-only DRAM contents.

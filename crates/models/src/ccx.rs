@@ -342,7 +342,7 @@ struct Ports {
 ///
 /// Everything but `flops` is a fixed table of field handles, so a clone
 /// (the golden copy) copies the flop bits and nothing else.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Ccx {
     flops: FlopSpace,
     ports: Ports,
@@ -352,12 +352,37 @@ pub struct Ccx {
     settled_ready: u8,
 }
 
+// Hand-written so that `clone_from` copies into the bits it holds.
+impl Clone for Ccx {
+    fn clone(&self) -> Self {
+        Ccx {
+            flops: self.flops.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Ccx {
+            flops,
+            ports,
+            settled_ready,
+        } = source;
+        self.flops.clone_from(flops);
+        self.ports = *ports;
+        self.settled_ready = *settled_ready;
+    }
+}
+
 impl Ccx {
     /// Creates an empty crossbar: a copy of the per-process prototype,
     /// so the 299 field names are formatted once.
     pub fn new() -> Self {
+        Self::prototype().clone()
+    }
+
+    fn prototype() -> &'static Ccx {
         static PROTOTYPE: OnceLock<Ccx> = OnceLock::new();
-        PROTOTYPE.get_or_init(Self::build).clone()
+        PROTOTYPE.get_or_init(Self::build)
     }
 
     fn build() -> Self {
@@ -833,11 +858,25 @@ impl CcxWarm {
     /// than skipped as settled.
     pub fn into_ccx(self) -> Ccx {
         let mut x = Ccx::new();
+        self.store(&mut x);
+        x
+    }
+
+    /// [`into_ccx`](Self::into_ccx) into `x`, a crossbar an earlier run
+    /// held, which it overwrites: the empty crossbar is copied into the
+    /// bits `x` holds.
+    pub fn write_into(self, x: &mut Ccx) {
+        x.clone_from(Ccx::prototype());
+        self.store(x);
+    }
+
+    /// Writes the packets, counts, stages and pointers into `x`, an
+    /// empty crossbar, and marks its flops changed.
+    fn store(&self, x: &mut Ccx) {
         let (f, p) = (&mut x.flops, &x.ports);
         self.pcx.write_to(f, &p.pcx_fifos, &p.pcx_stage, &p.pcx_rr);
         self.cpx.write_to(f, &p.cpx_fifos, &p.cpx_stage, &p.cpx_rr);
         f.mark_changed();
-        x
     }
 
     /// The packets, counts and pointers a fault-free crossbar holds: the

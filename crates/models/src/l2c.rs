@@ -188,7 +188,7 @@ const NUM_GUARDS: usize = IQ_DEPTH + 2 + MB_DEPTH + FILL_DEPTH + OQ_DEPTH;
 /// Everything but `flops` and `arch` is a fixed table of field handles,
 /// so a clone (the golden copy, a batch lane) copies the flop bits and
 /// the arrays and nothing else.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct L2cBank {
     bank: BankId,
     flops: FlopSpace,
@@ -214,6 +214,23 @@ pub struct L2cBank {
     write_block: bool,
 }
 
+// Hand-written so that `clone_from` copies into the bits and arrays this
+// bank holds: a recycled golden or lane allocates nothing.
+impl Clone for L2cBank {
+    fn clone(&self) -> Self {
+        L2cBank {
+            flops: self.flops.clone(),
+            arch: self.arch.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.copy_all_but_arch(source);
+        self.arch.clone_from(&source.arch);
+    }
+}
+
 impl L2cBank {
     /// Creates an empty bank with the scaled default geometry.
     pub fn new(bank: BankId) -> Self {
@@ -234,15 +251,82 @@ impl L2cBank {
     ///
     /// Panics if `arch` belongs to another bank.
     pub fn with_arch(bank: BankId, arch: L2BankArch) -> Self {
-        static PROTOTYPES: [OnceLock<L2cBank>; NUM_L2_BANKS] =
-            [const { OnceLock::new() }; NUM_L2_BANKS];
         assert_eq!(arch.bank_index(), bank.index(), "bank mismatch");
-        let proto = PROTOTYPES[bank.index()].get_or_init(|| Self::build(bank));
+        let proto = Self::prototype(bank);
         L2cBank {
             flops: proto.flops.clone(),
             arch,
             ..*proto
         }
+    }
+
+    /// [`with_arch`](Self::with_arch) in place: this bank, whatever it
+    /// held, becomes bank `bank` at reset around `arch`, with its flops
+    /// copied into the bits it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arch` belongs to another bank.
+    pub fn reset(&mut self, bank: BankId, arch: L2BankArch) {
+        assert_eq!(arch.bank_index(), bank.index(), "bank mismatch");
+        self.copy_all_but_arch(Self::prototype(bank));
+        self.arch = arch;
+    }
+
+    /// Moves the arrays out, leaving the bank holding none, and
+    /// allocates nothing ([`L2BankArch::take`]): for a bank that is only
+    /// written into ([`reset`](Self::reset), `clone_from`) before it is
+    /// read again.
+    pub fn take_arch(&mut self) -> L2BankArch {
+        self.arch.take()
+    }
+
+    /// The per-process prototype of bank `bank`.
+    fn prototype(bank: BankId) -> &'static L2cBank {
+        static PROTOTYPES: [OnceLock<L2cBank>; NUM_L2_BANKS] =
+            [const { OnceLock::new() }; NUM_L2_BANKS];
+        PROTOTYPES[bank.index()].get_or_init(|| Self::build(bank))
+    }
+
+    /// Copies every field of `source` but the arrays, the flops into the
+    /// bits this bank holds. Destructures every field: a new field fails
+    /// to compile here until it is copied.
+    fn copy_all_but_arch(&mut self, source: &Self) {
+        let L2cBank {
+            bank,
+            flops,
+            arch: _,
+            iq,
+            iq_guards,
+            iq_count,
+            p1,
+            p2,
+            mb,
+            fill,
+            oq,
+            oq_guards,
+            oq_count,
+            perf_ctr,
+            cfg_enable,
+            guards,
+            write_block,
+        } = source;
+        self.bank = *bank;
+        self.flops.clone_from(flops);
+        self.iq = *iq;
+        self.iq_guards = *iq_guards;
+        self.iq_count = *iq_count;
+        self.p1 = *p1;
+        self.p2 = *p2;
+        self.mb = *mb;
+        self.fill = *fill;
+        self.oq = *oq;
+        self.oq_guards = *oq_guards;
+        self.oq_count = *oq_count;
+        self.perf_ctr = *perf_ctr;
+        self.cfg_enable = *cfg_enable;
+        self.guards = *guards;
+        self.write_block = *write_block;
     }
 
     /// Declares the flop layout. The prototype's own arrays are never
@@ -670,7 +754,7 @@ fn shift_images_down<const N: usize>(q: &mut [[u64; 3]; N]) {
 /// stale payload stays in the image as it stays in the flops.
 /// [`into_l2c`](Self::into_l2c) writes them into flops, giving the bank
 /// the flop-level warm-up would have left.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct L2cWarm {
     bank: BankId,
     arch: L2BankArch,
@@ -685,6 +769,47 @@ pub struct L2cWarm {
     oq: [[u64; 3]; OQ_DEPTH],
     oq_count: usize,
     hits: u8,
+}
+
+// Hand-written so that `clone_from` copies into the arrays it holds.
+impl Clone for L2cWarm {
+    fn clone(&self) -> Self {
+        L2cWarm {
+            arch: self.arch.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let L2cWarm {
+            bank,
+            arch,
+            iq,
+            iq_count,
+            p1,
+            p2,
+            mb,
+            mb_issued,
+            mb_acked,
+            fill,
+            oq,
+            oq_count,
+            hits,
+        } = source;
+        self.bank = *bank;
+        self.arch.clone_from(arch);
+        self.iq = *iq;
+        self.iq_count = *iq_count;
+        self.p1 = *p1;
+        self.p2 = *p2;
+        self.mb = *mb;
+        self.mb_issued = *mb_issued;
+        self.mb_acked = *mb_acked;
+        self.fill = *fill;
+        self.oq = *oq;
+        self.oq_count = *oq_count;
+        self.hits = *hits;
+    }
 }
 
 impl L2cWarm {
@@ -882,8 +1007,28 @@ impl L2cWarm {
     /// counter written into [`L2cBank::with_arch`], which takes the
     /// arrays over. Its flops are marked changed, so its first tick is
     /// computed rather than skipped as settled.
-    pub fn into_l2c(self) -> L2cBank {
-        let mut b = L2cBank::with_arch(self.bank, self.arch);
+    pub fn into_l2c(mut self) -> L2cBank {
+        let mut b = L2cBank::with_arch(self.bank, self.arch.take());
+        self.store(&mut b);
+        b
+    }
+
+    /// [`into_l2c`](Self::into_l2c) into `b`, a bank an earlier run held,
+    /// which it overwrites ([`L2cBank::reset`]): the arrays move over and
+    /// the flops are copied into the bits `b` holds.
+    pub fn write_into(mut self, b: &mut L2cBank) {
+        b.reset(self.bank, self.arch.take());
+        self.store(b);
+    }
+
+    /// The arrays, moved out.
+    pub fn into_arch(self) -> L2BankArch {
+        self.arch
+    }
+
+    /// Writes every slot image, count, miss-buffer bit and the hit
+    /// counter into `b`, a bank at reset, and marks its flops changed.
+    fn store(&self, b: &mut L2cBank) {
         let f = &mut b.flops;
         for (slot, &v) in b.iq.iter().zip(&self.iq) {
             slot.store_image(f, v);
@@ -909,7 +1054,6 @@ impl L2cWarm {
         f.write(b.oq_count, self.oq_count as u64);
         f.write(b.perf_ctr, self.hits.into());
         f.mark_changed();
-        b
     }
 }
 

@@ -120,7 +120,7 @@ const NUM_GUARDS: usize = RQ_DEPTH + WDB_DEPTH + RETQ_DEPTH;
 ///
 /// Everything but `flops` is a fixed table of field handles, so a clone
 /// (the golden copy) copies the flop bits and nothing else.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mcu {
     id: McuId,
     flops: FlopSpace,
@@ -148,14 +148,73 @@ pub struct Mcu {
     write_block: bool,
 }
 
+// Hand-written so that `clone_from` copies into the bits it holds.
+// Both destructure every field: a new field fails to compile here
+// until it is copied.
+impl Clone for Mcu {
+    fn clone(&self) -> Self {
+        Mcu {
+            flops: self.flops.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Mcu {
+            id,
+            flops,
+            rq,
+            rq_guards,
+            rq_count,
+            wdb,
+            retq,
+            retq_guards,
+            retq_count,
+            bank_state,
+            bank_row,
+            bank_timer,
+            refresh_ctr,
+            refresh_busy,
+            cfg_trcd,
+            cfg_tcas,
+            cfg_trp,
+            cfg_refresh,
+            guards,
+            write_block,
+        } = source;
+        self.id = *id;
+        self.flops.clone_from(flops);
+        self.rq = *rq;
+        self.rq_guards = *rq_guards;
+        self.rq_count = *rq_count;
+        self.wdb = *wdb;
+        self.retq = *retq;
+        self.retq_guards = *retq_guards;
+        self.retq_count = *retq_count;
+        self.bank_state = *bank_state;
+        self.bank_row = *bank_row;
+        self.bank_timer = *bank_timer;
+        self.refresh_ctr = *refresh_ctr;
+        self.refresh_busy = *refresh_busy;
+        self.cfg_trcd = *cfg_trcd;
+        self.cfg_tcas = *cfg_tcas;
+        self.cfg_trp = *cfg_trp;
+        self.cfg_refresh = *cfg_refresh;
+        self.guards = *guards;
+        self.write_block = *write_block;
+    }
+}
+
 impl Mcu {
     /// Creates an idle MCU: a copy of that controller's per-process
     /// prototype, so its field names are formatted once.
     pub fn new(id: McuId) -> Self {
+        Self::prototype(id).clone()
+    }
+
+    fn prototype(id: McuId) -> &'static Mcu {
         static PROTOTYPES: [OnceLock<Mcu>; NUM_MCUS] = [const { OnceLock::new() }; NUM_MCUS];
-        PROTOTYPES[id.index()]
-            .get_or_init(|| Self::build(id))
-            .clone()
+        PROTOTYPES[id.index()].get_or_init(|| Self::build(id))
     }
 
     fn build(id: McuId) -> Self {
@@ -805,6 +864,21 @@ impl McuWarm {
     /// converted into flops is.
     pub fn into_mcu(self) -> Mcu {
         let mut m = Mcu::new(self.id);
+        self.store(&mut m);
+        m
+    }
+
+    /// [`into_mcu`](Self::into_mcu) into `m`, a controller an earlier
+    /// run held, which it overwrites: the idle controller is copied into
+    /// the bits `m` holds.
+    pub fn write_into(self, m: &mut Mcu) {
+        m.clone_from(Mcu::prototype(self.id));
+        self.store(m);
+    }
+
+    /// Writes the entries, slots, bank and refresh fields into `m`, an
+    /// idle controller, and marks its flops changed.
+    fn store(&self, m: &mut Mcu) {
         let f = &mut m.flops;
         for (r, slot) in self.rq[..self.rq_count].iter().zip(&m.rq) {
             f.write_bool(slot.valid, true);
@@ -842,7 +916,6 @@ impl McuWarm {
         f.write(m.refresh_ctr, self.refresh_ctr);
         f.write(m.refresh_busy, self.refresh_busy);
         f.mark_changed();
-        m
     }
 
     /// The fields a fault-free controller holds: the inverse of

@@ -93,7 +93,7 @@ pub struct PcieOutputs {
 }
 
 /// Flip-flop-level model of the PCIe DMA controller.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Pcie {
     flops: FlopSpace,
     bufs: PcieBuffers,
@@ -123,12 +123,76 @@ pub struct Pcie {
 
 pub use nestsim_proto::pcie::doorbell_addr;
 
+// Hand-written so that `clone_from` copies into the bits and buffers it
+// holds. Both destructure every field: a new field fails to compile
+// here until it is copied.
+impl Clone for Pcie {
+    fn clone(&self) -> Self {
+        Pcie {
+            flops: self.flops.clone(),
+            bufs: self.bufs.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Pcie {
+            flops,
+            bufs,
+            dst,
+            len,
+            seed_lo,
+            seed_hi,
+            pos,
+            drain_pos,
+            active,
+            staging,
+            widx,
+            deskew,
+            lane_count,
+            feed_pos,
+            wr_ptr,
+            rd_ptr,
+            occ,
+            credits,
+            credit_timer,
+            seq,
+            write_block,
+        } = source;
+        self.flops.clone_from(flops);
+        self.bufs.clone_from(bufs);
+        self.dst = *dst;
+        self.len = *len;
+        self.seed_lo = *seed_lo;
+        self.seed_hi = *seed_hi;
+        self.pos = *pos;
+        self.drain_pos = *drain_pos;
+        self.active = *active;
+        self.staging = *staging;
+        self.widx = *widx;
+        self.deskew = *deskew;
+        self.lane_count = *lane_count;
+        self.feed_pos = *feed_pos;
+        self.wr_ptr = *wr_ptr;
+        self.rd_ptr = *rd_ptr;
+        self.occ = *occ;
+        self.credits = *credits;
+        self.credit_timer = *credit_timer;
+        self.seq = *seq;
+        self.write_block = *write_block;
+    }
+}
+
 impl Pcie {
     /// Creates an idle controller: a copy of the per-process prototype,
     /// so the field names are formatted once.
     pub fn new() -> Self {
+        Self::prototype().clone()
+    }
+
+    fn prototype() -> &'static Pcie {
         static PROTOTYPE: OnceLock<Pcie> = OnceLock::new();
-        PROTOTYPE.get_or_init(Self::build).clone()
+        PROTOTYPE.get_or_init(Self::build)
     }
 
     fn build() -> Self {
@@ -257,29 +321,46 @@ impl Pcie {
     /// Restores architectural state (mixed-mode state transfer into RTL).
     pub fn load_arch(&mut self, a: PcieArchState) {
         self.bufs = a.bufs;
-        self.flops.write(self.dst, a.dst);
-        self.flops.write(self.len, a.len);
-        self.flops.write(self.seed_lo, a.seed & 0xffff_ffff);
-        self.flops.write(self.seed_hi, a.seed >> 32);
-        // A partially staged frame lives in microarchitectural registers
-        // (not architectural state); round the stream position down to
-        // the last completed frame so the partial words are re-streamed.
-        // The synthetic stream is position-addressed, so this is exact.
-        let pos_frame = a.pos - (a.pos % LINE_BYTES);
-        self.flops.write(self.pos, pos_frame);
+        self.load_stream(a.dst, a.len, a.seed, a.pos, a.active);
         self.flops.write(self.drain_pos, a.drain_pos);
         self.flops.write(self.occ, a.occ);
         self.flops.write(self.wr_ptr, a.wr_ptr);
         self.flops.write(self.rd_ptr, a.rd_ptr);
-        self.flops.write_bool(self.active, a.active);
+    }
+
+    /// An idle controller that resumes a transfer of `len` bytes to
+    /// `dst` at byte `pos`, in place (the Table 1 state transfer at
+    /// attach): [`load_arch`](Self::load_arch) on [`Pcie::new`] of empty
+    /// buffers, nothing drained past `pos` and nothing resident, written
+    /// into the bits and buffers this controller holds.
+    pub fn resume(&mut self, dst: u64, len: u64, seed: u64, pos: u64, active: bool) {
+        self.clone_from(Self::prototype());
+        self.load_stream(dst, len, seed, pos, active);
+        self.flops.write(self.drain_pos, pos);
+    }
+
+    /// The descriptor, the stream position and the lane pipeline of a
+    /// transfer at byte `pos`.
+    fn load_stream(&mut self, dst: u64, len: u64, seed: u64, pos: u64, active: bool) {
+        self.flops.write(self.dst, dst);
+        self.flops.write(self.len, len);
+        self.flops.write(self.seed_lo, seed & 0xffff_ffff);
+        self.flops.write(self.seed_hi, seed >> 32);
+        // A partially staged frame lives in microarchitectural registers
+        // (not architectural state); round the stream position down to
+        // the last completed frame so the partial words are re-streamed.
+        // The synthetic stream is position-addressed, so this is exact.
+        let pos_frame = pos - (pos % LINE_BYTES);
+        self.flops.write(self.pos, pos_frame);
+        self.flops.write_bool(self.active, active);
         self.flops.write(self.widx, 0);
         // The lane pipeline is microarchitectural. Prime it with the
         // next stream word (deterministically derived from the
         // architectural position) so a freshly attached engine runs in
         // lockstep with one that streamed the whole transfer — the
         // mixed-mode warm-up equivalence for this component.
-        if a.active && pos_frame < a.len {
-            let w = stream_word(a.seed, pos_frame / 8);
+        if active && pos_frame < len {
+            let w = stream_word(seed, pos_frame / 8);
             self.flops.write(self.deskew[0], w);
             self.flops.write(self.lane_count, 1);
             self.flops.write(self.feed_pos, pos_frame + 8);

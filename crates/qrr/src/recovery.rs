@@ -273,8 +273,7 @@ impl QrrDriver for QrrL2cDriver {
     /// Transfers the bank's architectural state back and serves the
     /// packets it never accepted functionally.
     fn detach(mut self) -> System {
-        self.sys
-            .set_bank_arch(self.bank, self.target.arch().clone());
+        self.sys.set_bank_arch(self.bank, self.target.arch());
         self.sys.set_intercept(InterceptMode::None);
         while let Some(p) = self.inbox.pop_front() {
             let reply = self.sys.service_request_functionally(&p);

@@ -22,10 +22,25 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(target.read_bits(40, 16), 0xbeef);
 /// assert_eq!(target.diff_count(&golden), 14); // 13 set data bits + 1 flip
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct BitBuf {
     words: Vec<u64>,
     len: usize,
+}
+
+// Hand-written so that `clone_from` copies into the words it holds.
+impl Clone for BitBuf {
+    fn clone(&self) -> Self {
+        BitBuf {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl BitBuf {

@@ -209,12 +209,32 @@ impl FlopSpaceBuilder {
 /// not. A model whose `tick` is a pure function of its state uses it to
 /// recognise a fixed point (DESIGN.md, *Settled ticks*). The mark
 /// travels with a clone and takes no part in equality.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FlopSpace {
     component: Arc<str>,
     fields: Arc<[FieldDef]>,
     bits: BitBuf,
     changed: bool,
+}
+
+// Hand-written so that `clone_from` copies into the bit words it holds
+// (a recycled golden or lane allocates nothing).
+impl Clone for FlopSpace {
+    fn clone(&self) -> Self {
+        FlopSpace {
+            component: Arc::clone(&self.component),
+            fields: Arc::clone(&self.fields),
+            bits: self.bits.clone(),
+            changed: self.changed,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.component.clone_from(&source.component);
+        self.fields.clone_from(&source.fields);
+        self.bits.clone_from(&source.bits);
+        self.changed = source.changed;
+    }
 }
 
 impl PartialEq for FlopSpace {
