@@ -79,8 +79,8 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1900
-doc_cap README.md 645
+doc_cap DESIGN.md 1780
+doc_cap README.md 604
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
 # An entry runs from a line starting `PR <n>` to the next one; only the
@@ -131,29 +131,25 @@ cargo test --offline --workspace -q
 stage "QRR example (README's QRR command: asserts a covered flip recovers)"
 cargo run --offline --release --example qrr_recovery
 
-stage "cluster smoke (coordinator + 2 worker processes on loopback, byte-identity + crash re-dispatch)"
-# cluster_smoke execs the sibling nestsim-worker binary, so build the
-# package's bins explicitly (`cargo run --bin` alone would only build
-# cluster_smoke). Loopback TCP only; fully offline.
-cargo build --offline --release -p nestsim-cluster --bins
-cargo run --offline --release -p nestsim-cluster --bin cluster_smoke
-
-stage "mck smoke (deterministic protocol simulation: six phases, two mutation gates)"
-# Fixed-seed, fully deterministic: one simulated world steps the
-# coordinator's and the service's server-loop adapters. Per scenario,
-# a bounded DFS and a seeded random sweep under injected faults must
-# stay clean, then a mutation gate plants an exactly-once bug
-# (first-writer-wins off; dedup fan-out off) that the explorer must
-# catch as a double count / lost subscriber, replaying from its
-# printed seed and/or schedule.
+stage "mck smoke (deterministic protocol simulation: four phases, two mutation gates, fault coverage)"
+# Fixed-seed, fully deterministic: one simulated world steps the one
+# campaign server machine with workers and tenants. A bounded DFS and a
+# seeded random sweep under injected faults must stay clean and take
+# every fault flavour between them; then two mutation gates plant an
+# exactly-once bug each (first-writer-wins off; dedup fan-out off) that
+# the explorer must catch as a double count / lost subscriber,
+# replaying from its printed seed and schedule.
 cargo run --offline --release -p nestsim-mck --bin mck_smoke
 
-stage "svc smoke (campaign service: two concurrent tenants, overlapping grids, dedup + byte-identity + crash retry)"
-# Starts the multi-tenant campaign service on loopback, submits
-# overlapping campaign grids from two concurrent clients, and asserts
-# results are byte-identical to in-process execution with the shared
-# cell executed exactly once (svc.* dedup counters) — including under
-# an injected execution crash. Loopback TCP only; fully offline.
+stage "server smoke (service tenants, dedup, crash retry; 2 worker processes, crash re-dispatch)"
+# Two concurrent clients submit overlapping campaign grids to the
+# service, whose results must be byte-identical to in-process execution
+# with the shared cell executed exactly once (svc.* dedup counters),
+# also under an injected execution crash; then one cell is leased to
+# two spawned worker processes, and again with one killed mid-shard.
+# svc_smoke execs the sibling nestsim-worker binary, so build that
+# package's bins explicitly. Loopback TCP only; fully offline.
+cargo build --offline --release -p nestsim-cluster --bins
 cargo run --offline --release -p nestsim-svc --bin svc_smoke
 
 stage "benchmark package (BENCHMARK.json's program: its own tests, then every workload once)"
@@ -179,13 +175,15 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # de-batched engine passes every identity test, being byte-identical by
 # construction, and a benchmark with no leaver would not time the forks.
 # Build-once and recycling gate: the untraced `l2c_indep`, `ccx_indep`,
-# `ladder_long` and `l2c_lanes` blocks must stay under an allocation
+# `ladder_long`, `l2c_lanes` and `served` blocks must stay under an allocation
 # count per injection that a driver built afresh for every injection
 # cannot meet — an exact count, not a timing. On the smoke's single cold
 # cell they read 131, 48.4, 119.75 and 5.3 while a shard refills the
 # driver, its queues and its lane sides, and 151.5, 84, 131.5 and 15.6
 # when every injection attaches a new driver (645, 896 and 588 when the
 # flop layouts were rebuilt on every attach and the DRAM port was a map).
+# `served` reads 49.4 on the smoke, the same cell reached through the
+# one campaign server machine; its cap guards that path's per-job cost.
 # Page take-back gate: the same blocks' `alloc_kb_per_inj` for
 # `ladder_long` and `l2c_indep` read 2,054 and 242 KiB on the smoke while
 # the shard cursor writes back into the pages it shared once the
@@ -193,7 +191,8 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # every page it rewrites again after each entry — an exact count.
 awk '
     BEGIN { alloc_cap["l2c_indep"] = 145; alloc_cap["ccx_indep"] = 66; alloc_cap["ladder_long"] = 126
-            alloc_cap["l2c_lanes"] = 10; kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300 }
+            alloc_cap["l2c_lanes"] = 10; alloc_cap["served"] = 55
+            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300 }
     /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
     !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {
         seen[workload " allocs_per_inj"] = 1

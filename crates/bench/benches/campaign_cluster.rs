@@ -8,7 +8,7 @@
 //! golden pass (workers re-derive the cell from its seed rather than
 //! receiving state). The tax is the price of fault tolerance: any
 //! worker can die mid-shard and the campaign still completes, byte-
-//! identical (see DESIGN.md "Distributed campaigns").
+//! identical (see DESIGN.md "The campaign server").
 //!
 //! Thread workers are used so the bench measures the protocol, not
 //! process spawn + relink time.

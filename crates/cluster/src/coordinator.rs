@@ -1,30 +1,21 @@
-//! The campaign coordinator: the pure [`CoordMachine`] on the one
-//! [`crate::server`] loop.
+//! The campaign thread: a campaign cell's rounds fed to the one server
+//! machine, with the campaign's workers attached.
 //!
 //! The coordinator never simulates. [`ClusterCampaign`] is the
 //! cluster's [`RoundExecutor`]: for each round the one round loop
 //! ([`nestsim_core::campaign::run_rounds`]) asks for, it plans
 //! contiguous shards over the entry-sorted sample order (knowing only
-//! the sample *count*), leases them to workers through the machine's
-//! [`crate::lease`] table, and hands the accepted submissions back
-//! sorted by round position. The loop that merges them — per-run
-//! recorders **in round order** — and takes the adaptive plan's stop
-//! decisions is the one the in-process executor runs under. That plus
-//! deterministic workers is the whole byte-identity argument: any
-//! worker count, any shard size, any crash/re-dispatch interleaving
-//! feeds the identical `(sample, record, recorder)` set into the
-//! identical merge.
+//! the sample *count*), has the machine lease them, and hands the
+//! accepted runs back sorted by round position. The merge and the
+//! adaptive stop decisions are the in-process executor's: with
+//! deterministic workers, any worker count, shard size or crash and
+//! re-dispatch interleaving feeds the identical runs into the identical
+//! merge.
 //!
-//! All protocol decisions live in [`crate::coord_machine`]; this
-//! module only translates. The machine runs on a [`Server`] thread
-//! that owns every worker connection: frames in become
-//! [`CoordEvent`]s, [`CoordAction`]s become frames out, and a parked
-//! worker's long-poll is simply a reply the machine has not sent yet,
-//! with [`CoordMachine::next_wake`] as the loop's timer. The campaign
-//! thread talks to the machine only through the loop's [`Waker`]:
-//! begin a round, ask to hear when it settles, snapshot the engine
-//! recorder, shut down. Shutdown dismisses parked workers with `done`
-//! and the loop returns the machine once the last worker hangs up.
+//! The campaign thread talks to the machine only through the loop's
+//! [`Waker`](crate::server::Waker): begin a round, hear it settle,
+//! snapshot the counters, shut down. Between rounds the workers stay
+//! parked; shutdown dismisses them with `done`.
 
 use std::io;
 use std::net::SocketAddr;
@@ -34,15 +25,15 @@ use nestsim_core::campaign::{
     check_campaign, default_workers, run_campaign_with, run_rounds, sorted_cover, CampaignResult,
     CampaignSpec, Execution, IndexedRuns, Plan, RoundExecutor,
 };
-use nestsim_core::inject::recorder_for;
+use nestsim_core::inject::{recorder_for, GoldenRef};
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_stats::stop::StopPolicy;
 use nestsim_telemetry::{Recorder, TelemetryConfig};
 
-use crate::coord_machine::{CoordAction, CoordEvent, CoordMachine};
 use crate::lease::LeaseConfig;
-use crate::proto::{AdaptiveRoundWire, JobWire, Message, RunWire};
-use crate::server::{decode_frame, send_frame, Action, Event, Machine, Server, Waker};
+use crate::machine::{Command, ServiceMachine, SvcConfig};
+use crate::proto::{AdaptiveRoundWire, JobWire};
+use crate::server::Server;
 use crate::shard::{auto_shard_size, plan_shards, Shard};
 use crate::worker::{run_worker, WorkerOptions};
 
@@ -73,114 +64,6 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// A settled round's accepted runs per shard, or the campaign's error.
-type RoundResult = Result<Vec<Vec<RunWire>>, String>;
-
-/// What the campaign thread (or `nestsim-mck`'s cluster scenario) asks
-/// of the loop.
-pub enum Command {
-    /// Re-serve the held workers with the next round.
-    BeginRound {
-        /// The round's job.
-        job: JobWire,
-        /// The round's shard plan.
-        shards: Vec<Shard>,
-    },
-    /// Reply once the dispatching round settles.
-    AwaitRound(mpsc::Sender<RoundResult>),
-    /// Reply with a snapshot of the engine recorder.
-    Stats(mpsc::Sender<Recorder>),
-    /// Dismiss every worker and return once they hang up.
-    Shutdown,
-}
-
-/// [`CoordMachine`] as the loop sees it: frames and commands in,
-/// frames out. The model checker steps this very adapter.
-pub struct Coord {
-    machine: CoordMachine,
-    awaiting: Option<mpsc::Sender<RoundResult>>,
-}
-
-impl Coord {
-    /// The adapter around `machine`.
-    pub fn new(machine: CoordMachine) -> Coord {
-        Coord {
-            machine,
-            awaiting: None,
-        }
-    }
-
-    /// Hands the machine back, for [`CoordMachine::into_outcome`].
-    pub fn into_machine(self) -> CoordMachine {
-        self.machine
-    }
-
-    /// Turns machine actions into loop actions; a reply that does not
-    /// encode closes its connection ([`send_frame`]).
-    fn perform(&mut self, now: u64, acts: Vec<CoordAction>, out: &mut Vec<Action>) {
-        for act in acts {
-            match act {
-                CoordAction::Send { conn, msg } => match send_frame(conn, &msg, out) {
-                    Some(bytes) => self.machine.note_frame_sent(bytes),
-                    None => {
-                        let closed = CoordEvent::Closed { conn, clean: false };
-                        let acts = self.machine.step(now, closed);
-                        self.perform(now, acts, out);
-                    }
-                },
-                CoordAction::Close { conn } => out.push(Action::Close { conn }),
-            }
-        }
-    }
-}
-
-impl Machine for Coord {
-    type Command = Command;
-
-    fn step(&mut self, now: u64, event: Event<Command>, out: &mut Vec<Action>) {
-        let m = &mut self.machine;
-        let acts = match event {
-            Event::Connected { conn } => m.step(now, CoordEvent::Connected { conn }),
-            Event::Frame { conn, payload } => {
-                let msg = decode_frame(conn, &payload, out);
-                m.note_frame_received(payload.len(), matches!(msg, Some(Message::Submit(_))));
-                match msg {
-                    Some(msg) => m.step(now, CoordEvent::Received { conn, msg }),
-                    None => m.step(now, CoordEvent::Closed { conn, clean: false }),
-                }
-            }
-            Event::Closed { conn, clean } => m.step(now, CoordEvent::Closed { conn, clean }),
-            Event::Tick => m.step(now, CoordEvent::Tick),
-            Event::Command(Command::BeginRound { job, shards }) => m.begin_round(now, job, shards),
-            Event::Command(Command::AwaitRound(reply)) => {
-                self.awaiting = Some(reply);
-                Vec::new()
-            }
-            Event::Command(Command::Stats(reply)) => {
-                let _ = reply.send(m.engine().clone());
-                Vec::new()
-            }
-            Event::Command(Command::Shutdown) => {
-                out.push(Action::Drain);
-                m.begin_shutdown(now)
-            }
-        };
-        self.perform(now, acts, out);
-        if self.machine.is_settled() {
-            if let Some(reply) = self.awaiting.take() {
-                let _ = reply.send(match self.machine.error() {
-                    Some(e) => Err(e.to_string()),
-                    None => Ok(self.machine.take_round_results()),
-                });
-            }
-        }
-    }
-
-    fn next_wake(&self) -> Option<u64> {
-        self.machine.next_wake()
-    }
-}
-
 /// A campaign cell being served to workers on loopback TCP: the
 /// cluster's [`RoundExecutor`]. [`serve_campaign`] returns one with its
 /// only round already dispatching, for callers that attach their own
@@ -188,7 +71,7 @@ impl Machine for Coord {
 pub struct ClusterCampaign {
     addr: SocketAddr,
     /// `None` once shut down.
-    server: Option<Server<Coord>>,
+    server: Option<Server<ServiceMachine>>,
     profile: &'static BenchProfile,
     spec: CampaignSpec,
     telemetry: Option<TelemetryConfig>,
@@ -196,6 +79,9 @@ pub struct ClusterCampaign {
     /// The round the next [`RoundExecutor::run_round`] is asked for is
     /// already dispatching ([`serve_campaign`]).
     begun: bool,
+    /// The first round's golden reference, which every later round must
+    /// match.
+    golden: Option<GoldenRef>,
     worker_samples: Vec<usize>,
 }
 
@@ -205,19 +91,16 @@ impl ClusterCampaign {
         self.addr
     }
 
-    fn waker(&self) -> &Waker<Command> {
-        self.server
-            .as_ref()
-            .expect("the coordinator is running")
-            .waker()
-    }
-
     /// Sends the loop a command carrying a reply channel and waits for
     /// the reply; `None` if the loop stopped first.
     fn ask<T>(&self, cmd: impl FnOnce(mpsc::Sender<T>) -> Command) -> Option<T> {
         let (tx, rx) = mpsc::channel();
-        self.waker().send(cmd(tx)).ok()?;
-        rx.recv().ok()
+        self.tell(cmd(tx)).then(|| rx.recv().ok())?
+    }
+
+    /// Sends the loop a command; false if the loop already returned.
+    fn tell(&self, cmd: Command) -> bool {
+        (self.server.as_ref()).is_some_and(|server| server.waker().send(cmd).is_ok())
     }
 
     /// A snapshot of the coordinator's engine recorder (lease/frame
@@ -227,25 +110,22 @@ impl ClusterCampaign {
             .expect("the coordinator loop is running")
     }
 
-    /// Blocks until the dispatching round settles, harvesting its
-    /// accepted runs per shard **without** dismissing the workers —
-    /// they stay parked for the next round. Returns the campaign's
-    /// fatal error instead, if it has one.
-    fn wait_round(&self) -> RoundResult {
-        self.ask(Command::AwaitRound)
-            .unwrap_or_else(|| Err("the coordinator loop stopped".to_string()))
+    /// Lets the machine lease the round of `strata` (`None`: the
+    /// cell's fixed-count samples).
+    fn begin(&self, strata: Option<&AdaptiveRoundWire>) {
+        let telemetry = self.telemetry.as_ref();
+        let (job, shards) = plan_round(self.profile, &self.spec, telemetry, &self.cfg, strata);
+        let begun = self.tell(Command::BeginRound { job, shards });
+        assert!(begun, "the coordinator loop is running");
     }
 
     /// Shuts the coordinator down — dismisses every parked worker with
-    /// `done`, waits for every worker to hang up — and extracts the
-    /// drained machine.
-    fn shutdown(&mut self) -> CoordMachine {
+    /// `done`, waits for every worker to hang up — and hands back its
+    /// counters.
+    fn shutdown(&mut self) -> Recorder {
+        self.tell(Command::Shutdown);
         let server = self.server.take().expect("the coordinator shuts down once");
-        let _ = server.waker().send(Command::Shutdown);
-        server
-            .join()
-            .expect("coordinator loop failed")
-            .into_machine()
+        server.join().expect("coordinator loop failed").into_stats()
     }
 
     /// Blocks until every shard completed, then assembles the result:
@@ -265,18 +145,25 @@ impl ClusterCampaign {
 impl RoundExecutor for ClusterCampaign {
     fn run_round(&mut self, strata: Option<&AdaptiveRoundWire>) -> IndexedRuns {
         if !std::mem::take(&mut self.begun) {
-            let (job, shards) = plan_round(
-                self.profile,
-                &self.spec,
-                self.telemetry.as_ref(),
-                &self.cfg,
-                strata,
-            );
-            self.waker()
-                .send(Command::BeginRound { job, shards })
-                .expect("the coordinator loop is running");
+            self.begin(strata);
         }
-        let shard_runs = self.wait_round().unwrap_or_else(|e| {
+        // The workers stay parked for the next round.
+        let settled = self
+            .ask(Command::AwaitRound)
+            .unwrap_or_else(|| Err("the coordinator loop stopped".to_string()))
+            .and_then(|(golden, runs)| match self.golden.replace(golden) {
+                Some(first) if first != golden => Err(format!(
+                    "golden reference diverged between rounds: {:#x}/{} cycles, then {:#x}/{}",
+                    first.digest, first.cycles, golden.digest, golden.cycles
+                )),
+                _ => Ok(runs),
+            });
+        if strata.is_none() {
+            // A fixed plan's one round is its last: let the workers go
+            // while the round loop merges.
+            self.tell(Command::Shutdown);
+        }
+        let shard_runs = settled.unwrap_or_else(|e| {
             // Dismiss the workers before unwinding, or whoever joins
             // them above us would block forever.
             self.shutdown();
@@ -298,10 +185,9 @@ impl RoundExecutor for ClusterCampaign {
     }
 
     fn finish(mut self) -> Execution {
-        let outcome = self.shutdown().into_outcome();
         Execution {
-            golden: outcome.golden.expect("a settled round has a golden ref"),
-            engine: outcome.engine,
+            engine: self.shutdown(),
+            golden: self.golden.expect("a settled round has a golden ref"),
             worker_samples: self.worker_samples,
         }
     }
@@ -326,37 +212,25 @@ pub fn serve_campaign(
         spec.samples > 0,
         "an empty campaign has nothing to distribute"
     );
-    bind_campaign(profile, spec, telemetry, cfg, true)
+    let mut campaign = bind_campaign(profile, spec, telemetry, cfg)?;
+    campaign.begin(None);
+    campaign.begun = true;
+    Ok(campaign)
 }
 
-/// Binds a coordinator for one cell. A `fixed` cell's only round is in
-/// the machine before anyone can know the address, since nothing holds
-/// a worker that finds no round to work on. Otherwise the machine parks
-/// idle workers between rounds instead of dismissing them
-/// ([`CoordMachine::hold_workers_between_rounds`]), which also keeps
-/// the ones that connect before the first round.
+/// Binds the one machine for one cell, with no execution pool: its
+/// rounds go out as leases only, and workers that find none are parked
+/// until one begins.
 fn bind_campaign(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
     telemetry: Option<&TelemetryConfig>,
     cfg: &CoordinatorConfig,
-    fixed: bool,
 ) -> io::Result<ClusterCampaign> {
     check_campaign(profile, spec);
-    let mut machine = CoordMachine::new(
-        JobWire::default(),
-        Vec::new(),
-        cfg.lease,
-        recorder_for(telemetry),
-    );
-    if fixed {
-        let (job, shards) = plan_round(profile, spec, telemetry, cfg, None);
-        // No worker is connected yet, so there is nobody to serve.
-        machine.begin_round(0, job, shards);
-    } else {
-        machine.hold_workers_between_rounds();
-    }
-    let server = Server::spawn(&cfg.listen, "nestsim-coordinator", Coord::new(machine))?;
+    let stats = recorder_for(telemetry);
+    let machine = ServiceMachine::new(SvcConfig::default(), cfg.lease, stats, None);
+    let server = Server::spawn(&cfg.listen, "nestsim-coordinator", machine)?;
     Ok(ClusterCampaign {
         addr: server.addr(),
         server: Some(server),
@@ -364,7 +238,8 @@ fn bind_campaign(
         spec: *spec,
         telemetry: telemetry.copied(),
         cfg: cfg.clone(),
-        begun: fixed,
+        begun: false,
+        golden: None,
         worker_samples: Vec::new(),
     })
 }
@@ -439,24 +314,14 @@ impl ClusterConfig {
 
 /// Runs one campaign cell through the cluster — `plan` on a
 /// [`ClusterCampaign`] with the configured workers attached — returning
-/// a [`CampaignResult`] byte-identical to the same plan on the
-/// in-process executor in records, counts, merged telemetry and
-/// adaptive summary (engine counters and `worker_samples` are
-/// execution telemetry and differ).
+/// a [`CampaignResult`] byte-identical to the same plan in process in
+/// records, counts, merged telemetry and adaptive summary (engine
+/// counters and `worker_samples` describe the execution and differ).
 ///
-/// Workers are spawned **once** and stay attached for the whole
-/// campaign: between the rounds of an adaptive plan the coordinator
-/// machine parks idle workers on their long-poll
-/// ([`CoordMachine::hold_workers_between_rounds`]) and
-/// [`CoordMachine::begin_round`] re-serves the same connections with
-/// the next round's job. Persistent workers keep their per-job
-/// derivation caches warm — one golden pass and one snapshot ladder
-/// per worker per campaign, not per round — and processes pay one exec
-/// total. Workers never see the policy, so no execution-layer detail
-/// can leak into the stopping decision.
-///
-/// An empty fixed-count campaign has nothing to distribute and runs in
-/// process.
+/// Workers are spawned **once**: between rounds the machine parks them,
+/// so each keeps one golden pass and one ladder for the whole campaign.
+/// Workers never see the stop policy. An empty fixed-count campaign has
+/// nothing to distribute and runs in process.
 ///
 /// # Panics
 ///
@@ -470,8 +335,7 @@ pub fn run_cluster(
     telemetry: Option<&TelemetryConfig>,
     cfg: &ClusterConfig,
 ) -> CampaignResult {
-    let fixed = matches!(plan, Plan::Fixed);
-    if fixed && spec.samples == 0 {
+    if matches!(plan, Plan::Fixed) && spec.samples == 0 {
         return run_campaign_with(profile, spec, telemetry);
     }
     let mut coord_cfg = cfg.coordinator.clone();
@@ -481,10 +345,8 @@ pub fn run_cluster(
             WorkerSpawn::Processes { count, .. } => *count,
         };
     }
-    // A fixed plan's round is out before the first worker connects; an
-    // adaptive plan's workers are held until the loop asks for one.
-    let campaign = bind_campaign(profile, spec, telemetry, &coord_cfg, fixed)
-        .expect("failed to bind coordinator");
+    let campaign =
+        bind_campaign(profile, spec, telemetry, &coord_cfg).expect("failed to bind coordinator");
     let addr = campaign.addr().to_string();
     with_workers(&addr, &cfg.spawn, || {
         run_rounds(profile, spec, plan, telemetry, campaign)

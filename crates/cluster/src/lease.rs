@@ -2,8 +2,8 @@
 //!
 //! The table is pure state-machine logic over a caller-supplied
 //! millisecond clock — no threads, no sockets, no wall time — so every
-//! transition is unit-testable deterministically. The coordinator
-//! feeds it `Instant`-derived ticks.
+//! transition is unit-testable deterministically. The server machine
+//! feeds it the loop's millisecond ticks.
 //!
 //! Per-shard life cycle:
 //!
@@ -119,7 +119,7 @@ pub enum Completion {
     Duplicate,
 }
 
-/// The coordinator's lease state over all shards of one campaign.
+/// The lease state over all shards of one round.
 #[derive(Debug, Clone)]
 pub struct LeaseTable {
     slots: Vec<Slot>,

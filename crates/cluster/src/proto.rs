@@ -1,9 +1,8 @@
-//! The one message set of both conversations, version 5
-//! ([`PROTOCOL_VERSION`]): coordinator ↔ worker on tags 0–9, service ↔
-//! client after them. Every [`crate::frame`] of either carries one
-//! [`Message`], through one [`Message::encode`] and one
-//! [`Message::decode`], so a peer that dials the wrong server gets that
-//! server's `Error` naming the message it did not expect.
+//! The one message set of the campaign server, version 5
+//! ([`PROTOCOL_VERSION`]): server ↔ worker on tags 0–9, server ↔
+//! client after them. Every [`crate::frame`] carries one [`Message`],
+//! through one [`Message::encode`] and one [`Message::decode`]; a frame
+//! only a server sends earns the peer an `Error` naming it.
 //!
 //! ```text
 //! both    Hello{version, tenant} → HelloAck{id}, or Error and a close
@@ -24,7 +23,7 @@
 //! reference, snapshot ladder, and drawn samples from the seed, which
 //! the platform's determinism makes bit-identical in every process —
 //! the same replay-determinism motif RepTFD uses for failure
-//! reproduction. The coordinator cross-checks the golden reference
+//! reproduction. The server cross-checks the golden reference
 //! digest returned with every submission to detect a worker whose
 //! re-derivation diverged (version skew, cosmic irony).
 
@@ -49,8 +48,8 @@ use crate::wire::{
 /// [`JobWire::adaptive`] and 2 the lane fields.
 pub const PROTOCOL_VERSION: u16 = 5;
 
-/// The one version check, which both servers run on `Hello`: the
-/// refusal they send as `Error` when `version` is not this build's.
+/// The one version check, which the server runs on `Hello`: the
+/// refusal it sends as `Error` when `version` is not this build's.
 pub fn check_version(version: u16) -> Result<(), String> {
     if version == PROTOCOL_VERSION {
         Ok(())
@@ -179,7 +178,7 @@ pub struct RunWire {
     pub recorder: Recorder,
 }
 
-/// A completed shard travelling back to the coordinator.
+/// A completed shard travelling back to the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitWire {
     /// The submitting worker.
@@ -187,7 +186,7 @@ pub struct SubmitWire {
     /// The completed shard.
     pub shard: u32,
     /// The worker's independently derived golden reference — the
-    /// coordinator cross-checks it against every other submission.
+    /// server cross-checks it against every other submission.
     pub golden: GoldenRef,
     /// Accelerated-mode cycles the shard forward-simulated.
     pub forward: u64,
@@ -198,7 +197,7 @@ pub struct SubmitWire {
 }
 
 /// A protocol message (the u8 tag leading every payload): the
-/// coordinator's tags 0–9, then the service's.
+/// worker conversation's tags 0–9, then the client's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// Worker or client → server: first message on a connection.
@@ -210,15 +209,16 @@ pub enum Message {
     },
     /// Server → worker or client: handshake accepted.
     HelloAck {
-        /// The worker's id, or the service's open connection count.
+        /// The connection's id, minted from the one counter workers and
+        /// clients share: never handed out twice.
         id: u32,
     },
-    /// Worker → coordinator: ready for work.
+    /// Worker → server: ready for work.
     RequestShard {
         /// The requesting worker.
         worker: u32,
     },
-    /// Coordinator → worker: a shard lease.
+    /// Server → worker: a shard lease.
     Assign {
         /// The leased shard.
         shard: Shard,
@@ -231,30 +231,30 @@ pub enum Message {
         /// How often the worker should heartbeat while running.
         heartbeat_ms: u64,
     },
-    /// Coordinator → worker: nothing leasable right now.
+    /// Server → worker: nothing leasable right now.
     Wait {
         /// Suggested retry delay.
         ms: u64,
         /// True when every shard is complete — the worker should exit.
         done: bool,
     },
-    /// Worker → coordinator: still alive on this shard.
+    /// Worker → server: still alive on this shard.
     Heartbeat {
         /// The heartbeating worker.
         worker: u32,
         /// The shard it is working on.
         shard: u32,
     },
-    /// Coordinator → worker: heartbeat reply.
+    /// Server → worker: heartbeat reply.
     HeartbeatAck {
         /// False when the worker no longer holds the lease (it expired
         /// and was re-dispatched) — the worker should abandon the
         /// shard instead of submitting duplicate work.
         current: bool,
     },
-    /// Worker → coordinator: a completed shard.
+    /// Worker → server: a completed shard.
     Submit(SubmitWire),
-    /// Coordinator → worker: submission reply.
+    /// Server → worker: submission reply.
     SubmitAck {
         /// False when the shard was already completed by another
         /// worker (idempotent dedupe) — the results were dropped.

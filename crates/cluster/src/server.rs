@@ -1,8 +1,7 @@
-//! One server loop for both of the workspace's servers.
-//!
-//! The campaign coordinator ([`crate::coordinator`]) and the campaign
-//! service (`nestsim-svc`) are pure `step(event) -> actions` machines
-//! over `NSCL` frames, and [`Server`] drives either. One thread owns
+//! The server loop under the one campaign server machine
+//! ([`crate::machine`]), a pure `step(event) -> actions` machine over
+//! `NSCL` frames, whether it serves a cluster campaign or the
+//! `nestsim-svc` service. One thread owns
 //! the listener, a wake channel and every connection, multiplexed by a
 //! level-triggered epoll poller. It hands the machine whole frames,
 //! frames what the machine sends into per-connection buffers flushed
@@ -10,7 +9,7 @@
 //! delivers the commands other threads queue through a [`Waker`]. No
 //! peer can block another: a trickling one only grows its own frame
 //! buffer, and one that stops reading is closed past
-//! `conn::MAX_UNSENT`. Both adapters decode and send through
+//! `conn::MAX_UNSENT`. The machine decodes and sends through
 //! [`decode_frame`] and [`send_frame`], the one framing policy.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -94,8 +93,7 @@ pub trait Machine: Send + 'static {
 }
 
 /// Decodes a frame from `conn`. One that does not decode is refused
-/// and yields `None`, for the adapter to tell its machine the
-/// connection closed.
+/// and yields `None`: the connection is closed.
 pub fn decode_frame(conn: u64, payload: &[u8], out: &mut Vec<Action>) -> Option<Message> {
     Message::decode(payload)
         .map_err(|e| refuse(conn, format!("undecodable frame: {e}"), out))
@@ -114,7 +112,7 @@ pub fn send_frame(conn: u64, msg: &Message, out: &mut Vec<Action>) -> Option<usi
     Some(bytes)
 }
 
-/// The one framing policy of both servers: a frame that does not decode
+/// The one framing policy: a frame that does not decode
 /// or a reply that does not encode costs the peer its connection, with
 /// an `Error` naming the cause first if that encodes.
 fn refuse(conn: u64, message: String, out: &mut Vec<Action>) {

@@ -11,7 +11,7 @@
 //! The store is pure data (BTree maps, no clock, no hashing
 //! randomness) and is policy-pinned `NoNondeterminism`.
 
-use nestsim_cluster::proto::JobWire;
+use crate::proto::JobWire;
 use nestsim_core::inject::{GoldenRef, InjectionRecord};
 use nestsim_telemetry::Recorder;
 use std::collections::BTreeMap;
@@ -262,7 +262,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nestsim_cluster::proto::AdaptiveRoundWire;
+    use crate::proto::AdaptiveRoundWire;
     use nestsim_core::CampaignSpec;
     use nestsim_models::ComponentKind;
     use nestsim_telemetry::TelemetryConfig;

@@ -91,7 +91,7 @@ impl CampaignExec {
         }
     }
 
-    /// The wire-format job description the simulated coordinator
+    /// The wire-format job description the simulated server
     /// serves to workers.
     pub fn job(&self) -> &JobWire {
         &self.job

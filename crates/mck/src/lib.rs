@@ -1,40 +1,36 @@
 //! # nestsim-mck
 //!
-//! A deterministic protocol simulator ("model checker") for the
-//! workspace's two servers.
+//! A deterministic protocol simulator ("model checker") for the one
+//! campaign server. The paper's statistics hold only if distributed
+//! campaigns count every injection **exactly once**; chaos tests sample
+//! a few lucky interleavings, while this crate steps the very machine
+//! the epoll loop runs under a virtual clock and a simulated network and
+//! explores schedules *systematically*:
 //!
-//! The paper's statistical claims only hold if distributed campaigns
-//! count every injection **exactly once**. The chaos tests kill and
-//! stall real processes, but each run samples a handful of lucky
-//! interleavings. This crate steps the very adapters the epoll server
-//! loop runs under a virtual clock and a simulated network, and
-//! *systematically* explores schedules:
-//!
-//! * [`world`](mod@world) — the one discrete-event world, which any
-//!   [`nestsim_cluster::server::Machine`] runs in;
-//! * [`Cluster`] and [`SvcScenario`] — the coordinator and the service
-//!   as two scenarios on it: their peers, faults and invariants;
+//! * [`world`](mod@world) — the one discrete-event world;
+//! * [`ServerScenario`] — the one scenario on it: the campaign thread's
+//!   round, restarting workers and scripted tenants, both fault families
+//!   and every invariant;
 //! * [`explore`] — seeded random schedules and bounded DFS, every
 //!   failure replayable from a printed seed or schedule;
-//! * [`exec`] — the real engine run once per cell and cached, so merged
-//!   results are checked against real records.
+//! * [`exec`] — the real engine run once per cell and cached.
 //!
-//! [`SimConfig::mutate`] plants one bug per scenario, and the
-//! `mck_smoke` bin proves the explorer catches both.
+//! [`SimConfig::mutate`] plants one of two bugs, and the `mck_smoke`
+//! bin proves the explorer catches both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod cluster;
 pub mod exec;
 pub mod explore;
 mod service;
 pub mod world;
 
-pub use cluster::Cluster;
 pub use exec::CampaignExec;
 pub use explore::{
     explore_random, schedule_to_string, Chooser, DfsReport, RandomChooser, ScheduleChooser,
 };
-pub use service::SvcScenario;
-pub use world::{run_sim, world, Fault, FaultBudget, Scenario, SimConfig, SimError, SimReport};
+pub use service::ServerScenario;
+pub use world::{run_sim, world, Fault, FaultBudget, Mutation, SimConfig, SimError, SimReport};

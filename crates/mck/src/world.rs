@@ -1,12 +1,9 @@
 //! The one simulated world: a virtual clock, a `(time, seq)` event
-//! queue, a fault budget and a connection table around any
-//! [`Machine`] the server loop ([`nestsim_cluster::server`]) drives.
-//!
-//! The world steps the adapter itself (`cluster::coordinator::Coord`,
-//! `svc::service::Svc`), so every schedule runs the code a deployment
-//! runs: frame decoding, the close on an undecodable frame, frame
-//! accounting and the command paths. A [`Scenario`] brings the peers,
-//! answers the adapter's side channels, and checks the end state.
+//! queue, a fault budget and a connection table around the very
+//! [`ServiceMachine`] the server loop ([`nestsim_cluster::server`])
+//! drives, so every schedule runs the decoding, close, accounting and
+//! command paths a deployment runs. The [`ServerScenario`] brings the
+//! peers, answers the machine's side channels and checks the end state.
 //!
 //! It feeds [`Event`]s with real frame payloads and performs
 //! [`Action`]s the way the epoll loop does:
@@ -18,11 +15,8 @@
 //! * `Exit` ends the world.
 //!
 //! A connection is FIFO: a frame or close lands strictly after the one
-//! before it. A scenario whose hop is zero gets its frames and closes
-//! handed over in order before the next pick, as one turn of the loop
-//! would, which keeps its schedule tree small. Every peer incarnation
-//! connects afresh, so a connection id names one incarnation and a dead
-//! one's mail dies with its connection.
+//! before it. Every peer incarnation connects afresh, so a connection id
+//! names one incarnation and a dead one's mail dies with its connection.
 //!
 //! Everything the physical world decides is a [`Chooser`] pick: which
 //! event due at the earliest instant fires first, and each fault point
@@ -33,43 +27,72 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use nestsim_cluster::machine::{Command, ServiceMachine};
 use nestsim_cluster::server::{Action, Event, Machine};
 
 use crate::explore::Chooser;
+use crate::service::{Ev as PeerEv, Peers, ServerScenario};
+
+/// One link hop, in virtual ms.
+const HOP_MS: u64 = 1;
+/// How late a [`Fault::Stall`] lands past the hop, in virtual ms: long
+/// enough to outlive a lease plus backoff, so stalled frames and
+/// executions land in genuinely expired worlds.
+pub(crate) const DELAY_MS: u64 = 2 * crate::service::LEASE.lease_ms + 5;
+/// Events one schedule may fire before it fails liveness.
+const MAX_STEPS: usize = 20_000;
 
 /// How many faulty picks a schedule may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultBudget(pub u32);
 
-/// What can go wrong at a fault point.
+/// What can go wrong at a fault point: the six fault flavours of the
+/// one scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// The frame is lost to a connection reset; both ends see the
-    /// close, like TCP.
-    Reset,
-    /// The frame lands past the scenario's [`Scenario::DELAY_MS`].
-    Delay,
-    /// The frame lands twice, as from an at-least-once retry layer,
+    /// A worker dies where it stands, or its request is lost to a
+    /// connection reset that both ends see, like TCP.
+    Crash,
+    /// A worker's execution, or a frame to or from it, outlives its
+    /// lease: it lands [`DELAY_MS`] late.
+    Stall,
+    /// A `Submit` lands twice, as from an at-least-once retry layer,
     /// which also absorbs the replies to the echo.
     Duplicate,
-    /// A worker dies where it stands.
-    Crash,
-    /// A worker's execution outlives its lease.
-    Stall,
-    /// A service execution crashes.
+    /// A `SubmitAck` is lost to a connection reset.
+    LostAck,
+    /// A tenant's request is lost to a connection reset.
+    Disconnect,
+    /// An in-process execution crashes.
     ExecCrash,
 }
 
 impl Fault {
     /// Each flavour's name in reports, in [`SimReport::faults`] order.
     pub const NAMES: [&str; 6] = [
-        "reset",
-        "delay",
-        "duplicate",
-        "crash",
-        "stall",
+        "worker crash",
+        "stall past lease",
+        "duplicate Submit",
+        "lost SubmitAck",
+        "tenant disconnect",
         "exec crash",
     ];
+
+    /// The frame is lost to a reset rather than delivered.
+    fn resets(self) -> bool {
+        matches!(self, Fault::Crash | Fault::LostAck | Fault::Disconnect)
+    }
+}
+
+/// A bug [`SimConfig::mutate`] plants in the machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// Duplicate shard completions are merged: the explorer must find
+    /// a double count.
+    FirstWriterWins,
+    /// A cell's result reaches only its first subscriber: the explorer
+    /// must find a lost subscriber.
+    DedupFanout,
 }
 
 /// Random-driver odds of the benign alternative at each fault point,
@@ -83,17 +106,15 @@ const BENIGN_WEIGHT: u32 = 20;
 pub struct SimConfig {
     /// Maximum faulty picks per schedule.
     pub faults: FaultBudget,
-    /// Plant the scenario's bug: first-writer-wins off in the
-    /// coordinator, dedup fan-out off in the service. The explorer
-    /// must then find a double count or a lost subscriber.
-    pub mutate: bool,
+    /// Plant a bug in the machine, which the explorer must then find.
+    pub mutate: Option<Mutation>,
 }
 
 /// An invariant violation found on one schedule, one variant per
 /// invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The coordinator recorded this fatal campaign error.
+    /// The campaign thread's round failed, or never settled.
     Coordinator(String),
     /// This sample is missing from the merged results.
     SampleLost(u64),
@@ -184,56 +205,19 @@ impl SimReport {
     }
 }
 
-/// What reaches a scenario's peers.
-pub enum Input<E> {
+/// What reaches the scenario's peers.
+pub enum Input {
     /// A frame's payload from the machine reaches the peer end of a
     /// connection.
     Frame(u64, Vec<u8>),
     /// The peer end of a connection learns that it closed.
     Closed(u64),
     /// One of the scenario's own events fires.
-    Own(E),
-}
-
-/// The peers around one machine and what must hold when the world
-/// ends. Every hook acts through the world's [`Net`].
-pub trait Scenario {
-    /// The adapter the server loop runs.
-    type Machine: Machine;
-    /// One schedule's peers.
-    type Peers;
-    /// The scenario's own events: wake-ups, executions, script steps.
-    type Ev;
-    /// One link hop, in virtual ms; zero hands frames over in order
-    /// before the next pick.
-    const HOP_MS: u64;
-    /// How late a [`Fault::Delay`] lands, in virtual ms past the hop.
-    const DELAY_MS: u64 = 0;
-    /// The fault flavours a frame from the machine may take.
-    const REPLY_FAULTS: &'static [Fault] = &[];
-    /// Events one schedule may fire before it fails liveness.
-    const MAX_STEPS: usize;
-
-    /// Builds the machine and the peers, and queues the first events.
-    fn start(&self, cfg: &SimConfig, net: &mut Net<'_, Self>) -> (Self::Machine, Self::Peers);
-    /// Something reaches the peers.
-    fn input(
-        &self,
-        peers: &mut Self::Peers,
-        net: &mut Net<'_, Self>,
-        input: Input<Self::Ev>,
-    ) -> Result<(), SimError>;
-    /// After every machine step: answer the adapter's side channels.
-    fn answer(&self, peers: &mut Self::Peers, net: &mut Net<'_, Self>) -> Result<(), SimError>;
-    /// Nothing is left to fire and the world has not ended: the
-    /// scenario's one chance to end it.
-    fn quiet(&self, _peers: &mut Self::Peers, _net: &mut Net<'_, Self>) {}
-    /// The end-of-world invariants.
-    fn finish(&self, peers: Self::Peers, machine: Self::Machine) -> Result<(), SimError>;
+    Own(PeerEv),
 }
 
 /// A queued world event.
-enum Ev<E> {
+enum Queued {
     /// A frame reaches the machine; the replies to an echo (`true`) are
     /// absorbed.
     Frame(u64, Vec<u8>, bool),
@@ -242,7 +226,7 @@ enum Ev<E> {
     /// [`Machine::next_wake`] is due.
     Tick,
     /// Something for the peers.
-    Peer(Input<E>),
+    Peer(Input),
 }
 
 /// Where a close lands.
@@ -269,15 +253,13 @@ struct Link {
     last: u64,
 }
 
-/// Everything in the world but the machine and the peers: what a
+/// Everything in the world but the machine and the peers: what the
 /// scenario acts through.
-pub struct Net<'c, S: Scenario + ?Sized> {
+pub struct Net<'c> {
     chooser: &'c mut dyn Chooser,
-    queue: BTreeMap<(u64, u64), Ev<S::Ev>>,
-    /// Zero-hop link events, in order, before the next pick.
-    handover: VecDeque<Ev<S::Ev>>,
+    queue: BTreeMap<(u64, u64), Queued>,
     /// Events the machine has yet to see, oldest first.
-    inbox: VecDeque<Event<<S::Machine as Machine>::Command>>,
+    inbox: VecDeque<Event<Command>>,
     links: BTreeMap<u64, Link>,
     seq: u64,
     now: u64,
@@ -289,7 +271,7 @@ pub struct Net<'c, S: Scenario + ?Sized> {
     exit: bool,
 }
 
-impl<S: Scenario + ?Sized> Net<'_, S> {
+impl Net<'_> {
     /// The virtual clock, in ms.
     pub fn now(&self) -> u64 {
         self.now
@@ -297,12 +279,12 @@ impl<S: Scenario + ?Sized> Net<'_, S> {
 
     /// Queues a scenario event `delay` ms from now. Events due at the
     /// same instant are the chooser's to order.
-    pub fn schedule(&mut self, delay: u64, ev: S::Ev) {
-        self.queue_at(self.now + delay, Ev::Peer(Input::Own(ev)));
+    pub fn schedule(&mut self, delay: u64, ev: PeerEv) {
+        self.queue_at(self.now + delay, Queued::Peer(Input::Own(ev)));
     }
 
     /// Queues a command for the machine, as the loop's `Waker` would.
-    pub fn command(&mut self, cmd: <S::Machine as Machine>::Command) {
+    pub fn command(&mut self, cmd: Command) {
         self.inbox.push_back(Event::Command(cmd));
     }
 
@@ -339,9 +321,9 @@ impl<S: Scenario + ?Sized> Net<'_, S> {
         }
         let fault = self.pick_fault(menu);
         let echo = (fault == Some(Fault::Duplicate)).then(|| payload.clone());
-        self.on_link(conn, fault, Ev::Frame(conn, payload, false));
+        self.on_link(conn, fault, Queued::Frame(conn, payload, false));
         if let Some(payload) = echo {
-            self.on_link(conn, None, Ev::Frame(conn, payload, true));
+            self.on_link(conn, None, Queued::Frame(conn, payload, true));
         }
     }
 
@@ -350,11 +332,11 @@ impl<S: Scenario + ?Sized> Net<'_, S> {
     pub fn hang_up(&mut self, conn: u64, clean: bool) {
         if let Some(link) = self.links.get_mut(&conn).filter(|l| !l.peer_gone) {
             link.peer_gone = true;
-            self.on_link(conn, None, Ev::HangUp(conn, End::Machine { clean }));
+            self.on_link(conn, None, Queued::HangUp(conn, End::Machine { clean }));
         }
     }
 
-    fn queue_at(&mut self, at: u64, ev: Ev<S::Ev>) -> (u64, u64) {
+    fn queue_at(&mut self, at: u64, ev: Queued) -> (u64, u64) {
         let key = (at, self.seq);
         self.seq += 1;
         self.queue.insert(key, ev);
@@ -364,17 +346,16 @@ impl<S: Scenario + ?Sized> Net<'_, S> {
     /// Sends `ev` along `conn` under `fault`: a reset one hop from now,
     /// overtaking what is in flight; otherwise a hop (plus the delay)
     /// from now and strictly after the link's previous arrival.
-    fn on_link(&mut self, conn: u64, fault: Option<Fault>, ev: Ev<S::Ev>) {
+    fn on_link(&mut self, conn: u64, fault: Option<Fault>, ev: Queued) {
+        let reset = fault.is_some_and(Fault::resets);
         let (ev, delay) = match fault {
-            Some(Fault::Reset) => (Ev::HangUp(conn, End::Both), 0),
-            Some(Fault::Delay) => (ev, S::DELAY_MS),
+            _ if reset => (Queued::HangUp(conn, End::Both), 0),
+            Some(Fault::Stall) => (ev, DELAY_MS),
             _ => (ev, 0),
         };
-        let Some(link) = self.links.get_mut(&conn).filter(|_| S::HOP_MS > 0) else {
-            return self.handover.push_back(ev);
-        };
-        let mut at = self.now + S::HOP_MS + delay;
-        if fault != Some(Fault::Reset) {
+        let mut at = self.now + HOP_MS + delay;
+        let link = self.links.get_mut(&conn).expect("links are never removed");
+        if !reset {
             at = at.max(link.last + 1);
             link.last = at;
         }
@@ -382,15 +363,15 @@ impl<S: Scenario + ?Sized> Net<'_, S> {
     }
 
     /// Performs one machine action; `absorb` names the connection whose
-    /// replies an echo provoked.
-    fn perform(&mut self, action: Action, absorb: Option<u64>) {
+    /// replies an echo provoked, and a frame may take a fault on `menu`.
+    fn perform(&mut self, action: Action, absorb: Option<u64>, menu: &[Fault]) {
         match action {
             Action::Send { conn, payload } => {
                 if absorb == Some(conn) || self.links.get(&conn).is_none_or(|l| l.gone) {
                     return; // an echo's reply, or the peer left before its reply did
                 }
-                let fault = self.pick_fault(S::REPLY_FAULTS);
-                self.on_link(conn, fault, Ev::Peer(Input::Frame(conn, payload)));
+                let fault = self.pick_fault(menu);
+                self.on_link(conn, fault, Queued::Peer(Input::Frame(conn, payload)));
             }
             Action::Close { conn } => self.drop_link(conn, None),
             Action::Drain => {
@@ -407,26 +388,25 @@ impl<S: Scenario + ?Sized> Net<'_, S> {
 
     /// The loop drops `conn`, telling the machine `told`; the peer
     /// learns of it after everything sent before.
-    fn drop_link(&mut self, conn: u64, told: Option<Event<<S::Machine as Machine>::Command>>) {
+    fn drop_link(&mut self, conn: u64, told: Option<Event<Command>>) {
         if let Some(link) = self.links.get_mut(&conn).filter(|l| !l.gone) {
             link.gone = true;
             self.inbox.extend(told);
-            self.on_link(conn, None, Ev::HangUp(conn, End::Peer));
+            self.on_link(conn, None, Queued::HangUp(conn, End::Peer));
         }
     }
 }
 
 /// Runs one schedule of `scenario` to the end and checks every
 /// invariant.
-pub fn run_sim<S: Scenario>(
-    scenario: &S,
+pub fn run_sim(
+    scenario: &ServerScenario<'_>,
     cfg: &SimConfig,
     chooser: &mut dyn Chooser,
 ) -> Result<SimReport, SimError> {
     let mut net = Net {
         chooser,
         queue: BTreeMap::new(),
-        handover: VecDeque::new(),
         inbox: VecDeque::new(),
         links: BTreeMap::new(),
         seq: 0,
@@ -457,21 +437,21 @@ pub fn run_sim<S: Scenario>(
 
 /// Adapts [`run_sim`] to the shape the explorers drive: a world that
 /// is a pure function of its chooser.
-pub fn world<'a, S: Scenario>(
-    scenario: &'a S,
+pub fn world<'a>(
+    scenario: &'a ServerScenario<'_>,
     cfg: &'a SimConfig,
 ) -> impl FnMut(&mut dyn Chooser) -> Result<(), SimError> + 'a {
     move |chooser| run_sim(scenario, cfg, chooser).map(|_| ())
 }
 
-struct World<'s, 'c, S: Scenario> {
-    scenario: &'s S,
-    machine: S::Machine,
-    peers: S::Peers,
-    net: Net<'c, S>,
+struct World<'s, 'a, 'c> {
+    scenario: &'s ServerScenario<'a>,
+    machine: ServiceMachine,
+    peers: Peers,
+    net: Net<'c>,
 }
 
-impl<S: Scenario> World<'_, '_, S> {
+impl World<'_, '_, '_> {
     /// Fires events until the machine exits or drains to no connection.
     fn run(&mut self) -> Result<(), SimError> {
         let mut hushed = false;
@@ -486,14 +466,14 @@ impl<S: Scenario> World<'_, '_, S> {
             if let Some(at) = self.machine.next_wake().map(|at| at.max(net.now)) {
                 if net.tick.is_none_or(|key| key.0 > at) {
                     net.tick.and_then(|key| net.queue.remove(&key));
-                    net.tick = Some(net.queue_at(at, Ev::Tick));
+                    net.tick = Some(net.queue_at(at, Queued::Tick));
                 }
             }
             if net.queue.is_empty() && !std::mem::replace(&mut hushed, true) {
                 self.scenario.quiet(&mut self.peers, net);
                 continue;
             }
-            if net.queue.is_empty() || net.steps >= S::MAX_STEPS {
+            if net.queue.is_empty() || net.steps >= MAX_STEPS {
                 let (steps, pending) = (net.steps, net.queue.len());
                 return Err(SimError::Liveness { steps, pending });
             }
@@ -514,37 +494,31 @@ impl<S: Scenario> World<'_, '_, S> {
         }
     }
 
-    /// Runs the machine through everything pending, then hands over
-    /// zero-hop link events, until both are empty.
+    /// Runs the machine through everything pending.
     fn settle(&mut self) -> Result<(), SimError> {
-        loop {
-            if let Some(event) = self.net.inbox.pop_front() {
-                self.step(event, None)?;
-            } else if let Some(ev) = self.net.handover.pop_front() {
-                self.fire(ev)?;
-            } else {
-                return Ok(());
-            }
+        while let Some(event) = self.net.inbox.pop_front() {
+            self.step(event, None)?;
         }
+        Ok(())
     }
 
-    fn step(
-        &mut self,
-        event: Event<<S::Machine as Machine>::Command>,
-        absorb: Option<u64>,
-    ) -> Result<(), SimError> {
+    fn step(&mut self, event: Event<Command>, absorb: Option<u64>) -> Result<(), SimError> {
         let mut actions = Vec::new();
         self.machine.step(self.net.now, event, &mut actions);
         for action in actions {
-            self.net.perform(action, absorb);
+            let menu = match &action {
+                Action::Send { conn, payload } => self.scenario.reply_faults(*conn, payload),
+                _ => &[],
+            };
+            self.net.perform(action, absorb, menu);
         }
         self.scenario.answer(&mut self.peers, &mut self.net)
     }
 
-    fn fire(&mut self, ev: Ev<S::Ev>) -> Result<(), SimError> {
+    fn fire(&mut self, ev: Queued) -> Result<(), SimError> {
         let net = &mut self.net;
         match ev {
-            Ev::Frame(conn, payload, echo) => {
+            Queued::Frame(conn, payload, echo) => {
                 let Some(link) = net.links.get_mut(&conn).filter(|l| !l.gone) else {
                     return Ok(()); // the loop already dropped the connection
                 };
@@ -552,7 +526,7 @@ impl<S: Scenario> World<'_, '_, S> {
                 // The inbox is empty here, so stepping now keeps order.
                 self.step(Event::Frame { conn, payload }, echo.then_some(conn))
             }
-            Ev::HangUp(conn, end) => {
+            Queued::HangUp(conn, end) => {
                 let link = net.links.get_mut(&conn).expect("links are never removed");
                 if end != End::Peer && !std::mem::replace(&mut link.gone, true) {
                     let clean = end == End::Machine { clean: true };
@@ -566,9 +540,9 @@ impl<S: Scenario> World<'_, '_, S> {
                 self.scenario
                     .input(&mut self.peers, net, Input::Closed(conn))
             }
-            Ev::Tick => self.step(Event::Tick, None),
-            Ev::Peer(Input::Frame(conn, _)) if net.links[&conn].peer_gone => Ok(()),
-            Ev::Peer(input) => self.scenario.input(&mut self.peers, net, input),
+            Queued::Tick => self.step(Event::Tick, None),
+            Queued::Peer(Input::Frame(conn, _)) if net.links[&conn].peer_gone => Ok(()),
+            Queued::Peer(input) => self.scenario.input(&mut self.peers, net, input),
         }
     }
 }

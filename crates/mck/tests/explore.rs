@@ -12,12 +12,12 @@ use nestsim_core::campaign::CampaignSpec;
 use nestsim_harness::properties;
 use nestsim_hlsim::workload::by_name;
 use nestsim_mck::explore::{explore_dfs, explore_random, Chooser, RandomChooser, ScheduleChooser};
-use nestsim_mck::world::{run_sim, world, FaultBudget, SimConfig, SimError};
-use nestsim_mck::{CampaignExec, Cluster};
+use nestsim_mck::world::{run_sim, world, FaultBudget, Mutation, SimConfig, SimError};
+use nestsim_mck::{CampaignExec, ServerScenario};
 use nestsim_models::ComponentKind;
 use nestsim_telemetry::TelemetryConfig;
 
-/// The shared engine cell: built once, read by every test. The cluster
+/// The shared engine cell: built once, read by every test. The
 /// scenario borrows it, so sharing is free and safe.
 fn cell() -> &'static CampaignExec {
     static CELL: OnceLock<CampaignExec> = OnceLock::new();
@@ -32,23 +32,24 @@ fn cell() -> &'static CampaignExec {
     })
 }
 
-fn cluster() -> Cluster<'static> {
-    Cluster::new(cell())
+fn scenario() -> ServerScenario<'static> {
+    ServerScenario::new(cell())
 }
 
 fn cfg(faults: u32) -> SimConfig {
     SimConfig {
         faults: FaultBudget(faults),
-        mutate: false,
+        mutate: None,
     }
 }
 
 /// The all-defaults schedule (every pick 0) is the fault-free happy
-/// path: the campaign completes with zero faults injected.
+/// path: the campaign and every tenant's cell complete with zero
+/// faults injected.
 #[test]
 fn benign_schedule_completes_without_faults() {
     let mut chooser = ScheduleChooser::new(Vec::new());
-    let report = run_sim(&cluster(), &cfg(2), &mut chooser).expect("benign schedule holds");
+    let report = run_sim(&scenario(), &cfg(2), &mut chooser).expect("benign schedule holds");
     assert_eq!(report.faults_injected(), 0, "pick 0 is always 'no fault'");
     assert!(report.steps > 0);
     assert!(report.virtual_ms > 0);
@@ -60,9 +61,9 @@ fn benign_schedule_completes_without_faults() {
 fn identical_seeds_produce_identical_executions() {
     let cfg = cfg(2);
     let mut a = RandomChooser::new(0xA11CE);
-    let ra = run_sim(&cluster(), &cfg, &mut a).expect("schedule holds");
+    let ra = run_sim(&scenario(), &cfg, &mut a).expect("schedule holds");
     let mut b = RandomChooser::new(0xA11CE);
-    let rb = run_sim(&cluster(), &cfg, &mut b).expect("schedule holds");
+    let rb = run_sim(&scenario(), &cfg, &mut b).expect("schedule holds");
     assert_eq!(a.trace(), b.trace(), "same seed, same picks");
     assert_eq!(ra, rb, "same seed, same report");
 }
@@ -76,7 +77,7 @@ fn random_sweep_is_clean_and_exercises_faults() {
     let mut injected = 0u64;
     for seed in 0..24u64 {
         let mut chooser = RandomChooser::new(0x5EED_0000 + seed);
-        let report = run_sim(&cluster(), &cfg, &mut chooser)
+        let report = run_sim(&scenario(), &cfg, &mut chooser)
             .unwrap_or_else(|e| panic!("seed {seed:#x} violated an invariant: {e}"));
         injected += u64::from(report.faults_injected());
     }
@@ -86,7 +87,7 @@ fn random_sweep_is_clean_and_exercises_faults() {
 /// Bounded DFS over the schedule tree stays clean.
 #[test]
 fn bounded_dfs_is_clean() {
-    let report = explore_dfs(120, world(&cluster(), &cfg(1)));
+    let report = explore_dfs(120, world(&scenario(), &cfg(1)));
     assert!(report.traces > 0);
     assert!(
         report.failure.is_none(),
@@ -102,10 +103,10 @@ fn bounded_dfs_is_clean() {
 #[test]
 fn disabled_dedupe_is_caught_and_replays() {
     let mutated = SimConfig {
-        mutate: true,
+        mutate: Some(Mutation::FirstWriterWins),
         ..cfg(2)
     };
-    let hunt = explore_random(0xD0C5_2015, 96, world(&cluster(), &mutated));
+    let hunt = explore_random(0xD0C5_2015, 96, world(&scenario(), &mutated));
     let (seed, schedule, err) = hunt
         .failure
         .expect("a planted exactly-once bug must be found");
@@ -115,13 +116,13 @@ fn disabled_dedupe_is_caught_and_replays() {
     );
 
     let mut by_seed = RandomChooser::new(seed);
-    let replayed = run_sim(&cluster(), &mutated, &mut by_seed).expect_err("seed replay must fail");
+    let replayed = run_sim(&scenario(), &mutated, &mut by_seed).expect_err("seed replay must fail");
     assert_eq!(replayed, err, "seed replay must reproduce the violation");
     assert_eq!(by_seed.trace(), schedule, "seed replay must retrace");
 
     let mut by_schedule = ScheduleChooser::new(schedule);
     let replayed =
-        run_sim(&cluster(), &mutated, &mut by_schedule).expect_err("schedule replay must fail");
+        run_sim(&scenario(), &mutated, &mut by_schedule).expect_err("schedule replay must fail");
     assert_eq!(
         replayed, err,
         "schedule replay must reproduce the violation"
@@ -138,7 +139,7 @@ properties! {
         let faults = src.range_u64(0, 4) as u32;
         let seed = src.u64();
         let mut chooser = RandomChooser::new(seed);
-        if let Err(e) = run_sim(&cluster(), &cfg(faults), &mut chooser) {
+        if let Err(e) = run_sim(&scenario(), &cfg(faults), &mut chooser) {
             panic!(
                 "NESTSIM_MCK_SEED={seed:#x} (faults {faults}) violated an invariant: {e}"
             );

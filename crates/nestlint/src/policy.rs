@@ -57,15 +57,27 @@ pub const TABLE: &[PolicyRow] = &[
         why: "shard planning must be identical in every process",
     },
     PolicyRow {
-        prefix: "crates/cluster/src/coord_machine.rs",
+        prefix: "crates/cluster/src/machine.rs",
         rules: &[Rule::NoNondeterminism],
-        why: "sans-I/O coordinator: a pure event→actions function the model checker \
-              replays under every schedule; time arrives only as an event payload",
+        why: "sans-I/O campaign server machine: a pure event→actions function the model \
+              checker replays under every schedule; time arrives only as an event payload",
     },
     PolicyRow {
         prefix: "crates/cluster/src/worker_machine.rs",
         rules: &[Rule::NoNondeterminism],
-        why: "sans-I/O worker: same pure-function contract as the coordinator machine",
+        why: "sans-I/O worker: same pure-function contract as the server machine",
+    },
+    PolicyRow {
+        prefix: "crates/cluster/src/sched.rs",
+        rules: &[Rule::NoNondeterminism],
+        why: "DRR fair-share ordering must be a pure function of submissions so grant \
+              order is reproducible in the model checker and across restarts",
+    },
+    PolicyRow {
+        prefix: "crates/cluster/src/store.rs",
+        rules: &[Rule::NoNondeterminism],
+        why: "the content-addressed store decides dedup hits; its keys and fan-out \
+              order must be identical in every process",
     },
     PolicyRow {
         prefix: "crates/cluster/src/conn.rs",
@@ -89,24 +101,6 @@ pub const TABLE: &[PolicyRow] = &[
         prefix: "crates/cluster/",
         rules: &[],
         why: "lease deadlines, sockets, and backoff run on real clocks by design",
-    },
-    PolicyRow {
-        prefix: "crates/svc/src/sched.rs",
-        rules: &[Rule::NoNondeterminism],
-        why: "DRR fair-share ordering must be a pure function of submissions so grant \
-              order is reproducible in the model checker and across restarts",
-    },
-    PolicyRow {
-        prefix: "crates/svc/src/store.rs",
-        rules: &[Rule::NoNondeterminism],
-        why: "the content-addressed store decides dedup hits; its keys and fan-out \
-              order must be identical in every process",
-    },
-    PolicyRow {
-        prefix: "crates/svc/src/machine.rs",
-        rules: &[Rule::NoNondeterminism],
-        why: "sans-I/O service machine: a pure event→actions function the model \
-              checker replays under every schedule",
     },
     PolicyRow {
         prefix: "crates/svc/",
@@ -296,10 +290,9 @@ mod tests {
         // the drivers may run real clocks and sockets, the machines
         // themselves may not.
         for path in [
-            "crates/cluster/src/coord_machine.rs",
+            "crates/cluster/src/machine.rs",
             "crates/cluster/src/worker_machine.rs",
             "crates/mck/src/world.rs",
-            "crates/mck/src/cluster.rs",
             "crates/mck/src/service.rs",
             "crates/mck/src/explore.rs",
             "crates/mck/src/exec.rs",
@@ -325,7 +318,7 @@ mod tests {
         // Scheduler, store, and machine decide grant order, dedup, and
         // fan-out: deterministic, but they may panic on internal bugs.
         for f in ["sched.rs", "store.rs", "machine.rs"] {
-            let rules = rules_for(&format!("crates/svc/src/{f}"));
+            let rules = rules_for(&format!("crates/cluster/src/{f}"));
             assert!(rules.contains(&Rule::NoNondeterminism), "{f}");
             assert!(!rules.contains(&Rule::NoPanicOnWire), "{f}");
         }

@@ -17,7 +17,7 @@
 //!   is indistinguishable from nested generics (`Vec<Vec<u8>>`).
 //! * **R9 `determinism-taint`** — the *result-affecting* set is the
 //!   closure of every function that constructs a `CampaignResult`,
-//!   every telemetry `merge`, and `SvcMachine::step`. Inside that set,
+//!   every telemetry `merge`, and `ServiceMachine::step`. Inside that set,
 //!   taint sources are flagged: iteration over a hash-ordered value
 //!   (a `HashMap`/`HashSet` or an alias that resolves to one —
 //!   `.iter()`, `.keys()`, `.drain()`, a `for … in` loop), wall
@@ -255,7 +255,7 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
                     .as_deref()
                     .is_some_and(|p| f.path.starts_with(p))
                     && d.name == "merge")
-                || (d.self_type.as_deref() == Some("SvcMachine") && d.name == "step")
+                || (d.self_type.as_deref() == Some("ServiceMachine") && d.name == "step")
         })
         .collect();
     let cl = g.closure(&roots);

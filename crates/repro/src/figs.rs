@@ -1,5 +1,8 @@
 //! Figure reproductions (Figs. 3–9 of the paper).
 
+use nestsim::report::{
+    pct, pct_ci, render_cdf, render_curve, render_engine_stats, render_provenance, Table,
+};
 use nestsim_core::campaign::CampaignSpec;
 use nestsim_core::checkpoint::{propagation_cdf, rollback_cdf};
 use nestsim_core::rtl_only::{
@@ -10,9 +13,6 @@ use nestsim_core::warmup::warmup_experiment;
 use nestsim_core::{persistence, CampaignResult, Outcome};
 use nestsim_hlsim::workload::{by_name, with_input_files, BenchProfile, BENCHMARKS};
 use nestsim_models::ComponentKind;
-use nestsim_report::{
-    pct, pct_ci, render_cdf, render_curve, render_engine_stats, render_provenance, Table,
-};
 use nestsim_stats::Proportion;
 use nestsim_telemetry::{Recorder, TelemetryConfig};
 

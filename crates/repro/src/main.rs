@@ -50,12 +50,12 @@
 //!   --cluster N      distribute campaigns across N spawned worker
 //!                    processes over loopback TCP (0 = in-process,
 //!                    the default; results are byte-identical either
-//!                    way — see DESIGN.md "Distributed campaigns")
+//!                    way — see DESIGN.md "The campaign server")
 //!   --service ADDR   submit campaign cells to a running `nestsim-svc`
 //!                    campaign service instead of executing locally
 //!                    (results are byte-identical; overlapping cells
 //!                    from concurrent clients dedupe to one execution —
-//!                    see DESIGN.md "Campaign service"; conflicts with
+//!                    see DESIGN.md "The campaign server"; conflicts with
 //!                    --cluster and --adaptive)
 //!   --adaptive       run campaigns in rounds with CI-driven sequential
 //!                    stopping and stratified allocation instead of the

@@ -1,9 +1,9 @@
 //! QRR recovery evaluation (Sec. 6.4).
 
+use nestsim::report::{pct, Table};
 use nestsim_hlsim::workload::by_name;
 use nestsim_qrr::plan::QrrPlan;
 use nestsim_qrr::recovery::PAPER_WORST_CASE_RECOVERY;
-use nestsim_report::{pct, Table};
 
 use crate::Opts;
 

@@ -1,12 +1,12 @@
 //! Table reproductions (Tables 2–6 of the paper).
 
+use nestsim::report::{pct, Table};
 use nestsim_core::perfmodel;
 use nestsim_hlsim::workload::{by_name, BENCHMARKS, CYCLE_SCALE, INPUT_SCALE};
 use nestsim_hlsim::{RunResult, System, SystemConfig};
 use nestsim_models::inventory::{model_census, table4_for, TABLE3};
 use nestsim_models::ComponentKind;
 use nestsim_qrr::cost::{paper, CostModel};
-use nestsim_report::{pct, Table};
 
 use crate::Opts;
 

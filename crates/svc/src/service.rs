@@ -1,17 +1,20 @@
-//! The service driver: [`SvcMachine`] on the cluster's server loop
-//! ([`nestsim_cluster::server`], which owns every client socket on one
-//! thread, as it does for the campaign coordinator), plus the
-//! execution pool. A job *is* an in-process campaign — that is what
-//! makes service results byte-identical to local execution — so the
-//! pool runs whole jobs through `run_campaign_with` and reports each
-//! back as a loop command; the loop never blocks on anything but the
-//! poller.
+//! The service driver: the one campaign server machine
+//! ([`ServiceMachine`]) on the cluster's server loop, which owns every
+//! client and worker socket on one thread, plus the execution pool.
+//! While no worker is connected a job runs as an in-process campaign —
+//! which is what makes service results byte-identical to local
+//! execution — so the pool runs whole jobs through `run_campaign_with`
+//! and reports each back as a loop command; the loop never blocks on
+//! anything but the poller. Connected workers take jobs as shard
+//! leases instead.
 
-use crate::machine::{SvcAction, SvcConfig, SvcEvent, SvcMachine};
-use crate::store::ExecOutput;
+use nestsim_cluster::machine::{Command, ServiceMachine, SvcConfig};
 use nestsim_cluster::proto::JobWire;
-use nestsim_cluster::server::{decode_frame, send_frame, Action, Event, Machine, Server, Waker};
+use nestsim_cluster::server::{Server, Waker};
+use nestsim_cluster::store::ExecOutput;
+use nestsim_cluster::LeaseConfig;
 use nestsim_core::run_campaign_with;
+use nestsim_telemetry::{Recorder, TelemetryConfig};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +51,7 @@ impl Default for ServiceConfig {
 /// [`ServiceHandle::shutdown`] for a clean stop).
 #[derive(Debug)]
 pub struct ServiceHandle {
-    server: Server<Svc>,
+    server: Server<ServiceMachine>,
     execs: Vec<thread::JoinHandle<()>>,
 }
 
@@ -72,99 +75,13 @@ impl ServiceHandle {
     }
 }
 
-/// What reaches the loop from outside it: the execution pool, the
-/// handle, or `nestsim-mck`'s service scenario.
-pub enum Command {
-    /// An execution finished (`Ok`) or crashed (`Err(reason)`).
-    Exec {
-        /// Id from the machine's `StartExec`.
-        exec: u64,
-        /// What the execution produced, or why it crashed.
-        result: Result<ExecOutput, String>,
-    },
-    /// Return from the loop.
-    Stop,
-}
-
-/// [`SvcMachine`] as the server loop sees it. The model checker steps
-/// this very adapter.
-#[derive(Debug)]
-pub struct Svc {
-    machine: SvcMachine,
-    tasks: mpsc::Sender<(u64, JobWire)>,
-}
-
-impl Svc {
-    /// The adapter around `machine`, handing executions to `tasks`.
-    pub fn new(machine: SvcMachine, tasks: mpsc::Sender<(u64, JobWire)>) -> Svc {
-        Svc { machine, tasks }
-    }
-
-    /// The machine, for its end state.
-    pub fn machine(&self) -> &SvcMachine {
-        &self.machine
-    }
-
-    /// Steps the machine and performs its actions.
-    fn feed(&mut self, ev: SvcEvent, out: &mut Vec<Action>) {
-        for act in self.machine.step(ev) {
-            match act {
-                SvcAction::Send { conn, msg } => {
-                    if send_frame(conn, &msg, out).is_none() {
-                        self.feed(SvcEvent::Closed { conn }, out);
-                    }
-                }
-                SvcAction::Close { conn } => {
-                    // The loop reports no close the machine asked for,
-                    // so the machine hears of it here and drops the
-                    // connection's tickets.
-                    out.push(Action::Close { conn });
-                    self.feed(SvcEvent::Closed { conn }, out);
-                }
-                SvcAction::StartExec { exec, job } => {
-                    if self.tasks.send((exec, job)).is_err() {
-                        // Pool gone: surface as a crash so the machine's
-                        // books stay balanced.
-                        let reason = "execution pool unavailable".to_string();
-                        self.feed(SvcEvent::ExecCrashed { exec, reason }, out);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Machine for Svc {
-    type Command = Command;
-
-    fn step(&mut self, _now: u64, event: Event<Command>, out: &mut Vec<Action>) {
-        let ev = match event {
-            Event::Connected { conn } => SvcEvent::Connected { conn },
-            Event::Frame { conn, payload } => match decode_frame(conn, &payload, out) {
-                Some(msg) => SvcEvent::Received { conn, msg },
-                None => SvcEvent::Closed { conn },
-            },
-            Event::Closed { conn, .. } => SvcEvent::Closed { conn },
-            Event::Tick => return,
-            Event::Command(Command::Exec { exec, result }) => match result {
-                Ok(output) => SvcEvent::ExecDone { exec, output },
-                Err(reason) => SvcEvent::ExecCrashed { exec, reason },
-            },
-            Event::Command(Command::Stop) => {
-                out.push(Action::Exit);
-                return;
-            }
-        };
-        self.feed(ev, out);
-    }
-}
-
 /// Starts the service and returns once the listener is bound.
 pub fn serve(cfg: ServiceConfig) -> io::Result<ServiceHandle> {
     let pool = cfg.exec_threads.clamp(1, cfg.machine.exec_slots.max(1));
     let (tasks, task_rx) = mpsc::channel::<(u64, JobWire)>();
-    let svc = Svc::new(SvcMachine::new(cfg.machine), tasks);
-    let server = Server::spawn(&cfg.listen, "nestsim-svc-loop", svc)?;
+    let stats = Recorder::active(&TelemetryConfig { trace_capacity: 16 });
+    let machine = ServiceMachine::new(cfg.machine, LeaseConfig::default(), stats, Some(tasks));
+    let server = Server::spawn(&cfg.listen, "nestsim-svc-loop", machine)?;
     let task_rx = Arc::new(Mutex::new(task_rx));
     let chaos = Arc::new(AtomicU64::new(cfg.chaos_crash_first));
     let execs = (0..pool)

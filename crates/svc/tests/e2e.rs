@@ -8,12 +8,12 @@ use std::time::Duration;
 
 use nestsim_cluster::frame::{read_frame, write_frame, MAGIC, MAX_FRAME};
 use nestsim_cluster::proto::{JobWire, Message, PROTOCOL_VERSION};
-use nestsim_cluster::{run_worker, serve_campaign, CoordinatorConfig, WorkerOptions};
+use nestsim_cluster::{run_worker, Shard, WorkerOptions};
 use nestsim_core::campaign::{run_campaign_with, CampaignSpec};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
 use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig};
-use nestsim_telemetry::TelemetryConfig;
+use nestsim_telemetry::{names, TelemetryConfig};
 
 #[test]
 fn service_result_is_byte_identical_to_in_process() {
@@ -68,28 +68,65 @@ fn invalid_job_is_rejected_over_the_wire() {
     handle.shutdown().unwrap();
 }
 
-/// A worker that dials the service, and a service client that dials a
-/// coordinator, each get through the shared handshake and are then
-/// refused with the server's `Error`, which names the message it did
-/// not expect.
+/// A worker that dials the service takes a client's job as shard
+/// leases, and the records come back byte-equal to the in-process run.
+/// A peer that sends a frame only a server sends, such as `Assign`,
+/// gets the server's `Error` naming it.
 #[test]
-fn peers_that_dial_the_wrong_server_get_its_error() {
+fn a_worker_dialing_the_service_runs_its_shards() {
     let handle = serve(ServiceConfig::default()).unwrap();
-    let err = run_worker(&handle.addr().to_string(), &WorkerOptions::default()).unwrap_err();
-    assert!(
-        err.to_string()
-            .contains("unexpected client frame RequestShard"),
-        "{err}"
-    );
-    handle.shutdown().unwrap();
-
+    let addr = handle.addr().to_string();
+    let mut client = SvcClient::connect(&addr, "t1").unwrap();
     let profile = by_name("radi").unwrap();
-    let spec = CampaignSpec::quick(ComponentKind::L2c, 4);
-    let campaign = serve_campaign(profile, &spec, None, &CoordinatorConfig::default()).unwrap();
-    let mut client = SvcClient::connect(&campaign.addr().to_string(), "t1").unwrap();
-    let job = JobWire::from_spec(profile, &spec, None);
-    let err = client.run_job(&job, 1).unwrap_err();
-    assert!(err.contains("unexpected message SubmitJob"), "{err}");
+    let spec = CampaignSpec::quick(ComponentKind::L2c, 8);
+    let telemetry = TelemetryConfig::default();
+    let job = JobWire::from_spec(profile, &spec, Some(&telemetry));
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| run_worker(&addr, &WorkerOptions::default()));
+        // The job goes out as leases only once the worker asked for one.
+        while client
+            .stats()
+            .unwrap()
+            .counter(names::CLUSTER_WORKERS_CONNECTED)
+            == 0
+        {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let outcome = client.run_job(&job, 1).unwrap();
+        assert_in_process(outcome, &spec, &telemetry);
+        let served = client.stats().unwrap();
+        assert!(served.counter(names::CLUSTER_SHARDS_COMPLETED) >= 1);
+        assert_eq!(served.counter(names::SVC_EXECS_STARTED), 1);
+
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let hello = Message::Hello {
+            version: PROTOCOL_VERSION,
+            tenant: "t2".into(),
+        };
+        write_frame(&mut stream, &hello.encode().unwrap()).unwrap();
+        let ack = Message::decode(&read_frame(&mut stream).unwrap()).unwrap();
+        assert!(matches!(ack, Message::HelloAck { .. }), "{ack:?}");
+        let assign = Message::Assign {
+            shard: Shard {
+                id: 0,
+                start: 0,
+                len: 1,
+            },
+            job: Box::new(job.clone()),
+            lease_ms: 1,
+            heartbeat_ms: 1,
+        };
+        write_frame(&mut stream, &assign.encode().unwrap()).unwrap();
+        match Message::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+            Message::Error { message } => assert!(message.contains("Assign"), "{message}"),
+            other => panic!("expected an Error, got {other:?}"),
+        }
+        assert!(hung_up(&mut stream), "the peer is hung up on");
+
+        handle.shutdown().unwrap();
+        // The loop returned and dropped the parked worker's connection.
+        let _ = worker.join().unwrap();
+    });
 }
 
 /// Asserts a service outcome equals the in-process run of `spec` on

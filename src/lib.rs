@@ -24,7 +24,7 @@
 //! | [`qrr`] | `nestsim-qrr` | Quick Replay Recovery and its Table 6 area/power model |
 //! | [`stats`] | `nestsim-stats` | confidence intervals, CDFs, seeding |
 //! | [`telemetry`] | `nestsim-telemetry` | campaign observability (counters, traces) |
-//! | [`report`] | `nestsim-report` | table/figure rendering |
+//! | [`report`] | this crate | table/figure rendering for `repro` and the examples |
 //!
 //! # Quick start
 //!
@@ -55,8 +55,100 @@ pub use nestsim_hlsim as hlsim;
 pub use nestsim_models as models;
 pub use nestsim_proto as proto;
 pub use nestsim_qrr as qrr;
-pub use nestsim_report as report;
+pub mod report;
 pub use nestsim_rtl as rtl;
 pub use nestsim_stats as stats;
 pub use nestsim_svc as svc;
 pub use nestsim_telemetry as telemetry;
+
+#[cfg(test)]
+mod tests {
+    //! The [`report`](crate::report) module's unit tests, the facade
+    //! crate's only ones.
+
+    use crate::report::*;
+    use nestsim_stats::Cdf;
+    use nestsim_telemetry::{names, Recorder};
+
+    #[test]
+    fn engine_stats_footer_reports_ladder_and_cache() {
+        use nestsim_telemetry::TelemetryConfig;
+        let mut e = Recorder::active(&TelemetryConfig::default());
+        e.count(names::LADDER_CAPTURES, 9);
+        e.count(names::LADDER_RUNGS, 7);
+        e.count(names::LADDER_RESTORES, 3);
+        e.count(names::FORWARD_CYCLES, 12_000);
+        e.count(names::CELL_CACHE_HITS, 2);
+        e.count(names::CELL_CACHE_MISSES, 5);
+        let s = render_engine_stats(&e);
+        assert!(s.contains("9 captures, 7 rungs, 3 restores, 12000 forward-sim cycles"));
+        assert!(s.contains("cell cache: 2 hits / 5 misses"));
+        assert_eq!(render_engine_stats(&Recorder::null()), "");
+    }
+
+    #[test]
+    fn table_alignment_pads_columns() {
+        let mut t = Table::new(["a", "long-header"]);
+        t.row(["xxxxxx", "1"]);
+        let s = t.render();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines.len(), 3);
+        // The second column starts at the same offset in every line.
+        let off = lines[0].find("long-header").unwrap();
+        assert!(lines[2].len() >= off);
+        assert!(lines[2].starts_with("xxxxxx"));
+    }
+
+    #[test]
+    fn pct_formats() {
+        assert_eq!(pct(0.0123, 2), "1.23%");
+        assert_eq!(pct(1.0, 0), "100%");
+    }
+
+    #[test]
+    fn cdf_rendering_contains_all_decades() {
+        let mut c: Cdf = [5u64, 50, 500].into_iter().collect();
+        let s = render_cdf("test", &mut c, 3);
+        assert!(s.contains("10^0"));
+        assert!(s.contains("10^3"));
+        assert!(s.contains("100.0%"));
+    }
+
+    #[test]
+    fn curve_rendering_samples_points() {
+        let pts: Vec<f64> = (0..100).map(|i| 0.04 * (1.0 - i as f64 / 100.0)).collect();
+        let s = render_curve("warmup", &pts, 10);
+        assert!(s.lines().count() >= 10);
+    }
+
+    #[test]
+    fn pct_ci_formats_interval() {
+        let s = pct_ci(0.0134, 0.0121, 0.0147);
+        assert!(s.contains("1.34%"));
+        assert!(s.contains("[1.21, 1.47]"));
+    }
+
+    #[test]
+    fn provenance_renders_counters_and_trace() {
+        use nestsim_telemetry::{names, EventKind, Recorder, TelemetryConfig};
+        let mut r = Recorder::active(&TelemetryConfig::default());
+        r.count(names::INJECT_RUNS, 3);
+        r.count(names::COSIM_EXIT_CONVERGED, 2);
+        r.count(names::COSIM_EXIT_CAP, 1);
+        r.record_hist(names::H_COSIM_RESIDENCY, 128);
+        r.event(1, "l2c", EventKind::BitFlip, 0);
+        let s = render_provenance(&r);
+        assert!(s.contains("runs 3"));
+        assert!(s.contains("converged 2 / cap 1 / mismatch 0"));
+        assert!(s.contains("1 events retained"));
+        assert_eq!(render_provenance(&Recorder::null()), "");
+    }
+
+    #[test]
+    fn short_rows_padded() {
+        let mut t = Table::new(["a", "b", "c"]);
+        t.row(["only-one"]);
+        let s = t.render();
+        assert!(s.contains("only-one"));
+    }
+}
