@@ -52,16 +52,6 @@ impl PcieBuffers {
         self.rx[i % RX_WORDS] = v;
     }
 
-    /// Reads TX word `i` (wrapping at the buffer size).
-    pub fn tx_read(&self, i: usize) -> u64 {
-        self.tx[i % TX_WORDS]
-    }
-
-    /// Writes TX word `i` (wrapping at the buffer size).
-    pub fn tx_write(&mut self, i: usize, v: u64) {
-        self.tx[i % TX_WORDS] = v;
-    }
-
     /// Number of words differing from `other` across both buffers.
     pub fn diff_count(&self, other: &PcieBuffers) -> usize {
         self.rx
@@ -95,8 +85,6 @@ mod tests {
         let mut b = PcieBuffers::new();
         b.rx_write(RX_WORDS + 3, 9);
         assert_eq!(b.rx_read(3), 9);
-        b.tx_write(1, 4);
-        assert_eq!(b.tx_read(TX_WORDS + 1), 4);
     }
 
     #[test]
@@ -104,7 +92,7 @@ mod tests {
         let mut a = PcieBuffers::new();
         let b = PcieBuffers::new();
         a.rx_write(0, 1);
-        a.tx_write(5, 2);
+        a.rx_write(5, 2);
         assert_eq!(a.diff_count(&b), 2);
     }
 }

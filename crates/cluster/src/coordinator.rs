@@ -71,7 +71,7 @@ impl Default for CoordinatorConfig {
 pub struct ClusterCampaign {
     addr: SocketAddr,
     /// `None` once shut down.
-    server: Option<Server<ServiceMachine>>,
+    server: Option<Server>,
     profile: &'static BenchProfile,
     spec: CampaignSpec,
     telemetry: Option<TelemetryConfig>,

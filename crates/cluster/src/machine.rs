@@ -1,5 +1,5 @@
 //! The one campaign server machine. [`ServiceMachine`] is the whole
-//! server protocol as a sans-I/O [`Machine`]: frames, closes, ticks and
+//! server protocol as a sans-I/O machine: frames, closes, ticks and
 //! commands in; frames and closes out; no sockets, threads or clock of
 //! its own, so `crates/mck` steps this very type. Like dslab's
 //! `SimulationState` it is the one owner of the connections, the work
@@ -30,7 +30,7 @@ use nestsim_telemetry::{names, Recorder};
 use crate::lease::{Completion, Grant, LeaseConfig, LeaseTable};
 use crate::proto::{check_version, JobWire, Message, RunWire, SubmitWire};
 use crate::sched::DrrScheduler;
-use crate::server::{decode_frame, send_frame, Action, Event, Machine};
+use crate::server::{decode_frame, send_frame, Action, Event};
 use crate::shard::{auto_shard_size, plan_shards, Shard};
 use crate::store::{
     CrashOutcome, ExecOutput, JobKey, ResultStore, SubscribeOutcome, Subscriber, UnsubscribeOutcome,
@@ -313,13 +313,13 @@ impl ServiceMachine {
                 let recorder = self.stats.clone();
                 self.send(now, conn, &Message::Stats { recorder }, out);
             }
-            Message::RequestShard { .. } => {
+            Message::RequestShard => {
                 if !std::mem::replace(&mut c.worker, true) {
                     self.stats.count(names::CLUSTER_WORKERS_CONNECTED, 1);
                 }
                 self.try_grant(now, conn, out);
             }
-            Message::Heartbeat { shard, .. } => {
+            Message::Heartbeat { shard } => {
                 self.stats.count(names::CLUSTER_HEARTBEATS, 1);
                 let (id, assigned) = (c.id, c.round);
                 let current = match self.rounds.front_mut() {
@@ -584,8 +584,6 @@ impl ServiceMachine {
             queue_depth,
         };
         self.send(now, conn, &accepted, out);
-        let queued = progress(ticket, self.store.is_running(&key), 0, job.spec.samples);
-        self.send(now, conn, &queued, out);
         self.pump(now, out);
     }
 
@@ -625,10 +623,6 @@ impl ServiceMachine {
                 continue; // cell vanished (cancelled) after scheduling
             };
             self.stats.count(names::SVC_EXECS_STARTED, 1);
-            for sub in self.store.subscribers(&key).to_vec() {
-                let started = progress(sub.ticket, true, 0, job.spec.samples);
-                self.send(now, sub.conn, &started, out);
-            }
             if workers == 0 {
                 self.start_exec(now, key, job, out);
             } else {
@@ -727,8 +721,6 @@ impl ServiceMachine {
         cell: &ExecOutput,
         out: &mut Vec<Action>,
     ) {
-        let total = cell.records.len() as u64;
-        self.send(now, conn, &progress(ticket, true, total, total), out);
         for (i, chunk) in cell.records.chunks(CHUNK_RECORDS).enumerate() {
             let chunk = Message::Chunk {
                 ticket,
@@ -791,12 +783,10 @@ impl ServiceMachine {
             Command::Stop => out.push(Action::Exit),
         }
     }
-}
 
-impl Machine for ServiceMachine {
-    type Command = Command;
-
-    fn step(&mut self, now: u64, event: Event<Command>, out: &mut Vec<Action>) {
+    /// Advances the machine by one event at `now` (milliseconds on the
+    /// loop's clock), appending the actions to perform, in order.
+    pub fn step(&mut self, now: u64, event: Event, out: &mut Vec<Action>) {
         match event {
             Event::Connected { conn } => {
                 self.conns.insert(conn, Conn::default());
@@ -828,20 +818,11 @@ impl Machine for ServiceMachine {
         }
     }
 
-    /// Parked workers retry only while there is leased work.
-    fn next_wake(&self) -> Option<u64> {
+    /// When the machine next wants an [`Event::Tick`], if ever: parked
+    /// workers retry only while there is leased work.
+    pub fn next_wake(&self) -> Option<u64> {
         self.rounds.front()?;
         self.conns.values().filter_map(|c| c.parked).min()
-    }
-}
-
-/// A `Progress` frame for `ticket`.
-fn progress(ticket: u64, running: bool, done: u64, total: u64) -> Message {
-    Message::Progress {
-        ticket,
-        running,
-        done,
-        total,
     }
 }
 
@@ -938,7 +919,7 @@ mod tests {
     }
 
     impl Rig {
-        fn step(&mut self, event: Event<Command>) -> Vec<Out> {
+        fn step(&mut self, event: Event) -> Vec<Out> {
             let mut actions = Vec::new();
             self.m.step(self.now, event, &mut actions);
             for (exec, job) in self.tasks.try_iter() {
@@ -996,7 +977,7 @@ mod tests {
         }
 
         fn request(&mut self, conn: u64) -> Vec<Out> {
-            self.recv(conn, Message::RequestShard { worker: 0 })
+            self.recv(conn, Message::RequestShard)
         }
 
         fn shard(

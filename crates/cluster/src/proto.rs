@@ -1,4 +1,4 @@
-//! The one message set of the campaign server, version 5
+//! The one message set of the campaign server, version 6
 //! ([`PROTOCOL_VERSION`]): server ↔ worker on tags 0–9, server ↔
 //! client after them. Every [`crate::frame`] carries one [`Message`],
 //! through one [`Message::encode`] and one [`Message::decode`]; a frame
@@ -10,7 +10,7 @@
 //!         Heartbeat{shard} → HeartbeatAck{current}   (between samples)
 //!         Submit{shard, runs, …} → SubmitAck{accepted}
 //! client  SubmitJob{req, priority, job} → Accepted{req, ticket, …} or
-//!         Rejected, then Progress*, Chunk{start, records}* and
+//!         Rejected, then Chunk{start, records}* and
 //!         Done{golden, merged} or Failed
 //!         Cancel{ticket} → Cancelled, QueryStats → Stats   (any time)
 //! ```
@@ -43,10 +43,11 @@ use crate::wire::{
 };
 
 /// Protocol version spoken by this build; `Hello` with any other
-/// version is refused with an `Error` reply. Version 5 carries both
-/// conversations in one [`Message`]; 4 added the service's messages, 3
-/// [`JobWire::adaptive`] and 2 the lane fields.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// version is refused with an `Error` reply. Version 6 drops `Progress`
+/// (tag 15) and the worker id of `RequestShard` and `Heartbeat`; 5
+/// carries both conversations in one [`Message`], 4 added the service's
+/// messages, 3 [`JobWire::adaptive`] and 2 the lane fields.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// The one version check, which the server runs on `Hello`: the
 /// refusal it sends as `Error` when `version` is not this build's.
@@ -214,10 +215,7 @@ pub enum Message {
         id: u32,
     },
     /// Worker → server: ready for work.
-    RequestShard {
-        /// The requesting worker.
-        worker: u32,
-    },
+    RequestShard,
     /// Server → worker: a shard lease.
     Assign {
         /// The leased shard.
@@ -240,8 +238,6 @@ pub enum Message {
     },
     /// Worker → server: still alive on this shard.
     Heartbeat {
-        /// The heartbeating worker.
-        worker: u32,
         /// The shard it is working on.
         shard: u32,
     },
@@ -305,18 +301,6 @@ pub enum Message {
         /// The cancelled ticket.
         ticket: u64,
     },
-    /// Service → client: a job is queued (`running == false`) or
-    /// executing.
-    Progress {
-        /// The ticket this progress refers to.
-        ticket: u64,
-        /// Whether the job has entered execution.
-        running: bool,
-        /// Samples completed so far.
-        done: u64,
-        /// Total samples in the job.
-        total: u64,
-    },
     /// Service → client: a contiguous slice of a job's records.
     Chunk {
         /// The ticket this slice belongs to.
@@ -368,7 +352,6 @@ const TAG_ACCEPTED: u8 = 11;
 const TAG_REJECTED: u8 = 12;
 const TAG_CANCEL: u8 = 13;
 const TAG_CANCELLED: u8 = 14;
-const TAG_PROGRESS: u8 = 15;
 const TAG_CHUNK: u8 = 16;
 const TAG_DONE: u8 = 17;
 const TAG_FAILED: u8 = 18;
@@ -465,9 +448,8 @@ impl Message {
                 w.u8(TAG_HELLO_ACK);
                 w.u32(*id);
             }
-            Message::RequestShard { worker } => {
+            Message::RequestShard => {
                 w.u8(TAG_REQUEST);
-                w.u32(*worker);
             }
             Message::Assign {
                 shard,
@@ -488,9 +470,8 @@ impl Message {
                 w.u64(*ms);
                 w.bool(*done);
             }
-            Message::Heartbeat { worker, shard } => {
+            Message::Heartbeat { shard } => {
                 w.u8(TAG_HEARTBEAT);
-                w.u32(*worker);
                 w.u32(*shard);
             }
             Message::HeartbeatAck { current } => {
@@ -555,18 +536,6 @@ impl Message {
                 w.u8(TAG_CANCELLED);
                 w.u64(*ticket);
             }
-            Message::Progress {
-                ticket,
-                running,
-                done,
-                total,
-            } => {
-                w.u8(TAG_PROGRESS);
-                w.u64(*ticket);
-                w.bool(*running);
-                w.u64(*done);
-                w.u64(*total);
-            }
             Message::Chunk {
                 ticket,
                 start,
@@ -616,7 +585,7 @@ impl Message {
                 tenant: r.str()?,
             },
             TAG_HELLO_ACK => Message::HelloAck { id: r.u32()? },
-            TAG_REQUEST => Message::RequestShard { worker: r.u32()? },
+            TAG_REQUEST => Message::RequestShard,
             TAG_ASSIGN => Message::Assign {
                 shard: Shard {
                     id: r.u32()?,
@@ -631,10 +600,7 @@ impl Message {
                 ms: r.u64()?,
                 done: r.bool()?,
             },
-            TAG_HEARTBEAT => Message::Heartbeat {
-                worker: r.u32()?,
-                shard: r.u32()?,
-            },
+            TAG_HEARTBEAT => Message::Heartbeat { shard: r.u32()? },
             TAG_HEARTBEAT_ACK => Message::HeartbeatAck { current: r.bool()? },
             TAG_SUBMIT => {
                 let worker = r.u32()?;
@@ -682,12 +648,6 @@ impl Message {
             },
             TAG_CANCEL => Message::Cancel { ticket: r.u64()? },
             TAG_CANCELLED => Message::Cancelled { ticket: r.u64()? },
-            TAG_PROGRESS => Message::Progress {
-                ticket: r.u64()?,
-                running: r.bool()?,
-                done: r.u64()?,
-                total: r.u64()?,
-            },
             TAG_CHUNK => {
                 let ticket = r.u64()?;
                 let start = r.u64()?;
@@ -800,7 +760,7 @@ mod tests {
                 tenant: "alice".to_string(),
             },
             Message::HelloAck { id: 3 },
-            Message::RequestShard { worker: 3 },
+            Message::RequestShard,
             Message::Assign {
                 shard: Shard {
                     id: 2,
@@ -826,10 +786,7 @@ mod tests {
                 done: false,
             },
             Message::Wait { ms: 0, done: true },
-            Message::Heartbeat {
-                worker: 3,
-                shard: 2,
-            },
+            Message::Heartbeat { shard: 2 },
             Message::HeartbeatAck { current: false },
             Message::Submit(SubmitWire {
                 worker: 3,
@@ -870,12 +827,6 @@ mod tests {
             },
             Message::Cancel { ticket: 42 },
             Message::Cancelled { ticket: 42 },
-            Message::Progress {
-                ticket: 42,
-                running: true,
-                done: 0,
-                total: 128,
-            },
             Message::Chunk {
                 ticket: 42,
                 start: 256,
@@ -1037,6 +988,22 @@ mod tests {
             bytes.push(0);
             assert!(Message::decode(&bytes).is_err(), "trailing bytes: {msg:?}");
         }
+    }
+
+    /// Version 6 retired `Progress`: a version-5 peer's tag-15 frame is
+    /// an unknown tag, and its `Hello` is refused.
+    #[test]
+    fn version_5_hellos_and_progress_frames_are_refused() {
+        let mut w = Writer::new();
+        w.u8(15);
+        w.u64(42);
+        w.bool(true);
+        w.u64(0);
+        w.u64(128);
+        let err = Message::decode(&w.into_bytes()).unwrap_err();
+        assert!(err.contains("unknown message tag 15"), "{err}");
+        let err = check_version(5).unwrap_err();
+        assert!(err.contains("peer speaks 5"), "{err}");
     }
 
     #[test]

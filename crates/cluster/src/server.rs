@@ -5,7 +5,7 @@
 //! the listener, a wake channel and every connection, multiplexed by a
 //! level-triggered epoll poller. It hands the machine whole frames,
 //! frames what the machine sends into per-connection buffers flushed
-//! under write interest, ticks it at [`Machine::next_wake`], and
+//! under write interest, ticks it at [`ServiceMachine::next_wake`], and
 //! delivers the commands other threads queue through a [`Waker`]. No
 //! peer can block another: a trickling one only grows its own frame
 //! buffer, and one that stops reading is closed past
@@ -23,12 +23,13 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use crate::conn::Conn;
+use crate::machine::{Command, ServiceMachine};
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::proto::Message;
 
 /// An input the loop feeds its machine. `conn` ids are unique for the
 /// loop's lifetime.
-pub enum Event<C> {
+pub enum Event {
     /// A peer connected.
     Connected {
         /// The new connection.
@@ -50,10 +51,10 @@ pub enum Event<C> {
         /// by [`Action::Drain`].
         clean: bool,
     },
-    /// [`Machine::next_wake`] passed.
+    /// [`ServiceMachine::next_wake`] passed.
     Tick,
     /// A command queued through the loop's [`Waker`].
-    Command(C),
+    Command(Command),
 }
 
 /// An output of the machine for the loop to perform.
@@ -75,21 +76,6 @@ pub enum Action {
     Drain,
     /// Return now, dropping every connection.
     Exit,
-}
-
-/// A sans-I/O machine the loop drives.
-pub trait Machine: Send + 'static {
-    /// What other threads send the machine through the [`Waker`].
-    type Command: Send + 'static;
-
-    /// Advances the machine by one event at `now_ms` (milliseconds on
-    /// the loop's clock), appending the actions to perform, in order.
-    fn step(&mut self, now_ms: u64, event: Event<Self::Command>, out: &mut Vec<Action>);
-
-    /// When the machine next wants an [`Event::Tick`], if ever.
-    fn next_wake(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Decodes a frame from `conn`. One that does not decode is refused
@@ -123,23 +109,15 @@ fn refuse(conn: u64, message: String, out: &mut Vec<Action>) {
 }
 
 /// Queues commands for a running loop, from any thread.
-pub struct Waker<C> {
-    tx: mpsc::Sender<C>,
+#[derive(Clone)]
+pub struct Waker {
+    tx: mpsc::Sender<Command>,
     wake: Arc<UnixStream>,
 }
 
-impl<C> Clone for Waker<C> {
-    fn clone(&self) -> Self {
-        Waker {
-            tx: self.tx.clone(),
-            wake: Arc::clone(&self.wake),
-        }
-    }
-}
-
-impl<C> Waker<C> {
+impl Waker {
     /// Queues `cmd` and wakes the loop. Fails once the loop returned.
-    pub fn send(&self, cmd: C) -> io::Result<()> {
+    pub fn send(&self, cmd: Command) -> io::Result<()> {
         self.tx
             .send(cmd)
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "the server loop returned"))?;
@@ -152,13 +130,13 @@ impl<C> Waker<C> {
 }
 
 /// A server loop running on its own thread.
-pub struct Server<M: Machine> {
+pub struct Server {
     addr: SocketAddr,
-    waker: Waker<M::Command>,
-    join: JoinHandle<io::Result<M>>,
+    waker: Waker,
+    join: JoinHandle<io::Result<ServiceMachine>>,
 }
 
-impl<M: Machine> fmt::Debug for Server<M> {
+impl fmt::Debug for Server {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Server").field("addr", &self.addr).finish()
     }
@@ -167,10 +145,10 @@ impl<M: Machine> fmt::Debug for Server<M> {
 const LISTENER: u64 = 0;
 const WAKE: u64 = 1;
 
-impl<M: Machine> Server<M> {
+impl Server {
     /// Binds `listen` and starts driving `machine` on a thread named
     /// `name`.
-    pub fn spawn(listen: &str, name: &str, machine: M) -> io::Result<Server<M>> {
+    pub fn spawn(listen: &str, name: &str, machine: ServiceMachine) -> io::Result<Server> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -215,14 +193,14 @@ impl<M: Machine> Server<M> {
     }
 
     /// The loop's command channel.
-    pub fn waker(&self) -> &Waker<M::Command> {
+    pub fn waker(&self) -> &Waker {
         &self.waker
     }
 
     /// Waits for the loop to return — after its machine asked for
     /// [`Action::Drain`] or [`Action::Exit`] — and hands the machine
     /// back.
-    pub fn join(self) -> io::Result<M> {
+    pub fn join(self) -> io::Result<ServiceMachine> {
         // `self.waker` lives until the loop returns: the loop stops on
         // its own once every waker is gone.
         self.join
@@ -231,18 +209,18 @@ impl<M: Machine> Server<M> {
     }
 }
 
-struct Loop<M: Machine> {
-    machine: M,
+struct Loop {
+    machine: ServiceMachine,
     poller: Poller,
     /// `None` once draining.
     listener: Option<TcpListener>,
     wake: UnixStream,
-    commands: mpsc::Receiver<M::Command>,
+    commands: mpsc::Receiver<Command>,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     start: Instant,
     /// Events the machine has yet to see, oldest first.
-    pending: VecDeque<Event<M::Command>>,
+    pending: VecDeque<Event>,
     /// Scratch for the actions of one step.
     actions: Vec<Action>,
     /// Connections whose unsent bytes went from none to some.
@@ -251,12 +229,12 @@ struct Loop<M: Machine> {
     exit: bool,
 }
 
-impl<M: Machine> Loop<M> {
+impl Loop {
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
 
-    fn run(mut self) -> io::Result<M> {
+    fn run(mut self) -> io::Result<ServiceMachine> {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             if self
@@ -365,7 +343,7 @@ impl<M: Machine> Loop<M> {
     }
 
     /// Steps the machine through `event` and everything it causes.
-    fn feed(&mut self, event: Event<M::Command>) {
+    fn feed(&mut self, event: Event) {
         self.pending.push_back(event);
         self.settle();
     }

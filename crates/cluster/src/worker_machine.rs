@@ -390,10 +390,7 @@ impl WorkerMachine {
             return vec![WorkerAction::Sleep { ms }];
         }
         if now.saturating_sub(a.last_contact) >= a.heartbeat_ms {
-            let msg = Message::Heartbeat {
-                worker: self.worker,
-                shard: a.shard.id,
-            };
+            let msg = Message::Heartbeat { shard: a.shard.id };
             self.phase = Phase::AwaitHeartbeatAck;
             return vec![WorkerAction::Send { msg }];
         }
@@ -405,9 +402,7 @@ impl WorkerMachine {
     fn request_shard(&mut self) -> Vec<WorkerAction> {
         self.phase = Phase::AwaitAssign;
         vec![WorkerAction::Send {
-            msg: Message::RequestShard {
-                worker: self.worker,
-            },
+            msg: Message::RequestShard,
         }]
     }
 
@@ -520,10 +515,7 @@ mod tests {
             matches!(
                 &acts[..],
                 [WorkerAction::Send {
-                    msg: Message::Heartbeat {
-                        worker: 3,
-                        shard: 0
-                    }
+                    msg: Message::Heartbeat { shard: 0 }
                 }]
             ),
             "{acts:?}"
@@ -564,7 +556,7 @@ mod tests {
         assert!(matches!(
             &acts[..],
             [WorkerAction::Send {
-                msg: Message::RequestShard { worker: 3 }
+                msg: Message::RequestShard
             }]
         ));
         assert_eq!(m.stats().shards_completed, 1);
@@ -628,7 +620,7 @@ mod tests {
             matches!(
                 &acts[..],
                 [WorkerAction::Send {
-                    msg: Message::RequestShard { .. }
+                    msg: Message::RequestShard
                 }]
             ),
             "{acts:?}"

@@ -138,26 +138,10 @@ pub trait CosimDriver: Sized {
     /// high-level model and releases interception.
     fn detach(self) -> Detach;
 
-    /// The system under the driver, as it stands, with no state
-    /// transferred back.
-    fn into_sys(self) -> System;
-
     /// Records the component's queue occupancies into `rec`. Called by
     /// the injection loop at golden-compare points only (never on the
     /// per-cycle path), and only when the recorder is active.
     fn sample_telemetry(&self, rec: &mut Recorder);
-}
-
-/// A driver a run hands on to the next instead of dropping it (DESIGN.md
-/// *Recycling the injection's driver*): the run ends with the driver
-/// whole, system included.
-pub(crate) trait Recycle: CosimDriver {
-    /// [`detach`](CosimDriver::detach) in place: the corrupted lines,
-    /// with the detached system left under the driver.
-    fn detach_in_place(&mut self) -> Vec<LineAddr>;
-
-    /// The system under the driver.
-    fn sys_mut(&mut self) -> &mut System;
 }
 
 /// A copy of `source`, written into `spare` when there is one: storage
@@ -659,12 +643,20 @@ impl<C: Component> CosimDriver for Driver<C> {
     }
 
     fn check(&self) -> CosimCheck {
-        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
-            verdict(&self.target, g, self.sys.dram())
-        })
+        #[cfg(test)]
+        if self.golden.is_none() {
+            crate::inject::count(&crate::inject::RETIRED_CHECKS);
+        }
+        self.compare()
     }
 
     fn retire_golden(&mut self) {
+        debug_assert!(
+            self.compare() == CosimCheck::Identical && self.first_err_out.is_none(),
+            "a golden retires only from an Identical check with no erroneous output"
+        );
+        #[cfg(test)]
+        crate::inject::count(&crate::inject::RETIRES);
         self.target.retire();
         self.set_golden_aside();
     }
@@ -688,14 +680,22 @@ impl<C: Component> CosimDriver for Driver<C> {
             corrupted_lines,
         }
     }
-
-    fn into_sys(self) -> System {
-        self.sys
-    }
 }
 
-impl<C: Component> Recycle for Driver<C> {
-    fn detach_in_place(&mut self) -> Vec<LineAddr> {
+impl<C: Component> Driver<C> {
+    /// Fig. 2 step 7 with no test counter: the target against the
+    /// golden, `Identical` once it retired.
+    fn compare(&self) -> CosimCheck {
+        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
+            verdict(&self.target, g, self.sys.dram())
+        })
+    }
+
+    /// [`detach`](CosimDriver::detach) in place, for a driver the run
+    /// hands on to the next instead of dropping it (DESIGN.md *Recycling
+    /// the injection's driver*): the corrupted lines, with the detached
+    /// system left under the driver.
+    pub(crate) fn detach_in_place(&mut self) -> Vec<LineAddr> {
         let mut corrupted =
             (self.port).transfer(&mut self.sys, &mut self.target, self.golden.as_ref());
         corrupted.sort_unstable_by_key(|l| l.raw());
@@ -706,7 +706,8 @@ impl<C: Component> Recycle for Driver<C> {
         corrupted
     }
 
-    fn sys_mut(&mut self) -> &mut System {
+    /// The system under the driver.
+    pub(crate) fn sys_mut(&mut self) -> &mut System {
         &mut self.sys
     }
 }
@@ -1019,14 +1020,38 @@ impl Side for BankSide {
 }
 
 /// The engine side of an intercepted L2 bank: the requests the system
-/// sent it that it has not taken yet.
-#[derive(Debug)]
+/// sent it that it has not taken yet. Every L2C co-simulation driver
+/// holds one.
+#[derive(Debug, Default)]
 pub struct L2cPort {
-    bank: BankId,
     inbox: VecDeque<PcxPacket>,
 }
 
-clone_in_place!(L2cPort { bank, inbox });
+clone_in_place!(L2cPort { inbox });
+
+impl L2cPort {
+    /// Pops the oldest pending request if `ready` accepts it.
+    pub fn accept(&mut self, ready: impl FnOnce(&PcxPacket) -> bool) -> Option<PcxPacket> {
+        match self.inbox.front() {
+            Some(p) if ready(p) => self.inbox.pop_front(),
+            _ => None,
+        }
+    }
+
+    /// True when no request is pending.
+    pub fn idle(&self) -> bool {
+        self.inbox.is_empty()
+    }
+
+    /// Serves the requests the bank never took functionally, so the
+    /// threads see *some* response (forced detach).
+    pub fn serve_stranded(&mut self, sys: &mut System) {
+        for p in self.inbox.drain(..) {
+            let reply = sys.service_request_functionally(&p);
+            sys.deliver_cpx(reply);
+        }
+    }
+}
 
 impl L2cDriver {
     /// Attaches co-simulation for `bank`: intercepts its traffic and
@@ -1040,11 +1065,7 @@ impl L2cDriver {
             dram: LatencyDram::default(),
         };
         sys.set_intercept(InterceptMode::Bank(bank));
-        let port = L2cPort {
-            bank,
-            inbox: VecDeque::new(),
-        };
-        Driver::new(sys, port, target)
+        Driver::new(sys, L2cPort::default(), target)
     }
 }
 
@@ -1065,7 +1086,6 @@ impl Component for L2cPort {
         let bank = BankId::new(instance % NUM_L2_BANKS);
         target.attach(bank, sys.bank_arch(bank));
         sys.set_intercept(InterceptMode::Bank(bank));
-        self.bank = bank;
         self.inbox.clear();
     }
 
@@ -1087,8 +1107,7 @@ impl Component for L2cPort {
     }
 
     fn take(&mut self, gate: &Option<bool>) -> Option<PcxPacket> {
-        gate.filter(|&ready| ready)
-            .and_then(|_| self.inbox.pop_front())
+        self.accept(|_| *gate == Some(true))
     }
 
     /// The bank takes the DRAM response due now and queues the command
@@ -1121,7 +1140,7 @@ impl Component for L2cPort {
 
     fn drained(&self, side: &BankSide, sys: &System) -> bool {
         let idle = on_target!(&side.bank, x => x.idle());
-        self.inbox.is_empty() && idle && side.dram.queue.is_empty() && sys.waiting_on_uncore() == 0
+        self.idle() && idle && side.dram.queue.is_empty() && sys.waiting_on_uncore() == 0
     }
 
     /// Cache-resident divergence and memory-side divergence through the
@@ -1139,17 +1158,14 @@ impl Component for L2cPort {
             corrupted.extend(target.ov.diff_lines(g_ov, sys.dram()));
         }
         target.ov.apply_to(sys.dram_mut());
-        sys.set_bank_arch(self.bank, bank.arch());
+        sys.set_bank_arch(bank.bank(), bank.arch());
         corrupted
     }
 
-    /// Requests the wedged bank never took are served functionally, so
-    /// the threads see *some* response; an idle detach has none.
+    /// Requests the wedged bank never took are served functionally; an
+    /// idle detach has none.
     fn release(&mut self, sys: &mut System, _target: &BankSide) {
-        while let Some(p) = self.inbox.pop_front() {
-            let reply = sys.service_request_functionally(&p);
-            sys.deliver_cpx(reply);
-        }
+        self.serve_stranded(sys);
     }
 }
 

@@ -4,7 +4,7 @@ use nestsim_hlsim::{RunResult, SnapshotCost, System};
 use nestsim_models::ComponentKind;
 use nestsim_telemetry::{names, EventKind, ExitReason, Recorder, TelemetryConfig};
 
-use crate::cosim::{on_component, Component, CosimCheck, CosimDriver, Driver, Recycle};
+use crate::cosim::{on_component, Component, CosimCheck, CosimDriver, Driver};
 use crate::outcome::Outcome;
 
 /// Minimum warm-up length before injection (Sec. 2.2 / Sec. 4.1: at
@@ -116,7 +116,7 @@ pub(crate) struct CosimEnd {
 }
 
 /// The system trapped or passed its watchdog: co-simulation aborts.
-pub(crate) fn aborted(driver: &impl CosimDriver) -> bool {
+pub(crate) fn aborted<C: Component>(driver: &Driver<C>) -> bool {
     driver.sys().trap().is_some() || driver.cycle() > driver.sys().watchdog()
 }
 
@@ -160,6 +160,11 @@ thread_local! {
     /// Lane sides on this thread that a batch refilled from the shard's
     /// pool instead of copying a new one.
     pub(crate) static LANE_REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Golden compares on this thread of a driver whose golden had
+    /// retired.
+    pub(crate) static RETIRED_CHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Golden retirements on this thread.
+    pub(crate) static RETIRES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Adds one to a counter above.
@@ -175,8 +180,8 @@ pub(crate) fn count(counter: &'static std::thread::LocalKey<std::cell::Cell<u64>
 /// bit, so every sample on that trajectory may start from it: one run
 /// ([`finish`]), or a lane batch that it carries (`crate::lanes`).
 #[derive(Debug, Clone)]
-pub(crate) struct Warmed<D> {
-    pub(crate) driver: D,
+pub(crate) struct Warmed<C: Component> {
+    pub(crate) driver: Driver<C>,
     entry: u64,
     snapshot: SnapshotCost,
     warmup_done: u64,
@@ -198,7 +203,7 @@ pub(crate) fn warm<C: Component>(
     golden: &GoldenRef,
     spec: &InjectionSpec,
     spare: Option<Driver<C>>,
-) -> Warmed<Driver<C>> {
+) -> Warmed<C> {
     // A zero interval would make `cycles % interval` never hit, so no
     // golden compare would ever fire: the run would silently burn the
     // whole co-simulation cap and misclassify as Persist. Fail loudly
@@ -259,7 +264,7 @@ pub(crate) fn warm<C: Component>(
     }
 }
 
-impl<D: CosimDriver> Warmed<D> {
+impl<C: Component> Warmed<C> {
     /// Everything a run on this trajectory records before its
     /// co-simulation loop starts, through the flip of `spec.bit` — the
     /// same for the scalar run and for a lane of a batch.
@@ -300,12 +305,12 @@ pub fn recorder_for(telemetry: Option<&TelemetryConfig>) -> Recorder {
 /// the flip of `spec.bit`, co-simulation, state transfer back and
 /// outcome determination. Also returns the driver the run ended with,
 /// on every exit, so that the next run can refill it.
-pub(crate) fn finish<D: Recycle>(
-    warmed: Warmed<D>,
+pub(crate) fn finish<C: Component>(
+    warmed: Warmed<C>,
     golden: &GoldenRef,
     spec: &InjectionSpec,
     rec: &mut Recorder,
-) -> (InjectionRecord, D) {
+) -> (InjectionRecord, Driver<C>) {
     warmed.record_preamble(spec, rec);
     let mut driver = warmed.driver;
     driver.snapshot_golden();
@@ -343,12 +348,12 @@ impl Flipped<'_> {
     /// driver it ended with. The scalar run enters at `Cosim(0)`; a lane
     /// that leaves its batch enters where it left, on a driver equal to
     /// the one its scalar run would hold there.
-    pub(crate) fn resume<D: Recycle>(
+    pub(crate) fn resume<C: Component>(
         &self,
-        mut driver: D,
+        mut driver: Driver<C>,
         rec: &mut Recorder,
         at: Resume,
-    ) -> (InjectionRecord, D) {
+    ) -> (InjectionRecord, Driver<C>) {
         let cosim_cycles = match at {
             Resume::Cosim(stepped) => {
                 let end = self.cosimulate(&mut driver, rec, stepped);
@@ -429,9 +434,9 @@ impl Flipped<'_> {
     /// Phase 2, steps 6–9: co-simulates from `stepped` cycles done until
     /// the error vanishes, maps to high-level state, or the cap is
     /// reached.
-    fn cosimulate<D: CosimDriver>(
+    fn cosimulate<C: Component>(
         &self,
-        driver: &mut D,
+        driver: &mut Driver<C>,
         rec: &mut Recorder,
         stepped: u64,
     ) -> CosimEnd {
@@ -479,12 +484,12 @@ impl Flipped<'_> {
     /// Phase 3 (steps 10–12): transfers the (possibly erroneous) state
     /// back, finishes the application in accelerated mode and classifies
     /// it.
-    fn transfer_back<D: Recycle>(
+    fn transfer_back<C: Component>(
         &self,
-        mut driver: D,
+        mut driver: Driver<C>,
         rec: &mut Recorder,
         cosim_cycles: u64,
-    ) -> (InjectionRecord, D) {
+    ) -> (InjectionRecord, Driver<C>) {
         let (spec, inject_cycle) = (self.spec, self.inject_cycle);
         rec.count(names::STATE_TRANSFER_TO_HIGH, 1);
         rec.event(
@@ -536,26 +541,12 @@ impl Flipped<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::cosim::Detach;
     use nestsim_harness::{check_with, Config, Source};
     use nestsim_hlsim::workload::{by_name, BenchProfile};
     use nestsim_hlsim::SystemConfig;
     use nestsim_models::{inventory, UncoreRtl};
     use nestsim_rtl::FlopClass;
     use std::cell::Cell;
-    use std::rc::Rc;
-
-    impl<D> Warmed<D> {
-        /// The same warmed trajectory, its driver wrapped by `f`.
-        pub(crate) fn map<E>(self, f: impl FnOnce(D) -> E) -> Warmed<E> {
-            Warmed {
-                driver: f(self.driver),
-                entry: self.entry,
-                snapshot: self.snapshot,
-                warmup_done: self.warmup_done,
-            }
-        }
-    }
 
     fn golden_for(sys: &System) -> (System, GoldenRef) {
         let base = sys.clone();
@@ -915,86 +906,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// What [`finish`] did to its driver, seen from outside: the golden
-    /// compares it made, and how many it had made when it first retired
-    /// the golden.
-    #[derive(Default)]
-    struct SpyLog {
-        checks: Cell<u64>,
-        retired_after: Cell<Option<u64>>,
-    }
-
-    /// A driver that forwards everything and logs the two calls above.
-    struct Spy<D> {
-        inner: D,
-        log: Rc<SpyLog>,
-    }
-
-    impl<D: CosimDriver> CosimDriver for Spy<D> {
-        fn step(&mut self) {
-            self.inner.step();
-        }
-        fn cycle(&self) -> u64 {
-            self.inner.cycle()
-        }
-        fn sys(&self) -> &System {
-            self.inner.sys()
-        }
-        fn snapshot_golden(&mut self) {
-            self.inner.snapshot_golden();
-        }
-        fn snapshot_golden_cold(&mut self) {
-            self.inner.snapshot_golden_cold();
-        }
-        fn mismatch_fraction(&self) -> f64 {
-            self.inner.mismatch_fraction()
-        }
-        fn at_cold_snapshot_boundary(&self) -> bool {
-            self.inner.at_cold_snapshot_boundary()
-        }
-        fn inject(&mut self, bit: usize) {
-            self.inner.inject(bit);
-        }
-        fn check(&self) -> CosimCheck {
-            self.log.checks.set(self.log.checks.get() + 1);
-            self.inner.check()
-        }
-        fn retire_golden(&mut self) {
-            // The documented precondition, which no record can show
-            // broken: with equal states the twin adds nothing either way.
-            assert_eq!(self.inner.check(), CosimCheck::Identical);
-            assert_eq!(self.inner.erroneous_output(), None);
-            if self.log.retired_after.get().is_none() {
-                self.log.retired_after.set(Some(self.log.checks.get()));
-            }
-            self.inner.retire_golden();
-        }
-        fn drained(&self) -> bool {
-            self.inner.drained()
-        }
-        fn erroneous_output(&self) -> Option<u64> {
-            self.inner.erroneous_output()
-        }
-        fn detach(self) -> Detach {
-            self.inner.detach()
-        }
-        fn into_sys(self) -> System {
-            self.inner.into_sys()
-        }
-        fn sample_telemetry(&self, rec: &mut Recorder) {
-            self.inner.sample_telemetry(rec);
-        }
-    }
-
-    impl<D: Recycle> Recycle for Spy<D> {
-        fn detach_in_place(&mut self) -> Vec<nestsim_proto::LineAddr> {
-            self.inner.detach_in_place()
-        }
-        fn sys_mut(&mut self) -> &mut System {
-            self.inner.sys_mut()
-        }
-    }
-
     /// Coverage of one component's differential runs.
     #[derive(Default)]
     struct Tally {
@@ -1037,23 +948,25 @@ pub(crate) mod tests {
             trace_capacity: 1024,
         };
         let warmed = warm::<C>(base, golden, &first, None);
+        let read = |counter: &'static std::thread::LocalKey<Cell<u64>>| counter.with(Cell::get);
         for (spec, warmed) in [(first, warmed.clone()), (second, warmed)] {
-            let log = Rc::new(SpyLog::default());
-            let spied = warmed.map(|inner| Spy {
-                inner,
-                log: Rc::clone(&log),
-            });
+            let (retires, retired_checks) = (read(&RETIRES), read(&RETIRED_CHECKS));
             let mut rec = Recorder::active(&cfg);
-            let (got, _) = finish(spied, golden, &spec, &mut rec);
+            let (got, _) = finish(warmed, golden, &spec, &mut rec);
+            // Compares after the first retirement: the driver's golden
+            // stays retired for the rest of the run.
+            let (retired, tail) = (
+                read(&RETIRES) > retires,
+                read(&RETIRED_CHECKS) - retired_checks,
+            );
             let mut want_rec = Recorder::active(&cfg);
             let want = run_injection_reference(base, golden, &spec, &mut want_rec, attach);
             assert_eq!(got, want, "{spec:?}: record");
             assert_eq!(rec, want_rec, "{spec:?}: recorder");
 
             tally.runs.set(tally.runs.get() + 1);
-            if let Some(at) = log.retired_after.get() {
+            if retired {
                 tally.retired.set(tally.retired.get() + 1);
-                let tail = log.checks.get() - at;
                 tally.longest_tail.set(tally.longest_tail.get().max(tail));
             }
         }

@@ -47,7 +47,7 @@ use nestsim_rtl::{LaneMask, MAX_LANES};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::campaign::{same_trajectory, IndexedRuns};
-use crate::cosim::{Component, CosimCheck, CosimDriver, Driver, Kept, Recycle, Side};
+use crate::cosim::{Component, CosimCheck, CosimDriver, Driver, Kept, Side};
 use crate::inject::{
     aborted, recorder_for, warm, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
 };

@@ -105,11 +105,6 @@ impl Source {
         self.range_u64(lo as u64, hi as u64 + 1) as usize
     }
 
-    /// A uniform `f64` in `[0, 1)`.
-    pub fn f64_unit(&mut self) -> f64 {
-        (self.draw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// A uniform index into a collection of `len` elements
     /// (the analogue of proptest's `sample::Index`).
     ///

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use nestsim_arch::mem::WORDS_PER_LINE;
 use nestsim_arch::{BuildU64Hasher, DramContents, L2BankArch, L2Geometry};
-use nestsim_proto::addr::{l2_bank_of, BankId, LineAddr, McuId, PAddr, ThreadId};
+use nestsim_proto::addr::{l2_bank_of, mcu_of_bank, BankId, LineAddr, McuId, PAddr, ThreadId};
 use nestsim_proto::pcie::{stream_word, DmaDescriptor};
 use nestsim_proto::{CpxKind, CpxPacket, PcxKind, PcxPacket, ReqId, Topology};
 use nestsim_stats::SeedSeq;
@@ -672,7 +672,7 @@ impl System {
     }
 
     fn is_intercepted_dram(&self, bank: BankId) -> bool {
-        matches!(self.intercept, InterceptMode::McuPair(m) if m.index() == bank.index() / 2)
+        matches!(self.intercept, InterceptMode::McuPair(m) if m == mcu_of_bank(bank))
     }
 
     fn alloc_req(&mut self) -> ReqId {

@@ -668,7 +668,7 @@ impl Peers {
         match msg {
             Message::Error { .. } if client.script.contains(&Intrude) => {}
             _ if client.script.contains(&Intrude) => return Err(unexpected(format!("{msg:?}"))),
-            Message::HelloAck { .. } | Message::Progress { .. } => {}
+            Message::HelloAck { .. } => {}
             Message::Accepted { req, ticket, .. } => {
                 let Some(&seed) = client.reqs.get(&req) else {
                     return Err(unexpected(format!("Accepted for unknown req {req}")));

@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use nestsim_cluster::machine::{Command, ServiceMachine};
-use nestsim_cluster::server::{Action, Event, Machine};
+use nestsim_cluster::server::{Action, Event};
 
 use crate::explore::Chooser;
 use crate::service::{Ev as PeerEv, Peers, ServerScenario};
@@ -223,7 +223,7 @@ enum Queued {
     Frame(u64, Vec<u8>, bool),
     /// A close reaches one end of a connection, or both.
     HangUp(u64, End),
-    /// [`Machine::next_wake`] is due.
+    /// [`ServiceMachine::next_wake`] is due.
     Tick,
     /// Something for the peers.
     Peer(Input),
@@ -259,7 +259,7 @@ pub struct Net<'c> {
     chooser: &'c mut dyn Chooser,
     queue: BTreeMap<(u64, u64), Queued>,
     /// Events the machine has yet to see, oldest first.
-    inbox: VecDeque<Event<Command>>,
+    inbox: VecDeque<Event>,
     links: BTreeMap<u64, Link>,
     seq: u64,
     now: u64,
@@ -388,7 +388,7 @@ impl Net<'_> {
 
     /// The loop drops `conn`, telling the machine `told`; the peer
     /// learns of it after everything sent before.
-    fn drop_link(&mut self, conn: u64, told: Option<Event<Command>>) {
+    fn drop_link(&mut self, conn: u64, told: Option<Event>) {
         if let Some(link) = self.links.get_mut(&conn).filter(|l| !l.gone) {
             link.gone = true;
             self.inbox.extend(told);
@@ -502,7 +502,7 @@ impl World<'_, '_, '_> {
         Ok(())
     }
 
-    fn step(&mut self, event: Event<Command>, absorb: Option<u64>) -> Result<(), SimError> {
+    fn step(&mut self, event: Event, absorb: Option<u64>) -> Result<(), SimError> {
         let mut actions = Vec::new();
         self.machine.step(self.net.now, event, &mut actions);
         for action in actions {

@@ -21,9 +21,9 @@
 //! policy table in [`policy`]; individual lines opt out via a
 //! justified suppression comment (see [`rules::parse_suppressions`]).
 //! The binary (`cargo run -p nestlint --offline`) scans the workspace
-//! and exits non-zero on any unsuppressed finding; `--self-test` pins
-//! rule behavior against the committed `fixtures/`; `--graph` dumps
-//! the call graph as Graphviz DOT.
+//! and exits non-zero on any unsuppressed finding; `--graph` dumps the
+//! call graph as Graphviz DOT. The `selftest` unit tests pin rule
+//! behavior against the committed `fixtures/`.
 
 pub mod driver;
 pub mod graph;
@@ -34,7 +34,8 @@ pub mod parser;
 pub mod policy;
 pub mod report;
 pub mod rules;
-pub mod selftest;
+#[cfg(test)]
+mod selftest;
 pub mod whole;
 
 pub use driver::{scan, ScanResult};

@@ -4,16 +4,15 @@
 //!
 //! ```text
 //! cargo run -p nestlint --offline                  # scan the workspace
-//! cargo run -p nestlint --offline -- --self-test   # pin rules against fixtures/
 //! cargo run -p nestlint --offline -- --jsonl out.jsonl
 //! cargo run -p nestlint --offline -- --policy      # print the policy table
 //! cargo run -p nestlint --offline -- --graph       # dump the call graph as DOT
 //! cargo run -p nestlint --offline -- --budget-ms 5000   # fail a slow scan
 //! ```
 //!
-//! Exit code 0 means clean (or self-test passed); 1 means findings (or
-//! self-test failures, or a blown time budget); 2 means the tool
-//! itself could not run.
+//! Exit code 0 means clean; 1 means findings or a blown time budget; 2
+//! means the tool itself could not run. The rules are pinned against
+//! `fixtures/` by the crate's unit tests (`cargo test -p nestlint`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -21,12 +20,11 @@ use std::time::Instant;
 
 use nestlint::graph::{Graph, Model};
 use nestlint::report::{render_jsonl, render_text};
-use nestlint::{driver, policy, selftest};
+use nestlint::{driver, policy};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut jsonl: Option<PathBuf> = None;
-    let mut self_test = false;
     let mut show_policy = false;
     let mut show_graph = false;
     let mut budget_ms: Option<u64> = None;
@@ -34,7 +32,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--self-test" => self_test = true,
             "--policy" => show_policy = true,
             "--graph" => show_graph = true,
             "--root" => match args.next() {
@@ -60,9 +57,6 @@ fn main() -> ExitCode {
     if show_graph {
         return run_graph(&root);
     }
-    if self_test {
-        return run_self_test();
-    }
     run_scan(&root, jsonl.as_deref(), budget_ms)
 }
 
@@ -70,7 +64,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("nestlint: {err}");
     eprintln!(
         "usage: nestlint [--root <dir>] [--jsonl <file>] [--budget-ms <n>] \
-         [--self-test] [--policy] [--graph]"
+         [--policy] [--graph]"
     );
     ExitCode::from(2)
 }
@@ -89,25 +83,6 @@ fn run_graph(root: &Path) -> ExitCode {
     let graph = Graph::build(&model);
     print!("{}", graph.to_dot());
     ExitCode::SUCCESS
-}
-
-fn run_self_test() -> ExitCode {
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let st = selftest::run(&fixtures);
-    if st.failures.is_empty() {
-        println!("nestlint self-test: ok ({} fixture files)", st.checked);
-        ExitCode::SUCCESS
-    } else {
-        for f in &st.failures {
-            eprintln!("nestlint self-test: {f}");
-        }
-        eprintln!(
-            "nestlint self-test: FAILED ({} problems across {} fixture files)",
-            st.failures.len(),
-            st.checked
-        );
-        ExitCode::FAILURE
-    }
 }
 
 fn run_scan(root: &Path, jsonl: Option<&Path>, budget_ms: Option<u64>) -> ExitCode {

@@ -1,7 +1,7 @@
-//! `--self-test`: runs every rule against the committed fixtures and
-//! compares the findings against inline expectation markers —
-//! compiletest-style, so the lint's own behavior is pinned by files in
-//! the repo rather than only by unit tests.
+//! The fixture self-test, run by `cargo test`: every rule against the
+//! committed fixtures, its findings compared against inline
+//! expectation markers — compiletest-style, so the lint's own behavior
+//! is pinned by files in the repo.
 //!
 //! Markers are trailing comments: `//~ <rule-id> [<rule-id> …]` in
 //! Rust fixtures, `#~ <rule-id>` in TOML fixtures. Each marker means
@@ -232,7 +232,7 @@ pub fn run(dir: &Path) -> SelfTest {
 
     // Not a fixture but a classification pin: the lane modules must
     // stay policy-classified as result-affecting. A policy-table edit
-    // that drops them fails the self-test, not just a unit test.
+    // that drops them fails the self-test.
     for path in ["crates/core/src/lanes.rs", "crates/rtl/src/lanes.rs"] {
         if !crate::policy::rules_for(path).contains(&crate::rules::Rule::NoNondeterminism) {
             failures.push(format!(

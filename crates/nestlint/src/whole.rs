@@ -92,7 +92,7 @@ impl WholeConfig {
 }
 
 /// Runs all three whole-program rules over one source file — the
-/// fixture entry point used by `--self-test`.
+/// fixture entry point of the self-test.
 pub fn analyze_single(path: &str, src: &str) -> Vec<Finding> {
     let model = Model::build(vec![(path.to_string(), src.to_string())]);
     let cfg = WholeConfig::single(path);

@@ -133,8 +133,8 @@ fn parser_survives_mutated_sources() {
     });
 }
 
-/// The whole-file analysis entry point (used by `--self-test` and the
-/// mutation negatives) must also be panic-free on broken input, since
+/// The whole-file analysis entry point (used by the fixture self-test
+/// and its mutation negatives) must also be panic-free on broken input, since
 /// it builds a model and graph over whatever the parser salvaged.
 #[test]
 fn single_file_analysis_survives_truncation() {

@@ -9,8 +9,8 @@
 //!   (the "PCX" side of the T2 crossbar),
 //! * [`CpxPacket`] — cache-to-processor return packets ("CPX"),
 //! * [`DramCmd`] / [`DramResp`] — L2-bank to DRAM-controller traffic,
-//! * [`DmaDescriptor`] / [`PcieFrame`] — PCI Express DMA traffic used to
-//!   stream benchmark input files into memory.
+//! * [`DmaDescriptor`] — PCI Express DMA traffic used to stream benchmark
+//!   input files into memory.
 //!
 //! It also defines the physical address space carving ([`addr`]) including
 //! the address-interleaved mapping of cache lines onto the 8 L2 banks and
@@ -39,5 +39,5 @@ pub mod topology;
 pub use addr::{BankId, CoreId, LineAddr, McuId, PAddr, ThreadId};
 pub use dram::{DramCmd, DramCmdKind, DramResp};
 pub use packet::{CpxKind, CpxPacket, PcxKind, PcxPacket, ReqId};
-pub use pcie::{DmaDescriptor, PcieFrame};
+pub use pcie::DmaDescriptor;
 pub use topology::Topology;

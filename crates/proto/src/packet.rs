@@ -34,11 +34,6 @@ impl PcxKind {
     pub fn writes(self) -> bool {
         matches!(self, PcxKind::Store | PcxKind::Atomic)
     }
-
-    /// Returns `true` for kinds that return data to the core.
-    pub fn returns_data(self) -> bool {
-        matches!(self, PcxKind::Load | PcxKind::Ifetch | PcxKind::Atomic)
-    }
 }
 
 impl core::fmt::Display for PcxKind {
@@ -197,8 +192,6 @@ mod tests {
         assert!(PcxKind::Store.writes());
         assert!(PcxKind::Atomic.writes());
         assert!(!PcxKind::Load.writes());
-        assert!(PcxKind::Load.returns_data());
-        assert!(!PcxKind::Store.returns_data());
     }
 
     #[test]

@@ -7,9 +7,6 @@
 
 use crate::addr::PAddr;
 
-/// Payload bytes per DMA frame (one cache line).
-pub const FRAME_BYTES: usize = 64;
-
 /// A DMA transfer descriptor programmed into the PCIe controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DmaDescriptor {
@@ -20,26 +17,6 @@ pub struct DmaDescriptor {
     /// Seed identifying the source file contents (the synthetic "file"
     /// is a deterministic byte stream derived from this seed).
     pub stream_seed: u64,
-}
-
-impl DmaDescriptor {
-    /// Number of full-or-partial frames in this transfer.
-    pub fn frame_count(&self) -> u64 {
-        self.len.div_ceil(FRAME_BYTES as u64)
-    }
-}
-
-/// One link-layer frame of DMA payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PcieFrame {
-    /// Frame sequence number within the transfer.
-    pub seq: u64,
-    /// Destination physical address of this frame's first byte.
-    pub dst: PAddr,
-    /// Number of valid payload bytes (≤ [`FRAME_BYTES`]).
-    pub valid_bytes: u8,
-    /// Payload words.
-    pub payload: [u64; FRAME_BYTES / 8],
 }
 
 /// Physical address of the DMA completion doorbell word.
@@ -68,20 +45,6 @@ pub fn stream_word(seed: u64, w: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_count_rounds_up() {
-        let d = DmaDescriptor {
-            dst: PAddr::new(0x4000_0000),
-            len: 65,
-            stream_seed: 1,
-        };
-        assert_eq!(d.frame_count(), 2);
-        let d0 = DmaDescriptor { len: 0, ..d };
-        assert_eq!(d0.frame_count(), 0);
-        let d64 = DmaDescriptor { len: 64, ..d };
-        assert_eq!(d64.frame_count(), 1);
-    }
 
     #[test]
     fn stream_is_deterministic_and_seed_sensitive() {

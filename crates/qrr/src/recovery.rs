@@ -20,11 +20,11 @@
 use std::collections::VecDeque;
 
 use nestsim_core::campaign::{golden_reference, injection_window, instances_of, CampaignSpec};
-use nestsim_core::cosim::COSIM_DRAM_LATENCY;
+use nestsim_core::cosim::{Component, L2cPort, COSIM_DRAM_LATENCY};
 use nestsim_core::inject::{GoldenRef, MIN_WARMUP};
 use nestsim_core::Outcome;
 use nestsim_hlsim::workload::BenchProfile;
-use nestsim_hlsim::{InterceptMode, OutMsg, System};
+use nestsim_hlsim::{InterceptMode, System};
 use nestsim_models::l2c::L2cInputs;
 use nestsim_models::{ComponentKind, L2cBank, UncoreRtl};
 use nestsim_proto::addr::BankId;
@@ -121,7 +121,7 @@ pub struct QrrL2cDriver {
     pub ctrl: QrrController<PcxPacket>,
     detector: ParityDetector,
     dram_q: VecDeque<(u64, DramCmd)>,
-    inbox: VecDeque<PcxPacket>,
+    port: L2cPort,
 }
 
 impl QrrL2cDriver {
@@ -137,7 +137,7 @@ impl QrrL2cDriver {
             ctrl: QrrController::new(),
             detector: ParityDetector::new(plan),
             dram_q: VecDeque::new(),
-            inbox: VecDeque::new(),
+            port: L2cPort::default(),
         }
     }
 
@@ -157,12 +157,7 @@ impl QrrDriver for QrrL2cDriver {
     fn step(&mut self) {
         let cyc = self.sys.cycle() + 1;
         self.sys.run_until(cyc);
-        while let Some(msg) = self.sys.pop_outbox() {
-            match msg {
-                OutMsg::Pcx(p) => self.inbox.push_back(p),
-                other => unreachable!("unexpected outbox message {other:?}"),
-            }
-        }
+        self.port.intake(&mut self.sys);
 
         // Aggregated parity signal reaches the controller.
         if self.detector.fired(cyc) {
@@ -212,15 +207,12 @@ impl QrrDriver for QrrL2cDriver {
             } else {
                 None
             }
-        } else if self.target.ready() && self.ctrl.can_record() {
-            if let Some(p) = self.inbox.pop_front() {
-                self.ctrl.on_request_accepted(p.id.0, &p);
-                Some(p)
-            } else {
-                None
-            }
         } else {
-            None
+            let pcx = (self.port).accept(|_| self.target.ready() && self.ctrl.can_record());
+            if let Some(p) = &pcx {
+                self.ctrl.on_request_accepted(p.id.0, p);
+            }
+            pcx
         };
 
         let out = self.target.tick(&L2cInputs {
@@ -259,7 +251,7 @@ impl QrrDriver for QrrL2cDriver {
     }
 
     fn drained(&self) -> bool {
-        self.inbox.is_empty()
+        self.port.idle()
             && self.target.idle()
             && self.dram_q.is_empty()
             && self.sys.waiting_on_uncore() == 0
@@ -275,10 +267,7 @@ impl QrrDriver for QrrL2cDriver {
     fn detach(mut self) -> System {
         self.sys.set_bank_arch(self.bank, self.target.arch());
         self.sys.set_intercept(InterceptMode::None);
-        while let Some(p) = self.inbox.pop_front() {
-            let reply = self.sys.service_request_functionally(&p);
-            self.sys.deliver_cpx(reply);
-        }
+        self.port.serve_stranded(&mut self.sys);
         self.sys
     }
 

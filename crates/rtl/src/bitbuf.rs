@@ -333,19 +333,6 @@ impl BitBuf {
             .filter(move |&i| i < self.len)
     }
 
-    /// XOR-reduction (even parity bit) of bits in `[offset, offset+width)`.
-    pub fn parity_of_range(&self, offset: usize, width: usize) -> bool {
-        let mut p = false;
-        let mut o = offset;
-        let end = offset + width;
-        while o < end {
-            let chunk = (end - o).min(64 - o % 64).min(64);
-            p ^= self.read_bits(o, chunk).count_ones() % 2 == 1;
-            o += chunk;
-        }
-        p
-    }
-
     /// Sets every bit to zero.
     pub fn clear(&mut self) {
         for w in &mut self.words {
@@ -572,17 +559,6 @@ mod tests {
         assert_eq!(a.diff_count(&b), 2);
         let d: Vec<usize> = a.diff_bits(&b).collect();
         assert_eq!(d, vec![3, 77]);
-    }
-
-    #[test]
-    fn parity_of_range_matches_popcount() {
-        let mut b = BitBuf::zeroed(96);
-        b.set(5, true);
-        b.set(70, true);
-        b.set(71, true);
-        assert!(b.parity_of_range(0, 96)); // 3 ones → odd
-        assert!(b.parity_of_range(0, 64)); // 1 one
-        assert!(!b.parity_of_range(64, 32)); // 2 ones
     }
 
     #[test]

@@ -426,12 +426,6 @@ impl FlopSpace {
         }
     }
 
-    /// Clears every flop, including configuration state (power-on reset).
-    pub fn reset_all(&mut self) {
-        self.bits.clear();
-        self.changed = true;
-    }
-
     /// Reads `width <= 192` bits at global offset `offset`
     /// ([`BitBuf::read_span`]): a whole packet slot in one access.
     #[inline]
@@ -559,8 +553,6 @@ mod tests {
         assert!(!s.read_bool(v));
         assert_eq!(s.read(a), 0);
         assert_eq!(s.read(c), 0b11);
-        s.reset_all();
-        assert_eq!(s.read(c), 0);
     }
 
     #[test]
@@ -673,7 +665,7 @@ mod tests {
         assert!(twin == s && !s.changed());
 
         type Mutator = fn(&mut FlopSpace, FieldHandle);
-        let mutators: [(&str, Mutator); 7] = [
+        let mutators: [(&str, Mutator); 6] = [
             ("write", |s, a| s.write(a, 0x1235)),
             ("flip", |s, a| s.flip(s.field_bit_index(a, 7))),
             ("copy_range", |s, a| {
@@ -686,7 +678,6 @@ mod tests {
                 s.zero_range(s.field_bit_index(a, 0), 16)
             }),
             ("reset_except_config", |s, _| s.reset_except_config()),
-            ("reset_all", |s, _| s.reset_all()),
         ];
         for (name, mutate) in mutators {
             let mut t = s.clone();

@@ -16,11 +16,9 @@
 //! * flop state supports **reset-except-config** semantics, which the
 //!   Quick Replay Recovery controller relies on (Sec. 6.2).
 //!
-//! The central types are [`BitBuf`] (a dense bit vector), [`FlopSpace`]
-//! (a registry of named, classed flop fields over a `BitBuf`), and
-//! [`SramArray`] (an on-chip memory array, ECC-protected hence excluded
-//! from injection but part of the architectural state transferred
-//! between simulation modes).
+//! The central types are [`BitBuf`] (a dense bit vector) and
+//! [`FlopSpace`] (a registry of named, classed flop fields over a
+//! `BitBuf`).
 //!
 //! # Examples
 //!
@@ -49,13 +47,8 @@ pub mod bitbuf;
 pub mod field;
 pub mod lanes;
 pub mod parity;
-pub mod sram;
 
 pub use bitbuf::BitBuf;
 pub use field::{FieldDef, FieldHandle, FlopClass, FlopSpace, FlopSpaceBuilder};
 pub use lanes::{lane_matches_golden, lanes_differing, LaneMask, MAX_LANES};
 pub use parity::{GroupLayout, ParityDetector, ParityPlan};
-pub use sram::SramArray;
-
-/// A simulation cycle count.
-pub type Cycle = u64;

@@ -111,15 +111,6 @@ impl ParityPlan {
         self.group_bits
     }
 
-    /// Fraction of `total` flops covered by this plan.
-    pub fn coverage_of(&self, total: usize) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.covered.len() as f64 / total as f64
-        }
-    }
-
     /// The parity group (XOR tree) index covering `bit`, if covered.
     ///
     /// Under [`GroupLayout::Blocked`], consecutive covered flops share
@@ -251,7 +242,6 @@ mod tests {
         let s = space();
         let p = ParityPlan::with_group_bits(&s, 16);
         assert_eq!(p.group_count(), 3); // ceil(40/16)
-        assert_eq!(p.coverage_of(s.num_flops()), 40.0 / 68.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's Figs. 6, 8 and 9 plot cumulative distributions on decade
 //! (log₁₀) x-axes: co-simulation persistence cycles, error-propagation
-//! latency, and required rollback distance. [`LogHistogram`] buckets
-//! samples by decade; [`Cdf`] keeps the raw samples for exact quantiles.
+//! latency, and required rollback distance. [`Cdf`] keeps the raw
+//! samples for exact quantiles and evaluates them at decade boundaries.
 
 /// An exact empirical CDF over `u64` samples.
 ///
@@ -112,63 +112,6 @@ impl Extend<u64> for Cdf {
     }
 }
 
-/// A histogram with one bucket per decade (`[10^k, 10^(k+1))`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LogHistogram {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LogHistogram::default()
-    }
-
-    /// Adds one sample (`0` counts into the first decade).
-    pub fn push(&mut self, v: u64) {
-        let d = decade_of(v);
-        if self.counts.len() <= d {
-            self.counts.resize(d + 1, 0);
-        }
-        self.counts[d] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in decade `d` (`[10^d, 10^(d+1))`).
-    pub fn count(&self, d: usize) -> u64 {
-        self.counts.get(d).copied().unwrap_or(0)
-    }
-
-    /// Cumulative fraction of samples strictly below `10^(d+1)`.
-    pub fn cumulative_fraction(&self, d: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let c: u64 = self.counts.iter().take(d + 1).sum();
-        c as f64 / self.total as f64
-    }
-
-    /// Highest non-empty decade index, if any sample was recorded.
-    pub fn max_decade(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&c| c > 0)
-    }
-}
-
-/// Decade index of `v`: number of decimal digits minus one (0 for 0).
-pub fn decade_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        v.ilog10() as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,29 +142,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.fraction_at_most(10), 0.0);
         assert_eq!(c.mean(), 0.0);
-    }
-
-    #[test]
-    fn decade_of_boundaries() {
-        assert_eq!(decade_of(0), 0);
-        assert_eq!(decade_of(9), 0);
-        assert_eq!(decade_of(10), 1);
-        assert_eq!(decade_of(99), 1);
-        assert_eq!(decade_of(1_000_000), 6);
-    }
-
-    #[test]
-    fn log_histogram_counts_and_cumulative() {
-        let mut h = LogHistogram::new();
-        for v in [1u64, 5, 12, 120, 1_200] {
-            h.push(v);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.count(0), 2);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.max_decade(), Some(3));
-        assert!((h.cumulative_fraction(1) - 0.6).abs() < 1e-12);
-        assert!((h.cumulative_fraction(3) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod ci;
 pub mod seed;
 pub mod stop;
 
-pub use cdf::{Cdf, LogHistogram};
+pub use cdf::Cdf;
 pub use ci::{required_samples, Proportion};
 pub use seed::SeedSeq;
 pub use stop::{StopDecision, StopPolicy};

@@ -137,11 +137,6 @@ impl SplitRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     ///
     /// # Panics
@@ -197,13 +192,6 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn chance_matches_probability_roughly() {
-        let mut rng = SeedSeq::new(11).rng();
-        let hits = (0..10_000).filter(|_| rng.chance(0.1)).count();
-        assert!((800..1200).contains(&hits), "hits {hits}");
     }
 
     #[test]

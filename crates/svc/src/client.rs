@@ -2,8 +2,8 @@
 //! smoke tests use.
 //!
 //! The client pipelines submissions: send every `SubmitJob` up front,
-//! then demultiplex the server's interleaved `Accepted` / `Progress` /
-//! `Chunk` / `Done` stream by request id and ticket. The result of a
+//! then demultiplex the server's interleaved `Accepted` / `Chunk` /
+//! `Done` stream by request id and ticket. The result of a
 //! completed job is reassembled into a [`CampaignResult`] that
 //! compares byte-identical to in-process execution (records, counts,
 //! golden reference, and merged telemetry; engine counters and
@@ -120,7 +120,6 @@ impl SvcClient {
                     .ok_or_else(|| format!("unknown request id {req}"))?;
                 slot.outcome = Some(JobOutcome::Rejected(reason));
             }
-            Message::Progress { .. } => {}
             Message::Chunk {
                 ticket,
                 start,

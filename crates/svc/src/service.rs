@@ -51,7 +51,7 @@ impl Default for ServiceConfig {
 /// [`ServiceHandle::shutdown`] for a clean stop).
 #[derive(Debug)]
 pub struct ServiceHandle {
-    server: Server<ServiceMachine>,
+    server: Server,
     execs: Vec<thread::JoinHandle<()>>,
 }
 
@@ -95,11 +95,7 @@ pub fn serve(cfg: ServiceConfig) -> io::Result<ServiceHandle> {
     Ok(ServiceHandle { server, execs })
 }
 
-fn exec_worker(
-    task_rx: &Mutex<mpsc::Receiver<(u64, JobWire)>>,
-    chaos: &AtomicU64,
-    waker: &Waker<Command>,
-) {
+fn exec_worker(task_rx: &Mutex<mpsc::Receiver<(u64, JobWire)>>, chaos: &AtomicU64, waker: &Waker) {
     loop {
         let task = match task_rx.lock() {
             Ok(rx) => rx.recv(),

@@ -117,15 +117,6 @@ impl Histogram {
             sum,
         })
     }
-
-    /// Upper bound (exclusive) of the highest non-empty bucket; `None`
-    /// when empty. A cheap deterministic stand-in for the maximum.
-    pub fn max_bound(&self) -> Option<u64> {
-        self.buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| bucket_bounds(i).1)
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +144,6 @@ mod tests {
         assert_eq!(h.sum(), 1035);
         assert_eq!(h.bucket_counts()[0], 1);
         assert_eq!(h.bucket_counts()[bucket_of(5)], 2);
-        assert_eq!(h.max_bound(), Some(2048));
     }
 
     #[test]
@@ -174,6 +164,5 @@ mod tests {
     #[test]
     fn mean_of_empty_is_zero() {
         assert_eq!(Histogram::new().mean(), 0.0);
-        assert_eq!(Histogram::new().max_bound(), None);
     }
 }

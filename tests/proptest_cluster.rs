@@ -57,7 +57,7 @@ fn mutate(src: &mut Source, bytes: &mut Vec<u8>) {
 /// An arbitrary message of either conversation, every variant drawn,
 /// for the round-trip property and the decoder fuzz.
 fn arbitrary_message(src: &mut Source) -> Message {
-    match src.index(21) {
+    match src.index(20) {
         0 => Message::Hello {
             version: src.u64() as u16,
             tenant: src.lowercase_string(0, 16),
@@ -65,9 +65,7 @@ fn arbitrary_message(src: &mut Source) -> Message {
         1 => Message::HelloAck {
             id: src.u64() as u32,
         },
-        2 => Message::RequestShard {
-            worker: src.u64() as u32,
-        },
+        2 => Message::RequestShard,
         3 => Message::Assign {
             shard: Shard {
                 id: src.u64() as u32,
@@ -83,7 +81,6 @@ fn arbitrary_message(src: &mut Source) -> Message {
             done: src.bool(),
         },
         5 => Message::Heartbeat {
-            worker: src.u64() as u32,
             shard: src.u64() as u32,
         },
         6 => Message::HeartbeatAck {
@@ -127,27 +124,21 @@ fn arbitrary_message(src: &mut Source) -> Message {
         },
         13 => Message::Cancel { ticket: src.u64() },
         14 => Message::Cancelled { ticket: src.u64() },
-        15 => Message::Progress {
-            ticket: src.u64(),
-            running: src.bool(),
-            done: src.u64(),
-            total: src.u64(),
-        },
-        16 => Message::Chunk {
+        15 => Message::Chunk {
             ticket: src.u64(),
             start: src.u64(),
             records: (0..src.index(8)).map(|_| arbitrary_record(src)).collect(),
         },
-        17 => Message::Done {
+        16 => Message::Done {
             ticket: src.u64(),
             golden: arbitrary_golden(src),
             merged: arbitrary_recorder(src),
         },
-        18 => Message::Failed {
+        17 => Message::Failed {
             ticket: src.u64(),
             reason: src.lowercase_string(0, 64),
         },
-        19 => Message::QueryStats,
+        18 => Message::QueryStats,
         _ => Message::Stats {
             recorder: arbitrary_recorder(src),
         },
