@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The single local CI gate, mirrored by .github/workflows/ci.yml.
 #
-# The workspace is hermetic by construction — no external crates — so
-# every step runs with `--offline`: a clean checkout plus a bare
-# rustc/cargo toolchain must be enough. If a step here fails, CI fails.
+# The workspace is hermetic by construction — no external crates, which
+# the hermeticity stage checks — so every step runs with `--offline`: a
+# clean checkout plus a bare rustc/cargo toolchain must be enough. If a
+# step here fails, CI fails.
 #
 # Set NESTSIM_CI_ARTIFACTS to a directory to collect the fresh
 # BENCH_*.json measurement files the gates produce (ci.yml uploads
@@ -79,8 +80,8 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1714
-doc_cap README.md 604
+doc_cap DESIGN.md 1683
+doc_cap README.md 597
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
 # An entry runs from a line starting `PR <n>` to the next one; only the
@@ -104,9 +105,23 @@ LC_ALL=C awk '
     }
 ' CHANGES.md
 
-stage "nestlint scan (token rules + whole-program call-graph rules, fails on unsuppressed findings)"
-# The scan now includes the three graph rules (panic-reachability,
-# determinism-taint, wire-codec-symmetry); --budget-ms keeps the whole
+stage "hermeticity (the resolved dependency graph holds no registry or git package)"
+# cargo metadata prints `"source":null` for a path package and the
+# registry or git URL for any other; a dependency cargo cannot resolve
+# offline fails the command itself. Both workspaces: the root one and
+# the benchmark package's.
+for manifest in Cargo.toml benchmark/Cargo.toml; do
+    metadata="$(cargo metadata --offline --format-version 1 --manifest-path "$manifest")"
+    if grep -qF '"source":"' <<< "$metadata"; then
+        echo "ci.sh: $manifest resolves a registry or git dependency"
+        exit 1
+    fi
+done
+
+stage "nestlint scan (no-panic-on-wire, telemetry-names and the call-graph rules; fails on unsuppressed findings)"
+# nestlint keeps only what no other stage checks: the wire token rule,
+# the telemetry-name registry and the two graph rules
+# (panic-reachability, determinism-taint). --budget-ms keeps the whole
 # warm scan under 5s so the lint never becomes the slow stage, and the
 # JSONL artifact lets a red gate be triaged from the run page.
 NESTLINT_ARGS=(--budget-ms 5000)
@@ -116,8 +131,9 @@ if [[ -n "${NESTSIM_CI_ARTIFACTS:-}" ]]; then
 fi
 cargo run --offline -q -p nestlint -- "${NESTLINT_ARGS[@]}"
 
-stage "cargo clippy (all targets, -D warnings)"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+stage "cargo clippy (all targets, -D warnings, every allow needs a reason)"
+cargo clippy --offline --workspace --all-targets -- -D warnings \
+    -W clippy::allow_attributes_without_reason
 
 stage "cargo build --release"
 cargo build --offline --release

@@ -31,11 +31,6 @@ const LINES_PER_PAGE: usize = 1 << PAGE_SHIFT;
 /// doubled the allocation count of a laddered campaign.
 const PAGES_PER_CHUNK: usize = 64;
 
-// nestlint: allow(no-nondeterminism) -- audited: line maps are accessed
-// point-wise by line address; the only iterations are diff_lines (sorts
-// keys first), differs (an order-free `any`) and apply_to (one
-// independent write per key, order commutes), so hash order never
-// reaches results.
 type LineMap = std::collections::HashMap<u64, Line>;
 
 /// Hashes a `u64` key with one multiply. For keys chosen by the
@@ -64,10 +59,6 @@ impl Hasher for U64Hasher {
 /// [`U64Hasher`] as the `S` of a `HashMap<u64, V, S>` / `HashSet<u64, S>`.
 pub type BuildU64Hasher = BuildHasherDefault<U64Hasher>;
 
-// nestlint: allow(no-nondeterminism) -- audited: the page table is
-// probed point-wise by page number; the iterations are freeze (every
-// private slot gets the same arena pointer), clone (slot by slot, same
-// keys) and the order-free `all` of the semantic equality.
 type PageTable = std::collections::HashMap<u64, Slot, BuildU64Hasher>;
 
 /// One 4 KiB page plus its count of non-zero lines.
@@ -317,6 +308,8 @@ impl DramContents {
     /// reads that page — an arena is freed whole, when its last holder
     /// lets go.
     pub fn retained_pages(&self) -> usize {
+        // nestlint: allow(determinism-taint) -- the arena pointers are
+        // sorted and deduped below, so the visiting order washes out.
         let mut arenas: Vec<&Arc<Arena>> = (self.page_slots.values())
             .filter_map(|slot| slot.shared.as_ref())
             .collect();
@@ -463,6 +456,8 @@ impl PartialEq for DramContents {
         // sets; pages compare by bytes, wherever they live.
         self.backed == other.backed
             && self.page_slots.len() == other.page_slots.len()
+            // nestlint: allow(determinism-taint) -- an `all` over
+            // independent per-page comparisons is order-free.
             && self.page_slots.iter().all(|(no, slot)| {
                 other
                     .page_slots

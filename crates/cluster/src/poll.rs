@@ -7,10 +7,12 @@
 //! ready until drained, so a driver that processes a bounded amount
 //! per wakeup never loses events.
 
-// The epoll FFI below is the workspace's one audited exception to the
-// crate's `deny(unsafe_code)`: four foreign calls, each checked for -1
-// and surfaced as `io::Error`, with no pointer lifetime beyond the call.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the epoll FFI below is the workspace's one audited exception to the crate's \
+              `deny(unsafe_code)`: four foreign calls, each checked for -1 and surfaced as \
+              `io::Error`, with no pointer lifetime beyond the call"
+)]
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(

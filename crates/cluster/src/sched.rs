@@ -10,7 +10,7 @@
 //! deep the heavy tenant's backlog is (locked by the tests below).
 //!
 //! The scheduler is pure data structure — no clock, no randomness —
-//! and is policy-pinned `NoNondeterminism`: identical enqueue/dequeue
+//! and is policy-pinned `determinism-taint`: identical enqueue/dequeue
 //! sequences yield identical service orders on every run.
 
 use std::collections::{BTreeMap, VecDeque};

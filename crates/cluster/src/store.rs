@@ -9,7 +9,7 @@
 //! subscriber receives the single output.
 //!
 //! The store is pure data (BTree maps, no clock, no hashing
-//! randomness) and is policy-pinned `NoNondeterminism`.
+//! randomness) and is policy-pinned `determinism-taint`.
 
 use crate::proto::JobWire;
 use nestsim_core::inject::{GoldenRef, InjectionRecord};

@@ -412,9 +412,11 @@ impl<C: Component> Kept<C> {
 
 /// A shard's [`Kept`] drivers and lanes. A shard runs one component, so
 /// it keeps that component's alone.
-// One per shard runner, inline: it is as large as one component's
-// drivers, where a field per component would hold all four.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one per shard runner, inline: it is as large as one component's drivers, \
+              where a field per component would hold all four"
+)]
 #[derive(Debug, Default)]
 pub enum Spares {
     /// Nothing kept yet.
@@ -753,9 +755,11 @@ pub(crate) use on_component;
 /// target on flops, so they hold flops from the start. A target on `W`
 /// keeps the flops it last held, and the next conversion writes into
 /// them: a recycled driver converts without allocating.
-// `Flops` holds the component's handle tables inline; a box would be
-// one more allocation per conversion.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "`Flops` holds the component's handle tables inline; a box would be one more \
+              allocation per conversion"
+)]
 #[derive(Debug)]
 enum Target<W: FaultFree> {
     /// The fault-free model: packets (CCX), slot images (L2C) or plain

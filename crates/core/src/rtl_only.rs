@@ -60,9 +60,9 @@ impl RtlOnlyConfig {
 /// Panics if the error-free RTL-only run does not complete.
 pub fn rtl_only_golden(cfg: &RtlOnlyConfig) -> GoldenRef {
     let sys = System::new(cfg.system_config(cfg.seed));
-    match run_rtl_only(sys, cfg.bank, None, u64::MAX) {
-        (RunResult::Completed { digest, cycles }, _) => GoldenRef { digest, cycles },
-        (other, _) => panic!("error-free RTL-only run failed: {other:?}"),
+    match run_rtl_only(sys, cfg.bank, None) {
+        RunResult::Completed { digest, cycles } => GoldenRef { digest, cycles },
+        other => panic!("error-free RTL-only run failed: {other:?}"),
     }
 }
 
@@ -80,8 +80,7 @@ pub fn run_rtl_only_injection(
 ) -> Outcome {
     let mut sys = System::new(cfg.system_config(cfg.seed));
     sys.set_watchdog(golden.watchdog());
-    let (result, _) = run_rtl_only(sys, cfg.bank, Some((bit, inject_cycle)), u64::MAX);
-    golden.verdict(&result)
+    golden.verdict(&run_rtl_only(sys, cfg.bank, Some((bit, inject_cycle))))
 }
 
 /// Mixed-mode counterpart on the identical reduced configuration, so
@@ -112,21 +111,13 @@ pub fn run_mixed_injection_reduced(
     }
 }
 
-/// Drives a full RTL-only execution, optionally injecting `(bit, at)`.
-/// Returns the application result and the number of co-simulated
-/// cycles.
-fn run_rtl_only(
-    sys: System,
-    bank: BankId,
-    inject: Option<(usize, u64)>,
-    cap: u64,
-) -> (RunResult, u64) {
+/// Drives a full RTL-only execution, optionally injecting `(bit, at)`,
+/// and returns the application result.
+fn run_rtl_only(sys: System, bank: BankId, inject: Option<(usize, u64)>) -> RunResult {
     let mut drv = L2cDriver::attach(sys, bank);
     let mut injected = false;
-    let mut cycles = 0u64;
     loop {
         drv.step();
-        cycles += 1;
         if let Some((bit, at)) = inject {
             if !injected && drv.cycle() >= at {
                 drv.inject(bit);
@@ -134,22 +125,19 @@ fn run_rtl_only(
             }
         }
         if let Some((thread, cause, cycle)) = drv.sys().trap() {
-            return (
-                RunResult::Trapped {
-                    thread,
-                    cause,
-                    cycle,
-                },
-                cycles,
-            );
+            return RunResult::Trapped {
+                thread,
+                cause,
+                cycle,
+            };
         }
         if drv.sys().all_halted() {
             let detach = drv.detach();
             let mut sys = detach.sys;
-            return (sys.run_to_end(), cycles);
+            return sys.run_to_end();
         }
-        if drv.cycle() > drv.sys().watchdog() || cycles >= cap {
-            return (RunResult::Hang { cycle: drv.cycle() }, cycles);
+        if drv.cycle() > drv.sys().watchdog() {
+            return RunResult::Hang { cycle: drv.cycle() };
         }
     }
 }

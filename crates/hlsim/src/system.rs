@@ -249,11 +249,7 @@ pub struct System {
     first_taint_read: Option<u64>,
 }
 
-// nestlint: allow(no-nondeterminism) -- audited: last-store cycles are
-// read point-wise by line address (get/insert/len only).
 type StoreMap = std::collections::HashMap<u64, u64, BuildU64Hasher>;
-// nestlint: allow(no-nondeterminism) -- audited: the taint set is only
-// probed with contains/is_empty and extended; never iterated.
 type LineSet = std::collections::HashSet<u64, BuildU64Hasher>;
 
 // Hand-written so that `clone_from` reuses every buffer. Both methods

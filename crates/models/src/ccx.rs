@@ -919,7 +919,10 @@ mod tests {
     /// verbatim: every (port, source) pair re-reads the FIFO from the
     /// flops and loads the whole packet to test one routing field. The
     /// oracle of `route_once_tick_matches_the_reference_tick`.
-    #[allow(clippy::clone_on_copy)] // the descriptors used to own two `Vec`s
+    #[allow(
+        clippy::clone_on_copy,
+        reason = "the descriptors used to own two `Vec`s"
+    )]
     impl Ccx {
         fn tick_reference(
             &mut self,
@@ -932,7 +935,10 @@ mod tests {
             // Stages self-clear on drain (payload included): like the
             // shifting queues, this makes the microarchitectural state
             // reconstructible by warm-up alone (footnote 4 / Fig. 5).
-            #[allow(clippy::needless_range_loop)] // k indexes three parallel arrays
+            #[allow(
+                clippy::needless_range_loop,
+                reason = "k indexes three parallel arrays"
+            )]
             for k in 0..NUM_L2_BANKS {
                 let s = self.ports.pcx_stage[k];
                 if s.is_valid(&self.flops) && bank_can_accept[k] {

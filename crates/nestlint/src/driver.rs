@@ -1,17 +1,15 @@
-//! The workspace walker: finds sources and manifests, applies the
-//! policy table, filters through suppressions, and aggregates the
-//! final finding list.
+//! The workspace walker: finds sources, applies the policy table,
+//! filters through suppressions, and aggregates the final finding list.
 //!
 //! Scope — what gets which checks:
 //!
 //! * `.rs` files outside `tests/` / `benches/` / `examples/`
-//!   directories: path-scoped rules from [`crate::policy`], plus
-//!   `allow-justification` and suppression hygiene everywhere, with
-//!   `#[cfg(test)]` / `#[test]` items masked out;
+//!   directories: the token rule where [`crate::policy`] enables it,
+//!   suppression hygiene everywhere, and the graph rules over all of
+//!   them, with `#[cfg(test)]` / `#[test]` items masked out;
 //! * every `.rs` file (including tests and benches): `names::X`
 //!   reference collection for the R3 coherence check — a name counted
 //!   only from a test still counts as used;
-//! * every `Cargo.toml`: the R4 hermeticity check;
 //! * the telemetry schema file is additionally parsed as the R3
 //!   registry.
 //!
@@ -24,16 +22,12 @@ use std::time::{Duration, Instant};
 
 use crate::graph::{Graph, Model};
 use crate::lexer::lex;
-use crate::manifest::check_manifest;
 use crate::names_check::{check_names, collect_uses, parse_names};
 use crate::policy::rules_for;
 use crate::rules::{
-    check_allow_justification, check_no_nondeterminism, check_no_panic_on_wire, parse_suppressions,
-    test_ranges, Finding, Rule, Suppressions,
+    check_no_panic_on_wire, parse_suppressions, test_ranges, Finding, Rule, Suppressions,
 };
-use crate::whole::{
-    check_codec_symmetry, check_determinism_taint, check_panic_reachability, WholeConfig,
-};
+use crate::whole::{check_determinism_taint, check_panic_reachability, WholeConfig};
 
 /// Where the telemetry name registry lives, workspace-relative.
 pub const NAMES_FILE: &str = "crates/telemetry/src/lib.rs";
@@ -44,7 +38,7 @@ pub struct ScanResult {
     pub findings: Vec<Finding>,
     /// Findings waved through by justified suppressions.
     pub suppressed: usize,
-    /// Number of files examined (sources + manifests).
+    /// Number of source files examined.
     pub files: usize,
     /// Wall time per scan stage, for the CI budget gate.
     pub timings: Vec<(&'static str, Duration)>,
@@ -55,8 +49,7 @@ pub struct ScanResult {
 /// so the corpus test parses exactly what the scan analyzes.
 pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut sources = Vec::new();
-    let mut manifests = Vec::new();
-    walk(root, root, &mut sources, &mut manifests)?;
+    walk(root, root, &mut sources)?;
     sources.sort();
     let mut out = Vec::new();
     for rel in sources {
@@ -73,13 +66,10 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 pub fn scan(root: &Path) -> Result<ScanResult, String> {
     crate::policy::check_table()?;
     let mut sources = Vec::new();
-    let mut manifests = Vec::new();
-    walk(root, root, &mut sources, &mut manifests)?;
+    walk(root, root, &mut sources)?;
     sources.sort();
-    manifests.sort();
 
     let mut findings = Vec::new();
-    let mut suppressed = 0usize;
     let mut files = 0usize;
     let mut uses: Vec<(String, String, u32)> = Vec::new();
     let mut names_decl = None;
@@ -103,17 +93,10 @@ pub fn scan(root: &Path) -> Result<ScanResult, String> {
         }
         let s = parse_suppressions(rel, &lexed);
         findings.extend(s.findings.iter().cloned());
-        let skip = test_ranges(&lexed.tokens);
-        for rule in rules_for(rel) {
-            match rule {
-                Rule::NoNondeterminism => {
-                    findings.extend(check_no_nondeterminism(rel, &lexed, &skip))
-                }
-                Rule::NoPanicOnWire => findings.extend(check_no_panic_on_wire(rel, &lexed, &skip)),
-                _ => {}
-            }
+        if rules_for(rel).contains(&Rule::NoPanicOnWire) {
+            let skip = test_ranges(&lexed.tokens);
+            findings.extend(check_no_panic_on_wire(rel, &lexed, &skip));
         }
-        findings.extend(check_allow_justification(rel, &lexed, &skip));
         sups.insert(rel.clone(), s);
         kept.push((rel.clone(), text));
     }
@@ -124,7 +107,7 @@ pub fn scan(root: &Path) -> Result<ScanResult, String> {
     }
 
     // Whole-program rules: build the model and call graph once, then
-    // run the three graph analyses. Their findings flow through the
+    // run the two graph analyses. Their findings flow through the
     // same suppression filter as everything else.
     let t0 = Instant::now();
     let model = Model::build(kept);
@@ -137,17 +120,6 @@ pub fn scan(root: &Path) -> Result<ScanResult, String> {
     let t0 = Instant::now();
     findings.extend(check_determinism_taint(&graph, &cfg));
     timings.push(("determinism-taint", t0.elapsed()));
-    let t0 = Instant::now();
-    findings.extend(check_codec_symmetry(&model, &cfg));
-    timings.push(("wire-codec-symmetry", t0.elapsed()));
-
-    for rel in &manifests {
-        let text = fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
-        files += 1;
-        let rep = check_manifest(rel, &text);
-        findings.extend(rep.findings);
-        suppressed += rep.suppressed;
-    }
 
     let before = findings.len();
     findings.retain(|f| {
@@ -156,7 +128,7 @@ pub fn scan(root: &Path) -> Result<ScanResult, String> {
             .map(|s| s.covers(f.rule, f.line))
             .unwrap_or(false)
     });
-    suppressed += before - findings.len();
+    let suppressed = before - findings.len();
     findings.sort();
     findings.dedup();
     Ok(ScanResult {
@@ -177,12 +149,7 @@ fn is_test_like(rel: &str) -> bool {
         || rel.contains("/examples/")
 }
 
-fn walk(
-    root: &Path,
-    dir: &Path,
-    sources: &mut Vec<String>,
-    manifests: &mut Vec<String>,
-) -> Result<(), String> {
+fn walk(root: &Path, dir: &Path, sources: &mut Vec<String>) -> Result<(), String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -193,9 +160,7 @@ fn walk(
             if matches!(name.as_ref(), "target" | ".git" | ".github" | "fixtures") {
                 continue;
             }
-            walk(root, &path, sources, manifests)?;
-        } else if name == "Cargo.toml" {
-            manifests.push(rel_path(root, &path));
+            walk(root, &path, sources)?;
         } else if name.ends_with(".rs") {
             sources.push(rel_path(root, &path));
         }

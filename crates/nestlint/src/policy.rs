@@ -3,15 +3,16 @@
 //! Paths are workspace-relative with forward slashes. The table is
 //! first-match-wins, so narrow exemptions (one file) sit above the
 //! broad crate entries they carve a hole into. Everything the table
-//! does not mention gets no path-scoped rules — the workspace-global
-//! rules (`telemetry-names`, `hermeticity`) and the everywhere rules
-//! (`allow-justification`, suppression hygiene) are not path-scoped
-//! and do not appear here.
+//! does not mention gets no path-scoped rules; `telemetry-names` and
+//! suppression hygiene are not path-scoped and do not appear here.
+//! A row names where a rule starts: `no-panic-on-wire` files are
+//! token-checked and root `panic-reachability` at their decode entry
+//! points; every fn of a `determinism-taint` file roots that rule.
 //!
 //! The split encodes the repo's determinism argument (see DESIGN.md
 //! "Static analysis"): crates whose outputs feed campaign *results*
-//! must be deterministic by construction, so hash-ordered containers
-//! and wall clocks are banned there; infrastructure that exists to
+//! must be deterministic by construction, so hash-order iteration and
+//! wall clocks are banned there; infrastructure that exists to
 //! measure wall time (bench harness, perf self-calibration) or to run
 //! real clocks (cluster lease bookkeeping, sockets) is exempt by
 //! listing, not by accident.
@@ -37,51 +38,51 @@ pub const TABLE: &[PolicyRow] = &[
     },
     PolicyRow {
         prefix: "crates/cluster/src/wire.rs",
-        rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
+        rules: &[Rule::DeterminismTaint, Rule::NoPanicOnWire],
         why: "decodes untrusted TCP bytes into result-carrying values",
     },
     PolicyRow {
         prefix: "crates/cluster/src/frame.rs",
-        rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
+        rules: &[Rule::DeterminismTaint, Rule::NoPanicOnWire],
         why: "parses untrusted frame headers; a bad length must be an error, not a panic",
     },
     PolicyRow {
         prefix: "crates/cluster/src/proto.rs",
-        rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
+        rules: &[Rule::DeterminismTaint, Rule::NoPanicOnWire],
         why: "decodes untrusted messages from workers and multi-tenant service clients; \
               the service's determinism key (content address) is computed from these codecs",
     },
     PolicyRow {
         prefix: "crates/cluster/src/shard.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "shard planning must be identical in every process",
     },
     PolicyRow {
         prefix: "crates/cluster/src/machine.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "sans-I/O campaign server machine: a pure event→actions function the model \
               checker replays under every schedule; time arrives only as an event payload",
     },
     PolicyRow {
         prefix: "crates/cluster/src/worker_machine.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "sans-I/O worker: same pure-function contract as the server machine",
     },
     PolicyRow {
         prefix: "crates/cluster/src/sched.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "DRR fair-share ordering must be a pure function of submissions so grant \
               order is reproducible in the model checker and across restarts",
     },
     PolicyRow {
         prefix: "crates/cluster/src/store.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "the content-addressed store decides dedup hits; its keys and fan-out \
               order must be identical in every process",
     },
     PolicyRow {
         prefix: "crates/cluster/src/conn.rs",
-        rules: &[Rule::NoNondeterminism, Rule::NoPanicOnWire],
+        rules: &[Rule::DeterminismTaint, Rule::NoPanicOnWire],
         why: "incremental frame accumulation over nonblocking sockets: a malformed \
               header from one peer must not panic the shared server loop",
     },
@@ -110,80 +111,80 @@ pub const TABLE: &[PolicyRow] = &[
     },
     PolicyRow {
         prefix: "crates/mck/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "the model checker's value is exact replay from a printed seed or schedule; \
-              a wall clock or hash-ordered container anywhere in it voids that",
+              a wall clock or hash-order iteration anywhere in it voids that",
     },
     PolicyRow {
         prefix: "crates/arch/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "architectural state feeds golden digests and corruption diffs",
     },
     PolicyRow {
         prefix: "crates/core/src/adaptive.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "the round scheduler: stop decisions and stratum allocations must be a pure \
               function of merged counts, identical on every node; pinned explicitly so a \
               future core-wide exemption cannot silently drop it",
     },
     PolicyRow {
         prefix: "crates/core/src/checkpoint.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "rollback/propagation analysis is part of every record; pinned explicitly so \
               a future core-wide exemption cannot silently drop it",
     },
     PolicyRow {
         prefix: "crates/core/src/lanes.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "lane batching must retire byte-identical results at every lane width; \
               pinned explicitly so a future core-wide exemption cannot silently drop it",
     },
     PolicyRow {
         prefix: "crates/core/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "the injection engine: everything here is result-affecting",
     },
     PolicyRow {
         prefix: "crates/hlsim/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "the accelerated-mode simulator produces the golden reference",
     },
     PolicyRow {
         prefix: "crates/models/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "component models decide every outcome classification",
     },
     PolicyRow {
         prefix: "crates/proto/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "address/packet types flow through digests",
     },
     PolicyRow {
         prefix: "crates/qrr/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "detection/recovery outcomes are results",
     },
     PolicyRow {
         prefix: "crates/rtl/src/lanes.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "the lane-wise XOR golden compare decides which universes diverged; \
               pinned explicitly so a future rtl-wide exemption cannot silently drop it",
     },
     PolicyRow {
         prefix: "crates/rtl/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "RTL state and parity feed outcome classification",
     },
     PolicyRow {
         prefix: "crates/stats/src/stop.rs",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "the sequential stop rule: cluster coordinator and in-process engine must \
               reach identical decisions from identical counts; pinned explicitly so a \
               future stats-wide exemption cannot silently drop it",
     },
     PolicyRow {
         prefix: "crates/stats/src/",
-        rules: &[Rule::NoNondeterminism],
+        rules: &[Rule::DeterminismTaint],
         why: "estimators and seeds must replay bit-identically",
     },
 ];
@@ -235,11 +236,8 @@ pub fn render_policy() -> String {
         out.push_str(&format!("  {:<38} {rules}\n", row.prefix));
         out.push_str(&format!("  {:<38}   why: {}\n", "", row.why));
     }
-    out.push_str(
-        "  everywhere                             allow-justification, suppression hygiene\n",
-    );
-    out.push_str("  every Cargo.toml                       hermeticity\n");
-    out.push_str("  whole workspace                        telemetry-names, panic-reachability, determinism-taint, wire-codec-symmetry\n");
+    out.push_str("  everywhere                             suppression hygiene\n");
+    out.push_str("  whole workspace                        telemetry-names, panic-reachability, determinism-taint\n");
     out
 }
 
@@ -250,12 +248,12 @@ mod tests {
     #[test]
     fn narrow_exemptions_win_over_crate_rows() {
         assert!(rules_for("crates/core/src/perfmodel.rs").is_empty());
-        assert!(rules_for("crates/core/src/cosim.rs").contains(&Rule::NoNondeterminism));
+        assert!(rules_for("crates/core/src/cosim.rs").contains(&Rule::DeterminismTaint));
     }
 
     #[test]
     fn lane_modules_are_pinned_result_affecting() {
-        // The lane modules must stay NoNondeterminism via their own
+        // The lane modules must stay DeterminismTaint via their own
         // rows, not by riding the crate-wide defaults: the explicit
         // prefix must match before the crate prefix does.
         for path in [
@@ -264,7 +262,7 @@ mod tests {
             "crates/core/src/adaptive.rs",
             "crates/stats/src/stop.rs",
         ] {
-            assert!(rules_for(path).contains(&Rule::NoNondeterminism), "{path}");
+            assert!(rules_for(path).contains(&Rule::DeterminismTaint), "{path}");
             let row = TABLE
                 .iter()
                 .find(|r| path.starts_with(r.prefix))
@@ -278,7 +276,7 @@ mod tests {
         for f in ["wire.rs", "frame.rs", "proto.rs"] {
             let rules = rules_for(&format!("crates/cluster/src/{f}"));
             assert!(rules.contains(&Rule::NoPanicOnWire), "{f}");
-            assert!(rules.contains(&Rule::NoNondeterminism), "{f}");
+            assert!(rules.contains(&Rule::DeterminismTaint), "{f}");
         }
         assert!(rules_for("crates/cluster/src/lease.rs").is_empty());
         assert!(rules_for("crates/cluster/src/coordinator.rs").is_empty());
@@ -298,7 +296,7 @@ mod tests {
             "crates/mck/src/exec.rs",
             "crates/mck/src/bin/mck_smoke.rs",
         ] {
-            assert!(rules_for(path).contains(&Rule::NoNondeterminism), "{path}");
+            assert!(rules_for(path).contains(&Rule::DeterminismTaint), "{path}");
         }
     }
 
@@ -309,7 +307,7 @@ mod tests {
         for path in ["crates/cluster/src/proto.rs", "crates/cluster/src/conn.rs"] {
             let rules = rules_for(path);
             assert!(rules.contains(&Rule::NoPanicOnWire), "{path}");
-            assert!(rules.contains(&Rule::NoNondeterminism), "{path}");
+            assert!(rules.contains(&Rule::DeterminismTaint), "{path}");
         }
         for f in ["poll.rs", "server.rs"] {
             let rules = rules_for(&format!("crates/cluster/src/{f}"));
@@ -319,7 +317,7 @@ mod tests {
         // fan-out: deterministic, but they may panic on internal bugs.
         for f in ["sched.rs", "store.rs", "machine.rs"] {
             let rules = rules_for(&format!("crates/cluster/src/{f}"));
-            assert!(rules.contains(&Rule::NoNondeterminism), "{f}");
+            assert!(rules.contains(&Rule::DeterminismTaint), "{f}");
             assert!(!rules.contains(&Rule::NoPanicOnWire), "{f}");
         }
         // The driver layer runs threads and a client: catch-all exempt.
@@ -366,7 +364,6 @@ mod tests {
             let line = line.trim_start();
             if line.starts_with("why:")
                 || line.starts_with("everywhere")
-                || line.starts_with("every Cargo.toml")
                 || line.starts_with("whole workspace")
             {
                 continue;

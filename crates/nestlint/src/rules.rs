@@ -1,6 +1,5 @@
 //! The rule engine: findings, suppressions, test-code masking, and the
-//! token-level rules (`no-nondeterminism`, `no-panic-on-wire`,
-//! `allow-justification`).
+//! one token-level rule, `no-panic-on-wire`.
 //!
 //! A rule never sees raw text — only the token stream and comment list
 //! from [`crate::lexer`] — so string literals and comments can't trip
@@ -13,26 +12,16 @@ use crate::lexer::{keyword_before_bracket, Lexed, Tok, Token};
 /// Every rule nestlint knows, by stable kebab-case id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: hash-ordered containers / wall clocks in result-affecting
-    /// code.
-    NoNondeterminism,
     /// R2: panicking constructs in untrusted-input wire paths.
     NoPanicOnWire,
     /// R3: telemetry name registry coherence.
     TelemetryNames,
-    /// R4: every dependency is a workspace path dependency.
-    Hermeticity,
-    /// R5: `#[allow(…)]` needs an adjacent justification comment.
-    AllowJustification,
     /// R8: panicking constructs in any fn transitively reachable from
     /// a wire decode entry point (whole-program; see [`crate::whole`]).
     PanicReachability,
     /// R9: nondeterminism sources reachable from result-affecting
     /// sinks along the call graph (whole-program; see [`crate::whole`]).
     DeterminismTaint,
-    /// R10: encode/decode field order and width must agree
-    /// (whole-program; see [`crate::whole`]).
-    CodecSymmetry,
     /// Meta: malformed / unjustified nestlint suppression directives.
     Suppression,
 }
@@ -41,14 +30,10 @@ impl Rule {
     /// The stable id used in reports and suppression directives.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::NoNondeterminism => "no-nondeterminism",
             Rule::NoPanicOnWire => "no-panic-on-wire",
             Rule::TelemetryNames => "telemetry-names",
-            Rule::Hermeticity => "hermeticity",
-            Rule::AllowJustification => "allow-justification",
             Rule::PanicReachability => "panic-reachability",
             Rule::DeterminismTaint => "determinism-taint",
-            Rule::CodecSymmetry => "wire-codec-symmetry",
             Rule::Suppression => "suppression",
         }
     }
@@ -56,14 +41,10 @@ impl Rule {
     /// Parses a suppression-directive rule id.
     pub fn from_id(id: &str) -> Option<Rule> {
         Some(match id {
-            "no-nondeterminism" => Rule::NoNondeterminism,
             "no-panic-on-wire" => Rule::NoPanicOnWire,
             "telemetry-names" => Rule::TelemetryNames,
-            "hermeticity" => Rule::Hermeticity,
-            "allow-justification" => Rule::AllowJustification,
             "panic-reachability" => Rule::PanicReachability,
             "determinism-taint" => Rule::DeterminismTaint,
-            "wire-codec-symmetry" => Rule::CodecSymmetry,
             "suppression" => Rule::Suppression,
             _ => return None,
         })
@@ -307,80 +288,6 @@ fn in_ranges(ranges: &[(usize, usize)], i: usize) -> bool {
     ranges.iter().any(|&(a, b)| i >= a && i < b)
 }
 
-/// R1 — banned identifiers: containers with hash-dependent iteration
-/// order and ambient time sources. Shared with the determinism-taint
-/// rule, which uses the non-container entries as hard taint sources.
-pub(crate) const R1_IDENTS: &[(&str, &str)] = &[
-    (
-        "HashMap",
-        "iteration order depends on the hasher; use BTreeMap or justify point-only access",
-    ),
-    (
-        "HashSet",
-        "iteration order depends on the hasher; use BTreeSet or justify point-only access",
-    ),
-    (
-        "RandomState",
-        "randomized hasher state is nondeterministic across processes",
-    ),
-    (
-        "DefaultHasher",
-        "hasher output is not a stable function across Rust releases",
-    ),
-    (
-        "Instant",
-        "wall-clock reads diverge across runs and machines",
-    ),
-    (
-        "SystemTime",
-        "wall-clock reads diverge across runs and machines",
-    ),
-    (
-        "UNIX_EPOCH",
-        "wall-clock reads diverge across runs and machines",
-    ),
-];
-
-/// R1: no nondeterminism in result-affecting code.
-pub fn check_no_nondeterminism(file: &str, lexed: &Lexed, skip: &[(usize, usize)]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in lexed.tokens.iter().enumerate() {
-        if in_ranges(skip, i) {
-            continue;
-        }
-        let Tok::Ident(name) = &t.tok else { continue };
-        if let Some((_, why)) = R1_IDENTS.iter().find(|(n, _)| n == name) {
-            out.push(Finding {
-                file: file.to_string(),
-                line: t.line,
-                rule: Rule::NoNondeterminism,
-                msg: format!("`{name}` in result-affecting code: {why}"),
-            });
-            continue;
-        }
-        // `thread::current()` (worker identity leaks scheduling).
-        if name == "thread"
-            && matches!(
-                lexed.tokens.get(i + 1).map(|t| &t.tok),
-                Some(Tok::Punct(':'))
-            )
-            && matches!(
-                lexed.tokens.get(i + 2).map(|t| &t.tok),
-                Some(Tok::Punct(':'))
-            )
-            && matches!(lexed.tokens.get(i + 3).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "current")
-        {
-            out.push(Finding {
-                file: file.to_string(),
-                line: t.line,
-                rule: Rule::NoNondeterminism,
-                msg: "`thread::current()` in result-affecting code: thread identity leaks scheduling into results".to_string(),
-            });
-        }
-    }
-    out
-}
-
 /// R2 — macros that abort instead of returning an error. Shared with
 /// the panic-reachability rule.
 pub(crate) const R2_MACROS: &[&str] = &[
@@ -462,53 +369,6 @@ pub fn check_no_panic_on_wire(file: &str, lexed: &Lexed, skip: &[(usize, usize)]
     out
 }
 
-/// R5: every `#[allow(…)]` / `#![allow(…)]` outside test code must
-/// carry an adjacent comment saying *why* the lint is wrong here —
-/// trailing on the same line, or ending on the line above.
-pub fn check_allow_justification(
-    file: &str,
-    lexed: &Lexed,
-    skip: &[(usize, usize)],
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if in_ranges(skip, i) {
-            continue;
-        }
-        if t.tok != Tok::Punct('#') {
-            continue;
-        }
-        let mut j = i + 1;
-        if toks.get(j).map(|t| &t.tok) == Some(&Tok::Punct('!')) {
-            j += 1;
-        }
-        if toks.get(j).map(|t| &t.tok) != Some(&Tok::Punct('[')) {
-            continue;
-        }
-        let is_allow = matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "allow" || s == "expect");
-        if !is_allow {
-            continue;
-        }
-        let line = t.line;
-        let justified = lexed
-            .comments
-            .iter()
-            .any(|c| (c.line == line && c.text.trim().len() >= 3) || c.end_line + 1 == line);
-        if !justified {
-            out.push(Finding {
-                file: file.to_string(),
-                line,
-                rule: Rule::AllowJustification,
-                msg:
-                    "#[allow(…)] without a justification comment on the same line or the line above"
-                        .to_string(),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,30 +376,6 @@ mod tests {
 
     fn lines(findings: &[Finding]) -> Vec<u32> {
         findings.iter().map(|f| f.line).collect()
-    }
-
-    #[test]
-    fn r1_flags_real_identifiers_only() {
-        let src = "// HashMap\nlet a: HashMap<u64, u8> = HashMap::new();\nlet s = \"HashSet\";\n";
-        let lexed = lex(src);
-        let f = check_no_nondeterminism("f.rs", &lexed, &[]);
-        assert_eq!(lines(&f), vec![2, 2]);
-    }
-
-    #[test]
-    fn r1_skips_cfg_test_modules() {
-        let src = "fn ok() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        let lexed = lex(src);
-        let skip = test_ranges(&lexed.tokens);
-        assert!(check_no_nondeterminism("f.rs", &lexed, &skip).is_empty());
-    }
-
-    #[test]
-    fn r1_catches_thread_current_and_time() {
-        let src = "let id = std::thread::current().id();\nlet t = Instant::now();\n";
-        let lexed = lex(src);
-        let f = check_no_nondeterminism("f.rs", &lexed, &[]);
-        assert_eq!(lines(&f), vec![1, 2]);
     }
 
     #[test]
@@ -581,58 +417,33 @@ let w = Wrapping(3);
     }
 
     #[test]
-    fn r5_requires_adjacent_comment() {
-        let src = "\
-#[allow(clippy::x)]
-fn bad() {}
-#[allow(clippy::y)] // k indexes parallel arrays
-fn good_trailing() {}
-// the lint misfires on paired iteration here
-#[allow(clippy::z)]
-fn good_above() {}
-";
-        let lexed = lex(src);
-        let skip = test_ranges(&lexed.tokens);
-        let f = check_allow_justification("f.rs", &lexed, &skip);
-        assert_eq!(lines(&f), vec![1]);
-    }
-
-    #[test]
-    fn r5_skips_test_functions() {
-        let src = "#[test]\n#[allow(clippy::x)]\nfn t() {}\n";
-        let lexed = lex(src);
-        let skip = test_ranges(&lexed.tokens);
-        assert!(check_allow_justification("f.rs", &lexed, &skip).is_empty());
-    }
-
-    #[test]
     fn suppressions_require_justification_and_known_rules() {
         let src = "\
-let a = 1; // nestlint: allow(no-nondeterminism) -- audited: point lookups only
-let b = 2; // nestlint: allow(no-nondeterminism)
+let a = 1; // nestlint: allow(determinism-taint) -- audited: point lookups only
+let b = 2; // nestlint: allow(determinism-taint)
 let c = 3; // nestlint: allow(not-a-rule) -- whatever text here
-let d = 4; // nestlint: disable(no-nondeterminism)
+let d = 4; // nestlint: disable(determinism-taint)
 ";
         let lexed = lex(src);
         let s = parse_suppressions("f.rs", &lexed);
-        assert!(s.covers(Rule::NoNondeterminism, 1));
-        assert!(!s.covers(Rule::NoNondeterminism, 2));
+        assert!(s.covers(Rule::DeterminismTaint, 1));
+        assert!(!s.covers(Rule::DeterminismTaint, 2));
         assert_eq!(lines(&s.findings), vec![2, 3, 4]);
     }
 
     #[test]
     fn suppression_block_above_covers_next_code_line() {
         let src = "\
-// nestlint: allow(no-nondeterminism) -- audited: no order-sensitive
-// iteration; lookups and removals only.
-type TagMap = std::collections::HashMap<u32, u64>;
-let late = std::collections::HashMap::new();
+// nestlint: allow(no-panic-on-wire) -- the length was checked by the
+// caller; a documented invariant, not input-dependent.
+let first = buf[0];
+let late = buf[1];
 ";
         let lexed = lex(src);
         let s = parse_suppressions("f.rs", &lexed);
-        assert!(s.covers(Rule::NoNondeterminism, 3));
-        assert!(!s.covers(Rule::NoNondeterminism, 4));
-        let f = check_no_nondeterminism("f.rs", &lexed, &[]);
+        assert!(s.covers(Rule::NoPanicOnWire, 3));
+        assert!(!s.covers(Rule::NoPanicOnWire, 4));
+        let f = check_no_panic_on_wire("f.rs", &lexed, &[]);
         let unsuppressed: Vec<_> = f
             .into_iter()
             .filter(|f| !s.covers(f.rule, f.line))
@@ -646,12 +457,12 @@ let late = std::collections::HashMap::new();
 #[cfg(test)]
 #[rustfmt::skip]
 mod tests {
-    fn inner() { let m = HashMap::new(); }
+    fn inner() { let m = buf[0]; }
 }
 fn outer() {}
 ";
         let lexed = lex(src);
         let skip = test_ranges(&lexed.tokens);
-        assert!(check_no_nondeterminism("f.rs", &lexed, &skip).is_empty());
+        assert!(check_no_panic_on_wire("f.rs", &lexed, &skip).is_empty());
     }
 }

@@ -3,24 +3,19 @@
 //! expectation markers — compiletest-style, so the lint's own behavior
 //! is pinned by files in the repo.
 //!
-//! Markers are trailing comments: `//~ <rule-id> [<rule-id> …]` in
-//! Rust fixtures, `#~ <rule-id>` in TOML fixtures. Each marker means
-//! "this line must produce exactly these findings". Lines without a
-//! marker must be clean. Markers are stripped from the source before
-//! lexing so they can't themselves satisfy (or trip) a rule — e.g. a
-//! trailing marker would otherwise read as an `#[allow]` justification
+//! Markers are trailing comments: `//~ <rule-id> [<rule-id> …]`. Each
+//! marker means "this line must produce exactly these findings". Lines
+//! without a marker must be clean. Markers are stripped from the
+//! source before lexing so they can't themselves satisfy (or trip) a
+//! rule — e.g. a trailing marker would otherwise read as a suppression
 //! comment.
 
 use std::fs;
 use std::path::Path;
 
 use crate::lexer::lex;
-use crate::manifest::check_manifest;
 use crate::names_check::{check_names, collect_uses, parse_names};
-use crate::rules::{
-    check_allow_justification, check_no_nondeterminism, check_no_panic_on_wire, parse_suppressions,
-    test_ranges, Finding, Rule,
-};
+use crate::rules::{check_no_panic_on_wire, parse_suppressions, test_ranges, Finding, Rule};
 use crate::whole::analyze_single;
 
 /// Self-test outcome: files checked and human-readable failures.
@@ -31,14 +26,15 @@ pub struct SelfTest {
 
 /// Extracts `(line, rule-id)` expectations and returns the source with
 /// markers removed (newlines preserved, so line numbers are stable).
-fn extract_markers(src: &str, marker: &str) -> (String, Vec<(u32, String)>) {
+fn extract_markers(src: &str) -> (String, Vec<(u32, String)>) {
+    const MARKER: &str = "//~";
     let mut stripped = String::with_capacity(src.len());
     let mut expected = Vec::new();
     for (idx, line) in src.lines().enumerate() {
         let line_no = idx as u32 + 1;
-        match line.find(marker) {
+        match line.find(MARKER) {
             Some(at) => {
-                for id in line[at + marker.len()..].split_whitespace() {
+                for id in line[at + MARKER.len()..].split_whitespace() {
                     expected.push((line_no, id.to_string()));
                 }
                 stripped.push_str(line[..at].trim_end());
@@ -82,15 +78,9 @@ fn compare(
     }
 }
 
-/// Runs one Rust fixture through `check` with suppression filtering,
-/// mirroring the driver's pipeline for a single file.
-fn run_rust_fixture(
-    dir: &Path,
-    file: &str,
-    check: impl Fn(&str, &crate::lexer::Lexed, &[(usize, usize)]) -> Vec<Finding>,
-    checked: &mut usize,
-    failures: &mut Vec<String>,
-) {
+/// Runs one fixture through the token rule with suppression
+/// filtering, mirroring the driver's pipeline for a single file.
+fn run_token_fixture(dir: &Path, file: &str, checked: &mut usize, failures: &mut Vec<String>) {
     let path = dir.join(file);
     let src = match fs::read_to_string(&path) {
         Ok(s) => s,
@@ -100,20 +90,27 @@ fn run_rust_fixture(
         }
     };
     *checked += 1;
-    let (stripped, mut expected) = extract_markers(&src, "//~");
+    let (stripped, mut expected) = extract_markers(&src);
     let lexed = lex(&stripped);
     let sups = parse_suppressions(file, &lexed);
     let skip = test_ranges(&lexed.tokens);
-    let mut findings = check(file, &lexed, &skip);
+    let mut findings = check_no_panic_on_wire(file, &lexed, &skip);
     findings.extend(sups.findings.iter().cloned());
     findings.retain(|f| !sups.covers(f.rule, f.line));
     compare(file, &mut expected, &findings, failures);
 }
 
-/// Runs one whole-program fixture (r8–r10) through all three graph
-/// rules with suppression filtering, mirroring the driver's pipeline
-/// with the file as its own wire surface and codec module.
-fn run_whole_fixture(dir: &Path, file: &str, checked: &mut usize, failures: &mut Vec<String>) {
+/// Runs one whole-program fixture through both graph rules with
+/// suppression filtering, mirroring the driver's pipeline with the
+/// file as its own wire surface. The fixture is analyzed as the
+/// workspace file `path`, whose policy row applies.
+fn run_whole_fixture(
+    dir: &Path,
+    file: &str,
+    path: &str,
+    checked: &mut usize,
+    failures: &mut Vec<String>,
+) {
     let src = match fs::read_to_string(dir.join(file)) {
         Ok(s) => s,
         Err(e) => {
@@ -122,45 +119,22 @@ fn run_whole_fixture(dir: &Path, file: &str, checked: &mut usize, failures: &mut
         }
     };
     *checked += 1;
-    let (stripped, mut expected) = extract_markers(&src, "//~");
-    let sups = parse_suppressions(file, &lex(&stripped));
-    let mut findings = analyze_single(file, &stripped);
+    let (stripped, mut expected) = extract_markers(&src);
+    let sups = parse_suppressions(path, &lex(&stripped));
+    let mut findings = analyze_single(path, &stripped);
     findings.extend(sups.findings.iter().cloned());
     findings.retain(|f| !sups.covers(f.rule, f.line));
-    compare(file, &mut expected, &findings, failures);
+    compare(path, &mut expected, &findings, failures);
 }
 
-/// Negative tests: mutate a fixture the way real codec/wire drift
-/// happens and assert the whole-program rules catch it. A rule whose
-/// fixture passes but whose mutation goes unflagged is decorative.
-fn run_mutation_negatives(dir: &Path, failures: &mut Vec<String>) {
-    // Deleting a field write from a `put_*` codec must be a finding.
-    if let Ok(src) = fs::read_to_string(dir.join("r10.rs")) {
-        let (stripped, _) = extract_markers(&src, "//~");
-        let anchor = "    w.u32(p.y);\n";
-        if !stripped.contains(anchor) {
-            failures.push("r10.rs: mutation anchor `w.u32(p.y);` missing".to_string());
-        } else {
-            let mutated = stripped.replacen(anchor, "", 1);
-            let hit = analyze_single("r10.rs", &mutated)
-                .into_iter()
-                .any(|f| f.rule == Rule::CodecSymmetry && f.msg.contains("put_point"));
-            if !hit {
-                failures.push(
-                    "r10.rs: deleting a field write from `put_point` produced no \
-                     wire-codec-symmetry finding"
-                        .to_string(),
-                );
-            }
-        }
-    } else {
-        failures.push("r10.rs: unreadable for mutation test".to_string());
-    }
-
+/// Negative test: mutate a fixture the way real wire drift happens and
+/// assert the whole-program rule catches it. A rule whose fixture
+/// passes but whose mutation goes unflagged is decorative.
+fn run_mutation_negative(dir: &Path, failures: &mut Vec<String>) {
     // Adding an unchecked index to a fn reachable from a wire entry
     // must be a finding.
     if let Ok(src) = fs::read_to_string(dir.join("r8.rs")) {
-        let (stripped, _) = extract_markers(&src, "//~");
+        let (stripped, _) = extract_markers(&src);
         let anchor = "let _ok = buf.first();";
         if !stripped.contains(anchor) {
             failures.push("r8.rs: mutation anchor `buf.first()` missing".to_string());
@@ -190,54 +164,29 @@ pub fn run(dir: &Path) -> SelfTest {
     let mut checked = 0usize;
     let mut failures = Vec::new();
 
-    run_rust_fixture(
+    run_token_fixture(dir, "r2.rs", &mut checked, &mut failures);
+    run_token_fixture(dir, "r7.rs", &mut checked, &mut failures);
+    run_whole_fixture(dir, "r8.rs", "r8.rs", &mut checked, &mut failures);
+    run_whole_fixture(dir, "r9.rs", "r9.rs", &mut checked, &mut failures);
+    // Analyzed where the policy table pins a whole crate to
+    // determinism-taint, so every fn in it is a root.
+    run_whole_fixture(
         dir,
-        "r1.rs",
-        check_no_nondeterminism,
+        "r9_roots.rs",
+        "crates/arch/src/r9_roots.rs",
         &mut checked,
         &mut failures,
     );
-    run_rust_fixture(
-        dir,
-        "r2.rs",
-        check_no_panic_on_wire,
-        &mut checked,
-        &mut failures,
-    );
-    run_rust_fixture(
-        dir,
-        "r5.rs",
-        check_allow_justification,
-        &mut checked,
-        &mut failures,
-    );
-    run_rust_fixture(
-        dir,
-        "r6.rs",
-        check_no_nondeterminism,
-        &mut checked,
-        &mut failures,
-    );
-    run_rust_fixture(
-        dir,
-        "r7.rs",
-        check_no_panic_on_wire,
-        &mut checked,
-        &mut failures,
-    );
-    run_whole_fixture(dir, "r8.rs", &mut checked, &mut failures);
-    run_whole_fixture(dir, "r9.rs", &mut checked, &mut failures);
-    run_whole_fixture(dir, "r10.rs", &mut checked, &mut failures);
-    run_mutation_negatives(dir, &mut failures);
+    run_mutation_negative(dir, &mut failures);
 
     // Not a fixture but a classification pin: the lane modules must
     // stay policy-classified as result-affecting. A policy-table edit
     // that drops them fails the self-test.
     for path in ["crates/core/src/lanes.rs", "crates/rtl/src/lanes.rs"] {
-        if !crate::policy::rules_for(path).contains(&crate::rules::Rule::NoNondeterminism) {
+        if !crate::policy::rules_for(path).contains(&crate::rules::Rule::DeterminismTaint) {
             failures.push(format!(
                 "{path}: policy no longer classifies the lane module as \
-                 no-nondeterminism (result-affecting)"
+                 determinism-taint (result-affecting)"
             ));
         }
     }
@@ -260,8 +209,8 @@ pub fn run(dir: &Path) -> SelfTest {
     match (names_src, use_src) {
         (Ok(names_src), Ok(use_src)) => {
             checked += 2;
-            let (names_stripped, mut exp_names) = extract_markers(&names_src, "//~");
-            let (use_stripped, mut exp_use) = extract_markers(&use_src, "//~");
+            let (names_stripped, mut exp_names) = extract_markers(&names_src);
+            let (use_stripped, mut exp_use) = extract_markers(&use_src);
             let decl = parse_names(&lex(&names_stripped));
             let uses: Vec<(String, String, u32)> = collect_uses(&lex(&use_stripped))
                 .into_iter()
@@ -280,16 +229,6 @@ pub fn run(dir: &Path) -> SelfTest {
         }
     }
 
-    match fs::read_to_string(dir.join("r4.toml")) {
-        Ok(src) => {
-            checked += 1;
-            let (stripped, mut expected) = extract_markers(&src, "#~");
-            let rep = check_manifest("r4.toml", &stripped);
-            compare("r4.toml", &mut expected, &rep.findings, &mut failures);
-        }
-        Err(e) => failures.push(format!("r4.toml: unreadable: {e}")),
-    }
-
     SelfTest { checked, failures }
 }
 
@@ -299,20 +238,16 @@ mod tests {
 
     #[test]
     fn marker_extraction_strips_and_collects() {
-        let (stripped, expected) = extract_markers(
-            "let a = x.unwrap(); //~ no-panic-on-wire\nlet b = 1;\n",
-            "//~",
-        );
+        let (stripped, expected) =
+            extract_markers("let a = x.unwrap(); //~ no-panic-on-wire\nlet b = 1;\n");
         assert_eq!(stripped, "let a = x.unwrap();\nlet b = 1;\n");
         assert_eq!(expected, vec![(1, "no-panic-on-wire".to_string())]);
     }
 
     #[test]
     fn multiple_ids_per_marker() {
-        let (_, expected) = extract_markers(
-            "buf[i].unwrap(); //~ no-panic-on-wire no-panic-on-wire\n",
-            "//~",
-        );
+        let (_, expected) =
+            extract_markers("buf[i].unwrap(); //~ no-panic-on-wire no-panic-on-wire\n");
         assert_eq!(expected.len(), 2);
     }
 
@@ -320,7 +255,7 @@ mod tests {
     fn committed_fixtures_pass() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
         let st = run(&dir);
-        assert_eq!(st.checked, 11, "fixture files missing");
+        assert_eq!(st.checked, 7, "fixture files missing");
         assert!(st.failures.is_empty(), "{:#?}", st.failures);
     }
 }

@@ -1,8 +1,8 @@
-//! The whole-program analyses: panic-reachability (R8), determinism
-//! taint (R9), and wire-codec symmetry (R10).
+//! The whole-program analyses: panic-reachability (R8) and determinism
+//! taint (R9).
 //!
-//! Where the token rules in [`crate::rules`] look at one file at a
-//! time, these three walk the call graph ([`crate::graph`]) built over
+//! Where the token rule in [`crate::rules`] looks at one file at a
+//! time, these two walk the call graph ([`crate::graph`]) built over
 //! every non-test source in the workspace:
 //!
 //! * **R8 `panic-reachability`** — from the wire *entry points* (any
@@ -16,55 +16,42 @@
 //!   Shifts are deliberately not flagged: at the token level `a << b`
 //!   is indistinguishable from nested generics (`Vec<Vec<u8>>`).
 //! * **R9 `determinism-taint`** — the *result-affecting* set is the
-//!   closure of every function that constructs a `CampaignResult`,
-//!   every telemetry `merge`, and `ServiceMachine::step`. Inside that set,
-//!   taint sources are flagged: iteration over a hash-ordered value
-//!   (a `HashMap`/`HashSet` or an alias that resolves to one —
-//!   `.iter()`, `.keys()`, `.drain()`, a `for … in` loop), wall
-//!   clocks, `RandomState`/`DefaultHasher`, and `thread::current()`.
-//!   Declaring a hash-typed alias or doing point lookups is fine;
-//!   only order-dependent consumption fires.
-//! * **R10 `wire-codec-symmetry`** — in the codec files, each
-//!   `put_X`/`get_X` pair and each `encode`/`decode` tag arm is
-//!   reduced to its field *shape* — the ordered list of primitive
-//!   reads/writes (`u8`, `u64`, `str`, …) and nested codec calls —
-//!   and the two sides are diffed. A shape is truncated at the first
-//!   control-flow keyword; truncated sides compare by common prefix
-//!   only, so a pair whose fields hide entirely behind loops (e.g. the
-//!   recorder codecs) compares vacuously — a documented limitation,
-//!   not a license: the fixed header fields of every real codec here
-//!   sit before any loop. A `put_X` with no `get_X` is flagged; a lone
-//!   `get_X` is allowed (read-side helpers like `get_name` are
-//!   legitimate).
+//!   closure of every fn in a file the policy table marks
+//!   `determinism-taint`, every function that constructs a
+//!   `CampaignResult`, every telemetry `merge`, and
+//!   `ServiceMachine::step`. Inside that set, taint sources are
+//!   flagged: iteration over a hash-ordered value (a `HashMap`/`HashSet`
+//!   or an alias that resolves to one — `.iter()`, `.keys()`,
+//!   `.drain()`, a `for … in` loop), wall clocks,
+//!   `RandomState`/`DefaultHasher`, and `thread::current()`. Declaring
+//!   a hash-typed alias or doing point lookups is fine; only
+//!   order-dependent consumption fires.
 //!
-//! All three inherit the graph's documented over-approximations: a
+//! Both inherit the graph's documented over-approximations: a
 //! spurious edge can only produce a finding a human then suppresses
 //! with a justification; a missing edge would silently hide one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::graph::{Graph, Model};
 use crate::lexer::{keyword_before_bracket, Tok, Token};
 use crate::policy;
-use crate::rules::{Finding, Rule, R1_IDENTS, R2_MACROS};
+use crate::rules::{Finding, Rule, R2_MACROS};
 
-/// What the whole-program rules treat as wire input, codec files, and
-/// telemetry — injectable so fixtures can exercise the rules on a
-/// single file.
+/// What the whole-program rules treat as wire input and telemetry —
+/// injectable so fixtures can exercise the rules on a single file.
 pub struct WholeConfig {
     /// Files whose `decode`/`get_*`/`read_frame`/`next_frame` fns are
     /// wire entry points (path prefixes).
     pub wire_files: Vec<String>,
-    /// Files whose codecs are paired and diffed (exact paths).
-    pub codec_files: Vec<String>,
     /// Path prefix under which every `merge` is a result sink.
     pub telemetry_prefix: Option<String>,
 }
 
 impl WholeConfig {
     /// The real workspace configuration: wire files are the policy
-    /// rows carrying `no-panic-on-wire`, codec files are the two
-    /// protocol modules, telemetry is the telemetry crate.
+    /// rows carrying `no-panic-on-wire`, telemetry is the telemetry
+    /// crate.
     pub fn workspace() -> WholeConfig {
         WholeConfig {
             wire_files: policy::TABLE
@@ -72,34 +59,28 @@ impl WholeConfig {
                 .filter(|r| r.rules.contains(&Rule::NoPanicOnWire))
                 .map(|r| r.prefix.to_string())
                 .collect(),
-            codec_files: vec![
-                "crates/cluster/src/wire.rs".to_string(),
-                "crates/cluster/src/proto.rs".to_string(),
-            ],
             telemetry_prefix: Some("crates/telemetry/".to_string()),
         }
     }
 
     /// A one-file configuration for fixtures: the file is its own wire
-    /// surface and codec module.
+    /// surface.
     pub fn single(path: &str) -> WholeConfig {
         WholeConfig {
             wire_files: vec![path.to_string()],
-            codec_files: vec![path.to_string()],
             telemetry_prefix: None,
         }
     }
 }
 
-/// Runs all three whole-program rules over one source file — the
-/// fixture entry point of the self-test.
+/// Runs both whole-program rules over one source file — the fixture
+/// entry point of the self-test. The path picks the file's policy row.
 pub fn analyze_single(path: &str, src: &str) -> Vec<Finding> {
     let model = Model::build(vec![(path.to_string(), src.to_string())]);
     let cfg = WholeConfig::single(path);
     let g = Graph::build(&model);
     let mut out = check_panic_reachability(&g, &cfg);
     out.extend(check_determinism_taint(&g, &cfg));
-    out.extend(check_codec_symmetry(&model, &cfg));
     out.sort();
     out.dedup();
     out
@@ -223,6 +204,30 @@ fn is_unchecked_arith(toks: &[Token], i: usize, op: char) -> bool {
 
 // ---------------------------------------------------------------- R9
 
+/// Hard taint sources: hashers and wall clocks, with why each one is.
+const TAINT_SOURCES: &[(&str, &str)] = &[
+    (
+        "RandomState",
+        "randomized hasher state is nondeterministic across processes",
+    ),
+    (
+        "DefaultHasher",
+        "hasher output is not a stable function across Rust releases",
+    ),
+    (
+        "Instant",
+        "wall-clock reads diverge across runs and machines",
+    ),
+    (
+        "SystemTime",
+        "wall-clock reads diverge across runs and machines",
+    ),
+    (
+        "UNIX_EPOCH",
+        "wall-clock reads diverge across runs and machines",
+    ),
+];
+
 /// Order-dependent consumption of a hash container.
 const ITER_METHODS: &[&str] = &[
     "drain",
@@ -250,6 +255,7 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
                 })
                 .unwrap_or(false);
             builds_result
+                || policy::rules_for(&f.path).contains(&Rule::DeterminismTaint)
                 || (cfg
                     .telemetry_prefix
                     .as_deref()
@@ -293,10 +299,7 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
                 continue;
             };
             // Hard sources: clocks, hashers, thread identity.
-            if let Some((src, why)) = R1_IDENTS
-                .iter()
-                .find(|(n, _)| n == name && *n != "HashMap" && *n != "HashSet")
-            {
+            if let Some((src, why)) = TAINT_SOURCES.iter().find(|(n, _)| n == name) {
                 push(
                     &mut out,
                     line,
@@ -440,283 +443,6 @@ fn hash_typed_names(model: &Model) -> BTreeSet<String> {
     hashy
 }
 
-// --------------------------------------------------------------- R10
-
-/// Primitive reader/writer method vocabulary (same names both sides).
-const PRIMS: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "bool", "opt_u64", "str",
-];
-
-/// Keywords that end the statically comparable prefix of a codec body.
-const CONTROL: &[&str] = &["if", "match", "for", "while", "loop"];
-
-/// One field operation in a codec body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Op {
-    /// `u8` … `str`, or `codec:<suffix>` for a nested `put_X`/`get_X`.
-    what: String,
-    /// 1-based source line.
-    line: u32,
-}
-
-/// A codec body reduced to its field operations; `complete` is false
-/// when the scan stopped at control flow (the ops are a prefix).
-#[derive(Debug, Clone)]
-struct Shape {
-    ops: Vec<Op>,
-    complete: bool,
-}
-
-/// R10: every `put_X`/`get_X` pair and every `encode`/`decode` tag arm
-/// in the codec files must agree on field order and width.
-pub fn check_codec_symmetry(model: &Model, cfg: &WholeConfig) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in &model.files {
-        if !cfg.codec_files.contains(&f.path) {
-            continue;
-        }
-        let toks = &f.lexed.tokens;
-        let in_skip = |i: usize| f.skip.iter().any(|&(a, b)| i >= a && i < b);
-
-        // put_X / get_X free-fn pairs.
-        let mut puts: BTreeMap<&str, (&crate::parser::FnDef, Shape)> = BTreeMap::new();
-        let mut gets: BTreeMap<&str, (&crate::parser::FnDef, Shape)> = BTreeMap::new();
-        // encode/decode arm maps, keyed by impl type.
-        let mut encodes: BTreeMap<String, BTreeMap<String, Shape>> = BTreeMap::new();
-        let mut decodes: BTreeMap<String, BTreeMap<String, Shape>> = BTreeMap::new();
-        for d in &f.parsed.fns {
-            let Some(body) = d.body else { continue };
-            if in_skip(d.sig_start) {
-                continue;
-            }
-            if d.self_type.is_none() {
-                if let Some(sfx) = d.name.strip_prefix("put_") {
-                    puts.insert(sfx, (d, shape(toks, body)));
-                    continue;
-                }
-                if let Some(sfx) = d.name.strip_prefix("get_") {
-                    gets.insert(sfx, (d, shape(toks, body)));
-                    continue;
-                }
-            }
-            if d.name == "encode" || d.name == "decode" {
-                let ty = d.self_type.clone().unwrap_or_default();
-                let side = if d.name == "encode" {
-                    &mut encodes
-                } else {
-                    &mut decodes
-                };
-                side.insert(ty, arms(toks, body));
-            }
-        }
-
-        for (sfx, (pd, pshape)) in &puts {
-            match gets.get(sfx) {
-                None => out.push(Finding {
-                    file: f.path.clone(),
-                    line: pd.line,
-                    rule: Rule::CodecSymmetry,
-                    msg: format!(
-                        "`put_{sfx}` has no matching `get_{sfx}` decoder in this file: every encoder needs a decoder to diff against"
-                    ),
-                }),
-                Some((_, gshape)) => out.extend(diff_shapes(
-                    &f.path,
-                    &format!("put_{sfx}"),
-                    &format!("get_{sfx}"),
-                    pshape,
-                    gshape,
-                )),
-            }
-        }
-
-        for (ty, enc_arms) in &encodes {
-            let Some(dec_arms) = decodes.get(ty) else {
-                continue;
-            };
-            let tags: BTreeSet<&String> = enc_arms.keys().chain(dec_arms.keys()).collect();
-            for tag in tags {
-                match (enc_arms.get(tag), dec_arms.get(tag)) {
-                    (Some(e), Some(d)) => out.extend(diff_shapes(
-                        &f.path,
-                        &format!("encode[{tag}]"),
-                        &format!("decode[{tag}]"),
-                        e,
-                        d,
-                    )),
-                    (Some(e), None) => out.push(arm_missing(&f.path, e, tag, "decode")),
-                    (None, Some(d)) => out.push(arm_missing(&f.path, d, tag, "encode")),
-                    (None, None) => {}
-                }
-            }
-        }
-    }
-    out
-}
-
-fn arm_missing(file: &str, present: &Shape, tag: &str, missing_side: &str) -> Finding {
-    Finding {
-        file: file.to_string(),
-        line: present.ops.first().map(|o| o.line).unwrap_or(1),
-        rule: Rule::CodecSymmetry,
-        msg: format!("`{tag}` has no arm on the {missing_side} side: the two codecs no longer speak the same protocol"),
-    }
-}
-
-/// Diffs an encode-side shape against its decode-side counterpart.
-/// Truncated shapes compare by common prefix; a mismatch is reported
-/// once, at the first divergent field.
-fn diff_shapes(file: &str, put: &str, get: &str, p: &Shape, g: &Shape) -> Vec<Finding> {
-    let n = p.ops.len().min(g.ops.len());
-    for k in 0..n {
-        if p.ops[k].what != g.ops[k].what {
-            return vec![Finding {
-                file: file.to_string(),
-                line: g.ops[k].line,
-                rule: Rule::CodecSymmetry,
-                msg: format!(
-                    "field {k} of `{get}` reads `{}` where `{put}` writes `{}`: codec drift",
-                    g.ops[k].what, p.ops[k].what
-                ),
-            }];
-        }
-    }
-    // Prefix agrees. A count mismatch is provable when the longer side
-    // is fully scanned, or when the shorter side is fully scanned and
-    // the (truncated) longer side already shows extra fields.
-    if p.ops.len() != g.ops.len() {
-        let (longer, longer_name, shorter_name, shorter_complete) = if p.ops.len() > g.ops.len() {
-            (p, put, get, g.complete)
-        } else {
-            (g, get, put, p.complete)
-        };
-        if longer.complete || shorter_complete {
-            let extra = &longer.ops[n];
-            return vec![Finding {
-                file: file.to_string(),
-                line: extra.line,
-                rule: Rule::CodecSymmetry,
-                msg: format!(
-                    "`{longer_name}` has a field `{}` at position {n} that `{shorter_name}` never touches: codec drift",
-                    extra.what
-                ),
-            }];
-        }
-    }
-    Vec::new()
-}
-
-/// Reduces a codec body to its field-operation prefix.
-fn shape(toks: &[Token], range: (usize, usize)) -> Shape {
-    let (start, end) = range;
-    let end = end.min(toks.len());
-    let mut ops = Vec::new();
-    let mut i = start;
-    while i < end {
-        if let Tok::Ident(name) = &toks[i].tok {
-            if CONTROL.contains(&name.as_str()) {
-                return Shape {
-                    ops,
-                    complete: false,
-                };
-            }
-            if let Some(op) = op_at(toks, i) {
-                ops.push(op);
-            }
-        }
-        i += 1;
-    }
-    Shape {
-        ops,
-        complete: true,
-    }
-}
-
-/// The field operation at token `i`, if any: `.u64(` / `.str(` …, or a
-/// non-method `put_X(` / `get_X(` call.
-fn op_at(toks: &[Token], i: usize) -> Option<Op> {
-    let Tok::Ident(name) = &toks[i].tok else {
-        return None;
-    };
-    if !matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) {
-        return None;
-    }
-    let after_dot = i > 0 && matches!(toks[i - 1].tok, Tok::Punct('.'));
-    if PRIMS.contains(&name.as_str()) && after_dot {
-        return Some(Op {
-            what: name.clone(),
-            line: toks[i].line,
-        });
-    }
-    if !after_dot {
-        if let Some(sfx) = name
-            .strip_prefix("put_")
-            .or_else(|| name.strip_prefix("get_"))
-        {
-            return Some(Op {
-                what: format!("codec:{sfx}"),
-                line: toks[i].line,
-            });
-        }
-    }
-    None
-}
-
-/// Splits an `encode`/`decode` body into per-tag arm shapes. Arms are
-/// delimited by `TAG_*` identifiers (the match arm pattern on the
-/// decode side, the tag write on the encode side); tokens before the
-/// first tag are the shared preamble and carry no fields. The tag
-/// write itself (`w.u8(TAG_X)`) is popped from the preceding arm so it
-/// never counts as a field.
-fn arms(toks: &[Token], range: (usize, usize)) -> BTreeMap<String, Shape> {
-    let (start, end) = range;
-    let end = end.min(toks.len());
-    let mut out: BTreeMap<String, Shape> = BTreeMap::new();
-    let mut cur: Option<(String, Vec<Op>, bool)> = None;
-    let mut last_push: Option<usize> = None;
-    for i in start..end {
-        let Tok::Ident(name) = &toks[i].tok else {
-            continue;
-        };
-        if name.starts_with("TAG_") {
-            if let Some((_, ops, _)) = cur.as_mut() {
-                // `w.u8(TAG_X)`: the u8 two tokens back is the tag
-                // write for the *next* arm, not a field of this one.
-                if last_push == Some(i.wrapping_sub(2)) {
-                    ops.pop();
-                }
-            }
-            if let Some((tag, ops, stopped)) = cur.take() {
-                out.entry(tag).or_insert(Shape {
-                    ops,
-                    complete: !stopped,
-                });
-            }
-            cur = Some((name.clone(), Vec::new(), false));
-            continue;
-        }
-        let Some((_, ops, stopped)) = cur.as_mut() else {
-            continue; // preamble
-        };
-        if CONTROL.contains(&name.as_str()) {
-            *stopped = true;
-        }
-        if !*stopped {
-            if let Some(op) = op_at(toks, i) {
-                ops.push(op);
-                last_push = Some(i);
-            }
-        }
-    }
-    if let Some((tag, ops, stopped)) = cur.take() {
-        out.entry(tag).or_insert(Shape {
-            ops,
-            complete: !stopped,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,87 +532,6 @@ pub fn finalize(counts: &TagMap) -> CampaignResult {
     }
 
     #[test]
-    fn codec_pairs_diff_field_order_and_count() {
-        let src = "\
-pub fn put_point(w: &mut Writer, p: &Point) {
-    w.u32(p.x);
-    w.u64(p.y);
-}
-pub fn get_point(r: &mut Reader) -> Result<Point, E> {
-    Ok(Point { x: r.u32()?, y: r.u32()? })
-}
-pub fn put_orphan(w: &mut Writer, v: u64) {
-    w.u64(v);
-}
-";
-        let f = single(src);
-        assert_eq!(
-            ids(&f),
-            vec![(6, "wire-codec-symmetry"), (8, "wire-codec-symmetry")],
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn codec_arms_pair_by_tag_and_pop_the_tag_write() {
-        let src = "\
-impl Msg {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            Msg::Ping { seq } => {
-                w.u8(TAG_PING);
-                w.u64(*seq);
-            }
-            Msg::Data { body } => {
-                w.u8(TAG_DATA);
-                w.str(body);
-                w.bool(true);
-            }
-        }
-        w.into_bytes()
-    }
-    pub fn decode(r: &mut Reader) -> Result<Msg, E> {
-        Ok(match r.u8()? {
-            TAG_PING => Msg::Ping { seq: r.u64()? },
-            TAG_DATA => Msg::Data { body: r.str()? },
-            _ => return Err(bad()),
-        })
-    }
-}
-";
-        let f = single(src);
-        // TAG_PING matches; TAG_DATA's encode writes a trailing bool
-        // the decode never reads.
-        assert_eq!(ids(&f), vec![(12, "wire-codec-symmetry")], "{f:?}");
-        assert!(f[0].msg.contains("bool"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn codec_shapes_truncate_at_control_flow_and_compare_prefixes() {
-        let src = "\
-pub fn put_list(w: &mut Writer, xs: &[u64]) {
-    w.u32(xs.len() as u32);
-    for x in xs {
-        w.u64(*x);
-    }
-}
-pub fn get_list(r: &mut Reader) -> Result<Vec<u64>, E> {
-    let n = r.u32()?;
-    let mut out = Vec::new();
-    while out.len() < n as usize {
-        out.push(r.u64()?);
-    }
-    Ok(out)
-}
-";
-        // Both sides truncate after the length prefix: prefixes agree.
-        let f = single(src);
-        let codec: Vec<_> = f.iter().filter(|f| f.rule == Rule::CodecSymmetry).collect();
-        assert!(codec.is_empty(), "{codec:?}");
-    }
-
-    #[test]
     fn workspace_config_covers_the_wire_policy_rows() {
         let cfg = WholeConfig::workspace();
         for p in [
@@ -897,7 +542,6 @@ pub fn get_list(r: &mut Reader) -> Result<Vec<u64>, E> {
         ] {
             assert!(cfg.wire_files.iter().any(|w| w == p), "{p} missing");
         }
-        assert_eq!(cfg.codec_files.len(), 2);
     }
 
     #[test]

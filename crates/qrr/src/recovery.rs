@@ -343,7 +343,10 @@ pub fn run_qrr_injection<D: QrrDriver>(
 /// bits (`choose`), its injection cycle from the component's
 /// [`injection_window`], its warm-up and its instance, in that order,
 /// and runs on the driver `attach` builds for that instance.
-#[allow(clippy::too_many_arguments)] // the cell (4), the draw (3) and the recorder
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the cell (4), the draw (3) and the recorder"
+)]
 pub(crate) fn campaign<'a, D: QrrDriver>(
     profile: &'static BenchProfile,
     samples: u64,

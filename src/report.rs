@@ -56,7 +56,7 @@ impl Table {
         }
         let fmt_row = |cells: &[String]| {
             let mut line = String::new();
-            #[allow(clippy::needless_range_loop)] // i indexes cells and widths
+            #[allow(clippy::needless_range_loop, reason = "i indexes cells and widths")]
             for i in 0..cols {
                 let cell = cells.get(i).map(String::as_str).unwrap_or("");
                 let pad = width[i] - cell.chars().count();

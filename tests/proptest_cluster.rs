@@ -25,7 +25,7 @@ use nestsim::cluster::{auto_shard_size, plan_shards, LeaseConfig, Shard};
 use nestsim::core::inject::{GoldenRef, InjectionRecord};
 use nestsim::core::{CampaignSpec, Outcome};
 use nestsim::models::ComponentKind;
-use nestsim::telemetry::{names, Recorder, TelemetryConfig};
+use nestsim::telemetry::{names, EventKind, Recorder, TelemetryConfig};
 
 /// Fisher–Yates driven by the property source.
 fn shuffle<T>(src: &mut Source, items: &mut [T]) {
@@ -54,10 +54,43 @@ fn mutate(src: &mut Source, bytes: &mut Vec<u8>) {
     }
 }
 
+/// How many `Message` variants there are: the arms of
+/// [`generator_index`] number them `0..VARIANTS`.
+const VARIANTS: usize = 20;
+
+/// The arm of [`arbitrary_message`] that draws each variant. There is
+/// no `_` arm, so a new variant does not compile until it is given an
+/// index here, and with it a generator arm.
+fn generator_index(msg: &Message) -> usize {
+    match msg {
+        Message::Hello { .. } => 0,
+        Message::HelloAck { .. } => 1,
+        Message::RequestShard => 2,
+        Message::Assign { .. } => 3,
+        Message::Wait { .. } => 4,
+        Message::Heartbeat { .. } => 5,
+        Message::HeartbeatAck { .. } => 6,
+        Message::Submit(_) => 7,
+        Message::SubmitAck { .. } => 8,
+        Message::Error { .. } => 9,
+        Message::SubmitJob { .. } => 10,
+        Message::Accepted { .. } => 11,
+        Message::Rejected { .. } => 12,
+        Message::Cancel { .. } => 13,
+        Message::Cancelled { .. } => 14,
+        Message::Chunk { .. } => 15,
+        Message::Done { .. } => 16,
+        Message::Failed { .. } => 17,
+        Message::QueryStats => 18,
+        Message::Stats { .. } => 19,
+    }
+}
+
 /// An arbitrary message of either conversation, every variant drawn,
 /// for the round-trip property and the decoder fuzz.
 fn arbitrary_message(src: &mut Source) -> Message {
-    match src.index(20) {
+    let arm = src.index(VARIANTS);
+    let msg = match arm {
         0 => Message::Hello {
             version: src.u64() as u16,
             tenant: src.lowercase_string(0, 16),
@@ -142,7 +175,9 @@ fn arbitrary_message(src: &mut Source) -> Message {
         _ => Message::Stats {
             recorder: arbitrary_recorder(src),
         },
-    }
+    };
+    assert_eq!(generator_index(&msg), arm, "arm {arm} drew {msg:?}");
+    msg
 }
 
 fn arbitrary_golden(src: &mut Source) -> GoldenRef {
@@ -166,7 +201,8 @@ fn arbitrary_record(src: &mut Source) -> InjectionRecord {
     }
 }
 
-/// A null recorder, or an active one holding a counter.
+/// A null recorder, or an active one holding counters, histograms and
+/// trace events under schema names; the events may overrun the ring.
 fn arbitrary_recorder(src: &mut Source) -> Recorder {
     if src.bool() {
         return Recorder::null();
@@ -174,7 +210,22 @@ fn arbitrary_recorder(src: &mut Source) -> Recorder {
     let mut rec = Recorder::active(&TelemetryConfig {
         trace_capacity: src.index(8),
     });
-    rec.count(names::SVC_JOBS_SUBMITTED, src.u64());
+    let name = |src: &mut Source| names::ALL[src.index(names::ALL.len())];
+    for _ in 0..src.index(4) {
+        // Below 2^32, so counts folded into one name cannot overflow.
+        rec.count(name(src), src.below(1 << 32));
+    }
+    for _ in 0..src.index(4) {
+        let hist = name(src);
+        for _ in 0..src.range_usize_inclusive(1, 4) {
+            rec.record_hist(hist, src.u64());
+        }
+    }
+    for _ in 0..src.index(12) {
+        let component = names::COMPONENTS[src.index(names::COMPONENTS.len())];
+        let kind = EventKind::ALL[src.index(EventKind::ALL.len())];
+        rec.event(src.u64(), component, kind, src.u64());
+    }
     rec
 }
 
