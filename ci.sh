@@ -80,8 +80,8 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1683
-doc_cap README.md 597
+doc_cap DESIGN.md 1669
+doc_cap README.md 595
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
 # An entry runs from a line starting `PR <n>` to the next one; only the
@@ -202,10 +202,17 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # the shard cursor writes back into the pages it shared once the
 # group's systems let go of them, and 3,369 and 378 KiB when it copies
 # every page it rewrites again after each entry — an exact count.
+# Co-simulation gate: the traced `l2c_indep` and `ladder_long` blocks
+# must report `core.golden_compares_per_inj` < 5 / < 10 — a run ends at
+# the compare that finds it identical to its golden, and at the
+# program's end: 3.97 and 8.5 on the smoke, 35.5 and 56.6 when runs
+# waited for the component to drain and ticked on after the program
+# ended — an exact count, so waiting again fails here, not on a timing.
 awk '
     BEGIN { alloc_cap["l2c_indep"] = 145; alloc_cap["ccx_indep"] = 66; alloc_cap["ladder_long"] = 126
             alloc_cap["l2c_lanes"] = 10; alloc_cap["served"] = 55
-            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300 }
+            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300
+            compare_cap["l2c_indep"] = 5; compare_cap["ladder_long"] = 10 }
     /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
     !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {
         seen[workload " allocs_per_inj"] = 1
@@ -217,6 +224,12 @@ awk '
         seen[workload " alloc_kb_per_inj"] = 1
         if ($2 + 0 >= kb_cap[workload]) {
             print "ci.sh: " workload " alloc_kb_per_inj = " $2 " (gate: < " kb_cap[workload] ")"; bad = 1
+        }
+    }
+    traced && $1 == "core.golden_compares_per_inj" && (workload in compare_cap) {
+        seen[workload " golden_compares_per_inj"] = 1
+        if ($2 + 0 >= compare_cap[workload]) {
+            print "ci.sh: " workload " core.golden_compares_per_inj = " $2 " (gate: < " compare_cap[workload] ")"; bad = 1
         }
     }
     $1 ~ /^models\.tick_allocs\./ {
@@ -239,6 +252,9 @@ awk '
         }
         for (w in kb_cap) if (!((w " alloc_kb_per_inj") in seen)) {
             print "ci.sh: smoke printed no untraced alloc_kb_per_inj row for " w; bad = 1
+        }
+        for (w in compare_cap) if (!((w " golden_compares_per_inj") in seen)) {
+            print "ci.sh: smoke printed no traced core.golden_compares_per_inj row for " w; bad = 1
         }
         exit bad
     }

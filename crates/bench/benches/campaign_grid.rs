@@ -12,6 +12,11 @@
 //! rung captures and live rungs, its price: a fixed-count cell keeps
 //! at most one rung per shard (`rung_budget`).
 //!
+//! The `fig3` group times one `repro fig3` cell per component whose
+//! runs co-simulate long after the program ends unless the program's
+//! end ends them: MCU on `fft` and PCIe on `p-lr`, 64 samples at
+//! `repro`'s default seed, scale and co-simulation cap, one worker.
+//!
 //! Writes `BENCH_campaign_grid.json` via the in-repo harness runner.
 
 use std::hint::black_box;
@@ -40,8 +45,32 @@ fn spec(component: ComponentKind) -> CampaignSpec {
     }
 }
 
+/// `repro fig3`'s cells this bench times: row name, component and
+/// benchmark.
+const FIG3: [(&str, ComponentKind, &str); 2] = [
+    ("fig3_mcu", ComponentKind::Mcu, "fft"),
+    ("fig3_pcie", ComponentKind::Pcie, "p-lr"),
+];
+
+fn fig3_spec(component: ComponentKind) -> CampaignSpec {
+    CampaignSpec {
+        length_scale: 20,
+        workers: 1,
+        ..CampaignSpec::new(component, 64)
+    }
+}
+
 fn main() {
     let mut suite = Suite::new("campaign_grid");
+    for (row, kind, bench) in FIG3 {
+        suite.bench("campaign_grid/fig3", row, || {
+            black_box(run_campaign_with(
+                by_name(bench).unwrap(),
+                &fig3_spec(kind),
+                None,
+            ));
+        });
+    }
     suite.bench("campaign_grid/workers4", "ladder_engine", || {
         for (kind, bench) in CELLS {
             black_box(run_campaign_with(

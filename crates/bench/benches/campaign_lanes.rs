@@ -133,9 +133,8 @@ fn main() {
     let engine = &batched.telemetry.engine;
     let retired = engine.counter(names::LANES_RETIRED_EARLY);
     eprintln!(
-        "campaign_lanes: {} batches, {retired} lanes retired in-batch ({} parked on the way), {} scalar fallbacks of {SAMPLES} samples",
+        "campaign_lanes: {} batches, {retired} lanes retired in-batch, {} scalar fallbacks of {SAMPLES} samples",
         engine.counter(names::LANES_BATCHES),
-        engine.counter(names::LANES_PARKED),
         engine.counter(names::LANES_SCALAR_FALLBACKS),
     );
     assert!(retired > 0, "clustered cell never retired a lane in-batch");

@@ -11,7 +11,7 @@
 //!
 //! The Fig. 2 flow is the same for every component, so it is written
 //! once, on [`Driver`]: golden snapshot (warm or cold), flip, compare,
-//! retirement, the divergence monitor and the detach tail. A component
+//! the divergence monitor and the detach tail. A component
 //! supplies only what differs (Table 1): its [`Side`], the model a
 //! target, golden or lane ticks with its private memory view, and its
 //! [`Component`], the port its traffic moves through, with how a cycle
@@ -117,16 +117,6 @@ pub trait CosimDriver: Sized {
     /// after [`snapshot_golden`](CosimDriver::snapshot_golden).
     fn check(&self) -> CosimCheck;
 
-    /// Drops the golden twin. Call only after
-    /// [`check`](CosimDriver::check) returned [`CosimCheck::Identical`]
-    /// with no [`erroneous_output`](CosimDriver::erroneous_output): the
-    /// twin then equals the target in everything `step` reads besides
-    /// the inputs they share, so it has no future of its own. From here
-    /// on `step` ticks the target only, every `check` is `Identical`,
-    /// and `detach` reports no corrupted lines — what the diff of two
-    /// equal states reports.
-    fn retire_golden(&mut self);
-
     /// True when no in-flight traffic would be stranded by detaching.
     fn drained(&self) -> bool;
 
@@ -218,10 +208,6 @@ pub trait Side: Clone + std::fmt::Debug {
     /// Whether the state the component keeps beside its flops differs
     /// from `golden`'s: the architectural state of Table 1.
     fn arch_differs(&self, golden: &Self, base: &DramContents) -> bool;
-
-    /// The target's model once its golden retired: flops, or its
-    /// fault-free model again when that is exact and pays.
-    fn retire(&mut self);
 
     /// Records the side's queue occupancies.
     fn sample_telemetry(&self, rec: &mut Recorder);
@@ -348,32 +334,15 @@ fn verdict<S: Side>(target: &S, golden: &S, base: &DramContents) -> CosimCheck {
 }
 
 /// The co-simulation driver of one component `C` (module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Driver<C: Component> {
     sys: System,
     port: C,
     /// The co-simulated (error-injected) side.
     target: C::Side,
-    /// The golden side, from its snapshot until it retires.
+    /// The golden side, from its snapshot to the end of the run.
     golden: Option<C::Side>,
-    /// A golden side set aside when it retired or a run ended, for the
-    /// next snapshot to refill.
-    retired: Option<C::Side>,
     first_err_out: Option<u64>,
-}
-
-// Not derived: a copy does not take the side set aside.
-impl<C: Component> Clone for Driver<C> {
-    fn clone(&self) -> Self {
-        Driver {
-            sys: self.sys.clone(),
-            port: self.port.clone(),
-            target: self.target.clone(),
-            golden: self.golden.clone(),
-            retired: None,
-            first_err_out: self.first_err_out,
-        }
-    }
 }
 
 /// What a shard keeps of component `C`'s drivers from one group to the
@@ -464,25 +433,25 @@ impl<C: Component> Driver<C> {
             port,
             target,
             golden: None,
-            retired: None,
             first_err_out: None,
         }
     }
 
     /// [`Component::reattach`] of this driver, which an earlier run left
-    /// as it ended, to its system: the golden side is set aside for the
-    /// next snapshot to refill.
-    pub(crate) fn reattach(&mut self, instance: usize) {
-        self.set_golden_aside();
+    /// as it ended, to its system. Returns the golden side that run
+    /// ended with, for the next snapshot to refill ([`snapshot`](Self::snapshot)):
+    /// a warm-up ticks no golden.
+    pub(crate) fn reattach(&mut self, instance: usize) -> Option<C::Side> {
         self.first_err_out = None;
         (self.port).reattach(&mut self.sys, &mut self.target, instance);
+        self.golden.take()
     }
 
-    /// Moves a live golden side to [`retired`](Self::retired).
-    fn set_golden_aside(&mut self) {
-        if let Some(golden) = self.golden.take() {
-            self.retired = Some(golden);
-        }
+    /// Fig. 2 step 5: the golden side becomes a copy of the target,
+    /// written into `spare`, a side an earlier run held, when there is
+    /// one.
+    pub(crate) fn snapshot(&mut self, spare: Option<C::Side>) {
+        self.golden = Some(self.target.twin(spare));
     }
 
     /// Phase 1 of a cycle: the system runs one cycle, and the traffic it
@@ -555,17 +524,15 @@ impl<C: Component> Driver<C> {
     /// The scalar driver of a lane that leaves the batch this driver
     /// carries, as the lane's own run would hold it now: this driver's
     /// system and port; `lane` as the target with this driver's target
-    /// as its golden, or for a parked lane (`None`) a copy of this
-    /// driver's target with no golden, as its run retired the golden
-    /// when the lane parked; and `first_err_out` as the divergence
-    /// monitor's record. It refills `spare`, the driver the previous
-    /// fork ended with, when there is one; the side `lane` replaces goes
-    /// to `pool`. A carrier forks many times, so it shares its pages
-    /// first: a fork copies none, and once the fork's system is released
-    /// the carrier takes them back at its next write.
+    /// as its golden; and `first_err_out` as the divergence monitor's
+    /// record. It refills `spare`, the driver the previous fork ended
+    /// with, when there is one; the side `lane` replaces goes to `pool`.
+    /// A carrier forks many times, so it shares its pages first: a fork
+    /// copies none, and once the fork's system is released the carrier
+    /// takes them back at its next write.
     pub(crate) fn fork(
         &mut self,
-        lane: Option<C::Side>,
+        lane: C::Side,
         first_err_out: Option<u64>,
         spare: Option<Self>,
         pool: &mut Vec<C::Side>,
@@ -576,16 +543,11 @@ impl<C: Component> Driver<C> {
         );
         self.sys.share_pages();
         let Some(mut fork) = spare else {
-            let (target, golden) = match lane {
-                Some(lane) => (lane, Some(self.target.clone())),
-                None => (self.target.clone(), None),
-            };
             return Driver {
                 sys: self.sys.clone(),
                 port: self.port.clone(),
-                target,
-                golden,
-                retired: None,
+                target: lane,
+                golden: Some(self.target.clone()),
                 first_err_out,
             };
         };
@@ -594,14 +556,8 @@ impl<C: Component> Driver<C> {
         fork.sys.clone_from(&self.sys);
         fork.port.clone_from(&self.port);
         fork.first_err_out = first_err_out;
-        fork.set_golden_aside();
-        match lane {
-            Some(lane) => {
-                pool.push(std::mem::replace(&mut fork.target, lane));
-                fork.golden = Some(refilled(fork.retired.take(), &self.target));
-            }
-            None => fork.target.clone_from(&self.target),
-        }
+        pool.push(std::mem::replace(&mut fork.target, lane));
+        fork.golden = Some(refilled(fork.golden.take(), &self.target));
         fork
     }
 }
@@ -621,8 +577,8 @@ impl<C: Component> CosimDriver for Driver<C> {
     }
 
     fn snapshot_golden(&mut self) {
-        let spare = self.golden.take().or_else(|| self.retired.take());
-        self.golden = Some(self.target.twin(spare));
+        let spare = self.golden.take();
+        self.snapshot(spare);
     }
 
     fn snapshot_golden_cold(&mut self) {
@@ -644,23 +600,11 @@ impl<C: Component> CosimDriver for Driver<C> {
         self.target.flops().flops_mut().flip(bit);
     }
 
+    /// `Identical` before the snapshot: there is nothing to compare.
     fn check(&self) -> CosimCheck {
-        #[cfg(test)]
-        if self.golden.is_none() {
-            crate::inject::count(&crate::inject::RETIRED_CHECKS);
-        }
-        self.compare()
-    }
-
-    fn retire_golden(&mut self) {
-        debug_assert!(
-            self.compare() == CosimCheck::Identical && self.first_err_out.is_none(),
-            "a golden retires only from an Identical check with no erroneous output"
-        );
-        #[cfg(test)]
-        crate::inject::count(&crate::inject::RETIRES);
-        self.target.retire();
-        self.set_golden_aside();
+        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
+            verdict(&self.target, g, self.sys.dram())
+        })
     }
 
     fn drained(&self) -> bool {
@@ -685,14 +629,6 @@ impl<C: Component> CosimDriver for Driver<C> {
 }
 
 impl<C: Component> Driver<C> {
-    /// Fig. 2 step 7 with no test counter: the target against the
-    /// golden, `Identical` once it retired.
-    fn compare(&self) -> CosimCheck {
-        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
-            verdict(&self.target, g, self.sys.dram())
-        })
-    }
-
     /// [`detach`](CosimDriver::detach) in place, for a driver the run
     /// hands on to the next instead of dropping it (DESIGN.md *Recycling
     /// the injection's driver*): the corrupted lines, with the detached
@@ -749,12 +685,11 @@ pub(crate) use on_component;
 /// Until the golden snapshot and the flip (Fig. 2 step 5) no flop can be
 /// wrong, so the warm-up (step 4) runs on `W`, which gives the same
 /// cycles at a fraction of the cost; [`flops`](Self::flops) then turns
-/// it into the flops the flop-level warm-up would have left. A crossbar
-/// or a DRAM controller whose golden retired is fault-free again and
-/// goes back to `W`. A golden and the lanes of a batch are copied from a
-/// target on flops, so they hold flops from the start. A target on `W`
-/// keeps the flops it last held, and the next conversion writes into
-/// them: a recycled driver converts without allocating.
+/// it into the flops the flop-level warm-up would have left. A golden
+/// and the lanes of a batch are copied from a target on flops, so they
+/// hold flops from the start. A target on `W` keeps the flops it last
+/// held, and the next conversion writes into them: a recycled driver
+/// converts without allocating.
 #[allow(
     clippy::large_enum_variant,
     reason = "`Flops` holds the component's handle tables inline; a box would be one more \
@@ -829,18 +764,6 @@ impl<W: FaultFree> Target<W> {
         match self {
             Target::Flops(x) => Some(x),
             _ => None,
-        }
-    }
-
-    /// Back on the fault-free model, read off the flops by `from`, which
-    /// the target keeps. Exact at retirement: the flops just checked
-    /// `Identical` to a golden that only ever held fault-free traffic. A
-    /// later call finds the target on the fault-free model already.
-    fn back_to_warm(&mut self, from: fn(&W::Flops) -> W) {
-        if let Target::Flops(x) = self {
-            let warm = from(x);
-            let (_, flops) = self.take();
-            *self = Target::Warm(warm, flops);
         }
     }
 
@@ -1006,12 +929,6 @@ impl Side for BankSide {
             return false;
         };
         t.arch().differs(g.arch()) || self.ov.differs(&golden.ov, base)
-    }
-
-    /// The bank stays on flops: converting back to images did not pay
-    /// (DESIGN.md *Fault-free models*).
-    fn retire(&mut self) {
-        self.flops();
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
@@ -1321,11 +1238,6 @@ impl Side for McuSide {
         self.ov.differs(&golden.ov, base)
     }
 
-    /// Back on plain fields.
-    fn retire(&mut self) {
-        self.mcu.back_to_warm(McuWarm::from_mcu);
-    }
-
     fn sample_telemetry(&self, rec: &mut Recorder) {
         let (rq, retq) = on_target!(&self.mcu, x => (x.rq_occupancy(), x.retq_occupancy()));
         rec.record_hist(names::H_Q_MCU_RQ, rq as u64);
@@ -1476,11 +1388,6 @@ impl Side for CcxSide {
     /// None: clean or benign is exitable.
     fn arch_differs(&self, _golden: &Self, _base: &DramContents) -> bool {
         false
-    }
-
-    /// Back on packets.
-    fn retire(&mut self) {
-        self.xbar.back_to_warm(CcxWarm::from_ccx);
     }
 
     fn sample_telemetry(&self, rec: &mut Recorder) {
@@ -1704,9 +1611,6 @@ impl Side for PcieSide {
         self.engine.buffer_diff(&golden.engine) > 0
     }
 
-    /// The engine has no fault-free model: it stays on flops.
-    fn retire(&mut self) {}
-
     fn sample_telemetry(&self, rec: &mut Recorder) {
         rec.record_hist(names::H_Q_PCIE_BUF, self.engine.buffer_occupancy() as u64);
     }
@@ -1846,8 +1750,8 @@ pub(crate) mod tests {
     thread_local! {
         /// Cycles the system under a driver ran on this thread after its
         /// attach (warm-up and co-simulation alike), by where the target
-        /// was (`[flops, fault-free model]`) and then whether the golden
-        /// lived (`[retired, live]`).
+        /// was (`[flops, fault-free model]`) and then whether a golden
+        /// lived (`[none, live]`).
         static STEPS: std::cell::Cell<[[u64; 2]; 2]> = const { std::cell::Cell::new([[0; 2]; 2]) };
         /// Targets converted from their fault-free model to flops on this
         /// thread.
@@ -1962,26 +1866,16 @@ pub(crate) mod tests {
         );
     }
 
-    /// The model a target runs on after its golden retired.
-    #[derive(Debug, Clone, Copy)]
-    enum Retired {
-        /// Its fault-free model: packets, plain fields.
-        Warm,
-        /// Flops: re-converting an L2 bank to images did not pay.
-        Flops,
-    }
-
     /// One scalar run of `component` on `bench` with `bit` of `field`
     /// flipped: the warm-up stays on the fault-free model, every cycle
-    /// with a live golden runs on flops, every cycle after retirement
-    /// runs on the `retired` model, and the run converts to flops once.
-    /// Every identity suite passes whichever model a target runs on, so
-    /// only this notices when one of those stops holding.
+    /// after the flip runs on flops beside a live golden, and the run
+    /// converts to flops once. Every identity suite passes whichever
+    /// model a target runs on, so only this notices when one of those
+    /// stops holding.
     fn assert_on_flops_only_while_the_golden_lives(
         component: nestsim_models::ComponentKind,
         bench: &str,
         (field, bit): (&str, usize),
-        retired: Retired,
     ) {
         use crate::campaign::{component_flops, golden_reference, CampaignSpec};
         use crate::inject::{finish, warm, InjectionSpec};
@@ -2008,11 +1902,11 @@ pub(crate) mod tests {
         });
         let conversions = CONVERSIONS.with(Cell::get) - before;
         // Only the cycles after the flip.
-        let [[flops_retired, flops_live], [warm_retired, warm_live]] =
+        let [[flops_none, flops_live], [warm_none, warm_live]] =
             std::array::from_fn(|w| std::array::from_fn(|l| steps()[w][l] - stepped[w][l]));
         println!(
             "{component} {record:?}: live golden {flops_live} on flops, {warm_live} warm; \
-             retired {warm_retired} warm, {flops_retired} on flops"
+             no golden {warm_none} warm, {flops_none} on flops"
         );
         assert_eq!(
             conversions, 1,
@@ -2023,17 +1917,9 @@ pub(crate) mod tests {
             "{component}: no cycle ran beside a live golden"
         );
         assert_eq!(
-            warm_live, 0,
-            "{component}: cycles with a live golden ran on the fault-free model"
-        );
-        let (on_model, off_model) = match retired {
-            Retired::Warm => (warm_retired, flops_retired),
-            Retired::Flops => (flops_retired, warm_retired),
-        };
-        assert!(on_model > 0, "{component}: no cycle ran after retirement");
-        assert_eq!(
-            off_model, 0,
-            "{component}: cycles after retirement left the {retired:?} model"
+            (warm_live, warm_none + flops_none),
+            (0, 0),
+            "{component}: cycles after the flip ran on the fault-free model or without a golden"
         );
     }
 
@@ -2043,7 +1929,6 @@ pub(crate) mod tests {
             nestsim_models::ComponentKind::Ccx,
             "stre",
             ("pcx0[0].addr", 6),
-            Retired::Warm,
         );
     }
 
@@ -2053,7 +1938,6 @@ pub(crate) mod tests {
             nestsim_models::ComponentKind::Mcu,
             "fft",
             ("bank[3].timer", 1),
-            Retired::Warm,
         );
     }
 
@@ -2102,8 +1986,8 @@ pub(crate) mod tests {
 
     #[test]
     fn l2c_warm_up_runs_on_images_and_the_run_on_flops() {
-        // The scalar run, as for the crossbar, except that a retired L2
-        // bank stays on flops. Then the lanes: only this notices if a
+        // The scalar run, as for the crossbar. Then the lanes: only this
+        // notices if a
         // lane batch converts more than its carrier, or its carrier stops
         // warming up on slot images. A lane that leaves for the scalar
         // path forks off the carrier, which holds flops by then.
@@ -2111,7 +1995,6 @@ pub(crate) mod tests {
             nestsim_models::ComponentKind::L2c,
             "stre",
             ("oq[3].data", 9),
-            Retired::Flops,
         );
 
         use crate::campaign::{golden_reference, CampaignSpec};
@@ -2217,7 +2100,7 @@ pub(crate) mod tests {
 
     #[test]
     fn l2c_check_gives_each_compared_piece_its_verdict_for_driver_and_lane() {
-        // Parking and retirement are as sound as this table: a
+        // The early Vanished exit is as sound as this table: a
         // difference in any one compared piece must keep the run out of
         // `Identical`. Both callers of the one L2C compare are held to
         // it: the scalar driver (the target differs from its golden twin)
@@ -2337,14 +2220,12 @@ pub(crate) mod tests {
     /// How much of what a refill must clear the used drivers held.
     #[derive(Default)]
     struct Used {
-        live: std::cell::Cell<u64>,
-        retired: std::cell::Cell<u64>,
         queued: std::cell::Cell<u64>,
         dirty: std::cell::Cell<u64>,
     }
 
     /// A driver as a run leaves it on `setup`: at its end, or stopped
-    /// in co-simulation, its golden live or retired.
+    /// in co-simulation.
     fn used<C: Component + Leftover>(
         src: &mut nestsim_harness::Source,
         component: nestsim_models::ComponentKind,
@@ -2368,18 +2249,12 @@ pub(crate) mod tests {
             for _ in 0..src.below(400) {
                 drv.step();
             }
-            let clean = drv.check() == CosimCheck::Identical && drv.erroneous_output().is_none();
-            if clean && src.below(2) == 0 {
-                drv.retire_golden();
-            }
             drv
         };
         let bump = |c: &std::cell::Cell<u64>, on: bool| c.set(c.get() + u64::from(on));
-        bump(&tally.live, drv.golden.is_some());
-        bump(&tally.retired, drv.retired.is_some());
         bump(&tally.queued, drv.port.leftover() > 0);
-        let golden = drv.golden.iter().chain(&drv.retired);
-        let dirty = drv.target.leftover() + golden.map(Leftover::leftover).sum::<usize>();
+        let dirty =
+            drv.target.leftover() + drv.golden.iter().map(Leftover::leftover).sum::<usize>();
         bump(&tally.dirty, dirty > 0);
         drv
     }
@@ -2412,7 +2287,7 @@ pub(crate) mod tests {
         };
         used.sys.clone_from(base);
         to_entry(&mut used.sys);
-        used.reattach(spec.instance);
+        let spare = used.reattach(spec.instance);
         let mut got = used;
 
         let at = |what: &str, k: u64| format!("{component} {spec:?}: {what} cycle {k}");
@@ -2426,8 +2301,9 @@ pub(crate) mod tests {
         for k in 0..spec.warmup.max(crate::inject::MIN_WARMUP) {
             same(&mut want, &mut got, "warm-up", k);
         }
+        want.snapshot_golden();
+        got.snapshot(spare);
         for drv in [&mut want, &mut got] {
-            drv.snapshot_golden();
             drv.inject(spec.bit);
         }
         for k in 1..=spec.cosim_cap {
@@ -2437,11 +2313,8 @@ pub(crate) mod tests {
             }
             let check = want.check();
             assert_eq!(check, got.check(), "{}: check", at("co-simulation", k));
-            if check == CosimCheck::Identical && want.erroneous_output().is_none() {
-                want.retire_golden();
-                got.retire_golden();
-            }
-            if check.exitable() && want.drained() {
+            let err = want.erroneous_output();
+            if crate::inject::converged(check, err, || want.drained()) {
                 break;
             }
         }
@@ -2479,8 +2352,8 @@ pub(crate) mod tests {
         // Every identity suite passes a refill that leaves a stale queue
         // behind whenever the runs it follows end drained; this starts
         // from drivers that did not: stopped in co-simulation, port and
-        // overlays full, golden live or retired, on another benchmark and
-        // instance than the refill's.
+        // overlays full, on another benchmark and instance than the
+        // refill's.
         use crate::campaign::{golden_reference, injection_target_bits, CampaignSpec};
         use nestsim_harness::{check_with, Config};
         use nestsim_models::ComponentKind;
@@ -2515,15 +2388,10 @@ pub(crate) mod tests {
             }
         });
         for (component, t) in ComponentKind::ALL.into_iter().zip(&tallies) {
-            let [live, retired, queued, dirty] =
-                [&t.live, &t.retired, &t.queued, &t.dirty].map(std::cell::Cell::get);
+            let [queued, dirty] = [&t.queued, &t.dirty].map(std::cell::Cell::get);
             eprintln!(
-                "{component}: refilled drivers with the golden live {live}, retired {retired}; \
-                 port queues full {queued}; overlays or queues dirty {dirty}"
-            );
-            assert!(
-                live > 0 && retired > 0,
-                "{component}: live {live}, retired {retired}"
+                "{component}: refilled drivers with port queues full {queued}; \
+                 overlays or queues dirty {dirty}"
             );
             // The PCIe engine takes no traffic from its port, and the
             // crossbar reaches no memory.

@@ -17,22 +17,19 @@
 //! lane is the target, the carrier's target its golden. Lanes retire
 //! independently:
 //!
-//! * **In-batch retirement** — a drained, divergence-free lane that
-//!   checks Identical/BenignOnly retires as Vanished, and one still
-//!   Microarch-dirty at the cap as Persist, through the scalar exit
-//!   taxonomy ([`Flipped::end_cosim`]).
-//! * **Parking** — a divergence-free lane that checks Identical equals
-//!   the carrier in everything a tick reads, so it drops its side, is no
-//!   longer ticked or compared, records what the carrier's side shows at
-//!   each check, and retires as Vanished once the carrier is drained.
+//! * **In-batch retirement** — a divergence-free lane that checks
+//!   Identical, or drained and BenignOnly, retires as Vanished, and one
+//!   still Microarch-dirty at the cap as Persist, through the scalar
+//!   exit taxonomy ([`Flipped::end_cosim`]).
 //! * **Scalar finish** — a lane whose readiness would admit other inputs
 //!   than the carrier's (for the crossbar port by port, for a DRAM
 //!   controller by command kind), whose outputs the system would see
 //!   differ (the L2C return packet, the crossbar's packets, the MCU
 //!   response, a PCIe write or completion), or whose run leaves
-//!   co-simulation otherwise (ArchMappable or erroneous exit, abort,
-//!   cap) forks a scalar driver off the carrier at that cycle
-//!   ([`Driver::fork`]) and runs on from there ([`Flipped::resume`]).
+//!   co-simulation otherwise (ArchMappable or erroneous exit, the
+//!   program's end, abort, cap) forks a scalar driver off the carrier at
+//!   that cycle ([`Driver::fork`]) and runs on from there
+//!   ([`Flipped::resume`]).
 //!   Up to that cycle its scalar run saw exactly the carrier's inputs,
 //!   so no cycle is co-simulated twice. An output only the lane's side
 //!   sees (the L2C DRAM command) only marks its divergence monitor.
@@ -47,9 +44,10 @@ use nestsim_rtl::{LaneMask, MAX_LANES};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::campaign::{same_trajectory, IndexedRuns};
-use crate::cosim::{Component, CosimCheck, CosimDriver, Driver, Kept, Side};
+use crate::cosim::{Component, CosimDriver, Driver, Kept, Side};
 use crate::inject::{
-    aborted, recorder_for, warm, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
+    aborted, converged, recorder_for, warm, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec,
+    Resume,
 };
 
 /// Engine-side counters of the lane-batched execution (reported as
@@ -65,8 +63,6 @@ pub(crate) struct LaneBatchStats {
     /// Lanes that left a batch to finish on a driver forked off its
     /// carrier where they left.
     pub scalar_fallbacks: u64,
-    /// Lanes parked: identical to the carrier, no longer ticked.
-    pub parked: u64,
 }
 
 impl LaneBatchStats {
@@ -75,7 +71,6 @@ impl LaneBatchStats {
         engine.count(names::LANES_BATCHES, self.batches);
         engine.count(names::LANES_RETIRED_EARLY, self.retired_early);
         engine.count(names::LANES_SCALAR_FALLBACKS, self.scalar_fallbacks);
-        engine.count(names::LANES_PARKED, self.parked);
     }
 }
 
@@ -83,10 +78,15 @@ impl LaneBatchStats {
 struct Lane<S> {
     /// Campaign sample index.
     sample: usize,
-    /// The lane's own side; `None` once parked on the carrier's.
+    /// The lane's own side; `None` once the lane left the batch.
     state: Option<S>,
     first_err_out: Option<u64>,
     rec: Recorder,
+}
+
+/// A lane's own side, while the lane is in the batch.
+fn side<S>(state: &Option<S>) -> &S {
+    state.as_ref().expect("a lane in the batch holds its side")
 }
 
 /// The runs a batch finished, and what finishing one takes.
@@ -127,9 +127,7 @@ impl<'a, C: Component> Runs<'a, C> {
             cycle: carrier.cycle(),
             cosim_cycles,
         };
-        // A parked lane is the carrier, so it checks Identical.
-        let check =
-            || (lane.state.as_ref()).map_or(CosimCheck::Identical, |st| carrier.check_lane(st));
+        let check = || carrier.check_lane(side(&lane.state));
         let run = self.run(lane.sample);
         match run.end_cosim(&mut lane.rec, end, lane.first_err_out, check) {
             Some(record) => {
@@ -140,7 +138,7 @@ impl<'a, C: Component> Runs<'a, C> {
             }
             None => {
                 #[cfg(test)]
-                tests::ended(lane.sample, exit, lane.state.is_none(), cosim_cycles);
+                tests::ended(lane.sample, exit, cosim_cycles);
                 self.leave(carrier, lane, Resume::Detach(cosim_cycles), |_| {});
             }
         }
@@ -159,12 +157,11 @@ impl<'a, C: Component> Runs<'a, C> {
     ) {
         let kept = &mut *self.kept;
         let spare = kept.fork.take();
-        let mut driver = carrier.fork(
-            lane.state.take(),
-            lane.first_err_out,
-            spare,
-            &mut kept.lanes,
-        );
+        let state = lane
+            .state
+            .take()
+            .expect("a lane in the batch holds its side");
+        let mut driver = carrier.fork(state, lane.first_err_out, spare, &mut kept.lanes);
         catch_up(&mut driver);
         let (record, mut driver) = self.run(lane.sample).resume(driver, &mut lane.rec, at);
         // Kept until the next fork refills it, it must not pin the pages
@@ -207,8 +204,11 @@ pub(crate) fn run_batch<C: Component>(
     debug_assert!(group.iter().all(|&i| same_trajectory(&samples[i], spec0)));
     stats.batches += 1;
 
-    // Shared phase: one attach + warm-up for the whole batch.
+    // Shared phase: one attach + warm-up for the whole batch. A carrier
+    // has no golden of its own: one the refilled driver kept joins the
+    // pool.
     let mut warmed = warm::<C>(base, golden, spec0, kept.driver.take());
+    kept.lanes.extend(warmed.golden.take());
 
     // Each lane is the warmed driver's twin (≡ the scalar run's target
     // at snapshot_golden) with its bit flipped. A warm-up on the
@@ -250,7 +250,7 @@ pub(crate) fn run_batch<C: Component>(
     };
     let check_interval = spec0.check_interval;
     let cap = spec0.cosim_cap.max(check_interval);
-    // Lanes still in the batch, parked ones included.
+    // Lanes still in the batch.
     let mut live = LaneMask::full(lanes.len());
     let mut cosim_cycles = 0u64;
 
@@ -262,7 +262,7 @@ pub(crate) fn run_batch<C: Component>(
         let gate = carrier.admits(None, cyc);
         for li in live.iter() {
             let lane = &mut lanes[li];
-            if (lane.state.as_ref()).is_some_and(|st| carrier.admits(Some(st), cyc) != gate) {
+            if carrier.admits(Some(side(&lane.state)), cyc) != gate {
                 live.clear(li);
                 #[cfg(test)]
                 tests::forked(lane.sample, "ready parity", cosim_cycles);
@@ -276,9 +276,10 @@ pub(crate) fn run_batch<C: Component>(
         let out = carrier.tick_target(&inp, cyc);
         for li in live.iter() {
             let lane = &mut lanes[li];
-            let Some(st) = &mut lane.state else {
-                continue; // parked: the carrier's tick was this lane's
-            };
+            let st = lane
+                .state
+                .as_mut()
+                .expect("a lane in the batch holds its side");
             let l_out = C::tick(st, &inp, carrier.sys().dram(), cyc);
             if C::seen(&l_out, &out) {
                 // The lane's run's system receives the lane's outputs.
@@ -304,54 +305,48 @@ pub(crate) fn run_batch<C: Component>(
             live = LaneMask::EMPTY;
             break;
         }
-        if cosim_cycles.is_multiple_of(check_interval) {
-            for li in live.iter() {
-                let lane = &mut lanes[li];
+        // Golden compares, and the program's end at each and at the cap.
+        let at_check = cosim_cycles.is_multiple_of(check_interval);
+        if !at_check && cosim_cycles < cap {
+            continue;
+        }
+        let halted = carrier.sys().all_halted();
+        for li in live.iter() {
+            let lane = &mut lanes[li];
+            let mut exit = None;
+            if at_check {
                 lane.rec.count(names::GOLDEN_COMPARES, 1);
                 if lane.rec.is_active() {
-                    match &lane.state {
-                        Some(st) => st.sample_telemetry(&mut lane.rec),
-                        // Parked: the carrier's side is the lane's.
-                        None => carrier.sample_telemetry(&mut lane.rec),
-                    }
+                    side(&lane.state).sample_telemetry(&mut lane.rec);
                 }
-                let (c, drained) = match &lane.state {
-                    Some(st) => (carrier.check_lane(st), carrier.drained_with(st)),
-                    None => (CosimCheck::Identical, carrier.drained()),
-                };
-                if c.exitable() && drained {
-                    // The scalar run's early-Vanished exit in the batch;
-                    // ArchMappable state or an observed erroneous output
-                    // leaves for the scalar detach/phase-3 flow.
-                    live.clear(li);
-                    runs.end(&mut carrier, lane, Exit::Converged(c), cosim_cycles);
-                    continue;
-                }
-                // Equal state, equal inputs from here on: the lane's
-                // future is the carrier's. Only an Identical lane
-                // qualifies — a benign diff is still a diff, and what
-                // it reads as next cycle is the lane's own business.
-                let clean = lane.first_err_out.is_none();
-                let park = clean && c == CosimCheck::Identical && lane.state.is_some();
-                #[cfg(test)]
-                let park = park && tests::parking();
-                if park {
-                    runs.kept.lanes.extend(lane.state.take());
-                    runs.stats.parked += 1;
+                // The scalar run's early exits, in the batch: Vanished
+                // retires here, and ArchMappable state or an observed
+                // erroneous output leaves for the scalar detach/phase-3
+                // flow.
+                let c = carrier.check_lane(side(&lane.state));
+                let drained = || carrier.drained_with(side(&lane.state));
+                if converged(c, lane.first_err_out, drained) {
+                    exit = Some(Exit::Converged(c));
                 }
             }
-            // With every lane parked the carrier is nobody's golden: like
-            // a scalar target whose golden retired, it may leave flops.
-            if live.iter().all(|li| lanes[li].state.is_none()) {
-                carrier.retire_golden();
+            if exit.is_none() && halted && carrier.drained_with(side(&lane.state)) {
+                exit = Some(Exit::Ended);
+            }
+            if let Some(exit) = exit {
+                live.clear(li);
+                runs.end(&mut carrier, lane, exit, cosim_cycles);
             }
         }
     }
 
     // Cap reached. A run that never diverged and is still Microarch-dirty
-    // retires in the batch as Persist; every other lane, parked ones
-    // too, detaches on a fork.
+    // retires in the batch as Persist; every other lane detaches on a
+    // fork.
     for li in live.iter() {
+        debug_assert!(
+            !(carrier.sys().all_halted() && carrier.drained_with(side(&lanes[li].state))),
+            "a lane reached the cap after the program ended"
+        );
         runs.end(&mut carrier, &mut lanes[li], Exit::Cap, cosim_cycles);
     }
     runs.kept.driver = Some(carrier);
@@ -373,10 +368,6 @@ mod tests {
     use std::cell::{Cell, RefCell};
 
     thread_local! {
-        /// Test-only switch: `false` makes `run_batch` on this thread
-        /// tick and compare every lane to the end, as it did before
-        /// parking existed.
-        static PARKING: Cell<bool> = const { Cell::new(true) };
         /// Every lane that left a batch on this thread.
         static FORKS: RefCell<Vec<Fork>> = const { RefCell::new(Vec::new()) };
     }
@@ -385,21 +376,17 @@ mod tests {
     /// co-simulation cycle it left on.
     type Fork = (usize, &'static str, u64);
 
-    pub(super) fn parking() -> bool {
-        PARKING.with(Cell::get)
-    }
-
     pub(super) fn forked(sample: usize, why: &'static str, at: u64) {
         FORKS.with(|f| f.borrow_mut().push((sample, why, at)));
     }
 
-    /// Logs the fork of a lane whose co-simulation ended for `exit`,
-    /// parked or not, at `at`.
-    pub(super) fn ended(sample: usize, exit: Exit, parked: bool, at: u64) {
+    /// Logs the fork of a lane whose co-simulation ended for `exit` at
+    /// `at`.
+    pub(super) fn ended(sample: usize, exit: Exit, at: u64) {
         let why = match exit {
             Exit::Converged(_) => "exit",
+            Exit::Ended => "program end",
             Exit::Aborted => "abort",
-            Exit::Cap if parked => "parked at cap",
             Exit::Cap => "cap",
         };
         forked(sample, why, at);
@@ -549,21 +536,19 @@ mod tests {
         many_leavers: Cell<u64>,
     }
 
-    /// One random batch of `C` on one of `setups`: parked and unparked
-    /// runs agree, and every lane's record and recorder match the
-    /// reference run of its sample.
-    fn parked_matches_unparked_and_the_reference<C: Component>(
+    /// One random batch of `C`, of a random width, on one of `setups`:
+    /// every lane's record and recorder equal its sample's scalar run.
+    fn lanes_match_their_scalar_runs<C: Component>(
         src: &mut nestsim_harness::Source,
         component: ComponentKind,
         (base, golden, profile): &(System, GoldenRef, &'static BenchProfile),
         pools: &[Vec<usize>; 3],
         coverage: &Coverage,
     ) {
-        use crate::inject::tests::run_injection_reference;
         let cfg = TelemetryConfig {
             trace_capacity: 1024,
         };
-        // A tight cap leaves parked lanes waiting when it strikes; an
+        // A tight cap strikes while lanes are still in the batch; an
         // all-inactive batch is the one sure to have no leaver.
         let tight = src.below(3) == 0;
         let [targets, inactive, readiness] = pools;
@@ -582,38 +567,31 @@ mod tests {
             cosim_cap: if tight { 32 + src.below(96) } else { 4_000 },
             check_interval: [16, 16, 7][src.index(3)],
         };
-        let samples: Vec<InjectionSpec> = (0..src.range_usize(1, 10))
+        let width = if src.below(16) == 0 {
+            MAX_LANES
+        } else {
+            src.range_usize(1, 17)
+        };
+        let samples: Vec<InjectionSpec> = (0..width)
             .map(|_| InjectionSpec {
                 bit: pool[src.index(pool.len())],
                 ..trajectory
             })
             .collect();
-        let run = |parking: bool| {
-            PARKING.with(|p| p.set(parking));
-            let batch = batch::<C>(base, golden, &samples, Some(&cfg));
-            PARKING.with(|p| p.set(true));
-            batch
-        };
-        let (parked, stats, forks) = run(true);
-        let (unparked, plain, _) = run(false);
+        let (runs, stats, forks) = batch::<C>(base, golden, &samples, Some(&cfg));
         assert_eq!(
-            parked, unparked,
-            "{component}: parking changed a lane's run"
+            stats.retired_early + stats.scalar_fallbacks,
+            width as u64,
+            "{component}: every lane either retires in its batch or leaves it"
         );
-        assert_eq!(plain.parked, 0);
-        assert_eq!(
-            (stats.batches, stats.retired_early, stats.scalar_fallbacks),
-            (plain.batches, plain.retired_early, plain.scalar_fallbacks),
-            "{component}: parking moved a lane between retirement and fallback"
-        );
-        for (i, r, rec) in &parked {
-            let spec = &samples[*i];
+        for (i, r, rec) in &runs {
             let mut want_rec = Recorder::active(&cfg);
-            let want = run_injection_reference(base, golden, spec, &mut want_rec, |sys| {
-                C::attach_instance(sys, spec.instance)
-            });
-            assert_eq!(*r, want, "{component} sample {i}: record");
-            assert_eq!(*rec, want_rec, "{component} sample {i}: recorder");
+            let want = run_injection_with(base, golden, &samples[*i], &mut want_rec);
+            assert_eq!(*r, want, "{component} sample {i} of {width}: record");
+            assert_eq!(
+                *rec, want_rec,
+                "{component} sample {i} of {width}: recorder"
+            );
         }
 
         for (_, why, _) in forks {
@@ -627,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn parked_batch_matches_the_unparked_batch_and_the_reference() {
+    fn every_lane_of_a_batch_of_any_width_matches_its_scalar_run() {
         use nestsim_harness::{check_with, Config};
 
         let setup = |bench: &str| {
@@ -654,10 +632,10 @@ mod tests {
             max_shrink_iters: 24,
             ..Config::with_cases(48)
         };
-        check_with(config, "parked_batch_matches_unparked", |src| {
+        check_with(config, "lanes_match_their_scalar_runs", |src| {
             for (k, component) in ComponentKind::ALL.into_iter().enumerate() {
                 let setup = &setups[k][src.index(3)];
-                on_component!(component, C => parked_matches_unparked_and_the_reference::<C>(
+                on_component!(component, C => lanes_match_their_scalar_runs::<C>(
                     src, component, setup, &pools[k], &coverage[k]
                 ));
             }
@@ -667,9 +645,9 @@ mod tests {
         // covers it. The PCIe engine takes no inputs, so its lanes never
         // disagree on readiness.
         let wanted: [&[&str]; 4] = [
-            &["ready parity", "outputs", "exit", "cap", "parked at cap"],
-            &["ready parity", "outputs", "cap", "parked at cap"],
-            &["ready parity", "outputs", "parked at cap"],
+            &["ready parity", "outputs", "exit", "cap"],
+            &["ready parity", "outputs", "program end", "cap"],
+            &["ready parity", "outputs", "program end", "cap"],
             &["outputs"],
         ];
         for (k, component) in ComponentKind::ALL.into_iter().enumerate() {

@@ -233,6 +233,9 @@ pub struct System {
     barrier_mask: u64,
     barrier_count: u32,
     halted: u32,
+    /// The cycle the last thread halted on, once every thread has: the
+    /// clock runs on past it.
+    ended: u64,
     next_req: u64,
     trap: Option<(ThreadId, TrapCause, u64)>,
     watchdog: u64,
@@ -269,6 +272,7 @@ impl Clone for System {
             barrier_mask,
             barrier_count,
             halted,
+            ended,
             next_req,
             trap,
             watchdog,
@@ -291,6 +295,7 @@ impl Clone for System {
             barrier_mask: *barrier_mask,
             barrier_count: *barrier_count,
             halted: *halted,
+            ended: *ended,
             next_req: *next_req,
             trap: *trap,
             watchdog: *watchdog,
@@ -316,6 +321,7 @@ impl Clone for System {
             barrier_mask,
             barrier_count,
             halted,
+            ended,
             next_req,
             trap,
             watchdog,
@@ -337,6 +343,7 @@ impl Clone for System {
         self.barrier_mask = *barrier_mask;
         self.barrier_count = *barrier_count;
         self.halted = *halted;
+        self.ended = *ended;
         self.next_req = *next_req;
         self.trap = *trap;
         self.watchdog = *watchdog;
@@ -399,6 +406,7 @@ impl System {
             barrier_mask: 0,
             barrier_count: 0,
             halted: 0,
+            ended: 0,
             next_req: 1,
             trap: None,
             watchdog,
@@ -780,6 +788,7 @@ impl System {
                 self.threads[t].state = ThreadState::Halted;
                 self.threads[t].current = None;
                 self.halted += 1;
+                self.ended = self.cycle;
             }
             Op::Barrier => {
                 let live: u32 = self.threads.iter().filter(|th| th.is_live()).count() as u32;
@@ -1005,12 +1014,11 @@ impl System {
     }
 
     /// Runs accelerated until `target` (processes all events at cycles
-    /// ≤ `target`); stops early on trap or completion.
+    /// ≤ `target`, none once a thread trapped or every thread halted).
+    /// The clock reaches `target` on every path, so a system that has
+    /// stopped still tells time to whatever it drives.
     pub fn run_until(&mut self, target: u64) {
-        loop {
-            if self.trap.is_some() || self.all_halted() {
-                return;
-            }
+        while self.trap.is_none() && !self.all_halted() {
             match self.events.next_cycle() {
                 Some(c) if c <= target => {
                     self.step_event();
@@ -1034,7 +1042,7 @@ impl System {
             if self.all_halted() {
                 return RunResult::Completed {
                     digest: self.output_digest(),
-                    cycles: self.cycle,
+                    cycles: self.ended,
                 };
             }
             match self.events.next_cycle() {
@@ -1250,6 +1258,36 @@ mod tests {
         assert!(r.is_completed(), "got {r:?}");
         // Doorbell rang.
         assert_eq!(sys.coherent_word(doorbell_addr()), 1);
+    }
+
+    #[test]
+    fn the_clock_runs_on_after_the_program_ends_or_traps() {
+        let mut done = smoke("radi");
+        let end = match done.run_to_end() {
+            RunResult::Completed { cycles, .. } => cycles,
+            other => panic!("radi must complete, got {other:?}"),
+        };
+        assert!(done.all_halted());
+        done.run_until(end + 100);
+        assert_eq!(done.cycle(), end + 100);
+        done.run_until(end + 50);
+        assert_eq!(done.cycle(), end + 100, "the clock never runs back");
+        let again = done.run_to_end();
+        assert!(
+            matches!(again, RunResult::Completed { cycles, .. } if cycles == end),
+            "the run still ended where it ended: {again:?}"
+        );
+
+        let mut trapped = smoke("radi");
+        trapped.deliver_cpx(CpxPacket {
+            id: ReqId(u64::MAX),
+            thread: ThreadId::new(0),
+            kind: CpxKind::Error,
+            data: 0,
+        });
+        assert!(trapped.trap().is_some());
+        trapped.run_until(1_000);
+        assert_eq!(trapped.cycle(), 1_000);
     }
 
     #[test]

@@ -246,6 +246,12 @@ pub fn fig3(opts: &Opts) {
         c.count(Outcome::Persist),
         c.total()
     );
+    let runs = results.iter().flat_map(|r| &r.records);
+    let (n, post_flip) = runs.fold((0u64, 0u64), |(n, s), r| (n + 1, s + r.cosim_cycles));
+    println!(
+        "Co-simulated cycles after the flip: {:.0} per injection.",
+        post_flip as f64 / n.max(1) as f64
+    );
     export_telemetry(opts, &results);
 }
 

@@ -180,12 +180,9 @@ pub mod names {
     pub const LANES_RETIRED_EARLY: &str = "lanes.retired_early";
     /// Counter: lanes finished on the scalar path — batch leavers, each
     /// on a driver forked off the carrier (readiness or output
-    /// divergence, arch-mappable or erroneous exit, abort, cap).
+    /// divergence, arch-mappable or erroneous exit, the program's end,
+    /// abort, cap).
     pub const LANES_SCALAR_FALLBACKS: &str = "lanes.scalar_fallbacks";
-    /// Counter: lanes parked inside a batch — proved identical to the
-    /// carrier, so no longer ticked or compared while they wait for it
-    /// to drain (engine telemetry).
-    pub const LANES_PARKED: &str = "lanes.parked";
 
     /// Counter: rounds executed by the adaptive sampling engine
     /// (engine telemetry; sequential-stopping trace).
@@ -300,7 +297,6 @@ pub mod names {
         LANES_BATCHES,
         LANES_RETIRED_EARLY,
         LANES_SCALAR_FALLBACKS,
-        LANES_PARKED,
         QRR_RUNS,
         QRR_DETECTED,
         QRR_REPLAY_ATTEMPTS,

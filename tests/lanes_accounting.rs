@@ -8,10 +8,6 @@
 //! locked here is a partition: every clustered injection either retires
 //! in its batch or falls back — never both, never neither — and every
 //! one of them stays byte-identical to the pre-ladder reference engine.
-//!
-//! `lanes.parked` counts what a batch no longer pays for: a lane proved
-//! identical to its carrier stops being ticked. It does not move
-//! `batches`, `retired_early` or `scalar_fallbacks`.
 
 use nestsim::core::campaign::{
     run_campaign_replay, run_campaign_with, CampaignResult, CampaignSpec,
@@ -20,14 +16,13 @@ use nestsim::hlsim::workload::by_name;
 use nestsim::models::ComponentKind;
 use nestsim::telemetry::{names, TelemetryConfig};
 
-/// `(batches, retired_early, scalar_fallbacks, parked)`.
-fn lane_counters(got: &CampaignResult) -> (u64, u64, u64, u64) {
+/// `(batches, retired_early, scalar_fallbacks)`.
+fn lane_counters(got: &CampaignResult) -> (u64, u64, u64) {
     let engine = &got.telemetry.engine;
     (
         engine.counter(names::LANES_BATCHES),
         engine.counter(names::LANES_RETIRED_EARLY),
         engine.counter(names::LANES_SCALAR_FALLBACKS),
-        engine.counter(names::LANES_PARKED),
     )
 }
 
@@ -54,12 +49,11 @@ fn assert_matches_replay(ctx: &str, spec: &CampaignSpec, got: &CampaignResult) {
 /// 4-sample same-trajectory group, so three batches form, and every
 /// clustered injection of `component` retires in its batch or falls
 /// back, exactly once: `(retired_early, scalar_fallbacks)` is `want`.
-/// Returns how many lanes parked on the way.
-fn clustered_injections_partition(component: ComponentKind, bench: &str, want: (u64, u64)) -> u64 {
+fn clustered_injections_partition(component: ComponentKind, bench: &str, want: (u64, u64)) {
     let spec = spec(component, 12, 4);
     let telemetry = TelemetryConfig::default();
     let got = run_campaign_with(by_name(bench).unwrap(), &spec, Some(&telemetry));
-    let (batches, retired_early, scalar_fallbacks, parked) = lane_counters(&got);
+    let (batches, retired_early, scalar_fallbacks) = lane_counters(&got);
     assert_eq!(batches, 3, "{component}: one batch per cluster");
     assert_eq!(
         (retired_early, scalar_fallbacks),
@@ -67,10 +61,6 @@ fn clustered_injections_partition(component: ComponentKind, bench: &str, want: (
         "{component}: every clustered injection retires in-batch or falls back, exactly once"
     );
     assert_eq!(retired_early + scalar_fallbacks, 12, "{component}");
-    assert!(
-        parked <= retired_early + scalar_fallbacks,
-        "{component}: a parked lane leaves as an in-batch Vanished or through the fallback"
-    );
     assert_matches_replay(&format!("{component} cluster=4"), &spec, &got);
 
     // Width 1 batches nothing, and changes nothing.
@@ -79,43 +69,36 @@ fn clustered_injections_partition(component: ComponentKind, bench: &str, want: (
         ..spec
     };
     let got = run_campaign_with(by_name(bench).unwrap(), &scalar, Some(&telemetry));
-    assert_eq!(lane_counters(&got), (0, 0, 0, 0), "{component}");
+    assert_eq!(lane_counters(&got), (0, 0, 0), "{component}");
     assert_matches_replay(&format!("{component} cluster=4 width=1"), &scalar, &got);
-    parked
 }
 
 #[test]
 fn l2c_clustered_injections_partition_into_retired_and_fallbacks() {
-    let parked = clustered_injections_partition(ComponentKind::L2c, "flui", (9, 3));
-    assert!(parked > 0, "no lane was ever parked");
+    clustered_injections_partition(ComponentKind::L2c, "flui", (9, 3));
 }
 
 #[test]
 fn mcu_clustered_injections_partition_into_retired_and_fallbacks() {
-    let parked = clustered_injections_partition(ComponentKind::Mcu, "flui", (8, 4));
-    assert!(parked > 0, "no lane was ever parked");
+    clustered_injections_partition(ComponentKind::Mcu, "flui", (8, 4));
 }
 
 #[test]
 fn ccx_clustered_injections_partition_into_retired_and_fallbacks() {
-    let parked = clustered_injections_partition(ComponentKind::Ccx, "lu-c", (11, 1));
-    assert!(parked > 0, "no lane was ever parked");
+    clustered_injections_partition(ComponentKind::Ccx, "lu-c", (11, 1));
 }
 
 #[test]
 fn pcie_clustered_injections_partition_into_retired_and_fallbacks() {
-    // The engine is drained whenever it converges, so a lane that could
-    // park retires in its batch at that same check instead.
-    let parked = clustered_injections_partition(ComponentKind::Pcie, "p-lr", (10, 2));
-    assert_eq!(parked, 0);
+    clustered_injections_partition(ComponentKind::Pcie, "p-lr", (10, 2));
 }
 
 /// A cap so tight (64 cycles) that the carrier is still busy when it
-/// strikes: the lanes the first check proves identical are parked, and
-/// all of them leave through the cap fallback — only a Persist lane can
-/// retire in such a batch.
+/// strikes: a lane that checks identical before it retires in the
+/// batch as Vanished, with no drain to wait for; the others leave
+/// through the cap fallback, or retire as Persist.
 #[test]
-fn l2c_parked_lanes_cut_off_by_the_cap_fall_back() {
+fn l2c_identical_lanes_retire_before_a_tight_cap() {
     let profile = by_name("radi").unwrap();
     let spec = CampaignSpec {
         cosim_cap: 64,
@@ -124,13 +107,8 @@ fn l2c_parked_lanes_cut_off_by_the_cap_fall_back() {
     let telemetry = TelemetryConfig::default();
     let got = run_campaign_with(profile, &spec, Some(&telemetry));
 
-    let (batches, retired_early, scalar_fallbacks, parked) = lane_counters(&got);
-    assert_eq!((batches, retired_early, scalar_fallbacks), (3, 1, 47));
-    assert!(
-        parked > retired_early,
-        "{parked} parked lanes: more than retired, so some fell back at the cap"
-    );
-    assert!(parked <= retired_early + scalar_fallbacks);
+    let (batches, retired_early, scalar_fallbacks) = lane_counters(&got);
+    assert_eq!((batches, retired_early, scalar_fallbacks), (3, 32, 16));
     assert_matches_replay("l2c cluster=16 cap=64", &spec, &got);
 }
 
