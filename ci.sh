@@ -144,6 +144,13 @@ cargo test --offline --workspace -q
 stage "QRR example (README's QRR command: asserts a covered flip recovers)"
 cargo run --offline --release --example qrr_recovery
 
+stage "Fig. 7 on every component (RTL-only ground truth beside mixed mode, 100 samples each)"
+# The RTL-only mode is the one injection run with no early exit, on any
+# component's driver; this drives that path end to end for all four.
+for component in l2c mcu ccx pcie; do
+    cargo run --offline --release -p nestsim-repro -- fig7 --samples 100 --component "$component"
+done
+
 stage "mck smoke (deterministic protocol simulation: four phases, two mutation gates, fault coverage)"
 # Fixed-seed, fully deterministic: one simulated world steps the one
 # campaign server machine with workers and tenants. A bounded DFS and a

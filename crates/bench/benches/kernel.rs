@@ -312,32 +312,6 @@ fn closed_loop<X: Crossbar>(offer_per_256: u64) -> impl FnMut(&mut X) -> CcxOutp
     }
 }
 
-fn conversions(suite: &mut Suite) {
-    // A retiring golden puts its crossbar back on packets: the flops of
-    // `ccx_cosim`'s closed loop, 1,000 cycles in, read back as packets.
-    let mut ccx = Ccx::new();
-    let mut step = closed_loop(55);
-    for _ in 0..1_000 {
-        step(&mut ccx);
-    }
-    assert!(!ccx.idle(), "nothing in flight to convert");
-    suite.bench("kernel/convert", "ccx_to_packets", || {
-        black_box(CcxWarm::from_ccx(black_box(&ccx)))
-    });
-
-    // And its controller back on plain fields: `kernel/tick/mcu`'s
-    // flops, 1,000 cycles in.
-    let (mut mcu, mut mem) = (Mcu::new(McuId::new(0)), DramContents::new());
-    let mut step = mcu_stimulus();
-    for _ in 0..1_000 {
-        step(&mut mcu, &mut mem);
-    }
-    assert!(!mcu.idle(), "nothing in flight to convert");
-    suite.bench("kernel/convert", "mcu_to_warm", || {
-        black_box(McuWarm::from_mcu(black_box(&mcu)))
-    });
-}
-
 /// A queue of `depth` packed slots (valid bit, then `leaves`, then
 /// `words` 64-bit words) after `pad` bits, so it sits where the real
 /// one does in its component's flop space.
@@ -511,7 +485,6 @@ fn main() {
     component_ticks(&mut suite);
     queue_pops(&mut suite);
     attaches(&mut suite);
-    conversions(&mut suite);
     golden_compare(&mut suite);
     accelerated_mode(&mut suite);
     // Last: freeing their 256 KiB page chunks shifts glibc's heap

@@ -328,17 +328,13 @@ pub(crate) fn finish<C: Component>(
     spec: &InjectionSpec,
     rec: &mut Recorder,
 ) -> (InjectionRecord, Driver<C>) {
-    warmed.record_preamble(spec, rec);
-    let mut driver = warmed.driver;
-    driver.snapshot(warmed.golden);
-    driver.inject(spec.bit);
-    let inject_cycle = driver.cycle();
     let run = Flipped {
         golden,
         spec,
-        inject_cycle,
+        inject_cycle: warmed.driver.cycle(),
+        converges: true,
     };
-    run.resume(driver, rec, Resume::Cosim(0))
+    run.finish(warmed, rec)
 }
 
 /// Where a run past its flip picks up.
@@ -358,9 +354,26 @@ pub(crate) struct Flipped<'a> {
     pub(crate) spec: &'a InjectionSpec,
     /// The cycle of the flip.
     pub(crate) inject_cycle: u64,
+    /// Whether a golden compare may end the run (Fig. 2 step 7). Only an
+    /// RTL-only run (`crate::rtl_only`) clears it: the ground truth ends
+    /// at a trap, the watchdog or the program's end.
+    pub(crate) converges: bool,
 }
 
 impl Flipped<'_> {
+    /// [`finish`] of `warmed`, a driver warmed up to `inject_cycle`.
+    pub(crate) fn finish<C: Component>(
+        &self,
+        warmed: Warmed<C>,
+        rec: &mut Recorder,
+    ) -> (InjectionRecord, Driver<C>) {
+        warmed.record_preamble(self.spec, rec);
+        let mut driver = warmed.driver;
+        driver.snapshot(warmed.golden);
+        driver.inject(self.spec.bit);
+        self.resume(driver, rec, Resume::Cosim(0))
+    }
+
     /// Runs the rest of the run from `at` and returns its record and the
     /// driver it ended with. The scalar run enters at `Cosim(0)`; a lane
     /// that leaves its batch enters where it left, on a driver equal to
@@ -454,7 +467,8 @@ impl Flipped<'_> {
     /// Phase 2, steps 6–9: co-simulates from `stepped` cycles done until
     /// the error vanishes, maps to high-level state, the program ends, or
     /// the cap is reached. The program's end is tested at each golden
-    /// compare and at the cap.
+    /// compare's cycle and at the cap; a run that does not converge
+    /// makes no compare.
     fn cosimulate<C: Component>(
         &self,
         driver: &mut Driver<C>,
@@ -471,7 +485,7 @@ impl Flipped<'_> {
                     break Exit::Aborted;
                 }
                 let at_check = cosim_cycles.is_multiple_of(spec.check_interval);
-                if at_check {
+                if at_check && self.converges {
                     rec.count(names::GOLDEN_COMPARES, 1);
                     if rec.is_active() {
                         driver.sample_telemetry(rec);

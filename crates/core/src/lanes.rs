@@ -109,6 +109,7 @@ impl<'a, C: Component> Runs<'a, C> {
             golden: self.golden,
             spec: &self.samples[i],
             inject_cycle: self.inject_cycle,
+            converges: true,
         }
     }
 

@@ -2,20 +2,30 @@
 //! (Sec. 4.3).
 //!
 //! In RTL-only mode the target component is co-simulated for the
-//! *entire* application — no acceleration, no warm-up, no early exit —
-//! which is the ground truth the mixed-mode platform is validated
-//! against. The paper runs this for a small FFT on 4 threads without
-//! an OS; the reproduction harness uses [`Topology::reduced`] and a
-//! large length divisor for the same reason (RTL-only is slow).
+//! *entire* application — no acceleration, and no early exit — which is
+//! the ground truth the mixed-mode platform is validated against. An
+//! RTL-only sample is an ordinary injection run on the component's
+//! driver: its warm-up starts at cycle 0 and lasts to the flip, its cap
+//! never strikes, and no golden compare ends it, so it leaves
+//! co-simulation only at a trap, the watchdog or the program's end, and
+//! phase 3 classifies it as it does a mixed-mode run. The paper runs
+//! this for a small FFT on 4 threads without an OS; the reproduction
+//! harness uses [`Topology::reduced`] and a large length divisor for the
+//! same reason (RTL-only is slow).
 
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_hlsim::{RunResult, System, SystemConfig};
-use nestsim_proto::addr::BankId;
+use nestsim_models::ComponentKind;
 use nestsim_proto::Topology;
 use nestsim_stats::SeedSeq;
+use nestsim_telemetry::Recorder;
 
-use crate::cosim::{CosimDriver, L2cDriver};
-use crate::inject::GoldenRef;
+use crate::campaign::{injection_target_bits, injection_window};
+use crate::cosim::{on_component, Component, CosimDriver};
+use crate::inject::{
+    aborted, run_injection, warm, Flipped, GoldenRef, InjectionRecord, InjectionSpec,
+    DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
+};
 use crate::outcome::Outcome;
 
 /// Configuration of the Fig. 7 comparison runs.
@@ -27,132 +37,128 @@ pub struct RtlOnlyConfig {
     pub length_scale: u64,
     /// Campaign seed.
     pub seed: u64,
-    /// Bank under test.
-    pub bank: BankId,
+    /// Component under test, on its instance 0.
+    pub component: ComponentKind,
 }
 
 impl RtlOnlyConfig {
-    /// The paper's setup: small FFT, 4 threads, no OS.
+    /// The paper's setup: small FFT, 4 threads, no OS, on L2C bank 0.
     pub fn paper_like(profile: &'static BenchProfile) -> Self {
         RtlOnlyConfig {
             profile,
             length_scale: 40,
             seed: 2015,
-            bank: BankId::new(0),
+            component: ComponentKind::L2c,
         }
     }
 
-    fn system_config(&self, seed: u64) -> SystemConfig {
-        SystemConfig {
+    fn system(&self) -> System {
+        System::new(SystemConfig {
             topology: Topology::reduced(),
-            seed,
+            seed: self.seed,
             length_scale: self.length_scale,
             ..SystemConfig::new(self.profile)
+        })
+    }
+
+    /// Sample `(bit, inject_cycle)` as an injection run: RTL-only from
+    /// cycle 0 with no cap, or mixed mode from the minimum warm-up.
+    fn spec(&self, bit: usize, inject_cycle: u64, rtl_only: bool) -> InjectionSpec {
+        let (warmup, cosim_cap) = if rtl_only {
+            (inject_cycle, u64::MAX)
+        } else {
+            (MIN_WARMUP, DEFAULT_COSIM_CAP)
+        };
+        InjectionSpec {
+            component: self.component,
+            instance: 0,
+            bit,
+            inject_cycle,
+            warmup,
+            cosim_cap,
+            check_interval: DEFAULT_CHECK_INTERVAL,
         }
     }
 }
 
-/// Runs the error-free RTL-only reference (full co-simulation from
-/// cycle 0 to completion) and returns its golden data.
+/// Runs the error-free RTL-only reference (co-simulation from cycle 0
+/// until the program ends with the component drained) and returns its
+/// golden data.
 ///
 /// # Panics
 ///
 /// Panics if the error-free RTL-only run does not complete.
 pub fn rtl_only_golden(cfg: &RtlOnlyConfig) -> GoldenRef {
-    let sys = System::new(cfg.system_config(cfg.seed));
-    match run_rtl_only(sys, cfg.bank, None) {
+    let result = on_component!(cfg.component, C => {
+        // Entered as `inject::warm` enters a run at cycle 0: past the
+        // accelerated events of cycle 0.
+        let mut sys = cfg.system();
+        sys.run_until(0);
+        let mut driver = C::attach_instance(sys, 0);
+        while !(driver.sys().all_halted() && driver.drained() || aborted(&driver)) {
+            driver.step();
+        }
+        driver.detach().sys.run_to_end()
+    });
+    match result {
         RunResult::Completed { digest, cycles } => GoldenRef { digest, cycles },
         other => panic!("error-free RTL-only run failed: {other:?}"),
     }
 }
 
-/// Runs one RTL-only injection: full co-simulation from cycle 0, with a
-/// bit flip at `inject_cycle`, classified against `golden`.
-///
-/// ONA and OMM are merged (as in the paper's Fig. 7, where the reduced
-/// setup has no output-file distinction); completed-and-matching runs
-/// count as Vanished.
+/// Runs one RTL-only injection: co-simulation from cycle 0 with a bit
+/// flip at `inject_cycle` (at least [`MIN_WARMUP`]), to a trap, the
+/// watchdog or the program's end, classified against `golden`.
 pub fn run_rtl_only_injection(
     cfg: &RtlOnlyConfig,
     golden: &GoldenRef,
     bit: usize,
     inject_cycle: u64,
-) -> Outcome {
-    let mut sys = System::new(cfg.system_config(cfg.seed));
-    sys.set_watchdog(golden.watchdog());
-    golden.verdict(&run_rtl_only(sys, cfg.bank, Some((bit, inject_cycle))))
+) -> InjectionRecord {
+    let spec = cfg.spec(bit, inject_cycle, true);
+    on_component!(cfg.component, C => {
+        let warmed = warm::<C>(&cfg.system(), golden, &spec, None);
+        let run = Flipped {
+            golden,
+            spec: &spec,
+            inject_cycle: warmed.driver.cycle(),
+            converges: false,
+        };
+        run.finish(warmed, &mut Recorder::null()).0
+    })
 }
 
 /// Mixed-mode counterpart on the identical reduced configuration, so
-/// Fig. 7 compares like against like. Returns the merged-category
-/// outcome.
+/// Fig. 7 compares like against like.
 pub fn run_mixed_injection_reduced(
     cfg: &RtlOnlyConfig,
     golden: &GoldenRef,
     bit: usize,
     inject_cycle: u64,
-) -> Outcome {
-    let base = System::new(cfg.system_config(cfg.seed));
-    let spec = crate::inject::InjectionSpec {
-        component: nestsim_models::ComponentKind::L2c,
-        instance: cfg.bank.index(),
-        bit,
-        inject_cycle,
-        warmup: crate::inject::MIN_WARMUP,
-        cosim_cap: crate::inject::DEFAULT_COSIM_CAP,
-        check_interval: crate::inject::DEFAULT_CHECK_INTERVAL,
-    };
-    let r = crate::inject::run_injection(&base, golden, &spec);
-    match r.outcome {
-        // Merge categories to match the RTL-only classification.
+) -> InjectionRecord {
+    run_injection(&cfg.system(), golden, &cfg.spec(bit, inject_cycle, false))
+}
+
+/// An outcome as Fig. 7 counts it: ONA joins OMM (the reduced setup has
+/// no output-file distinction), and Persist counts as Vanished.
+pub fn fig7_outcome(record: &InjectionRecord) -> Outcome {
+    match record.outcome {
         Outcome::Ona => Outcome::Omm,
         Outcome::Persist => Outcome::Vanished,
         o => o,
     }
 }
 
-/// Drives a full RTL-only execution, optionally injecting `(bit, at)`,
-/// and returns the application result.
-fn run_rtl_only(sys: System, bank: BankId, inject: Option<(usize, u64)>) -> RunResult {
-    let mut drv = L2cDriver::attach(sys, bank);
-    let mut injected = false;
-    loop {
-        drv.step();
-        if let Some((bit, at)) = inject {
-            if !injected && drv.cycle() >= at {
-                drv.inject(bit);
-                injected = true;
-            }
-        }
-        if let Some((thread, cause, cycle)) = drv.sys().trap() {
-            return RunResult::Trapped {
-                thread,
-                cause,
-                cycle,
-            };
-        }
-        if drv.sys().all_halted() {
-            let detach = drv.detach();
-            let mut sys = detach.sys;
-            return sys.run_to_end();
-        }
-        if drv.cycle() > drv.sys().watchdog() {
-            return RunResult::Hang { cycle: drv.cycle() };
-        }
-    }
-}
-
-/// Draws deterministic (bit, cycle) injection points for Fig. 7 runs.
+/// Draws deterministic (bit, cycle) injection points for Fig. 7 runs:
+/// the component's injection targets, over its campaign window.
 pub fn draw_fig7_samples(cfg: &RtlOnlyConfig, golden: &GoldenRef, n: u64) -> Vec<(usize, u64)> {
-    let bits = crate::campaign::injection_target_bits(nestsim_models::ComponentKind::L2c);
+    let bits = injection_target_bits(cfg.component);
+    let (lo, hi) = injection_window(cfg.component, cfg.profile, golden);
     let root = SeedSeq::new(cfg.seed).derive("fig7");
     (0..n)
         .map(|k| {
             let mut rng = root.derive_index(k).rng();
-            (
-                *rng.pick(&bits),
-                rng.range(2_000, (golden.cycles * 9 / 10).max(2_001)),
-            )
+            (*rng.pick(&bits), rng.range(lo, hi))
         })
         .collect()
 }
@@ -162,48 +168,67 @@ mod tests {
     use super::*;
     use nestsim_hlsim::workload::by_name;
 
-    fn tiny_cfg() -> RtlOnlyConfig {
+    fn tiny_cfg(component: ComponentKind) -> RtlOnlyConfig {
         RtlOnlyConfig {
-            profile: by_name("radi").unwrap(),
+            profile: by_name("fft").unwrap(),
             length_scale: 400,
             seed: 3,
-            bank: BankId::new(0),
+            component,
         }
     }
 
     #[test]
     fn error_free_rtl_only_completes_and_matches_accelerated() {
-        let cfg = tiny_cfg();
-        let golden = rtl_only_golden(&cfg);
         // The same configuration run purely accelerated produces the
         // same output digest — the premise of Sec. 2.1 ("under
         // error-free conditions they produce the same output signals").
-        let mut acc = System::new(SystemConfig {
-            topology: Topology::reduced(),
-            seed: cfg.seed,
-            length_scale: cfg.length_scale,
-            ..SystemConfig::new(cfg.profile)
-        });
-        match acc.run_to_end() {
-            RunResult::Completed { digest, .. } => assert_eq!(digest, golden.digest),
+        let cfg = tiny_cfg(ComponentKind::L2c);
+        let accelerated = match cfg.system().run_to_end() {
+            RunResult::Completed { digest, .. } => digest,
             other => panic!("accelerated run failed: {other:?}"),
+        };
+        for component in ComponentKind::ALL {
+            let golden = rtl_only_golden(&RtlOnlyConfig { component, ..cfg });
+            assert_eq!(golden.digest, accelerated, "{component}");
         }
     }
 
     #[test]
     fn injected_rtl_only_run_classifies() {
-        let cfg = tiny_cfg();
+        let cfg = tiny_cfg(ComponentKind::L2c);
         let golden = rtl_only_golden(&cfg);
-        let samples = draw_fig7_samples(&cfg, &golden, 2);
-        for (bit, cycle) in samples {
-            let o = run_rtl_only_injection(&cfg, &golden, bit, cycle);
+        for (bit, cycle) in draw_fig7_samples(&cfg, &golden, 2) {
+            let r = run_rtl_only_injection(&cfg, &golden, bit, cycle);
+            let o = fig7_outcome(&r);
             assert!(
                 matches!(
                     o,
                     Outcome::Vanished | Outcome::Omm | Outcome::Ut | Outcome::Hang
                 ),
-                "unexpected {o:?}"
+                "unexpected {o:?} from {r:?}"
             );
+        }
+    }
+
+    #[test]
+    fn rtl_only_runs_to_the_program_end_unless_it_traps_or_hangs() {
+        // No golden compare ends an RTL-only run: one that neither
+        // trapped nor hung co-simulated to the program's end.
+        for component in ComponentKind::ALL {
+            let cfg = tiny_cfg(component);
+            let golden = rtl_only_golden(&cfg);
+            for (bit, cycle) in draw_fig7_samples(&cfg, &golden, 2) {
+                let r = run_rtl_only_injection(&cfg, &golden, bit, cycle);
+                assert_eq!(r.inject_cycle, cycle.max(MIN_WARMUP), "{component}");
+                assert_ne!(r.outcome, Outcome::Persist, "{component}");
+                if !matches!(r.outcome, Outcome::Ut | Outcome::Hang) {
+                    assert!(
+                        r.inject_cycle + r.cosim_cycles >= golden.cycles,
+                        "{component}: {r:?} ended before the program's end ({})",
+                        golden.cycles
+                    );
+                }
+            }
         }
     }
 }

@@ -17,9 +17,7 @@
 //!
 //! Before the flip there is nothing for flops to be wrong about, so the
 //! warm-up runs on [`CcxWarm`], the same crossbar over packets, which
-//! becomes a [`Ccx`] at the golden snapshot. Once the flip has vanished
-//! there is nothing left to be wrong about either, and
-//! [`CcxWarm::from_ccx`] takes the crossbar back to packets.
+//! becomes a [`Ccx`] at the golden snapshot.
 
 use std::sync::OnceLock;
 
@@ -740,39 +738,6 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
             f.write(h, r.into());
         }
     }
-
-    /// Reads into this empty half what [`write_to`](Self::write_to)
-    /// would have written as `f`: counts, the packets under them, valid
-    /// stages and pointers.
-    fn read_from(
-        &mut self,
-        f: &FlopSpace,
-        fifos: &[Fifo<S>; SRC],
-        stages: &[S; DST],
-        rr: &[FieldHandle; DST],
-    ) {
-        for (src, fifo) in fifos.iter().enumerate() {
-            let n = fifo.count(f);
-            for (i, slot) in fifo.slots.iter().enumerate().take(n) {
-                let pkt = slot.load(f);
-                self.queue[src][i] = pkt;
-                self.dest[src][i] = S::route(&pkt) as u8;
-            }
-            if n > 0 {
-                self.count[src] = n as u8;
-                self.busy |= 1 << src;
-            }
-        }
-        for (dst, stage) in stages.iter().enumerate() {
-            if stage.is_valid(f) {
-                self.stage[dst] = stage.load(f);
-                self.staged |= 1 << dst;
-            }
-        }
-        for (r, &h) in self.rr.iter_mut().zip(rr) {
-            *r = f.read(h) as u8;
-        }
-    }
 }
 
 /// The crossbar while no bit of it can be wrong: [`Ccx`]'s cycle on
@@ -784,8 +749,7 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
 /// holds (everything else is zero). `CcxWarm` keeps exactly those and
 /// runs the same arbiter on them; [`into_ccx`](Self::into_ccx) writes
 /// them into flops, giving the crossbar the flop-level warm-up would
-/// have left, and [`from_ccx`](Self::from_ccx) reads them back once the
-/// flip has vanished. It owns nothing on the heap.
+/// have left. It owns nothing on the heap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CcxWarm {
     pcx: WarmHalf<PcxSlot, NUM_CORES, NUM_L2_BANKS>,
@@ -877,27 +841,6 @@ impl CcxWarm {
         self.pcx.write_to(f, &p.pcx_fifos, &p.pcx_stage, &p.pcx_rr);
         self.cpx.write_to(f, &p.cpx_fifos, &p.cpx_stage, &p.cpx_rr);
         f.mark_changed();
-    }
-
-    /// The packets, counts and pointers a fault-free crossbar holds: the
-    /// inverse of [`into_ccx`](Self::into_ccx).
-    ///
-    /// Exact on the flops a fault-free crossbar can reach, where every
-    /// entry under a count is valid and every flop no packet, count or
-    /// pointer occupies is zero: the golden's, and so a target's that
-    /// checked `Identical` against it. `from_ccx(x).into_ccx()` is then
-    /// `x` bit for bit, which debug builds assert.
-    pub fn from_ccx(x: &Ccx) -> Self {
-        let (f, p) = (&x.flops, &x.ports);
-        let mut warm = CcxWarm::new();
-        (warm.pcx).read_from(f, &p.pcx_fifos, &p.pcx_stage, &p.pcx_rr);
-        (warm.cpx).read_from(f, &p.cpx_fifos, &p.cpx_stage, &p.cpx_rr);
-        debug_assert_eq!(
-            warm.clone().into_ccx().flops.diff_count(f),
-            0,
-            "not a crossbar packets can hold"
-        );
-        warm
     }
 }
 
@@ -1501,10 +1444,8 @@ mod tests {
         // the image state converted to flops is the flop crossbar bit
         // for bit. Now and then the converted crossbar is ticked on
         // beside a clone of the flop one, whether or not that one had
-        // settled. At random cycles the flop crossbar converted to
-        // packets is the packet crossbar, converting that back gives the
-        // same flops, and the packet crossbar runs on from it. Every
-        // offered packet survives its slot image. Coverage is counted
+        // settled. Every offered packet survives its slot image.
+        // Coverage is counted
         // out here, where shrinking cannot trip on it.
         use nestsim_harness::{check_with, Config};
         use std::cell::Cell;
@@ -1514,7 +1455,6 @@ mod tests {
         let refused = Cell::new(0u64);
         let double_grants = Cell::new(0u64);
         let settled_conversions = Cell::new(0u64);
-        let busy_reversals = Cell::new(0u64);
         let bump = |c: &Cell<u64>| c.set(c.get() + 1);
 
         fn agree(warm: &CcxWarm, x: &Ccx) {
@@ -1626,16 +1566,6 @@ mod tests {
                             assert_eq!(a.flops.diff_count(&b.flops), 0, "converted crossbar");
                         }
                     }
-                    if src.below(16) == 0 {
-                        let back = CcxWarm::from_ccx(&flops);
-                        assert_eq!(back, warm, "flops to packets in cycle {cyc}");
-                        let again = back.clone().into_ccx();
-                        assert_eq!(again.flops.diff_count(&flops.flops), 0, "and back");
-                        if !warm.idle() {
-                            bump(&busy_reversals);
-                        }
-                        warm = back;
-                    }
                 }
             },
         );
@@ -1647,10 +1577,6 @@ mod tests {
             (
                 "conversions of a settled crossbar",
                 settled_conversions.get(),
-            ),
-            (
-                "conversions back of a crossbar holding packets",
-                busy_reversals.get(),
             ),
         ] {
             println!("{what}: {hits}");

@@ -23,8 +23,7 @@
 //!
 //! Before the flip no flop can be wrong, so the warm-up runs on
 //! [`McuWarm`], the same controller over plain fields, which becomes an
-//! [`Mcu`] at the golden snapshot. Once the flip has vanished
-//! [`McuWarm::from_mcu`] takes the controller back to plain fields.
+//! [`Mcu`] at the golden snapshot.
 
 use nestsim_arch::LineBackend;
 use std::sync::OnceLock;
@@ -654,8 +653,7 @@ fn masked(v: u64, bits: usize) -> u64 {
 /// configuration is constant. `McuWarm` keeps exactly those, masked to
 /// their flop widths, and runs the same refresh engine, timers and
 /// scheduler on them; [`into_mcu`](Self::into_mcu) writes them into
-/// flops and [`from_mcu`](Self::from_mcu) reads them back once the flip
-/// has vanished. It owns nothing on the heap.
+/// flops. It owns nothing on the heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McuWarm {
     id: McuId,
@@ -916,62 +914,6 @@ impl McuWarm {
         f.write(m.refresh_ctr, self.refresh_ctr);
         f.write(m.refresh_busy, self.refresh_busy);
         f.mark_changed();
-    }
-
-    /// The fields a fault-free controller holds: the inverse of
-    /// [`into_mcu`](Self::into_mcu).
-    ///
-    /// Exact on the flops a fault-free controller can reach, where every
-    /// entry under a count is valid and every flop no entry, slot, bank
-    /// or refresh field occupies is zero: the golden's, and so a
-    /// target's that checked `Identical` against it. `from_mcu(x)
-    /// .into_mcu()` is then `x` bit for bit, which debug builds assert.
-    pub fn from_mcu(x: &Mcu) -> Self {
-        let f = &x.flops;
-        let mut warm = McuWarm::new(x.id);
-        warm.rq_count = (f.read(x.rq_count) as usize).min(RQ_DEPTH);
-        for (r, slot) in warm.rq[..warm.rq_count].iter_mut().zip(&x.rq) {
-            *r = WarmReq {
-                is_wb: f.read_bool(slot.is_wb),
-                tag: f.read(slot.tag) as u8,
-                src_bank: f.read(slot.src_bank) as u8,
-                line: f.read(slot.line) as u32,
-                wdb_idx: f.read(slot.wdb_idx) as u8,
-            };
-        }
-        for (i, (words, slot)) in warm.wdb.iter_mut().zip(&x.wdb).enumerate() {
-            if f.read_bool(slot.valid) {
-                warm.wdb_valid |= 1 << i;
-                *words = slot.words.map(|h| f.read(h));
-            }
-        }
-        warm.retq_count = (f.read(x.retq_count) as usize).min(RETQ_DEPTH);
-        for (r, slot) in warm.retq[..warm.retq_count].iter_mut().zip(&x.retq) {
-            *r = WarmRet {
-                tag: f.read(slot.tag) as u8,
-                src_bank: f.read(slot.src_bank) as u8,
-                line: f.read(slot.line) as u32,
-                is_wb_ack: f.read_bool(slot.is_wb_ack),
-                words: slot.words.map(|h| f.read(h)),
-            };
-        }
-        for i in 0..DRAM_BANKS {
-            warm.bank_open |= u8::from(f.read_bool(x.bank_state[i])) << i;
-            warm.bank_row[i] = f.read(x.bank_row[i]);
-            warm.bank_timer[i] = f.read(x.bank_timer[i]);
-        }
-        warm.refresh_ctr = f.read(x.refresh_ctr);
-        warm.refresh_busy = f.read(x.refresh_busy);
-        debug_assert!(
-            !x.write_block,
-            "a write-blocked controller is not fault-free"
-        );
-        debug_assert_eq!(
-            warm.clone().into_mcu().flops.diff_count(f),
-            0,
-            "not a controller plain fields can hold"
-        );
-        warm
     }
 }
 
@@ -1376,8 +1318,7 @@ mod tests {
         // commands drive `McuWarm` and `Mcu` on every controller. Every
         // cycle their outputs and readiness agree; every ~100 cycles the
         // plain fields converted to flops are the flop controller bit
-        // for bit, and the flop controller converted back is the warm
-        // one. Lines crowd two rows of two DRAM banks (row conflicts),
+        // for bit. Lines crowd two rows of two DRAM banks (row conflicts),
         // bursts fill the queues, and some lines carry bits above the
         // 28 the flops keep. Coverage is counted out here, where
         // shrinking cannot trip on it.
@@ -1467,9 +1408,6 @@ mod tests {
                         );
                         let diff = converted.flops.diff_count(&flops.flops);
                         assert_eq!(diff, 0, "flops diverged in cycle {cyc}");
-                        let back = McuWarm::from_mcu(&flops);
-                        assert_eq!(back, warm, "flops to plain fields in cycle {cyc}");
-                        warm = back;
                     }
                 }
                 assert_eq!(mem_w, mem_f, "memory diverged");

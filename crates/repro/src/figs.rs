@@ -6,8 +6,8 @@ use nestsim::report::{
 use nestsim_core::campaign::CampaignSpec;
 use nestsim_core::checkpoint::{propagation_cdf, rollback_cdf};
 use nestsim_core::rtl_only::{
-    draw_fig7_samples, rtl_only_golden, run_mixed_injection_reduced, run_rtl_only_injection,
-    RtlOnlyConfig,
+    draw_fig7_samples, fig7_outcome, rtl_only_golden, run_mixed_injection_reduced,
+    run_rtl_only_injection, RtlOnlyConfig,
 };
 use nestsim_core::warmup::warmup_experiment;
 use nestsim_core::{persistence, CampaignResult, Outcome};
@@ -422,20 +422,25 @@ pub fn fig6(opts: &Opts) {
 /// Fig. 7: RTL-only vs mixed-mode outcome rates.
 pub fn fig7(opts: &Opts) {
     println!(
-        "== Fig. 7: RTL-only vs mixed-mode (FFT, 4 threads, {} samples each) ==\n",
-        opts.samples
+        "== Fig. 7: RTL-only vs mixed-mode ({}, FFT, 4 threads, {} samples each) ==\n",
+        opts.component, opts.samples
     );
     let cfg = RtlOnlyConfig {
         seed: opts.seed,
+        component: opts.component,
         ..RtlOnlyConfig::paper_like(by_name("fft").unwrap())
     };
     let golden = rtl_only_golden(&cfg);
     let samples = draw_fig7_samples(&cfg, &golden, opts.samples);
     let mut rtl = nestsim_core::OutcomeCounts::new();
     let mut mixed = nestsim_core::OutcomeCounts::new();
-    for (bit, cycle) in &samples {
-        rtl.record(run_rtl_only_injection(&cfg, &golden, *bit, *cycle));
-        mixed.record(run_mixed_injection_reduced(&cfg, &golden, *bit, *cycle));
+    for &(bit, cycle) in &samples {
+        rtl.record(fig7_outcome(&run_rtl_only_injection(
+            &cfg, &golden, bit, cycle,
+        )));
+        mixed.record(fig7_outcome(&run_mixed_injection_reduced(
+            &cfg, &golden, bit, cycle,
+        )));
     }
     let mut t = Table::new([
         "outcome",

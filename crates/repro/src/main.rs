@@ -14,7 +14,7 @@
 //!   fig4     OMM rates: uncore vs processor cores
 //!   fig5     warm-up state convergence
 //!   fig6     error persistence beyond co-simulation cycles
-//!   fig7     RTL-only vs mixed-mode accuracy
+//!   fig7     RTL-only vs mixed-mode accuracy   (--component l2c|mcu|ccx|pcie)
 //!   fig8     error-propagation latency CDF
 //!   fig9     required rollback distance CDF
 //!   qrr      QRR recovery evaluation (+ --worst-case)
@@ -27,7 +27,7 @@
 //!   --scale N        extra benchmark length divisor (default 20)
 //!   --benchmarks a,b comma-separated subset          (default: per experiment)
 //!   --seed N         campaign seed                   (default 2015)
-//!   --component X    component for fig3
+//!   --component X    component for fig3 and fig7     (default l2c)
 //!   --cosim-cap N         co-simulation cycle cap, >= 1   (default 100000)
 //!   --check-interval N    golden-compare interval, >= 1   (default 16)
 //!   --snapshot-interval N snapshot-ladder rung spacing in cycles, >= 1

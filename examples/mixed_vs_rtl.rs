@@ -9,8 +9,8 @@
 use std::time::Instant;
 
 use nestsim::core::rtl_only::{
-    draw_fig7_samples, rtl_only_golden, run_mixed_injection_reduced, run_rtl_only_injection,
-    RtlOnlyConfig,
+    draw_fig7_samples, fig7_outcome, rtl_only_golden, run_mixed_injection_reduced,
+    run_rtl_only_injection, RtlOnlyConfig,
 };
 use nestsim::core::{Outcome, OutcomeCounts};
 use nestsim::hlsim::workload::by_name;
@@ -33,15 +33,19 @@ fn main() {
 
     let t0 = Instant::now();
     let mut rtl = OutcomeCounts::new();
-    for (bit, cycle) in &points {
-        rtl.record(run_rtl_only_injection(&cfg, &golden, *bit, *cycle));
+    for &(bit, cycle) in &points {
+        rtl.record(fig7_outcome(&run_rtl_only_injection(
+            &cfg, &golden, bit, cycle,
+        )));
     }
     let rtl_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
     let mut mixed = OutcomeCounts::new();
-    for (bit, cycle) in &points {
-        mixed.record(run_mixed_injection_reduced(&cfg, &golden, *bit, *cycle));
+    for &(bit, cycle) in &points {
+        mixed.record(fig7_outcome(&run_mixed_injection_reduced(
+            &cfg, &golden, bit, cycle,
+        )));
     }
     let mixed_secs = t1.elapsed().as_secs_f64();
 

@@ -651,26 +651,36 @@ fn qrr_core_and_fig7_bytes_are_pinned() {
         fnv_words(Outcome::ALL.map(|o| counts.count(o))),
     );
 
-    let cfg = RtlOnlyConfig {
-        length_scale: 400,
-        seed: 3,
-        ..RtlOnlyConfig::paper_like(by_name("fft").unwrap())
-    };
-    let golden = rtl_only_golden(&cfg);
-    let samples = draw_fig7_samples(&cfg, &golden, 2);
-    let rtl = (samples.iter()).map(|&(bit, at)| run_rtl_only_injection(&cfg, &golden, bit, at));
-    assert_pinned(
-        "fig7.fft.rtl",
-        "RTL-only outcomes",
-        fnv_words(rtl.map(outcome_word)),
-    );
-    let mixed =
-        (samples.iter()).map(|&(bit, at)| run_mixed_injection_reduced(&cfg, &golden, bit, at));
-    assert_pinned(
-        "fig7.fft.mixed",
-        "mixed-mode outcomes",
-        fnv_words(mixed.map(outcome_word)),
-    );
+    for component in ComponentKind::ALL {
+        let cfg = RtlOnlyConfig {
+            length_scale: 400,
+            seed: 3,
+            component,
+            ..RtlOnlyConfig::paper_like(by_name("fft").unwrap())
+        };
+        let golden = rtl_only_golden(&cfg);
+        let samples = draw_fig7_samples(&cfg, &golden, 2);
+        for (mode, run) in [
+            ("rtl", run_rtl_only_injection as fn(&_, &_, _, _) -> _),
+            ("mixed", run_mixed_injection_reduced),
+        ] {
+            let words = (samples.iter()).flat_map(|&(bit, at)| {
+                let r = run(&cfg, &golden, bit, at);
+                [
+                    outcome_word(r.outcome),
+                    r.inject_cycle,
+                    r.cosim_cycles,
+                    r.erroneous_output_cycle.unwrap_or(u64::MAX),
+                    r.corrupted_line_count as u64,
+                ]
+            });
+            assert_pinned(
+                &format!("fig7.fft.{}.{mode}", component.name().to_lowercase()),
+                "Fig. 7 records",
+                fnv_words(words),
+            );
+        }
+    }
 }
 
 /// The pinned L2C `radi` cell of the table above (96 independent
