@@ -80,7 +80,7 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1669
+doc_cap DESIGN.md 1666
 doc_cap README.md 595
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
@@ -153,22 +153,27 @@ done
 
 stage "mck smoke (deterministic protocol simulation: four phases, two mutation gates, fault coverage)"
 # Fixed-seed, fully deterministic: one simulated world steps the one
-# campaign server machine with workers and tenants. A bounded DFS and a
-# seeded random sweep under injected faults must stay clean and take
-# every fault flavour between them; then two mutation gates plant an
-# exactly-once bug each (first-writer-wins off; dedup fan-out off) that
-# the explorer must catch as a double count / lost subscriber,
-# replaying from its printed seed and schedule.
+# campaign server machine with workers and tenants, the campaign's
+# client among them. A bounded DFS and a seeded random sweep under
+# injected faults must stay clean and take every fault flavour between
+# them; then two mutation gates plant an exactly-once bug each
+# (first-writer-wins off; dedup fan-out off) that the explorer must
+# catch as a crash no fault explains (the machine's cover check found
+# the double count) / a lost subscriber, replaying from its printed
+# seed and schedule.
 cargo run --offline --release -p nestsim-mck --bin mck_smoke
 
-stage "server smoke (service tenants, dedup, crash retry; 2 worker processes, crash re-dispatch)"
+stage "server smoke (service tenants, dedup, crash retry; run_cluster on 2 worker processes, crash re-dispatch; adaptive service)"
 # Two concurrent clients submit overlapping campaign grids to the
 # service, whose results must be byte-identical to in-process execution
 # with the shared cell executed exactly once (svc.* dedup counters),
-# also under an injected execution crash; then one cell is leased to
-# two spawned worker processes, and again with one killed mid-shard.
-# svc_smoke execs the sibling nestsim-worker binary, so build that
-# package's bins explicitly. Loopback TCP only; fully offline.
+# also under an injected execution crash; then run_cluster leases one
+# cell to two spawned worker processes, the same cell runs on a server
+# with no pool with one worker process killed mid-shard, and an
+# adaptive cell runs through the service one job per round — each
+# byte-identical to in-process. svc_smoke execs the sibling
+# nestsim-worker binary, so build that package's bins explicitly.
+# Loopback TCP only; fully offline.
 cargo build --offline --release -p nestsim-cluster --bins
 cargo run --offline --release -p nestsim-svc --bin svc_smoke
 

@@ -15,10 +15,11 @@
 
 use std::hint::black_box;
 
-use nestsim_core::adaptive::run_campaign_adaptive;
-use nestsim_core::campaign::{run_campaign_with, CampaignSpec};
+use nestsim_core::campaign::{
+    run_campaign_with, run_rounds, CampaignResult, CampaignSpec, LadderExecutor, Plan,
+};
 use nestsim_harness::bench::Suite;
-use nestsim_hlsim::workload::by_name;
+use nestsim_hlsim::workload::{by_name, BenchProfile};
 use nestsim_models::ComponentKind;
 use nestsim_stats::stop::StopPolicy;
 
@@ -30,6 +31,17 @@ fn spec(samples: u64) -> CampaignSpec {
         workers: 1,
         ..CampaignSpec::new(ComponentKind::L2c, samples)
     }
+}
+
+/// One cell under `policy` on the in-process executor.
+fn run_adaptive(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    policy: &StopPolicy,
+) -> CampaignResult {
+    let plan = Plan::Adaptive(*policy);
+    let executor = LadderExecutor::new(profile, spec, &plan, None);
+    run_rounds(profile, spec, &plan, None, executor)
 }
 
 /// The small policy behind the timed rows: a handful of 16..64-sample
@@ -58,7 +70,7 @@ fn main() {
         component: ComponentKind::Ccx,
         ..spec(1)
     };
-    let adaptive = run_campaign_adaptive(profile, &reference_spec, &reference_policy, None);
+    let adaptive = run_adaptive(profile, &reference_spec, &reference_policy);
     let summary = adaptive.adaptive.as_ref().expect("adaptive summary");
     eprintln!(
         "campaign_adaptive: {} samples in {} rounds vs {}-sample fixed plan ({:.1}x saving), \
@@ -88,7 +100,7 @@ fn main() {
     // not asserted — a margin-free 2x assert here would turn any
     // legitimate model change into a confusing bench failure.
     let l2c_policy = StopPolicy::new(0.03, 0.95);
-    let l2c = run_campaign_adaptive(by_name("flui").unwrap(), &spec(1), &l2c_policy, None);
+    let l2c = run_adaptive(by_name("flui").unwrap(), &spec(1), &l2c_policy);
     let l2c_summary = l2c.adaptive.as_ref().expect("adaptive summary");
     eprintln!(
         "campaign_adaptive: L2C/flui advisory: {} samples in {} rounds vs {}-sample fixed plan ({:.1}x)",
@@ -101,12 +113,7 @@ fn main() {
     let mut suite = Suite::new("campaign_adaptive");
     let policy = quick_policy();
     suite.bench("campaign_adaptive/cell", "adaptive_rounds", || {
-        black_box(run_campaign_adaptive(
-            by_name("radi").unwrap(),
-            &spec(1),
-            &policy,
-            None,
-        ));
+        black_box(run_adaptive(by_name("radi").unwrap(), &spec(1), &policy));
     });
     // The same budget spent as one fixed-count campaign: the delta
     // between these rows is the round tax (per-round draw, ladder

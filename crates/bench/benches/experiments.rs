@@ -8,7 +8,7 @@
 use std::hint::black_box;
 
 use nestsim_bench::bench_base;
-use nestsim_core::campaign::{draw_samples, run_campaign, CampaignSpec};
+use nestsim_core::campaign::{draw_samples, run_campaign_with, CampaignSpec};
 use nestsim_core::inject::run_injection;
 use nestsim_core::persistence::persistence_sweep;
 use nestsim_core::rtl_only::{
@@ -46,9 +46,10 @@ fn tables(suite: &mut Suite) {
 
 fn fig3_cell(suite: &mut Suite) {
     suite.bench("experiments/fig3", "l2c_cell_4_injections", || {
-        black_box(run_campaign(
+        black_box(run_campaign_with(
             by_name("radi").unwrap(),
             &quick_spec(ComponentKind::L2c),
+            None,
         ))
     });
 }

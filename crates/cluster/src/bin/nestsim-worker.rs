@@ -4,9 +4,9 @@
 //! nestsim-worker --connect HOST:PORT [--crash-after N] [--stall-after N]
 //! ```
 //!
-//! Connects to a `nestsim-cluster` coordinator (see `repro --cluster N`
-//! or `serve_campaign`), leases campaign shards, executes them, and
-//! exits when the coordinator reports the campaign complete. The chaos
+//! Connects to a campaign server (the one `run_cluster` binds for
+//! `repro --cluster N`, or a `nestsim-svc` service), leases campaign
+//! shards, executes them, and exits when the server dismisses it. The chaos
 //! flags deterministically kill (`--crash-after`, exit code 17) or
 //! hang (`--stall-after`) the worker after N samples — used by the
 //! fault-tolerance tests and the CI smoke stage.

@@ -1,5 +1,6 @@
-//! Blocking service client — the path `repro --service ADDR` and the
-//! smoke tests use.
+//! Blocking client of the campaign server — what
+//! [`crate::coordinator::RemoteExecutor`] submits its rounds through,
+//! and what tenants and the smoke tests use.
 //!
 //! The client pipelines submissions: send every `SubmitJob` up front,
 //! then demultiplex the server's interleaved `Accepted` / `Chunk` /
@@ -9,7 +10,7 @@
 //! golden reference, and merged telemetry; engine counters and
 //! worker-sample splits are execution telemetry and are left null).
 
-use nestsim_cluster::proto::{self, JobWire, Message, PROTOCOL_VERSION};
+use crate::proto::{self, JobWire, Message, PROTOCOL_VERSION};
 use nestsim_core::inject::InjectionRecord;
 use nestsim_core::{CampaignResult, OutcomeCounts};
 use nestsim_telemetry::{CampaignTelemetry, Recorder};
@@ -143,6 +144,13 @@ impl SvcClient {
                 let i = by_ticket(slots, ticket)?;
                 let slot = &mut slots[i];
                 let (job, _) = jobs.get(i).ok_or_else(|| format!("no job for slot {i}"))?;
+                let streamed = slot.records.len() as u64;
+                if streamed != job.spec.samples {
+                    return Err(format!(
+                        "ticket {ticket} ended with {streamed} records, the job has {}",
+                        job.spec.samples
+                    ));
+                }
                 let profile = job.profile()?;
                 let mut counts = OutcomeCounts::default();
                 for rec in &slot.records {
@@ -181,5 +189,65 @@ impl SvcClient {
 
     fn recv(&mut self) -> Result<Message, String> {
         proto::recv(&mut self.stream).map_err(|e| format!("recv failed: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame, write_frame};
+    use nestsim_core::inject::GoldenRef;
+    use nestsim_core::CampaignSpec;
+    use nestsim_hlsim::workload::by_name;
+    use nestsim_models::ComponentKind;
+    use std::net::TcpListener;
+
+    fn recv(stream: &mut TcpStream) -> Message {
+        Message::decode(&read_frame(stream).expect("a frame")).expect("it decodes")
+    }
+
+    fn send(stream: &mut TcpStream, msg: &Message) {
+        write_frame(stream, &msg.encode().expect("it encodes")).expect("the frame is sent");
+    }
+
+    /// A server that ends a four-sample job with `Done` and no `Chunk`
+    /// has lost the job's records: the client reports an error rather
+    /// than a short result.
+    #[test]
+    fn a_done_without_every_record_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            assert!(matches!(recv(&mut stream), Message::Hello { .. }));
+            send(&mut stream, &Message::HelloAck { id: 1 });
+            let Message::SubmitJob { req, .. } = recv(&mut stream) else {
+                panic!("expected a SubmitJob");
+            };
+            let accepted = Message::Accepted {
+                req,
+                ticket: 9,
+                dedup: false,
+                queue_depth: 0,
+            };
+            send(&mut stream, &accepted);
+            let done = Message::Done {
+                ticket: 9,
+                golden: GoldenRef {
+                    digest: 1,
+                    cycles: 2,
+                },
+                merged: Recorder::null(),
+            };
+            send(&mut stream, &done);
+        });
+        let spec = CampaignSpec::quick(ComponentKind::L2c, 4);
+        let job = JobWire::from_spec(by_name("radi").expect("radi"), &spec, None);
+        let mut client = SvcClient::connect(&addr, "t").expect("connect");
+        let err = client
+            .run_job(&job, 1)
+            .expect_err("a short stream is an error");
+        assert!(err.contains("ended with 0 records"), "{err}");
+        peer.join().expect("the scripted peer ran");
     }
 }

@@ -1,273 +1,123 @@
-//! The campaign thread: a campaign cell's rounds fed to the one server
-//! machine, with the campaign's workers attached.
+//! Campaigns on the one campaign server: the remote executor, and the
+//! cluster that binds a server for one cell.
 //!
-//! The coordinator never simulates. [`ClusterCampaign`] is the
-//! cluster's [`RoundExecutor`]: for each round the one round loop
-//! ([`nestsim_core::campaign::run_rounds`]) asks for, it plans
-//! contiguous shards over the entry-sorted sample order (knowing only
-//! the sample *count*), has the machine lease them, and hands the
-//! accepted runs back sorted by round position. The merge and the
-//! adaptive stop decisions are the in-process executor's: with
-//! deterministic workers, any worker count, shard size or crash and
-//! re-dispatch interleaving feeds the identical runs into the identical
-//! merge.
+//! The coordinator never simulates. [`RemoteExecutor`] is the
+//! [`RoundExecutor`] of a campaign server: for each round the one round
+//! loop ([`nestsim_core::campaign::run_rounds`]) asks for, it submits the
+//! round as a job ([`JobWire::for_round`]) through a [`SvcClient`] and
+//! hands back the streamed records and merged telemetry. The server runs
+//! the job on its execution pool or leases its shards to connected
+//! workers; with deterministic workers, any worker count, shard size or
+//! crash and re-dispatch interleaving returns the identical bytes. The
+//! merge and the adaptive stop decisions are the round loop's.
 //!
-//! The campaign thread talks to the machine only through the loop's
-//! [`Waker`](crate::server::Waker): begin a round, hear it settle,
-//! snapshot the counters, shut down. Between rounds the workers stay
+//! [`run_cluster`] binds the server with no execution pool, so its cells
+//! wait for workers, attaches the campaign's workers and runs the plan
+//! on a [`RemoteExecutor`] against it. Between rounds the workers stay
 //! parked; shutdown dismisses them with `done`.
 
-use std::io;
-use std::net::SocketAddr;
-use std::sync::mpsc;
+use std::panic::{self, AssertUnwindSafe};
 
 use nestsim_core::campaign::{
-    check_campaign, default_workers, run_campaign_with, run_rounds, sorted_cover, CampaignResult,
-    CampaignSpec, Execution, IndexedRuns, Plan, RoundExecutor,
+    check_campaign, run_campaign_with, run_rounds, CampaignResult, CampaignSpec, Execution, Plan,
+    RoundExecutor,
 };
-use nestsim_core::inject::{recorder_for, GoldenRef};
+use nestsim_core::inject::{recorder_for, GoldenRef, InjectionRecord};
 use nestsim_hlsim::workload::BenchProfile;
-use nestsim_stats::stop::StopPolicy;
 use nestsim_telemetry::{Recorder, TelemetryConfig};
 
+use crate::client::{JobOutcome, SvcClient};
 use crate::lease::LeaseConfig;
 use crate::machine::{Command, ServiceMachine, SvcConfig};
 use crate::proto::{AdaptiveRoundWire, JobWire};
 use crate::server::Server;
-use crate::shard::{auto_shard_size, plan_shards, Shard};
 use crate::worker::{run_worker, WorkerOptions};
 
-/// Coordinator tuning knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoordinatorConfig {
-    /// Lease/heartbeat/backoff timing.
-    pub lease: LeaseConfig,
-    /// Shard size in samples (0 = four shards per hinted worker, see
-    /// [`auto_shard_size`]).
-    pub shard_size: u64,
-    /// Expected worker count, used only for auto shard sizing
-    /// (0 = [`default_workers`]).
-    pub workers_hint: usize,
-    /// Listen address — loopback-only by design; campaigns carry no
-    /// authentication and trust every connected worker.
-    pub listen: String,
-}
+/// Where a cluster's server listens: loopback only, by design — a
+/// campaign carries no authentication and trusts every connected worker.
+const LISTEN: &str = "127.0.0.1:0";
 
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            lease: LeaseConfig::default(),
-            shard_size: 0,
-            workers_hint: 0,
-            listen: "127.0.0.1:0".to_string(),
-        }
-    }
-}
+/// The tenant a [`RemoteExecutor`] submits as.
+const TENANT: &str = "campaign";
 
-/// A campaign cell being served to workers on loopback TCP: the
-/// cluster's [`RoundExecutor`]. [`serve_campaign`] returns one with its
-/// only round already dispatching, for callers that attach their own
-/// workers and [`wait`](ClusterCampaign::wait).
-pub struct ClusterCampaign {
-    addr: SocketAddr,
-    /// `None` once shut down.
-    server: Option<Server>,
+/// The executor that runs each round on a campaign server: the round is
+/// submitted as one job, and its golden reference must match the first
+/// round's.
+pub struct RemoteExecutor<'a> {
+    client: SvcClient,
+    addr: String,
     profile: &'static BenchProfile,
-    spec: CampaignSpec,
-    telemetry: Option<TelemetryConfig>,
-    cfg: CoordinatorConfig,
-    /// The round the next [`RoundExecutor::run_round`] is asked for is
-    /// already dispatching ([`serve_campaign`]).
-    begun: bool,
-    /// The first round's golden reference, which every later round must
-    /// match.
+    spec: &'a CampaignSpec,
+    telemetry: Option<&'a TelemetryConfig>,
+    /// The first round's golden reference.
     golden: Option<GoldenRef>,
-    worker_samples: Vec<usize>,
 }
 
-impl ClusterCampaign {
-    /// The coordinator's bound listen address (`127.0.0.1:port`).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+impl<'a> RemoteExecutor<'a> {
+    /// Connects to the campaign server at `addr` to run the rounds of
+    /// `spec` on `profile`.
+    pub fn connect(
+        addr: &str,
+        profile: &'static BenchProfile,
+        spec: &'a CampaignSpec,
+        telemetry: Option<&'a TelemetryConfig>,
+    ) -> Result<Self, String> {
+        Ok(RemoteExecutor {
+            client: SvcClient::connect(addr, TENANT)?,
+            addr: addr.to_string(),
+            profile,
+            spec,
+            telemetry,
+            golden: None,
+        })
     }
+}
 
-    /// Sends the loop a command carrying a reply channel and waits for
-    /// the reply; `None` if the loop stopped first.
-    fn ask<T>(&self, cmd: impl FnOnce(mpsc::Sender<T>) -> Command) -> Option<T> {
-        let (tx, rx) = mpsc::channel();
-        self.tell(cmd(tx)).then(|| rx.recv().ok())?
-    }
-
-    /// Sends the loop a command; false if the loop already returned.
-    fn tell(&self, cmd: Command) -> bool {
-        (self.server.as_ref()).is_some_and(|server| server.waker().send(cmd).is_ok())
-    }
-
-    /// A snapshot of the coordinator's engine recorder (lease/frame
-    /// counters live here) — lets tests poll dispatch progress.
-    pub fn engine_stats(&self) -> Recorder {
-        self.ask(Command::Stats)
-            .expect("the coordinator loop is running")
-    }
-
-    /// Lets the machine lease the round of `strata` (`None`: the
-    /// cell's fixed-count samples).
-    fn begin(&self, strata: Option<&AdaptiveRoundWire>) {
-        let telemetry = self.telemetry.as_ref();
-        let (job, shards) = plan_round(self.profile, &self.spec, telemetry, &self.cfg, strata);
-        let begun = self.tell(Command::BeginRound { job, shards });
-        assert!(begun, "the coordinator loop is running");
-    }
-
-    /// Shuts the coordinator down — dismisses every parked worker with
-    /// `done`, waits for every worker to hang up — and hands back its
-    /// counters.
-    fn shutdown(&mut self) -> Recorder {
-        self.tell(Command::Shutdown);
-        let server = self.server.take().expect("the coordinator shuts down once");
-        server.join().expect("coordinator loop failed").into_stats()
-    }
-
-    /// Blocks until every shard completed, then assembles the result:
-    /// [`Plan::Fixed`] on this executor.
-    ///
+impl RoundExecutor for RemoteExecutor<'_> {
     /// # Panics
     ///
-    /// Panics if a worker submitted a divergent golden reference (the
-    /// processes disagree on the simulation itself — never a matter of
-    /// retrying) or if the merged runs do not cover the sample space.
-    pub fn wait(self) -> CampaignResult {
-        let (profile, spec, telemetry) = (self.profile, self.spec, self.telemetry);
-        run_rounds(profile, &spec, &Plan::Fixed, telemetry.as_ref(), self)
-    }
-}
-
-impl RoundExecutor for ClusterCampaign {
-    fn run_round(&mut self, strata: Option<&AdaptiveRoundWire>) -> IndexedRuns {
-        if !std::mem::take(&mut self.begun) {
-            self.begin(strata);
-        }
-        // The workers stay parked for the next round.
-        let settled = self
-            .ask(Command::AwaitRound)
-            .unwrap_or_else(|| Err("the coordinator loop stopped".to_string()))
-            .and_then(|(golden, runs)| match self.golden.replace(golden) {
-                Some(first) if first != golden => Err(format!(
-                    "golden reference diverged between rounds: {:#x}/{} cycles, then {:#x}/{}",
-                    first.digest, first.cycles, golden.digest, golden.cycles
-                )),
-                _ => Ok(runs),
-            });
-        if strata.is_none() {
-            // A fixed plan's one round is its last: let the workers go
-            // while the round loop merges.
-            self.tell(Command::Shutdown);
-        }
-        let shard_runs = settled.unwrap_or_else(|e| {
-            // Dismiss the workers before unwinding, or whoever joins
-            // them above us would block forever.
-            self.shutdown();
-            panic!("cluster campaign failed: {e}");
-        });
-        let total = strata.map_or(self.spec.samples, |r| r.alloc.iter().sum()) as usize;
-        let mut indexed: IndexedRuns = Vec::with_capacity(total);
-        for runs in shard_runs {
-            assert!(!runs.is_empty(), "completed round has every shard");
-            if self.telemetry.is_some() {
-                self.worker_samples.push(runs.len());
+    /// Panics if the server rejects or fails the round, on an I/O error,
+    /// and if the round's golden reference differs from the first
+    /// round's (the processes disagree on the simulation itself — never
+    /// a matter of retrying).
+    fn run_round(
+        &mut self,
+        strata: Option<&AdaptiveRoundWire>,
+    ) -> (Vec<InjectionRecord>, Recorder) {
+        let job = JobWire::for_round(self.profile, self.spec, self.telemetry, strata);
+        let addr = &self.addr;
+        let result = match self.client.run_job(&job, 1) {
+            Ok(JobOutcome::Done(result)) => result,
+            Ok(JobOutcome::Rejected(why)) => {
+                panic!("the campaign server at {addr} rejected the round: {why}")
             }
-            indexed.extend(
-                runs.into_iter()
-                    .map(|run| (run.sample as usize, run.record, run.recorder)),
-            );
-        }
-        sorted_cover(indexed, total)
+            Ok(JobOutcome::Failed(why)) => {
+                panic!("the campaign server at {addr} failed the round: {why}")
+            }
+            Err(e) => panic!("campaign server I/O at {addr} failed: {e}"),
+        };
+        let (first, golden) = (*self.golden.get_or_insert(result.golden), result.golden);
+        assert!(
+            first == golden,
+            "golden reference diverged between rounds: {:#x}/{} cycles, then {:#x}/{}",
+            first.digest,
+            first.cycles,
+            golden.digest,
+            golden.cycles
+        );
+        (result.records, result.telemetry.merged)
     }
 
-    fn finish(mut self) -> Execution {
+    fn finish(self) -> Execution {
         Execution {
-            engine: self.shutdown(),
-            golden: self.golden.expect("a settled round has a golden ref"),
-            worker_samples: self.worker_samples,
+            golden: self.golden.expect("the round loop runs a round"),
+            engine: recorder_for(self.telemetry),
+            worker_samples: Vec::new(),
         }
     }
 }
 
-/// Starts serving one fixed-count campaign cell to workers on loopback
-/// TCP; attach workers ([`run_worker`]) and
-/// [`wait`](ClusterCampaign::wait).
-///
-/// # Panics
-///
-/// Panics on invalid campaign cells ([`check_campaign`]) and on empty
-/// campaigns (`samples == 0` — nothing to distribute; use
-/// [`run_campaign_cluster`], which short-circuits them in process).
-pub fn serve_campaign(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-    cfg: &CoordinatorConfig,
-) -> io::Result<ClusterCampaign> {
-    assert!(
-        spec.samples > 0,
-        "an empty campaign has nothing to distribute"
-    );
-    let mut campaign = bind_campaign(profile, spec, telemetry, cfg)?;
-    campaign.begin(None);
-    campaign.begun = true;
-    Ok(campaign)
-}
-
-/// Binds the one machine for one cell, with no execution pool: its
-/// rounds go out as leases only, and workers that find none are parked
-/// until one begins.
-fn bind_campaign(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-    cfg: &CoordinatorConfig,
-) -> io::Result<ClusterCampaign> {
-    check_campaign(profile, spec);
-    let stats = recorder_for(telemetry);
-    let machine = ServiceMachine::new(SvcConfig::default(), cfg.lease, stats, None);
-    let server = Server::spawn(&cfg.listen, "nestsim-coordinator", machine)?;
-    Ok(ClusterCampaign {
-        addr: server.addr(),
-        server: Some(server),
-        profile,
-        spec: *spec,
-        telemetry: telemetry.copied(),
-        cfg: cfg.clone(),
-        begun: false,
-        golden: None,
-        worker_samples: Vec::new(),
-    })
-}
-
-/// One round's job and shard plan; every round shards the same way.
-fn plan_round(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-    cfg: &CoordinatorConfig,
-    strata: Option<&AdaptiveRoundWire>,
-) -> (JobWire, Vec<Shard>) {
-    let job = JobWire::for_round(profile, spec, telemetry, strata);
-    let workers_hint = if cfg.workers_hint == 0 {
-        default_workers()
-    } else {
-        cfg.workers_hint
-    };
-    let shard_size = if cfg.shard_size == 0 {
-        auto_shard_size(job.spec.samples, workers_hint)
-    } else {
-        cfg.shard_size
-    };
-    let shards = plan_shards(job.spec.samples, shard_size);
-    (job, shards)
-}
-
-/// How [`run_campaign_cluster`] brings up its workers.
+/// How [`run_cluster`] brings up its workers.
 pub enum WorkerSpawn {
     /// In-process worker threads, one per element (each with its own
     /// chaos options). Cheap; used by tests and benches.
@@ -282,11 +132,10 @@ pub enum WorkerSpawn {
     },
 }
 
-/// Cluster execution parameters: coordinator tuning plus worker spawn
-/// mode.
+/// Cluster execution parameters: lease timing plus worker spawn mode.
 pub struct ClusterConfig {
-    /// Coordinator tuning.
-    pub coordinator: CoordinatorConfig,
+    /// Lease/heartbeat/backoff timing.
+    pub lease: LeaseConfig,
     /// How to bring up workers.
     pub spawn: WorkerSpawn,
 }
@@ -295,7 +144,7 @@ impl ClusterConfig {
     /// `n` in-process worker threads with default options.
     pub fn threads(n: usize) -> Self {
         ClusterConfig {
-            coordinator: CoordinatorConfig::default(),
+            lease: LeaseConfig::default(),
             spawn: WorkerSpawn::Threads(vec![WorkerOptions::default(); n.max(1)]),
         }
     }
@@ -303,7 +152,7 @@ impl ClusterConfig {
     /// `count` worker processes spawned from `argv`.
     pub fn processes(argv: Vec<String>, count: usize) -> Self {
         ClusterConfig {
-            coordinator: CoordinatorConfig::default(),
+            lease: LeaseConfig::default(),
             spawn: WorkerSpawn::Processes {
                 argv,
                 count: count.max(1),
@@ -313,12 +162,13 @@ impl ClusterConfig {
 }
 
 /// Runs one campaign cell through the cluster — `plan` on a
-/// [`ClusterCampaign`] with the configured workers attached — returning
-/// a [`CampaignResult`] byte-identical to the same plan in process in
-/// records, counts, merged telemetry and adaptive summary (engine
-/// counters and `worker_samples` describe the execution and differ).
+/// [`RemoteExecutor`] against a server with no execution pool and the
+/// configured workers attached — returning a [`CampaignResult`]
+/// byte-identical to the same plan in process in records, counts,
+/// merged telemetry and adaptive summary. The engine recorder carries
+/// the server's lease and frame counters; `worker_samples` is empty.
 ///
-/// Workers are spawned **once**: between rounds the machine parks them,
+/// Workers are spawned **once**: between rounds the server parks them,
 /// so each keeps one golden pass and one ladder for the whole campaign.
 /// Workers never see the stop policy. An empty fixed-count campaign has
 /// nothing to distribute and runs in process.
@@ -338,18 +188,25 @@ pub fn run_cluster(
     if matches!(plan, Plan::Fixed) && spec.samples == 0 {
         return run_campaign_with(profile, spec, telemetry);
     }
-    let mut coord_cfg = cfg.coordinator.clone();
-    if coord_cfg.workers_hint == 0 {
-        coord_cfg.workers_hint = match &cfg.spawn {
-            WorkerSpawn::Threads(opts) => opts.len(),
-            WorkerSpawn::Processes { count, .. } => *count,
-        };
-    }
-    let campaign =
-        bind_campaign(profile, spec, telemetry, &coord_cfg).expect("failed to bind coordinator");
-    let addr = campaign.addr().to_string();
+    check_campaign(profile, spec);
+    let stats = recorder_for(telemetry);
+    let machine = ServiceMachine::new(SvcConfig::default(), cfg.lease, stats, None);
+    let server =
+        Server::spawn(LISTEN, "nestsim-coordinator", machine).expect("failed to bind coordinator");
+    let addr = server.addr().to_string();
     with_workers(&addr, &cfg.spawn, || {
-        run_rounds(profile, spec, plan, telemetry, campaign)
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            let executor = RemoteExecutor::connect(&addr, profile, spec, telemetry)
+                .unwrap_or_else(|e| panic!("cannot reach the coordinator: {e}"));
+            run_rounds(profile, spec, plan, telemetry, executor)
+        }));
+        // Dismiss the workers, also before unwinding, or the joins
+        // around us would wait for a round that never comes.
+        let _ = server.waker().send(Command::Shutdown);
+        let stats = server.join().expect("coordinator loop failed").into_stats();
+        let mut result = run.unwrap_or_else(|panic| panic::resume_unwind(panic));
+        result.telemetry.engine.merge(&stats);
+        result
     })
 }
 
@@ -364,21 +221,8 @@ pub fn run_campaign_cluster(
     run_cluster(profile, spec, &Plan::Fixed, telemetry, cfg)
 }
 
-/// [`run_cluster`] under [`Plan::Adaptive`]: byte-identical to
-/// [`nestsim_core::adaptive::run_campaign_adaptive`] on the same spec
-/// and policy.
-pub fn run_campaign_adaptive_cluster(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    policy: &StopPolicy,
-    telemetry: Option<&TelemetryConfig>,
-    cfg: &ClusterConfig,
-) -> CampaignResult {
-    run_cluster(profile, spec, &Plan::Adaptive(*policy), telemetry, cfg)
-}
-
 /// Runs `body` with the configured workers attached to `addr`, then
-/// joins them. `body` must leave the coordinator shut down (workers
+/// joins them. `body` must leave the server shut down (workers
 /// dismissed) before returning, or the joins would block forever.
 fn with_workers<R>(addr: &str, spawn: &WorkerSpawn, body: impl FnOnce() -> R) -> R {
     match spawn {
@@ -390,7 +234,7 @@ fn with_workers<R>(addr: &str, spawn: &WorkerSpawn, body: impl FnOnce() -> R) ->
             let result = body();
             for h in handles {
                 // Chaos workers return early or error by design; the
-                // coordinator's lease table already re-dispatched their
+                // server's lease table already re-dispatched their
                 // work, so worker exits carry no result data.
                 let _ = h.join().expect("cluster worker thread panicked");
             }

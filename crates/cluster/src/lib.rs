@@ -1,8 +1,8 @@
 //! # nestsim-cluster
 //!
 //! Fault-tolerant distributed campaign execution: one campaign server
-//! leasing shards to worker processes over loopback TCP and serving
-//! whole cells to service clients, built on nothing but `std::net`.
+//! serving cells to its clients, in process or as shards leased to
+//! worker processes over loopback TCP, built on nothing but `std::net`.
 //!
 //! The paper's injection campaigns (Sec. 5) are embarrassingly
 //! parallel and bit-deterministic: any shard can be executed by any
@@ -24,11 +24,14 @@
 //!   `crates/mck` simulator model-checks these very types.
 //! * [`server`] (with the private `conn` and `poll`) — the one epoll
 //!   loop driving the machine.
-//! * [`coordinator`] / [`worker`] — the drivers around the two
-//!   machines. [`ClusterCampaign`] is the cluster's executor for the
-//!   round loop of `nestsim_core::campaign`; [`coordinator::run_cluster`]
-//!   runs a plan on it with workers attached, **byte-identical** to the
-//!   in-process executor at any worker count, crashes or not.
+//! * [`client`] / [`worker`] — the drivers of the server's two kinds of
+//!   peer: [`SvcClient`] submits cells, [`run_worker`] runs leased
+//!   shards.
+//! * [`coordinator`] — [`RemoteExecutor`] runs the round loop of
+//!   `nestsim_core::campaign` through a client, one job per round;
+//!   [`run_cluster`] runs a plan on it against a server with workers
+//!   attached, **byte-identical** to the in-process executor at any
+//!   worker count, crashes or not.
 //!
 //! Workers are stateless: a [`proto::JobWire`] carries the campaign
 //! *spec*, each worker re-derives golden reference, ladder and samples
@@ -42,6 +45,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 mod conn;
 pub mod coordinator;
 pub mod frame;
@@ -57,9 +61,9 @@ pub mod wire;
 pub mod worker;
 pub mod worker_machine;
 
+pub use client::{JobOutcome, SvcClient};
 pub use coordinator::{
-    run_campaign_adaptive_cluster, run_campaign_cluster, run_cluster, serve_campaign,
-    ClusterCampaign, ClusterConfig, CoordinatorConfig, WorkerSpawn,
+    run_campaign_cluster, run_cluster, ClusterConfig, RemoteExecutor, WorkerSpawn,
 };
 pub use lease::{LeaseConfig, LeaseTable};
 pub use machine::{ServiceMachine, SvcConfig};

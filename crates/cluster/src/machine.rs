@@ -6,24 +6,25 @@
 //! queue and the counters.
 //!
 //! Every connection opens with `Hello` and gets an id from one counter;
-//! its frames then say what it is. A **client** submits jobs: admitted
-//! against a queue bound, deduplicated in the [`ResultStore`], ordered
-//! across tenants by the [`DrrScheduler`], streamed back in `Chunk`s. A
-//! **worker** asks for shards: leased from the front [`Round`], parked
+//! its frames then say what it is. A **client** submits jobs — a whole
+//! fixed-count cell or one round of an adaptive one: admitted against a
+//! queue bound, deduplicated in the [`ResultStore`], ordered across
+//! tenants by the [`DrrScheduler`], streamed back in `Chunk`s. A
+//! **worker** asks for shards: leased from the [`Round`] out, parked
 //! while nothing is leasable, its completions cross-checked against the
 //! round's golden reference and accepted first-writer-wins.
 //!
-//! The campaign thread ([`crate::coordinator`]) begins its rounds with
-//! [`Command::BeginRound`] and hears them settle through
-//! [`Command::AwaitRound`]; they always go out as leases, since it
-//! attaches its own workers. A client's cell goes out as leases while a
-//! worker is connected, else runs in process on an exec slot, reported
-//! back as [`Command::Exec`]. The loop's millisecond clock serves only
-//! lease deadlines and parked retries.
+//! A cell goes out as leases while a worker is connected, else runs in
+//! process on an exec slot, reported back as [`Command::Exec`]. A
+//! machine with no execution pool has no exec slots: its cells wait for
+//! a worker, which is how a cluster campaign ([`crate::coordinator`])
+//! serves its rounds. The loop's millisecond clock serves only lease
+//! deadlines and parked retries.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::mpsc;
 
+use nestsim_core::adaptive::stratum_bits;
 use nestsim_core::inject::{recorder_for, GoldenRef};
 use nestsim_telemetry::{names, Recorder};
 
@@ -40,13 +41,19 @@ use crate::store::{
 /// stream, enough that framing overhead stays negligible.
 pub const CHUNK_RECORDS: usize = 256;
 
+/// The most samples one job may ask for: drawing a cell's samples
+/// reserves them up front, and a reservation the allocator cannot make
+/// aborts the whole service.
+const MAX_JOB_SAMPLES: u64 = 1 << 20;
+
 /// Tunables of the service side of the machine.
 #[derive(Debug, Clone)]
 pub struct SvcConfig {
     /// Admission bound: queued jobs beyond this are rejected with an
     /// explicit backpressure reply (dedup subscriptions are free).
     pub max_queue_depth: usize,
-    /// Concurrent in-process executions the driver can run.
+    /// Concurrent in-process executions the driver can run (none
+    /// without an execution pool).
     pub exec_slots: usize,
     /// DRR quantum, in samples per grant per unit of tenant weight.
     pub quantum: u64,
@@ -65,10 +72,6 @@ impl Default for SvcConfig {
     }
 }
 
-/// A settled campaign round: its golden reference and its accepted runs
-/// per shard, or why it failed.
-pub type RoundResult = Result<(GoldenRef, Vec<Vec<RunWire>>), String>;
-
 /// What reaches the machine from outside the loop.
 pub enum Command {
     /// An in-process execution finished (`Ok`) or crashed (`Err`).
@@ -78,17 +81,6 @@ pub enum Command {
         /// What the execution produced, or why it crashed.
         result: Result<ExecOutput, String>,
     },
-    /// Lease the campaign thread's next round to the workers.
-    BeginRound {
-        /// The round's job.
-        job: JobWire,
-        /// The round's shard plan.
-        shards: Vec<Shard>,
-    },
-    /// Reply once the campaign thread's round settles.
-    AwaitRound(mpsc::Sender<RoundResult>),
-    /// Reply with a snapshot of the machine's counters.
-    Stats(mpsc::Sender<Recorder>),
     /// Stop accepting, dismiss every worker with `done`, hang up on
     /// every client, and return once the workers left.
     Shutdown,
@@ -111,7 +103,7 @@ struct Conn {
     round: u64,
 }
 
-/// Work out on leases: the shards of one job.
+/// A cell out on leases: its job's shards.
 struct Round {
     /// Names the round in its workers' connections.
     serial: u64,
@@ -121,8 +113,8 @@ struct Round {
     /// Accepted runs per shard.
     results: Vec<Vec<RunWire>>,
     golden: Option<GoldenRef>,
-    /// The client cell it computes; `None` for the campaign thread's.
-    cell: Option<JobKey>,
+    /// The cell it computes.
+    cell: JobKey,
 }
 
 /// The campaign server machine. See the module docs for the contract.
@@ -138,11 +130,8 @@ pub struct ServiceMachine {
     execs: BTreeMap<u64, JobKey>,
     /// Where in-process executions go; `None` when nothing runs them.
     tasks: Option<mpsc::Sender<(u64, JobWire)>>,
-    /// Leased work; the front round is the one being leased.
-    rounds: VecDeque<Round>,
-    /// The campaign thread's settled round, until it asks.
-    settled: Option<RoundResult>,
-    awaiting: Option<mpsc::Sender<RoundResult>>,
+    /// The cell out on leases, one at a time.
+    round: Option<Round>,
     stats: Recorder,
     /// Mints every id the machine hands out: connections, tickets,
     /// executions and rounds.
@@ -158,25 +147,25 @@ pub struct ServiceMachine {
 impl ServiceMachine {
     /// A machine with no work: `cfg` for client jobs, `lease` for shard
     /// leases, counting into `stats` ([`Recorder::null`] counts
-    /// nothing), handing in-process executions to `tasks`.
+    /// nothing), handing in-process executions to `tasks` — with none,
+    /// it has no exec slots.
     pub fn new(
         cfg: SvcConfig,
         lease: LeaseConfig,
         stats: Recorder,
         tasks: Option<mpsc::Sender<(u64, JobWire)>>,
     ) -> Self {
+        let exec_slots = tasks.as_ref().map_or(0, |_| cfg.exec_slots);
         ServiceMachine {
             sched: DrrScheduler::new(cfg.quantum),
-            cfg,
+            cfg: SvcConfig { exec_slots, ..cfg },
             lease,
             conns: BTreeMap::new(),
             store: ResultStore::new(),
             tickets: BTreeMap::new(),
             execs: BTreeMap::new(),
             tasks,
-            rounds: VecDeque::new(),
-            settled: None,
-            awaiting: None,
+            round: None,
             stats,
             next: 1,
             sched_rounds_seen: 0,
@@ -204,7 +193,7 @@ impl ServiceMachine {
 
     /// True when nothing is queued, executing or leased.
     pub fn is_idle(&self) -> bool {
-        self.sched.is_empty() && self.execs.is_empty() && self.rounds.is_empty()
+        self.sched.is_empty() && self.execs.is_empty() && self.round.is_none()
     }
 
     /// **Mutation hook** (model-checker gate only): deliver each result
@@ -259,7 +248,7 @@ impl ServiceMachine {
             self.drop_ticket(ticket);
         }
         if c.worker {
-            let released = match self.rounds.front_mut() {
+            let released = match self.round.as_mut() {
                 Some(round) => round.leases.release_worker(c.id, now),
                 None => 0,
             };
@@ -268,12 +257,11 @@ impl ServiceMachine {
             if !clean || released > 0 {
                 self.stats.count(names::CLUSTER_WORKERS_DISCONNECTED, 1);
             }
-            // With no worker left, a client's leased cell runs in process.
-            if !self.conns.values().any(|c| c.worker) {
-                if let Some(i) = self.rounds.iter().position(|r| r.cell.is_some()) {
-                    let round = self.rounds.remove(i).expect("position is in range");
-                    let key = round.cell.expect("found by its cell");
-                    self.start_exec(now, key, round.job, out);
+            // With no worker left, a leased cell runs in process, or
+            // waits for the next worker if there is no process to run in.
+            if self.cfg.exec_slots > 0 && !self.conns.values().any(|c| c.worker) {
+                if let Some(round) = self.round.take() {
+                    self.start_exec(now, round.cell, round.job, out);
                 }
             }
             if released > 0 {
@@ -316,13 +304,15 @@ impl ServiceMachine {
             Message::RequestShard => {
                 if !std::mem::replace(&mut c.worker, true) {
                     self.stats.count(names::CLUSTER_WORKERS_CONNECTED, 1);
+                    // A cell queued for want of a worker goes out now.
+                    self.pump(now, out);
                 }
                 self.try_grant(now, conn, out);
             }
             Message::Heartbeat { shard } => {
                 self.stats.count(names::CLUSTER_HEARTBEATS, 1);
                 let (id, assigned) = (c.id, c.round);
-                let current = match self.rounds.front_mut() {
+                let current = match self.round.as_mut() {
                     Some(round) if round.serial == assigned => {
                         round.leases.heartbeat(id, shard, now)
                     }
@@ -350,7 +340,7 @@ impl ServiceMachine {
             let done = Message::Wait { ms: 0, done: true };
             return self.send(now, conn, &done, out);
         }
-        let Some(round) = self.rounds.front_mut() else {
+        let Some(round) = self.round.as_mut() else {
             // No work: held until some arrives.
             c.parked = Some(now + self.lease.heartbeat_ms);
             return;
@@ -394,36 +384,11 @@ impl ServiceMachine {
         }
     }
 
-    /// Leases `job` as `shards` after the rounds already out.
-    fn begin_round(
-        &mut self,
-        now: u64,
-        job: JobWire,
-        shards: Vec<Shard>,
-        cell: Option<JobKey>,
-        out: &mut Vec<Action>,
-    ) {
-        self.stats.count(names::CLUSTER_SHARDS, shards.len() as u64);
-        let serial = self.mint();
-        self.rounds.push_back(Round {
-            serial,
-            results: shards.iter().map(|_| Vec::new()).collect(),
-            leases: LeaseTable::new(shards.len(), self.lease),
-            job,
-            shards,
-            golden: None,
-            cell,
-        });
-        if self.rounds.len() == 1 {
-            self.serve_parked(now, out);
-        }
-    }
-
     /// A worker's shard completion: golden cross-check, then first
     /// writer wins.
     fn on_shard(&mut self, now: u64, conn: u64, sub: SubmitWire, out: &mut Vec<Action>) {
         let assigned = self.conns.get(&conn).map_or(0, |c| c.round);
-        let accepted = match self.rounds.front_mut() {
+        let accepted = match self.round.as_mut() {
             // A completion for a round that already settled.
             Some(round) if round.serial == assigned => round,
             _ => return self.ack(now, conn, false, out),
@@ -484,34 +449,26 @@ impl ServiceMachine {
         self.send(now, conn, &Message::SubmitAck { accepted }, out);
     }
 
-    /// The front round's last shard is in: its runs go to whoever
-    /// began it, and the next round goes out.
+    /// The leased round's last shard is in: its cell completes, and the
+    /// next cell goes out.
     fn settle_round(&mut self, now: u64, out: &mut Vec<Action>) {
-        let round = self.rounds.pop_front().expect("a round settles");
-        let golden = round
-            .golden
-            .ok_or("a round settled without a golden reference");
-        match round.cell {
-            None => self.settled = Some(golden.map(|g| (g, round.results)).map_err(str::to_string)),
-            Some(key) => match golden.map(|g| assemble(&round.job, g, round.results)) {
-                Ok(Some(output)) => self.complete(now, key, output, out),
-                _ => self.crashed(now, key, "the leased shards did not cover the cell", out),
-            },
+        let round = self.round.take().expect("a round settles");
+        let output = (round.golden).and_then(|g| assemble(&round.job, g, round.results));
+        let why = "the leased shards did not cover the cell";
+        match output {
+            Some(output) => self.complete(now, round.cell, output, out),
+            None => self.crashed(now, round.cell, why, out),
         }
         self.serve_parked(now, out);
         self.pump(now, out);
     }
 
-    /// The front round cannot complete: `conn` submitted against the
-    /// simulation itself. The campaign thread hears `why`; a client cell
-    /// counts it as a crash.
+    /// The leased round cannot complete: `conn` submitted against the
+    /// simulation itself, which counts as a crash of its cell.
     fn fail_round(&mut self, now: u64, conn: u64, why: String, out: &mut Vec<Action>) {
-        let round = self.rounds.pop_front().expect("the front round fails");
+        let round = self.round.take().expect("the leased round fails");
         self.close(now, conn, out);
-        match round.cell {
-            None => self.settled = Some(Err(why)),
-            Some(key) => self.crashed(now, key, &why, out),
-        }
+        self.crashed(now, round.cell, &why, out);
         self.serve_parked(now, out);
         self.pump(now, out);
     }
@@ -611,7 +568,7 @@ impl ServiceMachine {
             let workers = self.conns.values().filter(|c| c.worker).count();
             let full = match workers {
                 0 => self.execs.len() >= self.cfg.exec_slots,
-                _ => !self.rounds.is_empty(),
+                _ => self.round.is_some(),
             };
             if full {
                 break;
@@ -628,7 +585,17 @@ impl ServiceMachine {
             } else {
                 let samples = job.spec.samples;
                 let shards = plan_shards(samples, auto_shard_size(samples, workers));
-                self.begin_round(now, job, shards, Some(key), out);
+                self.stats.count(names::CLUSTER_SHARDS, shards.len() as u64);
+                self.round = Some(Round {
+                    serial: self.mint(),
+                    results: shards.iter().map(|_| Vec::new()).collect(),
+                    leases: LeaseTable::new(shards.len(), self.lease),
+                    job,
+                    shards,
+                    golden: None,
+                    cell: key,
+                });
+                self.serve_parked(now, out);
             }
         }
         let rounds = self.sched.rounds();
@@ -648,7 +615,7 @@ impl ServiceMachine {
             .as_ref()
             .is_some_and(|t| t.send((exec, job)).is_ok());
         if !sent {
-            // Books stay balanced: no pool is a crash.
+            // Books stay balanced: a pool that hung up is a crash.
             self.on_exec(
                 now,
                 exec,
@@ -763,11 +730,6 @@ impl ServiceMachine {
     fn on_command(&mut self, now: u64, cmd: Command, out: &mut Vec<Action>) {
         match cmd {
             Command::Exec { exec, result } => self.on_exec(now, exec, result, out),
-            Command::BeginRound { job, shards } => self.begin_round(now, job, shards, None, out),
-            Command::AwaitRound(reply) => self.awaiting = Some(reply),
-            Command::Stats(reply) => {
-                let _ = reply.send(self.stats.clone());
-            }
             Command::Shutdown => {
                 self.shutdown = true;
                 out.push(Action::Drain);
@@ -811,29 +773,45 @@ impl ServiceMachine {
             Event::Tick => self.serve_parked(now, out),
             Event::Command(cmd) => self.on_command(now, cmd, out),
         }
-        if self.settled.is_some() {
-            if let Some(reply) = self.awaiting.take() {
-                let _ = reply.send(self.settled.take().expect("checked above"));
-            }
-        }
     }
 
     /// When the machine next wants an [`Event::Tick`], if ever: parked
     /// workers retry only while there is leased work.
     pub fn next_wake(&self) -> Option<u64> {
-        self.rounds.front()?;
+        self.round.as_ref()?;
         self.conns.values().filter_map(|c| c.parked).min()
     }
 }
 
 /// Admission-time validation: everything that would make the execution
-/// engine panic must be rejected here instead.
+/// engine panic, or abort the service, must be rejected here instead.
 fn validate_job(job: &JobWire) -> Result<(), String> {
     let profile = job.profile().map_err(|e| format!("unknown job: {e}"))?;
-    if job.adaptive.is_some() {
-        return Err(
-            "adaptive round jobs are cluster-internal; submit the base campaign instead".into(),
-        );
+    let samples = job.spec.samples;
+    if samples > MAX_JOB_SAMPLES {
+        return Err(format!(
+            "{samples} samples exceed the bound of {MAX_JOB_SAMPLES} per job"
+        ));
+    }
+    if let Some(round) = &job.adaptive {
+        let bits = stratum_bits(job.spec.component);
+        let mut total = 0u64;
+        for ((start, alloc), bits) in round.start.iter().zip(round.alloc).zip(&bits) {
+            if start.checked_add(alloc).is_none() {
+                return Err(format!("a stratum's samples {start} + {alloc} overflow"));
+            }
+            if alloc > 0 && bits.is_empty() {
+                return Err(format!(
+                    "{alloc} samples allocated to a stratum with no bits"
+                ));
+            }
+            total = total.saturating_add(alloc);
+        }
+        if total != samples {
+            return Err(format!(
+                "the round allocates {total} samples, the job carries {samples}"
+            ));
+        }
     }
     job.spec.check(profile)
 }
@@ -864,12 +842,13 @@ fn assemble(job: &JobWire, golden: GoldenRef, results: Vec<Vec<RunWire>>) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::PROTOCOL_VERSION;
+    use crate::proto::{AdaptiveRoundWire, PROTOCOL_VERSION};
     use nestsim_core::inject::InjectionRecord;
     use nestsim_core::{CampaignSpec, Outcome};
     use nestsim_hlsim::workload::by_name;
     use nestsim_models::ComponentKind;
     use nestsim_telemetry::TelemetryConfig;
+    use std::collections::VecDeque;
 
     const LEASE: LeaseConfig = LeaseConfig {
         lease_ms: 100,
@@ -916,6 +895,21 @@ mod tests {
             exec_slots,
             ..SvcConfig::default()
         })
+    }
+
+    /// A machine with no execution pool, as a cluster campaign binds it.
+    fn cluster(cfg: SvcConfig) -> Rig {
+        let (_, tasks) = mpsc::channel();
+        let stats = Recorder::active(&TelemetryConfig::default());
+        let m = ServiceMachine::new(cfg, LEASE, stats, None);
+        let (fresh, running) = (Vec::new(), VecDeque::new());
+        Rig {
+            m,
+            tasks,
+            fresh,
+            running,
+            now: 0,
+        }
     }
 
     impl Rig {
@@ -980,6 +974,41 @@ mod tests {
             self.recv(conn, Message::RequestShard)
         }
 
+        /// `worker` takes every shard of the cell `client` waits for,
+        /// from `outs` on, submitting each as `runs` makes it, until
+        /// `client` hears the cell's end; returns what `client` was
+        /// sent then.
+        fn drain(
+            &mut self,
+            worker: u64,
+            client: u64,
+            mut outs: Vec<Out>,
+            runs: impl Fn(Shard) -> Vec<RunWire>,
+        ) -> Vec<Message> {
+            for _ in 0..64 {
+                let told = sent_to(&outs, client);
+                if told
+                    .iter()
+                    .any(|m| matches!(m, Message::Done { .. } | Message::Failed { .. }))
+                {
+                    return told.into_iter().cloned().collect();
+                }
+                outs = match sent_to(&outs, worker).pop() {
+                    Some(Message::Assign { shard, .. }) => {
+                        let shard = *shard;
+                        self.shard(worker, shard.id, golden(), runs(shard))
+                    }
+                    Some(_) => self.request(worker),
+                    // Parked: its retry comes with the next tick.
+                    None => {
+                        self.now = self.m.next_wake().expect("a parked worker retries");
+                        self.step(Event::Tick)
+                    }
+                };
+            }
+            panic!("the cell never ended");
+        }
+
         fn shard(
             &mut self,
             conn: u64,
@@ -996,13 +1025,6 @@ mod tests {
                 runs,
             };
             self.recv(conn, Message::Submit(sub))
-        }
-
-        /// The settled campaign round, if it settled.
-        fn round(&mut self) -> Option<RoundResult> {
-            let (tx, rx) = mpsc::channel();
-            self.cmd(Command::AwaitRound(tx));
-            rx.try_recv().ok()
         }
     }
 
@@ -1062,21 +1084,32 @@ mod tests {
         .collect()
     }
 
-    /// A machine leasing one campaign round of `samples` in shards of
-    /// `size`.
-    fn leasing(samples: u64, size: u64) -> Rig {
-        let mut r = rig(SvcConfig::default());
-        let (job, shards) = (JobWire::default(), plan_shards(samples, size));
-        r.cmd(Command::BeginRound { job, shards });
-        r
+    fn shard_runs(shard: Shard) -> Vec<RunWire> {
+        runs(shard.range())
+    }
+
+    /// The records a client was streamed.
+    fn streamed(told: &[Message]) -> Vec<InjectionRecord> {
+        (told.iter())
+            .filter_map(|m| match m {
+                Message::Chunk { records, .. } => Some(records.clone()),
+                _ => None,
+            })
+            .flatten()
+            .collect()
+    }
+
+    fn rejected(outs: &[Out], conn: u64) -> bool {
+        matches!(sent_to(outs, conn).as_slice(), [Message::Rejected { .. }])
     }
 
     #[test]
     fn client_ids_are_never_handed_out_twice() {
         // Workers and clients draw from one counter: two peers, the
         // first leaves, more arrive, and no id is handed out twice.
-        let mut r = leasing(2, 2);
+        let mut r = cluster(SvcConfig::default());
         let mut ids = vec![r.hello(1, "alice"), r.hello(2, "")];
+        r.submit(1, 1, test_job(2, 1));
         r.request(2);
         r.step(Event::Closed {
             conn: 1,
@@ -1109,7 +1142,9 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected_with_error_then_close() {
-        let mut r = leasing(4, 2);
+        let mut r = cluster(SvcConfig::default());
+        r.hello(3, "alice");
+        r.submit(3, 1, test_job(4, 1));
         r.step(Event::Connected { conn: 1 });
         let hello = Message::Hello {
             version: 1,
@@ -1122,8 +1157,8 @@ mod tests {
             }
             other => panic!("expected Error then Close, got {other:?}"),
         }
-        // The rejected connection must not wedge the campaign: a
-        // healthy worker still gets shards.
+        // The rejected connection must not wedge the cell: a healthy
+        // worker still gets shards.
         r.hello(2, "");
         assert!(assigned(&r.request(2), 2));
         let stats = r.m.stats();
@@ -1337,6 +1372,78 @@ mod tests {
         assert!(r.m.is_idle());
     }
 
+    /// One round of an adaptive L2C cell drawing `alloc` per stratum
+    /// from `start`.
+    fn round_job(start: [u64; 3], alloc: [u64; 3]) -> JobWire {
+        let profile = by_name("radi").unwrap();
+        let spec = CampaignSpec::quick(ComponentKind::L2c, 0);
+        let strata = AdaptiveRoundWire { start, alloc };
+        JobWire::for_round(profile, &spec, None, Some(&strata))
+    }
+
+    #[test]
+    fn a_round_job_is_admitted() {
+        let mut r = slots(1);
+        r.hello(1, "alice");
+        let outs = r.submit(1, 1, round_job([0, 3, 0], [2, 2, 2]));
+        assert!(matches!(
+            sent_to(&outs, 1).as_slice(),
+            [Message::Accepted { .. }]
+        ));
+        assert_eq!(r.starts().len(), 1);
+    }
+
+    #[test]
+    fn a_round_job_whose_samples_are_not_its_allocation_is_rejected() {
+        let mut r = slots(1);
+        r.hello(1, "alice");
+        let mut job = round_job([0; 3], [2, 2, 2]);
+        job.spec.samples = 5;
+        assert!(rejected(&r.submit(1, 1, job), 1));
+        assert!(r.m.is_idle());
+    }
+
+    #[test]
+    fn a_round_job_whose_stratum_range_overflows_is_rejected() {
+        let mut r = slots(1);
+        r.hello(1, "alice");
+        let job = round_job([u64::MAX - 1, 0, 0], [2, 0, 0]);
+        assert!(rejected(&r.submit(1, 1, job), 1));
+        assert!(r.m.is_idle());
+    }
+
+    #[test]
+    fn a_round_job_allocating_to_an_empty_stratum_is_rejected() {
+        let (component, empty) = (ComponentKind::ALL.into_iter())
+            .find_map(|c| {
+                let bits = stratum_bits(c);
+                (bits.iter().position(Vec::is_empty)).map(|s| (c, s))
+            })
+            .expect("some component has a stratum with no bits");
+        let mut alloc = [0; 3];
+        alloc[empty] = 2;
+        let mut job = round_job([0; 3], alloc);
+        job.spec.component = component;
+        if component == ComponentKind::Pcie {
+            job.benchmark = "p-lr".into();
+        }
+        let mut r = slots(1);
+        r.hello(1, "alice");
+        assert!(rejected(&r.submit(1, 1, job), 1));
+        assert!(r.m.is_idle());
+    }
+
+    #[test]
+    fn a_job_over_the_sample_bound_is_rejected() {
+        let mut r = slots(1);
+        r.hello(1, "alice");
+        assert!(rejected(&r.submit(1, 1, test_job(1 << 40, 1)), 1));
+        let total = MAX_JOB_SAMPLES + 1;
+        let job = round_job([0; 3], [total - 2, 1, 1]);
+        assert!(rejected(&r.submit(1, 2, job), 1));
+        assert!(r.m.is_idle());
+    }
+
     #[test]
     fn mutation_hook_starves_second_subscriber() {
         let mut r = slots(1);
@@ -1355,33 +1462,45 @@ mod tests {
 
     #[test]
     fn duplicate_submission_is_deduped_first_writer_wins() {
-        let mut r = leasing(4, 2); // two shards of two samples
+        let mut r = cluster(SvcConfig::default());
         r.hello(1, "");
-        assert!(assigned(&r.request(1), 1));
-        let outs = r.shard(1, 0, golden(), runs(0..2));
+        r.hello(2, "alice");
+        r.submit(2, 1, test_job(8, 1)); // four shards of two
+        let outs = r.request(1);
+        let Some(Message::Assign { shard, .. }) = sent_to(&outs, 1).pop() else {
+            panic!("the worker gets a shard: {outs:?}");
+        };
+        let shard = *shard;
+        let outs = r.shard(1, shard.id, golden(), shard_runs(shard));
         assert!(matches!(
             sent_to(&outs, 1).as_slice(),
             [Message::SubmitAck { accepted: true }]
         ));
-        let outs = r.shard(1, 0, golden(), runs(0..2));
+        let outs = r.shard(1, shard.id, golden(), shard_runs(shard));
         assert!(matches!(
             sent_to(&outs, 1).as_slice(),
             [Message::SubmitAck { accepted: false }]
         ));
-        assert!(assigned(&r.request(1), 1));
-        r.shard(1, 1, golden(), runs(2..4));
-        let (_, results) = r.round().expect("settled").expect("no error");
-        assert_eq!(results[0].len(), 2, "exactly one submission merged");
+        let outs = r.request(1);
+        let told = r.drain(1, 2, outs, shard_runs);
+        assert_eq!(
+            streamed(&told),
+            output(8).records,
+            "exactly one submission merged"
+        );
+        assert_eq!(r.m.stats().counter(names::CLUSTER_SHARDS_DUPLICATE), 1);
     }
 
     #[test]
     fn mutation_hook_double_counts_duplicates() {
-        let mut r = leasing(4, 2);
+        let mut r = cluster(SvcConfig::default());
         r.m.disable_first_writer_wins();
         r.hello(1, "");
+        r.hello(2, "alice");
+        r.submit(2, 1, test_job(2, 1)); // two shards of one
         r.request(1);
-        r.shard(1, 0, golden(), runs(0..2));
-        let outs = r.shard(1, 0, golden(), runs(0..2));
+        r.shard(1, 0, golden(), runs(0..1));
+        let outs = r.shard(1, 0, golden(), runs(0..1));
         assert!(
             matches!(
                 sent_to(&outs, 1).as_slice(),
@@ -1390,17 +1509,22 @@ mod tests {
             "mutated machine accepts the duplicate: {outs:?}"
         );
         r.request(1);
-        r.shard(1, 1, golden(), runs(2..4));
-        let (_, results) = r.round().expect("settled").expect("no error");
-        assert_eq!(results[0].len(), 4, "duplicate was double-counted");
+        let outs = r.shard(1, 1, golden(), runs(1..2));
+        // The cover check catches the double count: the cell crashes
+        // instead of completing, and goes out again.
+        assert!(sent_to(&outs, 2).is_empty(), "{outs:?}");
+        assert_eq!(r.m.stats().counter(names::SVC_EXEC_CRASHES), 1);
+        assert_eq!(r.m.stats().counter(names::SVC_JOBS_COMPLETED), 0);
     }
 
     #[test]
     fn parked_connection_is_woken_by_release() {
-        let mut r = leasing(2, 2); // one shard
+        let mut r = cluster(SvcConfig::default());
         r.hello(1, "");
         r.hello(2, "");
-        // Worker 1 takes the only shard; worker 2 parks.
+        r.hello(3, "alice");
+        r.submit(3, 1, test_job(1, 1)); // one shard
+                                        // Worker 1 takes the only shard; worker 2 parks.
         assert!(assigned(&r.request(1), 1));
         r.now = 1;
         assert!(r.request(2).is_empty(), "parked, no reply yet");
@@ -1421,24 +1545,23 @@ mod tests {
 
     #[test]
     fn held_worker_is_reserved_across_rounds_on_one_connection() {
-        let mut r = rig(SvcConfig::default());
+        let mut r = cluster(SvcConfig::default());
         r.hello(1, "");
-        // No round yet: the worker is held, and no timer runs for it.
+        r.hello(2, "alice");
+        // No cell yet: the worker is held, and no timer runs for it.
         assert!(r.request(1).is_empty());
         assert_eq!(r.m.next_wake(), None);
         for round in 0..2u64 {
             r.now = 10 * round;
-            let (job, shards) = (JobWire::default(), plan_shards(2, 2));
-            let outs = r.cmd(Command::BeginRound { job, shards });
+            let outs = r.submit(2, round, test_job(2, round));
             assert!(assigned(&outs, 1), "round {round}: held worker re-served");
-            r.shard(1, 0, golden(), runs(0..2));
+            let told = r.drain(1, 2, outs, shard_runs);
+            assert_eq!(streamed(&told), output(2).records, "round {round} harvest");
             // The idle worker's next request parks (no `done`).
             assert!(
                 r.request(1).is_empty(),
                 "round {round}: held, not dismissed"
             );
-            let (_, results) = r.round().expect("settled").expect("no error");
-            assert_eq!(results[0].len(), 2, "round {round} harvest");
         }
         // Shutdown finally dismisses the parked worker with `done`.
         let outs = r.cmd(Command::Shutdown);
@@ -1447,28 +1570,37 @@ mod tests {
             sent_to(&outs, 1).as_slice(),
             [Message::Wait { done: true, .. }]
         ));
-        // One handshake served the whole multi-round campaign.
+        // One handshake served both rounds.
         assert_eq!(r.m.stats().counter(names::CLUSTER_WORKERS_CONNECTED), 1);
     }
 
     #[test]
     fn golden_divergence_fails_campaign_and_frees_parked() {
-        let mut r = leasing(4, 2); // two shards
+        let mut r = cluster(SvcConfig {
+            max_crash_retries: 0,
+            ..SvcConfig::default()
+        });
         r.hello(1, "");
         r.hello(2, "");
         r.hello(3, "");
+        r.hello(4, "alice");
+        r.submit(4, 1, test_job(2, 1)); // two shards
         r.request(1);
         r.request(2);
         assert!(r.request(3).is_empty(), "nothing left: parked");
-        r.shard(1, 0, golden(), runs(0..2));
+        r.shard(1, 0, golden(), runs(0..1));
         let bad = GoldenRef {
             digest: 0xbad,
             cycles: 11,
         };
-        let outs = r.shard(2, 1, bad, runs(2..4));
+        let outs = r.shard(2, 1, bad, runs(1..2));
         assert!(matches!(outs.first(), Some(Out::Close(2))), "{outs:?}");
-        let error = r.round().expect("settled").expect_err("diverged");
-        assert!(error.contains("golden reference diverged"), "{error}");
+        match sent_to(&outs, 4).as_slice() {
+            [Message::Failed { reason, .. }] => {
+                assert!(reason.contains("golden reference diverged"), "{reason}")
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
         // The round is gone; the parked worker waits for the next one,
         // and shutdown dismisses it.
         assert_eq!(r.m.next_wake(), None);
@@ -1484,26 +1616,60 @@ mod tests {
         // A straggler of the first round submits its shard id again
         // while the next round, with shards of the same ids, is out: it
         // must not complete the new round's shard.
-        let mut r = leasing(2, 2);
+        let mut r = cluster(SvcConfig::default());
         r.hello(1, "");
         r.hello(2, "");
+        r.hello(3, "alice");
+        r.submit(3, 1, test_job(1, 1));
         r.request(1);
-        r.shard(1, 0, golden(), runs(0..2));
-        r.round().expect("settled").expect("no error");
-        let (job, shards) = (JobWire::default(), plan_shards(2, 2));
-        r.cmd(Command::BeginRound { job, shards });
+        let outs = r.shard(1, 0, golden(), runs(0..1));
+        assert!(sent_to(&outs, 3)
+            .iter()
+            .any(|m| matches!(m, Message::Done { .. })));
+        r.submit(3, 2, test_job(1, 2));
         assert!(assigned(&r.request(2), 2));
-        let outs = r.shard(1, 0, golden(), runs(0..2));
+        let outs = r.shard(1, 0, golden(), runs(0..1));
         assert!(matches!(
             sent_to(&outs, 1).as_slice(),
             [Message::SubmitAck { accepted: false }]
         ));
-        let outs = r.shard(2, 0, golden(), runs(0..2));
+        let outs = r.shard(2, 0, golden(), runs(0..1));
         assert!(matches!(
             sent_to(&outs, 2).as_slice(),
             [Message::SubmitAck { accepted: true }]
         ));
-        assert!(r.round().is_some(), "the assigned worker settles it");
+        let done = sent_to(&outs, 3);
+        assert!(
+            done.iter().any(|m| matches!(m, Message::Done { .. })),
+            "the assigned worker settles it"
+        );
+    }
+
+    #[test]
+    fn without_a_pool_a_cell_waits_for_a_worker() {
+        let mut r = cluster(SvcConfig::default());
+        r.hello(1, "alice");
+        let outs = r.submit(1, 1, test_job(4, 1));
+        assert!(matches!(
+            sent_to(&outs, 1).as_slice(),
+            [Message::Accepted { .. }]
+        ));
+        assert_eq!(r.m.queue_depth(), 1, "the cell waits for a worker");
+        // The first worker that asks gets it.
+        r.hello(2, "");
+        assert!(assigned(&r.request(2), 2));
+        // That worker leaves mid-cell: the cell waits for the next.
+        let outs = r.step(Event::Closed {
+            conn: 2,
+            clean: false,
+        });
+        assert!(sent_to(&outs, 1).is_empty(), "{outs:?}");
+        assert_eq!(r.m.stats().counter(names::SVC_EXEC_CRASHES), 0);
+        r.hello(3, "");
+        let outs = r.request(3);
+        let told = r.drain(3, 1, outs, shard_runs);
+        assert_eq!(streamed(&told), output(4).records);
+        assert!(r.m.is_idle());
     }
 
     #[test]

@@ -10,17 +10,20 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 
 use nestsim_cluster::frame::{read_frame, write_frame, MAGIC, MAX_FRAME};
+use nestsim_cluster::machine::{Command as Loop, ServiceMachine, SvcConfig};
+use nestsim_cluster::server::Server;
 use nestsim_cluster::{
-    run_campaign_cluster, serve_campaign, ClusterConfig, CoordinatorConfig, LeaseConfig, Message,
+    run_campaign_cluster, ClusterConfig, LeaseConfig, Message, RemoteExecutor, SvcClient,
     WorkerOptions, WorkerSpawn, PROTOCOL_VERSION,
 };
-use nestsim_core::campaign::{run_campaign_with, CampaignResult, CampaignSpec};
+use nestsim_core::campaign::{run_campaign_with, run_rounds, CampaignResult, CampaignSpec, Plan};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
-use nestsim_telemetry::{names, TelemetryConfig};
+use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 fn cell() -> (&'static nestsim_hlsim::workload::BenchProfile, CampaignSpec) {
     let profile = by_name("flui").unwrap();
@@ -40,6 +43,47 @@ fn assert_identical(ctx: &str, reference: &CampaignResult, got: &CampaignResult)
         reference.telemetry.merged.to_jsonl(),
         "{ctx}: merged telemetry diverged"
     );
+}
+
+/// The one machine with no execution pool, as `run_cluster` binds it,
+/// under `lease`; the test attaches its own workers.
+fn coordinator(lease: LeaseConfig) -> Server {
+    let stats = Recorder::active(&TelemetryConfig::default());
+    let machine = ServiceMachine::new(SvcConfig::default(), lease, stats, None);
+    Server::spawn("127.0.0.1:0", "test-coordinator", machine).unwrap()
+}
+
+/// Runs the cell's fixed plan on a [`RemoteExecutor`] against `addr`,
+/// on a thread of `scope`.
+fn campaign<'s>(
+    scope: &'s Scope<'s, '_>,
+    addr: &'s str,
+    telemetry: &'s TelemetryConfig,
+) -> ScopedJoinHandle<'s, CampaignResult> {
+    scope.spawn(move || {
+        let (profile, spec) = cell();
+        let executor = RemoteExecutor::connect(addr, profile, &spec, Some(telemetry)).unwrap();
+        run_rounds(profile, &spec, &Plan::Fixed, Some(telemetry), executor)
+    })
+}
+
+/// Blocks until the server at `addr` has granted a lease.
+fn await_lease(addr: &str) {
+    let mut observer = SvcClient::connect(addr, "observer").unwrap();
+    while observer
+        .stats()
+        .unwrap()
+        .counter(names::CLUSTER_LEASES_GRANTED)
+        == 0
+    {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Tells the server to dismiss its workers; its counters once they left.
+fn shutdown(server: Server) -> Recorder {
+    server.waker().send(Loop::Shutdown).unwrap();
+    server.join().unwrap().into_stats()
 }
 
 fn spawn_worker(addr: &str, extra: &[&str]) -> Child {
@@ -65,7 +109,7 @@ fn worker_processes_match_in_process_engine() {
         &spec,
         Some(&telemetry),
         &ClusterConfig {
-            coordinator: CoordinatorConfig::default(),
+            lease: LeaseConfig::default(),
             spawn: WorkerSpawn::Processes {
                 argv: vec![env!("CARGO_BIN_EXE_nestsim-worker").to_string()],
                 count: 2,
@@ -83,32 +127,23 @@ fn killed_worker_process_is_redispatched() {
     let telemetry = TelemetryConfig::default();
     let reference = run_campaign_with(profile, &spec, Some(&telemetry));
 
-    let cfg = CoordinatorConfig {
-        lease: LeaseConfig {
-            lease_ms: 10_000,
-            heartbeat_ms: 1_000,
-            backoff_ms: 5,
-        },
-        shard_size: 2,
-        workers_hint: 2,
-        ..CoordinatorConfig::default()
-    };
-    let campaign = serve_campaign(profile, &spec, Some(&telemetry), &cfg).unwrap();
-    let addr = campaign.addr().to_string();
+    let server = coordinator(LeaseConfig {
+        lease_ms: 10_000,
+        heartbeat_ms: 1_000,
+        backoff_ms: 5,
+    });
+    let addr = server.addr().to_string();
 
-    let mut crasher = spawn_worker(&addr, &["--crash-after", "1"]);
-    // Head start: the crasher must lease a shard before the healthy
-    // worker can drain the campaign.
-    while campaign
-        .engine_stats()
-        .counter(names::CLUSTER_LEASES_GRANTED)
-        == 0
-    {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let mut healthy = spawn_worker(&addr, &[]);
-
-    let got = campaign.wait();
+    let (got, mut crasher, mut healthy) = std::thread::scope(|scope| {
+        let run = campaign(scope, &addr, &telemetry);
+        let crasher = spawn_worker(&addr, &["--crash-after", "1"]);
+        // Head start: the crasher must lease a shard before the healthy
+        // worker can drain the campaign.
+        await_lease(&addr);
+        let healthy = spawn_worker(&addr, &[]);
+        (run.join().unwrap(), crasher, healthy)
+    });
+    let engine = shutdown(server);
     let crash_status = crasher.wait().expect("wait crasher");
     assert_eq!(
         crash_status.code(),
@@ -117,7 +152,6 @@ fn killed_worker_process_is_redispatched() {
     );
     assert!(healthy.wait().expect("wait healthy").success());
 
-    let engine = &got.telemetry.engine;
     assert!(
         engine.counter(names::CLUSTER_REDISPATCHES) >= 1,
         "the killed process's shard must be re-dispatched"
@@ -135,46 +169,32 @@ fn stalled_worker_lease_expires_and_work_moves_on() {
     let telemetry = TelemetryConfig::default();
     let reference = run_campaign_with(profile, &spec, Some(&telemetry));
 
-    let cfg = CoordinatorConfig {
-        lease: LeaseConfig {
-            lease_ms: 300,
-            heartbeat_ms: 50,
-            backoff_ms: 5,
-        },
-        shard_size: 2,
-        workers_hint: 2,
-        ..CoordinatorConfig::default()
-    };
-    let campaign = serve_campaign(profile, &spec, Some(&telemetry), &cfg).unwrap();
-    let addr = campaign.addr().to_string();
+    let server = coordinator(LeaseConfig {
+        lease_ms: 300,
+        heartbeat_ms: 50,
+        backoff_ms: 5,
+    });
+    let addr = server.addr().to_string();
 
     std::thread::scope(|scope| {
-        let stall_addr = addr.clone();
-        let staller = scope.spawn(move || {
+        let run = campaign(scope, &addr, &telemetry);
+        let staller = scope.spawn(|| {
             nestsim_cluster::run_worker(
-                &stall_addr,
+                &addr,
                 &WorkerOptions {
                     stall_after_samples: Some(1),
                     ..WorkerOptions::default()
                 },
             )
         });
-        while campaign
-            .engine_stats()
-            .counter(names::CLUSTER_LEASES_GRANTED)
-            == 0
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let healthy_addr = addr.clone();
-        let healthy = scope
-            .spawn(move || nestsim_cluster::run_worker(&healthy_addr, &WorkerOptions::default()));
+        await_lease(&addr);
+        let healthy = scope.spawn(|| nestsim_cluster::run_worker(&addr, &WorkerOptions::default()));
 
-        let got = campaign.wait();
+        let got = run.join().unwrap();
+        let engine = shutdown(server);
         let _ = staller.join().unwrap();
         let _ = healthy.join().unwrap();
 
-        let engine = &got.telemetry.engine;
         assert!(
             engine.counter(names::CLUSTER_LEASES_EXPIRED) >= 1,
             "the stalled worker's lease must expire"
@@ -208,16 +228,14 @@ fn slow_and_bad_peers_do_not_stall_the_server_loop() {
     let (profile, spec) = cell();
     let telemetry = TelemetryConfig::default();
     let reference = run_campaign_with(profile, &spec, Some(&telemetry));
-    let cfg = CoordinatorConfig {
-        shard_size: 2,
-        ..CoordinatorConfig::default()
-    };
-    let campaign = serve_campaign(profile, &spec, Some(&telemetry), &cfg).unwrap();
-    let addr = campaign.addr();
+    let server = coordinator(LeaseConfig::default());
+    let addr = server.addr();
+    let addr_text = addr.to_string();
 
     std::thread::scope(|scope| {
-        let healthy = scope
-            .spawn(|| nestsim_cluster::run_worker(&addr.to_string(), &WorkerOptions::default()));
+        let run = campaign(scope, &addr_text, &telemetry);
+        let healthy =
+            scope.spawn(|| nestsim_cluster::run_worker(&addr_text, &WorkerOptions::default()));
 
         let mut bad_magic = TcpStream::connect(addr).unwrap();
         bad_magic.write_all(&[0xff; 8]).unwrap();
@@ -242,7 +260,8 @@ fn slow_and_bad_peers_do_not_stall_the_server_loop() {
         drop(slow);
 
         assert!(hung_up(&mut bad_magic), "bad magic must be hung up on");
-        let got = campaign.wait();
+        let got = run.join().unwrap();
+        shutdown(server);
         assert!(
             hung_up(&mut stalled),
             "a stalled frame is hung up on at shutdown"

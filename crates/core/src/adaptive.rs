@@ -45,18 +45,18 @@
 //! the default settings allocation starts proportional and the
 //! steering stays within the same order of magnitude (see DESIGN.md,
 //! "Adaptive sampling").
+//!
+//! [`Plan::Fixed`]: crate::campaign::Plan::Fixed
+//! [`Plan::Adaptive`]: crate::campaign::Plan::Adaptive
 
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_models::fields::Stratum;
 use nestsim_stats::ci::Proportion;
 use nestsim_stats::stop::{StopDecision, StopPolicy};
 use nestsim_stats::SeedSeq;
-use nestsim_telemetry::{names, Recorder, TelemetryConfig};
+use nestsim_telemetry::{names, Recorder};
 
-use crate::campaign::{
-    checked_window, component_flops, draw_stream, run_rounds, CampaignResult, CampaignSpec,
-    LadderExecutor, Plan,
-};
+use crate::campaign::{checked_window, component_flops, draw_stream, CampaignSpec};
 use crate::inject::{GoldenRef, InjectionSpec};
 use crate::outcome::{Outcome, OutcomeCounts};
 
@@ -118,7 +118,8 @@ pub struct RoundTrace {
 }
 
 /// What the adaptive engine did: the campaign-level telemetry of
-/// sequential stopping, carried on [`CampaignResult::adaptive`].
+/// sequential stopping, carried on
+/// [`CampaignResult::adaptive`](crate::campaign::CampaignResult::adaptive).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveSummary {
     /// The policy the campaign ran under.
@@ -159,9 +160,10 @@ impl AdaptiveSummary {
     }
 }
 
-/// The pure decision core of [`Plan::Adaptive`]: absorbs merged round
-/// outcomes, answers "stop or continue" and "how to allocate the next
-/// round". Identical inputs produce identical decisions, so a campaign
+/// The pure decision core of the adaptive plan
+/// ([`Plan::Adaptive`](crate::campaign::Plan::Adaptive)): absorbs merged
+/// round outcomes, answers "stop or continue" and "how to allocate the
+/// next round". Identical inputs produce identical decisions, so a campaign
 /// is byte-identical on every executor.
 #[derive(Debug, Clone)]
 pub struct AdaptiveState {
@@ -455,38 +457,23 @@ pub fn draw_round(
     specs
 }
 
-/// Runs one campaign cell adaptively, in process:
-/// [`Plan::Adaptive`] on a [`LadderExecutor`] — rounds of stratified
-/// samples on one shared snapshot ladder until the stop rule is
-/// satisfied (or the budget runs out). `spec.samples` is ignored — the
-/// policy's budget governs.
-///
-/// The result is byte-identical to the cluster adaptive runner
-/// (`nestsim-cluster`) on the same spec and policy: records, counts,
-/// merged telemetry, and the [`AdaptiveSummary`] — locked by the
-/// workspace adaptive end-to-end tests.
-///
-/// # Panics
-///
-/// Panics on invalid specs/policies
-/// ([`crate::campaign::check_campaign`], [`StopPolicy::validate`]) and
-/// on round-accounting violations.
-pub fn run_campaign_adaptive(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    policy: &StopPolicy,
-    telemetry: Option<&TelemetryConfig>,
-) -> CampaignResult {
-    let plan = Plan::Adaptive(*policy);
-    let executor = LadderExecutor::new(profile, spec, &plan, telemetry);
-    run_rounds(profile, spec, &plan, telemetry, executor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_rounds, CampaignResult, LadderExecutor, Plan};
     use nestsim_hlsim::workload::by_name;
     use nestsim_models::ComponentKind;
+
+    /// [`Plan::Adaptive`] on a [`LadderExecutor`], without telemetry.
+    fn run_adaptive(
+        profile: &'static BenchProfile,
+        spec: &CampaignSpec,
+        policy: &StopPolicy,
+    ) -> CampaignResult {
+        let plan = Plan::Adaptive(*policy);
+        let executor = LadderExecutor::new(profile, spec, &plan, None);
+        run_rounds(profile, spec, &plan, None, executor)
+    }
 
     fn quick_policy() -> StopPolicy {
         let mut p = StopPolicy::new(0.08, 0.90);
@@ -674,7 +661,7 @@ mod tests {
             workers: 2,
             ..CampaignSpec::quick(ComponentKind::L2c, 0)
         };
-        let r = run_campaign_adaptive(profile, &spec, &quick_policy(), None);
+        let r = run_adaptive(profile, &spec, &quick_policy());
         let sum = r.adaptive.as_ref().expect("adaptive summary");
         assert_eq!(r.counts.total(), sum.samples_run);
         assert_eq!(r.records.len() as u64, sum.samples_run);
@@ -700,7 +687,7 @@ mod tests {
                 workers,
                 ..CampaignSpec::quick(ComponentKind::L2c, 0)
             };
-            run_campaign_adaptive(profile, &spec, &quick_policy(), None)
+            run_adaptive(profile, &spec, &quick_policy())
         };
         let (a, b) = (mk(1), mk(3));
         assert_eq!(a.records, b.records);

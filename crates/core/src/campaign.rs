@@ -10,11 +10,12 @@
 //! executor** through one loop, [`run_rounds`]: the [`Plan`] says which
 //! rounds there are (one of `spec.samples` runs, or stratified rounds
 //! until the stop rule of [`crate::adaptive`] is met), the
-//! [`RoundExecutor`] runs a round and hands back its runs
-//! ([`LadderExecutor`] on threads here,
-//! `nestsim_cluster::ClusterCampaign` on worker processes). Both
-//! executors build the same seed-derived pair — the [`CellBase`] and
-//! each [`Round`] — and run shards through [`ShardRunner::run_span`].
+//! [`RoundExecutor`] runs a round and hands back its records
+//! ([`LadderExecutor`] on threads here; `nestsim_cluster::RemoteExecutor`
+//! submits each round to a campaign server, which runs it on a
+//! [`LadderExecutor`] or leases it to worker processes). Every executor
+//! builds the same seed-derived pair — the [`CellBase`] and each
+//! [`Round`] — and runs shards through [`ShardRunner::run_span`].
 //!
 //! Forward simulation is amortised with the paper's snapshot ladder
 //! (Sec. 2.2: snapshots every 2M cycles, [`DEFAULT_SNAPSHOT_INTERVAL`]
@@ -206,12 +207,14 @@ pub struct CampaignResult {
     pub records: Vec<InjectionRecord>,
     /// The error-free reference.
     pub golden: GoldenRef,
-    /// Merged campaign telemetry (disabled unless the campaign was run
-    /// through [`run_campaign_with`] with a telemetry configuration).
+    /// Campaign telemetry (disabled unless the campaign ran with a
+    /// telemetry configuration): per-run recorders merged in round
+    /// order, identical on every executor, beside what the executor
+    /// reports of itself.
     pub telemetry: CampaignTelemetry,
     /// Sequential-stopping trace, when the cell ran through the
-    /// adaptive engine ([`crate::adaptive::run_campaign_adaptive`]);
-    /// `None` for fixed-count campaigns.
+    /// adaptive plan ([`Plan::Adaptive`]); `None` for fixed-count
+    /// campaigns.
     pub adaptive: Option<crate::adaptive::AdaptiveSummary>,
 }
 
@@ -761,13 +764,15 @@ pub struct Execution {
 }
 
 /// The way a campaign's rounds get executed. The two real executors are
-/// [`LadderExecutor`] and `nestsim_cluster::ClusterCampaign`; tests
-/// script a third to drive [`run_rounds`] alone.
+/// [`LadderExecutor`] and `nestsim_cluster::RemoteExecutor`, which
+/// submits each round to a campaign server; tests script a third to
+/// drive [`run_rounds`] alone.
 pub trait RoundExecutor {
     /// Runs one round — the stratified slice `strata`, or for `None`
-    /// the cell's fixed-count samples — and returns its runs sorted by
-    /// round position, each position exactly once.
-    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> IndexedRuns;
+    /// the cell's fixed-count samples — and returns its records in round
+    /// position order, each position exactly once, with their per-run
+    /// recorders merged in that order.
+    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> (Vec<InjectionRecord>, Recorder);
 
     /// Ends the campaign.
     fn finish(self) -> Execution;
@@ -811,12 +816,12 @@ impl<'a> LadderExecutor<'a> {
 }
 
 impl RoundExecutor for LadderExecutor<'_> {
-    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> IndexedRuns {
+    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> (Vec<InjectionRecord>, Recorder) {
         let round = self.base.draw(self.profile, self.spec, strata);
         // No samples: no shards, no threads, nothing counted.
         let workers = worker_count(self.spec, round.order.len());
         if workers == 0 {
-            return Vec::new();
+            return (Vec::new(), recorder_for(self.telemetry));
         }
         let shards = contiguous_shards(&round.order, workers);
         if self.telemetry.is_some() {
@@ -854,7 +859,15 @@ impl RoundExecutor for LadderExecutor<'_> {
             lanes.publish(&mut self.engine);
             indexed.extend(out);
         }
-        sorted_cover(indexed, samples.len())
+        let mut merged = recorder_for(self.telemetry);
+        let records = sorted_cover(indexed, samples.len())
+            .into_iter()
+            .map(|(_, record, rec)| {
+                merged.merge(&rec);
+                record
+            })
+            .collect();
+        (records, merged)
     }
 
     fn finish(mut self) -> Execution {
@@ -883,7 +896,9 @@ impl RoundExecutor for LadderExecutor<'_> {
 /// `executor`. Records, counts and merged telemetry depend on the cell
 /// and the plan alone — per-run recorders merge **in round order**
 /// (sample order for [`Plan::Fixed`], stratum-major round after round
-/// for [`Plan::Adaptive`]) and the adaptive decisions see only merged
+/// for [`Plan::Adaptive`]; a round's recorders arrive merged, which is
+/// the same bytes because merging is associative) and the adaptive
+/// decisions see only merged
 /// outcomes ([`AdaptiveState`]); the executor shows only in
 /// [`CampaignTelemetry::engine`] and
 /// [`CampaignTelemetry::worker_samples`].
@@ -909,13 +924,12 @@ pub fn run_rounds(
     let mut records = Vec::new();
     loop {
         let first = records.len();
-        let runs = executor.run_round(strata.as_ref());
-        records.reserve(runs.len());
-        for (_, record, rec) in runs {
+        let (round, rec) = executor.run_round(strata.as_ref());
+        merged.merge(&rec);
+        for record in &round {
             counts.record(record.outcome);
-            merged.merge(&rec);
-            records.push(record);
         }
+        records.extend(round);
         let (Some(state), Some(round)) = (&mut state, &mut strata) else {
             break;
         };
@@ -946,24 +960,15 @@ pub fn run_rounds(
     }
 }
 
-/// Runs one campaign cell for `profile`.
+/// Runs one campaign cell for `profile`, with optional telemetry:
+/// [`Plan::Fixed`] on a [`LadderExecutor`]. An empty campaign spawns
+/// nothing and carries valid, empty telemetry.
 ///
 /// # Panics
 ///
 /// Panics if the component is PCIe and the benchmark has no input file
 /// (the paper only runs PCIe injections for the 12 file-fed
 /// benchmarks), or if the spec fails [`CampaignSpec::validate`].
-pub fn run_campaign(profile: &'static BenchProfile, spec: &CampaignSpec) -> CampaignResult {
-    run_campaign_with(profile, spec, None)
-}
-
-/// [`run_campaign`] with optional telemetry: [`Plan::Fixed`] on a
-/// [`LadderExecutor`]. An empty campaign spawns nothing and carries
-/// valid, empty telemetry.
-///
-/// # Panics
-///
-/// Panics as [`run_campaign`] does.
 pub fn run_campaign_with(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
@@ -1058,8 +1063,8 @@ pub fn run_campaign_replay(
 
 /// Panics on specs that cannot produce a meaningful campaign, with the
 /// message of [`CampaignSpec::check`]. Shared precondition of every
-/// executor ([`CellBase::capture`] checks it, as does the
-/// `nestsim-cluster` coordinator, which captures nothing) and of the
+/// executor ([`CellBase::capture`] checks it, as does
+/// `nestsim_cluster::run_cluster`, which captures nothing) and of the
 /// replay reference.
 pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
     if let Err(e) = spec.check(profile) {
@@ -1070,8 +1075,8 @@ pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
 /// The default degree of parallelism when a spec says `workers = 0`:
 /// available hardware parallelism, falling back to 4 when the platform
 /// cannot report it. The single source of truth for every execution
-/// layer ([`LadderExecutor`], the replay reference, the repro grid, and
-/// the cluster coordinator's shard sizing).
+/// layer ([`LadderExecutor`], the replay reference and the repro
+/// grid).
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
@@ -1137,10 +1142,9 @@ pub fn sorted_cover(mut indexed: IndexedRuns, n: usize) -> IndexedRuns {
 }
 
 /// One-round epilogue for callers that hold a round's runs but ran no
-/// [`run_rounds`] (the replay reference, the model checker's simulated
-/// coordinator, the benchmark probes): sorts the runs back into sample
-/// order, tallies outcomes, and merges per-run telemetry **in sample
-/// order**.
+/// [`run_rounds`] (the replay reference and the benchmark probes):
+/// sorts the runs back into sample order, tallies outcomes, and merges
+/// per-run telemetry **in sample order**.
 ///
 /// # Panics
 ///
@@ -1273,7 +1277,7 @@ mod tests {
             workers: 2,
             ..CampaignSpec::quick(ComponentKind::L2c, 12)
         };
-        let r = run_campaign(profile, &spec);
+        let r = run_campaign_with(profile, &spec, None);
         assert_eq!(r.counts.total(), 12);
         assert_eq!(r.records.len(), 12);
         // Vanished must dominate, as in the paper (>97% on average at
@@ -1289,7 +1293,7 @@ mod tests {
                 workers,
                 ..CampaignSpec::quick(ComponentKind::L2c, 8)
             };
-            run_campaign(profile, &spec)
+            run_campaign_with(profile, &spec, None)
         };
         let a = mk(1);
         let b = mk(4);
@@ -1302,7 +1306,7 @@ mod tests {
     fn pcie_campaign_rejects_fileless_benchmarks() {
         let profile = by_name("barn").unwrap();
         let spec = CampaignSpec::quick(ComponentKind::Pcie, 1);
-        let _ = run_campaign(profile, &spec);
+        let _ = run_campaign_with(profile, &spec, None);
     }
 
     #[test]
@@ -1362,7 +1366,7 @@ mod tests {
             check_interval: 0,
             ..CampaignSpec::quick(ComponentKind::L2c, 1)
         };
-        let _ = run_campaign(by_name("radi").unwrap(), &spec);
+        let _ = run_campaign_with(by_name("radi").unwrap(), &spec, None);
     }
 
     #[test]
@@ -1372,7 +1376,7 @@ mod tests {
             cosim_cap: 0,
             ..CampaignSpec::quick(ComponentKind::Mcu, 1)
         };
-        let _ = run_campaign(by_name("fft").unwrap(), &spec);
+        let _ = run_campaign_with(by_name("fft").unwrap(), &spec, None);
     }
 
     #[test]

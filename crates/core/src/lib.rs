@@ -57,7 +57,7 @@ pub mod persistence;
 pub mod rtl_only;
 pub mod warmup;
 
-pub use adaptive::{run_campaign_adaptive, AdaptiveState, AdaptiveSummary, RoundTrace};
-pub use campaign::{run_campaign, run_campaign_with, CampaignResult, CampaignSpec};
+pub use adaptive::{AdaptiveState, AdaptiveSummary, RoundTrace};
+pub use campaign::{run_campaign_with, CampaignResult, CampaignSpec};
 pub use inject::{run_injection, run_injection_with, InjectionRecord, InjectionSpec};
 pub use outcome::{Outcome, OutcomeCounts};

@@ -6,7 +6,8 @@
 //! 2. **Random** — a sweep of seeded random schedules; same bar.
 //! 3. / 4. **Mutation** — a planted bug ([`SimConfig::mutate`]) that a
 //!    random sweep must catch and that must replay from its seed and
-//!    its schedule: first-writer-wins off, caught as a double count,
+//!    its schedule: first-writer-wins off, caught as a crash no fault
+//!    explains (the machine's cover check found a sample merged twice),
 //!    then dedup fan-out off, caught as a lost subscriber. A checker
 //!    that cannot catch a planted exactly-once bug guards nothing.
 //!
@@ -200,7 +201,7 @@ fn caught(
 
 fn smoke(scenario: &ServerScenario<'_>) -> Result<(), String> {
     clean(scenario)?;
-    let double_count = |e: &SimError| matches!(e, SimError::SampleDoubleCounted { .. });
+    let double_count = |e: &SimError| matches!(e, SimError::UnexplainedCrash { .. });
     caught(scenario, Mutation::FirstWriterWins, double_count)?;
     let lost = |e: &SimError| matches!(e, SimError::LostSubscriber { .. });
     caught(scenario, Mutation::DedupFanout, lost)

@@ -1,6 +1,7 @@
-//! The campaign round alone on the one scenario: the workers and no
-//! tenants, as a cluster-only deployment serves it, with a stray peer
-//! that must be closed without disturbing the round.
+//! The campaign alone on the one scenario: the workers and the
+//! campaign's client on a machine with no execution pool, as
+//! `run_cluster` binds it, with a stray peer that must be closed
+//! without disturbing the campaign.
 
 #[cfg(test)]
 mod tests {

@@ -12,25 +12,25 @@
 //! schedule, executing entry-order position `p` would produce exactly
 //! these bytes.
 //!
-//! The same object owns the in-process reference result
-//! ([`CampaignExec::reference`]), so the checker's "merged results are
-//! byte-identical to the in-process engine" invariant compares real
-//! records and real merged telemetry, not synthetic stand-ins.
+//! The same object owns the in-process reference result, what a server
+//! must deliver for the cell ([`CampaignExec::output`]), so the
+//! checker's "the streamed cell is byte-identical to the in-process
+//! engine" invariant compares real records and real merged telemetry,
+//! not synthetic stand-ins.
 
 use nestsim_cluster::proto::RunWire;
+use nestsim_cluster::store::ExecOutput;
 use nestsim_cluster::JobWire;
 use nestsim_core::campaign::{
-    assemble_result, run_campaign_with, CampaignResult, CampaignSpec, CellBase, IndexedRuns,
-    ShardRunner,
+    run_campaign_with, CampaignResult, CampaignSpec, CellBase, ShardRunner,
 };
 use nestsim_core::inject::GoldenRef;
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
-use nestsim_telemetry::{Recorder, TelemetryConfig};
+use nestsim_telemetry::TelemetryConfig;
 
 /// One campaign cell, fully executed and cached for schedule replay.
 pub struct CampaignExec {
-    profile: &'static BenchProfile,
     job: JobWire,
     golden: GoldenRef,
     /// Cached per-run results, indexed by entry-order *position* (the
@@ -83,7 +83,6 @@ impl CampaignExec {
 
         let reference = run_campaign_with(profile, spec, telemetry);
         CampaignExec {
-            profile,
             job,
             golden,
             runs,
@@ -113,47 +112,13 @@ impl CampaignExec {
         self.runs[pos as usize].clone()
     }
 
-    /// The in-process engine's result for this cell — the byte-level
-    /// oracle every explored schedule's merged output must match.
-    pub fn reference(&self) -> &CampaignResult {
-        &self.reference
-    }
-
-    /// The coordinator epilogue for the cell's one round, as
-    /// [`nestsim_cluster::ClusterCampaign`] and the round loop perform
-    /// it between them: flatten per-shard runs, attribute worker
-    /// samples, sort, cover-check and merge in sample order.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `results` covers every sample exactly once — the
-    /// simulator checks exact-cover *before* calling this, so a panic
-    /// here means the checker itself is broken.
-    pub fn assemble(
-        &self,
-        golden: GoldenRef,
-        results: Vec<Vec<RunWire>>,
-        engine: Recorder,
-    ) -> CampaignResult {
-        let mut indexed: IndexedRuns = Vec::with_capacity(self.runs.len());
-        let mut worker_samples = Vec::with_capacity(results.len());
-        for runs in results {
-            worker_samples.push(runs.len());
-            for run in runs {
-                indexed.push((run.sample as usize, run.record, run.recorder));
-            }
+    /// What a server delivers for this cell: the in-process reference's
+    /// golden reference, records and merged telemetry.
+    pub fn output(&self) -> ExecOutput {
+        ExecOutput {
+            golden: self.reference.golden,
+            records: self.reference.records.clone(),
+            merged: self.reference.telemetry.merged.clone(),
         }
-        if self.job.telemetry.is_none() {
-            worker_samples = Vec::new();
-        }
-        assemble_result(
-            self.profile,
-            &self.job.spec,
-            self.job.telemetry.as_ref(),
-            golden,
-            indexed,
-            worker_samples,
-            engine,
-        )
     }
 }

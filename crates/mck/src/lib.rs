@@ -8,9 +8,9 @@
 //! explores schedules *systematically*:
 //!
 //! * [`world`](mod@world) — the one discrete-event world;
-//! * [`ServerScenario`] — the one scenario on it: the campaign thread's
-//!   round, restarting workers and scripted tenants, both fault families
-//!   and every invariant;
+//! * [`ServerScenario`] — the one scenario on it: the campaign's
+//!   client, restarting workers and scripted tenants, both fault
+//!   families and every invariant;
 //! * [`explore`] — seeded random schedules and bounded DFS, every
 //!   failure replayable from a printed seed or schedule;
 //! * [`exec`] — the real engine run once per cell and cached.

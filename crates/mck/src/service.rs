@@ -1,15 +1,18 @@
 //! The one scenario: the campaign server machine
-//! ([`nestsim_cluster::ServiceMachine`]) with the campaign thread's
-//! round, two restarting [`WorkerMachine`] slots and a cast of scripted
-//! tenants, all speaking real `Message` frames.
+//! ([`nestsim_cluster::ServiceMachine`]) with two restarting
+//! [`WorkerMachine`] slots and a cast of scripted tenants, all speaking
+//! real `Message` frames.
 //!
-//! The round is begun as `ClusterCampaign` begins it. A dead worker
-//! restarts on a fresh connection until it is told `done`. Tenants act
-//! one frame at a time — hello, submit (several submit the *same*
-//! cell), cancel, disconnect — and their cells go to the workers while
+//! One tenant is the campaign: it submits the real engine's cell as a
+//! `RemoteExecutor` submits a round, and no fault ever resets it. A dead
+//! worker restarts on a fresh connection until it is told `done`. The
+//! other tenants act one frame at a time — hello, submit (several submit
+//! the *same* cell), cancel, disconnect. Cells go to the workers while
 //! one is connected, else to the machine's execution pool, whose tasks
-//! become pending executions here. Once nothing is left to fire,
-//! `Shutdown` dismisses the workers and hangs up on the tenants.
+//! become pending executions here; with no other tenant there is no
+//! pool, as `run_cluster` binds the machine, and cells wait for a
+//! worker. Once nothing is left to fire, `Shutdown` dismisses the
+//! workers and hangs up on the tenants.
 //!
 //! Faults come in the six flavours of [`Fault`]: a worker crashes
 //! mid-shard or loses a request to a reset; an execution or a worker's
@@ -18,31 +21,32 @@
 //! tenant's request is lost to a reset; an in-process execution
 //! crashes (retry, then failure).
 //!
-//! **Invariants.** Every sample of the round is merged exactly once,
-//! byte-identical to the cached engine run, and the assembled campaign
-//! equals the in-process engine's. No tenant gets a frame it is not
-//! owed (a cell fails only after an injected crash), a cell completes
-//! in process at most once, every surviving subscriber gets one
-//! terminal reply whose chunks reassemble byte-identically — in process
-//! or on leases — a queued cell whose sole subscriber cancelled never
-//! starts, and the machine ends idle.
+//! **Invariants.** The machine crashes a cell only when a fault crashed
+//! its execution: a leased cell whose accepted shards count a sample
+//! twice, or miss one, fails the machine's cover check, which would show
+//! as a crash nothing injected. No tenant gets a frame it is not owed (a
+//! cell fails only after an injected crash), a cell completes in process
+//! at most once, every surviving subscriber gets one terminal reply
+//! whose chunks reassemble byte-identically — in process or on leases,
+//! so the campaign's records, golden reference and merged telemetry
+//! equal the in-process engine's — a queued cell whose sole subscriber
+//! cancelled never starts, and the machine ends idle.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc;
 
-use nestsim_cluster::machine::{Command, RoundResult, ServiceMachine, SvcConfig};
+use nestsim_cluster::machine::{Command, ServiceMachine, SvcConfig};
 use nestsim_cluster::proto::{JobWire, Message, RunWire, PROTOCOL_VERSION};
-use nestsim_cluster::shard::plan_shards;
 use nestsim_cluster::store::ExecOutput;
 use nestsim_cluster::{
     LeaseConfig, WorkerAction, WorkerEnd, WorkerEvent, WorkerMachine, WorkerOptions,
 };
-use nestsim_core::campaign::{CampaignResult, CampaignSpec};
+use nestsim_core::campaign::CampaignSpec;
 use nestsim_core::inject::GoldenRef;
 use nestsim_core::{InjectionRecord, Outcome};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
-use nestsim_telemetry::Recorder;
+use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::exec::CampaignExec;
 use crate::world::{Fault, Input, Mutation, Net, SimConfig, SimError, DELAY_MS};
@@ -50,8 +54,6 @@ use ClientAct::*;
 
 /// Worker slots.
 const WORKERS: usize = 2;
-/// Samples per shard of the campaign round.
-const SHARD_SIZE: u64 = 2;
 /// Lease timing in virtual ms, small so expiry and backoff are
 /// reachable within short schedules.
 pub(crate) const LEASE: LeaseConfig = LeaseConfig {
@@ -73,6 +75,8 @@ enum ClientAct {
     Hello,
     /// Submit the cell with this seed.
     Submit(u64),
+    /// Submit the campaign's cell.
+    SubmitCampaign,
     /// Cancel the most recent still-open ticket (no-op if none).
     CancelLast,
     /// Close the connection deliberately.
@@ -90,33 +94,45 @@ const CAST: [(&str, &[ClientAct]); 3] = [
     ("carol", &[Hello, Submit(2), Disconnect]),
 ];
 
+/// The campaign's client, connected after the cast.
+const CAMPAIGN: (&str, &[ClientAct]) = ("campaign", &[Hello, SubmitCampaign]);
+
 /// The campaign cell and the tenants' cells, built once outside the
 /// explored world so schedules only replay protocol behaviour.
 pub struct ServerScenario<'a> {
     exec: &'a CampaignExec,
-    /// seed → a tenant cell's job and what running it yields.
+    /// seed → a cell's job and what running it yields; the campaign's
+    /// cell among them.
     cells: BTreeMap<u64, (JobWire, ExecOutput)>,
-    /// The scripted tenants: [`CAST`], or none for the round alone.
+    /// The scripted tenants besides the campaign: [`CAST`], or none for
+    /// the campaign alone.
     cast: &'static [(&'static str, &'static [ClientAct])],
     /// A further tenant that opens with this frame.
     intruder: Option<Vec<u8>>,
 }
 
 impl<'a> ServerScenario<'a> {
-    /// The campaign round of `exec` in shards of two samples for two
-    /// workers, beside the standard cast of tenants.
+    /// The campaign cell of `exec` for two workers, beside the standard
+    /// cast of tenants.
     pub fn new(exec: &'a CampaignExec) -> ServerScenario<'a> {
         let cell = |seed| (seed, (cell_job(seed), cell_output(seed)));
+        let mut cells: BTreeMap<_, _> = [1, 2, 3].map(cell).into();
+        let campaign = (exec.job().clone(), exec.output());
+        let seed = exec.job().spec.seed;
+        assert!(
+            cells.insert(seed, campaign).is_none(),
+            "seed {seed} is a tenant's"
+        );
         ServerScenario {
             exec,
-            cells: [1, 2, 3].map(cell).into(),
+            cells,
             cast: &CAST,
             intruder: None,
         }
     }
 
-    /// The campaign round alone: the workers and no tenants, as a
-    /// cluster-only deployment serves it.
+    /// The campaign alone: the workers and the campaign's client on a
+    /// machine with no execution pool, as a cluster campaign runs it.
     pub fn round_only(exec: &'a CampaignExec) -> ServerScenario<'a> {
         ServerScenario {
             cast: &[],
@@ -160,7 +176,11 @@ impl<'a> ServerScenario<'a> {
                 version: PROTOCOL_VERSION,
                 tenant: client.tenant.to_string(),
             }),
-            Submit(seed) => {
+            Submit(_) | SubmitCampaign => {
+                let seed = match act {
+                    Submit(seed) => seed,
+                    _ => self.exec.job().spec.seed,
+                };
                 let req = client.reqs.len() as u64 + 1;
                 client.reqs.insert(req, seed);
                 let job = self.cells[&seed].0.clone();
@@ -185,7 +205,13 @@ impl<'a> ServerScenario<'a> {
         };
         if let Some(msg) = msg {
             let payload = msg.encode().expect("client frames encode");
-            net.send(conn, payload, &[Fault::Disconnect]);
+            // The campaign's rounds must complete: no reset hits it.
+            let faults: &[Fault] = if client.script.contains(&SubmitCampaign) {
+                &[]
+            } else {
+                &[Fault::Disconnect]
+            };
+            net.send(conn, payload, faults);
         }
         if client.next < client.script.len() {
             net.schedule(0, Ev::Client(c));
@@ -273,9 +299,6 @@ struct Slot {
 /// caused.
 pub struct Peers {
     slots: Vec<Slot>,
-    /// The machine's one reply to `AwaitRound`, and that reply.
-    round: mpsc::Receiver<RoundResult>,
-    settled: Option<RoundResult>,
     clients: Vec<Client>,
     /// The tasks the machine hands its execution pool.
     tasks: mpsc::Receiver<(u64, JobWire)>,
@@ -287,6 +310,8 @@ pub struct Peers {
     completed: BTreeMap<u64, u64>,
     /// Cells an injected crash hit: the only ones that may fail.
     crashed: BTreeSet<u64>,
+    /// Executions an injected crash ended.
+    crashes: u64,
     /// Cells whose sole subscriber cancelled while still queued: any
     /// later start is a violation.
     banned: BTreeSet<u64>,
@@ -313,6 +338,7 @@ pub enum Ev {
 impl ServerScenario<'_> {
     /// One execution slot keeps queueing and DRR reachable; one crash
     /// retry keeps terminal failure reachable within a small budget.
+    /// The machine counts crashes for the cover invariant.
     pub(crate) fn start(&self, cfg: &SimConfig, net: &mut Net<'_>) -> (ServiceMachine, Peers) {
         let (tx, tasks) = mpsc::channel();
         let svc = SvcConfig {
@@ -320,21 +346,18 @@ impl ServerScenario<'_> {
             max_crash_retries: 1,
             ..SvcConfig::default()
         };
-        let mut machine = ServiceMachine::new(svc, LEASE, Recorder::null(), Some(tx));
+        let stats = Recorder::active(&TelemetryConfig::default());
+        let pool = (!self.cast.is_empty()).then_some(tx);
+        let mut machine = ServiceMachine::new(svc, LEASE, stats, pool);
         match cfg.mutate {
             Some(Mutation::FirstWriterWins) => machine.disable_first_writer_wins(),
             Some(Mutation::DedupFanout) => machine.disable_dedup_fanout(),
             None => {}
         }
-        // The campaign thread's round is in before anyone connects.
-        let job = self.exec.job().clone();
-        let shards = plan_shards(self.exec.samples(), SHARD_SIZE);
-        net.command(Command::BeginRound { job, shards });
-        let (reply, round) = mpsc::channel();
-        net.command(Command::AwaitRound(reply));
         let intruder = self.intruder.as_ref().map(|_| ("mallory", &[Intrude][..]));
+        let cast = self.cast.iter().copied().chain([CAMPAIGN]).chain(intruder);
         // Every tenant connects up front; faults model resets after.
-        let clients = (self.cast.iter().copied().chain(intruder).enumerate())
+        let clients = (cast.enumerate())
             .map(|(c, (tenant, script))| {
                 net.schedule(0, Ev::Client(c));
                 assert_eq!(net.connect(), Some(c as u64), "client c holds conn c");
@@ -353,14 +376,13 @@ impl ServerScenario<'_> {
         }
         let peers = Peers {
             slots: (0..WORKERS).map(|_| Slot::default()).collect(),
-            round,
-            settled: None,
             clients,
             tasks,
             inflight: BTreeMap::new(),
             started: BTreeSet::new(),
             completed: BTreeMap::new(),
             crashed: BTreeSet::new(),
+            crashes: 0,
             banned: BTreeSet::new(),
             stranded: None,
         };
@@ -384,6 +406,7 @@ impl ServerScenario<'_> {
                 };
                 let result = if net.pick_fault(&[Fault::ExecCrash]).is_some() {
                     peers.crashed.insert(seed);
+                    peers.crashes += 1;
                     Err("simulated crash".to_string())
                 } else {
                     *peers.completed.entry(seed).or_insert(0) += 1;
@@ -438,9 +461,7 @@ impl ServerScenario<'_> {
                     return Ok(());
                 };
                 if let Message::Assign { job, .. } = &msg {
-                    if job.as_ref() != self.exec.job() {
-                        peers.start(job.spec.seed)?;
-                    }
+                    peers.start(job.spec.seed)?;
                     peers.slots[w].job = Some((**job).clone());
                 }
                 (w, WorkerEvent::Received { msg })
@@ -460,7 +481,7 @@ impl ServerScenario<'_> {
     /// to tenants are never faulted, since a lost reply *is* a lost
     /// connection.
     pub(crate) fn reply_faults(&self, conn: u64, payload: &[u8]) -> &'static [Fault] {
-        let tenants = self.cast.len() + usize::from(self.intruder.is_some());
+        let tenants = self.cast.len() + 1 + usize::from(self.intruder.is_some());
         match Message::decode(payload) {
             _ if (conn as usize) < tenants => &[],
             Ok(Message::SubmitAck { .. }) => &[Fault::LostAck, Fault::Stall],
@@ -468,11 +489,19 @@ impl ServerScenario<'_> {
         }
     }
 
-    /// The settled round is kept, and every task the machine queued
-    /// becomes a pending execution.
-    pub(crate) fn answer(&self, peers: &mut Peers, net: &mut Net<'_>) -> Result<(), SimError> {
-        if let Ok(round) = peers.round.try_recv() {
-            peers.settled = Some(round);
+    /// Every crash the machine counted must be one the scenario
+    /// injected, and every task the machine queued becomes a pending
+    /// execution.
+    pub(crate) fn answer(
+        &self,
+        peers: &mut Peers,
+        net: &mut Net<'_>,
+        machine: &ServiceMachine,
+    ) -> Result<(), SimError> {
+        let crashes = machine.stats().counter(names::SVC_EXEC_CRASHES);
+        if crashes > peers.crashes {
+            let injected = peers.crashes;
+            return Err(SimError::UnexplainedCrash { crashes, injected });
         }
         while let Ok((exec, job)) = peers.tasks.try_recv() {
             peers.start(job.spec.seed)?;
@@ -513,11 +542,7 @@ impl ServerScenario<'_> {
                 self.check_stream(ticket, track, golden, merged)?;
             }
         }
-        let settled = peers
-            .settled
-            .ok_or_else(|| SimError::Coordinator("the campaign round never settled".to_string()))?;
-        let (golden, results) = settled.map_err(SimError::Coordinator)?;
-        self.check_round(golden, results)
+        Ok(())
     }
 }
 
@@ -549,46 +574,6 @@ impl ServerScenario<'_> {
             return Ok(());
         };
         Err(SimError::StreamDiverged { ticket, what })
-    }
-
-    /// Every sample of the round merged exactly once, with the bytes the
-    /// cached engine run has, and the campaign thread's epilogue equals
-    /// the in-process engine's.
-    fn check_round(&self, golden: GoldenRef, results: Vec<Vec<RunWire>>) -> Result<(), SimError> {
-        let exec = self.exec;
-        let mut expected = vec![None; exec.samples() as usize];
-        for pos in 0..exec.samples() {
-            let run = exec.run(pos);
-            let sample = run.sample as usize;
-            expected[sample] = Some(run);
-        }
-        for run in results.iter().flatten() {
-            let sample = run.sample;
-            match expected.get_mut(sample as usize).and_then(Option::take) {
-                None => return Err(SimError::SampleDoubleCounted(sample)),
-                Some(want) if want != *run => return Err(SimError::ResultDiverged(sample)),
-                Some(_) => {}
-            }
-        }
-        if let Some(sample) = expected.iter().position(Option::is_some) {
-            return Err(SimError::SampleLost(sample as u64));
-        }
-        // Cover holds, so this cannot panic.
-        let assembled = exec.assemble(golden, results, Recorder::null());
-        let (got, want) = (&assembled, exec.reference());
-        let jsonl = |r: &CampaignResult| r.telemetry.merged.to_jsonl();
-        let attributed = |r: &CampaignResult| r.telemetry.worker_samples.iter().sum::<usize>();
-        let same = [
-            ("records", got.records == want.records),
-            ("counts", got.counts == want.counts),
-            ("golden", got.golden == want.golden),
-            ("merged telemetry", jsonl(got) == jsonl(want)),
-            ("attributed samples", attributed(got) == attributed(want)),
-        ];
-        match same.iter().find(|(_, same)| !same) {
-            Some(&(what, _)) => Err(SimError::MergeDiverged(what)),
-            None => Ok(()),
-        }
     }
 }
 

@@ -114,17 +114,15 @@ pub struct SimConfig {
 /// invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The campaign thread's round failed, or never settled.
-    Coordinator(String),
-    /// This sample is missing from the merged results.
-    SampleLost(u64),
-    /// This sample appears more than once in the merged results.
-    SampleDoubleCounted(u64),
-    /// This sample's merged bytes differ from the engine's cached run.
-    ResultDiverged(u64),
-    /// This field of the assembled campaign diverged from the
-    /// in-process engine's.
-    MergeDiverged(&'static str),
+    /// The machine crashed cells more often than the scenario crashed
+    /// executions: a leased cell's accepted shards failed its cover
+    /// check, so some sample was merged twice or not at all.
+    UnexplainedCrash {
+        /// Crashes the machine counted.
+        crashes: u64,
+        /// Crashes the scenario injected.
+        injected: u64,
+    },
     /// The world did not end within the scenario's step bound.
     Liveness {
         /// Events fired before giving up.
@@ -512,7 +510,7 @@ impl World<'_, '_, '_> {
             };
             self.net.perform(action, absorb, menu);
         }
-        self.scenario.answer(&mut self.peers, &mut self.net)
+        (self.scenario).answer(&mut self.peers, &mut self.net, &self.machine)
     }
 
     fn fire(&mut self, ev: Queued) -> Result<(), SimError> {

@@ -97,7 +97,9 @@ fn bounded_dfs_is_clean() {
 }
 
 /// The mutation check end to end: with first-writer-wins disabled the
-/// explorer must find a double count, and the failure must replay both
+/// explorer must find the double count — the machine's cover check
+/// crashes the cell, and no injected fault explains the crash — and the
+/// failure must replay both
 /// from its seed and from its recorded schedule with the identical
 /// error — the copy-pasteable-repro contract.
 #[test]
@@ -111,7 +113,7 @@ fn disabled_dedupe_is_caught_and_replays() {
         .failure
         .expect("a planted exactly-once bug must be found");
     assert!(
-        matches!(err, SimError::SampleDoubleCounted { .. }),
+        matches!(err, SimError::UnexplainedCrash { .. }),
         "wrong invariant tripped: {err}"
     );
 

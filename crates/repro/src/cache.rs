@@ -22,13 +22,13 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use nestsim_cluster::proto::JobWire;
-use nestsim_cluster::{run_cluster, ClusterConfig};
+use nestsim_cluster::{run_cluster, ClusterConfig, RemoteExecutor};
 use nestsim_core::campaign::{default_workers, run_rounds, CampaignSpec, LadderExecutor, Plan};
 use nestsim_core::CampaignResult;
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_models::ComponentKind;
 use nestsim_stats::stop::StopPolicy;
-use nestsim_svc::{JobKey, JobOutcome, SvcClient};
+use nestsim_svc::JobKey;
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 use crate::Opts;
@@ -104,14 +104,19 @@ pub fn cell_cached(
     }
     // What to run and where to run it are separate choices. The plan is
     // in the cell key; the executor is not — every one returns the same
-    // bytes. (The service runs fixed-count cells only.)
+    // bytes.
     let plan = if opts.adaptive {
         Plan::Adaptive(StopPolicy::new(opts.ci_target, opts.ci_confidence))
     } else {
         Plan::Fixed
     };
     let result = if let Some(addr) = &opts.service {
-        run_cell_via_service(addr, &job)
+        // `--service ADDR`: each round is a job on a running
+        // `nestsim-svc`; concurrent clients' overlapping rounds dedupe
+        // server-side to one execution.
+        let executor = RemoteExecutor::connect(addr, profile, &spec, telemetry)
+            .unwrap_or_else(|e| panic!("cannot reach campaign service at {addr}: {e}"));
+        run_rounds(profile, &spec, &plan, telemetry, executor)
     } else if opts.cluster > 0 {
         // `--cluster N` spawned worker processes (`repro worker`, the
         // hidden subcommand).
@@ -134,28 +139,6 @@ pub fn cell_cached(
         .expect("cell cache poisoned")
         .insert(key, result.clone());
     result
-}
-
-/// Submits one cell to a running `nestsim-svc` campaign service
-/// (`--service ADDR`) and blocks for the streamed result. Service
-/// execution is byte-identical to local execution — the service runs
-/// the same fixed plan on the same executor — so the cell lands in the
-/// same cache slot.
-/// Concurrent `repro` invocations pointing at one service dedupe
-/// overlapping cells server-side to a single execution.
-fn run_cell_via_service(addr: &str, job: &JobWire) -> CampaignResult {
-    let mut client = SvcClient::connect(addr, "repro")
-        .unwrap_or_else(|e| panic!("cannot reach campaign service at {addr}: {e}"));
-    match client.run_job(job, 1) {
-        Ok(JobOutcome::Done(result)) => *result,
-        Ok(JobOutcome::Rejected(reason)) => {
-            panic!("campaign service at {addr} rejected the cell: {reason}")
-        }
-        Ok(JobOutcome::Failed(reason)) => {
-            panic!("campaign service at {addr} failed the cell: {reason}")
-        }
-        Err(e) => panic!("campaign service I/O at {addr} failed: {e}"),
-    }
 }
 
 /// Runs the independent campaign cells of one figure concurrently and
@@ -290,6 +273,33 @@ mod tests {
         assert_eq!(got.records, reference.records);
         assert_eq!(got.counts, reference.counts);
         assert_eq!(got.golden, reference.golden);
+        handle.shutdown().expect("shutdown");
+    }
+
+    /// `--service ADDR --adaptive` runs each round as a service job and
+    /// gets the in-process result, adaptive summary included.
+    #[test]
+    fn adaptive_service_cell_matches_in_process() {
+        let _cache = cache_lock();
+        let handle =
+            nestsim_svc::serve(nestsim_svc::ServiceConfig::default()).expect("start service");
+        let opts = Opts {
+            adaptive: true,
+            ci_target: 0.3,
+            service: Some(handle.addr().to_string()),
+            ..quick_opts(84)
+        };
+        let profile = pick_benchmarks(&opts, ComponentKind::L2c)[0];
+        let got = cell_cached(profile, &opts, ComponentKind::L2c, 1);
+        let spec = campaign_spec(&opts, ComponentKind::L2c, 1);
+        let plan = Plan::Adaptive(StopPolicy::new(opts.ci_target, opts.ci_confidence));
+        let executor = LadderExecutor::new(profile, &spec, &plan, None);
+        let reference = run_rounds(profile, &spec, &plan, None, executor);
+        assert!(reference.adaptive.is_some());
+        assert_eq!(got.records, reference.records);
+        assert_eq!(got.counts, reference.counts);
+        assert_eq!(got.golden, reference.golden);
+        assert_eq!(got.adaptive, reference.adaptive);
         handle.shutdown().expect("shutdown");
     }
 

@@ -56,11 +56,11 @@
 //!                    (results are byte-identical; overlapping cells
 //!                    from concurrent clients dedupe to one execution —
 //!                    see DESIGN.md "The campaign server"; conflicts with
-//!                    --cluster and --adaptive)
+//!                    --cluster)
 //!   --adaptive       run campaigns in rounds with CI-driven sequential
 //!                    stopping and stratified allocation instead of the
 //!                    fixed --samples count (see DESIGN.md "Adaptive
-//!                    sampling"; composes with --cluster)
+//!                    sampling"; composes with --cluster and --service)
 //!   --ci-target W    adaptive stopping target: Wilson half-width every
 //!                    outcome category must reach, in (0,1)
 //!                    (default 0.005 = ±0.5%)
@@ -268,20 +268,12 @@ fn parse(args: &[String]) -> Result<(String, Opts), String> {
         }
         i += 1;
     }
-    if opts.service.is_some() {
-        if opts.cluster > 0 {
-            return Err(
-                "--service and --cluster conflict: the service runs its own \
-                 execution pool; pick one distribution mode"
-                    .to_string(),
-            );
-        }
-        if opts.adaptive {
-            return Err("--service and --adaptive conflict: adaptive rounds are \
-                 cluster-internal — the service executes fixed-count cells \
-                 (run adaptive campaigns in-process or with --cluster)"
-                .to_string());
-        }
+    if opts.service.is_some() && opts.cluster > 0 {
+        return Err(
+            "--service and --cluster conflict: the service runs its own \
+             execution pool; pick one distribution mode"
+                .to_string(),
+        );
     }
     Ok((cmd, opts))
 }
@@ -483,14 +475,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--service and --cluster conflict"), "{err}");
-        let err = parse(&args(&[
-            "fig3",
-            "--service",
-            "127.0.0.1:4915",
-            "--adaptive",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--service and --adaptive conflict"), "{err}");
     }
 
     #[test]

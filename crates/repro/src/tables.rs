@@ -165,7 +165,7 @@ pub fn table5(opts: &Opts) {
 /// Platform self-checks: the invariants every experiment rests on,
 /// verified live (useful after local modifications).
 pub fn validate(opts: &Opts) {
-    use nestsim_core::campaign::{golden_reference, run_campaign, CampaignSpec};
+    use nestsim_core::campaign::{golden_reference, run_campaign_with, CampaignSpec};
     use nestsim_core::cosim::{CosimDriver, L2cDriver};
     use nestsim_proto::addr::BankId;
 
@@ -184,8 +184,8 @@ pub fn validate(opts: &Opts) {
         workers: 2,
         ..CampaignSpec::new(ComponentKind::L2c, 16)
     };
-    let a = run_campaign(profile, &spec);
-    let b = run_campaign(profile, &spec);
+    let a = run_campaign_with(profile, &spec, None);
+    let b = run_campaign_with(profile, &spec, None);
     check("campaigns are bit-reproducible", a.records == b.records);
 
     // 2. Mode equivalence: an error-free co-simulation window does not

@@ -10,26 +10,33 @@
 //!    execution crash; the same overlapping submissions must still
 //!    come back byte-identical (exact cover, no double count), with
 //!    `svc.exec.crashes >= 1` proving the crash actually happened.
-//! 3. **Worker processes**: one cell leased to two spawned
-//!    `nestsim-worker` processes (the sibling binary, so build the
-//!    cluster package's bins first) is byte-identical.
-//! 4. **Worker crash**: the same cell with a worker process killed after
-//!    one sample; at least one lease is re-dispatched and the result is
-//!    still byte-identical.
+//! 3. **Worker processes**: `run_cluster` leases one cell to two
+//!    spawned `nestsim-worker` processes (the sibling binary, so build
+//!    the cluster package's bins first); the result is byte-identical.
+//! 4. **Worker crash**: the same cell on a server with no execution
+//!    pool, as `run_cluster` binds it, with one worker process killed
+//!    mid-shard beside a healthy one; at least one lease is
+//!    re-dispatched and the result is still byte-identical.
+//! 5. **Adaptive service**: an adaptive cell whose rounds run through
+//!    the service is byte-identical to in-process, adaptive summary
+//!    included.
 //!
 //! Exits nonzero on any mismatch; prints one summary line per stage.
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
+use nestsim_cluster::machine::{Command as Loop, ServiceMachine};
 use nestsim_cluster::proto::JobWire;
-use nestsim_cluster::{
-    run_campaign_cluster, serve_campaign, ClusterConfig, CoordinatorConfig, LeaseConfig,
+use nestsim_cluster::server::Server;
+use nestsim_cluster::{run_campaign_cluster, ClusterConfig, LeaseConfig, RemoteExecutor};
+use nestsim_core::campaign::{
+    run_campaign_with, run_rounds, CampaignResult, CampaignSpec, LadderExecutor, Plan,
 };
-use nestsim_core::campaign::{run_campaign_with, CampaignResult, CampaignSpec};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
-use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient};
+use nestsim_stats::stop::StopPolicy;
+use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 fn spec(seed: u64) -> CampaignSpec {
@@ -147,19 +154,18 @@ fn main() {
     println!("svc_smoke: workers: 2 worker processes byte-identical");
 
     // Stage 4: one crash-injected process (dies after 1 sample) plus
-    // one healthy process. Short leases so re-dispatch is prompt; the
-    // crasher is given a head start so it certainly leases a shard.
-    let cfg = CoordinatorConfig {
-        lease: LeaseConfig {
-            lease_ms: 1_500,
-            heartbeat_ms: 100,
-            backoff_ms: 10,
-        },
-        workers_hint: 2,
-        ..CoordinatorConfig::default()
+    // one healthy process on a server with no execution pool. Short
+    // leases so re-dispatch is prompt; the crasher is given a head start
+    // so it certainly leases a shard.
+    let lease = LeaseConfig {
+        lease_ms: 1_500,
+        heartbeat_ms: 100,
+        backoff_ms: 10,
     };
-    let campaign = serve_campaign(profile, &spec, Some(&telemetry), &cfg).expect("bind");
-    let addr = campaign.addr().to_string();
+    let stats = Recorder::active(&telemetry);
+    let machine = ServiceMachine::new(SvcConfig::default(), lease, stats, None);
+    let server = Server::spawn("127.0.0.1:0", "svc-smoke-cluster", machine).expect("bind");
+    let addr = server.addr().to_string();
     let spawn = |extra: &[&str]| {
         let args = extra.iter().copied().chain(["--connect", &addr]);
         let quiet = || Stdio::null();
@@ -167,24 +173,60 @@ fn main() {
         cmd.args(args).stdout(quiet()).stderr(quiet());
         cmd.spawn().expect("spawn worker process")
     };
-    let mut crasher = spawn(&["--crash-after", "1"]);
-    while campaign
-        .engine_stats()
-        .counter(names::CLUSTER_LEASES_GRANTED)
-        == 0
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let mut healthy = spawn(&[]);
-    let chaos = campaign.wait();
-    let crash_status = crasher.wait().expect("wait crasher");
-    let _ = healthy.wait();
-    assert_eq!(crash_status.code(), Some(17), "the crasher exits with 17");
-    let redispatched = chaos.telemetry.engine.counter(names::CLUSTER_REDISPATCHES);
+    let chaos = std::thread::scope(|scope| {
+        let campaign = scope.spawn(|| {
+            let executor = RemoteExecutor::connect(&addr, profile, &spec, Some(&telemetry))
+                .expect("connect the campaign");
+            run_rounds(profile, &spec, &Plan::Fixed, Some(&telemetry), executor)
+        });
+        let mut crasher = spawn(&["--crash-after", "1"]);
+        let mut observer = SvcClient::connect(&addr, "observer").expect("stats connect");
+        while observer
+            .stats()
+            .expect("stats")
+            .counter(names::CLUSTER_LEASES_GRANTED)
+            == 0
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut healthy = spawn(&[]);
+        let chaos = campaign.join().expect("the campaign completes");
+        server.waker().send(Loop::Shutdown).expect("the loop runs");
+        let crash_status = crasher.wait().expect("wait crasher");
+        let _ = healthy.wait();
+        assert_eq!(crash_status.code(), Some(17), "the crasher exits with 17");
+        chaos
+    });
+    let engine = server.join().expect("the loop returns").into_stats();
+    let redispatched = engine.counter(names::CLUSTER_REDISPATCHES);
     assert!(
         redispatched >= 1,
         "no lease was re-dispatched after the crash"
     );
     assert_identical("worker crash + re-dispatch", &reference, &chaos);
     println!("svc_smoke: workers: {redispatched} lease(s) re-dispatched after a crash");
+
+    // Stage 5: an adaptive cell, one job per round through the service.
+    let plan = Plan::Adaptive(StopPolicy {
+        min_samples: 8,
+        max_samples: 48,
+        initial_round: 8,
+        max_round: 16,
+        ..StopPolicy::new(0.2, 0.9)
+    });
+    let executor = LadderExecutor::new(profile, &spec, &plan, Some(&telemetry));
+    let reference = run_rounds(profile, &spec, &plan, Some(&telemetry), executor);
+    let handle = serve(ServiceConfig::default()).expect("start service");
+    let addr = handle.addr().to_string();
+    let executor =
+        RemoteExecutor::connect(&addr, profile, &spec, Some(&telemetry)).expect("connect");
+    let served = run_rounds(profile, &spec, &plan, Some(&telemetry), executor);
+    handle.shutdown().expect("shutdown");
+    assert_identical("adaptive service", &reference, &served);
+    assert_eq!(
+        served.adaptive, reference.adaptive,
+        "adaptive summary diverged"
+    );
+    let rounds = reference.adaptive.as_ref().map_or(0, |a| a.rounds.len());
+    println!("svc_smoke: adaptive: {rounds} rounds through the service byte-identical");
 }

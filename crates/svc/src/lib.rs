@@ -7,26 +7,26 @@
 //!
 //! The protocol itself is the one campaign server machine,
 //! [`nestsim_cluster::ServiceMachine`], which the `nestsim-mck` model
-//! checker steps; this crate adds the driver around it:
+//! checker steps; this crate adds its driver, [`service`]: the machine
+//! on the server loop, plus the execution pool. The blocking client is
+//! the cluster's ([`SvcClient`], re-exported here); `repro --service`
+//! runs a campaign's rounds through it with
+//! [`nestsim_cluster::RemoteExecutor`].
 //!
-//! | Layer | Module | Role |
-//! |---|---|---|
-//! | driver | [`service`] | the machine on the server loop, plus the execution pool |
-//! | client | [`client`] | blocking client used by `repro --service` and tests |
-//!
-//! Determinism contract: a job's results are byte-identical to an
-//! in-process [`nestsim_core::run_campaign_with`] execution of the same
-//! spec — the service runs such an execution, or leases its shards to
-//! connected workers, and serializes it over exact wire codecs. Overlapping submissions deduplicate to a single
-//! execution whose results fan out to every subscriber.
+//! Determinism contract: a job — a fixed-count cell or one round of an
+//! adaptive one — yields results byte-identical to the in-process
+//! executor's round ([`nestsim_core::campaign::LadderExecutor`]): the
+//! service runs that round, or leases its shards to connected workers,
+//! and serializes it over exact wire codecs. Overlapping submissions
+//! deduplicate to a single execution whose results fan out to every
+//! subscriber.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod service;
 
-pub use client::{JobOutcome, SvcClient};
+pub use nestsim_cluster::client::{JobOutcome, SvcClient};
 pub use nestsim_cluster::machine::SvcConfig;
 pub use nestsim_cluster::store::{ExecOutput, JobKey};
 pub use service::{serve, ServiceConfig, ServiceHandle};

@@ -1,19 +1,19 @@
 //! The service driver: the one campaign server machine
 //! ([`ServiceMachine`]) on the cluster's server loop, which owns every
 //! client and worker socket on one thread, plus the execution pool.
-//! While no worker is connected a job runs as an in-process campaign —
-//! which is what makes service results byte-identical to local
-//! execution — so the pool runs whole jobs through `run_campaign_with`
-//! and reports each back as a loop command; the loop never blocks on
-//! anything but the poller. Connected workers take jobs as shard
-//! leases instead.
+//! While no worker is connected a job runs in process as one round on
+//! the in-process executor — which is what makes service results
+//! byte-identical to local execution — so the pool runs each job
+//! through [`LadderExecutor::run_round`] and reports it back as a loop
+//! command; the loop never blocks on anything but the poller. Connected
+//! workers take jobs as shard leases instead.
 
 use nestsim_cluster::machine::{Command, ServiceMachine, SvcConfig};
 use nestsim_cluster::proto::JobWire;
 use nestsim_cluster::server::{Server, Waker};
 use nestsim_cluster::store::ExecOutput;
 use nestsim_cluster::LeaseConfig;
-use nestsim_core::run_campaign_with;
+use nestsim_core::campaign::{LadderExecutor, Plan, RoundExecutor};
 use nestsim_telemetry::{Recorder, TelemetryConfig};
 use std::io;
 use std::net::SocketAddr;
@@ -114,18 +114,24 @@ fn exec_worker(task_rx: &Mutex<mpsc::Receiver<(u64, JobWire)>>, chaos: &AtomicU6
     }
 }
 
-/// Runs one job to completion in-process. Panics inside the campaign
-/// engine surface as crashes (the machine retries, then fails the job)
-/// rather than taking the service down.
+/// Runs one job, a fixed-count cell or one adaptive round, to
+/// completion in-process. Panics inside the campaign engine surface as
+/// crashes (the machine retries, then fails the job) rather than taking
+/// the service down.
 fn run_exec(job: &JobWire) -> Result<ExecOutput, String> {
     let job = job.clone();
     let run = std::panic::catch_unwind(move || {
         let profile = job.profile()?;
-        let result = run_campaign_with(profile, &job.spec, job.telemetry.as_ref());
+        let telemetry = job.telemetry.as_ref();
+        // One round on one executor: the ladder one fixed-count round
+        // can use, whichever plan the round belongs to.
+        let mut executor = LadderExecutor::new(profile, &job.spec, &Plan::Fixed, telemetry);
+        let (records, merged) = executor.run_round(job.adaptive.as_ref());
+        let golden = executor.finish().golden;
         Ok::<ExecOutput, String>(ExecOutput {
-            golden: result.golden,
-            records: result.records,
-            merged: result.telemetry.merged,
+            golden,
+            records,
+            merged,
         })
     });
     match run {

@@ -272,12 +272,14 @@ fn escape(s: &str) -> String {
 pub struct CampaignTelemetry {
     /// Per-run telemetry merged in sample order.
     pub merged: Recorder,
-    /// Samples executed by each worker, in shard order (empty when
-    /// telemetry is disabled).
+    /// Samples executed by each in-process worker thread, in shard
+    /// order (empty when telemetry is disabled, and for a campaign run
+    /// on a campaign server, whose shards its client never sees).
     pub worker_samples: Vec<usize>,
     /// Engine-level telemetry: ladder rung counts/sizes, rung
-    /// restores, and forward-simulated cycles. Null when telemetry is
-    /// disabled. Engine- and sharding-dependent by design.
+    /// restores and forward-simulated cycles in process; lease, frame
+    /// and shard counters for a cluster campaign. Null when telemetry
+    /// is disabled. Engine- and sharding-dependent by design.
     pub engine: Recorder,
 }
 

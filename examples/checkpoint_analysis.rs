@@ -7,7 +7,7 @@
 //! cargo run --release --example checkpoint_analysis
 //! ```
 
-use nestsim::core::campaign::{run_campaign, CampaignSpec};
+use nestsim::core::campaign::{run_campaign_with, CampaignSpec};
 use nestsim::core::checkpoint::{checkpoint_coverage, propagation_cdf, rollback_cdf};
 use nestsim::hlsim::workload::by_name;
 use nestsim::models::ComponentKind;
@@ -24,7 +24,7 @@ fn main() {
         "running {} L2C injections during {} ...\n",
         spec.samples, profile.name
     );
-    let result = run_campaign(profile, &spec);
+    let result = run_campaign_with(profile, &spec, None);
 
     // Fig. 8: how long before an injected error is even *visible* to a
     // core-side detector.

@@ -29,13 +29,13 @@
 //! # Quick start
 //!
 //! ```
-//! use nestsim::core::campaign::{run_campaign, CampaignSpec};
+//! use nestsim::core::campaign::{run_campaign_with, CampaignSpec};
 //! use nestsim::hlsim::workload::by_name;
 //! use nestsim::models::ComponentKind;
 //!
 //! // A tiny L2C injection campaign on the Radix workload.
 //! let spec = CampaignSpec::quick(ComponentKind::L2c, 8);
-//! let result = run_campaign(by_name("radi").unwrap(), &spec);
+//! let result = run_campaign_with(by_name("radi").unwrap(), &spec, None);
 //! assert_eq!(result.counts.total(), 8);
 //! println!("erroneous rate: {}", result.counts.erroneous_rate());
 //! ```

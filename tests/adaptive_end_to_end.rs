@@ -10,14 +10,25 @@
 //! boundaries and CI targets, so campaigns that share identities share
 //! their records exactly (the prefix property).
 
-use nestsim::cluster::{run_campaign_adaptive_cluster, ClusterConfig};
-use nestsim::core::adaptive::run_campaign_adaptive;
-use nestsim::core::campaign::{CampaignResult, CampaignSpec};
+use nestsim::cluster::{run_cluster, ClusterConfig};
+use nestsim::core::campaign::{run_rounds, CampaignResult, CampaignSpec, LadderExecutor, Plan};
 use nestsim::core::Outcome;
 use nestsim::hlsim::workload::{by_name, BenchProfile};
 use nestsim::models::ComponentKind;
 use nestsim::stats::stop::StopPolicy;
 use nestsim::telemetry::{names, TelemetryConfig};
+
+/// `spec` under `policy` on the in-process executor.
+fn adaptive_in_process(
+    profile: &'static BenchProfile,
+    spec: &CampaignSpec,
+    policy: &StopPolicy,
+    telemetry: Option<&TelemetryConfig>,
+) -> CampaignResult {
+    let plan = Plan::Adaptive(*policy);
+    let executor = LadderExecutor::new(profile, spec, &plan, telemetry);
+    run_rounds(profile, spec, &plan, telemetry, executor)
+}
 
 fn cell() -> (&'static BenchProfile, CampaignSpec) {
     let profile = by_name("flui").unwrap();
@@ -60,11 +71,11 @@ fn adaptive_campaign_is_byte_identical_across_worker_counts() {
     let (profile, spec) = cell();
     let policy = quick_policy(0.22);
     let telemetry = TelemetryConfig::default();
-    let reference = run_campaign_adaptive(profile, &spec, &policy, Some(&telemetry));
+    let reference = adaptive_in_process(profile, &spec, &policy, Some(&telemetry));
     assert!(reference.adaptive.is_some());
     for workers in [1usize, 4] {
         let spec = CampaignSpec { workers, ..spec };
-        let got = run_campaign_adaptive(profile, &spec, &policy, Some(&telemetry));
+        let got = adaptive_in_process(profile, &spec, &policy, Some(&telemetry));
         assert_identical(&format!("{workers} workers"), &reference, &got);
     }
 }
@@ -75,11 +86,11 @@ fn adaptive_cluster_matches_in_process_at_two_ci_targets() {
     let telemetry = TelemetryConfig::default();
     for half_width in [0.22, 0.35] {
         let policy = quick_policy(half_width);
-        let reference = run_campaign_adaptive(profile, &spec, &policy, Some(&telemetry));
-        let got = run_campaign_adaptive_cluster(
+        let reference = adaptive_in_process(profile, &spec, &policy, Some(&telemetry));
+        let got = run_cluster(
             profile,
             &spec,
-            &policy,
+            &Plan::Adaptive(policy),
             Some(&telemetry),
             &ClusterConfig::threads(2),
         );
@@ -87,7 +98,7 @@ fn adaptive_cluster_matches_in_process_at_two_ci_targets() {
     }
 }
 
-/// Workers persist across adaptive rounds: the coordinator parks idle
+/// Workers persist across adaptive rounds: the server parks idle
 /// workers between rounds and re-serves the same connections, so a
 /// multi-round campaign handshakes each worker exactly once (the old
 /// implementation respawned the pool per round, counting
@@ -99,10 +110,10 @@ fn adaptive_cluster_workers_connect_once_for_all_rounds() {
     let policy = quick_policy(0.16);
     let telemetry = TelemetryConfig::default();
     let workers = 2;
-    let got = run_campaign_adaptive_cluster(
+    let got = run_cluster(
         profile,
         &spec,
-        &policy,
+        &Plan::Adaptive(policy),
         Some(&telemetry),
         &ClusterConfig::threads(workers),
     );
@@ -135,8 +146,8 @@ fn adaptive_cluster_workers_connect_once_for_all_rounds() {
 fn adaptive_campaigns_share_records_on_shared_sample_identities() {
     let (profile, spec) = cell();
     let telemetry = TelemetryConfig::default();
-    let loose = run_campaign_adaptive(profile, &spec, &quick_policy(0.35), Some(&telemetry));
-    let tight = run_campaign_adaptive(profile, &spec, &quick_policy(0.16), Some(&telemetry));
+    let loose = adaptive_in_process(profile, &spec, &quick_policy(0.35), Some(&telemetry));
+    let tight = adaptive_in_process(profile, &spec, &quick_policy(0.16), Some(&telemetry));
 
     let index = |r: &CampaignResult| {
         let summary = r.adaptive.clone().expect("adaptive summary");

@@ -4,20 +4,23 @@
 //! injected worker failures, the merged [`CampaignResult`] — records,
 //! outcome counts, golden reference, and the merged telemetry's
 //! JSON-lines export — is **byte-identical** to the in-process
-//! engine's. Only the engine-level recorder (cluster counters, shard
-//! latency) is allowed to differ, because it deliberately describes
-//! *how* the campaign ran rather than *what* it computed.
+//! engine's. Only the execution telemetry (the engine recorder's
+//! cluster counters and shard latency, the worker-sample split) is
+//! allowed to differ, because it deliberately describes *how* the
+//! campaign ran rather than *what* it computed.
 
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 
+use nestsim::cluster::machine::{Command, ServiceMachine, SvcConfig};
+use nestsim::cluster::server::Server;
 use nestsim::cluster::{
-    run_campaign_cluster, serve_campaign, ClusterConfig, CoordinatorConfig, LeaseConfig,
-    WorkerOptions,
+    run_campaign_cluster, ClusterConfig, LeaseConfig, RemoteExecutor, SvcClient, WorkerOptions,
 };
-use nestsim::core::campaign::{run_campaign_with, CampaignResult, CampaignSpec};
+use nestsim::core::campaign::{run_campaign_with, run_rounds, CampaignResult, CampaignSpec, Plan};
 use nestsim::hlsim::workload::by_name;
 use nestsim::models::ComponentKind;
-use nestsim::telemetry::{names, TelemetryConfig};
+use nestsim::telemetry::{names, Recorder, TelemetryConfig};
 
 fn cell() -> (
     &'static nestsim::hlsim::workload::BenchProfile,
@@ -40,11 +43,42 @@ fn assert_identical(ctx: &str, reference: &CampaignResult, got: &CampaignResult)
         reference.telemetry.merged.to_jsonl(),
         "{ctx}: merged telemetry diverged"
     );
-    assert_eq!(
-        got.telemetry.worker_samples.iter().sum::<usize>(),
-        reference.telemetry.worker_samples.iter().sum::<usize>(),
-        "{ctx}: total attributed samples diverged"
-    );
+}
+
+/// The one machine with no execution pool, as `run_cluster` binds it,
+/// under `lease`; the test attaches its own workers.
+fn coordinator(lease: LeaseConfig) -> Server {
+    let stats = Recorder::active(&TelemetryConfig::default());
+    let machine = ServiceMachine::new(SvcConfig::default(), lease, stats, None);
+    Server::spawn("127.0.0.1:0", "test-coordinator", machine).unwrap()
+}
+
+/// Runs the cell's fixed plan on a [`RemoteExecutor`] against `addr`,
+/// on a thread of `scope`.
+fn campaign<'s>(
+    scope: &'s Scope<'s, '_>,
+    addr: &'s str,
+    telemetry: &'s TelemetryConfig,
+) -> ScopedJoinHandle<'s, CampaignResult> {
+    scope.spawn(move || {
+        let (profile, spec) = cell();
+        let executor = RemoteExecutor::connect(addr, profile, &spec, Some(telemetry)).unwrap();
+        run_rounds(profile, &spec, &Plan::Fixed, Some(telemetry), executor)
+    })
+}
+
+/// The server's counters, read over the wire.
+fn stats(addr: &str) -> Recorder {
+    SvcClient::connect(addr, "observer")
+        .unwrap()
+        .stats()
+        .unwrap()
+}
+
+/// Tells the server to dismiss its workers; its counters once they left.
+fn shutdown(server: Server) -> Recorder {
+    server.waker().send(Command::Shutdown).unwrap();
+    server.join().unwrap().into_stats()
 }
 
 #[test]
@@ -84,13 +118,14 @@ fn cluster_without_telemetry_matches_in_process() {
 
 /// A clustered cell batches on cluster workers as it does in process:
 /// the worker runs each same-trajectory group through the shard
-/// executor, cut where the shard ends — here every 3 positions, inside
-/// the 8-sample clusters — and the bytes do not move.
+/// executor, cut where the shard ends — one worker takes four shards of
+/// 5 positions, so every 8-sample cluster is cut — and the bytes do not
+/// move.
 #[test]
 fn clustered_cell_with_shards_that_cut_groups_is_byte_identical() {
     let (profile, spec) = cell();
     let spec = CampaignSpec {
-        samples: 24,
+        samples: 20,
         lane_cluster: 8,
         ..spec
     };
@@ -100,11 +135,10 @@ fn clustered_cell_with_shards_that_cut_groups_is_byte_identical() {
         reference.telemetry.engine.counter(names::LANES_BATCHES) > 0,
         "the cell must be one the lane engine batches"
     );
-    let mut cfg = ClusterConfig::threads(2);
-    cfg.coordinator.shard_size = 3;
+    let cfg = ClusterConfig::threads(1);
     let got = run_campaign_cluster(profile, &spec, Some(&telemetry), &cfg);
-    assert_identical("lane_cluster 8, shard_size 3", &reference, &got);
-    assert_eq!(got.telemetry.engine.counter(names::CLUSTER_SHARDS), 8);
+    assert_identical("lane_cluster 8, shards of 5", &reference, &got);
+    assert_eq!(got.telemetry.engine.counter(names::CLUSTER_SHARDS), 4);
 }
 
 /// A worker speaking an old protocol version is rejected with a clean
@@ -119,14 +153,8 @@ fn version_mismatch_worker_is_rejected_cleanly() {
     let (profile, spec) = cell();
     let telemetry = TelemetryConfig::default();
     let reference = run_campaign_with(profile, &spec, Some(&telemetry));
-    let campaign = serve_campaign(
-        profile,
-        &spec,
-        Some(&telemetry),
-        &CoordinatorConfig::default(),
-    )
-    .unwrap();
-    let addr = campaign.addr().to_string();
+    let server = coordinator(LeaseConfig::default());
+    let addr = server.addr().to_string();
 
     // A "v1 worker": a raw socket speaking the framed wire protocol
     // with an outdated version claim.
@@ -154,18 +182,19 @@ fn version_mismatch_worker_is_rejected_cleanly() {
 
     // The rejected worker never handshook: nothing was leased to it,
     // nothing needs releasing, and it never counted as connected.
-    let engine = campaign.engine_stats();
+    let engine = stats(&addr);
     assert_eq!(engine.counter(names::CLUSTER_LEASES_GRANTED), 0);
     assert_eq!(engine.counter(names::CLUSTER_LEASES_RELEASED), 0);
     assert_eq!(engine.counter(names::CLUSTER_WORKERS_CONNECTED), 0);
 
     // A healthy worker drains the whole campaign afterwards.
     let stats = std::thread::scope(|scope| {
-        let worker_addr = addr.clone();
-        let healthy = scope
-            .spawn(move || nestsim::cluster::run_worker(&worker_addr, &WorkerOptions::default()));
-        let got = campaign.wait();
+        let run = campaign(scope, &addr, &telemetry);
+        let healthy =
+            scope.spawn(|| nestsim::cluster::run_worker(&addr, &WorkerOptions::default()));
+        let got = run.join().unwrap();
         assert_identical("after version mismatch", &reference, &got);
+        shutdown(server);
         healthy.join().unwrap().unwrap()
     });
     assert!(stats.shards_completed >= 1);
@@ -180,24 +209,18 @@ fn crashed_worker_is_redispatched_and_bytes_are_identical() {
     let telemetry = TelemetryConfig::default();
     let reference = run_campaign_with(profile, &spec, Some(&telemetry));
 
-    let cfg = CoordinatorConfig {
-        lease: LeaseConfig {
-            lease_ms: 10_000,
-            heartbeat_ms: 1_000,
-            backoff_ms: 5,
-        },
-        shard_size: 3,
-        workers_hint: 2,
-        ..CoordinatorConfig::default()
-    };
-    let campaign = serve_campaign(profile, &spec, Some(&telemetry), &cfg).unwrap();
-    let addr = campaign.addr().to_string();
+    let server = coordinator(LeaseConfig {
+        lease_ms: 10_000,
+        heartbeat_ms: 1_000,
+        backoff_ms: 5,
+    });
+    let addr = server.addr().to_string();
 
     std::thread::scope(|scope| {
-        let crasher_addr = addr.clone();
-        let crasher = scope.spawn(move || {
+        let run = campaign(scope, &addr, &telemetry);
+        let crasher = scope.spawn(|| {
             nestsim::cluster::run_worker(
-                &crasher_addr,
+                &addr,
                 &WorkerOptions {
                     crash_after_samples: Some(1),
                     ..WorkerOptions::default()
@@ -206,23 +229,18 @@ fn crashed_worker_is_redispatched_and_bytes_are_identical() {
         });
         // Give the crasher a head start so it certainly leases a shard
         // before the healthy worker can drain the campaign.
-        while campaign
-            .engine_stats()
-            .counter(names::CLUSTER_LEASES_GRANTED)
-            == 0
-        {
+        while stats(&addr).counter(names::CLUSTER_LEASES_GRANTED) == 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let healthy_addr = addr.clone();
-        let healthy = scope
-            .spawn(move || nestsim::cluster::run_worker(&healthy_addr, &WorkerOptions::default()));
+        let healthy =
+            scope.spawn(|| nestsim::cluster::run_worker(&addr, &WorkerOptions::default()));
 
-        let got = campaign.wait();
+        let got = run.join().unwrap();
+        let engine = shutdown(server);
         let crasher_stats = crasher.join().unwrap().unwrap();
         let healthy_stats = healthy.join().unwrap().unwrap();
 
         assert_eq!(crasher_stats.shards_abandoned, 1);
-        let engine = &got.telemetry.engine;
         assert!(
             engine.counter(names::CLUSTER_REDISPATCHES) >= 1,
             "the crashed worker's shard must be re-dispatched"

@@ -2,7 +2,8 @@
 //! every component, platform invariants, and determinism.
 
 use nestsim::core::campaign::{
-    golden_reference, run_campaign, run_campaign_replay, run_campaign_with, CampaignSpec,
+    golden_reference, run_campaign_replay, run_campaign_with, run_rounds, CampaignSpec,
+    LadderExecutor, Plan,
 };
 use nestsim::core::cosim::{CosimDriver, L2cDriver};
 use nestsim::core::inject::{run_injection, InjectionSpec, MIN_WARMUP};
@@ -28,7 +29,7 @@ fn every_component_campaign_classifies_all_runs() {
         } else {
             by_name("radi").unwrap()
         };
-        let r = run_campaign(profile, &quick_spec(component, 10));
+        let r = run_campaign_with(profile, &quick_spec(component, 10), None);
         assert_eq!(r.counts.total(), 10, "{component}: all runs classified");
         assert_eq!(r.records.len(), 10);
     }
@@ -44,7 +45,7 @@ fn vanished_dominates_for_every_component() {
         } else {
             by_name("lu-c").unwrap()
         };
-        let r = run_campaign(profile, &quick_spec(component, 24));
+        let r = run_campaign_with(profile, &quick_spec(component, 24), None);
         let vanished = r.counts.count(Outcome::Vanished);
         assert!(
             vanished * 2 > r.counts.total(),
@@ -57,8 +58,8 @@ fn vanished_dominates_for_every_component() {
 #[test]
 fn campaigns_are_bit_reproducible() {
     let profile = by_name("flui").unwrap();
-    let a = run_campaign(profile, &quick_spec(ComponentKind::Mcu, 8));
-    let b = run_campaign(profile, &quick_spec(ComponentKind::Mcu, 8));
+    let a = run_campaign_with(profile, &quick_spec(ComponentKind::Mcu, 8), None);
+    let b = run_campaign_with(profile, &quick_spec(ComponentKind::Mcu, 8), None);
     assert_eq!(a.records, b.records);
     assert_eq!(a.golden, b.golden);
 }
@@ -197,7 +198,7 @@ fn empty_campaign_returns_valid_all_zero_telemetry() {
         assert!(r.telemetry.worker_samples.is_empty());
         assert_eq!(r.telemetry.merged.counter("inject.runs"), 0);
         // Without telemetry the recorder is the null one.
-        let plain = run_campaign(profile, &spec);
+        let plain = run_campaign_with(profile, &spec, None);
         assert!(!plain.telemetry.is_active());
         assert_eq!(
             plain.telemetry.to_jsonl(),
@@ -322,7 +323,7 @@ fn ladder_engine_cuts_forward_simulation_at_least_2x_at_4_workers() {
 #[test]
 fn records_carry_consistent_analysis_fields() {
     let profile = by_name("lu-c").unwrap();
-    let r = run_campaign(profile, &quick_spec(ComponentKind::L2c, 20));
+    let r = run_campaign_with(profile, &quick_spec(ComponentKind::L2c, 20), None);
     for rec in &r.records {
         if rec.outcome == Outcome::Vanished && rec.erroneous_output_cycle.is_none() {
             assert_eq!(rec.corrupted_line_count, 0, "vanished runs corrupt nothing");
@@ -776,24 +777,33 @@ fn adaptive_campaign_bytes_are_pinned_in_process_and_clustered() {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         })
     };
+    let plan = Plan::Adaptive(policy);
     for workers in [1usize, 4] {
         let spec = CampaignSpec {
             samples: 0,
             ..pinned_l2c_cell(workers)
         };
-        let r = nestsim::core::adaptive::run_campaign_adaptive(profile, &spec, &policy, Some(&cfg));
+        let executor = LadderExecutor::new(profile, &spec, &plan, Some(&cfg));
+        let r = run_rounds(profile, &spec, &plan, Some(&cfg), executor);
         assert_pinned(PINNED, &format!("in-process workers={workers}"), digest(&r));
     }
     let spec = CampaignSpec {
         samples: 0,
         ..pinned_l2c_cell(2)
     };
-    let r = nestsim::cluster::run_campaign_adaptive_cluster(
+    let r = nestsim::cluster::run_cluster(
         profile,
         &spec,
-        &policy,
+        &plan,
         Some(&cfg),
         &nestsim::cluster::ClusterConfig::threads(2),
     );
     assert_pinned(PINNED, "cluster threads(2)", digest(&r));
+    let handle = nestsim::svc::serve(nestsim::svc::ServiceConfig::default()).expect("serve");
+    let addr = handle.addr().to_string();
+    let executor = nestsim::cluster::RemoteExecutor::connect(&addr, profile, &spec, Some(&cfg))
+        .expect("connect");
+    let r = run_rounds(profile, &spec, &plan, Some(&cfg), executor);
+    handle.shutdown().expect("shutdown");
+    assert_pinned(PINNED, "service", digest(&r));
 }

@@ -9,10 +9,9 @@
 //! checked here is what each budget costs: captures, live rungs,
 //! restores and forward cycles, from the engine counters.
 
-use nestsim::core::adaptive::run_campaign_adaptive;
 use nestsim::core::campaign::{
     draw_samples, entry_cycle, golden_reference, laddered_golden_reference, run_campaign_with,
-    rung_budget, CampaignSpec, Plan,
+    run_rounds, rung_budget, CampaignSpec, LadderExecutor, Plan,
 };
 use nestsim::hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim::hlsim::workload::by_name;
@@ -103,7 +102,8 @@ fn adaptive_cells_keep_the_full_ladder() {
     policy.max_samples = 16;
     let plan = Plan::Adaptive(policy);
     assert_eq!(rung_budget(&plan, &spec), DEFAULT_MAX_RUNGS);
-    let r = run_campaign_adaptive(profile, &spec, &policy, Some(&cfg));
+    let executor = LadderExecutor::new(profile, &spec, &plan, Some(&cfg));
+    let r = run_rounds(profile, &spec, &plan, Some(&cfg), executor);
     // The ladder a direct capture at the default cap builds: every rung
     // kept, none truncated — later rounds may enter anywhere.
     let (base, _) = golden_reference(profile, &spec);

@@ -9,8 +9,8 @@
 
 use nestsim::core::adaptive::{AdaptiveState, StratifiedRound};
 use nestsim::core::campaign::{
-    contiguous_shards, run_campaign_with, run_rounds, CampaignSpec, Execution, IndexedRuns,
-    LadderExecutor, Plan, RoundExecutor,
+    contiguous_shards, run_campaign_with, run_rounds, CampaignSpec, Execution, LadderExecutor,
+    Plan, RoundExecutor,
 };
 use nestsim::core::inject::{GoldenRef, InjectionRecord};
 use nestsim::core::Outcome;
@@ -42,25 +42,23 @@ struct Scripted<'a> {
 }
 
 impl RoundExecutor for Scripted<'_> {
-    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> IndexedRuns {
+    fn run_round(&mut self, strata: Option<&StratifiedRound>) -> (Vec<InjectionRecord>, Recorder) {
         let round = self.asked.len();
         self.asked.push(strata.copied());
         let n = strata.map_or(self.fixed_samples, |r| r.alloc.iter().sum()) as usize;
-        (0..n)
-            .map(|i| {
-                let record = InjectionRecord {
-                    outcome: canned(round, i),
-                    bit: i,
-                    inject_cycle: 500,
-                    cosim_cycles: 40,
-                    erroneous_output_cycle: None,
-                    propagation_latency: None,
-                    corrupted_line_count: 0,
-                    rollback_distance: None,
-                };
-                (i, record, Recorder::null())
+        let records = (0..n)
+            .map(|i| InjectionRecord {
+                outcome: canned(round, i),
+                bit: i,
+                inject_cycle: 500,
+                cosim_cycles: 40,
+                erroneous_output_cycle: None,
+                propagation_latency: None,
+                corrupted_line_count: 0,
+                rollback_distance: None,
             })
-            .collect()
+            .collect();
+        (records, Recorder::null())
     }
 
     fn finish(self) -> Execution {
@@ -183,7 +181,9 @@ fn an_empty_round_spawns_nothing_and_counts_nothing() {
             ..CampaignSpec::quick(ComponentKind::L2c, 0)
         };
         let mut executor = LadderExecutor::new(profile, &spec, &Plan::Fixed, Some(&cfg));
-        assert!(executor.run_round(None).is_empty());
+        let (records, merged) = executor.run_round(None);
+        assert!(records.is_empty());
+        assert_eq!(merged, Recorder::active(&cfg));
         let done = executor.finish();
         // No shard was planned, so no worker is on record, no rung was
         // captured, and no runner existed to count a forward cycle, a
