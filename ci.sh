@@ -207,13 +207,17 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # driver, its queues and its lane sides, and 151.5, 84, 131.5 and 15.6
 # when every injection attaches a new driver (645, 896 and 588 when the
 # flop layouts were rebuilt on every attach and the DRAM port was a map).
-# `served` reads 49.4 on the smoke, the same cell reached through the
-# one campaign server machine; its cap guards that path's per-job cost.
+# `served` reads 37.6 on the smoke, the same cell reached through the
+# one campaign server machine, while its worker walks every lease of a
+# job on one cursor from the base alone; 49.4 when each lease built a
+# fresh runner on a 256-rung ladder.
 # Page take-back gate: the same blocks' `alloc_kb_per_inj` for
 # `ladder_long` and `l2c_indep` read 2,054 and 242 KiB on the smoke while
 # the shard cursor writes back into the pages it shared once the
 # group's systems let go of them, and 3,369 and 378 KiB when it copies
 # every page it rewrites again after each entry — an exact count.
+# `served` reads 270 KiB on the smoke with one cursor per job from the
+# base alone, and 397 KiB with a fresh runner per lease on 256 rungs.
 # Co-simulation gate: the traced `l2c_indep` and `ladder_long` blocks
 # must report `core.golden_compares_per_inj` < 5 / < 10 — a run ends at
 # the compare that finds it identical to its golden, and at the
@@ -222,8 +226,8 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # ended — an exact count, so waiting again fails here, not on a timing.
 awk '
     BEGIN { alloc_cap["l2c_indep"] = 145; alloc_cap["ccx_indep"] = 66; alloc_cap["ladder_long"] = 126
-            alloc_cap["l2c_lanes"] = 10; alloc_cap["served"] = 55
-            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300
+            alloc_cap["l2c_lanes"] = 10; alloc_cap["served"] = 40
+            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300; kb_cap["served"] = 300
             compare_cap["l2c_indep"] = 5; compare_cap["ladder_long"] = 10 }
     /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
     !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {

@@ -371,7 +371,7 @@ fn attaches(suite: &mut Suite) {
 
 fn snapshots(suite: &mut Suite) {
     // Fig. 2 step 1 from a positioned shard cursor: `radi`/100 at cycle
-    // 2,000, its pages shared as `ShardRunner::seek` leaves them. `clone`
+    // 2,000, its pages shared as `ShardWalk::seek` leaves them. `clone`
     // restores into a new system; `clone_from` refills one that an
     // injection ran to the end, the restore of every injection of a
     // shard but the first.

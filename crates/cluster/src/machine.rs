@@ -491,6 +491,12 @@ impl ServiceMachine {
                 Ok(key) => key,
                 Err(reason) => return self.reject(now, conn, req, reason, out),
             };
+        if job.spec.samples == 0 && self.tasks.is_none() {
+            let reason = "a job of zero samples has no shard to lease, and this server has no \
+                          execution pool to run it"
+                .to_string();
+            return self.reject(now, conn, req, reason, out);
+        }
         let queue_depth = self.sched.len() as u64;
         // Cached cell: stream the result right away, no subscription.
         if let Some(output) = self.store.ready(&key).cloned() {
@@ -562,7 +568,9 @@ impl ServiceMachine {
     }
 
     /// Starts queued cells while there is room: on leases if a worker
-    /// is connected (one leased cell at a time), else on exec slots.
+    /// is connected (one leased cell at a time), else on exec slots. A
+    /// cell of no samples has no shard to lease, so it always goes to
+    /// the pool (a machine without one rejects it on admission).
     fn pump(&mut self, now: u64, out: &mut Vec<Action>) {
         loop {
             let workers = self.conns.values().filter(|c| c.worker).count();
@@ -580,7 +588,7 @@ impl ServiceMachine {
                 continue; // cell vanished (cancelled) after scheduling
             };
             self.stats.count(names::SVC_EXECS_STARTED, 1);
-            if workers == 0 {
+            if workers == 0 || job.spec.samples == 0 {
                 self.start_exec(now, key, job, out);
             } else {
                 let samples = job.spec.samples;
@@ -1669,6 +1677,41 @@ mod tests {
         let outs = r.request(3);
         let told = r.drain(3, 1, outs, shard_runs);
         assert_eq!(streamed(&told), output(4).records);
+        assert!(r.m.is_idle());
+    }
+
+    #[test]
+    fn a_zero_sample_cell_runs_in_process_beside_a_worker() {
+        // It has no shard to lease: a round of it would never settle, and
+        // every later cell would queue behind it.
+        let mut r = slots(1);
+        r.hello(1, "");
+        assert!(r.request(1).is_empty(), "no work: the worker parks");
+        r.hello(2, "alice");
+        r.submit(2, 1, test_job(0, 1));
+        assert_eq!(r.starts().len(), 1, "the empty cell goes to the pool");
+        let told = r.exec(Ok(output(0)));
+        let done = sent_to(&told, 2);
+        assert!(
+            matches!(done.as_slice(), [Message::Done { .. }]),
+            "{done:?}"
+        );
+        // The next cell goes out to the parked worker.
+        let outs = r.submit(2, 2, test_job(2, 2));
+        assert_eq!(r.m.queue_depth(), 0);
+        let told = r.drain(1, 2, outs, shard_runs);
+        assert_eq!(streamed(&told), output(2).records);
+        assert!(r.m.is_idle());
+    }
+
+    #[test]
+    fn without_a_pool_a_zero_sample_cell_is_rejected() {
+        let mut r = cluster(SvcConfig::default());
+        r.hello(1, "");
+        r.request(1);
+        r.hello(2, "alice");
+        let outs = r.submit(2, 1, test_job(0, 1));
+        assert!(rejected(&outs, 2), "{outs:?}");
         assert!(r.m.is_idle());
     }
 

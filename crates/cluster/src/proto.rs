@@ -189,9 +189,10 @@ pub struct SubmitWire {
     /// The worker's independently derived golden reference — the
     /// server cross-checks it against every other submission.
     pub golden: GoldenRef,
-    /// Accelerated-mode cycles the shard forward-simulated.
+    /// Accelerated-mode cycles forward-simulated for this lease alone
+    /// (a worker's walk runs on across its leases; the server sums).
     pub forward: u64,
-    /// Ladder-rung restores the shard performed.
+    /// Ladder-rung restores performed for this lease alone.
     pub restores: u64,
     /// The shard's runs, in shard order.
     pub runs: Vec<RunWire>,

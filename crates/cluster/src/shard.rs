@@ -3,9 +3,10 @@
 //!
 //! A shard is a half-open range of **positions** in the canonical
 //! entry-cycle order (`nestsim_core::campaign::entry_order`) — not of
-//! raw sample indices — so a worker executing positions left to right
-//! always presents ascending entry cycles to its `ShardRunner`, exactly
-//! like an in-process worker thread. The coordinator therefore needs
+//! raw sample indices — so a worker executing positions left to right,
+//! and taking leases in shard order, presents ascending entry cycles to
+//! its one `ShardWalk`, exactly like an in-process worker thread. The
+//! coordinator therefore needs
 //! nothing but the sample *count* to plan work: zero simulation happens
 //! coordinator-side.
 

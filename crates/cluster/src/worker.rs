@@ -12,8 +12,8 @@
 //! chaos options and heartbeats stay sample-granular; the driver
 //! answers from a small buffer it fills by running the whole
 //! same-trajectory group that starts at the position through
-//! [`ShardRunner::run_span`] — the shard executor the in-process
-//! engine uses, so a clustered cell shares restores, warm-ups and lane
+//! [`ShardWalk::run_group`] — the walk the in-process engine runs its
+//! shards on, so a clustered cell shares restores, warm-ups and lane
 //! batches here as it does there. A group holds at most 64 samples,
 //! far inside a lease.
 //!
@@ -24,15 +24,19 @@
 //! bit-identical in every process. The round is cached per job and the
 //! base per *campaign*, so a worker that leases ten shards of one
 //! campaign pays for one golden pass, including across the rounds of a
-//! persistent-worker adaptive campaign.
+//! persistent-worker adaptive campaign. The golden pass captures the
+//! ladder [`rung_budget`] gives the job — the base alone for a
+//! fixed-count cell — and one [`ShardWalk`] per job runs every lease of
+//! it: leases go out in position order, so its cursor walks the cell
+//! forward once, as one in-process worker thread's does. A lease behind
+//! the cursor (a re-dispatch) restores from the rung below its entry.
 
 use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use nestsim_core::campaign::{CampaignSpec, CellBase, Round, ShardRunner};
-use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
+use nestsim_core::campaign::{rung_budget, CampaignSpec, CellBase, Round, ShardCell, ShardWalk};
 
 use crate::proto::{recv, send, JobWire, RunWire};
 use crate::worker_machine::{WorkerAction, WorkerEnd, WorkerEvent, WorkerMachine};
@@ -54,11 +58,15 @@ fn base_key(job: &JobWire) -> JobWire {
     }
 }
 
-/// The per-job derivation cache: everything recomputed from the seed.
+/// The per-job derivation cache: everything recomputed from the seed,
+/// and the one walk every lease of the job runs on.
 struct JobState {
     key: JobWire,
+    /// The ladder's rung budget, [`rung_budget`] of the job.
+    budget: usize,
     base: CellBase,
     round: Round,
+    walk: ShardWalk,
 }
 
 impl JobState {
@@ -70,10 +78,12 @@ impl JobState {
     fn build(job: &JobWire, prev: Option<JobState>) -> Result<JobState, String> {
         let profile = job.profile()?;
         job.spec.check(profile)?;
+        let budget = rung_budget(job.adaptive.is_some(), &job.spec);
         let mut base = match prev {
-            Some(prev) if base_key(&prev.key) == base_key(job) => prev.base,
-            // A leased shard may start at any position: the full ladder.
-            _ => CellBase::capture(profile, &job.spec, DEFAULT_MAX_RUNGS),
+            Some(prev) if base_key(&prev.key) == base_key(job) && prev.budget == budget => {
+                prev.base
+            }
+            _ => CellBase::capture(profile, &job.spec, budget),
         };
         let round = base.draw(profile, &job.spec, job.adaptive.as_ref());
         if round.samples.len() as u64 != job.spec.samples {
@@ -85,8 +95,10 @@ impl JobState {
         }
         Ok(JobState {
             key: job.clone(),
+            budget,
             base,
             round,
+            walk: ShardWalk::new(job.spec.lane_width as usize),
         })
     }
 }
@@ -144,7 +156,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> io::Result<WorkerStats> {
                 if job_state.as_ref().is_none_or(|s| s.key != job) {
                     job_state = Some(JobState::build(&job, job_state.take()).map_err(proto_err)?);
                 }
-                let state = job_state.as_ref().expect("job state was just built");
+                let state = job_state.as_mut().expect("job state was just built");
                 run_assignment(&mut stream, &mut machine, state, pos, &start, &mut pending)?;
             }
         }
@@ -155,16 +167,15 @@ fn now_ms(start: &Instant) -> u64 {
     start.elapsed().as_millis() as u64
 }
 
-/// Drives the machine through one whole assignment with a single
-/// [`ShardRunner`] scoped to it — the runner's ladder cursor is what
-/// keeps per-shard restores minimal, so it must outlive every sample
-/// of the shard but not the shard itself. Returns once the machine
-/// has moved off the shard (submitted, abandoned, stalled, crashed,
-/// or failed), pushing any remaining actions back to the outer loop.
+/// Drives the machine through one whole assignment on the job's walk,
+/// reporting the forward cycles and restores it spends on this lease.
+/// Returns once the machine has moved off the shard (submitted,
+/// abandoned, stalled, crashed, or failed), pushing any remaining
+/// actions back to the outer loop.
 fn run_assignment(
     stream: &mut TcpStream,
     machine: &mut WorkerMachine,
-    state: &JobState,
+    state: &mut JobState,
     first_pos: u64,
     start: &Instant,
     pending: &mut VecDeque<WorkerAction>,
@@ -172,23 +183,16 @@ fn run_assignment(
     let shard = machine
         .current_shard()
         .expect("Execute implies an active assignment");
-    let mut runner = ShardRunner::new(
-        &state.base.ladder,
-        &state.round.samples,
-        &state.base.golden,
-        state.key.telemetry.as_ref(),
-        state.key.spec.lane_width as usize,
-    );
+    let (forward0, restores0) = (state.walk.forward_cycles(), state.walk.restores());
     // Finished runs of the group the last `Execute` started, in
-    // position order; dropped with the runner if the shard is abandoned.
+    // position order; dropped if the shard is abandoned.
     let mut ready = VecDeque::new();
     let mut local: VecDeque<WorkerAction> = VecDeque::new();
     local.push_back(WorkerAction::Execute { pos: first_pos });
     loop {
         if machine.current_shard() != Some(shard) {
             // The machine left the shard; whatever it asked for next
-            // belongs to the outer loop (and a fresh runner, if it is
-            // another shard).
+            // belongs to the outer loop.
             pending.extend(local.drain(..));
             return Ok(());
         }
@@ -199,7 +203,9 @@ fn run_assignment(
             WorkerAction::Execute { pos } => {
                 if ready.is_empty() {
                     let span = &state.round.order[pos as usize..shard.range().end as usize];
-                    ready.extend(runner.run_group(span));
+                    let cell =
+                        ShardCell::new(&state.base, &state.round, state.key.telemetry.as_ref());
+                    ready.extend(state.walk.run_group(cell, span));
                 }
                 let (sample, record, recorder) =
                     ready.pop_front().expect("a group holds its first sample");
@@ -214,8 +220,8 @@ fn run_assignment(
                     WorkerEvent::Executed {
                         run,
                         golden: state.base.golden,
-                        forward: runner.forward_cycles(),
-                        restores: runner.restores(),
+                        forward: state.walk.forward_cycles() - forward0,
+                        restores: state.walk.restores() - restores0,
                     },
                 );
                 local.extend(acts);

@@ -6,7 +6,7 @@
 //! `step(now, event) -> Vec<action>` with no sockets, clocks, or
 //! simulation engine anywhere. The TCP worker in [`crate::worker`] is
 //! a thin driver: it performs each [`WorkerAction`] (write a frame,
-//! run one injection through the real [`ShardRunner`], sleep) and
+//! run one injection through the real [`ShardWalk`], sleep) and
 //! feeds the outcome back as the next [`WorkerEvent`]. The `crates/mck`
 //! simulator drives the same type with a virtual clock and canned
 //! execution results, exploring interleavings the TCP driver would
@@ -21,7 +21,7 @@
 //! done, which is what lets the simulator interleave execution with
 //! message delivery.
 //!
-//! [`ShardRunner`]: nestsim_core::campaign::ShardRunner
+//! [`ShardWalk`]: nestsim_core::campaign::ShardWalk
 
 use nestsim_core::inject::GoldenRef;
 
@@ -78,9 +78,9 @@ pub enum WorkerEvent {
         /// The executor's independently derived golden reference
         /// (cross-checked by the coordinator on submit).
         golden: GoldenRef,
-        /// Cumulative forward-simulated cycles on this executor.
+        /// Forward-simulated cycles this lease has cost so far.
         forward: u64,
-        /// Cumulative ladder restores on this executor.
+        /// Ladder restores this lease has cost so far.
         restores: u64,
     },
     /// The sleep the last `Sleep` asked for has elapsed.
@@ -218,8 +218,8 @@ impl WorkerMachine {
 
     /// The shard of the active assignment, if one is in flight. Stays
     /// `Some` from `Assign` until the shard is submitted (acked),
-    /// abandoned, stalled, or crashed — the driver scopes one
-    /// `ShardRunner` to this window.
+    /// abandoned, stalled, or crashed — the driver counts the lease's
+    /// forward cycles and restores over this window.
     pub fn current_shard(&self) -> Option<Shard> {
         self.assignment.as_ref().map(|a| a.shard)
     }

@@ -15,7 +15,7 @@
 //! submits each round to a campaign server, which runs it on a
 //! [`LadderExecutor`] or leases it to worker processes). Every executor
 //! builds the same seed-derived pair — the [`CellBase`] and each
-//! [`Round`] — and runs shards through [`ShardRunner::run_span`].
+//! [`Round`] — and runs shards through [`ShardWalk::run_span`].
 //!
 //! Forward simulation is amortised with the paper's snapshot ladder
 //! (Sec. 2.2: snapshots every 2M cycles, [`DEFAULT_SNAPSHOT_INTERVAL`]
@@ -29,9 +29,11 @@
 //! use one to skip the gap between two consecutive entries, so the
 //! ladder holds no more rungs than its readers can use: [`rung_budget`]
 //! gives a fixed-count cell one rung per shard, base included — a
-//! single worker captures nothing and runs from the base — and keeps
-//! the [`DEFAULT_MAX_RUNGS`] ladder for adaptive rounds and leased
-//! cluster shards, which may enter anywhere. Determinism makes
+//! single worker captures nothing and runs from the base, and so does a
+//! cluster worker, whose one walk takes its leases in position order —
+//! and keeps the [`DEFAULT_MAX_RUNGS`] ladder for adaptive rounds,
+//! which may enter anywhere. A walk handed an entry behind its cursor
+//! restores from the rung below that entry. Determinism makes
 //! restore-from-rung bit-identical to replay-from-zero, so records,
 //! counts, and merged telemetry are byte-identical for any worker
 //! count, snapshot interval and rung budget — locked by the equivalence
@@ -436,26 +438,52 @@ pub fn draw_samples(
 /// recorder), in shard order.
 pub type IndexedRuns = Vec<(usize, InjectionRecord, Recorder)>;
 
-/// Executes one shard of a campaign: a cursor over the snapshot ladder
-/// that runs injection samples with **ascending entry cycles**, each
-/// restored from the nearest rung at or below its entry point. Every
-/// injection after the first restores into the driver the one before
-/// ended with — system, port and sides — and every lane batch after the
-/// first takes its lanes from the sides the ones before left, so a shard
-/// allocates one injection driver, not one per sample.
-///
-/// This is the unit of work every execution layer shares —
-/// [`LadderExecutor`] gives each worker thread one runner per shard,
-/// the `nestsim-cluster` worker builds one per leased shard — so
-/// "re-run the shard anywhere" is bit-identical by construction.
-pub struct ShardRunner<'a> {
+/// What a [`ShardWalk`] reads of a campaign cell, borrowed: the
+/// snapshot ladder, one round's samples, the golden reference and the
+/// per-run telemetry configuration.
+#[derive(Clone, Copy)]
+pub struct ShardCell<'a> {
     ladder: &'a SnapshotLadder,
     samples: &'a [InjectionSpec],
     golden: &'a GoldenRef,
     telemetry: Option<&'a TelemetryConfig>,
-    // The forward cursor: a rung clone advanced monotonically through
-    // the shard's ascending entry cycles; re-restored (in place)
-    // whenever a later rung is closer than the cursor.
+}
+
+impl<'a> ShardCell<'a> {
+    /// The cell `base` and `round` make, with per-run recorders for
+    /// `telemetry`.
+    pub fn new(
+        base: &'a CellBase,
+        round: &'a Round,
+        telemetry: Option<&'a TelemetryConfig>,
+    ) -> Self {
+        ShardCell {
+            ladder: &base.ladder,
+            samples: &round.samples,
+            golden: &base.golden,
+            telemetry,
+        }
+    }
+}
+
+/// Executes shards of a campaign: a cursor over the snapshot ladder, run
+/// forward to each sample's entry point, and the drivers the last runs
+/// left. Every injection after the first restores into the driver the
+/// one before ended with — system, port and sides — and every lane batch
+/// after the first takes its lanes from the sides the ones before left,
+/// so a walk allocates one injection driver, not one per sample.
+///
+/// This is the unit of work every execution layer shares —
+/// [`LadderExecutor`] gives each worker thread one walk per shard, the
+/// `nestsim-cluster` worker keeps one per job across all its leases of
+/// it, and `mck` runs one through the whole entry order — so "re-run the
+/// shard anywhere" is bit-identical by construction. The walk owns no
+/// part of the cell: each call names the [`ShardCell`] it reads, which
+/// must be the same for the walk's whole life.
+pub struct ShardWalk {
+    // The forward cursor: a rung clone advanced through the entry
+    // cycles; re-restored (in place) whenever a later rung is closer
+    // than the cursor, or the next entry lies behind it.
     cursor: Option<System>,
     // The drivers and lane sides the last group ended with, which the
     // next group refills (`System::clone_from`, `Driver::reattach`).
@@ -468,23 +496,13 @@ pub struct ShardRunner<'a> {
     lanes: crate::lanes::LaneBatchStats,
 }
 
-impl<'a> ShardRunner<'a> {
-    /// A fresh runner (fresh cursor) for one shard. `lane_width` caps
-    /// how many same-trajectory samples [`run_span`](Self::run_span)
-    /// runs as one lane batch (clamped to 1–64; it never affects
-    /// results, only execution).
-    pub fn new(
-        ladder: &'a SnapshotLadder,
-        samples: &'a [InjectionSpec],
-        golden: &'a GoldenRef,
-        telemetry: Option<&'a TelemetryConfig>,
-        lane_width: usize,
-    ) -> Self {
-        ShardRunner {
-            ladder,
-            samples,
-            golden,
-            telemetry,
+impl ShardWalk {
+    /// A fresh walk (no cursor yet). `lane_width` caps how many
+    /// same-trajectory samples [`run_span`](Self::run_span) runs as one
+    /// lane batch (clamped to 1–64; it never affects results, only
+    /// execution).
+    pub fn new(lane_width: usize) -> Self {
+        ShardWalk {
             cursor: None,
             kept: Spares::default(),
             forward: 0,
@@ -495,14 +513,15 @@ impl<'a> ShardRunner<'a> {
     }
 
     /// Positions the cursor at `entry`: restores from the nearest rung
-    /// at or below it when that beats the current cursor (into the
-    /// cursor, if there is one), then runs forward.
-    fn seek(&mut self, entry: u64) {
-        let rung = self.ladder.rung_below(entry);
+    /// at or below it (into the cursor, if there is one) when that rung
+    /// beats the cursor or the cursor is past `entry`, then runs
+    /// forward.
+    fn seek(&mut self, ladder: &SnapshotLadder, entry: u64) {
+        let rung = ladder.rung_below(entry);
         if self
             .cursor
             .as_ref()
-            .is_none_or(|c| rung.cycle() > c.cycle())
+            .is_none_or(|c| c.cycle() > entry || rung.cycle() > c.cycle())
         {
             match &mut self.cursor {
                 Some(cursor) => cursor.clone_from(rung),
@@ -511,11 +530,7 @@ impl<'a> ShardRunner<'a> {
             self.restores += 1;
         }
         let my_base = self.cursor.as_mut().expect("cursor was just restored");
-        debug_assert!(
-            my_base.cycle() <= entry,
-            "shard samples must be run in ascending entry-cycle order"
-        );
-        self.forward += entry.saturating_sub(my_base.cycle());
+        self.forward += entry - my_base.cycle();
         my_base.run_until(entry);
         // Every injection at this entry point clones the cursor: share
         // the pages the forward run dirtied so those clones copy none.
@@ -527,14 +542,14 @@ impl<'a> ShardRunner<'a> {
     /// How many leading samples of `span` run off one shared restore,
     /// attach and warm-up: the run of same-trajectory samples at its
     /// head, cut at the lane width.
-    fn group_len(&self, span: &[usize]) -> usize {
+    fn group_len(&self, samples: &[InjectionSpec], span: &[usize]) -> usize {
         let Some(&first) = span.first() else {
             return 0;
         };
         let mut end = 1;
         while end < span.len()
             && end < self.lane_width
-            && same_trajectory(&self.samples[first], &self.samples[span[end]])
+            && same_trajectory(&samples[first], &samples[span[end]])
         {
             end += 1;
         }
@@ -545,49 +560,51 @@ impl<'a> ShardRunner<'a> {
     /// alone — the samples that share one warm-up — for callers that
     /// hand results on between groups. The rest of the span is the
     /// caller's to continue with.
-    pub fn run_group(&mut self, span: &[usize]) -> IndexedRuns {
-        self.run_span(&span[..self.group_len(span)])
+    pub fn run_group(&mut self, cell: ShardCell<'_>, span: &[usize]) -> IndexedRuns {
+        self.run_span(cell, &span[..self.group_len(cell.samples, span)])
     }
 
-    /// Runs a whole shard (a contiguous slice of [`entry_order`]),
+    /// Runs a span of the cell's samples (positions of `cell`'s round),
     /// grouping consecutive same-trajectory samples — the product of
-    /// `CampaignSpec::lane_cluster` — up to `lane_width` at a time. A
-    /// group pays for one restore, one attach and one warm-up: a group
-    /// of two or more runs as a lane batch on a shared carrier
-    /// (`crate::lanes`), whatever the component, and a singleton runs
-    /// the scalar engine. Results come back in shard order and are
-    /// byte-identical however the shard is cut into spans.
+    /// `CampaignSpec::lane_cluster` — up to the lane width at a time. A
+    /// group pays for one seek, one attach and one warm-up: a group of
+    /// two or more runs as a lane batch on a shared carrier
+    /// (`crate::lanes`), whatever the component, and a singleton runs the
+    /// scalar engine. Results come back in span order and are
+    /// byte-identical however the samples are cut into spans, and in
+    /// whatever order the spans come.
     ///
-    /// Spans given to one runner must present non-decreasing entry
-    /// cycles (consecutive slices of [`entry_order`] do); a shard that
-    /// restarts earlier needs a fresh runner, or the cursor would sit
-    /// past the entry point.
-    pub fn run_span(&mut self, span: &[usize]) -> IndexedRuns {
+    /// A span's samples may come in any order, as may the spans given
+    /// to one walk: a group whose entry lies behind the cursor restores
+    /// from the nearest rung at or below it. Otherwise the cursor only
+    /// runs forward, so consecutive slices of [`entry_order`] cost what
+    /// one span of them would.
+    pub fn run_span(&mut self, cell: ShardCell<'_>, span: &[usize]) -> IndexedRuns {
         let mut out: IndexedRuns = Vec::with_capacity(span.len());
         let mut rest = span;
         while !rest.is_empty() {
-            let (group, tail) = rest.split_at(self.group_len(rest));
+            let (group, tail) = rest.split_at(self.group_len(cell.samples, rest));
             rest = tail;
-            let spec0 = &self.samples[group[0]];
-            self.seek(entry_cycle(spec0));
+            let spec0 = &cell.samples[group[0]];
+            self.seek(cell.ladder, entry_cycle(spec0));
             let base = self.cursor.as_ref().expect("cursor was just positioned");
-            let golden = self.golden;
+            let golden = cell.golden;
             on_component!(spec0.component, C => {
                 let kept = C::kept(&mut self.kept);
                 match *group {
                     [i] => {
-                        let mut rec = recorder_for(self.telemetry);
+                        let mut rec = recorder_for(cell.telemetry);
                         let warmed = warm::<C>(base, golden, spec0, kept.driver.take());
                         let (record, driver) = finish(warmed, golden, spec0, &mut rec);
                         kept.driver = Some(driver);
                         out.push((i, record, rec));
                     }
                     _ => {
-                        let (telemetry, stats) = (self.telemetry, &mut self.lanes);
+                        let (telemetry, stats) = (cell.telemetry, &mut self.lanes);
                         let mut runs =
-                            run_batch::<C>(base, golden, self.samples, group, telemetry, stats, kept);
+                            run_batch::<C>(base, golden, cell.samples, group, telemetry, stats, kept);
                         // Batch retirement order is check-driven; the caller
-                        // contract is shard order.
+                        // contract is span order.
                         runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
                         out.extend(runs);
                     }
@@ -611,6 +628,40 @@ impl<'a> ShardRunner<'a> {
     /// Lane-batching counters accumulated so far.
     pub(crate) fn lane_stats(&self) -> crate::lanes::LaneBatchStats {
         self.lanes
+    }
+}
+
+/// A fresh [`ShardWalk`] bound to one cell, for a caller that runs one
+/// shard and has the cell's parts at hand rather than a [`CellBase`].
+pub struct ShardRunner<'a> {
+    cell: ShardCell<'a>,
+    walk: ShardWalk,
+}
+
+impl<'a> ShardRunner<'a> {
+    /// A fresh walk over the cell `ladder`, `samples` and `golden` make;
+    /// `lane_width` as in [`ShardWalk::new`].
+    pub fn new(
+        ladder: &'a SnapshotLadder,
+        samples: &'a [InjectionSpec],
+        golden: &'a GoldenRef,
+        telemetry: Option<&'a TelemetryConfig>,
+        lane_width: usize,
+    ) -> Self {
+        ShardRunner {
+            cell: ShardCell {
+                ladder,
+                samples,
+                golden,
+                telemetry,
+            },
+            walk: ShardWalk::new(lane_width),
+        }
+    }
+
+    /// [`ShardWalk::run_span`] on the bound cell.
+    pub fn run_span(&mut self, span: &[usize]) -> IndexedRuns {
+        self.walk.run_span(self.cell, span)
     }
 }
 
@@ -639,7 +690,7 @@ pub fn laddered_golden_reference(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
 ) -> (SnapshotLadder, GoldenRef) {
-    golden_ladder(profile, spec, rung_budget(&Plan::Fixed, spec))
+    golden_ladder(profile, spec, rung_budget(false, spec))
 }
 
 /// [`laddered_golden_reference`] at an explicit rung budget.
@@ -653,20 +704,24 @@ fn golden_ladder(
     (ladder, golden_of(profile, result))
 }
 
-/// How many ladder rungs, base included, a cell run under `plan` on the
-/// in-process executor can use. A fixed-count cell is one round cut into
-/// [`worker_count`] contiguous shards, and each shard's cursor walks its
-/// entries in ascending order: it restores once, from the rung below its
-/// first entry, and after that a rung can only save the gap between two
+/// How many ladder rungs, base included, a cell can use: the rounds of
+/// a [`Plan::Adaptive`] plan when `adaptive`, else the one round of
+/// [`Plan::Fixed`] — the one rule of every executor, the cluster worker
+/// and `mck`. A fixed-count cell is one round cut into [`worker_count`]
+/// contiguous shards, and each shard's walk runs its entries in
+/// ascending order: it restores once, from the rung below its first
+/// entry, and after that a rung can only save the gap between two
 /// consecutive entries — less than the clone and dirtied pages it cost.
 /// So one rung per shard; a single worker (or no sample) captures
-/// nothing. Adaptive rounds enter anywhere, so they keep the
-/// [`DEFAULT_MAX_RUNGS`] ladder (as do the cluster worker and `mck`,
-/// whose leased shards start at any position).
-pub fn rung_budget(plan: &Plan, spec: &CampaignSpec) -> usize {
-    match plan {
-        Plan::Fixed => worker_count(spec, spec.samples as usize).max(1),
-        Plan::Adaptive(_) => DEFAULT_MAX_RUNGS,
+/// nothing. A cluster worker is one walk (a job's `workers` reads 1) and
+/// takes its leases in position order, so it captures nothing either.
+/// Adaptive rounds enter anywhere, so they keep the
+/// [`DEFAULT_MAX_RUNGS`] ladder.
+pub fn rung_budget(adaptive: bool, spec: &CampaignSpec) -> usize {
+    if adaptive {
+        DEFAULT_MAX_RUNGS
+    } else {
+        worker_count(spec, spec.samples as usize).max(1)
     }
 }
 
@@ -692,8 +747,7 @@ pub struct Round {
 impl CellBase {
     /// Runs the golden pass of a cell, recording a ladder of at most
     /// `max_rungs` rungs on the way — the budget of whoever restores
-    /// from it ([`rung_budget`], or [`DEFAULT_MAX_RUNGS`] for a cursor
-    /// that may enter anywhere).
+    /// from it, [`rung_budget`].
     ///
     /// # Panics
     ///
@@ -779,7 +833,7 @@ pub trait RoundExecutor {
 }
 
 /// The in-process executor: each round is cut into contiguous shards of
-/// its entry order, one worker thread and one [`ShardRunner`] per
+/// its entry order, one worker thread and one [`ShardWalk`] per
 /// shard, all on one shared [`CellBase`].
 pub struct LadderExecutor<'a> {
     profile: &'static BenchProfile,
@@ -808,7 +862,11 @@ impl<'a> LadderExecutor<'a> {
             profile,
             spec,
             telemetry,
-            base: CellBase::capture(profile, spec, rung_budget(plan, spec)),
+            base: CellBase::capture(
+                profile,
+                spec,
+                rung_budget(matches!(plan, Plan::Adaptive(_)), spec),
+            ),
             engine: recorder_for(telemetry),
             worker_samples: Vec::new(),
         }
@@ -827,23 +885,18 @@ impl RoundExecutor for LadderExecutor<'_> {
         if self.telemetry.is_some() {
             self.worker_samples.extend(shards.iter().map(Vec::len));
         }
-        let (base, samples) = (&self.base, &round.samples);
-        let (telemetry, width) = (self.telemetry, self.spec.lane_width as usize);
+        let cell = ShardCell::new(&self.base, &round, self.telemetry);
+        let width = self.spec.lane_width as usize;
         type WorkerOut = (IndexedRuns, u64, u64, crate::lanes::LaneBatchStats);
         let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
                 .map(|shard| {
                     scope.spawn(move || {
-                        let mut runner =
-                            ShardRunner::new(&base.ladder, samples, &base.golden, telemetry, width);
-                        let out = runner.run_span(shard);
-                        (
-                            out,
-                            runner.forward_cycles(),
-                            runner.restores(),
-                            runner.lane_stats(),
-                        )
+                        let mut walk = ShardWalk::new(width);
+                        let out = walk.run_span(cell, shard);
+                        let lanes = walk.lane_stats();
+                        (out, walk.forward_cycles(), walk.restores(), lanes)
                     })
                 })
                 .collect();
@@ -852,6 +905,7 @@ impl RoundExecutor for LadderExecutor<'_> {
                 .map(|h| h.join().expect("campaign worker panicked"))
                 .collect()
         });
+        let samples = &round.samples;
         let mut indexed = Vec::with_capacity(samples.len());
         for (out, forward, restores, lanes) in per_worker {
             self.engine.count(names::FORWARD_CYCLES, forward);
@@ -1392,23 +1446,50 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_seeks_behind_its_cursor() {
+        // A re-dispatched lease can hand a cluster worker's walk entries
+        // behind its cursor: the walk restores from the rung below them,
+        // and its runs are the bytes fresh walks make.
+        let profile = by_name("radi").unwrap();
+        let cfg = TelemetryConfig::default();
+        let spec = CampaignSpec {
+            snapshot_interval: 512,
+            ..CampaignSpec::quick(ComponentKind::L2c, 8)
+        };
+        for budget in [1, DEFAULT_MAX_RUNGS] {
+            let mut base = CellBase::capture(profile, &spec, budget);
+            let round = base.draw(profile, &spec, None);
+            let cell = ShardCell::new(&base, &round, Some(&cfg));
+            let (early, late) = round.order.split_at(4);
+            let entry = |pos: &[usize]| entry_cycle(&round.samples[pos[0]]);
+            assert!(entry(early) < entry(&late[late.len() - 1..]), "{budget}");
+            let fresh = |span: &[usize]| ShardWalk::new(1).run_span(cell, span);
+            let mut walk = ShardWalk::new(1);
+            let (later, earlier) = (walk.run_span(cell, late), walk.run_span(cell, early));
+            assert_eq!(later, fresh(late), "budget {budget}: the later span");
+            assert_eq!(earlier, fresh(early), "budget {budget}: the earlier span");
+            // The base alone: one restore per span.
+            if budget == 1 {
+                assert_eq!(walk.restores(), 2);
+            }
+        }
+    }
+
+    #[test]
     fn positioned_cursor_holds_no_private_page() {
         let profile = by_name("radi").unwrap();
         let spec = CampaignSpec::quick(ComponentKind::L2c, 4);
         // One rung: the cursor has to run forward to every entry.
         let mut base = CellBase::capture(profile, &spec, 1);
         let round = base.draw(profile, &spec, None);
-        let mut runner = ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1);
-        for i in round.order {
-            runner.run_span(&[i]);
-            let cursor = runner
-                .cursor
-                .as_ref()
-                .expect("run_span positions the cursor");
+        let mut walk = ShardWalk::new(1);
+        for &i in &round.order {
+            walk.run_span(ShardCell::new(&base, &round, None), &[i]);
+            let cursor = walk.cursor.as_ref().expect("run_span positions the cursor");
             assert!(cursor.cycle() > 0, "the cursor ran forward");
             assert_eq!(cursor.dram().private_pages(), 0);
             use crate::cosim::CosimDriver;
-            let kept = crate::cosim::L2cPort::kept(&mut runner.kept);
+            let kept = crate::cosim::L2cPort::kept(&mut walk.kept);
             let spare = kept.driver.as_ref().expect("run_span keeps a driver");
             assert_eq!(
                 spare.sys().dram().retained_pages(),
@@ -1432,14 +1513,14 @@ mod tests {
         };
         let mut base = CellBase::capture(profile, &spec, 1);
         let round = base.draw(profile, &spec, None);
-        let mut runner = ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1);
+        let mut walk = ShardWalk::new(1);
         let entries: Vec<u64> = (round.order.iter())
             .map(|&i| entry_cycle(&round.samples[i]))
             .collect();
         let mut spare: Option<System> = None;
         for &entry in &entries {
-            runner.seek(entry);
-            let cursor = runner.cursor.as_ref().expect("seek positions the cursor");
+            walk.seek(&base.ladder, entry);
+            let cursor = walk.cursor.as_ref().expect("seek positions the cursor");
             let mut group = crate::cosim::refilled(spare.take(), cursor);
             group.run_until(entry + 200);
             // Parked as `Kept::park` parks a group's systems.
@@ -1451,14 +1532,11 @@ mod tests {
             );
             spare = Some(group);
         }
-        assert_eq!(runner.restores(), 1);
+        assert_eq!(walk.restores(), 1);
         let last = *entries.last().expect("the cell draws samples");
         let mut straight = base.ladder.rung_below(last).clone();
         straight.run_until(last);
-        let cursor = runner
-            .cursor
-            .take()
-            .expect("the walk positioned the cursor");
+        let cursor = walk.cursor.take().expect("the walk positioned the cursor");
         (cursor, straight.dram().copied_pages())
     }
 
@@ -1540,10 +1618,9 @@ mod tests {
             let mut cbase = CellBase::capture(profile, &clustered, 1);
             let cround = cbase.draw(profile, &clustered, None);
             let at = counts();
-            let mut runner =
-                ShardRunner::new(&cbase.ladder, &cround.samples, &cbase.golden, None, 64);
-            runner.run_span(&cround.order);
-            let stats = runner.lane_stats();
+            let mut walk = ShardWalk::new(64);
+            walk.run_span(ShardCell::new(&cbase, &cround, None), &cround.order);
+            let stats = walk.lane_stats();
             let [refills, forks, lanes] = since(at);
             assert_eq!(stats.batches, 3, "{component}");
             assert!(stats.scalar_fallbacks > 0, "{component}: no lane forked");

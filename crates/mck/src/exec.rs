@@ -1,8 +1,8 @@
 //! The campaign executor behind the simulated workers.
 //!
 //! A real cluster worker re-derives everything from the
-//! [`JobWire`] seed and runs injections through
-//! [`nestsim_core::campaign::ShardRunner`]. That derivation is
+//! [`JobWire`] seed and runs injections through one
+//! [`nestsim_core::campaign::ShardWalk`] per job. That derivation is
 //! deterministic — the whole cluster design leans on it — which means
 //! a simulated worker does not need to re-run the engine per explored
 //! schedule: [`CampaignExec`] runs the engine **once**, caches every
@@ -22,10 +22,9 @@ use nestsim_cluster::proto::RunWire;
 use nestsim_cluster::store::ExecOutput;
 use nestsim_cluster::JobWire;
 use nestsim_core::campaign::{
-    run_campaign_with, CampaignResult, CampaignSpec, CellBase, ShardRunner,
+    run_campaign_with, rung_budget, CampaignResult, CampaignSpec, CellBase, ShardCell, ShardWalk,
 };
 use nestsim_core::inject::GoldenRef;
-use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_telemetry::TelemetryConfig;
 
@@ -53,24 +52,17 @@ impl CampaignExec {
     ) -> CampaignExec {
         assert!(spec.samples > 0, "an empty campaign has nothing to check");
         let job = JobWire::from_spec(profile, spec, telemetry);
-        // The worker's ladder, which leased shards may enter anywhere.
-        let mut base = CellBase::capture(profile, spec, DEFAULT_MAX_RUNGS);
+        // The worker's ladder and its one walk per job, a group at a
+        // time as a worker runs them.
+        let mut base = CellBase::capture(profile, spec, rung_budget(false, &job.spec));
         let round = base.draw(profile, spec, None);
         let golden = base.golden;
-
-        // One straight-through runner, a group at a time as a worker
-        // runs them.
-        let mut runner = ShardRunner::new(
-            &base.ladder,
-            &round.samples,
-            &golden,
-            telemetry,
-            spec.lane_width as usize,
-        );
+        let cell = ShardCell::new(&base, &round, telemetry);
+        let mut walk = ShardWalk::new(spec.lane_width as usize);
         let mut runs = Vec::with_capacity(round.order.len());
         let mut rest = &round.order[..];
         while !rest.is_empty() {
-            let group = runner.run_group(rest);
+            let group = walk.run_group(cell, rest);
             rest = &rest[group.len()..];
             for (sample, record, recorder) in group {
                 runs.push(RunWire {

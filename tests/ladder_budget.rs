@@ -2,16 +2,18 @@
 //!
 //! A fixed-count cell keeps at most one rung per shard, base included
 //! (`rung_budget`): a single worker captures nothing and its cursor
-//! runs forward from the base to the last entry. Adaptive rounds keep
-//! the `DEFAULT_MAX_RUNGS` ladder. The budget is execution-only — the
+//! runs forward from the base to the last entry, and so does a single
+//! cluster worker across its leases. Adaptive rounds keep the
+//! `DEFAULT_MAX_RUNGS` ladder. The budget is execution-only — the
 //! byte-identity of every budget against the replay reference is
 //! `end_to_end.rs`'s `ladder_engine_is_byte_identical_…` — so what is
 //! checked here is what each budget costs: captures, live rungs,
 //! restores and forward cycles, from the engine counters.
 
+use nestsim::cluster::{run_cluster, ClusterConfig};
 use nestsim::core::campaign::{
     draw_samples, entry_cycle, golden_reference, laddered_golden_reference, run_campaign_with,
-    run_rounds, rung_budget, CampaignSpec, LadderExecutor, Plan,
+    run_rounds, rung_budget, CampaignResult, CampaignSpec, LadderExecutor, Plan,
 };
 use nestsim::hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim::hlsim::workload::by_name;
@@ -38,7 +40,7 @@ fn one_worker_captures_nothing_and_runs_from_the_base() {
         workers: 1,
         ..CampaignSpec::quick(ComponentKind::Mcu, 8)
     };
-    assert_eq!(rung_budget(&Plan::Fixed, &spec), 1);
+    assert_eq!(rung_budget(false, &spec), 1);
     let r = run_campaign_with(profile, &spec, Some(&cfg));
     // The one cursor restores the base once and forward-simulates
     // exactly up to the last entry point.
@@ -59,6 +61,28 @@ fn one_worker_captures_nothing_and_runs_from_the_base() {
 }
 
 #[test]
+fn one_cluster_worker_walks_like_one_thread() {
+    // One worker takes the cell's four leases in position order on one
+    // walk from the base alone: the forward cycles and restores of one
+    // in-process thread, exactly.
+    let profile = by_name("flui").unwrap();
+    let cfg = TelemetryConfig::default();
+    let spec = CampaignSpec {
+        workers: 1,
+        ..CampaignSpec::quick(ComponentKind::Mcu, 24)
+    };
+    let local = run_campaign_with(profile, &spec, Some(&cfg));
+    let one = ClusterConfig::threads(1);
+    let cluster = run_cluster(profile, &spec, &Plan::Fixed, Some(&cfg), &one);
+    assert_eq!(cluster.records, local.records);
+    assert_eq!(cluster.telemetry.engine.counter(names::CLUSTER_SHARDS), 4);
+    let walked = |r: &CampaignResult| {
+        [names::FORWARD_CYCLES, names::LADDER_RESTORES].map(|n| r.telemetry.engine.counter(n))
+    };
+    assert_eq!(walked(&cluster), walked(&local), "forward cycles, restores");
+}
+
+#[test]
 fn four_workers_keep_at_most_one_rung_per_shard() {
     let cfg = TelemetryConfig::default();
     for (component, bench) in [(ComponentKind::L2c, "radi"), (ComponentKind::Mcu, "flui")] {
@@ -67,7 +91,7 @@ fn four_workers_keep_at_most_one_rung_per_shard() {
             workers: 4,
             ..CampaignSpec::quick(component, 16)
         };
-        assert_eq!(rung_budget(&Plan::Fixed, &spec), 4);
+        assert_eq!(rung_budget(false, &spec), 4);
         let r = run_campaign_with(profile, &spec, Some(&cfg));
         let [captures, rungs, restores, _] = engine_counts(&r.telemetry.engine);
         assert!(
@@ -82,7 +106,7 @@ fn four_workers_keep_at_most_one_rung_per_shard() {
         // Fewer samples than workers: the budget follows the shards
         // that exist.
         let few = CampaignSpec { samples: 2, ..spec };
-        assert_eq!(rung_budget(&Plan::Fixed, &few), 2);
+        assert_eq!(rung_budget(false, &few), 2);
     }
 }
 
@@ -101,7 +125,7 @@ fn adaptive_cells_keep_the_full_ladder() {
     policy.max_round = 16;
     policy.max_samples = 16;
     let plan = Plan::Adaptive(policy);
-    assert_eq!(rung_budget(&plan, &spec), DEFAULT_MAX_RUNGS);
+    assert_eq!(rung_budget(true, &spec), DEFAULT_MAX_RUNGS);
     let executor = LadderExecutor::new(profile, &spec, &plan, Some(&cfg));
     let r = run_rounds(profile, &spec, &plan, Some(&cfg), executor);
     // The ladder a direct capture at the default cap builds: every rung
