@@ -1690,21 +1690,24 @@ impl Component for PciePort {
         PcieTick { out, drained, last }
     }
 
-    /// A write or the completion, as the monitor compares them: the line
-    /// `out` wrote last against the line `other` drained, and what the
-    /// cycle left in each.
+    /// A write or the completion, as the monitor compares them: each
+    /// side's drained line against the other's, its last line against
+    /// the other's, and what the cycle left in each. A completion cycle
+    /// may drain the final frame too, so both pairs are compared.
     fn flags(out: &PcieTick, other: &PcieTick) -> bool {
-        let writes = match (out.last, other.drained) {
-            (None, None) => false,
-            (Some((t, data)), Some((g, g_data))) if t == g => data != g_data,
-            _ => true,
-        };
-        writes || out.out.completed != other.out.completed
+        out.drained != other.drained
+            || out.last != other.last
+            || out.out.completed != other.out.completed
     }
 
+    /// The lines of each pair [`flags`](Self::flags) found different.
     fn diverged(&mut self, out: &PcieTick, golden: &PcieTick) {
-        self.corrupted.extend(out.last.map(|(line, _)| line));
-        self.corrupted.extend(golden.drained.map(|(line, _)| line));
+        for (t, g) in [(out.drained, golden.drained), (out.last, golden.last)] {
+            if t != g {
+                self.corrupted
+                    .extend(t.into_iter().chain(g).map(|(line, _)| line));
+            }
+        }
     }
 
     /// The target's writes reach system memory coherently, in order.

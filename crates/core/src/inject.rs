@@ -1192,6 +1192,49 @@ mod tests {
     }
 
     #[test]
+    fn a_flip_in_a_field_no_tick_reads_vanishes_on_every_component() {
+        // A dead field's flip can never reach an output or memory, so the
+        // divergence monitor must never flag it and no line may come out
+        // corrupted: the run is Vanished, however long it co-simulates.
+        let table: [(ComponentKind, &str, &[&str]); 4] = [
+            (
+                ComponentKind::L2c,
+                "radi",
+                &["cfg.throttle", "cfg.bank_id", "bist.chain[3]"],
+            ),
+            (ComponentKind::Mcu, "fft", &["bist.chain[5]"]),
+            (ComponentKind::Ccx, "stre", &["bist.chain[1]"]),
+            (ComponentKind::Pcie, "p-lr", &["cfg.bar", "cfg.link_width"]),
+        ];
+        for (component, bench, fields) in table {
+            let profile = by_name(bench).unwrap();
+            let (base, golden) = golden_for(&System::new(SystemConfig::smoke_test(profile)));
+            let (lo, hi) = crate::campaign::injection_window(component, profile, &golden);
+            let flops = crate::campaign::component_flops(component);
+            let instances = crate::campaign::instances_of(component);
+            for &name in fields {
+                let field = (flops.fields().iter())
+                    .find(|f| f.name == name)
+                    .unwrap_or_else(|| panic!("{component} has no field {name}"));
+                for k in 0..4u64 {
+                    let spec = InjectionSpec {
+                        instance: k as usize % instances,
+                        cosim_cap: DEFAULT_COSIM_CAP,
+                        ..spec(
+                            component,
+                            field.offset + (k as usize * 5) % field.width,
+                            lo + (hi - lo) * k / 4,
+                        )
+                    };
+                    let r = run_injection(&base, &golden, &spec);
+                    let seen = (r.outcome, r.erroneous_output_cycle, r.corrupted_line_count);
+                    assert_eq!(seen, (Outcome::Vanished, None, 0), "{name}: {spec:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn inventory_census_is_consistent_with_models() {
         // Sanity link between the inventory module and the live models
         // used for injection.
