@@ -203,20 +203,25 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # `ladder_long`, `l2c_lanes` and `served` blocks must stay under an allocation
 # count per injection that a driver built afresh for every injection
 # cannot meet — an exact count, not a timing. On the smoke's single cold
-# cell they read 131, 48.4, 119.75 and 5.3 while a shard refills the
-# driver, its queues and its lane sides, and 151.5, 84, 131.5 and 15.6
-# when every injection attaches a new driver (645, 896 and 588 when the
-# flop layouts were rebuilt on every attach and the DRAM port was a map).
-# `served` reads 37.6 on the smoke, the same cell reached through the
+# cell they read 128.2, 39.5, 104.9 and 4.2 while a shard refills its
+# window carriers, the drivers forked off them and its lane sides; 140.1,
+# 58.9 and 9.1 on `l2c_indep`, `ccx_indep` and `l2c_lanes` when every
+# fork copies a new driver, and 151.5, 84, 131.5 and 15.6 when every
+# injection attached a new driver (645, 896 and 588 when the flop
+# layouts were rebuilt on every attach and the DRAM port was a map).
+# `served` reads 30.9 on the smoke, the same cell reached through the
 # one campaign server machine, while its worker walks every lease of a
 # job on one cursor from the base alone; 49.4 when each lease built a
 # fresh runner on a 256-rung ladder.
 # Page take-back gate: the same blocks' `alloc_kb_per_inj` for
-# `ladder_long` and `l2c_indep` read 2,054 and 242 KiB on the smoke while
+# `ladder_long` and `l2c_indep` read 1,924 and 145 KiB on the smoke while
 # the shard cursor writes back into the pages it shared once the
-# group's systems let go of them, and 3,369 and 378 KiB when it copies
-# every page it rewrites again after each entry — an exact count.
-# `served` reads 270 KiB on the smoke with one cursor per job from the
+# window's systems let go of them (3,369 and 378 KiB when it copied
+# every page it rewrites again after each entry) — an exact count.
+# `l2c_indep` reads 273 KiB and `ccx_indep` 602 when every fork off a
+# window's carrier copies a new driver (462 with the recycled one), and
+# `l2c_lanes` 110 when every lane that leaves a batch does (47.8).
+# `served` reads 207 KiB on the smoke with one cursor per job from the
 # base alone, and 397 KiB with a fresh runner per lease on 256 rungs.
 # Co-simulation gate: the traced `l2c_indep` and `ladder_long` blocks
 # must report `core.golden_compares_per_inj` < 5 / < 10 — a run ends at
@@ -225,9 +230,10 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # waited for the component to drain and ticked on after the program
 # ended — an exact count, so waiting again fails here, not on a timing.
 awk '
-    BEGIN { alloc_cap["l2c_indep"] = 145; alloc_cap["ccx_indep"] = 66; alloc_cap["ladder_long"] = 126
-            alloc_cap["l2c_lanes"] = 10; alloc_cap["served"] = 40
-            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 300; kb_cap["served"] = 300
+    BEGIN { alloc_cap["l2c_indep"] = 135; alloc_cap["ccx_indep"] = 50; alloc_cap["ladder_long"] = 126
+            alloc_cap["l2c_lanes"] = 7; alloc_cap["served"] = 40
+            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 230; kb_cap["served"] = 300
+            kb_cap["ccx_indep"] = 540; kb_cap["l2c_lanes"] = 80
             compare_cap["l2c_indep"] = 5; compare_cap["ladder_long"] = 10 }
     /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
     !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {

@@ -79,6 +79,15 @@ impl Default for L2Geometry {
 const STATE_VALID: u8 = 0b01;
 const STATE_DIRTY: u8 = 0b10;
 
+/// A line's state bits and its L1 directory entry, in one array so that
+/// a bank clones in one allocation fewer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LineFlags {
+    state: u8,
+    /// A bitmask of the cores that loaded the line.
+    dir: u8,
+}
+
 /// Result of an architectural load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadResult {
@@ -108,10 +117,9 @@ pub struct L2BankArch {
     /// addresses from set+tag, e.g. for evictions).
     bank: usize,
     tags: Vec<u64>,
-    state: Vec<u8>,
+    /// Per line: state bits and L1 directory entry.
+    flags: Vec<LineFlags>,
     data: Vec<[u64; WORDS_PER_LINE]>,
-    /// L1 directory: per cached line, a bitmask of cores that loaded it.
-    dir: Vec<u8>,
     /// Per-set round-robin replacement pointer.
     rr: Vec<u8>,
 }
@@ -122,40 +130,36 @@ impl Clone for L2BankArch {
             geo,
             bank,
             tags,
-            state,
+            flags,
             data,
-            dir,
             rr,
         } = self;
         L2BankArch {
             geo: *geo,
             bank: *bank,
             tags: tags.clone(),
-            state: state.clone(),
+            flags: flags.clone(),
             data: data.clone(),
-            dir: dir.clone(),
             rr: rr.clone(),
         }
     }
 
-    /// Copies `source` into this bank's five arrays in place: a restored
+    /// Copies `source` into this bank's four arrays in place: a restored
     /// snapshot's banks allocate nothing when the geometry is the same.
     fn clone_from(&mut self, source: &Self) {
         let L2BankArch {
             geo,
             bank,
             tags,
-            state,
+            flags,
             data,
-            dir,
             rr,
         } = source;
         self.geo = *geo;
         self.bank = *bank;
         self.tags.clone_from(tags);
-        self.state.clone_from(state);
+        self.flags.clone_from(flags);
         self.data.clone_from(data);
-        self.dir.clone_from(dir);
         self.rr.clone_from(rr);
     }
 }
@@ -178,9 +182,8 @@ impl L2BankArch {
             geo,
             bank,
             tags: vec![0; n],
-            state: vec![0; n],
+            flags: vec![LineFlags::default(); n],
             data: vec![[0; WORDS_PER_LINE]; n],
-            dir: vec![0; n],
             rr: vec![0; geo.sets],
         }
     }
@@ -193,9 +196,8 @@ impl L2BankArch {
             geo: self.geo,
             bank: self.bank,
             tags: std::mem::take(&mut self.tags),
-            state: std::mem::take(&mut self.state),
+            flags: std::mem::take(&mut self.flags),
             data: std::mem::take(&mut self.data),
-            dir: std::mem::take(&mut self.dir),
             rr: std::mem::take(&mut self.rr),
         }
     }
@@ -229,14 +231,14 @@ impl L2BankArch {
         let first = self.slot(self.geo.set_of(line), 0);
         let tag = self.geo.tag_of(line);
         (first..first + self.geo.ways)
-            .find(|&s| self.state[s] & STATE_VALID != 0 && self.tags[s] == tag)
+            .find(|&s| self.flags[s].state & STATE_VALID != 0 && self.tags[s] == tag)
     }
 
     /// Returns the way the next fill into `set` will use (invalid way if
     /// any, else the round-robin pointer). Does not advance the pointer.
     pub fn victim_way(&self, set: usize) -> usize {
         (0..self.geo.ways)
-            .find(|&w| self.state[self.slot(set, w)] & STATE_VALID == 0)
+            .find(|&w| self.flags[self.slot(set, w)].state & STATE_VALID == 0)
             .unwrap_or(self.rr[set] as usize % self.geo.ways)
     }
 
@@ -261,10 +263,10 @@ impl L2BankArch {
         let set = self.geo.set_of(line);
         let way = self.victim_way(set);
         let s = self.slot(set, way);
-        let evicted = if self.state[s] & STATE_VALID != 0 {
+        let evicted = if self.flags[s].state & STATE_VALID != 0 {
             // Advance round-robin only when we displaced a valid line.
             self.rr[set] = ((way + 1) % self.geo.ways) as u8;
-            if self.state[s] & STATE_DIRTY != 0 {
+            if self.flags[s].state & STATE_DIRTY != 0 {
                 Some((
                     self.geo.line_from(self.bank, set, self.tags[s]),
                     self.data[s],
@@ -276,9 +278,11 @@ impl L2BankArch {
             None
         };
         self.tags[s] = self.geo.tag_of(line);
-        self.state[s] = STATE_VALID;
+        self.flags[s] = LineFlags {
+            state: STATE_VALID,
+            dir: 0,
+        };
         self.data[s] = *data;
-        self.dir[s] = 0;
         (s, evicted)
     }
 
@@ -312,7 +316,7 @@ impl L2BankArch {
     #[inline]
     pub fn write_word_at(&mut self, slot: usize, addr: PAddr, value: u64) {
         self.data[slot][(addr.line_offset() / 8) as usize] = value;
-        self.state[slot] |= STATE_DIRTY;
+        self.flags[slot].state |= STATE_DIRTY;
     }
 
     /// Records core `core` as an L1 sharer of `addr`'s line (directory).
@@ -325,7 +329,7 @@ impl L2BankArch {
     /// Records core `core` as an L1 sharer of the line in `slot`.
     #[inline]
     pub fn touch_dir_at(&mut self, slot: usize, core: usize) {
-        self.dir[slot] |= 1u8 << (core % 8);
+        self.flags[slot].dir |= 1u8 << (core % 8);
     }
 
     /// Architectural load of the aligned word at `addr`, filling from
@@ -377,11 +381,12 @@ impl L2BankArch {
         for set in 0..self.geo.sets {
             for way in 0..self.geo.ways {
                 let s = self.slot(set, way);
-                if self.state[s] & STATE_VALID != 0 && self.state[s] & STATE_DIRTY != 0 {
+                if self.flags[s].state & STATE_VALID != 0 && self.flags[s].state & STATE_DIRTY != 0
+                {
                     let line = self.geo.line_from(self.bank, set, self.tags[s]);
                     mem.write_line(line, self.data[s]);
                 }
-                self.state[s] = 0;
+                self.flags[s].state = 0;
             }
         }
     }
@@ -391,7 +396,7 @@ impl L2BankArch {
     /// line was resident.
     pub fn invalidate_line(&mut self, line: LineAddr) -> bool {
         if let Some(s) = self.slot_of(line) {
-            self.state[s] = 0;
+            self.flags[s].state = 0;
             true
         } else {
             false
@@ -400,7 +405,10 @@ impl L2BankArch {
 
     /// Number of valid lines currently cached.
     pub fn valid_lines(&self) -> usize {
-        self.state.iter().filter(|&&s| s & STATE_VALID != 0).count()
+        self.flags
+            .iter()
+            .filter(|f| f.state & STATE_VALID != 0)
+            .count()
     }
 
     /// Lines whose (tag, state, data, dir) differ from `other` —
@@ -411,9 +419,8 @@ impl L2BankArch {
         (0..self.geo.lines())
             .filter(|&s| {
                 self.tags[s] != other.tags[s]
-                    || self.state[s] != other.state[s]
+                    || self.flags[s] != other.flags[s]
                     || self.data[s] != other.data[s]
-                    || self.dir[s] != other.dir[s]
             })
             .collect()
     }
@@ -424,10 +431,7 @@ impl L2BankArch {
     /// verdict.
     pub fn differs(&self, other: &L2BankArch) -> bool {
         assert_eq!(self.geo, other.geo, "geometry mismatch");
-        self.tags != other.tags
-            || self.state != other.state
-            || self.dir != other.dir
-            || self.data != other.data
+        self.tags != other.tags || self.flags != other.flags || self.data != other.data
     }
 
     /// Line addresses of slots that differ from `other` and are valid in
@@ -438,10 +442,10 @@ impl L2BankArch {
             .flat_map(|s| {
                 let set = s / self.geo.ways;
                 let mut v = Vec::new();
-                if self.state[s] & STATE_VALID != 0 {
+                if self.flags[s].state & STATE_VALID != 0 {
                     v.push(self.geo.line_from(self.bank, set, self.tags[s]));
                 }
-                if other.state[s] & STATE_VALID != 0 {
+                if other.flags[s].state & STATE_VALID != 0 {
                     v.push(other.geo.line_from(other.bank, set, other.tags[s]));
                 }
                 v

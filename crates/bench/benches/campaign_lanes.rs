@@ -84,7 +84,7 @@ fn engine_pair(suite: &mut Suite, bench: &str, base: &CampaignSpec, rows: [&str;
     let profile = by_name(bench).unwrap();
     let mut cell = CellBase::capture(profile, base, DEFAULT_MAX_RUNGS);
     let Round { samples, order } = cell.draw(profile, base, None);
-    let CellBase { ladder, golden } = cell;
+    let CellBase { ladder, golden, .. } = cell;
     for (name, width) in rows.into_iter().zip([64usize, 1]) {
         suite.bench("campaign_lanes/engine", name, || {
             let mut runner = ShardRunner::new(&ladder, &samples, &golden, None, width);

@@ -93,12 +93,13 @@ impl JobState {
                 job.spec.samples
             ));
         }
+        let walk = ShardWalk::new(job.spec.lane_width as usize).reusing(base.take_spare());
         Ok(JobState {
             key: job.clone(),
             budget,
             base,
             round,
-            walk: ShardWalk::new(job.spec.lane_width as usize),
+            walk,
         })
     }
 }

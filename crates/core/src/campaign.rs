@@ -2,9 +2,12 @@
 //!
 //! A campaign is one (component × benchmark) cell of Fig. 3: injection
 //! runs, each with a randomly selected injection cycle, target
-//! flip-flop, instance, and warm-up length — all derived from a single
-//! campaign seed, so results are bit-reproducible and can be sharded
-//! across worker threads or processes without coordination.
+//! flip-flop and instance — all derived from a single campaign seed, so
+//! results are bit-reproducible and can be sharded across worker threads
+//! or processes without coordination. A run's warm-up starts on the
+//! [`grid_entry`] below its injection cycle, so every sample of one
+//! instance whose warm-up starts at one grid point forks off one
+//! uninjected carrier's warm-up ([`ShardWalk::run_span`]).
 //!
 //! Every way of running a cell is **a plan of rounds run by an
 //! executor** through one loop, [`run_rounds`]: the [`Plan`] says which
@@ -52,10 +55,10 @@ use nestsim_stats::SeedSeq;
 use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
 
 use crate::adaptive::{draw_round, AdaptiveState, StratifiedRound};
-use crate::cosim::{on_component, Component, Spares};
+use crate::cosim::{on_component, refilled, Component, Driver, Kept, Spares};
 use crate::inject::{
-    finish, recorder_for, run_injection_with, warm, GoldenRef, InjectionRecord, InjectionSpec,
-    DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
+    enter, finish, recorder_for, run_injection_with, GoldenRef, InjectionRecord, InjectionSpec,
+    Warmed, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
 use crate::lanes::run_batch;
 use crate::outcome::OutcomeCounts;
@@ -92,7 +95,7 @@ pub struct CampaignSpec {
     pub snapshot_interval: u64,
     /// Injection-trajectory cluster size (default 1). Consecutive
     /// sample groups of this size share one randomly drawn trajectory
-    /// — instance, injection cycle and warm-up — and differ only in the
+    /// — instance and injection cycle — and differ only in the
     /// flipped bit, which is what lets the lane-batched engine advance
     /// them as one batch against a single golden universe.
     ///
@@ -101,10 +104,10 @@ pub struct CampaignSpec {
     /// belongs in reproducibility cell keys. `1` reproduces the
     /// classic fully independent sampling bit-for-bit.
     pub lane_cluster: u64,
-    /// How many same-trajectory samples may share one restore, attach
-    /// and warm-up (default [`nestsim_rtl::MAX_LANES`]; valid range
-    /// 1–64). On every component a shared group is a lane batch: that
-    /// many faulty universes advanced per carrier universe.
+    /// How many same-trajectory samples may run as one lane batch
+    /// (default [`nestsim_rtl::MAX_LANES`]; valid range 1–64): that many
+    /// faulty universes advanced per carrier universe, on every
+    /// component.
     ///
     /// **Execution-only**: like `workers` and `snapshot_interval`, the
     /// lane width never affects records, counts, or merged telemetry —
@@ -362,16 +365,28 @@ pub(crate) fn checked_window(
     injection_window(spec.component, profile, golden)
 }
 
+/// The cycle a campaign sample injected at `inject_cycle` enters
+/// co-simulation at: the last multiple of [`MIN_WARMUP`] at least
+/// [`MIN_WARMUP`] before it, or cycle 0. Its warm-up is then uniform in
+/// [1,000, 2,000) cycles over uniform injection cycles (Sec. 4.1 sets
+/// 1,000 as a minimum; Fig. 5 shows a longer warm-up only converges
+/// further), and a warm-up from cycle 0 starts from reset, which is
+/// exact. Every sample of one instance entering at one grid point forks
+/// off one carrier's warm-up.
+pub fn grid_entry(inject_cycle: u64) -> u64 {
+    inject_cycle.saturating_sub(MIN_WARMUP) / MIN_WARMUP * MIN_WARMUP
+}
+
 /// Appends samples `range` of the seed stream `root`, bits picked from
 /// `bits` and injection cycles from `window` — the one per-sample draw
-/// every plan shares.
+/// every plan shares. A sample's warm-up runs from its [`grid_entry`].
 ///
 /// With `spec.lane_cluster > 1`, consecutive groups of that size share
-/// their *leader's* trajectory (instance, injection cycle, warm-up)
-/// while every member keeps its own independently drawn bit — each
-/// member's bit still comes from its own per-sample RNG stream, so
-/// raising the cluster size never changes which bits sample `k` flips,
-/// only where it flips them.
+/// their *leader's* trajectory (instance and injection cycle) while
+/// every member keeps its own independently drawn bit — each member's
+/// bit still comes from its own per-sample RNG stream, so raising the
+/// cluster size never changes which bits sample `k` flips, only where
+/// it flips them.
 pub(crate) fn draw_stream(
     spec: &CampaignSpec,
     root: &SeedSeq,
@@ -383,14 +398,13 @@ pub(crate) fn draw_stream(
     let instances = instances_of(spec.component) as u64;
     let cluster = spec.lane_cluster.max(1);
     // One sample's own draws, in stream order: (instance, bit,
-    // injection cycle, warm-up).
+    // injection cycle).
     let draw = |k: u64| {
         let mut rng = root.derive_index(k).rng();
         (
             rng.below(instances) as usize,
             *rng.pick(bits),
             rng.range(lo, hi),
-            MIN_WARMUP + rng.below(1_000),
         )
     };
     out.extend(range.map(|k| {
@@ -398,13 +412,13 @@ pub(crate) fn draw_stream(
         let leader = k - k % cluster;
         // A follower replays its leader's draws and adopts everything
         // but the bit.
-        let (instance, _, inject_cycle, warmup) = if leader == k { own } else { draw(leader) };
+        let (instance, _, inject_cycle) = if leader == k { own } else { draw(leader) };
         InjectionSpec {
             component: spec.component,
             instance,
             bit: own.1,
             inject_cycle,
-            warmup,
+            warmup: inject_cycle - grid_entry(inject_cycle),
             cosim_cap: spec.cosim_cap,
             check_interval: spec.check_interval,
         }
@@ -467,11 +481,16 @@ impl<'a> ShardCell<'a> {
 }
 
 /// Executes shards of a campaign: a cursor over the snapshot ladder, run
-/// forward to each sample's entry point, and the drivers the last runs
-/// left. Every injection after the first restores into the driver the
-/// one before ended with — system, port and sides — and every lane batch
-/// after the first takes its lanes from the sides the ones before left,
-/// so a walk allocates one injection driver, not one per sample.
+/// forward to each window's entry point, and the drivers the last runs
+/// left. A window — the samples of one instance whose warm-up starts at
+/// one [`grid_entry`] — attaches one uninjected carrier there and warms it
+/// up once, through every injection cycle of the window in turn; each
+/// sample forks its driver off the carrier at its cycle. Every carrier
+/// after the first refills the one the window before ended with, every
+/// fork the driver the sample before ended with — system, port and
+/// sides — and every lane batch after the first takes its lanes from
+/// the sides the ones before left, so a walk allocates one set of
+/// drivers, not one per sample.
 ///
 /// This is the unit of work every execution layer shares —
 /// [`LadderExecutor`] gives each worker thread one walk per shard, the
@@ -485,15 +504,43 @@ pub struct ShardWalk {
     // cycles; re-restored (in place) whenever a later rung is closer
     // than the cursor, or the next entry lies behind it.
     cursor: Option<System>,
-    // The drivers and lane sides the last group ended with, which the
-    // next group refills (`System::clone_from`, `Driver::reattach`).
-    // Parked with their pages released, so that the cursor takes back
-    // the pages it shared for that group when it moves on.
+    // Storage for the cursor's first restore to refill, if the walk was
+    // given one (`reusing`).
+    spare: Option<System>,
+    // The carrier, drivers and lane sides the last window ended with,
+    // which the next refills (`System::clone_from`, `Driver::reattach`,
+    // `Driver::fork_sample`). Parked with their pages released, so that
+    // the cursor takes back the pages it shared for that window when it
+    // moves on.
     kept: Spares,
+    // A window's samples in injection-cycle order, when its span gave
+    // them in another; kept between windows.
+    by_cycle: Vec<usize>,
     forward: u64,
     restores: u64,
     lane_width: usize,
     lanes: crate::lanes::LaneBatchStats,
+    warm: WarmStats,
+}
+
+/// Engine-side counters of the windows' warm-up carriers (reported as
+/// `warm.*` telemetry beside `lanes.*`, outside the merged per-run
+/// recorder: they describe how the engine ran, never what it computed).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WarmStats {
+    /// Carriers attached: one per window a walk ran.
+    pub carriers: u64,
+    /// Warm-up cycles the carriers ran, each from its window's entry
+    /// point to its last sample's injection cycle.
+    pub cycles: u64,
+}
+
+impl WarmStats {
+    /// Adds these counters to the engine-side recorder.
+    pub(crate) fn publish(&self, engine: &mut Recorder) {
+        engine.count(names::WARM_CARRIERS, self.carriers);
+        engine.count(names::WARM_CYCLES, self.cycles);
+    }
 }
 
 impl ShardWalk {
@@ -504,12 +551,23 @@ impl ShardWalk {
     pub fn new(lane_width: usize) -> Self {
         ShardWalk {
             cursor: None,
+            spare: None,
             kept: Spares::default(),
+            by_cycle: Vec::new(),
             forward: 0,
             restores: 0,
             lane_width: lane_width.clamp(1, nestsim_rtl::MAX_LANES),
             lanes: crate::lanes::LaneBatchStats::default(),
+            warm: WarmStats::default(),
         }
+    }
+
+    /// This walk with `spare`, a system no one needs any more (the one a
+    /// golden run finished on, [`CellBase::take_spare`]), as the storage
+    /// its cursor's first restore refills.
+    pub fn reusing(mut self, spare: Option<System>) -> Self {
+        self.spare = spare;
+        self
     }
 
     /// Positions the cursor at `entry`: restores from the nearest rung
@@ -525,57 +583,44 @@ impl ShardWalk {
         {
             match &mut self.cursor {
                 Some(cursor) => cursor.clone_from(rung),
-                None => self.cursor = Some(rung.clone()),
+                None => self.cursor = Some(refilled(self.spare.take(), rung)),
             }
             self.restores += 1;
         }
         let my_base = self.cursor.as_mut().expect("cursor was just restored");
         self.forward += entry - my_base.cycle();
         my_base.run_until(entry);
-        // Every injection at this entry point clones the cursor: share
-        // the pages the forward run dirtied so those clones copy none.
-        // With the group's systems released, the next forward run takes
-        // them back instead of copying them again.
+        // The window's carrier clones the cursor: share the pages the
+        // forward run dirtied so that clone copies none. With the
+        // window's systems released, the next forward run takes them
+        // back instead of copying them again.
         my_base.share_pages();
     }
 
-    /// How many leading samples of `span` run off one shared restore,
-    /// attach and warm-up: the run of same-trajectory samples at its
-    /// head, cut at the lane width.
-    fn group_len(&self, samples: &[InjectionSpec], span: &[usize]) -> usize {
-        let Some(&first) = span.first() else {
-            return 0;
-        };
-        let mut end = 1;
-        while end < span.len()
-            && end < self.lane_width
-            && same_trajectory(&samples[first], &samples[span[end]])
-        {
-            end += 1;
-        }
-        end
-    }
-
-    /// [`run_span`](Self::run_span) of the leading group of `span`
+    /// [`run_span`](Self::run_span) of the leading window of `span`
     /// alone — the samples that share one warm-up — for callers that
-    /// hand results on between groups. The rest of the span is the
+    /// hand results on between windows. The rest of the span is the
     /// caller's to continue with.
     pub fn run_group(&mut self, cell: ShardCell<'_>, span: &[usize]) -> IndexedRuns {
-        self.run_span(cell, &span[..self.group_len(cell.samples, span)])
+        self.run_span(cell, &span[..window_len(cell.samples, span)])
     }
 
     /// Runs a span of the cell's samples (positions of `cell`'s round),
-    /// grouping consecutive same-trajectory samples — the product of
-    /// `CampaignSpec::lane_cluster` — up to the lane width at a time. A
-    /// group pays for one seek, one attach and one warm-up: a group of
-    /// two or more runs as a lane batch on a shared carrier
-    /// (`crate::lanes`), whatever the component, and a singleton runs the
-    /// scalar engine. Results come back in span order and are
-    /// byte-identical however the samples are cut into spans, and in
-    /// whatever order the spans come.
+    /// a window at a time: consecutive samples of one instance entering
+    /// at one [`grid_entry`]. A window pays for one seek, one attach and
+    /// one warm-up, by an uninjected carrier that steps through the
+    /// window's injection cycles in ascending order. At each, the samples
+    /// injected there fork off it: a lone one as a scalar run, two or
+    /// more on one trajectory — the product of
+    /// `CampaignSpec::lane_cluster` — as lane batches of up to the lane
+    /// width (`crate::lanes`), whatever the component. The carrier is
+    /// never injected, so a fork is exactly the sample's lone run warmed
+    /// up from the same entry point: results come back in span order and
+    /// are byte-identical however the samples are cut into spans and
+    /// windows, and in whatever order the spans come.
     ///
     /// A span's samples may come in any order, as may the spans given
-    /// to one walk: a group whose entry lies behind the cursor restores
+    /// to one walk: a window whose entry lies behind the cursor restores
     /// from the nearest rung at or below it. Otherwise the cursor only
     /// runs forward, so consecutive slices of [`entry_order`] cost what
     /// one span of them would.
@@ -583,36 +628,70 @@ impl ShardWalk {
         let mut out: IndexedRuns = Vec::with_capacity(span.len());
         let mut rest = span;
         while !rest.is_empty() {
-            let (group, tail) = rest.split_at(self.group_len(cell.samples, rest));
+            let (window, tail) = rest.split_at(window_len(cell.samples, rest));
             rest = tail;
-            let spec0 = &cell.samples[group[0]];
-            self.seek(cell.ladder, entry_cycle(spec0));
-            let base = self.cursor.as_ref().expect("cursor was just positioned");
-            let golden = cell.golden;
-            on_component!(spec0.component, C => {
-                let kept = C::kept(&mut self.kept);
-                match *group {
-                    [i] => {
-                        let mut rec = recorder_for(cell.telemetry);
-                        let warmed = warm::<C>(base, golden, spec0, kept.driver.take());
-                        let (record, driver) = finish(warmed, golden, spec0, &mut rec);
-                        kept.driver = Some(driver);
-                        out.push((i, record, rec));
-                    }
-                    _ => {
-                        let (telemetry, stats) = (cell.telemetry, &mut self.lanes);
-                        let mut runs =
-                            run_batch::<C>(base, golden, cell.samples, group, telemetry, stats, kept);
-                        // Batch retirement order is check-driven; the caller
-                        // contract is span order.
-                        runs.sort_by_key(|(i, _, _)| group.iter().position(|&s| s == *i));
-                        out.extend(runs);
-                    }
-                }
-                kept.park();
-            });
+            let start = out.len();
+            self.run_window(cell, window, &mut out);
+            // The carrier runs the window in injection-cycle order, and a
+            // batch retires its lanes as their checks decide; the caller
+            // contract is span order.
+            out[start..].sort_unstable_by_key(|(i, _, _)| window.iter().position(|&s| s == *i));
         }
         out
+    }
+
+    /// One window's runs, appended to `out` in the order they end.
+    fn run_window(&mut self, cell: ShardCell<'_>, window: &[usize], out: &mut IndexedRuns) {
+        let samples = cell.samples;
+        // In `entry_order` a window already comes in injection-cycle order.
+        let key = |&i: &usize| (samples[i].inject_cycle, i);
+        let mut by_cycle = std::mem::take(&mut self.by_cycle);
+        let order = if window.is_sorted_by_key(key) {
+            window
+        } else {
+            by_cycle.clear();
+            by_cycle.extend_from_slice(window);
+            by_cycle.sort_unstable_by_key(key);
+            &by_cycle
+        };
+        let spec0 = &samples[order[0]];
+        self.seek(cell.ladder, entry_cycle(spec0));
+        let base = self.cursor.as_ref().expect("cursor was just positioned");
+        let golden = cell.golden;
+        on_component!(spec0.component, C => {
+            let kept = C::kept(&mut self.kept);
+            let mut carrier = enter::<C>(base, golden, spec0, kept.carrier.take());
+            let mut rest = order;
+            loop {
+                // The samples injected at one cycle on one trajectory, up
+                // to the lane width.
+                let spec = &samples[rest[0]];
+                let len = 1 + (rest[1..].iter())
+                    .take(self.lane_width - 1)
+                    .take_while(|&&i| same_trajectory(spec, &samples[i]))
+                    .count();
+                let (group, tail) = rest.split_at(len);
+                rest = tail;
+                carrier.warm_to(spec.inject_cycle);
+                if rest.is_empty() {
+                    // The window's last samples need no carrier after
+                    // them: they run on it.
+                    self.warm.carriers += 1;
+                    self.warm.cycles += carrier.warmup_done();
+                    let driver = run_flipped(carrier, cell, group, &mut self.lanes, kept, out);
+                    kept.carrier = Some(driver);
+                    break;
+                }
+                let warmed = carrier.fork(kept.driver.take());
+                let mut driver = run_flipped(warmed, cell, group, &mut self.lanes, kept, out);
+                // Kept until the next fork refills it, the driver must not
+                // pin the pages the carrier shared for this one.
+                driver.sys_mut().release_pages();
+                kept.driver = Some(driver);
+            }
+            kept.park();
+        });
+        self.by_cycle = by_cycle;
     }
 
     /// Accelerated-mode cycles forward-simulated so far.
@@ -629,6 +708,52 @@ impl ShardWalk {
     pub(crate) fn lane_stats(&self) -> crate::lanes::LaneBatchStats {
         self.lanes
     }
+
+    /// Window-carrier counters accumulated so far.
+    pub(crate) fn warm_stats(&self) -> WarmStats {
+        self.warm
+    }
+}
+
+/// Runs `group`, samples injected at `warmed`'s cycle on one trajectory,
+/// off `warmed`: a lone sample as a scalar run, several as one lane
+/// batch. Returns the driver they end with.
+fn run_flipped<C: Component>(
+    warmed: Warmed<C>,
+    cell: ShardCell<'_>,
+    group: &[usize],
+    stats: &mut crate::lanes::LaneBatchStats,
+    kept: &mut Kept<C>,
+    out: &mut IndexedRuns,
+) -> Driver<C> {
+    let (samples, golden, telemetry) = (cell.samples, cell.golden, cell.telemetry);
+    match *group {
+        [i] => {
+            let mut rec = recorder_for(telemetry);
+            let (record, driver) = finish(warmed, golden, &samples[i], &mut rec);
+            out.push((i, record, rec));
+            driver
+        }
+        _ => {
+            let (runs, driver) = run_batch(warmed, golden, samples, group, telemetry, stats, kept);
+            out.extend(runs);
+            driver
+        }
+    }
+}
+
+/// How many leading samples of `span` make one window: the run of
+/// samples at its head that enter co-simulation at one cycle on one
+/// instance of one component.
+fn window_len(samples: &[InjectionSpec], span: &[usize]) -> usize {
+    let Some(&first) = span.first() else {
+        return 0;
+    };
+    let (a, entry) = (&samples[first], entry_cycle(&samples[first]));
+    let same = |b: &InjectionSpec| {
+        a.component == b.component && a.instance == b.instance && entry_cycle(b) == entry
+    };
+    1 + span[1..].iter().take_while(|&&i| same(&samples[i])).count()
 }
 
 /// A fresh [`ShardWalk`] bound to one cell, for a caller that runs one
@@ -666,7 +791,8 @@ impl<'a> ShardRunner<'a> {
 }
 
 /// True when two samples share one injection trajectory — everything
-/// but the flipped bit — and can therefore ride one lane batch.
+/// but the flipped bit — and can therefore ride one lane batch off the
+/// same fork of their window's carrier.
 pub(crate) fn same_trajectory(a: &InjectionSpec, b: &InjectionSpec) -> bool {
     a.component == b.component
         && a.instance == b.instance
@@ -690,18 +816,21 @@ pub fn laddered_golden_reference(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
 ) -> (SnapshotLadder, GoldenRef) {
-    golden_ladder(profile, spec, rung_budget(false, spec))
+    let (ladder, golden, _) = golden_ladder(profile, spec, rung_budget(false, spec));
+    (ladder, golden)
 }
 
-/// [`laddered_golden_reference`] at an explicit rung budget.
+/// [`laddered_golden_reference`] at an explicit rung budget, and the
+/// system the golden run finished on.
 fn golden_ladder(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
     max_rungs: usize,
-) -> (SnapshotLadder, GoldenRef) {
+) -> (SnapshotLadder, GoldenRef, System) {
     let base = base_system(profile, spec);
-    let (ladder, result) = SnapshotLadder::capture(&base, spec.snapshot_interval, max_rungs);
-    (ladder, golden_of(profile, result))
+    let (ladder, result, run) =
+        SnapshotLadder::capture_owned(base, spec.snapshot_interval, max_rungs);
+    (ladder, golden_of(profile, result), run)
 }
 
 /// How many ladder rungs, base included, a cell can use: the rounds of
@@ -733,6 +862,9 @@ pub struct CellBase {
     pub ladder: SnapshotLadder,
     /// The error-free reference.
     pub golden: GoldenRef,
+    /// The system the golden run finished on, until a walk takes it as
+    /// its cursor's storage ([`CellBase::take_spare`]).
+    spare: Option<System>,
 }
 
 /// One round's samples in canonical round order, and the order they
@@ -759,8 +891,19 @@ impl CellBase {
         max_rungs: usize,
     ) -> CellBase {
         check_campaign(profile, spec);
-        let (ladder, golden) = golden_ladder(profile, spec, max_rungs);
-        CellBase { ladder, golden }
+        let (ladder, golden, run) = golden_ladder(profile, spec, max_rungs);
+        CellBase {
+            ladder,
+            golden,
+            spare: Some(run),
+        }
+    }
+
+    /// The system the golden run finished on, once: storage for a
+    /// walk's cursor to refill at its first restore
+    /// ([`ShardWalk::reusing`]) instead of allocating its own.
+    pub fn take_spare(&mut self) -> Option<System> {
+        self.spare.take()
     }
 
     /// Draws one round: the `spec.samples` runs of the fixed-count
@@ -885,18 +1028,26 @@ impl RoundExecutor for LadderExecutor<'_> {
         if self.telemetry.is_some() {
             self.worker_samples.extend(shards.iter().map(Vec::len));
         }
+        let mut spare = self.base.take_spare();
         let cell = ShardCell::new(&self.base, &round, self.telemetry);
         let width = self.spec.lane_width as usize;
-        type WorkerOut = (IndexedRuns, u64, u64, crate::lanes::LaneBatchStats);
+        type WorkerOut = (
+            IndexedRuns,
+            u64,
+            u64,
+            crate::lanes::LaneBatchStats,
+            WarmStats,
+        );
         let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
                 .map(|shard| {
+                    let spare = spare.take();
                     scope.spawn(move || {
-                        let mut walk = ShardWalk::new(width);
+                        let mut walk = ShardWalk::new(width).reusing(spare);
                         let out = walk.run_span(cell, shard);
-                        let lanes = walk.lane_stats();
-                        (out, walk.forward_cycles(), walk.restores(), lanes)
+                        let (lanes, warm) = (walk.lane_stats(), walk.warm_stats());
+                        (out, walk.forward_cycles(), walk.restores(), lanes, warm)
                     })
                 })
                 .collect();
@@ -907,10 +1058,11 @@ impl RoundExecutor for LadderExecutor<'_> {
         });
         let samples = &round.samples;
         let mut indexed = Vec::with_capacity(samples.len());
-        for (out, forward, restores, lanes) in per_worker {
+        for (out, forward, restores, lanes, warm) in per_worker {
             self.engine.count(names::FORWARD_CYCLES, forward);
             self.engine.count(names::LADDER_RESTORES, restores);
             lanes.publish(&mut self.engine);
+            warm.publish(&mut self.engine);
             indexed.extend(out);
         }
         let mut merged = recorder_for(self.telemetry);
@@ -1150,13 +1302,18 @@ pub fn entry_cycle(s: &InjectionSpec) -> u64 {
     s.inject_cycle.saturating_sub(s.warmup.max(MIN_WARMUP))
 }
 
-/// Sample indices sorted by ascending [`entry_cycle`] — the canonical
-/// execution order every engine shards. The sort is stable, so equal
-/// entry cycles tie-break by sample index and the order is a pure
-/// function of the drawn samples (identical in every process).
+/// Sample indices sorted by ascending [`entry_cycle`], then instance,
+/// then injection cycle — the canonical execution order every engine
+/// shards, in which each window ([`ShardWalk::run_span`]) is one run of
+/// samples in the order its carrier reaches them. The sort is stable, so
+/// full ties break by sample index and the order is a pure function of
+/// the drawn samples (identical in every process).
 pub fn entry_order(samples: &[InjectionSpec]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..samples.len()).collect();
-    order.sort_by_key(|&i| entry_cycle(&samples[i]));
+    order.sort_by_key(|&i| {
+        let s = &samples[i];
+        (entry_cycle(s), s.instance, s.inject_cycle)
+    });
     order
 }
 
@@ -1318,8 +1475,14 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..samples.len()).collect::<Vec<_>>());
+        // Entry cycle, then instance, then injection cycle: each window
+        // is one run, in the order its carrier reaches its samples.
+        let key = |i: usize| {
+            let s = &samples[i];
+            (entry_cycle(s), s.instance, s.inject_cycle)
+        };
         for w in order.windows(2) {
-            let (a, b) = (entry_cycle(&samples[w[0]]), entry_cycle(&samples[w[1]]));
+            let (a, b) = (key(w[0]), key(w[1]));
             assert!(a < b || (a == b && w[0] < w[1]), "order must be stable");
         }
     }
@@ -1490,12 +1653,14 @@ mod tests {
             assert_eq!(cursor.dram().private_pages(), 0);
             use crate::cosim::CosimDriver;
             let kept = crate::cosim::L2cPort::kept(&mut walk.kept);
-            let spare = kept.driver.as_ref().expect("run_span keeps a driver");
-            assert_eq!(
-                spare.sys().dram().retained_pages(),
-                0,
-                "the parked spare holds a page"
-            );
+            assert!(kept.carrier.is_some(), "run_span keeps its carrier");
+            for spare in kept.carrier.iter().chain(&kept.driver) {
+                assert_eq!(
+                    spare.sys().dram().retained_pages(),
+                    0,
+                    "the parked spare holds a page"
+                );
+            }
         }
     }
 
@@ -1570,15 +1735,17 @@ mod tests {
         // One row per component, on the cells `tests/lanes_accounting.rs`
         // batches with forks.
         use crate::cosim::{CosimDriver, L2cPort};
-        use crate::inject::{run_injection, FORK_REFILLS, LANE_REFILLS, REFILLS};
+        use crate::inject::{run_injection, CARRIER_REFILLS, FORK_REFILLS, LANE_REFILLS, REFILLS};
         use crate::lanes::LaneBatchStats;
         use nestsim_rtl::FlopClass;
         use std::cell::Cell;
-        // `[driver refills, fork refills, lane sides refilled]` since `at`.
-        let counts = || [&REFILLS, &FORK_REFILLS, &LANE_REFILLS].map(|c| c.with(Cell::get));
-        let since = |at: [u64; 3]| {
+        // `[sample driver refills, carrier refills, fork refills, lane
+        // sides refilled]` since `at`.
+        let counters = [&REFILLS, &CARRIER_REFILLS, &FORK_REFILLS, &LANE_REFILLS];
+        let counts = || counters.map(|c| c.with(Cell::get));
+        let since = |at: [u64; 4]| {
             let now = counts();
-            [0, 1, 2].map(|k| now[k] - at[k])
+            [0, 1, 2, 3].map(|k| now[k] - at[k])
         };
         let table = [
             (ComponentKind::L2c, "flui"),
@@ -1586,11 +1753,15 @@ mod tests {
             (ComponentKind::Ccx, "lu-c"),
             (ComponentKind::Pcie, "p-lr"),
         ];
+        // Forks in the scalar shards below that refilled a driver.
+        let mut fork_refills = 0;
         for (component, bench) in table {
             let profile = by_name(bench).unwrap();
-            // A scalar shard of n injections refills its driver n − 1
-            // times: each but the first restores into the driver the one
-            // before ended with.
+            // A scalar shard of n injections: each window's carrier but
+            // the first refills the one the window before ended with, the
+            // last sample of each window runs on its carrier, and each
+            // other sample forks off it into the driver the fork before
+            // ended with: n − 1 refills in all.
             let spec = CampaignSpec {
                 seed: 7,
                 ..CampaignSpec::quick(component, 6)
@@ -1598,21 +1769,26 @@ mod tests {
             let mut base = CellBase::capture(profile, &spec, 1);
             let round = base.draw(profile, &spec, None);
             let at = counts();
-            ShardRunner::new(&base.ladder, &round.samples, &base.golden, None, 1)
-                .run_span(&round.order);
-            assert_eq!(since(at), [5, 0, 0], "{component}: scalar shard");
+            let mut walk = ShardWalk::new(1);
+            walk.run_span(ShardCell::new(&base, &round, None), &round.order);
+            let carriers = walk.warm_stats().carriers;
+            let forks = 6 - carriers;
+            let want = [forks.saturating_sub(1), carriers - 1, 0, 0];
+            assert_eq!(since(at), want, "{component}: scalar shard");
+            fork_refills += want[0];
 
-            // A shard of three 4-lane batches: each carrier after the
-            // first refills the driver the batch before ended with, each
-            // fork after the first the one the fork before ended with, and
-            // every batch after the first takes its lanes' sides from the
-            // pool but for the one a fork may keep as its target.
+            // A shard of three 4-lane batches: a batch runs on its
+            // window's carrier or on a driver forked off it as above, each
+            // lane fork after the first refills the one the lane fork
+            // before ended with, and every batch after the first takes its
+            // lanes' sides from the pool but for the one a fork may keep
+            // as its target.
             let clustered = CampaignSpec {
                 lane_cluster: 4,
                 ..CampaignSpec::quick(component, 12)
             };
             let clustered = CampaignSpec {
-                seed: 7,
+                seed: 8,
                 ..clustered
             };
             let mut cbase = CellBase::capture(profile, &clustered, 1);
@@ -1621,10 +1797,16 @@ mod tests {
             let mut walk = ShardWalk::new(64);
             walk.run_span(ShardCell::new(&cbase, &cround, None), &cround.order);
             let stats = walk.lane_stats();
-            let [refills, forks, lanes] = since(at);
+            let carriers = walk.warm_stats().carriers;
+            let [refills, carrier_refills, forks, lanes] = since(at);
             assert_eq!(stats.batches, 3, "{component}");
             assert!(stats.scalar_fallbacks > 0, "{component}: no lane forked");
-            assert_eq!(refills, 2, "{component}: batch carriers");
+            assert_eq!(
+                refills,
+                (3 - carriers).saturating_sub(1),
+                "{component}: batch forks"
+            );
+            assert_eq!(carrier_refills, carriers - 1, "{component}: carriers");
             assert_eq!(forks, stats.scalar_fallbacks - 1, "{component}: forks");
             assert!(
                 lanes >= 2 * 4 - 1,
@@ -1634,10 +1816,11 @@ mod tests {
             // A lone run attaches its own driver and refills nothing.
             let at = counts();
             run_injection(base.ladder.rung_below(0), &base.golden, &round.samples[0]);
-            assert_eq!(since(at), [0, 0, 0], "{component}: run_injection");
+            assert_eq!(since(at), [0; 4], "{component}: run_injection");
         }
+        assert!(fork_refills > 0, "no fork refilled the driver a fork left");
 
-        // A batch whose lanes all retire in it keeps its carrier, which ran
+        // A batch whose lanes all retire in it hands back its carrier, which ran
         // on past the golden-snapshot point the warmed driver stopped at,
         // to where the last lane retired.
         let profile = by_name("radi").unwrap();
@@ -1653,8 +1836,8 @@ mod tests {
         let mut stats = LaneBatchStats::default();
         let mut kept = crate::cosim::Kept::<L2cPort>::default();
         let start = base.ladder.rung_below(0);
-        let runs = run_batch(
-            start,
+        let (runs, carrier) = run_batch(
+            crate::inject::warm::<L2cPort>(start, &base.golden, &spec0, None),
             &base.golden,
             &samples,
             &group,
@@ -1667,10 +1850,118 @@ mod tests {
             .iter()
             .map(|(_, r, _)| r.inject_cycle + r.cosim_cycles)
             .max();
-        let carrier = kept.driver.as_ref().expect("the batch keeps its carrier");
         assert_eq!(Some(carrier.cycle()), last_retired);
         assert!(kept.fork.is_none());
         assert_eq!(kept.lanes.len(), 8, "every lane side is back in the pool");
+    }
+
+    /// The four components' cells the carrier tests share.
+    const CELLS: [(ComponentKind, &str); 4] = [
+        (ComponentKind::L2c, "radi"),
+        (ComponentKind::Mcu, "fft"),
+        (ComponentKind::Ccx, "lu-c"),
+        (ComponentKind::Pcie, "p-lr"),
+    ];
+
+    #[test]
+    fn window_carriers_match_lone_runs_from_the_grid() {
+        // The replay reference runs every sample alone from its grid
+        // entry; the walk forks each sample off its window's carrier. The
+        // carrier is never injected, so records, counts and merged
+        // telemetry must be the same bytes at any lane width, worker
+        // count and clustering.
+        let cfg = TelemetryConfig::default();
+        for (component, bench) in CELLS {
+            let profile = by_name(bench).unwrap();
+            for (lane_cluster, samples) in [(1, 40), (4, 24)] {
+                let spec = CampaignSpec {
+                    lane_cluster,
+                    ..CampaignSpec::quick(component, samples)
+                };
+                let want = run_campaign_replay(profile, &spec, Some(&cfg));
+                for (workers, lane_width) in [(1, 1), (1, 64), (2, 64), (4, 1), (4, 64)] {
+                    let spec = CampaignSpec {
+                        workers,
+                        lane_width,
+                        ..spec
+                    };
+                    let got = run_campaign_with(profile, &spec, Some(&cfg));
+                    let at = format!("{component} {spec:?}");
+                    assert_eq!(got.records, want.records, "{at}");
+                    assert_eq!(got.counts, want.counts, "{at}");
+                    assert_eq!(got.telemetry.merged, want.telemetry.merged, "{at}");
+                    // The identity says nothing unless windows hold
+                    // several samples.
+                    let carriers = got.telemetry.engine.counter(names::WARM_CARRIERS);
+                    if workers == 1 {
+                        assert!(carriers < samples, "{at}: {carriers} carriers");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_sample_is_flipped_at_its_drawn_cycle() {
+        // A sample drawn before a whole minimum warm-up fits enters at
+        // cycle 0 and still flips at its drawn cycle (PCIe's window
+        // starts at cycle 16).
+        for (component, bench) in CELLS {
+            let profile = by_name(bench).unwrap();
+            let spec = CampaignSpec::quick(component, 32);
+            let mut base = CellBase::capture(profile, &spec, 1);
+            let round = base.draw(profile, &spec, None);
+            let cell = ShardCell::new(&base, &round, None);
+            let runs = ShardWalk::new(64).run_span(cell, &round.order);
+            // Backwards, every window comes against injection-cycle
+            // order: the same runs, in span order.
+            let reversed: Vec<usize> = round.order.iter().rev().copied().collect();
+            let mut back = ShardWalk::new(64).run_span(cell, &reversed);
+            back.reverse();
+            assert_eq!(back, runs, "{component}: windows given backwards");
+            for (i, record, _) in runs {
+                let want = round.samples[i];
+                assert_eq!(
+                    record.inject_cycle, want.inject_cycle,
+                    "{component}: {want:?}"
+                );
+                let entry = entry_cycle(&want);
+                assert!(
+                    entry == 0 || want.inject_cycle - entry >= MIN_WARMUP,
+                    "{want:?}"
+                );
+                assert_eq!(entry, grid_entry(want.inject_cycle), "{want:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn warm_counters_count_windows_and_their_spans() {
+        // `warm.carriers` is the number of distinct (instance, grid
+        // entry) windows of a one-worker cell, and `warm.cycles` the sum
+        // of each window's span, its entry to its last injection cycle.
+        let profile = by_name("radi").unwrap();
+        let spec = CampaignSpec {
+            workers: 1,
+            ..CampaignSpec::quick(ComponentKind::L2c, 96)
+        };
+        let result = run_campaign_with(profile, &spec, Some(&TelemetryConfig::default()));
+        let (_, golden) = golden_reference(profile, &spec);
+        let mut spans = std::collections::BTreeMap::new();
+        for s in draw_samples(profile, &spec, &golden) {
+            let entry = grid_entry(s.inject_cycle);
+            let span = spans.entry((s.instance, entry)).or_insert(0);
+            *span = (s.inject_cycle - entry).max(*span);
+        }
+        let engine = &result.telemetry.engine;
+        assert!(spans.len() < 96, "no window holds two samples");
+        assert_eq!(engine.counter(names::WARM_CARRIERS), spans.len() as u64);
+        assert_eq!(
+            engine.counter(names::WARM_CYCLES),
+            spans.values().sum::<u64>()
+        );
+        // Engine counters, never in the merged per-run bytes.
+        assert_eq!(result.telemetry.merged.counter(names::WARM_CARRIERS), 0);
     }
 
     #[test]

@@ -189,6 +189,14 @@ pub trait Side: Clone + std::fmt::Debug {
         refilled(spare, self)
     }
 
+    /// `clone_from` that leaves this side on flops whatever `source`
+    /// holds: `source` stays on the model it holds, and a fault-free one
+    /// is converted into the flops this side holds or keeps. A sample's
+    /// target forked off its window's carrier ([`Driver::fork_sample`]).
+    fn refill_on_flops(&mut self, source: &Self) {
+        self.clone_from(source);
+    }
+
     /// The side a mixed-mode entry starts from (Fig. 5's cold golden): a
     /// reset model carrying only this side's architectural state. This
     /// side converts to flops.
@@ -350,7 +358,9 @@ pub struct Driver<C: Component> {
 /// (DESIGN.md *Recycling the injection's driver*).
 #[derive(Debug)]
 pub struct Kept<C: Component> {
-    /// The driver the last group ended with: a scalar run's, or a
+    /// The uninjected driver the last window's warm-up ran on.
+    pub(crate) carrier: Option<Driver<C>>,
+    /// The driver the last sample ended with: a scalar run's, or a
     /// batch's carrier.
     pub(crate) driver: Option<Driver<C>>,
     /// The driver the last lane that left a batch ended with.
@@ -362,6 +372,7 @@ pub struct Kept<C: Component> {
 impl<C: Component> Default for Kept<C> {
     fn default() -> Self {
         Kept {
+            carrier: None,
             driver: None,
             fork: None,
             lanes: Vec::new(),
@@ -370,10 +381,11 @@ impl<C: Component> Default for Kept<C> {
 }
 
 impl<C: Component> Kept<C> {
-    /// Between groups: the kept systems let go of the pages they share
+    /// Between windows: the kept systems let go of the pages they share
     /// with the cursor, which takes them back when it moves on.
     pub(crate) fn park(&mut self) {
-        for driver in self.driver.iter_mut().chain(&mut self.fork) {
+        let drivers = (self.carrier.iter_mut()).chain(&mut self.driver);
+        for driver in drivers.chain(&mut self.fork) {
             driver.sys.release_pages();
         }
     }
@@ -519,6 +531,36 @@ impl<C: Component> Driver<C> {
     /// traffic: `drained` for this driver's target or for a lane.
     pub(crate) fn drained_with(&self, side: &C::Side) -> bool {
         self.port.drained(side, &self.sys)
+    }
+
+    /// A sample's driver forked off this one, the uninjected carrier of
+    /// the sample's window, which is what the sample's lone run warmed up
+    /// to this cycle would hold: this driver's system and port, and its
+    /// target copied onto flops (the carrier stays on its fault-free
+    /// model). It refills `spare`, the driver the sample before ended
+    /// with, when there is one, and hands back the golden side `spare`
+    /// held, for the snapshot to refill. The carrier shares its pages
+    /// first, as [`fork`](Self::fork) does.
+    pub(crate) fn fork_sample(&mut self, spare: Option<Self>) -> (Self, Option<C::Side>) {
+        debug_assert!(
+            self.golden.is_none() && self.first_err_out.is_none(),
+            "a window's carrier is never injected"
+        );
+        self.sys.share_pages();
+        let Some(mut fork) = spare else {
+            let mut target = self.target.clone();
+            target.flops();
+            let fork = Driver::new(self.sys.clone(), self.port.clone(), target);
+            return (fork, None);
+        };
+        #[cfg(test)]
+        crate::inject::count(&crate::inject::REFILLS);
+        fork.sys.clone_from(&self.sys);
+        fork.port.clone_from(&self.port);
+        fork.target.refill_on_flops(&self.target);
+        fork.first_err_out = None;
+        let golden = fork.golden.take();
+        (fork, golden)
     }
 
     /// The scalar driver of a lane that leaves the batch this driver
@@ -713,12 +755,15 @@ trait FaultFree: Clone + std::fmt::Debug {
     /// The flops this state converts to, marked changed: written into
     /// `buf`, flops an earlier conversion left, when there is one.
     fn convert(self, buf: Option<Self::Flops>) -> Self::Flops;
+
+    /// [`convert`](Self::convert) of a copy of this state.
+    fn convert_copy(&self, buf: Option<Self::Flops>) -> Self::Flops;
 }
 
-/// [`FaultFree`] for each fault-free model, by its `into_*` conversion
-/// and its `write_into`.
+/// [`FaultFree`] for each fault-free model, by its `into_*` conversion,
+/// its `write_into` and the method that writes a copy into flops.
 macro_rules! fault_free {
-    ($($warm:ty => $flops:ty, $into:ident;)*) => {$(
+    ($($warm:ty => $flops:ty, $into:ident, $copy:ident;)*) => {$(
         impl FaultFree for $warm {
             type Flops = $flops;
 
@@ -731,14 +776,24 @@ macro_rules! fault_free {
                     None => self.$into(),
                 }
             }
+
+            fn convert_copy(&self, buf: Option<$flops>) -> $flops {
+                match buf {
+                    Some(mut x) => {
+                        self.$copy(&mut x);
+                        x
+                    }
+                    None => self.clone().$into(),
+                }
+            }
         }
     )*};
 }
 
 fault_free! {
-    L2cWarm => L2cBank, into_l2c;
-    CcxWarm => Ccx, into_ccx;
-    McuWarm => Mcu, into_mcu;
+    L2cWarm => L2cBank, into_l2c, copy_into;
+    CcxWarm => Ccx, into_ccx, write_into;
+    McuWarm => Mcu, into_mcu, write_into;
 }
 
 impl<W: FaultFree> Target<W> {
@@ -756,6 +811,19 @@ impl<W: FaultFree> Target<W> {
         match self {
             Target::Flops(x) => x,
             _ => unreachable!("converted above"),
+        }
+    }
+
+    /// [`Side::refill_on_flops`] of a target.
+    fn refill_on_flops(&mut self, source: &Self) {
+        match source {
+            Target::Warm(warm, _) => {
+                let (_, buf) = self.take();
+                *self = Target::Flops(warm.convert_copy(buf));
+                #[cfg(test)]
+                crate::inject::count(&tests::CONVERSIONS);
+            }
+            _ => self.clone_from(source),
         }
     }
 
@@ -907,6 +975,13 @@ impl Side for BankSide {
 
     fn as_flops(&self) -> Option<&L2cBank> {
         self.bank.as_flops()
+    }
+
+    fn refill_on_flops(&mut self, source: &Self) {
+        let BankSide { bank, ov, dram } = source;
+        self.bank.refill_on_flops(bank);
+        self.ov.clone_from(ov);
+        self.dram.clone_from(dram);
     }
 
     fn cold(&mut self) -> Self {
@@ -1226,6 +1301,12 @@ impl Side for McuSide {
         self.mcu.as_flops()
     }
 
+    fn refill_on_flops(&mut self, source: &Self) {
+        let McuSide { mcu, ov } = source;
+        self.mcu.refill_on_flops(mcu);
+        self.ov.clone_from(ov);
+    }
+
     fn cold(&mut self) -> Self {
         McuSide {
             mcu: Target::Flops(Mcu::new(self.flops().id())),
@@ -1376,6 +1457,11 @@ impl Side for CcxSide {
 
     fn as_flops(&self) -> Option<&Ccx> {
         self.xbar.as_flops()
+    }
+
+    fn refill_on_flops(&mut self, source: &Self) {
+        let CcxSide { xbar } = source;
+        self.xbar.refill_on_flops(xbar);
     }
 
     fn cold(&mut self) -> Self {
@@ -2032,8 +2118,9 @@ pub(crate) mod tests {
         let before = CONVERSIONS.with(std::cell::Cell::get);
         let mut stats = LaneBatchStats::default();
         let mut kept = Kept::default();
-        let runs = run_batch::<L2cPort>(
-            &base, &golden, &samples, &group, None, &mut stats, &mut kept,
+        let warmed = crate::inject::warm::<L2cPort>(&base, &golden, &spec, None);
+        let (runs, _) = run_batch(
+            warmed, &golden, &samples, &group, None, &mut stats, &mut kept,
         );
         let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
         assert_eq!(runs.len(), samples.len());

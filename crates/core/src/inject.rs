@@ -58,8 +58,10 @@ pub struct InjectionSpec {
     pub bit: usize,
     /// Cycle (accelerated time) at which the flip is injected.
     pub inject_cycle: u64,
-    /// Warm-up cycles before injection (≥ [`MIN_WARMUP`]; the actual
-    /// value is randomised per run, Sec. 2.2).
+    /// Warm-up cycles before injection (Sec. 2.2: at least
+    /// [`MIN_WARMUP`], or from cycle 0 when the injection cycle is
+    /// earlier). A campaign starts every warm-up on the
+    /// [`grid`](crate::campaign::grid_entry).
     pub warmup: u64,
     /// Co-simulation cycle cap.
     pub cosim_cap: u64,
@@ -169,9 +171,12 @@ pub fn run_injection_with(
 
 #[cfg(test)]
 thread_local! {
-    /// Restores on this thread that refilled the driver a shard kept
-    /// instead of attaching a new one.
+    /// Samples on this thread whose driver refilled the one a shard kept
+    /// instead of copying a new one off their window's carrier.
     pub(crate) static REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Window carriers on this thread that refilled the one a shard kept
+    /// instead of attaching a new one.
+    pub(crate) static CARRIER_REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// Forks on this thread that refilled the driver the previous fork
     /// ended with.
     pub(crate) static FORK_REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -186,12 +191,14 @@ pub(crate) fn count(counter: &'static std::thread::LocalKey<std::cell::Cell<u64>
     counter.with(|n| n.set(n.get() + 1));
 }
 
-/// A driver attached at its trajectory's co-simulation entry point and
-/// warmed up to the injection cycle (Fig. 2 steps 1–4), with nothing
-/// flipped yet. It is a function of the trajectory alone — base
-/// snapshot, instance, injection cycle, warm-up length — never of the
-/// bit, so every sample on that trajectory may start from it: one run
-/// ([`finish`]), or a lane batch that it carries (`crate::lanes`).
+/// A driver attached at its window's co-simulation entry point and
+/// warmed up (Fig. 2 steps 1–4), with nothing flipped. Up to the cycle
+/// it reached it is a function of the window alone — base snapshot,
+/// instance, entry point — never of a bit or a later injection cycle,
+/// so every sample of the window injected at that cycle may start from
+/// it: one run ([`finish`]), or a lane batch that it carries
+/// (`crate::lanes`). A campaign keeps one per window as the window's
+/// carrier and forks each sample off it ([`Warmed::fork`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Warmed<C: Component> {
     pub(crate) driver: Driver<C>,
@@ -201,20 +208,40 @@ pub(crate) struct Warmed<C: Component> {
     entry: u64,
     snapshot: SnapshotCost,
     warmup_done: u64,
+    /// The system trapped during the warm-up, which ends it there.
+    trapped: bool,
 }
 
-/// Fig. 2 steps 1–4: restores `base`, runs to the entry point in
-/// accelerated mode, attaches `C`'s driver to instance `spec.instance`
-/// and warms it up with live traffic. When there is a `spare`, the
-/// driver a finished run handed back, the restore refills its system and
-/// the attach its port and sides (`Driver::reattach`); otherwise `base`
-/// is cloned and a driver attached.
+/// Fig. 2 steps 1–4: [`enter`], then the warm-up to `spec`'s injection
+/// cycle.
+///
+/// # Panics
+///
+/// As [`enter`].
+pub(crate) fn warm<C: Component>(
+    base: &System,
+    golden: &GoldenRef,
+    spec: &InjectionSpec,
+    spare: Option<Driver<C>>,
+) -> Warmed<C> {
+    let mut warmed = enter(base, golden, spec, spare);
+    warmed.warm_to(spec.inject_cycle);
+    warmed
+}
+
+/// Fig. 2 steps 1–3: restores `base`, runs to `spec`'s entry point in
+/// accelerated mode — its injection cycle less its warm-up, or cycle 0
+/// — and attaches `C`'s driver to instance `spec.instance`. When there is
+/// a `spare`, a driver an earlier run or window ended with, the restore
+/// refills its system and the attach its port and sides
+/// (`Driver::reattach`); otherwise `base` is cloned and a driver
+/// attached.
 ///
 /// # Panics
 ///
 /// Panics if `base` has already passed the co-simulation entry point,
 /// or if the spec's check interval or co-simulation cap is zero.
-pub(crate) fn warm<C: Component>(
+pub(crate) fn enter<C: Component>(
     base: &System,
     golden: &GoldenRef,
     spec: &InjectionSpec,
@@ -232,8 +259,7 @@ pub(crate) fn warm<C: Component>(
         spec.cosim_cap >= 1,
         "cosim_cap must be >= 1: a zero cap leaves no co-simulation window"
     );
-    let warmup = spec.warmup.max(MIN_WARMUP);
-    let entry = spec.inject_cycle.saturating_sub(warmup);
+    let entry = crate::campaign::entry_cycle(spec);
     assert!(
         base.cycle() <= entry,
         "base snapshot ({}) is past the co-simulation entry point ({})",
@@ -246,10 +272,10 @@ pub(crate) fn warm<C: Component>(
         sys.set_watchdog(golden.watchdog());
         sys.run_until(entry);
     };
-    let (mut driver, golden) = match spare {
+    let (driver, golden) = match spare {
         Some(mut driver) => {
             #[cfg(test)]
-            count(&REFILLS);
+            count(&CARRIER_REFILLS);
             let sys = driver.sys_mut();
             sys.clone_from(base);
             to_entry(sys);
@@ -262,26 +288,50 @@ pub(crate) fn warm<C: Component>(
             (C::attach_instance(sys, spec.instance), None)
         }
     };
-    // Phase 1, step 4: warm-up with live traffic to reconstruct the
-    // microarchitectural state not carried by the high-level model.
-    let mut warmup_done = 0u64;
-    for _ in 0..warmup {
-        driver.step();
-        warmup_done += 1;
-        if driver.sys().trap().is_some() {
-            break;
-        }
-    }
     Warmed {
         driver,
         golden,
         entry,
         snapshot: base.snapshot_cost(),
-        warmup_done,
+        warmup_done: 0,
+        trapped: false,
     }
 }
 
 impl<C: Component> Warmed<C> {
+    /// Phase 1, step 4: the warm-up with live traffic, on to `cycle`, to
+    /// reconstruct the microarchitectural state not carried by the
+    /// high-level model. A trap ends the warm-up for good: the run flips
+    /// its bit where the clock stopped.
+    pub(crate) fn warm_to(&mut self, cycle: u64) {
+        while !self.trapped && self.entry + self.warmup_done < cycle {
+            self.driver.step();
+            self.warmup_done += 1;
+            self.trapped = self.driver.sys().trap().is_some();
+        }
+    }
+
+    /// The warm-up cycles run since the entry point.
+    pub(crate) fn warmup_done(&self) -> u64 {
+        self.warmup_done
+    }
+
+    /// A copy of this uninjected warm-up as it stands, for a sample to
+    /// flip (`Driver::fork_sample`): equal to the sample's lone run warmed
+    /// up from the same entry point to this cycle. It refills `spare`
+    /// when there is one.
+    pub(crate) fn fork(&mut self, spare: Option<Driver<C>>) -> Warmed<C> {
+        let (driver, golden) = self.driver.fork_sample(spare);
+        Warmed {
+            driver,
+            golden,
+            entry: self.entry,
+            snapshot: self.snapshot,
+            warmup_done: self.warmup_done,
+            trapped: self.trapped,
+        }
+    }
+
     /// Everything a run on this trajectory records before its
     /// co-simulation loop starts, through the flip of `spec.bit` — the
     /// same for the scalar run and for a lane of a batch.
@@ -802,7 +852,9 @@ mod tests {
         seen: &mut Seen,
     ) -> InjectionRecord {
         let comp = spec.component.name();
-        let warmup = spec.warmup.max(MIN_WARMUP);
+        // To the injection cycle: a warm-up cut short by cycle 0 flips
+        // at the cycle drawn.
+        let warmup = spec.inject_cycle - driver.cycle();
         let mut warmup_done = 0u64;
         for _ in 0..warmup {
             driver.step();

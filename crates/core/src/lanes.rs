@@ -38,7 +38,6 @@
 //! lock byte-identity of records, counts, and merged telemetry across
 //! lane widths and worker counts.
 
-use nestsim_hlsim::System;
 use nestsim_models::UncoreRtl;
 use nestsim_rtl::{LaneMask, MAX_LANES};
 use nestsim_telemetry::{names, Recorder, TelemetryConfig};
@@ -46,8 +45,8 @@ use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 use crate::campaign::{same_trajectory, IndexedRuns};
 use crate::cosim::{Component, CosimDriver, Driver, Kept, Side};
 use crate::inject::{
-    aborted, converged, recorder_for, warm, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec,
-    Resume,
+    aborted, converged, recorder_for, CosimEnd, Exit, Flipped, GoldenRef, InjectionSpec, Resume,
+    Warmed,
 };
 
 /// Engine-side counters of the lane-batched execution (reported as
@@ -175,13 +174,14 @@ impl<'a, C: Component> Runs<'a, C> {
     }
 }
 
-/// Runs one lane batch of component `C`: `group` indexes `samples` whose
-/// specs are equal except for the flipped bit. Returns one `(sample
-/// index, record, recorder)` per group member, byte-identical to running
-/// each through [`run_injection_with`](crate::inject::run_injection_with)
-/// from `base`. What the batch ends with goes back into `kept` for the
-/// next group: the carrier, which refilled `kept.driver` when there was
-/// one, the last fork's driver, and every lane side. A lane that leaves
+/// Runs one lane batch of component `C` on `warmed`, a driver warmed up
+/// to the group's injection cycle: `group` indexes `samples` whose specs
+/// are equal except for the flipped bit. Returns one `(sample index,
+/// record, recorder)` per group member, byte-identical to running each
+/// through [`run_injection_with`](crate::inject::run_injection_with) from
+/// the snapshot `warmed` entered from, and the carrier, `warmed`'s
+/// driver, as the batch ends with it. The rest goes back into `kept` for
+/// the next group: the last fork's driver, and every lane side. A lane that leaves
 /// runs to its end before the carrier moves on, and each fork refills the
 /// driver the one before it ended with: at most the carrier, one fork and
 /// the lanes' sides are alive at a time, and each lane takes its side
@@ -189,26 +189,23 @@ impl<'a, C: Component> Runs<'a, C> {
 ///
 /// # Panics
 ///
-/// Panics if the group is empty or exceeds [`MAX_LANES`], or if `base`
-/// is past the group's entry point.
+/// Panics if the group is empty or exceeds [`MAX_LANES`].
 pub(crate) fn run_batch<C: Component>(
-    base: &System,
+    mut warmed: Warmed<C>,
     golden: &GoldenRef,
     samples: &[InjectionSpec],
     group: &[usize],
     telemetry: Option<&TelemetryConfig>,
     stats: &mut LaneBatchStats,
     kept: &mut Kept<C>,
-) -> IndexedRuns {
+) -> (IndexedRuns, Driver<C>) {
     assert!(!group.is_empty() && group.len() <= MAX_LANES, "bad group");
     let spec0 = &samples[group[0]];
     debug_assert!(group.iter().all(|&i| same_trajectory(&samples[i], spec0)));
     stats.batches += 1;
 
-    // Shared phase: one attach + warm-up for the whole batch. A carrier
-    // has no golden of its own: one the refilled driver kept joins the
-    // pool.
-    let mut warmed = warm::<C>(base, golden, spec0, kept.driver.take());
+    // A carrier has no golden of its own: one the refilled driver kept
+    // joins the pool.
     kept.lanes.extend(warmed.golden.take());
 
     // Each lane is the warmed driver's twin (≡ the scalar run's target
@@ -350,8 +347,7 @@ pub(crate) fn run_batch<C: Component>(
         );
         runs.end(&mut carrier, &mut lanes[li], Exit::Cap, cosim_cycles);
     }
-    runs.kept.driver = Some(carrier);
-    runs.out
+    (runs.out, carrier)
 }
 
 #[cfg(test)]
@@ -360,9 +356,9 @@ mod tests {
     use crate::campaign::{component_flops, injection_target_bits, injection_window};
     use crate::cosim::tests::steps as steps_by_model;
     use crate::cosim::{on_component, L2cPort};
-    use crate::inject::{run_injection_with, MIN_WARMUP};
+    use crate::inject::{run_injection_with, warm, MIN_WARMUP};
     use nestsim_hlsim::workload::{by_name, BenchProfile};
-    use nestsim_hlsim::{RunResult, SystemConfig};
+    use nestsim_hlsim::{RunResult, System, SystemConfig};
     use nestsim_models::ComponentKind;
     use nestsim_proto::CpxPacket;
     use nestsim_rtl::FlopClass;
@@ -469,8 +465,8 @@ mod tests {
         let mut stats = LaneBatchStats::default();
         take_forks();
         let before = steps();
-        let mut runs = run_batch::<C>(
-            base,
+        let (mut runs, _) = run_batch::<C>(
+            warm::<C>(base, golden, &samples[0], None),
             golden,
             samples,
             &group,

@@ -107,8 +107,8 @@ pub fn rtl_only_golden(cfg: &RtlOnlyConfig) -> GoldenRef {
 }
 
 /// Runs one RTL-only injection: co-simulation from cycle 0 with a bit
-/// flip at `inject_cycle` (at least [`MIN_WARMUP`]), to a trap, the
-/// watchdog or the program's end, classified against `golden`.
+/// flip at `inject_cycle`, to a trap, the watchdog or the program's
+/// end, classified against `golden`.
 pub fn run_rtl_only_injection(
     cfg: &RtlOnlyConfig,
     golden: &GoldenRef,
@@ -219,7 +219,7 @@ mod tests {
             let golden = rtl_only_golden(&cfg);
             for (bit, cycle) in draw_fig7_samples(&cfg, &golden, 2) {
                 let r = run_rtl_only_injection(&cfg, &golden, bit, cycle);
-                assert_eq!(r.inject_cycle, cycle.max(MIN_WARMUP), "{component}");
+                assert_eq!(r.inject_cycle, cycle, "{component}");
                 assert_ne!(r.outcome, Outcome::Persist, "{component}");
                 if !matches!(r.outcome, Outcome::Ut | Outcome::Hang) {
                     assert!(

@@ -60,10 +60,29 @@ impl SnapshotLadder {
     /// Panics if `base` has already advanced past cycle 0 (ladder rungs
     /// are indexed from the start of execution).
     pub fn capture(base: &System, interval: u64, max_rungs: usize) -> (SnapshotLadder, RunResult) {
+        let (ladder, result, _) = Self::capture_owned(base.clone(), interval, max_rungs);
+        (ladder, result)
+    }
+
+    /// [`capture`](Self::capture) from `base` itself, which becomes rung
+    /// 0 instead of a copy of it. Also returns the finished run, whose
+    /// storage a later system can refill (`clone_from`).
+    ///
+    /// # Panics
+    ///
+    /// As [`capture`](Self::capture).
+    pub fn capture_owned(
+        mut base: System,
+        interval: u64,
+        max_rungs: usize,
+    ) -> (SnapshotLadder, RunResult, System) {
         assert_eq!(base.cycle(), 0, "ladder capture requires a pristine base");
         let mut interval = interval.max(1);
+        // The base's pages become shared between rung 0, the run and
+        // every restore from it.
+        base.share_pages();
         let mut run = base.clone();
-        let mut rungs = vec![base.clone()];
+        let mut rungs = vec![base];
         let mut captures = 0;
         loop {
             // A budget of one is the base alone: nothing to capture.
@@ -99,7 +118,7 @@ impl SnapshotLadder {
             rungs,
             captures,
         };
-        (ladder, result)
+        (ladder, result, run)
     }
 
     /// The effective rung spacing in cycles (≥ the requested interval).

@@ -829,7 +829,7 @@ impl CcxWarm {
     /// [`into_ccx`](Self::into_ccx) into `x`, a crossbar an earlier run
     /// held, which it overwrites: the empty crossbar is copied into the
     /// bits `x` holds.
-    pub fn write_into(self, x: &mut Ccx) {
+    pub fn write_into(&self, x: &mut Ccx) {
         x.clone_from(Ccx::prototype());
         self.store(x);
     }

@@ -1021,6 +1021,15 @@ impl L2cWarm {
         self.store(b);
     }
 
+    /// [`write_into`](Self::write_into) of a copy: this state stays as it
+    /// is, and its arrays are copied into the ones `b` holds.
+    pub fn copy_into(&self, b: &mut L2cBank) {
+        let mut arch = b.take_arch();
+        arch.clone_from(&self.arch);
+        b.reset(self.bank, arch);
+        self.store(b);
+    }
+
     /// The arrays, moved out.
     pub fn into_arch(self) -> L2BankArch {
         self.arch

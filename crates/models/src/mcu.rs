@@ -869,7 +869,7 @@ impl McuWarm {
     /// [`into_mcu`](Self::into_mcu) into `m`, a controller an earlier
     /// run held, which it overwrites: the idle controller is copied into
     /// the bits `m` holds.
-    pub fn write_into(self, m: &mut Mcu) {
+    pub fn write_into(&self, m: &mut Mcu) {
         m.clone_from(Mcu::prototype(self.id));
         self.store(m);
     }

@@ -184,6 +184,15 @@ pub mod names {
     /// abort, cap).
     pub const LANES_SCALAR_FALLBACKS: &str = "lanes.scalar_fallbacks";
 
+    /// Counter: window carriers attached by the campaign engine — one
+    /// uninjected warm-up per (instance, grid entry) window a walk ran,
+    /// which every sample of the window forks off (engine telemetry).
+    pub const WARM_CARRIERS: &str = "warm.carriers";
+    /// Counter: warm-up cycles the window carriers ran, each from its
+    /// entry point to its last sample's injection cycle (engine
+    /// telemetry).
+    pub const WARM_CYCLES: &str = "warm.cycles";
+
     /// Counter: rounds executed by the adaptive sampling engine
     /// (engine telemetry; sequential-stopping trace).
     pub const ADAPTIVE_ROUNDS: &str = "adaptive.rounds";
@@ -297,6 +306,8 @@ pub mod names {
         LANES_BATCHES,
         LANES_RETIRED_EARLY,
         LANES_SCALAR_FALLBACKS,
+        WARM_CARRIERS,
+        WARM_CYCLES,
         QRR_RUNS,
         QRR_DETECTED,
         QRR_REPLAY_ATTEMPTS,

@@ -135,6 +135,7 @@ fn adaptive_cells_keep_the_full_ladder() {
     let [captures, rungs, restores, forward] = engine_counts(&r.telemetry.engine);
     assert_eq!((captures, rungs), (full.captures(), full.len() as u64));
     // What the adaptive engine reported before the budget existed
-    // (measured on the parent engine): rungs, restores, forward cycles.
-    assert_eq!([rungs, restores, forward], [12, 8, 2_965]);
+    // (measured on the parent engine), with entries on the warm-up
+    // grid: rungs, restores, forward cycles.
+    assert_eq!([rungs, restores, forward], [12, 9, 3_224]);
 }

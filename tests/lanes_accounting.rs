@@ -80,12 +80,12 @@ fn l2c_clustered_injections_partition_into_retired_and_fallbacks() {
 
 #[test]
 fn mcu_clustered_injections_partition_into_retired_and_fallbacks() {
-    clustered_injections_partition(ComponentKind::Mcu, "flui", (8, 4));
+    clustered_injections_partition(ComponentKind::Mcu, "flui", (7, 5));
 }
 
 #[test]
 fn ccx_clustered_injections_partition_into_retired_and_fallbacks() {
-    clustered_injections_partition(ComponentKind::Ccx, "lu-c", (11, 1));
+    clustered_injections_partition(ComponentKind::Ccx, "lu-c", (12, 0));
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn l2c_identical_lanes_retire_before_a_tight_cap() {
     let got = run_campaign_with(profile, &spec, Some(&telemetry));
 
     let (batches, retired_early, scalar_fallbacks) = lane_counters(&got);
-    assert_eq!((batches, retired_early, scalar_fallbacks), (3, 32, 16));
+    assert_eq!((batches, retired_early, scalar_fallbacks), (3, 22, 26));
     assert_matches_replay("l2c cluster=16 cap=64", &spec, &got);
 }
 
