@@ -181,11 +181,11 @@ impl<'a, C: Component> Runs<'a, C> {
 /// through [`run_injection_with`](crate::inject::run_injection_with) from
 /// the snapshot `warmed` entered from, and the carrier, `warmed`'s
 /// driver, as the batch ends with it. The rest goes back into `kept` for
-/// the next group: the last fork's driver, and every lane side. A lane that leaves
-/// runs to its end before the carrier moves on, and each fork refills the
-/// driver the one before it ended with: at most the carrier, one fork and
-/// the lanes' sides are alive at a time, and each lane takes its side
-/// from `kept.lanes` while there is one.
+/// the next group: the last fork's driver, and every lane side. A lane
+/// that leaves runs to its end before the carrier moves on, and each fork
+/// refills the driver the one before it ended with: at most the carrier,
+/// one fork and the lanes' sides are alive at a time, and each lane takes
+/// its side from `kept.lanes` while there is one.
 ///
 /// # Panics
 ///
