@@ -201,40 +201,41 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # construction, and a benchmark with no leaver would not time the forks.
 # Build-once and recycling gate: the untraced `l2c_indep`, `ccx_indep`,
 # `ladder_long`, `l2c_lanes` and `served` blocks must stay under an allocation
-# count per injection that a driver built afresh for every injection
-# cannot meet — an exact count, not a timing. On the smoke's single cold
-# cell they read 128.2, 39.5, 104.9 and 4.2 while a shard refills its
-# window carriers, the drivers forked off them and its lane sides; 140.1,
-# 58.9 and 9.1 on `l2c_indep`, `ccx_indep` and `l2c_lanes` when every
-# fork copies a new driver, and 151.5, 84, 131.5 and 15.6 when every
-# injection attached a new driver (645, 896 and 588 when the flop
-# layouts were rebuilt on every attach and the DRAM port was a map).
-# `served` reads 30.9 on the smoke, the same cell reached through the
-# one campaign server machine, while its worker walks every lease of a
-# job on one cursor from the base alone; 49.4 when each lease built a
-# fresh runner on a 256-rung ladder.
-# Page take-back gate: the same blocks' `alloc_kb_per_inj` for
-# `ladder_long` and `l2c_indep` read 1,924 and 145 KiB on the smoke while
-# the shard cursor writes back into the pages it shared once the
-# window's systems let go of them (3,369 and 378 KiB when it copied
-# every page it rewrites again after each entry) — an exact count.
-# `l2c_indep` reads 273 KiB and `ccx_indep` 602 when every fork off a
-# window's carrier copies a new driver (462 with the recycled one), and
-# `l2c_lanes` 110 when every lane that leaves a batch does (47.8).
-# `served` reads 207 KiB on the smoke with one cursor per job from the
-# base alone, and 397 KiB with a fresh runner per lease on 256 rungs.
+# count per injection — an exact count, not a timing. On the smoke's
+# single cold cell they read 126.0, 36.6, 99.8, 3.84 and 28.4 while a
+# shard refills its window carriers, the drivers forked off them and its
+# lane sides, and every refill keeps its DRAM arena chunks and its
+# last-store table; 128.2, 39.5, 102.0, 4.13 and 31.2 when a refilled
+# table reallocates for a source of another size, and 140.1, 58.9 and
+# 9.1 on `l2c_indep`, `ccx_indep` and `l2c_lanes` when every fork copies
+# a new driver. `served` is the same cell reached through the one
+# campaign server machine, its worker walking every lease of a job on
+# one cursor from the base alone; 49.4 when each lease built a fresh
+# runner on a 256-rung ladder.
+# Storage gate: the same blocks' `alloc_kb_per_inj` read 874, 106, 182,
+# 371 and 31.6 KiB on the smoke (`ladder_long`, `l2c_indep`, `served`,
+# `ccx_indep`, `l2c_lanes`). A refill that keeps only the first arena
+# chunk reads 1,644 / 106 / 182 / 403 / 31.6; one whose tables
+# reallocate 1,155 / 129 / 207 / 398 / 35.8; both 1,924 / 145 / 207 /
+# 462 / 47.8. `ladder_long` read 3,369 KiB when the cursor copied every
+# page it rewrites again after each entry, `l2c_indep` 273 and
+# `ccx_indep` 602 when every fork copied a new driver, `l2c_lanes` 110
+# when every lane that leaves a batch did.
 # Co-simulation gate: the traced `l2c_indep` and `ladder_long` blocks
-# must report `core.golden_compares_per_inj` < 5 / < 10 — a run ends at
+# must report `core.golden_compares_per_inj` < 18 / < 10 — a run ends at
 # the compare that finds it identical to its golden, and at the
-# program's end: 3.97 and 8.5 on the smoke, 35.5 and 56.6 when runs
-# waited for the component to drain and ticked on after the program
-# ended — an exact count, so waiting again fails here, not on a timing.
+# program's end: 9.09 and 6.38 on the smoke, 33.9 and 57.5 when a run
+# that is `Identical` with no erroneous output waits for the drain
+# (`inject::converged`) — an exact count, so waiting again fails here,
+# not on a timing. `l2c_indep`'s mean moves with one long run: one of
+# its 32 samples co-simulates 2,128 cycles to the program's end (ONA),
+# 5.1 compares per injection of the 9.09.
 awk '
-    BEGIN { alloc_cap["l2c_indep"] = 135; alloc_cap["ccx_indep"] = 50; alloc_cap["ladder_long"] = 126
-            alloc_cap["l2c_lanes"] = 7; alloc_cap["served"] = 40
-            kb_cap["ladder_long"] = 2600; kb_cap["l2c_indep"] = 230; kb_cap["served"] = 300
-            kb_cap["ccx_indep"] = 540; kb_cap["l2c_lanes"] = 80
-            compare_cap["l2c_indep"] = 5; compare_cap["ladder_long"] = 10 }
+    BEGIN { alloc_cap["l2c_indep"] = 127; alloc_cap["ccx_indep"] = 38; alloc_cap["ladder_long"] = 101
+            alloc_cap["l2c_lanes"] = 4; alloc_cap["served"] = 30
+            kb_cap["ladder_long"] = 1000; kb_cap["l2c_indep"] = 118; kb_cap["served"] = 195
+            kb_cap["ccx_indep"] = 385; kb_cap["l2c_lanes"] = 34
+            compare_cap["l2c_indep"] = 18; compare_cap["ladder_long"] = 10 }
     /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
     !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {
         seen[workload " allocs_per_inj"] = 1

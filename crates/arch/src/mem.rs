@@ -9,7 +9,8 @@
 //! page back. DESIGN.md ("Snapshots and the paged DRAM image") has the
 //! ownership rule, the sizing and the alternatives that were measured.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use nestsim_proto::addr::{LineAddr, PAddr, LINE_BYTES};
@@ -31,7 +32,7 @@ const LINES_PER_PAGE: usize = 1 << PAGE_SHIFT;
 /// doubled the allocation count of a laddered campaign.
 const PAGES_PER_CHUNK: usize = 64;
 
-type LineMap = std::collections::HashMap<u64, Line>;
+type LineMap = HashMap<u64, Line>;
 
 /// Hashes a `u64` key with one multiply. For keys chosen by the
 /// simulated program (page numbers, line addresses, request ids — or a
@@ -59,7 +60,28 @@ impl Hasher for U64Hasher {
 /// [`U64Hasher`] as the `S` of a `HashMap<u64, V, S>` / `HashSet<u64, S>`.
 pub type BuildU64Hasher = BuildHasherDefault<U64Hasher>;
 
-type PageTable = std::collections::HashMap<u64, Slot, BuildU64Hasher>;
+/// Makes `kept_map` a copy of `source_map` in the storage it holds.
+/// `clone_from` alone reallocates whenever the two tables differ in
+/// size, and frees the table for an empty source; here a table that
+/// can hold the source is cleared and refilled in place, so only a
+/// source with more entries than `kept_map` ever had room for costs an
+/// allocation. Equal sizes are still copied whole, the cheaper way.
+pub fn refill_table<K, V, S>(kept_map: &mut HashMap<K, V, S>, source_map: &HashMap<K, V, S>)
+where
+    K: Clone + Eq + Hash,
+    V: Clone,
+    S: BuildHasher + Clone,
+{
+    if kept_map.capacity() == source_map.capacity() || kept_map.capacity() < source_map.len() {
+        kept_map.clone_from(source_map);
+    } else {
+        kept_map.clear();
+        // nestlint: allow(determinism-taint) -- one insert per distinct key; the copy holds the same entries whatever the visiting order
+        kept_map.extend(source_map.iter().map(|(k, v)| (k.clone(), v.clone())));
+    }
+}
+
+type PageTable = HashMap<u64, Slot, BuildU64Hasher>;
 
 /// One 4 KiB page plus its count of non-zero lines.
 #[derive(Debug, Clone)]
@@ -76,10 +98,15 @@ impl Page {
 }
 
 /// Page storage, grown one chunk at a time; a page index is its
-/// position counted across chunks, every chunk but the last being full.
+/// position counted across chunks. The first `used` chunks hold the
+/// pages, every one but the last of them full. The chunks after them
+/// are empty and kept, each with room for a chunk's pages: `alloc`
+/// fills them before it grows the arena, so a refilled memory writes
+/// into the storage it already owns.
 #[derive(Debug, Default)]
 struct Arena {
     chunks: Vec<Vec<Page>>,
+    used: usize,
     /// Indices whose page was dropped, reused before the arena grows.
     free: Vec<u32>,
 }
@@ -95,9 +122,9 @@ impl Arena {
 
     /// Pages in use.
     fn live(&self) -> usize {
-        let stored = match self.chunks.last() {
-            Some(last) => (self.chunks.len() - 1) * PAGES_PER_CHUNK + last.len(),
-            None => 0,
+        let stored = match self.used {
+            0 => 0,
+            n => (n - 1) * PAGES_PER_CHUNK + self.chunks[n - 1].len(),
         };
         stored - self.free.len()
     }
@@ -108,28 +135,39 @@ impl Arena {
             *self.page_mut(idx) = page.clone();
             return idx;
         }
-        if self
-            .chunks
-            .last()
-            .is_none_or(|c| c.len() == PAGES_PER_CHUNK)
-        {
-            self.chunks.push(Vec::with_capacity(PAGES_PER_CHUNK));
+        if self.used == 0 || self.chunks[self.used - 1].len() == PAGES_PER_CHUNK {
+            if self.used == self.chunks.len() {
+                self.chunks.push(Vec::with_capacity(PAGES_PER_CHUNK));
+            }
+            self.used += 1;
         }
-        let last = self.chunks.len() - 1;
+        let last = self.used - 1;
         let chunk = &mut self.chunks[last];
         chunk.push(page.clone());
         u32::try_from(last * PAGES_PER_CHUNK + chunk.len() - 1)
             .expect("an arena of 2^32 pages would be 16 TiB")
     }
 
-    /// Drops every page but keeps the first chunk's allocation, left
-    /// empty, for the next `alloc` to fill.
+    /// Drops every page and keeps every chunk, emptied, for the next
+    /// `alloc`s to fill.
     fn recycle(&mut self) {
-        self.chunks.truncate(1);
-        if let Some(first) = self.chunks.first_mut() {
-            first.clear();
+        for chunk in &mut self.chunks[..self.used] {
+            chunk.clear();
         }
+        self.used = 0;
         self.free.clear();
+    }
+
+    /// The used chunks, as an arena of their own; this one keeps the
+    /// spare chunks, and no page.
+    fn split_used(&mut self) -> Arena {
+        let spare = self.chunks.split_off(self.used);
+        let used = std::mem::replace(&mut self.chunks, spare);
+        Arena {
+            chunks: used,
+            used: std::mem::take(&mut self.used),
+            free: std::mem::take(&mut self.free),
+        }
     }
 }
 
@@ -137,12 +175,10 @@ impl Clone for Arena {
     fn clone(&self) -> Self {
         // Not derived: a derived clone sizes each chunk to its length,
         // and the next `alloc` into the last one would reallocate it.
-        // The one chunk that can be empty, a recycled one, is not worth
-        // allocating for a copy.
-        let chunks = self
-            .chunks
+        // Spare chunks hold no page and are not worth allocating for a
+        // copy.
+        let chunks = self.chunks[..self.used]
             .iter()
-            .filter(|chunk| !chunk.is_empty())
             .map(|chunk| {
                 let mut copy = Vec::with_capacity(PAGES_PER_CHUNK);
                 copy.extend_from_slice(chunk);
@@ -151,8 +187,23 @@ impl Clone for Arena {
             .collect();
         Arena {
             chunks,
+            used: self.used,
             free: self.free.clone(),
         }
+    }
+
+    /// Copies `source`'s pages into the chunks this arena holds, and
+    /// grows it only when `source` uses more of them.
+    fn clone_from(&mut self, source: &Self) {
+        self.recycle();
+        for (k, chunk) in source.chunks[..source.used].iter().enumerate() {
+            if k == self.chunks.len() {
+                self.chunks.push(Vec::with_capacity(PAGES_PER_CHUNK));
+            }
+            self.chunks[k].extend_from_slice(chunk);
+        }
+        self.used = source.used;
+        self.free.clone_from(&source.free);
     }
 }
 
@@ -188,6 +239,12 @@ struct Slot {
 /// can make a new holder of that arena, and it is borrowed mutably, so
 /// a count that shows no other holder cannot go stale on any thread.
 ///
+/// Storage outlives the contents written into it: a refill
+/// (`clone_from`) and a [`release`] keep every arena chunk, emptied,
+/// and a `freeze` hands on only the chunks that hold pages, so a memory
+/// that is refilled and written again allocates a chunk only when it
+/// holds more private pages than its chunks ever had room for.
+///
 /// [`freeze`]: DramContents::freeze
 /// [`release`]: DramContents::release
 #[derive(Debug, Default)]
@@ -204,9 +261,10 @@ pub struct DramContents {
     frozen: Option<Arc<Arena>>,
     /// Slots that point into `frozen`.
     frozen_slots: usize,
-    /// Pages copied in from shared arenas since this memory was made or
-    /// last refilled.
+    /// Pages copied in from shared arenas since this memory was made.
     copied: u64,
+    /// Arena chunks allocated since this memory was made.
+    chunks: u64,
 }
 
 fn split(line: LineAddr) -> (u64, usize) {
@@ -247,6 +305,7 @@ impl DramContents {
         if self.frozen.is_some() {
             self.take_back();
         }
+        let chunks = self.arena.chunks.len();
         let (no, off) = split(line);
         let is_backed = data != ZERO_LINE;
         let idx = match self.page_slots.get_mut(&no) {
@@ -266,6 +325,7 @@ impl DramContents {
                 idx
             }
         };
+        self.chunks += (self.arena.chunks.len() - chunks) as u64;
         let page = self.arena.page_mut(idx);
         let was_backed = page.lines[off] != ZERO_LINE;
         page.lines[off] = data;
@@ -319,17 +379,26 @@ impl DramContents {
     }
 
     /// Pages this memory copied in from shared arenas on a first write,
-    /// since it was made or last refilled by `clone_from`.
+    /// since it was made. A refill keeps the count, as it keeps the
+    /// storage the pages were copied into.
     pub fn copied_pages(&self) -> u64 {
         self.copied
     }
 
+    /// Arena chunks (64 pages, one heap allocation each) this memory
+    /// allocated since it was made: by a clone, a refill or a write that
+    /// found every chunk it holds full.
+    pub fn chunks_allocated(&self) -> u64 {
+        self.chunks
+    }
+
     /// Makes every private page shared, without copying any: the
-    /// private arena becomes one reference-counted block and the slots
-    /// that indexed it point at that block instead. Contents do not
-    /// change; subsequent clones copy no page. This memory's next write
-    /// takes the block back whole if by then no clone holds any of it,
-    /// and otherwise copies each page it writes first.
+    /// private arena's used chunks become one reference-counted block
+    /// and the slots that indexed it point at that block instead; the
+    /// spare chunks stay private, for the writes after it. Contents do
+    /// not change; subsequent clones copy no page. This memory's next
+    /// write takes the block back whole if by then no clone holds any of
+    /// it, and otherwise copies each page it writes first.
     pub fn freeze(&mut self) {
         if self.arena.live() == 0 {
             return;
@@ -338,7 +407,9 @@ impl DramContents {
             self.frozen.is_none(),
             "private pages, yet no write since the freeze"
         );
-        let frozen = Arc::new(std::mem::take(&mut self.arena));
+        // A spare chunk handed on would be stranded with the block for
+        // as long as any clone holds a page of it.
+        let frozen = Arc::new(self.arena.split_used());
         let mut n = 0;
         // nestlint: allow(determinism-taint) -- every private slot gets the same arena pointer and keeps its index; visiting order changes nothing
         for slot in self.page_slots.values_mut() {
@@ -356,8 +427,9 @@ impl DramContents {
     /// memory's own slots are its only holders. Either way the arena is
     /// no longer remembered, so the decision is made once per freeze,
     /// before any page is copied out of the arena or allocated beside
-    /// it — the private arena is still the empty one the freeze left,
-    /// so no index of the taken-back arena can collide with it.
+    /// it — the private arena still holds no page, only the spare chunks
+    /// the freeze left, which go after the taken-back ones, so no index
+    /// of the taken-back arena can collide with it.
     fn take_back(&mut self) {
         let Some(frozen) = self.frozen.take() else {
             return;
@@ -383,20 +455,37 @@ impl DramContents {
         // arena out (its acquire pairs with the releases of the holders
         // that let go on other threads) and would copy it, still
         // correctly, if the count argument above were ever wrong.
-        self.arena = Arc::unwrap_or_clone(frozen);
+        self.adopt(Arc::unwrap_or_clone(frozen));
     }
 
-    /// Drops every page, keeping the buffers — the page table's and the
-    /// arena's first chunk — for a later `clone_from` to refill. The
-    /// memory then reads as all-zero. A memory parked for reuse calls
-    /// this so that it stops holding the pages of the one it was cloned
-    /// from, which can then take them back.
+    /// Makes `back`, an arena this memory froze, the private arena again,
+    /// with the spare chunks the freeze left after its own.
+    fn adopt(&mut self, mut back: Arena) {
+        back.chunks.append(&mut self.arena.chunks);
+        self.arena = back;
+    }
+
+    /// Drops every page and empties every chunk. The arena the last
+    /// freeze made comes back first when nothing else holds it — this
+    /// memory's slots are gone by then — so its chunks stay this
+    /// memory's storage instead of being freed.
+    fn recycle(&mut self) {
+        if let Some(back) = self.frozen.take().and_then(Arc::into_inner) {
+            self.adopt(back);
+        }
+        self.frozen_slots = 0;
+        self.arena.recycle();
+    }
+
+    /// Drops every page, keeping the buffers — the page table's and
+    /// every arena chunk this memory holds — for a later `clone_from` to
+    /// refill. The memory then reads as all-zero. A memory parked for
+    /// reuse calls this so that it stops holding the pages of the one it
+    /// was cloned from, which can then take them back.
     pub fn release(&mut self) {
         self.page_slots.clear();
-        self.arena.recycle();
+        self.recycle();
         self.backed = 0;
-        self.frozen = None;
-        self.frozen_slots = 0;
     }
 }
 
@@ -409,6 +498,7 @@ impl Clone for DramContents {
             frozen: _,
             frozen_slots: _,
             copied: _,
+            chunks: _,
         } = self;
         // The copy did not freeze the arenas it points into, so it can
         // never take one back.
@@ -419,34 +509,32 @@ impl Clone for DramContents {
             frozen: None,
             frozen_slots: 0,
             copied: 0,
+            chunks: arena.used as u64,
         }
     }
 
     /// Becomes a copy of `source`, reusing this memory's buffers: the
-    /// page table's, and the first arena chunk, kept empty so that the
-    /// next first write to a shared page lands in memory already
-    /// allocated. This memory's private pages are dropped. A `source`
-    /// with private pages of its own is cloned whole instead; a frozen
-    /// one — a positioned cursor, a rung — never has any.
+    /// page table's, and every arena chunk it holds, emptied, so that
+    /// first writes to shared pages land in memory already allocated.
+    /// This memory's private pages are dropped; `source`'s, if it has
+    /// any (a frozen one — a positioned cursor, a rung — has none), are
+    /// copied into its chunks. The counters go on counting.
     fn clone_from(&mut self, source: &Self) {
-        if source.private_pages() > 0 {
-            *self = source.clone();
-            return;
-        }
         let DramContents {
             page_slots,
-            arena: _,
+            arena,
             backed,
             frozen: _,
             frozen_slots: _,
             copied: _,
+            chunks: _,
         } = source;
-        self.page_slots.clone_from(page_slots);
-        self.arena.recycle();
+        refill_table(&mut self.page_slots, page_slots);
+        self.recycle();
+        let chunks = self.arena.chunks.len();
+        self.arena.clone_from(arena);
+        self.chunks += (self.arena.chunks.len() - chunks) as u64;
         self.backed = *backed;
-        self.frozen = None;
-        self.frozen_slots = 0;
-        self.copied = 0;
     }
 }
 
@@ -739,15 +827,20 @@ mod tests {
         assert_ne!(m, c);
     }
 
+    /// Writes one line in each of pages `from..to`, with `value`.
+    fn fill(m: &mut DramContents, from: u64, to: u64, value: u64) {
+        for page in from..to {
+            m.write_line(
+                LineAddr::new(page * LINES_PER_PAGE as u64),
+                [value; WORDS_PER_LINE],
+            );
+        }
+    }
+
     /// A memory with one backed line in each of `pages` pages.
     fn paged(pages: u64) -> DramContents {
         let mut m = DramContents::new();
-        for page in 0..pages {
-            m.write_line(
-                LineAddr::new(page * LINES_PER_PAGE as u64),
-                [1; WORDS_PER_LINE],
-            );
-        }
+        fill(&mut m, 0, pages, 1);
         m
     }
 
@@ -804,6 +897,71 @@ mod tests {
         drop(c);
         r.write_line(LineAddr::new(2), [2; WORDS_PER_LINE]);
         assert_eq!(r.copied_pages(), 1);
+    }
+
+    #[test]
+    fn a_refill_writes_into_every_chunk_it_holds() {
+        let mut base = paged(200);
+        base.freeze();
+        let mut m = base.clone();
+        fill(&mut m, 0, 200, 2);
+        // 200 pages copied: four 64-page chunks.
+        assert_eq!((m.copied_pages(), m.chunks_allocated()), (200, 4));
+        m.release();
+        m.clone_from(&base);
+        fill(&mut m, 0, 200, 3);
+        assert_eq!((m.copied_pages(), m.chunks_allocated()), (400, 4));
+        // A source with private pages is copied into the same chunks.
+        let mut other = paged(150);
+        other.clone_from(&m);
+        assert_eq!(other.chunks_allocated(), 3 + 1);
+        assert!(other == m);
+        m.clone_from(&paged(100));
+        assert_eq!(m.chunks_allocated(), 4);
+    }
+
+    #[test]
+    fn a_freeze_hands_on_only_the_chunks_in_use() {
+        // Four chunks, emptied; ten pages in the first.
+        let mut m = paged(200);
+        m.release();
+        fill(&mut m, 0, 10, 1);
+        m.freeze();
+        // A live clone keeps the frozen chunk shared for good; the
+        // three spare ones stayed with `m` for its next 150 pages.
+        let c = m.clone();
+        fill(&mut m, 10, 160, 1);
+        assert_eq!((m.chunks_allocated(), m.private_pages()), (4, 150));
+        assert!(c == paged(10) && m == paged(160));
+
+        // Taken back, the frozen chunks go before the spare ones: no
+        // index collides, and the next 130 pages need no new chunk.
+        let mut m = paged(200);
+        m.release();
+        fill(&mut m, 0, 70, 1);
+        m.freeze();
+        drop(m.clone());
+        fill(&mut m, 70, 200, 1);
+        assert_eq!((m.chunks_allocated(), m.private_pages()), (4, 200));
+        assert_eq!(m.copied_pages(), 0);
+        assert!(m == paged(200));
+    }
+
+    #[test]
+    fn a_refilled_table_keeps_its_capacity() {
+        type Map = HashMap<u64, u64, BuildU64Hasher>;
+        let map_of = |n: u64| -> Map { (0..n).map(|k| (k * 7, k)).collect() };
+        let mut kept = map_of(1_000);
+        let room = kept.capacity();
+        // Smaller and empty sources: refilled in place.
+        for smaller in [map_of(10), map_of(0), map_of(900)] {
+            refill_table(&mut kept, &smaller);
+            assert_eq!((kept.capacity(), &kept), (room, &smaller));
+        }
+        // Only a source with more entries than it has room for grows it.
+        let big = map_of(room as u64 + 1);
+        refill_table(&mut kept, &big);
+        assert!(kept.capacity() > room && kept == big);
     }
 
     #[test]

@@ -521,6 +521,35 @@ pub struct ShardWalk {
     lane_width: usize,
     lanes: crate::lanes::LaneBatchStats,
     warm: WarmStats,
+    // What `spare` had counted when the walk was given it.
+    dram_before: DramStats,
+}
+
+/// Engine-side counters of the DRAM storage a walk's systems allocate,
+/// reported as `dram.*` beside `warm.*`. Each system counts for as long
+/// as its storage lives, across refills, so a walk's are the sum over
+/// the systems it holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DramStats {
+    /// Arena chunks allocated (`DramContents::chunks_allocated`).
+    pub chunks: u64,
+    /// Pages copied out of shared arenas on a first write
+    /// (`DramContents::copied_pages`).
+    pub copied: u64,
+}
+
+impl DramStats {
+    /// Adds what `sys` counted.
+    fn add(&mut self, sys: &System) {
+        self.chunks += sys.dram().chunks_allocated();
+        self.copied += sys.dram().copied_pages();
+    }
+
+    /// Adds these counters to the engine-side recorder.
+    pub(crate) fn publish(&self, engine: &mut Recorder) {
+        engine.count(names::DRAM_CHUNKS_ALLOCATED, self.chunks);
+        engine.count(names::DRAM_PAGES_COPIED, self.copied);
+    }
 }
 
 /// Engine-side counters of the windows' warm-up carriers (reported as
@@ -559,6 +588,7 @@ impl ShardWalk {
             lane_width: lane_width.clamp(1, nestsim_rtl::MAX_LANES),
             lanes: crate::lanes::LaneBatchStats::default(),
             warm: WarmStats::default(),
+            dram_before: DramStats::default(),
         }
     }
 
@@ -566,6 +596,7 @@ impl ShardWalk {
     /// golden run finished on, [`CellBase::take_spare`]), as the storage
     /// its cursor's first restore refills.
     pub fn reusing(mut self, spare: Option<System>) -> Self {
+        spare.iter().for_each(|sys| self.dram_before.add(sys));
         self.spare = spare;
         self
     }
@@ -712,6 +743,18 @@ impl ShardWalk {
     /// Window-carrier counters accumulated so far.
     pub(crate) fn warm_stats(&self) -> WarmStats {
         self.warm
+    }
+
+    /// DRAM storage counters accumulated so far, by the systems the
+    /// walk holds.
+    pub(crate) fn dram_stats(&self) -> DramStats {
+        let mut stats = DramStats::default();
+        (self.cursor.iter().chain(&self.spare)).for_each(|sys| stats.add(sys));
+        self.kept.for_each_system(|sys| stats.add(sys));
+        DramStats {
+            chunks: stats.chunks - self.dram_before.chunks,
+            copied: stats.copied - self.dram_before.copied,
+        }
     }
 }
 
@@ -1036,7 +1079,7 @@ impl RoundExecutor for LadderExecutor<'_> {
             u64,
             u64,
             crate::lanes::LaneBatchStats,
-            WarmStats,
+            (WarmStats, DramStats),
         );
         let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
@@ -1046,8 +1089,9 @@ impl RoundExecutor for LadderExecutor<'_> {
                     scope.spawn(move || {
                         let mut walk = ShardWalk::new(width).reusing(spare);
                         let out = walk.run_span(cell, shard);
-                        let (lanes, warm) = (walk.lane_stats(), walk.warm_stats());
-                        (out, walk.forward_cycles(), walk.restores(), lanes, warm)
+                        let lanes = walk.lane_stats();
+                        let storage = (walk.warm_stats(), walk.dram_stats());
+                        (out, walk.forward_cycles(), walk.restores(), lanes, storage)
                     })
                 })
                 .collect();
@@ -1058,11 +1102,12 @@ impl RoundExecutor for LadderExecutor<'_> {
         });
         let samples = &round.samples;
         let mut indexed = Vec::with_capacity(samples.len());
-        for (out, forward, restores, lanes, warm) in per_worker {
+        for (out, forward, restores, lanes, (warm, dram)) in per_worker {
             self.engine.count(names::FORWARD_CYCLES, forward);
             self.engine.count(names::LADDER_RESTORES, restores);
             lanes.publish(&mut self.engine);
             warm.publish(&mut self.engine);
+            dram.publish(&mut self.engine);
             indexed.extend(out);
         }
         let mut merged = recorder_for(self.telemetry);
@@ -1962,6 +2007,51 @@ mod tests {
         );
         // Engine counters, never in the merged per-run bytes.
         assert_eq!(result.telemetry.merged.counter(names::WARM_CARRIERS), 0);
+        assert!(engine.counter(names::DRAM_CHUNKS_ALLOCATED) > 0);
+        assert!(engine.counter(names::DRAM_PAGES_COPIED) > 0);
+        for name in [names::DRAM_CHUNKS_ALLOCATED, names::DRAM_PAGES_COPIED] {
+            assert_eq!(result.telemetry.merged.counter(name), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn the_second_window_on_an_instance_allocates_no_dram_chunk() {
+        // Storage outlives the contents written into it. A walk given one
+        // window twice, as a re-dispatched lease can, refills the
+        // carrier and the fork the first pass left, and the pages they
+        // copy again land in the chunks those already hold. Every
+        // identity suite passes whether or not a refill keeps them.
+        for (component, bench) in CELLS {
+            let profile = by_name(bench).unwrap();
+            let spec = CampaignSpec::quick(component, 32);
+            let mut base = CellBase::capture(profile, &spec, 1);
+            let round = base.draw(profile, &spec, None);
+            let cell = ShardCell::new(&base, &round, None);
+            // The cell's largest window past cycle 0, which the cursor
+            // runs forward to.
+            let mut window: &[usize] = &[];
+            let mut rest = &round.order[..];
+            while !rest.is_empty() {
+                let (next, tail) = rest.split_at(window_len(&round.samples, rest));
+                if next.len() > window.len() && entry_cycle(&round.samples[next[0]]) > 0 {
+                    window = next;
+                }
+                rest = tail;
+            }
+            assert!(window.len() >= 2, "{component}: no window forks a sample");
+            let mut walk = ShardWalk::new(1);
+            let runs = walk.run_span(cell, window);
+            let first = walk.dram_stats();
+            assert!(first.chunks > 0, "{component}: {first:?}");
+            assert_eq!(walk.run_span(cell, window), runs, "{component}");
+            let both = walk.dram_stats();
+            assert_eq!(
+                both.chunks, first.chunks,
+                "{component}: the second window allocated chunks ({both:?})"
+            );
+            assert!(both.copied > first.copied, "{component}: {both:?}");
+            assert_eq!(walk.warm_stats().carriers, 2, "{component}");
+        }
     }
 
     #[test]

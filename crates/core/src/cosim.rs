@@ -389,6 +389,12 @@ impl<C: Component> Kept<C> {
             driver.sys.release_pages();
         }
     }
+
+    /// The systems of the drivers kept.
+    fn systems(&self) -> impl Iterator<Item = &System> {
+        let drivers = (self.carrier.iter()).chain(&self.driver);
+        drivers.chain(&self.fork).map(|driver| &driver.sys)
+    }
 }
 
 /// A shard's [`Kept`] drivers and lanes. A shard runs one component, so
@@ -411,6 +417,19 @@ pub enum Spares {
     Ccx(Kept<CcxPort>),
     /// The PCIe engine's.
     Pcie(Kept<PciePort>),
+}
+
+impl Spares {
+    /// Calls `f` on the system of every driver kept.
+    pub(crate) fn for_each_system(&self, f: impl FnMut(&System)) {
+        match self {
+            Spares::Empty => {}
+            Spares::L2c(kept) => kept.systems().for_each(f),
+            Spares::Mcu(kept) => kept.systems().for_each(f),
+            Spares::Ccx(kept) => kept.systems().for_each(f),
+            Spares::Pcie(kept) => kept.systems().for_each(f),
+        }
+    }
 }
 
 /// [`Component::kept`] for the component of `Spares::$variant`: what

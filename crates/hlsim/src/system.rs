@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use nestsim_arch::mem::WORDS_PER_LINE;
+use nestsim_arch::mem::{refill_table, WORDS_PER_LINE};
 use nestsim_arch::{BuildU64Hasher, DramContents, L2BankArch, L2Geometry};
 use nestsim_proto::addr::{l2_bank_of, mcu_of_bank, BankId, LineAddr, McuId, PAddr, ThreadId};
 use nestsim_proto::pcie::{stream_word, DmaDescriptor};
@@ -217,8 +217,12 @@ pub struct SnapshotCost {
 /// this system still holds privately — none right after
 /// [`share_pages`](System::share_pages). `clone_from` refills an
 /// existing system and reuses every buffer it holds — bank arrays,
-/// thread and event storage, maps, the page table and one arena chunk —
-/// so a restore into a system that ran before allocates next to nothing.
+/// thread and event storage, maps, the page table and every arena
+/// chunk — so a restore into a system that ran before allocates next to
+/// nothing. The last-store table and the page table are refilled in
+/// place when they can hold the source's entries
+/// ([`refill_table`]): they reallocate only for a source with more
+/// entries than they ever had room for.
 #[derive(Debug)]
 pub struct System {
     cfg: SystemConfig,
@@ -350,7 +354,7 @@ impl Clone for System {
         self.intercept = *intercept;
         self.outbox.clone_from(outbox);
         self.pending_fills.clone_from(pending_fills);
-        self.last_store.clone_from(last_store);
+        refill_table(&mut self.last_store, last_store);
         self.tainted.clone_from(tainted);
         self.first_taint_read = *first_taint_read;
     }

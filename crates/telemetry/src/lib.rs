@@ -193,6 +193,16 @@ pub mod names {
     /// telemetry).
     pub const WARM_CYCLES: &str = "warm.cycles";
 
+    /// Counter: DRAM arena chunks (64 pages, one heap allocation each)
+    /// the systems of a campaign walk allocated — its cursor, window
+    /// carriers and forks (engine telemetry). A walk that refills its
+    /// systems allocates them once, so windows after the first add
+    /// few or none.
+    pub const DRAM_CHUNKS_ALLOCATED: &str = "dram.chunks_allocated";
+    /// Counter: DRAM pages the same systems copied out of shared arenas
+    /// on a first write (engine telemetry).
+    pub const DRAM_PAGES_COPIED: &str = "dram.pages_copied";
+
     /// Counter: rounds executed by the adaptive sampling engine
     /// (engine telemetry; sequential-stopping trace).
     pub const ADAPTIVE_ROUNDS: &str = "adaptive.rounds";
@@ -308,6 +318,8 @@ pub mod names {
         LANES_SCALAR_FALLBACKS,
         WARM_CARRIERS,
         WARM_CYCLES,
+        DRAM_CHUNKS_ALLOCATED,
+        DRAM_PAGES_COPIED,
         QRR_RUNS,
         QRR_DETECTED,
         QRR_REPLAY_ATTEMPTS,

@@ -2,14 +2,17 @@
 //! naive line map — the storage it replaced, kept here as the oracle.
 //!
 //! A population of (memory, oracle) pairs is driven through random
-//! line and word writes (zeroing ones included), clones, refills
-//! (`clone_from`), freezes, releases and drops over a few pages — and
-//! drops of every memory but one followed by a write, the path on
-//! which a writer takes back the pages it froze. Clones, refills,
-//! freezes and take-backs must be invisible: every pair stays
+//! line and word writes (zeroing ones included), bursts over hundreds
+//! of pages, clones, refills (`clone_from`), freezes, releases and
+//! drops — and drops of every memory but one followed by a write, the
+//! path on which a writer takes back the pages it froze. Clones,
+//! refills, freezes and take-backs must be invisible: every pair stays
 //! read-for-read equal to its own oracle whatever is done to the pairs
 //! it shares pages with, and `==` follows contents, not sharing
-//! history.
+//! history. The bursts take memories past two 64-page arena chunks, so
+//! page indices cross chunks, and a refilled memory must write into the
+//! chunks it holds: one that holds no more private pages than it did
+//! before the refill allocates none (`chunks_allocated`).
 //!
 //! Run on the in-repo `nestsim-harness` property runner (see
 //! `tests/proptest_invariants.rs` for the replay-seed workflow).
@@ -24,8 +27,11 @@ use nestsim::proto::addr::{LineAddr, PAddr};
 
 type Line = [u64; WORDS_PER_LINE];
 
-/// Four 64-line pages.
-const LINES: u64 = 4 * 64;
+/// 64-line pages the memories write: room for eight arena chunks.
+const PAGES: u64 = 512;
+/// Pages most single writes land in, so that memories share and
+/// rewrite them often.
+const HOT_PAGES: u64 = 4;
 /// Memories alive at once.
 const MAX_LIVE: usize = 5;
 
@@ -60,9 +66,14 @@ impl LineMapOracle {
 
 /// A line number: half the time one of a page's first two lines, so
 /// that pages often hold nothing else and empty out when those are
-/// zeroed; otherwise anywhere in the four pages.
+/// zeroed; otherwise anywhere in the page. The page is one of the hot
+/// ones but one time in eight.
 fn line_no(src: &mut Source) -> u64 {
-    let page = src.below(LINES / 64);
+    let page = if src.below(8) == 0 {
+        src.below(PAGES)
+    } else {
+        src.below(HOT_PAGES)
+    };
     let within = if src.bool() {
         src.below(2)
     } else {
@@ -89,8 +100,30 @@ fn write(src: &mut Source, pair: &mut (DramContents, LineMapOracle)) {
     pair.1.write_word(addr, value);
 }
 
+/// One word in each of up to 200 consecutive pages, at one offset: the
+/// writes that take a memory past two arena chunks of private pages, or
+/// (a zero word) empty the pages again. Returns the most private pages
+/// the memory held after any of them.
+fn burst(src: &mut Source, pair: &mut (DramContents, LineMapOracle)) -> usize {
+    let first = src.below(PAGES);
+    let end = (first + src.range_u64(1, 200)).min(PAGES);
+    let line = src.below(2);
+    let value = word(src);
+    let mut peak = 0;
+    for page in first..end {
+        let addr = PAddr::new((page * 64 + line) * 64);
+        pair.0.write_word(addr, value);
+        pair.1.write_word(addr, value);
+        peak = peak.max(pair.0.private_pages());
+    }
+    peak
+}
+
+/// `mem` reads as `oracle`: every line of the hot pages, every line the
+/// oracle holds, and the count of backed lines — equal counts with
+/// every oracle line read back mean no other line is backed.
 fn assert_matches(mem: &DramContents, oracle: &LineMapOracle, step: usize, k: usize) {
-    for l in 0..LINES {
+    for l in (0..HOT_PAGES * 64).chain(oracle.lines.keys().copied()) {
         let la = LineAddr::new(l);
         assert_eq!(
             mem.read_line(la),
@@ -112,13 +145,35 @@ fn assert_matches(mem: &DramContents, oracle: &LineMapOracle, step: usize, k: us
     );
 }
 
+/// What a refilled memory held: the private pages just before its
+/// refill, the chunks it had allocated right after it, and the most
+/// private pages it has held since, after any write.
+#[derive(Debug, Clone, Copy)]
+struct Refill {
+    held: usize,
+    chunks: u64,
+    peak: usize,
+}
+
+impl Refill {
+    fn saw(refill: &mut Option<Refill>, private_pages: usize) {
+        if let Some(refill) = refill {
+            refill.peak = refill.peak.max(private_pages);
+        }
+    }
+}
+
 properties! {
     fn paged_dram_matches_the_line_map_oracle(src) {
         let mut live = vec![(DramContents::new(), LineMapOracle::default())];
+        // Per memory of `live`, since its last refill, while it did not
+        // freeze: a freeze hands its chunks on, and a clone that keeps
+        // them shared keeps them.
+        let mut refills: Vec<Option<Refill>> = vec![None];
         let steps = src.range_usize(1, 120);
         for step in 0..steps {
             let i = src.index(live.len());
-            match src.below(11) {
+            match src.below(12) {
                 0..=2 => {
                     let la = LineAddr::new(line_no(src));
                     let mut data = [0; WORDS_PER_LINE];
@@ -132,6 +187,7 @@ properties! {
                 3 | 4 => write(src, &mut live[i]),
                 5 => {
                     let before = live[i].0.clone();
+                    refills[i] = None;
                     live[i].0.freeze();
                     assert_eq!(live[i].0.private_pages(), 0, "freeze leaves no private page");
                     assert!(live[i].0 == before, "freeze changed contents");
@@ -144,15 +200,23 @@ properties! {
                         "a clone copies at most the source's private pages"
                     );
                     live.push(copy);
+                    refills.push(None);
                 }
                 7 if live.len() > 1 => {
                     // Dropping one holder must not disturb the others.
                     live.swap_remove(i);
+                    refills.swap_remove(i);
                 }
                 8 if live.len() > 1 => {
                     // Refill memory `i` from another: it drops its own
-                    // pages and becomes a copy of the source.
+                    // pages and becomes a copy of the source. Half the
+                    // time the source shares its pages first, as a
+                    // walk's cursor and carriers do.
                     let j = (i + 1 + src.index(live.len() - 1)) % live.len();
+                    if src.bool() {
+                        live[j].0.freeze();
+                        refills[j] = None;
+                    }
                     let (to, from) = if i < j {
                         let (head, tail) = live.split_at_mut(j);
                         (&mut head[i], &tail[0])
@@ -160,8 +224,17 @@ properties! {
                         let (head, tail) = live.split_at_mut(i);
                         (&mut tail[0], &head[j])
                     };
+                    let held = to.0.private_pages();
                     to.0.clone_from(&from.0);
                     to.1.clone_from(&from.1);
+                    // From a frozen source, as every refill of a walk is:
+                    // private pages of the source's would keep its
+                    // indices, free ones too.
+                    refills[i] = (from.0.private_pages() == 0).then(|| Refill {
+                        held,
+                        chunks: to.0.chunks_allocated(),
+                        peak: 0,
+                    });
                     assert!(to.0 == from.0, "a refill equals its source");
                     assert_eq!(
                         to.0.private_pages(),
@@ -181,11 +254,37 @@ properties! {
                     let kept = live.swap_remove(i);
                     live.clear();
                     live.push(kept);
+                    let refill = refills.swap_remove(i);
+                    refills.clear();
+                    refills.push(refill);
                     for _ in 0..src.range_usize(1, 4) {
                         write(src, &mut live[0]);
+                        Refill::saw(&mut refills[0], live[0].0.private_pages());
                     }
                 }
+                11 => {
+                    let peak = burst(src, &mut live[i]);
+                    Refill::saw(&mut refills[i], peak);
+                }
                 _ => {}
+            }
+            // A refilled memory writes into the chunks it holds: no
+            // chunk is allocated while it holds fewer private pages than
+            // it did before the refill. Fewer, not as many: a write that
+            // empties a shared page copies it first, one page more than
+            // the memory holds before or after.
+            for (k, refill) in refills.iter_mut().enumerate() {
+                Refill::saw(refill, live[k].0.private_pages());
+                let Some(refill) = refill else { continue };
+                let mem = &live[k].0;
+                if refill.peak < refill.held {
+                    assert_eq!(
+                        mem.chunks_allocated(),
+                        refill.chunks,
+                        "step {step}, memory {k}: {refill:?}, now {} private pages",
+                        mem.private_pages()
+                    );
+                }
             }
             // Isolation in every direction: whichever memory was just
             // written, frozen, cloned, refilled, released or dropped, each
@@ -214,6 +313,10 @@ properties! {
         let mut writer = (DramContents::new(), LineMapOracle::default());
         for _ in 0..src.range_usize(1, 40) {
             write(src, &mut writer);
+        }
+        // Often past a chunk: the arena taken back holds several.
+        if src.bool() {
+            burst(src, &mut writer);
         }
         for round in 0..src.range_usize(1, 6) {
             writer.0.freeze();
