@@ -140,6 +140,7 @@ impl SvcClient {
                 ticket,
                 golden,
                 merged,
+                engine,
             } => {
                 let i = by_ticket(slots, ticket)?;
                 let slot = &mut slots[i];
@@ -165,7 +166,7 @@ impl SvcClient {
                     telemetry: CampaignTelemetry {
                         merged,
                         worker_samples: Vec::new(),
-                        engine: Recorder::null(),
+                        engine,
                     },
                     adaptive: None,
                 })));
@@ -238,6 +239,7 @@ mod tests {
                     cycles: 2,
                 },
                 merged: Recorder::null(),
+                engine: Recorder::null(),
             };
             send(&mut stream, &done);
         });

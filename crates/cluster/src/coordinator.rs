@@ -51,6 +51,8 @@ pub struct RemoteExecutor<'a> {
     telemetry: Option<&'a TelemetryConfig>,
     /// The first round's golden reference.
     golden: Option<GoldenRef>,
+    /// The engine telemetry the server's executions reported.
+    engine: Recorder,
 }
 
 impl<'a> RemoteExecutor<'a> {
@@ -69,6 +71,7 @@ impl<'a> RemoteExecutor<'a> {
             spec,
             telemetry,
             golden: None,
+            engine: recorder_for(telemetry),
         })
     }
 }
@@ -105,13 +108,14 @@ impl RoundExecutor for RemoteExecutor<'_> {
             golden.digest,
             golden.cycles
         );
+        self.engine.merge(&result.telemetry.engine);
         (result.records, result.telemetry.merged)
     }
 
     fn finish(self) -> Execution {
         Execution {
             golden: self.golden.expect("the round loop runs a round"),
-            engine: recorder_for(self.telemetry),
+            engine: self.engine,
             worker_samples: Vec::new(),
         }
     }

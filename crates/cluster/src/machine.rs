@@ -708,6 +708,7 @@ impl ServiceMachine {
             ticket,
             golden: cell.golden,
             merged: cell.merged.clone(),
+            engine: cell.engine.clone(),
         };
         self.send(now, conn, &done, out);
     }
@@ -844,6 +845,7 @@ fn assemble(job: &JobWire, golden: GoldenRef, results: Vec<Vec<RunWire>>) -> Opt
         golden,
         records,
         merged,
+        engine: Recorder::null(),
     })
 }
 
@@ -1080,6 +1082,7 @@ mod tests {
             golden: golden(),
             records: (0..n).map(record).collect(),
             merged: Recorder::null(),
+            engine: Recorder::null(),
         }
     }
 

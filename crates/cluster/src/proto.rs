@@ -43,11 +43,12 @@ use crate::wire::{
 };
 
 /// Protocol version spoken by this build; `Hello` with any other
-/// version is refused with an `Error` reply. Version 6 drops `Progress`
+/// version is refused with an `Error` reply. Version 7 adds the engine
+/// telemetry to `Done`; 6 drops `Progress`
 /// (tag 15) and the worker id of `RequestShard` and `Heartbeat`; 5
 /// carries both conversations in one [`Message`], 4 added the service's
 /// messages, 3 [`JobWire::adaptive`] and 2 the lane fields.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// The one version check, which the server runs on `Hello`: the
 /// refusal it sends as `Error` when `version` is not this build's.
@@ -320,6 +321,8 @@ pub enum Message {
         golden: GoldenRef,
         /// Merged per-run telemetry (null when telemetry was off).
         merged: Recorder,
+        /// The execution's engine telemetry (`ExecOutput::engine`).
+        engine: Recorder,
     },
     /// Service → client: terminal failure, the job crashed more times
     /// than the service retries.
@@ -554,11 +557,13 @@ impl Message {
                 ticket,
                 golden,
                 merged,
+                engine,
             } => {
                 w.u8(TAG_DONE);
                 w.u64(*ticket);
                 put_golden(&mut w, golden);
                 put_recorder(&mut w, merged)?;
+                put_recorder(&mut w, engine)?;
             }
             Message::Failed { ticket, reason } => {
                 w.u8(TAG_FAILED);
@@ -667,6 +672,7 @@ impl Message {
                 ticket: r.u64()?,
                 golden: get_golden(&mut r)?,
                 merged: get_recorder(&mut r)?,
+                engine: get_recorder(&mut r)?,
             },
             TAG_FAILED => Message::Failed {
                 ticket: r.u64()?,
@@ -840,6 +846,7 @@ mod tests {
                     cycles: 1_000,
                 },
                 merged: Recorder::null(),
+                engine: Recorder::null(),
             },
             Message::Failed {
                 ticket: 42,

@@ -29,6 +29,11 @@ pub struct ExecOutput {
     pub records: Vec<InjectionRecord>,
     /// Merged per-run telemetry (null when telemetry was off).
     pub merged: Recorder,
+    /// The execution's engine telemetry: how it ran, never what it
+    /// computed (null when telemetry was off, and for a cell that
+    /// workers ran, whose submissions carry only the server's
+    /// counters).
+    pub engine: Recorder,
 }
 
 /// One subscriber of a cell: a (connection, ticket) pair.
@@ -353,6 +358,7 @@ mod tests {
             },
             records: Vec::new(),
             merged: Recorder::null(),
+            engine: Recorder::null(),
         };
         let subs = st.complete(&key, out);
         assert_eq!(subs, vec![s1, s2]);

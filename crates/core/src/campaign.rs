@@ -58,7 +58,7 @@ use crate::adaptive::{draw_round, AdaptiveState, StratifiedRound};
 use crate::cosim::{on_component, refilled, Component, Driver, Kept, Spares};
 use crate::inject::{
     enter, finish, recorder_for, run_injection_with, GoldenRef, InjectionRecord, InjectionSpec,
-    Warmed, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
+    PostFlipStats, Warmed, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
 use crate::lanes::run_batch;
 use crate::outcome::OutcomeCounts;
@@ -521,6 +521,7 @@ pub struct ShardWalk {
     lane_width: usize,
     lanes: crate::lanes::LaneBatchStats,
     warm: WarmStats,
+    post_flip: PostFlipStats,
     // What `spare` had counted when the walk was given it.
     dram_before: DramStats,
 }
@@ -588,6 +589,7 @@ impl ShardWalk {
             lane_width: lane_width.clamp(1, nestsim_rtl::MAX_LANES),
             lanes: crate::lanes::LaneBatchStats::default(),
             warm: WarmStats::default(),
+            post_flip: PostFlipStats::default(),
             dram_before: DramStats::default(),
         }
     }
@@ -709,12 +711,14 @@ impl ShardWalk {
                     // them: they run on it.
                     self.warm.carriers += 1;
                     self.warm.cycles += carrier.warmup_done();
-                    let driver = run_flipped(carrier, cell, group, &mut self.lanes, kept, out);
+                    let stats = (&mut self.lanes, &mut self.post_flip);
+                    let driver = run_flipped(carrier, cell, group, stats, kept, out);
                     kept.carrier = Some(driver);
                     break;
                 }
                 let warmed = carrier.fork(kept.driver.take());
-                let mut driver = run_flipped(warmed, cell, group, &mut self.lanes, kept, out);
+                let stats = (&mut self.lanes, &mut self.post_flip);
+                let mut driver = run_flipped(warmed, cell, group, stats, kept, out);
                 // Kept until the next fork refills it, the driver must not
                 // pin the pages the carrier shared for this one.
                 driver.sys_mut().release_pages();
@@ -745,6 +749,11 @@ impl ShardWalk {
         self.warm
     }
 
+    /// Post-flip co-simulation counters accumulated so far.
+    pub(crate) fn post_flip_stats(&self) -> PostFlipStats {
+        self.post_flip
+    }
+
     /// DRAM storage counters accumulated so far, by the systems the
     /// walk holds.
     pub(crate) fn dram_stats(&self) -> DramStats {
@@ -760,12 +769,13 @@ impl ShardWalk {
 
 /// Runs `group`, samples injected at `warmed`'s cycle on one trajectory,
 /// off `warmed`: a lone sample as a scalar run, several as one lane
-/// batch. Returns the driver they end with.
+/// batch, counted into the walk's lane and post-flip `stats`. Returns
+/// the driver they end with.
 fn run_flipped<C: Component>(
     warmed: Warmed<C>,
     cell: ShardCell<'_>,
     group: &[usize],
-    stats: &mut crate::lanes::LaneBatchStats,
+    (lanes, post): (&mut crate::lanes::LaneBatchStats, &mut PostFlipStats),
     kept: &mut Kept<C>,
     out: &mut IndexedRuns,
 ) -> Driver<C> {
@@ -773,11 +783,12 @@ fn run_flipped<C: Component>(
     match *group {
         [i] => {
             let mut rec = recorder_for(telemetry);
-            let (record, driver) = finish(warmed, golden, &samples[i], &mut rec);
+            let (record, driver) = finish(warmed, golden, &samples[i], &mut rec, post);
             out.push((i, record, rec));
             driver
         }
         _ => {
+            let stats = (lanes, post);
             let (runs, driver) = run_batch(warmed, golden, samples, group, telemetry, stats, kept);
             out.extend(runs);
             driver
@@ -1079,7 +1090,7 @@ impl RoundExecutor for LadderExecutor<'_> {
             u64,
             u64,
             crate::lanes::LaneBatchStats,
-            (WarmStats, DramStats),
+            (WarmStats, DramStats, PostFlipStats),
         );
         let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
@@ -1090,7 +1101,8 @@ impl RoundExecutor for LadderExecutor<'_> {
                         let mut walk = ShardWalk::new(width).reusing(spare);
                         let out = walk.run_span(cell, shard);
                         let lanes = walk.lane_stats();
-                        let storage = (walk.warm_stats(), walk.dram_stats());
+                        let storage =
+                            (walk.warm_stats(), walk.dram_stats(), walk.post_flip_stats());
                         (out, walk.forward_cycles(), walk.restores(), lanes, storage)
                     })
                 })
@@ -1102,12 +1114,13 @@ impl RoundExecutor for LadderExecutor<'_> {
         });
         let samples = &round.samples;
         let mut indexed = Vec::with_capacity(samples.len());
-        for (out, forward, restores, lanes, (warm, dram)) in per_worker {
+        for (out, forward, restores, lanes, (warm, dram, post_flip)) in per_worker {
             self.engine.count(names::FORWARD_CYCLES, forward);
             self.engine.count(names::LADDER_RESTORES, restores);
             lanes.publish(&mut self.engine);
             warm.publish(&mut self.engine);
             dram.publish(&mut self.engine);
+            post_flip.publish(&mut self.engine);
             indexed.extend(out);
         }
         let mut merged = recorder_for(self.telemetry);
@@ -1833,7 +1846,7 @@ mod tests {
                 ..CampaignSpec::quick(component, 12)
             };
             let clustered = CampaignSpec {
-                seed: 8,
+                seed: 9,
                 ..clustered
             };
             let mut cbase = CellBase::capture(profile, &clustered, 1);
@@ -1887,7 +1900,7 @@ mod tests {
             &samples,
             &group,
             None,
-            &mut stats,
+            (&mut stats, &mut crate::inject::PostFlipStats::default()),
             &mut kept,
         );
         assert_eq!((stats.retired_early, stats.scalar_fallbacks), (8, 0));

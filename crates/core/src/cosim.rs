@@ -50,7 +50,9 @@ pub enum CosimCheck {
     /// Target and golden are bit-identical (flops, arch state,
     /// in-flight traffic).
     Identical,
-    /// Only benign flop differences (invalid-entry payloads) remain.
+    /// Only flop differences no tick can read remain: payloads of
+    /// invalid guarded slots, and fields the layout marks
+    /// [`Dead`](nestsim_rtl::FieldRole::Dead).
     BenignOnly,
     /// All remaining differences map to high-level uncore state
     /// (Table 1) — the accelerated mode can take over.
@@ -116,6 +118,11 @@ pub trait CosimDriver: Sized {
     /// Compares target vs. golden (Fig. 2 step 7). Only meaningful
     /// after [`snapshot_golden`](CosimDriver::snapshot_golden).
     fn check(&self) -> CosimCheck;
+
+    /// [`check`](CosimDriver::check) with a difference in a field no
+    /// tick reads counted as `Microarch`: Fig. 6's persistence, which
+    /// reports configuration flops as persistent, as the paper does.
+    fn check_every_field(&self) -> CosimCheck;
 
     /// True when no in-flight traffic would be stranded by detaching.
     fn drained(&self) -> bool;
@@ -311,11 +318,14 @@ pub trait Component: Clone + std::fmt::Debug {
 
 /// Fig. 2 step 7 on one target/golden pair: every driver's `check` and
 /// every lane of a batch end here. Traffic outside the flops or a flop
-/// difference outside the benign set is `Microarch`; otherwise the
-/// state beside the flops decides `ArchMappable`. A word-parallel
-/// compare comes first, so an equal pair skips the per-bit benign scan.
-/// A side still on its fault-free model is fault-free: `Identical`.
-fn verdict<S: Side>(target: &S, golden: &S, base: &DramContents) -> CosimCheck {
+/// difference that a tick can read is `Microarch`; otherwise the state
+/// beside the flops decides `ArchMappable`. A flop difference no tick
+/// can read is an invalid guarded slot's payload or, when `dead_counts`
+/// is clear, a bit of a [`Dead`](nestsim_rtl::FieldRole::Dead) field. A
+/// word-parallel compare comes first, so an equal pair skips the
+/// per-bit scan. A side still on its fault-free model is fault-free:
+/// `Identical`.
+fn verdict<S: Side>(target: &S, golden: &S, base: &DramContents, dead_counts: bool) -> CosimCheck {
     let (Some(t), Some(g)) = (target.as_flops(), golden.as_flops()) else {
         return CosimCheck::Identical;
     };
@@ -325,7 +335,7 @@ fn verdict<S: Side>(target: &S, golden: &S, base: &DramContents) -> CosimCheck {
     let mut benign_seen = false;
     if !lane_matches_golden(g.flops().raw_bits(), t.flops().raw_bits()) {
         for bit in t.flops().diff_bits(g.flops()) {
-            if t.is_benign_diff(g, bit) {
+            if (!dead_counts && t.flops().is_dead_bit(bit)) || t.is_benign_diff(g, bit) {
                 benign_seen = true;
             } else {
                 return CosimCheck::Microarch;
@@ -543,7 +553,7 @@ impl<C: Component> Driver<C> {
     /// Fig. 2 step 7 for a lane of a batch whose carrier this is: the
     /// carrier's target side is every lane's golden.
     pub(crate) fn check_lane(&self, lane: &C::Side) -> CosimCheck {
-        verdict(lane, &self.target, self.sys.dram())
+        verdict(lane, &self.target, self.sys.dram(), false)
     }
 
     /// Whether detaching with `side` as the target would strand no
@@ -664,7 +674,13 @@ impl<C: Component> CosimDriver for Driver<C> {
     /// `Identical` before the snapshot: there is nothing to compare.
     fn check(&self) -> CosimCheck {
         (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
-            verdict(&self.target, g, self.sys.dram())
+            verdict(&self.target, g, self.sys.dram(), false)
+        })
+    }
+
+    fn check_every_field(&self) -> CosimCheck {
+        (self.golden.as_ref()).map_or(CosimCheck::Identical, |g| {
+            verdict(&self.target, g, self.sys.dram(), true)
         })
     }
 
@@ -1891,6 +1907,11 @@ pub(crate) mod tests {
         pub(crate) fn target(&self) -> Option<&<C::Side as Side>::Flops> {
             self.target.as_flops()
         }
+
+        /// The golden's flops, from the snapshot on.
+        pub(crate) fn golden(&self) -> Option<&<C::Side as Side>::Flops> {
+            self.golden.as_ref().and_then(Side::as_flops)
+        }
     }
 
     fn sys_at(bench: &str, cycle: u64) -> System {
@@ -2006,7 +2027,8 @@ pub(crate) mod tests {
             assert!(w.driver.holds_warm(), "{component}: the warm-up ran on flops");
             assert_eq!(CONVERSIONS.with(Cell::get), before, "{component}");
             let stepped = steps();
-            (finish(w, &golden, &spec, &mut Recorder::null()).0, stepped)
+            let post = &mut crate::inject::PostFlipStats::default();
+            (finish(w, &golden, &spec, &mut Recorder::null(), post).0, stepped)
         });
         let conversions = CONVERSIONS.with(Cell::get) - before;
         // Only the cycles after the flip.
@@ -2138,8 +2160,15 @@ pub(crate) mod tests {
         let mut stats = LaneBatchStats::default();
         let mut kept = Kept::default();
         let warmed = crate::inject::warm::<L2cPort>(&base, &golden, &spec, None);
+        let post = &mut crate::inject::PostFlipStats::default();
         let (runs, _) = run_batch(
-            warmed, &golden, &samples, &group, None, &mut stats, &mut kept,
+            warmed,
+            &golden,
+            &samples,
+            &group,
+            None,
+            (&mut stats, post),
+            &mut kept,
         );
         let conversions = CONVERSIONS.with(std::cell::Cell::get) - before;
         assert_eq!(runs.len(), samples.len());
@@ -2350,7 +2379,8 @@ pub(crate) mod tests {
         let (base, golden, _) = setup;
         let warmed = warm::<C>(base, golden, &spec, None);
         let drv = if src.below(3) == 0 {
-            finish(warmed, golden, &spec, &mut Recorder::null()).1
+            let post = &mut crate::inject::PostFlipStats::default();
+            finish(warmed, golden, &spec, &mut Recorder::null(), post).1
         } else {
             let mut drv = warmed.driver;
             drv.snapshot_golden();

@@ -95,7 +95,7 @@ fn measure<D: CosimDriver>(mut drv: D, bit: usize, limit: u64) -> (u64, bool) {
     while cycles < limit {
         drv.step();
         cycles += 1;
-        if cycles % 16 == 0 && drv.check().exitable() {
+        if cycles % 16 == 0 && drv.check_every_field().exitable() {
             return (cycles, false);
         }
         if drv.sys().trap().is_some() {

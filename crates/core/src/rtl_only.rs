@@ -24,7 +24,7 @@ use crate::campaign::{injection_target_bits, injection_window};
 use crate::cosim::{on_component, Component, CosimDriver};
 use crate::inject::{
     aborted, run_injection, warm, Flipped, GoldenRef, InjectionRecord, InjectionSpec,
-    DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
+    PostFlipStats, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
 use crate::outcome::Outcome;
 
@@ -124,7 +124,7 @@ pub fn run_rtl_only_injection(
             inject_cycle: warmed.driver.cycle(),
             converges: false,
         };
-        run.finish(warmed, &mut Recorder::null()).0
+        run.finish(warmed, &mut Recorder::null(), &mut PostFlipStats::default()).0
     })
 }
 

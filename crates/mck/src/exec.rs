@@ -26,7 +26,7 @@ use nestsim_core::campaign::{
 };
 use nestsim_core::inject::GoldenRef;
 use nestsim_hlsim::workload::BenchProfile;
-use nestsim_telemetry::TelemetryConfig;
+use nestsim_telemetry::{Recorder, TelemetryConfig};
 
 /// One campaign cell, fully executed and cached for schedule replay.
 pub struct CampaignExec {
@@ -111,6 +111,7 @@ impl CampaignExec {
             golden: self.reference.golden,
             records: self.reference.records.clone(),
             merged: self.reference.telemetry.merged.clone(),
+            engine: Recorder::null(),
         }
     }
 }

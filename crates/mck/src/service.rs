@@ -251,6 +251,7 @@ fn cell_output(seed: u64) -> ExecOutput {
             })
             .collect(),
         merged: Recorder::null(),
+        engine: Recorder::null(),
     }
 }
 
@@ -676,6 +677,7 @@ impl Peers {
                 ticket,
                 golden,
                 merged,
+                ..
             } => {
                 let track = tickets.get_mut(&ticket).ok_or_else(|| unknown(ticket))?;
                 if track.done.replace((golden, merged)).is_some() {

@@ -154,13 +154,11 @@ pub fn collapse_queue_at(f: &mut FlopSpace, guards: &[Guard], idx: usize) {
     f.zero_range(last.start - 1, last.end + 1 - last.start);
 }
 
-/// Checks a bit against a guard list. Differences in
-/// [`FlopClass::Inactive`] flops (BIST / redundancy chains, disconnected
-/// on a defect-free chip) are always benign.
+/// Checks a bit against a guard list. (Differences in flops no tick
+/// reads, such as the BIST chains, are the layout's
+/// [`Dead`](nestsim_rtl::FieldRole::Dead) role, which the compare reads
+/// beside this.)
 pub fn benign_in(guards: &[Guard], bit: usize, target: &FlopSpace, golden: &FlopSpace) -> bool {
-    if target.class_of_bit(bit) == FlopClass::Inactive {
-        return true;
-    }
     guards.iter().any(|g| g.benign(bit, target, golden))
 }
 

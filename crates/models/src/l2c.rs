@@ -353,23 +353,27 @@ impl L2cBank {
         let oq: [CpxSlot; OQ_DEPTH] =
             from_fn(|i| CpxSlot::declare_guarded(&mut b, &format!("oq[{i}]"), FlopClass::Target));
         let oq_count = b.field("oq.count", 4, FlopClass::Target);
-        let perf_ctr = b.field("perf.hits", 8, FlopClass::Target);
+        // The hit counter only counts: its own increment is its one
+        // reader.
+        let perf_ctr = b.dead_field("perf.hits", 8, FlopClass::Target);
 
         // Configuration state: survives QRR reset, hardened under QRR.
+        // No tick reads the bank id or the throttle.
         let cfg_enable = b.field("cfg.enable", 1, FlopClass::Config);
-        b.field("cfg.bank_id", 3, FlopClass::Config);
-        b.field("cfg.throttle", 28, FlopClass::Config);
+        b.dead_field("cfg.bank_id", 3, FlopClass::Config);
+        b.dead_field("cfg.throttle", 28, FlopClass::Config);
 
         // ECC datapath pipeline registers: protected, excluded from
         // injection (Sec. 3.1). Sized to keep the protected share of the
-        // model in the neighbourhood of Table 4's 27%.
-        b.field_array("ecc.data_pipe", 32, 64, FlopClass::EccProtected);
-        b.field_array("ecc.syndrome", 32, 8, FlopClass::EccProtected);
+        // model in the neighbourhood of Table 4's 27%. No tick reads
+        // them, nor the BIST chains below.
+        b.dead_array("ecc.data_pipe", 32, 64, FlopClass::EccProtected);
+        b.dead_array("ecc.syndrome", 32, 8, FlopClass::EccProtected);
 
         // BIST / redundancy-repair chains: inactive on a defect-free
         // chip (Table 4: 14.7% of L2C flops).
-        b.field_array("bist.chain", 20, 64, FlopClass::Inactive);
-        b.field_array("bist.repair", 8, 16, FlopClass::Inactive);
+        b.dead_array("bist.chain", 20, 64, FlopClass::Inactive);
+        b.dead_array("bist.repair", 8, 16, FlopClass::Inactive);
 
         let flops = b.build();
         let iq_guards = iq.map(|s| s.guard());

@@ -310,11 +310,12 @@ impl Mcu {
         let cfg_refresh = b.field("cfg.refresh_interval", 12, FlopClass::Config);
 
         // ECC encode/decode pipeline (protected, Table 4: 26.5%).
-        b.field_array("ecc.data_pipe", 24, 64, FlopClass::EccProtected);
-        b.field_array("ecc.check_bits", 24, 8, FlopClass::EccProtected);
+        // No tick reads these, nor the BIST chain below.
+        b.dead_array("ecc.data_pipe", 24, 64, FlopClass::EccProtected);
+        b.dead_array("ecc.check_bits", 24, 8, FlopClass::EccProtected);
 
         // BIST / repair (inactive, Table 4: 7.1%).
-        b.field_array("bist.chain", 8, 64, FlopClass::Inactive);
+        b.dead_array("bist.chain", 8, 64, FlopClass::Inactive);
 
         let flops = b.build();
         let rq_guards = rq.map(|s| s.guard);
@@ -578,14 +579,19 @@ impl Mcu {
                     self.flops.write(slot.tag, cmd.tag as u64);
                     self.flops.write(slot.src_bank, cmd.bank.index() as u64);
                     self.flops.write(slot.line, cmd.line.raw());
+                    // The whole payload, the buffer index of a read
+                    // included: what an invalid slot held never reaches
+                    // a valid one (the compare's benign-slot rule).
+                    let mut wdb_idx = 0;
                     if is_wb {
                         let (wi, w) = free_wdb.expect("checked above");
                         self.flops.write_bool(w.valid, true);
                         for (k, &h) in w.words.iter().enumerate() {
                             self.flops.write(h, cmd.data[k]);
                         }
-                        self.flops.write(slot.wdb_idx, wi as u64);
+                        wdb_idx = wi as u64;
                     }
+                    self.flops.write(slot.wdb_idx, wdb_idx);
                     self.flops.write(self.rq_count, (count + 1) as u64);
                     out.accepted = true;
                 }

@@ -31,7 +31,7 @@
 //! spurious edge can only produce a finding a human then suppresses
 //! with a justification; a missing edge would silently hide one.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::{Graph, Model};
 use crate::lexer::{keyword_before_bracket, Tok, Token};
@@ -265,7 +265,7 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
         })
         .collect();
     let cl = g.closure(&roots);
-    let hashy = hash_typed_names(g.model);
+    let names = hash_typed_names(g.model);
     let is_hash_ty = |name: &str| {
         name == "HashMap"
             || name == "HashSet"
@@ -282,6 +282,7 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
         let toks = &f.lexed.tokens;
         let end = end.min(toks.len());
         let via = trace(g, &cl, id);
+        let hashy = |s: &str| names.visible_in(&g.nodes[id], s);
         // One iteration finding per line: a `for x in m.iter()` loop is
         // both a method iteration and a for-loop over a hash value.
         let mut iter_lines: BTreeSet<u32> = BTreeSet::new();
@@ -328,7 +329,7 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
                 && matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('(')))
             {
                 if let Some(Tok::Ident(recv)) = toks.get(i - 2).map(|t| &t.tok) {
-                    if (hashy.contains(recv) || is_hash_ty(recv)) && iter_lines.insert(line) {
+                    if (hashy(recv) || is_hash_ty(recv)) && iter_lines.insert(line) {
                         push(
                             &mut out,
                             line,
@@ -351,7 +352,7 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
                 for t in &toks[in_at + 1..horizon] {
                     match &t.tok {
                         Tok::Punct('{') => break,
-                        Tok::Ident(s) if hashy.contains(s) || is_hash_ty(s) => {
+                        Tok::Ident(s) if hashy(s) || is_hash_ty(s) => {
                             if iter_lines.insert(line) {
                                 push(
                                     &mut out,
@@ -372,14 +373,38 @@ pub fn check_determinism_taint(g: &Graph<'_>, cfg: &WholeConfig) -> Vec<Finding>
     out
 }
 
-/// Names (locals, params, struct fields) declared with a hash-ordered
-/// type anywhere in the workspace: `counts: &TagMap`, `tags: HashMap<…>`,
-/// `let m = HashMap::new()`. Name-based and therefore global — a
-/// same-named deterministic variable elsewhere inherits the suspicion,
-/// which is the conservative direction.
-fn hash_typed_names(model: &Model) -> BTreeSet<String> {
-    let mut hashy = BTreeSet::new();
-    for f in &model.files {
+/// Names declared with a hash-ordered type: `tags: HashMap<…>`,
+/// `counts: &TagMap`, `let m = HashMap::new()`.
+#[derive(Debug, Default)]
+struct HashNames {
+    /// Names declared outside every fn (struct fields), which any fn
+    /// may reach through a value: a same-named deterministic variable
+    /// elsewhere inherits the suspicion, the conservative direction.
+    fields: BTreeSet<String>,
+    /// Each fn's params and `let`s, by its (file, fn) index: they name
+    /// nothing outside it.
+    locals: BTreeMap<(usize, usize), BTreeSet<String>>,
+}
+
+impl HashNames {
+    /// Whether `name` is hash-typed as the body of `node` sees it.
+    fn visible_in(&self, node: &crate::graph::Node, name: &str) -> bool {
+        self.fields.contains(name)
+            || (self.locals.get(&(node.file, node.fun))).is_some_and(|l| l.contains(name))
+    }
+}
+
+/// [`HashNames`] of the whole workspace. A binder inside a fn's
+/// signature or body belongs to the innermost such fn.
+fn hash_typed_names(model: &Model) -> HashNames {
+    let mut hashy = HashNames::default();
+    for (fi, f) in model.files.iter().enumerate() {
+        let owner = |i: usize| {
+            let fns = f.parsed.fns.iter().enumerate();
+            fns.filter(|(_, d)| d.sig_start <= i && d.body.is_some_and(|(_, end)| i < end))
+                .max_by_key(|(_, d)| d.sig_start)
+                .map(|(k, _)| k)
+        };
         let toks = &f.lexed.tokens;
         let in_skip = |i: usize| f.skip.iter().any(|&(a, b)| i >= a && i < b);
         for i in 0..toks.len() {
@@ -436,7 +461,11 @@ fn hash_typed_names(model: &Model) -> BTreeSet<String> {
                 _ => None,
             };
             if let Some(Tok::Ident(v)) = binder.map(|t| &t.tok) {
-                hashy.insert(v.clone());
+                let names = match owner(i) {
+                    Some(k) => hashy.locals.entry((fi, k)).or_default(),
+                    None => &mut hashy.fields,
+                };
+                names.insert(v.clone());
             }
         }
     }
@@ -554,8 +583,50 @@ pub fn finalize(counts: &TagMap) -> CampaignResult {
                 .to_string(),
         )]);
         let h = hash_typed_names(&m);
-        for n in ["tags", "counts", "m"] {
-            assert!(h.contains(n), "{n} missing from {h:?}");
+        assert!(h.fields.contains("tags"), "{h:?}");
+        for n in ["counts", "m"] {
+            assert!(h.locals[&(0, 0)].contains(n), "{n} missing from {h:?}");
         }
+    }
+
+    #[test]
+    fn a_hash_typed_param_names_nothing_outside_its_fn() {
+        // A `HashMap` parameter named `table` in one file does not make
+        // a `VecDeque` named `table` in another file's fn hash-ordered;
+        // a hash-typed struct field of that name would.
+        let callee = "\
+use std::collections::VecDeque;
+pub fn drain_all(table: &mut VecDeque<u64>) -> u64 {
+    let mut t = 0;
+    for v in table.iter() {
+        t += v;
+    }
+    t
+}
+";
+        let params = "\
+fn rebuild(table: &HashMap<u64, u64>) -> usize { table.len() }
+";
+        let fields = "\
+struct Index { table: HashMap<u64, u64> }
+";
+        let root = "\
+pub fn finalize(q: &mut VecDeque<u64>) -> CampaignResult {
+    CampaignResult { total: drain_all(q) }
+}
+";
+        let run = |other: &str| {
+            let m = Model::build(vec![
+                ("a.rs".to_string(), root.to_string()),
+                ("b.rs".to_string(), callee.to_string()),
+                ("c.rs".to_string(), other.to_string()),
+            ]);
+            let g = Graph::build(&m);
+            check_determinism_taint(&g, &WholeConfig::single("a.rs"))
+        };
+        assert!(run(params).is_empty(), "{:?}", run(params));
+        let f = run(fields);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].file.as_str(), f[0].line), ("b.rs", 4), "{f:?}");
     }
 }

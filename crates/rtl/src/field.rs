@@ -66,6 +66,20 @@ impl core::fmt::Display for FlopClass {
     }
 }
 
+/// Whether a field's value can reach anything but itself: the role the
+/// end-of-co-simulation compare (Fig. 2 step 7) reads beside the
+/// [`FlopClass`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FieldRole {
+    /// Read by some tick: a difference here can change what the
+    /// component does.
+    Live,
+    /// Read by no tick, or only by its own update (a counter that
+    /// nothing else reads). A difference here can never reach another
+    /// flop, an output or memory, so the compare does not count it.
+    Dead,
+}
+
 /// Definition of one named flop field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDef {
@@ -77,6 +91,8 @@ pub struct FieldDef {
     pub width: usize,
     /// Protection class.
     pub class: FlopClass,
+    /// Whether a tick reads it.
+    pub role: FieldRole,
 }
 
 /// Handle to a field registered in a [`FlopSpace`].
@@ -160,8 +176,22 @@ impl FlopSpaceBuilder {
             offset: self.next_offset,
             width,
             class,
+            role: FieldRole::Live,
         });
         self.next_offset += width;
+        h
+    }
+
+    /// [`field`](Self::field) for a field that no tick reads, or that
+    /// only its own update reads ([`FieldRole::Dead`]).
+    pub fn dead_field(
+        &mut self,
+        name: impl Into<String>,
+        width: usize,
+        class: FlopClass,
+    ) -> FieldHandle {
+        let h = self.field(name, width, class);
+        self.fields[h.index()].role = FieldRole::Dead;
         h
     }
 
@@ -177,6 +207,14 @@ impl FlopSpaceBuilder {
         (0..n)
             .map(|i| self.field(format!("{name}[{i}]"), width, class))
             .collect()
+    }
+
+    /// [`field_array`](Self::field_array) of fields no tick reads
+    /// ([`FieldRole::Dead`]).
+    pub fn dead_array(&mut self, name: &str, n: usize, width: usize, class: FlopClass) {
+        for i in 0..n {
+            self.dead_field(format!("{name}[{i}]"), width, class);
+        }
     }
 
     /// Total bits declared so far (the next field's offset).
@@ -363,6 +401,12 @@ impl FlopSpace {
     /// Returns the class of the flop at global bit index `bit`.
     pub fn class_of_bit(&self, bit: usize) -> FlopClass {
         self.field_of_bit(bit).class
+    }
+
+    /// Whether the flop at global bit index `bit` lies in a field no
+    /// tick reads ([`FieldRole::Dead`]).
+    pub fn is_dead_bit(&self, bit: usize) -> bool {
+        self.field_of_bit(bit).role == FieldRole::Dead
     }
 
     /// Global bit indices of all flops whose class satisfies `pred`.
@@ -691,6 +735,22 @@ mod tests {
         t.clear_changed();
         t.reset_except_config();
         assert!(!t.changed());
+    }
+
+    #[test]
+    fn dead_fields_carry_their_role_and_nothing_else() {
+        let mut b = FlopSpaceBuilder::new("x");
+        let live = b.field("live", 3, FlopClass::Target);
+        let dead = b.dead_field("perf", 8, FlopClass::Target);
+        b.dead_array("bist", 2, 4, FlopClass::Inactive);
+        let s = b.build();
+        let roles: Vec<FieldRole> = s.fields().iter().map(|f| f.role).collect();
+        use FieldRole::{Dead, Live};
+        assert_eq!(roles, [Live, Dead, Dead, Dead]);
+        assert!(!s.is_dead_bit(s.field_bit_index(live, 2)));
+        assert!(s.is_dead_bit(s.field_bit_index(dead, 0)));
+        assert!(s.is_dead_bit(s.num_flops() - 1));
+        assert_eq!(s.fields()[2].name, "bist[0]");
     }
 
     #[test]

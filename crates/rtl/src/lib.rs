@@ -49,6 +49,6 @@ pub mod lanes;
 pub mod parity;
 
 pub use bitbuf::BitBuf;
-pub use field::{FieldDef, FieldHandle, FlopClass, FlopSpace, FlopSpaceBuilder};
+pub use field::{FieldDef, FieldHandle, FieldRole, FlopClass, FlopSpace, FlopSpaceBuilder};
 pub use lanes::{lane_matches_golden, lanes_differing, LaneMask, MAX_LANES};
 pub use parity::{GroupLayout, ParityDetector, ParityPlan};

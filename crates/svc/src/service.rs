@@ -127,11 +127,12 @@ fn run_exec(job: &JobWire) -> Result<ExecOutput, String> {
         // can use, whichever plan the round belongs to.
         let mut executor = LadderExecutor::new(profile, &job.spec, &Plan::Fixed, telemetry);
         let (records, merged) = executor.run_round(job.adaptive.as_ref());
-        let golden = executor.finish().golden;
+        let execution = executor.finish();
         Ok::<ExecOutput, String>(ExecOutput {
-            golden,
+            golden: execution.golden,
             records,
             merged,
+            engine: execution.engine,
         })
     });
     match run {

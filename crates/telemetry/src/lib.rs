@@ -203,6 +203,59 @@ pub mod names {
     /// on a first write (engine telemetry).
     pub const DRAM_PAGES_COPIED: &str = "dram.pages_copied";
 
+    // The `postflip.*` engine counters: runs and their co-simulation
+    // cycles after the flip, by how co-simulation ended, then by whether
+    // the run's output was clean or erroneous by then. The cycles sum to
+    // the records' `cosim_cycles`.
+    /// Counter: runs where a golden compare found the run identical to its golden, clean output (engine telemetry).
+    pub const POSTFLIP_RUNS_IDENTICAL_CLEAN: &str = "postflip.runs.identical.clean";
+    /// Counter: runs where a golden compare found the run identical to its golden, erroneous output (engine telemetry).
+    pub const POSTFLIP_RUNS_IDENTICAL_ERRONEOUS: &str = "postflip.runs.identical.erroneous";
+    /// Counter: runs where a golden compare found differences no tick can read (invalid slots' payloads, dead fields), clean output (engine telemetry).
+    pub const POSTFLIP_RUNS_BENIGN_CLEAN: &str = "postflip.runs.benign.clean";
+    /// Counter: runs where a golden compare found differences no tick can read (invalid slots' payloads, dead fields), erroneous output (engine telemetry).
+    pub const POSTFLIP_RUNS_BENIGN_ERRONEOUS: &str = "postflip.runs.benign.erroneous";
+    /// Counter: runs where a golden compare found differences only in state the accelerated model holds, clean output (engine telemetry).
+    pub const POSTFLIP_RUNS_ARCH_CLEAN: &str = "postflip.runs.arch.clean";
+    /// Counter: runs where a golden compare found differences only in state the accelerated model holds, erroneous output (engine telemetry).
+    pub const POSTFLIP_RUNS_ARCH_ERRONEOUS: &str = "postflip.runs.arch.erroneous";
+    /// Counter: runs where the program ended, clean output (engine telemetry).
+    pub const POSTFLIP_RUNS_ENDED_CLEAN: &str = "postflip.runs.ended.clean";
+    /// Counter: runs where the program ended, erroneous output (engine telemetry).
+    pub const POSTFLIP_RUNS_ENDED_ERRONEOUS: &str = "postflip.runs.ended.erroneous";
+    /// Counter: runs where the system trapped or passed its watchdog, clean output (engine telemetry).
+    pub const POSTFLIP_RUNS_ABORTED_CLEAN: &str = "postflip.runs.aborted.clean";
+    /// Counter: runs where the system trapped or passed its watchdog, erroneous output (engine telemetry).
+    pub const POSTFLIP_RUNS_ABORTED_ERRONEOUS: &str = "postflip.runs.aborted.erroneous";
+    /// Counter: runs where the co-simulation cap struck, clean output (engine telemetry).
+    pub const POSTFLIP_RUNS_CAP_CLEAN: &str = "postflip.runs.cap.clean";
+    /// Counter: runs where the co-simulation cap struck, erroneous output (engine telemetry).
+    pub const POSTFLIP_RUNS_CAP_ERRONEOUS: &str = "postflip.runs.cap.erroneous";
+    /// Counter: post-flip co-simulation cycles of runs where a golden compare found the run identical to its golden, clean output (engine telemetry).
+    pub const POSTFLIP_CYCLES_IDENTICAL_CLEAN: &str = "postflip.cycles.identical.clean";
+    /// Counter: post-flip co-simulation cycles of runs where a golden compare found the run identical to its golden, erroneous output (engine telemetry).
+    pub const POSTFLIP_CYCLES_IDENTICAL_ERRONEOUS: &str = "postflip.cycles.identical.erroneous";
+    /// Counter: post-flip co-simulation cycles of runs where a golden compare found differences no tick can read (invalid slots' payloads, dead fields), clean output (engine telemetry).
+    pub const POSTFLIP_CYCLES_BENIGN_CLEAN: &str = "postflip.cycles.benign.clean";
+    /// Counter: post-flip co-simulation cycles of runs where a golden compare found differences no tick can read (invalid slots' payloads, dead fields), erroneous output (engine telemetry).
+    pub const POSTFLIP_CYCLES_BENIGN_ERRONEOUS: &str = "postflip.cycles.benign.erroneous";
+    /// Counter: post-flip co-simulation cycles of runs where a golden compare found differences only in state the accelerated model holds, clean output (engine telemetry).
+    pub const POSTFLIP_CYCLES_ARCH_CLEAN: &str = "postflip.cycles.arch.clean";
+    /// Counter: post-flip co-simulation cycles of runs where a golden compare found differences only in state the accelerated model holds, erroneous output (engine telemetry).
+    pub const POSTFLIP_CYCLES_ARCH_ERRONEOUS: &str = "postflip.cycles.arch.erroneous";
+    /// Counter: post-flip co-simulation cycles of runs where the program ended, clean output (engine telemetry).
+    pub const POSTFLIP_CYCLES_ENDED_CLEAN: &str = "postflip.cycles.ended.clean";
+    /// Counter: post-flip co-simulation cycles of runs where the program ended, erroneous output (engine telemetry).
+    pub const POSTFLIP_CYCLES_ENDED_ERRONEOUS: &str = "postflip.cycles.ended.erroneous";
+    /// Counter: post-flip co-simulation cycles of runs where the system trapped or passed its watchdog, clean output (engine telemetry).
+    pub const POSTFLIP_CYCLES_ABORTED_CLEAN: &str = "postflip.cycles.aborted.clean";
+    /// Counter: post-flip co-simulation cycles of runs where the system trapped or passed its watchdog, erroneous output (engine telemetry).
+    pub const POSTFLIP_CYCLES_ABORTED_ERRONEOUS: &str = "postflip.cycles.aborted.erroneous";
+    /// Counter: post-flip co-simulation cycles of runs where the co-simulation cap struck, clean output (engine telemetry).
+    pub const POSTFLIP_CYCLES_CAP_CLEAN: &str = "postflip.cycles.cap.clean";
+    /// Counter: post-flip co-simulation cycles of runs where the co-simulation cap struck, erroneous output (engine telemetry).
+    pub const POSTFLIP_CYCLES_CAP_ERRONEOUS: &str = "postflip.cycles.cap.erroneous";
+
     /// Counter: rounds executed by the adaptive sampling engine
     /// (engine telemetry; sequential-stopping trace).
     pub const ADAPTIVE_ROUNDS: &str = "adaptive.rounds";
@@ -320,6 +373,30 @@ pub mod names {
         WARM_CYCLES,
         DRAM_CHUNKS_ALLOCATED,
         DRAM_PAGES_COPIED,
+        POSTFLIP_RUNS_IDENTICAL_CLEAN,
+        POSTFLIP_RUNS_IDENTICAL_ERRONEOUS,
+        POSTFLIP_RUNS_BENIGN_CLEAN,
+        POSTFLIP_RUNS_BENIGN_ERRONEOUS,
+        POSTFLIP_RUNS_ARCH_CLEAN,
+        POSTFLIP_RUNS_ARCH_ERRONEOUS,
+        POSTFLIP_RUNS_ENDED_CLEAN,
+        POSTFLIP_RUNS_ENDED_ERRONEOUS,
+        POSTFLIP_RUNS_ABORTED_CLEAN,
+        POSTFLIP_RUNS_ABORTED_ERRONEOUS,
+        POSTFLIP_RUNS_CAP_CLEAN,
+        POSTFLIP_RUNS_CAP_ERRONEOUS,
+        POSTFLIP_CYCLES_IDENTICAL_CLEAN,
+        POSTFLIP_CYCLES_IDENTICAL_ERRONEOUS,
+        POSTFLIP_CYCLES_BENIGN_CLEAN,
+        POSTFLIP_CYCLES_BENIGN_ERRONEOUS,
+        POSTFLIP_CYCLES_ARCH_CLEAN,
+        POSTFLIP_CYCLES_ARCH_ERRONEOUS,
+        POSTFLIP_CYCLES_ENDED_CLEAN,
+        POSTFLIP_CYCLES_ENDED_ERRONEOUS,
+        POSTFLIP_CYCLES_ABORTED_CLEAN,
+        POSTFLIP_CYCLES_ABORTED_ERRONEOUS,
+        POSTFLIP_CYCLES_CAP_CLEAN,
+        POSTFLIP_CYCLES_CAP_ERRONEOUS,
         QRR_RUNS,
         QRR_DETECTED,
         QRR_REPLAY_ATTEMPTS,

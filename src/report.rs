@@ -17,6 +17,7 @@
 //! assert!(s.lines().count() >= 4);
 //! ```
 
+use nestsim_core::inject::{POSTFLIP_CYCLES, POSTFLIP_EXITS, POSTFLIP_RUNS};
 use nestsim_stats::Cdf;
 use nestsim_telemetry::{names, Recorder};
 
@@ -164,8 +165,9 @@ pub fn render_provenance(rec: &Recorder) -> String {
 
 /// Renders the campaign-engine footer: how the snapshot-ladder engine
 /// scheduled the forward simulation (rungs captured and kept, rung
-/// footprint, rung restores, forward-simulated cycles) and how the
-/// cross-figure cell cache performed. This data is engine- and
+/// footprint, rung restores, forward-simulated cycles), how the
+/// cross-figure cell cache performed, and where post-flip co-simulation
+/// went (`render_post_flip`). This data is engine- and
 /// sharding-dependent by design, so it lives in its own footer rather
 /// than the merged provenance. Empty string when the recorder is
 /// disabled.
@@ -194,6 +196,40 @@ pub fn render_engine_stats(engine: &Recorder) -> String {
     let misses = engine.counter(names::CELL_CACHE_MISSES);
     if hits + misses > 0 {
         out.push_str(&format!("  cell cache: {hits} hits / {misses} misses\n"));
+    }
+    out.push_str(&render_post_flip(engine));
+    out
+}
+
+/// The engine footer's post-flip split: runs and co-simulation cycles
+/// after the flip by how co-simulation ended and whether the output was
+/// clean or erroneous by then. Empty when no run was counted.
+fn render_post_flip(engine: &Recorder) -> String {
+    let sum =
+        |table: &[[&str; 2]; 6]| -> u64 { table.iter().flatten().map(|n| engine.counter(n)).sum() };
+    let (runs, cycles) = (sum(&POSTFLIP_RUNS), sum(&POSTFLIP_CYCLES));
+    if runs == 0 {
+        return String::new();
+    }
+    let mut out = format!(
+        "  post-flip co-simulation: {runs} runs, {cycles} cycles ({:.0} per run)\n    \
+         {:<10} {:>15} {:>23} {:>8}\n",
+        cycles as f64 / runs as f64,
+        "exit",
+        "runs clean/err",
+        "cycles clean/err",
+        "cycles"
+    );
+    for (e, exit) in POSTFLIP_EXITS.iter().enumerate() {
+        let [r, c] =
+            [POSTFLIP_RUNS[e], POSTFLIP_CYCLES[e]].map(|pair| pair.map(|n| engine.counter(n)));
+        let share = 100.0 * (c[0] + c[1]) as f64 / cycles.max(1) as f64;
+        out.push_str(&format!(
+            "    {exit:<10} {:>15} {:>23} {:>7.1}%\n",
+            format!("{}/{}", r[0], r[1]),
+            format!("{}/{}", c[0], c[1]),
+            share
+        ));
     }
     out
 }

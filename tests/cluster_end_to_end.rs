@@ -252,3 +252,68 @@ fn crashed_worker_is_redispatched_and_bytes_are_identical() {
         assert_identical("crashed worker", &reference, &got);
     });
 }
+
+/// The engine's post-flip counters (`postflip.*`) account for every
+/// co-simulated cycle after a flip, whichever executor ran the cell: on
+/// `LadderExecutor` and on `RemoteExecutor` through the service's
+/// execution slots, the cycle counters sum to the records'
+/// `cosim_cycles` and the run counters to the record count. A run's
+/// exit is a function of the run, so the split is the same on both, and
+/// none of it reaches the merged telemetry.
+#[test]
+fn post_flip_counters_sum_to_the_records_on_every_executor() {
+    use nestsim::core::campaign::LadderExecutor;
+    use nestsim::core::inject::{POSTFLIP_CYCLES, POSTFLIP_RUNS};
+    let telemetry = TelemetryConfig::default();
+    let counters = |r: &CampaignResult| {
+        let read = |table: [[&'static str; 2]; 6]| {
+            table.map(|pair| pair.map(|n| r.telemetry.engine.counter(n)))
+        };
+        (read(POSTFLIP_RUNS), read(POSTFLIP_CYCLES))
+    };
+    let cells = [
+        (ComponentKind::L2c, "flui", 4),
+        (ComponentKind::Mcu, "fft", 1),
+        (ComponentKind::Ccx, "lu-c", 1),
+        (ComponentKind::Pcie, "p-lr", 2),
+    ];
+    for (component, bench, lane_cluster) in cells {
+        let profile = by_name(bench).unwrap();
+        let spec = CampaignSpec {
+            seed: 11,
+            lane_cluster,
+            ..CampaignSpec::quick(component, 24)
+        };
+        let executor = LadderExecutor::new(profile, &spec, &Plan::Fixed, Some(&telemetry));
+        let local = run_rounds(profile, &spec, &Plan::Fixed, Some(&telemetry), executor);
+        let handle = nestsim::svc::serve(nestsim::svc::ServiceConfig::default()).unwrap();
+        let addr = handle.addr().to_string();
+        let executor = RemoteExecutor::connect(&addr, profile, &spec, Some(&telemetry)).unwrap();
+        let remote = run_rounds(profile, &spec, &Plan::Fixed, Some(&telemetry), executor);
+        handle.shutdown().unwrap();
+        assert_identical(&format!("{component} service"), &local, &remote);
+        for (how, r) in [("in process", &local), ("service", &remote)] {
+            let (runs, cycles) = counters(r);
+            let cosim: u64 = r.records.iter().map(|rec| rec.cosim_cycles).sum();
+            assert_eq!(
+                cycles.as_flattened().iter().sum::<u64>(),
+                cosim,
+                "{component} {how}"
+            );
+            let n = r.records.len() as u64;
+            assert_eq!(
+                runs.as_flattened().iter().sum::<u64>(),
+                n,
+                "{component} {how}"
+            );
+            for name in POSTFLIP_RUNS.iter().chain(&POSTFLIP_CYCLES).flatten() {
+                assert_eq!(
+                    r.telemetry.merged.counter(name),
+                    0,
+                    "{component} {how}: {name}"
+                );
+            }
+        }
+        assert_eq!(counters(&local), counters(&remote), "{component}");
+    }
+}

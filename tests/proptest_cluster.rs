@@ -166,6 +166,7 @@ fn arbitrary_message(src: &mut Source) -> Message {
             ticket: src.u64(),
             golden: arbitrary_golden(src),
             merged: arbitrary_recorder(src),
+            engine: arbitrary_recorder(src),
         },
         17 => Message::Failed {
             ticket: src.u64(),
