@@ -44,6 +44,8 @@
 //! that shares none of this (interleaved shards, no ladder, no
 //! grouping).
 
+use std::sync::OnceLock;
+
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
 use nestsim_hlsim::{RunResult, SnapshotLadder, System, SystemConfig};
@@ -235,9 +237,14 @@ pub fn component_flops(component: ComponentKind) -> nestsim_rtl::FlopSpace {
 }
 
 /// Global bit indices eligible for injection in a component model
-/// (Table 4's target partition, via the field classes).
-pub fn injection_target_bits(component: ComponentKind) -> Vec<usize> {
-    component_flops(component).bits_where(|c| c.is_injection_target())
+/// (Table 4's target partition, via the field classes), ascending. A
+/// layout is fixed for the process, so each component's list is built
+/// once.
+pub fn injection_target_bits(component: ComponentKind) -> &'static [usize] {
+    static BITS: [OnceLock<Vec<usize>>; ComponentKind::ALL.len()] =
+        [const { OnceLock::new() }; ComponentKind::ALL.len()];
+    BITS[component as usize]
+        .get_or_init(|| component_flops(component).bits_where(|c| c.is_injection_target()))
 }
 
 /// Number of instances of a component in the SoC (Table 3).
@@ -444,7 +451,7 @@ pub fn draw_samples(
         .derive(profile.name);
     let bits = injection_target_bits(spec.component);
     let mut out = Vec::with_capacity(spec.samples as usize);
-    draw_stream(spec, &root, &bits, window, 0..spec.samples, &mut out);
+    draw_stream(spec, &root, bits, window, 0..spec.samples, &mut out);
     out
 }
 

@@ -1316,7 +1316,10 @@ mod tests {
                 .filter(|f| f.name.ends_with("count") || f.name.ends_with(".valid"))
                 .flat_map(|f| f.offset..f.offset + f.width)
                 .collect();
-            [crate::campaign::injection_target_bits(component), occupancy]
+            [
+                crate::campaign::injection_target_bits(component).to_vec(),
+                occupancy,
+            ]
         });
         let tallies: [Tally; 4] = Default::default();
 

@@ -629,7 +629,7 @@ mod tests {
         ];
         let pools = ComponentKind::ALL.map(|component| {
             [
-                injection_target_bits(component),
+                injection_target_bits(component).to_vec(),
                 component_flops(component).bits_where(|c| c == FlopClass::Inactive),
                 readiness_bits(component),
             ]

@@ -158,7 +158,7 @@ pub fn draw_fig7_samples(cfg: &RtlOnlyConfig, golden: &GoldenRef, n: u64) -> Vec
     (0..n)
         .map(|k| {
             let mut rng = root.derive_index(k).rng();
-            (*rng.pick(&bits), rng.range(lo, hi))
+            (*rng.pick(bits), rng.range(lo, hi))
         })
         .collect()
 }
