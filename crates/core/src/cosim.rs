@@ -27,8 +27,9 @@
 use std::collections::VecDeque;
 
 use nestsim_arch::{DramContents, DramOverlay, L2BankArch, OverlayBackend};
+use nestsim_hlsim::system::{L2_HIT_LATENCY, L2_MISS_LATENCY};
 use nestsim_hlsim::{InterceptMode, OutMsg, System};
-use nestsim_models::ccx::{CcxInputs, CcxOutputs, CcxWarm};
+use nestsim_models::ccx::{present, CcxInputs, CcxOutputs, CcxWarm};
 use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
 use nestsim_models::mcu::{McuInputs, McuOutputs, McuWarm};
 use nestsim_models::pcie::PcieOutputs;
@@ -1078,7 +1079,7 @@ impl L2cPort {
     /// threads see *some* response (forced detach).
     pub fn serve_stranded(&mut self, sys: &mut System) {
         for p in self.inbox.drain(..) {
-            let reply = sys.service_request_functionally(&p);
+            let (reply, _) = sys.service_request_functionally(&p);
             sys.deliver_cpx(reply);
         }
     }
@@ -1518,16 +1519,57 @@ impl Side for CcxSide {
     }
 }
 
-/// The engine side of the crossbar: each core's requests and each
-/// bank's replies waiting for a free crossbar port.
-#[derive(Debug, Default)]
-pub struct CcxPort {
-    core_q: [VecDeque<PcxPacket>; NUM_CORES],
-    /// Functional-bank replies with the cycle each is due.
-    bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS],
+/// The cycle a functional bank's reply to a request served at cycle
+/// `cyc` is due back at the crossbar: [`COSIM_BANK_LATENCY`] after a hit
+/// on a `resident` line, and as much later after a miss as accelerated
+/// mode charges a miss over a hit (`L2_MISS_LATENCY − L2_HIT_LATENCY`),
+/// so a co-simulated crossbar cycle carries one cycle of the program.
+pub fn bank_reply_due(cyc: u64, resident: bool) -> u64 {
+    let miss = if resident {
+        0
+    } else {
+        L2_MISS_LATENCY - L2_HIT_LATENCY
+    };
+    cyc + COSIM_BANK_LATENCY + miss
 }
 
-clone_in_place!(CcxPort { core_q, bank_q });
+/// The engine side of the crossbar: each core's requests and each
+/// bank's replies waiting for a free crossbar port, with what a cycle
+/// reads of them kept beside them, so that it visits only the ports
+/// whose packet is there to take.
+#[derive(Debug)]
+pub struct CcxPort {
+    core_q: [VecDeque<PcxPacket>; NUM_CORES],
+    /// Functional-bank replies to hits and to misses, each with the
+    /// cycle it is due ([`bank_reply_due`]). A class has one latency, so
+    /// each queue is in due order; a bank's next reply is the earlier
+    /// head, the miss on a tie (it was served first), so a hit is not
+    /// held behind an earlier miss.
+    bank_q: [[VecDeque<(u64, CpxPacket)>; 2]; NUM_L2_BANKS],
+    /// Bit `c`: `core_q[c]` holds a request.
+    requests: u8,
+    /// When the reply at the head of each bank queue is due; `u64::MAX`
+    /// for an empty queue.
+    head_due: [u64; NUM_L2_BANKS],
+}
+
+impl Default for CcxPort {
+    fn default() -> Self {
+        CcxPort {
+            core_q: Default::default(),
+            bank_q: Default::default(),
+            requests: 0,
+            head_due: [u64::MAX; NUM_L2_BANKS],
+        }
+    }
+}
+
+clone_in_place!(CcxPort {
+    core_q,
+    bank_q,
+    requests,
+    head_due
+});
 
 impl CcxDriver {
     /// Attaches crossbar co-simulation: every core request flows
@@ -1540,6 +1582,54 @@ impl CcxDriver {
             xbar: Target::Warm(CcxWarm::new(), None),
         };
         Driver::new(sys, CcxPort::default(), target)
+    }
+}
+
+impl CcxPort {
+    /// A bit per port, at its [`Gate`](Component::Gate) position, whose
+    /// packet is there to take in cycle `cyc`.
+    fn waiting(&self, cyc: u64) -> u16 {
+        let due = (self.head_due.iter().enumerate())
+            .fold(0u16, |m, (k, &d)| m | u16::from(d <= cyc) << k);
+        u16::from(self.requests) | due << NUM_CORES
+    }
+
+    /// The ports of `waiting` that the crossbar's readiness, as
+    /// `core_ready` and `bank_ready` tell it, admits.
+    #[inline]
+    fn admit(
+        mut waiting: u16,
+        core_ready: impl Fn(usize) -> bool,
+        bank_ready: impl Fn(usize) -> bool,
+    ) -> u16 {
+        let mut gate = 0;
+        while waiting != 0 {
+            let port = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let open = match port.checked_sub(NUM_CORES) {
+                None => core_ready(port),
+                Some(k) => bank_ready(k),
+            };
+            gate |= u16::from(open) << port;
+        }
+        gate
+    }
+
+    /// Which of bank `k`'s two queues holds its next reply: the miss
+    /// queue (1) unless the hit queue's head is due sooner.
+    fn next_of(&self, k: usize) -> usize {
+        let due = |q: &VecDeque<(u64, CpxPacket)>| q.front().map_or(u64::MAX, |(d, _)| *d);
+        let [hits, misses] = &self.bank_q[k];
+        usize::from(due(misses) <= due(hits))
+    }
+
+    /// Takes bank `k`'s next reply and notes when the one after it is
+    /// due in `head_due`.
+    fn pop_reply(&mut self, k: usize) -> Option<CpxPacket> {
+        let reply = self.bank_q[k][self.next_of(k)].pop_front();
+        let next = &self.bank_q[k][self.next_of(k)];
+        self.head_due[k] = next.front().map_or(u64::MAX, |(d, _)| *d);
+        reply.map(|(_, p)| p)
     }
 }
 
@@ -1562,9 +1652,11 @@ impl Component for CcxPort {
         for q in &mut self.core_q {
             q.clear();
         }
-        for q in &mut self.bank_q {
+        for q in self.bank_q.as_flattened_mut() {
             q.clear();
         }
+        self.requests = 0;
+        self.head_due = [u64::MAX; NUM_L2_BANKS];
     }
 
     fn kept(spares: &mut Spares) -> &mut Kept<Self> {
@@ -1574,28 +1666,26 @@ impl Component for CcxPort {
     fn intake(&mut self, sys: &mut System) {
         while let Some(msg) = sys.pop_outbox() {
             match msg {
-                OutMsg::Pcx(p) => self.core_q[p.thread.core().index()].push_back(p),
+                OutMsg::Pcx(p) => {
+                    let c = p.thread.core().index();
+                    self.core_q[c].push_back(p);
+                    self.requests |= 1 << c;
+                }
                 other => unreachable!("unexpected outbox message {other:?}"),
             }
         }
     }
 
+    /// Reads a port's FIFO occupancy only if its packet is there to
+    /// take.
     fn admits(&self, side: &CcxSide, cyc: u64) -> u16 {
-        let xbar = &side.xbar;
-        let mut gate = 0;
-        // A port's FIFO occupancy is read only if something waits for it.
-        for (c, q) in self.core_q.iter().enumerate() {
-            if !q.is_empty() && on_target!(xbar, x => x.core_ready(c)) {
-                gate |= 1 << c;
-            }
+        let waiting = self.waiting(cyc);
+        if waiting == 0 {
+            return 0;
         }
-        for (k, q) in self.bank_q.iter().enumerate() {
-            let due = q.front().is_some_and(|(ready, _)| *ready <= cyc);
-            if due && on_target!(xbar, x => x.bank_ready(k)) {
-                gate |= 1 << (NUM_CORES + k);
-            }
-        }
-        gate
+        on_target!(&side.xbar, x => {
+            CcxPort::admit(waiting, |c| x.core_ready(c), |k| x.bank_ready(k))
+        })
     }
 
     fn take(&mut self, gate: &u16) -> CcxInputs {
@@ -1605,8 +1695,12 @@ impl Component for CcxPort {
             let port = open.trailing_zeros() as usize;
             open &= open - 1;
             match port.checked_sub(NUM_CORES) {
-                None => inp.from_cores[port] = self.core_q[port].pop_front(),
-                Some(k) => inp.from_banks[k] = self.bank_q[k].pop_front().map(|(_, p)| p),
+                None => {
+                    let q = &mut self.core_q[port];
+                    inp.from_cores[port] = q.pop_front();
+                    self.requests &= !(u8::from(q.is_empty()) << port);
+                }
+                Some(k) => inp.from_banks[k] = self.pop_reply(k),
             }
         }
         inp
@@ -1633,24 +1727,33 @@ impl Component for CcxPort {
     }
 
     fn deliver(&mut self, sys: &mut System, _target: &mut CcxSide, out: &CcxOutputs, cyc: u64) {
-        for (k, slot) in out.to_banks.iter().enumerate() {
-            if let Some(p) = slot {
-                // Functional bank service (the banks remain high-level
-                // during CCX co-simulation); the response re-enters the
-                // crossbar on the port it came out of.
-                let reply = sys.service_request_functionally(p);
-                self.bank_q[k].push_back((cyc + COSIM_BANK_LATENCY, reply));
-            }
+        let mut requests = present(&out.to_banks);
+        while requests != 0 {
+            let k = requests.trailing_zeros() as usize;
+            requests &= requests - 1;
+            let Some(p) = &out.to_banks[k] else { continue };
+            // Functional bank service (the banks remain high-level
+            // during CCX co-simulation); the response re-enters the
+            // crossbar on the port it came out of, once it is due.
+            let (reply, resident) = sys.service_request_functionally(p);
+            let due = bank_reply_due(cyc, resident);
+            self.bank_q[k][usize::from(!resident)].push_back((due, reply));
+            self.head_due[k] = self.head_due[k].min(due);
         }
-        for slot in out.to_cores.iter().flatten() {
-            sys.deliver_cpx(*slot);
+        let mut replies = present(&out.to_cores);
+        while replies != 0 {
+            let c = replies.trailing_zeros() as usize;
+            replies &= replies - 1;
+            if let Some(p) = out.to_cores[c] {
+                sys.deliver_cpx(p);
+            }
         }
     }
 
     fn drained(&self, side: &CcxSide, sys: &System) -> bool {
         on_target!(&side.xbar, x => x.idle())
-            && self.core_q.iter().all(VecDeque::is_empty)
-            && self.bank_q.iter().all(VecDeque::is_empty)
+            && self.requests == 0
+            && self.head_due == [u64::MAX; NUM_L2_BANKS]
             && sys.waiting_on_uncore() == 0
     }
 
@@ -1664,12 +1767,15 @@ impl Component for CcxPort {
     /// functionally.
     fn release(&mut self, sys: &mut System, _target: &CcxSide) {
         for p in self.core_q.iter_mut().flat_map(|q| q.drain(..)) {
-            let reply = sys.service_request_functionally(&p);
+            let (reply, _) = sys.service_request_functionally(&p);
             sys.deliver_cpx(reply);
         }
-        for (_, p) in self.bank_q.iter_mut().flat_map(|q| q.drain(..)) {
-            sys.deliver_cpx(p);
+        for k in 0..NUM_L2_BANKS {
+            while let Some(p) = self.pop_reply(k) {
+                sys.deliver_cpx(p);
+            }
         }
+        self.requests = 0;
     }
 }
 
@@ -2287,7 +2393,9 @@ pub(crate) mod tests {
     impl Leftover for CcxPort {
         fn leftover(&self) -> usize {
             let queued = self.core_q.iter().map(VecDeque::len);
-            queued.chain(self.bank_q.iter().map(VecDeque::len)).sum()
+            queued
+                .chain(self.bank_q.as_flattened().iter().map(VecDeque::len))
+                .sum()
         }
     }
 

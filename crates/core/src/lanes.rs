@@ -655,11 +655,15 @@ mod tests {
         // exitable there but undrained, or erroneous but unseen: a lane no
         // tick can tell from its golden retires at its first compare, so
         // MCU and CCX lanes do not reach it (none in 200 tight-cap cases),
-        // while L2C's, whose DRAM command only its own side sees, do.
+        // while L2C's, whose DRAM command only its own side sees, do. Nor
+        // does a CCX lane stay in its batch to the program's end: a flip
+        // the crossbar does not put out re-converges within a few
+        // compares, thousands of cycles before the end (MCU's lanes take
+        // that exit).
         let wanted: [&[&str]; 4] = [
             &["ready parity", "outputs", "exit", "cap"],
             &["ready parity", "outputs", "program end"],
-            &["ready parity", "outputs", "program end"],
+            &["ready parity", "outputs"],
             &["outputs"],
         ];
         for (component, coverage) in ComponentKind::ALL.into_iter().zip(&coverage) {

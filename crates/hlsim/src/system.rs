@@ -1105,17 +1105,19 @@ impl System {
     }
 
     /// Serves a request packet against the functional memory system
-    /// immediately, returning the reply. Used by the CCX co-simulation
-    /// driver: packets emerging from the RTL crossbar are served by the
-    /// functional banks (which remain high-level during CCX
-    /// co-simulation) regardless of which bank port they arrived on —
-    /// the address, possibly corrupted in flight, decides what happens.
-    pub fn service_request_functionally(&mut self, pkt: &PcxPacket) -> CpxPacket {
+    /// immediately, returning the reply and whether the line was
+    /// resident before (a hit) or was filled from DRAM (a miss). Used by
+    /// the CCX co-simulation driver: packets emerging from the RTL
+    /// crossbar are served by the functional banks (which remain
+    /// high-level during CCX co-simulation) regardless of which bank
+    /// port they arrived on — the address, possibly corrupted in flight,
+    /// decides what happens.
+    pub fn service_request_functionally(&mut self, pkt: &PcxPacket) -> (CpxPacket, bool) {
         let bank = l2_bank_of(pkt.addr).index();
         let line = pkt.addr.line();
-        let slot = match self.l2[bank].slot_of(line) {
-            Some(slot) => slot,
-            None => self.fill_from_dram(bank, line),
+        let (slot, resident) = match self.l2[bank].slot_of(line) {
+            Some(slot) => (slot, true),
+            None => (self.fill_from_dram(bank, line), false),
         };
         let value = match pkt.kind {
             PcxKind::Load | PcxKind::Ifetch => {
@@ -1137,7 +1139,7 @@ impl System {
                 old
             }
         };
-        CpxPacket::reply_to(pkt, value)
+        (CpxPacket::reply_to(pkt, value), resident)
     }
 
     /// Debug summary of thread states (diagnostics).
@@ -1348,7 +1350,7 @@ mod tests {
         while let Some(msg) = sys.pop_outbox() {
             match msg {
                 OutMsg::Pcx(p) => {
-                    let reply = sys.service_request_functionally(&p);
+                    let (reply, _) = sys.service_request_functionally(&p);
                     sys.deliver_cpx(reply);
                 }
                 OutMsg::DramFill { bank, line } => {

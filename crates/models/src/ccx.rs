@@ -577,6 +577,12 @@ impl UncoreRtl for Ccx {
     }
 }
 
+/// A bit per slot of `slots` that holds a packet, found without a
+/// branch per slot.
+pub fn present<T>(slots: &[Option<T>]) -> u32 {
+    (slots.iter().enumerate()).fold(0, |m, (i, p)| m | u32::from(p.is_some()) << i)
+}
+
 /// The set bits of `m`, lowest first.
 fn bits(mut m: u32) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -661,11 +667,30 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
         true
     }
 
-    /// [`Fifo::push`] of every input present, recording which were
+    /// One cycle of this half: drain the stages `ready` names into
+    /// `out`, arbitrate, and latch `inp`, recording in `accepted` which
+    /// inputs were taken.
+    fn step(
+        &mut self,
+        ready: u32,
+        inp: &[Option<S::Packet>; SRC],
+        out: &mut [Option<S::Packet>; DST],
+        accepted: &mut [bool; SRC],
+    ) {
+        let given = present(inp);
+        if self.idle() && given == 0 {
+            return;
+        }
+        self.drain(ready, out);
+        self.arbitrate();
+        self.latch(inp, given, accepted);
+    }
+
+    /// [`Fifo::push`] of the inputs `given` marks, recording which were
     /// accepted.
-    fn latch(&mut self, inp: &[Option<S::Packet>; SRC], accepted: &mut [bool; SRC]) {
-        for (src, pkt) in inp.iter().enumerate() {
-            if let Some(pkt) = pkt {
+    fn latch(&mut self, inp: &[Option<S::Packet>; SRC], given: u32, accepted: &mut [bool; SRC]) {
+        for src in bits(given) {
+            if let Some(pkt) = &inp[src] {
                 accepted[src] = self.push(src, pkt);
             }
         }
@@ -807,12 +832,15 @@ impl CcxWarm {
         let mut out = CcxOutputs::default();
         let ready =
             (bank_can_accept.iter().enumerate()).fold(0, |m, (k, &r)| m | u32::from(r) << k);
-        self.pcx.drain(ready, &mut out.to_banks);
-        self.cpx.drain(u32::MAX, &mut out.to_cores);
-        self.pcx.arbitrate();
-        self.cpx.arbitrate();
-        self.pcx.latch(&inp.from_cores, &mut out.core_accepted);
-        self.cpx.latch(&inp.from_banks, &mut out.bank_accepted);
+        // The halves share nothing, so each runs its drain, arbitration
+        // and latch in turn, and one that holds nothing and is given
+        // nothing does nothing.
+        let (pcx_in, pcx_out) = (&inp.from_cores, &mut out.to_banks);
+        self.pcx
+            .step(ready, pcx_in, pcx_out, &mut out.core_accepted);
+        let (cpx_in, cpx_out) = (&inp.from_banks, &mut out.to_cores);
+        self.cpx
+            .step(u32::MAX, cpx_in, cpx_out, &mut out.bank_accepted);
         out
     }
 

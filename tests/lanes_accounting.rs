@@ -85,7 +85,7 @@ fn mcu_clustered_injections_partition_into_retired_and_fallbacks() {
 
 #[test]
 fn ccx_clustered_injections_partition_into_retired_and_fallbacks() {
-    clustered_injections_partition(ComponentKind::Ccx, "lu-c", (12, 0));
+    clustered_injections_partition(ComponentKind::Ccx, "lu-c", (11, 1));
 }
 
 #[test]
