@@ -237,13 +237,17 @@ pub(crate) fn aborted<C: Component>(driver: &Driver<C>) -> bool {
 }
 
 /// Whether a golden compare that gave `check` ends co-simulation (Fig. 2
-/// step 7), for a run whose divergence monitor holds `erroneous_output`
-/// and whose side is `drained` or not.
+/// step 7), for a run whose outputs so far all `matched` the golden's
+/// ([`CosimDriver::outputs_matched`]) or not, and whose side is
+/// `drained` or not.
 ///
 /// A compare that finds no difference a tick can read — `Identical`, or
 /// `BenignOnly`: payloads of invalid guarded slots and fields no tick
 /// reads — with only fault-free outputs so far ends the run as Vanished
-/// on that cycle, without waiting for a drain. Equal readable state and
+/// on that cycle, without waiting for a drain. Fault-free means every
+/// output the system received, not only what the monitor flags: a
+/// crossbar's differing packet to a bank is served, and can write
+/// memory, with nothing flagged. Equal readable state and
 /// equal inputs from here on give an equal future: every model writes a
 /// slot's whole payload whenever it sets the slot's valid bit, so an
 /// invalid slot's payload is overwritten before a tick reads it, and a
@@ -253,11 +257,11 @@ pub(crate) fn aborted<C: Component>(driver: &Driver<C>) -> bool {
 /// after an erroneous output, waits for the drain.
 pub(crate) fn converged(
     check: CosimCheck,
-    erroneous_output: Option<u64>,
+    matched: bool,
     drained: impl FnOnce() -> bool,
 ) -> bool {
     let unreadable = matches!(check, CosimCheck::Identical | CosimCheck::BenignOnly);
-    unreadable && erroneous_output.is_none() || check.exitable() && drained()
+    unreadable && matched || check.exitable() && drained()
 }
 
 /// Drives one complete injection run (Fig. 2 phases 1–3) starting from
@@ -562,8 +566,8 @@ impl Flipped<'_> {
         let cosim_cycles = match at {
             Resume::Cosim(stepped) => {
                 let end = self.cosimulate(&mut driver, rec, stepped);
-                let erroneous = driver.erroneous_output();
-                match self.end_cosim(rec, post, end, erroneous, || driver.check()) {
+                let monitor = (driver.erroneous_output(), driver.outputs_matched());
+                match self.end_cosim(rec, post, end, monitor, || driver.check()) {
                     Some(record) => return (record, driver),
                     None => end.cosim_cycles,
                 }
@@ -579,13 +583,16 @@ impl Flipped<'_> {
     /// steps 8–9) when nothing ever diverged — Vanished on an Identical
     /// or BenignOnly convergence, Persist when the cap strikes with the
     /// state still Microarch-dirty, as the one more golden compare
-    /// `check` tells. `None` leaves the run to phase 3.
+    /// `check` tells. The run's monitor holds its first `erroneous_output`
+    /// and whether every output so far `matched` the golden's
+    /// ([`CosimDriver::outputs_matched`]). `None` leaves the run to
+    /// phase 3.
     pub(crate) fn end_cosim(
         &self,
         rec: &mut Recorder,
         post: &mut PostFlipStats,
         end: CosimEnd,
-        erroneous_output: Option<u64>,
+        (erroneous_output, matched): (Option<u64>, bool),
         check: impl FnOnce() -> CosimCheck,
     ) -> Option<InjectionRecord> {
         post.add(&end, erroneous_output);
@@ -604,7 +611,7 @@ impl Flipped<'_> {
 
         let cap = spec.cosim_cap.max(spec.check_interval);
         let (outcome, counter, payload) = match end.exit {
-            _ if erroneous_output.is_some() => return None,
+            _ if !matched => return None,
             // The program's output decides (phase 3).
             Exit::Aborted | Exit::Ended => return None,
             // Nothing ever diverged and no tick can read what differs,
@@ -668,7 +675,7 @@ impl Flipped<'_> {
                         driver.sample_telemetry(rec);
                     }
                     let c = driver.check();
-                    if converged(c, driver.erroneous_output(), || driver.drained()) {
+                    if converged(c, driver.outputs_matched(), || driver.drained()) {
                         break Exit::Converged(c);
                     }
                 }
@@ -1018,7 +1025,7 @@ mod tests {
                 }
                 let c = driver.check();
                 let unreadable = matches!(c, CosimCheck::Identical | CosimCheck::BenignOnly);
-                if unreadable && driver.erroneous_output().is_none() {
+                if unreadable && driver.outputs_matched() {
                     seen.retired.get_or_insert(cosim_cycles);
                 }
                 if c.exitable() && driver.drained() {

@@ -130,7 +130,9 @@ impl<'a, C: Component> Runs<'a, C> {
         };
         let check = || carrier.check_lane(side(&lane.state));
         let run = self.run(lane.sample);
-        match run.end_cosim(&mut lane.rec, self.post, end, lane.first_err_out, check) {
+        // A lane in the batch has seen nothing its carrier did not.
+        let monitor = (lane.first_err_out, lane.first_err_out.is_none());
+        match run.end_cosim(&mut lane.rec, self.post, end, monitor, check) {
             Some(record) => {
                 let rec = std::mem::replace(&mut lane.rec, Recorder::null());
                 self.out.push((lane.sample, record, rec));
@@ -327,7 +329,7 @@ pub(crate) fn run_batch<C: Component>(
                 // flow.
                 let c = carrier.check_lane(side(&lane.state));
                 let drained = || carrier.drained_with(side(&lane.state));
-                if converged(c, lane.first_err_out, drained) {
+                if converged(c, lane.first_err_out.is_none(), drained) {
                     exit = Some(Exit::Converged(c));
                 }
             }
