@@ -216,6 +216,14 @@ pub trait Side: Clone + std::fmt::Debug {
     /// side converts to flops.
     fn cold(&mut self) -> Self;
 
+    /// Puts a side that checked `Identical` to its golden back on its
+    /// fault-free model, which ticks as the golden would from here on,
+    /// and says whether it did. Only a side whose ticks read nothing but
+    /// its flops and their inputs can; by default a side stays on flops.
+    fn recover(&mut self) -> bool {
+        false
+    }
+
     /// Whether a cold snapshot taken now is architecturally aligned.
     fn at_cold_boundary(&self) -> bool {
         true
@@ -371,6 +379,9 @@ pub struct Driver<C: Component> {
     /// The system received an output of the target's that the golden's
     /// differs from ([`Component::seen`]).
     seen_differs: bool,
+    /// The target checked `Identical` to the golden and went back to its
+    /// fault-free model ([`Side::recover`]): the golden ticks no more.
+    golden_retired: bool,
 }
 
 /// What a shard keeps of component `C`'s drivers from one group to the
@@ -486,6 +497,7 @@ impl<C: Component> Driver<C> {
             golden: None,
             first_err_out: None,
             seen_differs: false,
+            golden_retired: false,
         }
     }
 
@@ -496,6 +508,7 @@ impl<C: Component> Driver<C> {
     pub(crate) fn reattach(&mut self, instance: usize) -> Option<C::Side> {
         self.first_err_out = None;
         self.seen_differs = false;
+        self.golden_retired = false;
         (self.port).reattach(&mut self.sys, &mut self.target, instance);
         self.golden.take()
     }
@@ -505,6 +518,18 @@ impl<C: Component> Driver<C> {
     /// one.
     pub(crate) fn snapshot(&mut self, spare: Option<C::Side>) {
         self.golden = Some(self.target.twin(spare));
+        self.golden_retired = false;
+    }
+
+    /// Ends the golden's part in a run whose target just checked
+    /// `Identical` to it, when the target can go back to its fault-free
+    /// model ([`Side::recover`]): equal state on equal inputs stays
+    /// equal, so from here on the target ticks as the golden would,
+    /// alone, and every compare finds nothing.
+    pub(crate) fn retire_golden(&mut self) {
+        if !self.golden_retired && self.target.recover() {
+            self.golden_retired = true;
+        }
     }
 
     /// Phase 1 of a cycle: the system runs one cycle, and the traffic it
@@ -525,7 +550,8 @@ impl<C: Component> Driver<C> {
     pub(crate) fn finish_cycle(&mut self, cyc: u64) -> C::Outputs {
         let gate = self.admits(None, cyc);
         let inp = self.take(&gate);
-        let golden = (self.golden.as_mut()).map(|g| C::tick(g, &inp, self.sys.dram(), cyc));
+        let live = (self.golden.as_mut()).filter(|_| !self.golden_retired);
+        let golden = live.map(|g| C::tick(g, &inp, self.sys.dram(), cyc));
         let out = self.tick_target(&inp, cyc);
         self.settle(cyc, &out, golden.as_ref());
         out
@@ -604,6 +630,7 @@ impl<C: Component> Driver<C> {
         fork.target.refill_on_flops(&self.target);
         fork.first_err_out = None;
         fork.seen_differs = false;
+        fork.golden_retired = false;
         let golden = fork.golden.take();
         (fork, golden)
     }
@@ -638,6 +665,7 @@ impl<C: Component> Driver<C> {
                 golden: Some(self.target.clone()),
                 first_err_out,
                 seen_differs: false,
+                golden_retired: false,
             };
         };
         #[cfg(test)]
@@ -646,6 +674,7 @@ impl<C: Component> Driver<C> {
         fork.port.clone_from(&self.port);
         fork.first_err_out = first_err_out;
         fork.seen_differs = false;
+        fork.golden_retired = false;
         pool.push(std::mem::replace(&mut fork.target, lane));
         fork.golden = Some(refilled(fork.golden.take(), &self.target));
         fork
@@ -1529,6 +1558,18 @@ impl Side for CcxSide {
         }
     }
 
+    /// The crossbar's ticks read its flops and inputs alone, and flops
+    /// identical to a fault-free crossbar's hold packets.
+    fn recover(&mut self) -> bool {
+        let Some(x) = self.xbar.as_flops() else {
+            return false;
+        };
+        let warm = CcxWarm::from_ccx(x);
+        let (_, flops) = self.xbar.take();
+        self.xbar = Target::Warm(warm, flops);
+        true
+    }
+
     /// None: clean or benign is exitable.
     fn arch_differs(&self, _golden: &Self, _base: &DramContents) -> bool {
         false
@@ -2012,7 +2053,10 @@ pub(crate) mod tests {
 
     /// Notes the cycle `drv`'s system is about to run.
     pub(super) fn stepped<C: Component>(drv: &Driver<C>) {
-        let (warm, live) = (drv.holds_warm(), drv.golden.is_some());
+        let (warm, live) = (
+            drv.holds_warm(),
+            drv.golden.is_some() && !drv.golden_retired,
+        );
         STEPS.with(|n| {
             let mut steps = n.get();
             steps[usize::from(warm)][usize::from(live)] += 1;
@@ -2124,11 +2168,13 @@ pub(crate) mod tests {
     }
 
     /// One scalar run of `component` on `bench` with `bit` of `field`
-    /// flipped: the warm-up stays on the fault-free model, every cycle
-    /// after the flip runs on flops beside a live golden, and the run
-    /// converts to flops once. Every identity suite passes whichever
-    /// model a target runs on, so only this notices when one of those
-    /// stops holding.
+    /// flipped, whose outputs never differ: the warm-up stays on the
+    /// fault-free model, every cycle after the flip runs on flops beside
+    /// a live golden, and the run converts to flops once. (A run whose
+    /// outputs differed may go back to the fault-free model once it
+    /// checks `Identical`: `a_retired_golden_leaves_the_record_of_one_kept`.)
+    /// Every identity suite passes whichever model a target runs on, so
+    /// only this notices when one of those stops holding.
     fn assert_on_flops_only_while_the_golden_lives(
         component: nestsim_models::ComponentKind,
         bench: &str,
@@ -2179,6 +2225,75 @@ pub(crate) mod tests {
             (0, 0),
             "{component}: cycles after the flip ran on the fault-free model or without a golden"
         );
+    }
+
+    /// A crossbar run whose outputs differed from its golden's, and whose
+    /// target then checked `Identical`, goes back to packets and ticks
+    /// alone ([`Driver::retire_golden`]). From there on it puts out, and
+    /// leaves its system with, what the same run that kept ticking its
+    /// golden on flops does, every cycle to the program's end.
+    #[test]
+    fn a_retired_golden_changes_nothing_the_run_puts_out() {
+        use crate::campaign::{draw_samples, golden_reference, CampaignSpec};
+        use crate::inject::warm;
+        use nestsim_models::ComponentKind;
+
+        let ended = |d: &CcxDriver| d.sys.all_halted() && d.drained() || d.sys.trap().is_some();
+        let observe = |d: &CcxDriver| {
+            let sys = &d.sys;
+            let threads = sys.thread_state_summary();
+            (
+                sys.cycle(),
+                sys.output_digest(),
+                threads,
+                sys.waiting_on_uncore(),
+            )
+        };
+        let mut retired = 0;
+        for bench in ["flui", "stre"] {
+            let profile = by_name(bench).unwrap();
+            let spec = CampaignSpec::quick(ComponentKind::Ccx, 96);
+            let (base, golden) = golden_reference(profile, &spec);
+            for sample in draw_samples(profile, &spec, &golden) {
+                let mut kept = warm::<CcxPort>(&base, &golden, &sample, None).driver;
+                kept.snapshot(None);
+                kept.inject(sample.bit);
+                // On to the first `Identical` compare after an output
+                // differed, where a campaign's run retires its golden.
+                let mut k = 0;
+                let gone = loop {
+                    if k == sample.cosim_cap || ended(&kept) {
+                        break None;
+                    }
+                    step_out(&mut kept);
+                    k += 1;
+                    let at_check = k % sample.check_interval == 0;
+                    if at_check && kept.check() == CosimCheck::Identical {
+                        if kept.outputs_matched() {
+                            break None;
+                        }
+                        let mut gone = kept.clone();
+                        gone.retire_golden();
+                        break Some(gone);
+                    }
+                };
+                let Some(mut gone) = gone else { continue };
+                assert!(
+                    gone.golden_retired && gone.holds_warm(),
+                    "{bench} {sample:?}"
+                );
+                retired += 1;
+                while k < sample.cosim_cap && !ended(&kept) {
+                    let want = step_out(&mut kept);
+                    assert_eq!(step_out(&mut gone), want, "{bench} {sample:?}: cycle {k}");
+                    k += 1;
+                }
+                assert_eq!(observe(&gone), observe(&kept), "{bench} {sample:?}");
+                assert_eq!(gone.drained(), kept.drained(), "{bench} {sample:?}");
+            }
+        }
+        println!("{retired} runs retired their golden");
+        assert!(retired >= 2, "only {retired} runs retired their golden");
     }
 
     #[test]

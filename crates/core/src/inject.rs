@@ -255,11 +255,7 @@ pub(crate) fn aborted<C: Component>(driver: &Driver<C>) -> bool {
 /// check does not compare memory: there, agreement is every write so
 /// far having matched.) An `ArchMappable` state, or any exitable state
 /// after an erroneous output, waits for the drain.
-pub(crate) fn converged(
-    check: CosimCheck,
-    matched: bool,
-    drained: impl FnOnce() -> bool,
-) -> bool {
+pub(crate) fn converged(check: CosimCheck, matched: bool, drained: impl FnOnce() -> bool) -> bool {
     let unreadable = matches!(check, CosimCheck::Identical | CosimCheck::BenignOnly);
     unreadable && matched || check.exitable() && drained()
 }
@@ -677,6 +673,9 @@ impl Flipped<'_> {
                     let c = driver.check();
                     if converged(c, driver.outputs_matched(), || driver.drained()) {
                         break Exit::Converged(c);
+                    }
+                    if c == CosimCheck::Identical {
+                        driver.retire_golden();
                     }
                 }
                 if (at_check || cosim_cycles >= cap) && ended(driver) {

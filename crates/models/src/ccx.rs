@@ -740,6 +740,38 @@ impl<S: Slot, const SRC: usize, const DST: usize> WarmHalf<S, SRC, DST> {
         }
     }
 
+    /// The half [`write_to`](Self::write_to) wrote into `f`: each FIFO's
+    /// queued packets up to its count, the valid stages and the
+    /// pointers.
+    fn read_from(
+        f: &FlopSpace,
+        fifos: &[Fifo<S>; SRC],
+        stages: &[S; DST],
+        rr: &[FieldHandle; DST],
+    ) -> Self {
+        let mut half = Self::empty();
+        for (src, fifo) in fifos.iter().enumerate() {
+            let n = fifo.count(f).min(PORT_FIFO_DEPTH);
+            for (i, slot) in fifo.slots[..n].iter().enumerate() {
+                let pkt = slot.load(f);
+                half.queue[src][i] = pkt;
+                half.dest[src][i] = S::route(&pkt) as u8;
+            }
+            half.count[src] = n as u8;
+            half.busy |= u32::from(n > 0) << src;
+        }
+        for (dst, stage) in stages.iter().enumerate() {
+            if stage.is_valid(f) {
+                half.stage[dst] = stage.load(f);
+                half.staged |= 1 << dst;
+            }
+        }
+        for (r, &h) in half.rr.iter_mut().zip(rr) {
+            *r = f.read(h) as u8;
+        }
+        half
+    }
+
     /// Writes this half into the zeroed flops of a crossbar: the only
     /// place a packet becomes a slot image.
     fn write_to(
@@ -852,6 +884,24 @@ impl CcxWarm {
         let mut x = Ccx::new();
         self.store(&mut x);
         x
+    }
+
+    /// The packet crossbar whose flops `x` holds, for flops that
+    /// [`into_ccx`](Self::into_ccx) could have written: a crossbar that
+    /// checked identical to a fault-free one. The inverse of
+    /// `into_ccx`, so the two tick alike from here on.
+    pub fn from_ccx(x: &Ccx) -> CcxWarm {
+        let (f, p) = (&x.flops, &x.ports);
+        let warm = CcxWarm {
+            pcx: WarmHalf::read_from(f, &p.pcx_fifos, &p.pcx_stage, &p.pcx_rr),
+            cpx: WarmHalf::read_from(f, &p.cpx_fifos, &p.cpx_stage, &p.cpx_rr),
+        };
+        debug_assert_eq!(
+            warm.clone().into_ccx().flops.diff_count(f),
+            0,
+            "the flops hold no packet crossbar"
+        );
+        warm
     }
 
     /// [`into_ccx`](Self::into_ccx) into `x`, a crossbar an earlier run
