@@ -202,18 +202,19 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # Build-once and recycling gate: the untraced `l2c_indep`, `ccx_indep`,
 # `ladder_long`, `l2c_lanes` and `served` blocks must stay under an allocation
 # count per injection — an exact count, not a timing. On the smoke's
-# single cold cell they read 126.0, 36.6, 99.8, 3.84 and 28.4 while a
+# single cold cell they read 124.6, 34.6, 97.4, 3.73 and 27.2 while a
 # shard refills its window carriers, the drivers forked off them and its
-# lane sides, and every refill keeps its DRAM arena chunks and its
-# last-store table; 128.2, 39.5, 102.0, 4.13 and 31.2 when a refilled
-# table reallocates for a source of another size, and 140.1, 58.9 and
-# 9.1 on `l2c_indep`, `ccx_indep` and `l2c_lanes` when every fork copies
-# a new driver. `served` is the same cell reached through the one
-# campaign server machine, its worker walking every lease of a job on
-# one cursor from the base alone; 49.4 when each lease built a fresh
-# runner on a 256-rung ladder.
-# Storage gate: the same blocks' `alloc_kb_per_inj` read 874, 106, 182,
-# 371 and 31.6 KiB on the smoke (`ladder_long`, `l2c_indep`, `served`,
+# lane sides, every refill keeps its DRAM arena chunks and its
+# last-store table, and a crossbar port's queues are sized not to grow
+# (`ccx_indep` 38.9 when they grow); 128.2, 39.5, 102.0, 4.13 and 31.2
+# when a refilled table reallocates for a source of another size, and
+# 140.1, 58.9 and 9.1 on `l2c_indep`, `ccx_indep` and `l2c_lanes` when
+# every fork copies a new driver. `served` is the same cell reached
+# through the one campaign server machine, its worker walking every
+# lease of a job on one cursor from the base alone; 49.4 when each lease
+# built a fresh runner on a 256-rung ladder.
+# Storage gate: the same blocks' `alloc_kb_per_inj` read 864, 102, 173,
+# 319 and 30.7 KiB on the smoke (`ladder_long`, `l2c_indep`, `served`,
 # `ccx_indep`, `l2c_lanes`). A refill that keeps only the first arena
 # chunk reads 1,644 / 106 / 182 / 403 / 31.6; one whose tables
 # reallocate 1,155 / 129 / 207 / 398 / 35.8; both 1,924 / 145 / 207 /
@@ -221,24 +222,26 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # page it rewrites again after each entry, `l2c_indep` 273 and
 # `ccx_indep` 602 when every fork copied a new driver, `l2c_lanes` 110
 # when every lane that leaves a batch did.
-# Co-simulation gate: the traced `l2c_indep`, `l2c_lanes`, `ladder_long`
-# and `served` blocks must report `core.golden_compares_per_inj` < 7.5 /
-# < 6 / < 4 / < 10 — a run with no erroneous output ends at the first
-# compare that finds no difference a tick can read (identical, invalid
-# slots' payloads, dead fields), and any run at the program's end: 5.97,
-# 4.41, 2.38 and 8.28 on the smoke; 9.09, 7.81, 6.38 and 11.35 when a
-# `BenignOnly` run waits for the drain (`inject::converged`), and 33.9
-# and 57.5 on `l2c_indep` and `ladder_long` when an `Identical` one does
-# too — an exact count, so waiting again fails here, not on a timing.
+# Co-simulation gate: the traced `l2c_indep`, `l2c_lanes`, `ladder_long`,
+# `served` and `ccx_indep` blocks must report `core.golden_compares_per_inj`
+# < 7.5 / < 6 / < 4 / < 10 / < 2 — a run whose outputs all matched ends at
+# the first compare that finds no difference a tick can read (identical,
+# invalid slots' payloads, dead fields), and any run at the program's
+# end: 5.97, 4.41, 2.38, 8.28 and 1.0 on the smoke; 9.09, 7.81, 6.38 and
+# 11.35 when a `BenignOnly` run waits for the drain (`inject::converged`),
+# and 33.9, 57.5 and 193.4 on `l2c_indep`, `ladder_long` and `ccx_indep`
+# when an `Identical` one does too — an exact count, so waiting again
+# fails here, not on a timing.
 # `l2c_indep`'s mean moves with one long run: one of its 32 samples
 # co-simulates 2,128 cycles to the program's end (ONA).
 awk '
-    BEGIN { alloc_cap["l2c_indep"] = 127; alloc_cap["ccx_indep"] = 38; alloc_cap["ladder_long"] = 101
+    BEGIN { alloc_cap["l2c_indep"] = 127; alloc_cap["ccx_indep"] = 36; alloc_cap["ladder_long"] = 101
             alloc_cap["l2c_lanes"] = 4; alloc_cap["served"] = 30
             kb_cap["ladder_long"] = 1000; kb_cap["l2c_indep"] = 118; kb_cap["served"] = 195
-            kb_cap["ccx_indep"] = 385; kb_cap["l2c_lanes"] = 34
+            kb_cap["ccx_indep"] = 330; kb_cap["l2c_lanes"] = 34
             compare_cap["l2c_indep"] = 7.5; compare_cap["l2c_lanes"] = 6
-            compare_cap["ladder_long"] = 4; compare_cap["served"] = 10 }
+            compare_cap["ladder_long"] = 4; compare_cap["served"] = 10
+            compare_cap["ccx_indep"] = 2 }
     /^# [a-z0-9_]+ seed / { workload = $2; traced = ($5 == "traced") }
     !traced && $1 == "allocs_per_inj" && (workload in alloc_cap) {
         seen[workload " allocs_per_inj"] = 1

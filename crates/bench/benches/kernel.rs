@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::hint::black_box;
 
 use nestsim_arch::{DramContents, L2BankArch, L2Geometry};
-use nestsim_core::cosim::{COSIM_BANK_LATENCY, COSIM_DRAM_LATENCY};
+use nestsim_core::cosim::{bank_reply_due, COSIM_DRAM_LATENCY};
 use nestsim_harness::bench::Suite;
 use nestsim_hlsim::events::{Ev, EventQueue};
 use nestsim_hlsim::system::{DMA_FRAME_CYCLES, L2_HIT_LATENCY, L2_MISS_LATENCY, POLL_RETRY};
@@ -108,14 +108,15 @@ fn component_ticks(suite: &mut Suite) {
     });
 
     // `ccx_loaded` saturates the flop-level crossbar; `ccx_cosim` offers
-    // at the rate counted in a `ccx_indep` campaign (1.72 requests and
-    // 1.72 returns a tick over 262,144 ticks), the tick of an injection's
-    // co-simulation window while its golden lives. `ccx_warm` is that
-    // same traffic on the packet crossbar an injection warms up on and
-    // returns to when its golden retires.
+    // at the rate counted in a `ccx_indep` campaign (0.74 requests and
+    // 0.71 returns a tick over 420,000 co-simulated cycles, a quarter of
+    // the requests L2 hits), the tick of an injection's co-simulation
+    // window while its golden lives. `ccx_warm` is that same traffic on
+    // the packet crossbar an injection warms up on and returns to when
+    // its golden retires.
     ccx_closed_loop(suite, "ccx_loaded", Ccx::new(), 256);
-    ccx_closed_loop(suite, "ccx_cosim", Ccx::new(), 55);
-    ccx_closed_loop(suite, "ccx_warm", CcxWarm::new(), 55);
+    ccx_closed_loop(suite, "ccx_cosim", Ccx::new(), 24);
+    ccx_closed_loop(suite, "ccx_warm", CcxWarm::new(), 24);
 
     let mut pcie = Pcie::new();
     pcie.program(nestsim_proto::pcie::DmaDescriptor {
@@ -272,13 +273,14 @@ fn ccx_closed_loop<X: Crossbar>(suite: &mut Suite, name: &str, mut ccx: X, offer
 /// One cycle of the crossbar in `CcxDriver::step`'s closed loop:
 /// requests *and* returns in flight, to banks scattered so the arbiters
 /// contend, and every delivered request coming back on its bank port
-/// after the functional-bank latency. `tick/ccx` offers one request a
-/// cycle and no returns, which arbitration barely notices. Each core
-/// offers with probability `offer_per_256`/256 a cycle when its FIFO has
-/// room.
+/// when `cosim::bank_reply_due` says: a quarter of them hits. `tick/ccx`
+/// offers one request a cycle and no returns, which arbitration barely
+/// notices. Each core offers with probability `offer_per_256`/256 a
+/// cycle when its FIFO has room.
 fn closed_loop<X: Crossbar>(offer_per_256: u64) -> impl FnMut(&mut X) -> CcxOutputs {
     let ready = [true; NUM_L2_BANKS];
-    let mut bank_q: [VecDeque<(u64, CpxPacket)>; NUM_L2_BANKS] = Default::default();
+    // Each bank's replies to hits and to misses, each queue in due order.
+    let mut bank_q: [[VecDeque<(u64, CpxPacket)>; 2]; NUM_L2_BANKS] = Default::default();
     let (mut cyc, mut n) = (0u64, 0u64);
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
     move |ccx| {
@@ -297,15 +299,26 @@ fn closed_loop<X: Crossbar>(offer_per_256: u64) -> impl FnMut(&mut X) -> CcxOutp
                 });
             }
         }
-        for (k, q) in bank_q.iter_mut().enumerate() {
-            if q.front().is_some_and(|(due, _)| *due <= cyc) && ccx.bank_ready(k) {
+        for (k, [hits, misses]) in bank_q.iter_mut().enumerate() {
+            let due = |q: &VecDeque<(u64, CpxPacket)>| q.front().map_or(u64::MAX, |(d, _)| *d);
+            let q = if due(misses) <= due(hits) {
+                misses
+            } else {
+                hits
+            };
+            if due(q) <= cyc && ccx.bank_ready(k) {
                 inp.from_banks[k] = q.pop_front().map(|(_, p)| p);
             }
         }
         let out = ccx.tick(&inp, &ready);
-        for (q, p) in bank_q.iter_mut().zip(&out.to_banks) {
+        for (qs, p) in bank_q.iter_mut().zip(&out.to_banks) {
             if let Some(p) = p {
-                q.push_back((cyc + COSIM_BANK_LATENCY, CpxPacket::reply_to(p, p.data)));
+                let resident = p.id.0.is_multiple_of(4);
+                let reply = (
+                    bank_reply_due(cyc, resident),
+                    CpxPacket::reply_to(p, p.data),
+                );
+                qs[usize::from(!resident)].push_back(reply);
             }
         }
         out

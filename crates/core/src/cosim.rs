@@ -34,7 +34,9 @@ use nestsim_models::l2c::{L2cInputs, L2cOutputs, L2cWarm};
 use nestsim_models::mcu::{McuInputs, McuOutputs, McuWarm};
 use nestsim_models::pcie::PcieOutputs;
 use nestsim_models::{Ccx, L2cBank, Mcu, Pcie, UncoreRtl};
-use nestsim_proto::addr::{BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS, NUM_MCUS};
+use nestsim_proto::addr::{
+    BankId, LineAddr, McuId, NUM_CORES, NUM_L2_BANKS, NUM_MCUS, NUM_THREADS, THREADS_PER_CORE,
+};
 use nestsim_proto::pcie::doorbell_addr;
 use nestsim_proto::{CpxPacket, DramCmd, DramCmdKind, DramResp, PcxPacket};
 use nestsim_rtl::lane_matches_golden;
@@ -1617,10 +1619,14 @@ pub struct CcxPort {
 }
 
 impl Default for CcxPort {
+    /// Queues that need not grow: a core's holds at most one request per
+    /// thread, and a bank's of one kind seldom more than twice its share
+    /// of the threads'.
     fn default() -> Self {
+        let replies = || VecDeque::with_capacity(2 * NUM_THREADS / NUM_L2_BANKS);
         CcxPort {
-            core_q: Default::default(),
-            bank_q: Default::default(),
+            core_q: std::array::from_fn(|_| VecDeque::with_capacity(THREADS_PER_CORE)),
+            bank_q: std::array::from_fn(|_| [replies(), replies()]),
             requests: 0,
             head_due: [u64::MAX; NUM_L2_BANKS],
         }
