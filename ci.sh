@@ -80,7 +80,7 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1666
+doc_cap DESIGN.md 1665
 doc_cap README.md 595
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"

@@ -567,7 +567,7 @@ impl<C: Component> Driver<C> {
                 self.port.diverged(out, golden);
                 self.first_err_out.get_or_insert(cyc);
             }
-            self.seen_differs |= C::seen(out, golden);
+            self.seen_differs = self.seen_differs || C::seen(out, golden);
         }
         self.port.deliver(&mut self.sys, &mut self.target, out, cyc);
     }
@@ -641,9 +641,10 @@ impl<C: Component> Driver<C> {
     /// carries, as the lane's own run would hold it now: this driver's
     /// system and port; `lane` as the target with this driver's target
     /// as its golden; and `first_err_out` as the divergence monitor's
-    /// record. A lane in a batch has seen nothing the carrier did not
-    /// ([`Component::seen`]). It refills `spare`, the driver the previous fork ended
-    /// with, when there is one; the side `lane` replaces goes to `pool`.
+    /// record (a lane in a batch has seen nothing the carrier did not,
+    /// [`Component::seen`]). It refills `spare`, the driver the previous
+    /// fork ended with, when there is one; the side `lane` replaces goes
+    /// to `pool`.
     /// A carrier forks many times, so it shares its pages first: a fork
     /// copies none, and once the fork's system is released the carrier
     /// takes them back at its next write.
@@ -1613,8 +1614,7 @@ pub struct CcxPort {
     bank_q: [[VecDeque<(u64, CpxPacket)>; 2]; NUM_L2_BANKS],
     /// Bit `c`: `core_q[c]` holds a request.
     requests: u8,
-    /// When the reply at the head of each bank queue is due; `u64::MAX`
-    /// for an empty queue.
+    /// When each bank's next reply is due; `u64::MAX` when it has none.
     head_due: [u64; NUM_L2_BANKS],
 }
 
@@ -2174,11 +2174,11 @@ pub(crate) mod tests {
     }
 
     /// One scalar run of `component` on `bench` with `bit` of `field`
-    /// flipped, whose outputs never differ: the warm-up stays on the
+    /// flipped, whose golden never retires: the warm-up stays on the
     /// fault-free model, every cycle after the flip runs on flops beside
-    /// a live golden, and the run converts to flops once. (A run whose
-    /// outputs differed may go back to the fault-free model once it
-    /// checks `Identical`: `a_retired_golden_leaves_the_record_of_one_kept`.)
+    /// a live golden, and the run converts to flops once. (A crossbar run
+    /// whose outputs differed goes back to packets once it checks
+    /// `Identical`: `a_retired_golden_changes_nothing_the_run_puts_out`.)
     /// Every identity suite passes whichever model a target runs on, so
     /// only this notices when one of those stops holding.
     fn assert_on_flops_only_while_the_golden_lives(

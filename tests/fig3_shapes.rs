@@ -6,6 +6,8 @@
 //! injections — an undecided claim is never a pass. Rates are over the
 //! reported runs (Persist excluded, Sec. 4.2), pooled over the cells.
 
+use std::sync::OnceLock;
+
 use nestsim::core::campaign::{run_campaign_with, CampaignSpec};
 use nestsim::core::outcome::{Outcome, OutcomeCounts};
 use nestsim::hlsim::workload::by_name;
@@ -77,13 +79,44 @@ fn vanished_dominates_on_every_component() {
     }
 }
 
+/// EXPERIMENTS.md's L2C table: its six benchmarks, 2,400 injections,
+/// run once for the claims that read it.
+fn l2c_table() -> &'static OutcomeCounts {
+    static COUNTS: OnceLock<OutcomeCounts> = OnceLock::new();
+    COUNTS.get_or_init(|| {
+        let benches = ["barn", "lu-c", "blsc", "flui", "swap", "p-lr"];
+        outcomes(ComponentKind::L2c, &benches, 400, 10)
+    })
+}
+
 #[test]
 fn ut_leads_the_erroneous_categories_of_l2c() {
-    // EXPERIMENTS.md's L2C table: its six benchmarks, 2,400 injections.
-    let benches = ["barn", "lu-c", "blsc", "flui", "swap", "p-lr"];
-    let counts = outcomes(ComponentKind::L2c, &benches, 400, 10);
     let others = [Outcome::Ona, Outcome::Omm, Outcome::Hang];
-    assert_leads("L2C UT", &counts, Outcome::Ut, &others);
+    assert_leads("L2C UT", l2c_table(), Outcome::Ut, &others);
+}
+
+#[test]
+fn ccx_errs_less_often_than_l2c() {
+    // EXPERIMENTS.md's CCX table: its four benchmarks, 480 injections.
+    // On the accelerated timeline no erroneous category of CCX leads
+    // another at this budget; its rate against L2C's resolves.
+    let ccx = outcomes(
+        ComponentKind::Ccx,
+        &["radi", "lu-c", "flui", "stre"],
+        120,
+        10,
+    );
+    let (lo, hi) = l2c_table().erroneous_rate().wilson_interval(CONFIDENCE);
+    let (ccx_lo, ccx_hi) = ccx.erroneous_rate().wilson_interval(CONFIDENCE);
+    assert!(
+        ccx_lo <= hi,
+        "CCX [{ccx_lo:.4}, {ccx_hi:.4}] errs more often than L2C [{lo:.4}, {hi:.4}]"
+    );
+    assert!(
+        ccx_hi < lo,
+        "CCX vs L2C erroneous rate: undecided at budget: [{ccx_lo:.4}, {ccx_hi:.4}] overlaps \
+         [{lo:.4}, {hi:.4}] ({ccx:?})"
+    );
 }
 
 #[test]
