@@ -9,12 +9,13 @@
 //! latencies it stands in for runs the program on another timeline, and
 //! its injection outcomes are drawn from that timeline instead.
 //!
-//! The tolerances are the spread measured on these cells, not targets:
-//! L2C's bank and MCU's controller model their own queueing, so their
-//! timelines differ from the functional latencies by a few percent;
-//! the crossbar's banks are functional, and its replies are due when
-//! accelerated mode would deliver them (`cosim::bank_reply_due`); the
-//! DMA engine moves one word a cycle, as the functional engine does.
+//! The L2C and MCU bounds are the spreads measured before the crossbar
+//! was fixed, not targets: the bank and the controller model their own
+//! queueing. From cycle 0 on these benchmarks the L2C timeline reads
+//! 0.95–0.98 of the accelerated one and the MCU's 0.83–0.85; whether
+//! the MCU's is a fault is open. The crossbar's banks are functional and its replies are due
+//! when accelerated mode would deliver them (`cosim::bank_reply_due`);
+//! the DMA engine moves one word a cycle, as the functional engine does.
 
 use nestsim::core::cosim::{CcxDriver, CosimDriver, L2cDriver, McuDriver, PcieDriver};
 use nestsim::hlsim::workload::by_name;
