@@ -17,7 +17,9 @@
 //!
 //! Before the flip there is nothing for flops to be wrong about, so the
 //! warm-up runs on [`CcxWarm`], the same crossbar over packets, which
-//! becomes a [`Ccx`] at the golden snapshot.
+//! becomes a [`Ccx`] at the golden snapshot, and packets again
+//! ([`CcxWarm::from_ccx`]) once its flops are identical to a fault-free
+//! crossbar's.
 
 use std::sync::OnceLock;
 
