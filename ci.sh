@@ -202,26 +202,24 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # Build-once and recycling gate: the untraced `l2c_indep`, `ccx_indep`,
 # `ladder_long`, `l2c_lanes` and `served` blocks must stay under an allocation
 # count per injection — an exact count, not a timing. On the smoke's
-# single cold cell they read 124.6, 34.6, 97.4, 3.73 and 27.2 while a
-# shard refills its window carriers, the drivers forked off them and its
-# lane sides, every refill keeps its DRAM arena chunks and its
-# last-store table, and a crossbar port's queues are sized not to grow
-# (`ccx_indep` 38.9 when they grow); 128.2, 39.5, 102.0, 4.13 and 31.2
-# when a refilled table reallocates for a source of another size, and
-# 140.1, 58.9 and 9.1 on `l2c_indep`, `ccx_indep` and `l2c_lanes` when
-# every fork copies a new driver. `served` is the same cell reached
-# through the one campaign server machine, its worker walking every
-# lease of a job on one cursor from the base alone; 49.4 when each lease
-# built a fresh runner on a 256-rung ladder.
-# Storage gate: the same blocks' `alloc_kb_per_inj` read 864, 102, 173,
-# 319 and 30.7 KiB on the smoke (`ladder_long`, `l2c_indep`, `served`,
-# `ccx_indep`, `l2c_lanes`). A refill that keeps only the first arena
-# chunk reads 1,644 / 106 / 182 / 403 / 31.6; one whose tables
-# reallocate 1,155 / 129 / 207 / 398 / 35.8; both 1,924 / 145 / 207 /
-# 462 / 47.8. `ladder_long` read 3,369 KiB when the cursor copied every
-# page it rewrites again after each entry, `l2c_indep` 273 and
-# `ccx_indep` 602 when every fork copied a new driver, `l2c_lanes` 110
-# when every lane that leaves a batch did.
+# single cell they read 122.3, 12.75, 81.1, 2.38 and 15.45 while a shard
+# refills its window carriers, the drivers forked off them and its lane
+# sides, and every system a campaign needs refills one an earlier walk or
+# cell of the process parked (`cosim::unpark`); 124.8, 35.1, 97.0, 3.77
+# and 27.6 when nothing is ever parked (each campaign builds its own),
+# and 123.4, 22.9, 82.4, 2.69 and 18.35 when the first cursor does not
+# refill the system its cell's golden pass finished on. `served` is the
+# same cell reached through the one campaign server machine, its worker
+# walking every lease of a job on one cursor from the base alone.
+# Storage gate: the same blocks' `alloc_kb_per_inj` read 776, 83.9, 72.4,
+# 138 and 19.4 KiB on the smoke (`ladder_long`, `l2c_indep`, `served`,
+# `ccx_indep`, `l2c_lanes`) — one cell of each after the others, so its
+# storage comes parked from the workloads before it; 911 / 105 / 176 /
+# 329 / 31.4 with nothing parked, 1,033 / 102 / 158 / 263 / 24.3 without
+# the golden run's hand-over. A parked system frees its arena chunks:
+# kept, they read 487 / 67.8 / 14.7 / 9.4 / 11.4 here, and cost 20 % of
+# `ccx_indep`'s peak RSS in the benchmark, beside the calibration
+# kernel's allocations between campaigns (DESIGN.md *Recycling*).
 # Co-simulation gate: the traced `l2c_indep`, `l2c_lanes`, `ladder_long`,
 # `served` and `ccx_indep` blocks must report `core.golden_compares_per_inj`
 # < 7.5 / < 6 / < 4 / < 10 / < 2 — a run whose outputs all matched ends at
@@ -235,10 +233,10 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # `l2c_indep`'s mean moves with one long run: one of its 32 samples
 # co-simulates 2,128 cycles to the program's end (ONA).
 awk '
-    BEGIN { alloc_cap["l2c_indep"] = 127; alloc_cap["ccx_indep"] = 36; alloc_cap["ladder_long"] = 101
-            alloc_cap["l2c_lanes"] = 4; alloc_cap["served"] = 30
-            kb_cap["ladder_long"] = 1000; kb_cap["l2c_indep"] = 118; kb_cap["served"] = 195
-            kb_cap["ccx_indep"] = 330; kb_cap["l2c_lanes"] = 34
+    BEGIN { alloc_cap["l2c_indep"] = 124; alloc_cap["ccx_indep"] = 14; alloc_cap["ladder_long"] = 85
+            alloc_cap["l2c_lanes"] = 2.6; alloc_cap["served"] = 17
+            kb_cap["ladder_long"] = 830; kb_cap["l2c_indep"] = 92; kb_cap["served"] = 80
+            kb_cap["ccx_indep"] = 150; kb_cap["l2c_lanes"] = 21
             compare_cap["l2c_indep"] = 7.5; compare_cap["l2c_lanes"] = 6
             compare_cap["ladder_long"] = 4; compare_cap["served"] = 10
             compare_cap["ccx_indep"] = 2 }

@@ -176,16 +176,44 @@ impl L2BankArch {
     ///
     /// Panics if `geo.sets` is not a power of two.
     pub fn for_bank(geo: L2Geometry, bank: usize) -> Self {
-        assert!(geo.sets.is_power_of_two(), "{} sets", geo.sets);
-        let n = geo.lines();
-        L2BankArch {
+        let mut arch = L2BankArch {
             geo,
             bank,
-            tags: vec![0; n],
-            flags: vec![LineFlags::default(); n],
-            data: vec![[0; WORDS_PER_LINE]; n],
-            rr: vec![0; geo.sets],
-        }
+            tags: Vec::new(),
+            flags: Vec::new(),
+            data: Vec::new(),
+            rr: Vec::new(),
+        };
+        arch.reset_for_bank(geo, bank);
+        arch
+    }
+
+    /// Becomes [`for_bank`](Self::for_bank)`(geo, bank)` in the arrays
+    /// this bank holds, which grow only for a larger geometry.
+    ///
+    /// # Panics
+    ///
+    /// As [`for_bank`](Self::for_bank).
+    pub fn reset_for_bank(&mut self, geo: L2Geometry, bank: usize) {
+        assert!(geo.sets.is_power_of_two(), "{} sets", geo.sets);
+        let n = geo.lines();
+        let L2BankArch {
+            geo: my_geo,
+            bank: my_bank,
+            tags,
+            flags,
+            data,
+            rr,
+        } = self;
+        (*my_geo, *my_bank) = (geo, bank);
+        tags.clear();
+        tags.resize(n, 0);
+        flags.clear();
+        flags.resize(n, LineFlags::default());
+        data.clear();
+        data.resize(n, [0; WORDS_PER_LINE]);
+        rr.clear();
+        rr.resize(geo.sets, 0);
     }
 
     /// Moves the arrays out, leaving this bank (same geometry and id)

@@ -385,6 +385,15 @@ impl DramContents {
         self.copied
     }
 
+    /// Starts [`copied_pages`](Self::copied_pages) and
+    /// [`chunks_allocated`](Self::chunks_allocated) from zero again, for a
+    /// memory handed on to an owner whose copies and chunks those were
+    /// not.
+    pub fn restart_counts(&mut self) {
+        self.copied = 0;
+        self.chunks = 0;
+    }
+
     /// Arena chunks (64 pages, one heap allocation each) this memory
     /// allocated since it was made: by a clone, a refill or a write that
     /// found every chunk it holds full.
@@ -486,6 +495,17 @@ impl DramContents {
         self.page_slots.clear();
         self.recycle();
         self.backed = 0;
+    }
+
+    /// [`release`](Self::release), freeing every arena chunk too, and the
+    /// counts start from zero ([`restart_counts`](Self::restart_counts)):
+    /// the memory keeps only its page table's buffer. For a memory parked
+    /// without a next owner — how many chunks that one needs depends on
+    /// the pages its run dirties, not on anything this one ran.
+    pub fn release_storage(&mut self) {
+        self.release();
+        self.arena = Arena::default();
+        self.restart_counts();
     }
 }
 

@@ -84,10 +84,10 @@ fn engine_pair(suite: &mut Suite, bench: &str, base: &CampaignSpec, rows: [&str;
     let profile = by_name(bench).unwrap();
     let mut cell = CellBase::capture(profile, base, DEFAULT_MAX_RUNGS);
     let Round { samples, order } = cell.draw(profile, base, None);
-    let CellBase { ladder, golden, .. } = cell;
+    let (ladder, golden) = (&cell.ladder, &cell.golden);
     for (name, width) in rows.into_iter().zip([64usize, 1]) {
         suite.bench("campaign_lanes/engine", name, || {
-            let mut runner = ShardRunner::new(&ladder, &samples, &golden, None, width);
+            let mut runner = ShardRunner::new(ladder, &samples, golden, None, width);
             black_box(runner.run_span(&order))
         });
     }

@@ -79,12 +79,13 @@ impl JobState {
         let profile = job.profile()?;
         job.spec.check(profile)?;
         let budget = rung_budget(job.adaptive.is_some(), &job.spec);
-        let mut base = match prev {
-            Some(prev) if base_key(&prev.key) == base_key(job) && prev.budget == budget => {
-                prev.base
-            }
-            _ => CellBase::capture(profile, &job.spec, budget),
-        };
+        // A `prev` of another cell is dropped before the capture, so its
+        // systems are parked for this one's to refill.
+        let mut base =
+            match prev.filter(|p| base_key(&p.key) == base_key(job) && p.budget == budget) {
+                Some(prev) => prev.base,
+                None => CellBase::capture(profile, &job.spec, budget),
+            };
         let round = base.draw(profile, &job.spec, job.adaptive.as_ref());
         if round.samples.len() as u64 != job.spec.samples {
             return Err(format!(
@@ -93,7 +94,7 @@ impl JobState {
                 job.spec.samples
             ));
         }
-        let walk = ShardWalk::new(job.spec.lane_width as usize).reusing(base.take_spare());
+        let walk = ShardWalk::new(job.spec.lane_width as usize);
         Ok(JobState {
             key: job.clone(),
             budget,

@@ -44,7 +44,7 @@
 //! that shares none of this (interleaved shards, no ladder, no
 //! grouping).
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
@@ -57,7 +57,10 @@ use nestsim_stats::SeedSeq;
 use nestsim_telemetry::{names, CampaignTelemetry, Recorder, TelemetryConfig};
 
 use crate::adaptive::{draw_round, AdaptiveState, StratifiedRound};
-use crate::cosim::{on_component, refilled, Component, Driver, Kept, Spares};
+use crate::cosim::{
+    on_component, park, parked_copy, refilled, unpark, walk_ended, walk_started, Component, Driver,
+    Kept, Spares, StorageStats,
+};
 use crate::inject::{
     enter, finish, recorder_for, run_injection_with, GoldenRef, InjectionRecord, InjectionSpec,
     PostFlipStats, Warmed, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
@@ -261,13 +264,21 @@ pub(crate) fn draw_instance(component: ComponentKind, rng: &mut SplitRng) -> usi
     }
 }
 
-/// The pristine system of a campaign cell, at cycle 0.
+/// The pristine system of a campaign cell, at cycle 0, in parked
+/// storage when there is some.
 fn base_system(profile: &'static BenchProfile, spec: &CampaignSpec) -> System {
-    System::new(SystemConfig {
+    let cfg = SystemConfig {
         seed: spec.seed,
         length_scale: spec.length_scale,
         ..SystemConfig::new(profile)
-    })
+    };
+    match unpark() {
+        Some(mut sys) => {
+            sys.renew(cfg);
+            sys
+        }
+        None => System::new(cfg),
+    }
 }
 
 /// The golden reference a completed error-free run leaves.
@@ -296,7 +307,10 @@ pub fn golden_reference(
     spec: &CampaignSpec,
 ) -> (System, GoldenRef) {
     let base = base_system(profile, spec);
-    let golden = golden_of(profile, base.clone().run_to_end());
+    let mut run = parked_copy(&base);
+    run.untrack_stores();
+    let golden = golden_of(profile, run.run_to_end());
+    park(run);
     (base, golden)
 }
 
@@ -461,13 +475,15 @@ pub type IndexedRuns = Vec<(usize, InjectionRecord, Recorder)>;
 
 /// What a [`ShardWalk`] reads of a campaign cell, borrowed: the
 /// snapshot ladder, one round's samples, the golden reference and the
-/// per-run telemetry configuration.
+/// per-run telemetry configuration — and the system the cell's golden
+/// pass finished on, for the first walk's cursor to refill.
 #[derive(Clone, Copy)]
 pub struct ShardCell<'a> {
     ladder: &'a SnapshotLadder,
     samples: &'a [InjectionSpec],
     golden: &'a GoldenRef,
     telemetry: Option<&'a TelemetryConfig>,
+    spare: Option<&'a Mutex<Option<System>>>,
 }
 
 impl<'a> ShardCell<'a> {
@@ -483,7 +499,22 @@ impl<'a> ShardCell<'a> {
             samples: &round.samples,
             golden: &base.golden,
             telemetry,
+            spare: Some(&base.spare),
         }
+    }
+
+    /// The system the cell's golden pass finished on, once, with its
+    /// storage counts started over: a walk's are its own.
+    fn take_spare(&self) -> Option<System> {
+        let spare = self
+            .spare?
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        spare.map(|mut sys| {
+            sys.dram_mut().restart_counts();
+            sys
+        })
     }
 }
 
@@ -499,6 +530,11 @@ impl<'a> ShardCell<'a> {
 /// the sides the ones before left, so a walk allocates one set of
 /// drivers, not one per sample.
 ///
+/// The first cursor refills the system the cell's golden pass finished
+/// on; every other system a walk starts on parked storage, and the walk
+/// parks them all when it is dropped (`cosim::park`), so the next walk
+/// in the process, of any cell, refills them in turn.
+///
 /// This is the unit of work every execution layer shares —
 /// [`LadderExecutor`] gives each worker thread one walk per shard, the
 /// `nestsim-cluster` worker keeps one per job across all its leases of
@@ -511,9 +547,6 @@ pub struct ShardWalk {
     // cycles; re-restored (in place) whenever a later rung is closer
     // than the cursor, or the next entry lies behind it.
     cursor: Option<System>,
-    // Storage for the cursor's first restore to refill, if the walk was
-    // given one (`reusing`).
-    spare: Option<System>,
     // The carrier, drivers and lane sides the last window ended with,
     // which the next refills (`System::clone_from`, `Driver::reattach`,
     // `Driver::fork_sample`). Parked with their pages released, so that
@@ -529,14 +562,14 @@ pub struct ShardWalk {
     lanes: crate::lanes::LaneBatchStats,
     warm: WarmStats,
     post_flip: PostFlipStats,
-    // What `spare` had counted when the walk was given it.
-    dram_before: DramStats,
+    storage: StorageStats,
 }
 
 /// Engine-side counters of the DRAM storage a walk's systems allocate,
-/// reported as `dram.*` beside `warm.*`. Each system counts for as long
-/// as its storage lives, across refills, so a walk's are the sum over
-/// the systems it holds.
+/// reported as `dram.*` beside `warm.*`. Each system counts from when
+/// the walk took it — a parked system and the golden pass's count from
+/// zero there — across refills, so a walk's are the sum over the
+/// systems it holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct DramStats {
     /// Arena chunks allocated (`DramContents::chunks_allocated`).
@@ -586,9 +619,9 @@ impl ShardWalk {
     /// lane batch (clamped to 1–64; it never affects results, only
     /// execution).
     pub fn new(lane_width: usize) -> Self {
+        walk_started();
         ShardWalk {
             cursor: None,
-            spare: None,
             kept: Spares::default(),
             by_cycle: Vec::new(),
             forward: 0,
@@ -597,25 +630,16 @@ impl ShardWalk {
             lanes: crate::lanes::LaneBatchStats::default(),
             warm: WarmStats::default(),
             post_flip: PostFlipStats::default(),
-            dram_before: DramStats::default(),
+            storage: StorageStats::default(),
         }
-    }
-
-    /// This walk with `spare`, a system no one needs any more (the one a
-    /// golden run finished on, [`CellBase::take_spare`]), as the storage
-    /// its cursor's first restore refills.
-    pub fn reusing(mut self, spare: Option<System>) -> Self {
-        spare.iter().for_each(|sys| self.dram_before.add(sys));
-        self.spare = spare;
-        self
     }
 
     /// Positions the cursor at `entry`: restores from the nearest rung
     /// at or below it (into the cursor, if there is one) when that rung
     /// beats the cursor or the cursor is past `entry`, then runs
     /// forward.
-    fn seek(&mut self, ladder: &SnapshotLadder, entry: u64) {
-        let rung = ladder.rung_below(entry);
+    fn seek(&mut self, cell: ShardCell<'_>, entry: u64) {
+        let rung = cell.ladder.rung_below(entry);
         if self
             .cursor
             .as_ref()
@@ -623,7 +647,7 @@ impl ShardWalk {
         {
             match &mut self.cursor {
                 Some(cursor) => cursor.clone_from(rung),
-                None => self.cursor = Some(refilled(self.spare.take(), rung)),
+                None => self.cursor = Some(refilled(cell.take_spare().or_else(unpark), rung)),
             }
             self.restores += 1;
         }
@@ -671,7 +695,8 @@ impl ShardWalk {
             let (window, tail) = rest.split_at(window_len(cell.samples, rest));
             rest = tail;
             let start = out.len();
-            self.run_window(cell, window, &mut out);
+            let ((), taken) = StorageStats::during(|| self.run_window(cell, window, &mut out));
+            self.storage.add(taken);
             // The carrier runs the window in injection-cycle order, and a
             // batch retires its lanes as their checks decide; the caller
             // contract is span order.
@@ -695,7 +720,7 @@ impl ShardWalk {
             &by_cycle
         };
         let spec0 = &samples[order[0]];
-        self.seek(cell.ladder, entry_cycle(spec0));
+        self.seek(cell, entry_cycle(spec0));
         let base = self.cursor.as_ref().expect("cursor was just positioned");
         let golden = cell.golden;
         on_component!(spec0.component, C => {
@@ -765,12 +790,25 @@ impl ShardWalk {
     /// walk holds.
     pub(crate) fn dram_stats(&self) -> DramStats {
         let mut stats = DramStats::default();
-        (self.cursor.iter().chain(&self.spare)).for_each(|sys| stats.add(sys));
+        self.cursor.iter().for_each(|sys| stats.add(sys));
         self.kept.for_each_system(|sys| stats.add(sys));
-        DramStats {
-            chunks: stats.chunks - self.dram_before.chunks,
-            copied: stats.copied - self.dram_before.copied,
-        }
+        stats
+    }
+
+    /// Systems the walk took from parked storage and built so far.
+    pub(crate) fn storage_stats(&self) -> StorageStats {
+        self.storage
+    }
+}
+
+impl Drop for ShardWalk {
+    fn drop(&mut self) {
+        // The cursor last: after the cell's base, the next cell takes it
+        // first, for its golden run, which its cursor refills
+        // (`cosim::unpark`).
+        self.kept.park_systems();
+        self.cursor.take().into_iter().for_each(park);
+        walk_ended();
     }
 }
 
@@ -840,6 +878,7 @@ impl<'a> ShardRunner<'a> {
                 samples,
                 golden,
                 telemetry,
+                spare: None,
             },
             walk: ShardWalk::new(lane_width),
         }
@@ -877,12 +916,13 @@ pub fn laddered_golden_reference(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
 ) -> (SnapshotLadder, GoldenRef) {
-    let (ladder, golden, _) = golden_ladder(profile, spec, rung_budget(false, spec));
+    let (ladder, golden, run) = golden_ladder(profile, spec, rung_budget(false, spec));
+    park(run);
     (ladder, golden)
 }
 
-/// [`laddered_golden_reference`] at an explicit rung budget, and the
-/// system the golden run finished on.
+/// [`laddered_golden_reference`] at an explicit rung budget, on parked
+/// storage, and the system the golden run finished on.
 fn golden_ladder(
     profile: &'static BenchProfile,
     spec: &CampaignSpec,
@@ -890,7 +930,7 @@ fn golden_ladder(
 ) -> (SnapshotLadder, GoldenRef, System) {
     let base = base_system(profile, spec);
     let (ladder, result, run) =
-        SnapshotLadder::capture_owned(base, spec.snapshot_interval, max_rungs);
+        SnapshotLadder::capture_owned(base, spec.snapshot_interval, max_rungs, unpark);
     (ladder, golden_of(profile, result), run)
 }
 
@@ -917,15 +957,27 @@ pub fn rung_budget(adaptive: bool, spec: &CampaignSpec) -> usize {
 
 /// The seed-derived base of one campaign cell, captured once and
 /// shared by all of its rounds: the error-free reference and the
-/// snapshot ladder recorded in the same forward pass.
+/// snapshot ladder recorded in the same forward pass. Its rungs are
+/// parked when it is dropped, as a walk's systems are.
 pub struct CellBase {
     /// Clone-snapshots of the error-free run.
     pub ladder: SnapshotLadder,
     /// The error-free reference.
     pub golden: GoldenRef,
-    /// The system the golden run finished on, until a walk takes it as
-    /// its cursor's storage ([`CellBase::take_spare`]).
-    spare: Option<System>,
+    /// Systems the golden pass took from parked storage and built.
+    storage: StorageStats,
+    /// The system the golden run finished on, until the first walk's
+    /// cursor takes it (`ShardCell::take_spare`).
+    spare: Mutex<Option<System>>,
+}
+
+impl Drop for CellBase {
+    fn drop(&mut self) {
+        let spare = self.spare.get_mut().unwrap_or_else(PoisonError::into_inner);
+        spare.take().into_iter().for_each(park);
+        // The base last: the next cell takes it first.
+        self.ladder.take_rungs().into_iter().rev().for_each(park);
+    }
 }
 
 /// One round's samples in canonical round order, and the order they
@@ -952,19 +1004,14 @@ impl CellBase {
         max_rungs: usize,
     ) -> CellBase {
         check_campaign(profile, spec);
-        let (ladder, golden, run) = golden_ladder(profile, spec, max_rungs);
+        let ((ladder, golden, run), storage) =
+            StorageStats::during(|| golden_ladder(profile, spec, max_rungs));
         CellBase {
             ladder,
             golden,
-            spare: Some(run),
+            storage,
+            spare: Mutex::new(Some(run)),
         }
-    }
-
-    /// The system the golden run finished on, once: storage for a
-    /// walk's cursor to refill at its first restore
-    /// ([`ShardWalk::reusing`]) instead of allocating its own.
-    pub fn take_spare(&mut self) -> Option<System> {
-        self.spare.take()
     }
 
     /// Draws one round: the `spec.samples` runs of the fixed-count
@@ -1089,45 +1136,38 @@ impl RoundExecutor for LadderExecutor<'_> {
         if self.telemetry.is_some() {
             self.worker_samples.extend(shards.iter().map(Vec::len));
         }
-        let mut spare = self.base.take_spare();
         let cell = ShardCell::new(&self.base, &round, self.telemetry);
         let width = self.spec.lane_width as usize;
-        type WorkerOut = (
-            IndexedRuns,
-            u64,
-            u64,
-            crate::lanes::LaneBatchStats,
-            (WarmStats, DramStats, PostFlipStats),
-        );
-        let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    let spare = spare.take();
-                    scope.spawn(move || {
-                        let mut walk = ShardWalk::new(width).reusing(spare);
-                        let out = walk.run_span(cell, shard);
-                        let lanes = walk.lane_stats();
-                        let storage =
-                            (walk.warm_stats(), walk.dram_stats(), walk.post_flip_stats());
-                        (out, walk.forward_cycles(), walk.restores(), lanes, storage)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        });
+        let run_shard = |shard: &[usize]| {
+            let mut walk = ShardWalk::new(width);
+            let out = walk.run_span(cell, shard);
+            (out, walk)
+        };
+        // One shard runs on this thread: a thread of its own would only
+        // cost its creation.
+        let per_worker: Vec<(IndexedRuns, ShardWalk)> = match &shards[..] {
+            [shard] => vec![run_shard(shard)],
+            _ => std::thread::scope(|scope| {
+                let handles: Vec<_> = (shards.iter())
+                    .map(|shard| scope.spawn(move || run_shard(shard)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("campaign worker panicked"))
+                    .collect()
+            }),
+        };
         let samples = &round.samples;
         let mut indexed = Vec::with_capacity(samples.len());
-        for (out, forward, restores, lanes, (warm, dram, post_flip)) in per_worker {
-            self.engine.count(names::FORWARD_CYCLES, forward);
-            self.engine.count(names::LADDER_RESTORES, restores);
-            lanes.publish(&mut self.engine);
-            warm.publish(&mut self.engine);
-            dram.publish(&mut self.engine);
-            post_flip.publish(&mut self.engine);
+        for (out, walk) in per_worker {
+            self.engine
+                .count(names::FORWARD_CYCLES, walk.forward_cycles());
+            self.engine.count(names::LADDER_RESTORES, walk.restores());
+            walk.lane_stats().publish(&mut self.engine);
+            walk.warm_stats().publish(&mut self.engine);
+            walk.dram_stats().publish(&mut self.engine);
+            walk.storage_stats().publish(&mut self.engine);
+            walk.post_flip_stats().publish(&mut self.engine);
             indexed.extend(out);
         }
         let mut merged = recorder_for(self.telemetry);
@@ -1142,6 +1182,7 @@ impl RoundExecutor for LadderExecutor<'_> {
     }
 
     fn finish(mut self) -> Execution {
+        self.base.storage.publish(&mut self.engine);
         let ladder = &self.base.ladder;
         self.engine.count(names::LADDER_RUNGS, ladder.len() as u64);
         self.engine.count(names::LADDER_CAPTURES, ladder.captures());
@@ -1749,7 +1790,7 @@ mod tests {
             .collect();
         let mut spare: Option<System> = None;
         for &entry in &entries {
-            walk.seek(&base.ladder, entry);
+            walk.seek(ShardCell::new(&base, &round, None), entry);
             let cursor = walk.cursor.as_ref().expect("seek positions the cursor");
             let mut group = crate::cosim::refilled(spare.take(), cursor);
             group.run_until(entry + 200);
@@ -1841,6 +1882,17 @@ mod tests {
             let want = [forks.saturating_sub(1), carriers - 1, 0, 0];
             assert_eq!(since(at), want, "{component}: scalar shard");
             fork_refills += want[0];
+            // The cursor refills the system the golden pass finished on;
+            // every other system the walk holds it took from parked
+            // storage or built, once: the first carrier and, when a
+            // sample forked, the first sample driver.
+            let storage = walk.storage_stats();
+            let systems = 1 + u64::from(forks > 0);
+            assert_eq!(
+                storage.taken + storage.built,
+                systems,
+                "{component}: {storage:?}"
+            );
 
             // A shard of three 4-lane batches: a batch runs on its
             // window's carrier or on a driver forked off it as above, each
@@ -1876,6 +1928,15 @@ mod tests {
             assert!(
                 lanes >= 2 * 4 - 1,
                 "{component}: {lanes} lane sides refilled"
+            );
+            // The first carrier, the first batch driver forked off a
+            // carrier, if any, and the first lane fork's driver.
+            let storage = walk.storage_stats();
+            let systems = 2 + u64::from(carriers < 3);
+            assert_eq!(
+                storage.taken + storage.built,
+                systems,
+                "{component}: {storage:?}"
             );
 
             // A lone run attaches its own driver and refills nothing.

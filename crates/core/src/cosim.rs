@@ -24,7 +24,9 @@
 //! per-side overlay that is applied at detach, so golden-side reads
 //! stay isolated during co-simulation).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nestsim_arch::{DramContents, DramOverlay, L2BankArch, OverlayBackend};
 use nestsim_hlsim::system::{L2_HIT_LATENCY, L2_MISS_LATENCY};
@@ -160,6 +162,141 @@ pub(crate) fn refilled<T: Clone>(spare: Option<T>, source: &T) -> T {
         }
         None => source.clone(),
     }
+}
+
+// ─────────────────────────── Parked storage ──────────────────────────
+
+/// Systems no campaign holds any more — a dropped walk's cursor and
+/// kept drivers, a dropped cell's rungs, a golden run no walk took —
+/// parked process-wide, for the next campaign's systems to refill
+/// (DESIGN.md *Recycling the injection's driver*).
+struct Parked {
+    /// The most recently parked last.
+    systems: Vec<System>,
+    /// Walks alive now, and the most alive at once so far.
+    walks: usize,
+    peak_walks: usize,
+}
+
+/// What one walk and its cell hold of systems on a one-worker cell, and
+/// so what the pool keeps per walk: the base, the golden run the cursor
+/// refills, and a window's carrier, sample driver and lane fork.
+const SYSTEMS_PER_WALK: usize = 5;
+
+static PARKED: Mutex<Parked> = Mutex::new(Parked {
+    systems: Vec::new(),
+    walks: 0,
+    peak_walks: 0,
+});
+
+/// The pool. A panic never leaves it half-changed (a push, a pop or a
+/// count at a time), so a poisoned lock still guards whole systems.
+fn parked() -> MutexGuard<'static, Parked> {
+    PARKED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// Systems this thread took from the pool and built.
+    static STORAGE: Cell<StorageStats> = const { Cell::new(StorageStats { taken: 0, built: 0 }) };
+}
+
+/// Engine-side counters of where a campaign's systems came from,
+/// reported as `storage.*` beside `dram.*`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StorageStats {
+    /// Systems refilled from parked storage.
+    pub taken: u64,
+    /// Systems built because none was parked.
+    pub built: u64,
+}
+
+impl StorageStats {
+    /// `f`'s result, and the systems this thread took and built while it
+    /// ran.
+    pub(crate) fn during<R>(f: impl FnOnce() -> R) -> (R, StorageStats) {
+        let before = STORAGE.with(Cell::get);
+        let r = f();
+        let after = STORAGE.with(Cell::get);
+        let stats = StorageStats {
+            taken: after.taken - before.taken,
+            built: after.built - before.built,
+        };
+        (r, stats)
+    }
+
+    /// Adds `other`'s counts.
+    pub(crate) fn add(&mut self, other: StorageStats) {
+        self.taken += other.taken;
+        self.built += other.built;
+    }
+
+    /// Adds these counters to the engine-side recorder.
+    pub(crate) fn publish(&self, engine: &mut Recorder) {
+        engine.count(names::STORAGE_SYSTEMS_TAKEN, self.taken);
+        engine.count(names::STORAGE_SYSTEMS_BUILT, self.built);
+    }
+}
+
+/// Storage for one more system: the one parked last, or `None` for the
+/// caller to build one. Every system a campaign needs asks here first.
+///
+/// Walks and cells park their systems in the reverse of the order the
+/// next cell takes them — base, golden run (the cursor), carrier,
+/// sample driver, lane fork — so that one process running cell after
+/// cell hands each system back to the role it had, whose buffers it
+/// has grown to fit.
+pub(crate) fn unpark() -> Option<System> {
+    let sys = parked().systems.pop();
+    STORAGE.with(|n| {
+        let mut stats = n.get();
+        *if sys.is_some() {
+            &mut stats.taken
+        } else {
+            &mut stats.built
+        } += 1;
+        n.set(stats);
+    });
+    sys
+}
+
+/// A copy of `source`, in parked storage when there is some.
+pub(crate) fn parked_copy(source: &System) -> System {
+    refilled(unpark(), source)
+}
+
+/// Parks `sys` for a later [`unpark`] (`System::park`): its pages
+/// released, so that it pins none of the system it was copied from, and
+/// its DRAM arena chunks freed, so that the pool holds the storage a
+/// system's configuration sizes and not what one run's dirtied pages
+/// needed — storage that would otherwise sit beside whatever the process
+/// allocates between campaigns. The pool keeps [`SYSTEMS_PER_WALK`] for
+/// each walk the process ever ran at once (for one before the first
+/// walk: a cell that ran none parks its systems too), the most recently
+/// parked, so it never holds more systems than those walks did.
+pub(crate) fn park(mut sys: System) {
+    sys.park();
+    let evicted = {
+        let mut pool = parked();
+        pool.systems.push(sys);
+        let room = SYSTEMS_PER_WALK * pool.peak_walks.max(1);
+        let over = pool.systems.len().saturating_sub(room);
+        pool.systems.drain(..over).collect::<Vec<_>>()
+    };
+    // Freed outside the lock.
+    drop(evicted);
+}
+
+/// Counts a walk alive from [`walk_started`] to [`walk_ended`], the
+/// pool's bound.
+pub(crate) fn walk_started() {
+    let mut pool = parked();
+    pool.walks += 1;
+    pool.peak_walks = pool.peak_walks.max(pool.walks);
+}
+
+/// See [`walk_started`].
+pub(crate) fn walk_ended() {
+    parked().walks -= 1;
 }
 
 /// `Clone` for a struct of the named fields, whose `clone_from` refills
@@ -428,6 +565,14 @@ impl<C: Component> Kept<C> {
         let drivers = (self.carrier.iter()).chain(&self.driver);
         drivers.chain(&self.fork).map(|driver| &driver.sys)
     }
+
+    /// Parks the systems of the drivers kept ([`park`]), the carrier's
+    /// last: a walk takes it first of the three.
+    fn park_systems(&mut self) {
+        for driver in [self.fork.take(), self.driver.take(), self.carrier.take()] {
+            driver.into_iter().for_each(|driver| park(driver.sys));
+        }
+    }
 }
 
 /// A shard's [`Kept`] drivers and lanes. A shard runs one component, so
@@ -463,6 +608,18 @@ impl Spares {
             Spares::Pcie(kept) => kept.systems().for_each(f),
         }
     }
+
+    /// Parks the system of every driver kept ([`park`]); the ports and
+    /// sides go with the spares.
+    pub(crate) fn park_systems(&mut self) {
+        match self {
+            Spares::Empty => {}
+            Spares::L2c(kept) => kept.park_systems(),
+            Spares::Mcu(kept) => kept.park_systems(),
+            Spares::Ccx(kept) => kept.park_systems(),
+            Spares::Pcie(kept) => kept.park_systems(),
+        }
+    }
 }
 
 /// [`Component::kept`] for the component of `Spares::$variant`: what
@@ -471,6 +628,7 @@ macro_rules! kept_as {
     ($spares:expr, $variant:ident) => {{
         let spares: &mut Spares = $spares;
         if !matches!(spares, Spares::$variant(_)) {
+            spares.park_systems();
             *spares = Spares::$variant(Kept::default());
         }
         match spares {
@@ -622,7 +780,7 @@ impl<C: Component> Driver<C> {
         let Some(mut fork) = spare else {
             let mut target = self.target.clone();
             target.flops();
-            let fork = Driver::new(self.sys.clone(), self.port.clone(), target);
+            let fork = Driver::new(parked_copy(&self.sys), self.port.clone(), target);
             return (fork, None);
         };
         #[cfg(test)]
@@ -662,7 +820,7 @@ impl<C: Component> Driver<C> {
         self.sys.share_pages();
         let Some(mut fork) = spare else {
             return Driver {
-                sys: self.sys.clone(),
+                sys: parked_copy(&self.sys),
                 port: self.port.clone(),
                 target: lane,
                 golden: Some(self.target.clone()),

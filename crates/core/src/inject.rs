@@ -355,8 +355,8 @@ pub(crate) fn warm<C: Component>(
 /// — and attaches `C`'s driver to instance `spec.instance`. When there is
 /// a `spare`, a driver an earlier run or window ended with, the restore
 /// refills its system and the attach its port and sides
-/// (`Driver::reattach`); otherwise `base` is cloned and a driver
-/// attached.
+/// (`Driver::reattach`); otherwise `base` is copied into parked storage
+/// (`cosim::parked_copy`) and a driver attached.
 ///
 /// # Panics
 ///
@@ -404,7 +404,7 @@ pub(crate) fn enter<C: Component>(
             (driver, golden)
         }
         None => {
-            let mut sys = base.clone();
+            let mut sys = crate::cosim::parked_copy(base);
             to_entry(&mut sys);
             (C::attach_instance(sys, spec.instance), None)
         }
@@ -724,6 +724,8 @@ impl Flipped<'_> {
             .iter()
             .map(|&l| inject_cycle.saturating_sub(sys.last_store_cycle(l).unwrap_or(0)))
             .max();
+        // Nothing reads a last store past this point.
+        sys.untrack_stores();
 
         // A matching output after an observed error is ONA (Sec. 3.2).
         let error_observed = erroneous_output_cycle.is_some();

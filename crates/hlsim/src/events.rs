@@ -81,6 +81,15 @@ impl EventQueue {
         self.ring.front().map(|e| e.0)
     }
 
+    /// Drops every pending event, keeping the ring's buffer.
+    pub fn clear(&mut self) {
+        self.ring.clear();
+        #[cfg(test)]
+        if let Some(heap) = &mut self.heap {
+            *heap = heap::HeapQueue::default();
+        }
+    }
+
     /// Takes the next event to fire.
     pub fn pop(&mut self) -> Option<(u64, Ev)> {
         #[cfg(test)]

@@ -60,13 +60,15 @@ impl SnapshotLadder {
     /// Panics if `base` has already advanced past cycle 0 (ladder rungs
     /// are indexed from the start of execution).
     pub fn capture(base: &System, interval: u64, max_rungs: usize) -> (SnapshotLadder, RunResult) {
-        let (ladder, result, _) = Self::capture_owned(base.clone(), interval, max_rungs);
+        let (ladder, result, _) = Self::capture_owned(base.clone(), interval, max_rungs, || None);
         (ladder, result)
     }
 
     /// [`capture`](Self::capture) from `base` itself, which becomes rung
-    /// 0 instead of a copy of it. Also returns the finished run, whose
-    /// storage a later system can refill (`clone_from`).
+    /// 0 instead of a copy of it. The run and every rung after the base
+    /// refill the systems `spare` hands out (`clone_from`), a copy of
+    /// what they hold is made only when it hands out none. Also returns
+    /// the finished run, whose storage a later system can refill.
     ///
     /// # Panics
     ///
@@ -75,13 +77,26 @@ impl SnapshotLadder {
         mut base: System,
         interval: u64,
         max_rungs: usize,
+        mut spare: impl FnMut() -> Option<System>,
     ) -> (SnapshotLadder, RunResult, System) {
         assert_eq!(base.cycle(), 0, "ladder capture requires a pristine base");
         let mut interval = interval.max(1);
+        let mut copy = |source: &System| match spare() {
+            Some(mut sys) => {
+                sys.clone_from(source);
+                sys
+            }
+            None => source.clone(),
+        };
         // The base's pages become shared between rung 0, the run and
         // every restore from it.
         base.share_pages();
-        let mut run = base.clone();
+        let mut run = copy(&base);
+        if max_rungs <= 1 {
+            // No rung will be cloned off the run: its last stores are
+            // nobody's to read.
+            run.untrack_stores();
+        }
         let mut rungs = vec![base];
         let mut captures = 0;
         loop {
@@ -99,7 +114,7 @@ impl SnapshotLadder {
             // The pages dirtied since the previous rung become shared
             // between `run`, this rung and every restore from it.
             run.share_pages();
-            rungs.push(run.clone());
+            rungs.push(copy(&run));
             captures += 1;
             if rungs.len() > max_rungs {
                 // Thin geometrically: even rungs survive at 2× spacing.
@@ -153,6 +168,13 @@ impl SnapshotLadder {
     pub fn truncate_above(&mut self, cycle: u64) {
         let keep = (cycle / self.interval).min(self.rungs.len() as u64 - 1) as usize + 1;
         self.rungs.truncate(keep);
+    }
+
+    /// Takes the live rungs out, base first, for their storage to be
+    /// refilled, and leaves the ladder with none: the last thing its
+    /// owner does with it.
+    pub fn take_rungs(&mut self) -> Vec<System> {
+        std::mem::take(&mut self.rungs)
     }
 
     /// Snapshot cost of each live rung, in rung order.

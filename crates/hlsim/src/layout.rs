@@ -100,10 +100,11 @@ fn ring_next(i: u64) -> u64 {
     (5 * i + 1) % PTR_RING_LEN
 }
 
-/// The program image for `threads` hardware threads with `data_words`
-/// words of per-thread data array, every page shared: what
+/// Makes `mem` the program image for `threads` hardware threads with
+/// `data_words` words of per-thread data array, every page shared: what
 /// [`write_image`] writes into an empty memory, built once per shape
-/// and process and handed out as reference-count-only clones.
+/// and process and handed out as reference-count-only copies, refilled
+/// into the storage `mem` holds.
 ///
 /// The image depends on nothing else — no seed — yet every campaign
 /// cell, cluster worker and service execution starts a `System` from
@@ -112,22 +113,23 @@ fn ring_next(i: u64) -> u64 {
 /// working-set sizes and there are 2 topologies, so it holds at most 10
 /// images of 1–3 MB (≈10 MB if a process ran every shape; one shape,
 /// ≈1–3 MB, in a campaign).
-pub fn image(threads: usize, data_words: u64) -> DramContents {
+pub fn image_into(mem: &mut DramContents, threads: usize, data_words: u64) {
     let mut images = IMAGES
         .lock()
         .expect("an image build panicked; nothing half-built is ever stored");
     let key = (threads, data_words);
     if let Some((_, image)) = images.iter().find(|(k, _)| *k == key) {
-        return image.clone();
+        mem.clone_from(image);
+        return;
     }
     let mut image = DramContents::new();
     write_image(&mut image, threads, data_words);
     image.freeze();
-    images.push((key, image.clone()));
-    image
+    mem.clone_from(&image);
+    images.push((key, image));
 }
 
-/// Frozen images by `(threads, data_words)`; see [`image`].
+/// Frozen images by `(threads, data_words)`; see [`image_into`].
 static IMAGES: Mutex<Vec<((usize, u64), DramContents)>> = Mutex::new(Vec::new());
 
 /// Writes `words` consecutive words starting at the line-aligned
@@ -217,6 +219,13 @@ pub(crate) mod tests {
         let images = IMAGES.lock().unwrap();
         let held = images.iter().filter(|(k, _)| *k == (threads, data_words));
         held.count()
+    }
+
+    /// [`image_into`] an empty memory.
+    fn image(threads: usize, data_words: u64) -> DramContents {
+        let mut mem = DramContents::new();
+        image_into(&mut mem, threads, data_words);
+        mem
     }
 
     #[test]

@@ -252,6 +252,8 @@ pub struct System {
     pending_fills: Vec<(u8, u64, u8)>,
 
     last_store: StoreMap,
+    /// Whether stores are recorded in `last_store` (`untrack_stores`).
+    track_stores: bool,
     tainted: LineSet,
     first_taint_read: Option<u64>,
 }
@@ -284,6 +286,7 @@ impl Clone for System {
             outbox,
             pending_fills,
             last_store,
+            track_stores,
             tainted,
             first_taint_read,
         } = self;
@@ -307,6 +310,7 @@ impl Clone for System {
             outbox: outbox.clone(),
             pending_fills: pending_fills.clone(),
             last_store: last_store.clone(),
+            track_stores: *track_stores,
             tainted: tainted.clone(),
             first_taint_read: *first_taint_read,
         }
@@ -333,6 +337,7 @@ impl Clone for System {
             outbox,
             pending_fills,
             last_store,
+            track_stores,
             tainted,
             first_taint_read,
         } = source;
@@ -355,6 +360,7 @@ impl Clone for System {
         self.outbox.clone_from(outbox);
         self.pending_fills.clone_from(pending_fills);
         refill_table(&mut self.last_store, last_store);
+        self.track_stores = *track_stores;
         self.tainted.clone_from(tainted);
         self.first_taint_read = *first_taint_read;
     }
@@ -368,70 +374,131 @@ impl System {
         Self::with_queue(cfg, EventQueue::default())
     }
 
+    /// [`new`](Self::new) on `events`, an empty queue: [`renew`](Self::renew)
+    /// of a system that holds no storage yet.
     fn with_queue(cfg: SystemConfig, events: EventQueue) -> Self {
+        let mut sys = System {
+            cfg: cfg.clone(),
+            cycle: 0,
+            events,
+            threads: Vec::new(),
+            pending_value: Vec::new(),
+            l2: Vec::new(),
+            dram: DramContents::new(),
+            dma: FuncDma {
+                desc: cfg.profile.dma_descriptor(0),
+                pos: 0,
+                active: false,
+                suspended: false,
+            },
+            barrier_mask: 0,
+            barrier_count: 0,
+            halted: 0,
+            ended: 0,
+            next_req: 0,
+            trap: None,
+            watchdog: 0,
+            intercept: InterceptMode::None,
+            outbox: VecDeque::new(),
+            pending_fills: Vec::new(),
+            last_store: StoreMap::default(),
+            track_stores: true,
+            tainted: LineSet::default(),
+            first_taint_read: None,
+        };
+        sys.renew(cfg);
+        sys
+    }
+
+    /// Becomes what [`new`](Self::new)`(cfg)` builds, in the storage this
+    /// system holds — bank arrays, thread, event and outbox buffers, the
+    /// tables, the page table and every arena chunk — whatever it held
+    /// before: a system parked for reuse starts a new cell here, and
+    /// allocates only where `cfg` needs more room than it ever had.
+    /// `new` is this on a system that holds nothing.
+    pub fn renew(&mut self, cfg: SystemConfig) {
+        // Every field is named: a new one fails to compile here until
+        // it is reset.
+        let System {
+            cfg: my_cfg,
+            cycle,
+            events,
+            threads,
+            pending_value,
+            l2,
+            dram,
+            dma,
+            barrier_mask,
+            barrier_count,
+            halted,
+            ended,
+            next_req,
+            trap,
+            watchdog,
+            intercept,
+            outbox,
+            pending_fills,
+            last_store,
+            track_stores,
+            tainted,
+            first_taint_read,
+        } = self;
         let threads_n = cfg.topology.total_threads();
         let seed = SeedSeq::new(cfg.seed);
         // The image is the bulk of the state and most of it is never
         // written again. It arrives with every page shared, so clones
         // of the base copy no page.
-        let dram = layout::image(threads_n, cfg.profile.working_set_words);
+        layout::image_into(dram, threads_n, cfg.profile.working_set_words);
 
         let dma_seed = seed.derive("input-file").seed();
-        let desc = cfg.profile.dma_descriptor(dma_seed);
-        let dma = FuncDma {
-            desc,
+        *dma = FuncDma {
+            desc: cfg.profile.dma_descriptor(dma_seed),
             pos: 0,
             active: cfg.profile.has_input_file(),
             suspended: false,
         };
 
-        let threads: Vec<ThreadCtx> = (0..threads_n)
-            .map(|t| {
-                ThreadCtx::new(
-                    ThreadId::new(t),
-                    ProgGen::new(cfg.profile, seed, t, threads_n, cfg.length_scale.max(1)),
-                )
-            })
-            .collect();
+        threads.clear();
+        threads.extend((0..threads_n).map(|t| {
+            ThreadCtx::new(
+                ThreadId::new(t),
+                ProgGen::new(cfg.profile, seed, t, threads_n, cfg.length_scale.max(1)),
+            )
+        }));
+        pending_value.clear();
+        pending_value.resize(threads_n, 0);
+        let banks = cfg.topology.l2_banks;
+        l2.truncate(banks);
+        for (b, bank) in l2.iter_mut().enumerate() {
+            bank.reset_for_bank(cfg.l2_geometry, b);
+        }
+        let have = l2.len();
+        l2.extend((have..banks).map(|b| L2BankArch::for_bank(cfg.l2_geometry, b)));
 
-        let watchdog = cfg.watchdog_cycles.unwrap_or_else(|| {
+        *watchdog = cfg.watchdog_cycles.unwrap_or_else(|| {
             cfg.profile.target_cycles() / cfg.length_scale.max(1) * 10 + 500_000
         });
-
-        let mut sys = System {
-            cycle: 0,
-            events,
-            pending_value: vec![0; threads_n],
-            l2: (0..cfg.topology.l2_banks)
-                .map(|b| L2BankArch::for_bank(cfg.l2_geometry, b))
-                .collect(),
-            dram,
-            dma,
-            barrier_mask: 0,
-            barrier_count: 0,
-            halted: 0,
-            ended: 0,
-            next_req: 1,
-            trap: None,
-            watchdog,
-            intercept: InterceptMode::None,
-            outbox: VecDeque::new(),
-            pending_fills: Vec::new(),
-            last_store: StoreMap::default(),
-            tainted: LineSet::default(),
-            first_taint_read: None,
-            threads,
-            cfg,
-        };
+        *cycle = 0;
+        events.clear();
+        (*barrier_mask, *barrier_count, *halted, *ended) = (0, 0, 0, 0);
+        *next_req = 1;
+        *trap = None;
+        *intercept = InterceptMode::None;
+        outbox.clear();
+        pending_fills.clear();
+        last_store.clear();
+        *track_stores = true;
+        tainted.clear();
+        *first_taint_read = None;
+        *my_cfg = cfg;
         // Kick every thread at cycle 0 (staggered one apart for a
         // deterministic, realistic ramp).
         for t in 0..threads_n {
-            sys.schedule(t as u64 % 8, Ev::Wake(t as u8));
+            self.schedule(t as u64 % 8, Ev::Wake(t as u8));
         }
-        if sys.dma.active {
-            sys.schedule(DMA_FRAME_CYCLES, Ev::DmaFrame);
+        if self.dma.active {
+            self.schedule(DMA_FRAME_CYCLES, Ev::DmaFrame);
         }
-        sys
     }
 
     // ── Introspection ───────────────────────────────────────────────
@@ -527,6 +594,16 @@ impl System {
         self.dram.release();
     }
 
+    /// [`release_pages`](Self::release_pages) for a system parked for
+    /// another campaign, which also frees its DRAM arena chunks
+    /// ([`DramContents::release_storage`]): it keeps the buffers its
+    /// configuration sizes — bank arrays, thread, event and outbox
+    /// storage, the tables — and none that the pages one run dirtied
+    /// sized.
+    pub fn park(&mut self) {
+        self.dram.release_storage();
+    }
+
     // ── Taint / rollback bookkeeping (Sec. 5 analyses) ──────────────
 
     /// Marks memory lines corrupted by an injected error; the first
@@ -558,6 +635,16 @@ impl System {
     /// Feeds the Fig. 9 required-rollback-distance analysis.
     pub fn last_store_cycle(&self, line: LineAddr) -> Option<u64> {
         self.last_store.get(&line.raw()).copied()
+    }
+
+    /// Stops recording stores for [`last_store_cycle`](Self::last_store_cycle)
+    /// from here on, for a run whose last stores nobody reads any more:
+    /// a golden pass that captures no rung, or an injection run past its
+    /// rollback analysis. Nothing the run computes changes. A refill
+    /// copies the setting of its source, and [`renew`](Self::renew)
+    /// records again.
+    pub fn untrack_stores(&mut self) {
+        self.track_stores = false;
     }
 
     // ── Interception (co-simulation coupling) ───────────────────────
@@ -692,7 +779,9 @@ impl System {
 
     /// Records a store for the rollback analysis.
     fn note_store(&mut self, addr: PAddr) {
-        self.last_store.insert(addr.line().raw(), self.cycle);
+        if self.track_stores {
+            self.last_store.insert(addr.line().raw(), self.cycle);
+        }
     }
 
     fn note_taint_on_load(&mut self, _t: usize, op: Option<Op>) {
@@ -1433,6 +1522,41 @@ mod tests {
             assert_same(&want, &got, &format!("{name}, at the end"));
             // A finished run is the next refill's spare, as in a shard.
             spare = got;
+        }
+    }
+
+    #[test]
+    fn renewed_system_matches_a_new_one() {
+        // A parked system renewed for another cell: it ran on another
+        // topology and profile, holds private pages, a tainted read and a
+        // last-store table, and stopped tracking stores; it must end as a
+        // new one, before and after both run to the end.
+        let mut used = {
+            let mut cfg = SystemConfig::smoke_test(by_name("barn").unwrap());
+            cfg.topology = nestsim_proto::Topology::reduced();
+            let mut sys = System::new(cfg);
+            sys.run_until(200);
+            sys.mark_tainted(data_lines(4));
+            sys.run_until(2_000);
+            sys.untrack_stores();
+            sys.run_until(2_500);
+            let line = layout::data_word(3, 7).line();
+            sys.dram_mut().write_line(line, [7; WORDS_PER_LINE]);
+            sys
+        };
+        assert!(used.dram().private_pages() > 0 && used.first_taint_read().is_some());
+        for bench in ["fft", "radi"] {
+            let cfg = SystemConfig::smoke_test(by_name(bench).unwrap());
+            let want = System::new(cfg.clone());
+            used.park();
+            used.renew(cfg);
+            assert_same(&want, &used, bench);
+            let (want_end, want) = settle(want);
+            let (got_end, got) = settle(used);
+            assert!(want_end.is_completed(), "{bench}: {want_end:?}");
+            assert_eq!(got_end, want_end, "{bench}: run to end");
+            assert_same(&want, &got, &format!("{bench}, at the end"));
+            used = got;
         }
     }
 

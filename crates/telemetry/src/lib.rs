@@ -195,13 +195,20 @@ pub mod names {
 
     /// Counter: DRAM arena chunks (64 pages, one heap allocation each)
     /// the systems of a campaign walk allocated — its cursor, window
-    /// carriers and forks (engine telemetry). A walk that refills its
-    /// systems allocates them once, so windows after the first add
-    /// few or none.
+    /// carriers and forks — over their storage's life, which a refill
+    /// and parked storage carry on (engine telemetry). A walk that
+    /// refills its systems allocates them once, so windows after the
+    /// first add few or none.
     pub const DRAM_CHUNKS_ALLOCATED: &str = "dram.chunks_allocated";
     /// Counter: DRAM pages the same systems copied out of shared arenas
     /// on a first write (engine telemetry).
     pub const DRAM_PAGES_COPIED: &str = "dram.pages_copied";
+    /// Counter: systems a campaign refilled from storage an earlier
+    /// walk or cell of the process parked (engine telemetry).
+    pub const STORAGE_SYSTEMS_TAKEN: &str = "storage.systems_taken";
+    /// Counter: systems a campaign built because none was parked
+    /// (engine telemetry).
+    pub const STORAGE_SYSTEMS_BUILT: &str = "storage.systems_built";
 
     // The `postflip.*` engine counters: runs and their co-simulation
     // cycles after the flip, by how co-simulation ended, then by whether
@@ -373,6 +380,8 @@ pub mod names {
         WARM_CYCLES,
         DRAM_CHUNKS_ALLOCATED,
         DRAM_PAGES_COPIED,
+        STORAGE_SYSTEMS_TAKEN,
+        STORAGE_SYSTEMS_BUILT,
         POSTFLIP_RUNS_IDENTICAL_CLEAN,
         POSTFLIP_RUNS_IDENTICAL_ERRONEOUS,
         POSTFLIP_RUNS_BENIGN_CLEAN,

@@ -83,6 +83,27 @@ mod tests {
         let s = render_engine_stats(&e);
         assert!(s.contains("9 captures, 7 rungs, 3 restores, 12000 forward-sim cycles"));
         assert!(s.contains("cell cache: 2 hits / 5 misses"));
+        assert!(!s.contains("lanes:"), "no batch, no lane line");
+        for (name, n) in [
+            (names::WARM_CARRIERS, 4),
+            (names::WARM_CYCLES, 900),
+            (names::LANES_BATCHES, 6),
+            (names::LANES_RETIRED_EARLY, 30),
+            (names::LANES_SCALAR_FALLBACKS, 8),
+            (names::STORAGE_SYSTEMS_TAKEN, 5),
+            (names::STORAGE_SYSTEMS_BUILT, 1),
+            (names::DRAM_CHUNKS_ALLOCATED, 3),
+            (names::DRAM_PAGES_COPIED, 70),
+        ] {
+            e.count(name, n);
+        }
+        let s = render_engine_stats(&e);
+        assert!(s.contains("warm-up carriers: 4 windows, 900 cycles"));
+        assert!(s.contains("lanes: 6 batches, 30 retired in them, 8 left on a fork"));
+        assert!(s.contains(
+            "storage: 5 systems taken from parked storage, 1 built; \
+             DRAM 3 arena chunks allocated, 70 pages copied"
+        ));
         assert_eq!(render_engine_stats(&Recorder::null()), "");
     }
 

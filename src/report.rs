@@ -165,12 +165,14 @@ pub fn render_provenance(rec: &Recorder) -> String {
 
 /// Renders the campaign-engine footer: how the snapshot-ladder engine
 /// scheduled the forward simulation (rungs captured and kept, rung
-/// footprint, rung restores, forward-simulated cycles), how the
-/// cross-figure cell cache performed, and where post-flip co-simulation
-/// went (`render_post_flip`). This data is engine- and
-/// sharding-dependent by design, so it lives in its own footer rather
-/// than the merged provenance. Empty string when the recorder is
-/// disabled.
+/// footprint, rung restores, forward-simulated cycles), the windows'
+/// warm-up carriers, lane batches, the DRAM storage the walks' systems
+/// allocated and copied, where those systems came from (parked storage
+/// or built), how the cross-figure cell cache performed, and where
+/// post-flip co-simulation went (`render_post_flip`). This data is
+/// engine- and sharding-dependent by design, so it lives in its own
+/// footer rather than the merged provenance. Empty string when the
+/// recorder is disabled.
 pub fn render_engine_stats(engine: &Recorder) -> String {
     if !engine.is_active() {
         return String::new();
@@ -192,6 +194,28 @@ pub fn render_engine_stats(engine: &Recorder) -> String {
                 .map_or(0.0, |h| h.mean()),
         ));
     }
+    let c = |name| engine.counter(name);
+    out.push_str(&format!(
+        "  warm-up carriers: {} windows, {} cycles\n",
+        c(names::WARM_CARRIERS),
+        c(names::WARM_CYCLES),
+    ));
+    if c(names::LANES_BATCHES) > 0 {
+        out.push_str(&format!(
+            "  lanes: {} batches, {} retired in them, {} left on a fork\n",
+            c(names::LANES_BATCHES),
+            c(names::LANES_RETIRED_EARLY),
+            c(names::LANES_SCALAR_FALLBACKS),
+        ));
+    }
+    out.push_str(&format!(
+        "  storage: {} systems taken from parked storage, {} built; \
+         DRAM {} arena chunks allocated, {} pages copied\n",
+        c(names::STORAGE_SYSTEMS_TAKEN),
+        c(names::STORAGE_SYSTEMS_BUILT),
+        c(names::DRAM_CHUNKS_ALLOCATED),
+        c(names::DRAM_PAGES_COPIED),
+    ));
     let hits = engine.counter(names::CELL_CACHE_HITS);
     let misses = engine.counter(names::CELL_CACHE_MISSES);
     if hits + misses > 0 {
