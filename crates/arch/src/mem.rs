@@ -76,7 +76,7 @@ where
         kept_map.clone_from(source_map);
     } else {
         kept_map.clear();
-        // nestlint: allow(determinism-taint) -- one insert per distinct key; the copy holds the same entries whatever the visiting order
+        // One insert per distinct key: the copy holds the same entries whatever the visiting order.
         kept_map.extend(source_map.iter().map(|(k, v)| (k.clone(), v.clone())));
     }
 }
@@ -368,7 +368,7 @@ impl DramContents {
     /// reads that page — an arena is freed whole, when its last holder
     /// lets go.
     pub fn retained_pages(&self) -> usize {
-        // nestlint: allow(determinism-taint) -- the arena pointers are
+        // The arena pointers are
         // sorted and deduped below, so the visiting order washes out.
         let mut arenas: Vec<&Arc<Arena>> = (self.page_slots.values())
             .filter_map(|slot| slot.shared.as_ref())
@@ -420,7 +420,7 @@ impl DramContents {
         // as long as any clone holds a page of it.
         let frozen = Arc::new(self.arena.split_used());
         let mut n = 0;
-        // nestlint: allow(determinism-taint) -- every private slot gets the same arena pointer and keeps its index; visiting order changes nothing
+        // Every private slot gets the same arena pointer and keeps its index: visiting order changes nothing.
         for slot in self.page_slots.values_mut() {
             if slot.shared.is_none() {
                 slot.shared = Some(Arc::clone(&frozen));
@@ -450,7 +450,7 @@ impl DramContents {
         if Arc::strong_count(&frozen) != self.frozen_slots + 1 {
             return;
         }
-        // nestlint: allow(determinism-taint) -- each slot into the taken-back arena turns private and keeps its index; visiting order changes nothing
+        // Each slot into the taken-back arena turns private and keeps its index: visiting order changes nothing.
         for slot in self.page_slots.values_mut() {
             if slot
                 .shared
@@ -564,7 +564,7 @@ impl PartialEq for DramContents {
         // sets; pages compare by bytes, wherever they live.
         self.backed == other.backed
             && self.page_slots.len() == other.page_slots.len()
-            // nestlint: allow(determinism-taint) -- an `all` over
+            // An `all` over
             // independent per-page comparisons is order-free.
             && self.page_slots.iter().all(|(no, slot)| {
                 other
@@ -636,8 +636,8 @@ impl DramOverlay {
     pub fn diff_lines(&self, other: &DramOverlay, base: &DramContents) -> Vec<LineAddr> {
         let mut keys: Vec<u64> = self
             .writes
-            .keys() // nestlint: allow(determinism-taint) -- sorted and deduped below, hasher order washes out
-            .chain(other.writes.keys()) // nestlint: allow(determinism-taint) -- sorted and deduped below, hasher order washes out
+            .keys() // sorted and deduped below: hash order washes out
+            .chain(other.writes.keys())
             .copied()
             .collect();
         keys.sort_unstable();
@@ -655,7 +655,7 @@ impl DramOverlay {
     /// without building the list — the per-check form of the golden
     /// compare, which only needs the verdict.
     pub fn differs(&self, other: &DramOverlay, base: &DramContents) -> bool {
-        // nestlint: allow(determinism-taint) -- `any` over independent per-line comparisons is order-free
+        // `any` over independent per-line comparisons is order-free.
         let in_ours = self.writes.iter().any(|(&k, data)| {
             let line = LineAddr::new(k);
             *data != other.read_line(base, line)
@@ -664,7 +664,7 @@ impl DramOverlay {
             return true;
         }
         // A line only `other` wrote differs when it changed the base.
-        // nestlint: allow(determinism-taint) -- `any` over independent per-line comparisons is order-free
+        // `any` over independent per-line comparisons is order-free.
         other.writes.iter().any(|(&k, data)| {
             !self.writes.contains_key(&k) && *data != base.read_line(LineAddr::new(k))
         })
@@ -673,7 +673,7 @@ impl DramOverlay {
     /// Applies all overlay writes to `base` (end-of-co-simulation state
     /// transfer back to the high-level model, Fig. 2 step 10).
     pub fn apply_to(&self, base: &mut DramContents) {
-        // nestlint: allow(determinism-taint) -- one write per distinct line key, so application order cannot change the final contents
+        // One write per distinct line key: application order cannot change the final contents.
         for (&k, &v) in &self.writes {
             base.write_line(LineAddr::new(k), v);
         }

@@ -1,9 +1,8 @@
 //! One nonblocking connection of the [`crate::server`] loop: bytes in
 //! through a [`FrameBuf`], framed replies out through an unsent buffer
 //! capped at [`MAX_UNSENT`], so a peer that stops reading is cut off
-//! instead of growing the server without limit. Policy-pinned
-//! no-panic: one peer's bytes must not take down the loop that serves
-//! every other.
+//! instead of growing the server without limit. No panic: one peer's
+//! bytes must not take down the loop that serves every other.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

@@ -10,8 +10,8 @@
 //! deep the heavy tenant's backlog is (locked by the tests below).
 //!
 //! The scheduler is pure data structure — no clock, no randomness —
-//! and is policy-pinned `determinism-taint`: identical enqueue/dequeue
-//! sequences yield identical service orders on every run.
+//! so identical enqueue/dequeue sequences yield identical service
+//! orders on every run.
 
 use std::collections::{BTreeMap, VecDeque};
 

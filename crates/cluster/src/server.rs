@@ -167,7 +167,7 @@ impl Server {
             commands,
             conns: BTreeMap::new(),
             next_conn: WAKE + 1,
-            start: Instant::now(), // nestlint: allow(determinism-taint) -- lease/timer clock only; machines decide results from frames, never from wall time
+            start: Instant::now(), // lease and timer clock only: machines decide results from frames
             pending: VecDeque::new(),
             actions: Vec::new(),
             dirty: Vec::new(),

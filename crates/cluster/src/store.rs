@@ -9,7 +9,7 @@
 //! subscriber receives the single output.
 //!
 //! The store is pure data (BTree maps, no clock, no hashing
-//! randomness) and is policy-pinned `determinism-taint`.
+//! randomness).
 
 use crate::proto::JobWire;
 use nestsim_core::inject::{GoldenRef, InjectionRecord};
@@ -376,6 +376,37 @@ mod tests {
             ),
             SubscribeOutcome::Cached
         );
+    }
+
+    /// A finished cell streams to its subscribers in the order they
+    /// subscribed, so the machine's sends, and every schedule `mck`
+    /// replays, do not depend on a hasher. With sixteen subscribers a
+    /// hash order all but never passes; with two it passes half the time.
+    #[test]
+    fn completion_fans_out_in_subscription_order() {
+        let mut st = ResultStore::new();
+        let j = job(4);
+        let key = key(&j);
+        let subs: Vec<Subscriber> = (0..16)
+            .map(|i| Subscriber {
+                conn: 100 - i,
+                ticket: 7 * i + 3,
+            })
+            .collect();
+        for &sub in &subs {
+            st.subscribe(&key, &j, "a", 1, sub);
+        }
+        st.start(&key);
+        let out = ExecOutput {
+            golden: GoldenRef {
+                digest: 1,
+                cycles: 2,
+            },
+            records: Vec::new(),
+            merged: Recorder::null(),
+            engine: Recorder::null(),
+        };
+        assert_eq!(st.complete(&key, out), subs);
     }
 
     #[test]

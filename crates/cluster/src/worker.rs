@@ -116,7 +116,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> io::Result<WorkerStats> {
     // Strictly request/response small frames: Nagle + delayed ACK
     // would add ~40ms per round trip.
     stream.set_nodelay(true)?;
-    let start = Instant::now(); // nestlint: allow(determinism-taint) -- drives protocol heartbeats only; results come from the deterministic worker machine
+    let start = Instant::now(); // heartbeats only: results come from the worker machine
     let mut machine = WorkerMachine::new(opts.clone());
     let mut job_state: Option<JobState> = None;
     let mut pending: VecDeque<WorkerAction> = machine

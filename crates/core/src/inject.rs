@@ -210,6 +210,8 @@ pub(crate) struct PostFlipStats {
     pub runs: [[u64; 2]; 6],
     /// Post-flip co-simulation cycles, split the same way.
     pub cycles: [[u64; 2]; 6],
+    /// Accelerated cycles phase 3 ran to the program's end.
+    pub run_to_end_cycles: u64,
 }
 
 impl PostFlipStats {
@@ -228,6 +230,7 @@ impl PostFlipStats {
                 engine.count(POSTFLIP_CYCLES[row][col], cycles[col]);
             }
         }
+        engine.count(names::POSTFLIP_RUN_TO_END_CYCLES, self.run_to_end_cycles);
     }
 }
 
@@ -570,7 +573,7 @@ impl Flipped<'_> {
             }
             Resume::Detach(cosim_cycles) => cosim_cycles,
         };
-        self.transfer_back(driver, rec, cosim_cycles)
+        self.transfer_back(driver, rec, post, cosim_cycles)
     }
 
     /// Sec. 4.2 exit taxonomy, for the scalar run and for every lane of
@@ -706,6 +709,7 @@ impl Flipped<'_> {
         &self,
         mut driver: Driver<C>,
         rec: &mut Recorder,
+        post: &mut PostFlipStats,
         cosim_cycles: u64,
     ) -> (InjectionRecord, Driver<C>) {
         let (spec, inject_cycle) = (self.spec, self.inject_cycle);
@@ -729,7 +733,10 @@ impl Flipped<'_> {
 
         // A matching output after an observed error is ONA (Sec. 3.2).
         let error_observed = erroneous_output_cycle.is_some();
-        let outcome = match self.golden.verdict(&sys.run_to_end()) {
+        let from = sys.cycle();
+        let result = sys.run_to_end();
+        post.run_to_end_cycles += sys.cycle() - from;
+        let outcome = match self.golden.verdict(&result) {
             Outcome::Vanished if error_observed || !corrupted.is_empty() => Outcome::Ona,
             outcome => outcome,
         };

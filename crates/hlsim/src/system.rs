@@ -610,7 +610,7 @@ impl System {
     /// subsequent core load of a tainted line is recorded as the error
     /// reaching the cores (Fig. 8's propagation latency).
     pub fn mark_tainted(&mut self, lines: impl IntoIterator<Item = LineAddr>) {
-        // nestlint: allow(determinism-taint) -- extends a set; membership is insensitive to iteration order
+        // Extends a set: membership is insensitive to iteration order.
         self.tainted.extend(lines.into_iter().map(|l| l.raw()));
     }
 

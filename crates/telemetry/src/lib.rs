@@ -262,6 +262,8 @@ pub mod names {
     pub const POSTFLIP_CYCLES_CAP_CLEAN: &str = "postflip.cycles.cap.clean";
     /// Counter: post-flip co-simulation cycles of runs where the co-simulation cap struck, erroneous output (engine telemetry).
     pub const POSTFLIP_CYCLES_CAP_ERRONEOUS: &str = "postflip.cycles.cap.erroneous";
+    /// Counter: accelerated cycles phase 3 ran from the transfer back to the program's end (engine telemetry).
+    pub const POSTFLIP_RUN_TO_END_CYCLES: &str = "postflip.run_to_end_cycles";
 
     /// Counter: rounds executed by the adaptive sampling engine
     /// (engine telemetry; sequential-stopping trace).
@@ -406,6 +408,7 @@ pub mod names {
         POSTFLIP_CYCLES_ABORTED_ERRONEOUS,
         POSTFLIP_CYCLES_CAP_CLEAN,
         POSTFLIP_CYCLES_CAP_ERRONEOUS,
+        POSTFLIP_RUN_TO_END_CYCLES,
         QRR_RUNS,
         QRR_DETECTED,
         QRR_REPLAY_ATTEMPTS,
@@ -447,5 +450,86 @@ pub mod names {
             .chain(COMPONENTS.iter())
             .find(|&&n| n == name)
             .copied()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::names;
+    use std::path::Path;
+
+    /// `(ident, value)` of every `pub const X: &str = "…";` in the
+    /// `names` module, read off this file's source.
+    fn declared() -> Vec<(&'static str, &'static str)> {
+        let src = include_str!("lib.rs");
+        let start = src.find("pub mod names {").expect("the names module");
+        let body = &src[start..start + src[start..].find("\n}\n").expect("its end")];
+        body.split("pub const ")
+            .skip(1)
+            .filter_map(|item| {
+                let (ident, rest) = item.split_once(": &str =")?;
+                let value = rest.split('"').nth(1)?;
+                Some((ident.trim(), value))
+            })
+            .collect()
+    }
+
+    /// Every `.rs` file under `dir`, build output aside.
+    fn sources(dir: &Path, out: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir)
+            .expect("readable source tree")
+            .flatten()
+        {
+            let path = entry.path();
+            let name = entry.file_name();
+            if path.is_dir() && name != "target" && name != ".git" {
+                sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && !path.ends_with("telemetry/src/lib.rs")
+            {
+                out.push(std::fs::read_to_string(&path).expect("readable source"));
+            }
+        }
+    }
+
+    /// The registry is coherent: no two names share a string (a merge
+    /// would fold two meanings into one counter), every name constant is
+    /// in `ALL` (else `resolve` refuses it on the wire), and every
+    /// registered name is counted somewhere in the repository as
+    /// `names::X` (no dead schema).
+    #[test]
+    fn every_name_is_unique_registered_and_counted() {
+        let mut seen = std::collections::BTreeSet::new();
+        for name in names::ALL {
+            assert!(seen.insert(name), "{name:?} is in names::ALL twice");
+        }
+        let declared = declared();
+        for (ident, value) in &declared {
+            assert_eq!(
+                names::resolve(value),
+                Some(*value),
+                "{ident} is not in names::ALL"
+            );
+        }
+        assert_eq!(
+            declared.len(),
+            names::ALL.len(),
+            "two name constants share a string"
+        );
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        sources(&root, &mut files);
+        for (ident, _) in declared {
+            let used = files.iter().any(|text| {
+                text.match_indices(&format!("names::{ident}"))
+                    .any(|(at, m)| {
+                        let next = text[at + m.len()..].chars().next();
+                        !next.is_some_and(|c| {
+                            c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
+                        })
+                    })
+            });
+            assert!(used, "names::{ident} is registered but nothing counts it");
+        }
     }
 }

@@ -94,6 +94,9 @@ mod tests {
             (names::STORAGE_SYSTEMS_BUILT, 1),
             (names::DRAM_CHUNKS_ALLOCATED, 3),
             (names::DRAM_PAGES_COPIED, 70),
+            (names::POSTFLIP_RUNS_ENDED_CLEAN, 2),
+            (names::POSTFLIP_CYCLES_ENDED_CLEAN, 40),
+            (names::POSTFLIP_RUN_TO_END_CYCLES, 6_500),
         ] {
             e.count(name, n);
         }
@@ -104,6 +107,8 @@ mod tests {
             "storage: 5 systems taken from parked storage, 1 built; \
              DRAM 3 arena chunks allocated, 70 pages copied"
         ));
+        assert!(s.contains("post-flip co-simulation: 2 runs, 40 cycles (20 per run)"));
+        assert!(s.contains("phase 3 ran 6500 accelerated cycles to the program's end"));
         assert_eq!(render_engine_stats(&Recorder::null()), "");
     }
 

@@ -227,7 +227,8 @@ pub fn render_engine_stats(engine: &Recorder) -> String {
 
 /// The engine footer's post-flip split: runs and co-simulation cycles
 /// after the flip by how co-simulation ended and whether the output was
-/// clean or erroneous by then. Empty when no run was counted.
+/// clean or erroneous by then, and the accelerated cycles phase 3 ran to
+/// the program's end. Empty when no run was counted.
 fn render_post_flip(engine: &Recorder) -> String {
     let sum =
         |table: &[[&str; 2]; 6]| -> u64 { table.iter().flatten().map(|n| engine.counter(n)).sum() };
@@ -255,6 +256,10 @@ fn render_post_flip(engine: &Recorder) -> String {
             share
         ));
     }
+    out.push_str(&format!(
+        "    phase 3 ran {} accelerated cycles to the program's end\n",
+        engine.counter(names::POSTFLIP_RUN_TO_END_CYCLES)
+    ));
     out
 }
 

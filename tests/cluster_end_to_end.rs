@@ -258,8 +258,9 @@ fn crashed_worker_is_redispatched_and_bytes_are_identical() {
 /// `LadderExecutor` and on `RemoteExecutor` through the service's
 /// execution slots, the cycle counters sum to the records'
 /// `cosim_cycles` and the run counters to the record count. A run's
-/// exit is a function of the run, so the split is the same on both, and
-/// none of it reaches the merged telemetry.
+/// exit is a function of the run, so the split is the same on both, as
+/// are the accelerated cycles phase 3 ran to the program's end, and none
+/// of it reaches the merged telemetry.
 #[test]
 fn post_flip_counters_sum_to_the_records_on_every_executor() {
     use nestsim::core::campaign::LadderExecutor;
@@ -269,8 +270,13 @@ fn post_flip_counters_sum_to_the_records_on_every_executor() {
         let read = |table: [[&'static str; 2]; 6]| {
             table.map(|pair| pair.map(|n| r.telemetry.engine.counter(n)))
         };
-        (read(POSTFLIP_RUNS), read(POSTFLIP_CYCLES))
+        let to_end = r
+            .telemetry
+            .engine
+            .counter(names::POSTFLIP_RUN_TO_END_CYCLES);
+        (read(POSTFLIP_RUNS), read(POSTFLIP_CYCLES), to_end)
     };
+    let mut to_end_total = 0;
     let cells = [
         (ComponentKind::L2c, "flui", 4),
         (ComponentKind::Mcu, "fft", 1),
@@ -293,7 +299,7 @@ fn post_flip_counters_sum_to_the_records_on_every_executor() {
         handle.shutdown().unwrap();
         assert_identical(&format!("{component} service"), &local, &remote);
         for (how, r) in [("in process", &local), ("service", &remote)] {
-            let (runs, cycles) = counters(r);
+            let (runs, cycles, _) = counters(r);
             let cosim: u64 = r.records.iter().map(|rec| rec.cosim_cycles).sum();
             assert_eq!(
                 cycles.as_flattened().iter().sum::<u64>(),
@@ -306,7 +312,13 @@ fn post_flip_counters_sum_to_the_records_on_every_executor() {
                 n,
                 "{component} {how}"
             );
-            for name in POSTFLIP_RUNS.iter().chain(&POSTFLIP_CYCLES).flatten() {
+            let to_end = [names::POSTFLIP_RUN_TO_END_CYCLES];
+            for name in POSTFLIP_RUNS
+                .iter()
+                .chain(&POSTFLIP_CYCLES)
+                .flatten()
+                .chain(&to_end)
+            {
                 assert_eq!(
                     r.telemetry.merged.counter(name),
                     0,
@@ -315,5 +327,7 @@ fn post_flip_counters_sum_to_the_records_on_every_executor() {
             }
         }
         assert_eq!(counters(&local), counters(&remote), "{component}");
+        to_end_total += counters(&local).2;
     }
+    assert!(to_end_total > 0, "no cell ran a phase 3");
 }

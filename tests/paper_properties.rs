@@ -123,3 +123,26 @@ fn paper_partitions_cover_at_least_ninety_percent() {
     assert!(QrrPlan::paper_l2c().coverage() > 0.89);
     assert!(QrrPlan::paper_mcu().coverage() > 0.89);
 }
+
+#[test]
+fn fig5_warm_up_leaves_under_two_tenths_of_a_percent_after_1000_cycles() {
+    // Fig. 5 / Sec. 4.1: "<0.2% after 1,000 cycles", at `repro fig5
+    // --runs 10 --window 1000 --scale 10`'s configuration (radi, p-lr
+    // for PCIe; repro's default seed 2015).
+    use nestsim::core::warmup::warmup_experiment;
+    use nestsim::hlsim::workload::by_name;
+    for kind in ComponentKind::ALL {
+        let bench = if kind == ComponentKind::Pcie {
+            "p-lr"
+        } else {
+            "radi"
+        };
+        let curve = warmup_experiment(kind, by_name(bench).unwrap(), 10, 1_000, 2015, 10);
+        assert_eq!(curve.points.len(), 1_001, "{kind}");
+        assert!(
+            curve.residual() < 0.002,
+            "{kind}: {:.4}% left after 1,000 cycles",
+            100.0 * curve.residual()
+        );
+    }
+}
