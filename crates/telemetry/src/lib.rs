@@ -36,6 +36,8 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+#[cfg(test)]
+mod names_check;
 pub mod recorder;
 pub mod trace;
 
@@ -455,27 +457,12 @@ pub mod names {
 
 #[cfg(test)]
 mod tests {
-    use super::names;
+    use super::{names, names_check};
     use std::path::Path;
 
-    /// `(ident, value)` of every `pub const X: &str = "…";` in the
-    /// `names` module, read off this file's source.
-    fn declared() -> Vec<(&'static str, &'static str)> {
-        let src = include_str!("lib.rs");
-        let start = src.find("pub mod names {").expect("the names module");
-        let body = &src[start..start + src[start..].find("\n}\n").expect("its end")];
-        body.split("pub const ")
-            .skip(1)
-            .filter_map(|item| {
-                let (ident, rest) = item.split_once(": &str =")?;
-                let value = rest.split('"').nth(1)?;
-                Some((ident.trim(), value))
-            })
-            .collect()
-    }
-
-    /// Every `.rs` file under `dir`, build output aside.
-    fn sources(dir: &Path, out: &mut Vec<String>) {
+    /// `(path, source)` of every `.rs` file under `dir`, build output,
+    /// the schema and its checker's fixtures aside.
+    fn sources(dir: &Path, out: &mut Vec<(String, String)>) {
         for entry in std::fs::read_dir(dir)
             .expect("readable source tree")
             .flatten()
@@ -486,50 +473,54 @@ mod tests {
                 sources(&path, out);
             } else if path.extension().is_some_and(|e| e == "rs")
                 && !path.ends_with("telemetry/src/lib.rs")
+                && !path.ends_with("telemetry/src/names_check.rs")
             {
-                out.push(std::fs::read_to_string(&path).expect("readable source"));
+                let text = std::fs::read_to_string(&path).expect("readable source");
+                out.push((path.display().to_string(), text));
             }
         }
     }
 
     /// The registry is coherent: no two names share a string (a merge
     /// would fold two meanings into one counter), every name constant is
-    /// in `ALL` (else `resolve` refuses it on the wire), and every
+    /// in `ALL` once (else `resolve` refuses it on the wire), and every
     /// registered name is counted somewhere in the repository as
     /// `names::X` (no dead schema).
     #[test]
     fn every_name_is_unique_registered_and_counted() {
-        let mut seen = std::collections::BTreeSet::new();
-        for name in names::ALL {
-            assert!(seen.insert(name), "{name:?} is in names::ALL twice");
+        let src = include_str!("lib.rs");
+        let start = src.find("pub mod names {").expect("the names module");
+        let end = start + src[start..].find("\n}\n").expect("its end");
+        let mut decl = names_check::parse_names(&src[start..end]);
+        let offset = src[..start].matches('\n').count() as u32;
+        for line in decl
+            .consts
+            .iter_mut()
+            .map(|c| &mut c.2)
+            .chain(decl.all.iter_mut().map(|a| &mut a.1))
+        {
+            *line += offset;
         }
-        let declared = declared();
-        for (ident, value) in &declared {
+        assert_eq!(decl.all.len(), names::ALL.len(), "the parsed ALL");
+        for (ident, value, _) in &decl.consts {
             assert_eq!(
                 names::resolve(value),
-                Some(*value),
-                "{ident} is not in names::ALL"
+                Some(value.as_str()),
+                "{ident} does not resolve"
             );
         }
-        assert_eq!(
-            declared.len(),
-            names::ALL.len(),
-            "two name constants share a string"
-        );
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut files = Vec::new();
         sources(&root, &mut files);
-        for (ident, _) in declared {
-            let used = files.iter().any(|text| {
-                text.match_indices(&format!("names::{ident}"))
-                    .any(|(at, m)| {
-                        let next = text[at + m.len()..].chars().next();
-                        !next.is_some_and(|c| {
-                            c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
-                        })
-                    })
-            });
-            assert!(used, "names::{ident} is registered but nothing counts it");
-        }
+        let uses: Vec<(String, String, u32)> = files
+            .iter()
+            .flat_map(|(path, text)| {
+                names_check::collect_uses(text)
+                    .into_iter()
+                    .map(move |(ident, line)| (path.clone(), ident, line))
+            })
+            .collect();
+        let findings = names_check::check_names("crates/telemetry/src/lib.rs", &decl, &uses);
+        assert!(findings.is_empty(), "{findings:#?}");
     }
 }
