@@ -80,8 +80,8 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1606
-doc_cap README.md 572
+doc_cap DESIGN.md 1605
+doc_cap README.md 569
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
 # An entry runs from a line starting `PR <n>` to the next one; only the

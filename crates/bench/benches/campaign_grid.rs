@@ -1,16 +1,14 @@
-//! Campaign-engine benchmark: the snapshot-ladder engine against the
-//! pre-ladder interleaved-replay engine, at 4 workers, over a small
-//! multi-cell (component × benchmark) grid — the shape `repro`'s
-//! figure pipelines actually run.
+//! Campaign-engine benchmark: the snapshot-ladder engine at 4 workers
+//! over a small multi-cell (component × benchmark) grid — the shape
+//! `repro`'s figure pipelines actually run.
 //!
-//! Both engines produce byte-identical campaigns (locked by the
-//! end-to-end equivalence tests); this bench measures what that costs.
 //! It also prints the deterministic forward-sim cycle counts from the
 //! engine telemetry, which is where the ladder's win comes from: the
-//! replay engine forward-simulates roughly `workers ×` one benchmark
-//! length per cell, the ladder engine roughly one — and the ladder's
-//! rung captures and live rungs, its price: a fixed-count cell keeps
-//! at most one rung per shard (`rung_budget`).
+//! one-thread reference (`run_campaign_replay`) runs every sample from
+//! cycle 0, the sum of the samples' entry cycles, while the ladder
+//! engine runs each shard's cursor forward once — and the ladder's rung
+//! captures and live rungs, its price: a fixed-count cell keeps at most
+//! one rung per shard (`rung_budget`).
 //!
 //! The `fig3` group times one `repro fig3` cell per component whose
 //! runs co-simulate long after the program ends unless the program's
@@ -80,21 +78,12 @@ fn main() {
             ));
         }
     });
-    suite.bench("campaign_grid/workers4", "replay_engine", || {
-        for (kind, bench) in CELLS {
-            black_box(run_campaign_replay(
-                by_name(bench).unwrap(),
-                &spec(kind),
-                None,
-            ));
-        }
-    });
 
-    // The deterministic half of the story: total forward-sim cycles per
-    // engine and the ladder's rungs, summed over the grid, straight from
-    // the engine telemetry.
+    // The deterministic half of the story: total forward-sim cycles of
+    // the ladder engine and of the reference, and the ladder's rungs,
+    // summed over the grid, straight from the engine telemetry.
     let cfg = TelemetryConfig::default();
-    let (mut ladder_fwd, mut replay_fwd) = (0u64, 0u64);
+    let (mut ladder_fwd, mut reference_fwd) = (0u64, 0u64);
     let (mut captures, mut rungs) = (0u64, 0u64);
     for (kind, bench) in CELLS {
         let profile = by_name(bench).unwrap();
@@ -109,18 +98,18 @@ fn main() {
         ladder_fwd += engine.counter(names::FORWARD_CYCLES);
         captures += engine.counter(names::LADDER_CAPTURES);
         rungs += cell_rungs;
-        replay_fwd += run_campaign_replay(profile, &spec(kind), Some(&cfg))
+        reference_fwd += run_campaign_replay(profile, &spec(kind), Some(&cfg))
             .telemetry
             .engine
             .counter(names::FORWARD_CYCLES);
     }
     eprintln!(
-        "campaign_grid: forward-sim cycles — ladder {ladder_fwd}, replay {replay_fwd} ({:.1}x); \
+        "campaign_grid: forward-sim cycles — ladder {ladder_fwd}, reference {reference_fwd} ({:.1}x); \
          ladder.captures {captures}, ladder.rungs {rungs}",
-        replay_fwd as f64 / ladder_fwd.max(1) as f64
+        reference_fwd as f64 / ladder_fwd.max(1) as f64
     );
     assert!(
-        replay_fwd >= 2 * ladder_fwd,
+        reference_fwd >= 2 * ladder_fwd,
         "ladder engine must forward-simulate >= 2x fewer cycles at {WORKERS} workers"
     );
 

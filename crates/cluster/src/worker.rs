@@ -34,6 +34,7 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use nestsim_core::campaign::{rung_budget, CampaignSpec, CellBase, Round, ShardCell, ShardWalk};
@@ -163,6 +164,66 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> io::Result<WorkerStats> {
             }
         }
     }
+}
+
+/// The worker command line, `--connect HOST:PORT [--crash-after N]
+/// [--stall-after N]`, that `nestsim-worker` and `repro worker` share:
+/// runs the worker and returns the process's exit code — failure, with
+/// the usage line, on a bad command line, and failure on a run that
+/// ends in an error. A crash (`--crash-after`) exits the process with
+/// code 17. `program` names the command in what it prints.
+pub fn worker_main(program: &str, args: &[String]) -> ExitCode {
+    let (addr, opts) = match parse_worker_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!(
+                "{e}\nusage: {program} --connect HOST:PORT [--crash-after N] [--stall-after N]"
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    match run_worker(&addr, &opts) {
+        Ok(stats) => {
+            eprintln!(
+                "{program}: {} shards completed ({} duplicate, {} abandoned), {} samples",
+                stats.shards_completed,
+                stats.shards_duplicate,
+                stats.shards_abandoned,
+                stats.samples_run
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{program}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The server address and options [`worker_main`]'s arguments name. A
+/// worker process exits on a crash.
+fn parse_worker_args(args: &[String]) -> Result<(String, WorkerOptions), String> {
+    let mut addr = None;
+    let mut opts = WorkerOptions {
+        process_exit_on_crash: true,
+        ..WorkerOptions::default()
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("missing value for {flag}"))
+        };
+        let count = |v: &String| v.parse::<u64>().map_err(|e| format!("{flag}: {e}"));
+        match flag.as_str() {
+            "--connect" => addr = Some(value()?.clone()),
+            "--crash-after" => opts.crash_after_samples = Some(count(value()?)?),
+            "--stall-after" => opts.stall_after_samples = Some(count(value()?)?),
+            other => return Err(format!("unknown worker option {other}")),
+        }
+    }
+    let addr = addr.ok_or("missing --connect HOST:PORT")?;
+    Ok((addr, opts))
 }
 
 fn now_ms(start: &Instant) -> u64 {

@@ -39,10 +39,10 @@
 //! restores from the rung below that entry. Determinism makes
 //! restore-from-rung bit-identical to replay-from-zero, so records,
 //! counts, and merged telemetry are byte-identical for any worker
-//! count, snapshot interval and rung budget — locked by the equivalence
-//! tests against [`run_campaign_replay`], the independent reference
-//! that shares none of this (interleaved shards, no ladder, no
-//! grouping).
+//! count, snapshot interval and rung budget — locked by the identity
+//! property of `tests/reference_identity.rs` against
+//! [`run_campaign_replay`], the one-thread reference that shares none of
+//! this (no ladder, carrier, lane batch, shard or parked storage).
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -62,8 +62,8 @@ use crate::cosim::{
     Kept, Spares, StorageStats,
 };
 use crate::inject::{
-    enter, finish, recorder_for, run_injection_with, GoldenRef, InjectionRecord, InjectionSpec,
-    PostFlipStats, Warmed, DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
+    enter, finish, recorder_for, GoldenRef, InjectionRecord, InjectionSpec, PostFlipStats, Warmed,
+    DEFAULT_CHECK_INTERVAL, DEFAULT_COSIM_CAP, MIN_WARMUP,
 };
 use crate::lanes::run_batch;
 use crate::outcome::OutcomeCounts;
@@ -264,14 +264,19 @@ pub(crate) fn draw_instance(component: ComponentKind, rng: &mut SplitRng) -> usi
     }
 }
 
-/// The pristine system of a campaign cell, at cycle 0, in parked
-/// storage when there is some.
-fn base_system(profile: &'static BenchProfile, spec: &CampaignSpec) -> System {
-    let cfg = SystemConfig {
+/// The system configuration of a campaign cell.
+fn cell_config(profile: &'static BenchProfile, spec: &CampaignSpec) -> SystemConfig {
+    SystemConfig {
         seed: spec.seed,
         length_scale: spec.length_scale,
         ..SystemConfig::new(profile)
-    };
+    }
+}
+
+/// The pristine system of a campaign cell, at cycle 0, in parked
+/// storage when there is some.
+fn base_system(profile: &'static BenchProfile, spec: &CampaignSpec) -> System {
+    let cfg = cell_config(profile, spec);
     match unpark() {
         Some(mut sys) => {
             sys.renew(cfg);
@@ -1290,14 +1295,15 @@ pub fn run_campaign_with(
     run_rounds(profile, spec, &Plan::Fixed, telemetry, executor)
 }
 
-/// The pre-ladder campaign engine, kept as the independent reference
-/// the identity suites compare [`run_rounds`] against — it shares no
-/// round loop, executor, ladder, shard layout or grouping with it:
-/// every worker replays one forward pass of the whole benchmark over
-/// an *interleaved* shard of the sorted samples, cloning at each entry
-/// point and running one sample at a time. Byte-identical to
-/// [`run_campaign_with`] in records, counts, and merged telemetry;
-/// roughly `workers ×` more forward simulation.
+/// The one campaign-level reference every executor is held to: one
+/// thread, and a fresh [`System::new`] for the golden run and for each
+/// sample, which runs from cycle 0 to its entry point, attaches its
+/// driver there and finishes on the per-run flow every engine shares
+/// (`inject::finish`). No ladder, cursor, window carrier, lane batch,
+/// shard or parked storage: records, counts and merged telemetry equal
+/// [`run_campaign_with`]'s, whatever the execution-only fields of the
+/// spec. Its engine recorder counts only the forward cycles, the sum of
+/// the samples' entry cycles.
 ///
 /// # Panics
 ///
@@ -1309,68 +1315,25 @@ pub fn run_campaign_replay(
     telemetry: Option<&TelemetryConfig>,
 ) -> CampaignResult {
     check_campaign(profile, spec);
-    let (base, golden) = golden_reference(profile, spec);
+    let cfg = cell_config(profile, spec);
+    let golden = golden_of(profile, System::new(cfg.clone()).run_to_end());
     let samples = draw_samples(profile, spec, &golden);
-
-    // Order samples by co-simulation entry point; each worker replays
-    // one forward pass over its (ascending, interleaved) shard.
-    let order = entry_order(&samples);
-
-    let workers = worker_count(spec, order.len());
-    let shards: Vec<Vec<usize>> = (0..workers)
-        .map(|w| order.iter().copied().skip(w).step_by(workers).collect())
-        .collect();
-
     let mut engine = recorder_for(telemetry);
-    let per_worker: Vec<(IndexedRuns, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let base = &base;
-                let samples = &samples;
-                let golden = &golden;
-                scope.spawn(move || {
-                    let mut my_base = base.clone();
-                    let mut out = Vec::with_capacity(shard.len());
-                    let mut forward = 0u64;
-                    for &i in shard {
-                        let s = &samples[i];
-                        let entry = entry_cycle(s);
-                        forward += entry.saturating_sub(my_base.cycle());
-                        my_base.run_until(entry);
-                        let mut rec = recorder_for(telemetry);
-                        let r = run_injection_with(&my_base, golden, s, &mut rec);
-                        out.push((i, r, rec));
-                    }
-                    (out, forward)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-
-    let mut indexed = Vec::with_capacity(samples.len());
-    for (out, forward) in per_worker {
-        engine.count(names::FORWARD_CYCLES, forward);
-        indexed.extend(out);
+    let mut runs = Vec::with_capacity(samples.len());
+    for (i, s) in samples.iter().enumerate() {
+        let mut sys = System::new(cfg.clone());
+        sys.set_watchdog(golden.watchdog());
+        sys.run_until(entry_cycle(s));
+        engine.count(names::FORWARD_CYCLES, sys.cycle());
+        let mut rec = recorder_for(telemetry);
+        let record = on_component!(s.component, C => {
+            let mut warmed = Warmed::<C>::attach(sys, s);
+            warmed.warm_to(s.inject_cycle);
+            finish(warmed, &golden, s, &mut rec, &mut PostFlipStats::default()).0
+        });
+        runs.push((i, record, rec));
     }
-    let worker_samples = if telemetry.is_some() {
-        shards.iter().map(Vec::len).collect()
-    } else {
-        Vec::new()
-    };
-    assemble_result(
-        profile,
-        spec,
-        telemetry,
-        golden,
-        indexed,
-        worker_samples,
-        engine,
-    )
+    assemble_result(profile, spec, telemetry, golden, runs, Vec::new(), engine)
 }
 
 /// Panics on specs that cannot produce a meaningful campaign, with the
@@ -1387,8 +1350,7 @@ pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
 /// The default degree of parallelism when a spec says `workers = 0`:
 /// available hardware parallelism, falling back to 4 when the platform
 /// cannot report it. The single source of truth for every execution
-/// layer ([`LadderExecutor`], the replay reference and the repro
-/// grid).
+/// layer ([`LadderExecutor`] and the repro grid).
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
@@ -1606,22 +1568,6 @@ mod tests {
         // Vanished must dominate, as in the paper (>97% on average at
         // full scale; at smoke scale we only require a majority).
         assert!(r.counts.count(Outcome::Vanished) >= 6);
-    }
-
-    #[test]
-    fn campaign_is_reproducible_across_worker_counts() {
-        let profile = by_name("lu-c").unwrap();
-        let mk = |workers| {
-            let spec = CampaignSpec {
-                workers,
-                ..CampaignSpec::quick(ComponentKind::L2c, 8)
-            };
-            run_campaign_with(profile, &spec, None)
-        };
-        let a = mk(1);
-        let b = mk(4);
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.counts, b.counts);
     }
 
     #[test]
@@ -1990,44 +1936,6 @@ mod tests {
     ];
 
     #[test]
-    fn window_carriers_match_lone_runs_from_the_grid() {
-        // The replay reference runs every sample alone from its grid
-        // entry; the walk forks each sample off its window's carrier. The
-        // carrier is never injected, so records, counts and merged
-        // telemetry must be the same bytes at any lane width, worker
-        // count and clustering.
-        let cfg = TelemetryConfig::default();
-        for (component, bench) in CELLS {
-            let profile = by_name(bench).unwrap();
-            for (lane_cluster, samples) in [(1, 40), (4, 24)] {
-                let spec = CampaignSpec {
-                    lane_cluster,
-                    ..CampaignSpec::quick(component, samples)
-                };
-                let want = run_campaign_replay(profile, &spec, Some(&cfg));
-                for (workers, lane_width) in [(1, 1), (1, 64), (2, 64), (4, 1), (4, 64)] {
-                    let spec = CampaignSpec {
-                        workers,
-                        lane_width,
-                        ..spec
-                    };
-                    let got = run_campaign_with(profile, &spec, Some(&cfg));
-                    let at = format!("{component} {spec:?}");
-                    assert_eq!(got.records, want.records, "{at}");
-                    assert_eq!(got.counts, want.counts, "{at}");
-                    assert_eq!(got.telemetry.merged, want.telemetry.merged, "{at}");
-                    // The identity says nothing unless windows hold
-                    // several samples.
-                    let carriers = got.telemetry.engine.counter(names::WARM_CARRIERS);
-                    if workers == 1 {
-                        assert!(carriers < samples, "{at}: {carriers} carriers");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_sample_is_flipped_at_its_drawn_cycle() {
         // A sample drawn before a whole minimum warm-up fits enters at
         // cycle 0 and still flips at its drawn cycle (PCIe's window
@@ -2133,34 +2041,5 @@ mod tests {
             assert!(both.copied > first.copied, "{component}: {both:?}");
             assert_eq!(walk.warm_stats().carriers, 2, "{component}");
         }
-    }
-
-    #[test]
-    fn lane_batched_engine_matches_replay_with_clustering() {
-        let profile = by_name("radi").unwrap();
-        let spec = CampaignSpec {
-            workers: 2,
-            lane_cluster: 8,
-            ..CampaignSpec::quick(ComponentKind::L2c, 16)
-        };
-        let batched = run_campaign_with(profile, &spec, None);
-        let replay = run_campaign_replay(profile, &spec, None);
-        assert_eq!(batched.records, replay.records);
-        assert_eq!(batched.counts, replay.counts);
-        assert_eq!(batched.golden, replay.golden);
-    }
-
-    #[test]
-    fn ladder_engine_matches_replay_engine_on_a_quick_cell() {
-        let profile = by_name("radi").unwrap();
-        let spec = CampaignSpec {
-            workers: 2,
-            ..CampaignSpec::quick(ComponentKind::L2c, 8)
-        };
-        let ladder = run_campaign_with(profile, &spec, None);
-        let replay = run_campaign_replay(profile, &spec, None);
-        assert_eq!(ladder.records, replay.records);
-        assert_eq!(ladder.counts, replay.counts);
-        assert_eq!(ladder.golden, replay.golden);
     }
 }

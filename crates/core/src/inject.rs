@@ -423,6 +423,26 @@ pub(crate) fn enter<C: Component>(
 }
 
 impl<C: Component> Warmed<C> {
+    /// Fig. 2 step 3 on a system the caller owns and has run to `spec`'s
+    /// entry point: `C`'s driver attached to instance `spec.instance`,
+    /// nothing warmed up yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sys` is not at the entry point.
+    pub(crate) fn attach(sys: System, spec: &InjectionSpec) -> Self {
+        let entry = crate::campaign::entry_cycle(spec);
+        assert_eq!(sys.cycle(), entry, "a driver attaches at the entry point");
+        Warmed {
+            snapshot: sys.snapshot_cost(),
+            driver: C::attach_instance(sys, spec.instance),
+            golden: None,
+            entry,
+            warmup_done: 0,
+            trapped: false,
+        }
+    }
+
     /// Phase 1, step 4: the warm-up with live traffic, on to `cycle`, to
     /// reconstruct the microarchitectural state not carried by the
     /// high-level model. A trap ends the warm-up for good: the run flips

@@ -34,9 +34,9 @@
 //!   so no cycle is co-simulated twice. An output only the lane's side
 //!   sees (the L2C DRAM command) only marks its divergence monitor.
 //!
-//! The scalar engine remains the oracle; the campaign equivalence tests
-//! lock byte-identity of records, counts, and merged telemetry across
-//! lane widths and worker counts.
+//! The scalar engine remains the oracle; the campaign identity property
+//! (`tests/reference_identity.rs`) locks byte-identity of records,
+//! counts, and merged telemetry across lane widths and worker counts.
 
 use nestsim_models::UncoreRtl;
 use nestsim_rtl::{LaneMask, MAX_LANES};

@@ -10,7 +10,7 @@
 //! bit-identical to running straight through), restoring the nearest
 //! rung below a cycle and running forward reproduces exactly the state
 //! a from-zero replay would reach — the equivalence the campaign
-//! engine's byte-identity tests pin down.
+//! engine's identity property pins down.
 //!
 //! The capture pass doubles as the error-free reference execution: its
 //! [`RunResult`] carries the golden digest and length, so the ladder

@@ -282,63 +282,12 @@ fn usage() -> String {
     "usage: repro <table2|table3|table4|table5|table6|fig3|fig4|fig5|fig6|fig7|fig8|fig9|qrr|all> [options]".to_string()
 }
 
-/// Hidden subcommand: `repro worker --connect HOST:PORT` turns this
-/// process into a cluster campaign worker. `repro --cluster N` spawns
-/// N of these against its coordinator; the flag set mirrors the
-/// standalone `nestsim-worker` binary.
-fn worker_main(args: &[String]) -> ExitCode {
-    let mut addr = None;
-    let mut wopts = nestsim_cluster::WorkerOptions {
-        process_exit_on_crash: true,
-        ..nestsim_cluster::WorkerOptions::default()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {}", args[*i - 1]))
-        };
-        let r = match args[i].as_str() {
-            "--connect" => take(&mut i).map(|v| addr = Some(v)),
-            "--crash-after" => take(&mut i).and_then(|v| {
-                v.parse()
-                    .map(|n| wopts.crash_after_samples = Some(n))
-                    .map_err(|e| format!("{e}"))
-            }),
-            "--stall-after" => take(&mut i).and_then(|v| {
-                v.parse()
-                    .map(|n| wopts.stall_after_samples = Some(n))
-                    .map_err(|e| format!("{e}"))
-            }),
-            other => Err(format!("unknown worker option {other}")),
-        };
-        if let Err(e) = r {
-            eprintln!(
-                "{e}\nusage: repro worker --connect HOST:PORT [--crash-after N] [--stall-after N]"
-            );
-            return ExitCode::FAILURE;
-        }
-        i += 1;
-    }
-    let Some(addr) = addr else {
-        eprintln!("missing --connect HOST:PORT");
-        return ExitCode::FAILURE;
-    };
-    match nestsim_cluster::run_worker(&addr, &wopts) {
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("worker") {
-        return worker_main(&args[1..]);
+        // Hidden subcommand: `repro --cluster N` spawns N of these
+        // against its coordinator.
+        return nestsim_cluster::worker::worker_main("repro worker", &args[1..]);
     }
     let (cmd, opts) = match parse(&args) {
         Ok(x) => x,

@@ -4,7 +4,9 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::panic;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use nestsim_cluster::frame::{read_frame, write_frame, MAGIC, MAX_FRAME};
 use nestsim_cluster::proto::{JobWire, Message, PROTOCOL_VERSION};
@@ -14,21 +16,6 @@ use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
 use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig};
 use nestsim_telemetry::{names, TelemetryConfig};
-
-#[test]
-fn service_result_is_byte_identical_to_in_process() {
-    let spec = CampaignSpec {
-        seed: 7,
-        ..CampaignSpec::quick(ComponentKind::L2c, 6)
-    };
-    let telemetry = TelemetryConfig { trace_capacity: 16 };
-    let handle = serve(ServiceConfig::default()).unwrap();
-    let addr = handle.addr().to_string();
-    let job = JobWire::from_spec(by_name("radi").unwrap(), &spec, Some(&telemetry));
-    let mut client = SvcClient::connect(&addr, "t1").unwrap();
-    assert_in_process(client.run_job(&job, 1).unwrap(), &spec, &telemetry);
-    handle.shutdown().unwrap();
-}
 
 #[test]
 fn zero_capacity_service_backpressures_over_the_wire() {
@@ -68,65 +55,85 @@ fn invalid_job_is_rejected_over_the_wire() {
     handle.shutdown().unwrap();
 }
 
+/// How long the test below waits for the service or its worker before
+/// it fails.
+const DEADLINE: Duration = Duration::from_secs(60);
+
 /// A worker that dials the service takes a client's job as shard
 /// leases, and the records come back byte-equal to the in-process run.
 /// A peer that sends a frame only a server sends, such as `Assign`,
-/// gets the server's `Error` naming it.
+/// gets the server's `Error` naming it. The service stops whether or not
+/// the checks pass, so a failing check or a panicking service loop fails
+/// the test instead of leaving the worker parked on it.
 #[test]
 fn a_worker_dialing_the_service_runs_its_shards() {
     let handle = serve(ServiceConfig::default()).unwrap();
     let addr = handle.addr().to_string();
-    let mut client = SvcClient::connect(&addr, "t1").unwrap();
+    let (left, worker) = mpsc::channel();
+    let to = addr.clone();
+    std::thread::spawn(move || {
+        let _ = left.send(run_worker(&to, &WorkerOptions::default()));
+    });
+    let checks = panic::catch_unwind(|| leased_job_checks(&addr));
+    let stopped = handle.shutdown();
+    // The loop returned and dropped the parked worker's connection.
+    let gone = worker.recv_timeout(DEADLINE);
+    if let Err(panic) = checks {
+        panic::resume_unwind(panic);
+    }
+    stopped.expect("the service loop failed");
+    assert!(gone.is_ok(), "the worker did not leave within {DEADLINE:?}");
+}
+
+/// The checks of the test above, against the service at `addr` with one
+/// worker dialling it.
+fn leased_job_checks(addr: &str) {
+    let mut client = SvcClient::connect(addr, "t1").unwrap();
     let profile = by_name("radi").unwrap();
     let spec = CampaignSpec::quick(ComponentKind::L2c, 8);
     let telemetry = TelemetryConfig::default();
     let job = JobWire::from_spec(profile, &spec, Some(&telemetry));
-    std::thread::scope(|scope| {
-        let worker = scope.spawn(|| run_worker(&addr, &WorkerOptions::default()));
-        // The job goes out as leases only once the worker asked for one.
-        while client
-            .stats()
-            .unwrap()
-            .counter(names::CLUSTER_WORKERS_CONNECTED)
-            == 0
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let outcome = client.run_job(&job, 1).unwrap();
-        assert_in_process(outcome, &spec, &telemetry);
-        let served = client.stats().unwrap();
-        assert!(served.counter(names::CLUSTER_SHARDS_COMPLETED) >= 1);
-        assert_eq!(served.counter(names::SVC_EXECS_STARTED), 1);
+    // The job goes out as leases only once the worker asked for one.
+    let start = Instant::now();
+    while client
+        .stats()
+        .unwrap()
+        .counter(names::CLUSTER_WORKERS_CONNECTED)
+        == 0
+    {
+        assert!(start.elapsed() < DEADLINE, "no worker within {DEADLINE:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let outcome = client.run_job(&job, 1).unwrap();
+    assert_in_process(outcome, &spec, &telemetry);
+    let served = client.stats().unwrap();
+    assert!(served.counter(names::CLUSTER_SHARDS_COMPLETED) >= 1);
+    assert_eq!(served.counter(names::SVC_EXECS_STARTED), 1);
 
-        let mut stream = TcpStream::connect(&addr).unwrap();
-        let hello = Message::Hello {
-            version: PROTOCOL_VERSION,
-            tenant: "t2".into(),
-        };
-        write_frame(&mut stream, &hello.encode().unwrap()).unwrap();
-        let ack = Message::decode(&read_frame(&mut stream).unwrap()).unwrap();
-        assert!(matches!(ack, Message::HelloAck { .. }), "{ack:?}");
-        let assign = Message::Assign {
-            shard: Shard {
-                id: 0,
-                start: 0,
-                len: 1,
-            },
-            job: Box::new(job.clone()),
-            lease_ms: 1,
-            heartbeat_ms: 1,
-        };
-        write_frame(&mut stream, &assign.encode().unwrap()).unwrap();
-        match Message::decode(&read_frame(&mut stream).unwrap()).unwrap() {
-            Message::Error { message } => assert!(message.contains("Assign"), "{message}"),
-            other => panic!("expected an Error, got {other:?}"),
-        }
-        assert!(hung_up(&mut stream), "the peer is hung up on");
-
-        handle.shutdown().unwrap();
-        // The loop returned and dropped the parked worker's connection.
-        let _ = worker.join().unwrap();
-    });
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Message::Hello {
+        version: PROTOCOL_VERSION,
+        tenant: "t2".into(),
+    };
+    write_frame(&mut stream, &hello.encode().unwrap()).unwrap();
+    let ack = Message::decode(&read_frame(&mut stream).unwrap()).unwrap();
+    assert!(matches!(ack, Message::HelloAck { .. }), "{ack:?}");
+    let assign = Message::Assign {
+        shard: Shard {
+            id: 0,
+            start: 0,
+            len: 1,
+        },
+        job: Box::new(job.clone()),
+        lease_ms: 1,
+        heartbeat_ms: 1,
+    };
+    write_frame(&mut stream, &assign.encode().unwrap()).unwrap();
+    match Message::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+        Message::Error { message } => assert!(message.contains("Assign"), "{message}"),
+        other => panic!("expected an Error, got {other:?}"),
+    }
+    assert!(hung_up(&mut stream), "the peer is hung up on");
 }
 
 /// Asserts a service outcome equals the in-process run of `spec` on

@@ -14,9 +14,7 @@ use std::time::Duration;
 
 use nestsim::cluster::machine::{Command, ServiceMachine, SvcConfig};
 use nestsim::cluster::server::Server;
-use nestsim::cluster::{
-    run_campaign_cluster, ClusterConfig, LeaseConfig, RemoteExecutor, SvcClient, WorkerOptions,
-};
+use nestsim::cluster::{LeaseConfig, RemoteExecutor, SvcClient, WorkerOptions};
 use nestsim::core::campaign::{run_campaign_with, run_rounds, CampaignResult, CampaignSpec, Plan};
 use nestsim::hlsim::workload::by_name;
 use nestsim::models::ComponentKind;
@@ -79,66 +77,6 @@ fn stats(addr: &str) -> Recorder {
 fn shutdown(server: Server) -> Recorder {
     server.waker().send(Command::Shutdown).unwrap();
     server.join().unwrap().into_stats()
-}
-
-#[test]
-fn cluster_is_byte_identical_for_one_two_and_four_workers() {
-    let (profile, spec) = cell();
-    let telemetry = TelemetryConfig::default();
-    let reference = run_campaign_with(profile, &spec, Some(&telemetry));
-    for workers in [1usize, 2, 4] {
-        let got = run_campaign_cluster(
-            profile,
-            &spec,
-            Some(&telemetry),
-            &ClusterConfig::threads(workers),
-        );
-        assert_identical(&format!("{workers} workers"), &reference, &got);
-        // The engine recorder carries the cluster's own accounting.
-        let engine = &got.telemetry.engine;
-        assert!(engine.counter(names::CLUSTER_SHARDS) >= 1);
-        assert_eq!(
-            engine.counter(names::CLUSTER_SHARDS_COMPLETED),
-            engine.counter(names::CLUSTER_SHARDS),
-            "every shard completes exactly once in a healthy run"
-        );
-        assert_eq!(engine.counter(names::CLUSTER_REDISPATCHES), 0);
-    }
-}
-
-#[test]
-fn cluster_without_telemetry_matches_in_process() {
-    let (profile, spec) = cell();
-    let reference = run_campaign_with(profile, &spec, None);
-    let got = run_campaign_cluster(profile, &spec, None, &ClusterConfig::threads(2));
-    assert_eq!(got.records, reference.records);
-    assert_eq!(got.counts, reference.counts);
-    assert_eq!(got.golden, reference.golden);
-}
-
-/// A clustered cell batches on cluster workers as it does in process:
-/// the worker runs each same-trajectory group through the shard
-/// executor, cut where the shard ends — one worker takes four shards of
-/// 5 positions, so every 8-sample cluster is cut — and the bytes do not
-/// move.
-#[test]
-fn clustered_cell_with_shards_that_cut_groups_is_byte_identical() {
-    let (profile, spec) = cell();
-    let spec = CampaignSpec {
-        samples: 20,
-        lane_cluster: 8,
-        ..spec
-    };
-    let telemetry = TelemetryConfig::default();
-    let reference = run_campaign_with(profile, &spec, Some(&telemetry));
-    assert!(
-        reference.telemetry.engine.counter(names::LANES_BATCHES) > 0,
-        "the cell must be one the lane engine batches"
-    );
-    let cfg = ClusterConfig::threads(1);
-    let got = run_campaign_cluster(profile, &spec, Some(&telemetry), &cfg);
-    assert_identical("lane_cluster 8, shards of 5", &reference, &got);
-    assert_eq!(got.telemetry.engine.counter(names::CLUSTER_SHARDS), 4);
 }
 
 /// A worker speaking an old protocol version is rejected with a clean
