@@ -80,8 +80,8 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1605
-doc_cap README.md 569
+doc_cap DESIGN.md 1603
+doc_cap README.md 564
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
 # An entry runs from a line starting `PR <n>` to the next one; only the
@@ -137,32 +137,6 @@ stage "Fig. 7 on every component (RTL-only ground truth beside mixed mode, 100 s
 for component in l2c mcu ccx pcie; do
     cargo run --offline --release -p nestsim-repro -- fig7 --samples 100 --component "$component"
 done
-
-stage "mck smoke (deterministic protocol simulation: four phases, two mutation gates, fault coverage)"
-# Fixed-seed, fully deterministic: one simulated world steps the one
-# campaign server machine with workers and tenants, the campaign's
-# client among them. A bounded DFS and a seeded random sweep under
-# injected faults must stay clean and take every fault flavour between
-# them; then two mutation gates plant an exactly-once bug each
-# (first-writer-wins off; dedup fan-out off) that the explorer must
-# catch as a crash no fault explains (the machine's cover check found
-# the double count) / a lost subscriber, replaying from its printed
-# seed and schedule.
-cargo run --offline --release -p nestsim-mck --bin mck_smoke
-
-stage "server smoke (service tenants, dedup, crash retry; run_cluster on 2 worker processes, crash re-dispatch; adaptive service)"
-# Two concurrent clients submit overlapping campaign grids to the
-# service, whose results must be byte-identical to in-process execution
-# with the shared cell executed exactly once (svc.* dedup counters),
-# also under an injected execution crash; then run_cluster leases one
-# cell to two spawned worker processes, the same cell runs on a server
-# with no pool with one worker process killed mid-shard, and an
-# adaptive cell runs through the service one job per round — each
-# byte-identical to in-process. svc_smoke execs the sibling
-# nestsim-worker binary, so build that package's bins explicitly.
-# Loopback TCP only; fully offline.
-cargo build --offline --release -p nestsim-cluster --bins
-cargo run --offline --release -p nestsim-svc --bin svc_smoke
 
 stage "benchmark package (BENCHMARK.json's program: its own tests, then every workload once)"
 # `benchmark/` is a workspace of its own that calls the engine through a
@@ -273,10 +247,6 @@ awk '
         exit bad
     }
 ' "$smoke_out"
-
-stage "bench smoke run (1 iteration per bench)"
-NESTSIM_BENCH_SMOKE=1 NESTSIM_BENCH_OUT="$(mktemp -d)" \
-    cargo bench --offline -p nestsim-bench
 
 bench_gate kernel
 # Besides timings, campaign_grid prints forward-sim cycles, ladder.captures

@@ -3,8 +3,7 @@
 //! cycles/second (Table 2's "steps 3–10" row).
 //!
 //! Runs on the in-repo `nestsim-harness` bench runner and writes
-//! `BENCH_kernel.json` at the workspace root (`--smoke` or
-//! `NESTSIM_BENCH_SMOKE=1` for the 1-iteration CI gate).
+//! `BENCH_kernel.json` at the workspace root.
 
 use std::collections::VecDeque;
 use std::hint::black_box;

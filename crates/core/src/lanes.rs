@@ -718,6 +718,50 @@ mod tests {
         );
     }
 
+    /// L2C's monitor flags a DRAM command the system does not see, so a
+    /// lane that issues one stays in its batch. Here a later compare
+    /// finds no difference a tick can read before the lane's side has
+    /// drained: the lane must not retire there, since not every output
+    /// matched (`converged`'s `matched`). Like its lone run it waits for
+    /// the drain and leaves for phase 3, with that run's record.
+    #[test]
+    fn a_lane_past_an_unseen_erroneous_output_waits_for_the_drain() {
+        use crate::cosim::CosimCheck;
+        let (base, golden) = setup("radi");
+        let spec = InjectionSpec {
+            instance: 3,
+            inject_cycle: 3_168,
+            ..l2c_spec(605, 4_000, 16)
+        };
+        // The lone run: flagged, then unreadable before the drain.
+        let warmed = warm::<L2cPort>(&base, &golden, &spec, None);
+        let mut driver = warmed.driver;
+        driver.snapshot(warmed.golden);
+        driver.inject(spec.bit);
+        let early = (1..=spec.cosim_cap).find(|cycle| {
+            driver.step();
+            let unreadable = matches!(
+                driver.check(),
+                CosimCheck::Identical | CosimCheck::BenignOnly
+            );
+            cycle % 16 == 0 && unreadable && !driver.drained()
+        });
+        let flagged = driver.erroneous_output().expect("a flagged DRAM command");
+        let early = early.expect("a compare finds nothing a tick can read before the drain");
+        assert!(flagged < spec.inject_cycle + early, "{flagged} {early}");
+
+        let quiet = bits_where(ComponentKind::L2c, |c| c == FlopClass::Inactive)[0];
+        let samples = [spec, InjectionSpec { bit: quiet, ..spec }];
+        let (stats, forks) = assert_batch_matches_scalar(&base, &golden, &samples);
+        assert_eq!(stats.retired_early, 1, "{stats:?}");
+        assert_eq!(
+            forks,
+            [(0, "exit", 1_168)],
+            "left for phase 3 after the drain"
+        );
+        assert!(early < 1_168, "{early}");
+    }
+
     #[test]
     fn batch_of_one_matches_scalar() {
         let (base, golden) = setup("radi");

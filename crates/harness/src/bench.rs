@@ -5,8 +5,7 @@
 //! [`Suite::bench`], and calls [`Suite::finish`], which prints a summary
 //! table and writes one JSON object per bench to
 //! `BENCH_<suite>.json` at the workspace root (override the directory
-//! with `NESTSIM_BENCH_OUT`). `NESTSIM_BENCH_SMOKE=1` or `--smoke`
-//! collapses every bench to a single iteration — the CI smoke gate.
+//! with `NESTSIM_BENCH_OUT`).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -208,26 +207,14 @@ impl BenchConfig {
         }
     }
 
-    /// One warm-up-free iteration per bench: the CI smoke gate, which
-    /// only proves every bench path still executes.
+    /// One warm-up-free iteration per bench, which only proves every
+    /// bench path still executes: the harness's own tests use it.
     pub fn smoke() -> Self {
         BenchConfig {
             warmup_iters: 0,
             samples: 1,
             target_sample_ns: 0.0,
             max_iters_per_sample: 1,
-        }
-    }
-
-    /// Picks smoke mode from `--smoke` in `args` or
-    /// `NESTSIM_BENCH_SMOKE=1` in the environment.
-    pub fn from_env() -> Self {
-        let smoke = std::env::args().any(|a| a == "--smoke")
-            || std::env::var("NESTSIM_BENCH_SMOKE").is_ok_and(|v| v == "1");
-        if smoke {
-            BenchConfig::smoke()
-        } else {
-            BenchConfig::standard()
         }
     }
 }
@@ -240,11 +227,12 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Creates a suite with the environment-selected configuration.
+    /// Creates a suite with the [standard](BenchConfig::standard)
+    /// configuration.
     pub fn new(name: &str) -> Self {
         Suite {
             name: name.to_string(),
-            config: BenchConfig::from_env(),
+            config: BenchConfig::standard(),
             records: Vec::new(),
         }
     }

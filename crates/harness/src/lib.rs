@@ -14,11 +14,10 @@
 //! * **Benchmarking** ([`bench::Suite`]) — wall-clock warm-up +
 //!   median-of-N with MAD spread, emitting `BENCH_<suite>.json`
 //!   JSON-lines at the workspace root so successive PRs accumulate a
-//!   perf trajectory. `NESTSIM_BENCH_SMOKE=1` (or `--smoke`) is the
-//!   1-iteration CI gate.
+//!   perf trajectory.
 //!
 //! Environment knobs: `NESTSIM_PROP_SEED`, `NESTSIM_PROP_CASES`,
-//! `NESTSIM_BENCH_SMOKE`, `NESTSIM_BENCH_OUT`.
+//! `NESTSIM_BENCH_OUT`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

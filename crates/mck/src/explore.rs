@@ -10,11 +10,11 @@
 //! * [`RandomChooser`] — picks via a seeded `nestsim-harness`
 //!   [`Source`], so random exploration inherits the harness's replay
 //!   story: a failing seed reruns the identical schedule
-//!   (`NESTSIM_MCK_SEED=<seed>`, mirroring `NESTSIM_PROP_SEED`).
+//!   (`RandomChooser::new(seed)`, mirroring `NESTSIM_PROP_SEED`).
 //! * [`ScheduleChooser`] — replays an explicit pick sequence
-//!   (`NESTSIM_MCK_SCHEDULE=3,0,1,...`), padding with `0` past the
-//!   end; pick `0` is always the benign alternative ("fire the oldest
-//!   event, no fault"), so truncated schedules still terminate.
+//!   (`ScheduleChooser::new(vec![3, 0, 1, ...])`), padding with `0`
+//!   past the end; pick `0` is always the benign alternative ("fire the
+//!   oldest event, no fault"), so truncated schedules still terminate.
 //! * [`explore_dfs`] — bounded depth-first enumeration of the choice
 //!   tree by repeated execution with a forced prefix (stateless model
 //!   checking in the Verisoft tradition: the world re-runs from the
@@ -121,19 +121,6 @@ impl ScheduleChooser {
             schedule,
             trace: Vec::new(),
         }
-    }
-
-    /// Parses the `NESTSIM_MCK_SCHEDULE` comma-joined format.
-    pub fn parse(s: &str) -> Option<ScheduleChooser> {
-        let mut picks = Vec::new();
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            picks.push(part.parse::<usize>().ok()?);
-        }
-        Some(ScheduleChooser::new(picks))
     }
 }
 
@@ -283,26 +270,17 @@ pub fn explore_random(
     }
 }
 
-/// Renders a schedule in the `NESTSIM_MCK_SCHEDULE` format.
-pub fn schedule_to_string(schedule: &[usize]) -> String {
-    let parts: Vec<String> = schedule.iter().map(|p| p.to_string()).collect();
-    parts.join(",")
-}
-
 /// Formats a failing execution the way the harness property runner
-/// formats failing cases: the violation, then copy-pasteable replay
-/// lines. `seed` is present for random schedules; the explicit
-/// schedule always replays.
+/// formats failing cases: the violation, then the choosers that replay
+/// it through [`crate::run_sim`]. `seed` is present for random
+/// schedules; the explicit schedule always replays.
 pub fn failure_report(err: &SimError, seed: Option<u64>, schedule: &[usize]) -> String {
     let mut out = format!("mck: invariant violated: {err}\n");
     if let Some(seed) = seed {
-        out.push_str(&format!(
-            "  replay with: NESTSIM_MCK_SEED={seed:#x} cargo run -p nestsim-mck --bin mck_smoke\n"
-        ));
+        out.push_str(&format!("  replay with: RandomChooser::new({seed:#x})\n"));
     }
     out.push_str(&format!(
-        "  replay with: NESTSIM_MCK_SCHEDULE={} cargo run -p nestsim-mck --bin mck_smoke",
-        schedule_to_string(schedule)
+        "  replay with: ScheduleChooser::new(vec!{schedule:?})"
     ));
     out
 }
@@ -389,23 +367,13 @@ mod tests {
     }
 
     #[test]
-    fn schedule_parse_roundtrips() {
-        let sched = vec![3, 0, 17, 2];
-        let s = schedule_to_string(&sched);
-        assert_eq!(s, "3,0,17,2");
-        let ch = ScheduleChooser::parse(&s).unwrap();
-        assert_eq!(ch.schedule, sched);
-        assert!(ScheduleChooser::parse("1,x,2").is_none());
-    }
-
-    #[test]
     fn failure_report_is_copy_pasteable() {
         let err = SimError::Liveness {
             steps: 10,
             pending: 2,
         };
         let msg = failure_report(&err, Some(0xBEEF), &[1, 2, 3]);
-        assert!(msg.contains("NESTSIM_MCK_SEED=0xbeef"), "{msg}");
-        assert!(msg.contains("NESTSIM_MCK_SCHEDULE=1,2,3"), "{msg}");
+        assert!(msg.contains("RandomChooser::new(0xbeef)"), "{msg}");
+        assert!(msg.contains("ScheduleChooser::new(vec![1, 2, 3])"), "{msg}");
     }
 }

@@ -15,8 +15,8 @@
 //!   failure replayable from a printed seed or schedule;
 //! * [`exec`] — the real engine run once per cell and cached.
 //!
-//! [`SimConfig::mutate`] plants one of two bugs, and the `mck_smoke`
-//! bin proves the explorer catches both.
+//! [`SimConfig::mutate`] plants one of two bugs, and the crate's tests
+//! prove the explorer catches both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,8 +29,6 @@ mod service;
 pub mod world;
 
 pub use exec::CampaignExec;
-pub use explore::{
-    explore_random, schedule_to_string, Chooser, DfsReport, RandomChooser, ScheduleChooser,
-};
+pub use explore::{explore_random, Chooser, DfsReport, RandomChooser, ScheduleChooser};
 pub use service::ServerScenario;
 pub use world::{run_sim, world, Fault, FaultBudget, Mutation, SimConfig, SimError, SimReport};

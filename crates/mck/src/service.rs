@@ -766,24 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_dedup_fanout_is_caught_and_replays() {
-        let scenario = ServerScenario::new(cell());
-        let cfg = cfg(1, Some(Mutation::DedupFanout));
-        let hunt = explore_random(0xD0C5_2015, 48, world(&scenario, &cfg));
-        let (seed, schedule, err) = hunt.failure.expect("the planted fan-out bug must be found");
-        assert!(
-            matches!(err, SimError::LostSubscriber { .. }),
-            "wrong violation: {err}"
-        );
-        let mut by_seed = crate::explore::RandomChooser::new(seed);
-        let replayed = run_sim(&scenario, &cfg, &mut by_seed).expect_err("seed replay fails");
-        assert_eq!(replayed, err, "seed replay diverged");
-        let mut replay = ScheduleChooser::new(schedule);
-        let replayed = run_sim(&scenario, &cfg, &mut replay).expect_err("replay must fail");
-        assert_eq!(replayed, err, "schedule replay diverged");
-    }
-
-    #[test]
     fn crash_schedules_stay_exactly_once() {
         // Spend a bigger fault budget on random schedules: crashes,
         // resets, and retries must never double-execute a cell, lose a

@@ -19,7 +19,6 @@
 //!   fig9     required rollback distance CDF
 //!   qrr      QRR recovery evaluation (+ --worst-case)
 //!   burst    multi-bit burst extension: blocked vs interleaved parity
-//!   validate platform self-checks (mode equivalence, determinism)
 //!   all      everything above with quick defaults
 //!
 //! options:
@@ -311,7 +310,6 @@ fn main() -> ExitCode {
         "fig9" => figs::fig9(&opts),
         "qrr" => qrreval::qrr(&opts),
         "burst" => qrreval::burst(&opts),
-        "validate" => tables::validate(&opts),
         "all" => {
             tables::table3();
             tables::table4();

@@ -162,75 +162,6 @@ pub fn table5(opts: &Opts) {
     print!("{}", t.render());
 }
 
-/// Platform self-checks: the invariants every experiment rests on,
-/// verified live (useful after local modifications).
-pub fn validate(opts: &Opts) {
-    use nestsim_core::campaign::{golden_reference, run_campaign_with, CampaignSpec};
-    use nestsim_core::cosim::{CosimDriver, L2cDriver};
-    use nestsim_proto::addr::BankId;
-
-    println!("== Platform self-checks ==\n");
-    let mut ok = true;
-    let mut check = |name: &str, pass: bool| {
-        println!("  [{}] {name}", if pass { "PASS" } else { "FAIL" });
-        ok &= pass;
-    };
-
-    // 1. Determinism: two identical campaigns agree bit-for-bit.
-    let profile = by_name("radi").unwrap();
-    let spec = CampaignSpec {
-        seed: opts.seed,
-        length_scale: opts.scale.max(1),
-        workers: 2,
-        ..CampaignSpec::new(ComponentKind::L2c, 16)
-    };
-    let a = run_campaign_with(profile, &spec, None);
-    let b = run_campaign_with(profile, &spec, None);
-    check("campaigns are bit-reproducible", a.records == b.records);
-
-    // 2. Mode equivalence: an error-free co-simulation window does not
-    //    change the application outcome (Sec. 2.1 premise).
-    let (base, golden) = golden_reference(profile, &spec);
-    let mut sys = base.clone();
-    sys.run_until(1_000);
-    let mut drv = L2cDriver::attach(sys, BankId::new(2));
-    for _ in 0..3_000 {
-        drv.step();
-    }
-    let mut guard = 0;
-    while !drv.drained() && guard < 20_000 {
-        drv.step();
-        guard += 1;
-    }
-    let mut sys = drv.detach().sys;
-    let same = sys
-        .run_to_end()
-        .digest()
-        .is_some_and(|d| d == golden.digest);
-    check("error-free co-sim window is outcome-neutral", same);
-
-    // 3. Vanished dominance (the paper's >97%-at-full-scale headline;
-    //    any healthy configuration keeps it above 50%).
-    let v = a.counts.count(nestsim_core::Outcome::Vanished);
-    check("vanished outcomes dominate", v * 2 > a.counts.total());
-
-    // 4. Cost model still matches the paper's Table 6 calibration.
-    let t6 = CostModel::default().table6();
-    check(
-        "Table 6 calibration intact",
-        (t6.qrr_area.total() - 0.459).abs() < 0.02 && (t6.qrr_power.total() - 0.474).abs() < 0.02,
-    );
-
-    println!(
-        "\n{}",
-        if ok {
-            "all checks passed"
-        } else {
-            "CHECKS FAILED"
-        }
-    );
-}
-
 /// Table 6: QRR area and power overhead.
 pub fn table6() {
     println!("== Table 6: QRR area/power overhead for L2C+MCU ==\n");

@@ -29,7 +29,7 @@ pub struct ServiceConfig {
     pub listen: String,
     /// Protocol-machine tunables (queue bound, DRR quantum, slots).
     pub machine: SvcConfig,
-    /// Execution-pool threads; clamped up to `machine.exec_slots`.
+    /// Execution-pool threads; clamped to 1..=`machine.exec_slots`.
     pub exec_threads: usize,
     /// Chaos knob for tests: crash the first N executions instead of
     /// running them, exercising the requeue path end to end.

@@ -1,11 +1,13 @@
 //! End-to-end service tests over loopback TCP: real sockets, real
-//! event loop, real execution pool — the `cargo test` counterpart of
-//! the heavier `svc_smoke` CI gate.
+//! event loop, real execution pool, and the `nestsim-svc` binary. A
+//! test that talks to a service stops it on every path, and fails,
+//! rather than hangs, when the service never answers.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::panic;
-use std::sync::mpsc;
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use nestsim_cluster::frame::{read_frame, write_frame, MAGIC, MAX_FRAME};
@@ -15,7 +17,7 @@ use nestsim_core::campaign::{run_campaign_with, CampaignSpec};
 use nestsim_hlsim::workload::by_name;
 use nestsim_models::ComponentKind;
 use nestsim_svc::{serve, JobOutcome, ServiceConfig, SvcClient, SvcConfig};
-use nestsim_telemetry::{names, TelemetryConfig};
+use nestsim_telemetry::{names, Recorder, TelemetryConfig};
 
 #[test]
 fn zero_capacity_service_backpressures_over_the_wire() {
@@ -55,33 +57,58 @@ fn invalid_job_is_rejected_over_the_wire() {
     handle.shutdown().unwrap();
 }
 
-/// How long the test below waits for the service or its worker before
-/// it fails.
+/// How long a test waits for a service, its worker or its process
+/// before it fails.
 const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Runs `checks` on a thread of its own and calls `stop` once they
+/// return, panic or outlast [`DEADLINE`]. `stop` ends the server the
+/// checks talk to, which hangs up on a check still blocked on it, so a
+/// server that never answers fails the test instead of hanging it.
+fn bounded<T: Send>(checks: impl FnOnce() -> T + Send, stop: impl FnOnce()) -> T {
+    let (done, finished) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let run = scope.spawn(move || {
+            let out = checks();
+            let _ = done.send(());
+            out
+        });
+        let late = finished.recv_timeout(DEADLINE) == Err(RecvTimeoutError::Timeout);
+        stop();
+        let out = run.join();
+        assert!(!late, "the checks did not finish within {DEADLINE:?}");
+        out.unwrap_or_else(|panic| panic::resume_unwind(panic))
+    })
+}
+
+/// [`bounded`] `checks` against a service [`serve`]d with `cfg`, given
+/// its address; the service stops whether or not they pass.
+fn against_service<T: Send>(cfg: ServiceConfig, checks: impl FnOnce(&str) -> T + Send) -> T {
+    let handle = serve(cfg).expect("start the service");
+    let addr = handle.addr().to_string();
+    let mut stopped = None;
+    let out = bounded(|| checks(&addr), || stopped = Some(handle.shutdown()));
+    let stopped = stopped.expect("the service was stopped");
+    stopped.expect("the service loop failed");
+    out
+}
 
 /// A worker that dials the service takes a client's job as shard
 /// leases, and the records come back byte-equal to the in-process run.
 /// A peer that sends a frame only a server sends, such as `Assign`,
-/// gets the server's `Error` naming it. The service stops whether or not
-/// the checks pass, so a failing check or a panicking service loop fails
-/// the test instead of leaving the worker parked on it.
+/// gets the server's `Error` naming it.
 #[test]
 fn a_worker_dialing_the_service_runs_its_shards() {
-    let handle = serve(ServiceConfig::default()).unwrap();
-    let addr = handle.addr().to_string();
     let (left, worker) = mpsc::channel();
-    let to = addr.clone();
-    std::thread::spawn(move || {
-        let _ = left.send(run_worker(&to, &WorkerOptions::default()));
+    against_service(ServiceConfig::default(), |addr| {
+        let to = addr.to_string();
+        std::thread::spawn(move || {
+            let _ = left.send(run_worker(&to, &WorkerOptions::default()));
+        });
+        leased_job_checks(addr);
     });
-    let checks = panic::catch_unwind(|| leased_job_checks(&addr));
-    let stopped = handle.shutdown();
     // The loop returned and dropped the parked worker's connection.
     let gone = worker.recv_timeout(DEADLINE);
-    if let Err(panic) = checks {
-        panic::resume_unwind(panic);
-    }
-    stopped.expect("the service loop failed");
     assert!(gone.is_ok(), "the worker did not leave within {DEADLINE:?}");
 }
 
@@ -165,6 +192,140 @@ fn hung_up(stream: &mut TcpStream) -> bool {
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
         ),
     }
+}
+
+/// Serves two concurrent clients whose job lists share one cell (A:
+/// cells 0 and 1, B: cells 1 and 2), the first `chaos` executions
+/// crashing; asserts all four results equal the in-process runs and
+/// returns the service's counters.
+fn overlapping_clients(chaos: u64) -> Recorder {
+    let telemetry = TelemetryConfig { trace_capacity: 32 };
+    let specs = [101, 102, 103].map(|seed| CampaignSpec {
+        seed,
+        ..CampaignSpec::quick(ComponentKind::L2c, 6)
+    });
+    let jobs =
+        specs.map(|spec| JobWire::from_spec(by_name("radi").unwrap(), &spec, Some(&telemetry)));
+    let cfg = ServiceConfig {
+        chaos_crash_first: chaos,
+        ..ServiceConfig::default()
+    };
+    against_service(cfg, |addr| {
+        let run = |tenant: &str, cells: [usize; 2]| {
+            let mut client = SvcClient::connect(addr, tenant).unwrap();
+            let list = cells.map(|c| (jobs[c].clone(), 1));
+            let outcomes = client.run_jobs(&list).unwrap();
+            for (outcome, c) in outcomes.into_iter().zip(cells) {
+                assert_in_process(outcome, &specs[c], &telemetry);
+            }
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| run("alice", [0, 1]));
+            let b = scope.spawn(|| run("bob", [1, 2]));
+            for client in [a, b] {
+                client
+                    .join()
+                    .unwrap_or_else(|panic| panic::resume_unwind(panic));
+            }
+        });
+        SvcClient::connect(addr, "observer")
+            .unwrap()
+            .stats()
+            .unwrap()
+    })
+}
+
+/// The shared cell executes once: its second subscriber joins the first
+/// execution or reads its stored result, and both get the same bytes.
+#[test]
+fn overlapping_clients_share_one_execution_of_their_common_cell() {
+    let stats = overlapping_clients(0);
+    assert!(stats.counter(names::SVC_DEDUP_HITS) >= 1, "{stats:?}");
+    assert_eq!(stats.counter(names::SVC_EXECS_STARTED), 3, "{stats:?}");
+    assert_eq!(stats.counter(names::SVC_JOBS_COMPLETED), 3, "{stats:?}");
+}
+
+/// A crashed execution is requeued, and every result is still the
+/// in-process run's, counted once.
+#[test]
+fn a_crashed_execution_is_requeued_and_results_stay_identical() {
+    let stats = overlapping_clients(1);
+    assert!(stats.counter(names::SVC_EXEC_CRASHES) >= 1, "{stats:?}");
+    assert_eq!(stats.counter(names::SVC_JOBS_COMPLETED), 3, "{stats:?}");
+}
+
+/// `nestsim-svc` spawned with `args`, its stdout piped; the child is
+/// killed and reaped when dropped.
+struct SvcProcess(Child);
+
+impl SvcProcess {
+    fn spawn(args: &[&str], stderr: Stdio) -> SvcProcess {
+        let child = Command::new(env!("CARGO_BIN_EXE_nestsim-svc"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(stderr)
+            .spawn()
+            .expect("spawn nestsim-svc");
+        SvcProcess(child)
+    }
+}
+
+impl Drop for SvcProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `nestsim-svc` binary listens where it says it does and serves a
+/// client's job byte-identical to the in-process run.
+#[test]
+fn the_service_binary_serves_a_job() {
+    let mut svc = SvcProcess::spawn(&["--listen", "127.0.0.1:0"], Stdio::inherit());
+    let stdout = svc.0.stdout.take().expect("piped stdout");
+    let checks = || {
+        let mut line = String::new();
+        BufReader::new(stdout).read_line(&mut line).unwrap();
+        let addr = line
+            .trim()
+            .strip_prefix("nestsim-svc: listening on ")
+            .unwrap_or_else(|| panic!("no listening line: {line:?}"));
+        let telemetry = TelemetryConfig::default();
+        let spec = CampaignSpec::quick(ComponentKind::L2c, 4);
+        let job = JobWire::from_spec(by_name("radi").unwrap(), &spec, Some(&telemetry));
+        let outcome = SvcClient::connect(addr, "t1")
+            .unwrap()
+            .run_job(&job, 1)
+            .unwrap();
+        assert_in_process(outcome, &spec, &telemetry);
+    };
+    bounded(checks, || drop(svc));
+}
+
+/// An invalid flag value ends `nestsim-svc` with exit code 2 and its
+/// usage line.
+#[test]
+fn the_service_binary_rejects_zero_exec_slots() {
+    let mut svc = SvcProcess::spawn(
+        &["--listen", "127.0.0.1:0", "--exec-slots", "0"],
+        Stdio::piped(),
+    );
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = svc.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            start.elapsed() < DEADLINE,
+            "still running after {DEADLINE:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut stderr = String::new();
+    let pipe = svc.0.stderr.as_mut().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).unwrap();
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: nestsim-svc "), "{stderr}");
 }
 
 /// A tenant that trickles its hello a byte at a time, one that speaks
