@@ -80,7 +80,7 @@ doc_cap() {
         return 1
     fi
 }
-doc_cap DESIGN.md 1603
+doc_cap DESIGN.md 1601
 doc_cap README.md 564
 
 stage "CHANGES.md newest entry (<= 20 lines of <= 160 characters)"
@@ -163,17 +163,20 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # Build-once and recycling gate: the untraced `l2c_indep`, `ccx_indep`,
 # `ladder_long`, `l2c_lanes` and `served` blocks must stay under an allocation
 # count per injection — an exact count, not a timing. On the smoke's
-# single cell they read 122.3, 12.75, 81.1, 2.38 and 15.45 while a shard
+# single cell they read 122.3, 12.63, 81.1, 1.09 and 14.5 while a shard
 # refills its window carriers, the drivers forked off them and its lane
-# sides, and every system a campaign needs refills one an earlier walk or
-# cell of the process parked (`cosim::unpark`); 124.8, 35.1, 97.0, 3.77
-# and 27.6 when nothing is ever parked (each campaign builds its own),
-# and 123.4, 22.9, 82.4, 2.69 and 18.35 when the first cursor does not
-# refill the system its cell's golden pass finished on. `served` is the
+# sides, a walk takes the drivers and lane sides the last walk of its
+# component parked (`Component::kept`), and every system a campaign
+# needs refills one an earlier walk or cell of the process parked
+# (`cosim::unpark`); 122.3, 12.75, 81.1, 2.38 and 15.43 when drivers die
+# with the walk (its systems parked, its ports and sides freed). Each
+# smoke cell follows the workloads before it in one process, so
+# `ccx_indep` and `ladder_long` follow no walk of their component, and
+# `l2c_indep` no walk at all. `served` is the
 # same cell reached through the one campaign server machine, its worker
 # walking every lease of a job on one cursor from the base alone.
-# Storage gate: the same blocks' `alloc_kb_per_inj` read 776, 83.9, 72.4,
-# 138 and 19.4 KiB on the smoke (`ladder_long`, `l2c_indep`, `served`,
+# Storage gate: the same blocks' `alloc_kb_per_inj` read 776, 85.0, 69.3,
+# 138 and 13.1 KiB on the smoke (`ladder_long`, `l2c_indep`, `served`,
 # `ccx_indep`, `l2c_lanes`) — one cell of each after the others, so its
 # storage comes parked from the workloads before it; 911 / 105 / 176 /
 # 329 / 31.4 with nothing parked, 1,033 / 102 / 158 / 263 / 24.3 without
@@ -194,8 +197,8 @@ benchmark/run.sh --smoke | tee "$smoke_out"
 # `l2c_indep`'s mean moves with one long run: one of its 32 samples
 # co-simulates 2,128 cycles to the program's end (ONA).
 awk '
-    BEGIN { alloc_cap["l2c_indep"] = 124; alloc_cap["ccx_indep"] = 14; alloc_cap["ladder_long"] = 85
-            alloc_cap["l2c_lanes"] = 2.6; alloc_cap["served"] = 17
+    BEGIN { alloc_cap["l2c_indep"] = 123; alloc_cap["ccx_indep"] = 12.7; alloc_cap["ladder_long"] = 85
+            alloc_cap["l2c_lanes"] = 1.2; alloc_cap["served"] = 15
             kb_cap["ladder_long"] = 830; kb_cap["l2c_indep"] = 92; kb_cap["served"] = 80
             kb_cap["ccx_indep"] = 150; kb_cap["l2c_lanes"] = 21
             compare_cap["l2c_indep"] = 7.5; compare_cap["l2c_lanes"] = 6

@@ -536,9 +536,12 @@ impl<'a> ShardCell<'a> {
 /// drivers, not one per sample.
 ///
 /// The first cursor refills the system the cell's golden pass finished
-/// on; every other system a walk starts on parked storage, and the walk
-/// parks them all when it is dropped (`cosim::park`), so the next walk
-/// in the process, of any cell, refills them in turn.
+/// on; the first window takes the drivers and lane sides a dropped walk
+/// of its component parked, and every other system a walk starts on
+/// parked storage. The walk parks them all when it is dropped — its
+/// drivers and lane sides (`Spares::park`), its cursor to the systems
+/// (`cosim::park`) — so the next walk in the process, of any cell,
+/// refills them in turn.
 ///
 /// This is the unit of work every execution layer shares —
 /// [`LadderExecutor`] gives each worker thread one walk per shard, the
@@ -808,10 +811,11 @@ impl ShardWalk {
 
 impl Drop for ShardWalk {
     fn drop(&mut self) {
-        // The cursor last: after the cell's base, the next cell takes it
-        // first, for its golden run, which its cursor refills
-        // (`cosim::unpark`).
-        self.kept.park_systems();
+        // The drivers go to the next walk of their component
+        // (`Component::kept`). The cursor goes to the system pool: after
+        // the cell's base, the next cell takes it first, for its golden
+        // run, which its cursor refills (`cosim::unpark`).
+        std::mem::take(&mut self.kept).park();
         self.cursor.take().into_iter().for_each(park);
         walk_ended();
     }
@@ -1791,6 +1795,9 @@ mod tests {
         use crate::lanes::LaneBatchStats;
         use nestsim_rtl::FlopClass;
         use std::cell::Cell;
+        // A pool of this thread's own: each walk below takes what the one
+        // before it parked, and nothing another test parked.
+        crate::cosim::tests::own_pool();
         // `[sample driver refills, carrier refills, fork refills, lane
         // sides refilled]` since `at`.
         let counters = [&REFILLS, &CARRIER_REFILLS, &FORK_REFILLS, &LANE_REFILLS];
@@ -1828,24 +1835,29 @@ mod tests {
             let want = [forks.saturating_sub(1), carriers - 1, 0, 0];
             assert_eq!(since(at), want, "{component}: scalar shard");
             fork_refills += want[0];
-            // The cursor refills the system the golden pass finished on;
-            // every other system the walk holds it took from parked
-            // storage or built, once: the first carrier and, when a
-            // sample forked, the first sample driver.
+            // The pool holds another component's drivers, whose systems
+            // it gives back. The cursor refills the system the golden
+            // pass finished on; every other system the walk holds it took
+            // from parked storage or built, once, with its driver: the
+            // first carrier and, when a sample forked, the first sample
+            // driver.
             let storage = walk.storage_stats();
-            let systems = 1 + u64::from(forks > 0);
+            let drivers = 1 + u64::from(forks > 0);
+            assert_eq!(storage.drivers_built, drivers, "{component}: {storage:?}");
+            assert_eq!(storage.drivers_taken, 0, "{component}: {storage:?}");
             assert_eq!(
-                storage.taken + storage.built,
-                systems,
+                storage.systems_taken + storage.systems_built,
+                drivers,
                 "{component}: {storage:?}"
             );
+            drop(walk);
 
-            // A shard of three 4-lane batches: a batch runs on its
-            // window's carrier or on a driver forked off it as above, each
-            // lane fork after the first refills the one the lane fork
-            // before ended with, and every batch after the first takes its
-            // lanes' sides from the pool but for the one a fork may keep
-            // as its target.
+            // A shard of three 4-lane batches on the drivers the scalar
+            // shard parked: a batch runs on its window's carrier or on a
+            // driver forked off it as above, each lane fork after the
+            // first refills the one the lane fork before ended with, and
+            // every batch after the first takes its lanes' sides from the
+            // pool but for the one a fork may keep as its target.
             let clustered = CampaignSpec {
                 lane_cluster: 4,
                 ..CampaignSpec::quick(component, 12)
@@ -1864,24 +1876,32 @@ mod tests {
             let [refills, carrier_refills, forks, lanes] = since(at);
             assert_eq!(stats.batches, 3, "{component}");
             assert!(stats.scalar_fallbacks > 0, "{component}: no lane forked");
+            let batch_forks = 3 - carriers;
+            let built_sample_driver = batch_forks > 0 && drivers == 1;
             assert_eq!(
                 refills,
-                (3 - carriers).saturating_sub(1),
+                batch_forks - u64::from(built_sample_driver),
                 "{component}: batch forks"
             );
-            assert_eq!(carrier_refills, carriers - 1, "{component}: carriers");
+            assert_eq!(carrier_refills, carriers, "{component}: carriers");
             assert_eq!(forks, stats.scalar_fallbacks - 1, "{component}: forks");
             assert!(
                 lanes >= 2 * 4 - 1,
                 "{component}: {lanes} lane sides refilled"
             );
-            // The first carrier, the first batch driver forked off a
-            // carrier, if any, and the first lane fork's driver.
+            // It takes the scalar shard's drivers and builds the first
+            // lane fork's and, if it forked a batch driver off a carrier
+            // and the scalar shard had none, that.
             let storage = walk.storage_stats();
-            let systems = 2 + u64::from(carriers < 3);
+            assert_eq!(storage.drivers_taken, drivers, "{component}: {storage:?}");
             assert_eq!(
-                storage.taken + storage.built,
-                systems,
+                storage.drivers_built,
+                1 + u64::from(built_sample_driver),
+                "{component}: {storage:?}"
+            );
+            assert_eq!(
+                storage.systems_taken + storage.systems_built,
+                storage.drivers_built,
                 "{component}: {storage:?}"
             );
 
@@ -1925,6 +1945,74 @@ mod tests {
         assert_eq!(Some(carrier.cycle()), last_retired);
         assert!(kept.fork.is_none());
         assert_eq!(kept.lanes.len(), 8, "every lane side is back in the pool");
+    }
+
+    #[test]
+    fn a_second_cell_builds_no_driver() {
+        // Every identity suite passes whether or not a dropped walk parks
+        // its drivers; only this notices if the next cell builds its own
+        // again. One row per component, each two lane-batched cells back
+        // to back on this thread, with a pool of its own: the first builds
+        // a carrier, a sample driver and a lane fork, the second takes
+        // them, with the lane sides, and refills them. A lane fork keeps
+        // one lane's side as its target, so the sides the first cell
+        // leaves can be one short of a batch.
+        use crate::cosim::tests::own_pool;
+        use crate::inject::{CARRIER_REFILLS, FORK_REFILLS, LANE_REFILLS, REFILLS};
+        use std::cell::Cell;
+        own_pool();
+        let counters = [&REFILLS, &CARRIER_REFILLS, &FORK_REFILLS, &LANE_REFILLS];
+        let counts = || counters.map(|c| c.with(Cell::get));
+        let cfg = TelemetryConfig::default();
+        let table = [
+            (ComponentKind::L2c, "flui"),
+            (ComponentKind::Mcu, "flui"),
+            (ComponentKind::Ccx, "lu-c"),
+            (ComponentKind::Pcie, "p-lr"),
+        ];
+        for (component, bench) in table {
+            let profile = by_name(bench).unwrap();
+            let cell = |seed| CampaignSpec {
+                seed,
+                workers: 1,
+                lane_cluster: 4,
+                ..CampaignSpec::quick(component, 48)
+            };
+            let first = run_campaign_with(profile, &cell(7), Some(&cfg));
+            let built = first.telemetry.engine.counter(names::STORAGE_DRIVERS_BUILT);
+            assert_eq!(built, 3, "{component}: the first cell's drivers");
+            let spec = cell(5);
+            let at = counts();
+            let second = run_campaign_with(profile, &spec, Some(&cfg));
+            let [refills, carriers, forks, lanes] = {
+                let now = counts();
+                [0, 1, 2, 3].map(|k| now[k] - at[k])
+            };
+            let engine = &second.telemetry.engine;
+            let c = |name| engine.counter(name);
+            assert_eq!(c(names::STORAGE_DRIVERS_BUILT), 0, "{component}");
+            assert!(c(names::STORAGE_DRIVERS_TAKEN) > 0, "{component}");
+            assert_eq!(carriers, c(names::WARM_CARRIERS), "{component}: carriers");
+            assert_eq!(
+                forks,
+                c(names::LANES_SCALAR_FALLBACKS),
+                "{component}: lane forks"
+            );
+            assert!(
+                forks > 0 && refills > 0,
+                "{component}: {refills} sample refills"
+            );
+            assert_eq!(c(names::LANES_BATCHES), 12, "{component}");
+            assert!(lanes >= 48 - 1, "{component}: {lanes} lane sides refilled");
+            let want = run_campaign_replay(profile, &spec, Some(&cfg));
+            assert_eq!(second.golden, want.golden, "{component}");
+            assert_eq!(second.records, want.records, "{component}");
+            assert_eq!(second.counts, want.counts, "{component}");
+            assert!(
+                second.telemetry.merged.to_jsonl() == want.telemetry.merged.to_jsonl(),
+                "{component}: merged telemetry"
+            );
+        }
     }
 
     /// The four components' cells the carrier tests share.

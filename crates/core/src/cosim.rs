@@ -166,13 +166,16 @@ pub(crate) fn refilled<T: Clone>(spare: Option<T>, source: &T) -> T {
 
 // ─────────────────────────── Parked storage ──────────────────────────
 
-/// Systems no campaign holds any more — a dropped walk's cursor and
-/// kept drivers, a dropped cell's rungs, a golden run no walk took —
-/// parked process-wide, for the next campaign's systems to refill
-/// (DESIGN.md *Recycling the injection's driver*).
+/// Storage no campaign holds any more, parked process-wide for the next
+/// campaign to refill (DESIGN.md *Recycling the injection's driver*):
+/// systems — a dropped walk's cursor, a dropped cell's rungs, a golden
+/// run no walk took — and the drivers and lane sides of dropped walks.
 struct Parked {
     /// The most recently parked last.
     systems: Vec<System>,
+    /// One component's [`Kept`] drivers each, their systems parked; the
+    /// most recently parked last.
+    drivers: Vec<Spares>,
     /// Walks alive now, and the most alive at once so far.
     walks: usize,
     peak_walks: usize,
@@ -180,82 +183,130 @@ struct Parked {
 
 /// What one walk and its cell hold of systems on a one-worker cell, and
 /// so what the pool keeps per walk: the base, the golden run the cursor
-/// refills, and a window's carrier, sample driver and lane fork.
+/// refills, and a window's carrier, sample driver and lane fork, which
+/// come here when their driver set is freed for another component's
+/// ([`take_drivers`]).
 const SYSTEMS_PER_WALK: usize = 5;
 
-static PARKED: Mutex<Parked> = Mutex::new(Parked {
-    systems: Vec::new(),
-    walks: 0,
-    peak_walks: 0,
-});
+impl Parked {
+    const EMPTY: Parked = Parked {
+        systems: Vec::new(),
+        drivers: Vec::new(),
+        walks: 0,
+        peak_walks: 0,
+    };
+}
+
+static PARKED: Mutex<Parked> = Mutex::new(Parked::EMPTY);
+
+#[cfg(test)]
+thread_local! {
+    /// A pool of this thread's own, in place of [`PARKED`], for a test
+    /// whose counts must not depend on what tests on other threads park
+    /// and take ([`tests::own_pool`]).
+    static OWN_POOL: Cell<Option<&'static Mutex<Parked>>> = const { Cell::new(None) };
+}
 
 /// The pool. A panic never leaves it half-changed (a push, a pop or a
 /// count at a time), so a poisoned lock still guards whole systems.
 fn parked() -> MutexGuard<'static, Parked> {
-    PARKED.lock().unwrap_or_else(PoisonError::into_inner)
+    #[cfg(test)]
+    let pool = OWN_POOL.with(Cell::get).unwrap_or(&PARKED);
+    #[cfg(not(test))]
+    let pool = &PARKED;
+    pool.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
-    /// Systems this thread took from the pool and built.
-    static STORAGE: Cell<StorageStats> = const { Cell::new(StorageStats { taken: 0, built: 0 }) };
+    /// Systems and drivers this thread took from the pool and built.
+    static STORAGE: Cell<StorageStats> = const { Cell::new(StorageStats::ZERO) };
 }
 
-/// Engine-side counters of where a campaign's systems came from,
-/// reported as `storage.*` beside `dram.*`.
+/// Engine-side counters of where a campaign's systems and drivers came
+/// from, reported as `storage.*` beside `dram.*`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct StorageStats {
     /// Systems refilled from parked storage.
-    pub taken: u64,
+    pub systems_taken: u64,
     /// Systems built because none was parked.
-    pub built: u64,
+    pub systems_built: u64,
+    /// Drivers taken from parked storage, with their ports and sides.
+    pub drivers_taken: u64,
+    /// Drivers built because the walk had none to refill.
+    pub drivers_built: u64,
 }
 
 impl StorageStats {
-    /// `f`'s result, and the systems this thread took and built while it
-    /// ran.
+    const ZERO: StorageStats = StorageStats {
+        systems_taken: 0,
+        systems_built: 0,
+        drivers_taken: 0,
+        drivers_built: 0,
+    };
+
+    /// `f`'s result, and the systems and drivers this thread took and
+    /// built while it ran.
     pub(crate) fn during<R>(f: impl FnOnce() -> R) -> (R, StorageStats) {
         let before = STORAGE.with(Cell::get);
         let r = f();
         let after = STORAGE.with(Cell::get);
         let stats = StorageStats {
-            taken: after.taken - before.taken,
-            built: after.built - before.built,
+            systems_taken: after.systems_taken - before.systems_taken,
+            systems_built: after.systems_built - before.systems_built,
+            drivers_taken: after.drivers_taken - before.drivers_taken,
+            drivers_built: after.drivers_built - before.drivers_built,
         };
         (r, stats)
     }
 
     /// Adds `other`'s counts.
     pub(crate) fn add(&mut self, other: StorageStats) {
-        self.taken += other.taken;
-        self.built += other.built;
+        self.systems_taken += other.systems_taken;
+        self.systems_built += other.systems_built;
+        self.drivers_taken += other.drivers_taken;
+        self.drivers_built += other.drivers_built;
     }
 
-    /// Adds these counters to the engine-side recorder.
+    /// Adds these counters to the engine-side recorder, the drivers'
+    /// only once there was one: a golden pass holds none.
     pub(crate) fn publish(&self, engine: &mut Recorder) {
-        engine.count(names::STORAGE_SYSTEMS_TAKEN, self.taken);
-        engine.count(names::STORAGE_SYSTEMS_BUILT, self.built);
+        engine.count(names::STORAGE_SYSTEMS_TAKEN, self.systems_taken);
+        engine.count(names::STORAGE_SYSTEMS_BUILT, self.systems_built);
+        if self.drivers_taken + self.drivers_built > 0 {
+            engine.count(names::STORAGE_DRIVERS_TAKEN, self.drivers_taken);
+            engine.count(names::STORAGE_DRIVERS_BUILT, self.drivers_built);
+        }
     }
+}
+
+/// Adds `f`'s change to this thread's storage counters.
+fn counted(f: impl FnOnce(&mut StorageStats)) {
+    STORAGE.with(|n| {
+        let mut stats = n.get();
+        f(&mut stats);
+        n.set(stats);
+    });
+}
+
+/// Counts a driver built because its walk had none to refill.
+pub(crate) fn driver_built() {
+    counted(|n| n.drivers_built += 1);
 }
 
 /// Storage for one more system: the one parked last, or `None` for the
 /// caller to build one. Every system a campaign needs asks here first.
 ///
-/// Walks and cells park their systems in the reverse of the order the
-/// next cell takes them — base, golden run (the cursor), carrier,
-/// sample driver, lane fork — so that one process running cell after
-/// cell hands each system back to the role it had, whose buffers it
-/// has grown to fit.
+/// Systems are parked in the reverse of the order the next cell takes
+/// them — base, golden run (the cursor) and, from a freed driver set,
+/// carrier, sample driver, lane fork — so that one process running cell
+/// after cell hands each system back to the role it had, whose buffers
+/// it has grown to fit.
 pub(crate) fn unpark() -> Option<System> {
     let sys = parked().systems.pop();
-    STORAGE.with(|n| {
-        let mut stats = n.get();
-        *if sys.is_some() {
-            &mut stats.taken
-        } else {
-            &mut stats.built
-        } += 1;
-        n.set(stats);
-    });
+    match sys {
+        Some(_) => counted(|n| n.systems_taken += 1),
+        None => counted(|n| n.systems_built += 1),
+    }
     sys
 }
 
@@ -284,6 +335,31 @@ pub(crate) fn park(mut sys: System) {
     };
     // Freed outside the lock.
     drop(evicted);
+}
+
+/// The drivers parked last of the component `mine` matches, if any.
+/// With none, the set parked first, of another component, gives its
+/// systems to the pool for this walk's drivers to refill, and its ports
+/// and sides are freed.
+fn take_drivers(mine: impl Fn(&Spares) -> bool) -> Option<Spares> {
+    let (taken, other) = {
+        let mut pool = parked();
+        match pool.drivers.iter().rposition(mine) {
+            Some(at) => (Some(pool.drivers.remove(at)), None),
+            None if pool.drivers.is_empty() => (None, None),
+            None => (None, Some(pool.drivers.remove(0))),
+        }
+    };
+    if let Some(other) = other {
+        // The carrier's last: a walk builds it first of the three.
+        other.into_systems().into_iter().flatten().for_each(park);
+    }
+    if let Some(taken) = &taken {
+        let mut drivers = 0;
+        taken.for_each_system(|_| drivers += 1);
+        counted(|n| n.drivers_taken += drivers);
+    }
+    taken
 }
 
 /// Counts a walk alive from [`walk_started`] to [`walk_ended`], the
@@ -566,17 +642,30 @@ impl<C: Component> Kept<C> {
         drivers.chain(&self.fork).map(|driver| &driver.sys)
     }
 
-    /// Parks the systems of the drivers kept ([`park`]), the carrier's
-    /// last: a walk takes it first of the three.
-    fn park_systems(&mut self) {
-        for driver in [self.fork.take(), self.driver.take(), self.carrier.take()] {
-            driver.into_iter().for_each(|driver| park(driver.sys));
+    /// Readies these drivers for the pool: each system parked as
+    /// [`park`] parks one, and each golden side dropped. A golden is
+    /// refilled from its target at the snapshot, so a parked one saves
+    /// a walk little, and an L2C golden holds its bank's arrays, which
+    /// would sit beside what the process allocates between campaigns.
+    fn park_drivers(&mut self) {
+        let drivers = (self.carrier.iter_mut()).chain(&mut self.driver);
+        for driver in drivers.chain(&mut self.fork) {
+            driver.sys.park();
+            driver.golden = None;
         }
+    }
+
+    /// The systems of the drivers kept, the carrier's last; their ports
+    /// and sides are dropped.
+    fn into_systems(self) -> [Option<System>; 3] {
+        [self.fork, self.driver, self.carrier].map(|driver| driver.map(|d| d.sys))
     }
 }
 
 /// A shard's [`Kept`] drivers and lanes. A shard runs one component, so
-/// it keeps that component's alone.
+/// it keeps that component's alone, from its first window, which takes
+/// the set a dropped walk of that component parked ([`Component::kept`]),
+/// to its drop, which parks it ([`Spares::park`]).
 #[allow(
     clippy::large_enum_variant,
     reason = "one per shard runner, inline: it is as large as one component's drivers, \
@@ -609,27 +698,51 @@ impl Spares {
         }
     }
 
-    /// Parks the system of every driver kept ([`park`]); the ports and
-    /// sides go with the spares.
-    pub(crate) fn park_systems(&mut self) {
+    /// The system of every driver kept, the carrier's last.
+    fn into_systems(self) -> [Option<System>; 3] {
         match self {
-            Spares::Empty => {}
-            Spares::L2c(kept) => kept.park_systems(),
-            Spares::Mcu(kept) => kept.park_systems(),
-            Spares::Ccx(kept) => kept.park_systems(),
-            Spares::Pcie(kept) => kept.park_systems(),
+            Spares::Empty => [None, None, None],
+            Spares::L2c(kept) => kept.into_systems(),
+            Spares::Mcu(kept) => kept.into_systems(),
+            Spares::Ccx(kept) => kept.into_systems(),
+            Spares::Pcie(kept) => kept.into_systems(),
         }
+    }
+
+    /// Parks these drivers and lane sides for a later walk of their
+    /// component to take ([`Component::kept`]), without their golden
+    /// sides (`Kept::park_drivers`). The pool keeps one set for each
+    /// walk the process ever ran at once, the most recently parked.
+    pub(crate) fn park(mut self) {
+        match &mut self {
+            Spares::Empty => return,
+            Spares::L2c(kept) => kept.park_drivers(),
+            Spares::Mcu(kept) => kept.park_drivers(),
+            Spares::Ccx(kept) => kept.park_drivers(),
+            Spares::Pcie(kept) => kept.park_drivers(),
+        }
+        let evicted = {
+            let mut pool = parked();
+            pool.drivers.push(self);
+            let over = pool.drivers.len().saturating_sub(pool.peak_walks.max(1));
+            pool.drivers.drain(..over).collect::<Vec<_>>()
+        };
+        // Freed outside the lock.
+        drop(evicted);
     }
 }
 
 /// [`Component::kept`] for the component of `Spares::$variant`: what
-/// `$spares` keeps of it, emptied first if it kept another's.
+/// `$spares` keeps of it. Spares of another component, or none, are
+/// parked, and the set a dropped walk of this one parked last taken in
+/// their place, or an empty one.
 macro_rules! kept_as {
     ($spares:expr, $variant:ident) => {{
         let spares: &mut Spares = $spares;
         if !matches!(spares, Spares::$variant(_)) {
-            spares.park_systems();
-            *spares = Spares::$variant(Kept::default());
+            std::mem::take(spares).park();
+            *spares = take_drivers(|s| matches!(s, Spares::$variant(_)))
+                .unwrap_or_else(|| Spares::$variant(Kept::default()));
         }
         match spares {
             Spares::$variant(kept) => kept,
@@ -778,6 +891,7 @@ impl<C: Component> Driver<C> {
         );
         self.sys.share_pages();
         let Some(mut fork) = spare else {
+            driver_built();
             let mut target = self.target.clone();
             target.flops();
             let fork = Driver::new(parked_copy(&self.sys), self.port.clone(), target);
@@ -819,6 +933,7 @@ impl<C: Component> Driver<C> {
         );
         self.sys.share_pages();
         let Some(mut fork) = spare else {
+            driver_built();
             return Driver {
                 sys: parked_copy(&self.sys),
                 port: self.port.clone(),
@@ -2231,6 +2346,13 @@ pub(crate) mod tests {
     /// [`STEPS`] as it stands.
     pub(crate) fn steps() -> [[u64; 2]; 2] {
         STEPS.with(std::cell::Cell::get)
+    }
+
+    /// Gives this thread an empty pool of parked storage of its own, as
+    /// if it were alone in its process: what it parks, only it takes.
+    pub(crate) fn own_pool() {
+        let pool = Box::leak(Box::new(Mutex::new(Parked::EMPTY)));
+        OWN_POOL.with(|own| own.set(Some(pool)));
     }
 
     impl<C: Component> Driver<C> {

@@ -407,6 +407,7 @@ pub(crate) fn enter<C: Component>(
             (driver, golden)
         }
         None => {
+            crate::cosim::driver_built();
             let mut sys = crate::cosim::parked_copy(base);
             to_entry(&mut sys);
             (C::attach_instance(sys, spec.instance), None)

@@ -211,6 +211,13 @@ pub mod names {
     /// Counter: systems a campaign built because none was parked
     /// (engine telemetry).
     pub const STORAGE_SYSTEMS_BUILT: &str = "storage.systems_built";
+    /// Counter: co-simulation drivers — system, port and sides — a
+    /// campaign's walks took from the set a dropped walk of their
+    /// component parked (engine telemetry).
+    pub const STORAGE_DRIVERS_TAKEN: &str = "storage.drivers_taken";
+    /// Counter: drivers a campaign's walks built because they had none
+    /// to refill (engine telemetry).
+    pub const STORAGE_DRIVERS_BUILT: &str = "storage.drivers_built";
 
     // The `postflip.*` engine counters: runs and their co-simulation
     // cycles after the flip, by how co-simulation ended, then by whether
@@ -386,6 +393,8 @@ pub mod names {
         DRAM_PAGES_COPIED,
         STORAGE_SYSTEMS_TAKEN,
         STORAGE_SYSTEMS_BUILT,
+        STORAGE_DRIVERS_TAKEN,
+        STORAGE_DRIVERS_BUILT,
         POSTFLIP_RUNS_IDENTICAL_CLEAN,
         POSTFLIP_RUNS_IDENTICAL_ERRONEOUS,
         POSTFLIP_RUNS_BENIGN_CLEAN,

@@ -92,6 +92,8 @@ mod tests {
             (names::LANES_SCALAR_FALLBACKS, 8),
             (names::STORAGE_SYSTEMS_TAKEN, 5),
             (names::STORAGE_SYSTEMS_BUILT, 1),
+            (names::STORAGE_DRIVERS_TAKEN, 2),
+            (names::STORAGE_DRIVERS_BUILT, 1),
             (names::DRAM_CHUNKS_ALLOCATED, 3),
             (names::DRAM_PAGES_COPIED, 70),
             (names::POSTFLIP_RUNS_ENDED_CLEAN, 2),
@@ -105,7 +107,7 @@ mod tests {
         assert!(s.contains("lanes: 6 batches, 30 retired in them, 8 left on a fork"));
         assert!(s.contains(
             "storage: 5 systems taken from parked storage, 1 built; \
-             DRAM 3 arena chunks allocated, 70 pages copied"
+             2 drivers taken, 1 built; DRAM 3 arena chunks allocated, 70 pages copied"
         ));
         assert!(s.contains("post-flip co-simulation: 2 runs, 40 cycles (20 per run)"));
         assert!(s.contains("phase 3 ran 6500 accelerated cycles to the program's end"));

@@ -210,9 +210,11 @@ pub fn render_engine_stats(engine: &Recorder) -> String {
     }
     out.push_str(&format!(
         "  storage: {} systems taken from parked storage, {} built; \
-         DRAM {} arena chunks allocated, {} pages copied\n",
+         {} drivers taken, {} built; DRAM {} arena chunks allocated, {} pages copied\n",
         c(names::STORAGE_SYSTEMS_TAKEN),
         c(names::STORAGE_SYSTEMS_BUILT),
+        c(names::STORAGE_DRIVERS_TAKEN),
+        c(names::STORAGE_DRIVERS_BUILT),
         c(names::DRAM_CHUNKS_ALLOCATED),
         c(names::DRAM_PAGES_COPIED),
     ));

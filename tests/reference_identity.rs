@@ -6,7 +6,8 @@
 //! executor, runs them back to back and requires the golden reference,
 //! the counts, the records and the merged telemetry export of each to be
 //! the reference's bytes. The second cell runs on the storage the first
-//! one parked, and the cases run back to back in this one process, so
+//! one parked — on the same component, whose drivers it takes, or on
+//! another — and the cases run back to back in this one process, so
 //! the history of parked storage is drawn too, and replays with a case.
 //!
 //! Coverage is counted across the cases, as the lockstep oracles count
@@ -97,8 +98,10 @@ impl std::fmt::Debug for Case {
     }
 }
 
-fn draw(src: &mut Source) -> Case {
-    let component = ComponentKind::ALL[src.index(ComponentKind::ALL.len())];
+/// A cell of `component`, or of a component drawn for `None`.
+fn draw(src: &mut Source, component: Option<ComponentKind>) -> Case {
+    let component =
+        component.unwrap_or_else(|| ComponentKind::ALL[src.index(ComponentKind::ALL.len())]);
     // PCIe injects only into the benchmarks fed by an input file.
     let benches: Vec<&str> = (BENCHMARKS.iter())
         .filter(|p| component != ComponentKind::Pcie || p.has_input_file())
@@ -243,6 +246,12 @@ struct Coverage {
     /// Runs whose cursors restored from a rung above the base.
     restores_above_base: u32,
     systems_taken: u64,
+    drivers_taken: u64,
+    /// Drivers a served run reported through the service's `Done`.
+    served_drivers: u64,
+    /// Cases whose second cell switched component, and whose ran on the
+    /// first one's.
+    pairs: [u32; 2],
     /// Leased runs with a shard boundary inside a window.
     shards_cutting_a_window: u32,
 }
@@ -293,6 +302,7 @@ fn count(cov: &mut Coverage, case: &Case, samples: &[InjectionSpec], got: &Campa
     cov.lanes_retired_early += engine.counter(names::LANES_RETIRED_EARLY);
     cov.lanes_forked += engine.counter(names::LANES_SCALAR_FALLBACKS);
     cov.systems_taken += engine.counter(names::STORAGE_SYSTEMS_TAKEN);
+    cov.drivers_taken += engine.counter(names::STORAGE_DRIVERS_TAKEN);
     match case.executor {
         Executor::InProcess => {
             let workers = match case.spec.workers {
@@ -325,7 +335,10 @@ fn count(cov: &mut Coverage, case: &Case, samples: &[InjectionSpec], got: &Campa
             );
             assert_eq!(engine.counter(names::CLUSTER_REDISPATCHES), 0, "{at}");
         }
-        Executor::Served { .. } => {}
+        Executor::Served { .. } => {
+            cov.served_drivers += engine.counter(names::STORAGE_DRIVERS_TAKEN)
+                + engine.counter(names::STORAGE_DRIVERS_BUILT);
+        }
     }
 }
 
@@ -340,8 +353,21 @@ fn every_executor_gives_the_reference_bytes() {
     check_with(config, "every_executor_gives_the_reference_bytes", |src| {
         let mut cov = coverage.borrow_mut();
         cov.cases += 1;
-        for _ in 0..2 {
-            let cell = draw(src);
+        // The second cell runs on the first one's component, whose
+        // drivers it takes, or on another.
+        let first = draw(src, None);
+        let same = src.bool();
+        let second = match same {
+            true => first.spec.component,
+            false => {
+                let others: Vec<ComponentKind> = (ComponentKind::ALL.into_iter())
+                    .filter(|&c| c != first.spec.component)
+                    .collect();
+                others[src.index(others.len())]
+            }
+        };
+        cov.pairs[usize::from(same)] += 1;
+        for cell in [first, draw(src, Some(second))] {
             let want = run_campaign_replay(cell.profile, &cell.spec, cell.telemetry.as_ref());
             let got = execute(cell);
             assert_same(&format!("{cell:?}"), &want, &got);
@@ -371,6 +397,13 @@ fn every_executor_gives_the_reference_bytes() {
             cov.restores_above_base.into(),
         ),
         ("systems taken from parked storage", cov.systems_taken),
+        ("drivers taken from parked storage", cov.drivers_taken),
+        ("drivers counted through the service", cov.served_drivers),
+        (
+            "component switch between a case's cells",
+            cov.pairs[0].into(),
+        ),
+        ("same-component pair of cells", cov.pairs[1].into()),
         (
             "shards cutting a window",
             cov.shards_cutting_a_window.into(),
